@@ -164,12 +164,6 @@ pub struct EngineConfig {
     /// `min(available cores, 4)`; nonzero pins the count (the
     /// `ablate_reactor` scaling sweep sets it explicitly).
     pub reactor_threads: usize,
-    /// Upper bound, in microseconds, on one idle poll of the *serial*
-    /// TCP worker (how long it parks on the work condvar before
-    /// re-checking rail readability). Historically hard-coded at 50 µs;
-    /// latency-sensitive deployments can tighten it, batch-oriented
-    /// ones can relax it to cut idle wakeups.
-    pub serial_idle_poll_us: u64,
 }
 
 impl Default for EngineConfig {
@@ -192,7 +186,6 @@ impl Default for EngineConfig {
             zoo: ZooConfig::default(),
             reactor: false,
             reactor_threads: 0,
-            serial_idle_poll_us: 50,
         }
     }
 }
@@ -221,10 +214,6 @@ impl EngineConfig {
         self.telemetry.validate();
         self.watchdog.validate();
         self.zoo.validate();
-        assert!(
-            self.serial_idle_poll_us > 0,
-            "serial_idle_poll_us must be positive (the serial worker would spin)"
-        );
         if self.telemetry.enabled() {
             assert!(
                 self.record_capacity > 0,
@@ -257,20 +246,6 @@ mod tests {
             "reactor defaults off: existing paths bit-identical"
         );
         assert_eq!(c.reactor_threads, 0, "reactor pool auto-sizes by default");
-        assert_eq!(
-            c.serial_idle_poll_us, 50,
-            "historical serial idle-poll bound"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "serial_idle_poll_us")]
-    fn zero_idle_poll_rejected() {
-        let c = EngineConfig {
-            serial_idle_poll_us: 0,
-            ..Default::default()
-        };
-        c.validate();
     }
 
     #[test]

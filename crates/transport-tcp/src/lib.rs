@@ -17,12 +17,14 @@
 //!
 //! Two progress runtimes drive the same engine:
 //!
-//! * **Serial** (default, `EngineConfig::parallel = false`): one progress
-//!   thread per endpoint plays the NIC-activity loop with non-blocking
-//!   sockets — it drains arrivals, flushes pending injections and offers
-//!   idle rails to the engine. Submissions kick the thread's work signal
-//!   so a send posted during an idle poll is picked up immediately
-//!   instead of waiting out the poll interval.
+//! * **Serial** (default, `EngineConfig::parallel = false`): whoever
+//!   needs progress makes it. `send` offers the idle rails on the
+//!   caller's thread (the paper's "NIC idle → send now"), a handle's
+//!   `wait` runs progress passes itself before it ever sleeps, and one
+//!   backstop thread per endpoint blocks in `epoll_wait` on the rail
+//!   sockets for the arrivals and timers no caller is around for. The
+//!   engine lock is never held across a socket syscall. See DESIGN.md
+//!   "Who drives progress".
 //! * **Parallel** (`EngineConfig::parallel = true`): a sharded pipeline
 //!   per endpoint — one scheduler thread owning the (short-held) engine
 //!   lock, plus one TX and one RX thread per rail. The slow socket write
@@ -34,9 +36,9 @@
 //!
 //! The datapath is scatter-gather end to end in both modes: transmissions
 //! go out with `write_vectored` straight from the engine's
-//! [`PacketFrame`] parts (no flattening), and arrivals are carved out of
-//! a `BytesMut` receive ring with `split_to`, handing each frame to
-//! [`nmad_core::Engine::on_frame`] as one refcounted slice.
+//! [`PacketFrame`] parts (no flattening), and each arrival is handed to
+//! [`nmad_core::Engine::on_frame`] as one refcounted slice holding
+//! exactly that frame's bytes.
 //!
 //! ## Syscall amortization (DESIGN.md §12)
 //!
@@ -59,7 +61,8 @@
 
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -70,24 +73,51 @@ use nmad_core::engine::Engine;
 use nmad_core::request::{RecvId, SendId};
 use nmad_core::{
     ChaosState, Completion, EngineConfig, Event, EventKind, FlightRecorder, OutboxReceiver,
-    ParallelHub, WorkSignal,
+    ParallelHub, SyscallStats,
 };
 use nmad_model::{Platform, RailId};
 use nmad_sim::Xoshiro256StarStar;
 use nmad_wire::reassembly::MessageAssembly;
 use nmad_wire::{ConnId, PacketFrame};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 pub mod reactor;
+pub mod sys;
 
 /// Frame length prefix size.
 const LEN_PREFIX: usize = 4;
 /// Largest accepted frame (sanity bound against corrupt prefixes).
 const MAX_FRAME: usize = 64 << 20;
-// The serial worker's idle-poll upper bound — historically a hard-coded
-// 50 µs here — is now [`EngineConfig::serial_idle_poll_us`] (same
-// default), so latency-sensitive deployments tighten it per endpoint
-// instead of recompiling.
+/// Serial runtime: how long a waiting caller keeps making passes that
+/// move no byte before it sleeps and leaves the sockets to the backstop.
+/// A time, not a count of passes: a pass that finds the I/O lock taken
+/// takes no time at all, and the holder may be off its CPU for as long
+/// as a scheduler slice.
+const SPIN_BUDGET: Duration = Duration::from_micros(1000);
+/// Serial runtime: how long after a completed `wait` whose own passes
+/// were reading a frame larger than [`READ_CHUNK`] (a rendezvous chunk)
+/// the backstop thread still leaves the sockets alone. A pass over such
+/// a frame holds the I/O lock for hundreds of microseconds: a backstop
+/// thread that starts one while the caller looks at its message locks
+/// the returning caller out for that long — longer when the scheduler
+/// takes its CPU meanwhile — and which of the two ends up reading is
+/// then a matter of timing. A peer that waits in a loop is back well
+/// within the lease; one that is not delays what arrives right after
+/// its wait by this much at most. Not longer than [`SPIN_BUDGET`], so
+/// that a caller about to sleep never holds a lease.
+const CALLER_LEASE: Duration = SPIN_BUDGET;
+/// Serial runtime: rounds of post-and-write one pass makes before the
+/// sockets are read again.
+const TX_ROUNDS: usize = 8;
+/// Serial backstop thread: longest sleep with no engine timer armed.
+/// Arrivals, kicks and shutdown all end the sleep; this only bounds how
+/// stale the engine clock can get.
+const BACKSTOP_TICK: Duration = Duration::from_millis(100);
+/// Serial backstop thread's timed poll where [`sys`] is the
+/// `Unsupported` stub and there is no readiness to block on.
+const FALLBACK_POLL: Duration = Duration::from_micros(50);
+/// Epoll token of the backstop thread's eventfd (rails use their index).
+const KICK_TOKEN: u64 = u64::MAX;
 /// Parallel workers: socket read/write timeout, which doubles as the
 /// shutdown-responsiveness bound for blocking I/O.
 const IO_TIMEOUT: Duration = Duration::from_millis(25);
@@ -117,7 +147,7 @@ pub struct TcpConfig {
     pub platform: Platform,
     /// Engine configuration. CRC is forced on. Set
     /// [`EngineConfig::parallel`] to run the sharded per-rail pipeline
-    /// instead of the single progress thread.
+    /// instead of the caller-driven serial runtime.
     pub engine: EngineConfig,
     /// Logical channels opened at construction on both endpoints.
     pub conns: usize,
@@ -142,23 +172,49 @@ impl TcpConfig {
     }
 }
 
+/// Serial runtime state. Any thread may make a progress pass; lock order
+/// is `io` → `engine`, and `engine` is never held across a socket
+/// syscall (DESIGN.md "Who drives progress").
 struct Shared {
     engine: Mutex<Engine>,
+    /// Notified after progress, only while `waiters` is nonzero.
     cv: Condvar,
-    /// Wakes the progress thread out of an idle poll when the app
-    /// submits work. Without it a submission posted while the worker
-    /// slept waited out the full poll interval (and, worse, any future
-    /// longer idle wait would have lost the wakeup entirely).
-    work: WorkSignal,
+    io: Mutex<SerialIo>,
+    ready: Readiness,
+    /// Epoch of the engine's monotonic clock (timeouts, probes).
+    start: Instant,
     shutdown: AtomicBool,
+    /// An engine invariant broke on the progress path: waits that would
+    /// block return `false`/`None` from now on.
+    failed: AtomicBool,
     rx_errors: AtomicU64,
     io_errors: AtomicU64,
+    /// Application threads making passes right now; while nonzero the
+    /// backstop thread declines its wake-ups.
+    pollers: AtomicUsize,
+    /// Engine-clock time until which a caller that left keeps the
+    /// sockets ([`CALLER_LEASE`]); the backstop thread declines until
+    /// then as if that caller still polled, and sleeps no longer.
+    lease_ns: AtomicU64,
+    /// One more full pass is owed: the backstop declined a wake-up, a
+    /// submitter found `io` taken, or a pass stopped with work in sight
+    /// (a `read` that came back full, [`TX_ROUNDS`]). Set *before*
+    /// reading `pollers`; the last poller to leave reads it *after* its
+    /// decrement and kicks the backstop — Dekker order, all `SeqCst`,
+    /// so the pass is never lost.
+    skipped: AtomicBool,
+    /// Threads asleep on `cv`.
+    waiters: AtomicUsize,
+    /// [`Engine::next_deadline_ns`] as of the last pass (`u64::MAX`: no
+    /// timer armed). The backstop thread sizes every sleep by it, also
+    /// the ones after a wake-up it declined.
+    deadline_ns: AtomicU64,
 }
 
 /// Which runtime drives an endpoint's engine.
 #[derive(Clone)]
 enum Fabric {
-    /// Single progress thread holding the engine lock across I/O.
+    /// Caller-driven progress plus one backstop thread.
     Serial(Arc<Shared>),
     /// Sharded pipeline: scheduler + per-rail TX/RX workers.
     Parallel(Arc<ParallelHub>),
@@ -179,12 +235,20 @@ impl Fabric {
             Fabric::Parallel(h) => h.app_cv(),
         }
     }
+
+    /// Recorded flight events (see [`Endpoint::events`]).
+    fn events(&self) -> Vec<nmad_core::Event> {
+        match self {
+            Fabric::Serial(s) => s.engine.lock().recorder().events(),
+            Fabric::Parallel(h) => h.merged_events(),
+        }
+    }
 }
 
 /// One endpoint of the TCP fabric.
 pub struct Endpoint {
     fabric: Fabric,
-    /// Serial: the single progress thread. Parallel: per-rail TX/RX
+    /// Serial: the backstop thread. Parallel: per-rail TX/RX
     /// workers first, the scheduler last — joined in that order so the
     /// scheduler drains the workers' final completions before exiting.
     /// Reactor: the scheduler only (rail I/O lives in the pool below).
@@ -209,23 +273,44 @@ pub struct RecvHandle {
     id: RecvId,
 }
 
-/// Block on `fabric`'s completion condvar until `done` or `timeout`.
+/// Wait until `done` or `timeout`. On the serial runtime the caller
+/// drives progress itself ([`Shared::drive`]) and sleeps on the
+/// completion condvar only between bouts of it, so a zero timeout is
+/// exactly one progress pass; the other runtimes just sleep.
 fn wait_on<T>(
     fabric: &Fabric,
     timeout: Duration,
     mut done: impl FnMut(&mut Engine) -> Option<T>,
 ) -> Option<T> {
     let deadline = Instant::now() + timeout;
-    let mut eng = fabric.engine().lock();
     loop {
+        let serial = match fabric {
+            Fabric::Serial(s) => {
+                if let Some(v) = s.drive(deadline, &mut done) {
+                    return Some(v);
+                }
+                Some(s)
+            }
+            Fabric::Parallel(_) => None,
+        };
+        let mut eng = fabric.engine().lock();
         if let Some(v) = done(&mut eng) {
             return Some(v);
         }
         let now = Instant::now();
-        if now >= deadline {
+        if now >= deadline || serial.is_some_and(|s| s.failed.load(Ordering::SeqCst)) {
             return None;
         }
+        // Registered under the engine lock, which `wait_for` releases
+        // atomically: a pass that completes us after this point sees the
+        // count and notifies.
+        if let Some(s) = serial {
+            s.waiters.fetch_add(1, Ordering::SeqCst);
+        }
         fabric.cv().wait_for(&mut eng, deadline - now);
+        if let Some(s) = serial {
+            s.waiters.fetch_sub(1, Ordering::SeqCst);
+        }
     }
 }
 
@@ -248,13 +333,13 @@ impl SendHandle {
     }
 
     /// Re-enqueue the message for transmission (acked mode). Normally the
-    /// engine's own adaptive timers handle this from the progress thread;
+    /// engine's own adaptive timers handle this from a progress pass;
     /// the manual hook remains for tests. See
     /// [`nmad_core::Engine::retransmit`].
     pub fn retransmit(&self) -> bool {
         let hit = self.fabric.engine().lock().retransmit(self.id);
         match &self.fabric {
-            Fabric::Serial(s) => s.work.kick(),
+            Fabric::Serial(s) => s.offer(|_| ()),
             Fabric::Parallel(h) => h.kick_sched(),
         }
         hit
@@ -277,12 +362,7 @@ impl Endpoint {
     /// Submit a non-blocking send.
     pub fn send(&self, conn: ConnId, segments: Vec<Bytes>) -> SendHandle {
         let id = match &self.fabric {
-            Fabric::Serial(s) => {
-                let id = s.engine.lock().submit_send(conn, segments);
-                // Wake the progress thread: it may be mid idle-poll.
-                s.work.kick();
-                id
-            }
+            Fabric::Serial(s) => s.offer(|eng| eng.submit_send(conn, segments)),
             // The hub queues without touching the engine lock and kicks
             // the scheduler itself.
             // Submission only errors after shutdown, and this endpoint
@@ -301,8 +381,15 @@ impl Endpoint {
     pub fn recv(&self, conn: ConnId) -> RecvHandle {
         let id = match &self.fabric {
             Fabric::Serial(s) => {
-                let id = s.engine.lock().post_recv(conn);
-                s.work.kick();
+                let mut eng = s.engine.lock();
+                let id = eng.post_recv(conn);
+                // Only a receive that released a parked rendezvous
+                // grant leaves something to transmit.
+                let granted = eng.has_tx_work();
+                drop(eng);
+                if granted {
+                    s.offer(|_| ());
+                }
                 id
             }
             Fabric::Parallel(h) => h.post_recv(conn).expect("endpoint not shut down"),
@@ -391,10 +478,7 @@ impl Endpoint {
     /// (workers deposit at exit; live workers' events appear after
     /// shutdown).
     pub fn events(&self) -> Vec<nmad_core::Event> {
-        match &self.fabric {
-            Fabric::Serial(s) => s.engine.lock().recorder().events(),
-            Fabric::Parallel(h) => h.merged_events(),
-        }
+        self.fabric.events()
     }
 
     /// Fold pending recorder events into the telemetry windows and
@@ -446,7 +530,7 @@ impl Drop for Endpoint {
         match &self.fabric {
             Fabric::Serial(s) => {
                 s.shutdown.store(true, Ordering::SeqCst);
-                s.work.kick();
+                s.ready.kick();
             }
             Fabric::Parallel(h) => h.begin_shutdown(),
         }
@@ -455,36 +539,17 @@ impl Drop for Endpoint {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-    }
-}
-
-/// Build gather slices for `prefix + frame` starting at byte `off`.
-fn gather_slices<'a>(
-    prefix: &'a [u8; LEN_PREFIX],
-    frame: &'a PacketFrame,
-    mut skip: usize,
-    slices: &mut Vec<IoSlice<'a>>,
-) {
-    slices.clear();
-    if skip < LEN_PREFIX {
-        slices.push(IoSlice::new(&prefix[skip..]));
-        skip = 0;
-    } else {
-        skip -= LEN_PREFIX;
-    }
-    for part in frame.parts() {
-        if skip >= part.len() {
-            skip -= part.len();
-            continue;
+        if let Fabric::Serial(s) = &self.fabric {
+            // Close the sockets now (the peer sees EOF), not when the
+            // last handle's reference to the shared state goes.
+            s.io.lock().rails.clear();
         }
-        slices.push(IoSlice::new(&part[skip..]));
-        skip = 0;
     }
 }
 
-/// Batched counterpart of [`gather_slices`]: one gather list covering
-/// the concatenation `prefix₀+frame₀, prefix₁+frame₁, …` starting at
-/// byte `skip` of the whole batch, capped at `max_slices` entries (the
+/// One gather list covering the concatenation
+/// `prefix₀+frame₀, prefix₁+frame₁, …` starting at byte `skip` of the
+/// whole batch, capped at `max_slices` entries (the
 /// partial-write resume loop rebuilds from the new offset, so a capped
 /// list just means another `write_vectored` — never corruption).
 fn gather_batch_slices<'a>(
@@ -524,16 +589,26 @@ fn gather_batch_slices<'a>(
     }
 }
 
-/// Carve complete length-prefixed frames off the front of `rx_buf`.
+/// Length of the frame whose length prefix starts `buf`; `None` while
+/// the prefix itself is incomplete.
+fn frame_len(buf: &[u8]) -> std::io::Result<Option<usize>> {
+    let Some(prefix) = buf.first_chunk::<LEN_PREFIX>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
+    if len > MAX_FRAME {
+        return Err(std::io::Error::new(
+            ErrorKind::InvalidData,
+            format!("frame length {len} exceeds bound"),
+        ));
+    }
+    Ok(Some(len))
+}
+
+/// Carve complete length-prefixed frames off the front of `rx_buf`
+/// (parallel and reactor runtimes).
 fn carve_frames(rx_buf: &mut BytesMut, frames: &mut Vec<PacketFrame>) -> std::io::Result<()> {
-    while rx_buf.len() >= LEN_PREFIX {
-        let len = u32::from_le_bytes(rx_buf[..LEN_PREFIX].try_into().unwrap()) as usize;
-        if len > MAX_FRAME {
-            return Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!("frame length {len} exceeds bound"),
-            ));
-        }
+    while let Some(len) = frame_len(rx_buf)? {
         if rx_buf.len() - LEN_PREFIX < len {
             break;
         }
@@ -548,10 +623,18 @@ fn carve_frames(rx_buf: &mut BytesMut, frames: &mut Vec<PacketFrame>) -> std::io
 /// (serial runtime).
 struct RailIo {
     stream: TcpStream,
-    /// Receive ring: bytes read but not yet framed. Complete frames are
-    /// `split_to` off the front and frozen into refcounted [`PacketFrame`]s
-    /// — the payload is never copied again after leaving the socket.
-    rx_buf: BytesMut,
+    /// Read buffer, allocated and zeroed once. `rx_buf[..rx_len]` is
+    /// unframed input, carved after each read ([`RailIo::carve`]); only
+    /// a partial length prefix ever stays behind.
+    rx_buf: Vec<u8>,
+    rx_len: usize,
+    /// A frame that was not all there in `rx_buf` continues in its own
+    /// allocation: the socket is read straight into `rx_frame` until it
+    /// holds `rx_want` bytes (0 = no such frame in progress).
+    rx_frame: Vec<u8>,
+    rx_want: usize,
+    /// Peer closed, or the stream failed or lost framing: no more reads.
+    rx_closed: bool,
     /// Frame pending injection, written gather-style part by part.
     tx_frame: Option<PacketFrame>,
     /// Little-endian length prefix for `tx_frame`.
@@ -560,9 +643,10 @@ struct RailIo {
     tx_off: usize,
     /// Tx token to report once the pending frame fully drains.
     pending_token: Option<TxToken>,
-    /// Syscall amortization tallies (mirrored into
-    /// [`nmad_core::SyscallStats`] by the progress thread).
-    syscalls: nmad_core::SyscallStats,
+    /// A write failed for good: never idle again (see [`RailIo::flush`]).
+    tx_closed: bool,
+    /// WRITE interest currently registered (see [`Readiness::track_write`]).
+    want_write: bool,
 }
 
 impl RailIo {
@@ -581,48 +665,109 @@ impl RailIo {
         stream.set_nodelay(true)?;
         Ok(RailIo {
             stream,
-            rx_buf: BytesMut::new(),
+            rx_buf: vec![0; READ_CHUNK],
+            rx_len: 0,
+            rx_frame: Vec::new(),
+            rx_want: 0,
+            rx_closed: false,
             tx_frame: None,
             tx_prefix: [0; LEN_PREFIX],
             tx_off: 0,
             pending_token: None,
-            syscalls: nmad_core::SyscallStats::default(),
+            tx_closed: false,
+            want_write: false,
         })
     }
 
-    /// Pull whatever the socket has; return complete frames.
-    fn drain_rx(&mut self) -> std::io::Result<Vec<PacketFrame>> {
-        loop {
-            // Read straight into the ring's tail — no bounce buffer.
-            let old = self.rx_buf.len();
-            self.rx_buf.resize(old + READ_CHUNK, 0);
-            match self.stream.read(&mut self.rx_buf[old..]) {
-                Ok(0) => {
-                    self.rx_buf.truncate(old);
-                    break; // peer closed; frames already buffered still count
-                }
-                Ok(n) => {
-                    self.rx_buf.truncate(old + n);
-                    self.syscalls.rx_calls += 1;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    self.rx_buf.truncate(old);
-                    break;
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {
-                    self.rx_buf.truncate(old);
-                    continue;
-                }
-                Err(e) => {
-                    self.rx_buf.truncate(old);
-                    return Err(e);
-                }
+    /// One `read` off the socket: append the complete frames it brought
+    /// to `out`, tagged with `rail` (they stay there on an error). True
+    /// when the read came back full, that is when the socket may hold
+    /// more — edge-triggered readiness will not say so again. A pass
+    /// takes one read per rail so that what arrived is digested, and
+    /// whoever waits for it released, before more is read.
+    fn read_some(
+        &mut self,
+        rail: usize,
+        out: &mut Vec<(usize, PacketFrame)>,
+        tally: &mut SyscallStats,
+    ) -> std::io::Result<bool> {
+        if self.rx_closed {
+            return Ok(false);
+        }
+        let (before, framed) = (out.len(), self.rx_want > 0);
+        let (asked, got, read) = if framed {
+            // `read_to_end` fills the spare capacity reserved for exactly
+            // this frame (no zero-fill, no bounce) and keeps what it got
+            // when the socket would block. Its internal reads are tallied
+            // as one call.
+            let had = self.rx_frame.len();
+            let read = (&self.stream)
+                .take((self.rx_want - had) as u64)
+                .read_to_end(&mut self.rx_frame);
+            (
+                self.rx_want - had,
+                self.rx_frame.len() - had,
+                read.map(drop),
+            )
+        } else {
+            let space = &mut self.rx_buf[self.rx_len..];
+            match self.stream.read(space) {
+                Ok(n) => (space.len(), n, Ok(())),
+                Err(e) => (space.len(), 0, Err(e)),
+            }
+        };
+        tally.rx_calls += u64::from(got > 0);
+        let carved = if !framed {
+            self.rx_len += got;
+            self.carve(rail, out)
+        } else {
+            if self.rx_frame.len() == self.rx_want {
+                let wire = Bytes::from(std::mem::take(&mut self.rx_frame));
+                out.push((rail, PacketFrame::from_wire(wire)));
+                self.rx_want = 0;
+            }
+            Ok(())
+        };
+        tally.rx_frames += (out.len() - before) as u64;
+        match read.and(carved) {
+            Ok(()) => {
+                // `read` tells the end of the stream with 0, `read_to_end`
+                // by stopping short. Frames already carved still count.
+                self.rx_closed = got == 0 || (framed && got < asked);
+                Ok(got == asked)
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(false),
+            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(true),
+            Err(e) => {
+                self.rx_closed = true;
+                Err(e)
             }
         }
-        let mut frames = Vec::new();
-        carve_frames(&mut self.rx_buf, &mut frames)?;
-        self.syscalls.rx_frames += frames.len() as u64;
-        Ok(frames)
+    }
+
+    /// Carve the frames in `rx_buf[..rx_len]` by offset, each copied into
+    /// an allocation of exactly its size so that a delivered payload
+    /// never pins this buffer. A trailing incomplete frame moves to
+    /// `rx_frame`.
+    fn carve(&mut self, rail: usize, out: &mut Vec<(usize, PacketFrame)>) -> std::io::Result<()> {
+        let mut off = 0;
+        while let Some(len) = frame_len(&self.rx_buf[off..self.rx_len])? {
+            let body = off + LEN_PREFIX;
+            if self.rx_len - body < len {
+                self.rx_frame = Vec::with_capacity(len);
+                self.rx_frame
+                    .extend_from_slice(&self.rx_buf[body..self.rx_len]);
+                self.rx_want = len;
+                off = self.rx_len;
+                break;
+            }
+            let wire = Bytes::copy_from_slice(&self.rx_buf[body..body + len]);
+            out.push((rail, PacketFrame::from_wire(wire)));
+            off = body + len;
+        }
+        self.rx_buf.copy_within(off..self.rx_len, 0);
+        self.rx_len -= off;
+        Ok(())
     }
 
     /// Queue a frame for transmission. The parts are shared with the
@@ -639,145 +784,400 @@ impl RailIo {
     /// Push the pending frame with gather writes; return the token once
     /// everything drained. `tx_off` tracks partial progress across the
     /// prefix and the frame parts between calls.
-    fn flush(&mut self) -> std::io::Result<Option<TxToken>> {
+    fn flush(&mut self, tally: &mut SyscallStats) -> std::io::Result<Option<TxToken>> {
         loop {
             let Some(frame) = &self.tx_frame else {
                 return Ok(self.pending_token.take());
             };
             let total = LEN_PREFIX + frame.wire_len();
             let mut slices: Vec<IoSlice<'_>> = Vec::new();
-            gather_slices(&self.tx_prefix, frame, self.tx_off, &mut slices);
+            gather_batch_slices(
+                std::slice::from_ref(&self.tx_prefix),
+                std::slice::from_ref(frame),
+                self.tx_off,
+                &mut slices,
+                MAX_IOVECS,
+            );
             match self.stream.write_vectored(&slices) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        ErrorKind::WriteZero,
-                        "socket refused bytes",
-                    ))
-                }
-                Ok(n) => {
-                    self.syscalls.tx_calls += 1;
+                Ok(n) if n > 0 => {
+                    tally.tx_calls += 1;
                     self.tx_off += n;
                     if self.tx_off >= total {
-                        self.syscalls.tx_frames += 1;
+                        tally.tx_frames += 1;
                         self.tx_frame = None;
                         self.tx_off = 0;
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+                // The socket takes no more (peer reset, or `Ok(0)`): the
+                // frame is lost with its token never reported, like any
+                // frame in flight on a rail that died, and the rail is
+                // not offered again. Reported once.
+                dead => {
+                    self.tx_frame = None;
+                    self.pending_token = None;
+                    self.tx_closed = true;
+                    return Err(dead.err().unwrap_or_else(|| ErrorKind::WriteZero.into()));
+                }
             }
         }
     }
 
     fn idle(&self) -> bool {
-        self.pending_token.is_none()
+        self.pending_token.is_none() && !self.tx_closed
     }
 }
 
-/// The serial progress thread: the whole NIC-activity loop under one
-/// engine lock.
-struct Worker {
-    shared: Arc<Shared>,
+/// What a serial progress pass needs besides the engine ([`Shared::io`]).
+struct SerialIo {
     rails: Vec<RailIo>,
-    /// Epoch for the engine's monotonic clock (timeouts, probes).
-    start: Instant,
     chaos: Option<ChaosState>,
     /// Seeded draw for the chaos drop boost (unused at identity).
     rng: Xoshiro256StarStar,
-    /// Idle-poll upper bound, from [`EngineConfig::serial_idle_poll_us`].
-    idle_poll: Duration,
+    /// Arrivals and finished injections collected with the engine lock
+    /// free, digested by the next engine critical section. Reused by
+    /// every pass; both are empty between passes.
+    frames: Vec<(usize, PacketFrame)>,
+    done: Vec<(usize, TxToken)>,
+    /// Syscall amortization tallies, mirrored into the engine's stats.
+    syscalls: SyscallStats,
 }
 
-impl Worker {
-    fn run(mut self) {
-        loop {
-            let progressed = match self.step() {
-                Ok(p) => p,
-                Err(_) => {
-                    self.shared.io_errors.fetch_add(1, Ordering::Relaxed);
-                    false
-                }
-            };
-            if progressed {
-                self.shared.cv.notify_all();
+/// What the serial backstop thread sleeps on: one epoll instance over
+/// the rail sockets (edge-triggered READ; WRITE only while a partial
+/// write is pending) plus an eventfd for kicks.
+struct Readiness {
+    /// `None` where [`sys`] is the `Unsupported` stub: [`FALLBACK_POLL`].
+    epoll: Option<(sys::Poller, sys::EventFd)>,
+    /// A kick is pending: back-to-back kicks cost one `eventfd` write.
+    kicked: AtomicBool,
+}
+
+impl Readiness {
+    fn new(rails: &[RailIo]) -> std::io::Result<Self> {
+        let kicked = AtomicBool::new(false);
+        let poller = match sys::Poller::new() {
+            Err(e) if e.kind() == ErrorKind::Unsupported => {
+                let epoll = None;
+                return Ok(Readiness { epoll, kicked });
             }
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            if !progressed {
-                // Idle poll, ended early by a submission's kick — a send
-                // posted now is picked up immediately, not after the
-                // poll interval.
-                self.shared.work.wait(self.idle_poll);
+            other => other?,
+        };
+        let kick = sys::EventFd::new()?;
+        poller.add(kick.raw(), KICK_TOKEN, false)?;
+        for (idx, rail) in rails.iter().enumerate() {
+            poller.add(rail.stream.as_raw_fd(), idx as u64, false)?;
+        }
+        let epoll = Some((poller, kick));
+        Ok(Readiness { epoll, kicked })
+    }
+
+    /// End the backstop thread's current (or next) sleep.
+    fn kick(&self) {
+        if let Some((_, kick)) = &self.epoll {
+            if !self.kicked.swap(true, Ordering::SeqCst) {
+                kick.wake();
             }
         }
     }
 
-    fn step(&mut self) -> std::io::Result<bool> {
-        let mut progressed = false;
-        let mut eng = self.shared.engine.lock();
-
-        // 0. Run the engine's timer wheel: adaptive retransmission of
-        // overdue acked sends, health probes, failover re-planning.
-        let now_ns = Instant::now()
-            .saturating_duration_since(self.start)
-            .as_nanos() as u64;
-        let outcome = eng.progress(now_ns);
-        if !outcome.retransmitted.is_empty() || outcome.control_enqueued {
-            progressed = true;
+    /// Sleep until a rail is ready, a kick, or `timeout`. The latch is
+    /// cleared before the caller's pass, so a later kick writes again.
+    fn wait(&self, timeout: Duration) {
+        let Some((poller, kick)) = &self.epoll else {
+            return std::thread::park_timeout(timeout.min(FALLBACK_POLL));
+        };
+        let mut events = [sys::EpollEvent::zeroed(); 4];
+        let ms = timeout.as_micros().div_ceil(1000) as i32;
+        // An interrupted wait is a spurious wake-up: harmless.
+        let n = poller.wait(&mut events, ms).unwrap_or(0);
+        if events[..n].iter().any(|e| e.token() == KICK_TOKEN) {
+            kick.drain();
         }
+        self.kicked.store(false, Ordering::SeqCst);
+    }
 
-        for rail in 0..self.rails.len() {
-            // 1. Arrivals.
-            for frame in self.rails[rail].drain_rx()? {
-                progressed = true;
-                if eng.on_frame(RailId(rail), &frame).is_err() {
-                    self.shared.rx_errors.fetch_add(1, Ordering::Relaxed);
+    /// WRITE interest follows the rail's pending partial write — the
+    /// reactor's interest-set state machine (DESIGN.md §14), run by
+    /// whichever thread made the pass.
+    fn track_write(&self, idx: usize, rail: &mut RailIo) {
+        let Some((poller, _)) = &self.epoll else {
+            return;
+        };
+        let want = rail.tx_frame.is_some();
+        if want != rail.want_write {
+            rail.want_write = want;
+            let _ = poller.modify(rail.stream.as_raw_fd(), idx as u64, want);
+        }
+    }
+
+    /// Stop watching a rail whose read side is finished.
+    fn forget(&self, rail: &RailIo) {
+        if let Some((poller, _)) = &self.epoll {
+            let _ = poller.delete(rail.stream.as_raw_fd());
+        }
+    }
+}
+
+impl Shared {
+    fn now_ns(&self) -> u64 {
+        self.start.elapsed().as_nanos() as u64
+    }
+
+    /// Wake the threads asleep on the completion condvar, if any (the
+    /// count spares the futex syscall when there are none).
+    fn notify(&self) {
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.cv.notify_all();
+        }
+    }
+
+    /// An engine invariant broke on the progress path: count it and
+    /// poison the endpoint's waits instead of panicking in a caller.
+    fn fail(&self) {
+        self.io_errors.fetch_add(1, Ordering::Relaxed);
+        self.failed.store(true, Ordering::SeqCst);
+        self.cv.notify_all();
+    }
+
+    /// Stop being a poller; the last one out hands an owed pass to the
+    /// backstop thread (see `skipped`).
+    fn leave(&self) {
+        if self.pollers.fetch_sub(1, Ordering::SeqCst) == 1
+            && self.skipped.swap(false, Ordering::SeqCst)
+        {
+            self.ready.kick();
+        }
+    }
+
+    /// Run `submit` under the engine lock and, unless another thread is
+    /// mid-pass, offer the idle rails in the same critical section and
+    /// write on this thread (the paper's "NIC idle → send now"). Nothing
+    /// is read: a submitter does not pay for arrivals it is not waiting
+    /// for. With `io` taken the submission just joins the backlog — the
+    /// window the strategies optimise over — and one more pass is owed.
+    fn offer<R>(&self, submit: impl FnOnce(&mut Engine) -> R) -> R {
+        self.pollers.fetch_add(1, Ordering::SeqCst);
+        let io = self.io.try_lock();
+        let mut eng = self.engine.lock();
+        let out = submit(&mut eng);
+        match io {
+            Some(mut io) => {
+                if self.pump(&mut io, eng) {
+                    self.notify();
                 }
             }
-            // 2. Finish pending injections.
-            if let Some(token) = self.rails[rail].flush()? {
-                progressed = true;
-                eng.on_tx_done(RailId(rail), token)
-                    .expect("token issued by this worker");
+            None => {
+                drop(eng);
+                self.skipped.store(true, Ordering::SeqCst);
             }
-            // 3. Offer idle rails to the engine.
-            if self.rails[rail].idle() {
-                if let Some(d) = eng
-                    .next_tx(RailId(rail))
-                    .expect("engine invariant violated")
-                {
-                    progressed = true;
-                    if chaos_drops(&self.chaos, rail, &mut self.rng) {
-                        // Chaos drop: the transmit "succeeds" locally but
-                        // the frame never reaches the wire — exactly a
-                        // lossy link, recoverable in acked mode only.
-                        eng.on_tx_done(RailId(rail), d.token)
-                            .expect("token issued by this worker");
-                    } else {
-                        self.rails[rail].enqueue(d.frame, d.token);
-                        // Try to push it out immediately.
-                        if let Some(token) = self.rails[rail].flush()? {
-                            eng.on_tx_done(RailId(rail), token)
-                                .expect("token issued by this worker");
-                        }
+        }
+        self.leave();
+        out
+    }
+
+    /// Caller-driven progress for a handle's `wait`: check `done`, then
+    /// make passes on this thread, one at least, until it holds,
+    /// `deadline` passes or nothing has moved for [`SPIN_BUDGET`].
+    fn drive<T>(
+        &self,
+        deadline: Instant,
+        done: &mut impl FnMut(&mut Engine) -> Option<T>,
+    ) -> Option<T> {
+        self.pollers.fetch_add(1, Ordering::SeqCst);
+        let (mut quiet_since, mut bulk) = (Instant::now(), false);
+        let out = loop {
+            if let Some(v) = done(&mut self.engine.lock()) {
+                break Some(v);
+            }
+            if self.failed.load(Ordering::SeqCst) {
+                break None;
+            }
+            // With `io` taken (for one pass at a time) there is nothing
+            // to do but try again.
+            let moved = self.io.try_lock().is_some_and(|mut io| {
+                // This pass starts after whatever the flag stood for.
+                self.skipped.store(false, Ordering::SeqCst);
+                let calls = io.syscalls.rx_calls + io.syscalls.tx_calls;
+                let progressed = self.step(&mut io);
+                if progressed {
+                    self.notify();
+                }
+                // (Part of a rendezvous chunk: see [`CALLER_LEASE`].)
+                bulk |= io.rails.iter().any(|r| r.rx_want > READ_CHUNK);
+                // Bytes of a frame that is not whole yet count too: the
+                // socket is live and this thread is the one draining it.
+                progressed || io.syscalls.rx_calls + io.syscalls.tx_calls != calls
+            });
+            // (The caller looks at `done` once more, under the lock it
+            // goes to sleep with.)
+            let now = Instant::now();
+            if moved {
+                quiet_since = now;
+            } else if now.duration_since(quiet_since) >= SPIN_BUDGET {
+                break None;
+            } else {
+                std::thread::yield_now();
+            }
+            if now >= deadline {
+                break None;
+            }
+        };
+        if bulk && out.is_some() {
+            let until = self.now_ns() + CALLER_LEASE.as_nanos() as u64;
+            self.lease_ns.store(until, Ordering::SeqCst);
+        }
+        self.leave();
+        out
+    }
+
+    /// One full pass by the thread holding the I/O lock: one read per
+    /// rail with the engine lock free, then [`Shared::pump`]. True when
+    /// anything moved. A rail that may hold more leaves a pass owed.
+    fn step(&self, io: &mut SerialIo) -> bool {
+        for (r, rail) in io.rails.iter_mut().enumerate() {
+            let open = !rail.rx_closed;
+            match rail.read_some(r, &mut io.frames, &mut io.syscalls) {
+                Ok(true) => self.skipped.store(true, Ordering::SeqCst),
+                Ok(false) => {}
+                Err(_) => {
+                    self.io_errors.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            if open && rail.rx_closed {
+                self.ready.forget(rail);
+            }
+        }
+        let eng = self.engine.lock();
+        self.pump(io, eng)
+    }
+
+    /// The engine half of a pass. One short critical section digests
+    /// what was collected unlocked (`io.frames`, `io.done`), runs the
+    /// timers and posts the next frame on every idle rail; the writes
+    /// happen with the engine lock released — that is when submitters
+    /// fill the backlog — and completed ones loop back for their
+    /// `on_tx_done`. Ends when no write completed, or after
+    /// [`TX_ROUNDS`] with a pass owed: a backlog that keeps every write
+    /// completing must not keep the arrivals waiting.
+    fn pump<'a>(&'a self, io: &mut SerialIo, mut eng: MutexGuard<'a, Engine>) -> bool {
+        let outcome = eng.progress(self.now_ns());
+        let mut progressed =
+            !io.frames.is_empty() || !outcome.retransmitted.is_empty() || outcome.control_enqueued;
+        for round in 1.. {
+            for (rail, frame) in io.frames.drain(..) {
+                if eng.on_frame(RailId(rail), &frame).is_err() {
+                    self.rx_errors.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            for (rail, token) in io.done.drain(..) {
+                if eng.on_tx_done(RailId(rail), token).is_err() {
+                    self.fail();
+                }
+            }
+            for (r, rail) in io.rails.iter_mut().enumerate() {
+                // An idle query still costs the strategy a context
+                // build: skip it when nothing is schedulable.
+                if !rail.idle() || !eng.has_tx_work() {
+                    continue;
+                }
+                match eng.next_tx(RailId(r)) {
+                    // Chaos drop: the transmit "succeeds" locally but the
+                    // frame never reaches the wire — exactly a lossy
+                    // link, recoverable in acked mode only.
+                    Ok(Some(d)) if chaos_drops(&io.chaos, r, &mut io.rng) => {
+                        io.done.push((r, d.token))
+                    }
+                    Ok(Some(d)) => rail.enqueue(d.frame, d.token),
+                    Ok(None) => {}
+                    Err(_) => self.fail(),
+                }
+            }
+            // Mirrored so `nmad cycles` and the bench gates see the
+            // serial runtime too.
+            eng.note_syscalls(io.syscalls);
+            let deadline = eng.next_deadline_ns().unwrap_or(u64::MAX);
+            drop(eng);
+
+            for (r, rail) in io.rails.iter_mut().enumerate() {
+                match rail.flush(&mut io.syscalls) {
+                    Ok(Some(token)) => io.done.push((r, token)),
+                    Ok(None) => {}
+                    Err(_) => {
+                        self.io_errors.fetch_add(1, Ordering::Relaxed);
                     }
                 }
+                self.ready.track_write(r, rail);
             }
+            // The backstop thread may be asleep until the timer it last
+            // saw here: an earlier one (an RTO armed just now) wakes it.
+            if deadline < self.deadline_ns.swap(deadline, Ordering::SeqCst) {
+                self.ready.kick();
+            }
+            if io.done.is_empty() {
+                break;
+            }
+            progressed = true;
+            if round == TX_ROUNDS {
+                self.skipped.store(true, Ordering::SeqCst);
+                break;
+            }
+            eng = self.engine.lock();
         }
+        progressed
+    }
 
-        // Mirror the per-rail syscall tallies into the engine's stats so
-        // `nmad cycles` and the bench gates see the serial runtime too.
-        let mut sys = nmad_core::SyscallStats::default();
-        for rail in &self.rails {
-            sys.tx_calls += rail.syscalls.tx_calls;
-            sys.tx_frames += rail.syscalls.tx_frames;
-            sys.rx_calls += rail.syscalls.rx_calls;
-            sys.rx_frames += rail.syscalls.rx_frames;
+    /// After how long to ask again whether callers still have the
+    /// sockets — a full tick while some are making passes (the last to
+    /// leave says so), else what is left of a lease — or `None` when it
+    /// is the backstop thread's turn.
+    fn claimed(&self) -> Option<Duration> {
+        if self.pollers.load(Ordering::SeqCst) > 0 {
+            return Some(BACKSTOP_TICK);
         }
-        eng.note_syscalls(sys);
-        Ok(progressed)
+        let until = self.lease_ns.load(Ordering::SeqCst);
+        Some(Duration::from_nanos(until.checked_sub(self.now_ns())?)).filter(|d| !d.is_zero())
+    }
+
+    /// The backstop thread: asleep until a rail socket is ready, a kick
+    /// or the engine's next timer, then a pass — unless application
+    /// threads are making passes themselves: then the wake-up is theirs
+    /// (see `skipped` for why that loses nothing), timers included, and
+    /// all that is left to do is to size the next sleep.
+    fn run_backstop(&self) {
+        let mut timeout = BACKSTOP_TICK;
+        loop {
+            self.ready.wait(timeout);
+            if self.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            // Pass after pass while one is owed and no caller has the
+            // sockets.
+            let declined = loop {
+                let claimed = self.claimed().and_then(|_| {
+                    self.skipped.store(true, Ordering::SeqCst);
+                    // (All gone before they could see the flag: ours after all.)
+                    self.claimed()
+                });
+                if claimed.is_some() {
+                    break claimed;
+                }
+                if self.step(&mut self.io.lock()) {
+                    self.notify();
+                }
+                if !self.skipped.swap(false, Ordering::SeqCst) {
+                    break None;
+                }
+            };
+            let deadline = self.deadline_ns.load(Ordering::SeqCst);
+            timeout = match (deadline.saturating_sub(self.now_ns()), declined) {
+                // Due, and the callers' to fire on their next pass: no
+                // reason to spin here until they have.
+                (0, Some(_)) => Duration::from_millis(1),
+                (until, held) => Duration::from_nanos(until).min(held.unwrap_or(BACKSTOP_TICK)),
+            };
+        }
     }
 }
 
@@ -1056,7 +1456,10 @@ fn build_endpoint(config: &TcpConfig, streams: Vec<TcpStream>) -> std::io::Resul
     if cfg_engine.parallel {
         return build_parallel(config, cfg_engine, streams);
     }
-    let idle_poll_us = cfg_engine.serial_idle_poll_us;
+    let rails = streams
+        .into_iter()
+        .map(RailIo::new)
+        .collect::<std::io::Result<Vec<_>>>()?;
     let shared = Arc::new(Shared {
         engine: Mutex::new(Engine::new(
             cfg_engine,
@@ -1064,30 +1467,34 @@ fn build_endpoint(config: &TcpConfig, streams: Vec<TcpStream>) -> std::io::Resul
             vec![],
         )),
         cv: Condvar::new(),
-        work: WorkSignal::default(),
+        ready: Readiness::new(&rails)?,
+        io: Mutex::new(SerialIo {
+            rails,
+            chaos: config.chaos.clone(),
+            rng: Xoshiro256StarStar::new(0x7C9),
+            frames: Vec::new(),
+            done: Vec::new(),
+            syscalls: SyscallStats::default(),
+        }),
+        start: Instant::now(),
         shutdown: AtomicBool::new(false),
+        failed: AtomicBool::new(false),
         rx_errors: AtomicU64::new(0),
         io_errors: AtomicU64::new(0),
+        pollers: AtomicUsize::new(0),
+        lease_ns: AtomicU64::new(0),
+        skipped: AtomicBool::new(false),
+        waiters: AtomicUsize::new(0),
+        deadline_ns: AtomicU64::new(u64::MAX),
     });
     let mut conns = Vec::new();
     for _ in 0..config.conns.max(1) {
         conns.push(shared.engine.lock().conn_open());
     }
-    let rails = streams
-        .into_iter()
-        .map(RailIo::new)
-        .collect::<std::io::Result<Vec<_>>>()?;
-    let worker = Worker {
-        shared: shared.clone(),
-        rails,
-        start: Instant::now(),
-        chaos: config.chaos.clone(),
-        rng: Xoshiro256StarStar::new(0x7C9),
-        idle_poll: Duration::from_micros(idle_poll_us.max(1)),
-    };
+    let backstop = shared.clone();
     let handle = std::thread::Builder::new()
         .name("nmad-tcp".into())
-        .spawn(move || worker.run())?;
+        .spawn(move || backstop.run_backstop())?;
     Ok(Endpoint {
         fabric: Fabric::Serial(shared),
         workers: vec![handle],
@@ -1277,28 +1684,6 @@ pub fn pair_localhost(config: TcpConfig) -> std::io::Result<(Endpoint, Endpoint)
 }
 
 #[cfg(test)]
-impl SendHandle {
-    /// Test hook: merged events via the handle's fabric reference (lets
-    /// tests inspect shards after the endpoint itself was dropped).
-    fn fabric_events(&self) -> Vec<nmad_core::Event> {
-        match &self.fabric {
-            Fabric::Serial(s) => s.engine.lock().recorder().events(),
-            Fabric::Parallel(h) => h.merged_events(),
-        }
-    }
-}
-
-#[cfg(test)]
-impl RecvHandle {
-    fn fabric_events(&self) -> Vec<nmad_core::Event> {
-        match &self.fabric {
-            Fabric::Serial(s) => s.engine.lock().recorder().events(),
-            Fabric::Parallel(h) => h.merged_events(),
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use nmad_core::StrategyKind;
@@ -1481,26 +1866,321 @@ mod tests {
         assert_eq!(&r.wait(T).unwrap().segments[0][..], b"over real tcp");
     }
 
-    /// Satellite regression: a send submitted while the progress thread
-    /// is mid idle-poll must be picked up via the work-signal kick, not
-    /// after sleeping out the poll. The bound is generous for CI noise —
-    /// the point is that it holds even if the idle wait is ever made
-    /// much longer than the kick-less sleep used to be.
+    // ------------------------------------------------------------------
+    // Serial runtime: who drives progress
+    // ------------------------------------------------------------------
+
+    fn serial(e: &Endpoint) -> Arc<Shared> {
+        match &e.fabric {
+            Fabric::Serial(s) => s.clone(),
+            Fabric::Parallel(_) => panic!("serial endpoint expected"),
+        }
+    }
+
+    /// Messages the engine has fully received. Reads the stats under
+    /// the engine lock only: unlike a `wait`, it makes no progress pass.
+    fn msgs_received(e: &Endpoint) -> u64 {
+        e.stats().msgs_received
+    }
+
+    /// Watch `cond` for up to `limit` without touching the endpoints.
+    fn eventually(limit: Duration, mut cond: impl FnMut() -> bool) -> bool {
+        let t0 = Instant::now();
+        while t0.elapsed() < limit {
+            if cond() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        cond()
+    }
+
+    /// (a) With no application call on the receiver, the backstop thread
+    /// buffers an arrival (unexpected-message path), and a
+    /// rendezvous-sized send completes although only the receiver ever
+    /// waits: the sender's side of the handshake is the backstop's too.
     #[test]
-    fn submit_during_idle_poll_wakes_worker_promptly() {
+    fn backstop_buffers_arrivals_and_drives_rendezvous() {
+        let (a, b) = fabric(StrategyKind::AdaptiveSplit);
+        let c = a.conns()[0];
+        let small = random(512, 61);
+        a.send(c, vec![Bytes::from(small.clone())]);
+        assert!(
+            eventually(Duration::from_millis(50), || msgs_received(&b) == 1),
+            "arrival not buffered by the backstop thread within 50 ms"
+        );
+        let large = random(1 << 20, 62);
+        a.send(c, vec![Bytes::from(large.clone())]);
+        let (r1, r2) = (b.recv(c), b.recv(c));
+        assert_eq!(r1.wait(T).unwrap().segments[0].as_ref(), small.as_slice());
+        assert_eq!(r2.wait(T).unwrap().segments[0].as_ref(), large.as_slice());
+        assert!(a.stats().rdv_handshakes >= 1);
+        assert_eq!(a.io_errors() + b.io_errors() + b.rx_errors(), 0);
+    }
+
+    /// The lease. A caller that read a rendezvous chunk itself keeps the
+    /// sockets for [`CALLER_LEASE`] after its wait — the backstop thread
+    /// counts the endpoint as still polled — and no longer: what arrives
+    /// meanwhile, with no further call on the receiver, is still
+    /// buffered by the backstop. A wait that only read small frames and
+    /// a sender waiting on its handle take none.
+    #[test]
+    fn bulk_receive_wait_leases_the_sockets_and_hands_them_back() {
+        let (a, b) = fabric(StrategyKind::AdaptiveSplit);
+        let c = a.conns()[0];
+        let (sa, sb) = (serial(&a), serial(&b));
+
+        let r = b.recv(c);
+        let s = a.send(c, vec![Bytes::from(random(512, 91))]);
+        assert!(r.wait(T).is_some() && s.wait(T));
+        assert!(sb.claimed().is_none(), "a small frame took a lease");
+
+        // (On a loaded machine the waiter may sleep through a transfer
+        // and find it done by the backstop: then there is no lease.)
+        let large = random(1 << 20, 92);
+        let leased = (0..20).find_map(|_| {
+            let r = b.recv(c);
+            let s = a.send(c, vec![Bytes::from(large.clone())]);
+            assert_eq!(r.wait(T).unwrap().segments[0].as_ref(), large.as_slice());
+            let lease = sb.claimed();
+            assert!(s.wait(T));
+            assert!(sa.claimed().is_none(), "the sender's wait took a lease");
+            lease
+        });
+        assert!(leased.expect("no lease after a bulk wait") <= CALLER_LEASE);
+
+        let before = msgs_received(&b);
+        a.send(c, vec![Bytes::from(random(512, 93))]);
+        assert!(
+            eventually(Duration::from_millis(50), || msgs_received(&b) > before),
+            "arrival under the lease not buffered once it ran out"
+        );
+        assert!(sb.claimed().is_none());
+        assert_eq!(a.io_errors() + b.io_errors() + b.rx_errors(), 0);
+    }
+
+    /// (c) Four application threads each wait on their own receive of
+    /// one endpoint while a fifth sends: whoever makes the pass that
+    /// delivers a message wakes the others. And a zero timeout is still
+    /// exactly one pass: no sleep when nothing is there, and enough to
+    /// pick up a frame only a caller's pass can read.
+    #[test]
+    fn concurrent_waiters_all_complete_and_zero_timeout_polls_once() {
         let (a, b) = fabric(StrategyKind::Greedy);
         let c = a.conns()[0];
-        // Let both progress threads drain startup traffic and go idle.
-        std::thread::sleep(Duration::from_millis(30));
+        let recvs: Vec<RecvHandle> = (0..4).map(|_| b.recv(c)).collect();
+        let start = std::sync::Barrier::new(5);
+        std::thread::scope(|scope| {
+            let waiters: Vec<_> = recvs
+                .iter()
+                .map(|r| {
+                    scope.spawn(|| {
+                        start.wait();
+                        r.wait(T)
+                    })
+                })
+                .collect();
+            start.wait();
+            for i in 0..4 {
+                a.send(c, vec![Bytes::from(random(300 + i, 70 + i as u64))]);
+            }
+            for (i, w) in waiters.into_iter().enumerate() {
+                let msg = w.join().expect("waiter").expect("delivered");
+                assert_eq!(
+                    msg.segments[0].as_ref(),
+                    random(300 + i, 70 + i as u64).as_slice()
+                );
+            }
+        });
+
         let r = b.recv(c);
         let t0 = Instant::now();
-        let s = a.send(c, vec![Bytes::from_static(b"wake up")]);
-        assert!(s.wait(Duration::from_millis(500)), "send never completed");
-        assert!(r.wait(Duration::from_millis(500)).is_some());
+        assert!(r.wait(Duration::ZERO).is_none());
+        assert!(t0.elapsed() < Duration::from_millis(50), "zero wait slept");
+        // Stand in for a caller mid-pass so the backstop thread declines
+        // the arrival: only the zero wait's own pass can read it.
+        let sb = serial(&b);
+        sb.pollers.fetch_add(1, Ordering::SeqCst);
+        a.send(c, vec![Bytes::from_static(b"one pass")]);
+        assert!(eventually(T, || sb.skipped.load(Ordering::SeqCst)));
+        let msg = r.wait(Duration::ZERO).expect("one pass reads and delivers");
+        assert_eq!(&msg.segments[0][..], b"one pass");
+        sb.leave();
+    }
+
+    /// (d) Acked mode under a chaos drop boost retransmits with no
+    /// application call in flight: the backstop thread's sleep is sized
+    /// by `Engine::next_deadline_ns`, including an RTO armed on the
+    /// sender's own thread after the backstop went to sleep. The same
+    /// holds when the sender goes on to `wait_acked`: the backstop
+    /// declines the kick for the new timer, the waiter's passes answer
+    /// the declined wake-up, find nothing and give up long before the
+    /// RTO — and the backstop must still be up for it, not a tick later.
+    #[test]
+    fn backstop_retransmits_on_the_engine_deadline() {
+        for in_wait in [false, true] {
+            let mut engine = EngineConfig::with_strategy(StrategyKind::Greedy);
+            engine.acked = true;
+            engine.health.initial_rto_ns = 20_000_000;
+            engine.health.min_rto_ns = 5_000_000;
+            let chaos = ChaosState::new(2);
+            let mut cfg = TcpConfig::new(platform::paper_platform(), engine);
+            cfg.chaos = Some(chaos.clone());
+            let (a, b) = pair_localhost(cfg).expect("localhost pair");
+            let c = a.conns()[0];
+            chaos.set_drop_boost(0, 1.0);
+            chaos.set_drop_boost(1, 1.0);
+            // The sender's backstop thread is early in a full idle tick
+            // (it has had nothing to do since the pair was built).
+            let sa = serial(&a);
+            sa.pollers.fetch_add(usize::from(in_wait), Ordering::SeqCst);
+            let s = a.send(c, vec![Bytes::from(random(400, 81))]);
+            if in_wait {
+                // Stand in for the waiter: its pass clears the flag the
+                // declining backstop raised, and it leaves without a kick.
+                assert!(eventually(T, || sa.skipped.swap(false, Ordering::SeqCst)));
+                sa.leave();
+            }
+            assert!(
+                eventually(BACKSTOP_TICK / 2, || a.stats().retransmits > 0),
+                "in_wait {in_wait}: no retransmit within 2.5x the 20 ms RTO"
+            );
+            chaos.heal_all();
+            assert!(eventually(T, || msgs_received(&b) == 1));
+            assert!(s.wait_acked(T));
+            assert!(b.recv(c).wait(T).is_some());
+        }
+    }
+
+    /// (f) The Dekker hand-off. An arrival the backstop thread declines
+    /// because a caller is mid-pass must be picked up when that caller
+    /// leaves — by its re-kick, not by the next tick. First forced (a
+    /// stand-in poller that never reads), then under two threads
+    /// hammering `send`, whose passes write but never read: every frame
+    /// sent to their endpoint still reaches its engine promptly.
+    #[test]
+    fn declined_arrival_is_rekicked_by_the_last_poller() {
+        let (a, b) = fabric(StrategyKind::Greedy);
+        let c = a.conns()[0];
+        let sb = serial(&b);
+        let prompt = BACKSTOP_TICK / 2;
+        let mut declined = 0;
+        for round in 0..40 {
+            let before = msgs_received(&b);
+            sb.pollers.fetch_add(1, Ordering::SeqCst);
+            a.send(c, vec![Bytes::from(random(64, round))]);
+            let saw = eventually(T, || {
+                sb.skipped.load(Ordering::SeqCst) || msgs_received(&b) > before
+            });
+            assert!(saw, "round {round}: the arrival woke nobody");
+            // (A pass still in flight may have read it instead.)
+            declined += u32::from(msgs_received(&b) == before);
+            sb.leave();
+            assert!(
+                eventually(prompt, || msgs_received(&b) > before),
+                "round {round}: frame stranded after the last poller left"
+            );
+        }
         assert!(
-            t0.elapsed() < Duration::from_millis(250),
-            "idle submission took {:?} — wakeup lost?",
-            t0.elapsed()
+            declined >= 30,
+            "only {declined} of 40 arrivals were declined"
+        );
+
+        let base = msgs_received(&b);
+        let mut rng = Xoshiro256StarStar::new(0xDE44E2);
+        std::thread::scope(|scope| {
+            for t in 0..2u64 {
+                let b = &b;
+                scope.spawn(move || {
+                    for i in 0..5_000 {
+                        b.send(c, vec![Bytes::from(random(32, t << 32 | i))]);
+                    }
+                });
+            }
+            for i in 0..2_000u64 {
+                a.send(
+                    c,
+                    vec![Bytes::from(random(32 + (rng.next_u64() % 200) as usize, i))],
+                );
+            }
+        });
+        assert!(
+            eventually(prompt, || msgs_received(&b) == base + 2_000),
+            "{} of 2000 frames reached the engine",
+            msgs_received(&b) - base
+        );
+        assert_eq!(a.io_errors() + b.io_errors(), 0);
+    }
+
+    /// A read error on one rail does not drop what the same pass read
+    /// from the other, and a broken engine invariant on the progress
+    /// path (here a token the engine never issued) is counted and
+    /// poisons the endpoint's waits instead of panicking inside them.
+    #[test]
+    fn progress_path_failures_are_typed_not_panics() {
+        let (a, b) = fabric(StrategyKind::Greedy);
+        let c = a.conns()[0];
+        // By hand on b's sockets: rail 0 loses framing, rail 1 carries a
+        // well-formed first message built by a bare engine.
+        let mut eng = Engine::new(
+            EngineConfig {
+                crc: true,
+                ..EngineConfig::default()
+            },
+            platform::paper_platform().rails,
+            vec![],
+        );
+        let conn = eng.conn_open();
+        eng.submit_send(conn, vec![Bytes::from_static(b"other rail")]);
+        let frame = eng.next_tx(RailId(1)).unwrap().expect("decision").frame;
+        {
+            let sb = serial(&b);
+            let io = sb.io.lock();
+            let mut wire = (frame.wire_len() as u32).to_le_bytes().to_vec();
+            wire.extend_from_slice(&frame.to_bytes());
+            (&io.rails[1].stream).write_all(&wire).unwrap();
+            (&io.rails[0].stream)
+                .write_all(&u32::MAX.to_le_bytes())
+                .unwrap();
+        }
+        let msg = a
+            .recv(c)
+            .wait(T)
+            .expect("rail 1's frame survives rail 0's error");
+        assert_eq!(&msg.segments[0][..], b"other rail");
+        assert!(eventually(T, || a.io_errors() == 1));
+
+        let r = a.recv(c);
+        serial(&a).io.lock().done.push((0, TxToken(u64::MAX)));
+        let t0 = Instant::now();
+        assert!(r.wait(T).is_none());
+        assert!(
+            t0.elapsed() < T / 2,
+            "a poisoned wait returns, it does not hang"
+        );
+        assert_eq!(a.io_errors(), 2);
+    }
+
+    /// A rail whose socket died is counted once per direction and not
+    /// offered again: a wait on a send that cannot leave times out, it
+    /// does not retry the failed write on every pass.
+    #[test]
+    fn dead_rail_is_counted_once_and_not_retried() {
+        let (a, b) = fabric(StrategyKind::Greedy);
+        let c = a.conns()[0];
+        drop(b);
+        // The kernel accepts a rail's first write after the peer closed;
+        // the reset that write provokes fails the next one.
+        for _ in 0..20 {
+            a.send(c, vec![Bytes::from_static(b"into the void")])
+                .wait(Duration::from_millis(5));
+        }
+        assert!(a.io_errors() > 0, "writes to a closed peer never failed");
+        let rails = a.stats().rails.len() as u64;
+        assert!(
+            a.io_errors() <= 2 * rails,
+            "{} I/O errors on {rails} dead rails",
+            a.io_errors()
         );
     }
 
@@ -1620,8 +2300,8 @@ mod tests {
         let _ = rh.wait(T);
         drop(a);
         drop(b);
-        let tx_events = sh.fabric_events();
-        let rx_events = rh.fabric_events();
+        let tx_events = sh.fabric.events();
+        let rx_events = rh.fabric.events();
         assert!(
             tx_events.iter().any(|e| e.kind == EventKind::WorkerWrite),
             "sender shard missing WorkerWrite events"
@@ -1802,23 +2482,6 @@ mod tests {
         let r2 = b.recv(c);
         assert!(s2.wait(T));
         assert_eq!(&r2.wait(T).unwrap().segments[0][..], b"after drain");
-    }
-
-    /// The serial idle-poll knob is honoured: an eccentric (long) idle
-    /// poll still makes progress promptly thanks to the work-signal
-    /// kick, and validation rejects a zero poll outright.
-    #[test]
-    fn serial_idle_poll_knob() {
-        let mut engine = EngineConfig::with_strategy(StrategyKind::Greedy);
-        engine.serial_idle_poll_us = 5_000;
-        let (a, b) = pair_localhost(TcpConfig::new(platform::paper_platform(), engine))
-            .expect("localhost pair");
-        let c = a.conns()[0];
-        std::thread::sleep(Duration::from_millis(20));
-        let r = b.recv(c);
-        let s = a.send(c, vec![Bytes::from_static(b"knob")]);
-        assert!(s.wait(Duration::from_secs(5)));
-        assert!(r.wait(Duration::from_secs(5)).is_some());
     }
 
     mod batch_props {

@@ -8,13 +8,9 @@
 //! instance, an eventfd waker, a slab of connections and a buffer-pool
 //! magazine, and runs a classic edge-triggered readiness loop.
 //!
-//! The repo is offline/zero-dep, so there is no `libc` crate to lean
-//! on: [`sys`] makes the five needed syscalls (`epoll_create1`,
-//! `epoll_ctl`, `epoll_pwait`, `eventfd2`, `prlimit64`, plus `listen`
-//! for the backlog bump) directly via inline assembly on
-//! x86_64/aarch64 Linux, and degrades to `ErrorKind::Unsupported`
-//! elsewhere — the serial and thread-per-rail runtimes remain the
-//! portable paths.
+//! The syscalls come from [`crate::sys`] (raw epoll/eventfd, linux
+//! x86_64/aarch64 only; `ErrorKind::Unsupported` elsewhere — the serial
+//! and thread-per-rail runtimes remain the portable paths).
 //!
 //! ## Interest-set state machine
 //!
@@ -41,7 +37,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, ErrorKind, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, OwnedFd, RawFd};
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -157,411 +153,8 @@ pub fn worker_count(configured: usize) -> usize {
         .clamp(1, DEFAULT_MAX_WORKERS)
 }
 
-// ---------------------------------------------------------------------
-// Raw syscalls (no libc crate: inline asm on linux x86_64/aarch64)
-// ---------------------------------------------------------------------
-
-/// Minimal syscall layer for the reactor: epoll, eventfd, prlimit64 and
-/// listen, straight to the kernel. Unsupported targets get stub
-/// functions returning [`ErrorKind::Unsupported`] so the crate still
-/// compiles (the blocking runtimes remain available there).
-pub mod sys {
-    use std::io;
-
-    /// One epoll readiness record (`struct epoll_event`). Packed on
-    /// x86_64, as the kernel ABI demands there.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        /// Readiness bit set (`EPOLLIN` | …).
-        pub events: u32,
-        /// Caller-chosen token, returned verbatim.
-        pub data: u64,
-    }
-
-    impl EpollEvent {
-        /// All-zero record (for pre-sized wait buffers).
-        pub fn zeroed() -> Self {
-            EpollEvent { events: 0, data: 0 }
-        }
-
-        /// The caller-chosen token (copies out of the packed struct).
-        pub fn token(&self) -> u64 {
-            self.data
-        }
-
-        /// The readiness bits (copies out of the packed struct).
-        pub fn flags(&self) -> u32 {
-            self.events
-        }
-    }
-
-    /// Readable (or, on a listener, acceptable).
-    pub const EPOLLIN: u32 = 0x001;
-    /// Writable.
-    pub const EPOLLOUT: u32 = 0x004;
-    /// Error condition.
-    pub const EPOLLERR: u32 = 0x008;
-    /// Hang-up.
-    pub const EPOLLHUP: u32 = 0x010;
-    /// Peer closed its write side.
-    pub const EPOLLRDHUP: u32 = 0x2000;
-    /// Edge-triggered delivery.
-    pub const EPOLLET: u32 = 1 << 31;
-
-    /// `epoll_ctl` add.
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    /// `epoll_ctl` delete.
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    /// `epoll_ctl` modify.
-    pub const EPOLL_CTL_MOD: i32 = 3;
-
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    mod imp {
-        use super::EpollEvent;
-        use std::arch::asm;
-        use std::io;
-        use std::os::fd::{FromRawFd, OwnedFd, RawFd};
-
-        #[cfg(target_arch = "x86_64")]
-        mod nr {
-            pub const EPOLL_CTL: i64 = 233;
-            pub const EPOLL_PWAIT: i64 = 281;
-            pub const EVENTFD2: i64 = 290;
-            pub const EPOLL_CREATE1: i64 = 291;
-            pub const PRLIMIT64: i64 = 302;
-            pub const LISTEN: i64 = 50;
-        }
-        #[cfg(target_arch = "aarch64")]
-        mod nr {
-            pub const EPOLL_CTL: i64 = 21;
-            pub const EPOLL_PWAIT: i64 = 22;
-            pub const EVENTFD2: i64 = 19;
-            pub const EPOLL_CREATE1: i64 = 20;
-            pub const PRLIMIT64: i64 = 261;
-            pub const LISTEN: i64 = 201;
-        }
-
-        /// The raw 6-argument syscall. Safety: the caller guarantees
-        /// the argument/pointer contract of the specific syscall.
-        #[cfg(target_arch = "x86_64")]
-        unsafe fn syscall6(n: i64, a: i64, b: i64, c: i64, d: i64, e: i64, f: i64) -> i64 {
-            let ret: i64;
-            asm!(
-                "syscall",
-                inlateout("rax") n => ret,
-                in("rdi") a,
-                in("rsi") b,
-                in("rdx") c,
-                in("r10") d,
-                in("r8") e,
-                in("r9") f,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-            ret
-        }
-
-        #[cfg(target_arch = "aarch64")]
-        unsafe fn syscall6(n: i64, a: i64, b: i64, c: i64, d: i64, e: i64, f: i64) -> i64 {
-            let ret: i64;
-            asm!(
-                "svc #0",
-                in("x8") n,
-                inlateout("x0") a => ret,
-                in("x1") b,
-                in("x2") c,
-                in("x3") d,
-                in("x4") e,
-                in("x5") f,
-                options(nostack),
-            );
-            ret
-        }
-
-        fn cvt(ret: i64) -> io::Result<i64> {
-            if ret < 0 {
-                Err(io::Error::from_raw_os_error(-ret as i32))
-            } else {
-                Ok(ret)
-            }
-        }
-
-        const EPOLL_CLOEXEC: i64 = 0o2000000;
-        const EFD_CLOEXEC: i64 = 0o2000000;
-        const EFD_NONBLOCK: i64 = 0o4000;
-        const RLIMIT_NOFILE: i64 = 7;
-
-        #[repr(C)]
-        struct Rlimit64 {
-            cur: u64,
-            max: u64,
-        }
-
-        /// `epoll_create1(EPOLL_CLOEXEC)`.
-        pub fn epoll_create() -> io::Result<OwnedFd> {
-            let fd = cvt(unsafe { syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0) })?;
-            // Safety: the kernel just handed us this fd; OwnedFd closes
-            // it through the std-linked libc on drop.
-            Ok(unsafe { OwnedFd::from_raw_fd(fd as RawFd) })
-        }
-
-        /// `epoll_ctl(ep, op, fd, ev)`; pass `None` for `EPOLL_CTL_DEL`.
-        pub fn epoll_ctl(
-            ep: RawFd,
-            op: i32,
-            fd: RawFd,
-            ev: Option<&mut EpollEvent>,
-        ) -> io::Result<()> {
-            let ptr = ev.map_or(std::ptr::null_mut(), |e| e as *mut EpollEvent);
-            cvt(unsafe {
-                syscall6(
-                    nr::EPOLL_CTL,
-                    ep as i64,
-                    op as i64,
-                    fd as i64,
-                    ptr as i64,
-                    0,
-                    0,
-                )
-            })?;
-            Ok(())
-        }
-
-        /// Wait for readiness (via `epoll_pwait` with a null sigmask).
-        pub fn epoll_wait(
-            ep: RawFd,
-            events: &mut [EpollEvent],
-            timeout_ms: i32,
-        ) -> io::Result<usize> {
-            // epoll_pwait with a null sigmask == epoll_wait, and exists
-            // on aarch64 (plain epoll_wait does not).
-            let n = cvt(unsafe {
-                syscall6(
-                    nr::EPOLL_PWAIT,
-                    ep as i64,
-                    events.as_mut_ptr() as i64,
-                    events.len() as i64,
-                    timeout_ms as i64,
-                    0,
-                    8,
-                )
-            })?;
-            Ok(n as usize)
-        }
-
-        /// `eventfd2(0, EFD_CLOEXEC | EFD_NONBLOCK)`.
-        pub fn eventfd() -> io::Result<OwnedFd> {
-            let fd =
-                cvt(unsafe { syscall6(nr::EVENTFD2, 0, EFD_CLOEXEC | EFD_NONBLOCK, 0, 0, 0, 0) })?;
-            // Safety: fresh fd, as above.
-            Ok(unsafe { OwnedFd::from_raw_fd(fd as RawFd) })
-        }
-
-        /// `listen(fd, backlog)` — legal on an already-listening socket
-        /// (just updates the backlog).
-        pub fn listen_backlog(fd: RawFd, backlog: i32) -> io::Result<()> {
-            cvt(unsafe { syscall6(nr::LISTEN, fd as i64, backlog as i64, 0, 0, 0, 0) })?;
-            Ok(())
-        }
-
-        /// Current `RLIMIT_NOFILE` as `(soft, hard)`.
-        pub fn nofile_limit() -> io::Result<(u64, u64)> {
-            let mut lim = Rlimit64 { cur: 0, max: 0 };
-            cvt(unsafe {
-                syscall6(
-                    nr::PRLIMIT64,
-                    0,
-                    RLIMIT_NOFILE,
-                    0,
-                    &mut lim as *mut Rlimit64 as i64,
-                    0,
-                    0,
-                )
-            })?;
-            Ok((lim.cur, lim.max))
-        }
-
-        /// Set `RLIMIT_NOFILE`.
-        pub fn set_nofile_limit(cur: u64, max: u64) -> io::Result<()> {
-            let lim = Rlimit64 { cur, max };
-            cvt(unsafe {
-                syscall6(
-                    nr::PRLIMIT64,
-                    0,
-                    RLIMIT_NOFILE,
-                    &lim as *const Rlimit64 as i64,
-                    0,
-                    0,
-                    0,
-                )
-            })?;
-            Ok(())
-        }
-    }
-
-    #[cfg(not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
-    mod imp {
-        use super::EpollEvent;
-        use std::io;
-        use std::os::fd::{OwnedFd, RawFd};
-
-        fn unsupported() -> io::Error {
-            io::Error::new(
-                io::ErrorKind::Unsupported,
-                "reactor transport needs epoll (linux x86_64/aarch64); \
-                 use the serial or thread-per-rail runtime here",
-            )
-        }
-
-        /// Unsupported on this target.
-        pub fn epoll_create() -> io::Result<OwnedFd> {
-            Err(unsupported())
-        }
-        /// Unsupported on this target.
-        pub fn epoll_ctl(_: RawFd, _: i32, _: RawFd, _: Option<&mut EpollEvent>) -> io::Result<()> {
-            Err(unsupported())
-        }
-        /// Unsupported on this target.
-        pub fn epoll_wait(_: RawFd, _: &mut [EpollEvent], _: i32) -> io::Result<usize> {
-            Err(unsupported())
-        }
-        /// Unsupported on this target.
-        pub fn eventfd() -> io::Result<OwnedFd> {
-            Err(unsupported())
-        }
-        /// Unsupported on this target.
-        pub fn listen_backlog(_: RawFd, _: i32) -> io::Result<()> {
-            Err(unsupported())
-        }
-        /// Unsupported on this target.
-        pub fn nofile_limit() -> io::Result<(u64, u64)> {
-            Err(unsupported())
-        }
-        /// Unsupported on this target.
-        pub fn set_nofile_limit(_: u64, _: u64) -> io::Result<()> {
-            Err(unsupported())
-        }
-    }
-
-    pub use imp::{
-        epoll_create, epoll_ctl, epoll_wait, eventfd, listen_backlog, nofile_limit,
-        set_nofile_limit,
-    };
-
-    /// Best-effort raise of `RLIMIT_NOFILE` to at least `want` fds.
-    /// Tries to lift soft *and* hard limits (root may, within
-    /// `fs.nr_open`); falls back to soft-only within the existing hard
-    /// cap. Returns the resulting `(soft, hard)` — callers scale their
-    /// connection count to what they actually got.
-    pub fn raise_nofile_limit(want: u64) -> io::Result<(u64, u64)> {
-        let (cur, max) = nofile_limit()?;
-        if cur >= want {
-            return Ok((cur, max));
-        }
-        let want_max = max.max(want);
-        if set_nofile_limit(want, want_max).is_ok() {
-            return Ok((want, want_max));
-        }
-        let capped = want.min(max);
-        set_nofile_limit(capped, max)?;
-        Ok((capped, max))
-    }
-}
-
-/// Thin safe wrapper over one epoll instance.
-pub struct Poller {
-    ep: OwnedFd,
-}
-
-impl Poller {
-    /// Create an epoll instance.
-    pub fn new() -> io::Result<Self> {
-        Ok(Poller {
-            ep: sys::epoll_create()?,
-        })
-    }
-
-    fn interest(writable: bool) -> u32 {
-        let mut e = sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLET;
-        if writable {
-            e |= sys::EPOLLOUT;
-        }
-        e
-    }
-
-    /// Register `fd` edge-triggered for READ (plus WRITE when
-    /// `writable`), tagged with `token`.
-    pub fn add(&self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
-        let mut ev = sys::EpollEvent {
-            events: Self::interest(writable),
-            data: token,
-        };
-        sys::epoll_ctl(self.ep.as_raw_fd(), sys::EPOLL_CTL_ADD, fd, Some(&mut ev))
-    }
-
-    /// Change `fd`'s interest set (the WRITE half of the state machine).
-    pub fn modify(&self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
-        let mut ev = sys::EpollEvent {
-            events: Self::interest(writable),
-            data: token,
-        };
-        sys::epoll_ctl(self.ep.as_raw_fd(), sys::EPOLL_CTL_MOD, fd, Some(&mut ev))
-    }
-
-    /// Deregister `fd`.
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
-        sys::epoll_ctl(self.ep.as_raw_fd(), sys::EPOLL_CTL_DEL, fd, None)
-    }
-
-    /// Block up to `timeout_ms` for readiness; fills `events` and
-    /// returns how many records are valid.
-    pub fn wait(&self, events: &mut [sys::EpollEvent], timeout_ms: i32) -> io::Result<usize> {
-        sys::epoll_wait(self.ep.as_raw_fd(), events, timeout_ms)
-    }
-}
-
-/// An eventfd-backed waker: wakes a worker out of `epoll_wait` from any
-/// thread (the scheduler's outbox wake hook, registrations, shutdown).
-pub struct EventFd {
-    file: std::fs::File,
-}
-
-impl EventFd {
-    /// Create a nonblocking eventfd.
-    pub fn new() -> io::Result<Self> {
-        Ok(EventFd {
-            file: std::fs::File::from(sys::eventfd()?),
-        })
-    }
-
-    /// The raw fd (for epoll registration).
-    pub fn raw(&self) -> RawFd {
-        self.file.as_raw_fd()
-    }
-
-    /// Post a wake. Nonblocking; a saturated counter already means the
-    /// worker has a wake pending, so the error is ignored on purpose.
-    pub fn wake(&self) {
-        let one = 1u64.to_ne_bytes();
-        let _ = (&self.file).write(&one);
-    }
-
-    /// Consume pending wakes (called by the owning worker on its own
-    /// readable edge).
-    pub fn drain(&self) {
-        let mut buf = [0u8; 8];
-        while (&self.file).read(&mut buf).is_ok() {}
-    }
-}
+// Re-exported: these paths predate the move to [`crate::sys`].
+pub use crate::sys::{self, EventFd, Poller};
 
 /// Bump a bound listener's backlog beyond the 128 that
 /// `TcpListener::bind` hard-codes (re-`listen`ing an already-listening

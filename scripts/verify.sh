@@ -121,6 +121,21 @@ cargo run -q -p nmad-cli -- soak --seed 11 --duration 2 --no-chaos --window 125 
 grep -q '"clean":true' "$wd_tmp" \
     || { echo "clean soak verdict is not clean:"; cat "$wd_tmp"; exit 1; }
 
+# End-to-end benchmark smoke: `benchmark/` is a package of its own, so
+# nothing above compiles benchmark/src/adapter.rs against the facade —
+# without this an API change there is first seen by the pipeline. The
+# verifier must reject damaged deliveries (selftest exits non-zero) and
+# a short ping-pong over the default TCP runtime must verify every
+# message.
+echo "==> nmad-benchmark (offline build, selftest, 3 s tcp_pingpong_small)"
+bench=(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --)
+selftest_out="$("${bench[@]}" selftest 2>/dev/null)" \
+    && { echo "nmad-benchmark selftest exited 0: the verifier let damage through"; exit 1; }
+echo "$selftest_out" | tail -n 1 | grep -q '"correct": false' \
+    || { echo "nmad-benchmark selftest failed without reporting damage (build error?)"; exit 1; }
+"${bench[@]}" --workload tcp_pingpong_small --seconds 3 | tail -n 1 | grep -q '"correct": true' \
+    || { echo "nmad-benchmark tcp_pingpong_small smoke did not verify"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --check 2>/dev/null || echo "    (rustfmt unavailable or diffs; non-fatal)"
 
