@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use nmad_core::engine::Engine;
-use nmad_core::{EngineConfig, StrategyKind, SyscallStats};
+use nmad_core::{EngineConfig, Runtime, StrategyKind, SyscallStats};
 use nmad_model::{platform, RailId};
 use nmad_wire::checksum::{self, Kernel};
 use serde::{ser, Serialize, Value};
@@ -248,14 +248,14 @@ fn measure_kernels(len: usize, samples: usize) -> (Vec<KernelPoint>, bool) {
     (points, Kernel::Simd.is_available())
 }
 
-/// Pipelined eager messages through the parallel TCP fabric at 2 rails
+/// Pipelined eager messages through the thread-per-rail TCP fabric at 2 rails
 /// with a deep rail pipeline, so the TX workers see full outboxes.
 /// Returns (syscalls, messages, completed).
 fn measure_fabric_syscalls(messages: usize, size: usize) -> (SyscallStats, u64, bool) {
     use nmad_transport_tcp::{pair_localhost, TcpConfig};
 
     let mut engine = EngineConfig::with_strategy(StrategyKind::Greedy);
-    engine.parallel = true;
+    engine.runtime = Runtime::Threads;
     // Deep pipeline: the scheduler may queue a whole outbox of frames
     // per rail between completions — the precondition for the TX
     // worker's one-write_vectored-per-batch coalescing.

@@ -60,11 +60,10 @@ fn rail_models(n: usize) -> Vec<NicModel> {
     (0..n).map(|_| platform::myri_10g()).collect()
 }
 
-fn mk_engine(rails: usize, parallel: bool) -> Engine {
+fn mk_engine(rails: usize) -> Engine {
     // Greedy hands the oldest backlog entry to whichever rail asks, so
     // a deep eager backlog loads every rail without rendezvous traffic.
-    let mut cfg = EngineConfig::with_strategy(StrategyKind::Greedy);
-    cfg.parallel = parallel;
+    let cfg = EngineConfig::with_strategy(StrategyKind::Greedy);
     let mut eng = Engine::new(cfg, rail_models(rails), vec![]);
     eng.conn_open();
     eng
@@ -74,7 +73,7 @@ fn mk_engine(rails: usize, parallel: bool) -> Engine {
 /// the single-lock discipline the threaded transports use today.
 /// Returns the leg's wall-clock ns.
 fn run_baseline(rails: usize, messages: usize) -> u64 {
-    let mut eng = mk_engine(rails, false);
+    let mut eng = mk_engine(rails);
     let payload = Bytes::from(vec![0x5Au8; MSG_SIZE]);
     let t0 = Instant::now();
     let ids: Vec<SendId> = (0..messages)
@@ -113,7 +112,7 @@ struct ParallelOutcome {
 /// The real sharded pipeline: scheduler thread + one wire-paced TX
 /// worker per rail, sleeps overlapping outside the engine lock.
 fn run_parallel(rails: usize, messages: usize) -> ParallelOutcome {
-    let eng = mk_engine(rails, true);
+    let eng = mk_engine(rails);
     let (hub, senders, receivers) = ParallelHub::new(eng);
     let epoch = Instant::now();
     let mut workers = Vec::new();

@@ -33,7 +33,7 @@ use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use nmad_core::{EngineConfig, SharedPool, StrategyKind};
+use nmad_core::{EngineConfig, Runtime, SharedPool, StrategyKind};
 use nmad_model::platform;
 use nmad_sim::Xoshiro256StarStar;
 use nmad_transport_tcp::reactor::{self, sys, Poller, ReactorPool};
@@ -201,7 +201,7 @@ pub struct PerThreadLeg {
     /// Payload bytes pumped per endpoint.
     pub payload_bytes: u64,
     /// Reactor I/O threads.
-    pub reactor_threads: u64,
+    pub reactor_workers: u64,
     /// Thread-per-rail I/O threads (TX+RX per rail).
     pub parallel_threads: u64,
 }
@@ -223,7 +223,7 @@ impl PerThreadLeg {
         if par == 0.0 {
             return 0.0;
         }
-        (self.reactor_mbs() / self.reactor_threads.max(1) as f64) / par
+        (self.reactor_mbs() / self.reactor_workers.max(1) as f64) / par
     }
 }
 
@@ -234,7 +234,7 @@ impl Serialize for PerThreadLeg {
             ("reactor_ns", ser::v(&self.reactor_ns)),
             ("parallel_ns", ser::v(&self.parallel_ns)),
             ("payload_bytes", ser::v(&self.payload_bytes)),
-            ("reactor_threads", ser::v(&self.reactor_threads)),
+            ("reactor_workers", ser::v(&self.reactor_workers)),
             ("parallel_threads", ser::v(&self.parallel_threads)),
             ("reactor_mbs", ser::v(&self.reactor_mbs())),
             ("parallel_mbs", ser::v(&self.parallel_mbs())),
@@ -565,7 +565,7 @@ fn run_scale(spec: &ReactorSpec, client_exe: Option<&std::path::Path>) -> io::Re
         );
     }
 
-    let threads = reactor::worker_count(0);
+    let threads = reactor::worker_count();
     let mut pool = ReactorPool::new(threads, SharedPool::new(256))?;
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
@@ -658,13 +658,9 @@ fn run_scale(spec: &ReactorSpec, client_exe: Option<&std::path::Path>) -> io::Re
 
 /// Pump `messages` rendezvous-size messages through one localhost
 /// endpoint pair; returns (wall ns, completed).
-fn run_endpoint(reactor_mode: bool, messages: usize, msg_size: usize) -> (u64, bool) {
+fn run_endpoint(runtime: Runtime, messages: usize, msg_size: usize) -> (u64, bool) {
     let mut engine = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
-    if reactor_mode {
-        engine.reactor = true;
-    } else {
-        engine.parallel = true;
-    }
+    engine.runtime = runtime;
     let (a, b) =
         nmad_transport_tcp::pair_localhost(TcpConfig::new(platform::paper_platform(), engine))
             .expect("localhost pair");
@@ -687,14 +683,14 @@ fn run_endpoint(reactor_mode: bool, messages: usize, msg_size: usize) -> (u64, b
 
 fn run_perthread(spec: &ReactorSpec) -> PerThreadLeg {
     let rails = platform::paper_platform().rail_count() as u64;
-    let (parallel_ns, par_ok) = run_endpoint(false, spec.messages, spec.msg_size);
-    let (reactor_ns, rea_ok) = run_endpoint(true, spec.messages, spec.msg_size);
+    let (parallel_ns, par_ok) = run_endpoint(Runtime::Threads, spec.messages, spec.msg_size);
+    let (reactor_ns, rea_ok) = run_endpoint(Runtime::Reactor, spec.messages, spec.msg_size);
     PerThreadLeg {
         completed: par_ok && rea_ok,
         reactor_ns,
         parallel_ns,
         payload_bytes: (spec.messages * spec.msg_size) as u64,
-        reactor_threads: reactor::worker_count(0) as u64,
+        reactor_workers: reactor::worker_count() as u64,
         parallel_threads: rails * 2,
     }
 }
@@ -795,7 +791,7 @@ pub fn check(report: &ReactorReport) -> Vec<String> {
             p.per_thread_ratio(),
             report.per_thread_gate,
             p.reactor_mbs(),
-            p.reactor_threads,
+            p.reactor_workers,
             p.parallel_mbs(),
             p.parallel_threads
         ));
@@ -840,7 +836,7 @@ pub fn render(report: &ReactorReport) -> String {
         "perthread: reactor {:.1} MB/s / {} threads vs thread-per-rail {:.1} MB/s / {} threads \
          = ratio {:.2} (gate {:.1})",
         p.reactor_mbs(),
-        p.reactor_threads,
+        p.reactor_workers,
         p.parallel_mbs(),
         p.parallel_threads,
         p.per_thread_ratio(),
@@ -879,7 +875,7 @@ mod tests {
                 reactor_ns: 1_000_000,
                 parallel_ns: 1_000_000,
                 payload_bytes: 1 << 20,
-                reactor_threads: 1,
+                reactor_workers: 1,
                 parallel_threads: 4,
             },
         }

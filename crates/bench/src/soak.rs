@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use nmad_core::{
-    ChaosState, EngineConfig, StrategyKind, SubmitError, TelemetryConfig, WatchdogConfig,
+    ChaosState, EngineConfig, Runtime, StrategyKind, SubmitError, TelemetryConfig, WatchdogConfig,
 };
 use nmad_model::platform;
 use nmad_sim::Xoshiro256StarStar;
@@ -458,7 +458,7 @@ pub fn run(spec: &SoakSpec) -> SoakReport {
     let chaos = ChaosState::new(2);
 
     let mut engine = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
-    engine.parallel = true;
+    engine.runtime = Runtime::Threads;
     engine.acked = true;
     soak_health(&mut engine);
     engine.calibration.enabled = true;

@@ -15,7 +15,7 @@ mod args;
 
 use args::Args;
 use bytes::Bytes;
-use nmad_core::{EngineConfig, StrategyKind};
+use nmad_core::{EngineConfig, Runtime, StrategyKind};
 use nmad_model::platform;
 use nmad_runtime_sim::sweep::{bandwidth_sizes, latency_sizes};
 use nmad_runtime_sim::{run_pingpong, sample_platform, PingPongSpec};
@@ -75,15 +75,15 @@ fn usage() -> &'static str {
                                         bandwidth ladder) and export the packet\n\
                                         lifecycle; chrome output loads in\n\
                                         chrome://tracing / Perfetto\n\
-       metrics [--strategy S] [--size BYTES] [--messages N] [--parallel|--reactor]\n\
+       metrics [--strategy S] [--size BYTES] [--messages N] [--runtime threads|reactor]\n\
                                         per-rail latency/size/backlog histograms,\n\
                                         syscalls/packet and pool-magazine hit rate\n\
-                                        from an acked pipeline run; --parallel\n\
-                                        drives the sharded pipeline and adds\n\
-                                        lock-hold/outbox-depth/batch histograms\n\
-                                        and per-rail worker utilization;\n\
-                                        --reactor drives real sockets through the\n\
-                                        epoll reactor and adds the event-loop\n\
+                                        from an acked pipeline run; --runtime\n\
+                                        drives a hub runtime instead (threads: the\n\
+                                        in-process fabric, reactor: loopback TCP)\n\
+                                        and adds lock-hold/outbox-depth/batch\n\
+                                        histograms, per-rail worker utilization\n\
+                                        and, on the reactor, the event-loop\n\
                                         telemetry (events/wake, ready depth,\n\
                                         per-worker loop utilization)\n\
        spans [--strategy S] [--size BYTES] [--messages N]\n\
@@ -92,7 +92,7 @@ fn usage() -> &'static str {
                                         strategy with per-rail injection\n\
                                         occupancy (omit --strategy to compare)\n\
        top [--duration S] [--window MS] [--size BYTES]\n\
-                                        live telemetry: drive the parallel fabric\n\
+                                        live telemetry: drive the threads fabric\n\
                                         and refresh per-window rates, latency\n\
                                         percentiles and watchdog alerts in place\n\
        calibrate [--messages N] [--size BYTES] [--factor F] [--onset-us US]\n\
@@ -836,11 +836,11 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
     let kind = parse_strategy(args.flag("strategy").unwrap_or("adaptive"))?;
     let size = args.size("size", 1 << 20)?;
     let messages: usize = args.num("messages", 8)?;
-    if args.has("parallel") {
-        return cmd_metrics_parallel(kind, size, messages);
-    }
-    if args.has("reactor") {
-        return cmd_metrics_reactor(kind, size, messages);
+    match args.flag("runtime") {
+        None => {}
+        Some("threads") => return cmd_metrics_hub(Runtime::Threads, kind, size, messages),
+        Some("reactor") => return cmd_metrics_hub(Runtime::Reactor, kind, size, messages),
+        Some(other) => return Err(format!("--runtime {other}: expected threads or reactor")),
     }
     let w = record_workload(kind, vec![size; messages], true, 4096);
     let now_ns = w.now().0 / 1_000;
@@ -877,26 +877,44 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
         .sum::<u64>()
         + w.recorder.total_recorded();
     println!("\nflight recorder: {rec} events recorded across both nodes + fabric");
-    println!("(scheduler lock-hold/outbox/batch histograms: run with --parallel)");
+    println!("(scheduler lock-hold/outbox/batch histograms: run with --runtime threads)");
     Ok(())
 }
 
-/// `metrics --parallel`: drive the in-process fabric through the sharded
-/// parallel pipeline and report the scheduler's own evidence — lock-hold,
-/// outbox-depth and completion-batch histograms plus a per-rail worker
-/// utilization line.
-fn cmd_metrics_parallel(kind: StrategyKind, size: usize, messages: usize) -> Result<(), String> {
-    use nmad_transport_mem::{pair, FabricConfig};
+/// `metrics --runtime threads|reactor`: drive a hub runtime — threads
+/// on the in-process fabric, the epoll reactor on loopback TCP — and
+/// report the scheduler's own evidence (lock-hold, outbox-depth and
+/// completion-batch histograms, per-rail worker utilization) plus, where
+/// a reactor pool runs, its event-loop telemetry.
+fn cmd_metrics_hub(
+    runtime: Runtime,
+    kind: StrategyKind,
+    size: usize,
+    messages: usize,
+) -> Result<(), String> {
     use std::time::{Duration, Instant};
 
     let plat = platform::paper_platform();
     let mut engine = EngineConfig::with_strategy(kind);
-    engine.parallel = true;
-    let (a, b) = pair(FabricConfig::new(plat.clone(), engine));
+    engine.runtime = runtime;
+    let ((a, b), fabric) = match runtime {
+        Runtime::Reactor => (
+            nmad_transport_tcp::pair_localhost(nmad_transport_tcp::TcpConfig::new(
+                plat.clone(),
+                engine,
+            ))
+            .map_err(|e| format!("reactor fabric: {e}"))?,
+            "reactor TCP fabric",
+        ),
+        _ => (
+            nmad_transport_mem::pair(nmad_transport_mem::FabricConfig::new(plat.clone(), engine)),
+            "thread-per-rail in-process fabric",
+        ),
+    };
     let epoch = Instant::now();
     let conn = a.conns()[0];
     println!(
-        "{} / {messages} x {size} B over the parallel in-process fabric\n",
+        "{} / {messages} x {size} B over the {fabric}\n",
         kind.label()
     );
     let recvs: Vec<_> = (0..messages).map(|_| b.recv(conn)).collect();
@@ -918,6 +936,33 @@ fn cmd_metrics_parallel(kind: StrategyKind, size: usize, messages: usize) -> Res
     for (ep, name) in [(&a, "sender"), (&b, "receiver")] {
         let s = ep.stats();
         println!("{name}:");
+        let r = &s.reactor;
+        if r.workers > 0 {
+            println!(
+                "  {} reactor worker(s), {} connection(s) registered",
+                r.workers, r.conns
+            );
+            println!(
+                "  {} polls, {} wakeups ({} scheduler kicks), {} events ({:.1}/wake)",
+                r.polls,
+                r.wakeups,
+                r.sched_wakes,
+                r.events,
+                r.mean_events_per_wake()
+            );
+            println!("  events/wake  {}", r.events_per_wake.render());
+            println!("  ready depth  {}", r.ready_depth.render());
+            for w in 0..r.workers as usize {
+                println!(
+                    "  worker{w}: loop utilization {:>5.1}%",
+                    100.0 * r.worker_utilization(w)
+                );
+            }
+            println!(
+                "  backpressure: {} write stalls; sheds: {} fd-limit",
+                r.write_stalls, r.fd_shed
+            );
+        }
         println!("  lock hold ns {}", s.obs.lock_hold_ns.render());
         println!("  outbox depth {}", s.obs.outbox_depth.render());
         println!("  batch drain  {}", s.obs.completion_batch.render());
@@ -931,75 +976,6 @@ fn cmd_metrics_parallel(kind: StrategyKind, size: usize, messages: usize) -> Res
                 ro.in_flight_bytes,
             );
         }
-        print_syscall_and_magazine_lines(&s);
-    }
-    Ok(())
-}
-
-/// `metrics --reactor`: drive real sockets through the epoll reactor and
-/// report the event-loop telemetry alongside the scheduler histograms —
-/// events per wakeup, ready-queue depth, per-worker loop utilization,
-/// and the backpressure/shed/allocation tripwires.
-fn cmd_metrics_reactor(kind: StrategyKind, size: usize, messages: usize) -> Result<(), String> {
-    use std::time::Duration;
-
-    let plat = platform::paper_platform();
-    let mut engine = EngineConfig::with_strategy(kind);
-    engine.reactor = true;
-    let (a, b) = nmad_transport_tcp::pair_localhost(nmad_transport_tcp::TcpConfig::new(
-        plat.clone(),
-        engine,
-    ))
-    .map_err(|e| format!("reactor fabric: {e}"))?;
-    let conn = a.conns()[0];
-    println!(
-        "{} / {messages} x {size} B over the reactor TCP fabric\n",
-        kind.label()
-    );
-    let recvs: Vec<_> = (0..messages).map(|_| b.recv(conn)).collect();
-    let sends: Vec<_> = (0..messages)
-        .map(|i| a.send(conn, vec![Bytes::from(vec![i as u8; size])]))
-        .collect();
-    for (i, s) in sends.iter().enumerate() {
-        if !s.wait(Duration::from_secs(120)) {
-            return Err(format!("message {i} not sent within 120 s"));
-        }
-    }
-    for (i, r) in recvs.iter().enumerate() {
-        if r.wait(Duration::from_secs(120)).is_none() {
-            return Err(format!("message {i} not delivered"));
-        }
-    }
-
-    for (ep, name) in [(&a, "sender"), (&b, "receiver")] {
-        let s = ep.stats();
-        let r = &s.reactor;
-        println!(
-            "{name}: {} reactor worker(s), {} connection(s) registered",
-            r.workers, r.conns
-        );
-        println!(
-            "  {} polls, {} wakeups ({} scheduler kicks), {} events ({:.1}/wake)",
-            r.polls,
-            r.wakeups,
-            r.sched_wakes,
-            r.events,
-            r.mean_events_per_wake()
-        );
-        println!("  events/wake  {}", r.events_per_wake.render());
-        println!("  ready depth  {}", r.ready_depth.render());
-        for w in 0..r.workers as usize {
-            println!(
-                "  worker{w}: loop utilization {:>5.1}%",
-                100.0 * r.worker_utilization(w)
-            );
-        }
-        println!(
-            "  backpressure: {} write stalls; sheds: {} fd-limit; tripwire: {} hot-path allocs",
-            r.write_stalls, r.fd_shed, r.hot_path_allocs
-        );
-        println!("  lock hold ns {}", s.obs.lock_hold_ns.render());
-        println!("  outbox depth {}", s.obs.outbox_depth.render());
         print_syscall_and_magazine_lines(&s);
     }
     Ok(())
@@ -1080,7 +1056,7 @@ fn cmd_top(args: &Args) -> Result<(), String> {
 
     let plat = platform::paper_platform();
     let mut engine = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
-    engine.parallel = true;
+    engine.runtime = Runtime::Threads;
     engine.acked = true;
     // Wall-clock recovery timers (the defaults are simulated-time
     // sized), the same shape the soak harness uses.

@@ -80,6 +80,30 @@ impl ZooConfig {
     }
 }
 
+/// The progress runtime a threaded transport runs the engine on
+/// (DESIGN.md §10 has the full runtime × transport table).
+///
+/// | runtime   | who drives progress | threads per endpoint | transports |
+/// |-----------|---------------------|----------------------|------------|
+/// | `Serial`  | TCP: the calling thread, plus one backstop thread asleep on readiness; mem: one progress thread | 1 | TCP, mem |
+/// | `Threads` | a scheduler thread over [`crate::ParallelHub`], one TX and one RX thread per rail | 2 × rails + 1 | TCP, mem |
+/// | `Reactor` | the same scheduler, rail sockets multiplexed on a fixed epoll pool of `min(cores, 4)` workers | workers + 1 | TCP (linux x86_64/aarch64) |
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Runtime {
+    /// Progress on the engine lock's holder, no hand-off queues: the
+    /// lowest per-message cost, and what `BENCHMARK.json` measures.
+    #[default]
+    Serial,
+    /// Thread-per-rail pipeline: transport I/O happens outside the
+    /// engine lock, so rails overlap. The only hub runtime on targets
+    /// without epoll, and the only one whose workers record
+    /// flight-recorder shards.
+    Threads,
+    /// Epoll reactor: thread count independent of the number of rails
+    /// and peers. Refused by the mem fabric, which has no sockets.
+    Reactor,
+}
+
 /// Tunable knobs of the engine, with defaults matching the paper's setup.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
@@ -121,13 +145,12 @@ pub struct EngineConfig {
     /// engine then splits on its init-time tables forever, exactly as
     /// before.
     pub calibration: CalibrationConfig,
-    /// Parallel per-rail progress engine: when set, threaded transports
-    /// run one TX and one RX worker per rail around a sharded queue
-    /// pipeline (see [`crate::engine::parallel`]) instead of a single
-    /// worker holding the engine lock across transport I/O. Off by
-    /// default — the single-threaded path stays bit-identical, which is
-    /// what the deterministic simulator and the figure benches rely on.
-    pub parallel: bool,
+    /// Which progress runtime a threaded transport builds around the
+    /// engine — one choice, not a product of switches. The engine
+    /// itself never reads it (the simulator and the benches drive a bare
+    /// [`crate::Engine`]); see [`Runtime`] for who drives progress under
+    /// each value and which transports support it.
+    pub runtime: Runtime,
     /// Overload protection: queue bounds, per-tenant admission, pool
     /// watermark. All-zero (off) by default.
     pub overload: OverloadConfig,
@@ -152,18 +175,6 @@ pub struct EngineConfig {
     /// Strategy-zoo knobs (SRPT re-striping, harvesting watermark,
     /// latency-router reserve window).
     pub zoo: ZooConfig,
-    /// Readiness-driven reactor transport: when set, the TCP fabric
-    /// multiplexes every rail/peer connection onto a fixed pool of
-    /// epoll workers (default `min(cores, 4)`, see `reactor_threads`)
-    /// behind the same [`crate::ParallelHub`] scheduler, instead of two
-    /// blocking threads per rail. Off by default so the serial and
-    /// thread-per-rail paths stay bit-identical. Implies `parallel`
-    /// (the hub's queues are the completion plumbing).
-    pub reactor: bool,
-    /// Worker threads in the reactor pool. 0 (the default) picks
-    /// `min(available cores, 4)`; nonzero pins the count (the
-    /// `ablate_reactor` scaling sweep sets it explicitly).
-    pub reactor_threads: usize,
 }
 
 impl Default for EngineConfig {
@@ -178,14 +189,12 @@ impl Default for EngineConfig {
             health: HealthConfig::default(),
             record_capacity: 0,
             calibration: CalibrationConfig::default(),
-            parallel: false,
+            runtime: Runtime::Serial,
             overload: OverloadConfig::default(),
             rail_pipeline: 1,
             telemetry: TelemetryConfig::default(),
             watchdog: WatchdogConfig::default(),
             zoo: ZooConfig::default(),
-            reactor: false,
-            reactor_threads: 0,
         }
     }
 }
@@ -241,11 +250,7 @@ mod tests {
         assert_eq!(c.agg_max_bytes, 16 * 1024);
         assert_eq!(c.min_chunk, 8 * 1024);
         assert!(c.overload.is_unlimited(), "overload limits default off");
-        assert!(
-            !c.reactor,
-            "reactor defaults off: existing paths bit-identical"
-        );
-        assert_eq!(c.reactor_threads, 0, "reactor pool auto-sizes by default");
+        assert_eq!(c.runtime, Runtime::Serial, "serial runtime by default");
     }
 
     #[test]

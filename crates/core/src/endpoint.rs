@@ -1,0 +1,435 @@
+//! The one application-facing endpoint.
+//!
+//! An [`Endpoint`] is an engine behind a lock plus whatever moves its
+//! frames; everything an application calls — `send`, `recv`, the
+//! handles' waits, every stats and telemetry accessor — is defined here,
+//! once, over the object-safe [`Fabric`] trait. A transport is only "how
+//! bytes move on a rail": it implements [`Fabric`] for the state of its
+//! serial runtime, spawns its threads and hands both to
+//! [`Endpoint::new`]. The two hub runtimes share the implementation for
+//! [`ParallelHub`] below, whichever transport feeds the hub.
+
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+use bytes::Bytes;
+use nmad_model::RailId;
+use nmad_wire::reassembly::MessageAssembly;
+use nmad_wire::ConnId;
+use parking_lot::{Condvar, Mutex};
+
+use crate::engine::parallel::ParallelHub;
+use crate::engine::Engine;
+use crate::error::SubmitError;
+use crate::health::{RailState, RailTelemetry};
+use crate::obs::{Alert, Event, Window};
+use crate::request::{RecvId, SendId};
+use crate::stats::{EngineStats, OverloadStats};
+
+/// What every fabric counts beside its engine, and the poison flag its
+/// waits honour.
+#[derive(Default)]
+pub struct FabricStatus {
+    /// Packets rejected on receive (decode/CRC/reassembly errors).
+    pub rx_errors: AtomicU64,
+    /// Transport I/O errors, and engine invariants broken on the
+    /// progress path ([`Fabric::fail`]).
+    pub io_errors: AtomicU64,
+    /// Packets a fault injector dropped on this endpoint's tx side.
+    pub tx_dropped: AtomicU64,
+    failed: AtomicBool,
+}
+
+impl FabricStatus {
+    /// True once [`Fabric::fail`] ran: waits that would block return
+    /// `false`/`None` from now on.
+    pub fn failed(&self) -> bool {
+        self.failed.load(Ordering::SeqCst)
+    }
+}
+
+/// The runtime seam under an [`Endpoint`]: where the engine lives, how a
+/// submission reaches it and how a caller waits for progress.
+pub trait Fabric: std::any::Any + Send + Sync {
+    /// The engine lock.
+    fn engine(&self) -> &Mutex<Engine>;
+
+    /// Condvar notified when app-visible completions may have landed;
+    /// pairs with [`Fabric::engine`].
+    fn cv(&self) -> &Condvar;
+
+    /// Error counters and the poison flag.
+    fn status(&self) -> &FabricStatus;
+
+    /// Hand a send to the engine and get progress going.
+    fn submit(&self, conn: ConnId, segments: Vec<Bytes>) -> SendId;
+
+    /// [`Fabric::submit`] under the overload policy. A runtime without
+    /// an admission boundary admits everything.
+    fn try_submit(&self, conn: ConnId, segments: Vec<Bytes>) -> Result<SendId, SubmitError> {
+        Ok(self.submit(conn, segments))
+    }
+
+    /// Post a receive.
+    fn post_recv(&self, conn: ConnId) -> RecvId;
+
+    /// Get whoever drives progress to look at the engine again.
+    fn kick(&self);
+
+    /// Block until `done` holds (true), or `deadline` passes or the
+    /// fabric is poisoned (false). `None` waits forever. The default
+    /// sleeps on [`Fabric::cv`]; a runtime whose callers drive progress
+    /// themselves overrides it.
+    fn wait(&self, deadline: Option<Instant>, done: &mut dyn FnMut(&mut Engine) -> bool) -> bool {
+        let mut eng = self.engine().lock();
+        loop {
+            if done(&mut eng) {
+                return true;
+            }
+            if self.status().failed() {
+                return false;
+            }
+            match deadline {
+                None => self.cv().wait(&mut eng),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return false;
+                    }
+                    self.cv().wait_for(&mut eng, deadline - now);
+                }
+            }
+        }
+    }
+
+    /// An engine invariant broke on the progress path: count it and
+    /// poison the endpoint's waits instead of panicking in a caller or
+    /// a worker. Call it with the engine lock held, so that no waiter
+    /// is between its check of the flag and its sleep.
+    fn fail(&self) {
+        let status = self.status();
+        status.io_errors.fetch_add(1, Ordering::Relaxed);
+        status.failed.store(true, Ordering::SeqCst);
+        self.cv().notify_all();
+    }
+
+    /// Engine statistics snapshot.
+    fn stats(&self) -> EngineStats {
+        self.engine().lock().stats().clone()
+    }
+
+    /// Recorded flight events, oldest first.
+    fn events(&self) -> Vec<Event> {
+        self.engine().lock().recorder().events()
+    }
+
+    /// Overload rejection counters (all zero without an admission
+    /// boundary).
+    fn overload_stats(&self) -> OverloadStats {
+        OverloadStats::default()
+    }
+
+    /// Ask every thread of the runtime to wind down.
+    fn begin_shutdown(&self);
+
+    /// Runs once those threads are joined: release what they used.
+    fn finish_shutdown(&self) {}
+}
+
+/// The hub runtimes (`Runtime::Threads`, `Runtime::Reactor`): app calls
+/// queue without the engine lock, the scheduler thread does the rest.
+impl Fabric for ParallelHub {
+    fn engine(&self) -> &Mutex<Engine> {
+        ParallelHub::engine(self)
+    }
+
+    fn cv(&self) -> &Condvar {
+        self.app_cv()
+    }
+
+    fn status(&self) -> &FabricStatus {
+        &self.status
+    }
+
+    fn submit(&self, conn: ConnId, segments: Vec<Bytes>) -> SendId {
+        // Submission only errors after shutdown, and the endpoint that
+        // calls this owns the hub's lifetime.
+        self.submit_send(conn, segments)
+            .expect("endpoint not shut down")
+    }
+
+    fn try_submit(&self, conn: ConnId, segments: Vec<Bytes>) -> Result<SendId, SubmitError> {
+        self.try_submit_send(conn, segments)
+    }
+
+    fn post_recv(&self, conn: ConnId) -> RecvId {
+        ParallelHub::post_recv(self, conn).expect("endpoint not shut down")
+    }
+
+    fn kick(&self) {
+        self.kick_sched();
+    }
+
+    /// Reactor telemetry comes from the live counters, not from the
+    /// last scheduler pass's mirror.
+    fn stats(&self) -> EngineStats {
+        let mut stats = ParallelHub::engine(self).lock().stats().clone();
+        stats.reactor = self.reactor_snapshot();
+        stats
+    }
+
+    /// The engine ring merged with the worker shards deposited so far
+    /// (workers deposit at exit).
+    fn events(&self) -> Vec<Event> {
+        self.merged_events()
+    }
+
+    fn overload_stats(&self) -> OverloadStats {
+        ParallelHub::overload_stats(self)
+    }
+
+    fn begin_shutdown(&self) {
+        ParallelHub::begin_shutdown(self);
+    }
+}
+
+/// One endpoint of a connected pair, on any transport and runtime.
+pub struct Endpoint {
+    fabric: Arc<dyn Fabric>,
+    /// Joined in order on drop. The hub runtimes list their I/O workers
+    /// first and the scheduler last, so that it drains their final
+    /// completions before it quiesces.
+    workers: Vec<JoinHandle<()>>,
+    conns: Vec<ConnId>,
+}
+
+/// Handle to a send in flight.
+pub struct SendHandle {
+    fabric: Arc<dyn Fabric>,
+    id: SendId,
+}
+
+/// Handle to a posted receive.
+pub struct RecvHandle {
+    fabric: Arc<dyn Fabric>,
+    id: RecvId,
+}
+
+/// The one wait: until `done` yields, `timeout` runs out or the fabric
+/// is poisoned. A timeout too large to add to the clock
+/// (`Duration::MAX`) is no deadline at all.
+fn wait_on<T>(
+    fabric: &dyn Fabric,
+    timeout: Duration,
+    mut done: impl FnMut(&mut Engine) -> Option<T>,
+) -> Option<T> {
+    let mut out = None;
+    fabric.wait(Instant::now().checked_add(timeout), &mut |eng| {
+        out = done(eng);
+        out.is_some()
+    });
+    out
+}
+
+impl SendHandle {
+    /// Block until the send completes locally, or `timeout` expires.
+    /// Returns true on completion.
+    pub fn wait(&self, timeout: Duration) -> bool {
+        wait_on(&*self.fabric, timeout, |eng| {
+            eng.send_complete(self.id).then_some(())
+        })
+        .is_some()
+    }
+
+    /// Block until the *peer confirms delivery* (requires
+    /// `EngineConfig::acked` on both endpoints), or `timeout` expires.
+    pub fn wait_acked(&self, timeout: Duration) -> bool {
+        wait_on(&*self.fabric, timeout, |eng| {
+            eng.send_acked(self.id).then_some(())
+        })
+        .is_some()
+    }
+
+    /// Manually re-enqueue the message for transmission (acked mode);
+    /// true when there was something to resend, and only then is the
+    /// runtime kicked. Normally unnecessary: the engine's adaptive
+    /// timers retransmit on their own. See [`Engine::retransmit`].
+    pub fn retransmit(&self) -> bool {
+        let hit = self.fabric.engine().lock().retransmit(self.id);
+        if hit {
+            self.fabric.kick();
+        }
+        hit
+    }
+}
+
+impl RecvHandle {
+    /// Block until the message arrives, or `timeout` expires.
+    pub fn wait(&self, timeout: Duration) -> Option<MessageAssembly> {
+        wait_on(&*self.fabric, timeout, |eng| eng.try_recv(self.id))
+    }
+}
+
+impl Endpoint {
+    /// Assemble an endpoint from what a transport built: the fabric
+    /// around its engine, the channels opened on that engine, and the
+    /// runtime's threads in the order they are to be joined.
+    pub fn new(fabric: Arc<dyn Fabric>, conns: Vec<ConnId>, workers: Vec<JoinHandle<()>>) -> Self {
+        Endpoint {
+            fabric,
+            workers,
+            conns,
+        }
+    }
+
+    /// The fabric under this endpoint (engine lock included), for
+    /// callers that need more than the accessors below.
+    pub fn fabric(&self) -> &Arc<dyn Fabric> {
+        &self.fabric
+    }
+
+    /// Logical channels opened at construction.
+    pub fn conns(&self) -> &[ConnId] {
+        &self.conns
+    }
+
+    /// Submit a non-blocking send.
+    pub fn send(&self, conn: ConnId, segments: Vec<Bytes>) -> SendHandle {
+        SendHandle {
+            fabric: self.fabric.clone(),
+            id: self.fabric.submit(conn, segments),
+        }
+    }
+
+    /// Submit a send under the full overload policy: refused with
+    /// [`SubmitError::WouldBlock`] when the hub's queue depth, pool
+    /// watermark or per-tenant quota is exceeded (see
+    /// [`crate::OverloadConfig`]). The serial runtimes have no admission
+    /// boundary and always admit.
+    pub fn try_send(&self, conn: ConnId, segments: Vec<Bytes>) -> Result<SendHandle, SubmitError> {
+        Ok(SendHandle {
+            fabric: self.fabric.clone(),
+            id: self.fabric.try_submit(conn, segments)?,
+        })
+    }
+
+    /// Post a non-blocking receive.
+    pub fn recv(&self, conn: ConnId) -> RecvHandle {
+        RecvHandle {
+            fabric: self.fabric.clone(),
+            id: self.fabric.post_recv(conn),
+        }
+    }
+
+    /// Overload rejection counters (all zero on the serial runtimes).
+    pub fn overload_stats(&self) -> OverloadStats {
+        self.fabric.overload_stats()
+    }
+
+    /// Engine statistics snapshot.
+    pub fn stats(&self) -> EngineStats {
+        self.fabric.stats()
+    }
+
+    /// Buffer-pool ledger check: outstanding pool buffers not accounted
+    /// for by any in-flight transmission. Non-zero means a leak.
+    pub fn pool_leaks(&self) -> u64 {
+        self.fabric.engine().lock().pool_leaks()
+    }
+
+    /// Packets rejected on receive (decode/CRC/reassembly errors).
+    pub fn rx_errors(&self) -> u64 {
+        self.fabric.status().rx_errors.load(Ordering::Relaxed)
+    }
+
+    /// Transport I/O errors, plus engine invariants broken on the
+    /// progress path. Always zero on the mem fabric's hub runtime, which
+    /// does no I/O.
+    pub fn io_errors(&self) -> u64 {
+        self.fabric.status().io_errors.load(Ordering::Relaxed)
+    }
+
+    /// Packets dropped by the mem fabric's fault injector on this
+    /// endpoint's tx side (always zero over TCP).
+    pub fn tx_dropped(&self) -> u64 {
+        self.fabric.status().tx_dropped.load(Ordering::Relaxed)
+    }
+
+    /// Current health state of every rail.
+    pub fn rail_states(&self) -> Vec<RailState> {
+        self.fabric.engine().lock().rail_states()
+    }
+
+    /// Full health state history of one rail, oldest first.
+    pub fn rail_history(&self, rail: usize) -> Vec<RailState> {
+        let eng = self.fabric.engine().lock();
+        eng.health().rail(RailId(rail)).history().to_vec()
+    }
+
+    /// Timer and dwell-time telemetry of one rail (SRTT/RTTVAR/RTO and
+    /// per-state dwell times, as of the engine clock).
+    pub fn rail_telemetry(&self, rail: usize) -> RailTelemetry {
+        self.fabric.engine().lock().rail_telemetry(rail)
+    }
+
+    /// Snapshot of the recorded flight events, oldest first. Empty unless
+    /// the endpoint was built with a nonzero
+    /// `EngineConfig::record_capacity`. On `Runtime::Threads` this merges
+    /// the engine ring with the per-worker shards deposited so far
+    /// (workers deposit at exit).
+    pub fn events(&self) -> Vec<Event> {
+        self.fabric.events()
+    }
+
+    /// Run `read` on the engine with pending recorder events folded into
+    /// the telemetry windows.
+    fn folded<T>(&self, read: impl FnOnce(&Engine) -> T) -> T {
+        let mut eng = self.fabric.engine().lock();
+        eng.fold_telemetry();
+        read(&eng)
+    }
+
+    /// The Prometheus text exposition of the telemetry windows. `None`
+    /// unless the endpoint was built with `EngineConfig::telemetry`
+    /// enabled.
+    pub fn telemetry_prometheus(&self) -> Option<String> {
+        self.folded(|eng| {
+            eng.telemetry()
+                .map(|agg| crate::obs::to_prometheus(agg, eng.stats()))
+        })
+    }
+
+    /// The telemetry time series as JSONL, one closed window per line
+    /// (oldest first, at most the configured ring depth).
+    pub fn telemetry_jsonl(&self) -> Option<String> {
+        self.folded(|eng| eng.telemetry().map(crate::obs::windows_jsonl))
+    }
+
+    /// Snapshot of the most recently closed telemetry window.
+    pub fn telemetry_latest(&self) -> Option<Window> {
+        self.folded(|eng| eng.telemetry().and_then(|agg| agg.latest().cloned()))
+    }
+
+    /// Watchdog alerts fired so far (empty without a watchdog).
+    pub fn alerts(&self) -> Vec<Alert> {
+        self.folded(|eng| eng.watchdog().map_or(Vec::new(), |d| d.alerts().to_vec()))
+    }
+
+    /// Machine-readable watchdog verdict. `None` unless the endpoint
+    /// was built with `EngineConfig::watchdog` enabled.
+    pub fn watchdog_verdict(&self) -> Option<String> {
+        self.folded(|eng| eng.watchdog().map(|d| d.verdict_json()))
+    }
+}
+
+impl Drop for Endpoint {
+    fn drop(&mut self) {
+        self.fabric.begin_shutdown();
+        for h in self.workers.drain(..) {
+            let _ = h.join();
+        }
+        self.fabric.finish_shutdown();
+    }
+}

@@ -35,8 +35,9 @@
 //! The hub is transport-agnostic the same way [`super::Engine`] is:
 //! `transport-tcp` workers write sockets, `transport-mem` workers sleep
 //! out the shaped wire time — both outside the engine lock. Nothing in
-//! this module runs unless [`crate::EngineConfig::parallel`] is set;
-//! the single-threaded path stays bit-identical.
+//! this module runs unless a transport is built with
+//! [`crate::Runtime::Threads`] or [`crate::Runtime::Reactor`]; the
+//! serial runtimes never construct a hub.
 
 use std::cell::UnsafeCell;
 use std::collections::{HashMap, VecDeque};
@@ -52,6 +53,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::config::OverloadConfig;
 use crate::driver::{TxDecision, TxToken};
+use crate::endpoint::FabricStatus;
 use crate::error::SubmitError;
 use crate::obs::{Event, EventKind};
 use crate::request::{RecvId, SendId};
@@ -541,10 +543,9 @@ pub struct ParallelHub {
     shutdown: AtomicBool,
     next_send_id: AtomicU64,
     next_recv_id: AtomicU64,
-    /// Packets rejected on receive (decode/CRC/reassembly errors).
-    pub rx_errors: AtomicU64,
-    /// Transport I/O errors reported by workers.
-    pub io_errors: AtomicU64,
+    /// Error counters, fed by the scheduler and by the transport's
+    /// workers, and the poison flag (see [`FabricStatus`]).
+    pub status: FabricStatus,
     /// Per-worker flight-recorder shards deposited at worker exit,
     /// merged with the engine ring at export.
     shards: Mutex<Vec<crate::obs::Event>>,
@@ -575,10 +576,8 @@ pub struct ParallelHub {
 }
 
 impl ParallelHub {
-    /// Wrap an engine (its config should have
-    /// [`crate::EngineConfig::parallel`] set) and build one outbox per
-    /// rail. The senders go to the scheduler thread, the receivers to
-    /// the per-rail TX workers.
+    /// Wrap an engine and build one outbox per rail. The senders go to
+    /// the scheduler thread, the receivers to the per-rail TX workers.
     pub fn new(engine: Engine) -> (Arc<Self>, Vec<OutboxSender>, Vec<OutboxReceiver>) {
         let n = engine.rails().len();
         let overload = engine.config().overload;
@@ -591,8 +590,7 @@ impl ParallelHub {
             shutdown: AtomicBool::new(false),
             next_send_id: AtomicU64::new(0),
             next_recv_id: AtomicU64::new(0),
-            rx_errors: AtomicU64::new(0),
-            io_errors: AtomicU64::new(0),
+            status: FabricStatus::default(),
             shards: Mutex::new(Vec::new()),
             overload,
             tenant_inflight: Mutex::new(HashMap::new()),
@@ -835,7 +833,7 @@ impl ParallelHub {
                 }
                 Completion::RxFrame { rail, frame } => {
                     if eng.on_frame(RailId(rail), &frame).is_err() {
-                        self.rx_errors.fetch_add(1, Ordering::Relaxed);
+                        self.status.rx_errors.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
@@ -861,7 +859,7 @@ impl ParallelHub {
                     }
                     Ok(None) => break,
                     Err(_) => {
-                        self.io_errors.fetch_add(1, Ordering::Relaxed);
+                        self.status.io_errors.fetch_add(1, Ordering::Relaxed);
                         break;
                     }
                 }
@@ -1161,8 +1159,7 @@ mod tests {
 
     fn hub_pair() -> (HubSide, HubSide) {
         let mk = || {
-            let mut cfg = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
-            cfg.parallel = true;
+            let cfg = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
             let mut eng = Engine::new(cfg, platform::paper_platform().rails, vec![]);
             eng.conn_open();
             ParallelHub::new(eng)
@@ -1254,8 +1251,7 @@ mod tests {
     /// shutdown still reach the engine before the scheduler exits.
     #[test]
     fn shutdown_drains_queues() {
-        let mut cfg = EngineConfig::with_strategy(StrategyKind::Greedy);
-        cfg.parallel = true;
+        let cfg = EngineConfig::with_strategy(StrategyKind::Greedy);
         let mut eng = Engine::new(cfg, platform::paper_platform().rails, vec![]);
         eng.conn_open();
         let (hub, senders, receivers) = ParallelHub::new(eng);
@@ -1295,8 +1291,7 @@ mod tests {
     /// queue stay stable: what the app got back is what the engine sees.
     #[test]
     fn preallocated_ids_survive_queue_reordering() {
-        let mut cfg = EngineConfig::with_strategy(StrategyKind::Greedy);
-        cfg.parallel = true;
+        let cfg = EngineConfig::with_strategy(StrategyKind::Greedy);
         let mut eng = Engine::new(cfg, platform::paper_platform().rails, vec![]);
         eng.conn_open();
         let (hub, mut senders, _receivers) = ParallelHub::new(eng);
@@ -1337,8 +1332,7 @@ mod tests {
 
     #[test]
     fn submit_after_shutdown_errors() {
-        let mut cfg = EngineConfig::with_strategy(StrategyKind::Greedy);
-        cfg.parallel = true;
+        let cfg = EngineConfig::with_strategy(StrategyKind::Greedy);
         let mut eng = Engine::new(cfg, platform::paper_platform().rails, vec![]);
         eng.conn_open();
         let (hub, _senders, _receivers) = ParallelHub::new(eng);
@@ -1362,7 +1356,6 @@ mod tests {
     #[test]
     fn try_submit_would_block_on_depth() {
         let mut cfg = EngineConfig::with_strategy(StrategyKind::Greedy);
-        cfg.parallel = true;
         cfg.overload.max_submission_depth = 1;
         let mut eng = Engine::new(cfg, platform::paper_platform().rails, vec![]);
         eng.conn_open();
@@ -1386,7 +1379,6 @@ mod tests {
     #[test]
     fn tenant_admission_credits_on_completion() {
         let mut cfg = EngineConfig::with_strategy(StrategyKind::Greedy);
-        cfg.parallel = true;
         cfg.overload.max_tenant_inflight = 1;
         let mut eng = Engine::new(cfg, platform::paper_platform().rails, vec![]);
         eng.conn_open();
@@ -1434,7 +1426,6 @@ mod tests {
     #[test]
     fn shutdown_drains_inflight_retransmissions() {
         let mut cfg = EngineConfig::with_strategy(StrategyKind::Greedy);
-        cfg.parallel = true;
         cfg.acked = true;
         cfg.health = crate::health::HealthConfig {
             initial_rto_ns: 5_000_000,

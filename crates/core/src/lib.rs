@@ -23,7 +23,9 @@
 //! the [`sampling::OnlineCalibrator`] that keeps those ratios tracking
 //! observed transfer times at runtime; [`stats`] counts what the
 //! strategies actually did so tests can assert on behaviour, not just
-//! timing.
+//! timing; [`endpoint`] is the one application-facing [`Endpoint`] (with
+//! its send/receive handles) that every threaded transport hands out,
+//! over the [`Fabric`] trait a transport's runtime implements.
 //!
 //! # A complete round trip
 //!
@@ -78,6 +80,7 @@ pub mod api;
 pub mod chaos;
 pub mod config;
 pub mod driver;
+pub mod endpoint;
 pub mod engine;
 pub mod error;
 pub mod health;
@@ -90,8 +93,9 @@ pub mod strategy;
 
 pub use api::{MessageBuilder, MessageReader};
 pub use chaos::ChaosState;
-pub use config::{EngineConfig, OverloadConfig, ZooConfig};
+pub use config::{EngineConfig, OverloadConfig, Runtime, ZooConfig};
 pub use driver::{TxDecision, TxToken};
+pub use endpoint::{Endpoint, Fabric, FabricStatus, RecvHandle, SendHandle};
 pub use engine::parallel::{
     outbox, spsc, AppOp, Completion, MpscQueue, OutboxReceiver, OutboxSender, ParallelHub,
     SchedPass, SchedScratch, SpscConsumer, SpscProducer, SyscallCounters, WorkSignal,

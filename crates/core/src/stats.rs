@@ -161,7 +161,7 @@ impl SyscallStats {
 }
 
 /// Event-loop telemetry for the readiness-driven reactor transport
-/// ([`crate::EngineConfig::reactor`]): a fixed pool of epoll workers
+/// ([`crate::Runtime::Reactor`]): a fixed pool of epoll workers
 /// multiplexing every rail/peer connection. Counters are maintained by
 /// the reactor workers outside any lock and mirrored here by the
 /// scheduler (continuously) and at stats export, the same way
@@ -188,8 +188,9 @@ pub struct ReactorStats {
     /// the batch resumes on the next writable edge).
     pub write_stalls: u64,
     /// Hot-path allocations the event loop had to take (buffer growth
-    /// past the pre-allocated footprint). The `ablate_reactor` gate
-    /// holds this at zero for the echo event loop.
+    /// past the pre-allocated footprint). Zero by construction since the
+    /// loop's buffers are sized at registration and read into in place;
+    /// the `ablate_reactor` gate still checks it.
     pub hot_path_allocs: u64,
     /// Nanoseconds the workers spent handling events (summed).
     pub busy_ns: u64,
@@ -294,7 +295,7 @@ pub struct ObsStats {
     /// Retransmission timeouts armed (initial and backed-off), ns.
     pub rto_ns: Log2Histogram,
     /// Time the parallel scheduler held the engine lock per pass, ns.
-    /// Empty unless [`crate::EngineConfig::parallel`] is on — the whole
+    /// Empty on [`crate::Runtime::Serial`] — the whole
     /// point of the sharded pipeline is keeping this distribution tight
     /// while transport writes happen outside the lock.
     pub lock_hold_ns: Log2Histogram,
@@ -379,8 +380,8 @@ pub struct EngineStats {
     pub overload: OverloadStats,
     /// Histograms and per-rail gauges (always on, allocation-free).
     pub obs: ObsStats,
-    /// Event-loop telemetry from the reactor transport (all zero when
-    /// [`crate::EngineConfig::reactor`] is off).
+    /// Event-loop telemetry from the reactor transport (all zero on
+    /// the other runtimes).
     pub reactor: ReactorStats,
 }
 

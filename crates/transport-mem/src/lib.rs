@@ -1,19 +1,28 @@
 //! # nmad-transport-mem — the engine on real threads
 //!
 //! The simulator proves the *timing* claims; this crate proves the engine
-//! is a real communication library: two endpoints in one process, each
-//! driven by its own progress thread, exchanging fully encoded wire
-//! packets over per-rail channels. The same [`Engine`] code runs here as
-//! under the simulator — only the driver side differs:
+//! is a real communication library: two endpoints in one process,
+//! exchanging fully encoded wire packets over per-rail channels. The same
+//! [`Engine`] code runs here as under the simulator — only the driver
+//! side differs:
 //!
 //! * each rail is a [`crossbeam_channel`] pair, optionally rate-shaped to
 //!   the rail's modelled bandwidth (scaled) so multi-rail balancing is
 //!   observable in wall-clock time;
-//! * the progress thread plays the role of the NIC-activity loop: it
-//!   delivers arrivals, reports transmit completions, and offers idle
-//!   rails to the engine;
+//! * on `Runtime::Serial` (the default) one progress thread per endpoint
+//!   plays the role of the NIC-activity loop: it delivers arrivals,
+//!   reports transmit completions, and offers idle rails to the engine,
+//!   holding the engine lock across the step. On `Runtime::Threads` a
+//!   scheduler over [`ParallelHub`] does the engine work and one TX and
+//!   one RX worker per rail move the frames — the shaped wire time is
+//!   slept out in the TX workers, outside the engine lock, so rails
+//!   overlap. `Runtime::Reactor` is TCP-only and refused here;
 //! * payload CRCs are enabled, and a deterministic fault injector can
 //!   corrupt packets in flight to exercise the detection path.
+//!
+//! The application surface — [`Endpoint`], [`SendHandle`],
+//! [`RecvHandle`] — is [`nmad_core::endpoint`]'s, re-exported: this crate
+//! only says how frames move.
 //!
 //! The channels carry [`PacketFrame`]s — refcounted scatter-gather views
 //! of the sender's buffers, not flattened copies. Duplication and
@@ -33,15 +42,14 @@ use std::time::{Duration, Instant};
 use bytes::{Bytes, BytesMut};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use nmad_core::engine::Engine;
-use nmad_core::health::RailState;
 use nmad_core::request::{RecvId, SendId};
 use nmad_core::{
-    ChaosState, Completion, EngineConfig, Event, EventKind, FlightRecorder, OutboxReceiver,
-    ParallelHub,
+    ChaosState, Completion, EngineConfig, Event, EventKind, Fabric, FabricStatus, FlightRecorder,
+    OutboxReceiver, ParallelHub, Runtime,
 };
+pub use nmad_core::{Endpoint, RecvHandle, SendHandle};
 use nmad_model::{Platform, RailId};
 use nmad_sim::Xoshiro256StarStar;
-use nmad_wire::reassembly::MessageAssembly;
 use nmad_wire::{ConnId, PacketFrame};
 use parking_lot::{Condvar, Mutex};
 
@@ -119,14 +127,13 @@ impl FabricConfig {
     }
 }
 
+/// Serial runtime state: the engine, and the wake-up of the one
+/// progress thread that holds its lock across a step.
 struct Shared {
     engine: Mutex<Engine>,
     cv: Condvar,
+    status: FabricStatus,
     shutdown: AtomicBool,
-    /// Packets rejected on receive (decode/CRC/reassembly errors).
-    rx_errors: AtomicU64,
-    /// Packets the fault injector dropped on this endpoint's tx side.
-    tx_dropped: AtomicU64,
     /// Wakeup for this endpoint's worker: set under `work` and notified
     /// whenever new work arrives (a submit, a retransmit request, or a
     /// delivery from the peer worker), so the idle loop sleeps on a
@@ -136,333 +143,52 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(engine: Engine) -> Arc<Self> {
+        Arc::new(Shared {
+            engine: Mutex::new(engine),
+            cv: Condvar::new(),
+            status: FabricStatus::default(),
+            shutdown: AtomicBool::new(false),
+            work: Mutex::new(false),
+            work_cv: Condvar::new(),
+        })
+    }
+}
+
+impl Fabric for Shared {
+    fn engine(&self) -> &Mutex<Engine> {
+        &self.engine
+    }
+
+    fn cv(&self) -> &Condvar {
+        &self.cv
+    }
+
+    fn status(&self) -> &FabricStatus {
+        &self.status
+    }
+
+    fn submit(&self, conn: ConnId, segments: Vec<Bytes>) -> SendId {
+        let id = self.engine.lock().submit_send(conn, segments);
+        self.kick();
+        id
+    }
+
+    fn post_recv(&self, conn: ConnId) -> RecvId {
+        let id = self.engine.lock().post_recv(conn);
+        self.kick();
+        id
+    }
+
     /// Wake this endpoint's worker.
     fn kick(&self) {
         *self.work.lock() = true;
         self.work_cv.notify_one();
     }
-}
 
-/// Parallel-runtime shared state: the hub plus the counters the serial
-/// runtime keeps in [`Shared`].
-#[derive(Clone)]
-struct ParShared {
-    hub: Arc<ParallelHub>,
-    /// Packets the fault injector dropped on this endpoint's tx side.
-    tx_dropped: Arc<AtomicU64>,
-}
-
-/// Which runtime drives an endpoint's engine.
-#[derive(Clone)]
-enum Fabric {
-    /// Single progress thread holding the engine lock across the step.
-    Serial(Arc<Shared>),
-    /// Sharded pipeline: scheduler + per-rail TX/RX workers; the shaped
-    /// wire time is slept out in the TX workers, outside the engine lock.
-    Parallel(ParShared),
-}
-
-impl Fabric {
-    fn engine(&self) -> &Mutex<Engine> {
-        match self {
-            Fabric::Serial(s) => &s.engine,
-            Fabric::Parallel(p) => p.hub.engine(),
-        }
-    }
-
-    /// Condvar notified when app-visible completions may have landed.
-    fn cv(&self) -> &Condvar {
-        match self {
-            Fabric::Serial(s) => &s.cv,
-            Fabric::Parallel(p) => p.hub.app_cv(),
-        }
-    }
-}
-
-/// One endpoint of the in-process fabric.
-pub struct Endpoint {
-    fabric: Fabric,
-    /// Serial: the single progress thread. Parallel: per-rail TX/RX
-    /// workers first, the scheduler last (joined in that order).
-    workers: Vec<JoinHandle<()>>,
-    conns: Vec<ConnId>,
-}
-
-/// Handle to a send in flight.
-pub struct SendHandle {
-    fabric: Fabric,
-    id: SendId,
-}
-
-/// Handle to a posted receive.
-pub struct RecvHandle {
-    fabric: Fabric,
-    id: RecvId,
-}
-
-/// Block on `fabric`'s completion condvar until `done` or `timeout`.
-fn wait_on<T>(
-    fabric: &Fabric,
-    timeout: Duration,
-    mut done: impl FnMut(&mut Engine) -> Option<T>,
-) -> Option<T> {
-    let deadline = Instant::now() + timeout;
-    let mut eng = fabric.engine().lock();
-    loop {
-        if let Some(v) = done(&mut eng) {
-            return Some(v);
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return None;
-        }
-        fabric.cv().wait_for(&mut eng, deadline - now);
-    }
-}
-
-impl SendHandle {
-    /// Block until the send completes locally, or `timeout` expires.
-    /// Returns true on completion.
-    pub fn wait(&self, timeout: Duration) -> bool {
-        wait_on(&self.fabric, timeout, |eng| {
-            eng.send_complete(self.id).then_some(())
-        })
-        .is_some()
-    }
-
-    /// Block until the *peer confirms delivery* (requires
-    /// `EngineConfig::acked` on both endpoints), or `timeout` expires.
-    pub fn wait_acked(&self, timeout: Duration) -> bool {
-        wait_on(&self.fabric, timeout, |eng| {
-            eng.send_acked(self.id).then_some(())
-        })
-        .is_some()
-    }
-
-    /// Manually re-enqueue the message for transmission (acked mode).
-    /// Normally unnecessary: the progress thread retransmits
-    /// automatically on adaptive timeouts. See
-    /// [`nmad_core::Engine::retransmit`].
-    pub fn retransmit(&self) -> bool {
-        let ok = self.fabric.engine().lock().retransmit(self.id);
-        if ok {
-            match &self.fabric {
-                Fabric::Serial(s) => s.kick(),
-                Fabric::Parallel(p) => p.hub.kick_sched(),
-            }
-        }
-        ok
-    }
-}
-
-impl RecvHandle {
-    /// Block until the message arrives, or `timeout` expires.
-    pub fn wait(&self, timeout: Duration) -> Option<MessageAssembly> {
-        wait_on(&self.fabric, timeout, |eng| eng.try_recv(self.id))
-    }
-}
-
-impl Endpoint {
-    /// Logical channels opened at construction.
-    pub fn conns(&self) -> &[ConnId] {
-        &self.conns
-    }
-
-    /// Submit a non-blocking send.
-    pub fn send(&self, conn: ConnId, segments: Vec<Bytes>) -> SendHandle {
-        let id = match &self.fabric {
-            Fabric::Serial(s) => {
-                let id = s.engine.lock().submit_send(conn, segments);
-                s.kick();
-                id
-            }
-            // The hub queues without the engine lock and kicks the
-            // scheduler itself. Submission only errors after shutdown,
-            // and this endpoint owns the hub's lifetime.
-            Fabric::Parallel(p) => p
-                .hub
-                .submit_send(conn, segments)
-                .expect("endpoint not shut down"),
-        };
-        SendHandle {
-            fabric: self.fabric.clone(),
-            id,
-        }
-    }
-
-    /// Post a non-blocking receive.
-    pub fn recv(&self, conn: ConnId) -> RecvHandle {
-        let id = match &self.fabric {
-            Fabric::Serial(s) => {
-                let id = s.engine.lock().post_recv(conn);
-                s.kick();
-                id
-            }
-            Fabric::Parallel(p) => p.hub.post_recv(conn).expect("endpoint not shut down"),
-        };
-        RecvHandle {
-            fabric: self.fabric.clone(),
-            id,
-        }
-    }
-
-    /// Convenience: send and wait.
-    pub fn send_blocking(&self, conn: ConnId, segments: Vec<Bytes>, timeout: Duration) -> bool {
-        self.send(conn, segments).wait(timeout)
-    }
-
-    /// Convenience: receive and wait.
-    pub fn recv_blocking(&self, conn: ConnId, timeout: Duration) -> Option<MessageAssembly> {
-        self.recv(conn).wait(timeout)
-    }
-
-    /// Submit a send under the full overload policy (parallel fabric
-    /// only): the submission is refused with
-    /// [`nmad_core::SubmitError::WouldBlock`] when the hub's queue
-    /// depth, pool watermark, or per-tenant quota is exceeded — see
-    /// [`nmad_core::OverloadConfig`]. On the serial fabric there is no
-    /// admission boundary and this behaves like [`Endpoint::send`].
-    pub fn try_send(
-        &self,
-        conn: ConnId,
-        segments: Vec<Bytes>,
-    ) -> Result<SendHandle, nmad_core::SubmitError> {
-        match &self.fabric {
-            Fabric::Serial(_) => Ok(self.send(conn, segments)),
-            Fabric::Parallel(p) => p.hub.try_submit_send(conn, segments).map(|id| SendHandle {
-                fabric: self.fabric.clone(),
-                id,
-            }),
-        }
-    }
-
-    /// Overload rejection counters (all zero on the serial fabric,
-    /// which has no admission boundary).
-    pub fn overload_stats(&self) -> nmad_core::OverloadStats {
-        match &self.fabric {
-            Fabric::Serial(_) => nmad_core::OverloadStats::default(),
-            Fabric::Parallel(p) => p.hub.overload_stats(),
-        }
-    }
-
-    /// Buffer-pool ledger check: outstanding pool buffers not accounted
-    /// for by any in-flight transmission. Non-zero means a leak.
-    pub fn pool_leaks(&self) -> u64 {
-        self.fabric.engine().lock().pool_leaks()
-    }
-
-    /// Engine statistics snapshot.
-    pub fn stats(&self) -> nmad_core::EngineStats {
-        self.fabric.engine().lock().stats().clone()
-    }
-
-    /// Receive-side errors (decode/CRC/reassembly) counted so far.
-    pub fn rx_errors(&self) -> u64 {
-        match &self.fabric {
-            Fabric::Serial(s) => s.rx_errors.load(Ordering::Relaxed),
-            Fabric::Parallel(p) => p.hub.rx_errors.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Packets dropped by the fault injector on this endpoint's tx side.
-    pub fn tx_dropped(&self) -> u64 {
-        match &self.fabric {
-            Fabric::Serial(s) => s.tx_dropped.load(Ordering::Relaxed),
-            Fabric::Parallel(p) => p.tx_dropped.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Current health state of every rail.
-    pub fn rail_states(&self) -> Vec<RailState> {
-        self.fabric.engine().lock().rail_states()
-    }
-
-    /// Full health state history of one rail, oldest first.
-    pub fn rail_history(&self, rail: usize) -> Vec<RailState> {
-        self.fabric
-            .engine()
-            .lock()
-            .health()
-            .rail(RailId(rail))
-            .history()
-            .to_vec()
-    }
-
-    /// Timer and dwell-time telemetry of one rail (SRTT/RTTVAR/RTO and
-    /// per-state dwell times, as of the engine clock).
-    pub fn rail_telemetry(&self, rail: usize) -> nmad_core::RailTelemetry {
-        self.fabric.engine().lock().rail_telemetry(rail)
-    }
-
-    /// Snapshot of the recorded flight events, oldest first. Empty unless
-    /// the endpoint was built with a nonzero
-    /// `EngineConfig::record_capacity`. In parallel mode this merges the
-    /// engine ring with the per-worker shards deposited so far.
-    pub fn events(&self) -> Vec<nmad_core::Event> {
-        match &self.fabric {
-            Fabric::Serial(s) => s.engine.lock().recorder().events(),
-            Fabric::Parallel(p) => p.hub.merged_events(),
-        }
-    }
-
-    /// Fold pending recorder events into the telemetry windows and
-    /// render the Prometheus text exposition. `None` unless the
-    /// endpoint was built with `EngineConfig::telemetry` enabled.
-    pub fn telemetry_prometheus(&self) -> Option<String> {
-        let mut eng = self.fabric.engine().lock();
-        eng.fold_telemetry();
-        let stats = eng.stats().clone();
-        eng.telemetry()
-            .map(|agg| nmad_core::obs::to_prometheus(agg, &stats))
-    }
-
-    /// The telemetry time series as JSONL, one closed window per line
-    /// (oldest first, at most the configured ring depth).
-    pub fn telemetry_jsonl(&self) -> Option<String> {
-        let mut eng = self.fabric.engine().lock();
-        eng.fold_telemetry();
-        eng.telemetry().map(nmad_core::obs::windows_jsonl)
-    }
-
-    /// Snapshot of the most recently closed telemetry window.
-    pub fn telemetry_latest(&self) -> Option<nmad_core::Window> {
-        let mut eng = self.fabric.engine().lock();
-        eng.fold_telemetry();
-        eng.telemetry().and_then(|agg| agg.latest().cloned())
-    }
-
-    /// Watchdog alerts fired so far (empty without a watchdog).
-    pub fn alerts(&self) -> Vec<nmad_core::Alert> {
-        let mut eng = self.fabric.engine().lock();
-        eng.fold_telemetry();
-        eng.watchdog()
-            .map(|d| d.alerts().to_vec())
-            .unwrap_or_default()
-    }
-
-    /// Machine-readable watchdog verdict. `None` unless the endpoint
-    /// was built with `EngineConfig::watchdog` enabled.
-    pub fn watchdog_verdict(&self) -> Option<String> {
-        let mut eng = self.fabric.engine().lock();
-        eng.fold_telemetry();
-        eng.watchdog().map(|d| d.verdict_json())
-    }
-}
-
-impl Drop for Endpoint {
-    fn drop(&mut self) {
-        match &self.fabric {
-            Fabric::Serial(s) => {
-                s.shutdown.store(true, Ordering::SeqCst);
-                s.kick();
-            }
-            Fabric::Parallel(p) => p.hub.begin_shutdown(),
-        }
-        // Parallel: I/O workers were pushed before the scheduler, so they
-        // join first and their final completions get drained.
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.kick();
     }
 }
 
@@ -476,7 +202,8 @@ struct Worker {
     shared: Arc<Shared>,
     /// The peer endpoint's shared state, to wake its worker on delivery.
     peer: Arc<Shared>,
-    platform: Platform,
+    /// Shaping, fault and chaos settings of the fabric.
+    config: FabricConfig,
     rx: Vec<Receiver<PacketFrame>>,
     tx: Vec<Sender<PacketFrame>>,
     inflight: Vec<Option<InFlight>>,
@@ -485,9 +212,6 @@ struct Worker {
     /// Fabric construction time: the engine clock and outage windows are
     /// measured from here.
     start: Instant,
-    time_scale: f64,
-    faults: Option<FaultSpec>,
-    chaos: Option<ChaosState>,
     rng: Xoshiro256StarStar,
 }
 
@@ -497,6 +221,36 @@ const MAX_IDLE_WAIT: Duration = Duration::from_millis(2);
 const MIN_IDLE_WAIT: Duration = Duration::from_micros(20);
 
 impl Worker {
+    /// The progress thread of `shared`'s endpoint, on its end of the
+    /// per-rail wires.
+    fn new(
+        config: &FabricConfig,
+        shared: Arc<Shared>,
+        peer: Arc<Shared>,
+        wires: Wires,
+        start: Instant,
+        seed: u64,
+    ) -> Self {
+        let n_rails = config.platform.rail_count();
+        Worker {
+            shared,
+            peer,
+            config: config.clone(),
+            rx: wires.rx,
+            tx: wires.tx,
+            inflight: (0..n_rails).map(|_| None).collect(),
+            held: (0..n_rails).map(|_| None).collect(),
+            start,
+            rng: Xoshiro256StarStar::new(seed),
+        }
+    }
+
+    fn spawn(self, name: &str, conns: Vec<ConnId>) -> Endpoint {
+        let shared = self.shared.clone();
+        let worker = spawn(name.into(), move || self.run());
+        Endpoint::new(shared, conns, vec![worker])
+    }
+
     fn run(mut self) {
         loop {
             let progressed = self.step();
@@ -552,7 +306,7 @@ impl Worker {
             while let Ok(frame) = self.rx[rail].try_recv() {
                 progressed = true;
                 if eng.on_frame(RailId(rail), &frame).is_err() {
-                    self.shared.rx_errors.fetch_add(1, Ordering::Relaxed);
+                    self.shared.status.rx_errors.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -563,8 +317,9 @@ impl Worker {
             if ready {
                 let f = self.inflight[rail].take().unwrap();
                 progressed = true;
-                eng.on_tx_done(RailId(rail), f.token)
-                    .expect("token issued by this worker");
+                if eng.on_tx_done(RailId(rail), f.token).is_err() {
+                    self.shared.fail();
+                }
                 to_deliver.push((rail, f.frame));
             }
         }
@@ -574,16 +329,15 @@ impl Worker {
             if self.inflight[rail].is_some() {
                 continue;
             }
-            if let Some(d) = eng
-                .next_tx(RailId(rail))
-                .expect("engine invariant violated")
-            {
+            // A strategy bug poisons the endpoint's waits; it does not
+            // take the progress thread down with every waiter's timeout.
+            let decision = eng.next_tx(RailId(rail)).unwrap_or_else(|_| {
+                self.shared.fail();
+                None
+            });
+            if let Some(d) = decision {
                 progressed = true;
-                let dur = chaos_scaled(
-                    shaped_duration(&self.platform, rail, d.frame.wire_len(), self.time_scale),
-                    &self.chaos,
-                    rail,
-                );
+                let dur = shaped_duration(&self.config, rail, d.frame.wire_len());
                 self.inflight[rail] = Some(InFlight {
                     ready_at: now + dur,
                     token: d.token,
@@ -598,29 +352,17 @@ impl Worker {
         progressed
     }
 
+    /// Hand one wire packet, or what the fault injector leaves of it, to
+    /// the peer and wake its worker.
     fn deliver(&mut self, rail: usize, frame: PacketFrame) {
-        let boost = chaos_drop_boost(&self.chaos, rail);
-        let Some(spec) = &self.faults else {
-            // No fault spec: the chaos drop boost still applies (one rng
-            // draw, only when a chaos handle is installed and hot).
-            if boost > 0.0 && self.rng.chance(boost) {
-                self.shared.tx_dropped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            self.push(rail, frame);
-            return;
-        };
-        let elapsed = self.start.elapsed();
-        let tx = &self.tx[rail];
-        let peer = &self.peer;
+        let (tx, peer) = (&self.tx[rail], &self.peer);
         apply_faults(
-            spec,
-            elapsed,
+            &self.config,
+            self.start,
             rail,
-            boost,
             &mut self.rng,
             &mut self.held[rail],
-            &self.shared.tx_dropped,
+            &self.shared.status.tx_dropped,
             frame,
             &mut |f| {
                 // Peer gone: drop silently (shutdown path).
@@ -629,65 +371,55 @@ impl Worker {
             },
         );
     }
-
-    /// Hand one wire packet to the peer and wake its worker.
-    fn push(&self, rail: usize, frame: PacketFrame) {
-        // Peer gone: drop silently (shutdown path).
-        let _ = self.tx[rail].send(frame);
-        self.peer.kick();
-    }
 }
 
-/// Wall-clock duration of one shaped injection on `rail`.
-fn shaped_duration(platform: &Platform, rail: usize, bytes: usize, time_scale: f64) -> Duration {
-    if time_scale <= 0.0 {
+/// Wall-clock duration of one shaped injection on `rail`, stretched by
+/// the chaos bandwidth multiplier: a rail degraded to a quarter of its
+/// bandwidth takes 4x the wire time.
+fn shaped_duration(config: &FabricConfig, rail: usize, bytes: usize) -> Duration {
+    if config.time_scale <= 0.0 {
         return Duration::ZERO;
     }
-    let bw = platform.rails[rail].link_bandwidth;
-    let lat = platform.rails[rail].wire_latency.as_secs_f64();
-    Duration::from_secs_f64((bytes as f64 / bw + lat) * time_scale)
+    let nic = &config.platform.rails[rail];
+    let secs =
+        (bytes as f64 / nic.link_bandwidth + nic.wire_latency.as_secs_f64()) * config.time_scale;
+    // `ChaosState` clamps the multiplier to >= 0.01.
+    let mult = config
+        .chaos
+        .as_ref()
+        .map_or(1.0, |c| c.bandwidth_mult(rail));
+    Duration::from_secs_f64(secs / mult)
 }
 
-/// Stretch a shaped duration by the chaos bandwidth multiplier: a rail
-/// degraded to a quarter of its bandwidth takes 4x the wire time.
-/// Identity when no chaos handle is installed or the rail is nominal.
-fn chaos_scaled(dur: Duration, chaos: &Option<ChaosState>, rail: usize) -> Duration {
-    match chaos {
-        Some(c) => {
-            let mult = c.bandwidth_mult(rail);
-            if mult == 1.0 || dur.is_zero() {
-                dur
-            } else {
-                // `ChaosState` clamps the multiplier to >= 0.01.
-                Duration::from_secs_f64(dur.as_secs_f64() / mult)
-            }
-        }
-        None => dur,
-    }
-}
-
-/// Current chaos drop boost for `rail` (0.0 without a handle).
-fn chaos_drop_boost(chaos: &Option<ChaosState>, rail: usize) -> f64 {
-    chaos.as_ref().map_or(0.0, |c| c.drop_boost(rail))
-}
-
-/// Apply the fault spec to one outgoing frame; survivors reach `push` in
-/// delivery order. Shared by the serial worker and the parallel TX
-/// workers so both runtimes exercise the identical injector (the rng
-/// draw order — drop, corrupt, dup, reorder — is part of the contract:
-/// serial fault sequences must not change underneath seeded tests).
+/// Apply the fabric's fault spec and chaos drop boost to one outgoing
+/// frame; survivors reach `push` in delivery order. Shared by the serial
+/// worker and the `Threads` TX workers so both runtimes exercise the
+/// identical injector (the rng draw order — drop, corrupt, dup, reorder —
+/// is part of the contract: serial fault sequences must not change
+/// underneath seeded tests).
 #[allow(clippy::too_many_arguments)]
 fn apply_faults(
-    spec: &FaultSpec,
-    elapsed: Duration,
+    config: &FabricConfig,
+    start: Instant,
     rail: usize,
-    drop_boost: f64,
     rng: &mut Xoshiro256StarStar,
     held: &mut Option<PacketFrame>,
     tx_dropped: &AtomicU64,
     frame: PacketFrame,
     push: &mut dyn FnMut(PacketFrame),
 ) {
+    let drop_boost = config.chaos.as_ref().map_or(0.0, |c| c.drop_boost(rail));
+    let Some(spec) = &config.faults else {
+        // No fault spec: the chaos drop boost still applies (one rng
+        // draw, only when a chaos handle is installed and hot).
+        if drop_boost > 0.0 && rng.chance(drop_boost) {
+            tx_dropped.fetch_add(1, Ordering::Relaxed);
+        } else {
+            push(frame);
+        }
+        return;
+    };
+    let elapsed = start.elapsed();
     // Scheduled outage: the rail eats everything, including probes.
     if spec
         .outages
@@ -744,7 +476,7 @@ fn corrupt_frame(rng: &mut Xoshiro256StarStar, mut frame: PacketFrame) -> Packet
     frame
 }
 
-/// Parallel runtime: one rail's TX worker. Pops published decisions off
+/// `Threads` runtime: one rail's TX worker. Pops published decisions off
 /// its own outbox and sleeps out the shaped wire time *outside the
 /// engine lock* — this is where cross-rail overlap (and the measured
 /// speedup) comes from — then applies fault injection and hands the
@@ -755,22 +487,19 @@ struct ParTxWorker {
     rail: usize,
     outbox: OutboxReceiver,
     tx: Sender<PacketFrame>,
-    platform: Platform,
-    time_scale: f64,
-    faults: Option<FaultSpec>,
-    chaos: Option<ChaosState>,
+    /// Shaping, fault and chaos settings of the fabric.
+    config: FabricConfig,
     /// Reorder-injector hold slot for this rail.
     held: Option<PacketFrame>,
     rng: Xoshiro256StarStar,
-    tx_dropped: Arc<AtomicU64>,
     start: Instant,
     /// Per-thread recorder shard; deposited into the hub at exit.
     shard: FlightRecorder,
 }
 
-/// Parallel TX worker: upper bound on one outbox wait.
+/// `Threads` TX worker: upper bound on one outbox wait.
 const PAR_TX_IDLE_WAIT: Duration = Duration::from_millis(2);
-/// Parallel RX worker: channel wait bound (shutdown responsiveness).
+/// `Threads` RX worker: channel wait bound (shutdown responsiveness).
 const PAR_RX_IDLE_WAIT: Duration = Duration::from_millis(10);
 
 impl ParTxWorker {
@@ -795,11 +524,7 @@ impl ParTxWorker {
 
     fn inject(&mut self, d: nmad_core::TxDecision) {
         let bytes = d.frame.wire_len();
-        let dur = chaos_scaled(
-            shaped_duration(&self.platform, self.rail, bytes, self.time_scale),
-            &self.chaos,
-            self.rail,
-        );
+        let dur = shaped_duration(&self.config, self.rail, bytes);
         if dur > Duration::ZERO {
             std::thread::sleep(dur);
         }
@@ -820,37 +545,23 @@ impl ParTxWorker {
                 token: d.token,
             },
         );
-        let boost = chaos_drop_boost(&self.chaos, self.rail);
-        match &self.faults {
-            None => {
-                if boost > 0.0 && self.rng.chance(boost) {
-                    self.tx_dropped.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                let _ = self.tx.send(d.frame);
-            }
-            Some(spec) => {
-                let elapsed = self.start.elapsed();
-                let tx = &self.tx;
-                apply_faults(
-                    spec,
-                    elapsed,
-                    self.rail,
-                    boost,
-                    &mut self.rng,
-                    &mut self.held,
-                    &self.tx_dropped,
-                    d.frame,
-                    &mut |f| {
-                        let _ = tx.send(f);
-                    },
-                );
-            }
-        }
+        let tx = &self.tx;
+        apply_faults(
+            &self.config,
+            self.start,
+            self.rail,
+            &mut self.rng,
+            &mut self.held,
+            &self.hub.status.tx_dropped,
+            d.frame,
+            &mut |f| {
+                let _ = tx.send(f);
+            },
+        );
     }
 }
 
-/// Parallel runtime: one rail's RX worker. Blocks on the rail's channel
+/// `Threads` runtime: one rail's RX worker. Blocks on the rail's channel
 /// (the sender's `send` is the wakeup) and queues arrivals for the
 /// scheduler's next batched drain.
 struct ParRxWorker {
@@ -891,206 +602,141 @@ impl ParRxWorker {
     }
 }
 
-/// Build a connected pair of endpoints. With
-/// [`EngineConfig::parallel`] off each endpoint gets one progress
-/// thread; with it on, each gets the sharded pipeline (scheduler plus
-/// per-rail TX/RX workers).
+/// One endpoint's end of the per-rail channels.
+#[derive(Default)]
+struct Wires {
+    tx: Vec<Sender<PacketFrame>>,
+    rx: Vec<Receiver<PacketFrame>>,
+}
+
+impl Wires {
+    /// Both ends of `rails` bidirectional wires.
+    fn pair(rails: usize) -> (Wires, Wires) {
+        let (mut a, mut b) = (Wires::default(), Wires::default());
+        for _ in 0..rails {
+            let (t, r) = unbounded();
+            a.tx.push(t);
+            b.rx.push(r);
+            let (t, r) = unbounded();
+            b.tx.push(t);
+            a.rx.push(r);
+        }
+        (a, b)
+    }
+}
+
+/// Build a connected pair of endpoints on the runtime
+/// [`EngineConfig::runtime`] names: one progress thread each
+/// (`Serial`), or the sharded pipeline — scheduler plus per-rail TX/RX
+/// workers — each (`Threads`).
+///
+/// # Panics
+///
+/// On `Runtime::Reactor`: the in-process fabric has no sockets to
+/// multiplex.
 pub fn pair(config: FabricConfig) -> (Endpoint, Endpoint) {
     let mut cfg_engine = config.engine.clone();
     cfg_engine.crc = true;
-    if cfg_engine.parallel {
-        return pair_parallel(&config, cfg_engine);
-    }
-    let n_rails = config.platform.rail_count();
-
-    let mk_shared = || {
-        Arc::new(Shared {
-            engine: Mutex::new(Engine::new(
-                cfg_engine.clone(),
-                config.platform.rails.clone(),
-                vec![],
-            )),
-            cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            rx_errors: AtomicU64::new(0),
-            tx_dropped: AtomicU64::new(0),
-            work: Mutex::new(false),
-            work_cv: Condvar::new(),
-        })
+    let side = || {
+        let mut engine = Engine::new(cfg_engine.clone(), config.platform.rails.clone(), vec![]);
+        let conns: Vec<ConnId> = (0..config.conns.max(1))
+            .map(|_| engine.conn_open())
+            .collect();
+        (engine, conns)
     };
-    let shared_a = mk_shared();
-    let shared_b = mk_shared();
+    let ((engine_a, conns_a), (engine_b, conns_b)) = (side(), side());
 
-    let mut conns_a = Vec::new();
-    let mut conns_b = Vec::new();
-    for _ in 0..config.conns.max(1) {
-        conns_a.push(shared_a.engine.lock().conn_open());
-        conns_b.push(shared_b.engine.lock().conn_open());
-    }
-
-    let mut a_to_b_tx = Vec::new();
-    let mut a_to_b_rx = Vec::new();
-    let mut b_to_a_tx = Vec::new();
-    let mut b_to_a_rx = Vec::new();
-    for _ in 0..n_rails {
-        let (t, r) = unbounded();
-        a_to_b_tx.push(t);
-        a_to_b_rx.push(r);
-        let (t, r) = unbounded();
-        b_to_a_tx.push(t);
-        b_to_a_rx.push(r);
-    }
+    let (a, b) = Wires::pair(config.platform.rail_count());
 
     let start = Instant::now();
-    let mk_worker = |shared: Arc<Shared>, peer: Arc<Shared>, rx, tx, seed| Worker {
-        shared,
-        peer,
-        platform: config.platform.clone(),
-        rx,
-        tx,
-        inflight: (0..n_rails).map(|_| None).collect(),
-        held: (0..n_rails).map(|_| None).collect(),
-        start,
-        time_scale: config.time_scale,
-        faults: config.faults.clone(),
-        chaos: config.chaos.clone(),
-        rng: Xoshiro256StarStar::new(seed),
-    };
-
     let seed = config.faults.as_ref().map(|f| f.seed).unwrap_or(0);
-    let worker_a = mk_worker(
-        shared_a.clone(),
-        shared_b.clone(),
-        b_to_a_rx,
-        a_to_b_tx,
-        seed ^ 0xA,
-    );
-    let worker_b = mk_worker(
-        shared_b.clone(),
-        shared_a.clone(),
-        a_to_b_rx,
-        b_to_a_tx,
-        seed ^ 0xB,
-    );
-
-    let ha = std::thread::Builder::new()
-        .name("nmad-mem-a".into())
-        .spawn(move || worker_a.run())
-        .expect("spawn worker a");
-    let hb = std::thread::Builder::new()
-        .name("nmad-mem-b".into())
-        .spawn(move || worker_b.run())
-        .expect("spawn worker b");
-
-    (
-        Endpoint {
-            fabric: Fabric::Serial(shared_a),
-            workers: vec![ha],
-            conns: conns_a,
-        },
-        Endpoint {
-            fabric: Fabric::Serial(shared_b),
-            workers: vec![hb],
-            conns: conns_b,
-        },
-    )
+    match cfg_engine.runtime {
+        Runtime::Serial => {
+            let (shared_a, shared_b) = (Shared::new(engine_a), Shared::new(engine_b));
+            let worker_a = Worker::new(
+                &config,
+                shared_a.clone(),
+                shared_b.clone(),
+                a,
+                start,
+                seed ^ 0xA,
+            );
+            let worker_b = Worker::new(&config, shared_b, shared_a, b, start, seed ^ 0xB);
+            (
+                worker_a.spawn("nmad-mem-a", conns_a),
+                worker_b.spawn("nmad-mem-b", conns_b),
+            )
+        }
+        Runtime::Threads => (
+            spawn_threads(&config, engine_a, conns_a, a, start, seed ^ 0xA, "a"),
+            spawn_threads(&config, engine_b, conns_b, b, start, seed ^ 0xB, "b"),
+        ),
+        Runtime::Reactor => panic!("the mem fabric has no sockets: Runtime::Reactor is TCP-only"),
+    }
 }
 
-/// Build a connected pair on the sharded parallel pipeline.
-fn pair_parallel(config: &FabricConfig, cfg_engine: EngineConfig) -> (Endpoint, Endpoint) {
-    let n_rails = config.platform.rail_count();
-    let record_capacity = cfg_engine.record_capacity;
-    let seed = config.faults.as_ref().map(|f| f.seed).unwrap_or(0);
+fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .expect("spawn mem fabric thread")
+}
 
-    let mut a_to_b_tx = Vec::new();
-    let mut a_to_b_rx = Vec::new();
-    let mut b_to_a_tx = Vec::new();
-    let mut b_to_a_rx = Vec::new();
-    for _ in 0..n_rails {
-        let (t, r) = unbounded();
-        a_to_b_tx.push(t);
-        a_to_b_rx.push(r);
-        let (t, r) = unbounded();
-        b_to_a_tx.push(t);
-        b_to_a_rx.push(r);
+/// One endpoint on the hub runtime: a TX and an RX worker per rail
+/// around `engine`'s [`ParallelHub`], and its scheduler.
+fn spawn_threads(
+    config: &FabricConfig,
+    engine: Engine,
+    conns: Vec<ConnId>,
+    wires: Wires,
+    start: Instant,
+    seed: u64,
+    name: &str,
+) -> Endpoint {
+    let record_capacity = engine.config().record_capacity;
+    let (hub, senders, receivers) = ParallelHub::new(engine);
+    let mut workers = Vec::new();
+    let rails = receivers.into_iter().zip(wires.tx).zip(wires.rx);
+    for (rail, ((outbox, tx), rx)) in rails.enumerate() {
+        let txw = ParTxWorker {
+            hub: hub.clone(),
+            rail,
+            outbox,
+            tx,
+            config: config.clone(),
+            held: None,
+            // Per-rail rng: deterministic, decorrelated across rails.
+            rng: Xoshiro256StarStar::new(seed ^ (rail as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            start,
+            shard: FlightRecorder::with_capacity(record_capacity),
+        };
+        workers.push(spawn(format!("nmad-mem-{name}-tx{rail}"), move || {
+            txw.run()
+        }));
+        let rxw = ParRxWorker {
+            hub: hub.clone(),
+            rail,
+            rx,
+            start,
+            shard: FlightRecorder::with_capacity(record_capacity),
+        };
+        workers.push(spawn(format!("nmad-mem-{name}-rx{rail}"), move || {
+            rxw.run()
+        }));
     }
-
-    let start = Instant::now();
-    let build_side = |txs: Vec<Sender<PacketFrame>>,
-                      rxs: Vec<Receiver<PacketFrame>>,
-                      side_seed: u64,
-                      name: &str| {
-        let mut engine = Engine::new(cfg_engine.clone(), config.platform.rails.clone(), vec![]);
-        let mut conns = Vec::new();
-        for _ in 0..config.conns.max(1) {
-            conns.push(engine.conn_open());
-        }
-        let (hub, senders, receivers) = ParallelHub::new(engine);
-        let tx_dropped = Arc::new(AtomicU64::new(0));
-        let mut workers = Vec::new();
-        for (rail, ((outbox, tx), rx)) in receivers.into_iter().zip(txs).zip(rxs).enumerate() {
-            let txw = ParTxWorker {
-                hub: hub.clone(),
-                rail,
-                outbox,
-                tx,
-                platform: config.platform.clone(),
-                time_scale: config.time_scale,
-                faults: config.faults.clone(),
-                chaos: config.chaos.clone(),
-                held: None,
-                // Per-rail rng: deterministic, decorrelated across rails.
-                rng: Xoshiro256StarStar::new(
-                    side_seed ^ (rail as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ),
-                tx_dropped: tx_dropped.clone(),
-                start,
-                shard: FlightRecorder::with_capacity(record_capacity),
-            };
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("nmad-mem-{name}-tx{rail}"))
-                    .spawn(move || txw.run())
-                    .expect("spawn tx worker"),
-            );
-            let rxw = ParRxWorker {
-                hub: hub.clone(),
-                rail,
-                rx,
-                start,
-                shard: FlightRecorder::with_capacity(record_capacity),
-            };
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("nmad-mem-{name}-rx{rail}"))
-                    .spawn(move || rxw.run())
-                    .expect("spawn rx worker"),
-            );
-        }
-        // Scheduler last: joined after the I/O workers so it drains
-        // their final completions before quiescing.
-        let sched_hub = hub.clone();
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("nmad-mem-{name}-sched"))
-                .spawn(move || sched_hub.run_scheduler(senders, start))
-                .expect("spawn scheduler"),
-        );
-        Endpoint {
-            fabric: Fabric::Parallel(ParShared { hub, tx_dropped }),
-            workers,
-            conns,
-        }
-    };
-
-    let a = build_side(a_to_b_tx, b_to_a_rx, seed ^ 0xA, "a");
-    let b = build_side(b_to_a_tx, a_to_b_rx, seed ^ 0xB, "b");
-    (a, b)
+    // Scheduler last: joined after the I/O workers so it drains
+    // their final completions before quiescing.
+    let sched_hub = hub.clone();
+    workers.push(spawn(format!("nmad-mem-{name}-sched"), move || {
+        sched_hub.run_scheduler(senders, start)
+    }));
+    Endpoint::new(hub, conns, workers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nmad_core::health::RailState;
     use nmad_core::StrategyKind;
     use nmad_model::platform;
 
@@ -1108,77 +754,6 @@ mod tests {
         let mut v = vec![0u8; len];
         rng.fill_bytes(&mut v);
         v
-    }
-
-    #[test]
-    fn small_message_roundtrip() {
-        let (a, b) = fabric(StrategyKind::AdaptiveSplit);
-        let c = a.conns()[0];
-        let payload = random_payload(256, 1);
-        let r = b.recv(c);
-        let s = a.send(c, vec![Bytes::from(payload.clone())]);
-        assert!(s.wait(T), "send must complete");
-        let msg = r.wait(T).expect("recv must complete");
-        assert_eq!(msg.segments[0].as_ref(), payload.as_slice());
-    }
-
-    #[test]
-    fn large_message_split_across_rails() {
-        let (a, b) = fabric(StrategyKind::AdaptiveSplit);
-        let c = a.conns()[0];
-        let payload = random_payload(2 << 20, 2);
-        let r = b.recv(c);
-        let s = a.send(c, vec![Bytes::from(payload.clone())]);
-        assert!(s.wait(T));
-        let msg = r.wait(T).expect("recv");
-        assert_eq!(msg.segments[0].as_ref(), payload.as_slice());
-        let st = a.stats();
-        assert!(st.rdv_handshakes >= 1, "large message must rendezvous");
-        assert!(
-            st.rails[0].payload_bytes > 0 && st.rails[1].payload_bytes > 0,
-            "both rails must carry bytes: {:?}",
-            st.rails
-        );
-    }
-
-    #[test]
-    fn multi_segment_aggregation_on_threads() {
-        let (a, b) = fabric(StrategyKind::AggregateEager);
-        let c = a.conns()[0];
-        let segs: Vec<Bytes> = (0..4)
-            .map(|i| Bytes::from(random_payload(128, i)))
-            .collect();
-        let r = b.recv(c);
-        let s = a.send(c, segs.clone());
-        assert!(s.wait(T));
-        let msg = r.wait(T).expect("recv");
-        assert_eq!(msg.segments, segs);
-        // Aggregation may or may not batch all 4 depending on thread
-        // timing (that is the *opportunistic* part), but payload must be
-        // intact either way and at least one packet must have flowed.
-        assert!(a.stats().total_packets() >= 1);
-    }
-
-    #[test]
-    fn pipelined_messages_in_order() {
-        let (a, b) = fabric(StrategyKind::AdaptiveSplit);
-        let c = a.conns()[0];
-        let n = 50;
-        let recvs: Vec<RecvHandle> = (0..n).map(|_| b.recv(c)).collect();
-        let sends: Vec<SendHandle> = (0..n)
-            .map(|i| a.send(c, vec![Bytes::from(random_payload(64 + i * 13, i as u64))]))
-            .collect();
-        for s in &sends {
-            assert!(s.wait(T));
-        }
-        for (i, r) in recvs.into_iter().enumerate() {
-            let msg = r.wait(T).expect("recv");
-            assert_eq!(
-                msg.segments[0].as_ref(),
-                random_payload(64 + i * 13, i as u64).as_slice(),
-                "message {i} out of order or corrupted"
-            );
-        }
     }
 
     #[test]
@@ -1263,22 +838,6 @@ mod tests {
             start.elapsed() > Duration::from_micros(300),
             "shaping must slow the transfer"
         );
-    }
-
-    #[test]
-    fn acked_delivery_on_threads() {
-        let mut cfg = FabricConfig::new(
-            platform::paper_platform(),
-            EngineConfig::with_strategy(StrategyKind::AdaptiveSplit),
-        );
-        cfg.engine.acked = true;
-        let (a, b) = pair(cfg);
-        let c = a.conns()[0];
-        let r = b.recv(c);
-        let s = a.send(c, vec![Bytes::from(random_payload(50_000, 21))]);
-        assert!(s.wait_acked(T), "delivery must be confirmed");
-        assert!(r.wait(T).is_some());
-        assert!(a.stats().acks_received >= 1);
     }
 
     /// Health timers scaled for tests: quick timeouts, quick probes.
@@ -1500,7 +1059,7 @@ mod tests {
     /// Reference-size split share of `rail` from the engine's live
     /// tables, in permille.
     fn split_share_permille(ep: &Endpoint, rail: usize) -> u16 {
-        let eng = ep.fabric.engine().lock();
+        let eng = ep.fabric().engine().lock();
         let refs: Vec<&nmad_core::PerfTable> = eng.tables().iter().collect();
         nmad_core::split_ratio_permille(&refs, 1 << 20)[rail]
     }
@@ -1640,94 +1199,46 @@ mod tests {
         assert_eq!(&msg.segments[0][..], b"early");
     }
 
+    /// An engine error on the progress thread (here: a completion for
+    /// a token the engine never issued) is counted and poisons the
+    /// endpoint's waits. The worker does not panic, which would leave
+    /// every waiter to run out its full timeout.
+    #[test]
+    fn engine_error_poisons_waits_instead_of_panicking_the_worker() {
+        let config = FabricConfig::new(platform::paper_platform(), EngineConfig::default());
+        let mk = || Engine::new(config.engine.clone(), config.platform.rails.clone(), vec![]);
+        let (shared, peer) = (Shared::new(mk()), Shared::new(mk()));
+        let conn = shared.engine.lock().conn_open();
+        let ((wires, _peer_wires), start) = (Wires::pair(2), Instant::now());
+        let mut worker = Worker::new(&config, shared, peer, wires, start, 0);
+        worker.inflight[0] = Some(InFlight {
+            ready_at: start,
+            token: nmad_core::driver::TxToken(u64::MAX),
+            frame: PacketFrame::from_wire(Bytes::from_static(b"never issued")),
+        });
+        let a = worker.spawn("nmad-mem-poisoned", vec![conn]);
+        let t0 = Instant::now();
+        assert!(a.recv(conn).wait(T).is_none());
+        assert!(t0.elapsed() < T / 2, "a poisoned wait returns early");
+        assert_eq!(a.io_errors(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "Runtime::Reactor is TCP-only")]
+    fn reactor_runtime_is_refused() {
+        let engine = EngineConfig {
+            runtime: Runtime::Reactor,
+            ..EngineConfig::default()
+        };
+        pair(FabricConfig::new(platform::paper_platform(), engine));
+    }
+
     // ------------------------------------------------------------------
-    // Parallel pipeline on the in-process fabric
+    // Hub runtime (`Runtime::Threads`) on the in-process fabric
     // ------------------------------------------------------------------
 
-    fn fabric_parallel(kind: StrategyKind) -> (Endpoint, Endpoint) {
-        let mut engine = EngineConfig::with_strategy(kind);
-        engine.parallel = true;
-        pair(FabricConfig::new(platform::paper_platform(), engine))
-    }
-
     #[test]
-    fn parallel_small_message_roundtrip() {
-        let (a, b) = fabric_parallel(StrategyKind::AdaptiveSplit);
-        let c = a.conns()[0];
-        let payload = random_payload(256, 61);
-        let r = b.recv(c);
-        let s = a.send(c, vec![Bytes::from(payload.clone())]);
-        assert!(s.wait(T), "send must complete");
-        let msg = r.wait(T).expect("recv must complete");
-        assert_eq!(msg.segments[0].as_ref(), payload.as_slice());
-        assert_eq!(b.rx_errors(), 0);
-    }
-
-    #[test]
-    fn parallel_large_message_split_across_rails() {
-        let (a, b) = fabric_parallel(StrategyKind::AdaptiveSplit);
-        let c = a.conns()[0];
-        let payload = random_payload(2 << 20, 62);
-        let r = b.recv(c);
-        let s = a.send(c, vec![Bytes::from(payload.clone())]);
-        assert!(s.wait(T));
-        let msg = r.wait(T).expect("recv");
-        assert_eq!(msg.segments[0].as_ref(), payload.as_slice());
-        let st = a.stats();
-        assert!(
-            st.rails[0].payload_bytes > 0 && st.rails[1].payload_bytes > 0,
-            "both rails must carry bytes: {:?}",
-            st.rails
-        );
-        assert!(st.obs.lock_hold_ns.count() > 0, "scheduler passes measured");
-    }
-
-    #[test]
-    fn parallel_pipelined_messages_in_order() {
-        let (a, b) = fabric_parallel(StrategyKind::AdaptiveSplit);
-        let c = a.conns()[0];
-        let n = 50;
-        let recvs: Vec<RecvHandle> = (0..n).map(|_| b.recv(c)).collect();
-        let sends: Vec<SendHandle> = (0..n)
-            .map(|i| {
-                a.send(
-                    c,
-                    vec![Bytes::from(random_payload(64 + i * 13, 200 + i as u64))],
-                )
-            })
-            .collect();
-        for s in &sends {
-            assert!(s.wait(T));
-        }
-        for (i, r) in recvs.into_iter().enumerate() {
-            let msg = r.wait(T).expect("recv");
-            assert_eq!(
-                msg.segments[0].as_ref(),
-                random_payload(64 + i * 13, 200 + i as u64).as_slice(),
-                "message {i} out of order or corrupted"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_acked_delivery() {
-        let mut cfg = FabricConfig::new(
-            platform::paper_platform(),
-            EngineConfig::with_strategy(StrategyKind::AdaptiveSplit),
-        );
-        cfg.engine.acked = true;
-        cfg.engine.parallel = true;
-        let (a, b) = pair(cfg);
-        let c = a.conns()[0];
-        let r = b.recv(c);
-        let s = a.send(c, vec![Bytes::from(random_payload(50_000, 63))]);
-        assert!(s.wait_acked(T), "delivery must be confirmed");
-        assert!(r.wait(T).is_some());
-        assert!(a.stats().acks_received >= 1);
-    }
-
-    #[test]
-    fn parallel_shaped_fabric_overlaps_rails() {
+    fn threads_shaped_fabric_overlaps_rails() {
         // The point of the pipeline: with shaping, the per-rail TX
         // workers sleep out their wire time concurrently, so a striped
         // transfer must not take the sum of both rails' serial times.
@@ -1736,7 +1247,7 @@ mod tests {
             EngineConfig::with_strategy(StrategyKind::AdaptiveSplit),
         );
         cfg.time_scale = 10.0;
-        cfg.engine.parallel = true;
+        cfg.engine.runtime = Runtime::Threads;
         let (a, b) = pair(cfg);
         let c = a.conns()[0];
         let payload = random_payload(100_000, 64);
@@ -1748,12 +1259,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_corruption_detected() {
+    fn threads_corruption_detected() {
         let mut cfg = FabricConfig::new(
             platform::paper_platform(),
             EngineConfig::with_strategy(StrategyKind::SingleRail(0)),
         );
-        cfg.engine.parallel = true;
+        cfg.engine.runtime = Runtime::Threads;
         cfg.faults = Some(FaultSpec {
             corrupt_prob: 1.0,
             drop_prob: 0.0,

@@ -53,10 +53,8 @@ use nmad_sim::Xoshiro256StarStar;
 use nmad_wire::PacketFrame;
 use parking_lot::Mutex;
 
-use crate::{
-    carve_frames, chaos_drops, gather_batch_slices, LEN_PREFIX, MAX_IOVECS, READ_CHUNK,
-    READ_CHUNK_MAX, TX_BATCH,
-};
+use crate::frame::{FrameReader, LEN_PREFIX};
+use crate::{chaos_drops, gather_batch_slices, MAX_IOVECS, TX_BATCH};
 
 /// Ceiling on the auto-sized worker pool.
 pub const DEFAULT_MAX_WORKERS: usize = 4;
@@ -140,13 +138,9 @@ pub fn is_fd_limit(e: &io::Error) -> bool {
     matches!(e.raw_os_error(), Some(23) | Some(24))
 }
 
-/// Reactor worker threads for a configured count: 0 (the
-/// [`nmad_core::EngineConfig::reactor_threads`] default) auto-sizes to
-/// `min(available cores, 4)`.
-pub fn worker_count(configured: usize) -> usize {
-    if configured > 0 {
-        return configured;
-    }
+/// Worker threads of an endpoint's reactor pool: `min(available cores,
+/// 4)`.
+pub fn worker_count() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -175,7 +169,6 @@ struct Counters {
     sched_wakes: AtomicU64,
     fd_shed: AtomicU64,
     write_stalls: AtomicU64,
-    hot_path_allocs: AtomicU64,
 }
 
 #[derive(Default)]
@@ -249,7 +242,9 @@ impl ReactorShared {
             sched_wakes: self.counters.sched_wakes.load(Ordering::Relaxed),
             fd_shed: self.counters.fd_shed.load(Ordering::Relaxed),
             write_stalls: self.counters.write_stalls.load(Ordering::Relaxed),
-            hot_path_allocs: self.counters.hot_path_allocs.load(Ordering::Relaxed),
+            // The loop's own buffers are sized at registration and read
+            // into in place: nothing on the event path can grow one.
+            hot_path_allocs: 0,
             busy_ns: per_worker_busy_ns.iter().sum(),
             elapsed_ns: self.epoch.elapsed().as_nanos() as u64,
             per_worker_busy_ns,
@@ -287,15 +282,14 @@ struct RailConn {
     rail: usize,
     hub: Arc<ParallelHub>,
     outbox: OutboxReceiver,
-    rx_buf: BytesMut,
-    rx_chunk: usize,
+    rx: FrameReader,
     /// Staged TX batch (drained from the outbox), resumed across
     /// partial writes via the PR 7 gather-list builder.
     frames: Vec<PacketFrame>,
     prefixes: Vec<[u8; LEN_PREFIX]>,
     tokens: Vec<TxToken>,
     tx_off: usize,
-    carved: Vec<PacketFrame>,
+    carved: Vec<(usize, PacketFrame)>,
     chaos: Option<ChaosState>,
     rng: Xoshiro256StarStar,
 }
@@ -452,15 +446,13 @@ impl Worker {
             Pending::Rail(spec) => {
                 spec.stream.set_nonblocking(true)?;
                 spec.stream.set_nodelay(true)?;
-                let rx_buf = self.magazine.take(READ_CHUNK);
                 Conn {
                     kind: Kind::Rail(Box::new(RailConn {
                         stream: spec.stream,
                         rail: spec.rail,
                         hub: spec.hub,
                         outbox: spec.outbox,
-                        rx_buf,
-                        rx_chunk: READ_CHUNK,
+                        rx: FrameReader::new(),
                         frames: Vec::with_capacity(TX_BATCH),
                         prefixes: Vec::with_capacity(TX_BATCH),
                         tokens: Vec::with_capacity(TX_BATCH),
@@ -514,10 +506,7 @@ impl Worker {
                 // so the magazine actually recycles it).
                 self.magazine.reclaim(e.buf.freeze());
             }
-            Kind::Rail(r) => {
-                self.rail_slots.retain(|&s| s != slot);
-                self.magazine.reclaim(r.rx_buf.freeze());
-            }
+            Kind::Rail(_) => self.rail_slots.retain(|&s| s != slot),
             Kind::Listener(_) => {}
         }
         self.free_slots.push(slot);
@@ -604,8 +593,7 @@ impl Worker {
                     let conn = self.conns[slot].as_mut().unwrap();
                     let mut verdict = Pump::Idle;
                     if conn.read_ready {
-                        verdict =
-                            Self::pump_rail_rx(conn, &self.shared.counters, &mut self.magazine);
+                        verdict = Self::pump_rail_rx(conn);
                     }
                     if !matches!(verdict, Pump::Close) {
                         let tx = Self::pump_rail_tx(conn);
@@ -687,79 +675,35 @@ impl Worker {
         }
     }
 
-    /// Rail RX: read to `WouldBlock`, carve frames, hand them to the
-    /// hub's completion queue (identical framing to the thread-per-rail
-    /// RX worker, including the adaptive chunk).
-    fn pump_rail_rx(conn: &mut Conn, counters: &Counters, magazine: &mut Magazine) -> Pump {
+    /// Rail RX: read until the socket is drained, handing the frames of
+    /// each read to the hub's completion queue (the framing is
+    /// [`FrameReader`]'s, as on every runtime).
+    fn pump_rail_rx(conn: &mut Conn) -> Pump {
         let Kind::Rail(r) = &mut conn.kind else {
             return Pump::Idle;
         };
         loop {
-            let old = r.rx_buf.len();
-            if r.rx_buf.capacity() - old < r.rx_chunk {
-                // Carved frames still hold the current block, so an
-                // in-place `resize` would be an unpooled reallocation.
-                // Swap in a fresh pool block instead: copy the residual
-                // partial frame (bounded by one header + chunk) and
-                // return the old block to the pool once the frames drop.
-                let mut fresh = magazine.take((old + r.rx_chunk).max(READ_CHUNK));
-                fresh.extend_from_slice(&r.rx_buf[..old]);
-                let stale = std::mem::replace(&mut r.rx_buf, fresh);
-                magazine.reclaim(stale.freeze());
+            let mut tally = nmad_core::SyscallStats::default();
+            let more =
+                r.rx.read_some(&r.stream, r.rail, &mut r.carved, &mut tally)
+                    .unwrap_or_else(|_| {
+                        r.hub.status.io_errors.fetch_add(1, Ordering::Relaxed);
+                        false
+                    });
+            r.hub.syscalls.add_rx(tally.rx_calls, tally.rx_frames);
+            for (rail, frame) in r.carved.drain(..) {
+                r.hub
+                    .push_completion(rail, Completion::RxFrame { rail, frame });
             }
-            let cap = r.rx_buf.capacity();
-            r.rx_buf.resize(old + r.rx_chunk, 0);
-            if r.rx_buf.capacity() != cap {
-                // Tripwire, zero by construction: the pool swap above
-                // guarantees capacity, so any growth here means a
-                // hot-path allocation snuck back in. Gated at zero by
-                // `ablate_reactor`, like the recorder drops in
-                // `ablate_obs`.
-                counters.hot_path_allocs.fetch_add(1, Ordering::Relaxed);
+            if r.rx.closed() {
+                return Pump::Close;
             }
-            match r.stream.read(&mut r.rx_buf[old..]) {
-                Ok(0) => {
-                    r.rx_buf.truncate(old);
-                    return Pump::Close;
-                }
-                Ok(n) => {
-                    r.rx_buf.truncate(old + n);
-                    r.hub.syscalls.add_rx(1, 0);
-                    r.rx_chunk = if n == r.rx_chunk {
-                        (r.rx_chunk * 2).min(READ_CHUNK_MAX)
-                    } else {
-                        READ_CHUNK
-                    };
-                    r.carved.clear();
-                    if carve_frames(&mut r.rx_buf, &mut r.carved).is_err() {
-                        r.hub.io_errors.fetch_add(1, Ordering::Relaxed);
-                        return Pump::Close;
-                    }
-                    r.hub.syscalls.add_rx(0, r.carved.len() as u64);
-                    for frame in r.carved.drain(..) {
-                        r.hub.push_completion(
-                            r.rail,
-                            Completion::RxFrame {
-                                rail: r.rail,
-                                frame,
-                            },
-                        );
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    r.rx_buf.truncate(old);
-                    conn.read_ready = false;
-                    return Pump::Idle;
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {
-                    r.rx_buf.truncate(old);
-                    continue;
-                }
-                Err(_) => {
-                    r.rx_buf.truncate(old);
-                    r.hub.io_errors.fetch_add(1, Ordering::Relaxed);
-                    return Pump::Close;
-                }
+            if !more {
+                // A short read drained the socket as surely as
+                // `WouldBlock` does: the next edge will say when there
+                // is more.
+                conn.read_ready = false;
+                return Pump::Idle;
             }
         }
     }
@@ -822,7 +766,7 @@ impl Worker {
                         Err(e) if e.kind() == ErrorKind::WouldBlock => return Pump::WantWrite,
                         Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                         Err(_) => {
-                            r.hub.io_errors.fetch_add(1, Ordering::Relaxed);
+                            r.hub.status.io_errors.fetch_add(1, Ordering::Relaxed);
                             return Pump::Close;
                         }
                     }
@@ -940,7 +884,7 @@ impl ReactorPool {
 
     /// Pool with the auto-sized worker count (`min(cores, 4)`).
     pub fn with_default_workers(pool: SharedPool) -> io::Result<Self> {
-        Self::new(worker_count(0), pool)
+        Self::new(worker_count(), pool)
     }
 
     /// Register an echo connection (bench servers, `nmad reactor`).

@@ -11,6 +11,31 @@ cd "$(dirname "$0")/.."
 quick=0
 [[ "${1:-}" == "--quick" ]] && quick=1
 
+# One-surface gate: the application surface (Endpoint, its handles, the
+# wait loop) lives in crates/core/src/endpoint.rs only, a runtime is
+# picked by EngineConfig::runtime only, and TCP frames are carved by
+# transport-tcp's FrameReader only. A transport that grows its own copy
+# of any of these fails here. (`stats.reactor =` stores the telemetry
+# snapshot; it is not the deleted config switch.)
+echo "==> one endpoint, one runtime field, one frame reader"
+if grep -rnE 'struct (Endpoint|SendHandle|RecvHandle)\b|fn wait_on\b' crates/transport-*/src; then
+    echo "a transport crate defines its own endpoint surface (see above)"; exit 1
+fi
+if grep -rnE 'carve_frames|\.parallel =|\.reactor =|reactor_threads' crates src tests examples \
+    --include='*.rs' | grep -v 'stats\.reactor ='; then
+    echo "a deleted runtime switch or carve path is back (see above)"; exit 1
+fi
+# Non-test code lines per transport source file (before `#[cfg(test)]`,
+# neither blank nor `//`): printed so that the next PR's log shows the
+# trend.
+total=0
+for f in crates/transport-*/src/*.rs; do
+    n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/{exit} !/^[[:space:]]*$/ && !/^[[:space:]]*\/\//{c++} END{print c+0}' "$f")
+    printf '    %5d %s\n' "$n" "$f"
+    total=$((total + n))
+done
+printf '    %5d non-test code lines under crates/transport-*/src\n' "$total"
+
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo build --release"
     cargo build --release
