@@ -85,7 +85,7 @@ impl ZooConfig {
 ///
 /// | runtime   | who drives progress | threads per endpoint | transports |
 /// |-----------|---------------------|----------------------|------------|
-/// | `Serial`  | TCP: the calling thread, plus one backstop thread asleep on readiness; mem: one progress thread | 1 | TCP, mem |
+/// | `Serial`  | the calling thread, plus one backstop thread asleep on readiness (TCP) or a condvar (mem) for what no caller is around for | 1 | TCP, mem |
 /// | `Threads` | a scheduler thread over [`crate::ParallelHub`], one TX and one RX thread per rail | 2 × rails + 1 | TCP, mem |
 /// | `Reactor` | the same scheduler, rail sockets multiplexed on a fixed epoll pool of `min(cores, 4)` workers | workers + 1 | TCP (linux x86_64/aarch64) |
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

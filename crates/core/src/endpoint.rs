@@ -4,10 +4,11 @@
 //! frames; everything an application calls — `send`, `recv`, the
 //! handles' waits, every stats and telemetry accessor — is defined here,
 //! once, over the object-safe [`Fabric`] trait. A transport is only "how
-//! bytes move on a rail": it implements [`Fabric`] for the state of its
-//! serial runtime, spawns its threads and hands both to
-//! [`Endpoint::new`]. The two hub runtimes share the implementation for
-//! [`ParallelHub`] below, whichever transport feeds the hub.
+//! bytes move on a rail": for the serial runtime it supplies [`Rails`]
+//! and a [`Parker`] to [`Serial`], which is the [`Fabric`] and drives
+//! progress on the callers' threads; the two hub runtimes share the
+//! implementation for [`ParallelHub`] below, whichever transport's
+//! worker threads feed the hub.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,6 +28,9 @@ use crate::health::{RailState, RailTelemetry};
 use crate::obs::{Alert, Event, Window};
 use crate::request::{RecvId, SendId};
 use crate::stats::{EngineStats, OverloadStats};
+
+mod serial;
+pub use serial::{Parker, Pass, Rails, Serial, BACKSTOP_TICK, CALLER_LEASE, SPIN_BUDGET};
 
 /// What every fabric counts beside its engine, and the poison flag its
 /// waits honour.

@@ -1,0 +1,594 @@
+//! The serial runtime's driver, once for every transport: callers drive
+//! progress, the engine lock is never held while bytes move, and one
+//! backstop thread per endpoint sleeps until something happens that no
+//! caller is around for (DESIGN.md "Who drives progress").
+//!
+//! A transport supplies how bytes move on its rails ([`Rails`]) and what
+//! its backstop thread sleeps on ([`Parker`]); [`Serial::spawn`] makes an
+//! endpoint of the two. Lock order is rails → engine.
+
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use bytes::Bytes;
+use nmad_model::RailId;
+use nmad_wire::{ConnId, PacketFrame};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+
+use super::{Endpoint, Fabric, FabricStatus};
+use crate::driver::TxToken;
+use crate::engine::parallel::WorkSignal;
+use crate::engine::Engine;
+use crate::request::{RecvId, SendId};
+use crate::stats::SyscallStats;
+
+/// How long a waiting caller keeps making passes that move nothing
+/// before it sleeps and leaves the rails to the backstop. A time, not a
+/// count of passes: a pass that finds the rails taken takes no time at
+/// all, and the holder may be off its CPU for as long as a scheduler
+/// slice.
+pub const SPIN_BUDGET: Duration = Duration::from_micros(1000);
+/// How long after a completed `wait` that holds the rails
+/// ([`Rails::wait_holds`]) the backstop thread still leaves them alone.
+/// A peer that waits in a loop is back well within the lease and the
+/// roles stay fixed — the caller reads and digests what it waits for,
+/// the backstop stays asleep; one that is not delays what arrives right
+/// after its wait by this much at most. Not longer than [`SPIN_BUDGET`],
+/// so that a caller about to sleep never holds a lease.
+pub const CALLER_LEASE: Duration = SPIN_BUDGET;
+/// Rounds of post-and-flush one pass makes before the rails are read
+/// again.
+const TX_ROUNDS: usize = 8;
+/// Backstop thread: longest sleep with no timer armed. Arrivals, kicks
+/// and shutdown all end the sleep; this only bounds how stale the engine
+/// clock can get.
+pub const BACKSTOP_TICK: Duration = Duration::from_millis(100);
+
+/// What the backstop thread sleeps on.
+pub trait Parker: Send + Sync + 'static {
+    /// Sleep until the rails are ready for a pass (where the transport
+    /// can tell), a kick or `timeout`. A kick that came before the
+    /// sleep ends it at once.
+    fn park(&self, timeout: Duration);
+
+    /// End the current (or next) [`Parker::park`].
+    fn kick(&self);
+}
+
+/// Rails that tell their parker what to watch share it with the
+/// [`Serial`] around them.
+impl<P: Parker> Parker for Arc<P> {
+    fn park(&self, timeout: Duration) {
+        (**self).park(timeout);
+    }
+
+    fn kick(&self) {
+        (**self).kick();
+    }
+}
+
+/// A flag under a mutex and a condvar: for rails that say nothing of
+/// their own accord, so that every arrival is reported by a kick.
+impl Parker for WorkSignal {
+    fn park(&self, timeout: Duration) {
+        self.wait(timeout);
+    }
+
+    fn kick(&self) {
+        WorkSignal::kick(self);
+    }
+}
+
+/// How bytes move on the rails of one endpoint. Every method runs under
+/// the rails lock, on whichever thread makes the pass; none is called
+/// with the engine lock held except [`Rails::idle`] and
+/// [`Rails::enqueue`], which only touch memory.
+pub trait Rails: Send + 'static {
+    /// What this endpoint's backstop thread sleeps on.
+    type Parker: Parker;
+
+    /// Number of rails.
+    fn count(&self) -> usize;
+
+    /// One bounded read per rail: append the whole frames it brought to
+    /// `frames`, tagged with their rail. True when a rail may hold more,
+    /// that is when one more pass is owed.
+    fn read(&mut self, frames: &mut Vec<(usize, PacketFrame)>, status: &FabricStatus) -> bool;
+
+    /// Does every `wait` that completes hold the rails for
+    /// [`CALLER_LEASE`], whether or not it made a pass itself?
+    const HOLDS_EVERY_WAIT: bool = false;
+
+    /// If not every one: does a `wait` that completes now? Asked after
+    /// each of the wait's own passes.
+    fn wait_holds(&self) -> bool {
+        Self::HOLDS_EVERY_WAIT
+    }
+
+    /// True when `rail` can take a frame.
+    fn idle(&self, rail: usize) -> bool;
+
+    /// Take a frame for `rail` (idle by [`Rails::idle`]); it leaves in
+    /// [`Rails::flush`].
+    fn enqueue(&mut self, rail: usize, frame: PacketFrame, token: TxToken);
+
+    /// Move what was enqueued as far as it goes without blocking and
+    /// push the token of every injection that finished. Returns the
+    /// engine-clock time at which an unfinished one wants another pass
+    /// with nothing else happening (a shaped wire; readiness the
+    /// [`Parker`] reports needs none).
+    fn flush(&mut self, done: &mut Vec<(usize, TxToken)>, status: &FabricStatus) -> Option<u64>;
+
+    /// Kernel crossings so far (all zero where bytes move in memory).
+    fn syscalls(&self) -> SyscallStats;
+
+    /// The endpoint is shut down: let go of sockets, channels and peers.
+    fn close(&mut self);
+}
+
+/// The rails and what a pass collects with the engine lock free, to be
+/// digested by its next engine critical section. Both vectors are
+/// reused by every pass and empty between passes.
+pub struct Pass<R> {
+    /// The transport's rails.
+    pub rails: R,
+    frames: Vec<(usize, PacketFrame)>,
+    done: Vec<(usize, TxToken)>,
+}
+
+/// Serial runtime state of one endpoint. Any thread may make a progress
+/// pass; lock order is `io` → `engine`, and `engine` is never held while
+/// the rails move bytes or a parker is kicked.
+pub struct Serial<R: Rails> {
+    engine: Mutex<Engine>,
+    /// Notified after progress, only while `waiters` is nonzero.
+    cv: Condvar,
+    io: Mutex<Pass<R>>,
+    parker: R::Parker,
+    /// Epoch of the engine's monotonic clock (timeouts, probes).
+    start: Instant,
+    shutdown: AtomicBool,
+    status: FabricStatus,
+    /// Application threads making passes right now; while nonzero the
+    /// backstop thread declines its wake-ups.
+    pollers: AtomicUsize,
+    /// Engine-clock time until which a caller that left keeps the rails
+    /// ([`CALLER_LEASE`]); the backstop thread declines until then as if
+    /// that caller still polled, and sleeps no longer.
+    lease_ns: AtomicU64,
+    /// One more full pass is owed: a wake-up was declined, a submitter
+    /// found `io` taken, or a pass stopped with work in sight (a read
+    /// that came back full, [`TX_ROUNDS`]). Set *before* reading
+    /// `pollers`; the last poller to leave reads it *after* its
+    /// decrement and kicks the backstop — Dekker order, all `SeqCst`, so
+    /// the pass is never lost.
+    skipped: AtomicBool,
+    /// Threads asleep on `cv`.
+    waiters: AtomicUsize,
+    /// [`Engine::next_deadline_ns`] as of the last pass, or what
+    /// [`Rails::flush`] asked for if that is earlier (`u64::MAX`: no
+    /// timer armed). The backstop thread sizes every sleep by it, also
+    /// the ones after a wake-up it declined.
+    deadline_ns: AtomicU64,
+}
+
+impl<R: Rails> Serial<R> {
+    /// The serial runtime around `engine`, whose clock counts from
+    /// `start`; [`Serial::spawn`] makes an endpoint of it.
+    pub fn new(engine: Engine, rails: R, parker: R::Parker, start: Instant) -> Arc<Self> {
+        Arc::new(Serial {
+            engine: Mutex::new(engine),
+            cv: Condvar::new(),
+            io: Mutex::new(Pass {
+                rails,
+                frames: Vec::new(),
+                done: Vec::new(),
+            }),
+            parker,
+            start,
+            shutdown: AtomicBool::new(false),
+            status: FabricStatus::default(),
+            pollers: AtomicUsize::new(0),
+            lease_ns: AtomicU64::new(0),
+            skipped: AtomicBool::new(false),
+            waiters: AtomicUsize::new(0),
+            deadline_ns: AtomicU64::new(u64::MAX),
+        })
+    }
+
+    /// The endpoint on this runtime, its backstop thread (`name`)
+    /// started.
+    pub fn spawn(self: Arc<Self>, name: &str, conns: Vec<ConnId>) -> std::io::Result<Endpoint> {
+        let backstop = self.clone();
+        let thread = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || backstop.run_backstop())?;
+        Ok(Endpoint::new(self, conns, vec![thread]))
+    }
+
+    /// The rails lock: held by whoever makes a pass, for one pass at a
+    /// time.
+    pub fn io(&self) -> MutexGuard<'_, Pass<R>> {
+        self.io.lock()
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.start.elapsed().as_nanos() as u64
+    }
+
+    /// Wake the threads asleep on the completion condvar, if any (the
+    /// count spares the futex syscall when there are none).
+    fn notify(&self) {
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Count the calling thread as one that makes passes; pairs with
+    /// [`Serial::leave`].
+    pub fn enter(&self) {
+        self.pollers.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Stop being a poller; the last one out hands an owed pass to the
+    /// backstop thread (see `skipped`) — unless a lease is held: then
+    /// the flag stays up for the next wait that renews it, and the
+    /// backstop is up when the lease ends and makes a pass whatever the
+    /// flag says.
+    pub fn leave(&self) {
+        if self.pollers.fetch_sub(1, Ordering::SeqCst) == 1
+            && self.owed()
+            && self.leased().is_none()
+            && self.take_owed()
+        {
+            self.parker.kick();
+        }
+    }
+
+    /// True while a pass is owed (see `skipped`).
+    pub fn owed(&self) -> bool {
+        self.skipped.load(Ordering::SeqCst)
+    }
+
+    /// Answer for the owed pass, if there is one.
+    pub fn take_owed(&self) -> bool {
+        self.skipped.swap(false, Ordering::SeqCst)
+    }
+
+    /// Frames were put on this endpoint's rails by a thread that is not
+    /// one of its own (the mem fabric: the sender's). That thread
+    /// declines on the backstop's behalf, with the backstop's own
+    /// protocol, and only wakes it when nobody holds the rails: the last
+    /// caller out finds `skipped`, and under a lease the backstop is up
+    /// by itself when it runs out. No lock of this endpoint is taken.
+    pub fn arrived(&self) {
+        if self.declined().is_none() {
+            self.parker.kick();
+        }
+    }
+
+    /// Run `submit` under the engine lock and, unless another thread is
+    /// mid-pass, offer the idle rails in the same critical section and
+    /// flush on this thread (the paper's "NIC idle → send now"). Nothing
+    /// is read: a submitter does not pay for arrivals it is not waiting
+    /// for. With `io` taken the submission just joins the backlog — the
+    /// window the strategies optimise over — and one more pass is owed.
+    fn offer<T>(&self, submit: impl FnOnce(&mut Engine) -> T) -> T {
+        self.enter();
+        let io = self.io.try_lock();
+        let mut eng = self.engine.lock();
+        let out = submit(&mut eng);
+        match io {
+            Some(mut io) => {
+                if self.pump(&mut io, eng) {
+                    self.notify();
+                }
+            }
+            None => {
+                drop(eng);
+                self.skipped.store(true, Ordering::SeqCst);
+            }
+        }
+        self.leave();
+        out
+    }
+
+    /// Caller-driven progress for a handle's `wait`: check `done`, then
+    /// make passes on this thread, one at least, until it holds,
+    /// `deadline` passes or nothing has moved for [`SPIN_BUDGET`].
+    fn drive(&self, deadline: Option<Instant>, done: &mut dyn FnMut(&mut Engine) -> bool) -> bool {
+        self.enter();
+        let (mut quiet_since, mut holds) = (Instant::now(), R::HOLDS_EVERY_WAIT);
+        let mut found_done = true;
+        let out = loop {
+            if done(&mut self.engine.lock()) {
+                break true;
+            }
+            if self.status.failed() || self.shutdown.load(Ordering::SeqCst) {
+                break false;
+            }
+            found_done = false;
+            let moved = self.try_pass(&mut holds);
+            // (The caller looks at `done` once more, under the lock it
+            // goes to sleep with.)
+            let now = Instant::now();
+            if moved {
+                quiet_since = now;
+            } else if now.duration_since(quiet_since) >= SPIN_BUDGET {
+                break false;
+            } else {
+                std::thread::yield_now();
+            }
+            if deadline.is_some_and(|d| now >= d) {
+                break false;
+            }
+        };
+        // To hold the rails is to promise to read them. A wait that found
+        // its result made has read nothing: before it renews the lease it
+        // makes the pass that was declined on the strength of the last
+        // one, or a thread that only submits and reaps would keep what
+        // arrives for another, asleep in its own wait, unread for good.
+        if holds && found_done && self.owed() {
+            self.try_pass(&mut holds);
+        }
+        let fresh = holds && out && {
+            let now = self.now_ns();
+            let until = now + CALLER_LEASE.as_nanos() as u64;
+            self.lease_ns.swap(until, Ordering::SeqCst) <= now
+        };
+        self.leave();
+        // The backstop may be asleep for a full tick. The first lease
+        // after one ran out wakes it; from then on it is up whenever a
+        // lease ends, which is what [`Serial::arrived`] and
+        // [`Serial::leave`] count on.
+        if fresh {
+            self.parker.kick();
+        }
+        out
+    }
+
+    /// One full pass by a caller, unless the rails are taken (for one
+    /// pass at a time: there is nothing to do but try again). True when
+    /// anything moved; `holds` collects [`Rails::wait_holds`].
+    fn try_pass(&self, holds: &mut bool) -> bool {
+        let Some(mut io) = self.io.try_lock() else {
+            return false;
+        };
+        // This pass starts after whatever the flag stood for.
+        self.skipped.store(false, Ordering::SeqCst);
+        let calls = io.rails.syscalls();
+        let progressed = self.step(&mut io);
+        if progressed {
+            self.notify();
+        }
+        *holds |= io.rails.wait_holds();
+        // Bytes of a frame that is not whole yet count too: the rail is
+        // live and this thread is the one draining it.
+        let after = io.rails.syscalls();
+        progressed || after.rx_calls + after.tx_calls != calls.rx_calls + calls.tx_calls
+    }
+
+    /// One full pass by the thread holding the rails lock: one read per
+    /// rail with the engine lock free, then [`Serial::pump`]. True when
+    /// anything moved. A rail that may hold more leaves a pass owed.
+    fn step(&self, io: &mut Pass<R>) -> bool {
+        if io.rails.read(&mut io.frames, &self.status) {
+            self.skipped.store(true, Ordering::SeqCst);
+        }
+        let eng = self.engine.lock();
+        self.pump(io, eng)
+    }
+
+    /// The engine half of a pass. One short critical section digests
+    /// what was collected unlocked (`io.frames`, `io.done`), runs the
+    /// timers and posts the next frame on every idle rail; the rails are
+    /// flushed with the engine lock released — that is when submitters
+    /// fill the backlog — and finished injections loop back for their
+    /// `on_tx_done`. Ends when none finished, or after [`TX_ROUNDS`]
+    /// with a pass owed: a backlog that keeps every injection finishing
+    /// must not keep the arrivals waiting.
+    fn pump<'a>(&'a self, io: &mut Pass<R>, mut eng: MutexGuard<'a, Engine>) -> bool {
+        let outcome = eng.progress(self.now_ns());
+        let mut progressed =
+            !io.frames.is_empty() || !outcome.retransmitted.is_empty() || outcome.control_enqueued;
+        for round in 1.. {
+            for (rail, frame) in io.frames.drain(..) {
+                if eng.on_frame(RailId(rail), &frame).is_err() {
+                    self.status.rx_errors.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            for (rail, token) in io.done.drain(..) {
+                if eng.on_tx_done(RailId(rail), token).is_err() {
+                    self.fail();
+                }
+            }
+            for rail in 0..io.rails.count() {
+                // An idle query still costs the strategy a context
+                // build: skip it when nothing is schedulable.
+                if !io.rails.idle(rail) || !eng.has_tx_work() {
+                    continue;
+                }
+                match eng.next_tx(RailId(rail)) {
+                    Ok(Some(d)) => io.rails.enqueue(rail, d.frame, d.token),
+                    Ok(None) => {}
+                    // A strategy bug poisons the endpoint's waits; it
+                    // does not panic on whichever thread made the pass.
+                    Err(_) => self.fail(),
+                }
+            }
+            // Mirrored so `nmad cycles` and the bench gates see the
+            // serial runtime too.
+            eng.note_syscalls(io.rails.syscalls());
+            let timer = eng.next_deadline_ns().unwrap_or(u64::MAX);
+            drop(eng);
+
+            let wire = io.rails.flush(&mut io.done, &self.status);
+            let deadline = timer.min(wire.unwrap_or(u64::MAX));
+            // The backstop thread may be asleep until the timer it last
+            // saw here: an earlier one (an RTO armed just now) wakes it.
+            if deadline < self.deadline_ns.swap(deadline, Ordering::SeqCst) {
+                self.parker.kick();
+            }
+            if io.done.is_empty() {
+                break;
+            }
+            progressed = true;
+            if round == TX_ROUNDS {
+                self.skipped.store(true, Ordering::SeqCst);
+                break;
+            }
+            eng = self.engine.lock();
+            // The engine times an injection from `next_tx` to
+            // `on_tx_done` by its clock (calibration samples, the
+            // service-time estimate): one that finished in this flush
+            // must not be digested at the time it was posted.
+            eng.observe_clock(self.now_ns());
+        }
+        progressed
+    }
+
+    /// What is left of the lease a caller holds, if any.
+    fn leased(&self) -> Option<Duration> {
+        let until = self.lease_ns.load(Ordering::SeqCst);
+        Some(Duration::from_nanos(until.checked_sub(self.now_ns())?)).filter(|d| !d.is_zero())
+    }
+
+    /// After how long to ask again whether callers still have the rails
+    /// — what is left of a lease, else a full tick while some are making
+    /// passes (the last to leave says so) — or `None` when it is the
+    /// backstop thread's turn.
+    pub fn claimed(&self) -> Option<Duration> {
+        let polled = || (self.pollers.load(Ordering::SeqCst) > 0).then_some(BACKSTOP_TICK);
+        self.leased().or_else(polled)
+    }
+
+    /// [`Serial::claimed`] for a wake-up that is then the callers': with
+    /// `skipped` raised first, for the last of them to find, or the next
+    /// wait that renews the lease (all gone before they could see the
+    /// flag: ours after all).
+    fn declined(&self) -> Option<Duration> {
+        self.claimed()?;
+        self.skipped.store(true, Ordering::SeqCst);
+        self.claimed()
+    }
+
+    /// The backstop thread: asleep until the rails are ready, a kick or
+    /// the next timer, then a pass — unless application threads are
+    /// making passes themselves: then the wake-up is theirs (see
+    /// `skipped` for why that loses nothing), timers included, and all
+    /// that is left to do is to size the next sleep.
+    fn run_backstop(&self) {
+        let mut timeout = BACKSTOP_TICK;
+        loop {
+            self.parker.park(timeout);
+            if self.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            // Pass after pass while one is owed and no caller has the
+            // rails.
+            let declined = loop {
+                let declined = self.declined();
+                if declined.is_some() {
+                    break declined;
+                }
+                if self.step(&mut self.io.lock()) {
+                    self.notify();
+                }
+                if !self.take_owed() {
+                    break None;
+                }
+            };
+            let deadline = self.deadline_ns.load(Ordering::SeqCst);
+            timeout = match (deadline.saturating_sub(self.now_ns()), declined) {
+                // Due, and the callers' to fire on their next pass: no
+                // reason to spin here until they have.
+                (0, Some(_)) => Duration::from_millis(1),
+                (until, held) => Duration::from_nanos(until).min(held.unwrap_or(BACKSTOP_TICK)),
+            };
+        }
+    }
+}
+
+impl<R: Rails> Fabric for Serial<R> {
+    fn engine(&self) -> &Mutex<Engine> {
+        &self.engine
+    }
+
+    fn cv(&self) -> &Condvar {
+        &self.cv
+    }
+
+    fn status(&self) -> &FabricStatus {
+        &self.status
+    }
+
+    fn submit(&self, conn: ConnId, segments: Vec<Bytes>) -> SendId {
+        self.offer(|eng| eng.submit_send(conn, segments))
+    }
+
+    fn post_recv(&self, conn: ConnId) -> RecvId {
+        let mut eng = self.engine.lock();
+        let id = eng.post_recv(conn);
+        // Only a receive that released a parked rendezvous grant leaves
+        // something to transmit.
+        let granted = eng.has_tx_work();
+        drop(eng);
+        if granted {
+            self.kick();
+        }
+        id
+    }
+
+    fn kick(&self) {
+        self.offer(|_| ());
+    }
+
+    /// The caller drives progress itself ([`Serial::drive`]) and sleeps
+    /// on the completion condvar only between bouts of it, so a deadline
+    /// already passed is exactly one progress pass.
+    fn wait(&self, deadline: Option<Instant>, done: &mut dyn FnMut(&mut Engine) -> bool) -> bool {
+        loop {
+            if self.drive(deadline, done) {
+                return true;
+            }
+            let mut eng = self.engine.lock();
+            if done(&mut eng) {
+                return true;
+            }
+            let now = Instant::now();
+            if deadline.is_some_and(|d| now >= d)
+                || self.status.failed()
+                || self.shutdown.load(Ordering::SeqCst)
+            {
+                return false;
+            }
+            // Registered under the engine lock, which the wait releases
+            // atomically: a pass that completes us after this point sees
+            // the count and notifies.
+            self.waiters.fetch_add(1, Ordering::SeqCst);
+            match deadline {
+                Some(d) => drop(self.cv.wait_for(&mut eng, d - now)),
+                None => self.cv.wait(&mut eng),
+            }
+            self.waiters.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Wakes the backstop thread to be joined, and the callers asleep in
+    /// a `wait`, which return `false`/`None`.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.parker.kick();
+        // (Under the engine lock: no waiter is between its check of the
+        // flag and its sleep.)
+        let _eng = self.engine.lock();
+        self.notify();
+    }
+
+    /// Close the rails now (a TCP peer sees EOF), not when the last
+    /// handle's reference to the shared state goes.
+    fn finish_shutdown(&self) {
+        self.io.lock().rails.close();
+    }
+}

@@ -9,14 +9,20 @@
 //! * each rail is a [`crossbeam_channel`] pair, optionally rate-shaped to
 //!   the rail's modelled bandwidth (scaled) so multi-rail balancing is
 //!   observable in wall-clock time;
-//! * on `Runtime::Serial` (the default) one progress thread per endpoint
-//!   plays the role of the NIC-activity loop: it delivers arrivals,
-//!   reports transmit completions, and offers idle rails to the engine,
-//!   holding the engine lock across the step. On `Runtime::Threads` a
-//!   scheduler over [`ParallelHub`] does the engine work and one TX and
-//!   one RX worker per rail move the frames — the shaped wire time is
-//!   slept out in the TX workers, outside the engine lock, so rails
-//!   overlap. `Runtime::Reactor` is TCP-only and refused here;
+//! * on `Runtime::Serial` (the default) callers drive progress, through
+//!   the serial driver both transports share ([`Serial`], DESIGN.md §15):
+//!   `send` hands the frames to the peer's channels on the caller's
+//!   thread, a handle's `wait` reads and digests what it waits for, and
+//!   one backstop thread per endpoint, asleep on a condvar, covers what
+//!   no caller is around for (an unexpected message, a shaped injection
+//!   coming due, a retransmission). This crate supplies the rails
+//!   ([`MemRails`]): the channels, the shaped wire and the fault
+//!   injector. The engine lock is never held while a frame is handed
+//!   over or a thread is woken. On `Runtime::Threads` a scheduler over
+//!   [`ParallelHub`] does the engine work and one TX and one RX worker
+//!   per rail move the frames — the shaped wire time is slept out in the
+//!   TX workers, outside the engine lock, so rails overlap.
+//!   `Runtime::Reactor` is TCP-only and refused here;
 //! * payload CRCs are enabled, and a deterministic fault injector can
 //!   corrupt packets in flight to exercise the detection path.
 //!
@@ -34,24 +40,23 @@
 // Copy-regression gate: see DESIGN.md "Datapath and copy discipline".
 #![deny(clippy::unnecessary_to_owned, clippy::redundant_clone)]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use crossbeam_channel::{unbounded, Receiver, Sender};
+use nmad_core::driver::TxToken;
 use nmad_core::engine::Engine;
-use nmad_core::request::{RecvId, SendId};
 use nmad_core::{
-    ChaosState, Completion, EngineConfig, Event, EventKind, Fabric, FabricStatus, FlightRecorder,
-    OutboxReceiver, ParallelHub, Runtime,
+    ChaosState, Completion, EngineConfig, Event, EventKind, FabricStatus, FlightRecorder,
+    OutboxReceiver, ParallelHub, Rails, Runtime, Serial, SyscallStats, WorkSignal,
 };
 pub use nmad_core::{Endpoint, RecvHandle, SendHandle};
-use nmad_model::{Platform, RailId};
+use nmad_model::Platform;
 use nmad_sim::Xoshiro256StarStar;
 use nmad_wire::{ConnId, PacketFrame};
-use parking_lot::{Condvar, Mutex};
 
 /// A scheduled outage of one rail: every packet on `rail` is dropped
 /// from `down_at` until `up_at` (measured from fabric construction).
@@ -127,83 +132,29 @@ impl FabricConfig {
     }
 }
 
-/// Serial runtime state: the engine, and the wake-up of the one
-/// progress thread that holds its lock across a step.
-struct Shared {
-    engine: Mutex<Engine>,
-    cv: Condvar,
-    status: FabricStatus,
-    shutdown: AtomicBool,
-    /// Wakeup for this endpoint's worker: set under `work` and notified
-    /// whenever new work arrives (a submit, a retransmit request, or a
-    /// delivery from the peer worker), so the idle loop sleeps on a
-    /// condvar instead of spin-polling.
-    work: Mutex<bool>,
-    work_cv: Condvar,
-}
+/// Arrivals one pass takes off a rail before the engine digests them
+/// (refcounted frames: nothing is copied here). Like the one 64 KiB
+/// `read` per rail of the TCP pass: whoever waits for what has arrived
+/// is released before more is taken, and a large message does not keep
+/// every small one behind it waiting for the whole backlog.
+const READ_BUDGET: usize = 64 * 1024;
 
-impl Shared {
-    fn new(engine: Engine) -> Arc<Self> {
-        Arc::new(Shared {
-            engine: Mutex::new(engine),
-            cv: Condvar::new(),
-            status: FabricStatus::default(),
-            shutdown: AtomicBool::new(false),
-            work: Mutex::new(false),
-            work_cv: Condvar::new(),
-        })
-    }
-}
-
-impl Fabric for Shared {
-    fn engine(&self) -> &Mutex<Engine> {
-        &self.engine
-    }
-
-    fn cv(&self) -> &Condvar {
-        &self.cv
-    }
-
-    fn status(&self) -> &FabricStatus {
-        &self.status
-    }
-
-    fn submit(&self, conn: ConnId, segments: Vec<Bytes>) -> SendId {
-        let id = self.engine.lock().submit_send(conn, segments);
-        self.kick();
-        id
-    }
-
-    fn post_recv(&self, conn: ConnId) -> RecvId {
-        let id = self.engine.lock().post_recv(conn);
-        self.kick();
-        id
-    }
-
-    /// Wake this endpoint's worker.
-    fn kick(&self) {
-        *self.work.lock() = true;
-        self.work_cv.notify_one();
-    }
-
-    fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.kick();
-    }
-}
-
+/// A frame on the wire of one rail: posted by the engine, handed to the
+/// peer at `ready_at`.
 struct InFlight {
     ready_at: Instant,
-    token: nmad_core::driver::TxToken,
+    token: TxToken,
     frame: PacketFrame,
 }
 
-struct Worker {
-    shared: Arc<Shared>,
-    /// The peer endpoint's shared state, to wake its worker on delivery.
-    peer: Arc<Shared>,
+/// The serial runtime's rails ([`Serial`] holds them behind its rails
+/// lock): this endpoint's end of the per-rail channels, the shaped wire
+/// and the fault injector.
+struct MemRails {
     /// Shaping, fault and chaos settings of the fabric.
     config: FabricConfig,
+    /// The peer endpoint, told of every delivery ([`Serial::arrived`]).
+    peer: Option<Arc<Serial<MemRails>>>,
     rx: Vec<Receiver<PacketFrame>>,
     tx: Vec<Sender<PacketFrame>>,
     inflight: Vec<Option<InFlight>>,
@@ -212,30 +163,17 @@ struct Worker {
     /// Fabric construction time: the engine clock and outage windows are
     /// measured from here.
     start: Instant,
+    /// One per endpoint, drawn in the order frames are delivered (under
+    /// the rails lock, rail by rail): seeded fault sequences repeat.
     rng: Xoshiro256StarStar,
 }
 
-/// Upper bound on an idle wait: keeps shutdown responsive even if a
-/// wakeup is lost to a race outside the `work` lock.
-const MAX_IDLE_WAIT: Duration = Duration::from_millis(2);
-const MIN_IDLE_WAIT: Duration = Duration::from_micros(20);
-
-impl Worker {
-    /// The progress thread of `shared`'s endpoint, on its end of the
-    /// per-rail wires.
-    fn new(
-        config: &FabricConfig,
-        shared: Arc<Shared>,
-        peer: Arc<Shared>,
-        wires: Wires,
-        start: Instant,
-        seed: u64,
-    ) -> Self {
+impl MemRails {
+    fn new(config: &FabricConfig, wires: Wires, start: Instant, seed: u64) -> Self {
         let n_rails = config.platform.rail_count();
-        Worker {
-            shared,
-            peer,
+        MemRails {
             config: config.clone(),
+            peer: None,
             rx: wires.rx,
             tx: wires.tx,
             inflight: (0..n_rails).map(|_| None).collect(),
@@ -244,132 +182,97 @@ impl Worker {
             rng: Xoshiro256StarStar::new(seed),
         }
     }
+}
 
-    fn spawn(self, name: &str, conns: Vec<ConnId>) -> Endpoint {
-        let shared = self.shared.clone();
-        let worker = spawn(name.into(), move || self.run());
-        Endpoint::new(shared, conns, vec![worker])
+impl Rails for MemRails {
+    /// The channels say nothing of their own accord: every delivery
+    /// reports itself ([`Serial::arrived`]).
+    type Parker = WorkSignal;
+
+    fn count(&self) -> usize {
+        self.inflight.len()
     }
 
-    fn run(mut self) {
-        loop {
-            let progressed = self.step();
-            self.shared.cv.notify_all();
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
+    /// The frame's parts are still the sender's buffers — the engine
+    /// reads them without another flatten.
+    fn read(&mut self, frames: &mut Vec<(usize, PacketFrame)>, _: &FabricStatus) -> bool {
+        let mut owed = false;
+        for (rail, rx) in self.rx.iter().enumerate() {
+            let mut taken = 0;
+            while taken < READ_BUDGET {
+                let Ok(frame) = rx.try_recv() else { break };
+                taken += frame.wire_len();
+                frames.push((rail, frame));
             }
-            if !progressed {
-                // Sleep until someone kicks us or the next engine/shaping
-                // deadline — no spin-polling.
-                let wait = self.idle_wait();
-                let mut pending = self.shared.work.lock();
-                if !*pending {
-                    self.shared.work_cv.wait_for(&mut pending, wait);
-                }
-                *pending = false;
-            }
+            owed |= taken >= READ_BUDGET && !rx.is_empty();
         }
+        owed
     }
 
-    /// How long the worker may sleep: bounded by the earliest shaped
-    /// transmission completion and the engine's next timer deadline.
-    fn idle_wait(&self) -> Duration {
-        let now = Instant::now();
-        let mut wait = MAX_IDLE_WAIT;
-        for f in self.inflight.iter().flatten() {
-            wait = wait.min(f.ready_at.saturating_duration_since(now));
-        }
-        if let Some(deadline_ns) = self.shared.engine.lock().next_deadline_ns() {
-            let now_ns = self.start.elapsed().as_nanos() as u64;
-            wait = wait.min(Duration::from_nanos(deadline_ns.saturating_sub(now_ns)));
-        }
-        wait.max(MIN_IDLE_WAIT)
+    /// A delivery is a function call on the sender's thread, and an
+    /// endpoint nobody holds costs that thread a futex wake per flush —
+    /// and this one a backstop pass racing the caller that is about to
+    /// come back for the same frames, after which the caller's waits
+    /// find their results made and stop holding the rails for good.
+    const HOLDS_EVERY_WAIT: bool = true;
+
+    fn idle(&self, rail: usize) -> bool {
+        self.inflight[rail].is_none()
     }
 
-    fn step(&mut self) -> bool {
-        let mut progressed = false;
-        let now = Instant::now();
-        let now_ns = now.saturating_duration_since(self.start).as_nanos() as u64;
-        let mut to_deliver: Vec<(usize, PacketFrame)> = Vec::new();
-        let mut eng = self.shared.engine.lock();
-
-        // 0. Run the engine's timers: adaptive retransmission, rail
-        // health bookkeeping, reinstatement probes.
-        let timer_out = eng.progress(now_ns);
-        if !timer_out.retransmitted.is_empty() || timer_out.control_enqueued {
-            progressed = true;
-        }
-
-        // 1. Deliver arrivals. The frame's parts are still the sender's
-        // buffers — the engine reads them without another flatten.
-        for rail in 0..self.rx.len() {
-            while let Ok(frame) = self.rx[rail].try_recv() {
-                progressed = true;
-                if eng.on_frame(RailId(rail), &frame).is_err() {
-                    self.shared.status.rx_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-
-        // 2. Retire transmissions whose shaped duration elapsed.
-        for rail in 0..self.inflight.len() {
-            let ready = matches!(&self.inflight[rail], Some(f) if f.ready_at <= now);
-            if ready {
-                let f = self.inflight[rail].take().unwrap();
-                progressed = true;
-                if eng.on_tx_done(RailId(rail), f.token).is_err() {
-                    self.shared.fail();
-                }
-                to_deliver.push((rail, f.frame));
-            }
-        }
-
-        // 3. Offer idle rails to the engine.
-        for rail in 0..self.inflight.len() {
-            if self.inflight[rail].is_some() {
-                continue;
-            }
-            // A strategy bug poisons the endpoint's waits; it does not
-            // take the progress thread down with every waiter's timeout.
-            let decision = eng.next_tx(RailId(rail)).unwrap_or_else(|_| {
-                self.shared.fail();
-                None
-            });
-            if let Some(d) = decision {
-                progressed = true;
-                let dur = shaped_duration(&self.config, rail, d.frame.wire_len());
-                self.inflight[rail] = Some(InFlight {
-                    ready_at: now + dur,
-                    token: d.token,
-                    frame: d.frame,
-                });
-            }
-        }
-        drop(eng);
-        for (rail, frame) in to_deliver {
-            self.deliver(rail, frame);
-        }
-        progressed
-    }
-
-    /// Hand one wire packet, or what the fault injector leaves of it, to
-    /// the peer and wake its worker.
-    fn deliver(&mut self, rail: usize, frame: PacketFrame) {
-        let (tx, peer) = (&self.tx[rail], &self.peer);
-        apply_faults(
-            &self.config,
-            self.start,
-            rail,
-            &mut self.rng,
-            &mut self.held[rail],
-            &self.shared.status.tx_dropped,
+    fn enqueue(&mut self, rail: usize, frame: PacketFrame, token: TxToken) {
+        let ready_at = Instant::now() + shaped_duration(&self.config, rail, frame.wire_len());
+        self.inflight[rail] = Some(InFlight {
+            ready_at,
+            token,
             frame,
-            &mut |f| {
-                // Peer gone: drop silently (shutdown path).
-                let _ = tx.send(f);
-                peer.kick();
-            },
-        );
+        });
+    }
+
+    /// Retire the injections whose shaped duration elapsed (an unshaped
+    /// one in the pass that posted it) and hand each frame, or what the
+    /// fault injector leaves of it, to the peer.
+    fn flush(&mut self, done: &mut Vec<(usize, TxToken)>, status: &FabricStatus) -> Option<u64> {
+        let now = Instant::now();
+        let mut delivered = false;
+        for (rail, slot) in self.inflight.iter_mut().enumerate() {
+            let Some(f) = slot.take_if(|f| f.ready_at <= now) else {
+                continue;
+            };
+            done.push((rail, f.token));
+            let tx = &self.tx[rail];
+            apply_faults(
+                &self.config,
+                self.start,
+                rail,
+                &mut self.rng,
+                &mut self.held[rail],
+                &status.tx_dropped,
+                f.frame,
+                &mut |frame| {
+                    // Peer gone: drop silently (shutdown path).
+                    delivered |= tx.send(frame).is_ok();
+                },
+            );
+        }
+        if let Some(peer) = self.peer.as_ref().filter(|_| delivered) {
+            peer.arrived();
+        }
+        let next = self.inflight.iter().flatten().map(|f| f.ready_at).min();
+        next.map(|at| at.saturating_duration_since(self.start).as_nanos() as u64)
+    }
+
+    fn syscalls(&self) -> SyscallStats {
+        SyscallStats::default()
+    }
+
+    /// Forget the peer (each end holds the other) and hang up.
+    fn close(&mut self) {
+        self.peer = None;
+        self.rx.clear();
+        self.tx.clear();
+        self.inflight.clear();
+        self.held.clear();
     }
 }
 
@@ -393,7 +296,7 @@ fn shaped_duration(config: &FabricConfig, rail: usize, bytes: usize) -> Duration
 
 /// Apply the fabric's fault spec and chaos drop boost to one outgoing
 /// frame; survivors reach `push` in delivery order. Shared by the serial
-/// worker and the `Threads` TX workers so both runtimes exercise the
+/// rails and the `Threads` TX workers so both runtimes exercise the
 /// identical injector (the rng draw order — drop, corrupt, dup, reorder —
 /// is part of the contract: serial fault sequences must not change
 /// underneath seeded tests).
@@ -626,9 +529,9 @@ impl Wires {
 }
 
 /// Build a connected pair of endpoints on the runtime
-/// [`EngineConfig::runtime`] names: one progress thread each
-/// (`Serial`), or the sharded pipeline — scheduler plus per-rail TX/RX
-/// workers — each (`Threads`).
+/// [`EngineConfig::runtime`] names: callers drive progress and one
+/// backstop thread each covers the rest (`Serial`), or the sharded
+/// pipeline — scheduler plus per-rail TX/RX workers — each (`Threads`).
 ///
 /// # Panics
 ///
@@ -652,19 +555,19 @@ pub fn pair(config: FabricConfig) -> (Endpoint, Endpoint) {
     let seed = config.faults.as_ref().map(|f| f.seed).unwrap_or(0);
     match cfg_engine.runtime {
         Runtime::Serial => {
-            let (shared_a, shared_b) = (Shared::new(engine_a), Shared::new(engine_b));
-            let worker_a = Worker::new(
-                &config,
-                shared_a.clone(),
-                shared_b.clone(),
-                a,
-                start,
-                seed ^ 0xA,
-            );
-            let worker_b = Worker::new(&config, shared_b, shared_a, b, start, seed ^ 0xB);
+            let side = |engine, wires, seed| {
+                let rails = MemRails::new(&config, wires, start, seed);
+                Serial::new(engine, rails, WorkSignal::default(), start)
+            };
+            let (sa, sb) = (side(engine_a, a, seed ^ 0xA), side(engine_b, b, seed ^ 0xB));
+            sa.io().rails.peer = Some(sb.clone());
+            sb.io().rails.peer = Some(sa.clone());
+            let endpoint = |serial: Arc<Serial<MemRails>>, name, conns| {
+                serial.spawn(name, conns).expect("spawn mem fabric thread")
+            };
             (
-                worker_a.spawn("nmad-mem-a", conns_a),
-                worker_b.spawn("nmad-mem-b", conns_b),
+                endpoint(sa, "nmad-mem-a", conns_a),
+                endpoint(sb, "nmad-mem-b", conns_b),
             )
         }
         Runtime::Threads => (
@@ -736,6 +639,8 @@ fn spawn_threads(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use nmad_core::endpoint::{BACKSTOP_TICK, CALLER_LEASE, SPIN_BUDGET};
     use nmad_core::health::RailState;
     use nmad_core::StrategyKind;
     use nmad_model::platform;
@@ -747,6 +652,11 @@ mod tests {
             platform::paper_platform(),
             EngineConfig::with_strategy(kind),
         ))
+    }
+
+    fn serial(e: &Endpoint) -> Arc<Serial<MemRails>> {
+        let fabric: Arc<dyn std::any::Any + Send + Sync> = e.fabric().clone();
+        fabric.downcast().expect("serial endpoint expected")
     }
 
     fn random_payload(len: usize, seed: u64) -> Vec<u8> {
@@ -771,6 +681,37 @@ mod tests {
         a.send(c0, vec![Bytes::from_static(b"zero")]);
         assert_eq!(&r0.wait(T).unwrap().segments[0][..], b"zero");
         assert_eq!(&r1.wait(T).unwrap().segments[0][..], b"one");
+    }
+
+    /// The shapes of `tests/conformance.rs` (eager, rendezvous striped
+    /// over both rails, multi-segment, both directions at once, acked)
+    /// leave no pool buffer unaccounted for on either end.
+    #[test]
+    fn pool_ledger_balances_after_the_conformance_shapes() {
+        let mut cfg = FabricConfig::new(platform::paper_platform(), EngineConfig::default());
+        cfg.engine.acked = true;
+        let (a, b) = pair(cfg);
+        let c = a.conns()[0];
+        for (i, len) in [64usize, 3000, 2 << 20, 100_000].into_iter().enumerate() {
+            let segments = |seed| {
+                let payload = Bytes::from(random_payload(len, seed));
+                vec![payload.slice(..len / 3), payload.slice(len / 3..)]
+            };
+            let (ra, rb) = (a.recv(c), b.recv(c));
+            let (sa, sb) = (
+                a.send(c, segments(i as u64)),
+                b.send(c, segments(!(i as u64))),
+            );
+            assert!(sa.wait_acked(T) && sb.wait_acked(T));
+            let (at_a, at_b) = (ra.wait(T).expect("b to a"), rb.wait(T).expect("a to b"));
+            assert_eq!(at_b.segments, segments(i as u64));
+            assert_eq!(at_a.segments, segments(!(i as u64)));
+        }
+        assert_eq!(a.pool_leaks() + b.pool_leaks(), 0);
+        assert_eq!(
+            a.rx_errors() + b.rx_errors() + a.io_errors() + b.io_errors(),
+            0
+        );
     }
 
     #[test]
@@ -1188,38 +1129,327 @@ mod tests {
         assert!(!s.wait_acked(Duration::from_millis(300)));
     }
 
+    // ------------------------------------------------------------------
+    // Serial runtime: who drives progress (twins of the TCP tests)
+    // ------------------------------------------------------------------
+
+    /// Messages the engine has fully received. Reads the stats under
+    /// the engine lock only: unlike a `wait`, it makes no progress pass.
+    fn msgs_received(e: &Endpoint) -> u64 {
+        e.stats().msgs_received
+    }
+
+    /// Watch `cond` for up to `limit` without touching the endpoints.
+    fn eventually(limit: Duration, mut cond: impl FnMut() -> bool) -> bool {
+        let t0 = Instant::now();
+        while t0.elapsed() < limit {
+            if cond() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        cond()
+    }
+
+    /// Nobody holds the receiver: the delivery, a function call on the
+    /// sender's thread, wakes its backstop, which buffers the message.
+    /// A `recv` posted long after returns at once, without a pass.
     #[test]
-    fn unexpected_message_buffered_until_recv() {
+    fn unexpected_message_is_buffered_with_no_caller_around() {
         let (a, b) = fabric(StrategyKind::Greedy);
         let c = a.conns()[0];
-        let s = a.send(c, vec![Bytes::from_static(b"early")]);
-        assert!(s.wait(T));
-        std::thread::sleep(Duration::from_millis(20));
-        let msg = b.recv(c).wait(T).expect("buffered unexpected message");
+        assert!(a.send(c, vec![Bytes::from_static(b"early")]).wait(T));
+        std::thread::sleep(Duration::from_millis(10));
+        assert_eq!(msgs_received(&b), 1, "not buffered within 10 ms");
+        let sb = serial(&b);
+        let _rails = sb.io(); // (a pass would need them: none is made)
+        let msg = b.recv(c).wait(Duration::ZERO).expect("buffered message");
         assert_eq!(&msg.segments[0][..], b"early");
     }
 
-    /// An engine error on the progress thread (here: a completion for
-    /// a token the engine never issued) is counted and poisons the
-    /// endpoint's waits. The worker does not panic, which would leave
-    /// every waiter to run out its full timeout.
+    /// Four application threads each wait on their own receive of one
+    /// endpoint while a fifth sends: whoever makes the pass that
+    /// delivers a message wakes the others. And a zero timeout is still
+    /// exactly one pass: no sleep when nothing is there, and enough to
+    /// pick up a frame only a caller's pass can read.
+    #[test]
+    fn concurrent_waiters_all_complete_and_zero_timeout_polls_once() {
+        let (a, b) = fabric(StrategyKind::Greedy);
+        let c = a.conns()[0];
+        let recvs: Vec<RecvHandle> = (0..4).map(|_| b.recv(c)).collect();
+        let start = std::sync::Barrier::new(5);
+        std::thread::scope(|scope| {
+            let waiters: Vec<_> = recvs
+                .iter()
+                .map(|r| {
+                    scope.spawn(|| {
+                        start.wait();
+                        r.wait(T)
+                    })
+                })
+                .collect();
+            start.wait();
+            for i in 0..4 {
+                a.send(c, vec![Bytes::from(random_payload(300 + i, 70 + i as u64))]);
+            }
+            for (i, w) in waiters.into_iter().enumerate() {
+                let msg = w.join().expect("waiter").expect("delivered");
+                assert_eq!(
+                    msg.segments[0].as_ref(),
+                    random_payload(300 + i, 70 + i as u64).as_slice()
+                );
+            }
+        });
+        assert_eq!(a.pool_leaks() + b.pool_leaks(), 0);
+
+        let r = b.recv(c);
+        let t0 = Instant::now();
+        assert!(r.wait(Duration::ZERO).is_none());
+        assert!(t0.elapsed() < Duration::from_millis(50), "zero wait slept");
+        // Stand in for a caller mid-pass (once the waiters' lease is
+        // over), so that the delivery does not wake the backstop thread:
+        // only the zero wait's own pass can read it.
+        let sb = serial(&b);
+        assert!(eventually(T, || sb.claimed().is_none()));
+        sb.enter();
+        a.send(c, vec![Bytes::from_static(b"one pass")]);
+        // (Unless a backstop pass still in flight has read it instead.)
+        assert!(
+            sb.owed() || msgs_received(&b) == 5,
+            "the delivery woke nobody"
+        );
+        let msg = r.wait(Duration::ZERO).expect("one pass reads and delivers");
+        assert_eq!(&msg.segments[0][..], b"one pass");
+        sb.leave();
+    }
+
+    /// The Dekker hand-off, and the lease. A delivery that finds callers
+    /// making passes wakes nobody: the frame is picked up when the last
+    /// of them leaves — by its kick, not by the next tick. One that
+    /// finds a lease wakes nobody either, and waits for the backstop no
+    /// longer than what is left of it. First forced (a stand-in poller
+    /// that never reads, a caller that completes one wait and is gone
+    /// for good), then with two threads hammering `send` while the other
+    /// end's only caller does its last pass and leaves.
+    #[test]
+    fn declined_delivery_is_picked_up_by_the_last_poller_or_at_lease_end() {
+        let (a, b) = fabric(StrategyKind::Greedy);
+        let c = a.conns()[0];
+        let sb = serial(&b);
+        let small = |seed| vec![Bytes::from(random_payload(64, seed))];
+        let prompt = BACKSTOP_TICK / 2;
+        let mut declined = 0;
+        for round in 0..40 {
+            let before = msgs_received(&b);
+            sb.enter();
+            a.send(c, small(round));
+            // (A backstop pass still in flight may have read it instead.)
+            assert!(
+                sb.owed() || msgs_received(&b) > before,
+                "round {round}: the delivery woke nobody"
+            );
+            declined += u32::from(msgs_received(&b) == before);
+            sb.leave();
+            assert!(
+                eventually(prompt, || msgs_received(&b) > before),
+                "round {round}: frame stranded after the last poller left"
+            );
+        }
+        assert!(
+            declined >= 30,
+            "only {declined} of 40 deliveries were declined"
+        );
+
+        // (On a loaded machine the lease may be over before it is looked
+        // at.)
+        let mut leased = 0;
+        for round in 0..40 {
+            let r = b.recv(c);
+            a.send(c, small(100 + round));
+            assert!(r.wait(T).is_some());
+            let lease = sb.claimed();
+            assert!(lease.is_none_or(|l| l <= CALLER_LEASE));
+            let before = msgs_received(&b);
+            a.send(c, small(200 + round));
+            leased += u32::from(lease.is_some() && msgs_received(&b) == before);
+            assert!(
+                eventually(CALLER_LEASE + prompt, || msgs_received(&b) > before),
+                "round {round}: frame under the lease stranded after it ran out"
+            );
+        }
+        assert!(
+            leased >= 30,
+            "only {leased} of 40 completed waits held the rails"
+        );
+
+        for run in 0..300 {
+            let base = msgs_received(&b);
+            std::thread::scope(|scope| {
+                for t in 0..2u64 {
+                    let (a, small) = (&a, &small);
+                    scope.spawn(move || {
+                        for i in 0..25 {
+                            a.send(c, small(t << 32 | i));
+                        }
+                    });
+                }
+                assert!(b.recv(c).wait(T).is_some());
+            });
+            assert!(
+                eventually(CALLER_LEASE + prompt, || msgs_received(&b) == base + 50),
+                "run {run}: {} of 50 frames reached the engine",
+                msgs_received(&b) - base
+            );
+        }
+        assert_eq!(a.io_errors() + b.io_errors() + b.rx_errors(), 0);
+    }
+
+    /// To hold the rails is to promise to read them. A thread that only
+    /// submits and reaps renews the lease with every wait and never
+    /// needs a pass for its own results: it makes the ones declined on
+    /// the strength of its lease, so what arrives for somebody else is
+    /// read while it is still at it, not when it stops.
+    #[test]
+    fn lease_holder_that_never_waits_for_arrivals_still_reads_them() {
+        let (a, b) = fabric(StrategyKind::Greedy);
+        let c = a.conns()[0];
+        let sb = serial(&b);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::SeqCst) {
+                    assert!(b.send(c, vec![Bytes::from_static(b"reaped")]).wait(T));
+                }
+            });
+            // (The reaper is stopped before anything is asserted: a
+            // failure must not leave the scope waiting for it.)
+            let stranded = (0..20).find(|&round| {
+                let before = msgs_received(&b);
+                let leased = eventually(T, || sb.claimed().is_some());
+                a.send(c, vec![Bytes::from(random_payload(64, round))]);
+                !(leased && eventually(BACKSTOP_TICK / 2, || msgs_received(&b) > before))
+            });
+            stop.store(true, Ordering::SeqCst);
+            assert_eq!(stranded, None, "unread while the lease holder kept at it");
+        });
+    }
+
+    /// A shaped wire: nobody waits on the sender, so its backstop thread
+    /// retires the injection at `ready_at` (a published deadline, not
+    /// the tick), and the receiver's caller, asleep on the completion
+    /// condvar once its spin budget is spent, is woken by the pass the
+    /// delivery set off.
+    #[test]
+    fn shaped_injection_is_retired_by_the_backstop_while_the_caller_sleeps() {
+        let mut cfg = FabricConfig::new(
+            platform::paper_platform(),
+            EngineConfig::with_strategy(StrategyKind::SingleRail(0)),
+        );
+        cfg.time_scale = 15_000.0; // ~1.2 KB at 1.2 GB/s + 1 us: ~30 ms
+        let (a, b) = pair(cfg);
+        let c = a.conns()[0];
+        let r = b.recv(c);
+        let (t0, cpu0) = (Instant::now(), thread_cpu());
+        a.send(c, vec![Bytes::from(random_payload(1200, 5))]);
+        assert!(r.wait(T).is_some());
+        let (took, ran) = (t0.elapsed(), thread_cpu() - cpu0);
+        assert!(took >= Duration::from_millis(25), "unshaped: {took:?}");
+        assert!(
+            took < BACKSTOP_TICK * 3 / 4,
+            "retired by the tick: {took:?}"
+        );
+        assert!(ran < took / 2, "the caller span for {ran:?} of {took:?}");
+    }
+
+    /// CPU time of the calling thread so far (zero where procfs does not
+    /// say).
+    fn thread_cpu() -> Duration {
+        let stat = std::fs::read_to_string("/proc/thread-self/schedstat").unwrap_or_default();
+        let ns = stat.split_whitespace().next().and_then(|f| f.parse().ok());
+        Duration::from_nanos(ns.unwrap_or(0))
+    }
+
+    /// Dropping an endpoint wakes and joins its backstop thread although
+    /// a caller of a handle is asleep mid-`wait`, and that wait returns
+    /// `None` at once, not at its timeout.
+    #[test]
+    fn shutdown_returns_the_waits_in_flight() {
+        let (a, b) = fabric(StrategyKind::Greedy);
+        let r = b.recv(a.conns()[0]);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let t0 = Instant::now();
+                (r.wait(T), t0.elapsed())
+            });
+            // (Past the spin budget: the waiter is asleep.)
+            std::thread::sleep(SPIN_BUDGET * 5);
+            drop(b);
+            let (msg, took) = waiter.join().expect("waiter");
+            assert!(msg.is_none());
+            assert!(took < T / 2, "a wait across shutdown ran to its timeout");
+        });
+    }
+
+    /// The fault injector's draws are a contract: one rng per endpoint,
+    /// drawn per frame in delivery order — drop, corrupt, dup, reorder.
+    /// For a fixed seed and single-threaded sends the counts below are
+    /// those of the one-progress-thread runtime this one replaced.
+    #[test]
+    fn seeded_fault_sequence_is_pinned() {
+        let spec = |drop_prob, reorder_prob| FaultSpec {
+            drop_prob,
+            dup_prob: 0.3,
+            reorder_prob,
+            seed: 2007,
+            ..FaultSpec::default()
+        };
+        let payload = |i: usize| vec![Bytes::from(random_payload(64 + i, i as u64))];
+
+        let mut cfg = FabricConfig::new(
+            platform::paper_platform(),
+            EngineConfig::with_strategy(StrategyKind::Greedy),
+        );
+        cfg.faults = Some(spec(0.2, 0.3));
+        let (a, _b) = pair(cfg.clone());
+        let c = a.conns()[0];
+        for i in 0..200 {
+            assert!(a.send(c, payload(i)).wait(T));
+        }
+        assert_eq!(a.tx_dropped(), 41);
+
+        // Acked, and nothing lost or held back: no retransmission adds
+        // frames of its own, every duplicate reaches the receiver.
+        cfg.engine.acked = true;
+        cfg.engine.health.initial_rto_ns = 60_000_000_000;
+        cfg.engine.health.max_rto_ns = 120_000_000_000;
+        cfg.faults = Some(spec(0.0, 0.0));
+        let (a, b) = pair(cfg);
+        for i in 0..200 {
+            let r = b.recv(c);
+            assert!(a.send(c, payload(i)).wait_acked(T));
+            assert!(r.wait(T).is_some());
+        }
+        assert_eq!(a.tx_dropped(), 0);
+        assert_eq!(b.stats().duplicates_dropped, 50);
+    }
+
+    /// An engine error on the progress path (here: a completion for a
+    /// token the engine never issued, left in a rail's in-flight slot) is
+    /// counted and poisons the endpoint's waits on whichever thread made
+    /// the pass. Nothing panics, which would leave every waiter to run
+    /// out its full timeout.
     #[test]
     fn engine_error_poisons_waits_instead_of_panicking_the_worker() {
-        let config = FabricConfig::new(platform::paper_platform(), EngineConfig::default());
-        let mk = || Engine::new(config.engine.clone(), config.platform.rails.clone(), vec![]);
-        let (shared, peer) = (Shared::new(mk()), Shared::new(mk()));
-        let conn = shared.engine.lock().conn_open();
-        let ((wires, _peer_wires), start) = (Wires::pair(2), Instant::now());
-        let mut worker = Worker::new(&config, shared, peer, wires, start, 0);
-        worker.inflight[0] = Some(InFlight {
+        let (a, _b) = fabric(StrategyKind::Greedy);
+        let c = a.conns()[0];
+        let start = Instant::now();
+        serial(&a).io().rails.inflight[0] = Some(InFlight {
             ready_at: start,
-            token: nmad_core::driver::TxToken(u64::MAX),
+            token: TxToken(u64::MAX),
             frame: PacketFrame::from_wire(Bytes::from_static(b"never issued")),
         });
-        let a = worker.spawn("nmad-mem-poisoned", vec![conn]);
-        let t0 = Instant::now();
-        assert!(a.recv(conn).wait(T).is_none());
-        assert!(t0.elapsed() < T / 2, "a poisoned wait returns early");
+        assert!(a.recv(c).wait(T).is_none());
+        assert!(start.elapsed() < T / 2, "a poisoned wait returns early");
         assert_eq!(a.io_errors(), 1);
     }
 

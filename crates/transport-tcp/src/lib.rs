@@ -63,24 +63,21 @@
 use std::io::{ErrorKind, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use nmad_core::driver::TxToken;
 use nmad_core::engine::Engine;
-use nmad_core::request::{RecvId, SendId};
 use nmad_core::{
-    ChaosState, Completion, EngineConfig, Event, EventKind, Fabric, FabricStatus, FlightRecorder,
-    OutboxReceiver, ParallelHub, Runtime, SyscallStats,
+    ChaosState, Completion, EngineConfig, Event, EventKind, FabricStatus, FlightRecorder,
+    OutboxReceiver, ParallelHub, Parker, Rails, Runtime, Serial, SyscallStats,
 };
 pub use nmad_core::{Endpoint, RecvHandle, SendHandle};
-use nmad_model::{Platform, RailId};
+use nmad_model::Platform;
 use nmad_sim::Xoshiro256StarStar;
 use nmad_wire::{ConnId, PacketFrame};
-use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use frame::{FrameReader, LEN_PREFIX};
 
@@ -88,31 +85,6 @@ mod frame;
 pub mod reactor;
 pub mod sys;
 
-/// Serial runtime: how long a waiting caller keeps making passes that
-/// move no byte before it sleeps and leaves the sockets to the backstop.
-/// A time, not a count of passes: a pass that finds the I/O lock taken
-/// takes no time at all, and the holder may be off its CPU for as long
-/// as a scheduler slice.
-const SPIN_BUDGET: Duration = Duration::from_micros(1000);
-/// Serial runtime: how long after a completed `wait` whose own passes
-/// were reading a frame larger than the read buffer (a rendezvous chunk)
-/// the backstop thread still leaves the sockets alone. A pass over such
-/// a frame holds the I/O lock for hundreds of microseconds: a backstop
-/// thread that starts one while the caller looks at its message locks
-/// the returning caller out for that long — longer when the scheduler
-/// takes its CPU meanwhile — and which of the two ends up reading is
-/// then a matter of timing. A peer that waits in a loop is back well
-/// within the lease; one that is not delays what arrives right after
-/// its wait by this much at most. Not longer than [`SPIN_BUDGET`], so
-/// that a caller about to sleep never holds a lease.
-const CALLER_LEASE: Duration = SPIN_BUDGET;
-/// Serial runtime: rounds of post-and-write one pass makes before the
-/// sockets are read again.
-const TX_ROUNDS: usize = 8;
-/// Serial backstop thread: longest sleep with no engine timer armed.
-/// Arrivals, kicks and shutdown all end the sleep; this only bounds how
-/// stale the engine clock can get.
-const BACKSTOP_TICK: Duration = Duration::from_millis(100);
 /// Serial backstop thread's timed poll where [`sys`] is the
 /// `Unsupported` stub and there is no readiness to block on.
 const FALLBACK_POLL: Duration = Duration::from_micros(50);
@@ -162,115 +134,6 @@ impl TcpConfig {
             conns: 1,
             chaos: None,
         }
-    }
-}
-
-/// Serial runtime state. Any thread may make a progress pass; lock order
-/// is `io` → `engine`, and `engine` is never held across a socket
-/// syscall (DESIGN.md "Who drives progress").
-struct Shared {
-    engine: Mutex<Engine>,
-    /// Notified after progress, only while `waiters` is nonzero.
-    cv: Condvar,
-    io: Mutex<SerialIo>,
-    ready: Readiness,
-    /// Epoch of the engine's monotonic clock (timeouts, probes).
-    start: Instant,
-    shutdown: AtomicBool,
-    status: FabricStatus,
-    /// Application threads making passes right now; while nonzero the
-    /// backstop thread declines its wake-ups.
-    pollers: AtomicUsize,
-    /// Engine-clock time until which a caller that left keeps the
-    /// sockets ([`CALLER_LEASE`]); the backstop thread declines until
-    /// then as if that caller still polled, and sleeps no longer.
-    lease_ns: AtomicU64,
-    /// One more full pass is owed: the backstop declined a wake-up, a
-    /// submitter found `io` taken, or a pass stopped with work in sight
-    /// (a `read` that came back full, [`TX_ROUNDS`]). Set *before*
-    /// reading `pollers`; the last poller to leave reads it *after* its
-    /// decrement and kicks the backstop — Dekker order, all `SeqCst`,
-    /// so the pass is never lost.
-    skipped: AtomicBool,
-    /// Threads asleep on `cv`.
-    waiters: AtomicUsize,
-    /// [`Engine::next_deadline_ns`] as of the last pass (`u64::MAX`: no
-    /// timer armed). The backstop thread sizes every sleep by it, also
-    /// the ones after a wake-up it declined.
-    deadline_ns: AtomicU64,
-}
-
-impl Fabric for Shared {
-    fn engine(&self) -> &Mutex<Engine> {
-        &self.engine
-    }
-
-    fn cv(&self) -> &Condvar {
-        &self.cv
-    }
-
-    fn status(&self) -> &FabricStatus {
-        &self.status
-    }
-
-    fn submit(&self, conn: ConnId, segments: Vec<Bytes>) -> SendId {
-        self.offer(|eng| eng.submit_send(conn, segments))
-    }
-
-    fn post_recv(&self, conn: ConnId) -> RecvId {
-        let mut eng = self.engine.lock();
-        let id = eng.post_recv(conn);
-        // Only a receive that released a parked rendezvous grant leaves
-        // something to transmit.
-        let granted = eng.has_tx_work();
-        drop(eng);
-        if granted {
-            self.kick();
-        }
-        id
-    }
-
-    fn kick(&self) {
-        self.offer(|_| ());
-    }
-
-    /// The caller drives progress itself ([`Shared::drive`]) and sleeps
-    /// on the completion condvar only between bouts of it, so a deadline
-    /// already passed is exactly one progress pass.
-    fn wait(&self, deadline: Option<Instant>, done: &mut dyn FnMut(&mut Engine) -> bool) -> bool {
-        loop {
-            if self.drive(deadline, done) {
-                return true;
-            }
-            let mut eng = self.engine.lock();
-            if done(&mut eng) {
-                return true;
-            }
-            let now = Instant::now();
-            if deadline.is_some_and(|d| now >= d) || self.status.failed() {
-                return false;
-            }
-            // Registered under the engine lock, which the wait releases
-            // atomically: a pass that completes us after this point sees
-            // the count and notifies.
-            self.waiters.fetch_add(1, Ordering::SeqCst);
-            match deadline {
-                Some(d) => drop(self.cv.wait_for(&mut eng, d - now)),
-                None => self.cv.wait(&mut eng),
-            }
-            self.waiters.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.ready.kick();
-    }
-
-    /// Close the sockets now (the peer sees EOF), not when the last
-    /// handle's reference to the shared state goes.
-    fn finish_shutdown(&self) {
-        self.io.lock().rails.clear();
     }
 }
 
@@ -363,12 +226,15 @@ impl RailIo {
 
     /// Queue a frame for transmission. The parts are shared with the
     /// engine's in-flight state (refcounted), not copied into a staging
-    /// buffer.
-    fn enqueue(&mut self, frame: PacketFrame, token: TxToken) {
+    /// buffer. With no frame the next [`RailIo::flush`] reports the
+    /// token at once.
+    fn enqueue(&mut self, frame: Option<PacketFrame>, token: TxToken) {
         debug_assert!(self.pending_token.is_none(), "one injection at a time");
-        self.tx_prefix = (frame.wire_len() as u32).to_le_bytes();
+        if let Some(frame) = &frame {
+            self.tx_prefix = (frame.wire_len() as u32).to_le_bytes();
+        }
         self.tx_off = 0;
-        self.tx_frame = Some(frame);
+        self.tx_frame = frame;
         self.pending_token = Some(token);
     }
 
@@ -420,19 +286,93 @@ impl RailIo {
     }
 }
 
-/// What a serial progress pass needs besides the engine ([`Shared::io`]).
-struct SerialIo {
+/// The serial runtime's rails ([`Serial`] holds them behind its rails
+/// lock): one nonblocking socket each.
+struct TcpRails {
     rails: Vec<RailIo>,
+    ready: Arc<Readiness>,
     chaos: Option<ChaosState>,
     /// Seeded draw for the chaos drop boost (unused at identity).
     rng: Xoshiro256StarStar,
-    /// Arrivals and finished injections collected with the engine lock
-    /// free, digested by the next engine critical section. Reused by
-    /// every pass; both are empty between passes.
-    frames: Vec<(usize, PacketFrame)>,
-    done: Vec<(usize, TxToken)>,
     /// Syscall amortization tallies, mirrored into the engine's stats.
     syscalls: SyscallStats,
+}
+
+impl Rails for TcpRails {
+    type Parker = Arc<Readiness>;
+
+    fn count(&self) -> usize {
+        self.rails.len()
+    }
+
+    /// One `read` per rail. A read that came back full may have left
+    /// bytes behind that edge-triggered readiness will not report again.
+    fn read(&mut self, frames: &mut Vec<(usize, PacketFrame)>, status: &FabricStatus) -> bool {
+        let mut owed = false;
+        for (r, rail) in self.rails.iter_mut().enumerate() {
+            let open = !rail.rx.closed();
+            match rail
+                .rx
+                .read_some(&rail.stream, r, frames, &mut self.syscalls)
+            {
+                Ok(full) => owed |= full,
+                Err(_) => {
+                    status.io_errors.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            if open && rail.rx.closed() {
+                self.ready.forget(rail);
+            }
+        }
+        owed
+    }
+
+    /// Only while a frame larger than the read buffer (a rendezvous
+    /// chunk) is being read. A pass over such a frame holds the rails
+    /// lock for hundreds of microseconds: a backstop thread that starts
+    /// one while the caller looks at its message locks the returning
+    /// caller out for that long — longer when the scheduler takes its
+    /// CPU meanwhile — and which of the two ends up reading is then a
+    /// matter of timing.
+    fn wait_holds(&self) -> bool {
+        self.rails.iter().any(|r| r.rx.in_bulk_frame())
+    }
+
+    fn idle(&self, rail: usize) -> bool {
+        self.rails[rail].idle()
+    }
+
+    /// Chaos drop: the transmit "succeeds" locally but the frame never
+    /// reaches the wire — exactly a lossy link, recoverable in acked
+    /// mode only.
+    fn enqueue(&mut self, rail: usize, frame: PacketFrame, token: TxToken) {
+        let frame = (!chaos_drops(&self.chaos, rail, &mut self.rng)).then_some(frame);
+        self.rails[rail].enqueue(frame, token);
+    }
+
+    fn flush(&mut self, done: &mut Vec<(usize, TxToken)>, status: &FabricStatus) -> Option<u64> {
+        for (r, rail) in self.rails.iter_mut().enumerate() {
+            match rail.flush(&mut self.syscalls) {
+                Ok(Some(token)) => done.push((r, token)),
+                Ok(None) => {}
+                Err(_) => {
+                    status.io_errors.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            self.ready.track_write(r, rail);
+        }
+        // A partial write is finished on `EPOLLOUT`.
+        None
+    }
+
+    fn syscalls(&self) -> SyscallStats {
+        self.syscalls
+    }
+
+    /// Close the sockets: the peer sees EOF.
+    fn close(&mut self) {
+        self.rails.clear();
+    }
 }
 
 /// What the serial backstop thread sleeps on: one epoll instance over
@@ -464,31 +404,6 @@ impl Readiness {
         Ok(Readiness { epoll, kicked })
     }
 
-    /// End the backstop thread's current (or next) sleep.
-    fn kick(&self) {
-        if let Some((_, kick)) = &self.epoll {
-            if !self.kicked.swap(true, Ordering::SeqCst) {
-                kick.wake();
-            }
-        }
-    }
-
-    /// Sleep until a rail is ready, a kick, or `timeout`. The latch is
-    /// cleared before the caller's pass, so a later kick writes again.
-    fn wait(&self, timeout: Duration) {
-        let Some((poller, kick)) = &self.epoll else {
-            return std::thread::park_timeout(timeout.min(FALLBACK_POLL));
-        };
-        let mut events = [sys::EpollEvent::zeroed(); 4];
-        let ms = timeout.as_micros().div_ceil(1000) as i32;
-        // An interrupted wait is a spurious wake-up: harmless.
-        let n = poller.wait(&mut events, ms).unwrap_or(0);
-        if events[..n].iter().any(|e| e.token() == KICK_TOKEN) {
-            kick.drain();
-        }
-        self.kicked.store(false, Ordering::SeqCst);
-    }
-
     /// WRITE interest follows the rail's pending partial write — the
     /// reactor's interest-set state machine (DESIGN.md §14), run by
     /// whichever thread made the pass.
@@ -511,255 +426,29 @@ impl Readiness {
     }
 }
 
-impl Shared {
-    fn now_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-
-    /// Wake the threads asleep on the completion condvar, if any (the
-    /// count spares the futex syscall when there are none).
-    fn notify(&self) {
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Stop being a poller; the last one out hands an owed pass to the
-    /// backstop thread (see `skipped`).
-    fn leave(&self) {
-        if self.pollers.fetch_sub(1, Ordering::SeqCst) == 1
-            && self.skipped.swap(false, Ordering::SeqCst)
-        {
-            self.ready.kick();
-        }
-    }
-
-    /// Run `submit` under the engine lock and, unless another thread is
-    /// mid-pass, offer the idle rails in the same critical section and
-    /// write on this thread (the paper's "NIC idle → send now"). Nothing
-    /// is read: a submitter does not pay for arrivals it is not waiting
-    /// for. With `io` taken the submission just joins the backlog — the
-    /// window the strategies optimise over — and one more pass is owed.
-    fn offer<R>(&self, submit: impl FnOnce(&mut Engine) -> R) -> R {
-        self.pollers.fetch_add(1, Ordering::SeqCst);
-        let io = self.io.try_lock();
-        let mut eng = self.engine.lock();
-        let out = submit(&mut eng);
-        match io {
-            Some(mut io) => {
-                if self.pump(&mut io, eng) {
-                    self.notify();
-                }
-            }
-            None => {
-                drop(eng);
-                self.skipped.store(true, Ordering::SeqCst);
+impl Parker for Readiness {
+    fn kick(&self) {
+        if let Some((_, kick)) = &self.epoll {
+            if !self.kicked.swap(true, Ordering::SeqCst) {
+                kick.wake();
             }
         }
-        self.leave();
-        out
     }
 
-    /// Caller-driven progress for a handle's `wait`: check `done`, then
-    /// make passes on this thread, one at least, until it holds,
-    /// `deadline` passes or nothing has moved for [`SPIN_BUDGET`].
-    fn drive(&self, deadline: Option<Instant>, done: &mut dyn FnMut(&mut Engine) -> bool) -> bool {
-        self.pollers.fetch_add(1, Ordering::SeqCst);
-        let (mut quiet_since, mut bulk) = (Instant::now(), false);
-        let out = loop {
-            if done(&mut self.engine.lock()) {
-                break true;
-            }
-            if self.status.failed() {
-                break false;
-            }
-            // With `io` taken (for one pass at a time) there is nothing
-            // to do but try again.
-            let moved = self.io.try_lock().is_some_and(|mut io| {
-                // This pass starts after whatever the flag stood for.
-                self.skipped.store(false, Ordering::SeqCst);
-                let calls = io.syscalls.rx_calls + io.syscalls.tx_calls;
-                let progressed = self.step(&mut io);
-                if progressed {
-                    self.notify();
-                }
-                // (Part of a rendezvous chunk: see [`CALLER_LEASE`].)
-                bulk |= io.rails.iter().any(|r| r.rx.in_bulk_frame());
-                // Bytes of a frame that is not whole yet count too: the
-                // socket is live and this thread is the one draining it.
-                progressed || io.syscalls.rx_calls + io.syscalls.tx_calls != calls
-            });
-            // (The caller looks at `done` once more, under the lock it
-            // goes to sleep with.)
-            let now = Instant::now();
-            if moved {
-                quiet_since = now;
-            } else if now.duration_since(quiet_since) >= SPIN_BUDGET {
-                break false;
-            } else {
-                std::thread::yield_now();
-            }
-            if deadline.is_some_and(|d| now >= d) {
-                break false;
-            }
+    /// Sleep until a rail is ready, a kick, or `timeout`. The latch is
+    /// cleared before the caller's pass, so a later kick writes again.
+    fn park(&self, timeout: Duration) {
+        let Some((poller, kick)) = &self.epoll else {
+            return std::thread::park_timeout(timeout.min(FALLBACK_POLL));
         };
-        if bulk && out {
-            let until = self.now_ns() + CALLER_LEASE.as_nanos() as u64;
-            self.lease_ns.store(until, Ordering::SeqCst);
+        let mut events = [sys::EpollEvent::zeroed(); 4];
+        let ms = timeout.as_micros().div_ceil(1000) as i32;
+        // An interrupted wait is a spurious wake-up: harmless.
+        let n = poller.wait(&mut events, ms).unwrap_or(0);
+        if events[..n].iter().any(|e| e.token() == KICK_TOKEN) {
+            kick.drain();
         }
-        self.leave();
-        out
-    }
-
-    /// One full pass by the thread holding the I/O lock: one read per
-    /// rail with the engine lock free, then [`Shared::pump`]. True when
-    /// anything moved. A rail that may hold more leaves a pass owed.
-    fn step(&self, io: &mut SerialIo) -> bool {
-        for (r, rail) in io.rails.iter_mut().enumerate() {
-            let open = !rail.rx.closed();
-            match rail
-                .rx
-                .read_some(&rail.stream, r, &mut io.frames, &mut io.syscalls)
-            {
-                Ok(true) => self.skipped.store(true, Ordering::SeqCst),
-                Ok(false) => {}
-                Err(_) => {
-                    self.status.io_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            if open && rail.rx.closed() {
-                self.ready.forget(rail);
-            }
-        }
-        let eng = self.engine.lock();
-        self.pump(io, eng)
-    }
-
-    /// The engine half of a pass. One short critical section digests
-    /// what was collected unlocked (`io.frames`, `io.done`), runs the
-    /// timers and posts the next frame on every idle rail; the writes
-    /// happen with the engine lock released — that is when submitters
-    /// fill the backlog — and completed ones loop back for their
-    /// `on_tx_done`. Ends when no write completed, or after
-    /// [`TX_ROUNDS`] with a pass owed: a backlog that keeps every write
-    /// completing must not keep the arrivals waiting.
-    fn pump<'a>(&'a self, io: &mut SerialIo, mut eng: MutexGuard<'a, Engine>) -> bool {
-        let outcome = eng.progress(self.now_ns());
-        let mut progressed =
-            !io.frames.is_empty() || !outcome.retransmitted.is_empty() || outcome.control_enqueued;
-        for round in 1.. {
-            for (rail, frame) in io.frames.drain(..) {
-                if eng.on_frame(RailId(rail), &frame).is_err() {
-                    self.status.rx_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            for (rail, token) in io.done.drain(..) {
-                if eng.on_tx_done(RailId(rail), token).is_err() {
-                    self.fail();
-                }
-            }
-            for (r, rail) in io.rails.iter_mut().enumerate() {
-                // An idle query still costs the strategy a context
-                // build: skip it when nothing is schedulable.
-                if !rail.idle() || !eng.has_tx_work() {
-                    continue;
-                }
-                match eng.next_tx(RailId(r)) {
-                    // Chaos drop: the transmit "succeeds" locally but the
-                    // frame never reaches the wire — exactly a lossy
-                    // link, recoverable in acked mode only.
-                    Ok(Some(d)) if chaos_drops(&io.chaos, r, &mut io.rng) => {
-                        io.done.push((r, d.token))
-                    }
-                    Ok(Some(d)) => rail.enqueue(d.frame, d.token),
-                    Ok(None) => {}
-                    Err(_) => self.fail(),
-                }
-            }
-            // Mirrored so `nmad cycles` and the bench gates see the
-            // serial runtime too.
-            eng.note_syscalls(io.syscalls);
-            let deadline = eng.next_deadline_ns().unwrap_or(u64::MAX);
-            drop(eng);
-
-            for (r, rail) in io.rails.iter_mut().enumerate() {
-                match rail.flush(&mut io.syscalls) {
-                    Ok(Some(token)) => io.done.push((r, token)),
-                    Ok(None) => {}
-                    Err(_) => {
-                        self.status.io_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                self.ready.track_write(r, rail);
-            }
-            // The backstop thread may be asleep until the timer it last
-            // saw here: an earlier one (an RTO armed just now) wakes it.
-            if deadline < self.deadline_ns.swap(deadline, Ordering::SeqCst) {
-                self.ready.kick();
-            }
-            if io.done.is_empty() {
-                break;
-            }
-            progressed = true;
-            if round == TX_ROUNDS {
-                self.skipped.store(true, Ordering::SeqCst);
-                break;
-            }
-            eng = self.engine.lock();
-        }
-        progressed
-    }
-
-    /// After how long to ask again whether callers still have the
-    /// sockets — a full tick while some are making passes (the last to
-    /// leave says so), else what is left of a lease — or `None` when it
-    /// is the backstop thread's turn.
-    fn claimed(&self) -> Option<Duration> {
-        if self.pollers.load(Ordering::SeqCst) > 0 {
-            return Some(BACKSTOP_TICK);
-        }
-        let until = self.lease_ns.load(Ordering::SeqCst);
-        Some(Duration::from_nanos(until.checked_sub(self.now_ns())?)).filter(|d| !d.is_zero())
-    }
-
-    /// The backstop thread: asleep until a rail socket is ready, a kick
-    /// or the engine's next timer, then a pass — unless application
-    /// threads are making passes themselves: then the wake-up is theirs
-    /// (see `skipped` for why that loses nothing), timers included, and
-    /// all that is left to do is to size the next sleep.
-    fn run_backstop(&self) {
-        let mut timeout = BACKSTOP_TICK;
-        loop {
-            self.ready.wait(timeout);
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            // Pass after pass while one is owed and no caller has the
-            // sockets.
-            let declined = loop {
-                let claimed = self.claimed().and_then(|_| {
-                    self.skipped.store(true, Ordering::SeqCst);
-                    // (All gone before they could see the flag: ours after all.)
-                    self.claimed()
-                });
-                if claimed.is_some() {
-                    break claimed;
-                }
-                if self.step(&mut self.io.lock()) {
-                    self.notify();
-                }
-                if !self.skipped.swap(false, Ordering::SeqCst) {
-                    break None;
-                }
-            };
-            let deadline = self.deadline_ns.load(Ordering::SeqCst);
-            timeout = match (deadline.saturating_sub(self.now_ns()), declined) {
-                // Due, and the callers' to fire on their next pass: no
-                // reason to spin here until they have.
-                (0, Some(_)) => Duration::from_millis(1),
-                (until, held) => Duration::from_nanos(until).min(held.unwrap_or(BACKSTOP_TICK)),
-            };
-        }
+        self.kicked.store(false, Ordering::SeqCst);
     }
 }
 
@@ -1010,7 +699,7 @@ fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> std::io::Result<
     std::thread::Builder::new().name(name).spawn(body)
 }
 
-/// Serial runtime: the shared pass state and the backstop thread.
+/// Serial runtime: the rails under [`Serial`] and its backstop thread.
 fn spawn_serial(
     config: &TcpConfig,
     engine: Engine,
@@ -1021,30 +710,15 @@ fn spawn_serial(
         .into_iter()
         .map(RailIo::new)
         .collect::<std::io::Result<Vec<_>>>()?;
-    let shared = Arc::new(Shared {
-        engine: Mutex::new(engine),
-        cv: Condvar::new(),
-        ready: Readiness::new(&rails)?,
-        io: Mutex::new(SerialIo {
-            rails,
-            chaos: config.chaos.clone(),
-            rng: Xoshiro256StarStar::new(0x7C9),
-            frames: Vec::new(),
-            done: Vec::new(),
-            syscalls: SyscallStats::default(),
-        }),
-        start: Instant::now(),
-        shutdown: AtomicBool::new(false),
-        status: FabricStatus::default(),
-        pollers: AtomicUsize::new(0),
-        lease_ns: AtomicU64::new(0),
-        skipped: AtomicBool::new(false),
-        waiters: AtomicUsize::new(0),
-        deadline_ns: AtomicU64::new(u64::MAX),
-    });
-    let backstop = shared.clone();
-    let handle = spawn("nmad-tcp".into(), move || backstop.run_backstop())?;
-    Ok(Endpoint::new(shared, conns, vec![handle]))
+    let ready = Arc::new(Readiness::new(&rails)?);
+    let rails = TcpRails {
+        rails,
+        ready: ready.clone(),
+        chaos: config.chaos.clone(),
+        rng: Xoshiro256StarStar::new(0x7C9),
+        syscalls: SyscallStats::default(),
+    };
+    Serial::new(engine, rails, ready, Instant::now()).spawn("nmad-tcp", conns)
 }
 
 /// The hub runtimes: a [`ParallelHub`] scheduler over the engine, fed
@@ -1198,8 +872,10 @@ pub fn pair_localhost(config: TcpConfig) -> std::io::Result<(Endpoint, Endpoint)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use nmad_core::endpoint::{BACKSTOP_TICK, CALLER_LEASE};
     use nmad_core::StrategyKind;
-    use nmad_model::platform;
+    use nmad_model::{platform, RailId};
     use nmad_sim::Xoshiro256StarStar;
 
     const T: Duration = Duration::from_secs(20);
@@ -1297,7 +973,7 @@ mod tests {
     // Serial runtime: who drives progress
     // ------------------------------------------------------------------
 
-    fn serial(e: &Endpoint) -> Arc<Shared> {
+    fn serial(e: &Endpoint) -> Arc<Serial<TcpRails>> {
         let fabric: Arc<dyn std::any::Any + Send + Sync> = e.fabric().clone();
         fabric.downcast().expect("serial endpoint expected")
     }
@@ -1425,9 +1101,9 @@ mod tests {
         // Stand in for a caller mid-pass so the backstop thread declines
         // the arrival: only the zero wait's own pass can read it.
         let sb = serial(&b);
-        sb.pollers.fetch_add(1, Ordering::SeqCst);
+        sb.enter();
         a.send(c, vec![Bytes::from_static(b"one pass")]);
-        assert!(eventually(T, || sb.skipped.load(Ordering::SeqCst)));
+        assert!(eventually(T, || sb.owed()));
         let msg = r.wait(Duration::ZERO).expect("one pass reads and delivers");
         assert_eq!(&msg.segments[0][..], b"one pass");
         sb.leave();
@@ -1458,12 +1134,14 @@ mod tests {
             // The sender's backstop thread is early in a full idle tick
             // (it has had nothing to do since the pair was built).
             let sa = serial(&a);
-            sa.pollers.fetch_add(usize::from(in_wait), Ordering::SeqCst);
+            if in_wait {
+                sa.enter();
+            }
             let s = a.send(c, vec![Bytes::from(random(400, 81))]);
             if in_wait {
                 // Stand in for the waiter: its pass clears the flag the
                 // declining backstop raised, and it leaves without a kick.
-                assert!(eventually(T, || sa.skipped.swap(false, Ordering::SeqCst)));
+                assert!(eventually(T, || sa.take_owed()));
                 sa.leave();
             }
             assert!(
@@ -1492,11 +1170,9 @@ mod tests {
         let mut declined = 0;
         for round in 0..40 {
             let before = msgs_received(&b);
-            sb.pollers.fetch_add(1, Ordering::SeqCst);
+            sb.enter();
             a.send(c, vec![Bytes::from(random(64, round))]);
-            let saw = eventually(T, || {
-                sb.skipped.load(Ordering::SeqCst) || msgs_received(&b) > before
-            });
+            let saw = eventually(T, || sb.owed() || msgs_received(&b) > before);
             assert!(saw, "round {round}: the arrival woke nobody");
             // (A pass still in flight may have read it instead.)
             declined += u32::from(msgs_received(&b) == before);
@@ -1560,11 +1236,11 @@ mod tests {
         let frame = eng.next_tx(RailId(1)).unwrap().expect("decision").frame;
         {
             let sb = serial(&b);
-            let io = sb.io.lock();
+            let io = sb.io();
             let mut wire = (frame.wire_len() as u32).to_le_bytes().to_vec();
             wire.extend_from_slice(&frame.to_bytes());
-            (&io.rails[1].stream).write_all(&wire).unwrap();
-            (&io.rails[0].stream)
+            (&io.rails.rails[1].stream).write_all(&wire).unwrap();
+            (&io.rails.rails[0].stream)
                 .write_all(&u32::MAX.to_le_bytes())
                 .unwrap();
         }
@@ -1576,7 +1252,7 @@ mod tests {
         assert!(eventually(T, || a.io_errors() == 1));
 
         let r = a.recv(c);
-        serial(&a).io.lock().done.push((0, TxToken(u64::MAX)));
+        serial(&a).io().rails.rails[0].enqueue(None, TxToken(u64::MAX));
         let t0 = Instant::now();
         assert!(r.wait(T).is_none());
         assert!(

@@ -140,6 +140,22 @@ impl SegState {
     }
 }
 
+/// Write `data` at `start` of a segment buffer that grows as chunks
+/// arrive: `buf` holds the bytes up to the furthest one received so far
+/// and was allocated with the segment's full length, so nothing moves.
+/// A chunk that lands at the end is appended, the gap in front of one
+/// that lands beyond it is zero-filled (to be overwritten when its chunk
+/// arrives), and only bytes already there are written over — a
+/// rendezvous chunk is not written twice, once as zeros.
+fn store(buf: &mut Vec<u8>, start: usize, data: &[u8]) {
+    if start > buf.len() {
+        buf.resize(start, 0);
+    }
+    let inside = data.len().min(buf.len() - start);
+    buf[start..start + inside].copy_from_slice(&data[..inside]);
+    buf.extend_from_slice(&data[inside..]);
+}
+
 #[derive(Debug)]
 struct PartialMessage {
     total_segs: u16,
@@ -259,7 +275,7 @@ impl Reassembler {
         let slot = &mut pm.segs[seg_index as usize];
         if let SegState::Missing = slot {
             *slot = SegState::Chunked {
-                buf: vec![0; total_len as usize],
+                buf: Vec::with_capacity(total_len as usize),
                 intervals: Vec::new(),
                 total_len,
                 received: 0,
@@ -295,7 +311,7 @@ impl Reassembler {
                     });
                 }
                 intervals.insert(idx, (start, end));
-                buf[start as usize..end as usize].copy_from_slice(data);
+                store(buf, start as usize, data);
                 *received += data.len() as u64;
                 if *received == *have_len {
                     pm.complete_segs += 1;
@@ -333,7 +349,7 @@ impl Reassembler {
         let slot = &mut pm.segs[seg_index as usize];
         if let SegState::Missing = slot {
             *slot = SegState::Chunked {
-                buf: vec![0; total_len as usize],
+                buf: Vec::with_capacity(total_len as usize),
                 intervals: Vec::new(),
                 total_len,
                 received: 0,
@@ -374,8 +390,11 @@ impl Reassembler {
                     gaps.push((cur, end));
                 }
                 for &(s, e) in &gaps {
-                    buf[s as usize..e as usize]
-                        .copy_from_slice(&data[(s - offset) as usize..(e - offset) as usize]);
+                    store(
+                        buf,
+                        s as usize,
+                        &data[(s - offset) as usize..(e - offset) as usize],
+                    );
                     let idx = intervals.partition_point(|&(is, _)| is < s);
                     intervals.insert(idx, (s, e));
                     new_bytes += e - s;

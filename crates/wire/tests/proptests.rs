@@ -181,6 +181,50 @@ proptest! {
         let done = done.expect("must complete on last chunk");
         prop_assert_eq!(done.into_contiguous(), payload);
     }
+
+    /// The lenient path under every way a chunk can land on the growing
+    /// segment buffer: appended at its end, beyond it (a gap to fill
+    /// later), inside it, across its end, or over bytes already there —
+    /// retransmitted windows cut anywhere, in any order, as often as it
+    /// takes. New bytes are counted once and the segment completes with
+    /// exactly the original bytes.
+    #[test]
+    fn lenient_reassembly_append_gap_and_overlap(
+        payload in prop::collection::vec(any::<u8>(), 1..4096),
+        windows in prop::collection::vec((any::<usize>(), any::<usize>()), 0..24),
+        seed in any::<u64>(),
+    ) {
+        let total = payload.len();
+        let mut pieces: Vec<(usize, usize)> = windows
+            .iter()
+            .map(|&(a, b)| {
+                let start = a % total;
+                (start, start + 1 + b % (total - start))
+            })
+            .collect();
+        // In order these append; shuffled they leave gaps and overlap.
+        let mut rng = nmad_sim::Xoshiro256StarStar::new(seed);
+        rng.shuffle(&mut pieces);
+        // Whatever the windows left out, in halves: the tail first (a
+        // gap in front), then the whole payload over everything.
+        pieces.push((total / 2, total));
+        pieces.push((0, total));
+
+        let mut r = Reassembler::new();
+        let (mut stored, mut done) = (0u64, None);
+        for (start, end) in pieces {
+            let (msg, new_bytes) = r
+                .insert_chunk_lenient(7, 0, 1, start as u64, total as u64, &payload[start..end])
+                .unwrap();
+            stored += new_bytes;
+            if msg.is_some() {
+                done = msg;
+                break;
+            }
+        }
+        prop_assert_eq!(stored, total as u64);
+        prop_assert_eq!(done.expect("every byte arrived").into_contiguous(), payload);
+    }
 }
 
 proptest! {

@@ -12,14 +12,22 @@ quick=0
 [[ "${1:-}" == "--quick" ]] && quick=1
 
 # One-surface gate: the application surface (Endpoint, its handles, the
-# wait loop) lives in crates/core/src/endpoint.rs only, a runtime is
-# picked by EngineConfig::runtime only, and TCP frames are carved by
-# transport-tcp's FrameReader only. A transport that grows its own copy
-# of any of these fails here. (`stats.reactor =` stores the telemetry
-# snapshot; it is not the deleted config switch.)
-echo "==> one endpoint, one runtime field, one frame reader"
+# wait loop) lives in crates/core/src/endpoint.rs only, the serial
+# runtime's driver (offer/drive/step/pump, the pollers/skipped hand-off,
+# the backstop loop) in crates/core/src/endpoint/serial.rs only, a
+# runtime is picked by EngineConfig::runtime only, and TCP frames are
+# carved by transport-tcp's FrameReader only. A transport that grows its
+# own copy of any of these fails here. (`stats.reactor =` stores the
+# telemetry snapshot; it is not the deleted config switch.)
+echo "==> one endpoint, one serial driver, one runtime field, one frame reader"
 if grep -rnE 'struct (Endpoint|SendHandle|RecvHandle)\b|fn wait_on\b' crates/transport-*/src; then
     echo "a transport crate defines its own endpoint surface (see above)"; exit 1
+fi
+if grep -rnE 'fn (run_backstop|drive|pump)\b|\bpollers:' crates/transport-*/src; then
+    echo "a transport crate has its own serial driver (see above)"; exit 1
+fi
+if grep -rnE 'struct Worker\b' crates/transport-mem/src; then
+    echo "the mem fabric's progress thread is back (see above)"; exit 1
 fi
 if grep -rnE 'carve_frames|\.parallel =|\.reactor =|reactor_threads' crates src tests examples \
     --include='*.rs' | grep -v 'stats\.reactor ='; then
@@ -151,15 +159,18 @@ grep -q '"clean":true' "$wd_tmp" \
 # without this an API change there is first seen by the pipeline. The
 # verifier must reject damaged deliveries (selftest exits non-zero) and
 # a short ping-pong over the default TCP runtime must verify every
-# message.
-echo "==> nmad-benchmark (offline build, selftest, 3 s tcp_pingpong_small)"
+# message, and so must a short run of the mixed sizes over the mem
+# fabric's (the two transports share the serial driver, not the rails).
+echo "==> nmad-benchmark (offline build, selftest, 3 s tcp_pingpong_small, 3 s mem_mixed_bidir)"
 bench=(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --)
 selftest_out="$("${bench[@]}" selftest 2>/dev/null)" \
     && { echo "nmad-benchmark selftest exited 0: the verifier let damage through"; exit 1; }
 echo "$selftest_out" | tail -n 1 | grep -q '"correct": false' \
     || { echo "nmad-benchmark selftest failed without reporting damage (build error?)"; exit 1; }
-"${bench[@]}" --workload tcp_pingpong_small --seconds 3 | tail -n 1 | grep -q '"correct": true' \
-    || { echo "nmad-benchmark tcp_pingpong_small smoke did not verify"; exit 1; }
+for smoke in tcp_pingpong_small mem_mixed_bidir; do
+    "${bench[@]}" --workload "$smoke" --seconds 3 | tail -n 1 | grep -q '"correct": true' \
+        || { echo "nmad-benchmark $smoke smoke did not verify"; exit 1; }
+done
 
 echo "==> cargo fmt --check"
 cargo fmt --check 2>/dev/null || echo "    (rustfmt unavailable or diffs; non-fatal)"
