@@ -130,10 +130,10 @@ fn bench_split_weights(c: &mut Criterion) {
     let myri = PerfTable::from_analytic(&platform::myri_10g(), &ladder);
     let quad = PerfTable::from_analytic(&platform::quadrics_qm500(), &ladder);
     c.bench_function("sampling/split_weights_8MB", |b| {
-        b.iter(|| black_box(split_weights(&[&myri, &quad], 8 << 20)))
+        b.iter(|| black_box(split_weights([&myri, &quad], 8 << 20)))
     });
     c.bench_function("split_plan/by_ratio_8MB", |b| {
-        b.iter(|| black_box(SplitPlan::by_ratio(8 << 20, &[1202.0, 851.0], 8192)))
+        b.iter(|| black_box(SplitPlan::by_ratio(8 << 20, [1202.0, 851.0], 8192)))
     });
 }
 

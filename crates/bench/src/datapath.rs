@@ -10,8 +10,9 @@
 //! across PRs.
 //!
 //! The run doubles as a regression gate (used by `scripts/verify.sh`):
-//! [`check`] fails if the large-message split path stages any bytes, or if
-//! the pipeline no longer beats the legacy model by at least 2x.
+//! [`check`] fails if the large-message split path stages any bytes, if a
+//! workload's packet heads and slabs are never recycled by the pool, or
+//! if the pipeline no longer beats the legacy model by at least 2x.
 
 use nmad_core::{DataPathStats, EngineConfig, EngineStats, StrategyKind};
 use nmad_model::platform;
@@ -176,6 +177,15 @@ pub fn check(report: &DataPathReport) -> Vec<String> {
             violations.push(format!(
                 "{}: split path staged {} bytes (budget: 0)",
                 p.label, p.staged_copy_bytes
+            ));
+        }
+        // The simulated receiver shares every frame with its sender, so
+        // a head is still shared when its injection completes: the pool
+        // has to park it, not give it up (`Magazine`'s limbo).
+        if p.pool_hits == 0 {
+            violations.push(format!(
+                "{}: no buffer came back from the pool ({} allocated on the hot path)",
+                p.label, p.hot_path_allocs
             ));
         }
     }

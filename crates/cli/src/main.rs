@@ -285,7 +285,7 @@ fn cmd_sample() -> Result<(), String> {
     }
     println!("\nadaptive split ratios (share of bytes on Myri-10G):");
     for size in [64u64 << 10, 256 << 10, 1 << 20, 8 << 20] {
-        let w = nmad_core::sampling::split_weights(&[&tables[0], &tables[1]], size);
+        let w = nmad_core::sampling::split_weights([&tables[0], &tables[1]], size);
         let frac = w[0] / (w[0] + w[1]);
         println!("  {:>8} KiB: {:>5.1}%", size >> 10, frac * 100.0);
     }

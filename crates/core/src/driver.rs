@@ -10,32 +10,9 @@
 use nmad_model::TxMode;
 use nmad_wire::PacketFrame;
 
-use crate::request::SegKey;
-
 /// Opaque identifier of an in-flight tx decision.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TxToken(pub u64);
-
-/// What a tx decision carried (engine-internal bookkeeping, exposed for
-/// tests and tracing).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TxItem {
-    /// A whole eager segment.
-    EagerSeg(SegKey),
-    /// A segment carried inside an aggregate container.
-    AggSeg(SegKey),
-    /// A byte range of a granted segment.
-    Chunk {
-        /// Which segment.
-        key: SegKey,
-        /// Byte offset within the segment.
-        offset: u64,
-        /// Chunk length.
-        len: u64,
-    },
-    /// A control packet (rdv request/ack, ack).
-    Control,
-}
 
 /// One scheduled transmission, returned by [`crate::Engine::next_tx`].
 #[derive(Clone, Debug)]

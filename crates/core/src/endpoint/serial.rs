@@ -404,8 +404,9 @@ impl<R: Rails> Serial<R> {
                 }
             }
             for rail in 0..io.rails.count() {
-                // An idle query still costs the strategy a context
-                // build: skip it when nothing is schedulable.
+                // An idle query is cheap, not free, and an idle tick of
+                // the backstop would make one per rail: skip it when
+                // nothing is schedulable.
                 if !io.rails.idle(rail) || !eng.has_tx_work() {
                     continue;
                 }

@@ -15,10 +15,16 @@
 //! `submit_send` only queues work; all transmission decisions happen in
 //! `next_tx`, invoked when a NIC reports idle — the paper's core design
 //! point.
+//!
+//! Per-message state is a bounded window, not an archive (DESIGN.md §12,
+//! "Engine state tables"): message ids, send/receive handles and tx
+//! tokens are dense counters, so everything keyed by them lives in
+//! [`IdWindow`]s that are indexed, not hashed, and let go of a slot once
+//! its answers can no longer change.
 
 pub mod parallel;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use nmad_model::{NicModel, RailId, TxMode};
@@ -29,10 +35,10 @@ use nmad_wire::header::{
     SamplePacket,
 };
 use nmad_wire::reassembly::{MessageAssembly, ReasmError, Reassembler};
-use nmad_wire::{ConnId, FrameBody, MsgId, PacketFrame};
+use nmad_wire::{ConnId, FrameBody, IdWindow, Lookup, MsgId, PacketFrame, SmallList};
 
 use crate::config::EngineConfig;
-use crate::driver::{TxDecision, TxItem, TxToken};
+use crate::driver::{TxDecision, TxToken};
 use crate::error::EngineError;
 use crate::health::{HealthTracker, RailState, RailTelemetry, Transition};
 use crate::obs::{Event, EventKind, FlightRecorder, TelemetryAggregator, Watchdog};
@@ -40,17 +46,39 @@ use crate::pool::{Magazine, SharedPool};
 use crate::request::{Backlog, RecvId, SegKey, SegPhase, SendId};
 use crate::sampling::{default_ladder, split_ratio_permille, OnlineCalibrator, PerfTable};
 use crate::stats::EngineStats;
-use crate::strategy::{RailFlight, Strategy, StrategyCtx, TxOp};
+use crate::strategy::{KeyList, RailFlight, Strategy, StrategyCtx, TxOp};
 
 /// Pool capacity for packet head buffers: envelope (24 bytes) plus the
 /// largest per-kind body header (chunk, 34 bytes), rounded up.
 const HEAD_CAPACITY: usize = 64;
 
+/// How far ahead of the handles the engine has seen a caller-allocated one
+/// may be: a submission queue hands ids over out of order, not out of
+/// thin air (each id in between is a hole the handle window keeps).
+const MAX_HANDLE_GAP: u64 = 1 << 20;
+
+/// Give the caller-allocated handle `id` its entry in `handles`.
+fn claim_handle(handles: &mut IdWindow<(ConnId, MsgId)>, id: u64, entry: (ConnId, MsgId)) {
+    assert!(
+        id.saturating_sub(handles.end()) <= MAX_HANDLE_GAP,
+        "handle {id} is not from a dense counter (next expected: {})",
+        handles.end()
+    );
+    assert!(
+        handles.insert(id, entry).is_ok(),
+        "handle {id} already in use"
+    );
+}
+
+/// Sends one tx completion finished, each with the connection it was
+/// submitted on; the eight of a full inline aggregate stay inline.
+pub type CompletedSends = SmallList<(SendId, ConnId), 8>;
+
 /// Outcome of processing one incoming packet.
 #[derive(Debug, Default)]
 pub struct OnPacketOutcome {
     /// Receives completed by this packet.
-    pub completed_recvs: Vec<RecvId>,
+    pub completed_recvs: SmallList<RecvId, 8>,
     /// True when the packet caused control traffic to be queued (the
     /// runtime should offer idle rails to the engine again).
     pub control_enqueued: bool,
@@ -88,45 +116,110 @@ struct Attempt {
     rto_ns: u64,
     /// The message was retransmitted at least once.
     retransmitted: bool,
-    /// Rails that carried packets of the current attempt.
-    rails_used: Vec<bool>,
+    /// Rails that carried packets of the current attempt (bit per rail).
+    rails_used: u64,
 }
 
+impl Attempt {
+    /// The rails the attempt used that have shown no sign of life since
+    /// it started (bit per rail): whom a timeout can blame.
+    fn suspects(&self, health: &HealthTracker) -> u64 {
+        rails_of(self.rails_used)
+            .filter(|&r| !health.ok_since(RailId(r), self.started_ns))
+            .fold(0, |mask, r| mask | 1 << r)
+    }
+}
+
+/// The rails whose bit is set in `mask`, lowest first.
+fn rails_of(mask: u64) -> impl Iterator<Item = usize> {
+    (0..u64::BITS as usize).filter(move |r| mask >> r & 1 == 1)
+}
+
+/// Everything the engine keeps of one submitted message, in its
+/// connection's send window from `submit_send` until the send is done
+/// (and, in acked mode, acknowledged).
 #[derive(Debug)]
-struct SendState {
+struct SendSlot {
+    id: SendId,
+    /// One `Bytes` per segment; let go once no (re)transmission can need
+    /// it again.
+    data: Vec<Bytes>,
     /// Segments not yet fully consumed from the backlog.
     segs_unconsumed: usize,
-    /// Tx items issued but not yet reported done.
+    /// Frames carrying a piece of the message, posted and not yet
+    /// reported done.
     items_outstanding: usize,
     /// Completed (all bytes injected).
     done: bool,
+    /// The peer confirmed delivery (acked mode).
+    acked: bool,
+    /// Retransmission timer, until the ack (acked mode).
+    attempt: Option<Attempt>,
+}
+
+impl SendSlot {
+    /// A frame posted on `rail` carries a piece of this message: one more
+    /// injection to wait for, and the retransmission timer runs from now.
+    /// True when the piece is a retransmission.
+    fn charge(&mut self, rail: RailId, now_ns: u64) -> bool {
+        self.items_outstanding += 1;
+        let Some(att) = &mut self.attempt else {
+            return false;
+        };
+        att.rails_used |= 1 << rail.0;
+        att.deadline_ns = att.deadline_ns.max(now_ns.saturating_add(att.rto_ns));
+        att.retransmitted
+    }
+}
+
+/// One incoming message of a connection, from the first of "its receive
+/// was posted" and "it arrived complete" until `try_recv` takes it.
+#[derive(Debug, Default)]
+struct RecvSlot {
+    /// The receive matched to this message (in-order matching).
+    posted: Option<RecvId>,
+    /// The message, complete ("unexpected" while no receive is posted).
+    assembly: Option<MessageAssembly>,
 }
 
 #[derive(Debug, Default)]
 struct ConnRx {
     reassembler: Reassembler,
-    /// Messages fully delivered (kept only in acked mode, for duplicate
-    /// tolerance under retransmission).
-    delivered: std::collections::HashSet<MsgId>,
+    /// By message id. A slot is retired when its message is taken, so
+    /// "delivered" is: retired, or complete and waiting.
+    msgs: IdWindow<RecvSlot>,
     /// Rendezvous requests waiting for their receive to be posted
     /// (flow control: large data moves only into posted buffers). The
     /// rail the request arrived on routes the eventual grant back over
     /// a path known to work.
     pending_rdv: Vec<(MsgId, u16, RailId)>,
-    /// Completed messages with no matching posted recv yet ("unexpected").
-    unexpected: HashMap<MsgId, MessageAssembly>,
-    /// Posted recvs by the msg_id they match (in-order matching).
-    posted: HashMap<MsgId, RecvId>,
-    /// Matched results awaiting `try_recv`.
-    results: HashMap<RecvId, MessageAssembly>,
     /// Next msg_id a `post_recv` will match.
     next_match: MsgId,
 }
 
+impl ConnRx {
+    /// The slot of `msg_id`, made on first sight; `None` once retired.
+    fn slot(&mut self, msg_id: MsgId) -> Option<&mut RecvSlot> {
+        self.msgs.live_or_insert_with(msg_id, RecvSlot::default)
+    }
+
+    /// True when `msg_id` was delivered whole at some point.
+    fn delivered(&self, msg_id: MsgId) -> bool {
+        match self.msgs.get(msg_id) {
+            Lookup::Past => true,
+            Lookup::Live(slot) => slot.assembly.is_some(),
+            Lookup::Never => false,
+        }
+    }
+}
+
+/// Per-decision lists, kept between decisions so that asking an idle
+/// rail costs no allocation.
 #[derive(Debug, Default)]
-struct ConnTx {
-    /// Next msg_id `submit_send` will assign.
-    next_msg: MsgId,
+struct Scratch {
+    rail_ok: Vec<bool>,
+    rail_at_cap: Vec<bool>,
+    flight: Vec<RailFlight>,
 }
 
 /// The NewMadeleine engine. One instance per node endpoint.
@@ -134,7 +227,7 @@ pub struct Engine {
     config: EngineConfig,
     rails: Vec<NicModel>,
     tables: Vec<PerfTable>,
-    strategy: Option<Box<dyn Strategy>>,
+    strategy: Box<dyn Strategy>,
     backlog: Backlog,
     /// Injections in flight per rail. The transmit gate admits work
     /// while this sits below [`EngineConfig::rail_pipeline`]; depth 1
@@ -147,37 +240,32 @@ pub struct Engine {
     /// control traffic is unpinned (any usable rail); health probes and
     /// their pongs are pinned to the rail under test.
     control_q: VecDeque<(ConnId, Packet, Option<RailId>)>,
-    /// Send-side payloads, keyed by (conn, msg): one `Bytes` per segment.
-    send_data: HashMap<(ConnId, MsgId), Vec<Bytes>>,
-    sends: HashMap<SendId, SendState>,
-    send_index: HashMap<(ConnId, MsgId), SendId>,
-    next_send_id: u64,
-    next_recv_id: u64,
-    recv_conn: HashMap<RecvId, ConnId>,
-    conn_tx: HashMap<ConnId, ConnTx>,
-    conn_rx: HashMap<ConnId, ConnRx>,
-    next_conn: ConnId,
-    next_token: u64,
-    in_flight: HashMap<u64, InFlightTx>,
+    /// Per connection (ids are dense from 0): the sends in progress, by
+    /// the msg id `submit_send` gave them — the window's end is the next
+    /// one.
+    conn_tx: Vec<IdWindow<SendSlot>>,
+    conn_rx: Vec<ConnRx>,
+    /// Send handles in use: where the send's slot is.
+    send_ids: IdWindow<(ConnId, MsgId)>,
+    /// Receive handles in use: the message each one matched.
+    recv_ids: IdWindow<(ConnId, MsgId)>,
+    /// Frames between `next_tx` and `on_tx_done`, by token; the window's
+    /// end is the next token.
+    in_flight: IdWindow<InFlightTx>,
     tx_seq: Vec<u32>,
     stats: EngineStats,
     /// Recycled head/slab buffers for the transmit hot path: the
     /// engine's own magazine over a shared pool (rail workers can carve
     /// further magazines from [`Engine::pool_handle`]).
     pool: Magazine,
-    /// Reverse index SendId -> (conn, msg) for ack bookkeeping.
-    send_key: HashMap<SendId, (ConnId, MsgId)>,
-    /// Messages confirmed delivered by the peer (acked mode).
-    acked: std::collections::HashSet<(ConnId, MsgId)>,
     /// Per-rail health records (fed by acks/timeouts, drives failover).
     health: HealthTracker,
     /// Engine-internal clock, advanced by [`Engine::progress`].
     now_ns: u64,
-    /// Retransmission timers, one per unacknowledged send (acked mode).
-    attempts: HashMap<SendId, Attempt>,
-    /// Health probes in flight: probe id -> rail under test, sent at.
-    probe_sent: HashMap<u64, (usize, u64)>,
-    next_probe_id: u64,
+    /// Health probes in flight, by probe number (the window's end is the
+    /// next one): rail under test, sent at. A lost probe keeps its slot —
+    /// its pong may still come — so this holds one entry per probe lost.
+    probe_sent: IdWindow<(usize, u64)>,
     /// Packet-lifecycle flight recorder (disabled unless
     /// [`EngineConfig::record_capacity`] is nonzero).
     obs: FlightRecorder,
@@ -192,6 +280,9 @@ pub struct Engine {
     /// Per-rail EWMA of observed data-frame service time (ns), fed to
     /// strategies via [`RailFlight`] so SRPT can predict completions.
     ewma_service_ns: Vec<u64>,
+    scratch: Scratch,
+    /// The one aggregate builder (its entry list is reused).
+    agg: AggregateBuilder,
 }
 
 /// Telemetry state folded inside the engine lock: the aggregator and
@@ -205,7 +296,8 @@ struct TelemetryState {
 /// carried, plus the pooled head buffer to reclaim at tx completion.
 #[derive(Debug)]
 struct InFlightTx {
-    items: Vec<TxItem>,
+    /// The segments the frame carries a piece of (none: control).
+    keys: KeyList,
     head: Option<Bytes>,
     /// Pooled aggregation staging slab riding in this frame (aggregate
     /// decisions only); reclaimed alongside the head at tx completion so
@@ -230,6 +322,7 @@ impl Engine {
     pub fn new(config: EngineConfig, rails: Vec<NicModel>, tables: Vec<PerfTable>) -> Self {
         config.validate();
         assert!(!rails.is_empty(), "engine needs at least one rail");
+        assert!(rails.len() <= 64, "rail sets are 64-bit masks");
         let tables = if tables.is_empty() {
             let ladder = default_ladder();
             rails
@@ -256,7 +349,7 @@ impl Engine {
             })
         });
         Engine {
-            strategy: Some(config.strategy.build()),
+            strategy: config.strategy.build(),
             health: HealthTracker::new(config.health, n),
             obs: FlightRecorder::with_capacity(config.record_capacity),
             calibrator,
@@ -266,27 +359,19 @@ impl Engine {
             backlog: Backlog::new(),
             rail_inflight: vec![0; n],
             control_q: VecDeque::new(),
-            send_data: HashMap::new(),
-            sends: HashMap::new(),
-            send_index: HashMap::new(),
-            next_send_id: 0,
-            next_recv_id: 0,
-            recv_conn: HashMap::new(),
-            conn_tx: HashMap::new(),
-            conn_rx: HashMap::new(),
-            next_conn: 0,
-            next_token: 0,
-            in_flight: HashMap::new(),
+            conn_tx: Vec::new(),
+            conn_rx: Vec::new(),
+            send_ids: IdWindow::new(),
+            recv_ids: IdWindow::new(),
+            in_flight: IdWindow::new(),
             tx_seq: vec![0; n],
             stats: EngineStats::new(n),
             pool: SharedPool::default().magazine(16),
-            send_key: HashMap::new(),
-            acked: std::collections::HashSet::new(),
             now_ns: 0,
-            attempts: HashMap::new(),
-            probe_sent: HashMap::new(),
-            next_probe_id: 0,
+            probe_sent: IdWindow::new(),
             ewma_service_ns: vec![0; n],
+            scratch: Scratch::default(),
+            agg: AggregateBuilder::new(),
             rails,
         }
     }
@@ -376,11 +461,9 @@ impl Engine {
     /// Open a logical channel. Both endpoints must open connections in the
     /// same order (like the paper's channel establishment).
     pub fn conn_open(&mut self) -> ConnId {
-        let id = self.next_conn;
-        self.next_conn += 1;
-        self.conn_tx.insert(id, ConnTx::default());
-        self.conn_rx.insert(id, ConnRx::default());
-        id
+        self.conn_tx.push(IdWindow::new());
+        self.conn_rx.push(ConnRx::default());
+        (self.conn_tx.len() - 1) as ConnId
     }
 
     /// Replace the per-rail performance tables (after init-time sampling).
@@ -472,17 +555,59 @@ impl Engine {
     /// Segments awaiting a rendezvous grant don't count: they cannot be
     /// scheduled until the peer answers.
     pub fn has_tx_work(&self) -> bool {
-        !self.control_q.is_empty()
-            || self.backlog.eager_items().next().is_some()
-            || self.backlog.granted_items().next().is_some()
+        !self.control_q.is_empty() || self.backlog.has_schedulable()
     }
 
     /// True when any request (send or rendezvous handshake) is unfinished.
     pub fn is_quiescent(&self) -> bool {
         self.control_q.is_empty()
             && self.backlog.is_empty()
-            && self.in_flight.is_empty()
-            && self.sends.values().all(|s| s.done)
+            && self.in_flight.iter().next().is_none()
+            && self.send_slots().all(|s| s.done)
+    }
+
+    /// Slots the per-message tables hold right now, all of them together:
+    /// what "bounded memory" bounds (`tests/bounded_state.rs`).
+    #[doc(hidden)]
+    pub fn state_len(&self) -> usize {
+        let tx: usize = self.conn_tx.iter().map(IdWindow::len).sum();
+        let rx: usize = self
+            .conn_rx
+            .iter()
+            .map(|rx| rx.msgs.len() + rx.reassembler.span() + rx.pending_rdv.len())
+            .sum();
+        tx + rx
+            + self.send_ids.len()
+            + self.recv_ids.len()
+            + self.in_flight.len()
+            + self.probe_sent.len()
+    }
+
+    /// The sends in progress, every connection's.
+    fn send_slots(&self) -> impl Iterator<Item = &SendSlot> + '_ {
+        self.conn_tx.iter().flat_map(|w| w.iter().map(|(_, s)| s))
+    }
+
+    /// The slot of a send in progress.
+    fn send_slot(&mut self, conn: ConnId, msg_id: MsgId) -> Option<&mut SendSlot> {
+        self.conn_tx.get_mut(conn as usize)?.live_mut(msg_id)
+    }
+
+    /// Let go of a send's slot and handle once nothing can change what
+    /// they answer: done, and in acked mode also acknowledged.
+    fn retire_if_settled(&mut self, conn: ConnId, msg_id: MsgId) {
+        let acked_mode = self.config.acked;
+        let Some(sends) = self.conn_tx.get_mut(conn as usize) else {
+            return;
+        };
+        if sends
+            .live(msg_id)
+            .is_some_and(|s| s.done && (s.acked || !acked_mode))
+        {
+            if let Some(slot) = sends.retire(msg_id) {
+                self.send_ids.retire(slot.id.0);
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -492,7 +617,7 @@ impl Engine {
     /// Submit a non-blocking send of a multi-segment message. Segments are
     /// exactly the units the optimizing scheduler may aggregate or split.
     pub fn submit_send(&mut self, conn: ConnId, segments: Vec<Bytes>) -> SendId {
-        let send_id = SendId(self.next_send_id);
+        let send_id = SendId(self.send_ids.end());
         self.submit_send_with_id(conn, segments, send_id);
         send_id
     }
@@ -501,94 +626,70 @@ impl Engine {
     /// submission queue hands out ids from an atomic counter *before*
     /// enqueueing, so the id must travel with the queued op: queue drain
     /// order is not guaranteed to match allocation order across producer
-    /// threads. `next_send_id` is bumped past `id` so the two allocation
-    /// schemes never collide.
+    /// threads. The ids must come from one dense counter (the handle
+    /// window keeps a hole for every id it is still waiting for), and
+    /// [`Engine::submit_send`] continues past the highest one seen, so
+    /// the two allocation schemes never collide.
     pub fn submit_send_with_id(&mut self, conn: ConnId, segments: Vec<Bytes>, send_id: SendId) {
         assert!(!segments.is_empty(), "a message needs at least one segment");
         assert!(segments.len() <= u16::MAX as usize, "too many segments");
-        assert!(
-            !self.sends.contains_key(&send_id),
-            "send id {send_id:?} already in use"
-        );
-        let ct = self
-            .conn_tx
-            .get_mut(&conn)
-            .unwrap_or_else(|| panic!("unknown connection {conn}"));
-        let msg_id = ct.next_msg;
-        ct.next_msg += 1;
-
-        self.next_send_id = self.next_send_id.max(send_id.0 + 1);
         let total_segs = segments.len() as u16;
         let total_bytes: u64 = segments.iter().map(|s| s.len() as u64).sum();
+        let attempt = self.config.acked.then(|| {
+            let rto = self.health.rto_hint_ns();
+            self.stats.obs.rto_ns.record(rto);
+            Attempt {
+                started_ns: self.now_ns,
+                deadline_ns: self.now_ns.saturating_add(rto),
+                rto_ns: rto,
+                retransmitted: false,
+                rails_used: 0,
+            }
+        });
+        let sends = self
+            .conn_tx
+            .get_mut(conn as usize)
+            .unwrap_or_else(|| panic!("unknown connection {conn}"));
+        let msg_id = sends.push(SendSlot {
+            id: send_id,
+            data: segments,
+            segs_unconsumed: total_segs as usize,
+            items_outstanding: 0,
+            done: false,
+            acked: false,
+            attempt,
+        });
+        claim_handle(&mut self.send_ids, send_id.0, (conn, msg_id));
+        let segments = sends.live(msg_id).map_or(&[][..], |s| &s.data);
+
         self.obs.record(
             Event::new(self.now_ns, EventKind::Submit)
                 .seq(msg_id)
                 .size(total_bytes)
                 .aux(total_segs as u64),
         );
-        for (i, seg) in segments.iter().enumerate() {
-            let key = SegKey {
-                conn,
-                msg_id,
-                seg_index: i as u16,
-            };
+        for seg in segments {
             self.stats.obs.seg_size.record(seg.len() as u64);
             let rdv = seg.len() >= self.config.rdv_threshold;
+            self.stats.rdv_handshakes += rdv as u64;
             self.obs.record(
                 Event::new(self.now_ns, EventKind::BacklogPush)
                     .seq(msg_id)
                     .size(seg.len() as u64)
                     .aux(rdv as u64),
             );
-            if rdv {
-                // Rendezvous track: announce and wait for the grant.
-                self.backlog
-                    .push(key, total_segs, seg.len() as u64, SegPhase::RdvRequested);
-                self.control_q.push_back((
-                    conn,
-                    Packet::RdvRequest(RdvRequest {
-                        msg_id,
-                        seg_index: i as u16,
-                        total_segs,
-                        total_len: seg.len() as u64,
-                    }),
-                    None,
-                ));
-                self.stats.rdv_handshakes += 1;
-            } else {
-                self.backlog
-                    .push(key, total_segs, seg.len() as u64, SegPhase::EagerReady);
-            }
         }
+        enqueue_segments(
+            &mut self.backlog,
+            &mut self.control_q,
+            self.config.rdv_threshold,
+            (conn, msg_id),
+            segments.iter().map(Bytes::len),
+        );
         self.stats
             .obs
             .backlog_depth
             .record(self.backlog.len() as u64);
-        self.send_data.insert((conn, msg_id), segments);
-        self.send_index.insert((conn, msg_id), send_id);
-        self.send_key.insert(send_id, (conn, msg_id));
-        self.sends.insert(
-            send_id,
-            SendState {
-                segs_unconsumed: total_segs as usize,
-                items_outstanding: 0,
-                done: false,
-            },
-        );
-        if self.config.acked {
-            let rto = self.health.rto_hint_ns();
-            self.stats.obs.rto_ns.record(rto);
-            self.attempts.insert(
-                send_id,
-                Attempt {
-                    started_ns: self.now_ns,
-                    deadline_ns: self.now_ns.saturating_add(rto),
-                    rto_ns: rto,
-                    retransmitted: false,
-                    rails_used: vec![false; self.rails.len()],
-                },
-            );
-        }
     }
 
     /// Queue a sampling probe (`SamplePing`) of `size` zero bytes on
@@ -609,7 +710,7 @@ impl Engine {
     /// messages in order (the paper's benchmark model; tags live in the
     /// mini-MPI layer above).
     pub fn post_recv(&mut self, conn: ConnId) -> RecvId {
-        let recv_id = RecvId(self.next_recv_id);
+        let recv_id = RecvId(self.recv_ids.end());
         self.post_recv_with_id(conn, recv_id);
         recv_id
     }
@@ -618,80 +719,59 @@ impl Engine {
     /// [`Engine::submit_send_with_id`] for why the parallel submission
     /// queue needs to carry the id through the queue).
     pub fn post_recv_with_id(&mut self, conn: ConnId, recv_id: RecvId) {
-        assert!(
-            !self.recv_conn.contains_key(&recv_id),
-            "recv id {recv_id:?} already in use"
-        );
-        self.next_recv_id = self.next_recv_id.max(recv_id.0 + 1);
-        self.recv_conn.insert(recv_id, conn);
         let rx = self
             .conn_rx
-            .get_mut(&conn)
+            .get_mut(conn as usize)
             .unwrap_or_else(|| panic!("unknown connection {conn}"));
         let msg_id = rx.next_match;
+        claim_handle(&mut self.recv_ids, recv_id.0, (conn, msg_id));
         rx.next_match += 1;
-        if let Some(assembly) = rx.unexpected.remove(&msg_id) {
-            rx.results.insert(recv_id, assembly);
-        } else {
-            rx.posted.insert(msg_id, recv_id);
+        if let Some(slot) = rx.slot(msg_id) {
+            slot.posted = Some(recv_id);
         }
         // Release any rendezvous parked on this receive (flow control).
-        let mut grants = Vec::new();
-        rx.pending_rdv.retain(|&(m, seg, rail)| {
+        let control_q = &mut self.control_q;
+        rx.pending_rdv.retain(|&(m, seg_index, rail)| {
             if m == msg_id {
-                grants.push((m, seg, rail));
-                false
-            } else {
-                true
+                let grant = Packet::RdvAck(RdvAck { msg_id, seg_index });
+                control_q.push_back((conn, grant, Some(rail)));
             }
+            m != msg_id
         });
-        for (m, seg, rail) in grants {
-            self.control_q.push_back((
-                conn,
-                Packet::RdvAck(RdvAck {
-                    msg_id: m,
-                    seg_index: seg,
-                }),
-                Some(rail),
-            ));
-        }
     }
 
     /// True when the send has been fully injected (local completion).
     pub fn send_complete(&self, id: SendId) -> bool {
-        self.sends.get(&id).map(|s| s.done).unwrap_or(false)
+        match self.send_ids.get(id.0) {
+            Lookup::Past => true,
+            Lookup::Live(&(conn, msg)) => self.conn_tx[conn as usize]
+                .live(msg)
+                .is_some_and(|s| s.done),
+            Lookup::Never => false,
+        }
     }
 
     /// True when the peer confirmed full delivery of the message (only
     /// meaningful with [`EngineConfig::acked`] set on *both* endpoints).
     pub fn send_acked(&self, id: SendId) -> bool {
-        self.send_key
-            .get(&id)
-            .map(|k| self.acked.contains(k))
-            .unwrap_or(false)
+        match self.send_ids.get(id.0) {
+            // (Without acks a send is retired unacknowledged.)
+            Lookup::Past => self.config.acked,
+            Lookup::Live(&(conn, msg)) => self.conn_tx[conn as usize]
+                .live(msg)
+                .is_some_and(|s| s.acked),
+            Lookup::Never => false,
+        }
     }
 
     /// Take the reassembled message for a completed receive, if ready.
     pub fn try_recv(&mut self, id: RecvId) -> Option<MessageAssembly> {
-        let conn = *self.recv_conn.get(&id)?;
-        let result = self.conn_rx.get_mut(&conn)?.results.remove(&id);
-        if result.is_some() {
-            self.recv_conn.remove(&id);
-        }
-        result
-    }
-
-    /// Connection a receive was posted on.
-    pub fn recv_conn(&self, id: RecvId) -> Option<ConnId> {
-        self.recv_conn.get(&id).copied()
-    }
-
-    /// Connection a send was submitted on (None once the send's
-    /// bookkeeping is fully retired). The parallel hub's per-tenant
-    /// admission control uses this to credit the tenant back at local
-    /// completion.
-    pub fn send_conn(&self, id: SendId) -> Option<ConnId> {
-        self.send_key.get(&id).map(|&(conn, _)| conn)
+        let &(conn, msg_id) = self.recv_ids.live(id.0)?;
+        let msgs = &mut self.conn_rx.get_mut(conn as usize)?.msgs;
+        let assembly = msgs.live_mut(msg_id)?.assembly.take()?;
+        msgs.retire(msg_id);
+        self.recv_ids.retire(id.0);
+        Some(assembly)
     }
 
     /// Merge externally-observed overload rejections into the stats (the
@@ -711,7 +791,8 @@ impl Engine {
     /// `None` when the rail should stay idle. On `Some`, the rail is
     /// marked busy until [`Engine::on_tx_done`].
     pub fn next_tx(&mut self, rail: RailId) -> Result<Option<TxDecision>, EngineError> {
-        if self.rail_inflight[rail.0] >= self.config.rail_pipeline as u32 {
+        let depth = self.config.rail_pipeline as u32;
+        if self.rail_inflight[rail.0] >= depth {
             return Ok(None);
         }
         let usable = self.health.usable(rail);
@@ -721,76 +802,57 @@ impl Engine {
         // test); unpinned control avoids unusable rails unless no rail is
         // usable at all (an ack is better sent on a dying rail than never).
         let unpinned_ok = usable || self.health.none_usable();
-        if let Some(pos) = self.control_q.iter().position(|(_, _, pin)| match pin {
+        let served = self.control_q.iter().position(|(_, _, pin)| match pin {
             Some(p) => *p == rail,
             None => unpinned_ok,
-        }) {
-            let (conn, pkt, _) = self.control_q.remove(pos).expect("position valid");
+        });
+        if let Some((conn, pkt, _)) = served.and_then(|pos| self.control_q.remove(pos)) {
             // A rendezvous request travels on behalf of an acked send: tie
             // it to the attempt so a lost request blames this rail too.
             if let Packet::RdvRequest(ref rr) = pkt {
-                if let Some(&sid) = self.send_index.get(&(conn, rr.msg_id)) {
-                    if let Some(att) = self.attempts.get_mut(&sid) {
-                        att.rails_used[rail.0] = true;
-                    }
+                if let Some(att) = self
+                    .send_slot(conn, rr.msg_id)
+                    .and_then(|s| s.attempt.as_mut())
+                {
+                    att.rails_used |= 1 << rail.0;
                 }
             }
-            let decision = self.finish_decision(rail, conn, pkt, vec![TxItem::Control], 0, 0);
+            let decision = self.finish_decision(rail, conn, pkt, KeyList::new(), 0, false);
             return Ok(Some(decision));
         }
         if !usable {
             // Down/Probing rails carry nothing but their own probes.
             return Ok(None);
         }
-
-        let rail_ok: Vec<bool> = (0..self.rails.len())
-            .map(|r| self.health.usable(RailId(r)))
-            .collect();
-        // Strategies see "busy" as "at pipeline capacity": with depth 1
-        // this is exactly the old has-anything-in-flight flag.
-        let depth = self.config.rail_pipeline as u32;
-        let rail_at_cap: Vec<bool> = self.rail_inflight.iter().map(|&n| n >= depth).collect();
-        let flight = self.flight_view();
-        let mut strategy = self.strategy.take().expect("strategy present");
-        let op = {
-            let mut ctx = StrategyCtx {
-                backlog: &mut self.backlog,
-                rails: &self.rails,
-                rail_busy: &rail_at_cap,
-                rail_ok: &rail_ok,
-                tables: &self.tables,
-                config: &self.config,
-                obs: &mut self.obs,
-                now_ns: self.now_ns,
-                flight: &flight,
-            };
-            strategy.next_tx(rail, &mut ctx)
-        };
-        self.strategy = Some(strategy);
-
-        let Some(op) = op else {
+        // Every op names an eager or a granted segment: with neither in
+        // the backlog no strategy has anything to say, and the query
+        // costs no context build.
+        if !self.backlog.has_schedulable() {
             self.stats.idle_queries += 1;
             return Ok(None);
-        };
-        self.execute_op(rail, op).map(Some)
-    }
+        }
 
-    /// Snapshot the per-rail in-flight data-frame load for a strategy
-    /// decision. One pass over the (small, pipeline-bounded) in-flight
-    /// map; control frames are excluded — strategies reason about where
-    /// payload bytes are.
-    fn flight_view(&self) -> Vec<RailFlight> {
-        let mut flight: Vec<RailFlight> = (0..self.rails.len())
-            .map(|r| RailFlight {
-                sent_bytes: self.stats.rails[r].wire_bytes,
-                ewma_service_ns: self.ewma_service_ns[r],
-                ..RailFlight::default()
-            })
-            .collect();
-        for tx in self.in_flight.values() {
-            if tx.control {
-                continue;
-            }
+        // Strategies see "busy" as "at pipeline capacity": with depth 1
+        // this is exactly the old has-anything-in-flight flag.
+        let Scratch {
+            rail_ok,
+            rail_at_cap,
+            flight,
+        } = &mut self.scratch;
+        rail_ok.clear();
+        rail_ok.extend((0..self.rails.len()).map(|r| self.health.usable(RailId(r))));
+        rail_at_cap.clear();
+        rail_at_cap.extend(self.rail_inflight.iter().map(|&n| n >= depth));
+        // The per-rail in-flight data-frame load: one pass over the
+        // (small, pipeline-bounded) in-flight window; control frames are
+        // excluded — strategies reason about where payload bytes are.
+        flight.clear();
+        flight.extend((0..self.rails.len()).map(|r| RailFlight {
+            sent_bytes: self.stats.rails[r].wire_bytes,
+            ewma_service_ns: self.ewma_service_ns[r],
+            ..RailFlight::default()
+        }));
+        for (_, tx) in self.in_flight.iter().filter(|(_, tx)| !tx.control) {
             let f = &mut flight[tx.rail];
             f.inflight += 1;
             f.inflight_bytes += tx.wire_len as u64;
@@ -798,7 +860,46 @@ impl Engine {
                 f.oldest_post_ns = tx.posted_ns;
             }
         }
-        flight
+        let mut ctx = StrategyCtx {
+            backlog: &mut self.backlog,
+            rails: &self.rails,
+            rail_busy: &rail_at_cap[..],
+            rail_ok: &rail_ok[..],
+            tables: &self.tables,
+            config: &self.config,
+            obs: &mut self.obs,
+            now_ns: self.now_ns,
+            flight: &flight[..],
+        };
+        let Some(op) = self.strategy.next_tx(rail, &mut ctx) else {
+            self.stats.idle_queries += 1;
+            return Ok(None);
+        };
+        self.execute_op(rail, op).map(Some)
+    }
+
+    /// A frame on `rail` takes a piece of segment `key` — the whole of
+    /// what was left of it in the backlog when `exhausted`. Returns the
+    /// segment's payload and whether the piece is a retransmission.
+    fn take_piece(
+        &mut self,
+        rail: RailId,
+        key: SegKey,
+        exhausted: bool,
+    ) -> Result<(Bytes, bool), EngineError> {
+        const UNKNOWN: EngineError = EngineError::InvalidStrategyOp("unknown segment payload");
+        let now_ns = self.now_ns;
+        let slot = self.send_slot(key.conn, key.msg_id).ok_or(UNKNOWN)?;
+        let data = slot
+            .data
+            .get(key.seg_index as usize)
+            .ok_or(UNKNOWN)?
+            .clone();
+        if exhausted {
+            debug_assert!(slot.segs_unconsumed > 0);
+            slot.segs_unconsumed -= 1;
+        }
+        Ok((data, slot.charge(rail, now_ns)))
     }
 
     fn execute_op(&mut self, rail: RailId, op: TxOp) -> Result<TxDecision, EngineError> {
@@ -808,20 +909,14 @@ impl Engine {
                     .backlog
                     .take_eager(key)
                     .ok_or(EngineError::InvalidStrategyOp("eager segment not takeable"))?;
-                let data = self.segment_data(key)?;
-                self.note_seg_consumed(key);
+                let (data, retransmitted) = self.take_piece(rail, key, true)?;
+                let payload = data.len();
                 let pkt = Packet::Eager(EagerPacket {
                     msg_id: key.msg_id,
                     seg_index: key.seg_index,
                     total_segs: item.total_segs,
                     data,
                 });
-                let items = vec![TxItem::EagerSeg(key)];
-                self.charge_items(&items);
-                let payload = match &pkt {
-                    Packet::Eager(p) => p.data.len(),
-                    _ => unreachable!("built above"),
-                };
                 self.stats.datapath.tx_zero_copy_bytes += payload as u64;
                 self.obs.record(
                     Event::new(self.now_ns, EventKind::DecideEager)
@@ -829,54 +924,53 @@ impl Engine {
                         .seq(key.msg_id)
                         .size(payload as u64),
                 );
-                Ok(self.finish_decision(rail, key.conn, pkt, items, 0, payload))
+                let keys = KeyList::one(key);
+                Ok(self.finish_decision(rail, key.conn, pkt, keys, payload, retransmitted))
             }
             TxOp::Aggregate(keys) => {
-                if keys.is_empty() {
+                let Some(first) = keys.get(0) else {
                     return Err(EngineError::InvalidStrategyOp("empty aggregate"));
-                }
-                let mut builder = AggregateBuilder::new();
-                let mut items = Vec::with_capacity(keys.len());
-                let first_conn = keys[0].conn;
-                for key in keys {
+                };
+                let first_conn = first.conn;
+                let mut retransmitted = false;
+                // (What an aggregate that failed half-way left behind.)
+                self.agg.clear();
+                for &key in &keys {
                     let item =
                         self.backlog
                             .take_eager(key)
                             .ok_or(EngineError::InvalidStrategyOp(
                                 "aggregate segment not takeable",
                             ))?;
-                    let data = self.segment_data(key)?;
-                    self.note_seg_consumed(key);
-                    builder.push(AggregateEntry {
+                    let (data, again) = self.take_piece(rail, key, true)?;
+                    retransmitted |= again;
+                    self.agg.push(AggregateEntry {
                         conn_id: key.conn,
                         msg_id: key.msg_id,
                         seg_index: key.seg_index,
                         total_segs: item.total_segs,
                         data,
                     });
-                    items.push(TxItem::AggSeg(key));
                 }
                 self.stats.aggregates_built += 1;
-                self.stats.segments_aggregated += items.len() as u64;
-                let payload = builder.payload_bytes();
+                self.stats.segments_aggregated += keys.len() as u64;
+                let payload = self.agg.payload_bytes();
                 // Entries below the PIO threshold are memcpy'd into one
                 // pooled staging slab (the only copy the tx hot path is
                 // allowed); larger entries ride as refcounted slices.
-                let slab = self.pool.take(builder.container_len());
+                let slab = self.pool.take(self.agg.container_len());
                 let stage_threshold = self.rails[rail.0].pio_threshold;
-                let agg = builder.finish_parts(stage_threshold, slab);
+                let agg = self.agg.finish_parts(stage_threshold, slab);
                 self.stats.aggregation_copy_bytes += agg.staged_bytes as u64;
                 self.stats.datapath.tx_staged_copy_bytes += agg.staged_bytes as u64;
                 self.stats.datapath.tx_zero_copy_bytes += agg.zero_copy_bytes as u64;
-                self.sync_pool_counters();
-                self.charge_items(&items);
                 self.obs.record(
                     Event::new(self.now_ns, EventKind::DecideAggregate)
                         .rail(rail.0)
                         .size(payload as u64)
-                        .aux(items.len() as u64),
+                        .aux(keys.len() as u64),
                 );
-                Ok(self.finish_agg_decision(rail, first_conn, agg, items, payload))
+                Ok(self.finish_agg_decision(rail, first_conn, agg, keys, payload, retransmitted))
             }
             TxOp::Chunk { key, max_len } => {
                 let max_len = max_len.min(self.rails[rail.0].mtu as u64);
@@ -903,25 +997,15 @@ impl Engine {
         planned: bool,
     ) -> Result<TxDecision, EngineError> {
         let key = tc.key;
-        let data = self
-            .segment_data(key)?
-            .slice(tc.offset as usize..(tc.offset + tc.len) as usize);
-        if tc.seg_exhausted {
-            self.note_seg_consumed(key);
-        }
-        let seg_total = self
-            .send_data
-            .get(&(key.conn, key.msg_id))
-            .map(|segs| segs[key.seg_index as usize].len() as u64)
-            .expect("checked by segment_data");
+        let (segment, retransmitted) = self.take_piece(rail, key, tc.seg_exhausted)?;
         let pkt = Packet::Chunk(ChunkPacket {
             msg_id: key.msg_id,
             seg_index: key.seg_index,
             total_segs: tc.total_segs,
             offset: tc.offset,
-            total_len: seg_total,
+            total_len: segment.len() as u64,
             chunk_index: tc.chunk_index,
-            data,
+            data: segment.slice(tc.offset as usize..(tc.offset + tc.len) as usize),
         });
         self.stats.chunks_sent += 1;
         self.stats.datapath.tx_zero_copy_bytes += tc.len;
@@ -936,45 +1020,8 @@ impl Engine {
                     .size(tc.len),
             );
         }
-        let items = vec![TxItem::Chunk {
-            key,
-            offset: tc.offset,
-            len: tc.len,
-        }];
-        self.charge_items(&items);
-        Ok(self.finish_decision(rail, key.conn, pkt, items, 0, tc.len as usize))
-    }
-
-    fn segment_data(&self, key: SegKey) -> Result<Bytes, EngineError> {
-        self.send_data
-            .get(&(key.conn, key.msg_id))
-            .and_then(|segs| segs.get(key.seg_index as usize))
-            .cloned()
-            .ok_or(EngineError::InvalidStrategyOp("unknown segment payload"))
-    }
-
-    fn note_seg_consumed(&mut self, key: SegKey) {
-        if let Some(&send_id) = self.send_index.get(&(key.conn, key.msg_id)) {
-            if let Some(s) = self.sends.get_mut(&send_id) {
-                debug_assert!(s.segs_unconsumed > 0);
-                s.segs_unconsumed -= 1;
-            }
-        }
-    }
-
-    fn charge_items(&mut self, items: &[TxItem]) {
-        for item in items {
-            let key = match item {
-                TxItem::EagerSeg(k) | TxItem::AggSeg(k) => *k,
-                TxItem::Chunk { key, .. } => *key,
-                TxItem::Control => continue,
-            };
-            if let Some(&send_id) = self.send_index.get(&(key.conn, key.msg_id)) {
-                if let Some(s) = self.sends.get_mut(&send_id) {
-                    s.items_outstanding += 1;
-                }
-            }
-        }
+        let keys = KeyList::one(key);
+        Ok(self.finish_decision(rail, key.conn, pkt, keys, tc.len as usize, retransmitted))
     }
 
     fn alloc_seq(&mut self, rail: RailId) -> u32 {
@@ -1010,8 +1057,8 @@ impl Engine {
     pub fn pool_leaks(&self) -> u64 {
         let in_custody: u64 = self
             .in_flight
-            .values()
-            .map(|t| t.head.is_some() as u64 + t.slab.is_some() as u64)
+            .iter()
+            .map(|(_, t)| t.head.is_some() as u64 + t.slab.is_some() as u64)
             .sum();
         self.pool.outstanding().saturating_sub(in_custody)
     }
@@ -1021,16 +1068,24 @@ impl Engine {
         rail: RailId,
         conn: ConnId,
         pkt: Packet,
-        items: Vec<TxItem>,
-        copied_bytes: usize,
+        keys: KeyList,
         app_payload: usize,
+        retransmitted: bool,
     ) -> TxDecision {
         let seq = self.alloc_seq(rail);
         let head = self.pool.take(HEAD_CAPACITY);
-        self.sync_pool_counters();
         let frame = pkt.encode_frame_into(conn, seq, self.config.crc, head);
         let control = pkt.is_control();
-        self.seal_decision(rail, frame, control, items, copied_bytes, app_payload, None)
+        self.seal_decision(
+            rail,
+            frame,
+            control,
+            keys,
+            0,
+            app_payload,
+            None,
+            retransmitted,
+        )
     }
 
     /// Aggregate counterpart of [`Self::finish_decision`]: the body parts
@@ -1041,18 +1096,18 @@ impl Engine {
         rail: RailId,
         conn: ConnId,
         agg: AggregateParts,
-        items: Vec<TxItem>,
+        keys: KeyList,
         app_payload: usize,
+        retransmitted: bool,
     ) -> TxDecision {
         let seq = self.alloc_seq(rail);
         let head = self.pool.take(HEAD_CAPACITY);
-        self.sync_pool_counters();
         let copied = agg.staged_bytes;
         // Keep a handle on the staging slab: the frame's staged runs are
         // slices of it, and on_tx_done hands the allocation back to the
         // pool once the frame retires (without this, every aggregate
         // leaked its slab).
-        let slab = Some(agg.slab.clone());
+        let slab = Some(agg.slab);
         let frame = encode_parts_frame(
             PacketKind::Aggregate,
             conn,
@@ -1061,7 +1116,16 @@ impl Engine {
             agg.parts,
             head,
         );
-        self.seal_decision(rail, frame, false, items, copied, app_payload, slab)
+        self.seal_decision(
+            rail,
+            frame,
+            false,
+            keys,
+            copied,
+            app_payload,
+            slab,
+            retransmitted,
+        )
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1070,11 +1134,13 @@ impl Engine {
         rail: RailId,
         frame: PacketFrame,
         control: bool,
-        items: Vec<TxItem>,
+        keys: KeyList,
         copied_bytes: usize,
         app_payload: usize,
         slab: Option<Bytes>,
+        retransmitted: bool,
     ) -> TxDecision {
+        self.sync_pool_counters();
         let nic = &self.rails[rail.0];
         let wire_len = frame.wire_len();
         let mode = if wire_len < nic.pio_threshold {
@@ -1094,32 +1160,19 @@ impl Engine {
             }
         }
         rs.wire_bytes += wire_len as u64;
-        // Arm/refresh the retransmission timers of the sends this packet
-        // carries, and remember which rails the attempt touched so a
-        // timeout knows whom to blame.
-        let mut retransmitted_payload = false;
-        for item in &items {
-            let key = match item {
-                TxItem::EagerSeg(k) | TxItem::AggSeg(k) => *k,
-                TxItem::Chunk { key, .. } => *key,
-                TxItem::Control => continue,
-            };
-            let Some(&send_id) = self.send_index.get(&(key.conn, key.msg_id)) else {
-                continue;
-            };
-            if let Some(att) = self.attempts.get_mut(&send_id) {
-                att.rails_used[rail.0] = true;
-                let deadline = self.now_ns.saturating_add(att.rto_ns);
-                att.deadline_ns = att.deadline_ns.max(deadline);
-                retransmitted_payload |= att.retransmitted;
-            }
-        }
-        if retransmitted_payload {
-            self.stats.rails[rail.0].retransmit_packets += 1;
-        }
+        rs.retransmit_packets += retransmitted as u64;
 
-        let token = TxToken(self.next_token);
-        self.next_token += 1;
+        // Keep a reference to the pooled head so on_tx_done can reclaim
+        // the allocation once the runtime drops its copy of the frame.
+        let token = TxToken(self.in_flight.push(InFlightTx {
+            keys,
+            head: frame.head().cloned(),
+            slab,
+            wire_len,
+            posted_ns: self.now_ns,
+            control,
+            rail: rail.0,
+        }));
         self.obs.record(
             Event::new(self.now_ns, EventKind::TxPost)
                 .rail(rail.0)
@@ -1130,21 +1183,6 @@ impl Engine {
         let ro = &mut self.stats.obs.rails[rail.0];
         ro.in_flight_bytes += wire_len as u64;
         ro.note_busy(self.now_ns);
-        // Keep a reference to the pooled head so on_tx_done can reclaim
-        // the allocation once the runtime drops its copy of the frame.
-        let head = frame.head().cloned();
-        self.in_flight.insert(
-            token.0,
-            InFlightTx {
-                items,
-                head,
-                slab,
-                wire_len,
-                posted_ns: self.now_ns,
-                control,
-                rail: rail.0,
-            },
-        );
         self.rail_inflight[rail.0] += 1;
         TxDecision {
             token,
@@ -1157,9 +1195,13 @@ impl Engine {
 
     /// Report that the injection for `token` finished on `rail`. Returns
     /// sends that reached local completion.
-    pub fn on_tx_done(&mut self, rail: RailId, token: TxToken) -> Result<Vec<SendId>, EngineError> {
+    pub fn on_tx_done(
+        &mut self,
+        rail: RailId,
+        token: TxToken,
+    ) -> Result<CompletedSends, EngineError> {
         let InFlightTx {
-            items,
+            keys,
             head,
             slab,
             wire_len,
@@ -1168,7 +1210,7 @@ impl Engine {
             rail: _,
         } = self
             .in_flight
-            .remove(&token.0)
+            .retire(token.0)
             .ok_or(EngineError::BadToken(token.0))?;
         self.rail_inflight[rail.0] = self.rail_inflight[rail.0].saturating_sub(1);
         self.obs.record(
@@ -1184,71 +1226,51 @@ impl Engine {
         if self.rail_inflight[rail.0] == 0 {
             ro.note_idle(self.now_ns);
         }
-        if let Some(h) = head {
-            // Succeeds when the runtime has dropped its frame (threaded
-            // transports at completion); the in-process fabric's receiver
-            // may still hold a reference — a counted miss, not an error.
-            self.pool.reclaim(h);
-            self.sync_pool_counters();
+        // Recycled at once when the runtime has dropped its frame
+        // (threaded transports at completion); the in-process fabric's
+        // receiver may still hold a reference, and the pool parks the
+        // buffer until it has let go. Same for the aggregation slab.
+        for buf in [head, slab].into_iter().flatten() {
+            self.pool.reclaim(buf);
         }
-        if let Some(s) = slab {
-            // Same deal for the aggregation staging slab.
-            self.pool.reclaim(s);
-            self.sync_pool_counters();
-        }
+        self.sync_pool_counters();
         // Per-rail service-time EWMA: SRPT's straggler predictor. First
         // sample seeds; after that a 3/4-old, 1/4-new blend tracks drift
         // without chasing noise. Control frames excluded, same as below.
-        if !control {
-            let elapsed_ns = self.now_ns.saturating_sub(posted_ns);
-            if elapsed_ns > 0 {
-                let ewma = &mut self.ewma_service_ns[rail.0];
-                *ewma = if *ewma == 0 {
-                    elapsed_ns
-                } else {
-                    (*ewma * 3 + elapsed_ns) / 4
-                };
-            }
-        }
-        // Online calibration: a completed data injection is a live
-        // transfer-time sample for this rail (control frames are excluded —
-        // latency-bound, not representative of the split's regime). The
-        // sample is down-weighted while the rail is under suspicion.
-        if !control && self.calibrator.is_some() {
-            let elapsed_ns = self.now_ns.saturating_sub(posted_ns);
-            if elapsed_ns > 0 {
+        let elapsed_ns = self.now_ns.saturating_sub(posted_ns);
+        if !control && elapsed_ns > 0 {
+            let ewma = &mut self.ewma_service_ns[rail.0];
+            *ewma = if *ewma == 0 {
+                elapsed_ns
+            } else {
+                (*ewma * 3 + elapsed_ns) / 4
+            };
+            // Online calibration: a completed data injection is a live
+            // transfer-time sample for this rail (control frames are
+            // excluded — latency-bound, not representative of the split's
+            // regime). The sample is down-weighted while the rail is
+            // under suspicion.
+            if let Some(cal) = self.calibrator.as_mut() {
                 let weight = self.health.calibration_weight(rail);
-                if let Some(cal) = self.calibrator.as_mut() {
-                    cal.observe(rail.0, wire_len as u64, elapsed_ns as f64 / 1_000.0, weight);
-                }
+                cal.observe(rail.0, wire_len as u64, elapsed_ns as f64 / 1_000.0, weight);
                 self.maybe_recalibrate();
             }
         }
-        let mut completed = Vec::new();
-        for item in items {
-            let key = match item {
-                TxItem::EagerSeg(k) | TxItem::AggSeg(k) => k,
-                TxItem::Chunk { key, .. } => key,
-                TxItem::Control => continue,
-            };
-            let Some(&send_id) = self.send_index.get(&(key.conn, key.msg_id)) else {
-                continue;
-            };
-            let Some(s) = self.sends.get_mut(&send_id) else {
+        let mut completed = CompletedSends::new();
+        for key in keys {
+            let Some(s) = self.send_slot(key.conn, key.msg_id) else {
                 continue;
             };
             debug_assert!(s.items_outstanding > 0);
             s.items_outstanding -= 1;
             if !s.done && s.items_outstanding == 0 && s.segs_unconsumed == 0 {
                 s.done = true;
+                completed.push((s.id, key.conn));
                 self.stats.msgs_sent += 1;
-                // Payload no longer needed once fully injected — unless we
-                // may have to retransmit it (acked mode keeps it until the
+                // The payload goes with the slot now — unless we may have
+                // to retransmit it (acked mode keeps both until the
                 // delivery confirmation arrives).
-                if !self.config.acked {
-                    self.send_data.remove(&(key.conn, key.msg_id));
-                }
-                completed.push(send_id);
+                self.retire_if_settled(key.conn, key.msg_id);
             }
         }
         Ok(completed)
@@ -1267,20 +1289,12 @@ impl Engine {
     pub fn on_packet(&mut self, rail: RailId, wire: &[u8]) -> Result<OnPacketOutcome, EngineError> {
         let frame = PacketFrame::from_wire(Bytes::copy_from_slice(wire));
         self.stats.datapath.rx_copy_bytes += wire.len() as u64;
-        self.dispatch_frame(rail, &frame)
+        self.on_frame(rail, &frame)
     }
 
     /// Process one incoming scatter-gather frame from `rail` without
     /// flattening it: payload slices flow into reassembly refcounted.
     pub fn on_frame(
-        &mut self,
-        rail: RailId,
-        frame: &PacketFrame,
-    ) -> Result<OnPacketOutcome, EngineError> {
-        self.dispatch_frame(rail, frame)
-    }
-
-    fn dispatch_frame(
         &mut self,
         rail: RailId,
         frame: &PacketFrame,
@@ -1325,7 +1339,7 @@ impl Engine {
             }
             let done =
                 self.insert_eager_tolerant(e.conn_id, e.msg_id, e.seg_index, e.total_segs, e.data)?;
-            self.settle_completion(e.conn_id, rail, done, out);
+            self.settle_completion(e.conn_id, rail, done, out)?;
         }
         Ok(())
     }
@@ -1349,7 +1363,7 @@ impl Engine {
                     p.total_segs,
                     p.data,
                 )?;
-                self.settle_completion(env.conn_id, rail, done, out);
+                self.settle_completion(env.conn_id, rail, done, out)?;
             }
             Packet::Aggregate(body) => {
                 // Frames decode aggregates straight to entries; this arm
@@ -1362,7 +1376,7 @@ impl Engine {
                     return Ok(());
                 }
                 let done = self.insert_chunk_tolerant(env.conn_id, &p)?;
-                self.settle_completion(env.conn_id, rail, done, out);
+                self.settle_completion(env.conn_id, rail, done, out)?;
             }
             Packet::RdvRequest(p) => {
                 // A rendezvous for a message we already delivered means the
@@ -1412,98 +1426,7 @@ impl Engine {
                     });
                 }
             }
-            Packet::Ack(p) => {
-                self.stats.acks_received += 1;
-                // The rail the ack itself rode is alive right now.
-                self.health.note_ok(rail, self.now_ns);
-                // Feed the health tracker: the ack proves every rail the
-                // current attempt used is alive. Karn's rule: only a
-                // never-retransmitted attempt yields an RTT sample.
-                if let Some(&send_id) = self.send_index.get(&(env.conn_id, p.msg_id)) {
-                    if let Some(att) = self.attempts.remove(&send_id) {
-                        let rtt = self.now_ns.saturating_sub(att.started_ns);
-                        self.obs.record(
-                            Event::new(self.now_ns, EventKind::AckReceived)
-                                .rail(rail.0)
-                                .seq(p.msg_id)
-                                .aux(rtt),
-                        );
-                        for (r, used) in att.rails_used.iter().enumerate() {
-                            if !used {
-                                continue;
-                            }
-                            // A per-message ack is coarse evidence: it
-                            // cannot say WHICH rail delivered. Enough to
-                            // exonerate a rail still in service, not to
-                            // reinstate a Down one — the attempt may have
-                            // succeeded entirely over the survivors.
-                            // Reinstatement requires a rail-pinned probe
-                            // pong.
-                            if !self.health.usable(RailId(r)) {
-                                continue;
-                            }
-                            self.health.note_ok(RailId(r), self.now_ns);
-                            let t = if att.retransmitted {
-                                self.health.on_success(RailId(r), self.now_ns)
-                            } else {
-                                self.stats.obs.rails[r].latency_ns.record(rtt);
-                                self.obs.record(
-                                    Event::new(self.now_ns, EventKind::RttSample)
-                                        .rail(r)
-                                        .seq(p.msg_id)
-                                        .aux(rtt),
-                                );
-                                self.health.on_rtt_sample(RailId(r), rtt, self.now_ns)
-                            };
-                            self.note_transition(t);
-                        }
-                        // A single-rail attempt doubles as a calibration
-                        // sample: rtt/2 approximates the one-way time of
-                        // the whole message on that rail. Multi-rail
-                        // attempts are skipped — a per-message ack cannot
-                        // apportion the time between rails.
-                        if !att.retransmitted && self.calibrator.is_some() {
-                            let used: Vec<usize> = att
-                                .rails_used
-                                .iter()
-                                .enumerate()
-                                .filter_map(|(r, &u)| u.then_some(r))
-                                .collect();
-                            if let [r] = used[..] {
-                                let bytes: u64 = self
-                                    .send_data
-                                    .get(&(env.conn_id, p.msg_id))
-                                    .map(|segs| segs.iter().map(|b| b.len() as u64).sum())
-                                    .unwrap_or(0);
-                                if bytes > 0 {
-                                    let w = self.health.calibration_weight(RailId(r));
-                                    if let Some(cal) = self.calibrator.as_mut() {
-                                        cal.observe(r, bytes, rtt as f64 / 2_000.0, w);
-                                    }
-                                    self.maybe_recalibrate();
-                                }
-                            }
-                        }
-                    }
-                }
-                if self.acked.insert((env.conn_id, p.msg_id)) {
-                    // Confirmed: the retransmission copy can go, and any
-                    // queued re-send of this message is now pointless (a
-                    // lost ack may have triggered a retransmission that the
-                    // receiver already answered).
-                    self.send_data.remove(&(env.conn_id, p.msg_id));
-                    self.backlog.remove_msg(env.conn_id, p.msg_id);
-                    if let Some(&send_id) = self.send_index.get(&(env.conn_id, p.msg_id)) {
-                        if let Some(st) = self.sends.get_mut(&send_id) {
-                            st.segs_unconsumed = 0;
-                            if !st.done && st.items_outstanding == 0 {
-                                st.done = true;
-                                self.stats.msgs_sent += 1;
-                            }
-                        }
-                    }
-                }
-            }
+            Packet::Ack(p) => self.handle_ack(rail, env.conn_id, p.msg_id),
             Packet::SamplePing(p) => {
                 // Echo back for RTT sampling. Health probes (high bit set)
                 // must return on the rail under test, so their pong is
@@ -1522,7 +1445,7 @@ impl Engine {
             Packet::SamplePong(p) => {
                 if p.probe_id & PROBE_BIT != 0 {
                     // A health probe came home: the probed rail is alive.
-                    if let Some((r, sent_ns)) = self.probe_sent.remove(&p.probe_id) {
+                    if let Some((r, sent_ns)) = self.probe_sent.retire(p.probe_id & !PROBE_BIT) {
                         let rtt = self.now_ns.saturating_sub(sent_ns);
                         self.health.note_ok(RailId(r), self.now_ns);
                         self.stats.obs.rails[r].latency_ns.record(rtt);
@@ -1543,6 +1466,83 @@ impl Engine {
         Ok(())
     }
 
+    /// The peer confirmed delivery of `msg_id` (acked mode).
+    fn handle_ack(&mut self, rail: RailId, conn: ConnId, msg_id: MsgId) {
+        self.stats.acks_received += 1;
+        // The rail the ack itself rode is alive right now.
+        self.health.note_ok(rail, self.now_ns);
+        let now = self.now_ns;
+        let Some(slot) = self.send_slot(conn, msg_id) else {
+            // Long confirmed (a retransmission's second ack) or never sent.
+            return;
+        };
+        let attempt = slot.attempt.take();
+        let bytes: u64 = slot.data.iter().map(|b| b.len() as u64).sum();
+        // Feed the health tracker: the ack proves every rail the current
+        // attempt used is alive. Karn's rule: only a never-retransmitted
+        // attempt yields an RTT sample.
+        if let Some(att) = attempt {
+            let rtt = now.saturating_sub(att.started_ns);
+            self.obs.record(
+                Event::new(now, EventKind::AckReceived)
+                    .rail(rail.0)
+                    .seq(msg_id)
+                    .aux(rtt),
+            );
+            for r in rails_of(att.rails_used) {
+                // A per-message ack is coarse evidence: it cannot say
+                // WHICH rail delivered. Enough to exonerate a rail still
+                // in service, not to reinstate a Down one — the attempt
+                // may have succeeded entirely over the survivors.
+                // Reinstatement requires a rail-pinned probe pong.
+                if !self.health.usable(RailId(r)) {
+                    continue;
+                }
+                self.health.note_ok(RailId(r), now);
+                let t = if att.retransmitted {
+                    self.health.on_success(RailId(r), now)
+                } else {
+                    self.stats.obs.rails[r].latency_ns.record(rtt);
+                    self.obs.record(
+                        Event::new(now, EventKind::RttSample)
+                            .rail(r)
+                            .seq(msg_id)
+                            .aux(rtt),
+                    );
+                    self.health.on_rtt_sample(RailId(r), rtt, now)
+                };
+                self.note_transition(t);
+            }
+            // A single-rail attempt doubles as a calibration sample: rtt/2
+            // approximates the one-way time of the whole message on that
+            // rail. Multi-rail attempts are skipped — a per-message ack
+            // cannot apportion the time between rails.
+            if !att.retransmitted && att.rails_used.count_ones() == 1 && bytes > 0 {
+                let r = att.rails_used.trailing_zeros() as usize;
+                if let Some(cal) = self.calibrator.as_mut() {
+                    let w = self.health.calibration_weight(RailId(r));
+                    cal.observe(r, bytes, rtt as f64 / 2_000.0, w);
+                    self.maybe_recalibrate();
+                }
+            }
+        }
+        let Some(slot) = self.send_slot(conn, msg_id).filter(|s| !s.acked) else {
+            return;
+        };
+        // Confirmed: the retransmission copy can go, and any queued
+        // re-send of this message is now pointless (a lost ack may have
+        // triggered a retransmission that the receiver already answered).
+        slot.acked = true;
+        slot.data = Vec::new();
+        slot.segs_unconsumed = 0;
+        if !slot.done && slot.items_outstanding == 0 {
+            slot.done = true;
+            self.stats.msgs_sent += 1;
+        }
+        self.backlog.remove_msg(conn, msg_id);
+        self.retire_if_settled(conn, msg_id);
+    }
+
     /// Acked-mode duplicate tolerance: a payload packet for an
     /// already-delivered message is dropped and re-acknowledged (the
     /// original ack may have been lost). Returns true when the packet was
@@ -1554,11 +1554,7 @@ impl Engine {
         msg_id: MsgId,
         out: &mut OnPacketOutcome,
     ) -> Result<bool, EngineError> {
-        if !self.config.acked {
-            return Ok(false);
-        }
-        let rx = self.rx_conn(conn)?;
-        if !rx.delivered.contains(&msg_id) {
+        if !self.config.acked || !self.rx_conn(conn)?.delivered(msg_id) {
             return Ok(false);
         }
         self.stats.duplicates_dropped += 1;
@@ -1577,55 +1573,31 @@ impl Engine {
     /// or its payload is gone.
     pub fn retransmit(&mut self, id: SendId) -> bool {
         assert!(self.config.acked, "retransmission requires acked mode");
-        let Some(&(conn, msg_id)) = self.send_key.get(&id) else {
+        let Some(&(conn, msg_id)) = self.send_ids.live(id.0) else {
             return false;
         };
-        if self.acked.contains(&(conn, msg_id)) {
+        let Some(st) = self.conn_tx[conn as usize].live_mut(msg_id) else {
+            return false;
+        };
+        // Acknowledged (its payload is gone with the ack), or injections
+        // still in flight: wait for them.
+        if st.acked || st.items_outstanding > 0 || st.data.is_empty() {
             return false;
         }
-        let Some(st) = self.sends.get_mut(&id) else {
-            return false;
-        };
-        if st.items_outstanding > 0 {
-            return false; // injections still in flight; wait for them
-        }
-        // Only the segment lengths matter here: re-enqueueing must not
-        // clone the payload handles (the backlog re-reads them from
-        // `send_data` when the segments are actually scheduled).
-        let seg_lens: Vec<usize> = match self.send_data.get(&(conn, msg_id)) {
-            Some(segs) => segs.iter().map(|s| s.len()).collect(),
-            None => return false,
-        };
         // Drop any stale waiting pieces (e.g. a rendezvous stuck without a
-        // grant because the request was lost) and start over.
+        // grant because the request was lost) and start over. Only the
+        // segment lengths matter here: the payload handles stay where
+        // they are until the segments are actually scheduled.
         self.backlog.remove_msg(conn, msg_id);
         st.done = false;
-        st.segs_unconsumed = seg_lens.len();
-        let total_segs = seg_lens.len() as u16;
-        for (i, &len) in seg_lens.iter().enumerate() {
-            let key = SegKey {
-                conn,
-                msg_id,
-                seg_index: i as u16,
-            };
-            if len >= self.config.rdv_threshold {
-                self.backlog
-                    .push(key, total_segs, len as u64, SegPhase::RdvRequested);
-                self.control_q.push_back((
-                    conn,
-                    Packet::RdvRequest(RdvRequest {
-                        msg_id,
-                        seg_index: i as u16,
-                        total_segs,
-                        total_len: len as u64,
-                    }),
-                    None,
-                ));
-            } else {
-                self.backlog
-                    .push(key, total_segs, len as u64, SegPhase::EagerReady);
-            }
-        }
+        st.segs_unconsumed = st.data.len();
+        enqueue_segments(
+            &mut self.backlog,
+            &mut self.control_q,
+            self.config.rdv_threshold,
+            (conn, msg_id),
+            st.data.iter().map(Bytes::len),
+        );
         self.stats.retransmits += 1;
         // Blame the rails that plausibly lost the expired attempt so
         // telemetry can attribute the storm per rail (a drop storm on the
@@ -1637,43 +1609,24 @@ impl Engine {
         // back to all used rails. The event carries the full blame set as
         // a bitmask in `size` (unused for Retransmit) plus the first
         // blamed rail in `rail` for single-rail consumers.
-        let mut ev = Event::new(self.now_ns, EventKind::Retransmit)
-            .seq(msg_id)
-            .aux(self.attempts.get(&id).map_or(0, |a| a.rto_ns));
-        if let Some(att) = self.attempts.get(&id) {
-            let used: Vec<usize> = att
-                .rails_used
-                .iter()
-                .enumerate()
-                .filter(|(_, &u)| u)
-                .map(|(r, _)| r)
-                .collect();
-            let started = att.started_ns;
-            let mut blamed: Vec<usize> = used
-                .iter()
-                .copied()
-                .filter(|&r| !self.health.ok_since(RailId(r), started))
-                .collect();
-            if blamed.is_empty() {
-                blamed = used;
+        let mut ev = Event::new(self.now_ns, EventKind::Retransmit).seq(msg_id);
+        if let Some(att) = &mut st.attempt {
+            ev = ev.aux(att.rto_ns);
+            let blamed = match att.suspects(&self.health) {
+                0 => att.rails_used,
+                suspects => suspects,
+            };
+            if blamed != 0 {
+                ev = ev.rail(blamed.trailing_zeros() as usize).size(blamed);
             }
-            if let Some(&first) = blamed.first() {
-                let mask: u64 = blamed
-                    .iter()
-                    .filter(|&&r| r < 64)
-                    .fold(0u64, |m, &r| m | (1 << r));
-                ev = ev.rail(first).size(mask);
-            }
-        }
-        self.obs.record(ev);
-        // Restart the attempt: Karn's rule forbids RTT samples from now on,
-        // and the timer re-arms from scratch.
-        if let Some(att) = self.attempts.get_mut(&id) {
+            // Restart the attempt: Karn's rule forbids RTT samples from
+            // now on, and the timer re-arms from scratch.
             att.retransmitted = true;
             att.started_ns = self.now_ns;
             att.deadline_ns = self.now_ns.saturating_add(att.rto_ns);
-            att.rails_used.iter_mut().for_each(|u| *u = false);
+            att.rails_used = 0;
         }
+        self.obs.record(ev);
         true
     }
 
@@ -1694,105 +1647,96 @@ impl Engine {
         self.now_ns = self.now_ns.max(now_ns);
         let now = self.now_ns;
         let mut out = ProgressOutcome::default();
-        if self.config.acked {
-            let mut due: Vec<SendId> = self
-                .attempts
-                .iter()
-                .filter(|(_, a)| now >= a.deadline_ns)
-                .map(|(&id, _)| id)
-                .collect();
-            due.sort_unstable();
-            // Several attempts expiring in the same pass are correlated
-            // evidence, not independent failures: blame each rail at most
-            // once per pass, or a burst of in-flight messages lost to one
-            // dead rail would condemn the healthy survivors alongside it.
-            let mut blamed_this_pass = vec![false; self.rails.len()];
-            for id in due {
-                // Injections still in flight, or schedulable segments
-                // still queued behind other traffic: the attempt is
-                // waiting on the local scheduler, not the network — push
-                // the deadline out without blame or backoff. A message
-                // parked in the rendezvous handshake (RdvRequested, not
-                // yet granted) does NOT defer: a lost request or grant is
-                // exactly what the timer must catch.
-                let outstanding = self
-                    .sends
-                    .get(&id)
-                    .map(|s| s.items_outstanding > 0)
-                    .unwrap_or(false);
-                let queued = self
-                    .send_key
-                    .get(&id)
-                    .map(|&(conn, msg)| {
-                        let mine = |k: &SegKey| k.conn == conn && k.msg_id == msg;
-                        self.backlog.eager_items().any(|i| mine(&i.key))
-                            || self.backlog.granted_items().any(|i| mine(&i.key))
-                    })
-                    .unwrap_or(false);
-                let att = self.attempts.get_mut(&id).expect("collected above");
-                if outstanding || queued {
-                    att.deadline_ns = now.saturating_add(att.rto_ns);
-                    continue;
+        // Expired attempts, in the order their sends were submitted
+        // (nothing is collected while none is due, and without acks no
+        // send has a timer to look at).
+        let handles = self.config.acked.then(|| self.send_ids.iter());
+        let due: Vec<(SendId, ConnId, MsgId)> = handles
+            .into_iter()
+            .flatten()
+            .filter(|&(_, &(conn, msg))| {
+                let slot = self.conn_tx[conn as usize].live(msg);
+                slot.and_then(|s| s.attempt.as_ref())
+                    .is_some_and(|a| now >= a.deadline_ns)
+            })
+            .map(|(id, &(conn, msg))| (SendId(id), conn, msg))
+            .collect();
+        // Several attempts expiring in the same pass are correlated
+        // evidence, not independent failures: blame each rail at most
+        // once per pass, or a burst of in-flight messages lost to one
+        // dead rail would condemn the healthy survivors alongside it.
+        let mut blamed_this_pass = 0u64;
+        for (id, conn, msg_id) in due {
+            // Injections still in flight, or schedulable segments
+            // still queued behind other traffic: the attempt is
+            // waiting on the local scheduler, not the network — push
+            // the deadline out without blame or backoff. A message
+            // parked in the rendezvous handshake (RdvRequested, not
+            // yet granted) does NOT defer: a lost request or grant is
+            // exactly what the timer must catch.
+            let mine = |k: &SegKey| k.conn == conn && k.msg_id == msg_id;
+            let queued = self.backlog.eager_items().any(|i| mine(&i.key))
+                || self.backlog.granted_items().any(|i| mine(&i.key));
+            let max_rto_ns = self.config.health.max_rto_ns;
+            let Some(slot) = self.conn_tx[conn as usize].live_mut(msg_id) else {
+                continue;
+            };
+            let outstanding = slot.items_outstanding > 0;
+            let Some(att) = &mut slot.attempt else {
+                continue;
+            };
+            if outstanding || queued {
+                att.deadline_ns = now.saturating_add(att.rto_ns);
+                continue;
+            }
+            // Blame every rail the attempt used (with per-message acks
+            // we cannot tell which rail lost the packet) — except
+            // rails with positive evidence newer than the attempt: a
+            // rail that delivered an ack since this attempt started is
+            // almost certainly not the one that lost its packets.
+            // Probes sort out any remaining innocents quickly.
+            let blamed = att.suspects(&self.health);
+            att.rto_ns = (att.rto_ns * 2).min(max_rto_ns);
+            self.stats.obs.rto_ns.record(att.rto_ns);
+            for r in rails_of(blamed) {
+                self.stats.rails[r].timeouts += 1;
+                self.obs
+                    .record(Event::new(now, EventKind::TimeoutBlame).rail(r).seq(msg_id));
+                if blamed_this_pass >> r & 1 == 0 {
+                    blamed_this_pass |= 1 << r;
+                    let t = self.health.on_timeout(RailId(r), now);
+                    self.note_transition(t);
                 }
-                // Blame every rail the attempt used (with per-message acks
-                // we cannot tell which rail lost the packet) — except
-                // rails with positive evidence newer than the attempt: a
-                // rail that delivered an ack since this attempt started is
-                // almost certainly not the one that lost its packets.
-                // Probes sort out any remaining innocents quickly.
-                let started = att.started_ns;
-                let blamed: Vec<usize> = att
-                    .rails_used
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, u)| **u)
-                    .map(|(r, _)| r)
-                    .filter(|&r| !self.health.ok_since(RailId(r), started))
-                    .collect();
-                att.rto_ns = (att.rto_ns * 2).min(self.config.health.max_rto_ns);
-                self.stats.obs.rto_ns.record(att.rto_ns);
-                let msg_id = self.send_key.get(&id).map_or(0, |&(_, m)| m);
-                for r in blamed {
-                    self.stats.rails[r].timeouts += 1;
-                    self.obs
-                        .record(Event::new(now, EventKind::TimeoutBlame).rail(r).seq(msg_id));
-                    if !blamed_this_pass[r] {
-                        blamed_this_pass[r] = true;
-                        let t = self.health.on_timeout(RailId(r), now);
-                        self.note_transition(t);
-                    }
-                }
-                if self.retransmit(id) {
-                    out.retransmitted.push(id);
-                } else if let Some(att) = self.attempts.get_mut(&id) {
-                    // Not retransmittable right now (e.g. already acked
-                    // but not yet reaped): re-arm quietly.
-                    att.deadline_ns = now.saturating_add(att.rto_ns);
-                }
+            }
+            if self.retransmit(id) {
+                out.retransmitted.push(id);
+            } else if let Some(att) = self
+                .send_slot(conn, msg_id)
+                .and_then(|s| s.attempt.as_mut())
+            {
+                // Not retransmittable right now (e.g. already acked
+                // but not yet reaped): re-arm quietly.
+                att.deadline_ns = now.saturating_add(att.rto_ns);
             }
         }
         // Probe management is independent of acked mode: any engine with a
-        // connection can check its rails.
-        if let Some(&conn) = self.conn_tx.keys().min() {
+        // connection can check its rails (on its first one).
+        if !self.conn_tx.is_empty() {
+            let conn: ConnId = 0;
             for r in 0..self.rails.len() {
                 if self.health.probe_due(RailId(r), now) {
-                    let probe_id = PROBE_BIT | self.next_probe_id;
-                    self.next_probe_id += 1;
+                    let probe = self.probe_sent.push((r, now));
                     self.control_q.push_back((
                         conn,
                         Packet::SamplePing(SamplePacket {
-                            probe_id,
+                            probe_id: PROBE_BIT | probe,
                             data: Bytes::new(),
                         }),
                         Some(RailId(r)),
                     ));
-                    self.probe_sent.insert(probe_id, (r, now));
                     self.stats.rails[r].probes_sent += 1;
-                    self.obs.record(
-                        Event::new(now, EventKind::ProbeSent)
-                            .rail(r)
-                            .seq(probe_id & !PROBE_BIT),
-                    );
+                    self.obs
+                        .record(Event::new(now, EventKind::ProbeSent).rail(r).seq(probe));
                     let t = self.health.on_probe_sent(RailId(r), now);
                     self.note_transition(t);
                     out.control_enqueued = true;
@@ -1813,7 +1757,12 @@ impl Engine {
     /// do (a retransmission deadline or a probe timer), if any. Runtimes
     /// use this to size their idle sleeps.
     pub fn next_deadline_ns(&self) -> Option<u64> {
-        let attempts = self.attempts.values().map(|a| a.deadline_ns);
+        // (Without acks no send has a timer.)
+        let timed = self.config.acked.then(|| self.send_slots());
+        let attempts = timed
+            .into_iter()
+            .flatten()
+            .filter_map(|s| s.attempt.as_ref().map(|a| a.deadline_ns));
         let probes = (0..self.rails.len()).filter_map(|r| self.health.next_event_ns(RailId(r)));
         attempts.chain(probes).min()
     }
@@ -1824,21 +1773,18 @@ impl Engine {
     /// rebuild, in permille. The next `next_tx` strategy call sees the new
     /// tables — `StrategyCtx` borrows them per decision.
     fn maybe_recalibrate(&mut self) {
-        if !self.calibrator.as_ref().is_some_and(OnlineCalibrator::due) {
+        let Some(cal) = self.calibrator.as_mut().filter(|cal| cal.due()) else {
             return;
-        }
-        let reference = self.config.calibration.reference_size;
-        let old = {
-            let refs: Vec<&PerfTable> = self.tables.iter().collect();
-            split_ratio_permille(&refs, reference)
         };
-        let cal = self.calibrator.as_mut().expect("due implies present");
-        let tables = cal.rebuild();
-        let ordinal = cal.rebuilds();
-        let new = {
+        let reference = self.config.calibration.reference_size;
+        let share = |tables: &[PerfTable]| {
             let refs: Vec<&PerfTable> = tables.iter().collect();
             split_ratio_permille(&refs, reference)
         };
+        let old = share(&self.tables);
+        let tables = cal.rebuild();
+        let ordinal = cal.rebuilds();
+        let new = share(&tables);
         for r in 0..tables.len() {
             self.obs.record(
                 Event::new(self.now_ns, EventKind::Calibrate)
@@ -1977,7 +1923,7 @@ impl Engine {
 
     fn rx_conn(&mut self, conn: ConnId) -> Result<&mut ConnRx, EngineError> {
         self.conn_rx
-            .get_mut(&conn)
+            .get_mut(conn as usize)
             .ok_or(EngineError::UnknownConnection(conn))
     }
 
@@ -1987,36 +1933,65 @@ impl Engine {
         rail: RailId,
         done: Option<MessageAssembly>,
         out: &mut OnPacketOutcome,
-    ) {
-        let Some(assembly) = done else { return };
+    ) -> Result<(), EngineError> {
+        let Some(assembly) = done else { return Ok(()) };
+        let msg_id = assembly.msg_id;
         self.stats.msgs_received += 1;
         if self.config.acked {
             // The ack rides the rail the completing packet arrived on — a
             // path the sender is actively using and watching.
-            self.control_q.push_back((
-                conn,
-                Packet::Ack(AckPacket {
-                    msg_id: assembly.msg_id,
-                }),
-                Some(rail),
-            ));
+            self.control_q
+                .push_back((conn, Packet::Ack(AckPacket { msg_id }), Some(rail)));
             self.stats.acks_sent += 1;
             self.obs.record(
                 Event::new(self.now_ns, EventKind::AckSent)
                     .rail(rail.0)
-                    .seq(assembly.msg_id),
+                    .seq(msg_id),
             );
             out.control_enqueued = true;
-            if let Some(rx) = self.conn_rx.get_mut(&conn) {
-                rx.delivered.insert(assembly.msg_id);
-            }
         }
-        let rx = self.conn_rx.get_mut(&conn).expect("validated");
-        if let Some(recv_id) = rx.posted.remove(&assembly.msg_id) {
-            rx.results.insert(recv_id, assembly);
-            out.completed_recvs.push(recv_id);
+        // (A message completes once, so its slot is not retired yet.)
+        if let Some(slot) = self.rx_conn(conn)?.slot(msg_id) {
+            if let Some(recv_id) = slot.posted {
+                out.completed_recvs.push(recv_id);
+            }
+            slot.assembly = Some(assembly);
+        }
+        Ok(())
+    }
+}
+
+/// Put the segments of message `(conn, msg_id)`, given by their lengths in
+/// order, into the backlog: eager ones ready to go, large ones behind a
+/// rendezvous request.
+fn enqueue_segments(
+    backlog: &mut Backlog,
+    control_q: &mut VecDeque<(ConnId, Packet, Option<RailId>)>,
+    rdv_threshold: usize,
+    (conn, msg_id): (ConnId, MsgId),
+    seg_lens: impl ExactSizeIterator<Item = usize>,
+) {
+    let total_segs = seg_lens.len() as u16;
+    for (i, len) in seg_lens.enumerate() {
+        let seg_index = i as u16;
+        let key = SegKey {
+            conn,
+            msg_id,
+            seg_index,
+        };
+        let total_len = len as u64;
+        if len >= rdv_threshold {
+            // Rendezvous track: announce and wait for the grant.
+            backlog.push(key, total_segs, total_len, SegPhase::RdvRequested);
+            let request = RdvRequest {
+                msg_id,
+                seg_index,
+                total_segs,
+                total_len,
+            };
+            control_q.push_back((conn, Packet::RdvRequest(request), None));
         } else {
-            rx.unexpected.insert(assembly.msg_id, assembly);
+            backlog.push(key, total_segs, total_len, SegPhase::EagerReady);
         }
     }
 }
@@ -2038,7 +2013,7 @@ impl Drop for Engine {
              (outstanding={}, in_flight={})",
             self.pool_leaks(),
             self.pool.outstanding(),
-            self.in_flight.len(),
+            self.in_flight.iter().count(),
         );
     }
 }
@@ -2142,6 +2117,54 @@ mod tests {
         );
         // Myri carries the major part (paper §3.4).
         assert!(s.rails[0].payload_bytes > s.rails[1].payload_bytes);
+    }
+
+    #[test]
+    fn caller_allocated_handles_fill_holes_and_the_counter_continues_past_them() {
+        let mut tx = engine(StrategyKind::Greedy);
+        let mut rx = engine(StrategyKind::Greedy);
+        let c = tx.conn_open();
+        rx.conn_open();
+        // A submission queue handed out 0..3 and delivers them as 2, 0, 1.
+        for id in [2, 0, 1] {
+            assert!(!tx.send_complete(SendId(1)), "a hole answers no");
+            tx.submit_send_with_id(c, vec![payload(10, id as u8)], SendId(id));
+            rx.post_recv_with_id(c, RecvId(id));
+        }
+        assert_eq!(tx.submit_send(c, vec![payload(10, 3)]), SendId(3));
+        assert_eq!(rx.post_recv(c), RecvId(3));
+        pump(&mut tx, &mut rx);
+        // Messages match receives in the order both reached the engines.
+        for (id, fill) in [(2, 2), (0, 0), (1, 1), (3, 3)] {
+            assert!(tx.send_complete(SendId(id)));
+            assert_eq!(
+                rx.try_recv(RecvId(id)).unwrap().segments[0],
+                payload(10, fill)
+            );
+        }
+        assert_eq!((tx.state_len(), rx.state_len()), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "already in use")]
+    fn a_retired_handle_cannot_be_claimed_again() {
+        let mut tx = engine(StrategyKind::Greedy);
+        let mut rx = engine(StrategyKind::Greedy);
+        let c = tx.conn_open();
+        rx.conn_open();
+        let send = tx.submit_send(c, vec![payload(10, 1)]);
+        rx.post_recv(c);
+        pump(&mut tx, &mut rx);
+        assert!(tx.send_complete(send));
+        tx.submit_send_with_id(c, vec![payload(10, 2)], send);
+    }
+
+    #[test]
+    #[should_panic(expected = "not from a dense counter")]
+    fn a_handle_out_of_thin_air_is_refused_before_the_window_grows_to_it() {
+        let mut tx = engine(StrategyKind::Greedy);
+        let c = tx.conn_open();
+        tx.submit_send_with_id(c, vec![payload(10, 1)], SendId(1 << 40));
     }
 
     #[test]

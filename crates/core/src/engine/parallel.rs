@@ -822,11 +822,9 @@ impl ParallelHub {
                         .expect("token issued by this hub");
                     if self.overload.max_tenant_inflight != 0 && !completed.is_empty() {
                         let mut tenants = self.tenant_inflight.lock();
-                        for id in &completed {
-                            if let Some(conn) = eng.send_conn(*id) {
-                                if let Some(n) = tenants.get_mut(&conn) {
-                                    *n = n.saturating_sub(1);
-                                }
+                        for (_, conn) in &completed {
+                            if let Some(n) = tenants.get_mut(conn) {
+                                *n = n.saturating_sub(1);
                             }
                         }
                     }

@@ -100,7 +100,7 @@ pub use engine::parallel::{
     outbox, spsc, AppOp, Completion, MpscQueue, OutboxReceiver, OutboxSender, ParallelHub,
     SchedPass, SchedScratch, SpscConsumer, SpscProducer, SyscallCounters, WorkSignal,
 };
-pub use engine::{Engine, OnPacketOutcome, ProgressOutcome};
+pub use engine::{CompletedSends, Engine, OnPacketOutcome, ProgressOutcome};
 pub use error::{EngineError, SubmitError};
 pub use health::{HealthConfig, HealthTracker, RailState, RailTelemetry};
 pub use obs::{

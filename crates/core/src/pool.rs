@@ -10,8 +10,8 @@
 //! precisely when no one else still holds a reference (the threaded
 //! transports drop theirs at tx completion; the in-process fabric's
 //! receiver may legitimately still hold one, which is counted as a miss,
-//! not an error).
-
+//! not an error — a [`Magazine`] parks such a buffer and recycles it once
+//! the receiver has let go).
 //!
 //! Two deployment shapes share the counters and the ledger discipline:
 //!
@@ -25,6 +25,7 @@
 //!   allocation stops bouncing a cache line between rail workers.
 
 use bytes::{Bytes, BytesMut};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -163,6 +164,20 @@ struct SharedCounters {
     outstanding: AtomicU64,
 }
 
+impl SharedCounters {
+    fn snapshot(&self) -> PoolCounters {
+        PoolCounters {
+            hits: self.hits.load(Ordering::Relaxed),
+            allocs: self.allocs.load(Ordering::Relaxed),
+            reclaims: self.reclaims.load(Ordering::Relaxed),
+            reclaim_misses: self.reclaim_misses.load(Ordering::Relaxed),
+            magazine_hits: self.magazine_hits.load(Ordering::Relaxed),
+            magazine_refills: self.magazine_refills.load(Ordering::Relaxed),
+            magazine_flushes: self.magazine_flushes.load(Ordering::Relaxed),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct SharedState {
     free: Mutex<Vec<Vec<u8>>>,
@@ -204,22 +219,14 @@ impl SharedPool {
         Magazine {
             shared: Arc::clone(&self.inner),
             local: Vec::with_capacity(cap),
+            limbo: VecDeque::new(),
             cap: cap.max(1),
         }
     }
 
     /// Cumulative counters aggregated across all magazines.
     pub fn counters(&self) -> PoolCounters {
-        let c = &self.inner.counters;
-        PoolCounters {
-            hits: c.hits.load(Ordering::Relaxed),
-            allocs: c.allocs.load(Ordering::Relaxed),
-            reclaims: c.reclaims.load(Ordering::Relaxed),
-            reclaim_misses: c.reclaim_misses.load(Ordering::Relaxed),
-            magazine_hits: c.magazine_hits.load(Ordering::Relaxed),
-            magazine_refills: c.magazine_refills.load(Ordering::Relaxed),
-            magazine_flushes: c.magazine_flushes.load(Ordering::Relaxed),
-        }
+        self.inner.counters.snapshot()
     }
 
     /// Buffers in someone's custody (taken, not yet reclaimed) across
@@ -239,10 +246,18 @@ impl SharedPool {
 /// magazine flushes its cache back to the shared list, so the ledger
 /// stays exact: custody is only ever counted in `outstanding`, never in
 /// a cache.
+///
+/// A buffer handed back while someone else still reads it — the
+/// in-process fabric's receiver shares every frame with its sender —
+/// cannot be recycled yet. It waits in a bounded *limbo* (custody
+/// returned, memory not yet free), and `take` looks there first for
+/// buffers that have become unique since.
 #[derive(Debug)]
 pub struct Magazine {
     shared: Arc<SharedState>,
     local: Vec<Vec<u8>>,
+    /// Reclaimed while still shared, oldest first; at most `cap`.
+    limbo: VecDeque<Bytes>,
     cap: usize,
 }
 
@@ -252,12 +267,17 @@ impl Magazine {
     }
 
     /// Take a cleared buffer with at least `min_capacity` bytes of
-    /// capacity: local cache first, then a batch refill from the shared
-    /// list, then a counted fresh allocation.
+    /// capacity: local cache first (topped up with whatever the limbo
+    /// can release), then a batch refill from the shared list, then a
+    /// counted fresh allocation.
     pub fn take(&mut self, min_capacity: usize) -> BytesMut {
+        let fits = |b: &Vec<u8>| b.capacity() >= min_capacity;
+        if !self.local.iter().any(fits) {
+            self.release_limbo();
+        }
         let c = &self.shared.counters;
         c.outstanding.fetch_add(1, Ordering::Relaxed);
-        if let Some(idx) = self.local.iter().position(|b| b.capacity() >= min_capacity) {
+        if let Some(idx) = self.local.iter().position(fits) {
             let mut buf = self.local.swap_remove(idx);
             buf.clear();
             c.magazine_hits.fetch_add(1, Ordering::Relaxed);
@@ -291,7 +311,9 @@ impl Magazine {
 
     /// Try to recover the allocation behind `buf` into the local cache
     /// (same uniqueness rule as [`BufferPool::reclaim`]); overflow past
-    /// the magazine bound flushes a batch to the shared list.
+    /// the magazine bound flushes a batch to the shared list. A buffer
+    /// someone else still holds is a counted miss and waits in the limbo,
+    /// pushing out the one that has waited longest when that is full.
     pub fn reclaim(&mut self, buf: Bytes) {
         let c = &self.shared.counters;
         let _ = c
@@ -301,13 +323,33 @@ impl Magazine {
             });
         if buf.is_unique() {
             c.reclaims.fetch_add(1, Ordering::Relaxed);
-            let v: Vec<u8> = buf.into();
-            self.local.push(v);
-            if self.local.len() > self.cap {
-                self.flush(self.batch());
-            }
+            self.cache(buf.into());
         } else {
             c.reclaim_misses.fetch_add(1, Ordering::Relaxed);
+            if self.limbo.len() == self.cap {
+                self.limbo.pop_front();
+            }
+            self.limbo.push_back(buf);
+        }
+    }
+
+    /// Put a free buffer into the local cache.
+    fn cache(&mut self, buf: Vec<u8>) {
+        self.local.push(buf);
+        if self.local.len() > self.cap {
+            self.flush(self.batch());
+        }
+    }
+
+    /// Move every parked buffer that nobody else holds any more into the
+    /// local cache.
+    fn release_limbo(&mut self) {
+        for _ in 0..self.limbo.len() {
+            match self.limbo.pop_front() {
+                Some(buf) if buf.is_unique() => self.cache(buf.into()),
+                Some(buf) => self.limbo.push_back(buf),
+                None => break,
+            }
         }
     }
 
@@ -330,6 +372,13 @@ impl Magazine {
         self.local.len()
     }
 
+    /// Buffers waiting for another holder to let go (not outstanding,
+    /// not yet free).
+    #[cfg(test)]
+    fn parked(&self) -> usize {
+        self.limbo.len()
+    }
+
     /// Ledger + counter views, mirroring [`BufferPool`]'s API so the
     /// engine can hold either.
     pub fn outstanding(&self) -> u64 {
@@ -338,10 +387,7 @@ impl Magazine {
 
     /// Cumulative counters (shared across every magazine of the pool).
     pub fn counters(&self) -> PoolCounters {
-        SharedPool {
-            inner: Arc::clone(&self.shared),
-        }
-        .counters()
+        self.shared.counters.snapshot()
     }
 
     /// A handle on the backing shared pool (to carve more magazines).
@@ -476,6 +522,47 @@ mod tests {
         mag.reclaim(frozen);
         assert_eq!(pool.outstanding(), 0);
         assert_eq!(mag.counters().reclaim_misses, 1);
+    }
+
+    #[test]
+    fn shared_buffer_waits_in_limbo_and_is_recycled_once_released() {
+        let pool = SharedPool::new(32);
+        let mut mag = pool.magazine(2);
+        let frame = mag.take(64).freeze();
+        let peer = frame.clone();
+        mag.reclaim(frame);
+        assert_eq!(pool.outstanding(), 0, "custody is back at once");
+        assert_eq!((mag.parked(), mag.cached()), (1, 0));
+        assert_eq!(mag.counters().reclaim_misses, 1);
+        // Still shared: the next take cannot have it.
+        let other = mag.take(64);
+        assert_eq!((mag.counters().allocs, mag.parked()), (2, 1));
+        drop(peer);
+        // Released: the take after that is a hit on the very buffer.
+        let again = mag.take(64);
+        assert_eq!((mag.counters().allocs, mag.counters().hits), (2, 1));
+        assert_eq!(mag.parked(), 0);
+        mag.reclaim(other.freeze());
+        mag.reclaim(again.freeze());
+        assert_eq!(pool.outstanding(), 0);
+    }
+
+    #[test]
+    fn limbo_is_bounded_by_the_magazine_size() {
+        let pool = SharedPool::new(32);
+        let mut mag = pool.magazine(2);
+        let held: Vec<Bytes> = (0..5)
+            .map(|_| {
+                let frame = mag.take(64).freeze();
+                mag.reclaim(frame.clone());
+                frame
+            })
+            .collect();
+        assert_eq!(mag.parked(), 2, "the oldest three were let go for good");
+        assert_eq!(pool.outstanding(), 0);
+        drop(held);
+        let _ = mag.take(64);
+        assert_eq!(mag.counters().hits, 1);
     }
 
     #[test]

@@ -4,15 +4,15 @@
 use nmad_wire::{ConnId, MsgId};
 
 /// Handle to a submitted (non-blocking) send.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SendId(pub u64);
 
 /// Handle to a posted (non-blocking) receive.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RecvId(pub u64);
 
 /// Identifies one segment of one message on one connection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct SegKey {
     /// Connection.
     pub conn: ConnId,
@@ -152,6 +152,12 @@ impl Backlog {
         self.items
             .iter()
             .filter(|i| i.phase == SegPhase::RdvGranted)
+    }
+
+    /// Whether a strategy has anything to pick from: an eager or a
+    /// granted segment (every `TxOp` names one of the two).
+    pub fn has_schedulable(&self) -> bool {
+        self.items.iter().any(|i| i.phase != SegPhase::RdvRequested)
     }
 
     /// Whether any segment is waiting for a rendezvous grant.

@@ -157,31 +157,40 @@ impl PerfTable {
     }
 }
 
+/// Per-rail split weights; up to four rails stay inline.
+pub type Weights = nmad_wire::SmallList<f64, 4>;
+
 /// Compute per-rail byte weights for splitting `total` bytes across the
 /// given rails so all chunks finish at (approximately) the same time:
 /// solve `t*` with `Σ size_i(t*) = total` by bisection, then weight rail i
 /// by `size_i(t*)`. Rails too slow to contribute get weight 0.
-pub fn split_weights(tables: &[&PerfTable], total: u64) -> Vec<f64> {
-    assert!(!tables.is_empty(), "need at least one rail table");
+pub fn split_weights<'a, T>(tables: T, total: u64) -> Weights
+where
+    T: IntoIterator<Item = &'a PerfTable>,
+    T::IntoIter: Clone,
+{
+    let tables = tables.into_iter();
+    let n = tables.clone().count();
+    assert!(n > 0, "need at least one rail table");
     if total == 0 {
-        return vec![0.0; tables.len()];
+        return std::iter::repeat_n(0.0, n).collect();
     }
     // Upper bound: the fastest single rail carries everything.
     let hi0 = tables
-        .iter()
+        .clone()
         .map(|t| t.time_for(total))
         .fold(f64::INFINITY, f64::min);
     let (mut lo, mut hi) = (0.0f64, hi0);
     for _ in 0..64 {
         let mid = 0.5 * (lo + hi);
-        let cap: f64 = tables.iter().map(|t| t.size_for(mid)).sum();
+        let cap: f64 = tables.clone().map(|t| t.size_for(mid)).sum();
         if cap >= total as f64 {
             hi = mid;
         } else {
             lo = mid;
         }
     }
-    let mut weights: Vec<f64> = tables.iter().map(|t| t.size_for(hi)).collect();
+    let mut weights: Weights = tables.map(|t| t.size_for(hi)).collect();
     // Renormalize to exactly `total`: at the bisection's final `hi` the
     // capacities can over- or undershoot (flat table tails make size_for
     // jump), and the caller divides these into byte counts — shares that
@@ -189,14 +198,14 @@ pub fn split_weights(tables: &[&PerfTable], total: u64) -> Vec<f64> {
     let sum: f64 = weights.iter().sum();
     if sum > 0.0 {
         let scale = total as f64 / sum;
-        for w in &mut weights {
+        for w in weights.iter_mut() {
             *w *= scale;
         }
     } else {
         // Degenerate tables (all-flat plateaus) can yield zero capacity at
         // every probed time; fall back to an even split rather than NaN.
-        let even = total as f64 / weights.len() as f64;
-        weights.fill(even);
+        let even = total as f64 / n as f64;
+        weights.iter_mut().for_each(|w| *w = even);
     }
     debug_assert!(
         weights.iter().all(|w| *w >= 0.0),
@@ -213,7 +222,7 @@ pub fn split_weights(tables: &[&PerfTable], total: u64) -> Vec<f64> {
 /// 1000). This is the one-number-per-rail summary the calibrator snapshots
 /// after every rebuild and the `calibrate` obs event carries.
 pub fn split_ratio_permille(tables: &[&PerfTable], reference: u64) -> Vec<u16> {
-    let w = split_weights(tables, reference.max(1));
+    let w = split_weights(tables.iter().copied(), reference.max(1));
     let sum: f64 = w.iter().sum();
     let mut out: Vec<u16> = w
         .iter()
@@ -668,7 +677,7 @@ mod tests {
         let myri = myri_table();
         let quad = quad_table();
         let total = 8u64 << 20;
-        let w = split_weights(&[&myri, &quad], total);
+        let w = split_weights([&myri, &quad], total);
         assert_eq!(w.len(), 2);
         let sum: f64 = w.iter().sum();
         assert!((sum - total as f64).abs() / (total as f64) < 0.01);
@@ -693,7 +702,7 @@ mod tests {
     fn split_weights_zero_total() {
         let myri = myri_table();
         let quad = quad_table();
-        assert_eq!(split_weights(&[&myri, &quad], 0), vec![0.0, 0.0]);
+        assert_eq!(split_weights([&myri, &quad], 0), vec![0.0, 0.0].into());
     }
 
     #[test]
@@ -702,7 +711,7 @@ mod tests {
         // of it: the other rail cannot finish anything within t*.
         let myri = myri_table();
         let quad = quad_table();
-        let w = split_weights(&[&myri, &quad], 64);
+        let w = split_weights([&myri, &quad], 64);
         // Quadrics has the lower latency, so it carries the message.
         assert!(w[1] > 0.0);
         assert!(
@@ -718,7 +727,7 @@ mod tests {
         let quad = quad_table();
         let sci = PerfTable::from_analytic(&platform::sci_dolphin(), &default_ladder());
         let total = 4u64 << 20;
-        let w = split_weights(&[&myri, &quad, &sci], total);
+        let w = split_weights([&myri, &quad, &sci], total);
         let sum: f64 = w.iter().sum();
         assert!((sum - total as f64).abs() / (total as f64) < 0.01);
         // Ordering by asymptotic bandwidth: myri > quad > sci.
@@ -764,7 +773,7 @@ mod tests {
         let a = PerfTable::new(vec![(100, 10.0), (200, 20.0), (300, 20.0), (400, 20.0)]);
         let b = PerfTable::new(vec![(100, 10.0), (400, 40.0)]);
         let total = 600u64;
-        let w = split_weights(&[&a, &b], total);
+        let w = split_weights([&a, &b], total);
         assert!(w.iter().all(|&x| x >= 0.0), "weights {w:?}");
         let sum: f64 = w.iter().sum();
         assert!(
@@ -777,8 +786,8 @@ mod tests {
     fn split_weights_all_flat_tables_fall_back_to_even() {
         let a = PerfTable::new(vec![(100, 10.0), (200, 10.0)]);
         let b = PerfTable::new(vec![(100, 10.0), (200, 10.0)]);
-        let w = split_weights(&[&a, &b], 1000);
-        assert_eq!(w, vec![500.0, 500.0]);
+        let w = split_weights([&a, &b], 1000);
+        assert_eq!(w, vec![500.0, 500.0].into());
     }
 
     #[test]

@@ -14,13 +14,10 @@
 //! Only one rail idle → the segment goes whole onto that rail.
 
 use nmad_model::RailId;
-use nmad_wire::split::SplitPlan;
 
 use super::aggregate_eager::AggregateEager;
 use super::{Strategy, StrategyCtx, TxOp};
-use crate::obs::{Event, EventKind};
-use crate::request::PlannedChunk;
-use crate::sampling::split_weights;
+use crate::sampling::Weights;
 
 /// How chunk sizes are chosen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,61 +77,23 @@ impl Strategy for AdaptiveSplit {
             .granted_items()
             .find(|i| i.plan.is_none())
             .map(|i| (i.key, i.next_offset, i.remaining()));
-        if let Some((key, next_offset, remaining)) = first_unplanned {
+        if let Some(seg @ (key, _, remaining)) = first_unplanned {
             let idle = ctx.idle_rails();
             let min_chunk = ctx.config.min_chunk as u64;
             if idle.len() >= 2 && remaining >= 2 * min_chunk {
-                let weights: Vec<f64> = match self.mode {
-                    SplitMode::Iso => vec![1.0; idle.len()],
-                    SplitMode::Sampled => {
-                        let tables: Vec<&crate::sampling::PerfTable> =
-                            idle.iter().map(|r| &ctx.tables[r.0]).collect();
-                        split_weights(&tables, remaining)
-                    }
+                let weights: Weights = match self.mode {
+                    SplitMode::Iso => idle.iter().map(|_| 1.0).collect(),
+                    SplitMode::Sampled => ctx.sampled_weights(&idle, remaining),
                     SplitMode::Fixed(permille) => {
                         let f = f64::from(permille.min(1000)) / 1000.0;
                         let rest = (1.0 - f) / (idle.len() - 1) as f64;
-                        idle.iter()
-                            .enumerate()
-                            .map(|(i, _)| if i == 0 { f } else { rest })
+                        (0..idle.len())
+                            .map(|i| if i == 0 { f } else { rest })
                             .collect()
                     }
                 };
                 if weights.iter().sum::<f64>() > 0.0 {
-                    let plan = SplitPlan::by_ratio(remaining, &weights, min_chunk);
-                    let chunks: Vec<PlannedChunk> = plan
-                        .chunks()
-                        .iter()
-                        .map(|c| PlannedChunk {
-                            rail: idle[c.rail].0,
-                            offset: next_offset + c.offset,
-                            len: c.len,
-                            taken: false,
-                        })
-                        .collect();
-                    let mine = chunks.iter().any(|c| c.rail == rail.0);
-                    if ctx.obs.is_enabled() {
-                        // One event per planned chunk, ratio in permille of
-                        // the bytes being split (aux), at plan time — the
-                        // engine only sees chunks one at a time later.
-                        for c in &chunks {
-                            let permille = c
-                                .len
-                                .saturating_mul(1000)
-                                .checked_div(remaining)
-                                .unwrap_or(0);
-                            ctx.obs.record(
-                                Event::new(ctx.now_ns, EventKind::DecideSplit)
-                                    .rail(c.rail)
-                                    .seq(key.msg_id)
-                                    .size(c.len)
-                                    .aux(permille),
-                            );
-                        }
-                    }
-                    let ok = ctx.backlog.set_plan(key, chunks);
-                    debug_assert!(ok, "plan must cover the remainder");
-                    if mine {
+                    if ctx.plan_split(rail, seg, &idle, &weights) {
                         return Some(TxOp::PlannedChunk);
                     }
                     // This rail contributes nothing (too slow for the
@@ -325,7 +284,7 @@ mod tests {
         assert_eq!(s.next_tx(RailId(0), &mut f.ctx(&both_idle)), None);
         assert_eq!(
             s.next_tx(RailId(1), &mut f.ctx(&both_idle)),
-            Some(TxOp::Aggregate(vec![key(1, 0), key(1, 1)]))
+            Some(TxOp::Aggregate(vec![key(1, 0), key(1, 1)].into()))
         );
     }
 

@@ -14,7 +14,7 @@
 
 use nmad_model::RailId;
 
-use super::{collect_aggregation_batch_below, Strategy, StrategyCtx, TxOp};
+use super::{batch_op, collect_aggregation_batch_below, Strategy, StrategyCtx, TxOp};
 
 /// See module docs.
 #[derive(Debug, Default)]
@@ -40,12 +40,7 @@ impl AggregateEager {
             // messages for it.
             return None;
         }
-        let batch = collect_aggregation_batch_below(ctx, pio_boundary);
-        match batch.len() {
-            0 => None,
-            1 => Some(TxOp::Eager(batch[0])),
-            _ => Some(TxOp::Aggregate(batch)),
-        }
+        batch_op(collect_aggregation_batch_below(ctx, pio_boundary))
     }
 
     pub(crate) fn greedy_large_op(rail: RailId, ctx: &mut StrategyCtx<'_>) -> Option<TxOp> {
@@ -140,7 +135,7 @@ mod tests {
         // Quadrics aggregates both.
         assert_eq!(
             s.next_tx(RailId(1), &mut f.ctx(&both_idle)),
-            Some(TxOp::Aggregate(vec![key(1, 0), key(1, 1)]))
+            Some(TxOp::Aggregate(vec![key(1, 0), key(1, 1)].into()))
         );
     }
 
@@ -249,7 +244,7 @@ mod tests {
         // Then the two smalls aggregate together.
         assert_eq!(
             s.next_tx(RailId(1), &mut f.ctx(&myri_busy)),
-            Some(TxOp::Aggregate(vec![key(1, 0), key(3, 0)]))
+            Some(TxOp::Aggregate(vec![key(1, 0), key(3, 0)].into()))
         );
     }
 

@@ -15,7 +15,7 @@
 
 use nmad_model::RailId;
 
-use super::{collect_aggregation_batch_below, Strategy, StrategyCtx, TxOp};
+use super::{batch_op, collect_aggregation_batch_below, Strategy, StrategyCtx, TxOp};
 
 /// See module docs.
 pub struct IdleHarvest {
@@ -68,12 +68,7 @@ impl Strategy for IdleHarvest {
         // Otherwise steal a batch of the smalls the primary reserved for
         // its low-latency rail — under this much pressure that rail needs
         // the help.
-        let batch = collect_aggregation_batch_below(ctx, min_chunk);
-        match batch.len() {
-            0 => None,
-            1 => Some(TxOp::Eager(batch[0])),
-            _ => Some(TxOp::Aggregate(batch)),
-        }
+        batch_op(collect_aggregation_batch_below(ctx, min_chunk))
     }
 }
 

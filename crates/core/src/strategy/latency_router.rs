@@ -23,12 +23,8 @@
 //!   pin is saturated.
 
 use nmad_model::RailId;
-use nmad_wire::split::SplitPlan;
 
-use super::{collect_aggregation_batch_below, Strategy, StrategyCtx, TxOp};
-use crate::obs::{Event, EventKind};
-use crate::request::PlannedChunk;
-use crate::sampling::split_weights;
+use super::{batch_op, collect_aggregation_batch_below, RailList, Strategy, StrategyCtx, TxOp};
 
 /// See module docs.
 #[derive(Debug, Default)]
@@ -65,48 +61,16 @@ impl LatencyRouter {
             .granted_items()
             .find(|i| i.plan.is_none())
             .map(|i| (i.key, i.next_offset, i.remaining()));
-        if let Some((key, next_offset, remaining)) = first_unplanned {
-            let idle: Vec<RailId> = ctx
+        if let Some(seg @ (key, _, remaining)) = first_unplanned {
+            let idle: RailList = ctx
                 .idle_rails()
                 .into_iter()
                 .filter(|r| Some(*r) != exclude)
                 .collect();
             if idle.len() >= 2 && remaining >= 2 * min_chunk {
-                let tables: Vec<&crate::sampling::PerfTable> =
-                    idle.iter().map(|r| &ctx.tables[r.0]).collect();
-                let weights = split_weights(&tables, remaining);
+                let weights = ctx.sampled_weights(&idle, remaining);
                 if weights.iter().sum::<f64>() > 0.0 {
-                    let plan = SplitPlan::by_ratio(remaining, &weights, min_chunk);
-                    let chunks: Vec<PlannedChunk> = plan
-                        .chunks()
-                        .iter()
-                        .map(|c| PlannedChunk {
-                            rail: idle[c.rail].0,
-                            offset: next_offset + c.offset,
-                            len: c.len,
-                            taken: false,
-                        })
-                        .collect();
-                    let mine = chunks.iter().any(|c| c.rail == rail.0);
-                    if ctx.obs.is_enabled() {
-                        for c in &chunks {
-                            let permille = c
-                                .len
-                                .saturating_mul(1000)
-                                .checked_div(remaining)
-                                .unwrap_or(0);
-                            ctx.obs.record(
-                                Event::new(ctx.now_ns, EventKind::DecideSplit)
-                                    .rail(c.rail)
-                                    .seq(key.msg_id)
-                                    .size(c.len)
-                                    .aux(permille),
-                            );
-                        }
-                    }
-                    let ok = ctx.backlog.set_plan(key, chunks);
-                    debug_assert!(ok, "plan must cover the remainder");
-                    if mine {
+                    if ctx.plan_split(rail, seg, &idle, &weights) {
                         return Some(TxOp::PlannedChunk);
                     }
                 } else {
@@ -149,13 +113,9 @@ impl Strategy for LatencyRouter {
         let reserved = (smalls_waiting || in_reserve_window) && another_healthy;
 
         if rail == pin {
-            let batch = collect_aggregation_batch_below(ctx, min_chunk);
-            if !batch.is_empty() {
+            if let Some(op) = batch_op(collect_aggregation_batch_below(ctx, min_chunk)) {
                 self.last_small_ns = Some(ctx.now_ns);
-                return match batch.len() {
-                    1 => Some(TxOp::Eager(batch[0])),
-                    _ => Some(TxOp::Aggregate(batch)),
-                };
+                return Some(op);
             }
             if reserved {
                 return None;
@@ -171,12 +131,7 @@ impl Strategy for LatencyRouter {
         // them (saturated or out of service).
         let pin_blocked = ctx.rail_busy.get(pin.0).copied().unwrap_or(false) || !ctx.rail_ok(pin);
         if pin_blocked && smalls_waiting {
-            let batch = collect_aggregation_batch_below(ctx, min_chunk);
-            return match batch.len() {
-                0 => None,
-                1 => Some(TxOp::Eager(batch[0])),
-                _ => Some(TxOp::Aggregate(batch)),
-            };
+            return batch_op(collect_aggregation_batch_below(ctx, min_chunk));
         }
         None
     }

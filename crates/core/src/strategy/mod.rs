@@ -34,11 +34,19 @@ pub mod srpt;
 pub mod static_round_robin;
 
 use nmad_model::{NicModel, RailId};
+use nmad_wire::split::SplitPlan;
+use nmad_wire::SmallList;
 
 use crate::config::EngineConfig;
-use crate::obs::FlightRecorder;
-use crate::request::{Backlog, SegKey};
-use crate::sampling::PerfTable;
+use crate::obs::{Event, EventKind, FlightRecorder};
+use crate::request::{Backlog, PlannedChunk, SegKey};
+use crate::sampling::{split_weights, PerfTable, Weights};
+
+/// The segments one frame carries: aggregates of up to eight stay inline.
+pub type KeyList = SmallList<SegKey, 8>;
+
+/// A set of rails; up to four stay inline.
+pub type RailList = SmallList<RailId, 4>;
 
 /// What a strategy wants an idle rail to transmit.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,7 +55,7 @@ pub enum TxOp {
     Eager(SegKey),
     /// Copy these eager segments into one aggregate container (in the
     /// given order) and send it.
-    Aggregate(Vec<SegKey>),
+    Aggregate(KeyList),
     /// Send the next chunk (up to `max_len` bytes) of a granted segment
     /// that has no split plan.
     Chunk {
@@ -118,13 +126,66 @@ impl StrategyCtx<'_> {
     }
 
     /// Rails currently idle and healthy (including the one being asked).
-    pub fn idle_rails(&self) -> Vec<RailId> {
+    pub fn idle_rails(&self) -> RailList {
         self.rail_busy
             .iter()
             .enumerate()
             .filter(|&(i, &b)| !b && self.rail_ok(RailId(i)))
             .map(|(i, _)| RailId(i))
             .collect()
+    }
+
+    /// Byte shares that equalize the sampled transfer times of `total`
+    /// bytes across `rails` (§3.4), one weight per rail.
+    pub fn sampled_weights(&self, rails: &RailList, total: u64) -> Weights {
+        split_weights(rails.iter().map(|r| &self.tables[r.0]), total)
+    }
+
+    /// Split the `remaining` bytes of granted segment `key`, from
+    /// `next_offset` on, across `rails` in proportion to `weights` (one
+    /// per rail, their sum positive) and attach the plan to the segment.
+    /// True when `rail` got a chunk of it.
+    pub fn plan_split(
+        &mut self,
+        rail: RailId,
+        (key, next_offset, remaining): (SegKey, u64, u64),
+        rails: &RailList,
+        weights: &Weights,
+    ) -> bool {
+        let min_chunk = self.config.min_chunk as u64;
+        let plan = SplitPlan::by_ratio(remaining, weights.iter().copied(), min_chunk);
+        let chunks: Vec<PlannedChunk> = plan
+            .chunks()
+            .map(|c| PlannedChunk {
+                rail: rails[c.rail].0,
+                offset: next_offset + c.offset,
+                len: c.len,
+                taken: false,
+            })
+            .collect();
+        let mine = chunks.iter().any(|c| c.rail == rail.0);
+        if self.obs.is_enabled() {
+            // One event per planned chunk, ratio in permille of the bytes
+            // being split (aux), at plan time — the engine only sees
+            // chunks one at a time later.
+            for c in &chunks {
+                let permille = c
+                    .len
+                    .saturating_mul(1000)
+                    .checked_div(remaining)
+                    .unwrap_or(0);
+                self.obs.record(
+                    Event::new(self.now_ns, EventKind::DecideSplit)
+                        .rail(c.rail)
+                        .seq(key.msg_id)
+                        .size(c.len)
+                        .aux(permille),
+                );
+            }
+        }
+        let ok = self.backlog.set_plan(key, chunks);
+        debug_assert!(ok, "plan must cover the remainder");
+        mine
     }
 
     /// In-flight load snapshot for `rail` (idle default when the engine —
@@ -274,16 +335,16 @@ impl StrategyKind {
 /// Shared helper: collect the set of eager segments an aggregating
 /// strategy should merge right now, respecting the aggregation size cap.
 /// Returns keys in submit order; empty when nothing is waiting.
-pub(crate) fn collect_aggregation_batch(ctx: &StrategyCtx<'_>) -> Vec<SegKey> {
+pub(crate) fn collect_aggregation_batch(ctx: &StrategyCtx<'_>) -> KeyList {
     collect_aggregation_batch_below(ctx, u64::MAX)
 }
 
 /// Like [`collect_aggregation_batch`] but only considering segments
 /// strictly smaller than `max_seg` (multi-rail strategies exclude
 /// DMA-eager "medium" segments, which balance better than they copy).
-pub(crate) fn collect_aggregation_batch_below(ctx: &StrategyCtx<'_>, max_seg: u64) -> Vec<SegKey> {
+pub(crate) fn collect_aggregation_batch_below(ctx: &StrategyCtx<'_>, max_seg: u64) -> KeyList {
     let cap = ctx.config.agg_max_bytes as u64;
-    let mut keys = Vec::new();
+    let mut keys = KeyList::new();
     let mut total = 0u64;
     for item in ctx.backlog.eager_items() {
         if item.size >= max_seg {
@@ -299,6 +360,16 @@ pub(crate) fn collect_aggregation_batch_below(ctx: &StrategyCtx<'_>, max_seg: u6
         }
     }
     keys
+}
+
+/// The op that sends `batch`: nothing, the one segment as it is, or an
+/// aggregate of them.
+pub(crate) fn batch_op(batch: KeyList) -> Option<TxOp> {
+    match batch.len() {
+        0 => None,
+        1 => Some(TxOp::Eager(batch[0])),
+        _ => Some(TxOp::Aggregate(batch)),
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 
 use nmad_model::RailId;
 
-use super::{collect_aggregation_batch, Strategy, StrategyCtx, TxOp};
+use super::{batch_op, collect_aggregation_batch, Strategy, StrategyCtx, TxOp};
 
 /// See module docs.
 #[derive(Debug)]
@@ -55,12 +55,7 @@ impl Strategy for SingleRail {
             return Some(TxOp::Chunk { key, max_len });
         }
         if self.aggregate {
-            let batch = collect_aggregation_batch(ctx);
-            match batch.len() {
-                0 => None,
-                1 => Some(TxOp::Eager(batch[0])),
-                _ => Some(TxOp::Aggregate(batch)),
-            }
+            batch_op(collect_aggregation_batch(ctx))
         } else {
             ctx.backlog.eager_items().next().map(|i| TxOp::Eager(i.key))
         }
@@ -158,7 +153,7 @@ mod tests {
         };
         assert_eq!(
             s.next_tx(RailId(0), &mut ctx),
-            Some(TxOp::Aggregate(vec![key(1, 0), key(1, 1)]))
+            Some(TxOp::Aggregate(vec![key(1, 0), key(1, 1)].into()))
         );
     }
 

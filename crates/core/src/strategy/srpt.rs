@@ -22,12 +22,10 @@
 //! (`srpt_straggle_factor`/`srpt_straggle_floor_ns`).
 
 use nmad_model::RailId;
-use nmad_wire::split::SplitPlan;
 
-use super::{collect_aggregation_batch_below, Strategy, StrategyCtx, TxOp};
+use super::{batch_op, collect_aggregation_batch_below, Strategy, StrategyCtx, TxOp};
 use crate::obs::{Event, EventKind};
-use crate::request::{PlannedChunk, SegKey};
-use crate::sampling::split_weights;
+use crate::request::SegKey;
 
 #[cfg(doc)]
 use super::RailFlight;
@@ -140,11 +138,7 @@ impl Strategy for Srpt {
                         // batch them (submit order inside the container is
                         // fine — they all complete with this one frame).
                         let batch = collect_aggregation_batch_below(ctx, min_chunk);
-                        return match batch.len() {
-                            0 => Some(TxOp::Eager(key)),
-                            1 => Some(TxOp::Eager(batch[0])),
-                            _ => Some(TxOp::Aggregate(batch)),
-                        };
+                        return batch_op(batch).or(Some(TxOp::Eager(key)));
                     }
                     return Some(TxOp::Eager(key));
                 }
@@ -154,41 +148,10 @@ impl Strategy for Srpt {
                         // Finish this segment as fast as the fabric allows:
                         // split it across every idle rail by sampled shares
                         // (remaining-work-aware striping).
-                        let tables: Vec<&crate::sampling::PerfTable> =
-                            idle.iter().map(|r| &ctx.tables[r.0]).collect();
-                        let weights = split_weights(&tables, remaining);
+                        let weights = ctx.sampled_weights(&idle, remaining);
                         if weights.iter().sum::<f64>() > 0.0 {
-                            let plan = SplitPlan::by_ratio(remaining, &weights, min_chunk);
-                            let chunks: Vec<PlannedChunk> = plan
-                                .chunks()
-                                .iter()
-                                .map(|c| PlannedChunk {
-                                    rail: idle[c.rail].0,
-                                    offset: next_offset + c.offset,
-                                    len: c.len,
-                                    taken: false,
-                                })
-                                .collect();
-                            let mine = chunks.iter().any(|c| c.rail == rail.0);
-                            if ctx.obs.is_enabled() {
-                                for c in &chunks {
-                                    let permille = c
-                                        .len
-                                        .saturating_mul(1000)
-                                        .checked_div(remaining)
-                                        .unwrap_or(0);
-                                    ctx.obs.record(
-                                        Event::new(ctx.now_ns, EventKind::DecideSplit)
-                                            .rail(c.rail)
-                                            .seq(key.msg_id)
-                                            .size(c.len)
-                                            .aux(permille),
-                                    );
-                                }
-                            }
-                            let ok = ctx.backlog.set_plan(key, chunks);
-                            debug_assert!(ok, "plan must cover the remainder");
-                            if mine {
+                            let seg = (key, next_offset, remaining);
+                            if ctx.plan_split(rail, seg, &idle, &weights) {
                                 return Some(TxOp::PlannedChunk);
                             }
                             // Planned away from this rail (its share
@@ -301,7 +264,7 @@ mod tests {
         let busy = [false, true];
         assert_eq!(
             s.next_tx(RailId(0), &mut f.ctx(&busy)),
-            Some(TxOp::Aggregate(vec![key(0, 0), key(1, 0)]))
+            Some(TxOp::Aggregate(vec![key(0, 0), key(1, 0)].into()))
         );
     }
 

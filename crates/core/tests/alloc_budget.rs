@@ -1,0 +1,226 @@
+//! Heap allocations per engine call, counted by a global allocator in a
+//! process of its own (one test function: nothing else allocates while a
+//! call is measured). After a warm-up that sizes the windows, the pool
+//! and the scratch lists, a decision may allocate what it hands out — the
+//! frame's head (an `Arc`) — and the delivery of a message the `Vec` of
+//! its segments; the bookkeeping around them allocates nothing.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use bytes::Bytes;
+use nmad_core::{Engine, EngineConfig, TxDecision};
+use nmad_model::{platform, RailId};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is a relaxed atomic and publishes no other data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `alloc` and `dealloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `call` makes.
+fn count<T>(call: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = call();
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+}
+
+fn engine() -> Engine {
+    let config = EngineConfig {
+        crc: true,
+        ..EngineConfig::default()
+    };
+    Engine::new(config, platform::paper_platform().rails, vec![])
+}
+
+/// The next decision of `e` on whichever rail has one.
+fn decide(e: &mut Engine) -> Option<(RailId, TxDecision)> {
+    (0..e.rails().len()).find_map(|r| {
+        let d = e.next_tx(RailId(r)).expect("next_tx")?;
+        Some((RailId(r), d))
+    })
+}
+
+/// Move everything both engines have to say, in the order of the mem
+/// fabric: the injection is reported done while the peer still holds the
+/// frame.
+fn drain(a: &mut Engine, b: &mut Engine) {
+    loop {
+        let mut moved = false;
+        for dir in 0..2 {
+            let (from, to) = if dir == 0 {
+                (&mut *a, &mut *b)
+            } else {
+                (&mut *b, &mut *a)
+            };
+            while let Some((rail, d)) = decide(from) {
+                from.on_tx_done(rail, d.token).expect("on_tx_done");
+                to.on_frame(rail, &d.frame).expect("on_frame");
+                moved = true;
+            }
+        }
+        if !moved {
+            return;
+        }
+    }
+}
+
+/// The rendezvous request of `a`'s large message and `b`'s grant.
+fn handshake(a: &mut Engine, b: &mut Engine) {
+    let (rail, request) = decide(a).expect("the rendezvous request");
+    a.on_tx_done(rail, request.token).expect("token");
+    b.on_frame(rail, &request.frame).expect("request");
+    let (rail, grant) = decide(b).expect("the grant");
+    b.on_tx_done(rail, grant.token).expect("token");
+    a.on_frame(rail, &grant.frame).expect("grant");
+}
+
+#[test]
+fn steady_state_allocations_stay_within_budget() {
+    let (mut a, mut b) = (engine(), engine());
+    let conn = a.conn_open();
+    b.conn_open();
+    let small = Bytes::from(vec![7u8; 64]);
+    let large = Bytes::from(vec![9u8; 256 << 10]);
+
+    // Warm-up: every shape a few times over, receives consumed.
+    for round in 0..64 {
+        let mut recvs = Vec::new();
+        for _ in 0..8 {
+            a.submit_send(conn, vec![small.clone()]);
+            recvs.push(b.post_recv(conn));
+        }
+        if round % 8 == 0 {
+            a.submit_send(conn, vec![large.clone()]);
+            recvs.push(b.post_recv(conn));
+        }
+        drain(&mut a, &mut b);
+        for r in recvs {
+            b.try_recv(r).expect("delivered in the warm-up");
+        }
+    }
+    let mut report = Vec::new();
+    let mut check = |what: &'static str, allocations: u64, budget: u64| {
+        report.push(format!("{what}: {allocations} (budget {budget})"));
+        assert!(allocations <= budget, "{}", report.join("\n"));
+    };
+
+    // An idle query.
+    let (n, idle) = count(|| decide(&mut a));
+    assert!(idle.is_none());
+    check("idle next_tx, both rails", n, 0);
+
+    // One eager message, end to end.
+    let segments = vec![small.clone()];
+    let (n, _) = count(|| a.submit_send(conn, segments));
+    check("submit_send beyond the caller's Vec", n, 0);
+    let recv = b.post_recv(conn);
+    let (n, decision) = count(|| decide(&mut a));
+    let (rail, d) = decision.expect("an eager frame");
+    check("eager decision", n, 3);
+    let (n, done) = count(|| a.on_tx_done(rail, d.token));
+    assert_eq!(done.expect("token").len(), 1);
+    check("on_tx_done", n, 0);
+    let (n, out) = count(|| b.on_frame(rail, &d.frame));
+    assert_eq!(out.expect("frame").completed_recvs.len(), 1);
+    check("on_frame of a one-segment eager frame", n, 2);
+    drop(d);
+    let (n, msg) = count(|| b.try_recv(recv));
+    assert_eq!(msg.expect("delivered").segments[0], small);
+    check("try_recv", n, 0);
+
+    // Eight small messages in one aggregate.
+    let recvs: Vec<_> = (0..8)
+        .map(|_| {
+            a.submit_send(conn, vec![small.clone()]);
+            b.post_recv(conn)
+        })
+        .collect();
+    let (n, decision) = count(|| decide(&mut a));
+    let (rail, d) = decision.expect("an aggregate frame");
+    assert_eq!(a.stats().segments_aggregated % 8, 0);
+    check("aggregate decision, 8 segments", n, 4);
+    let (n, done) = count(|| a.on_tx_done(rail, d.token));
+    assert_eq!(done.expect("token").len(), 8);
+    check("on_tx_done of the aggregate", n, 0);
+    b.on_frame(rail, &d.frame).expect("frame");
+    drop(d);
+    for r in recvs {
+        b.try_recv(r).expect("delivered");
+    }
+
+    // A rendezvous split over both rails: one planned chunk per rail.
+    a.submit_send(conn, vec![large.clone()]);
+    let recv = b.post_recv(conn);
+    handshake(&mut a, &mut b);
+    let (n, first) = count(|| a.next_tx(RailId(0)));
+    let first = first.expect("next_tx").expect("rail 0's chunk");
+    check("the decision that plans the split", n, 4);
+    let (n, second) = count(|| a.next_tx(RailId(1)));
+    let second = second.expect("next_tx").expect("rail 1's chunk");
+    check("planned-chunk decision", n, 3);
+    let (n, _) = count(|| a.on_tx_done(RailId(0), first.token));
+    check("on_tx_done of a chunk", n, 0);
+    a.on_tx_done(RailId(1), second.token).expect("token");
+    b.on_frame(RailId(0), &first.frame).expect("first chunk");
+    b.on_frame(RailId(1), &second.frame).expect("second chunk");
+    drop((first, second));
+    assert_eq!(b.try_recv(recv).expect("delivered").segments[0], large);
+
+    // The same message while the other rail is busy with a small one:
+    // bounded chunks, one after the other, on rail 0. The first opens the
+    // reassembly (its buffer is the message's), the next ones land in it.
+    a.submit_send(conn, vec![small.clone()]);
+    let small_recv = b.post_recv(conn);
+    let busy = a
+        .next_tx(RailId(1))
+        .expect("next_tx")
+        .expect("the small one");
+    a.submit_send(conn, vec![large.clone()]);
+    let recv = b.post_recv(conn);
+    handshake(&mut a, &mut b);
+    for chunk in 0..3 {
+        let (n, d) = count(|| a.next_tx(RailId(0)));
+        let d = d.expect("next_tx").expect("a bounded chunk");
+        check("bounded-chunk decision", n, 3);
+        a.on_tx_done(RailId(0), d.token).expect("token");
+        let (n, out) = count(|| b.on_frame(RailId(0), &d.frame));
+        assert!(out.expect("chunk").completed_recvs.is_empty());
+        if chunk > 0 {
+            check("on_frame of a chunk into an open reassembly", n, 0);
+        }
+    }
+    a.on_tx_done(RailId(1), busy.token).expect("token");
+    b.on_frame(RailId(1), &busy.frame).expect("small");
+    drop(busy);
+    drain(&mut a, &mut b);
+    assert_eq!(
+        b.try_recv(small_recv).expect("delivered").segments[0],
+        small
+    );
+    assert_eq!(b.try_recv(recv).expect("delivered").segments[0], large);
+
+    println!("{}", report.join("\n"));
+}

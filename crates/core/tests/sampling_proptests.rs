@@ -54,7 +54,7 @@ proptest! {
         total in 0u64..(64 << 20),
     ) {
         let refs: Vec<&PerfTable> = tables.iter().collect();
-        let w = split_weights(&refs, total);
+        let w = split_weights(refs.iter().copied(), total);
         prop_assert_eq!(w.len(), tables.len());
         for &x in &w {
             prop_assert!(x.is_finite() && x >= 0.0, "weight {} out of range", x);
@@ -76,7 +76,7 @@ proptest! {
         total in 1u64..(32 << 20),
     ) {
         let refs: Vec<&PerfTable> = tables.iter().collect();
-        let w = split_weights(&refs, total);
+        let w = split_weights(refs.iter().copied(), total);
         let times: Vec<f64> = w
             .iter()
             .zip(&refs)

@@ -27,7 +27,7 @@ use crate::nic::NicModel;
 use crate::{KIB, MB, MIB};
 
 /// Index of a rail within a [`Platform`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RailId(pub usize);
 
 impl std::fmt::Display for RailId {

@@ -78,7 +78,7 @@ mod tests {
         let p = platform::paper_platform();
         let myri = sample_rail(&p.rails[0], &ladder);
         let quad = sample_rail(&p.rails[1], &ladder);
-        let w = nmad_core::sampling::split_weights(&[&myri, &quad], 8 << 20);
+        let w = nmad_core::sampling::split_weights([&myri, &quad], 8 << 20);
         let frac = w[0] / (w[0] + w[1]);
         assert!(
             (0.52..0.68).contains(&frac),

@@ -473,7 +473,7 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
                 if let Some(e) = self.sim_event(now, EventKind::SimNic, node) {
                     self.recorder.record(e.rail(rail));
                 }
-                for s in completed {
+                for (s, _) in completed {
                     self.fire_send_complete(node, now, s);
                 }
                 schedule_kick(node, &mut self.nodes[node], &mut self.queue, now);
@@ -549,7 +549,7 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
                             frame,
                         },
                     );
-                    for s in completed {
+                    for (s, _) in completed {
                         self.fire_send_complete(node, now, s);
                     }
                     schedule_kick(node, &mut self.nodes[node], &mut self.queue, now);

@@ -1021,6 +1021,11 @@ mod tests {
         cfg.engine.calibration.enabled = true;
         cfg.engine.calibration.rebuild_every = 4;
         cfg.engine.calibration.min_samples = 4;
+        // A shaped wire, so that an injection takes what its rail's model
+        // says and the calibrator has a ratio to come back to: unshaped,
+        // every rail is as fast as the thread that drives it, any split
+        // is a fixed point and the last assertion waits for a drift.
+        cfg.time_scale = 4.0;
         // ~150 initial-RTO periods, dozens of probe intervals.
         let outage_end = Duration::from_millis(1500);
         cfg.faults = Some(FaultSpec {

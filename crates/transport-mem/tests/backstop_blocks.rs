@@ -50,7 +50,10 @@ fn exchange(from: &Endpoint, to: &Endpoint) {
 }
 
 /// An idle pair is silent: over 300 ms the two backstop threads together
-/// run for less than a millisecond.
+/// run for less than two milliseconds — their six idle ticks, which an
+/// unoptimized build makes in 0.5–0.8 ms by itself and in 1.0–1.4 ms in
+/// the middle of a workspace test run; a thread that polls every
+/// millisecond would run for ten.
 #[test]
 fn idle_pair_is_silent() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
@@ -61,7 +64,7 @@ fn idle_pair_is_silent() {
     std::thread::sleep(Duration::from_millis(300));
     let ran = backstop_cpu() - before;
     assert!(
-        ran < Duration::from_millis(1),
+        ran < Duration::from_millis(2),
         "idle backstop threads ran {ran:?} in 300 ms"
     );
 }

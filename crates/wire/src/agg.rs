@@ -64,6 +64,12 @@ impl AggregateBuilder {
         self.entries.push(entry);
     }
 
+    /// Drop whatever is queued (the storage stays).
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.payload_bytes = 0;
+    }
+
     /// Number of segments queued.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -125,8 +131,10 @@ impl AggregateBuilder {
     /// returned [`AggregateParts`] reports how many payload bytes were
     /// staged so the engine can charge exactly that memcpy cost.
     ///
-    /// Panics if empty, like [`AggregateBuilder::finish`].
-    pub fn finish_parts(self, stage_threshold: usize, mut slab: BytesMut) -> AggregateParts {
+    /// Panics if empty, like [`AggregateBuilder::finish`]. The builder is
+    /// left empty with its storage kept: one builder serves every
+    /// aggregate of an engine without allocating again.
+    pub fn finish_parts(&mut self, stage_threshold: usize, mut slab: BytesMut) -> AggregateParts {
         assert!(!self.entries.is_empty(), "empty aggregate container");
         assert!(
             self.entries.len() <= u16::MAX as usize,
@@ -134,14 +142,7 @@ impl AggregateBuilder {
         );
         let container_len = self.container_len();
         slab.clear();
-        let mut parts = PartList::new();
-        let mut staged_bytes = 0usize;
-        let mut zero_copy_bytes = 0usize;
-        // Offsets into the (single) slab allocation where each staged run
-        // ends; the runs become zero-copy slices of the frozen slab.
-        let mut run_start = 0usize;
-        let mut runs: Vec<(usize, usize)> = Vec::new();
-        let mut pending: Vec<Bytes> = Vec::new();
+        let staged = |e: &AggregateEntry| e.data.len() < stage_threshold;
         slab.put_u16_le(self.entries.len() as u16);
         for e in &self.entries {
             slab.put_u32_le(e.conn_id);
@@ -149,29 +150,31 @@ impl AggregateBuilder {
             slab.put_u16_le(e.seg_index);
             slab.put_u16_le(e.total_segs);
             slab.put_u32_le(e.data.len() as u32);
-            if e.data.len() < stage_threshold {
+            if staged(e) {
                 slab.put_slice(&e.data);
+            }
+        }
+        // Second walk over the same entries: every zero-copy payload cuts
+        // the (single) slab allocation into staged runs, which become
+        // slices of the frozen slab around the payload's own part.
+        let slab = slab.freeze();
+        let mut parts = PartList::new();
+        let (mut staged_bytes, mut zero_copy_bytes) = (0usize, 0usize);
+        let (mut run_start, mut pos) = (0usize, CONTAINER_OVERHEAD);
+        for e in self.entries.drain(..) {
+            pos += ENTRY_OVERHEAD;
+            if staged(&e) {
+                pos += e.data.len();
                 staged_bytes += e.data.len();
             } else {
-                // Cut the staged run here; the payload becomes its own
-                // part and the next run continues in the same slab.
-                runs.push((run_start, slab.len()));
-                run_start = slab.len();
-                pending.push(e.data.clone());
+                parts.push(slab.slice(run_start..pos));
+                run_start = pos;
                 zero_copy_bytes += e.data.len();
+                parts.push(e.data);
             }
         }
-        runs.push((run_start, slab.len()));
-        let slab = slab.freeze();
-        let mut pending = pending.into_iter();
-        for (i, &(s, e)) in runs.iter().enumerate() {
-            if e > s {
-                parts.push(slab.slice(s..e));
-            }
-            if i + 1 < runs.len() {
-                parts.push(pending.next().expect("one payload per cut"));
-            }
-        }
+        parts.push(slab.slice(run_start..pos));
+        self.payload_bytes = 0;
         debug_assert_eq!(parts.total_len(), container_len);
         AggregateParts {
             parts,

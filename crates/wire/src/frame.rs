@@ -26,6 +26,7 @@ use crate::agg::AggregateEntry;
 use crate::checksum::{crc32_finish, crc32_init, update};
 use crate::error::WireError;
 use crate::header::{Envelope, Packet, PacketKind, ENVELOPE_LEN, FLAG_CRC, MAGIC, VERSION};
+use crate::small::SmallList;
 use crate::ConnId;
 
 /// Parts stored inline in a [`PartList`] before spilling to the heap.
@@ -33,15 +34,10 @@ use crate::ConnId;
 /// runs) without allocating.
 pub const INLINE_PARTS: usize = 4;
 
-/// A small-vector of frame parts: up to [`INLINE_PARTS`] inline, the rest
-/// in a spill `Vec`. `Bytes::new()` is allocation-free, so an empty list
-/// costs nothing.
+/// The parts of a frame: a [`SmallList`] that never holds an empty part.
+/// `Bytes::new()` is allocation-free, so an empty list costs nothing.
 #[derive(Clone, Default)]
-pub struct PartList {
-    inline: [Bytes; INLINE_PARTS],
-    len: usize,
-    spill: Vec<Bytes>,
-}
+pub struct PartList(SmallList<Bytes, INLINE_PARTS>);
 
 impl PartList {
     /// Empty list.
@@ -51,51 +47,33 @@ impl PartList {
 
     /// Number of parts.
     pub fn len(&self) -> usize {
-        self.len
+        self.0.len()
     }
 
     /// True when no parts were pushed.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.0.is_empty()
     }
 
     /// Append a part. Empty parts are skipped — they carry no wire bytes.
     pub fn push(&mut self, part: Bytes) {
-        if part.is_empty() {
-            return;
+        if !part.is_empty() {
+            self.0.push(part);
         }
-        if self.len < INLINE_PARTS {
-            self.inline[self.len] = part;
-        } else {
-            self.spill.push(part);
-        }
-        self.len += 1;
     }
 
     /// The `i`-th part.
     pub fn get(&self, i: usize) -> Option<&Bytes> {
-        if i >= self.len {
-            None
-        } else if i < INLINE_PARTS {
-            Some(&self.inline[i])
-        } else {
-            Some(&self.spill[i - INLINE_PARTS])
-        }
+        self.0.get(i)
     }
 
     fn get_mut(&mut self, i: usize) -> Option<&mut Bytes> {
-        if i >= self.len {
-            None
-        } else if i < INLINE_PARTS {
-            Some(&mut self.inline[i])
-        } else {
-            Some(&mut self.spill[i - INLINE_PARTS])
-        }
+        self.0.get_mut(i)
     }
 
     /// Iterate over the parts.
-    pub fn iter(&self) -> PartIter<'_> {
-        PartIter { list: self, idx: 0 }
+    pub fn iter(&self) -> impl Iterator<Item = &Bytes> + Clone + '_ {
+        self.0.iter()
     }
 
     /// Total bytes across parts.
@@ -109,29 +87,6 @@ impl std::fmt::Debug for PartList {
         f.debug_list()
             .entries(self.iter().map(|p| p.len()))
             .finish()
-    }
-}
-
-/// Borrowing iterator over a [`PartList`].
-pub struct PartIter<'a> {
-    list: &'a PartList,
-    idx: usize,
-}
-
-impl<'a> Iterator for PartIter<'a> {
-    type Item = &'a Bytes;
-    fn next(&mut self) -> Option<&'a Bytes> {
-        let p = self.list.get(self.idx)?;
-        self.idx += 1;
-        Some(p)
-    }
-}
-
-impl<'a> IntoIterator for &'a PartList {
-    type Item = &'a Bytes;
-    type IntoIter = PartIter<'a>;
-    fn into_iter(self) -> PartIter<'a> {
-        self.iter()
     }
 }
 
@@ -176,9 +131,9 @@ impl PacketFrame {
         let mut parts = PartList::new();
         let mut wire_len = head.len();
         parts.push(head);
-        for p in body.iter() {
+        for p in body.0 {
             wire_len += p.len();
-            parts.push(p.clone());
+            parts.push(p);
         }
         PacketFrame { parts, wire_len }
     }
@@ -204,7 +159,7 @@ impl PacketFrame {
     }
 
     /// Iterate over the parts (iovec order).
-    pub fn parts(&self) -> PartIter<'_> {
+    pub fn parts(&self) -> impl Iterator<Item = &Bytes> + Clone + '_ {
         self.parts.iter()
     }
 

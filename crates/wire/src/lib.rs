@@ -18,7 +18,10 @@
 //! * [`split`] — chunk planning for multi-rail splitting (iso and ratio
 //!   driven), with covering/non-overlap invariants;
 //! * [`reassembly`] — out-of-order, multi-rail reassembly of chunked
-//!   messages and multi-segment eager messages.
+//!   messages and multi-segment eager messages;
+//! * [`window`] and [`small`] — the two containers the hot paths keep
+//!   their state in: a sliding window over densely issued ids instead of
+//!   a hash table, and a short list stored inline instead of a `Vec`.
 //!
 //! Everything is pure data manipulation — no I/O — so the exact same code
 //! runs under the discrete-event simulator and on the real threaded
@@ -36,7 +39,9 @@ pub mod error;
 pub mod frame;
 pub mod header;
 pub mod reassembly;
+pub mod small;
 pub mod split;
+pub mod window;
 
 pub use agg::{AggregateBuilder, AggregateEntry, AggregateParts};
 pub use error::WireError;
@@ -46,7 +51,9 @@ pub use header::{
     SamplePacket,
 };
 pub use reassembly::{MessageAssembly, Reassembler};
+pub use small::SmallList;
 pub use split::{ChunkSpec, SplitPlan};
+pub use window::{IdWindow, Lookup};
 
 /// Message identifier: unique per (sender, connection) message.
 pub type MsgId = u64;

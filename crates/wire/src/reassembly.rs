@@ -15,12 +15,24 @@
 //! The reassembler is strict: duplicate or overlapping data is reported as
 //! an error (the engine decides whether to tolerate it — retry logic does,
 //! normal operation treats it as a protocol bug).
-
-use std::collections::HashMap;
+//!
+//! What it allocates per message is what the message needs: the `Vec` of
+//! its segments, and one buffer per chunked segment. Its own bookkeeping
+//! lives in a window slot and inline lists.
 
 use bytes::Bytes;
 
+use crate::small::SmallList;
+use crate::window::IdWindow;
 use crate::MsgId;
+
+/// What a [`Reassembler`] holds of the far side's making, twice: a
+/// message id comes off the wire and can be anything, so one further
+/// ahead of the window than this is refused
+/// ([`ReasmError::OutOfWindow`]) before any slot is made for it; and a
+/// message that never finishes (a frame of it was lost) is remembered as
+/// unfinished until this many newer ones have been given up on too.
+pub const MAX_SPAN: u64 = 1 << 16;
 
 /// Reassembly errors (protocol violations from the reassembler's view).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,6 +86,11 @@ pub enum ReasmError {
         /// Segment index.
         seg_index: u16,
     },
+    /// The message id is more than [`MAX_SPAN`] ahead of the window.
+    OutOfWindow {
+        /// The offending id.
+        msg_id: MsgId,
+    },
 }
 
 impl std::fmt::Display for ReasmError {
@@ -110,17 +127,22 @@ impl MessageAssembly {
     }
 }
 
-#[derive(Debug)]
+/// Sorted, disjoint, maximal received intervals `(start, end)` of a
+/// chunked segment. Chunks of one rail arrive in order and merge, so two
+/// rails make two intervals.
+type Intervals = SmallList<(u64, u64), 2>;
+
+#[derive(Debug, Default)]
 enum SegState {
     /// Nothing received yet.
+    #[default]
     Missing,
     /// Delivered whole.
     Complete(Bytes),
     /// Being chunk-reassembled.
     Chunked {
         buf: Vec<u8>,
-        /// Sorted, disjoint received intervals `(start, end)`.
-        intervals: Vec<(u64, u64)>,
+        intervals: Intervals,
         total_len: u64,
         received: u64,
     },
@@ -156,31 +178,67 @@ fn store(buf: &mut Vec<u8>, start: usize, data: &[u8]) {
     buf.extend_from_slice(&data[inside..]);
 }
 
-#[derive(Debug)]
-struct PartialMessage {
-    total_segs: u16,
-    segs: Vec<SegState>,
-    complete_segs: u16,
+/// The sub-ranges of `[start, end)` that `intervals` does not cover yet.
+fn uncovered(intervals: &Intervals, start: u64, end: u64) -> Intervals {
+    let mut gaps = Intervals::new();
+    let mut cur = start;
+    for &(s, e) in intervals.iter() {
+        if e <= cur {
+            continue;
+        }
+        if s >= end {
+            break;
+        }
+        if s > cur {
+            gaps.push((cur, s));
+        }
+        cur = cur.max(e);
+    }
+    if cur < end {
+        gaps.push((cur, end));
+    }
+    gaps
 }
 
-impl PartialMessage {
-    fn new(total_segs: u16) -> Self {
-        PartialMessage {
-            total_segs,
-            segs: (0..total_segs).map(|_| SegState::Missing).collect(),
-            complete_segs: 0,
-        }
+/// Add `[s, e)`, which overlaps nothing in `intervals`, joining it to the
+/// intervals it touches.
+fn cover(intervals: &mut Intervals, s: u64, e: u64) {
+    let at = intervals
+        .iter()
+        .position(|&(start, _)| start >= s)
+        .unwrap_or(intervals.len());
+    let joins_prev = at > 0 && intervals[at - 1].1 == s;
+    let joins_next = at < intervals.len() && intervals[at].0 == e;
+    match (joins_prev, joins_next) {
+        (true, true) => intervals[at - 1].1 = intervals.remove(at).1,
+        (true, false) => intervals[at - 1].1 = e,
+        (false, true) => intervals[at].0 = s,
+        (false, false) => intervals.insert(at, (s, e)),
     }
 }
 
-/// Per-connection reassembler for incoming messages.
+/// A message with pieces missing. One-segment messages, the common case,
+/// keep their segment inline.
+#[derive(Debug)]
+struct PartialMessage {
+    total_segs: u16,
+    segs: SmallList<SegState, 1>,
+    complete_segs: u16,
+}
+
+/// Per-connection reassembler for incoming messages. Message ids are the
+/// sender's per-connection counter, so the messages in flight live in an
+/// [`IdWindow`]: a finished one is retired, and a late piece of it is
+/// told apart from the first piece of a new message for good.
 #[derive(Debug, Default)]
 pub struct Reassembler {
-    partial: HashMap<MsgId, PartialMessage>,
+    partial: IdWindow<PartialMessage>,
     /// Messages completed so far (accounting).
     completed_count: u64,
     /// Payload bytes completed so far (accounting).
     completed_bytes: u64,
+    /// Unfinished messages given up on (accounting).
+    abandoned_count: u64,
 }
 
 impl Reassembler {
@@ -191,6 +249,13 @@ impl Reassembler {
 
     /// Messages currently in flight (incomplete).
     pub fn in_flight(&self) -> usize {
+        self.partial.iter().count()
+    }
+
+    /// Slots held for messages in flight, finished ones behind an older
+    /// unfinished one and never-finished ones the window moved past
+    /// included (state accounting).
+    pub fn span(&self) -> usize {
         self.partial.len()
     }
 
@@ -204,22 +269,20 @@ impl Reassembler {
         self.completed_bytes
     }
 
-    fn entry(&mut self, msg_id: MsgId, total_segs: u16) -> Result<&mut PartialMessage, ReasmError> {
-        let pm = self
-            .partial
-            .entry(msg_id)
-            .or_insert_with(|| PartialMessage::new(total_segs));
-        if pm.total_segs != total_segs {
-            return Err(ReasmError::SegCountMismatch {
-                msg_id,
-                have: pm.total_segs,
-                got: total_segs,
-            });
-        }
-        Ok(pm)
+    /// Messages that never finished and were forgotten: more than
+    /// [`MAX_SPAN`] newer ones never finished either.
+    pub fn abandoned_count(&self) -> u64 {
+        self.abandoned_count
     }
 
-    fn check_index(msg_id: MsgId, seg_index: u16, total_segs: u16) -> Result<(), ReasmError> {
+    /// The state of segment `seg_index` of `msg_id`, made on first sight.
+    /// `None` when the message completed earlier.
+    fn seg(
+        &mut self,
+        msg_id: MsgId,
+        seg_index: u16,
+        total_segs: u16,
+    ) -> Result<Option<&mut SegState>, ReasmError> {
         if seg_index >= total_segs {
             return Err(ReasmError::SegIndexOutOfRange {
                 msg_id,
@@ -227,7 +290,29 @@ impl Reassembler {
                 total_segs,
             });
         }
-        Ok(())
+        // Messages that never finish must not leave the next one out of
+        // the window: the oldest make room for it.
+        let span = MAX_SPAN as usize;
+        self.abandoned_count += self.partial.bound(span / 2, span) as u64;
+        if self.partial.span_with(msg_id) > MAX_SPAN {
+            return Err(ReasmError::OutOfWindow { msg_id });
+        }
+        let fresh = || PartialMessage {
+            total_segs,
+            segs: (0..total_segs).map(|_| SegState::Missing).collect(),
+            complete_segs: 0,
+        };
+        let Some(pm) = self.partial.live_or_insert_with(msg_id, fresh) else {
+            return Ok(None);
+        };
+        if pm.total_segs != total_segs {
+            return Err(ReasmError::SegCountMismatch {
+                msg_id,
+                have: pm.total_segs,
+                got: total_segs,
+            });
+        }
+        Ok(pm.segs.get_mut(seg_index as usize))
     }
 
     /// Deliver one whole segment. Returns the completed message when this
@@ -239,20 +324,17 @@ impl Reassembler {
         total_segs: u16,
         data: Bytes,
     ) -> Result<Option<MessageAssembly>, ReasmError> {
-        Self::check_index(msg_id, seg_index, total_segs)?;
-        let pm = self.entry(msg_id, total_segs)?;
-        match &pm.segs[seg_index as usize] {
-            SegState::Missing => {}
-            SegState::Complete(_) => {
+        match self.seg(msg_id, seg_index, total_segs)? {
+            Some(slot @ SegState::Missing) => *slot = SegState::Complete(data),
+            // (A segment of a message that completed earlier arrived twice.)
+            Some(SegState::Complete(_)) | None => {
                 return Err(ReasmError::DuplicateSegment { msg_id, seg_index })
             }
-            SegState::Chunked { .. } => {
+            Some(SegState::Chunked { .. }) => {
                 return Err(ReasmError::MixedDelivery { msg_id, seg_index })
             }
         }
-        pm.segs[seg_index as usize] = SegState::Complete(data);
-        pm.complete_segs += 1;
-        Ok(self.finish_if_done(msg_id))
+        Ok(self.finish_if_done(msg_id, true))
     }
 
     /// Deliver one chunk of a segment. Returns the completed message when
@@ -267,60 +349,8 @@ impl Reassembler {
         total_len: u64,
         data: &[u8],
     ) -> Result<Option<MessageAssembly>, ReasmError> {
-        Self::check_index(msg_id, seg_index, total_segs)?;
-        if offset + data.len() as u64 > total_len {
-            return Err(ReasmError::LengthMismatch { msg_id, seg_index });
-        }
-        let pm = self.entry(msg_id, total_segs)?;
-        let slot = &mut pm.segs[seg_index as usize];
-        if let SegState::Missing = slot {
-            *slot = SegState::Chunked {
-                buf: Vec::with_capacity(total_len as usize),
-                intervals: Vec::new(),
-                total_len,
-                received: 0,
-            };
-        }
-        match slot {
-            SegState::Chunked {
-                buf,
-                intervals,
-                total_len: have_len,
-                received,
-            } => {
-                if *have_len != total_len {
-                    return Err(ReasmError::LengthMismatch { msg_id, seg_index });
-                }
-                let start = offset;
-                let end = offset + data.len() as u64;
-                // Find insertion point in the sorted disjoint interval set
-                // and reject any overlap.
-                let idx = intervals.partition_point(|&(s, _)| s < start);
-                if idx > 0 && intervals[idx - 1].1 > start {
-                    return Err(ReasmError::OverlappingChunk {
-                        msg_id,
-                        seg_index,
-                        offset,
-                    });
-                }
-                if idx < intervals.len() && intervals[idx].0 < end {
-                    return Err(ReasmError::OverlappingChunk {
-                        msg_id,
-                        seg_index,
-                        offset,
-                    });
-                }
-                intervals.insert(idx, (start, end));
-                store(buf, start as usize, data);
-                *received += data.len() as u64;
-                if *received == *have_len {
-                    pm.complete_segs += 1;
-                }
-            }
-            SegState::Complete(_) => return Err(ReasmError::MixedDelivery { msg_id, seg_index }),
-            SegState::Missing => unreachable!("initialized above"),
-        }
-        Ok(self.finish_if_done(msg_id))
+        self.chunk(msg_id, seg_index, total_segs, offset, total_len, data, true)
+            .map(|(done, _)| done)
     }
 
     /// Like [`Self::insert_chunk`], but tolerant of data already received:
@@ -341,21 +371,47 @@ impl Reassembler {
         total_len: u64,
         data: &[u8],
     ) -> Result<(Option<MessageAssembly>, u64), ReasmError> {
-        Self::check_index(msg_id, seg_index, total_segs)?;
-        if offset + data.len() as u64 > total_len {
-            return Err(ReasmError::LengthMismatch { msg_id, seg_index });
-        }
-        let pm = self.entry(msg_id, total_segs)?;
-        let slot = &mut pm.segs[seg_index as usize];
+        self.chunk(
+            msg_id, seg_index, total_segs, offset, total_len, data, false,
+        )
+    }
+
+    /// Both chunk inserts: `strict` reports bytes already received (and a
+    /// segment that arrived whole) as an error, otherwise they are
+    /// skipped. Only the uncovered sub-ranges of the chunk are copied.
+    #[allow(clippy::too_many_arguments)]
+    fn chunk(
+        &mut self,
+        msg_id: MsgId,
+        seg_index: u16,
+        total_segs: u16,
+        offset: u64,
+        total_len: u64,
+        data: &[u8],
+        strict: bool,
+    ) -> Result<(Option<MessageAssembly>, u64), ReasmError> {
+        let end = offset
+            .checked_add(data.len() as u64)
+            .filter(|&end| end <= total_len)
+            .ok_or(ReasmError::LengthMismatch { msg_id, seg_index })?;
+        let overlap = ReasmError::OverlappingChunk {
+            msg_id,
+            seg_index,
+            offset,
+        };
+        let Some(slot) = self.seg(msg_id, seg_index, total_segs)? else {
+            return if strict { Err(overlap) } else { Ok((None, 0)) };
+        };
         if let SegState::Missing = slot {
             *slot = SegState::Chunked {
                 buf: Vec::with_capacity(total_len as usize),
-                intervals: Vec::new(),
+                intervals: Intervals::new(),
                 total_len,
                 received: 0,
             };
         }
         let mut new_bytes = 0u64;
+        let mut seg_done = false;
         match slot {
             SegState::Chunked {
                 buf,
@@ -366,66 +422,46 @@ impl Reassembler {
                 if *have_len != total_len {
                     return Err(ReasmError::LengthMismatch { msg_id, seg_index });
                 }
-                // Walk the sorted disjoint interval set and copy only the
-                // uncovered sub-ranges of [offset, end).
-                let end = offset + data.len() as u64;
-                let mut cur = offset;
-                let mut gaps: Vec<(u64, u64)> = Vec::new();
-                for &(s, e) in intervals.iter() {
-                    if e <= cur {
-                        continue;
-                    }
-                    if s >= end {
-                        break;
-                    }
-                    if s > cur {
-                        gaps.push((cur, s));
-                    }
-                    cur = cur.max(e);
-                    if cur >= end {
-                        break;
-                    }
+                let gaps = uncovered(intervals, offset, end);
+                new_bytes = gaps.iter().map(|(s, e)| e - s).sum();
+                if strict && new_bytes != data.len() as u64 {
+                    return Err(overlap);
                 }
-                if cur < end {
-                    gaps.push((cur, end));
-                }
-                for &(s, e) in &gaps {
-                    store(
-                        buf,
-                        s as usize,
-                        &data[(s - offset) as usize..(e - offset) as usize],
-                    );
-                    let idx = intervals.partition_point(|&(is, _)| is < s);
-                    intervals.insert(idx, (s, e));
-                    new_bytes += e - s;
+                for &(s, e) in gaps.iter() {
+                    let piece = &data[(s - offset) as usize..(e - offset) as usize];
+                    store(buf, s as usize, piece);
+                    cover(intervals, s, e);
                 }
                 *received += new_bytes;
-                if new_bytes > 0 && *received == *have_len {
-                    pm.complete_segs += 1;
-                }
+                seg_done = new_bytes > 0 && *received == total_len;
+            }
+            SegState::Complete(_) if strict => {
+                return Err(ReasmError::MixedDelivery { msg_id, seg_index })
             }
             // The segment already arrived whole (eager) — a chunked
             // retransmission of it carries nothing new.
-            SegState::Complete(_) => {}
-            SegState::Missing => unreachable!("initialized above"),
+            SegState::Complete(_) | SegState::Missing => {}
         }
-        Ok((self.finish_if_done(msg_id), new_bytes))
+        Ok((self.finish_if_done(msg_id, seg_done), new_bytes))
     }
 
-    fn finish_if_done(&mut self, msg_id: MsgId) -> Option<MessageAssembly> {
-        let pm = self.partial.get(&msg_id)?;
+    /// Count a segment that just completed and, when it was the last one
+    /// missing, retire the message and hand it over.
+    fn finish_if_done(&mut self, msg_id: MsgId, seg_done: bool) -> Option<MessageAssembly> {
+        let pm = self.partial.live_mut(msg_id)?;
+        pm.complete_segs += u16::from(seg_done);
         if pm.complete_segs != pm.total_segs {
             return None;
         }
         debug_assert!(pm.segs.iter().all(SegState::is_complete));
-        let pm = self.partial.remove(&msg_id).unwrap();
+        let pm = self.partial.retire(msg_id)?;
         let segments: Vec<Bytes> = pm
             .segs
             .into_iter()
             .map(|s| match s {
                 SegState::Complete(b) => b,
                 SegState::Chunked { buf, .. } => Bytes::from(buf),
-                SegState::Missing => unreachable!("all segments complete"),
+                SegState::Missing => Bytes::new(),
             })
             .collect();
         let assembly = MessageAssembly { msg_id, segments };
@@ -437,7 +473,7 @@ impl Reassembler {
     /// Drop any partial state for `msg_id` (failure handling), returning
     /// whether anything was dropped.
     pub fn abort(&mut self, msg_id: MsgId) -> bool {
-        self.partial.remove(&msg_id).is_some()
+        self.partial.forget(msg_id).is_some()
     }
 }
 
@@ -641,6 +677,118 @@ mod tests {
         assert_eq!(d2.into_contiguous(), b"2a2b");
         let d1 = r.insert_eager(1, 1, 2, b(b"1b")).unwrap().unwrap();
         assert_eq!(d1.into_contiguous(), b"1a1b");
+    }
+
+    #[test]
+    fn late_piece_of_a_completed_message_is_refused_not_restarted() {
+        let mut r = Reassembler::new();
+        r.insert_eager(0, 0, 1, b(b"done")).unwrap().unwrap();
+        r.insert_chunk(1, 0, 1, 0, 4, b"done").unwrap().unwrap();
+        assert_eq!(r.span(), 0, "both retired");
+        let err = r.insert_eager(0, 0, 1, b(b"done")).unwrap_err();
+        assert!(matches!(
+            err,
+            ReasmError::DuplicateSegment { msg_id: 0, .. }
+        ));
+        let err = r.insert_chunk(1, 0, 1, 0, 4, b"done").unwrap_err();
+        assert!(matches!(
+            err,
+            ReasmError::OverlappingChunk { msg_id: 1, .. }
+        ));
+        let (done, fresh) = r.insert_chunk_lenient(1, 0, 1, 0, 4, b"done").unwrap();
+        assert!(done.is_none() && fresh == 0, "a pure duplicate");
+        assert!(!r.abort(0), "nothing left to drop");
+        assert_eq!((r.in_flight(), r.completed_count()), (0, 2));
+    }
+
+    #[test]
+    fn finished_messages_wait_for_the_oldest_unfinished_one() {
+        let mut r = Reassembler::new();
+        r.insert_eager(0, 0, 2, b(b"half")).unwrap();
+        for msg in 1..50 {
+            r.insert_eager(msg, 0, 1, b(b"x")).unwrap().unwrap();
+        }
+        assert_eq!((r.in_flight(), r.span()), (1, 50));
+        r.insert_eager(0, 1, 2, b(b"rest")).unwrap().unwrap();
+        assert_eq!((r.in_flight(), r.span()), (0, 0));
+    }
+
+    #[test]
+    fn message_id_far_ahead_is_refused_before_any_slot_is_made() {
+        let mut r = Reassembler::new();
+        let err = r.insert_eager(MAX_SPAN, 0, 1, b(b"x")).unwrap_err();
+        assert_eq!(err, ReasmError::OutOfWindow { msg_id: MAX_SPAN });
+        let err = r.insert_chunk(u64::MAX, 0, 1, 0, 1, b"x").unwrap_err();
+        assert_eq!(err, ReasmError::OutOfWindow { msg_id: u64::MAX });
+        assert_eq!(r.span(), 0);
+        r.insert_eager(MAX_SPAN - 1, 0, 2, b(b"x")).unwrap();
+        assert_eq!(r.span() as u64, MAX_SPAN);
+    }
+
+    #[test]
+    fn a_message_that_never_finishes_does_not_hold_the_others_back() {
+        let mut r = Reassembler::new();
+        r.insert_eager(0, 0, 2, b(b"half")).unwrap(); // its other half is lost
+        for msg in 2..3 * MAX_SPAN {
+            // (Message 1 is lost whole.)
+            r.insert_eager(msg, 0, 1, b(b"x")).unwrap().unwrap();
+            assert!(r.span() <= 66, "{} slots at message {msg}", r.span());
+        }
+        assert_eq!((r.in_flight(), r.abandoned_count()), (1, 0));
+        // Neither is forgotten: both still complete, however late.
+        r.insert_eager(1, 0, 1, b(b"late")).unwrap().unwrap();
+        let done = r.insert_eager(0, 1, 2, b(b"rest")).unwrap().unwrap();
+        assert_eq!(done.into_contiguous(), b"halfrest");
+        assert_eq!((r.in_flight(), r.span()), (0, 0));
+    }
+
+    #[test]
+    fn the_oldest_never_finished_messages_are_given_up_on_past_max_span() {
+        let mut r = Reassembler::new();
+        // Every other message loses its second half: too many unfinished
+        // ones for the window to shed by itself, and still no message is
+        // refused.
+        let lost = 2 * MAX_SPAN;
+        for msg in 0..2 * lost {
+            if msg % 2 == 0 {
+                r.insert_eager(msg, 0, 2, b(b"half")).unwrap();
+            } else {
+                r.insert_eager(msg, 0, 1, b(b"x")).unwrap().unwrap();
+            }
+            assert!(r.span() as u64 <= 2 * MAX_SPAN);
+        }
+        assert!(r.abandoned_count() > 0);
+        assert_eq!(r.in_flight() as u64 + r.abandoned_count(), lost);
+        // The oldest is forgotten (its late half is no new message), the
+        // newest still completes.
+        let err = r.insert_eager(0, 1, 2, b(b"rest")).unwrap_err();
+        assert!(matches!(
+            err,
+            ReasmError::DuplicateSegment { msg_id: 0, .. }
+        ));
+        r.insert_eager(2 * lost - 2, 1, 2, b(b"rest"))
+            .unwrap()
+            .unwrap();
+    }
+
+    #[test]
+    fn chunks_in_any_order_merge_into_one_interval() {
+        let mut r = Reassembler::new();
+        let payload: Vec<u8> = (0..=255u8).cycle().take(4096).collect();
+        // Two rails, each in order, interleaved; the middle one last.
+        for (s, e) in [(0, 512), (2048, 3000), (512, 1024), (3000, 4096)] {
+            let done = r
+                .insert_chunk(0, 0, 1, s as u64, 4096, &payload[s..e])
+                .unwrap();
+            assert!(done.is_none());
+        }
+        let err = r.insert_chunk(0, 0, 1, 1000, 4096, &payload[1000..1100]);
+        assert!(matches!(err, Err(ReasmError::OverlappingChunk { .. })));
+        let done = r
+            .insert_chunk(0, 0, 1, 1024, 4096, &payload[1024..2048])
+            .unwrap()
+            .unwrap();
+        assert_eq!(done.segments[0].as_ref(), payload.as_slice());
     }
 
     #[test]

@@ -8,9 +8,13 @@
 //! chunk specifications that exactly covers the message.
 
 use crate::error::WireError;
+use crate::small::SmallList;
+
+/// Rails a plan covers without allocating: one chunk per rail.
+const INLINE_RAILS: usize = 4;
 
 /// One planned chunk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChunkSpec {
     /// Byte offset within the message payload.
     pub offset: u64,
@@ -24,7 +28,7 @@ pub struct ChunkSpec {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SplitPlan {
     total_len: u64,
-    chunks: Vec<ChunkSpec>,
+    chunks: SmallList<ChunkSpec, INLINE_RAILS>,
 }
 
 impl SplitPlan {
@@ -36,40 +40,36 @@ impl SplitPlan {
     /// Returns a single-chunk plan on the heaviest rail when `total_len`
     /// itself is below `2 * min_chunk` — splitting would create a PIO-sized
     /// fragment, exactly what §3.4 avoids.
-    pub fn by_ratio(total_len: u64, weights: &[f64], min_chunk: u64) -> SplitPlan {
-        assert!(!weights.is_empty(), "need at least one rail weight");
+    pub fn by_ratio<W>(total_len: u64, weights: W, min_chunk: u64) -> SplitPlan
+    where
+        W: IntoIterator<Item = f64>,
+        W::IntoIter: Clone,
+    {
+        let weights = weights.into_iter();
         assert!(
-            weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "weights must be finite and non-negative: {weights:?}"
+            weights.clone().all(|w| w.is_finite() && w >= 0.0),
+            "weights must be finite and non-negative: {:?}",
+            weights.collect::<Vec<_>>()
         );
-        let sum: f64 = weights.iter().sum();
+        let sum: f64 = weights.clone().sum();
         assert!(sum > 0.0, "at least one weight must be positive");
 
+        // (The last of equally heavy rails, as `Iterator::max_by` picks.)
         let heaviest = weights
-            .iter()
+            .clone()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i)
-            .unwrap();
+            .fold(
+                (0, f64::MIN),
+                |best, (i, w)| if w >= best.1 { (i, w) } else { best },
+            )
+            .0;
 
         if total_len < 2 * min_chunk.max(1) {
-            return SplitPlan {
-                total_len,
-                chunks: if total_len == 0 {
-                    Vec::new()
-                } else {
-                    vec![ChunkSpec {
-                        offset: 0,
-                        len: total_len,
-                        rail: heaviest,
-                    }]
-                },
-            };
+            return SplitPlan::single(total_len, heaviest);
         }
 
         // First pass: proportional shares, floored.
-        let mut lens: Vec<u64> = weights
-            .iter()
+        let mut lens: SmallList<u64, INLINE_RAILS> = weights
             .map(|w| ((w / sum) * total_len as f64).floor() as u64)
             .collect();
         // Distribute the rounding remainder to the heaviest rail.
@@ -85,7 +85,7 @@ impl SplitPlan {
             }
         }
 
-        let mut chunks = Vec::new();
+        let mut chunks = SmallList::new();
         let mut offset = 0u64;
         for (rail, &len) in lens.iter().enumerate() {
             if len == 0 {
@@ -101,22 +101,21 @@ impl SplitPlan {
     /// Even split across `n_rails` (the "iso-split" reference of Fig. 7).
     pub fn iso(total_len: u64, n_rails: usize, min_chunk: u64) -> SplitPlan {
         assert!(n_rails > 0);
-        SplitPlan::by_ratio(total_len, &vec![1.0; n_rails], min_chunk)
+        SplitPlan::by_ratio(total_len, std::iter::repeat_n(1.0, n_rails), min_chunk)
     }
 
     /// A plan that keeps the whole message on one rail.
     pub fn single(total_len: u64, rail: usize) -> SplitPlan {
         SplitPlan {
             total_len,
-            chunks: if total_len == 0 {
-                Vec::new()
-            } else {
-                vec![ChunkSpec {
+            chunks: (total_len > 0)
+                .then_some(ChunkSpec {
                     offset: 0,
                     len: total_len,
                     rail,
-                }]
-            },
+                })
+                .into_iter()
+                .collect(),
         }
     }
 
@@ -126,8 +125,8 @@ impl SplitPlan {
     }
 
     /// Planned chunks in offset order.
-    pub fn chunks(&self) -> &[ChunkSpec] {
-        &self.chunks
+    pub fn chunks(&self) -> impl Iterator<Item = &ChunkSpec> + '_ {
+        self.chunks.iter()
     }
 
     /// Number of chunks.
@@ -154,7 +153,7 @@ impl SplitPlan {
     /// [`WireError::BadLength`] for uniform error plumbing.
     pub fn validate(&self) -> Result<(), WireError> {
         let mut expected_offset = 0u64;
-        for c in &self.chunks {
+        for c in self.chunks() {
             if c.offset != expected_offset {
                 return Err(WireError::BadLength {
                     what: "chunk offset",
@@ -186,7 +185,7 @@ mod tests {
     #[test]
     fn ratio_split_shapes() {
         // Paper platform: Myri 1202, Quadrics 851 -> ~58.6% / 41.4%.
-        let plan = SplitPlan::by_ratio(8 << 20, &[1202.0, 851.0], 8 * 1024);
+        let plan = SplitPlan::by_ratio(8 << 20, [1202.0, 851.0], 8 * 1024);
         plan.validate().unwrap();
         assert_eq!(plan.len(), 2);
         let myri = plan.bytes_on_rail(0) as f64;
@@ -207,17 +206,21 @@ mod tests {
 
     #[test]
     fn small_message_stays_whole_on_heaviest_rail() {
-        let plan = SplitPlan::by_ratio(10_000, &[1202.0, 851.0], 8 * 1024);
+        let plan = SplitPlan::by_ratio(10_000, [1202.0, 851.0], 8 * 1024);
         plan.validate().unwrap();
         assert_eq!(plan.len(), 1, "below 2*min_chunk must not split");
-        assert_eq!(plan.chunks()[0].rail, 0, "heaviest rail takes it");
+        assert_eq!(
+            plan.chunks().next().unwrap().rail,
+            0,
+            "heaviest rail takes it"
+        );
         assert_eq!(plan.bytes_on_rail(0), 10_000);
     }
 
     #[test]
     fn sub_minimum_share_folds_into_heaviest() {
         // Rail 1 weighted so lightly its share would be < min_chunk.
-        let plan = SplitPlan::by_ratio(100_000, &[1.0, 0.01], 8 * 1024);
+        let plan = SplitPlan::by_ratio(100_000, [1.0, 0.01], 8 * 1024);
         plan.validate().unwrap();
         assert_eq!(plan.len(), 1);
         assert_eq!(plan.bytes_on_rail(0), 100_000);
@@ -226,7 +229,7 @@ mod tests {
 
     #[test]
     fn zero_weight_rail_gets_nothing() {
-        let plan = SplitPlan::by_ratio(1 << 20, &[1.0, 0.0, 1.0], 1024);
+        let plan = SplitPlan::by_ratio(1 << 20, [1.0, 0.0, 1.0], 1024);
         plan.validate().unwrap();
         assert_eq!(plan.bytes_on_rail(1), 0);
         assert!(plan.bytes_on_rail(0) > 0 && plan.bytes_on_rail(2) > 0);
@@ -234,7 +237,7 @@ mod tests {
 
     #[test]
     fn zero_length_plan_is_empty() {
-        let plan = SplitPlan::by_ratio(0, &[1.0, 1.0], 1024);
+        let plan = SplitPlan::by_ratio(0, [1.0, 1.0], 1024);
         plan.validate().unwrap();
         assert!(plan.is_empty());
         let single = SplitPlan::single(0, 0);
@@ -252,7 +255,7 @@ mod tests {
 
     #[test]
     fn three_rail_ratio_covers() {
-        let plan = SplitPlan::by_ratio(3_000_000, &[1202.0, 851.0, 320.0], 8 * 1024);
+        let plan = SplitPlan::by_ratio(3_000_000, [1202.0, 851.0, 320.0], 8 * 1024);
         plan.validate().unwrap();
         assert_eq!(plan.len(), 3);
         let total: u64 = (0..3).map(|r| plan.bytes_on_rail(r)).sum();
@@ -274,7 +277,8 @@ mod tests {
                     len: 50,
                     rail: 1,
                 },
-            ],
+            ]
+            .into(),
         };
         assert!(plan.validate().is_err());
     }
@@ -283,11 +287,11 @@ mod tests {
     fn validate_detects_short_coverage() {
         let plan = SplitPlan {
             total_len: 100,
-            chunks: vec![ChunkSpec {
+            chunks: SmallList::one(ChunkSpec {
                 offset: 0,
                 len: 40,
                 rail: 0,
-            }],
+            }),
         };
         assert!(plan.validate().is_err());
     }
@@ -295,12 +299,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "weights must be finite")]
     fn negative_weight_panics() {
-        SplitPlan::by_ratio(100, &[1.0, -1.0], 1);
+        SplitPlan::by_ratio(100, [1.0, -1.0], 1);
     }
 
     #[test]
     #[should_panic(expected = "at least one weight must be positive")]
     fn all_zero_weights_panic() {
-        SplitPlan::by_ratio(100, &[0.0, 0.0], 1);
+        SplitPlan::by_ratio(100, [0.0, 0.0], 1);
     }
 }

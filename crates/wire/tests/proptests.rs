@@ -135,7 +135,7 @@ proptest! {
     #[test]
     fn split_plan_covers(total in 0u64..(32 << 20), w0 in 0.0f64..2000.0, w1 in 0.0f64..2000.0, min_chunk in 1u64..65_536) {
         prop_assume!(w0 + w1 > 0.0);
-        let plan = SplitPlan::by_ratio(total, &[w0, w1], min_chunk);
+        let plan = SplitPlan::by_ratio(total, [w0, w1], min_chunk);
         prop_assert!(plan.validate().is_ok());
         prop_assert_eq!(plan.bytes_on_rail(0) + plan.bytes_on_rail(1), total);
         if plan.len() > 1 {

@@ -33,6 +33,16 @@ if grep -rnE 'carve_frames|\.parallel =|\.reactor =|reactor_threads' crates src 
     --include='*.rs' | grep -v 'stats\.reactor ='; then
     echo "a deleted runtime switch or carve path is back (see above)"; exit 1
 fi
+# Per-message engine state lives in id-indexed windows (nmad-wire's
+# IdWindow; DESIGN.md §12 "Engine state tables"): message ids, send and
+# receive handles, tx tokens and probe numbers are dense counters, so a
+# hash table keyed by one of them — which only ever grows — has no
+# business in the engine or the reassembler.
+echo "==> no hash table in the engine's per-message state"
+if grep -nE 'Hash(Map|Set)\b' crates/core/src/engine/mod.rs crates/wire/src/reassembly.rs; then
+    echo "per-message state keyed through a hash table (see above): use an IdWindow"; exit 1
+fi
+
 # Non-test code lines per transport source file (before `#[cfg(test)]`,
 # neither blank nor `//`): printed so that the next PR's log shows the
 # trend.
@@ -52,6 +62,10 @@ fi
 echo "==> cargo test -q (tier-1)"
 cargo test -q
 
+# (Includes crates/core/tests/alloc_budget.rs: heap allocations per engine
+# call in steady state, counted by a global allocator in the test's own
+# process — an idle query and a tx completion 0, a decision <= 3, ...;
+# `-- --nocapture` on that test prints the counts.)
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 

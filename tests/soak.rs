@@ -25,10 +25,17 @@ fn mixed_payload(i: usize, rng: &mut Xoshiro256StarStar) -> Vec<u8> {
 
 #[test]
 fn two_hundred_mixed_messages_on_threads() {
-    let (a, b) = pair(FabricConfig::new(
+    let mut cfg = FabricConfig::new(
         platform::paper_platform(),
         EngineConfig::with_strategy(StrategyKind::AdaptiveSplit),
-    ));
+    );
+    // A shaped wire (~17 MB at a quarter of the modelled rate: tens of
+    // ms): the rails are busy while the sends queue, so small messages
+    // meet in the backlog because of the wire, not because of how two
+    // threads happened to interleave (unshaped, 1 run in 15 aggregated
+    // nothing).
+    cfg.time_scale = 4.0;
+    let (a, b) = pair(cfg);
     let c = a.conns()[0];
     let n = 200;
     let t = Duration::from_secs(60);
