@@ -24,8 +24,6 @@ pub mod datapath;
 pub mod figures;
 pub mod loadgen;
 pub mod obs_bench;
-pub mod parallel;
-pub mod reactor;
 pub mod report;
 pub mod soak;
 pub mod tournament;

@@ -120,8 +120,8 @@ pub fn write_json(fig: &FigureResult) -> std::io::Result<PathBuf> {
 //
 // Every wall-clock gate in this crate fights the same enemy: transient
 // background load on the measuring box. The defense is the same three
-// moves everywhere, so they live here once (obs_bench, ablate_parallel
-// and ablate_cycles all use them):
+// moves everywhere, so they live here once (obs_bench and ablate_cycles
+// use them):
 //
 // 1. warm up, then take MANY short samples rather than few long windows;
 // 2. estimate with the lowest-quartile mean — noise is strictly

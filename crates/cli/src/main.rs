@@ -21,11 +21,6 @@ use nmad_runtime_sim::sweep::{bandwidth_sizes, latency_sizes};
 use nmad_runtime_sim::{run_pingpong, sample_platform, PingPongSpec};
 
 fn main() {
-    // Child-process hook for the reactor bench: with NMAD_REACTOR_CLIENT
-    // set this process is a client herd, not a CLI (exits inside).
-    if nmad_bench::reactor::client_main() {
-        return;
-    }
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match run(&argv) {
         Ok(()) => {}
@@ -75,17 +70,14 @@ fn usage() -> &'static str {
                                         bandwidth ladder) and export the packet\n\
                                         lifecycle; chrome output loads in\n\
                                         chrome://tracing / Perfetto\n\
-       metrics [--strategy S] [--size BYTES] [--messages N] [--runtime threads|reactor]\n\
+       metrics [--strategy S] [--size BYTES] [--messages N] [--runtime threads]\n\
                                         per-rail latency/size/backlog histograms,\n\
                                         syscalls/packet and pool-magazine hit rate\n\
                                         from an acked pipeline run; --runtime\n\
-                                        drives a hub runtime instead (threads: the\n\
-                                        in-process fabric, reactor: loopback TCP)\n\
-                                        and adds lock-hold/outbox-depth/batch\n\
-                                        histograms, per-rail worker utilization\n\
-                                        and, on the reactor, the event-loop\n\
-                                        telemetry (events/wake, ready depth,\n\
-                                        per-worker loop utilization)\n\
+                                        threads drives the hub runtime on the\n\
+                                        in-process fabric instead and adds\n\
+                                        lock-hold/outbox-depth/batch histograms\n\
+                                        and per-rail worker utilization\n\
        spans [--strategy S] [--size BYTES] [--messages N]\n\
                                         per-request critical-path breakdown\n\
                                         (queue -> decide -> xfer -> ack) per\n\
@@ -115,12 +107,6 @@ fn usage() -> &'static str {
                                         --no-chaos runs clean (watchdog must\n\
                                         then stay silent); --out-* save the\n\
                                         telemetry series and machine verdict\n\
-       reactor [--connections N] [--full] [--seed N] [--check]\n\
-                                        readiness-driven reactor ablation: an\n\
-                                        epoll echo herd on a fixed worker pool\n\
-                                        plus per-I/O-thread throughput vs the\n\
-                                        thread-per-rail runtime; --check applies\n\
-                                        the 10k-connection gates\n\
        tournament [--seed N] [--smoke] [--check]\n\
                                         strategy-zoo tournament: every strategy\n\
                                         across six load regimes (uniform, heavy\n\
@@ -166,7 +152,6 @@ fn run(argv: &[String]) -> Result<(), String> {
         Some("calibrate") => cmd_calibrate(&args),
         Some("loadgen") => cmd_loadgen(&args),
         Some("soak") => cmd_soak(&args),
-        Some("reactor") => cmd_reactor(&args),
         Some("tournament") => cmd_tournament(&args),
         Some(other) => Err(format!("unknown command '{other}'")),
         None => Err("missing command".into()),
@@ -838,9 +823,8 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
     let messages: usize = args.num("messages", 8)?;
     match args.flag("runtime") {
         None => {}
-        Some("threads") => return cmd_metrics_hub(Runtime::Threads, kind, size, messages),
-        Some("reactor") => return cmd_metrics_hub(Runtime::Reactor, kind, size, messages),
-        Some(other) => return Err(format!("--runtime {other}: expected threads or reactor")),
+        Some("threads") => return cmd_metrics_hub(kind, size, messages),
+        Some(other) => return Err(format!("--runtime {other}: expected threads")),
     }
     let w = record_workload(kind, vec![size; messages], true, 4096);
     let now_ns = w.now().0 / 1_000;
@@ -881,40 +865,22 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `metrics --runtime threads|reactor`: drive a hub runtime — threads
-/// on the in-process fabric, the epoll reactor on loopback TCP — and
-/// report the scheduler's own evidence (lock-hold, outbox-depth and
-/// completion-batch histograms, per-rail worker utilization) plus, where
-/// a reactor pool runs, its event-loop telemetry.
-fn cmd_metrics_hub(
-    runtime: Runtime,
-    kind: StrategyKind,
-    size: usize,
-    messages: usize,
-) -> Result<(), String> {
+/// `metrics --runtime threads`: drive the hub runtime on the in-process
+/// fabric and report the scheduler's own evidence (lock-hold,
+/// outbox-depth and completion-batch histograms, per-rail worker
+/// utilization).
+fn cmd_metrics_hub(kind: StrategyKind, size: usize, messages: usize) -> Result<(), String> {
     use std::time::{Duration, Instant};
 
     let plat = platform::paper_platform();
     let mut engine = EngineConfig::with_strategy(kind);
-    engine.runtime = runtime;
-    let ((a, b), fabric) = match runtime {
-        Runtime::Reactor => (
-            nmad_transport_tcp::pair_localhost(nmad_transport_tcp::TcpConfig::new(
-                plat.clone(),
-                engine,
-            ))
-            .map_err(|e| format!("reactor fabric: {e}"))?,
-            "reactor TCP fabric",
-        ),
-        _ => (
-            nmad_transport_mem::pair(nmad_transport_mem::FabricConfig::new(plat.clone(), engine)),
-            "thread-per-rail in-process fabric",
-        ),
-    };
+    engine.runtime = Runtime::Threads;
+    let (a, b) =
+        nmad_transport_mem::pair(nmad_transport_mem::FabricConfig::new(plat.clone(), engine));
     let epoch = Instant::now();
     let conn = a.conns()[0];
     println!(
-        "{} / {messages} x {size} B over the {fabric}\n",
+        "{} / {messages} x {size} B over the thread-per-rail in-process fabric\n",
         kind.label()
     );
     let recvs: Vec<_> = (0..messages).map(|_| b.recv(conn)).collect();
@@ -936,33 +902,6 @@ fn cmd_metrics_hub(
     for (ep, name) in [(&a, "sender"), (&b, "receiver")] {
         let s = ep.stats();
         println!("{name}:");
-        let r = &s.reactor;
-        if r.workers > 0 {
-            println!(
-                "  {} reactor worker(s), {} connection(s) registered",
-                r.workers, r.conns
-            );
-            println!(
-                "  {} polls, {} wakeups ({} scheduler kicks), {} events ({:.1}/wake)",
-                r.polls,
-                r.wakeups,
-                r.sched_wakes,
-                r.events,
-                r.mean_events_per_wake()
-            );
-            println!("  events/wake  {}", r.events_per_wake.render());
-            println!("  ready depth  {}", r.ready_depth.render());
-            for w in 0..r.workers as usize {
-                println!(
-                    "  worker{w}: loop utilization {:>5.1}%",
-                    100.0 * r.worker_utilization(w)
-                );
-            }
-            println!(
-                "  backpressure: {} write stalls; sheds: {} fd-limit",
-                r.write_stalls, r.fd_shed
-            );
-        }
         println!("  lock hold ns {}", s.obs.lock_hold_ns.render());
         println!("  outbox depth {}", s.obs.outbox_depth.render());
         println!("  batch drain  {}", s.obs.completion_batch.render());
@@ -1424,56 +1363,6 @@ fn cmd_soak(args: &Args) -> Result<(), String> {
             "soak SLO gate OK: p99 {} us, {:+.1}% decay, 0 stuck, 0 leaks",
             report.p99_us, report.decay_pct
         );
-    }
-    Ok(())
-}
-
-/// `nmad reactor`: the readiness-driven reactor ablation from the CLI,
-/// mirroring `cargo bench --bench ablate_reactor` — an epoll echo herd
-/// against the fixed worker pool plus the per-I/O-thread throughput
-/// comparison. `--check` applies the gates (connection count, fd sheds,
-/// p99, zero hot-path allocations, per-thread ratio).
-fn cmd_reactor(args: &Args) -> Result<(), String> {
-    use nmad_bench::reactor::{check, render, run, ReactorSpec};
-    let seed: u64 = args.num("seed", 11)?;
-    let mut spec = if args.has("full") {
-        ReactorSpec::full(seed)
-    } else {
-        ReactorSpec::smoke(seed)
-    };
-    if args.flag("connections").is_some() {
-        let n: usize = args.num("connections", 0)?;
-        if n == 0 {
-            return Err("--connections must be at least 1".into());
-        }
-        spec.conns = n;
-    }
-    eprintln!(
-        "reactor ablation: {} connections x {} round trips (seed {seed})...",
-        spec.conns, spec.rounds
-    );
-    // This binary doubles as the client herd via the NMAD_REACTOR_CLIENT
-    // hook in main(), so fd-limited environments still reach the target.
-    let client_exe = std::env::current_exe().ok();
-    let report = run(&spec, client_exe.as_deref());
-    print!("{}", render(&report));
-    if args.has("check") {
-        let violations = check(&report);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("reactor gate violated: {v}");
-            }
-            return Err("reactor gate violated".into());
-        }
-        if report.supported {
-            println!(
-                "reactor gate OK: {} conns on {} threads, p99 {} us, per-thread ratio {:.2}",
-                report.scale.sustained_conns,
-                report.scale.threads,
-                report.scale.p99_us,
-                report.perthread.per_thread_ratio()
-            );
-        }
     }
     Ok(())
 }

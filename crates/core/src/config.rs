@@ -87,21 +87,18 @@ impl ZooConfig {
 /// |-----------|---------------------|----------------------|------------|
 /// | `Serial`  | the calling thread, plus one backstop thread asleep on readiness (TCP) or a condvar (mem) for what no caller is around for | 1 | TCP, mem |
 /// | `Threads` | a scheduler thread over [`crate::ParallelHub`], one TX and one RX thread per rail | 2 × rails + 1 | TCP, mem |
-/// | `Reactor` | the same scheduler, rail sockets multiplexed on a fixed epoll pool of `min(cores, 4)` workers | workers + 1 | TCP (linux x86_64/aarch64) |
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Runtime {
     /// Progress on the engine lock's holder, no hand-off queues: the
     /// lowest per-message cost, and what `BENCHMARK.json` measures.
     #[default]
     Serial,
-    /// Thread-per-rail pipeline: transport I/O happens outside the
-    /// engine lock, so rails overlap. The only hub runtime on targets
-    /// without epoll, and the only one whose workers record
-    /// flight-recorder shards.
+    /// Thread-per-rail pipeline: callers only queue and transport I/O
+    /// happens outside the engine lock, so rails overlap. Wins the
+    /// small-message rate when many application threads submit at once
+    /// (EXPERIMENTS.md, PR 17); its workers record flight-recorder
+    /// shards.
     Threads,
-    /// Epoll reactor: thread count independent of the number of rails
-    /// and peers. Refused by the mem fabric, which has no sockets.
-    Reactor,
 }
 
 /// Tunable knobs of the engine, with defaults matching the paper's setup.

@@ -6,7 +6,7 @@
 //! once, over the object-safe [`Fabric`] trait. A transport is only "how
 //! bytes move on a rail": for the serial runtime it supplies [`Rails`]
 //! and a [`Parker`] to [`Serial`], which is the [`Fabric`] and drives
-//! progress on the callers' threads; the two hub runtimes share the
+//! progress on the callers' threads; the hub runtime is the
 //! implementation for [`ParallelHub`] below, whichever transport's
 //! worker threads feed the hub.
 
@@ -119,11 +119,6 @@ pub trait Fabric: std::any::Any + Send + Sync {
         self.cv().notify_all();
     }
 
-    /// Engine statistics snapshot.
-    fn stats(&self) -> EngineStats {
-        self.engine().lock().stats().clone()
-    }
-
     /// Recorded flight events, oldest first.
     fn events(&self) -> Vec<Event> {
         self.engine().lock().recorder().events()
@@ -142,8 +137,8 @@ pub trait Fabric: std::any::Any + Send + Sync {
     fn finish_shutdown(&self) {}
 }
 
-/// The hub runtimes (`Runtime::Threads`, `Runtime::Reactor`): app calls
-/// queue without the engine lock, the scheduler thread does the rest.
+/// The hub runtime (`Runtime::Threads`): app calls queue without the
+/// engine lock, the scheduler thread does the rest.
 impl Fabric for ParallelHub {
     fn engine(&self) -> &Mutex<Engine> {
         ParallelHub::engine(self)
@@ -176,14 +171,6 @@ impl Fabric for ParallelHub {
         self.kick_sched();
     }
 
-    /// Reactor telemetry comes from the live counters, not from the
-    /// last scheduler pass's mirror.
-    fn stats(&self) -> EngineStats {
-        let mut stats = ParallelHub::engine(self).lock().stats().clone();
-        stats.reactor = self.reactor_snapshot();
-        stats
-    }
-
     /// The engine ring merged with the worker shards deposited so far
     /// (workers deposit at exit).
     fn events(&self) -> Vec<Event> {
@@ -202,7 +189,7 @@ impl Fabric for ParallelHub {
 /// One endpoint of a connected pair, on any transport and runtime.
 pub struct Endpoint {
     fabric: Arc<dyn Fabric>,
-    /// Joined in order on drop. The hub runtimes list their I/O workers
+    /// Joined in order on drop. The hub runtime lists its I/O workers
     /// first and the scheduler last, so that it drains their final
     /// completions before it quiesces.
     workers: Vec<JoinHandle<()>>,
@@ -334,7 +321,7 @@ impl Endpoint {
 
     /// Engine statistics snapshot.
     pub fn stats(&self) -> EngineStats {
-        self.fabric.stats()
+        self.fabric.engine().lock().stats().clone()
     }
 
     /// Buffer-pool ledger check: outstanding pool buffers not accounted

@@ -544,13 +544,6 @@ impl Engine {
         self.stats.syscalls = syscalls;
     }
 
-    /// Mirror the reactor pool's event-loop telemetry into the stats
-    /// (same discipline as [`Engine::note_syscalls`]: the reactor
-    /// workers count lock-free, the scheduler stores snapshots here).
-    pub fn note_reactor(&mut self, reactor: crate::stats::ReactorStats) {
-        self.stats.reactor = reactor;
-    }
-
     /// True when the engine has transmit work queued (control or backlog).
     /// Segments awaiting a rendezvous grant don't count: they cannot be
     /// scheduled until the peer answers.

@@ -36,8 +36,8 @@
 //! `transport-tcp` workers write sockets, `transport-mem` workers sleep
 //! out the shaped wire time — both outside the engine lock. Nothing in
 //! this module runs unless a transport is built with
-//! [`crate::Runtime::Threads`] or [`crate::Runtime::Reactor`]; the
-//! serial runtimes never construct a hub.
+//! [`crate::Runtime::Threads`]; the serial runtime never constructs a
+//! hub.
 
 use std::cell::UnsafeCell;
 use std::collections::{HashMap, VecDeque};
@@ -365,11 +365,6 @@ pub enum Completion {
 pub struct OutboxSender {
     ring: SpscProducer<TxDecision>,
     signal: Arc<WorkSignal>,
-    /// Extra wake the reactor installs: publishing TX work must also
-    /// tickle the epoll worker that owns this rail's socket (an
-    /// eventfd), since that worker sleeps in `epoll_wait`, not on the
-    /// condvar. None for the thread-per-rail runtime.
-    wake_hook: Option<Arc<dyn Fn() + Send + Sync>>,
 }
 
 /// TX-worker-side handle of one rail's outbox.
@@ -386,7 +381,6 @@ pub fn outbox(capacity: usize) -> (OutboxSender, OutboxReceiver) {
         OutboxSender {
             ring: p,
             signal: signal.clone(),
-            wake_hook: None,
         },
         OutboxReceiver { ring: c, signal },
     )
@@ -400,16 +394,7 @@ impl OutboxSender {
     pub fn push(&mut self, d: TxDecision) -> Result<(), TxDecision> {
         self.ring.push(d)?;
         self.signal.kick();
-        if let Some(hook) = &self.wake_hook {
-            hook();
-        }
         Ok(())
-    }
-
-    /// Install an extra wake called after every successful push (the
-    /// reactor's eventfd tickle). Replaces any previous hook.
-    pub fn set_wake_hook(&mut self, hook: Arc<dyn Fn() + Send + Sync>) {
-        self.wake_hook = Some(hook);
     }
 
     /// Frames currently queued for the worker.
@@ -432,12 +417,6 @@ impl OutboxReceiver {
     /// Pop the next published decision without blocking.
     pub fn pop(&mut self) -> Option<TxDecision> {
         self.ring.pop()
-    }
-
-    /// True when no decision is currently published (the reactor's
-    /// shutdown drain checks this before giving up its grace period).
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
     }
 
     /// Pop, sleeping on this rail's own condvar up to `timeout` when the
@@ -567,12 +546,6 @@ pub struct ParallelHub {
     admission_rejections: AtomicU64,
     watermark_rejections: AtomicU64,
     shutdown_rejections: AtomicU64,
-    /// Snapshot source for reactor event-loop telemetry, installed by
-    /// the reactor transport at construction. Each scheduler pass calls
-    /// it (lock-free atomics on the reactor side) and mirrors the
-    /// result into [`crate::stats::ReactorStats`] via
-    /// `Engine::note_reactor`. None for non-reactor runtimes.
-    reactor_source: Mutex<Option<Box<dyn Fn() -> crate::stats::ReactorStats + Send>>>,
 }
 
 impl ParallelHub {
@@ -600,7 +573,6 @@ impl ParallelHub {
             admission_rejections: AtomicU64::new(0),
             watermark_rejections: AtomicU64::new(0),
             shutdown_rejections: AtomicU64::new(0),
-            reactor_source: Mutex::new(None),
         });
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
@@ -736,24 +708,6 @@ impl ParallelHub {
     /// Wake the scheduler (e.g. after a manual retransmit).
     pub fn kick_sched(&self) {
         self.sched.kick();
-    }
-
-    /// Install the reactor telemetry source. Subsequent scheduler
-    /// passes snapshot it into the engine's stats (see
-    /// [`crate::stats::ReactorStats`]); callers that need a snapshot
-    /// outside a pass use [`ParallelHub::reactor_snapshot`].
-    pub fn set_reactor_source(&self, source: Box<dyn Fn() -> crate::stats::ReactorStats + Send>) {
-        *self.reactor_source.lock() = Some(source);
-    }
-
-    /// Current reactor telemetry, straight from the installed source
-    /// (default when no reactor is attached).
-    pub fn reactor_snapshot(&self) -> crate::stats::ReactorStats {
-        self.reactor_source
-            .lock()
-            .as_ref()
-            .map(|s| s())
-            .unwrap_or_default()
     }
 
     /// Ask every thread of the pipeline to wind down.
@@ -900,9 +854,6 @@ impl ParallelHub {
         }
         eng.note_overload(overload);
         eng.note_syscalls(self.syscalls.snapshot());
-        if let Some(source) = self.reactor_source.lock().as_ref() {
-            eng.note_reactor(source());
-        }
         scratch.last_overload = overload;
         self.pool_outstanding
             .store(eng.stats().datapath.pool_outstanding, Ordering::Relaxed);

@@ -112,7 +112,5 @@ pub use request::{Backlog, RecvId, SendId};
 pub use sampling::{
     split_ratio_permille, CalibrationConfig, CalibrationSnapshot, OnlineCalibrator, PerfTable,
 };
-pub use stats::{
-    DataPathStats, EngineStats, ObsStats, OverloadStats, RailObs, ReactorStats, SyscallStats,
-};
+pub use stats::{DataPathStats, EngineStats, ObsStats, OverloadStats, RailObs, SyscallStats};
 pub use strategy::{RailFlight, Strategy, StrategyKind};

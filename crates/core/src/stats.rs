@@ -160,84 +160,6 @@ impl SyscallStats {
     }
 }
 
-/// Event-loop telemetry for the readiness-driven reactor transport
-/// ([`crate::Runtime::Reactor`]): a fixed pool of epoll workers
-/// multiplexing every rail/peer connection. Counters are maintained by
-/// the reactor workers outside any lock and mirrored here by the
-/// scheduler (continuously) and at stats export, the same way
-/// [`SyscallStats`] flows in. All zero when the reactor is off.
-#[derive(Clone, Debug, Default)]
-pub struct ReactorStats {
-    /// Worker threads in the reactor pool (gauge; 0 = reactor off).
-    pub workers: u64,
-    /// Connections currently registered across all workers (gauge).
-    pub conns: u64,
-    /// `epoll_wait` calls that returned (with or without events).
-    pub polls: u64,
-    /// Polls that returned at least one readiness event.
-    pub wakeups: u64,
-    /// Readiness events handled in total.
-    pub events: u64,
-    /// Wakeups caused by the scheduler's eventfd (published TX work),
-    /// as opposed to socket readiness.
-    pub sched_wakes: u64,
-    /// Connections shed because the process hit its fd limit
-    /// (`EMFILE`/`ENFILE` on accept) — the graceful path, not a panic.
-    pub fd_shed: u64,
-    /// Times a partial write armed WRITE interest (socket pushed back;
-    /// the batch resumes on the next writable edge).
-    pub write_stalls: u64,
-    /// Hot-path allocations the event loop had to take (buffer growth
-    /// past the pre-allocated footprint). Zero by construction since the
-    /// loop's buffers are sized at registration and read into in place;
-    /// the `ablate_reactor` gate still checks it.
-    pub hot_path_allocs: u64,
-    /// Nanoseconds the workers spent handling events (summed).
-    pub busy_ns: u64,
-    /// Nanoseconds since the pool started, per worker (wall clock).
-    pub elapsed_ns: u64,
-    /// Per-worker busy time, ns — the per-worker loop utilization
-    /// numerator (`busy / elapsed`).
-    pub per_worker_busy_ns: Vec<u64>,
-    /// Events handled per non-empty wakeup.
-    pub events_per_wake: Log2Histogram,
-    /// Ready-queue depth at each wakeup: kernel-ready events plus
-    /// pending registrations and staged TX batches.
-    pub ready_depth: Log2Histogram,
-}
-
-impl ReactorStats {
-    /// Mean readiness events handled per non-empty wakeup.
-    pub fn mean_events_per_wake(&self) -> f64 {
-        if self.wakeups == 0 {
-            0.0
-        } else {
-            self.events as f64 / self.wakeups as f64
-        }
-    }
-
-    /// Fraction of wall-clock the pool spent handling events, averaged
-    /// across workers, in `[0, 1]`.
-    pub fn loop_utilization(&self) -> f64 {
-        let denom = self.elapsed_ns.saturating_mul(self.workers);
-        if denom == 0 {
-            0.0
-        } else {
-            (self.busy_ns as f64 / denom as f64).min(1.0)
-        }
-    }
-
-    /// Loop utilization of one worker, in `[0, 1]`.
-    pub fn worker_utilization(&self, worker: usize) -> f64 {
-        if self.elapsed_ns == 0 {
-            return 0.0;
-        }
-        self.per_worker_busy_ns
-            .get(worker)
-            .map_or(0.0, |&busy| (busy as f64 / self.elapsed_ns as f64).min(1.0))
-    }
-}
-
 /// Per-rail observability gauges and histograms.
 #[derive(Clone, Debug, Default)]
 pub struct RailObs {
@@ -380,9 +302,6 @@ pub struct EngineStats {
     pub overload: OverloadStats,
     /// Histograms and per-rail gauges (always on, allocation-free).
     pub obs: ObsStats,
-    /// Event-loop telemetry from the reactor transport (all zero on
-    /// the other runtimes).
-    pub reactor: ReactorStats,
 }
 
 impl EngineStats {

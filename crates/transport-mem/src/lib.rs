@@ -21,8 +21,7 @@
 //!   over or a thread is woken. On `Runtime::Threads` a scheduler over
 //!   [`ParallelHub`] does the engine work and one TX and one RX worker
 //!   per rail move the frames — the shaped wire time is slept out in the
-//!   TX workers, outside the engine lock, so rails overlap.
-//!   `Runtime::Reactor` is TCP-only and refused here;
+//!   TX workers, outside the engine lock, so rails overlap;
 //! * payload CRCs are enabled, and a deterministic fault injector can
 //!   corrupt packets in flight to exercise the detection path.
 //!
@@ -532,11 +531,6 @@ impl Wires {
 /// [`EngineConfig::runtime`] names: callers drive progress and one
 /// backstop thread each covers the rest (`Serial`), or the sharded
 /// pipeline — scheduler plus per-rail TX/RX workers — each (`Threads`).
-///
-/// # Panics
-///
-/// On `Runtime::Reactor`: the in-process fabric has no sockets to
-/// multiplex.
 pub fn pair(config: FabricConfig) -> (Endpoint, Endpoint) {
     let mut cfg_engine = config.engine.clone();
     cfg_engine.crc = true;
@@ -574,7 +568,6 @@ pub fn pair(config: FabricConfig) -> (Endpoint, Endpoint) {
             spawn_threads(&config, engine_a, conns_a, a, start, seed ^ 0xA, "a"),
             spawn_threads(&config, engine_b, conns_b, b, start, seed ^ 0xB, "b"),
         ),
-        Runtime::Reactor => panic!("the mem fabric has no sockets: Runtime::Reactor is TCP-only"),
     }
 }
 
@@ -1456,16 +1449,6 @@ mod tests {
         assert!(a.recv(c).wait(T).is_none());
         assert!(start.elapsed() < T / 2, "a poisoned wait returns early");
         assert_eq!(a.io_errors(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "Runtime::Reactor is TCP-only")]
-    fn reactor_runtime_is_refused() {
-        let engine = EngineConfig {
-            runtime: Runtime::Reactor,
-            ..EngineConfig::default()
-        };
-        pair(FabricConfig::new(platform::paper_platform(), engine));
     }
 
     // ------------------------------------------------------------------

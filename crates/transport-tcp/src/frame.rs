@@ -1,4 +1,4 @@
-//! Length-prefixed framing off a byte stream: the one reader all three
+//! Length-prefixed framing off a byte stream: the one reader both
 //! runtimes carve arrivals with.
 
 use std::io::{ErrorKind, Read};

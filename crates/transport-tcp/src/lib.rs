@@ -18,22 +18,21 @@
 //! A transport is only "how bytes move on a rail": the application
 //! surface — [`Endpoint`], [`SendHandle`], [`RecvHandle`] — is
 //! [`nmad_core::endpoint`]'s, re-exported here, and this crate supplies
-//! the rail I/O of three runtimes, picked by [`EngineConfig::runtime`]
+//! the rail I/O of both runtimes, picked by [`EngineConfig::runtime`]
 //! ([`nmad_core::Runtime`]):
 //!
 //! | runtime | who drives progress | threads per endpoint | frames are read | for |
 //! |---|---|---|---|---|
 //! | `Serial` (default) | the calling thread: `send` offers the idle rails, a handle's `wait` makes passes itself; one backstop thread asleep in `epoll_wait` for what no caller is around for | 1 | by whoever holds the I/O lock — one `read` per rail and pass | the lowest per-message cost; what `BENCHMARK.json` measures |
-//! | `Threads` | a scheduler thread over [`nmad_core::ParallelHub`]; callers only queue | 2 × rails + 1 | each rail's RX thread, blocking | overlapping slow rails; targets without epoll; worker-shard recording |
-//! | `Reactor` | the same scheduler; callers only queue | `min(cores, 4)` + 1 | the epoll worker owning the socket, until it is drained | many rails and peers on a fixed thread count ([`reactor`]) |
+//! | `Threads` | a scheduler thread over [`nmad_core::ParallelHub`]; callers only queue | 2 × rails + 1 | each rail's RX thread, blocking | many application threads sending small messages; overlapping slow rails; worker-shard recording |
 //!
 //! On `Serial` the engine lock is never held across a socket syscall
-//! (DESIGN.md "Who drives progress"). On the two hub runtimes the slow
+//! (DESIGN.md "Who drives progress"). On the hub runtime the slow
 //! socket write happens outside any shared lock; arrivals and TX
 //! completions flow back to the scheduler through per-rail completion
-//! queues and are drained in batches (DESIGN.md §10, §14).
+//! queues and are drained in batches (DESIGN.md §10).
 //!
-//! The datapath is the same on all three. Transmissions go out with
+//! The datapath is the same on both. Transmissions go out with
 //! `write_vectored` straight from the engine's [`PacketFrame`] parts (no
 //! flattening). Arrivals are carved by the one `FrameReader`: frames
 //! that fit the 64 KiB read buffer are copied out into an allocation of
@@ -43,7 +42,7 @@
 //!
 //! ## Syscall amortization (DESIGN.md §12)
 //!
-//! The hub runtimes batch kernel crossings on the way out: each TX
+//! The hub runtime batches kernel crossings on the way out: each TX
 //! wakeup drains up to `TX_BATCH` published decisions from its outbox
 //! and coalesces the whole batch — length prefixes and frame parts
 //! interleaved — into a single `write_vectored` gather list (partial
@@ -82,8 +81,7 @@ use nmad_wire::{ConnId, PacketFrame};
 use frame::{FrameReader, LEN_PREFIX};
 
 mod frame;
-pub mod reactor;
-pub mod sys;
+mod sys;
 
 /// Serial backstop thread's timed poll where [`sys`] is the
 /// `Unsupported` stub and there is no readiness to block on.
@@ -404,9 +402,9 @@ impl Readiness {
         Ok(Readiness { epoll, kicked })
     }
 
-    /// WRITE interest follows the rail's pending partial write — the
-    /// reactor's interest-set state machine (DESIGN.md §14), run by
-    /// whichever thread made the pass.
+    /// WRITE interest follows the rail's pending partial write (an idle
+    /// socket is always writable and would wake the backstop for
+    /// nothing), updated by whichever thread made the pass.
     fn track_write(&self, idx: usize, rail: &mut RailIo) {
         let Some((poller, _)) = &self.epoll else {
             return;
@@ -691,7 +689,7 @@ fn build_endpoint(config: &TcpConfig, streams: Vec<TcpStream>) -> std::io::Resul
         .collect();
     match runtime {
         Runtime::Serial => spawn_serial(config, engine, conns, streams),
-        Runtime::Threads | Runtime::Reactor => spawn_hub(config, engine, conns, streams),
+        Runtime::Threads => spawn_hub(config, engine, conns, streams),
     }
 }
 
@@ -721,76 +719,52 @@ fn spawn_serial(
     Serial::new(engine, rails, ready, Instant::now()).spawn("nmad-tcp", conns)
 }
 
-/// The hub runtimes: a [`ParallelHub`] scheduler over the engine, fed
-/// by one TX and one RX thread per rail (`Runtime::Threads`) or by the
-/// epoll worker pool the rail sockets are registered with
-/// (`Runtime::Reactor`) — which is why the app-facing behaviour (waits,
-/// stats, backpressure) is the same on both.
+/// The hub runtime: a [`ParallelHub`] scheduler over the engine, fed by
+/// one TX and one RX thread per rail.
 fn spawn_hub(
     config: &TcpConfig,
     engine: Engine,
     conns: Vec<ConnId>,
     streams: Vec<TcpStream>,
 ) -> std::io::Result<Endpoint> {
-    let runtime = engine.config().runtime;
     let record_capacity = engine.config().record_capacity;
-    let (hub, mut senders, receivers) = ParallelHub::new(engine);
+    let (hub, senders, receivers) = ParallelHub::new(engine);
     let epoch = Instant::now();
     let mut workers = Vec::new();
-    let mut pool = None;
-    if runtime == Runtime::Reactor {
-        let reactor = reactor::ReactorPool::with_default_workers(nmad_core::SharedPool::new(256))?;
-        for (rail, (stream, outbox)) in streams.into_iter().zip(receivers).enumerate() {
-            let waker =
-                reactor.add_rail(stream, rail, hub.clone(), outbox, config.chaos.clone())?;
-            // Publishing TX work must wake the epoll worker that owns this
-            // rail's socket, not just the (unused) outbox condvar.
-            senders[rail].set_wake_hook(Arc::new(move || waker.wake()));
-        }
-        let telemetry = reactor.handle();
-        hub.set_reactor_source(Box::new(move || telemetry.snapshot()));
-        pool = Some(reactor);
-    } else {
-        for (rail, (stream, outbox)) in streams.into_iter().zip(receivers).enumerate() {
-            stream.set_nodelay(true)?;
-            // Blocking sockets with timeouts: the flag and the timeouts are
-            // shared by both clones (same open socket), which is exactly
-            // what the split TX/RX threads want.
-            stream.set_nonblocking(false)?;
-            stream.set_read_timeout(Some(IO_TIMEOUT))?;
-            stream.set_write_timeout(Some(IO_TIMEOUT))?;
-            let tx = TxWorker {
-                hub: hub.clone(),
-                rail,
-                stream: stream.try_clone()?,
-                outbox,
-                epoch,
-                shard: FlightRecorder::with_capacity(record_capacity),
-                chaos: config.chaos.clone(),
-                rng: Xoshiro256StarStar::new(
-                    0x7C9 ^ (rail as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ),
-                link_bandwidth: config.platform.rails[rail].link_bandwidth,
-            };
-            workers.push(spawn(format!("nmad-tcp-tx{rail}"), move || tx.run())?);
-            let rx = RxWorker {
-                hub: hub.clone(),
-                rail,
-                stream,
-                epoch,
-                shard: FlightRecorder::with_capacity(record_capacity),
-            };
-            workers.push(spawn(format!("nmad-tcp-rx{rail}"), move || rx.run())?);
-        }
+    for (rail, (stream, outbox)) in streams.into_iter().zip(receivers).enumerate() {
+        stream.set_nodelay(true)?;
+        // Blocking sockets with timeouts: the flag and the timeouts are
+        // shared by both clones (same open socket), which is exactly
+        // what the split TX/RX threads want.
+        stream.set_nonblocking(false)?;
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
+        let tx = TxWorker {
+            hub: hub.clone(),
+            rail,
+            stream: stream.try_clone()?,
+            outbox,
+            epoch,
+            shard: FlightRecorder::with_capacity(record_capacity),
+            chaos: config.chaos.clone(),
+            rng: Xoshiro256StarStar::new(0x7C9 ^ (rail as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            link_bandwidth: config.platform.rails[rail].link_bandwidth,
+        };
+        workers.push(spawn(format!("nmad-tcp-tx{rail}"), move || tx.run())?);
+        let rx = RxWorker {
+            hub: hub.clone(),
+            rail,
+            stream,
+            epoch,
+            shard: FlightRecorder::with_capacity(record_capacity),
+        };
+        workers.push(spawn(format!("nmad-tcp-rx{rail}"), move || rx.run())?);
     }
     // Scheduler last: joined after the I/O threads so it drains their
-    // final completions before quiescing. The reactor pool goes with it:
-    // its workers feed the scheduler until it returns, and are shut down
-    // (staged writes drained) only then.
+    // final completions before quiescing.
     let sched_hub = hub.clone();
     workers.push(spawn("nmad-tcp-sched".into(), move || {
-        sched_hub.run_scheduler(senders, epoch);
-        drop(pool);
+        sched_hub.run_scheduler(senders, epoch)
     })?);
     Ok(Endpoint::new(hub, conns, workers))
 }
@@ -886,12 +860,6 @@ mod tests {
             EngineConfig::with_strategy(kind),
         ))
         .expect("localhost pair")
-    }
-
-    fn fabric_on(runtime: Runtime, kind: StrategyKind) -> (Endpoint, Endpoint) {
-        let mut engine = EngineConfig::with_strategy(kind);
-        engine.runtime = runtime;
-        pair_localhost(TcpConfig::new(platform::paper_platform(), engine)).expect("localhost pair")
     }
 
     fn random(len: usize, seed: u64) -> Vec<u8> {
@@ -1337,96 +1305,6 @@ mod tests {
         );
         // Merged stream is timestamp-ordered.
         assert!(tx_events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
-    }
-
-    // ------------------------------------------------------------------
-    // Reactor transport over real sockets
-    // ------------------------------------------------------------------
-
-    /// Reactor telemetry reaches `EngineStats`: the pool's worker count,
-    /// poll loop ran, and both rails were registered with the event loop
-    /// (conns gauge).
-    #[test]
-    fn reactor_telemetry_populated() {
-        let (a, b) = fabric_on(Runtime::Reactor, StrategyKind::Greedy);
-        let c = a.conns()[0];
-        let r = b.recv(c);
-        let s = a.send(c, vec![Bytes::from(random(64_000, 55))]);
-        assert!(s.wait(T));
-        assert!(r.wait(T).is_some());
-        let rs = a.stats().reactor;
-        assert_eq!(rs.workers as usize, reactor::worker_count());
-        assert!(rs.polls > 0, "event loop never polled");
-        assert!(rs.events > 0, "no readiness events observed");
-        assert_eq!(rs.conns, 2, "both rail sockets registered");
-        assert_eq!(rs.fd_shed, 0);
-        assert_eq!(rs.hot_path_allocs, 0);
-    }
-
-    /// Satellite regression: the serial and thread-per-rail runtimes
-    /// carry no reactor state at all — the telemetry stays zeroed.
-    #[test]
-    fn reactor_off_leaves_other_runtimes_untouched() {
-        for (a, b) in [
-            fabric(StrategyKind::Greedy),
-            fabric_on(Runtime::Threads, StrategyKind::Greedy),
-        ] {
-            let c = a.conns()[0];
-            let r = b.recv(c);
-            let s = a.send(c, vec![Bytes::from(random(4096, 56))]);
-            assert!(s.wait(T));
-            assert!(r.wait(T).is_some());
-            let st = a.stats();
-            assert_eq!(st.reactor.workers, 0);
-            assert_eq!(st.reactor.polls, 0);
-            assert!(st.reactor.events_per_wake.is_empty());
-        }
-    }
-
-    /// Satellite e2e: a full admission quota on the reactor TCP fabric
-    /// surfaces as `SubmitError::WouldBlock` through `try_send`, and
-    /// draining the inflight message re-admits the tenant.
-    #[test]
-    fn reactor_backpressure_wouldblock_and_readmit() {
-        let mut engine = EngineConfig::with_strategy(StrategyKind::Greedy);
-        engine.runtime = Runtime::Reactor;
-        engine.overload.max_tenant_inflight = 1;
-        let (a, b) = pair_localhost(TcpConfig::new(platform::paper_platform(), engine))
-            .expect("localhost pair");
-        let c = a.conns()[0];
-
-        // Fill the quota, then a second submit must push back
-        // immediately (the first cannot complete: no recv is posted
-        // yet, so its completion cannot race the rejection).
-        let payload = random(1 << 20, 57);
-        let s1 = a.try_send(c, vec![Bytes::from(payload.clone())]).unwrap();
-        match a.try_send(c, vec![Bytes::from_static(b"over quota")]) {
-            Err(nmad_core::SubmitError::WouldBlock) => {}
-            Err(e) => panic!("expected WouldBlock, got {e:?}"),
-            Ok(_) => panic!("expected WouldBlock, got an admitted send"),
-        }
-        assert!(a.overload_stats().admission_rejections > 0);
-
-        // Drain: deliver the inflight message, then the tenant is
-        // re-admitted (poll briefly — completion credit is returned on
-        // a scheduler pass after delivery).
-        let r1 = b.recv(c);
-        assert!(s1.wait(T));
-        assert_eq!(r1.wait(T).unwrap().segments[0].as_ref(), payload.as_slice());
-        let deadline = Instant::now() + T;
-        let s2 = loop {
-            match a.try_send(c, vec![Bytes::from_static(b"after drain")]) {
-                Ok(h) => break h,
-                Err(nmad_core::SubmitError::WouldBlock) => {
-                    assert!(Instant::now() < deadline, "tenant never re-admitted");
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => panic!("unexpected submit error: {e:?}"),
-            }
-        };
-        let r2 = b.recv(c);
-        assert!(s2.wait(T));
-        assert_eq!(&r2.wait(T).unwrap().segments[0][..], b"after drain");
     }
 
     mod batch_props {

@@ -1,14 +1,13 @@
-//! Raw-syscall layer shared by the TCP runtimes: epoll, eventfd,
-//! `prlimit64` and `listen`, straight to the kernel.
+//! What the serial runtime's backstop thread sleeps on: epoll and
+//! eventfd, straight to the kernel.
 //!
 //! The repo is offline/zero-dep, so there is no `libc` crate to lean on:
 //! the syscalls are made via inline assembly on x86_64/aarch64 Linux.
 //! Other targets get stub functions returning
 //! [`std::io::ErrorKind::Unsupported`] so the crate still compiles: the
-//! reactor refuses to start there, and the serial runtime's backstop
-//! thread degrades to a timed poll. All of the crate's `unsafe` lives in
-//! this file. [`Poller`] and [`EventFd`] are the safe wrappers both the
-//! reactor pool and the serial runtime's backstop thread sleep on.
+//! backstop thread degrades to a timed poll there. All of the crate's
+//! `unsafe` lives in this file. [`Poller`] and [`EventFd`] are the safe
+//! wrappers.
 
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, OwnedFd, RawFd};
@@ -35,21 +34,12 @@ impl EpollEvent {
     pub fn token(&self) -> u64 {
         self.data
     }
-
-    /// The readiness bits (copies out of the packed struct).
-    pub fn flags(&self) -> u32 {
-        self.events
-    }
 }
 
-/// Readable (or, on a listener, acceptable).
+/// Readable.
 pub const EPOLLIN: u32 = 0x001;
 /// Writable.
 pub const EPOLLOUT: u32 = 0x004;
-/// Error condition.
-pub const EPOLLERR: u32 = 0x008;
-/// Hang-up.
-pub const EPOLLHUP: u32 = 0x010;
 /// Peer closed its write side.
 pub const EPOLLRDHUP: u32 = 0x2000;
 /// Edge-triggered delivery.
@@ -78,8 +68,6 @@ mod imp {
         pub const EPOLL_PWAIT: i64 = 281;
         pub const EVENTFD2: i64 = 290;
         pub const EPOLL_CREATE1: i64 = 291;
-        pub const PRLIMIT64: i64 = 302;
-        pub const LISTEN: i64 = 50;
     }
     #[cfg(target_arch = "aarch64")]
     mod nr {
@@ -87,8 +75,6 @@ mod imp {
         pub const EPOLL_PWAIT: i64 = 22;
         pub const EVENTFD2: i64 = 19;
         pub const EPOLL_CREATE1: i64 = 20;
-        pub const PRLIMIT64: i64 = 261;
-        pub const LISTEN: i64 = 201;
     }
 
     /// The raw 6-argument syscall.
@@ -148,13 +134,6 @@ mod imp {
     const EPOLL_CLOEXEC: i64 = 0o2000000;
     const EFD_CLOEXEC: i64 = 0o2000000;
     const EFD_NONBLOCK: i64 = 0o4000;
-    const RLIMIT_NOFILE: i64 = 7;
-
-    #[repr(C)]
-    struct Rlimit64 {
-        cur: u64,
-        max: u64,
-    }
 
     /// `epoll_create1(EPOLL_CLOEXEC)`.
     pub fn epoll_create() -> io::Result<OwnedFd> {
@@ -211,52 +190,6 @@ mod imp {
         // SAFETY: fresh fd owned by nobody else, as in `epoll_create`.
         Ok(unsafe { OwnedFd::from_raw_fd(fd as RawFd) })
     }
-
-    /// `listen(fd, backlog)` — legal on an already-listening socket
-    /// (just updates the backlog).
-    pub fn listen_backlog(fd: RawFd, backlog: i32) -> io::Result<()> {
-        // SAFETY: no pointer arguments.
-        cvt(unsafe { syscall6(nr::LISTEN, fd as i64, backlog as i64, 0, 0, 0, 0) })?;
-        Ok(())
-    }
-
-    /// Current `RLIMIT_NOFILE` as `(soft, hard)`.
-    pub fn nofile_limit() -> io::Result<(u64, u64)> {
-        let mut lim = Rlimit64 { cur: 0, max: 0 };
-        // SAFETY: the only pointer is the old-limit out-parameter, a live
-        // exclusive `Rlimit64` with the kernel's `struct rlimit64` layout.
-        cvt(unsafe {
-            syscall6(
-                nr::PRLIMIT64,
-                0,
-                RLIMIT_NOFILE,
-                0,
-                &mut lim as *mut Rlimit64 as i64,
-                0,
-                0,
-            )
-        })?;
-        Ok((lim.cur, lim.max))
-    }
-
-    /// Set `RLIMIT_NOFILE`.
-    pub fn set_nofile_limit(cur: u64, max: u64) -> io::Result<()> {
-        let lim = Rlimit64 { cur, max };
-        // SAFETY: the only pointer is the new-limit in-parameter, a live
-        // `Rlimit64` the kernel only reads.
-        cvt(unsafe {
-            syscall6(
-                nr::PRLIMIT64,
-                0,
-                RLIMIT_NOFILE,
-                &lim as *const Rlimit64 as i64,
-                0,
-                0,
-                0,
-            )
-        })?;
-        Ok(())
-    }
 }
 
 #[cfg(not(all(
@@ -271,8 +204,8 @@ mod imp {
     fn unsupported() -> io::Error {
         io::Error::new(
             io::ErrorKind::Unsupported,
-            "reactor transport needs epoll (linux x86_64/aarch64); \
-             use the serial or thread-per-rail runtime here",
+            "no epoll on this target (linux x86_64/aarch64 only): \
+             the serial backstop polls on a timer instead",
         )
     }
 
@@ -292,42 +225,9 @@ mod imp {
     pub fn eventfd() -> io::Result<OwnedFd> {
         Err(unsupported())
     }
-    /// Unsupported on this target.
-    pub fn listen_backlog(_: RawFd, _: i32) -> io::Result<()> {
-        Err(unsupported())
-    }
-    /// Unsupported on this target.
-    pub fn nofile_limit() -> io::Result<(u64, u64)> {
-        Err(unsupported())
-    }
-    /// Unsupported on this target.
-    pub fn set_nofile_limit(_: u64, _: u64) -> io::Result<()> {
-        Err(unsupported())
-    }
 }
 
-pub use imp::{
-    epoll_create, epoll_ctl, epoll_wait, eventfd, listen_backlog, nofile_limit, set_nofile_limit,
-};
-
-/// Best-effort raise of `RLIMIT_NOFILE` to at least `want` fds.
-/// Tries to lift soft *and* hard limits (root may, within
-/// `fs.nr_open`); falls back to soft-only within the existing hard
-/// cap. Returns the resulting `(soft, hard)` — callers scale their
-/// connection count to what they actually got.
-pub fn raise_nofile_limit(want: u64) -> io::Result<(u64, u64)> {
-    let (cur, max) = nofile_limit()?;
-    if cur >= want {
-        return Ok((cur, max));
-    }
-    let want_max = max.max(want);
-    if set_nofile_limit(want, want_max).is_ok() {
-        return Ok((want, want_max));
-    }
-    let capped = want.min(max);
-    set_nofile_limit(capped, max)?;
-    Ok((capped, max))
-}
+pub use imp::{epoll_create, epoll_ctl, epoll_wait, eventfd};
 
 /// Thin safe wrapper over one epoll instance.
 pub struct Poller {
@@ -375,8 +275,8 @@ impl Poller {
     }
 }
 
-/// An eventfd-backed waker: wakes a worker out of `epoll_wait` from any
-/// thread (the scheduler's outbox wake hook, registrations, shutdown).
+/// An eventfd-backed waker: wakes the backstop thread out of
+/// `epoll_wait` from any thread.
 pub struct EventFd {
     file: std::fs::File,
 }
@@ -394,14 +294,14 @@ impl EventFd {
         self.file.as_raw_fd()
     }
 
-    /// Post a wake. Nonblocking; a saturated counter already means the
-    /// worker has a wake pending, so the error is ignored on purpose.
+    /// Post a wake. Nonblocking; a saturated counter already means a
+    /// wake is pending, so the error is ignored on purpose.
     pub fn wake(&self) {
         let one = 1u64.to_ne_bytes();
         let _ = (&self.file).write(&one);
     }
 
-    /// Consume pending wakes (called by the owning worker on its own
+    /// Consume pending wakes (called by the sleeper on the eventfd's
     /// readable edge). One read returns the whole counter and zeroes it.
     pub fn drain(&self) {
         let mut buf = [0u8; 8];
@@ -436,8 +336,6 @@ mod tests {
         poller.add(efd.raw(), 7, false).unwrap();
         let twice = poller.add(efd.raw(), 7, false).unwrap_err();
         assert_eq!(twice.kind(), io::ErrorKind::AlreadyExists);
-        let (soft, hard) = nofile_limit().unwrap();
-        assert!(soft > 0 && soft <= hard);
     }
 
     /// Any number of wakes is one readable event and one drain.

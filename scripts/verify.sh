@@ -17,8 +17,8 @@ quick=0
 # the backstop loop) in crates/core/src/endpoint/serial.rs only, a
 # runtime is picked by EngineConfig::runtime only, and TCP frames are
 # carved by transport-tcp's FrameReader only. A transport that grows its
-# own copy of any of these fails here. (`stats.reactor =` stores the
-# telemetry snapshot; it is not the deleted config switch.)
+# own copy of any of these fails here, and so does any trace of the
+# third runtime deleted in PR 17 (DESIGN.md §14).
 echo "==> one endpoint, one serial driver, one runtime field, one frame reader"
 if grep -rnE 'struct (Endpoint|SendHandle|RecvHandle)\b|fn wait_on\b' crates/transport-*/src; then
     echo "a transport crate defines its own endpoint surface (see above)"; exit 1
@@ -29,9 +29,9 @@ fi
 if grep -rnE 'struct Worker\b' crates/transport-mem/src; then
     echo "the mem fabric's progress thread is back (see above)"; exit 1
 fi
-if grep -rnE 'carve_frames|\.parallel =|\.reactor =|reactor_threads' crates src tests examples \
-    --include='*.rs' | grep -v 'stats\.reactor ='; then
-    echo "a deleted runtime switch or carve path is back (see above)"; exit 1
+if grep -rnE 'carve_frames|\.parallel =|\.reactor =|reactor_threads|Runtime::Reactor|ReactorPool|ReactorStats|ablate_reactor|NMAD_REACTOR' \
+    crates src tests examples .github; then
+    echo "a deleted runtime, runtime switch or carve path is back (see above)"; exit 1
 fi
 # Per-message engine state lives in id-indexed windows (nmad-wire's
 # IdWindow; DESIGN.md §12 "Engine state tables"): message ids, send and
@@ -91,14 +91,6 @@ NMAD_OBS_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_obs
 echo "==> online recalibration under drift (ablate_calibration smoke sweep)"
 NMAD_CALIBRATION_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_calibration
 
-# Lock-contention gate: the ablate_parallel smoke sweep drives the same
-# wire-paced workload through the single-lock discipline and the sharded
-# parallel pipeline and exits nonzero unless the multi-rail speedup
-# clears the 1.5x gate with every rail carrying frames (see DESIGN.md
-# §10).
-echo "==> parallel progress engine (ablate_parallel smoke sweep)"
-NMAD_PARALLEL_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_parallel
-
 # Chaos-soak gate: ~10 s of multi-tenant load over the parallel engine
 # while a seeded schedule drives an outage, drop storms and bandwidth
 # drift; exits nonzero on the SLO gates (p99/p999 ceilings, head->tail
@@ -115,15 +107,6 @@ NMAD_SOAK_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_soak
 # per-message CPU cost (see DESIGN.md §12).
 echo "==> per-packet cycles (ablate_cycles smoke sweep)"
 NMAD_CYCLES_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_cycles
-
-# Reactor gate: the ablate_reactor smoke sweep serves a few hundred
-# loopback echo connections from the fixed epoll worker pool and exits
-# nonzero if the herd is shed, the event loop allocates on the hot path,
-# the echo p99 blows its ceiling, or throughput per I/O thread drops
-# below the thread-per-rail runtime at 2 rails (see DESIGN.md §14). The
-# full 10k-connection run happens in the scheduled CI job.
-echo "==> reactor event loop (ablate_reactor smoke sweep)"
-NMAD_REACTOR_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_reactor
 
 # Strategy-tournament gate: every StrategyKind across the six load
 # regimes (uniform, heavy tail, MMPP bursts, drift, outage, small

@@ -4,14 +4,17 @@
 //! the stats an application reads back — is defined once, on
 //! `core::Endpoint`, so it is checked once: each case below runs
 //! unchanged on every row of [`PAIRS`]. What only one runtime does
-//! (the serial TCP runtime's backstop and lease, the reactor's
-//! backpressure, worker shards) is tested next to that runtime.
+//! (the serial runtime's backstop and lease, worker shards) is tested
+//! next to that runtime.
 
-use std::io::ErrorKind;
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::time::{Duration, Instant};
 
 use newmadeleine::bytes::Bytes;
-use newmadeleine::core::{Endpoint, EngineConfig, RecvHandle, Runtime, SendHandle, StrategyKind};
+use newmadeleine::core::{
+    Endpoint, EngineConfig, OverloadStats, RecvHandle, Runtime, SendHandle, StrategyKind,
+    SubmitError,
+};
 use newmadeleine::model::platform;
 use newmadeleine::sim::Xoshiro256StarStar;
 use newmadeleine::{transport_mem as mem, transport_tcp as tcp};
@@ -24,33 +27,42 @@ enum Transport {
     Tcp,
 }
 
-/// Every pair that exists. (mem × `Reactor` does not: `mem::pair`
-/// refuses it, see `reactor_runtime_is_refused` there.)
-const PAIRS: [(Transport, Runtime); 5] = [
+/// Every runtime on every transport.
+const PAIRS: [(Transport, Runtime); 4] = [
     (Transport::Mem, Runtime::Serial),
     (Transport::Mem, Runtime::Threads),
     (Transport::Tcp, Runtime::Serial),
     (Transport::Tcp, Runtime::Threads),
-    (Transport::Tcp, Runtime::Reactor),
 ];
 
-/// Run `case` on a fresh connected pair of every supported kind, with
-/// `engine` as configured by the case plus the row's runtime.
+/// Run `case` on a fresh connected pair of every kind, with `engine` as
+/// configured by the case plus the row's runtime.
 fn on_every_pair(engine: EngineConfig, case: impl Fn((Transport, Runtime), Endpoint, Endpoint)) {
+    on_every_pair_with_conns(1, engine, case);
+}
+
+/// [`on_every_pair`] with `conns` logical channels open on each pair.
+fn on_every_pair_with_conns(
+    conns: usize,
+    engine: EngineConfig,
+    case: impl Fn((Transport, Runtime), Endpoint, Endpoint),
+) {
     for (transport, runtime) in PAIRS {
         let mut engine = engine.clone();
         engine.runtime = runtime;
         let plat = platform::paper_platform();
         let (a, b) = match transport {
-            Transport::Mem => mem::pair(mem::FabricConfig::new(plat, engine)),
-            Transport::Tcp => match tcp::pair_localhost(tcp::TcpConfig::new(plat, engine)) {
-                Ok(pair) => pair,
-                // No epoll on this target: the reactor does not exist here.
-                Err(e) if e.kind() == ErrorKind::Unsupported && runtime == Runtime::Reactor => {
-                    continue
-                }
-                Err(e) => panic!("{transport:?} x {runtime:?}: {e}"),
-            },
+            Transport::Mem => {
+                let mut cfg = mem::FabricConfig::new(plat, engine);
+                cfg.conns = conns;
+                mem::pair(cfg)
+            }
+            Transport::Tcp => {
+                let mut cfg = tcp::TcpConfig::new(plat, engine);
+                cfg.conns = conns;
+                tcp::pair_localhost(cfg)
+                    .unwrap_or_else(|e| panic!("{transport:?} x {runtime:?}: {e}"))
+            }
         };
         case((transport, runtime), a, b);
     }
@@ -212,5 +224,102 @@ fn unbounded_wait_returns_the_message() {
         assert_eq!(&msg.segments[0][..], b"no deadline", "{on:?}");
         assert!(s.wait(Duration::MAX), "{on:?}");
         assert!(s.wait_acked(Duration::MAX), "{on:?}");
+    });
+}
+
+/// `try_send` under a per-tenant quota of one message in flight: the hub
+/// runtime refuses the second submission and re-admits the tenant once
+/// the first has drained; the serial runtime has no admission boundary
+/// and admits everything, as `Endpoint::try_send` documents.
+#[test]
+fn try_send_admission() {
+    let mut engine = EngineConfig::with_strategy(StrategyKind::Greedy);
+    engine.overload.max_tenant_inflight = 1;
+    on_every_pair(engine, |on, a, b| {
+        let c = a.conns()[0];
+        // The first message cannot complete before the second is
+        // submitted: it is a rendezvous and no receive is posted yet.
+        let payload = random(1 << 20, 57);
+        let s1 = a.try_send(c, vec![Bytes::from(payload.clone())]).unwrap();
+        let second = a.try_send(c, vec![Bytes::from_static(b"second")]);
+        let r1 = b.recv(c);
+        assert!(s1.wait(T), "{on:?}");
+        assert_eq!(r1.wait(T).unwrap().segments[0].as_ref(), payload.as_slice());
+
+        let s2 = if on.1 == Runtime::Serial {
+            assert_eq!(a.overload_stats(), OverloadStats::default(), "{on:?}");
+            second.unwrap_or_else(|e| panic!("{on:?}: serial always admits, got {e:?}"))
+        } else {
+            assert!(
+                matches!(second, Err(SubmitError::WouldBlock)),
+                "{on:?}: over quota must push back"
+            );
+            assert!(a.overload_stats().admission_rejections > 0, "{on:?}");
+            // The quota's credit comes back on a scheduler pass after
+            // the delivery.
+            let deadline = Instant::now() + T;
+            loop {
+                match a.try_send(c, vec![Bytes::from_static(b"second")]) {
+                    Ok(h) => break h,
+                    Err(SubmitError::WouldBlock) => {
+                        assert!(Instant::now() < deadline, "{on:?}: never re-admitted");
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    Err(e) => panic!("{on:?}: {e:?}"),
+                }
+            }
+        };
+        let r2 = b.recv(c);
+        assert!(s2.wait(T), "{on:?}");
+        assert_eq!(&r2.wait(T).unwrap().segments[0][..], b"second", "{on:?}");
+    });
+}
+
+/// Many application threads on one endpoint, each on its own channel —
+/// the shape the hub runtime exists for. Sizes cover the eager track
+/// (alone and, with a window queued, aggregated) and the rendezvous.
+#[test]
+fn concurrent_callers_on_distinct_conns() {
+    const CALLERS: usize = 4;
+    const MESSAGES: usize = 200;
+    const WINDOW: usize = 8;
+    const SIZES: [usize; 9] = [64, 256, 4096, 16_384, 200, 49_152, 700, 65_536, 262_144];
+    let message =
+        |caller: usize, i: usize| random(SIZES[i % SIZES.len()], (caller * MESSAGES + i) as u64);
+    on_every_pair_with_conns(CALLERS, EngineConfig::default(), |on, a, b| {
+        std::thread::scope(|s| {
+            for (caller, &c) in a.conns().iter().enumerate() {
+                let (a, b) = (&a, &b);
+                s.spawn(move || {
+                    let mut inflight = VecDeque::new();
+                    for i in 0..MESSAGES {
+                        if inflight.len() == WINDOW {
+                            let h: SendHandle = inflight.pop_front().unwrap();
+                            assert!(h.wait(T), "{on:?}: caller {caller}");
+                        }
+                        inflight.push_back(a.send(c, vec![Bytes::from(message(caller, i))]));
+                    }
+                    for h in inflight {
+                        assert!(h.wait(T), "{on:?}: caller {caller}");
+                    }
+                });
+                s.spawn(move || {
+                    // Keeps WINDOW receives posted; the last WINDOW stay unmatched.
+                    let mut posted: VecDeque<RecvHandle> = (0..WINDOW).map(|_| b.recv(c)).collect();
+                    for i in 0..MESSAGES {
+                        let msg = posted.pop_front().unwrap().wait(T);
+                        let msg = msg.unwrap_or_else(|| panic!("{on:?}: conn {caller} recv {i}"));
+                        assert!(
+                            msg.segments[0].as_ref() == message(caller, i).as_slice(),
+                            "{on:?}: conn {caller} message {i} out of order or corrupted"
+                        );
+                        posted.push_back(b.recv(c));
+                    }
+                });
+            }
+        });
+        assert_eq!(a.rx_errors() + b.rx_errors(), 0, "{on:?}");
+        assert_eq!(a.io_errors() + b.io_errors(), 0, "{on:?}");
+        assert_eq!(a.pool_leaks() + b.pool_leaks(), 0, "{on:?}");
     });
 }
