@@ -76,28 +76,28 @@ fn bench_aggregate(c: &mut Criterion) {
 }
 
 fn bench_reassembly(c: &mut Criterion) {
-    let payload = vec![7u8; 1 << 20];
-    c.bench_function("reassembly/1MB_in_16_chunks", |b| {
-        b.iter(|| {
-            let mut r = Reassembler::new();
-            let chunk = payload.len() / 16;
-            let mut done = None;
-            for i in 0..16 {
-                let off = i * chunk;
-                done = r
-                    .insert_chunk(
-                        1,
-                        0,
-                        1,
-                        off as u64,
-                        payload.len() as u64,
-                        &payload[off..off + chunk],
-                    )
-                    .unwrap();
-            }
-            black_box(done.unwrap())
-        })
-    });
+    let payload = Bytes::from(vec![7u8; 1 << 20]);
+    let chunk = payload.len() / 16;
+    let slices: Vec<Bytes> = (0..16)
+        .map(|i| payload.slice(i * chunk..(i + 1) * chunk))
+        .collect();
+    // The two ends of reassembly by reference: chunks that arrive in
+    // allocations of their own (TCP frames) are gathered once, slices of
+    // one allocation (mem, sim) re-join and nothing is copied.
+    let copies: Vec<Bytes> = slices.iter().map(|s| Bytes::copy_from_slice(s)).collect();
+    for (name, chunks) in [("chunks", &copies), ("slices", &slices)] {
+        c.bench_function(format!("reassembly/1MB_in_16_{name}"), |b| {
+            b.iter(|| {
+                let mut r = Reassembler::new();
+                let mut done = None;
+                for (i, data) in chunks.iter().enumerate() {
+                    let (off, len) = ((i * chunk) as u64, payload.len() as u64);
+                    done = r.insert_chunk(1, 0, 1, off, len, data.clone()).unwrap();
+                }
+                black_box(done.unwrap())
+            })
+        });
+    }
 }
 
 fn bench_crc(c: &mut Criterion) {

@@ -136,8 +136,10 @@ impl Serialize for PerPacketPoint {
 pub struct CyclesReport {
     /// One point per available checksum kernel.
     pub kernels: Vec<KernelPoint>,
-    /// Whether the PCLMUL kernel was available on this CPU.
-    pub simd_available: bool,
+    /// Bits per fold lane the `simd` kernel ran with on this CPU: 512
+    /// (VPCLMULQDQ), 128 (PCLMULQDQ), 0 when it is unavailable. Its
+    /// GiB/s from two hosts compare only at the same width.
+    pub simd_fold_width: u32,
     /// Syscall tallies of the fabric leg: TX side from the sender, RX
     /// side from the receiver.
     pub syscalls: SyscallStats,
@@ -163,7 +165,8 @@ impl Serialize for CyclesReport {
     fn to_value(&self) -> Value {
         ser::object([
             ("kernels", ser::v(&self.kernels)),
-            ("simd_available", ser::v(&self.simd_available)),
+            ("simd_available", ser::v(&(self.simd_fold_width != 0))),
+            ("simd_fold_width", ser::v(&self.simd_fold_width)),
             ("tx_calls", ser::v(&self.syscalls.tx_calls)),
             ("tx_frames", ser::v(&self.syscalls.tx_frames)),
             ("tx_per_packet", ser::v(&self.syscalls.tx_per_packet())),
@@ -199,7 +202,7 @@ fn noise_buf(len: usize) -> Vec<u8> {
 /// Throughput of every available kernel over `len` bytes,
 /// `samples` passes each, interleaved round-robin so a noise burst
 /// taxes all kernels alike.
-fn measure_kernels(len: usize, samples: usize) -> (Vec<KernelPoint>, bool) {
+fn measure_kernels(len: usize, samples: usize) -> Vec<KernelPoint> {
     let buf = noise_buf(len);
     let kernels = checksum::available_kernels();
     // All kernels must agree before we time anything (the proptests
@@ -236,7 +239,7 @@ fn measure_kernels(len: usize, samples: usize) -> (Vec<KernelPoint>, bool) {
         }
     };
     let scalar_ns = ns[0].max(1);
-    let points = kernels
+    kernels
         .iter()
         .zip(&ns)
         .map(|(&k, &t)| KernelPoint {
@@ -244,8 +247,7 @@ fn measure_kernels(len: usize, samples: usize) -> (Vec<KernelPoint>, bool) {
             gib_s: gib(t),
             speedup: scalar_ns as f64 / t.max(1) as f64,
         })
-        .collect();
-    (points, Kernel::Simd.is_available())
+        .collect()
 }
 
 /// Pipelined eager messages through the thread-per-rail TCP fabric at 2 rails
@@ -432,7 +434,7 @@ fn measure_per_packet(size: usize, samples: usize) -> PerPacketPoint {
 /// Run the ablation. `smoke` shrinks buffer sizes and repetition counts
 /// for the CI gate.
 pub fn run(smoke: bool) -> CyclesReport {
-    let (kernels, simd_available) = if smoke {
+    let kernels = if smoke {
         measure_kernels(1 << 20, 24)
     } else {
         measure_kernels(4 << 20, 64)
@@ -454,7 +456,7 @@ pub fn run(smoke: bool) -> CyclesReport {
     };
     CyclesReport {
         kernels,
-        simd_available,
+        simd_fold_width: checksum::simd_fold_width(),
         syscalls,
         fabric_messages,
         fabric_completed,
@@ -529,9 +531,10 @@ pub fn render(report: &CyclesReport) -> String {
     for p in &report.kernels {
         let _ = writeln!(out, "{:>8} {:>10.2} {:>8.1}x", p.kernel, p.gib_s, p.speedup);
     }
-    if !report.simd_available {
-        let _ = writeln!(out, "(pclmul kernel unavailable on this CPU)");
-    }
+    let _ = match report.simd_fold_width {
+        0 => writeln!(out, "(simd kernel unavailable on this CPU)"),
+        bits => writeln!(out, "(simd folds {bits} bits per lane on this CPU)"),
+    };
     let s = &report.syscalls;
     let _ = writeln!(
         out,
@@ -591,7 +594,7 @@ mod tests {
                     speedup: 40.0,
                 },
             ],
-            simd_available: true,
+            simd_fold_width: 128,
             syscalls: SyscallStats {
                 tx_calls: 40,
                 tx_frames: 256,
@@ -649,7 +652,7 @@ mod tests {
     #[test]
     fn kernel_measurement_orders_kernels_sanely() {
         // Tiny run: the point is agreement + plumbing, not stable timing.
-        let (points, _) = measure_kernels(64 << 10, 8);
+        let points = measure_kernels(64 << 10, 8);
         assert_eq!(points[0].kernel, "scalar");
         assert!((points[0].speedup - 1.0).abs() < 1e-9);
         assert!(points.len() >= 2, "slice16 must always be available");

@@ -10,9 +10,10 @@
 //! across PRs.
 //!
 //! The run doubles as a regression gate (used by `scripts/verify.sh`):
-//! [`check`] fails if the large-message split path stages any bytes, if a
-//! workload's packet heads and slabs are never recycled by the pool, or
-//! if the pipeline no longer beats the legacy model by at least 2x.
+//! [`check`] fails if the large-message split path stages any bytes or
+//! gathers any on receive, if a workload's packet heads and slabs are
+//! never recycled by the pool, or if the pipeline no longer beats the
+//! legacy model by at least 2x.
 
 use nmad_core::{DataPathStats, EngineConfig, EngineStats, StrategyKind};
 use nmad_model::platform;
@@ -173,10 +174,21 @@ pub fn check(report: &DataPathReport) -> Vec<String> {
     for p in &report.points {
         // Messages above the PIO threshold ride the split path; chunk
         // payloads are refcounted slices and must stage nothing.
-        if p.segments == 1 && p.size > 8 << 10 && p.staged_copy_bytes != 0 {
+        let split = p.segments == 1 && p.size > 8 << 10;
+        if split && p.staged_copy_bytes != 0 {
             violations.push(format!(
                 "{}: split path staged {} bytes (budget: 0)",
                 p.label, p.staged_copy_bytes
+            ));
+        }
+        // Nor is anything copied on receive: the sim's chunks are slices
+        // of the sender's segment, so reassembly re-joins them and never
+        // has to gather (DESIGN.md "Receive: reassembly by reference").
+        let rx_copied = p.copied_bytes - p.staged_copy_bytes;
+        if split && rx_copied != 0 {
+            violations.push(format!(
+                "{}: split path copied {rx_copied} bytes on receive (budget: 0)",
+                p.label
             ));
         }
         // The simulated receiver shares every frame with its sender, so
@@ -239,6 +251,7 @@ mod tests {
     fn split_path_stages_nothing_and_moves_payload_zero_copy() {
         let p = split_point(1 << 20);
         assert_eq!(p.staged_copy_bytes, 0, "large split must not stage");
+        assert_eq!(p.copied_bytes, 0, "nor gather on receive");
         assert!(
             p.zero_copy_bytes >= 1 << 20,
             "payload must ride zero-copy: {p:?}"

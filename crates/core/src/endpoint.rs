@@ -54,6 +54,45 @@ impl FabricStatus {
     }
 }
 
+/// When a [`Fabric::wait`] gives up.
+#[derive(Clone, Copy, Debug)]
+pub enum Deadline {
+    /// Never: only completion or poison end the wait.
+    Never,
+    /// It already has (a zero timeout): the wait is one look — one
+    /// progress pass where callers drive progress — and reads no clock.
+    Passed,
+    /// At this instant.
+    At(Instant),
+}
+
+impl Deadline {
+    /// `timeout` from now. A zero timeout is [`Deadline::Passed`] without
+    /// a look at the clock; one too large to add to it (`Duration::MAX`)
+    /// is no deadline at all.
+    pub fn after(timeout: Duration) -> Self {
+        if timeout.is_zero() {
+            return Deadline::Passed;
+        }
+        Instant::now()
+            .checked_add(timeout)
+            .map_or(Deadline::Never, Deadline::At)
+    }
+
+    /// How long a sleep may last: `None` once the deadline has passed,
+    /// `Duration::MAX` (which a condvar takes for "no timeout") when
+    /// there is none. Only [`Deadline::At`] reads the clock.
+    pub fn left(self) -> Option<Duration> {
+        match self {
+            Deadline::Never => Some(Duration::MAX),
+            Deadline::Passed => None,
+            Deadline::At(at) => at
+                .checked_duration_since(Instant::now())
+                .filter(|left| !left.is_zero()),
+        }
+    }
+}
+
 /// The runtime seam under an [`Endpoint`]: where the engine lives, how a
 /// submission reaches it and how a caller waits for progress.
 pub trait Fabric: std::any::Any + Send + Sync {
@@ -83,10 +122,9 @@ pub trait Fabric: std::any::Any + Send + Sync {
     fn kick(&self);
 
     /// Block until `done` holds (true), or `deadline` passes or the
-    /// fabric is poisoned (false). `None` waits forever. The default
-    /// sleeps on [`Fabric::cv`]; a runtime whose callers drive progress
-    /// themselves overrides it.
-    fn wait(&self, deadline: Option<Instant>, done: &mut dyn FnMut(&mut Engine) -> bool) -> bool {
+    /// fabric is poisoned (false). The default sleeps on [`Fabric::cv`];
+    /// a runtime whose callers drive progress themselves overrides it.
+    fn wait(&self, deadline: Deadline, done: &mut dyn FnMut(&mut Engine) -> bool) -> bool {
         let mut eng = self.engine().lock();
         loop {
             if done(&mut eng) {
@@ -95,16 +133,10 @@ pub trait Fabric: std::any::Any + Send + Sync {
             if self.status().failed() {
                 return false;
             }
-            match deadline {
-                None => self.cv().wait(&mut eng),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return false;
-                    }
-                    self.cv().wait_for(&mut eng, deadline - now);
-                }
-            }
+            let Some(left) = deadline.left() else {
+                return false;
+            };
+            self.cv().wait_for(&mut eng, left);
         }
     }
 
@@ -209,15 +241,15 @@ pub struct RecvHandle {
 }
 
 /// The one wait: until `done` yields, `timeout` runs out or the fabric
-/// is poisoned. A timeout too large to add to the clock
-/// (`Duration::MAX`) is no deadline at all.
+/// is poisoned ([`Deadline::after`]: a zero timeout is a poll that reads
+/// no clock).
 fn wait_on<T>(
     fabric: &dyn Fabric,
     timeout: Duration,
     mut done: impl FnMut(&mut Engine) -> Option<T>,
 ) -> Option<T> {
     let mut out = None;
-    fabric.wait(Instant::now().checked_add(timeout), &mut |eng| {
+    fabric.wait(Deadline::after(timeout), &mut |eng| {
         out = done(eng);
         out.is_some()
     });
@@ -422,5 +454,32 @@ impl Drop for Endpoint {
             let _ = h.join();
         }
         self.fabric.finish_shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_zero_timeout_is_a_deadline_already_passed() {
+        assert!(matches!(Deadline::after(Duration::ZERO), Deadline::Passed));
+        assert_eq!(Deadline::Passed.left(), None);
+    }
+
+    #[test]
+    fn a_timeout_the_clock_cannot_hold_is_no_deadline() {
+        assert!(matches!(Deadline::after(Duration::MAX), Deadline::Never));
+        assert_eq!(Deadline::Never.left(), Some(Duration::MAX));
+    }
+
+    #[test]
+    fn a_deadline_ahead_says_how_long_is_left_and_none_once_behind() {
+        let Deadline::At(at) = Deadline::after(Duration::from_secs(3600)) else {
+            panic!("a finite timeout is an instant");
+        };
+        let left = Deadline::At(at).left().expect("an hour ahead");
+        assert!(left > Duration::from_secs(3500) && left <= Duration::from_secs(3600));
+        assert_eq!(Deadline::At(Instant::now()).left(), None);
     }
 }

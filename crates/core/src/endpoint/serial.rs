@@ -16,7 +16,7 @@ use nmad_model::RailId;
 use nmad_wire::{ConnId, PacketFrame};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use super::{Endpoint, Fabric, FabricStatus};
+use super::{Deadline, Endpoint, Fabric, FabricStatus};
 use crate::driver::TxToken;
 use crate::engine::parallel::WorkSignal;
 use crate::engine::Engine;
@@ -296,10 +296,14 @@ impl<R: Rails> Serial<R> {
 
     /// Caller-driven progress for a handle's `wait`: check `done`, then
     /// make passes on this thread, one at least, until it holds,
-    /// `deadline` passes or nothing has moved for [`SPIN_BUDGET`].
-    fn drive(&self, deadline: Option<Instant>, done: &mut dyn FnMut(&mut Engine) -> bool) -> bool {
+    /// `deadline` passes or nothing has moved for [`SPIN_BUDGET`]. The
+    /// clock is read for what needs it: a pass that moved nothing, a
+    /// deadline still ahead.
+    fn drive(&self, deadline: Deadline, done: &mut dyn FnMut(&mut Engine) -> bool) -> bool {
         self.enter();
-        let (mut quiet_since, mut holds) = (Instant::now(), R::HOLDS_EVERY_WAIT);
+        let mut holds = R::HOLDS_EVERY_WAIT;
+        // Since when every pass has moved nothing, if the last one did.
+        let mut quiet_since: Option<Instant> = None;
         let mut found_done = true;
         let out = loop {
             if done(&mut self.engine.lock()) {
@@ -312,15 +316,23 @@ impl<R: Rails> Serial<R> {
             let moved = self.try_pass(&mut holds);
             // (The caller looks at `done` once more, under the lock it
             // goes to sleep with.)
-            let now = Instant::now();
-            if moved {
-                quiet_since = now;
-            } else if now.duration_since(quiet_since) >= SPIN_BUDGET {
+            if let Deadline::Passed = deadline {
                 break false;
-            } else {
+            }
+            if moved {
+                quiet_since = None;
+                if let Deadline::Never = deadline {
+                    continue;
+                }
+            }
+            let now = Instant::now();
+            if !moved {
+                if now.duration_since(*quiet_since.get_or_insert(now)) >= SPIN_BUDGET {
+                    break false;
+                }
                 std::thread::yield_now();
             }
-            if deadline.is_some_and(|d| now >= d) {
+            if matches!(deadline, Deadline::At(at) if now >= at) {
                 break false;
             }
         };
@@ -548,7 +560,7 @@ impl<R: Rails> Fabric for Serial<R> {
     /// The caller drives progress itself ([`Serial::drive`]) and sleeps
     /// on the completion condvar only between bouts of it, so a deadline
     /// already passed is exactly one progress pass.
-    fn wait(&self, deadline: Option<Instant>, done: &mut dyn FnMut(&mut Engine) -> bool) -> bool {
+    fn wait(&self, deadline: Deadline, done: &mut dyn FnMut(&mut Engine) -> bool) -> bool {
         loop {
             if self.drive(deadline, done) {
                 return true;
@@ -557,21 +569,17 @@ impl<R: Rails> Fabric for Serial<R> {
             if done(&mut eng) {
                 return true;
             }
-            let now = Instant::now();
-            if deadline.is_some_and(|d| now >= d)
-                || self.status.failed()
-                || self.shutdown.load(Ordering::SeqCst)
-            {
+            if self.status.failed() || self.shutdown.load(Ordering::SeqCst) {
                 return false;
             }
+            let Some(left) = deadline.left() else {
+                return false;
+            };
             // Registered under the engine lock, which the wait releases
             // atomically: a pass that completes us after this point sees
             // the count and notifies.
             self.waiters.fetch_add(1, Ordering::SeqCst);
-            match deadline {
-                Some(d) => drop(self.cv.wait_for(&mut eng, d - now)),
-                None => self.cv.wait(&mut eng),
-            }
+            self.cv.wait_for(&mut eng, left);
             self.waiters.fetch_sub(1, Ordering::SeqCst);
         }
     }

@@ -1299,10 +1299,11 @@ impl Engine {
                 .rail(rail.0)
                 .size(frame.wire_len() as u64),
         );
+        // (A chunk's bytes are booked when its segment is whole: only
+        // then is it known whether they were ever copied.)
         let data_len: usize = match &body {
             FrameBody::Packet(p) => match p {
                 Packet::Eager(e) => e.data.len(),
-                Packet::Chunk(c) => c.data.len(),
                 Packet::SamplePing(s) | Packet::SamplePong(s) => s.data.len(),
                 _ => 0,
             },
@@ -1368,7 +1369,7 @@ impl Engine {
                 if self.drop_duplicate(env.conn_id, rail, p.msg_id, out)? {
                     return Ok(());
                 }
-                let done = self.insert_chunk_tolerant(env.conn_id, &p)?;
+                let done = self.insert_chunk_tolerant(env.conn_id, p)?;
                 self.settle_completion(env.conn_id, rail, done, out)?;
             }
             Packet::RdvRequest(p) => {
@@ -1880,38 +1881,49 @@ impl Engine {
     /// boundaries routinely straddle data that survived the earlier
     /// attempt. The lenient insert trims the overlap and keeps everything
     /// already received.
+    ///
+    /// The chunk goes in as the `Bytes` it arrived in (reassembly is by
+    /// reference); a segment this one makes whole is booked as zero-copy
+    /// when its chunks re-joined into one allocation and as copied when
+    /// they had to be gathered.
     fn insert_chunk_tolerant(
         &mut self,
         conn: ConnId,
-        p: &ChunkPacket,
+        p: ChunkPacket,
     ) -> Result<Option<MessageAssembly>, EngineError> {
         let acked = self.config.acked;
-        let rx = self.rx_conn(conn)?;
-        if acked {
-            let (done, new_bytes) = rx.reassembler.insert_chunk_lenient(
+        let reasm = &mut self.rx_conn(conn)?.reassembler;
+        let (joined, gathered) = (reasm.joined_bytes(), reasm.gathered_bytes());
+        let mut duplicate = false;
+        let done = if acked {
+            let (done, new_bytes) = reasm.insert_chunk_lenient(
                 p.msg_id,
                 p.seg_index,
                 p.total_segs,
                 p.offset,
                 p.total_len,
-                &p.data,
+                p.data,
             )?;
-            if new_bytes == 0 {
-                self.stats.duplicates_dropped += 1;
-            }
-            Ok(done)
+            duplicate = new_bytes == 0;
+            done
         } else {
-            rx.reassembler
-                .insert_chunk(
-                    p.msg_id,
-                    p.seg_index,
-                    p.total_segs,
-                    p.offset,
-                    p.total_len,
-                    &p.data,
-                )
-                .map_err(Into::into)
-        }
+            reasm.insert_chunk(
+                p.msg_id,
+                p.seg_index,
+                p.total_segs,
+                p.offset,
+                p.total_len,
+                p.data,
+            )?
+        };
+        let (joined, gathered) = (
+            reasm.joined_bytes() - joined,
+            reasm.gathered_bytes() - gathered,
+        );
+        self.stats.datapath.rx_zero_copy_bytes += joined;
+        self.stats.datapath.rx_copy_bytes += gathered;
+        self.stats.duplicates_dropped += u64::from(duplicate);
+        Ok(done)
     }
 
     fn rx_conn(&mut self, conn: ConnId) -> Result<&mut ConnRx, EngineError> {
@@ -2025,6 +2037,15 @@ mod tests {
     /// Drive a sender/receiver engine pair until quiescent, with no timing:
     /// round-robin rails, deliver instantly. Returns wire packets seen.
     fn pump(tx: &mut Engine, rx: &mut Engine) -> usize {
+        pump_as(tx, rx, |frame| frame)
+    }
+
+    /// [`pump`] with every frame delivered as `wire` makes it arrive.
+    fn pump_as(
+        tx: &mut Engine,
+        rx: &mut Engine,
+        wire: impl Fn(PacketFrame) -> PacketFrame,
+    ) -> usize {
         let mut delivered = 0;
         for _ in 0..10_000 {
             let mut progressed = false;
@@ -2040,7 +2061,7 @@ mod tests {
                         progressed = true;
                         delivered += 1;
                         a.on_tx_done(rail, d.token).unwrap();
-                        b.on_frame(rail, &d.frame).unwrap();
+                        b.on_frame(rail, &wire(d.frame)).unwrap();
                     }
                 }
             }
@@ -2574,13 +2595,39 @@ mod tests {
         tx.submit_send(c, vec![data.clone()]);
         let recv = rx.post_recv(c);
         pump(&mut tx, &mut rx);
-        assert_eq!(rx.try_recv(recv).unwrap().segments[0], data);
+        let got = rx.try_recv(recv).unwrap();
+        assert_eq!(got.segments[0], data);
         let d = &tx.stats().datapath;
         assert_eq!(
             d.tx_staged_copy_bytes, 0,
             "chunked rendezvous transfers must not copy on tx"
         );
         assert!(d.tx_zero_copy_bytes >= (1 << 20));
+        // Nor on rx: the chunks are slices of the sender's segment, they
+        // re-join, and the delivery is that segment.
+        assert_eq!(got.segments[0].as_ptr(), data.as_ptr());
+        let r = &rx.stats().datapath;
+        assert_eq!((r.rx_copy_bytes, r.rx_zero_copy_bytes), (0, 1 << 20));
+    }
+
+    #[test]
+    fn datapath_chunks_in_their_own_allocations_are_gathered_once() {
+        let mut tx = engine(StrategyKind::AdaptiveSplit);
+        let mut rx = engine(StrategyKind::AdaptiveSplit);
+        let c = tx.conn_open();
+        rx.conn_open();
+        let data = payload(1 << 20, 0x3C);
+        tx.submit_send(c, vec![data.clone()]);
+        let recv = rx.post_recv(c);
+        // As a byte-stream transport delivers: every frame in a buffer
+        // of its own.
+        pump_as(&mut tx, &mut rx, |frame| {
+            PacketFrame::from_wire(frame.to_bytes())
+        });
+        assert!(tx.stats().chunks_sent >= 2, "split over both rails");
+        assert_eq!(rx.try_recv(recv).unwrap().segments[0], data);
+        let r = &rx.stats().datapath;
+        assert_eq!((r.rx_copy_bytes, r.rx_zero_copy_bytes), (1 << 20, 0));
     }
 
     #[test]

@@ -95,7 +95,9 @@ pub use api::{MessageBuilder, MessageReader};
 pub use chaos::ChaosState;
 pub use config::{EngineConfig, OverloadConfig, Runtime, ZooConfig};
 pub use driver::{TxDecision, TxToken};
-pub use endpoint::{Endpoint, Fabric, FabricStatus, Parker, Rails, RecvHandle, SendHandle, Serial};
+pub use endpoint::{
+    Deadline, Endpoint, Fabric, FabricStatus, Parker, Rails, RecvHandle, SendHandle, Serial,
+};
 pub use engine::parallel::{
     outbox, spsc, AppOp, Completion, MpscQueue, OutboxReceiver, OutboxSender, ParallelHub,
     SchedPass, SchedScratch, SpscConsumer, SpscProducer, SyscallCounters, WorkSignal,

@@ -36,9 +36,11 @@ pub struct RailStats {
 /// Copy and allocation accounting for the scatter-gather datapath.
 ///
 /// The zero-copy refactor makes every copy on the hot path *explicit*:
-/// the only tx-side payload copy allowed is sub-PIO aggregation staging
-/// (see DESIGN.md "Datapath and copy discipline"), and these counters
-/// prove it. `nmad-bench`'s `ablate_zero_copy` target and the
+/// the only tx-side payload copy allowed is sub-PIO aggregation staging,
+/// the only rx-side ones are a part-straddling read and the gather of a
+/// rendezvous segment whose chunks arrived in different allocations (see
+/// DESIGN.md "Datapath and copy discipline"), and these counters prove
+/// it. `nmad-bench`'s `ablate_zero_copy` target and the
 /// `scripts/verify.sh` smoke gate read them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DataPathStats {
@@ -47,10 +49,15 @@ pub struct DataPathStats {
     pub tx_staged_copy_bytes: u64,
     /// Payload bytes transmitted as refcounted slices (no copy).
     pub tx_zero_copy_bytes: u64,
-    /// Payload bytes copied on receive (part-straddling reads and legacy
-    /// flat-buffer delivery; frame delivery keeps this at zero).
+    /// Payload bytes copied on receive: part-straddling reads, legacy
+    /// flat-buffer delivery, and rendezvous segments gathered into one
+    /// buffer because their chunks arrived in different allocations (TCP:
+    /// one per frame — every chunked byte, once, when its segment is
+    /// whole). Zero on the mem fabric and in the sim.
     pub rx_copy_bytes: u64,
-    /// Payload bytes sliced zero-copy out of received frames.
+    /// Payload bytes delivered as the slices of received frames they
+    /// arrived as: eager data booked at decode, a rendezvous segment when
+    /// it completes with its chunks re-joined into one allocation.
     pub rx_zero_copy_bytes: u64,
     /// Fresh allocations taken on the hot path (head buffers or staging
     /// slabs the pool could not satisfy).

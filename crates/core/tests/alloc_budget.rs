@@ -9,8 +9,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
-use nmad_core::{Engine, EngineConfig, TxDecision};
+use nmad_core::{Engine, EngineConfig, EngineError, TxDecision};
 use nmad_model::{platform, RailId};
+use nmad_wire::header::{ChunkPacket, Packet};
+use nmad_wire::reassembly::ReasmError;
+use nmad_wire::FrameBody;
 
 struct Counting;
 
@@ -191,7 +194,7 @@ fn steady_state_allocations_stay_within_budget() {
 
     // The same message while the other rail is busy with a small one:
     // bounded chunks, one after the other, on rail 0. The first opens the
-    // reassembly (its buffer is the message's), the next ones land in it.
+    // reassembly, the next ones re-join it.
     a.submit_send(conn, vec![small.clone()]);
     let small_recv = b.post_recv(conn);
     let busy = a
@@ -208,8 +211,12 @@ fn steady_state_allocations_stay_within_budget() {
         a.on_tx_done(RailId(0), d.token).expect("token");
         let (n, out) = count(|| b.on_frame(RailId(0), &d.frame));
         assert!(out.expect("chunk").completed_recvs.is_empty());
+        // Reassembly is by reference and its piece list inline: a chunk
+        // is kept as the slice of its frame that it is.
         if chunk > 0 {
             check("on_frame of a chunk into an open reassembly", n, 0);
+        } else {
+            check("on_frame of the first chunk of a segment", n, 0);
         }
     }
     a.on_tx_done(RailId(1), busy.token).expect("token");
@@ -221,6 +228,43 @@ fn steady_state_allocations_stay_within_budget() {
         small
     );
     assert_eq!(b.try_recv(recv).expect("delivered").segments[0], large);
+
+    // A CRC-valid chunk from a buggy peer that claims a segment of 2^40
+    // bytes: kept like any other first chunk — nothing is sized from a
+    // `total_len` off the wire — and a chunk that disagrees about the
+    // length is still told so.
+    a.submit_send(conn, vec![large.clone()]);
+    b.post_recv(conn);
+    handshake(&mut a, &mut b);
+    let genuine = a.next_tx(RailId(0)).expect("next_tx").expect("a chunk");
+    let (env, body, _) = genuine.frame.decode().expect("our own frame");
+    let FrameBody::Packet(Packet::Chunk(genuine)) = body else {
+        panic!("a granted rendezvous sends chunks");
+    };
+    let claim = |total_len: u64| {
+        let chunk = ChunkPacket {
+            msg_id: genuine.msg_id + 1,
+            total_len,
+            offset: 0,
+            chunk_index: 0,
+            data: small.clone(),
+            ..genuine.clone()
+        };
+        Packet::Chunk(chunk).encode_frame(env.conn_id, 0, true)
+    };
+    let (hostile, disagreeing) = (claim(1 << 40), claim(1 << 20));
+    let held = b.state_len();
+    let (n, out) = count(|| b.on_frame(RailId(0), &hostile));
+    assert!(out.expect("a valid chunk").completed_recvs.is_empty());
+    check("on_frame of a chunk claiming a 2^40-byte segment", n, 0);
+    assert!(b.state_len() > held, "the message is in flight");
+    let err = b
+        .on_frame(RailId(0), &disagreeing)
+        .expect_err("two lengths");
+    let EngineError::Reassembly(ReasmError::LengthMismatch { msg_id, .. }) = err else {
+        panic!("{err:?}");
+    };
+    assert_eq!(msg_id, genuine.msg_id + 1);
 
     println!("{}", report.join("\n"));
 }

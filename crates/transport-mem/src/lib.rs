@@ -139,9 +139,10 @@ impl FabricConfig {
 const READ_BUDGET: usize = 64 * 1024;
 
 /// A frame on the wire of one rail: posted by the engine, handed to the
-/// peer at `ready_at`.
+/// peer at `ready_at` — on an unshaped fabric (`None`) by the flush that
+/// follows, and no clock is read for it.
 struct InFlight {
-    ready_at: Instant,
+    ready_at: Option<Instant>,
     token: TxToken,
     frame: PacketFrame,
 }
@@ -220,7 +221,8 @@ impl Rails for MemRails {
     }
 
     fn enqueue(&mut self, rail: usize, frame: PacketFrame, token: TxToken) {
-        let ready_at = Instant::now() + shaped_duration(&self.config, rail, frame.wire_len());
+        let ready_at = (self.config.time_scale > 0.0)
+            .then(|| Instant::now() + shaped_duration(&self.config, rail, frame.wire_len()));
         self.inflight[rail] = Some(InFlight {
             ready_at,
             token,
@@ -232,10 +234,15 @@ impl Rails for MemRails {
     /// one in the pass that posted it) and hand each frame, or what the
     /// fault injector leaves of it, to the peer.
     fn flush(&mut self, done: &mut Vec<(usize, TxToken)>, status: &FabricStatus) -> Option<u64> {
-        let now = Instant::now();
+        // (Read for the first shaped injection, if there is one.)
+        let mut now = None;
         let mut delivered = false;
         for (rail, slot) in self.inflight.iter_mut().enumerate() {
-            let Some(f) = slot.take_if(|f| f.ready_at <= now) else {
+            let ready = |f: &mut InFlight| {
+                f.ready_at
+                    .is_none_or(|at| at <= *now.get_or_insert_with(Instant::now))
+            };
+            let Some(f) = slot.take_if(ready) else {
                 continue;
             };
             done.push((rail, f.token));
@@ -257,7 +264,12 @@ impl Rails for MemRails {
         if let Some(peer) = self.peer.as_ref().filter(|_| delivered) {
             peer.arrived();
         }
-        let next = self.inflight.iter().flatten().map(|f| f.ready_at).min();
+        let next = self
+            .inflight
+            .iter()
+            .flatten()
+            .filter_map(|f| f.ready_at)
+            .min();
         next.map(|at| at.saturating_duration_since(self.start).as_nanos() as u64)
     }
 
@@ -1442,7 +1454,7 @@ mod tests {
         let c = a.conns()[0];
         let start = Instant::now();
         serial(&a).io().rails.inflight[0] = Some(InFlight {
-            ready_at: start,
+            ready_at: None,
             token: TxToken(u64::MAX),
             frame: PacketFrame::from_wire(Bytes::from_static(b"never issued")),
         });

@@ -13,10 +13,13 @@
 //! * [`Kernel::Slice16`] — slicing-by-16: 16 interleaved 256-entry
 //!   tables built at compile time, consuming 16 bytes per iteration with
 //!   no data dependency between the table lookups.
-//! * [`Kernel::Simd`] — x86_64 PCLMUL folding (the Intel "Fast CRC
-//!   Computation Using PCLMULQDQ" scheme) behind
-//!   `is_x86_feature_detected!`. All `unsafe` is confined to the
-//!   [`simd`] submodule; everywhere else is safe Rust.
+//! * [`Kernel::Simd`] — x86_64 carry-less-multiply folding (the Intel
+//!   "Fast CRC Computation Using PCLMULQDQ" scheme), as wide as the CPU
+//!   has it: four 512-bit lanes with VPCLMULQDQ (AVX-512) for inputs of
+//!   256 bytes and more, four 128-bit lanes with PCLMULQDQ otherwise —
+//!   one kernel, the width detected once ([`simd_fold_width`]). All
+//!   `unsafe` is confined to the [`simd`] submodule; everywhere else is
+//!   safe Rust.
 //!
 //! The streaming `update`/`crc32_init`/`crc32_finish` surface is
 //! unchanged from the scalar-only version, so the vectored encoders in
@@ -75,7 +78,8 @@ pub enum Kernel {
     Scalar,
     /// Slicing-by-16, 16 bytes per iteration (portable).
     Slice16,
-    /// PCLMUL folding (x86_64 with sse4.1+pclmulqdq only).
+    /// Carry-less-multiply folding at the widest width the CPU has
+    /// (x86_64 with sse4.1+pclmulqdq at least).
     Simd,
 }
 
@@ -106,9 +110,17 @@ impl Kernel {
     pub fn is_available(self) -> bool {
         match self {
             Kernel::Scalar | Kernel::Slice16 => true,
-            Kernel::Simd => simd::available(),
+            Kernel::Simd => simd::width() != 0,
         }
     }
+}
+
+/// Bits per fold lane of [`Kernel::Simd`] on this CPU: 512 (VPCLMULQDQ),
+/// 128 (PCLMULQDQ), or 0 where the kernel is unavailable. Reports print
+/// it so that throughputs from different hosts can be read.
+#[inline]
+pub fn simd_fold_width() -> u32 {
+    simd::width()
 }
 
 /// Every kernel the current CPU supports, fastest last.
@@ -261,32 +273,57 @@ fn update_slice16(state: u32, data: &[u8]) -> u32 {
     update_scalar(crc, chunks.remainder())
 }
 
-/// PCLMUL folding over the largest 16-byte-aligned prefix (needs at
-/// least 64 bytes to fill the four fold lanes); the tail continues
-/// through slicing-by-16 from the folded state. Falls back entirely to
-/// slicing-by-16 when the CPU lacks the features or the input is short.
+/// The SIMD kernel at the width this CPU has.
 fn update_simd(state: u32, data: &[u8]) -> u32 {
-    if data.len() < 64 || !simd::available() {
-        return update_slice16(state, data);
-    }
-    let split = data.len() & !15;
-    // SAFETY: `available()` checked sse4.1+pclmulqdq; the prefix is a
-    // non-empty multiple of 16 bytes of at least 64 bytes.
-    let folded = unsafe { simd::fold_pclmul(state, &data[..split]) };
-    update_slice16(folded, &data[split..])
+    update_fold(simd::width(), state, data)
 }
 
-/// The one `unsafe` corner: PCLMUL carry-less-multiply folding for the
+/// Carry-less folding `width` bits wide (a width the CPU has: see
+/// [`simd::width`]) over the largest 16-byte-aligned prefix; the tail
+/// continues through slicing-by-16 from the folded state. The 512-bit
+/// fold needs 256 bytes to fill its four lanes and the 128-bit one 64;
+/// shorter inputs go to the next narrower one, and to slicing-by-16
+/// entirely below that or when the CPU has no fold at all.
+fn update_fold(width: u32, state: u32, data: &[u8]) -> u32 {
+    if data.len() < 64 || width == 0 {
+        return update_slice16(state, data);
+    }
+    let (prefix, tail) = data.split_at(data.len() & !15);
+    let folded = if width == 512 && prefix.len() >= 256 {
+        // SAFETY: width 512 means `simd::width` detected avx512f,
+        // avx512vl and vpclmulqdq beside the 128-bit features; the prefix
+        // is a multiple of 16 bytes of at least 256 bytes.
+        unsafe { simd::fold_vpclmul(state, prefix) }
+    } else {
+        // SAFETY: a nonzero width means sse4.1+pclmulqdq were detected;
+        // the prefix is a multiple of 16 bytes of at least 64 bytes.
+        unsafe { simd::fold_pclmul(state, prefix) }
+    };
+    update_slice16(folded, tail)
+}
+
+/// The one `unsafe` corner: carry-less-multiply folding for the
 /// reflected IEEE polynomial, after Intel's white paper (V. Gopal et
 /// al., "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
 /// Instruction") and the widely used folding constants for 0x04C11DB7.
+///
+/// Every fold constant is `x^n mod P`, bit-reflected to 32 bits and
+/// shifted left by one, for a fold distance of `d` bits as the pair
+/// `n = d + 32`, `n = d - 32`.
 #[cfg(target_arch = "x86_64")]
 mod simd {
     use std::arch::x86_64::{
-        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
-        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+        __m128i, __m512i, _mm512_broadcast_i32x4, _mm512_clmulepi64_epi128,
+        _mm512_extracti32x4_epi32, _mm512_loadu_si512, _mm512_ternarylogic_epi64, _mm512_xor_si512,
+        _mm512_zextsi128_si512, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128,
+        _mm_extract_epi32, _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128,
+        _mm_xor_si128,
     };
+    use std::sync::atomic::{AtomicU32, Ordering};
 
+    // x^(4·512+32) mod P, x^(4·512-32) mod P — fold 2048 bits at a time.
+    const K2080: i64 = 0x1_1542_778a;
+    const K2016: i64 = 0x1_322d_1430;
     // x^(4·128+32) mod P, x^(4·128-32) mod P — fold 512 bits at a time.
     const K1: i64 = 0x1_5444_2bd4;
     const K2: i64 = 0x1_c6e4_1596;
@@ -299,13 +336,38 @@ mod simd {
     const P_X: i64 = 0x1_db71_0641;
     const U_PRIME: i64 = 0x1_f701_1641;
 
-    pub fn available() -> bool {
-        is_x86_feature_detected!("sse4.1") && is_x86_feature_detected!("pclmulqdq")
+    /// The widest fold this CPU has, in bits per lane: 512, 128 or 0.
+    /// Detected on the first call and cached.
+    pub fn width() -> u32 {
+        const UNRESOLVED: u32 = u32::MAX;
+        static WIDTH: AtomicU32 = AtomicU32::new(UNRESOLVED);
+        let cached = WIDTH.load(Ordering::Relaxed);
+        if cached != UNRESOLVED {
+            return cached;
+        }
+        let narrow = is_x86_feature_detected!("sse4.1") && is_x86_feature_detected!("pclmulqdq");
+        let wide = narrow
+            && is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512vl")
+            && is_x86_feature_detected!("vpclmulqdq");
+        let width = if wide {
+            512
+        } else if narrow {
+            128
+        } else {
+            0
+        };
+        // Racing resolvers store the same answer.
+        WIDTH.store(width, Ordering::Relaxed);
+        width
     }
 
     /// Fold `a` down by 128 bits and absorb `b`:
     /// `a·x^shift mod P ⊕ b`, with the two halves of `a` multiplied by
     /// the two keys packed in `keys`.
+    ///
+    /// # Safety
+    /// Caller guarantees pclmulqdq is present.
     #[inline]
     unsafe fn fold(a: __m128i, b: __m128i, keys: __m128i) -> __m128i {
         let lo = _mm_clmulepi64_si128(a, keys, 0x00);
@@ -313,10 +375,42 @@ mod simd {
         _mm_xor_si128(_mm_xor_si128(b, lo), hi)
     }
 
+    /// Take the next 16 bytes off `data`.
+    ///
+    /// # Safety
+    /// Caller guarantees `data` holds at least 16 bytes: they are read
+    /// before the slice index checks.
     #[inline]
     unsafe fn load(data: &mut &[u8]) -> __m128i {
         let v = _mm_loadu_si128(data.as_ptr() as *const __m128i);
         *data = &data[16..];
+        v
+    }
+
+    /// [`fold`] on the four 128-bit lanes of a 512-bit register at once
+    /// (`keys` holds the same pair in every lane); the two XORs are one
+    /// three-way `vpternlogq`.
+    ///
+    /// # Safety
+    /// Caller guarantees avx512f and vpclmulqdq are present.
+    #[inline]
+    #[target_feature(enable = "avx512f", enable = "vpclmulqdq")]
+    unsafe fn fold512(a: __m512i, b: __m512i, keys: __m512i) -> __m512i {
+        let lo = _mm512_clmulepi64_epi128(a, keys, 0x00);
+        let hi = _mm512_clmulepi64_epi128(a, keys, 0x11);
+        _mm512_ternarylogic_epi64(b, lo, hi, 0x96)
+    }
+
+    /// Take the next 64 bytes off `data`.
+    ///
+    /// # Safety
+    /// Caller guarantees avx512f is present and `data` holds at least 64
+    /// bytes: they are read before the slice index checks.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn load512(data: &mut &[u8]) -> __m512i {
+        let v = _mm512_loadu_si512(data.as_ptr() as *const __m512i);
+        *data = &data[64..];
         v
     }
 
@@ -344,11 +438,71 @@ mod simd {
             x1 = fold(x1, load(&mut data), k1k2);
             x0 = fold(x0, load(&mut data), k1k2);
         }
+        reduce([x3, x2, x1, x0], data)
+    }
 
+    /// The same fold on four 512-bit lanes: 256 bytes per iteration.
+    ///
+    /// # Safety
+    /// Caller guarantees avx512f, avx512vl and vpclmulqdq are present
+    /// beside sse4.1+pclmulqdq, `data.len()` is a multiple of 16 and at
+    /// least 256.
+    #[target_feature(
+        enable = "sse4.1",
+        enable = "pclmulqdq",
+        enable = "avx512f",
+        enable = "avx512vl",
+        enable = "vpclmulqdq"
+    )]
+    pub unsafe fn fold_vpclmul(state: u32, mut data: &[u8]) -> u32 {
+        debug_assert!(data.len() >= 256 && data.len().is_multiple_of(16));
+        // Lane 0 of a register is the lowest address: the earliest bytes.
+        let mut z3 = load512(&mut data);
+        let mut z2 = load512(&mut data);
+        let mut z1 = load512(&mut data);
+        let mut z0 = load512(&mut data);
+        let state = _mm512_zextsi128_si512(_mm_cvtsi32_si128(state as i32));
+        z3 = _mm512_xor_si512(z3, state);
+
+        let k2048 = _mm512_broadcast_i32x4(_mm_set_epi64x(K2016, K2080));
+        while data.len() >= 256 {
+            z3 = fold512(z3, load512(&mut data), k2048);
+            z2 = fold512(z2, load512(&mut data), k2048);
+            z1 = fold512(z1, load512(&mut data), k2048);
+            z0 = fold512(z0, load512(&mut data), k2048);
+        }
+
+        // Four registers to one, then the remaining 64-byte blocks: each
+        // fold is 512 bits forward, lane onto the same lane.
+        let k1k2 = _mm512_broadcast_i32x4(_mm_set_epi64x(K2, K1));
+        let mut z = fold512(z3, z2, k1k2);
+        z = fold512(z, z1, k1k2);
+        z = fold512(z, z0, k1k2);
+        while data.len() >= 64 {
+            z = fold512(z, load512(&mut data), k1k2);
+        }
+        let lanes = [
+            _mm512_extracti32x4_epi32::<0>(z),
+            _mm512_extracti32x4_epi32::<1>(z),
+            _mm512_extracti32x4_epi32::<2>(z),
+            _mm512_extracti32x4_epi32::<3>(z),
+        ];
+        reduce(lanes, data)
+    }
+
+    /// What both folds end with: four 128-bit lanes (earliest bytes
+    /// first) to one, the remaining 16-byte blocks of `data`, then 128
+    /// bits down to the 32-bit register value.
+    ///
+    /// # Safety
+    /// Caller guarantees sse4.1+pclmulqdq are present.
+    #[inline]
+    #[target_feature(enable = "sse4.1", enable = "pclmulqdq")]
+    unsafe fn reduce(lanes: [__m128i; 4], mut data: &[u8]) -> u32 {
         let k3k4 = _mm_set_epi64x(K4, K3);
-        let mut x = fold(x3, x2, k3k4);
-        x = fold(x, x1, k3k4);
-        x = fold(x, x0, k3k4);
+        let mut x = fold(lanes[0], lanes[1], k3k4);
+        x = fold(x, lanes[2], k3k4);
+        x = fold(x, lanes[3], k3k4);
         while data.len() >= 16 {
             x = fold(x, load(&mut data), k3k4);
         }
@@ -371,16 +525,24 @@ mod simd {
 
 #[cfg(not(target_arch = "x86_64"))]
 mod simd {
-    pub fn available() -> bool {
-        false
+    pub fn width() -> u32 {
+        0
     }
 
-    /// Unreachable on non-x86_64 (`available()` is false); present so
-    /// `update_simd` compiles unconditionally.
+    /// Unreachable on non-x86_64 (`width()` is 0); present so
+    /// `update_fold` compiles unconditionally.
     ///
     /// # Safety
     /// Never called.
     pub unsafe fn fold_pclmul(_state: u32, _data: &[u8]) -> u32 {
+        unreachable!("SIMD CRC kernel is x86_64-only")
+    }
+
+    /// As [`fold_pclmul`].
+    ///
+    /// # Safety
+    /// Never called.
+    pub unsafe fn fold_vpclmul(_state: u32, _data: &[u8]) -> u32 {
         unreachable!("SIMD CRC kernel is x86_64-only")
     }
 }
@@ -466,6 +628,55 @@ mod tests {
                 assert_eq!(update_with(k, st, b), want, "{} split {split}", k.name());
             }
         }
+    }
+
+    /// The fold widths this CPU has.
+    fn fold_widths() -> impl Iterator<Item = u32> {
+        [128, 512].into_iter().filter(|&w| w <= simd::width())
+    }
+
+    #[test]
+    fn each_fold_width_agrees_with_scalar_on_every_length() {
+        // Every length up to past four 256-byte blocks, both sides of
+        // every multiple of 256 up to 4 KiB, and one large odd one.
+        let mut lens: Vec<usize> = (0..=1100).collect();
+        for block in (256..=4096).step_by(256) {
+            lens.extend([block - 17, block - 16, block - 1, block]);
+            lens.extend([block + 1, block + 15, block + 16, block + 17, block + 65]);
+        }
+        lens.push((1 << 20) + 17);
+        let noise = noise((1 << 20) + 17 + 7, 0xC0FF_EE00);
+        for len in lens {
+            // (Whatever the alignment of the first byte.)
+            let data = &noise[len % 8..][..len];
+            let want = update_with(Kernel::Scalar, crc32_init(), data);
+            for width in fold_widths() {
+                let got = update_fold(width, crc32_init(), data);
+                assert_eq!(got, want, "{width}-bit fold diverges at len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn each_fold_width_streams_from_a_non_initial_state() {
+        let data = noise(5000, 43);
+        for split in [
+            0usize, 1, 13, 64, 255, 256, 257, 271, 1000, 4095, 4744, 4999, 5000,
+        ] {
+            let (a, b) = data.split_at(split);
+            let want = update_scalar(update_scalar(crc32_init(), a), b);
+            for width in fold_widths() {
+                let st = update_fold(width, crc32_init(), a);
+                let got = update_fold(width, st, b);
+                assert_eq!(got, want, "{width}-bit fold, split {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn simd_kernel_is_available_exactly_when_a_fold_width_is() {
+        assert_eq!(Kernel::Simd.is_available(), simd_fold_width() != 0);
+        assert!([0, 128, 512].contains(&simd_fold_width()));
     }
 
     #[test]

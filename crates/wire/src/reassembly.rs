@@ -16,9 +16,19 @@
 //! an error (the engine decides whether to tolerate it — retry logic does,
 //! normal operation treats it as a protocol bug).
 //!
+//! Reassembly is by reference: a chunk is kept as the `Bytes` it arrived
+//! in, and slices of one allocation re-join as they meet
+//! ([`Bytes::try_unsplit`]). Where every chunk is a slice of the sender's
+//! segment (the mem fabric, the sim) any arrival order ends in that
+//! segment again — delivered aliased, nothing allocated, nothing copied.
+//! Where each chunk came in an allocation of its own (TCP: one per frame)
+//! the pieces are gathered once, when the segment is whole. Nothing is
+//! ever sized from a `total_len` off the wire before that many bytes are
+//! actually held.
+//!
 //! What it allocates per message is what the message needs: the `Vec` of
-//! its segments, and one buffer per chunked segment. Its own bookkeeping
-//! lives in a window slot and inline lists.
+//! its segments, and that one gather. Its own bookkeeping lives in a
+//! window slot and inline lists.
 
 use bytes::Bytes;
 
@@ -127,10 +137,14 @@ impl MessageAssembly {
     }
 }
 
-/// Sorted, disjoint, maximal received intervals `(start, end)` of a
-/// chunked segment. Chunks of one rail arrive in order and merge, so two
-/// rails make two intervals.
-type Intervals = SmallList<(u64, u64), 2>;
+/// The received pieces of a chunked segment as `(offset, bytes)`: sorted,
+/// disjoint, and maximal — neighbours that adjoin in one allocation are
+/// one piece. Chunks of one rail arrive in order and re-join, so two
+/// rails make two pieces.
+type Pieces = SmallList<(u64, Bytes), 2>;
+
+/// Sub-ranges `(start, end)` of one chunk.
+type Gaps = SmallList<(u64, u64), 2>;
 
 #[derive(Debug, Default)]
 enum SegState {
@@ -139,10 +153,9 @@ enum SegState {
     Missing,
     /// Delivered whole.
     Complete(Bytes),
-    /// Being chunk-reassembled.
+    /// Being chunk-reassembled; one piece once every byte is there.
     Chunked {
-        buf: Vec<u8>,
-        intervals: Intervals,
+        pieces: Pieces,
         total_len: u64,
         received: u64,
     },
@@ -162,27 +175,12 @@ impl SegState {
     }
 }
 
-/// Write `data` at `start` of a segment buffer that grows as chunks
-/// arrive: `buf` holds the bytes up to the furthest one received so far
-/// and was allocated with the segment's full length, so nothing moves.
-/// A chunk that lands at the end is appended, the gap in front of one
-/// that lands beyond it is zero-filled (to be overwritten when its chunk
-/// arrives), and only bytes already there are written over — a
-/// rendezvous chunk is not written twice, once as zeros.
-fn store(buf: &mut Vec<u8>, start: usize, data: &[u8]) {
-    if start > buf.len() {
-        buf.resize(start, 0);
-    }
-    let inside = data.len().min(buf.len() - start);
-    buf[start..start + inside].copy_from_slice(&data[..inside]);
-    buf.extend_from_slice(&data[inside..]);
-}
-
-/// The sub-ranges of `[start, end)` that `intervals` does not cover yet.
-fn uncovered(intervals: &Intervals, start: u64, end: u64) -> Intervals {
-    let mut gaps = Intervals::new();
+/// The sub-ranges of `[start, end)` that `pieces` does not cover yet.
+fn uncovered(pieces: &Pieces, start: u64, end: u64) -> Gaps {
+    let mut gaps = Gaps::new();
     let mut cur = start;
-    for &(s, e) in intervals.iter() {
+    for (s, piece) in pieces.iter() {
+        let (s, e) = (*s, *s + piece.len() as u64);
         if e <= cur {
             continue;
         }
@@ -200,20 +198,35 @@ fn uncovered(intervals: &Intervals, start: u64, end: u64) -> Intervals {
     gaps
 }
 
-/// Add `[s, e)`, which overlaps nothing in `intervals`, joining it to the
-/// intervals it touches.
-fn cover(intervals: &mut Intervals, s: u64, e: u64) {
-    let at = intervals
+/// Put `piece`, whose range `[at, at + len)` overlaps nothing in `pieces`,
+/// in its place and re-join it with the neighbours it continues, in the
+/// segment and in memory.
+fn place(pieces: &mut Pieces, at: u64, piece: Bytes) {
+    let i = pieces
         .iter()
-        .position(|&(start, _)| start >= s)
-        .unwrap_or(intervals.len());
-    let joins_prev = at > 0 && intervals[at - 1].1 == s;
-    let joins_next = at < intervals.len() && intervals[at].0 == e;
-    match (joins_prev, joins_next) {
-        (true, true) => intervals[at - 1].1 = intervals.remove(at).1,
-        (true, false) => intervals[at - 1].1 = e,
-        (false, true) => intervals[at].0 = s,
-        (false, false) => intervals.insert(at, (s, e)),
+        .position(|(start, _)| *start >= at)
+        .unwrap_or(pieces.len());
+    pieces.insert(i, (at, piece));
+    // The neighbour behind first: the one in front keeps its index.
+    for back in [i + 1, i] {
+        if back == 0 || back >= pieces.len() {
+            continue;
+        }
+        let front = back - 1;
+        if pieces[front].0 + pieces[front].1.len() as u64 != pieces[back].0 {
+            continue;
+        }
+        let halves = (
+            std::mem::take(&mut pieces[front].1),
+            std::mem::take(&mut pieces[back].1),
+        );
+        match halves.0.try_unsplit(halves.1) {
+            Ok(joined) => {
+                pieces[front].1 = joined;
+                pieces.remove(back);
+            }
+            Err(halves) => (pieces[front].1, pieces[back].1) = halves,
+        }
     }
 }
 
@@ -239,6 +252,10 @@ pub struct Reassembler {
     completed_bytes: u64,
     /// Unfinished messages given up on (accounting).
     abandoned_count: u64,
+    /// Bytes of chunked segments that completed as one piece (accounting).
+    joined_bytes: u64,
+    /// Bytes of chunked segments copied into one buffer (accounting).
+    gathered_bytes: u64,
 }
 
 impl Reassembler {
@@ -273,6 +290,20 @@ impl Reassembler {
     /// [`MAX_SPAN`] newer ones never finished either.
     pub fn abandoned_count(&self) -> u64 {
         self.abandoned_count
+    }
+
+    /// Payload bytes of the chunked segments that completed as one piece
+    /// — every chunk a slice of one allocation — and are delivered as
+    /// they arrived: not copied.
+    pub fn joined_bytes(&self) -> u64 {
+        self.joined_bytes
+    }
+
+    /// Payload bytes of the chunked segments whose chunks arrived in
+    /// different allocations and were copied, once, into one buffer when
+    /// the segment was whole.
+    pub fn gathered_bytes(&self) -> u64 {
+        self.gathered_bytes
     }
 
     /// The state of segment `seg_index` of `msg_id`, made on first sight.
@@ -347,7 +378,7 @@ impl Reassembler {
         total_segs: u16,
         offset: u64,
         total_len: u64,
-        data: &[u8],
+        data: Bytes,
     ) -> Result<Option<MessageAssembly>, ReasmError> {
         self.chunk(msg_id, seg_index, total_segs, offset, total_len, data, true)
             .map(|(done, _)| done)
@@ -355,12 +386,12 @@ impl Reassembler {
 
     /// Like [`Self::insert_chunk`], but tolerant of data already received:
     /// overlapping byte ranges are trimmed away and only the missing bytes
-    /// are stored. Retransmissions re-send whole messages and re-chunk
+    /// are kept. Retransmissions re-send whole messages and re-chunk
     /// them independently, so a retransmitted chunk's boundaries may
     /// straddle data that survived an earlier attempt — the payload bytes
     /// are identical, only the framing differs. Returns the completed
     /// message (if this chunk finished it) and the number of genuinely new
-    /// bytes stored (0 for a pure duplicate).
+    /// bytes kept (0 for a pure duplicate).
     #[allow(clippy::too_many_arguments)]
     pub fn insert_chunk_lenient(
         &mut self,
@@ -369,7 +400,7 @@ impl Reassembler {
         total_segs: u16,
         offset: u64,
         total_len: u64,
-        data: &[u8],
+        data: Bytes,
     ) -> Result<(Option<MessageAssembly>, u64), ReasmError> {
         self.chunk(
             msg_id, seg_index, total_segs, offset, total_len, data, false,
@@ -378,7 +409,9 @@ impl Reassembler {
 
     /// Both chunk inserts: `strict` reports bytes already received (and a
     /// segment that arrived whole) as an error, otherwise they are
-    /// skipped. Only the uncovered sub-ranges of the chunk are copied.
+    /// skipped. Only the uncovered sub-ranges of the chunk are kept, as
+    /// slices of `data`; the chunk that makes the segment whole leaves it
+    /// in one piece.
     #[allow(clippy::too_many_arguments)]
     fn chunk(
         &mut self,
@@ -387,7 +420,7 @@ impl Reassembler {
         total_segs: u16,
         offset: u64,
         total_len: u64,
-        data: &[u8],
+        data: Bytes,
         strict: bool,
     ) -> Result<(Option<MessageAssembly>, u64), ReasmError> {
         let end = offset
@@ -404,36 +437,44 @@ impl Reassembler {
         };
         if let SegState::Missing = slot {
             *slot = SegState::Chunked {
-                buf: Vec::with_capacity(total_len as usize),
-                intervals: Intervals::new(),
+                pieces: Pieces::new(),
                 total_len,
                 received: 0,
             };
         }
         let mut new_bytes = 0u64;
-        let mut seg_done = false;
+        // Whether this chunk made the segment whole, and whether that
+        // took a copy.
+        let (mut seg_done, mut gathered) = (false, false);
         match slot {
             SegState::Chunked {
-                buf,
-                intervals,
+                pieces,
                 total_len: have_len,
                 received,
             } => {
                 if *have_len != total_len {
                     return Err(ReasmError::LengthMismatch { msg_id, seg_index });
                 }
-                let gaps = uncovered(intervals, offset, end);
+                let gaps = uncovered(pieces, offset, end);
                 new_bytes = gaps.iter().map(|(s, e)| e - s).sum();
                 if strict && new_bytes != data.len() as u64 {
                     return Err(overlap);
                 }
                 for &(s, e) in gaps.iter() {
-                    let piece = &data[(s - offset) as usize..(e - offset) as usize];
-                    store(buf, s as usize, piece);
-                    cover(intervals, s, e);
+                    let gap = data.slice((s - offset) as usize..(e - offset) as usize);
+                    place(pieces, s, gap);
                 }
                 *received += new_bytes;
                 seg_done = new_bytes > 0 && *received == total_len;
+                gathered = seg_done && pieces.len() > 1;
+                if gathered {
+                    // Sized by what is held, which by now is all of it.
+                    let mut whole = Vec::with_capacity(*received as usize);
+                    for (_, piece) in std::mem::take(pieces) {
+                        whole.extend_from_slice(&piece);
+                    }
+                    pieces.push((0, Bytes::from(whole)));
+                }
             }
             SegState::Complete(_) if strict => {
                 return Err(ReasmError::MixedDelivery { msg_id, seg_index })
@@ -441,6 +482,11 @@ impl Reassembler {
             // The segment already arrived whole (eager) — a chunked
             // retransmission of it carries nothing new.
             SegState::Complete(_) | SegState::Missing => {}
+        }
+        match (seg_done, gathered) {
+            (true, true) => self.gathered_bytes += total_len,
+            (true, false) => self.joined_bytes += total_len,
+            (false, _) => {}
         }
         Ok((self.finish_if_done(msg_id, seg_done), new_bytes))
     }
@@ -460,7 +506,9 @@ impl Reassembler {
             .into_iter()
             .map(|s| match s {
                 SegState::Complete(b) => b,
-                SegState::Chunked { buf, .. } => Bytes::from(buf),
+                SegState::Chunked { pieces, .. } => {
+                    pieces.into_iter().next().map_or(Bytes::new(), |(_, b)| b)
+                }
                 SegState::Missing => Bytes::new(),
             })
             .collect();
@@ -512,15 +560,15 @@ mod tests {
         let mut r = Reassembler::new();
         let payload: Vec<u8> = (0..100u8).collect();
         assert!(r
-            .insert_chunk(3, 0, 1, 60, 100, &payload[60..])
+            .insert_chunk(3, 0, 1, 60, 100, b(&payload[60..]))
             .unwrap()
             .is_none());
         assert!(r
-            .insert_chunk(3, 0, 1, 0, 100, &payload[..30])
+            .insert_chunk(3, 0, 1, 0, 100, b(&payload[..30]))
             .unwrap()
             .is_none());
         let done = r
-            .insert_chunk(3, 0, 1, 30, 100, &payload[30..60])
+            .insert_chunk(3, 0, 1, 30, 100, b(&payload[30..60]))
             .unwrap()
             .unwrap();
         assert_eq!(done.segments[0].as_ref(), payload.as_slice());
@@ -532,11 +580,11 @@ mod tests {
         let big: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
         assert!(r.insert_eager(9, 0, 2, b(b"small")).unwrap().is_none());
         assert!(r
-            .insert_chunk(9, 1, 2, 0, 1000, &big[..500])
+            .insert_chunk(9, 1, 2, 0, 1000, b(&big[..500]))
             .unwrap()
             .is_none());
         let done = r
-            .insert_chunk(9, 1, 2, 500, 1000, &big[500..])
+            .insert_chunk(9, 1, 2, 500, 1000, b(&big[500..]))
             .unwrap()
             .unwrap();
         assert_eq!(&done.segments[0][..], b"small");
@@ -560,14 +608,14 @@ mod tests {
     #[test]
     fn overlapping_chunk_rejected() {
         let mut r = Reassembler::new();
-        r.insert_chunk(1, 0, 1, 0, 100, &[0; 50]).unwrap();
-        let err = r.insert_chunk(1, 0, 1, 25, 100, &[0; 50]).unwrap_err();
+        r.insert_chunk(1, 0, 1, 0, 100, b(&[0; 50])).unwrap();
+        let err = r.insert_chunk(1, 0, 1, 25, 100, b(&[0; 50])).unwrap_err();
         assert!(matches!(
             err,
             ReasmError::OverlappingChunk { offset: 25, .. }
         ));
         // Exact duplicate also overlaps.
-        let err = r.insert_chunk(1, 0, 1, 0, 100, &[0; 50]).unwrap_err();
+        let err = r.insert_chunk(1, 0, 1, 0, 100, b(&[0; 50])).unwrap_err();
         assert!(matches!(
             err,
             ReasmError::OverlappingChunk { offset: 0, .. }
@@ -579,26 +627,26 @@ mod tests {
         let mut r = Reassembler::new();
         let payload: Vec<u8> = (0..=255u8).cycle().take(100).collect();
         // A chunk from the first attempt survived: [60, 100).
-        r.insert_chunk(1, 0, 1, 60, 100, &payload[60..]).unwrap();
+        r.insert_chunk(1, 0, 1, 60, 100, b(&payload[60..])).unwrap();
         // The retransmission re-chunks the message with different
         // boundaries; its pieces straddle the surviving interval.
         let (done, fresh) = r
-            .insert_chunk_lenient(1, 0, 1, 0, 100, &payload[..50])
+            .insert_chunk_lenient(1, 0, 1, 0, 100, b(&payload[..50]))
             .unwrap();
         assert!(done.is_none());
         assert_eq!(fresh, 50);
         // [40, 80) overlaps both existing intervals; only [50, 60) is new.
         let (done, fresh) = r
-            .insert_chunk_lenient(1, 0, 1, 40, 100, &payload[40..80])
+            .insert_chunk_lenient(1, 0, 1, 40, 100, b(&payload[40..80]))
             .unwrap();
         assert_eq!(fresh, 10);
         let done = done.expect("message complete once every byte is covered");
         assert_eq!(done.segments[0].as_ref(), payload.as_slice());
         // Entirely-covered chunks are pure duplicates.
         let mut r2 = Reassembler::new();
-        r2.insert_chunk(2, 0, 1, 0, 100, &payload[..50]).unwrap();
+        r2.insert_chunk(2, 0, 1, 0, 100, b(&payload[..50])).unwrap();
         let (done, fresh) = r2
-            .insert_chunk_lenient(2, 0, 1, 10, 100, &payload[10..30])
+            .insert_chunk_lenient(2, 0, 1, 10, 100, b(&payload[10..30]))
             .unwrap();
         assert!(done.is_none());
         assert_eq!(fresh, 0);
@@ -607,15 +655,15 @@ mod tests {
     #[test]
     fn chunk_past_total_rejected() {
         let mut r = Reassembler::new();
-        let err = r.insert_chunk(1, 0, 1, 90, 100, &[0; 20]).unwrap_err();
+        let err = r.insert_chunk(1, 0, 1, 90, 100, b(&[0; 20])).unwrap_err();
         assert!(matches!(err, ReasmError::LengthMismatch { .. }));
     }
 
     #[test]
     fn inconsistent_total_len_rejected() {
         let mut r = Reassembler::new();
-        r.insert_chunk(1, 0, 1, 0, 100, &[0; 10]).unwrap();
-        let err = r.insert_chunk(1, 0, 1, 50, 200, &[0; 10]).unwrap_err();
+        r.insert_chunk(1, 0, 1, 0, 100, b(&[0; 10])).unwrap();
+        let err = r.insert_chunk(1, 0, 1, 50, 200, b(&[0; 10])).unwrap_err();
         assert!(matches!(err, ReasmError::LengthMismatch { .. }));
     }
 
@@ -645,11 +693,11 @@ mod tests {
     fn mixed_delivery_rejected() {
         let mut r = Reassembler::new();
         r.insert_eager(1, 0, 2, b(b"whole")).unwrap();
-        let err = r.insert_chunk(1, 0, 2, 0, 10, &[0; 5]).unwrap_err();
+        let err = r.insert_chunk(1, 0, 2, 0, 10, b(&[0; 5])).unwrap_err();
         assert!(matches!(err, ReasmError::MixedDelivery { .. }));
 
         let mut r = Reassembler::new();
-        r.insert_chunk(2, 0, 1, 0, 10, &[0; 5]).unwrap();
+        r.insert_chunk(2, 0, 1, 0, 10, b(&[0; 5])).unwrap();
         let err = r.insert_eager(2, 0, 1, b(b"whole")).unwrap_err();
         assert!(matches!(err, ReasmError::MixedDelivery { .. }));
     }
@@ -683,19 +731,19 @@ mod tests {
     fn late_piece_of_a_completed_message_is_refused_not_restarted() {
         let mut r = Reassembler::new();
         r.insert_eager(0, 0, 1, b(b"done")).unwrap().unwrap();
-        r.insert_chunk(1, 0, 1, 0, 4, b"done").unwrap().unwrap();
+        r.insert_chunk(1, 0, 1, 0, 4, b(b"done")).unwrap().unwrap();
         assert_eq!(r.span(), 0, "both retired");
         let err = r.insert_eager(0, 0, 1, b(b"done")).unwrap_err();
         assert!(matches!(
             err,
             ReasmError::DuplicateSegment { msg_id: 0, .. }
         ));
-        let err = r.insert_chunk(1, 0, 1, 0, 4, b"done").unwrap_err();
+        let err = r.insert_chunk(1, 0, 1, 0, 4, b(b"done")).unwrap_err();
         assert!(matches!(
             err,
             ReasmError::OverlappingChunk { msg_id: 1, .. }
         ));
-        let (done, fresh) = r.insert_chunk_lenient(1, 0, 1, 0, 4, b"done").unwrap();
+        let (done, fresh) = r.insert_chunk_lenient(1, 0, 1, 0, 4, b(b"done")).unwrap();
         assert!(done.is_none() && fresh == 0, "a pure duplicate");
         assert!(!r.abort(0), "nothing left to drop");
         assert_eq!((r.in_flight(), r.completed_count()), (0, 2));
@@ -718,7 +766,7 @@ mod tests {
         let mut r = Reassembler::new();
         let err = r.insert_eager(MAX_SPAN, 0, 1, b(b"x")).unwrap_err();
         assert_eq!(err, ReasmError::OutOfWindow { msg_id: MAX_SPAN });
-        let err = r.insert_chunk(u64::MAX, 0, 1, 0, 1, b"x").unwrap_err();
+        let err = r.insert_chunk(u64::MAX, 0, 1, 0, 1, b(b"x")).unwrap_err();
         assert_eq!(err, ReasmError::OutOfWindow { msg_id: u64::MAX });
         assert_eq!(r.span(), 0);
         r.insert_eager(MAX_SPAN - 1, 0, 2, b(b"x")).unwrap();
@@ -778,17 +826,101 @@ mod tests {
         // Two rails, each in order, interleaved; the middle one last.
         for (s, e) in [(0, 512), (2048, 3000), (512, 1024), (3000, 4096)] {
             let done = r
-                .insert_chunk(0, 0, 1, s as u64, 4096, &payload[s..e])
+                .insert_chunk(0, 0, 1, s as u64, 4096, b(&payload[s..e]))
                 .unwrap();
             assert!(done.is_none());
         }
-        let err = r.insert_chunk(0, 0, 1, 1000, 4096, &payload[1000..1100]);
+        let err = r.insert_chunk(0, 0, 1, 1000, 4096, b(&payload[1000..1100]));
         assert!(matches!(err, Err(ReasmError::OverlappingChunk { .. })));
         let done = r
-            .insert_chunk(0, 0, 1, 1024, 4096, &payload[1024..2048])
+            .insert_chunk(0, 0, 1, 1024, 4096, b(&payload[1024..2048]))
             .unwrap()
             .unwrap();
         assert_eq!(done.segments[0].as_ref(), payload.as_slice());
+    }
+
+    #[test]
+    fn slices_of_one_allocation_rejoin_and_are_delivered_aliased() {
+        let source = Bytes::from((0..=255u8).cycle().take(4096).collect::<Vec<_>>());
+        let mut r = Reassembler::new();
+        // Two rails interleaved, the middle last, as above.
+        for (s, e) in [(0, 512), (2048, 3000), (512, 1024), (3000, 4096)] {
+            let done = r.insert_chunk(0, 0, 1, s as u64, 4096, source.slice(s..e));
+            assert!(done.unwrap().is_none());
+        }
+        let done = r
+            .insert_chunk(0, 0, 1, 1024, 4096, source.slice(1024..2048))
+            .unwrap()
+            .unwrap();
+        assert_eq!(done.segments[0].as_ptr(), source.as_ptr());
+        assert_eq!(done.segments[0], source);
+        assert_eq!((r.joined_bytes(), r.gathered_bytes()), (4096, 0));
+    }
+
+    #[test]
+    fn lenient_overlaps_of_one_allocation_still_end_in_one_piece() {
+        let source = Bytes::from((0..100u8).collect::<Vec<_>>());
+        let mut r = Reassembler::new();
+        let mut insert = |s: usize, e: usize| {
+            r.insert_chunk_lenient(1, 0, 1, s as u64, 100, source.slice(s..e))
+                .unwrap()
+        };
+        assert_eq!(insert(60, 100).1, 40);
+        assert_eq!(insert(0, 50).1, 50);
+        // Only [50, 60) of it is new, and it closes the gap.
+        let (done, fresh) = insert(40, 80);
+        assert_eq!(fresh, 10);
+        let done = done.expect("whole");
+        assert_eq!(done.segments[0].as_ptr(), source.as_ptr());
+        assert_eq!(done.segments[0], source);
+        assert_eq!(r.gathered_bytes(), 0);
+    }
+
+    #[test]
+    fn chunks_in_allocations_of_their_own_are_gathered_once_when_whole() {
+        let payload: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        let mut r = Reassembler::new();
+        // One slice of another buffer among slices of the source is
+        // enough: the segment is not one allocation.
+        let source = Bytes::from(payload.clone());
+        r.insert_chunk(5, 0, 1, 0, 1000, source.slice(..300))
+            .unwrap();
+        r.insert_chunk(5, 0, 1, 600, 1000, source.slice(600..))
+            .unwrap();
+        assert_eq!(r.gathered_bytes(), 0, "nothing is copied per arrival");
+        let done = r
+            .insert_chunk(5, 0, 1, 300, 1000, b(&payload[300..600]))
+            .unwrap()
+            .unwrap();
+        assert_eq!(done.segments[0].as_ref(), payload.as_slice());
+        assert_ne!(done.segments[0].as_ptr(), source.as_ptr());
+        assert_eq!((r.joined_bytes(), r.gathered_bytes()), (0, 1000));
+    }
+
+    #[test]
+    fn neighbours_in_memory_that_are_not_neighbours_in_the_segment_stay_apart() {
+        // A sender that cuts its chunks out of one buffer in another
+        // order than the segment's: adjacency in memory alone joins
+        // nothing.
+        let buffer = Bytes::from(b"WORLDHELLO".to_vec());
+        let mut r = Reassembler::new();
+        r.insert_chunk(1, 0, 1, 5, 10, buffer.slice(..5)).unwrap();
+        let done = r.insert_chunk(1, 0, 1, 0, 10, buffer.slice(5..));
+        assert_eq!(&done.unwrap().unwrap().segments[0][..], b"HELLOWORLD");
+        assert_eq!(r.gathered_bytes(), 10);
+    }
+
+    #[test]
+    fn a_total_len_nobody_could_hold_reserves_nothing() {
+        let mut r = Reassembler::new();
+        let huge = 1u64 << 40;
+        assert!(r
+            .insert_chunk(1, 0, 1, huge - 4, huge, b(b"tail"))
+            .unwrap()
+            .is_none());
+        assert_eq!(r.in_flight(), 1);
+        let err = r.insert_chunk(1, 0, 1, 0, 8, b(b"head")).unwrap_err();
+        assert!(matches!(err, ReasmError::LengthMismatch { .. }));
     }
 
     #[test]

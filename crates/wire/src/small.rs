@@ -2,7 +2,7 @@
 //!
 //! The hot paths carry many lists that are almost always tiny — the parts
 //! of a frame, the segment keys a frame carries, the sends one completion
-//! finishes, the received intervals of a chunked segment. [`SmallList`]
+//! finishes, the received pieces of a chunked segment. [`SmallList`]
 //! keeps the first `N` elements in the value itself and only the rest in
 //! a `Vec`, so the common case costs no heap allocation. Safe code only:
 //! unused inline slots hold `T::default()`.

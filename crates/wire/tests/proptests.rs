@@ -17,6 +17,25 @@ fn arb_bytes(max: usize) -> impl Strategy<Value = Bytes> {
     prop::collection::vec(any::<u8>(), 0..max).prop_map(Bytes::from)
 }
 
+/// Byte ranges `(start, end)` of a segment of `total` bytes as
+/// retransmissions send them: windows cut anywhere (in order they would
+/// append; shuffled they leave gaps and overlap), then whatever they
+/// left out — the tail first (a gap in front), then the whole segment
+/// over everything.
+fn retransmitted_windows(total: usize, raw: &[(usize, usize)], seed: u64) -> Vec<(usize, usize)> {
+    let mut windows: Vec<(usize, usize)> = raw
+        .iter()
+        .map(|&(a, b)| {
+            let start = a % total;
+            (start, start + 1 + b % (total - start))
+        })
+        .collect();
+    nmad_sim::Xoshiro256StarStar::new(seed).shuffle(&mut windows);
+    windows.push((total / 2, total));
+    windows.push((0, total));
+    windows
+}
+
 fn arb_packet() -> impl Strategy<Value = Packet> {
     prop_oneof![
         (any::<u64>(), any::<u16>(), 1..64u16, arb_bytes(512)).prop_map(
@@ -160,8 +179,8 @@ proptest! {
         offsets.push(payload.len());
         offsets.sort_unstable();
         offsets.dedup();
-        let mut pieces: Vec<(u64, &[u8])> = offsets.windows(2)
-            .map(|w| (w[0] as u64, &payload[w[0]..w[1]]))
+        let mut pieces: Vec<(u64, Bytes)> = offsets.windows(2)
+            .map(|w| (w[0] as u64, Bytes::copy_from_slice(&payload[w[0]..w[1]])))
             .collect();
         // Shuffle deterministically.
         let mut rng = nmad_sim::Xoshiro256StarStar::new(seed);
@@ -182,9 +201,9 @@ proptest! {
         prop_assert_eq!(done.into_contiguous(), payload);
     }
 
-    /// The lenient path under every way a chunk can land on the growing
-    /// segment buffer: appended at its end, beyond it (a gap to fill
-    /// later), inside it, across its end, or over bytes already there —
+    /// The lenient path under every way a chunk can land on the pieces
+    /// held so far: behind the last one, beyond it (a gap to fill
+    /// later), inside one, across its end, or over bytes already there —
     /// retransmitted windows cut anywhere, in any order, as often as it
     /// takes. New bytes are counted once and the segment completes with
     /// exactly the original bytes.
@@ -195,26 +214,14 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let total = payload.len();
-        let mut pieces: Vec<(usize, usize)> = windows
-            .iter()
-            .map(|&(a, b)| {
-                let start = a % total;
-                (start, start + 1 + b % (total - start))
-            })
-            .collect();
-        // In order these append; shuffled they leave gaps and overlap.
-        let mut rng = nmad_sim::Xoshiro256StarStar::new(seed);
-        rng.shuffle(&mut pieces);
-        // Whatever the windows left out, in halves: the tail first (a
-        // gap in front), then the whole payload over everything.
-        pieces.push((total / 2, total));
-        pieces.push((0, total));
-
         let mut r = Reassembler::new();
         let (mut stored, mut done) = (0u64, None);
-        for (start, end) in pieces {
+        for (start, end) in retransmitted_windows(total, &windows, seed) {
             let (msg, new_bytes) = r
-                .insert_chunk_lenient(7, 0, 1, start as u64, total as u64, &payload[start..end])
+                .insert_chunk_lenient(
+                    7, 0, 1, start as u64, total as u64,
+                    Bytes::copy_from_slice(&payload[start..end]),
+                )
                 .unwrap();
             stored += new_bytes;
             if msg.is_some() {
@@ -224,6 +231,70 @@ proptest! {
         }
         prop_assert_eq!(stored, total as u64);
         prop_assert_eq!(done.expect("every byte arrived").into_contiguous(), payload);
+    }
+
+    /// Reassembly by reference, the aliased end: chunks that are slices
+    /// of one allocation — cut anywhere, in any order, overlapping as
+    /// retransmitted windows do — re-join into that allocation. The
+    /// delivery points at the source's bytes and nothing was gathered.
+    #[test]
+    fn slices_of_one_allocation_deliver_it_aliased(
+        payload in prop::collection::vec(any::<u8>(), 1..4096),
+        windows in prop::collection::vec((any::<usize>(), any::<usize>()), 0..24),
+        seed in any::<u64>(),
+    ) {
+        let source = Bytes::from(payload);
+        let total = source.len();
+        let mut r = Reassembler::new();
+        let mut done = None;
+        for (start, end) in retransmitted_windows(total, &windows, seed) {
+            let chunk = source.slice(start..end);
+            let (msg, _) = r
+                .insert_chunk_lenient(7, 0, 1, start as u64, total as u64, chunk)
+                .unwrap();
+            if msg.is_some() {
+                done = msg;
+                break;
+            }
+        }
+        let done = done.expect("every byte arrived");
+        prop_assert_eq!(done.segments.len(), 1);
+        prop_assert_eq!(done.segments[0].as_ptr(), source.as_ptr());
+        prop_assert_eq!(&done.segments[0], &source);
+        prop_assert_eq!((r.joined_bytes(), r.gathered_bytes()), (total as u64, 0));
+    }
+
+    /// The other end: every chunk in an allocation of its own, as TCP
+    /// frames bring them. The content is the same and each byte was
+    /// copied exactly once, when the segment was whole.
+    #[test]
+    fn foreign_allocations_are_gathered_exactly_once(
+        payload in prop::collection::vec(any::<u8>(), 2..4096),
+        cuts in prop::collection::vec(any::<usize>(), 1..8),
+        seed in any::<u64>(),
+    ) {
+        let total = payload.len();
+        // At least two chunks: the first cut is forced inside.
+        let mut offsets: Vec<usize> = cuts.iter().map(|c| c % total).collect();
+        offsets[0] = 1 + offsets[0] % (total - 1);
+        offsets.push(0);
+        offsets.push(total);
+        offsets.sort_unstable();
+        offsets.dedup();
+        let mut chunks: Vec<(usize, usize)> = offsets.windows(2).map(|w| (w[0], w[1])).collect();
+        let mut rng = nmad_sim::Xoshiro256StarStar::new(seed);
+        rng.shuffle(&mut chunks);
+
+        let mut r = Reassembler::new();
+        let mut done = None;
+        for (start, end) in chunks {
+            prop_assert_eq!(r.gathered_bytes(), 0, "gathered before the segment was whole");
+            let chunk = Bytes::copy_from_slice(&payload[start..end]);
+            done = r.insert_chunk(7, 0, 1, start as u64, total as u64, chunk).unwrap();
+        }
+        let done = done.expect("the last chunk completes it");
+        prop_assert_eq!(done.into_contiguous(), payload);
+        prop_assert_eq!((r.joined_bytes(), r.gathered_bytes()), (0, total as u64));
     }
 }
 
@@ -332,10 +403,13 @@ proptest! {
                 return Err("chunk decoded as something else".into());
             };
             let res = r.insert_chunk(c.msg_id, c.seg_index, c.total_segs, c.offset,
-                c.total_len, c.data.as_ref()).unwrap();
+                c.total_len, c.data).unwrap();
             if let Some(d) = res { done = Some(d); }
         }
+        // Encode and decode kept every chunk a slice of the original, so
+        // the delivery is the original.
         let done = done.expect("must complete once all chunks arrive");
+        prop_assert_eq!(done.segments[0].as_ptr(), original.as_ptr());
         prop_assert_eq!(done.into_contiguous(), original.as_ref());
     }
 }

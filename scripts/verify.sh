@@ -43,6 +43,16 @@ if grep -nE 'Hash(Map|Set)\b' crates/core/src/engine/mod.rs crates/wire/src/reas
     echo "per-message state keyed through a hash table (see above): use an IdWindow"; exit 1
 fi
 
+# Reassembly is by reference (DESIGN.md "Receive: reassembly by
+# reference"): a chunk is kept as the slice of its frame that it is and
+# gathered at most once, when its segment is whole. The copy-per-arrival
+# path and a buffer sized from a `total_len` off the wire must not come
+# back beside it.
+echo "==> no copy per arrival, nothing sized from a wire total_len in reassembly"
+if grep -nE 'with_capacity\(total_len|fn store\b' crates/wire/src/reassembly.rs; then
+    echo "reassembly copies per arrival or sizes a buffer from the wire again (see above)"; exit 1
+fi
+
 # Non-test code lines per transport source file (before `#[cfg(test)]`,
 # neither blank nor `//`): printed so that the next PR's log shows the
 # trend.
@@ -69,12 +79,18 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# vendor/ is outside the workspace, and `Bytes::try_unsplit` is a method
+# upstream `bytes` does not have (vendor/README.md): its tests run here.
+echo "==> cargo test -q -p bytes (vendored: try_unsplit)"
+cargo test -q -p bytes
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Copy-budget gate: the ablate_zero_copy smoke sweep exits nonzero if the
-# large-message split path stages any bytes or the datapath stops beating
-# the legacy copy-everything model by >= 2x (see DESIGN.md).
+# large-message split path stages any bytes on transmit or gathers any on
+# receive, or the datapath stops beating the legacy copy-everything model
+# by >= 2x (see DESIGN.md).
 echo "==> datapath copy budget (ablate_zero_copy smoke sweep)"
 NMAD_DATAPATH_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_zero_copy
 
@@ -101,7 +117,8 @@ echo "==> chaos soak SLOs (ablate_soak smoke, ~15 s)"
 NMAD_SOAK_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_soak
 
 # Per-packet cycles gate: the ablate_cycles smoke sweep measures the
-# checksum kernels (slice16 >= 3x scalar, SIMD >= 8x where detected),
+# checksum kernels (slice16 >= 3x scalar, SIMD >= 8x where detected, at
+# the fold width this CPU has: 128 or 512 bit, printed with the table),
 # syscalls per packet under the batched parallel TCP fabric (< 0.5 TX),
 # the pool-magazine hit rate (>= 90%) and the end-to-end scalar-vs-SIMD
 # per-message CPU cost (see DESIGN.md §12).
@@ -158,16 +175,27 @@ grep -q '"clean":true' "$wd_tmp" \
 # a short ping-pong over the default TCP runtime must verify every
 # message, and so must a short run of the mixed sizes over the mem
 # fabric's (the two transports share the serial driver, not the rails).
-echo "==> nmad-benchmark (offline build, selftest, 3 s tcp_pingpong_small, 3 s mem_mixed_bidir)"
+# The mem run is traced for its allocator ledger: on that fabric every
+# rendezvous chunk is a slice of the sender's segment, so a delivery
+# allocates no payload — bytes allocated per payload byte read 0.01, an
+# allocator count that repeats to three digits, against 0.92 when
+# reassembly copied every chunk into a buffer of its own.
+echo "==> nmad-benchmark (offline build, selftest, 3 s tcp_pingpong_small, 3 s mem_mixed_bidir traced)"
 bench=(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --)
 selftest_out="$("${bench[@]}" selftest 2>/dev/null)" \
     && { echo "nmad-benchmark selftest exited 0: the verifier let damage through"; exit 1; }
 echo "$selftest_out" | tail -n 1 | grep -q '"correct": false' \
     || { echo "nmad-benchmark selftest failed without reporting damage (build error?)"; exit 1; }
-for smoke in tcp_pingpong_small mem_mixed_bidir; do
-    "${bench[@]}" --workload "$smoke" --seconds 3 | tail -n 1 | grep -q '"correct": true' \
-        || { echo "nmad-benchmark $smoke smoke did not verify"; exit 1; }
-done
+"${bench[@]}" --workload tcp_pingpong_small --seconds 3 | tail -n 1 | grep -q '"correct": true' \
+    || { echo "nmad-benchmark tcp_pingpong_small smoke did not verify"; exit 1; }
+mem_out="$("${bench[@]}" --workload mem_mixed_bidir --seconds 3 --trace 1 | tail -n 1)"
+echo "$mem_out" | grep -q '"correct": true' \
+    || { echo "nmad-benchmark mem_mixed_bidir smoke did not verify"; exit 1; }
+alloc_ratio="$(echo "$mem_out" \
+    | sed -n 's/.*"alloc\.bytes_per_payload_byte": {"value": \([0-9.eE+-]*\).*/\1/p')"
+echo "    alloc.bytes_per_payload_byte on mem_mixed_bidir: ${alloc_ratio:-missing}"
+awk -v r="${alloc_ratio:-1}" 'BEGIN { exit !(r <= 0.1) }' \
+    || { echo "mem_mixed_bidir allocates ${alloc_ratio:-?} bytes per payload byte (budget 0.1): a rendezvous byte is copied on receive again"; exit 1; }
 
 echo "==> cargo fmt --check"
 cargo fmt --check 2>/dev/null || echo "    (rustfmt unavailable or diffs; non-fatal)"

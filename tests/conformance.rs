@@ -101,10 +101,25 @@ fn large_message_striped_over_two_rails() {
             let c = a.conns()[0];
             let payload = random(3 << 20, 2);
             let r = b.recv(c);
-            let s = a.send(c, vec![Bytes::from(payload.clone())]);
+            let segment = Bytes::from(payload.clone());
+            let sent_from = segment.as_ptr();
+            let s = a.send(c, vec![segment]);
             assert!(s.wait(T), "{on:?}");
             let msg = r.wait(T).unwrap_or_else(|| panic!("{on:?}: recv"));
             assert_eq!(msg.segments[0].as_ref(), payload.as_slice(), "{on:?}");
+            // Reassembly is by reference. In memory every chunk is a
+            // slice of the sender's segment: they re-join and that
+            // segment is the delivery. Over TCP each chunk arrives in its
+            // frame's allocation, and the segment is gathered — every
+            // byte copied once — when it is whole.
+            let copied = b.stats().datapath.rx_copy_bytes;
+            match on.0 {
+                Transport::Mem => {
+                    assert_eq!(copied, 0, "{on:?}");
+                    assert_eq!(msg.segments[0].as_ptr(), sent_from, "{on:?}");
+                }
+                Transport::Tcp => assert_eq!(copied, payload.len() as u64, "{on:?}"),
+            }
             let st = a.stats();
             assert!(st.rdv_handshakes >= 1, "{on:?}: must rendezvous");
             assert!(
