@@ -93,6 +93,21 @@ impl Deadline {
     }
 }
 
+/// What a [`Fabric::wait`] completes on. Where callers drive progress
+/// it decides whether the wait, once complete, holds the rails
+/// ([`CALLER_LEASE`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WaitFor {
+    /// Something the peer sent — a message, a delivery ack: the caller
+    /// that read it is the one to read what follows, and holds the
+    /// rails.
+    Arrival,
+    /// Local completion of a send. It never holds the rails: a sender's
+    /// rendezvous grants and partial writes are its backstop thread's,
+    /// which must stay on them.
+    Local,
+}
+
 /// The runtime seam under an [`Endpoint`]: where the engine lives, how a
 /// submission reaches it and how a caller waits for progress.
 pub trait Fabric: std::any::Any + Send + Sync {
@@ -122,9 +137,15 @@ pub trait Fabric: std::any::Any + Send + Sync {
     fn kick(&self);
 
     /// Block until `done` holds (true), or `deadline` passes or the
-    /// fabric is poisoned (false). The default sleeps on [`Fabric::cv`];
-    /// a runtime whose callers drive progress themselves overrides it.
-    fn wait(&self, deadline: Deadline, done: &mut dyn FnMut(&mut Engine) -> bool) -> bool {
+    /// fabric is poisoned (false). The default sleeps on [`Fabric::cv`]
+    /// whatever the wait is `kind` of; a runtime whose callers drive
+    /// progress themselves overrides it.
+    fn wait(
+        &self,
+        _kind: WaitFor,
+        deadline: Deadline,
+        done: &mut dyn FnMut(&mut Engine) -> bool,
+    ) -> bool {
         let mut eng = self.engine().lock();
         loop {
             if done(&mut eng) {
@@ -245,11 +266,12 @@ pub struct RecvHandle {
 /// no clock).
 fn wait_on<T>(
     fabric: &dyn Fabric,
+    kind: WaitFor,
     timeout: Duration,
     mut done: impl FnMut(&mut Engine) -> Option<T>,
 ) -> Option<T> {
     let mut out = None;
-    fabric.wait(Deadline::after(timeout), &mut |eng| {
+    fabric.wait(kind, Deadline::after(timeout), &mut |eng| {
         out = done(eng);
         out.is_some()
     });
@@ -260,7 +282,7 @@ impl SendHandle {
     /// Block until the send completes locally, or `timeout` expires.
     /// Returns true on completion.
     pub fn wait(&self, timeout: Duration) -> bool {
-        wait_on(&*self.fabric, timeout, |eng| {
+        wait_on(&*self.fabric, WaitFor::Local, timeout, |eng| {
             eng.send_complete(self.id).then_some(())
         })
         .is_some()
@@ -269,7 +291,7 @@ impl SendHandle {
     /// Block until the *peer confirms delivery* (requires
     /// `EngineConfig::acked` on both endpoints), or `timeout` expires.
     pub fn wait_acked(&self, timeout: Duration) -> bool {
-        wait_on(&*self.fabric, timeout, |eng| {
+        wait_on(&*self.fabric, WaitFor::Arrival, timeout, |eng| {
             eng.send_acked(self.id).then_some(())
         })
         .is_some()
@@ -291,7 +313,9 @@ impl SendHandle {
 impl RecvHandle {
     /// Block until the message arrives, or `timeout` expires.
     pub fn wait(&self, timeout: Duration) -> Option<MessageAssembly> {
-        wait_on(&*self.fabric, timeout, |eng| eng.try_recv(self.id))
+        wait_on(&*self.fabric, WaitFor::Arrival, timeout, |eng| {
+            eng.try_recv(self.id)
+        })
     }
 }
 

@@ -16,7 +16,7 @@ use nmad_model::RailId;
 use nmad_wire::{ConnId, PacketFrame};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use super::{Deadline, Endpoint, Fabric, FabricStatus};
+use super::{Deadline, Endpoint, Fabric, FabricStatus, WaitFor};
 use crate::driver::TxToken;
 use crate::engine::parallel::WorkSignal;
 use crate::engine::Engine;
@@ -29,13 +29,15 @@ use crate::stats::SyscallStats;
 /// all, and the holder may be off its CPU for as long as a scheduler
 /// slice.
 pub const SPIN_BUDGET: Duration = Duration::from_micros(1000);
-/// How long after a completed `wait` that holds the rails
-/// ([`Rails::wait_holds`]) the backstop thread still leaves them alone.
-/// A peer that waits in a loop is back well within the lease and the
-/// roles stay fixed — the caller reads and digests what it waits for,
-/// the backstop stays asleep; one that is not delays what arrives right
-/// after its wait by this much at most. Not longer than [`SPIN_BUDGET`],
-/// so that a caller about to sleep never holds a lease.
+/// How long after a completed `wait` for something the peer sent
+/// ([`WaitFor::Arrival`]) the backstop thread still leaves the rails
+/// alone. A peer that waits in a loop is back well within the lease and
+/// the roles stay fixed — the caller reads and digests what it waits
+/// for, the backstop stays asleep ([`Parker::park_leased`]); one that is
+/// not delays what is the backstop's to do right after its wait — an
+/// arrival, a due timer, the rest of a partial write — by this much at
+/// most. Not longer than [`SPIN_BUDGET`], so that a caller about to
+/// sleep never holds a lease.
 pub const CALLER_LEASE: Duration = SPIN_BUDGET;
 /// Rounds of post-and-flush one pass makes before the rails are read
 /// again.
@@ -52,7 +54,17 @@ pub trait Parker: Send + Sync + 'static {
     /// sleep ends it at once.
     fn park(&self, timeout: Duration);
 
-    /// End the current (or next) [`Parker::park`].
+    /// [`Parker::park`] while a caller holds the rails under a lease
+    /// (`timeout` ends no later than the lease does): rails that get
+    /// ready meanwhile are that caller's to read, so a parker that can
+    /// tell them from a kick sleeps through them — only a kick or
+    /// `timeout` end the sleep — and keeps them for the next
+    /// [`Parker::park`] to report.
+    fn park_leased(&self, timeout: Duration) {
+        self.park(timeout);
+    }
+
+    /// End the current (or next) [`Parker::park`], leased or not.
     fn kick(&self);
 }
 
@@ -63,13 +75,19 @@ impl<P: Parker> Parker for Arc<P> {
         (**self).park(timeout);
     }
 
+    fn park_leased(&self, timeout: Duration) {
+        (**self).park_leased(timeout);
+    }
+
     fn kick(&self) {
         (**self).kick();
     }
 }
 
 /// A flag under a mutex and a condvar: for rails that say nothing of
-/// their own accord, so that every arrival is reported by a kick.
+/// their own accord, so that every arrival is reported by a kick — and
+/// not at all while a lease is held ([`Serial::arrived`]): a leased park
+/// is a park.
 impl Parker for WorkSignal {
     fn park(&self, timeout: Duration) {
         self.wait(timeout);
@@ -95,16 +113,6 @@ pub trait Rails: Send + 'static {
     /// `frames`, tagged with their rail. True when a rail may hold more,
     /// that is when one more pass is owed.
     fn read(&mut self, frames: &mut Vec<(usize, PacketFrame)>, status: &FabricStatus) -> bool;
-
-    /// Does every `wait` that completes hold the rails for
-    /// [`CALLER_LEASE`], whether or not it made a pass itself?
-    const HOLDS_EVERY_WAIT: bool = false;
-
-    /// If not every one: does a `wait` that completes now? Asked after
-    /// each of the wait's own passes.
-    fn wait_holds(&self) -> bool {
-        Self::HOLDS_EVERY_WAIT
-    }
 
     /// True when `rail` can take a frame.
     fn idle(&self, rail: usize) -> bool;
@@ -298,10 +306,17 @@ impl<R: Rails> Serial<R> {
     /// make passes on this thread, one at least, until it holds,
     /// `deadline` passes or nothing has moved for [`SPIN_BUDGET`]. The
     /// clock is read for what needs it: a pass that moved nothing, a
-    /// deadline still ahead.
-    fn drive(&self, deadline: Deadline, done: &mut dyn FnMut(&mut Engine) -> bool) -> bool {
+    /// deadline still ahead. A wait for something the peer sent that
+    /// completes holds the rails for [`CALLER_LEASE`], whether or not it
+    /// made a pass itself.
+    fn drive(
+        &self,
+        kind: WaitFor,
+        deadline: Deadline,
+        done: &mut dyn FnMut(&mut Engine) -> bool,
+    ) -> bool {
         self.enter();
-        let mut holds = R::HOLDS_EVERY_WAIT;
+        let holds = kind == WaitFor::Arrival;
         // Since when every pass has moved nothing, if the last one did.
         let mut quiet_since: Option<Instant> = None;
         let mut found_done = true;
@@ -313,7 +328,7 @@ impl<R: Rails> Serial<R> {
                 break false;
             }
             found_done = false;
-            let moved = self.try_pass(&mut holds);
+            let moved = self.try_pass();
             // (The caller looks at `done` once more, under the lock it
             // goes to sleep with.)
             if let Deadline::Passed = deadline {
@@ -342,7 +357,7 @@ impl<R: Rails> Serial<R> {
         // one, or a thread that only submits and reaps would keep what
         // arrives for another, asleep in its own wait, unread for good.
         if holds && found_done && self.owed() {
-            self.try_pass(&mut holds);
+            self.try_pass();
         }
         let fresh = holds && out && {
             let now = self.now_ns();
@@ -362,8 +377,8 @@ impl<R: Rails> Serial<R> {
 
     /// One full pass by a caller, unless the rails are taken (for one
     /// pass at a time: there is nothing to do but try again). True when
-    /// anything moved; `holds` collects [`Rails::wait_holds`].
-    fn try_pass(&self, holds: &mut bool) -> bool {
+    /// anything moved.
+    fn try_pass(&self) -> bool {
         let Some(mut io) = self.io.try_lock() else {
             return false;
         };
@@ -374,7 +389,6 @@ impl<R: Rails> Serial<R> {
         if progressed {
             self.notify();
         }
-        *holds |= io.rails.wait_holds();
         // Bytes of a frame that is not whole yet count too: the rail is
         // live and this thread is the one draining it.
         let after = io.rails.syscalls();
@@ -490,11 +504,17 @@ impl<R: Rails> Serial<R> {
     /// the next timer, then a pass — unless application threads are
     /// making passes themselves: then the wake-up is theirs (see
     /// `skipped` for why that loses nothing), timers included, and all
-    /// that is left to do is to size the next sleep.
+    /// that is left to do is to size the next sleep, and under a lease
+    /// to take it off the rails ([`Parker::park_leased`]).
     fn run_backstop(&self) {
         let mut timeout = BACKSTOP_TICK;
+        let mut leased = false;
         loop {
-            self.parker.park(timeout);
+            if leased {
+                self.parker.park_leased(timeout);
+            } else {
+                self.parker.park(timeout);
+            }
             if self.shutdown.load(Ordering::SeqCst) {
                 return;
             }
@@ -512,8 +532,16 @@ impl<R: Rails> Serial<R> {
                     break None;
                 }
             };
+            // Declined for a lease: until it ends the rails are its
+            // holder's, and nothing they report is a reason to wake up.
+            // Declined for callers mid-pass alone: one of them may clear
+            // `skipped`, miss what arrives next and leave without a
+            // lease (a wait that timed out), kicking nobody — so the
+            // rails still wake this thread.
+            let lease = declined.and_then(|_| self.leased());
+            leased = lease.is_some();
             let deadline = self.deadline_ns.load(Ordering::SeqCst);
-            timeout = match (deadline.saturating_sub(self.now_ns()), declined) {
+            timeout = match (deadline.saturating_sub(self.now_ns()), lease.or(declined)) {
                 // Due, and the callers' to fire on their next pass: no
                 // reason to spin here until they have.
                 (0, Some(_)) => Duration::from_millis(1),
@@ -560,9 +588,14 @@ impl<R: Rails> Fabric for Serial<R> {
     /// The caller drives progress itself ([`Serial::drive`]) and sleeps
     /// on the completion condvar only between bouts of it, so a deadline
     /// already passed is exactly one progress pass.
-    fn wait(&self, deadline: Deadline, done: &mut dyn FnMut(&mut Engine) -> bool) -> bool {
+    fn wait(
+        &self,
+        kind: WaitFor,
+        deadline: Deadline,
+        done: &mut dyn FnMut(&mut Engine) -> bool,
+    ) -> bool {
         loop {
-            if self.drive(deadline, done) {
+            if self.drive(kind, deadline, done) {
                 return true;
             }
             let mut eng = self.engine.lock();

@@ -97,6 +97,7 @@ pub use config::{EngineConfig, OverloadConfig, Runtime, ZooConfig};
 pub use driver::{TxDecision, TxToken};
 pub use endpoint::{
     Deadline, Endpoint, Fabric, FabricStatus, Parker, Rails, RecvHandle, SendHandle, Serial,
+    WaitFor,
 };
 pub use engine::parallel::{
     outbox, spsc, AppOp, Completion, MpscQueue, OutboxReceiver, OutboxSender, ParallelHub,

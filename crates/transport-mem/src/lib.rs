@@ -209,13 +209,6 @@ impl Rails for MemRails {
         owed
     }
 
-    /// A delivery is a function call on the sender's thread, and an
-    /// endpoint nobody holds costs that thread a futex wake per flush —
-    /// and this one a backstop pass racing the caller that is about to
-    /// come back for the same frames, after which the caller's waits
-    /// find their results made and stop holding the rails for good.
-    const HOLDS_EVERY_WAIT: bool = true;
-
     fn idle(&self, rail: usize) -> bool {
         self.inflight[rail].is_none()
     }

@@ -64,12 +64,6 @@ impl FrameReader {
         self.closed
     }
 
-    /// True while a frame larger than [`READ_CHUNK`] (a rendezvous
-    /// chunk) is being read.
-    pub(crate) fn in_bulk_frame(&self) -> bool {
-        self.rx_want > READ_CHUNK
-    }
-
     /// One `read` off `src`: append the complete frames it brought to
     /// `out`, tagged with `rail` (they stay there on an error). True
     /// when the read came back full, that is when the socket may hold

@@ -23,7 +23,7 @@
 //!
 //! | runtime | who drives progress | threads per endpoint | frames are read | for |
 //! |---|---|---|---|---|
-//! | `Serial` (default) | the calling thread: `send` offers the idle rails, a handle's `wait` makes passes itself; one backstop thread asleep in `epoll_wait` for what no caller is around for | 1 | by whoever holds the I/O lock — one `read` per rail and pass | the lowest per-message cost; what `BENCHMARK.json` measures |
+//! | `Serial` (default) | the calling thread: `send` offers the idle rails, a handle's `wait` makes passes itself, and one that completed on something the peer sent (a receive, a delivery ack) holds the sockets for 1 ms more — the lease; one backstop thread asleep in `epoll_wait` for what no caller is around for: on the sockets and its eventfd, under a lease on the eventfd alone, so that what the lease holder is about to read wakes nobody | 1 | by whoever holds the I/O lock — one `read` per rail and pass | the lowest per-message cost; what `BENCHMARK.json` measures |
 //! | `Threads` | a scheduler thread over [`nmad_core::ParallelHub`]; callers only queue | 2 × rails + 1 | each rail's RX thread, blocking | many application threads sending small messages; overlapping slow rails; worker-shard recording |
 //!
 //! On `Serial` the engine lock is never held across a socket syscall
@@ -102,6 +102,10 @@ const TX_BATCH: usize = 8;
 /// Cap on gather-list length per vectored write: stays under every
 /// platform's IOV_MAX (the partial-write resume loop covers the rest).
 const MAX_IOVECS: usize = 256;
+/// Gather-list length of the serial runtime's one frame per write, kept
+/// on the stack: a frame of more parts than this (plus its length
+/// prefix) takes another `write_vectored`.
+const FLUSH_IOVECS: usize = 16;
 
 /// Transport configuration.
 #[derive(Clone)]
@@ -137,44 +141,38 @@ impl TcpConfig {
 
 /// One gather list covering the concatenation
 /// `prefix₀+frame₀, prefix₁+frame₁, …` starting at byte `skip` of the
-/// whole batch, capped at `max_slices` entries (the
-/// partial-write resume loop rebuilds from the new offset, so a capped
-/// list just means another `write_vectored` — never corruption).
+/// whole batch: fills `slices` from the front, as far as it is long, and
+/// returns how many entries that made (the partial-write resume loop
+/// rebuilds from the new offset, so a list cut short just means another
+/// `write_vectored` — never corruption).
 fn gather_batch_slices<'a>(
     prefixes: &'a [[u8; LEN_PREFIX]],
     frames: &'a [PacketFrame],
     mut skip: usize,
-    slices: &mut Vec<IoSlice<'a>>,
-    max_slices: usize,
-) {
-    slices.clear();
+    slices: &mut [IoSlice<'a>],
+) -> usize {
+    let mut filled = 0;
     for (prefix, frame) in prefixes.iter().zip(frames) {
         let frame_total = LEN_PREFIX + frame.wire_len();
         if skip >= frame_total {
             skip -= frame_total;
             continue;
         }
-        if skip < LEN_PREFIX {
-            slices.push(IoSlice::new(&prefix[skip..]));
-            skip = 0;
-            if slices.len() >= max_slices {
-                return;
-            }
-        } else {
-            skip -= LEN_PREFIX;
-        }
-        for part in frame.parts() {
+        let parts = std::iter::once(&prefix[..]).chain(frame.parts().map(|part| &part[..]));
+        for part in parts {
             if skip >= part.len() {
                 skip -= part.len();
                 continue;
             }
-            slices.push(IoSlice::new(&part[skip..]));
+            let Some(slot) = slices.get_mut(filled) else {
+                return filled;
+            };
+            *slot = IoSlice::new(&part[skip..]);
+            filled += 1;
             skip = 0;
-            if slices.len() >= max_slices {
-                return;
-            }
         }
     }
+    filled
 }
 
 /// Per-rail socket state: partial reads and pending vectored writes
@@ -245,15 +243,14 @@ impl RailIo {
                 return Ok(self.pending_token.take());
             };
             let total = LEN_PREFIX + frame.wire_len();
-            let mut slices: Vec<IoSlice<'_>> = Vec::new();
-            gather_batch_slices(
+            let mut slices = [IoSlice::new(&[]); FLUSH_IOVECS];
+            let filled = gather_batch_slices(
                 std::slice::from_ref(&self.tx_prefix),
                 std::slice::from_ref(frame),
                 self.tx_off,
                 &mut slices,
-                MAX_IOVECS,
             );
-            match self.stream.write_vectored(&slices) {
+            match self.stream.write_vectored(&slices[..filled]) {
                 Ok(n) if n > 0 => {
                     tally.tx_calls += 1;
                     self.tx_off += n;
@@ -325,17 +322,6 @@ impl Rails for TcpRails {
         owed
     }
 
-    /// Only while a frame larger than the read buffer (a rendezvous
-    /// chunk) is being read. A pass over such a frame holds the rails
-    /// lock for hundreds of microseconds: a backstop thread that starts
-    /// one while the caller looks at its message locks the returning
-    /// caller out for that long — longer when the scheduler takes its
-    /// CPU meanwhile — and which of the two ends up reading is then a
-    /// matter of timing.
-    fn wait_holds(&self) -> bool {
-        self.rails.iter().any(|r| r.rx.in_bulk_frame())
-    }
-
     fn idle(&self, rail: usize) -> bool {
         self.rails[rail].idle()
     }
@@ -375,12 +361,29 @@ impl Rails for TcpRails {
 
 /// What the serial backstop thread sleeps on: one epoll instance over
 /// the rail sockets (edge-triggered READ; WRITE only while a partial
-/// write is pending) plus an eventfd for kicks.
+/// write is pending) plus an eventfd for kicks — and, while a caller
+/// holds the rails under a lease, a second instance over the eventfd
+/// alone ([`Parker::park_leased`]). Every `write` into a loopback socket
+/// otherwise wakes the peer's backstop out of `epoll_wait`, on another
+/// CPU, to be declined by the caller that is already polling: one
+/// context switch per message, and the writer pays for the wake-up
+/// inside its `send`. Off the sockets, what arrives queues on the first
+/// instance's ready list and wakes nobody; the edge is still there for
+/// the next [`Parker::park`].
 struct Readiness {
     /// `None` where [`sys`] is the `Unsupported` stub: [`FALLBACK_POLL`].
-    epoll: Option<(sys::Poller, sys::EventFd)>,
+    epoll: Option<Epoll>,
     /// A kick is pending: back-to-back kicks cost one `eventfd` write.
     kicked: AtomicBool,
+}
+
+/// The two instances and the eventfd both watch.
+struct Epoll {
+    /// Over the rail sockets and `kick`.
+    rails: sys::Poller,
+    /// Over `kick` alone, for a leased park.
+    leased: sys::Poller,
+    kick: sys::EventFd,
 }
 
 impl Readiness {
@@ -393,12 +396,17 @@ impl Readiness {
             }
             other => other?,
         };
-        let kick = sys::EventFd::new()?;
+        let (leased, kick) = (sys::Poller::new()?, sys::EventFd::new()?);
         poller.add(kick.raw(), KICK_TOKEN, false)?;
+        leased.add(kick.raw(), KICK_TOKEN, false)?;
         for (idx, rail) in rails.iter().enumerate() {
             poller.add(rail.stream.as_raw_fd(), idx as u64, false)?;
         }
-        let epoll = Some((poller, kick));
+        let epoll = Some(Epoll {
+            rails: poller,
+            leased,
+            kick,
+        });
         Ok(Readiness { epoll, kicked })
     }
 
@@ -406,47 +414,63 @@ impl Readiness {
     /// socket is always writable and would wake the backstop for
     /// nothing), updated by whichever thread made the pass.
     fn track_write(&self, idx: usize, rail: &mut RailIo) {
-        let Some((poller, _)) = &self.epoll else {
+        let Some(epoll) = &self.epoll else {
             return;
         };
         let want = rail.tx_frame.is_some();
         if want != rail.want_write {
             rail.want_write = want;
-            let _ = poller.modify(rail.stream.as_raw_fd(), idx as u64, want);
+            let _ = epoll
+                .rails
+                .modify(rail.stream.as_raw_fd(), idx as u64, want);
         }
     }
 
     /// Stop watching a rail whose read side is finished.
     fn forget(&self, rail: &RailIo) {
-        if let Some((poller, _)) = &self.epoll {
-            let _ = poller.delete(rail.stream.as_raw_fd());
-        }
-    }
-}
-
-impl Parker for Readiness {
-    fn kick(&self) {
-        if let Some((_, kick)) = &self.epoll {
-            if !self.kicked.swap(true, Ordering::SeqCst) {
-                kick.wake();
-            }
+        if let Some(epoll) = &self.epoll {
+            let _ = epoll.rails.delete(rail.stream.as_raw_fd());
         }
     }
 
-    /// Sleep until a rail is ready, a kick, or `timeout`. The latch is
-    /// cleared before the caller's pass, so a later kick writes again.
-    fn park(&self, timeout: Duration) {
-        let Some((poller, kick)) = &self.epoll else {
+    /// Sleep on one of the two instances until it reports something or
+    /// `timeout`. The latch is cleared before the caller's pass, so a
+    /// later kick writes again. A kick drained through one instance is
+    /// at most one empty wake-up of the other.
+    fn sleep(&self, leased: bool, timeout: Duration) {
+        let Some(epoll) = &self.epoll else {
             return std::thread::park_timeout(timeout.min(FALLBACK_POLL));
         };
+        let poller = if leased { &epoll.leased } else { &epoll.rails };
         let mut events = [sys::EpollEvent::zeroed(); 4];
         let ms = timeout.as_micros().div_ceil(1000) as i32;
         // An interrupted wait is a spurious wake-up: harmless.
         let n = poller.wait(&mut events, ms).unwrap_or(0);
         if events[..n].iter().any(|e| e.token() == KICK_TOKEN) {
-            kick.drain();
+            epoll.kick.drain();
         }
         self.kicked.store(false, Ordering::SeqCst);
+    }
+}
+
+impl Parker for Readiness {
+    fn kick(&self) {
+        if let Some(epoll) = &self.epoll {
+            if !self.kicked.swap(true, Ordering::SeqCst) {
+                epoll.kick.wake();
+            }
+        }
+    }
+
+    /// Sleep until a rail is ready, a kick, or `timeout`.
+    fn park(&self, timeout: Duration) {
+        self.sleep(false, timeout);
+    }
+
+    /// Sleep until a kick or `timeout`: the sockets are the lease
+    /// holder's. (The stub has nothing to tell apart: its timed poll.)
+    fn park_leased(&self, timeout: Duration) {
+        self.sleep(true, timeout);
     }
 }
 
@@ -578,11 +602,12 @@ impl TxWorker {
         let total: usize = frames.iter().map(|f| LEN_PREFIX + f.wire_len()).sum();
         let mut off = 0usize;
         let mut calls = 0u64;
-        let mut slices: Vec<IoSlice<'_>> = Vec::new();
+        let parts: usize = frames.iter().map(|f| 1 + f.parts().count()).sum();
+        let mut slices = vec![IoSlice::new(&[]); parts.min(MAX_IOVECS)];
         let t0 = Instant::now();
         while off < total {
-            gather_batch_slices(&prefixes, frames, off, &mut slices, MAX_IOVECS);
-            match self.stream.write_vectored(&slices) {
+            let filled = gather_batch_slices(&prefixes, frames, off, &mut slices);
+            match self.stream.write_vectored(&slices[..filled]) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         ErrorKind::WriteZero,
@@ -878,6 +903,9 @@ mod tests {
         engine.acked = true;
         engine.health.initial_rto_ns = 20_000_000;
         engine.health.min_rto_ns = 5_000_000;
+        // (Half of all frames lost on both rails: at the default 2 s
+        // clamp the backed-off timers alone take 2.5 s, or 10.)
+        engine.health.max_rto_ns = 40_000_000;
         let chaos = ChaosState::new(2);
         let mut cfg = TcpConfig::new(platform::paper_platform(), engine);
         cfg.chaos = Some(chaos.clone());
@@ -987,45 +1015,129 @@ mod tests {
         assert_eq!(a.io_errors() + b.io_errors() + b.rx_errors(), 0);
     }
 
-    /// The lease. A caller that read a rendezvous chunk itself keeps the
-    /// sockets for [`CALLER_LEASE`] after its wait — the backstop thread
-    /// counts the endpoint as still polled — and no longer: what arrives
+    /// The lease. A wait that completes on something the peer sent keeps
+    /// the sockets for [`CALLER_LEASE`] after it, however small what it
+    /// read — the backstop thread counts the endpoint as still polled
+    /// and sleeps on its eventfd alone — and no longer: what arrives
     /// meanwhile, with no further call on the receiver, is still
-    /// buffered by the backstop. A wait that only read small frames and
-    /// a sender waiting on its handle take none.
+    /// buffered by the backstop. A sender waiting on its handle takes
+    /// none, eager or rendezvous: its grants and partial writes are its
+    /// backstop's. The holder's own are the other thing a lease
+    /// delays: a rendezvous-sized send submitted under a lease by a
+    /// caller that then makes no call completes all the same — the
+    /// grant is read, and a write the sockets took only part of is
+    /// finished, by the backstop when the lease is over (`EPOLLOUT`
+    /// wakes nobody before), so the stall is bounded by the lease.
     #[test]
-    fn bulk_receive_wait_leases_the_sockets_and_hands_them_back() {
+    fn receive_wait_leases_the_sockets_and_hands_them_back() {
         let (a, b) = fabric(StrategyKind::AdaptiveSplit);
         let c = a.conns()[0];
         let (sa, sb) = (serial(&a), serial(&b));
-
-        let r = b.recv(c);
-        let s = a.send(c, vec![Bytes::from(random(512, 91))]);
-        assert!(r.wait(T).is_some() && s.wait(T));
-        assert!(sb.claimed().is_none(), "a small frame took a lease");
-
-        // (On a loaded machine the waiter may sleep through a transfer
-        // and find it done by the backstop: then there is no lease.)
+        let small = |seed| vec![Bytes::from(random(512, seed))];
         let large = random(1 << 20, 92);
-        let leased = (0..20).find_map(|_| {
+
+        // (On a loaded machine the lease may be over before it is looked
+        // at.)
+        let leased = (0..20).find_map(|round| {
             let r = b.recv(c);
-            let s = a.send(c, vec![Bytes::from(large.clone())]);
-            assert_eq!(r.wait(T).unwrap().segments[0].as_ref(), large.as_slice());
+            let s = a.send(c, small(round));
+            assert!(r.wait(T).is_some());
             let lease = sb.claimed();
             assert!(s.wait(T));
             assert!(sa.claimed().is_none(), "the sender's wait took a lease");
             lease
         });
-        assert!(leased.expect("no lease after a bulk wait") <= CALLER_LEASE);
+        assert!(leased.expect("no lease after a receive wait") <= CALLER_LEASE);
 
+        let r = b.recv(c);
+        let s = a.send(c, vec![Bytes::from(large.clone())]);
+        assert_eq!(r.wait(T).unwrap().segments[0].as_ref(), large.as_slice());
+        assert!(s.wait(T));
+        assert!(
+            sa.claimed().is_none(),
+            "the sender's wait on a rendezvous took a lease"
+        );
+
+        let r = b.recv(c);
+        a.send(c, small(90));
+        assert!(r.wait(T).is_some());
         let before = msgs_received(&b);
-        a.send(c, vec![Bytes::from(random(512, 93))]);
+        a.send(c, small(91));
         assert!(
             eventually(Duration::from_millis(50), || msgs_received(&b) > before),
             "arrival under the lease not buffered once it ran out"
         );
         assert!(sb.claimed().is_none());
+
+        // Submitted under a lease by a caller that is then gone: the
+        // grant, and whatever write of the data the sockets do not take
+        // whole, wait for `b`'s backstop, which is off the sockets until
+        // the lease is over and on them (`EPOLLOUT` included) from then.
+        let (ra, rb) = (a.recv(c), b.recv(c));
+        a.send(c, small(93));
+        assert!(rb.wait(T).is_some());
+        let s = b.send(c, vec![Bytes::from(large.clone())]);
+        let t0 = Instant::now();
+        assert_eq!(ra.wait(T).unwrap().segments[0].as_ref(), large.as_slice());
+        assert!(
+            t0.elapsed() < BACKSTOP_TICK / 2,
+            "a rendezvous left behind under a lease waited for the tick"
+        );
+        assert!(s.wait(T));
         assert_eq!(a.io_errors() + b.io_errors() + b.rx_errors(), 0);
+    }
+
+    /// The leased park, without an engine: a socket that got ready is
+    /// the lease holder's and wakes nobody, but its edge stays on the
+    /// first instance for the next plain park; a kick ends either kind
+    /// of sleep; and the eventfd both instances watch, drained through
+    /// one, costs the other an empty wake-up at most.
+    #[test]
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    fn leased_park_sleeps_through_the_sockets_but_not_through_a_kick() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let rails = [RailIo::new(listener.accept().unwrap().0).unwrap()];
+        let ready = Readiness::new(&rails).unwrap();
+        let tick = Duration::from_millis(30);
+        let took = |sleep: &dyn Fn()| {
+            let t0 = Instant::now();
+            sleep();
+            t0.elapsed()
+        };
+
+        peer.write_all(b"pending").unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+        assert!(
+            took(&|| ready.park_leased(tick)) >= tick,
+            "woken by a socket"
+        );
+        assert!(took(&|| ready.park(T)) < tick, "the socket's edge was lost");
+
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(5));
+                ready.kick();
+            });
+            assert!(took(&|| ready.park_leased(T)) < Duration::from_millis(50));
+        });
+        // (Drained through the second instance; the socket's edge is
+        // spent and its bytes unread: nothing is left to report.)
+        ready.park(tick);
+        assert!(
+            took(&|| ready.park(tick)) >= tick,
+            "a drained kick woke twice"
+        );
+        ready.kick();
+        assert!(took(&|| ready.park(T)) < tick, "a kick before the sleep");
+        ready.park_leased(tick);
+        assert!(
+            took(&|| ready.park_leased(tick)) >= tick,
+            "a drained kick woke twice"
+        );
     }
 
     /// (c) Four application threads each wait on their own receive of
@@ -1363,16 +1475,17 @@ mod tests {
                 // offset, exactly like `write_batch`'s resume loop.
                 let mut got = Vec::with_capacity(total);
                 let mut off = 0usize;
-                let mut slices: Vec<IoSlice> = Vec::new();
+                let mut list = vec![IoSlice::new(&[]); max_slices];
                 let mut wi = 0usize;
                 while off < total {
-                    gather_batch_slices(&prefixes, &frames, off, &mut slices, max_slices);
+                    let filled = gather_batch_slices(&prefixes, &frames, off, &mut list);
+                    let slices = &list[..filled];
                     prop_assert!(!slices.is_empty(), "empty gather list before end of batch");
                     let avail: usize = slices.iter().map(|s| s.len()).sum();
                     let n = writes[wi % writes.len()].min(avail);
                     wi += 1;
                     let mut left = n;
-                    for s in &slices {
+                    for s in slices {
                         if left == 0 {
                             break;
                         }
@@ -1385,7 +1498,7 @@ mod tests {
                 prop_assert_eq!(got, expect);
             }
 
-            /// With no iovec cap, one gather list covers the whole batch
+            /// A list with room for every part covers the whole batch
             /// remainder from any offset — i.e. an unconstrained kernel
             /// could finish the batch in a single syscall.
             #[test]
@@ -1401,9 +1514,10 @@ mod tests {
                     frames.iter().map(|f| LEN_PREFIX + f.wire_len()).sum();
                 let off = ((total as f64) * off_frac) as usize;
                 prop_assume!(off < total);
-                let mut slices: Vec<IoSlice> = Vec::new();
-                gather_batch_slices(&prefixes, &frames, off, &mut slices, usize::MAX);
-                let avail: usize = slices.iter().map(|s| s.len()).sum();
+                let parts: usize = frames.iter().map(|f| 1 + f.parts().count()).sum();
+                let mut slices = vec![IoSlice::new(&[]); parts];
+                let filled = gather_batch_slices(&prefixes, &frames, off, &mut slices);
+                let avail: usize = slices[..filled].iter().map(|s| s.len()).sum();
                 prop_assert_eq!(avail, total - off);
             }
         }

@@ -1,5 +1,6 @@
 //! The serial runtime's backstop thread blocks on readiness: it costs
-//! nothing while nothing happens and does not spin on a dead peer.
+//! nothing while nothing happens, next to nothing while callers drive
+//! progress themselves, and does not spin on a dead peer.
 //!
 //! These read per-thread scheduler accounting for every thread named
 //! `nmad-tcp` in the process, so they live in a test binary of their
@@ -8,9 +9,10 @@
 #![cfg(target_os = "linux")]
 
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use nmad_core::endpoint::CALLER_LEASE;
 use nmad_core::EngineConfig;
 use nmad_model::platform;
 use nmad_transport_tcp::{pair_localhost, Endpoint, TcpConfig};
@@ -78,6 +80,49 @@ fn idle_pair_is_silent() {
         ran < Duration::from_millis(2),
         "idle backstop threads ran {ran:?} in 300 ms"
     );
+}
+
+/// A pair whose callers poll does not run its backstops. Every `write`
+/// makes the peer's socket readable, but the peer is held — by a caller
+/// making passes or by the lease of one that has just left — and its
+/// backstop sleeps on its eventfd alone until the lease is over: what
+/// is left to the two threads is to look, once per lease, whether that
+/// is still so. Over 300 ms of echo round trips they are scheduled
+/// 520–550 times and run for 6 ms; woken out of `epoll_wait` by every
+/// arrival only to decline it, 2,900–3,800 times and for 80–100 ms
+/// (unoptimized). The count is the steady reading of the two. The time
+/// is mostly the kernel's, 11 µs a wake-up on a quiet host and up to 40
+/// in the middle of a test run on a shared one (7–25 ms), so the budget
+/// is a tenth of the window, and a window over it is measured again,
+/// twice at most.
+#[test]
+fn polled_pair_leaves_its_backstops_asleep() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (a, b) = pair();
+    exchange(&a, &b);
+    let mut busy = Vec::new();
+    for _ in 0..3 {
+        let ((run, wakes), t0, mut rounds) = (backstop_sched(), Instant::now(), 0u32);
+        while t0.elapsed() < Duration::from_millis(300) {
+            exchange(&a, &b);
+            exchange(&b, &a);
+            rounds += 1;
+        }
+        let (took, after) = (t0.elapsed(), backstop_sched());
+        let (ran, woke) = (Duration::from_nanos(after.0 - run), after.1 - wakes);
+        assert!(rounds > 500, "only {rounds} round trips in {took:?}");
+        // One look per lease and thread, and half as many again.
+        let looks = 2 * (took.as_nanos() / CALLER_LEASE.as_nanos()) as u64;
+        assert!(
+            woke < looks * 3 / 2,
+            "backstop threads woke {woke} times in {took:?} under {rounds} polled round trips"
+        );
+        if ran < took / 10 {
+            return;
+        }
+        busy.push(ran);
+    }
+    panic!("backstop threads ran {busy:?} in three windows of 300 ms of polled round trips");
 }
 
 /// (e) Dropping the peer leaves the survivor's backstop thread blocked:

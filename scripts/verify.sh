@@ -29,6 +29,12 @@ fi
 if grep -rnE 'struct Worker\b' crates/transport-mem/src; then
     echo "the mem fabric's progress thread is back (see above)"; exit 1
 fi
+# Which waits hold the rails is one rule in the serial driver (a wait
+# for something the peer sent does, one for local completion never:
+# WaitFor, DESIGN.md §15), not a question each transport's rails answer.
+if grep -rnE 'HOLDS_EVERY_WAIT|wait_holds|in_bulk_frame' crates; then
+    echo "a per-transport lease rule is back beside the one rule (see above)"; exit 1
+fi
 if grep -rnE 'carve_frames|\.parallel =|\.reactor =|reactor_threads|Runtime::Reactor|ReactorPool|ReactorStats|ablate_reactor|NMAD_REACTOR' \
     crates src tests examples .github; then
     echo "a deleted runtime, runtime switch or carve path is back (see above)"; exit 1
@@ -179,20 +185,31 @@ grep -q '"clean":true' "$wd_tmp" \
 # rendezvous chunk is a slice of the sender's segment, so a delivery
 # allocates no payload — bytes allocated per payload byte read 0.01, an
 # allocator count that repeats to three digits, against 0.92 when
-# reassembly copied every chunk into a buffer of its own.
-echo "==> nmad-benchmark (offline build, selftest, 3 s tcp_pingpong_small, 3 s mem_mixed_bidir traced)"
+# reassembly copied every chunk into a buffer of its own. The TCP run is
+# traced for its scheduler ledger: both ends hold their sockets under a
+# lease and both backstops sleep on their eventfds (DESIGN.md §15), so
+# voluntary context switches per message read 0.011 — and 1.000, one
+# per message exactly, when every `write` wakes the peer's backstop out
+# of `epoll_wait` to be declined: a count 90x apart on any host.
+echo "==> nmad-benchmark (offline build, selftest, 3 s tcp_pingpong_small traced, 3 s mem_mixed_bidir traced)"
 bench=(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --)
+# The value of per-layer metric $2 in the benchmark's result line $1.
+ledger() { echo "$1" | sed -n 's/.*"'"${2//./\\.}"'": {"value": \([0-9.eE+-]*\).*/\1/p'; }
 selftest_out="$("${bench[@]}" selftest 2>/dev/null)" \
     && { echo "nmad-benchmark selftest exited 0: the verifier let damage through"; exit 1; }
 echo "$selftest_out" | tail -n 1 | grep -q '"correct": false' \
     || { echo "nmad-benchmark selftest failed without reporting damage (build error?)"; exit 1; }
-"${bench[@]}" --workload tcp_pingpong_small --seconds 3 | tail -n 1 | grep -q '"correct": true' \
+tcp_out="$("${bench[@]}" --workload tcp_pingpong_small --seconds 3 --trace 1 | tail -n 1)"
+echo "$tcp_out" | grep -q '"correct": true' \
     || { echo "nmad-benchmark tcp_pingpong_small smoke did not verify"; exit 1; }
+ctx_switches="$(ledger "$tcp_out" sched.ctx_switches_per_msg)"
+echo "    sched.ctx_switches_per_msg on tcp_pingpong_small: ${ctx_switches:-missing}"
+awk -v r="${ctx_switches:-1}" 'BEGIN { exit !(r <= 0.1) }' \
+    || { echo "tcp_pingpong_small switches context ${ctx_switches:-?} times per message (budget 0.1): arrivals wake a leased-out backstop again"; exit 1; }
 mem_out="$("${bench[@]}" --workload mem_mixed_bidir --seconds 3 --trace 1 | tail -n 1)"
 echo "$mem_out" | grep -q '"correct": true' \
     || { echo "nmad-benchmark mem_mixed_bidir smoke did not verify"; exit 1; }
-alloc_ratio="$(echo "$mem_out" \
-    | sed -n 's/.*"alloc\.bytes_per_payload_byte": {"value": \([0-9.eE+-]*\).*/\1/p')"
+alloc_ratio="$(ledger "$mem_out" alloc.bytes_per_payload_byte)"
 echo "    alloc.bytes_per_payload_byte on mem_mixed_bidir: ${alloc_ratio:-missing}"
 awk -v r="${alloc_ratio:-1}" 'BEGIN { exit !(r <= 0.1) }' \
     || { echo "mem_mixed_bidir allocates ${alloc_ratio:-?} bytes per payload byte (budget 0.1): a rendezvous byte is copied on receive again"; exit 1; }
