@@ -38,6 +38,12 @@ pub struct TxDecision {
     pub copied_bytes: usize,
     /// True when this is a control packet (runtime may trace differently).
     pub control: bool,
+    /// True for a data frame made only of eager segments below
+    /// `EngineConfig::min_chunk` — one of them, or an aggregate: the kind
+    /// that comes in bursts and that the strategies merge. A runtime
+    /// whose rail took one may let the submissions that follow at once
+    /// accumulate in the backlog ([`crate::Engine::tx_can_wait`]).
+    pub small_eager: bool,
 }
 
 impl TxDecision {
@@ -60,6 +66,7 @@ mod tests {
             mode: TxMode::Pio,
             copied_bytes: 0,
             control: false,
+            small_eager: false,
         };
         assert_eq!(d.wire_len(), 40);
     }
@@ -72,6 +79,7 @@ mod tests {
             mode: TxMode::Pio,
             copied_bytes: 0,
             control: false,
+            small_eager: false,
         };
         assert_eq!(d.wire_len(), 0);
         assert!(d.frame.is_empty());

@@ -342,7 +342,13 @@ impl Endpoint {
         &self.conns
     }
 
-    /// Submit a non-blocking send.
+    /// Submit a non-blocking send. Where callers drive progress a lone
+    /// message — after a quiet millisecond, or from a caller that has
+    /// just been handed something the peer sent — is on the wire when
+    /// this returns; a small one that follows another within a
+    /// millisecond may stay in the backlog, for the strategy to
+    /// aggregate, until the next wait on this endpoint, a frame's worth
+    /// or the end of that millisecond (DESIGN.md §15 "The window").
     pub fn send(&self, conn: ConnId, segments: Vec<Bytes>) -> SendHandle {
         SendHandle {
             fabric: self.fabric.clone(),

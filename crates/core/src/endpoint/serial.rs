@@ -38,7 +38,13 @@ pub const SPIN_BUDGET: Duration = Duration::from_micros(1000);
 /// arrival, a due timer, the rest of a partial write — by this much at
 /// most. Not longer than [`SPIN_BUDGET`], so that a caller about to
 /// sleep never holds a lease.
+///
+/// Also how long a rail that took a small eager frame counts as busy
+/// (`Pass::busy_until`): a caller that answers within a lease and one
+/// that follows up within the window are the same notion of "at once".
 pub const CALLER_LEASE: Duration = SPIN_BUDGET;
+/// [`CALLER_LEASE`] on the engine clock.
+const LEASE_NS: u64 = CALLER_LEASE.as_nanos() as u64;
 /// Rounds of post-and-flush one pass makes before the rails are read
 /// again.
 const TX_ROUNDS: usize = 8;
@@ -143,6 +149,14 @@ pub struct Pass<R> {
     pub rails: R,
     frames: Vec<(usize, PacketFrame)>,
     done: Vec<(usize, TxToken)>,
+    /// Engine-clock time until which the rails count as busy: a pass
+    /// posted a small eager frame [`CALLER_LEASE`] before. A `write` that
+    /// the kernel (or a channel) buffered has always "finished", so this
+    /// is what opens the window a busy NIC opens in the paper — until
+    /// then [`Serial::offer`] may leave small submissions in the backlog,
+    /// and the published deadline is no later, so the backstop thread is
+    /// up when the window ends.
+    busy_until: u64,
 }
 
 /// Serial runtime state of one endpoint. Any thread may make a progress
@@ -192,6 +206,7 @@ impl<R: Rails> Serial<R> {
                 rails,
                 frames: Vec::new(),
                 done: Vec::new(),
+                busy_until: 0,
             }),
             parker,
             start,
@@ -282,14 +297,29 @@ impl<R: Rails> Serial<R> {
     /// is read: a submitter does not pay for arrivals it is not waiting
     /// for. With `io` taken the submission just joins the backlog — the
     /// window the strategies optimise over — and one more pass is owed.
-    fn offer<T>(&self, submit: impl FnOnce(&mut Engine) -> T) -> T {
+    ///
+    /// So it does, if it `may_wait`, while the rails count as busy
+    /// (`Pass::busy_until`), nobody holds a lease — a caller in
+    /// conversation with the peer sends at once, as does whoever comes
+    /// after a quiet window — and the engine has nothing that loses by
+    /// waiting ([`Engine::tx_can_wait`]). No pass is owed for it: the
+    /// published deadline is the window's end at the latest, and every
+    /// pass anyone makes before asks the strategy over the whole backlog.
+    fn offer<T>(&self, may_wait: bool, submit: impl FnOnce(&mut Engine) -> T) -> T {
         self.enter();
         let io = self.io.try_lock();
         let mut eng = self.engine.lock();
         let out = submit(&mut eng);
         match io {
             Some(mut io) => {
-                if self.pump(&mut io, eng) {
+                let now = self.now_ns();
+                let waits = may_wait
+                    && now < io.busy_until
+                    && self.lease_ns.load(Ordering::SeqCst) <= now
+                    && eng.tx_can_wait();
+                if waits {
+                    drop(eng);
+                } else if self.pump(&mut io, eng, now) {
                     self.notify();
                 }
             }
@@ -361,7 +391,7 @@ impl<R: Rails> Serial<R> {
         }
         let fresh = holds && out && {
             let now = self.now_ns();
-            let until = now + CALLER_LEASE.as_nanos() as u64;
+            let until = now + LEASE_NS;
             self.lease_ns.swap(until, Ordering::SeqCst) <= now
         };
         self.leave();
@@ -403,7 +433,7 @@ impl<R: Rails> Serial<R> {
             self.skipped.store(true, Ordering::SeqCst);
         }
         let eng = self.engine.lock();
-        self.pump(io, eng)
+        self.pump(io, eng, self.now_ns())
     }
 
     /// The engine half of a pass. One short critical section digests
@@ -413,9 +443,10 @@ impl<R: Rails> Serial<R> {
     /// fill the backlog — and finished injections loop back for their
     /// `on_tx_done`. Ends when none finished, or after [`TX_ROUNDS`]
     /// with a pass owed: a backlog that keeps every injection finishing
-    /// must not keep the arrivals waiting.
-    fn pump<'a>(&'a self, io: &mut Pass<R>, mut eng: MutexGuard<'a, Engine>) -> bool {
-        let outcome = eng.progress(self.now_ns());
+    /// must not keep the arrivals waiting. `now` is the engine clock as
+    /// the caller just read it.
+    fn pump<'a>(&'a self, io: &mut Pass<R>, mut eng: MutexGuard<'a, Engine>, mut now: u64) -> bool {
+        let outcome = eng.progress(now);
         let mut progressed =
             !io.frames.is_empty() || !outcome.retransmitted.is_empty() || outcome.control_enqueued;
         for round in 1.. {
@@ -437,7 +468,14 @@ impl<R: Rails> Serial<R> {
                     continue;
                 }
                 match eng.next_tx(RailId(rail)) {
-                    Ok(Some(d)) => io.rails.enqueue(rail, d.frame, d.token),
+                    Ok(Some(d)) => {
+                        // More of its kind may follow at once: the rails
+                        // are busy from here on.
+                        if d.small_eager {
+                            io.busy_until = now + LEASE_NS;
+                        }
+                        io.rails.enqueue(rail, d.frame, d.token);
+                    }
                     Ok(None) => {}
                     // A strategy bug poisons the endpoint's waits; it
                     // does not panic on whichever thread made the pass.
@@ -451,9 +489,18 @@ impl<R: Rails> Serial<R> {
             drop(eng);
 
             let wire = io.rails.flush(&mut io.done, &self.status);
-            let deadline = timer.min(wire.unwrap_or(u64::MAX));
+            // (A window that is over is no deadline: whoever held
+            // something back did so before it ended, and this pass has
+            // asked the strategy since.)
+            let window = if io.busy_until > now {
+                io.busy_until
+            } else {
+                u64::MAX
+            };
+            let deadline = timer.min(wire.unwrap_or(u64::MAX)).min(window);
             // The backstop thread may be asleep until the timer it last
-            // saw here: an earlier one (an RTO armed just now) wakes it.
+            // saw here: an earlier one (an RTO armed just now, a window
+            // that opened) wakes it.
             if deadline < self.deadline_ns.swap(deadline, Ordering::SeqCst) {
                 self.parker.kick();
             }
@@ -470,7 +517,8 @@ impl<R: Rails> Serial<R> {
             // `on_tx_done` by its clock (calibration samples, the
             // service-time estimate): one that finished in this flush
             // must not be digested at the time it was posted.
-            eng.observe_clock(self.now_ns());
+            now = self.now_ns();
+            eng.observe_clock(now);
         }
         progressed
     }
@@ -565,15 +613,16 @@ impl<R: Rails> Fabric for Serial<R> {
     }
 
     fn submit(&self, conn: ConnId, segments: Vec<Bytes>) -> SendId {
-        self.offer(|eng| eng.submit_send(conn, segments))
+        self.offer(true, |eng| eng.submit_send(conn, segments))
     }
 
     fn post_recv(&self, conn: ConnId) -> RecvId {
         let mut eng = self.engine.lock();
         let id = eng.post_recv(conn);
         // Only a receive that released a parked rendezvous grant leaves
-        // something to transmit.
-        let granted = eng.has_tx_work();
+        // something to transmit (what a submitter left in the backlog
+        // for the window is not this call's to send).
+        let granted = !eng.tx_can_wait();
         drop(eng);
         if granted {
             self.kick();
@@ -582,7 +631,7 @@ impl<R: Rails> Fabric for Serial<R> {
     }
 
     fn kick(&self) {
-        self.offer(|_| ());
+        self.offer(false, |_| ());
     }
 
     /// The caller drives progress itself ([`Serial::drive`]) and sleeps
@@ -629,8 +678,338 @@ impl<R: Rails> Fabric for Serial<R> {
     }
 
     /// Close the rails now (a TCP peer sees EOF), not when the last
-    /// handle's reference to the shared state goes.
+    /// handle's reference to the shared state goes — after one last
+    /// round of posts: shutdown drains, and what a submitter left in the
+    /// backlog for the window leaves here at the latest.
     fn finish_shutdown(&self) {
-        self.io.lock().rails.close();
+        let mut io = self.io.lock();
+        self.pump(&mut io, self.engine.lock(), self.now_ns());
+        io.rails.close();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::EngineConfig;
+    use nmad_model::platform;
+    use nmad_wire::FrameBody;
+    use std::collections::VecDeque;
+
+    const T: Duration = Duration::from_secs(20);
+
+    /// What the scripted rails did, and what they will find.
+    #[derive(Default)]
+    struct Script {
+        /// Every frame a flush carried, tagged with its rail.
+        sent: Mutex<Vec<(usize, PacketFrame)>>,
+        /// What the next read brings.
+        inbox: Mutex<VecDeque<(usize, PacketFrame)>>,
+        flushes: AtomicUsize,
+    }
+
+    impl Script {
+        fn sent(&self) -> usize {
+            self.sent.lock().len()
+        }
+
+        fn flushes(&self) -> usize {
+            self.flushes.load(Ordering::SeqCst)
+        }
+
+        /// Segments in the `i`th frame sent, if it is an aggregate.
+        fn aggregated(&self, i: usize) -> Option<usize> {
+            match self.sent.lock()[i].1.decode().expect("own frame").1 {
+                FrameBody::Aggregate(entries) => Some(entries.len()),
+                FrameBody::Packet(_) => None,
+            }
+        }
+
+        /// The endpoint talks to itself: what it sent since the last
+        /// call is what it reads next (both directions of a channel
+        /// count their messages from zero).
+        fn loop_back(&self, from: usize) -> usize {
+            let sent = self.sent.lock();
+            self.inbox.lock().extend(sent[from..].iter().cloned());
+            sent.len()
+        }
+    }
+
+    /// Rails that are not a transport: a frame is on the wire with the
+    /// flush that follows its post, and nothing arrives but what the
+    /// test put there.
+    struct ScriptRails {
+        script: Arc<Script>,
+        posted: Vec<Option<(PacketFrame, TxToken)>>,
+    }
+
+    impl Rails for ScriptRails {
+        type Parker = WorkSignal;
+
+        fn count(&self) -> usize {
+            self.posted.len()
+        }
+
+        fn read(&mut self, frames: &mut Vec<(usize, PacketFrame)>, _: &FabricStatus) -> bool {
+            frames.extend(self.script.inbox.lock().drain(..));
+            false
+        }
+
+        fn idle(&self, rail: usize) -> bool {
+            self.posted[rail].is_none()
+        }
+
+        fn enqueue(&mut self, rail: usize, frame: PacketFrame, token: TxToken) {
+            self.posted[rail] = Some((frame, token));
+        }
+
+        fn flush(&mut self, done: &mut Vec<(usize, TxToken)>, _: &FabricStatus) -> Option<u64> {
+            self.script.flushes.fetch_add(1, Ordering::SeqCst);
+            for (rail, slot) in self.posted.iter_mut().enumerate() {
+                if let Some((frame, token)) = slot.take() {
+                    self.script.sent.lock().push((rail, frame));
+                    done.push((rail, token));
+                }
+            }
+            None
+        }
+
+        fn syscalls(&self) -> SyscallStats {
+            SyscallStats::default()
+        }
+
+        fn close(&mut self) {}
+    }
+
+    struct Fixture {
+        ep: Endpoint,
+        serial: Arc<Serial<ScriptRails>>,
+        script: Arc<Script>,
+        conn: ConnId,
+    }
+
+    impl Fixture {
+        fn new() -> Self {
+            let rails = platform::paper_platform().rails;
+            let posted = rails.iter().map(|_| None).collect();
+            let cfg = EngineConfig {
+                crc: true,
+                ..EngineConfig::default()
+            };
+            let mut engine = Engine::new(cfg, rails, vec![]);
+            let conn = engine.conn_open();
+            let script = Arc::new(Script::default());
+            let rails = ScriptRails {
+                script: script.clone(),
+                posted,
+            };
+            let serial = Serial::new(engine, rails, WorkSignal::default(), Instant::now());
+            let ep = serial.clone().spawn("nmad-script", vec![conn]).unwrap();
+            Fixture {
+                ep,
+                serial,
+                script,
+                conn,
+            }
+        }
+
+        /// Submit one message of four 256 B segments.
+        fn send_kib(&self) -> crate::endpoint::SendHandle {
+            let seg = Bytes::from(vec![0x5a; 256]);
+            self.ep.send(self.conn, vec![seg; 4])
+        }
+
+        /// Strategy queries and decisions so far.
+        fn queries(&self) -> u64 {
+            let st = self.ep.stats();
+            let control: u64 = st.rails.iter().map(|r| r.control_packets).sum();
+            st.idle_queries + st.total_packets() + control
+        }
+
+        fn busy_until(&self) -> u64 {
+            self.serial.io().busy_until
+        }
+    }
+
+    /// The window is wall-clock time: a scenario that must fit into one
+    /// says whether it did (a thread can lose its CPU for longer), and
+    /// one that did not is run again on a fresh endpoint.
+    fn within_one_window(scenario: impl Fn(&Fixture) -> bool) {
+        for _ in 0..50 {
+            if scenario(&Fixture::new()) {
+                return;
+            }
+        }
+        panic!("fifty runs, none inside one window");
+    }
+
+    fn eventually(limit: Duration, mut cond: impl FnMut() -> bool) -> bool {
+        let t0 = Instant::now();
+        while t0.elapsed() < limit {
+            if cond() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        cond()
+    }
+
+    /// (i) A lone submission after a quiet window is on the wire when
+    /// `send` returns; (ii) the ones that follow within the window stay
+    /// in the backlog at no cost, and the one that makes a frame's worth
+    /// sends them all as one aggregate.
+    #[test]
+    fn a_burst_waits_in_the_backlog_for_a_frames_worth() {
+        within_one_window(|f| {
+            // (A stand-in poller: the backstop thread, woken because the
+            // window opened, declines and makes no pass of its own.)
+            f.serial.enter();
+            f.send_kib();
+            assert_eq!(f.script.sent(), 1, "the lone one left at once");
+            assert_eq!(f.script.aggregated(0), Some(4));
+            let until = f.busy_until();
+            assert!(until > 0, "a small frame makes the rails busy");
+
+            let (flushes, queries) = (f.script.flushes(), f.queries());
+            let held: Vec<_> = (0..15).map(|_| f.send_kib()).collect();
+            let seen = (f.script.sent(), f.script.flushes(), f.queries());
+            let last = f.send_kib();
+            if f.serial.now_ns() >= until {
+                f.serial.leave();
+                return false;
+            }
+            assert_eq!(seen, (1, flushes, queries), "held at no cost");
+            assert_eq!(f.script.sent(), 2, "one frame for sixteen messages");
+            assert_eq!(f.script.aggregated(1), Some(64));
+            assert!(held.iter().all(|h| h.wait(T)) && last.wait(T));
+            assert_eq!(f.script.sent(), 2);
+            f.serial.leave();
+            true
+        });
+    }
+
+    /// (iii) What is held leaves in the first pass of its own send wait,
+    /// and of a receive wait on the same endpoint — posting the receive
+    /// is not a pass.
+    #[test]
+    fn a_held_submission_leaves_with_the_first_pass_of_any_wait() {
+        within_one_window(|f| {
+            f.serial.enter();
+            f.send_kib();
+            let until = f.busy_until();
+            let held = f.send_kib();
+            let still = f.script.sent();
+            assert!(held.wait(T));
+            let after_send_wait = f.script.sent();
+
+            let held = f.send_kib();
+            let r = f.ep.recv(f.conn);
+            let posted = f.script.sent();
+            assert!(r.wait(Duration::ZERO).is_none());
+            f.serial.leave();
+            if f.serial.now_ns() >= until {
+                return false;
+            }
+            assert_eq!((still, after_send_wait), (1, 2));
+            assert_eq!(posted, 2, "a posted receive sends nothing");
+            assert_eq!(f.script.sent(), 3);
+            assert!(held.wait(Duration::ZERO));
+            true
+        });
+    }
+
+    /// (iv) With no further call the backstop thread sends what is held
+    /// when the window ends: the published deadline is no later.
+    #[test]
+    fn the_backstop_sends_what_is_held_when_the_window_ends() {
+        within_one_window(|f| {
+            f.send_kib();
+            let until = f.busy_until();
+            let held = f.send_kib();
+            let sent = f.script.sent();
+            let deadline = f.serial.deadline_ns.load(Ordering::SeqCst);
+            if f.serial.now_ns() >= until || sent != 1 {
+                // (Or the backstop, up because the window opened, made
+                // its pass between the two sends.)
+                return false;
+            }
+            assert!(deadline <= f.busy_until(), "held past the deadline");
+            let allowance = Duration::from_millis(50);
+            assert!(
+                eventually(CALLER_LEASE + allowance, || f.script.sent() == 2),
+                "stranded in the backlog"
+            );
+            assert!(held.wait(T));
+            true
+        });
+    }
+
+    /// (v) Nothing waits under a lease — a caller in conversation with
+    /// the peer — nor behind a control packet or a segment that is not
+    /// small.
+    #[test]
+    fn a_lease_a_control_packet_or_a_medium_segment_send_at_once() {
+        within_one_window(|f| {
+            f.serial.enter();
+            let r = f.ep.recv(f.conn);
+            f.send_kib();
+            let until = f.busy_until();
+            f.script.loop_back(0);
+            assert!(r.wait(T).is_some());
+            let leased = f.serial.leased().is_some();
+            f.send_kib();
+            let under_lease = f.script.sent();
+            f.serial.leave();
+            if !leased || f.serial.now_ns() >= until {
+                return false;
+            }
+            assert_eq!(under_lease, 2);
+            true
+        });
+        within_one_window(|f| {
+            f.serial.enter();
+            f.send_kib();
+            f.ep.fabric().engine().lock().send_sample(f.conn, 7, 8);
+            f.send_kib();
+            let behind_control = f.script.sent();
+            let medium = Bytes::from(vec![1; 8 * 1024]);
+            f.ep.send(f.conn, vec![Bytes::from_static(b"small"), medium]);
+            let with_medium = f.script.sent();
+            f.serial.leave();
+            if f.serial.now_ns() >= f.busy_until() {
+                return false;
+            }
+            // The probe and the message, one on each rail or one after
+            // the other; then the medium segment and its small sibling.
+            assert_eq!(behind_control, 3);
+            assert_eq!(with_medium, 5);
+            true
+        });
+    }
+
+    /// (vi) Control, chunk and medium eager frames do not make the rails
+    /// busy: a rendezvous played against the endpoint itself.
+    #[test]
+    fn a_rendezvous_does_not_open_the_window() {
+        let f = Fixture::new();
+        let r = f.ep.recv(f.conn);
+        let payload = Bytes::from(vec![7; 1 << 20]);
+        let s = f.ep.send(f.conn, vec![payload.clone()]);
+        let mut looped = 0;
+        let t0 = Instant::now();
+        let msg = loop {
+            looped = f.script.loop_back(looped);
+            if let Some(msg) = r.wait(Duration::ZERO) {
+                break msg;
+            }
+            assert!(t0.elapsed() < T, "rendezvous never completed");
+        };
+        assert!(msg.segments[0] == payload && s.wait(T));
+        assert!(f.ep.stats().chunks_sent >= 2);
+        assert!(f
+            .ep
+            .send(f.conn, vec![Bytes::from(vec![1; 8 * 1024])])
+            .wait(T));
+        assert_eq!(f.busy_until(), 0);
     }
 }

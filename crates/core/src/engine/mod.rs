@@ -354,9 +354,9 @@ impl Engine {
             obs: FlightRecorder::with_capacity(config.record_capacity),
             calibrator,
             telemetry,
+            backlog: Backlog::with_small_below(config.min_chunk as u64),
             config,
             tables,
-            backlog: Backlog::new(),
             rail_inflight: vec![0; n],
             control_q: VecDeque::new(),
             conn_tx: Vec::new(),
@@ -549,6 +549,23 @@ impl Engine {
     /// scheduled until the peer answers.
     pub fn has_tx_work(&self) -> bool {
         !self.control_q.is_empty() || self.backlog.has_schedulable()
+    }
+
+    /// True when nothing queued loses by waiting for what is submitted
+    /// next: no control packet, no granted segment, no eager segment of
+    /// [`EngineConfig::min_chunk`] bytes or more, and of smaller ones not
+    /// yet the [`EngineConfig::agg_max_bytes`] one aggregate carries. A
+    /// runtime whose rail has just taken a small frame may then leave a
+    /// submission in the backlog for the strategy to find company for
+    /// (DESIGN.md "The window"). In acked mode nothing schedulable can
+    /// wait: a send's retransmission timer and its round-trip sample run
+    /// from the submission, and the wait would be taken for the
+    /// network's.
+    pub fn tx_can_wait(&self) -> bool {
+        self.control_q.is_empty()
+            && !self.backlog.has_urgent()
+            && self.backlog.small_eager_bytes() < self.config.agg_max_bytes as u64
+            && !(self.config.acked && self.backlog.has_schedulable())
     }
 
     /// True when any request (send or rendezvous handshake) is unfinished.
@@ -918,7 +935,9 @@ impl Engine {
                         .size(payload as u64),
                 );
                 let keys = KeyList::one(key);
-                Ok(self.finish_decision(rail, key.conn, pkt, keys, payload, retransmitted))
+                let mut d = self.finish_decision(rail, key.conn, pkt, keys, payload, retransmitted);
+                d.small_eager = payload < self.config.min_chunk;
+                Ok(d)
             }
             TxOp::Aggregate(keys) => {
                 let Some(first) = keys.get(0) else {
@@ -926,6 +945,7 @@ impl Engine {
                 };
                 let first_conn = first.conn;
                 let mut retransmitted = false;
+                let mut small_eager = true;
                 // (What an aggregate that failed half-way left behind.)
                 self.agg.clear();
                 for &key in &keys {
@@ -937,6 +957,7 @@ impl Engine {
                             ))?;
                     let (data, again) = self.take_piece(rail, key, true)?;
                     retransmitted |= again;
+                    small_eager &= data.len() < self.config.min_chunk;
                     self.agg.push(AggregateEntry {
                         conn_id: key.conn,
                         msg_id: key.msg_id,
@@ -963,7 +984,10 @@ impl Engine {
                         .size(payload as u64)
                         .aux(keys.len() as u64),
                 );
-                Ok(self.finish_agg_decision(rail, first_conn, agg, keys, payload, retransmitted))
+                let mut d =
+                    self.finish_agg_decision(rail, first_conn, agg, keys, payload, retransmitted);
+                d.small_eager = small_eager;
+                Ok(d)
             }
             TxOp::Chunk { key, max_len } => {
                 let max_len = max_len.min(self.rails[rail.0].mtu as u64);
@@ -1183,6 +1207,7 @@ impl Engine {
             mode,
             copied_bytes,
             control,
+            small_eager: false,
         }
     }
 
@@ -2090,6 +2115,69 @@ mod tests {
         assert_eq!(msg.segments.len(), 1);
         assert_eq!(msg.segments[0], payload(100, 0xAB));
         assert!(tx.is_quiescent());
+    }
+
+    /// What may stay in the backlog while the rails count as busy, and
+    /// which decisions make them so (DESIGN.md "The window").
+    #[test]
+    fn only_small_eager_work_can_wait_and_only_small_eager_frames_say_so() {
+        let mut tx = engine(StrategyKind::AdaptiveSplit);
+        let mut rx = engine(StrategyKind::AdaptiveSplit);
+        let c = tx.conn_open();
+        rx.conn_open();
+        assert!(tx.tx_can_wait(), "nothing queued");
+
+        // Small eager segments wait, until there is a frame's worth.
+        let kib = || vec![payload(256, 1); 4];
+        for _ in 0..15 {
+            tx.submit_send(c, kib());
+            assert!(tx.tx_can_wait());
+        }
+        tx.submit_send(c, kib());
+        assert!(!tx.tx_can_wait(), "16 KiB make an aggregate");
+        let fast = tx.next_tx(RailId(1)).unwrap().expect("an aggregate");
+        assert!(fast.small_eager && !fast.control);
+        tx.on_tx_done(RailId(1), fast.token).unwrap();
+        assert!(tx.tx_can_wait(), "all sixteen left in it");
+
+        // A medium eager segment does not wait, nor what shares the
+        // backlog with it; its frame is not a small one.
+        tx.submit_send(c, vec![payload(100, 2), payload(8 * 1024, 3)]);
+        assert!(!tx.tx_can_wait());
+        let medium = tx.next_tx(RailId(0)).unwrap().expect("the 8 KiB segment");
+        assert!(!medium.small_eager);
+        tx.on_tx_done(RailId(0), medium.token).unwrap();
+        assert!(tx.tx_can_wait(), "the 100 B one is left");
+        pump(&mut tx, &mut rx);
+
+        // A rendezvous: its request is control, its granted segment
+        // urgent, its chunks are not small eager frames.
+        tx.submit_send(c, vec![payload(64 * 1024, 4)]);
+        assert!(!tx.tx_can_wait(), "a request is queued");
+        let request = tx.next_tx(RailId(0)).unwrap().expect("the request");
+        assert!(request.control && !request.small_eager);
+        tx.on_tx_done(RailId(0), request.token).unwrap();
+        assert!(tx.tx_can_wait(), "waiting for the grant is not tx work");
+        rx.on_frame(RailId(0), &request.frame).unwrap();
+        // (The grant waits for the receive that matches the eighteenth
+        // message.)
+        for _ in 0..18 {
+            rx.post_recv(c);
+        }
+        let grant = rx.next_tx(RailId(0)).unwrap().expect("the grant");
+        tx.on_frame(RailId(0), &grant.frame).unwrap();
+        assert!(!tx.tx_can_wait(), "a granted segment");
+        let chunk = tx.next_tx(RailId(0)).unwrap().expect("a chunk");
+        assert!(!chunk.small_eager && !chunk.control);
+
+        // With acks a send's timer runs from its submission.
+        let mut cfg = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
+        cfg.acked = true;
+        let mut acked = Engine::new(cfg, platform::paper_platform().rails, vec![]);
+        let c = acked.conn_open();
+        assert!(acked.tx_can_wait());
+        acked.submit_send(c, kib());
+        assert!(!acked.tx_can_wait());
     }
 
     #[test]

@@ -1089,6 +1089,7 @@ mod tests {
             mode: nmad_model::TxMode::Pio,
             copied_bytes: 0,
             control: false,
+            small_eager: false,
         };
         let t0 = Instant::now();
         tx.push(d).unwrap();

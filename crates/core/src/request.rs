@@ -102,16 +102,85 @@ impl BacklogItem {
 /// This is the "waiting packs" box of the paper's Figure 1: requests
 /// accumulate here while NICs are busy; each NIC-idle event lets the
 /// strategy pick (and remove) work from it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Backlog {
     items: Vec<BacklogItem>,
     next_seq: u64,
+    counts: Counts,
+}
+
+/// What a scan of the backlog's items would answer, kept in step instead
+/// — the questions come with every submission and every idle query.
+/// Every method that adds, removes or grants an item tallies it here.
+#[derive(Debug, Default)]
+struct Counts {
+    /// Eager segments below this many bytes are *small*: the ones an
+    /// aggregate is made of, and that lose nothing by waiting for company.
+    small_below: u64,
+    /// Eager and granted items: what a strategy can pick from.
+    schedulable: usize,
+    /// Of those, the ones that cannot wait: granted segments and eager
+    /// ones that are not small.
+    urgent: usize,
+    /// Bytes of the eager items, and of the small ones among them.
+    eager_bytes: u64,
+    small_eager_bytes: u64,
+}
+
+impl Counts {
+    /// An item of `phase` and `size` joins the backlog, or leaves it.
+    fn tally(&mut self, phase: SegPhase, size: u64, joins: bool) {
+        let small = size < self.small_below;
+        let (urgent, eager, small_eager) = match phase {
+            SegPhase::RdvRequested => return,
+            SegPhase::RdvGranted => (1, 0, 0),
+            SegPhase::EagerReady if small => (0, size, size),
+            SegPhase::EagerReady => (1, size, 0),
+        };
+        if joins {
+            self.schedulable += 1;
+            self.urgent += urgent;
+            self.eager_bytes += eager;
+            self.small_eager_bytes += small_eager;
+        } else {
+            self.schedulable -= 1;
+            self.urgent -= urgent;
+            self.eager_bytes -= eager;
+            self.small_eager_bytes -= small_eager;
+        }
+    }
+}
+
+impl Default for Backlog {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Backlog {
-    /// Empty backlog.
+    /// Empty backlog in which every eager segment counts as small.
     pub fn new() -> Self {
-        Self::default()
+        Self::with_small_below(u64::MAX)
+    }
+
+    /// Empty backlog whose eager segments are small below `small_below`
+    /// bytes (the engine's `min_chunk`).
+    pub fn with_small_below(small_below: u64) -> Self {
+        Backlog {
+            items: Vec::new(),
+            next_seq: 0,
+            counts: Counts {
+                small_below,
+                ..Counts::default()
+            },
+        }
+    }
+
+    /// Take the item at `idx` out.
+    fn remove_at(&mut self, idx: usize) -> BacklogItem {
+        let item = self.items.remove(idx);
+        self.counts.tally(item.phase, item.size, false);
+        item
     }
 
     /// Number of waiting segments.
@@ -128,6 +197,7 @@ impl Backlog {
     pub fn push(&mut self, key: SegKey, total_segs: u16, size: u64, phase: SegPhase) {
         let submit_seq = self.next_seq;
         self.next_seq += 1;
+        self.counts.tally(phase, size, true);
         self.items.push(BacklogItem {
             key,
             total_segs,
@@ -157,7 +227,13 @@ impl Backlog {
     /// Whether a strategy has anything to pick from: an eager or a
     /// granted segment (every `TxOp` names one of the two).
     pub fn has_schedulable(&self) -> bool {
-        self.items.iter().any(|i| i.phase != SegPhase::RdvRequested)
+        self.counts.schedulable > 0
+    }
+
+    /// Whether anything schedulable cannot wait for company: a granted
+    /// segment, or an eager one that is not small.
+    pub fn has_urgent(&self) -> bool {
+        self.counts.urgent > 0
     }
 
     /// Whether any segment is waiting for a rendezvous grant.
@@ -175,6 +251,8 @@ impl Backlog {
         match self.position(key) {
             Some(idx) if self.items[idx].phase == SegPhase::RdvRequested => {
                 self.items[idx].phase = SegPhase::RdvGranted;
+                self.counts
+                    .tally(SegPhase::RdvGranted, self.items[idx].size, true);
                 true
             }
             _ => false,
@@ -187,7 +265,7 @@ impl Backlog {
         if self.items[idx].phase != SegPhase::EagerReady {
             return None;
         }
-        Some(self.items.remove(idx))
+        Some(self.remove_at(idx))
     }
 
     /// Consume up to `max_len` bytes from the front of a granted segment
@@ -210,7 +288,7 @@ impl Backlog {
         let total_segs = item.total_segs;
         let seg_exhausted = item.next_offset == item.size;
         if seg_exhausted {
-            self.items.remove(idx);
+            self.remove_at(idx);
         }
         Some(TakenChunk {
             key,
@@ -276,7 +354,7 @@ impl Backlog {
         let total_segs = item.total_segs;
         let seg_exhausted = plan.iter().all(|c| c.taken);
         if seg_exhausted {
-            self.items.remove(i);
+            self.remove_at(i);
         }
         Some(TakenChunk {
             key,
@@ -290,7 +368,13 @@ impl Backlog {
 
     /// Sum of eager segment sizes (used by aggregation threshold checks).
     pub fn eager_bytes(&self) -> u64 {
-        self.eager_items().map(|i| i.size).sum()
+        self.counts.eager_bytes
+    }
+
+    /// Sum of the small eager segments' sizes: what one aggregate could
+    /// carry right now.
+    pub fn small_eager_bytes(&self) -> u64 {
+        self.counts.small_eager_bytes
     }
 
     /// Failover support: re-point every not-yet-taken planned chunk that
@@ -315,8 +399,14 @@ impl Backlog {
     /// support); returns how many were dropped.
     pub fn remove_msg(&mut self, conn: nmad_wire::ConnId, msg_id: nmad_wire::MsgId) -> usize {
         let before = self.items.len();
-        self.items
-            .retain(|i| !(i.key.conn == conn && i.key.msg_id == msg_id));
+        let counts = &mut self.counts;
+        self.items.retain(|i| {
+            let hit = i.key.conn == conn && i.key.msg_id == msg_id;
+            if hit {
+                counts.tally(i.phase, i.size, false);
+            }
+            !hit
+        });
         before - self.items.len()
     }
 }

@@ -355,3 +355,115 @@ proptest! {
         );
     }
 }
+
+/// One call on a [`Backlog`], with small numbers for keys so that calls
+/// meet the items earlier ones left.
+#[derive(Debug, Clone)]
+enum BacklogOp {
+    Push {
+        msg: u64,
+        seg: u16,
+        size: u64,
+        rdv: bool,
+    },
+    Grant(u64, u16),
+    TakeEager(u64, u16),
+    TakeChunk(u64, u16, u64),
+    SetPlan(u64, u16),
+    TakePlanned(usize),
+    RemoveMsg(u64),
+    ReassignRail(usize),
+}
+
+fn arb_backlog_op() -> impl Strategy<Value = BacklogOp> {
+    let key = || (0u64..5, 0u16..3);
+    // Around the thresholds a test may set, and zero.
+    let size = prop_oneof![Just(0u64), 1u64..300, 8000u64..8400, 8192u64..40_000];
+    prop_oneof![
+        (key(), size, any::<bool>()).prop_map(|((msg, seg), size, rdv)| BacklogOp::Push {
+            msg,
+            seg,
+            size,
+            rdv
+        }),
+        key().prop_map(|(m, s)| BacklogOp::Grant(m, s)),
+        key().prop_map(|(m, s)| BacklogOp::TakeEager(m, s)),
+        (key(), 1u64..20_000).prop_map(|((m, s), len)| BacklogOp::TakeChunk(m, s, len)),
+        key().prop_map(|(m, s)| BacklogOp::SetPlan(m, s)),
+        (0usize..2).prop_map(BacklogOp::TakePlanned),
+        (0u64..5).prop_map(BacklogOp::RemoveMsg),
+        (0usize..2).prop_map(BacklogOp::ReassignRail),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The backlog answers `has_schedulable`, `has_urgent`, `eager_bytes`
+    /// and `small_eager_bytes` from counts it keeps in step: after any
+    /// sequence of calls they say what a scan of the items says.
+    #[test]
+    fn backlog_counts_match_a_scan(
+        ops in prop::collection::vec(arb_backlog_op(), 1..80),
+        small_below in prop_oneof![Just(1u64), Just(256u64), Just(8192u64), Just(u64::MAX)],
+    ) {
+        use nmad_core::request::{Backlog, PlannedChunk, SegKey, SegPhase};
+        let key = |msg_id, seg_index| SegKey { conn: 0, msg_id, seg_index };
+        let mut b = Backlog::with_small_below(small_below);
+        for op in ops {
+            match op.clone() {
+                BacklogOp::Push { msg, seg, size, rdv } => {
+                    let phase = if rdv { SegPhase::RdvRequested } else { SegPhase::EagerReady };
+                    b.push(key(msg, seg), 3, size, phase);
+                }
+                BacklogOp::Grant(m, s) => {
+                    b.grant(key(m, s));
+                }
+                BacklogOp::TakeEager(m, s) => {
+                    b.take_eager(key(m, s));
+                }
+                BacklogOp::TakeChunk(m, s, len) => {
+                    b.take_chunk(key(m, s), len);
+                }
+                BacklogOp::SetPlan(m, s) => {
+                    // Two halves of what is left, one per rail.
+                    let left = b.granted_items().find(|i| i.key == key(m, s) && i.plan.is_none());
+                    if let Some((from, size)) = left.map(|i| (i.next_offset, i.size)) {
+                        let mid = from + (size - from) / 2;
+                        let chunk = |rail, offset, end| PlannedChunk {
+                            rail,
+                            offset,
+                            len: end - offset,
+                            taken: false,
+                        };
+                        let plan = [chunk(0, from, mid), chunk(1, mid, size)];
+                        b.set_plan(key(m, s), plan.into_iter().filter(|c| c.len > 0).collect());
+                    }
+                }
+                BacklogOp::TakePlanned(rail) => {
+                    b.take_planned(rail);
+                }
+                BacklogOp::RemoveMsg(m) => {
+                    b.remove_msg(0, m);
+                }
+                BacklogOp::ReassignRail(dead) => {
+                    b.reassign_rail(dead, &[1 - dead]);
+                }
+            }
+            let eager = || b.eager_items().map(|i| i.size);
+            let granted = b.granted_items().count();
+            prop_assert_eq!(b.has_schedulable(), eager().count() + granted > 0, "{:?}", op);
+            prop_assert_eq!(
+                b.has_urgent(),
+                granted > 0 || eager().any(|size| size >= small_below),
+                "{:?}", op
+            );
+            prop_assert_eq!(b.eager_bytes(), eager().sum::<u64>(), "{:?}", op);
+            prop_assert_eq!(
+                b.small_eager_bytes(),
+                eager().filter(|&size| size < small_below).sum::<u64>(),
+                "{:?}", op
+            );
+        }
+    }
+}

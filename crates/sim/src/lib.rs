@@ -22,7 +22,6 @@
 //! * [`FluidChannel`] — a max-min fair fluid-flow model of a shared channel
 //!   (the host I/O bus) with per-flow rate caps, the component responsible
 //!   for the paper's 1675 MB/s aggregated-bandwidth plateau.
-//! * [`trace`] — a lightweight bounded trace buffer for debugging runs.
 //!
 //! Everything here is driven *by* the runtime crate; the kernel itself never
 //! dictates an event vocabulary.
@@ -35,7 +34,6 @@ pub mod queue;
 pub mod resource;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use fluid::{FlowId, FluidChannel};
 pub use multi::MultiResource;

@@ -1245,7 +1245,10 @@ mod tests {
         for round in 0..40 {
             let before = msgs_received(&b);
             sb.enter();
-            a.send(c, small(round));
+            // (Reaped: a send that follows another within the window may
+            // stay in the backlog until a pass, and a wait that has to
+            // look is one.)
+            assert!(a.send(c, small(round)).wait(T));
             // (A backstop pass still in flight may have read it instead.)
             assert!(
                 sb.owed() || msgs_received(&b) > before,

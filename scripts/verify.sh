@@ -39,6 +39,19 @@ if grep -rnE 'carve_frames|\.parallel =|\.reactor =|reactor_threads|Runtime::Rea
     crates src tests examples .github; then
     echo "a deleted runtime, runtime switch or carve path is back (see above)"; exit 1
 fi
+# The optimisation window on live rails is one rule in the serial driver
+# (a rail that took a small eager frame counts as busy for CALLER_LEASE,
+# and a submitter holding no lease leaves what can wait in the backlog:
+# DESIGN.md §15 "The window"), not a setting: no cork, hold time or
+# window length among the engine's or a transport's configuration.
+echo "==> the window is a rule, not a knob; no dead tracer in the sim"
+if grep -nE 'pub [a-z_]*(cork|flush_hold|hold_us|window_ns)[a-z_]*:' \
+    crates/*/src/config.rs crates/transport-*/src/lib.rs; then
+    echo "the optimisation window grew a configuration field (see above)"; exit 1
+fi
+if grep -rnE '\bTracer\b' crates/sim; then
+    echo "nmad-sim's unused Tracer is back (see above): the flight recorder is the trace"; exit 1
+fi
 # Per-message engine state lives in id-indexed windows (nmad-wire's
 # IdWindow; DESIGN.md §12 "Engine state tables"): message ids, send and
 # receive handles, tx tokens and probe numbers are dense counters, so a
@@ -84,6 +97,17 @@ cargo test -q
 # `-- --nocapture` on that test prints the counts.)
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
+
+# The optimisation window, by name: a burst (window of 32 messages of
+# 4 x 256 B, sender never waits for an arrival) on both serial pairs
+# must leave as aggregates (<= 0.25 data frames and, on TCP,
+# `write_vectored` calls per message by the transport's own counts;
+# 1.0 before PR 21) and an echo as exactly one frame per message.
+# Printed so that every later log shows the trend (a debug build reads
+# 0.08-0.10; a release one 0.0625-0.07).
+echo "==> live optimisation window (conformance burst_aggregates_and_echo_does_not)"
+cargo test -q --test conformance burst_aggregates_and_echo_does_not -- --nocapture \
+    | grep 'frames_per_msg' | sed 's/^/    /'
 
 # vendor/ is outside the workspace, and `Bytes::try_unsplit` is a method
 # upstream `bytes` does not have (vendor/README.md): its tests run here.

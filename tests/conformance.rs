@@ -47,7 +47,26 @@ fn on_every_pair_with_conns(
     engine: EngineConfig,
     case: impl Fn((Transport, Runtime), Endpoint, Endpoint),
 ) {
-    for (transport, runtime) in PAIRS {
+    on_pairs(&PAIRS, conns, engine, case);
+}
+
+/// [`on_every_pair`] for what is the serial runtime's alone: the pairs
+/// on which callers drive progress.
+fn on_serial_pairs(engine: EngineConfig, case: impl Fn((Transport, Runtime), Endpoint, Endpoint)) {
+    let serial: Vec<_> = PAIRS
+        .into_iter()
+        .filter(|&(_, runtime)| runtime == Runtime::Serial)
+        .collect();
+    on_pairs(&serial, 1, engine, case);
+}
+
+fn on_pairs(
+    pairs: &[(Transport, Runtime)],
+    conns: usize,
+    engine: EngineConfig,
+    case: impl Fn((Transport, Runtime), Endpoint, Endpoint),
+) {
+    for &(transport, runtime) in pairs {
         let mut engine = engine.clone();
         engine.runtime = runtime;
         let plat = platform::paper_platform();
@@ -336,5 +355,160 @@ fn concurrent_callers_on_distinct_conns() {
         assert_eq!(a.rx_errors() + b.rx_errors(), 0, "{on:?}");
         assert_eq!(a.io_errors() + b.io_errors(), 0, "{on:?}");
         assert_eq!(a.pool_leaks() + b.pool_leaks(), 0, "{on:?}");
+    });
+}
+
+/// Data frames `e` put on the wire so far: by the engine's per-rail
+/// count and, where bytes cross the kernel, by the transport's own count
+/// of frames and of `write_vectored` calls (no control frame is sent in
+/// the shapes that ask).
+fn data_frames(on: (Transport, Runtime), e: &Endpoint) -> u64 {
+    let st = e.stats();
+    let packets = st.total_packets();
+    if on.0 == Transport::Tcp {
+        assert_eq!(st.syscalls.tx_frames, packets, "{on:?}");
+        assert!(st.syscalls.tx_calls <= packets, "{on:?}");
+    }
+    packets
+}
+
+/// The optimisation window on live rails (DESIGN.md §15 "The window"),
+/// where callers drive progress. A burst — a window of 32 messages of
+/// 4 x 256 B kept full by a sender that never waits for an arrival on
+/// its own endpoint — leaves as aggregates of a frame's worth; an echo,
+/// where each end answers what it has just received, sends every message
+/// at once, one frame each.
+#[test]
+fn burst_aggregates_and_echo_does_not() {
+    const MESSAGES: usize = 2000;
+    const WINDOW: usize = 32;
+    on_serial_pairs(EngineConfig::default(), |on, a, b| {
+        let c = a.conns()[0];
+        let message = |i: usize| -> Vec<Bytes> {
+            (0..4)
+                .map(|seg| Bytes::from(random(256, (i * 4 + seg) as u64)))
+                .collect()
+        };
+        let mut inflight: VecDeque<(RecvHandle, SendHandle)> = VecDeque::new();
+        for i in 0..MESSAGES + WINDOW {
+            if inflight.len() == WINDOW || i >= MESSAGES {
+                let (r, s) = inflight.pop_front().unwrap();
+                let got = r.wait(T).unwrap_or_else(|| panic!("{on:?}: recv"));
+                assert_eq!(got.segments, message(i - WINDOW), "{on:?}");
+                assert!(s.wait(T), "{on:?}");
+            }
+            if i < MESSAGES {
+                inflight.push_back((b.recv(c), a.send(c, message(i))));
+            }
+        }
+        let per_msg = data_frames(on, &a) as f64 / MESSAGES as f64;
+        let writes = a.stats().syscalls.tx_calls as f64 / MESSAGES as f64;
+        println!("{on:?}: burst frames_per_msg {per_msg:.4}, tx_calls_per_msg {writes:.4}");
+        assert!(
+            per_msg <= 0.25,
+            "{on:?}: {per_msg} data frames per message: the burst did not aggregate"
+        );
+        assert_eq!(a.rx_errors() + b.rx_errors(), 0, "{on:?}");
+    });
+    on_serial_pairs(EngineConfig::default(), |on, a, b| {
+        let c = a.conns()[0];
+        const ROUNDS: u64 = 300;
+        for i in 0..ROUNDS {
+            let (ra, rb) = (a.recv(c), b.recv(c));
+            let sa = a.send(c, vec![Bytes::from(random(64, i))]);
+            let ping = rb.wait(T).unwrap_or_else(|| panic!("{on:?}: ping {i}"));
+            let sb = b.send(c, ping.segments);
+            let pong = ra.wait(T).unwrap_or_else(|| panic!("{on:?}: pong {i}"));
+            assert_eq!(
+                pong.segments[0].as_ref(),
+                random(64, i).as_slice(),
+                "{on:?}"
+            );
+            assert!(sa.wait(T) && sb.wait(T), "{on:?}");
+        }
+        assert_eq!(data_frames(on, &a), ROUNDS, "{on:?}: one frame per ping");
+        assert_eq!(data_frames(on, &b), ROUNDS, "{on:?}: one frame per pong");
+    });
+}
+
+/// Shutdown drains: a message submitted within the window of another —
+/// still in the backlog when `send` returns — is sent when its endpoint
+/// is dropped, not stranded.
+#[test]
+fn send_then_drop_delivers() {
+    on_serial_pairs(EngineConfig::default(), |on, a, b| {
+        let c = a.conns()[0];
+        let recvs: Vec<RecvHandle> = (0..3).map(|_| b.recv(c)).collect();
+        for i in 0..3 {
+            a.send(c, vec![Bytes::from(random(200 + i, i as u64))]);
+        }
+        drop(a);
+        for (i, r) in recvs.into_iter().enumerate() {
+            let msg = r
+                .wait(T)
+                .unwrap_or_else(|| panic!("{on:?}: message {i} stranded"));
+            assert_eq!(
+                msg.segments[0].as_ref(),
+                random(200 + i, i as u64).as_slice()
+            );
+        }
+    });
+}
+
+/// Acked sends back to back: a send's retransmission timer and its
+/// round-trip sample run from the submission, so none of them may sit
+/// in the backlog waiting for company — with no lease held and the
+/// window of a first small frame open, where unacked ones would. No
+/// timer fires, and where callers drive progress the sends leave as they
+/// are submitted (two aggregates would carry all of them otherwise).
+/// Both are a matter of timing on a loaded machine — a send that finds
+/// the backstop mid-pass joins the backlog, as ever, and a thread that
+/// loses its CPU for a millisecond outlasts the shortest timeout — so
+/// one burst in five has to show them, not each.
+#[test]
+fn acked_burst_is_not_held_back() {
+    const BURST: u64 = 32;
+    let engine = EngineConfig {
+        acked: true,
+        ..EngineConfig::default()
+    };
+    on_every_pair(engine, |on, a, b| {
+        let c = a.conns()[0];
+        let small = |seed: u64| vec![Bytes::from(random(256, seed))];
+        let srtt = |e: &Endpoint| {
+            let rails = 0..e.stats().rails.len();
+            rails.filter_map(|r| e.rail_telemetry(r).srtt_ns).min()
+        };
+        for i in 0..BURST {
+            let r = b.recv(c);
+            let s = a.send(c, small(i));
+            assert!(r.wait(T).is_some(), "{on:?}");
+            assert!(s.wait_acked(T), "{on:?}");
+        }
+        let echo = srtt(&a);
+        let clean = (1..=5).any(|attempt| {
+            // (The lease of the last `wait_acked` runs out.)
+            std::thread::sleep(Duration::from_millis(5));
+            let before = a.stats();
+            let recvs: Vec<RecvHandle> = (0..BURST).map(|_| b.recv(c)).collect();
+            let sends: Vec<SendHandle> = (0..BURST)
+                .map(|i| a.send(c, small(attempt * 100 + i)))
+                .collect();
+            let frames = a.stats().total_packets() - before.total_packets();
+            for r in recvs {
+                assert!(r.wait(T).is_some(), "{on:?}");
+            }
+            for s in &sends {
+                assert!(s.wait_acked(T), "{on:?}");
+            }
+            let fired = a.stats().retransmits - before.retransmits;
+            println!(
+                "{on:?}: {frames} frames left with {BURST} sends, {fired} retransmissions, \
+                 srtt echo {echo:?} burst {:?}",
+                srtt(&a)
+            );
+            fired == 0 && (on.1 != Runtime::Serial || frames >= BURST / 2)
+        });
+        assert!(clean, "{on:?}: acked sends waited in the backlog");
     });
 }
