@@ -36,9 +36,20 @@
 //! `write_vectored` straight from the engine's [`PacketFrame`] parts (no
 //! flattening). Arrivals are carved by the one `FrameReader`: frames
 //! that fit the 64 KiB read buffer are copied out into an allocation of
-//! exactly their size, a larger one (a rendezvous chunk) is read
-//! straight into its own allocation, and each is handed to
-//! [`nmad_core::Engine::on_frame`] as one refcounted slice.
+//! exactly their size, a larger one is read straight into its own
+//! allocation, and each is handed to [`nmad_core::Engine::on_frame`] as
+//! one refcounted slice. A rendezvous chunk goes one better on `Serial`:
+//! its head says where in its segment it belongs, and both rails'
+//! readers share a landing table (under the rails lock) that holds one
+//! allocation per segment in progress, so the payload is read — or, when
+//! it arrived whole with other frames, copied once — into its place
+//! there; the chunks reach the engine as slices of one allocation,
+//! re-join in reassembly and the segment is delivered without the
+//! gather. The table is a placement hint: whatever it cannot serve
+//! exactly (a range claimed before, a head that disagrees with the
+//! frame or the segment, no room) takes the frame-of-its-own path, as
+//! does every frame on `Threads`, whose per-rail reader threads share
+//! nothing (DESIGN.md "Receive: reassembly by reference").
 //!
 //! ## Syscall amortization (DESIGN.md §12)
 //!
@@ -78,7 +89,7 @@ use nmad_model::Platform;
 use nmad_sim::Xoshiro256StarStar;
 use nmad_wire::{ConnId, PacketFrame};
 
-use frame::{FrameReader, LEN_PREFIX};
+use frame::{FrameReader, LandingTable, LEN_PREFIX};
 
 mod frame;
 mod sys;
@@ -291,6 +302,8 @@ struct TcpRails {
     rng: Xoshiro256StarStar,
     /// Syscall amortization tallies, mirrored into the engine's stats.
     syscalls: SyscallStats,
+    /// Where both rails' readers put the chunks of a striped segment.
+    landing: LandingTable,
 }
 
 impl Rails for TcpRails {
@@ -306,10 +319,13 @@ impl Rails for TcpRails {
         let mut owed = false;
         for (r, rail) in self.rails.iter_mut().enumerate() {
             let open = !rail.rx.closed();
-            match rail
-                .rx
-                .read_some(&rail.stream, r, frames, &mut self.syscalls)
-            {
+            match rail.rx.read_some(
+                &rail.stream,
+                r,
+                Some(&mut self.landing),
+                frames,
+                &mut self.syscalls,
+            ) {
                 Ok(full) => owed |= full,
                 Err(_) => {
                     status.io_errors.fetch_add(1, Ordering::Relaxed);
@@ -681,7 +697,7 @@ impl RxWorker {
         while !self.hub.is_shutdown() && !reader.closed() {
             let mut tally = SyscallStats::default();
             if reader
-                .read_some(&self.stream, self.rail, &mut frames, &mut tally)
+                .read_some(&self.stream, self.rail, None, &mut frames, &mut tally)
                 .is_err()
             {
                 self.hub.status.io_errors.fetch_add(1, Ordering::Relaxed);
@@ -740,6 +756,7 @@ fn spawn_serial(
         chaos: config.chaos.clone(),
         rng: Xoshiro256StarStar::new(0x7C9),
         syscalls: SyscallStats::default(),
+        landing: LandingTable::new(),
     };
     Serial::new(engine, rails, ready, Instant::now()).spawn("nmad-tcp", conns)
 }
@@ -928,11 +945,33 @@ mod tests {
             a.stats().retransmits > 0,
             "a 50% drop boost must force retries"
         );
+        // Rendezvous-sized, still lossy: a retransmission re-chunks the
+        // whole message, so its chunks come back over ranges of the
+        // segment's landing allocation that the first attempt's
+        // survivors claimed. Those miss, arrive in frames of their own
+        // and are trimmed or dropped as duplicates; the delivery is
+        // byte-exact whichever mix of landed and gathered it is.
+        // (Which frames are lost follows the order the rails were
+        // written in: most messages meet the case, not every one.)
+        let before = b.stats();
+        let met = (0..32).any(|i| {
+            let large = random((1 << 20) + i * 4099, 50 + i as u64);
+            let r = b.recv(c);
+            let s = a.send(c, vec![Bytes::from(large.clone())]);
+            assert!(s.wait_acked(T), "large message {i} never recovered");
+            assert_eq!(r.wait(T).unwrap().segments[0].as_ref(), large.as_slice());
+            let after = b.stats();
+            after.duplicates_dropped > before.duplicates_dropped
+                || after.datapath.rx_copy_bytes > before.datapath.rx_copy_bytes
+        });
+        assert!(met, "no retransmitted chunk met a range already claimed");
         chaos.heal_all();
         let r = b.recv(c);
         let s = a.send(c, vec![Bytes::from(random(4096, 99))]);
         assert!(s.wait_acked(T));
         assert!(r.wait(T).is_some());
+        assert_eq!(a.pool_leaks() + b.pool_leaks(), 0);
+        assert_eq!(a.io_errors() + b.io_errors(), 0);
     }
 
     #[test]

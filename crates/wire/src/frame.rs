@@ -332,12 +332,7 @@ impl PacketFrame {
                 let total_len = r.u64()?;
                 let chunk_index = r.u16()?;
                 let len = r.u32()? as usize;
-                if offset + len as u64 > total_len {
-                    return Err(WireError::BadLength {
-                        what: "chunk extent",
-                        value: offset + len as u64,
-                    });
-                }
+                crate::header::chunk_extent(offset, len, total_len)?;
                 let data = r.bytes(len)?;
                 Packet::Chunk(ChunkPacket {
                     msg_id,
@@ -664,7 +659,7 @@ pub fn encode_parts_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::header::{AckPacket, ChunkPacket, EagerPacket, SamplePacket};
+    use crate::header::{AckPacket, ChunkHead, ChunkPacket, EagerPacket, SamplePacket};
 
     fn eager(data: &[u8]) -> Packet {
         Packet::Eager(EagerPacket {
@@ -792,6 +787,87 @@ mod tests {
             panic!("wrong body")
         };
         assert_eq!(&e.data[..], b"abcdefgh");
+    }
+
+    fn chunk(offset: u64, total_len: u64, data: Vec<u8>) -> Packet {
+        Packet::Chunk(ChunkPacket {
+            msg_id: 9,
+            seg_index: 2,
+            total_segs: 3,
+            offset,
+            total_len,
+            chunk_index: 1,
+            data: Bytes::from(data),
+        })
+    }
+
+    /// `offset + len` comes off the wire: a CRC-valid chunk whose extent
+    /// overflows `u64` is a `BadLength` in both decoders and in the head
+    /// peek, not an overflow panic (debug) or a wrapped sum that passes
+    /// the extent check (release).
+    #[test]
+    fn chunk_extent_overflow_is_an_error_not_a_panic() {
+        let pkt = chunk(u64::MAX - 10, u64::MAX, vec![7; 32]);
+        let bad = |r: Result<(), WireError>| {
+            assert!(
+                matches!(
+                    r,
+                    Err(WireError::BadLength {
+                        what: "chunk extent",
+                        value: u64::MAX
+                    })
+                ),
+                "{r:?}"
+            )
+        };
+        for crc in [false, true] {
+            let flat = pkt.encode(4, 5, crc);
+            bad(Packet::decode(&flat).map(drop));
+            bad(PacketFrame::from_wire(flat.clone()).decode().map(drop));
+            bad(pkt.encode_frame(4, 5, crc).decode().map(drop));
+            bad(ChunkHead::peek(&flat).map(drop));
+        }
+        // One byte less and the sum fits, but runs past `total_len`.
+        let pkt = chunk(u64::MAX - 32, u64::MAX - 1, vec![7; 32]);
+        assert!(matches!(
+            ChunkHead::peek(&pkt.encode(4, 5, true)),
+            Err(WireError::BadLength {
+                value: u64::MAX,
+                ..
+            })
+        ));
+    }
+
+    /// The peeked head is what the full decode finds, from exactly
+    /// `ChunkHead::LEN` bytes on; before that, and for every other kind,
+    /// there is no head — and `possible` only says no once the kind byte
+    /// is there and is another kind's.
+    #[test]
+    fn chunk_head_peek_agrees_with_decode() {
+        let pkt = chunk(512, 4096, vec![0xEE; 256]);
+        let frame = pkt.encode_frame(11, 42, true);
+        assert_eq!(frame.head().map(Bytes::len), Some(ChunkHead::LEN));
+        let flat = frame.to_bytes();
+        let want = ChunkHead {
+            conn_id: 11,
+            msg_id: 9,
+            seg_index: 2,
+            offset: 512,
+            total_len: 4096,
+            len: 256,
+        };
+        for cut in 0..=flat.len() {
+            let head = ChunkHead::peek(&flat[..cut]).expect("well-formed");
+            assert_eq!(head, (cut >= ChunkHead::LEN).then_some(want), "at {cut}");
+            assert!(cut == 0 || ChunkHead::possible(&flat[..cut]), "at {cut}");
+        }
+        let data = eager(&[1; 100]).encode(11, 42, true);
+        assert_eq!(ChunkHead::peek(&data), Ok(None));
+        assert!(ChunkHead::possible(&data[..3]) && !ChunkHead::possible(&data[..4]));
+        // Another wire version's chunk is not ours to place.
+        let mut other = flat.to_vec();
+        other[2] ^= 0xFF;
+        assert_eq!(ChunkHead::peek(&other), Ok(None));
     }
 
     #[test]

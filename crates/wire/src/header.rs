@@ -141,6 +141,93 @@ pub struct ChunkPacket {
     pub data: Bytes,
 }
 
+/// Check that a chunk's `[offset, offset + len)` lies inside its
+/// segment's `total_len`. All three come off the wire: the sum is
+/// checked, not wrapped.
+pub(crate) fn chunk_extent(offset: u64, len: usize, total_len: u64) -> Result<(), WireError> {
+    match offset.checked_add(len as u64) {
+        Some(end) if end <= total_len => Ok(()),
+        end => Err(WireError::BadLength {
+            what: "chunk extent",
+            value: end.unwrap_or(u64::MAX),
+        }),
+    }
+}
+
+/// What the head of a [`PacketKind::Chunk`] frame says about where its
+/// payload belongs, read from the frame's first [`ChunkHead::LEN`] bytes
+/// before the rest has arrived — so that a stream transport can read the
+/// payload straight into its place in the segment. The layout is this
+/// crate's (the envelope above, then [`ChunkPacket`]'s fields as
+/// [`Packet::encode_frame`] writes them); nothing here is verified
+/// against the frame's CRC, which covers bytes not seen yet: a peeked
+/// head is a hint for placement, and the frame is still decoded in full
+/// afterwards.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ChunkHead {
+    /// Connection the chunk belongs to.
+    pub conn_id: ConnId,
+    /// Message the chunk belongs to.
+    pub msg_id: MsgId,
+    /// Segment the chunk belongs to.
+    pub seg_index: u16,
+    /// Byte offset of the payload within the segment.
+    pub offset: u64,
+    /// The segment's total length.
+    pub total_len: u64,
+    /// Payload length; `offset + len <= total_len` holds.
+    pub len: usize,
+}
+
+impl ChunkHead {
+    /// Bytes of a chunk frame before its payload: the envelope and the
+    /// chunk header.
+    pub const LEN: usize = ENVELOPE_LEN + 8 + 2 + 2 + 8 + 8 + 2 + 4;
+
+    /// True when `frame`, the first bytes of a frame (at least one), may
+    /// turn out to be a chunk frame once [`ChunkHead::LEN`] bytes of it
+    /// are there: nothing seen so far says otherwise.
+    pub fn possible(frame: &[u8]) -> bool {
+        frame
+            .get(3)
+            .is_none_or(|&kind| kind == PacketKind::Chunk as u8)
+    }
+
+    /// Read the head of a chunk frame from the frame's first bytes.
+    /// `Ok(None)` when `frame` is shorter than a chunk head or is not a
+    /// chunk frame of this wire version; an error when it is one and its
+    /// extent overflows or runs past `total_len`.
+    pub fn peek(frame: &[u8]) -> Result<Option<ChunkHead>, WireError> {
+        let Some(head) = frame.get(..Self::LEN) else {
+            return Ok(None);
+        };
+        let mut r = Reader::new(head, "chunk head");
+        if r.u16()? != MAGIC || r.u8()? != VERSION || r.u8()? != PacketKind::Chunk as u8 {
+            return Ok(None);
+        }
+        let conn_id = r.u32()?;
+        let (_seq, _payload_len, _crc) = (r.u32()?, r.u32()?, r.u32()?);
+        let (_flags, _reserved) = (r.u16()?, r.u16()?);
+        let msg_id = r.u64()?;
+        let seg_index = r.u16()?;
+        let _total_segs = r.u16()?;
+        let offset = r.u64()?;
+        let total_len = r.u64()?;
+        let _chunk_index = r.u16()?;
+        let len = r.u32()? as usize;
+        r.expect_end()?;
+        chunk_extent(offset, len, total_len)?;
+        Ok(Some(ChunkHead {
+            conn_id,
+            msg_id,
+            seg_index,
+            offset,
+            total_len,
+            len,
+        }))
+    }
+}
+
 /// Message-level acknowledgement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AckPacket {
@@ -292,12 +379,7 @@ impl Packet {
                 let total_len = r.u64()?;
                 let chunk_index = r.u16()?;
                 let len = r.u32()? as usize;
-                if offset + len as u64 > total_len {
-                    return Err(WireError::BadLength {
-                        what: "chunk extent",
-                        value: offset + len as u64,
-                    });
-                }
+                chunk_extent(offset, len, total_len)?;
                 let data = r.bytes(len)?;
                 Packet::Chunk(ChunkPacket {
                     msg_id,

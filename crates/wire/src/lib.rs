@@ -47,8 +47,8 @@ pub use agg::{AggregateBuilder, AggregateEntry, AggregateParts};
 pub use error::WireError;
 pub use frame::{FrameBody, PacketFrame, PartList, SgReader};
 pub use header::{
-    AckPacket, ChunkPacket, EagerPacket, Envelope, Packet, PacketKind, RdvAck, RdvRequest,
-    SamplePacket,
+    AckPacket, ChunkHead, ChunkPacket, EagerPacket, Envelope, Packet, PacketKind, RdvAck,
+    RdvRequest, SamplePacket,
 };
 pub use reassembly::{MessageAssembly, Reassembler};
 pub use small::SmallList;

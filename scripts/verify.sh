@@ -72,6 +72,21 @@ if grep -nE 'with_capacity\(total_len|fn store\b' crates/wire/src/reassembly.rs;
     echo "reassembly copies per arrival or sizes a buffer from the wire again (see above)"; exit 1
 fi
 
+# A TCP chunk is read where its segment will be delivered from
+# (DESIGN.md "Receive: reassembly by reference", the landing table). The
+# chunk head's layout is nmad-wire's (`ChunkHead::peek`, `::LEN`): the
+# transport hard-codes no offset into it and names no envelope constant.
+# And the windows the payload is written through are the vendored
+# `bytes`' one module with `unsafe` in it (vendor/bytes/src/window.rs,
+# SAFETY argument in its docs): none anywhere else in that crate.
+echo "==> chunk head layout is nmad-wire's; unsafe in vendor/bytes is window.rs only"
+if grep -nE 'ENVELOPE_LEN|\b(24|58)\b|PacketKind' crates/transport-tcp/src/*.rs; then
+    echo "transport-tcp knows the chunk head's layout (see above): ask nmad_wire::ChunkHead"; exit 1
+fi
+if grep -rnw 'unsafe' vendor/bytes/src | grep -v '^vendor/bytes/src/window\.rs:'; then
+    echo "unsafe in vendor/bytes outside window.rs (see above)"; exit 1
+fi
+
 # Non-test code lines per transport source file (before `#[cfg(test)]`,
 # neither blank nor `//`): printed so that the next PR's log shows the
 # trend.
@@ -109,9 +124,10 @@ echo "==> live optimisation window (conformance burst_aggregates_and_echo_does_n
 cargo test -q --test conformance burst_aggregates_and_echo_does_not -- --nocapture \
     | grep 'frames_per_msg' | sed 's/^/    /'
 
-# vendor/ is outside the workspace, and `Bytes::try_unsplit` is a method
-# upstream `bytes` does not have (vendor/README.md): its tests run here.
-echo "==> cargo test -q -p bytes (vendored: try_unsplit)"
+# vendor/ is outside the workspace, and `Bytes::try_unsplit` and `Window`
+# are what upstream `bytes` does not have in this form (vendor/README.md):
+# their tests run here.
+echo "==> cargo test -q -p bytes (vendored: try_unsplit, Window)"
 cargo test -q -p bytes
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
@@ -214,8 +230,13 @@ grep -q '"clean":true' "$wd_tmp" \
 # lease and both backstops sleep on their eventfds (DESIGN.md §15), so
 # voluntary context switches per message read 0.011 — and 1.000, one
 # per message exactly, when every `write` wakes the peer's backstop out
-# of `epoll_wait` to be declined: a count 90x apart on any host.
-echo "==> nmad-benchmark (offline build, selftest, 3 s tcp_pingpong_small traced, 3 s mem_mixed_bidir traced)"
+# of `epoll_wait` to be declined: a count 90x apart on any host. The
+# large stream over TCP is traced for the allocator ledger too: its
+# chunks are read into one allocation per segment (the landing table), so
+# bytes allocated per payload byte read 1.04 — and 2.02 when every chunk
+# lands in its frame's allocation and the segment is gathered into a
+# second one.
+echo "==> nmad-benchmark (offline build, selftest, 3 s each traced: tcp_pingpong_small, mem_mixed_bidir, tcp_stream_large)"
 bench=(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --)
 # The value of per-layer metric $2 in the benchmark's result line $1.
 ledger() { echo "$1" | sed -n 's/.*"'"${2//./\\.}"'": {"value": \([0-9.eE+-]*\).*/\1/p'; }
@@ -237,6 +258,13 @@ alloc_ratio="$(ledger "$mem_out" alloc.bytes_per_payload_byte)"
 echo "    alloc.bytes_per_payload_byte on mem_mixed_bidir: ${alloc_ratio:-missing}"
 awk -v r="${alloc_ratio:-1}" 'BEGIN { exit !(r <= 0.1) }' \
     || { echo "mem_mixed_bidir allocates ${alloc_ratio:-?} bytes per payload byte (budget 0.1): a rendezvous byte is copied on receive again"; exit 1; }
+stream_out="$("${bench[@]}" --workload tcp_stream_large --seconds 3 --trace 1 | tail -n 1)"
+echo "$stream_out" | grep -q '"correct": true' \
+    || { echo "nmad-benchmark tcp_stream_large smoke did not verify"; exit 1; }
+alloc_ratio="$(ledger "$stream_out" alloc.bytes_per_payload_byte)"
+echo "    alloc.bytes_per_payload_byte on tcp_stream_large: ${alloc_ratio:-missing}"
+awk -v r="${alloc_ratio:-2}" 'BEGIN { exit !(r <= 1.2) }' \
+    || { echo "tcp_stream_large allocates ${alloc_ratio:-?} bytes per payload byte (budget 1.2): chunks miss the landing table and segments are gathered again"; exit 1; }
 
 echo "==> cargo fmt --check"
 cargo fmt --check 2>/dev/null || echo "    (rustfmt unavailable or diffs; non-fatal)"
