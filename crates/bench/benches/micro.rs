@@ -10,7 +10,7 @@ use nmad_core::sampling::{default_ladder, split_weights};
 use nmad_core::{Engine, EngineConfig, PerfTable, StrategyKind};
 use nmad_model::{platform, RailId};
 use nmad_sim::{FluidChannel, SimTime};
-use nmad_wire::agg::{parse_aggregate, AggregateBuilder, AggregateEntry};
+use nmad_wire::agg::{parse_aggregate, AggregateBuilder};
 use nmad_wire::checksum::crc32;
 use nmad_wire::header::{EagerPacket, Packet};
 use nmad_wire::reassembly::Reassembler;
@@ -44,26 +44,14 @@ fn bench_aggregate(c: &mut Criterion) {
             b.iter(|| {
                 let mut builder = AggregateBuilder::new();
                 for i in 0..n {
-                    builder.push(AggregateEntry {
-                        conn_id: 0,
-                        msg_id: i as u64,
-                        seg_index: 0,
-                        total_segs: 1,
-                        data: Bytes::from(vec![i as u8; 256]),
-                    });
+                    builder.push(0, i as u64, 0, 1, &Bytes::from(vec![i as u8; 256]));
                 }
                 black_box(builder.finish())
             })
         });
         let mut builder = AggregateBuilder::new();
         for i in 0..n {
-            builder.push(AggregateEntry {
-                conn_id: 0,
-                msg_id: i as u64,
-                seg_index: 0,
-                total_segs: 1,
-                data: Bytes::from(vec![i as u8; 256]),
-            });
+            builder.push(0, i as u64, 0, 1, &Bytes::from(vec![i as u8; 256]));
         }
         let Packet::Aggregate(body) = builder.finish() else {
             unreachable!()

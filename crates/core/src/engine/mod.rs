@@ -28,7 +28,10 @@ use std::collections::VecDeque;
 
 use bytes::Bytes;
 use nmad_model::{NicModel, RailId, TxMode};
-use nmad_wire::agg::{parse_aggregate, AggregateBuilder, AggregateEntry, AggregateParts};
+use nmad_wire::agg::{
+    parse_aggregate, AggregateBuilder, AggregateEntry, AggregateParts, CONTAINER_OVERHEAD,
+    ENTRY_OVERHEAD,
+};
 use nmad_wire::frame::encode_parts_frame;
 use nmad_wire::header::{
     AckPacket, ChunkPacket, EagerPacket, Envelope, Packet, PacketKind, RdvAck, RdvRequest,
@@ -890,26 +893,29 @@ impl Engine {
 
     /// A frame on `rail` takes a piece of segment `key` — the whole of
     /// what was left of it in the backlog when `exhausted`. Returns the
-    /// segment's payload and whether the piece is a retransmission.
+    /// segment's payload where it lies in its send slot, how many
+    /// segments its message has, and whether the piece is a
+    /// retransmission.
     fn take_piece(
-        &mut self,
+        conn_tx: &mut [IdWindow<SendSlot>],
+        now_ns: u64,
         rail: RailId,
         key: SegKey,
         exhausted: bool,
-    ) -> Result<(Bytes, bool), EngineError> {
+    ) -> Result<(&Bytes, u16, bool), EngineError> {
         const UNKNOWN: EngineError = EngineError::InvalidStrategyOp("unknown segment payload");
-        let now_ns = self.now_ns;
-        let slot = self.send_slot(key.conn, key.msg_id).ok_or(UNKNOWN)?;
-        let data = slot
-            .data
-            .get(key.seg_index as usize)
-            .ok_or(UNKNOWN)?
-            .clone();
+        let sends = conn_tx.get_mut(key.conn as usize).ok_or(UNKNOWN)?;
+        let slot = sends.live_mut(key.msg_id).ok_or(UNKNOWN)?;
+        if slot.data.len() <= key.seg_index as usize {
+            return Err(UNKNOWN);
+        }
         if exhausted {
             debug_assert!(slot.segs_unconsumed > 0);
             slot.segs_unconsumed -= 1;
         }
-        Ok((data, slot.charge(rail, now_ns)))
+        let retransmitted = slot.charge(rail, now_ns);
+        let data = &slot.data[key.seg_index as usize];
+        Ok((data, slot.data.len() as u16, retransmitted))
     }
 
     fn execute_op(&mut self, rail: RailId, op: TxOp) -> Result<TxDecision, EngineError> {
@@ -919,13 +925,14 @@ impl Engine {
                     .backlog
                     .take_eager(key)
                     .ok_or(EngineError::InvalidStrategyOp("eager segment not takeable"))?;
-                let (data, retransmitted) = self.take_piece(rail, key, true)?;
+                let (data, _, retransmitted) =
+                    Self::take_piece(&mut self.conn_tx, self.now_ns, rail, key, true)?;
                 let payload = data.len();
                 let pkt = Packet::Eager(EagerPacket {
                     msg_id: key.msg_id,
                     seg_index: key.seg_index,
                     total_segs: item.total_segs,
-                    data,
+                    data: data.clone(),
                 });
                 self.stats.datapath.tx_zero_copy_bytes += payload as u64;
                 self.obs.record(
@@ -944,37 +951,37 @@ impl Engine {
                     return Err(EngineError::InvalidStrategyOp("empty aggregate"));
                 };
                 let first_conn = first.conn;
-                let mut retransmitted = false;
-                let mut small_eager = true;
-                // (What an aggregate that failed half-way left behind.)
-                self.agg.clear();
-                for &key in &keys {
-                    let item =
-                        self.backlog
-                            .take_eager(key)
-                            .ok_or(EngineError::InvalidStrategyOp(
-                                "aggregate segment not takeable",
-                            ))?;
-                    let (data, again) = self.take_piece(rail, key, true)?;
-                    retransmitted |= again;
-                    small_eager &= data.len() < self.config.min_chunk;
-                    self.agg.push(AggregateEntry {
-                        conn_id: key.conn,
-                        msg_id: key.msg_id,
-                        seg_index: key.seg_index,
-                        total_segs: item.total_segs,
-                        data,
-                    });
-                }
-                self.stats.aggregates_built += 1;
-                self.stats.segments_aggregated += keys.len() as u64;
-                let payload = self.agg.payload_bytes();
+                let payload = self.backlog.take_eager_run(keys.iter().copied()).ok_or(
+                    EngineError::InvalidStrategyOp("aggregate segment not takeable"),
+                )? as usize;
                 // Entries below the PIO threshold are memcpy'd into one
                 // pooled staging slab (the only copy the tx hot path is
-                // allowed); larger entries ride as refcounted slices.
-                let slab = self.pool.take(self.agg.container_len());
-                let stage_threshold = self.rails[rail.0].pio_threshold;
-                let agg = self.agg.finish_parts(stage_threshold, slab);
+                // allowed), straight from the segment in its send slot;
+                // larger entries ride as refcounted slices.
+                let container_len = CONTAINER_OVERHEAD + keys.len() * ENTRY_OVERHEAD + payload;
+                let slab = self.pool.take(container_len);
+                self.agg.begin(self.rails[rail.0].pio_threshold, slab);
+                let (now_ns, min_chunk) = (self.now_ns, self.config.min_chunk);
+                let staged = keys.iter().try_fold((false, true), |(again, small), &key| {
+                    let (data, total_segs, retransmitted) =
+                        Self::take_piece(&mut self.conn_tx, now_ns, rail, key, true)?;
+                    self.agg
+                        .push(key.conn, key.msg_id, key.seg_index, total_segs, data);
+                    Ok((again | retransmitted, small & (data.len() < min_chunk)))
+                });
+                let (retransmitted, small_eager) = match staged {
+                    Ok(flags) => flags,
+                    Err(e) => {
+                        // (What an aggregate that failed half-way took.)
+                        let slab = self.agg.begin(usize::MAX, Default::default());
+                        self.pool.reclaim(slab.freeze());
+                        return Err(e);
+                    }
+                };
+                self.stats.aggregates_built += 1;
+                self.stats.segments_aggregated += keys.len() as u64;
+                let agg = self.agg.finish_parts();
+                debug_assert_eq!(agg.container_len, container_len);
                 self.stats.aggregation_copy_bytes += agg.staged_bytes as u64;
                 self.stats.datapath.tx_staged_copy_bytes += agg.staged_bytes as u64;
                 self.stats.datapath.tx_zero_copy_bytes += agg.zero_copy_bytes as u64;
@@ -1014,7 +1021,8 @@ impl Engine {
         planned: bool,
     ) -> Result<TxDecision, EngineError> {
         let key = tc.key;
-        let (segment, retransmitted) = self.take_piece(rail, key, tc.seg_exhausted)?;
+        let (segment, _, retransmitted) =
+            Self::take_piece(&mut self.conn_tx, self.now_ns, rail, key, tc.seg_exhausted)?;
         let pkt = Packet::Chunk(ChunkPacket {
             msg_id: key.msg_id,
             seg_index: key.seg_index,
@@ -1346,19 +1354,24 @@ impl Engine {
         Ok(out)
     }
 
+    /// The entries of an aggregate, a run of one message's at a time: the
+    /// connection and the message are looked up once per run.
     fn handle_aggregate_entries(
         &mut self,
         rail: RailId,
-        entries: Vec<AggregateEntry>,
+        mut entries: Vec<AggregateEntry>,
         out: &mut OnPacketOutcome,
     ) -> Result<(), EngineError> {
-        for e in entries {
-            if self.drop_duplicate(e.conn_id, rail, e.msg_id, out)? {
+        let mut at = 0;
+        while let Some(first) = entries.get(at) {
+            let conn = first.conn_id;
+            if self.drop_duplicate(conn, rail, first.msg_id, out)? {
+                at += 1;
                 continue;
             }
-            let done =
-                self.insert_eager_tolerant(e.conn_id, e.msg_id, e.seg_index, e.total_segs, e.data)?;
-            self.settle_completion(e.conn_id, rail, done, out)?;
+            let (taken, done) = self.insert_eager_tolerant(conn, &mut entries[at..])?;
+            at += taken;
+            self.settle_completion(conn, rail, done, out)?;
         }
         Ok(())
     }
@@ -1375,13 +1388,14 @@ impl Engine {
                 if self.drop_duplicate(env.conn_id, rail, p.msg_id, out)? {
                     return Ok(());
                 }
-                let done = self.insert_eager_tolerant(
-                    env.conn_id,
-                    p.msg_id,
-                    p.seg_index,
-                    p.total_segs,
-                    p.data,
-                )?;
+                let mut one = [AggregateEntry {
+                    conn_id: env.conn_id,
+                    msg_id: p.msg_id,
+                    seg_index: p.seg_index,
+                    total_segs: p.total_segs,
+                    data: p.data,
+                }];
+                let (_, done) = self.insert_eager_tolerant(env.conn_id, &mut one)?;
                 self.settle_completion(env.conn_id, rail, done, out)?;
             }
             Packet::Aggregate(body) => {
@@ -1870,33 +1884,33 @@ impl Engine {
         )
     }
 
-    /// Insert a whole segment, tolerating conflicts with a previous
-    /// delivery attempt in acked mode: the stale partial message state is
-    /// aborted and the insert retried once on fresh state.
+    /// Insert the whole segments at the front of `entries` that are one
+    /// message's (see [`Reassembler::insert_eager_run`]; at least one is
+    /// taken), tolerating conflicts with a previous delivery attempt in
+    /// acked mode: the stale partial message state is aborted and the
+    /// insert retried once on fresh state. Nothing is cloned for the
+    /// retry: a segment that is refused stays in its entry.
     fn insert_eager_tolerant(
         &mut self,
         conn: ConnId,
-        msg_id: MsgId,
-        seg_index: u16,
-        total_segs: u16,
-        data: Bytes,
-    ) -> Result<Option<MessageAssembly>, EngineError> {
+        entries: &mut [AggregateEntry],
+    ) -> Result<(usize, Option<MessageAssembly>), EngineError> {
         let acked = self.config.acked;
-        let rx = self.rx_conn(conn)?;
-        match rx
-            .reassembler
-            .insert_eager(msg_id, seg_index, total_segs, data.clone())
-        {
-            Ok(done) => Ok(done),
-            Err(e) if acked && Self::is_retry_conflict(&e) => {
-                rx.reassembler.abort(msg_id);
-                self.stats.duplicates_dropped += 1;
-                self.rx_conn(conn)?
-                    .reassembler
-                    .insert_eager(msg_id, seg_index, total_segs, data)
-                    .map_err(Into::into)
+        let rx = self.conn_rx.get_mut(conn as usize);
+        let reasm = &mut rx.ok_or(EngineError::UnknownConnection(conn))?.reassembler;
+        let (mut at, mut retried) = (0, None);
+        loop {
+            let (taken, done) = reasm.insert_eager_run(&mut entries[at..]);
+            at += taken;
+            match done {
+                Ok(done) => return Ok((at, done)),
+                Err(e) if acked && Self::is_retry_conflict(&e) && retried != Some(at) => {
+                    reasm.abort(entries[at].msg_id);
+                    self.stats.duplicates_dropped += 1;
+                    retried = Some(at);
+                }
+                Err(e) => return Err(e.into()),
             }
-            Err(e) => Err(e.into()),
         }
     }
 

@@ -275,38 +275,44 @@ impl<T> MpscQueue<T> {
 
 /// Edge-triggered wakeup: a boolean under a mutex plus a condvar. Kicks
 /// that land while the waiter is busy are remembered (the flag stays
-/// set), so no wakeup is ever lost to the check-then-wait race.
+/// set), so no wakeup is ever lost to the check-then-wait race — and
+/// cost no `futex` call: the condvar is notified only when someone is
+/// parked on it, which the same mutex says.
+#[derive(Default)]
 pub struct WorkSignal {
-    flag: Mutex<bool>,
+    state: Mutex<SignalState>,
     cv: Condvar,
 }
 
-impl Default for WorkSignal {
-    fn default() -> Self {
-        WorkSignal {
-            flag: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
+#[derive(Default)]
+struct SignalState {
+    pending: bool,
+    /// Threads inside [`WorkSignal::wait`]'s condvar wait.
+    parked: usize,
 }
 
 impl WorkSignal {
-    /// Signal the waiter: sets the flag and notifies.
+    /// Signal the waiter: sets the flag and, if it is parked, wakes it.
     pub fn kick(&self) {
-        *self.flag.lock() = true;
-        self.cv.notify_one();
+        let mut st = self.state.lock();
+        st.pending = true;
+        let parked = st.parked > 0;
+        drop(st);
+        if parked {
+            self.cv.notify_one();
+        }
     }
 
     /// Wait until kicked or `timeout` elapses; consumes the pending kick.
     /// Returns true when a kick arrived (before or during the wait).
     pub fn wait(&self, timeout: Duration) -> bool {
-        let mut pending = self.flag.lock();
-        if !*pending {
-            self.cv.wait_for(&mut pending, timeout);
+        let mut st = self.state.lock();
+        if !st.pending {
+            st.parked += 1;
+            self.cv.wait_for(&mut st, timeout);
+            st.parked -= 1;
         }
-        let fired = *pending;
-        *pending = false;
-        fired
+        std::mem::take(&mut st.pending)
     }
 }
 
@@ -1075,6 +1081,29 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_secs(1));
         // Consumed: a second wait times out.
         assert!(!s.wait(Duration::from_millis(1)));
+    }
+
+    /// A kick notifies the condvar only when someone is parked on it, so
+    /// the parked waiter must still be woken: the kick is sent once the
+    /// waiter is seen inside its wait, and ends it long before its timeout.
+    #[test]
+    fn kick_wakes_a_parked_waiter() {
+        let s = Arc::new(WorkSignal::default());
+        let waiter = {
+            let s = s.clone();
+            thread::spawn(move || s.wait(Duration::from_secs(30)))
+        };
+        while s.state.lock().parked == 0 {
+            thread::yield_now();
+        }
+        let t0 = Instant::now();
+        s.kick();
+        assert!(waiter.join().unwrap(), "the parked wait saw the kick");
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "woken, not timed out"
+        );
+        assert_eq!(s.state.lock().parked, 0);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The collect layer: request handles, segment states, and the backlog of
 //! "waiting packs" the optimizing schedulers work on (paper Figure 1).
 
+use std::collections::VecDeque;
+
 use nmad_wire::{ConnId, MsgId};
 
 /// Handle to a submitted (non-blocking) send.
@@ -102,11 +104,16 @@ impl BacklogItem {
 /// This is the "waiting packs" box of the paper's Figure 1: requests
 /// accumulate here while NICs are busy; each NIC-idle event lets the
 /// strategy pick (and remove) work from it.
+///
+/// A deque: what is taken is mostly what was submitted first, and the
+/// front leaves without the rest being shifted (DESIGN.md §12).
 #[derive(Debug)]
 pub struct Backlog {
-    items: Vec<BacklogItem>,
+    items: VecDeque<BacklogItem>,
     next_seq: u64,
     counts: Counts,
+    /// Items a search looked at plus items a removal shifted, ever.
+    steps: u64,
 }
 
 /// What a scan of the backlog's items would answer, kept in step instead
@@ -167,20 +174,29 @@ impl Backlog {
     /// bytes (the engine's `min_chunk`).
     pub fn with_small_below(small_below: u64) -> Self {
         Backlog {
-            items: Vec::new(),
+            items: VecDeque::new(),
             next_seq: 0,
             counts: Counts {
                 small_below,
                 ..Counts::default()
             },
+            steps: 0,
         }
     }
 
-    /// Take the item at `idx` out.
+    /// Take the item at `idx` out; the shorter side closes the gap.
     fn remove_at(&mut self, idx: usize) -> BacklogItem {
-        let item = self.items.remove(idx);
+        self.steps += idx.min(self.items.len() - 1 - idx) as u64;
+        let item = self.items.remove(idx).expect("index from a search");
         self.counts.tally(item.phase, item.size, false);
         item
+    }
+
+    /// What the backlog has done so far, in items looked at by a search
+    /// and items shifted by a removal: the work a take costs, counted.
+    #[doc(hidden)]
+    pub fn steps(&self) -> u64 {
+        self.steps
     }
 
     /// Number of waiting segments.
@@ -198,7 +214,7 @@ impl Backlog {
         let submit_seq = self.next_seq;
         self.next_seq += 1;
         self.counts.tally(phase, size, true);
-        self.items.push(BacklogItem {
+        self.items.push_back(BacklogItem {
             key,
             total_segs,
             size,
@@ -241,14 +257,26 @@ impl Backlog {
         self.items.iter().any(|i| i.phase == SegPhase::RdvRequested)
     }
 
-    fn position(&self, key: SegKey) -> Option<usize> {
-        self.items.iter().position(|i| i.key == key)
+    /// Where `key` waits, looking from index `from` on — where what is
+    /// taken in submit order is found at once — and then around.
+    fn position(&mut self, key: SegKey, from: usize) -> Option<usize> {
+        let n = self.items.len();
+        let hit = |i: usize| self.items[i].key == key;
+        let (looked_at, found) = if from < n && hit(from) {
+            (1, Some(from))
+        } else {
+            let mut around = (from..n).chain(0..from.min(n)).enumerate();
+            let found = around.find(|&(_, i)| hit(i));
+            found.map_or((n, None), |(nth, i)| (nth + 1, Some(i)))
+        };
+        self.steps += looked_at as u64;
+        found
     }
 
     /// Mark a rendezvous-requested segment as granted. Returns false if the
     /// segment is unknown or not awaiting a grant.
     pub fn grant(&mut self, key: SegKey) -> bool {
-        match self.position(key) {
+        match self.position(key, 0) {
             Some(idx) if self.items[idx].phase == SegPhase::RdvRequested => {
                 self.items[idx].phase = SegPhase::RdvGranted;
                 self.counts
@@ -261,18 +289,36 @@ impl Backlog {
 
     /// Remove and return an eager segment (strategy committed to send it).
     pub fn take_eager(&mut self, key: SegKey) -> Option<BacklogItem> {
-        let idx = self.position(key)?;
+        self.take_eager_from(key, 0).map(|(_, item)| item)
+    }
+
+    /// Remove the eager segments `keys` (an aggregate's) in one pass: each
+    /// is looked for from where the one before it was, which is where it
+    /// is when the keys come in submit order. Returns their total size;
+    /// `None` at the first key that is not a waiting eager segment — the
+    /// ones before it are gone, as when taken one by one.
+    pub fn take_eager_run(&mut self, keys: impl IntoIterator<Item = SegKey>) -> Option<u64> {
+        let (mut from, mut bytes) = (0, 0);
+        for key in keys {
+            let (idx, item) = self.take_eager_from(key, from)?;
+            (from, bytes) = (idx, bytes + item.size);
+        }
+        Some(bytes)
+    }
+
+    fn take_eager_from(&mut self, key: SegKey, from: usize) -> Option<(usize, BacklogItem)> {
+        let idx = self.position(key, from)?;
         if self.items[idx].phase != SegPhase::EagerReady {
             return None;
         }
-        Some(self.remove_at(idx))
+        Some((idx, self.remove_at(idx)))
     }
 
     /// Consume up to `max_len` bytes from the front of a granted segment
     /// that has *no* split plan. The item is removed once fully consumed.
     pub fn take_chunk(&mut self, key: SegKey, max_len: u64) -> Option<TakenChunk> {
         assert!(max_len > 0, "take_chunk with zero max_len");
-        let idx = self.position(key)?;
+        let idx = self.position(key, 0)?;
         let item = &mut self.items[idx];
         if item.phase != SegPhase::RdvGranted || item.plan.is_some() {
             return None;
@@ -305,7 +351,7 @@ impl Backlog {
     /// any mismatch (unknown segment, wrong phase, plan already set, bad
     /// coverage).
     pub fn set_plan(&mut self, key: SegKey, chunks: Vec<PlannedChunk>) -> bool {
-        let Some(idx) = self.position(key) else {
+        let Some(idx) = self.position(key, 0) else {
             return false;
         };
         let item = &mut self.items[idx];

@@ -174,6 +174,56 @@ fn steady_state_allocations_stay_within_budget() {
         b.try_recv(r).expect("delivered");
     }
 
+    // The burst: a window of 32 messages of 4 x 256 B submitted before
+    // any rail is offered, as a sender that never waits leaves them (the
+    // shape of the benchmark's `tcp_burst_multiseg`). They leave as two
+    // aggregates of 64 entries. Counted per call site over the whole
+    // burst, the engine's own allocations only: the caller's `Vec` of
+    // segments is made before the count starts.
+    let quarter = Bytes::from(vec![5u8; 256]);
+    let burst = |a: &mut Engine, b: &mut Engine| {
+        let (mut submit, mut decide_n, mut done_n, mut frame_n, mut recv_n) = (0, 0, 0, 0, 0);
+        let mut recvs = Vec::with_capacity(32);
+        for _ in 0..32 {
+            let segments = vec![quarter.clone(); 4];
+            submit += count(|| a.submit_send(conn, segments)).0;
+            recvs.push(b.post_recv(conn));
+        }
+        let mut frames = 0;
+        loop {
+            let (n, decision) = count(|| decide(a));
+            decide_n += n;
+            let Some((rail, d)) = decision else { break };
+            frames += 1;
+            done_n += count(|| a.on_tx_done(rail, d.token).expect("token")).0;
+            frame_n += count(|| b.on_frame(rail, &d.frame).expect("frame")).0;
+        }
+        for r in recvs {
+            let (n, msg) = count(|| b.try_recv(r));
+            assert_eq!(msg.expect("delivered").segments.len(), 4);
+            recv_n += n;
+        }
+        (frames, [submit, decide_n, done_n, frame_n, recv_n])
+    };
+    burst(&mut a, &mut b); // (sizes the lists a 64-entry aggregate needs)
+    let (frames, [submit, decide_n, done_n, frame_n, recv_n]) = burst(&mut a, &mut b);
+    assert_eq!(frames, 2, "two aggregates of sixteen messages");
+    // Per frame: 7 for the decision (the frame's head and slab, an `Arc`
+    // each, and the strategy's key list growing to 64 keys), 2 for the
+    // list of the sixteen sends it completes, 3 on arrival (the entry
+    // list and the list of completed receives). Per message: 2, both on
+    // arrival — the reassembly's list of four segments and the `Vec` the
+    // application is handed. 88 / 32 = 2.75 a message plus the caller's
+    // `Vec`: the deterministic part of the benchmark's traced
+    // `alloc.count_per_msg` (4.90, with the benchmark's own). The counts
+    // are what they were before the eager track paid per frame (PR 23):
+    // that change removed copies, searches and refcounts, not allocations.
+    check("burst: 32 submit_send beyond the caller's Vec", submit, 0);
+    check("burst: decisions, 2 aggregate frames", decide_n, 14);
+    check("burst: 2 on_tx_done", done_n, 4);
+    check("burst: on_frame, 2 frames of 16 messages", frame_n, 70);
+    check("burst: 32 try_recv", recv_n, 0);
+
     // A rendezvous split over both rails: one planned chunk per rail.
     a.submit_send(conn, vec![large.clone()]);
     let recv = b.post_recv(conn);

@@ -467,3 +467,302 @@ proptest! {
         }
     }
 }
+
+/// The backlog as a plain `Vec` searched from the front and closed up
+/// behind every take: what [`nmad_core::request::Backlog`] must keep
+/// doing, however it stores its items.
+#[derive(Default)]
+struct VecBacklog {
+    items: Vec<nmad_core::request::BacklogItem>,
+    next_seq: u64,
+}
+
+impl VecBacklog {
+    fn find(&self, key: nmad_core::request::SegKey) -> Option<usize> {
+        self.items.iter().position(|i| i.key == key)
+    }
+
+    fn take_eager(
+        &mut self,
+        key: nmad_core::request::SegKey,
+    ) -> Option<nmad_core::request::BacklogItem> {
+        use nmad_core::request::SegPhase;
+        let idx = self.find(key)?;
+        (self.items[idx].phase == SegPhase::EagerReady).then(|| self.items.remove(idx))
+    }
+
+    /// A chunk of `len` bytes at `offset` leaves item `idx`, which goes
+    /// with it when `exhausted`.
+    fn took(
+        &mut self,
+        idx: usize,
+        (offset, len): (u64, u64),
+        exhausted: bool,
+    ) -> nmad_core::request::TakenChunk {
+        let item = &mut self.items[idx];
+        let taken = nmad_core::request::TakenChunk {
+            key: item.key,
+            total_segs: item.total_segs,
+            offset,
+            len,
+            chunk_index: item.chunks_emitted,
+            seg_exhausted: exhausted,
+        };
+        item.chunks_emitted += 1;
+        if exhausted {
+            self.items.remove(idx);
+        }
+        taken
+    }
+}
+
+#[derive(Debug, Clone)]
+enum TakeOp {
+    Plain(BacklogOp),
+    /// An aggregate's keys: a stretch of the waiting eager segments in
+    /// submit order — every `stride`-th from the `skip`-th on, `len` of
+    /// them — or, `reversed`, the same against it.
+    Run {
+        skip: usize,
+        stride: usize,
+        len: usize,
+        reversed: bool,
+    },
+}
+
+fn arb_take_op() -> impl Strategy<Value = TakeOp> {
+    prop_oneof![
+        arb_backlog_op().prop_map(TakeOp::Plain),
+        arb_backlog_op().prop_map(TakeOp::Plain),
+        arb_backlog_op().prop_map(TakeOp::Plain),
+        (0usize..3, 1usize..3, 1usize..6, any::<bool>()).prop_map(
+            |(skip, stride, len, reversed)| TakeOp::Run {
+                skip,
+                stride,
+                len,
+                reversed
+            }
+        ),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Whatever the backlog is made of, it behaves as the plain `Vec` it
+    /// was: after any sequence of calls (keys unique, as the engine's
+    /// are: a message's segments are enqueued once and a retransmission
+    /// removes them first) every call answered the same, the same items
+    /// wait in the same order in the same state, and the counts agree.
+    #[test]
+    fn backlog_matches_a_plain_vec(ops in prop::collection::vec(arb_take_op(), 1..120)) {
+        use nmad_core::request::{Backlog, PlannedChunk, SegKey, SegPhase};
+        let key = |msg_id, seg_index| SegKey { conn: 0, msg_id, seg_index };
+        let (mut b, mut m) = (Backlog::with_small_below(256), VecBacklog::default());
+        for op in ops {
+            let op = match op {
+                TakeOp::Run { skip, stride, len, reversed } => {
+                    let mut keys: Vec<SegKey> =
+                        b.eager_items().skip(skip).step_by(stride).take(len).map(|i| i.key).collect();
+                    if reversed {
+                        keys.reverse();
+                    }
+                    let bytes: u64 = keys.iter().map(|&k| m.take_eager(k).expect("waiting").size).sum();
+                    prop_assert_eq!(b.take_eager_run(keys.iter().copied()), Some(bytes));
+                    // A key that does not wait ends the run where it is.
+                    let absent = [key(99, 0)];
+                    let gone = b.eager_items().next().map(|i| i.key);
+                    let run = gone.into_iter().chain(absent);
+                    prop_assert_eq!(b.take_eager_run(run), None);
+                    gone.map(|k| m.take_eager(k));
+                    continue_checks(&b, &m)?;
+                    continue;
+                }
+                TakeOp::Plain(op) => op,
+            };
+            match op.clone() {
+                BacklogOp::Push { msg, seg, size, rdv } => {
+                    if m.find(key(msg, seg)).is_none() {
+                        let phase = if rdv { SegPhase::RdvRequested } else { SegPhase::EagerReady };
+                        b.push(key(msg, seg), 3, size, phase);
+                        m.items.push(nmad_core::request::BacklogItem {
+                            key: key(msg, seg),
+                            total_segs: 3,
+                            size,
+                            phase,
+                            next_offset: 0,
+                            chunks_emitted: 0,
+                            plan: None,
+                            submit_seq: m.next_seq,
+                        });
+                        m.next_seq += 1;
+                    }
+                }
+                BacklogOp::Grant(ms, s) => {
+                    let idx = m.find(key(ms, s)).filter(|&i| m.items[i].phase == SegPhase::RdvRequested);
+                    if let Some(i) = idx {
+                        m.items[i].phase = SegPhase::RdvGranted;
+                    }
+                    prop_assert_eq!(b.grant(key(ms, s)), idx.is_some(), "{:?}", op);
+                }
+                BacklogOp::TakeEager(ms, s) => {
+                    let (got, want) = (b.take_eager(key(ms, s)), m.take_eager(key(ms, s)));
+                    prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{:?}", op);
+                }
+                BacklogOp::TakeChunk(ms, s, max_len) => {
+                    let idx = m.find(key(ms, s)).filter(|&i| {
+                        let item = &m.items[i];
+                        item.phase == SegPhase::RdvGranted && item.plan.is_none() && item.next_offset < item.size
+                    });
+                    let want = idx.map(|i| {
+                        let item = &mut m.items[i];
+                        let piece = (item.next_offset, (item.size - item.next_offset).min(max_len));
+                        item.next_offset += piece.1;
+                        let exhausted = item.next_offset == item.size;
+                        m.took(i, piece, exhausted)
+                    });
+                    prop_assert_eq!(b.take_chunk(key(ms, s), max_len), want, "{:?}", op);
+                }
+                BacklogOp::SetPlan(ms, s) => {
+                    // Two halves of what is left, one per rail.
+                    let idx = m.find(key(ms, s)).filter(|&i| {
+                        m.items[i].phase == SegPhase::RdvGranted && m.items[i].plan.is_none()
+                    });
+                    if let Some(i) = idx {
+                        let (from, size) = (m.items[i].next_offset, m.items[i].size);
+                        let mid = from + (size - from) / 2;
+                        let chunk = |rail, offset, end| PlannedChunk { rail, offset, len: end - offset, taken: false };
+                        let plan: Vec<_> =
+                            [chunk(0, from, mid), chunk(1, mid, size)].into_iter().filter(|c| c.len > 0).collect();
+                        prop_assert!(b.set_plan(key(ms, s), plan.clone()), "{:?}", op);
+                        m.items[i].plan = Some(plan);
+                    } else {
+                        prop_assert!(!b.set_plan(key(ms, s), Vec::new()), "{:?}", op);
+                    }
+                }
+                BacklogOp::TakePlanned(rail) => {
+                    let mine = |c: &PlannedChunk| !c.taken && c.rail == rail;
+                    let found = m.items.iter().enumerate().find_map(|(i, item)| {
+                        let plan = item.plan.as_ref().filter(|_| item.phase == SegPhase::RdvGranted)?;
+                        Some((i, plan.iter().position(mine)?))
+                    });
+                    let want = found.map(|(i, j)| {
+                        let plan = m.items[i].plan.as_mut().expect("found by its plan");
+                        plan[j].taken = true;
+                        let piece = (plan[j].offset, plan[j].len);
+                        let exhausted = plan.iter().all(|c| c.taken);
+                        m.took(i, piece, exhausted)
+                    });
+                    prop_assert_eq!(b.take_planned(rail), want, "{:?}", op);
+                }
+                BacklogOp::RemoveMsg(ms) => {
+                    let before = m.items.len();
+                    m.items.retain(|i| i.key.msg_id != ms);
+                    prop_assert_eq!(b.remove_msg(0, ms), before - m.items.len(), "{:?}", op);
+                }
+                BacklogOp::ReassignRail(dead) => {
+                    let chunks = m.items.iter_mut().filter_map(|i| i.plan.as_mut()).flatten();
+                    let moved = chunks.filter(|c| !c.taken && c.rail == dead).map(|c| c.rail = 1 - dead).count();
+                    prop_assert_eq!(b.reassign_rail(dead, &[1 - dead]), moved, "{:?}", op);
+                }
+            }
+            continue_checks(&b, &m)?;
+        }
+    }
+}
+
+/// The backlog `b` holds what the model `m` holds, in its order and
+/// state, and counts it the same; otherwise, what differs.
+fn continue_checks(b: &nmad_core::request::Backlog, m: &VecBacklog) -> Result<(), String> {
+    use nmad_core::request::SegPhase;
+    let of = |phase| m.items.iter().filter(move |i| i.phase == phase);
+    let shown = |items: &mut dyn Iterator<Item = &nmad_core::request::BacklogItem>| {
+        items.map(|i| format!("{i:?}")).collect::<Vec<_>>()
+    };
+    let eager = || of(SegPhase::EagerReady).map(|i| i.size);
+    let granted = of(SegPhase::RdvGranted).count();
+    let got = (
+        (
+            b.len(),
+            shown(&mut b.eager_items()),
+            shown(&mut b.granted_items()),
+        ),
+        (b.has_rdv_pending(), b.has_schedulable(), b.has_urgent()),
+        (b.eager_bytes(), b.small_eager_bytes()),
+    );
+    let want = (
+        (
+            m.items.len(),
+            shown(&mut of(SegPhase::EagerReady)),
+            shown(&mut of(SegPhase::RdvGranted)),
+        ),
+        (
+            of(SegPhase::RdvRequested).count() > 0,
+            eager().count() + granted > 0,
+            granted > 0 || eager().any(|s| s >= 256),
+        ),
+        (
+            eager().sum::<u64>(),
+            eager().filter(|&s| s < 256).sum::<u64>(),
+        ),
+    );
+    (got == want)
+        .then_some(())
+        .ok_or_else(|| format!("backlog {got:?}\n  model {want:?}"))
+}
+
+/// A backlog of 4,096 segments drained front-first — one at a time, then
+/// again sixteen at a time as aggregates take them — costs a step or two
+/// a segment by the backlog's own count of items looked at and items
+/// shifted. Taking from a `Vec`'s front shifted every item behind it:
+/// 4,095 + 4,094 + ... = 8.4 M steps for the same drain.
+#[test]
+fn draining_a_long_backlog_front_first_is_linear() {
+    use nmad_core::request::{Backlog, SegKey, SegPhase};
+    const N: u64 = 4096;
+    let key = |i: u64| SegKey {
+        conn: 0,
+        msg_id: i / 4,
+        seg_index: (i % 4) as u16,
+    };
+    let mut b = Backlog::new();
+    let fill = |b: &mut Backlog| (0..N).for_each(|i| b.push(key(i), 4, 256, SegPhase::EagerReady));
+    fill(&mut b);
+    let before = b.steps();
+    for i in 0..N {
+        assert_eq!(b.take_eager(key(i)).expect("waiting").key, key(i));
+    }
+    assert!(b.is_empty());
+    assert!(
+        b.steps() - before <= 2 * N,
+        "{} steps for {N} takes",
+        b.steps() - before
+    );
+    fill(&mut b);
+    let before = b.steps();
+    for run in 0..N / 16 {
+        let keys = (run * 16..(run + 1) * 16).map(key);
+        assert_eq!(b.take_eager_run(keys), Some(16 * 256));
+    }
+    assert!(b.is_empty());
+    assert!(
+        b.steps() - before <= 2 * N,
+        "{} steps for {N} takes",
+        b.steps() - before
+    );
+    // Behind a segment that stays (a rendezvous waiting for its grant)
+    // the front is one item further in, and that is all.
+    b.push(key(N), 4, 1 << 20, SegPhase::RdvRequested);
+    fill(&mut b);
+    let before = b.steps();
+    for run in 0..N / 16 {
+        let keys = (run * 16..(run + 1) * 16).map(key);
+        assert_eq!(b.take_eager_run(keys), Some(16 * 256));
+    }
+    assert_eq!(b.len(), 1);
+    assert!(
+        b.steps() - before <= 4 * N,
+        "{} steps for {N} takes",
+        b.steps() - before
+    );
+}

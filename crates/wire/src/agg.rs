@@ -9,23 +9,31 @@
 //! ```text
 //! count: u16
 //! repeated count times:
-//!   msg_id:     u64
-//!   seg_index:  u16
-//!   total_segs: u16
-//!   len:        u32
-//!   data:       len bytes
+//!   entry head (20 bytes: conn_id, msg_id, seg_index, total_segs, len)
+//!   data:      len bytes
 //! ```
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::codec::{Reader, Writer};
+use crate::codec::{Reader, Source};
 use crate::error::WireError;
 use crate::frame::PartList;
-use crate::header::Packet;
-use crate::MsgId;
+use crate::header::{layout, Packet};
+use crate::{ConnId, MsgId};
+
+layout! {
+    /// What precedes each entry's payload inside the container.
+    pub(crate) struct EntryHdr[20] {
+        conn_id: ConnId = 0,
+        msg_id: MsgId = 4,
+        seg_index: u16 = 12,
+        total_segs: u16 = 14,
+        len: u32 = 16,
+    }
+}
 
 /// Per-entry byte overhead inside an aggregate container.
-pub const ENTRY_OVERHEAD: usize = 4 + 8 + 2 + 2 + 4;
+pub const ENTRY_OVERHEAD: usize = EntryHdr::LEN;
 /// Fixed container overhead (the count field).
 pub const CONTAINER_OVERHEAD: usize = 2;
 
@@ -45,39 +53,93 @@ pub struct AggregateEntry {
     pub data: Bytes,
 }
 
-/// Incrementally builds an aggregate container.
-#[derive(Debug, Default)]
+/// Builds an aggregate container entry by entry, staging as it goes: an
+/// entry whose payload is below the staging threshold (the PIO regime —
+/// the copy the paper calls "very low" cost, §3.1) is copied into the
+/// slab behind its head straight from the segment it is pushed from; one
+/// at or above it rides as a refcounted slice between staged runs. The
+/// threshold only moves bytes between "staged" and "zero-copy": the wire
+/// image is the same for every value.
+#[derive(Debug)]
 pub struct AggregateBuilder {
-    entries: Vec<AggregateEntry>,
+    /// The container minus the zero-copy payloads: the count (written at
+    /// the end), every entry head and the staged payloads.
+    slab: BytesMut,
+    /// The zero-copy payloads, each with the slab position it follows.
+    shared: Vec<(usize, Bytes)>,
+    stage_threshold: usize,
+    entries: usize,
     payload_bytes: usize,
 }
 
+impl Default for AggregateBuilder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl AggregateBuilder {
-    /// Empty builder.
+    /// Empty builder that stages every entry into a buffer of its own.
     pub fn new() -> Self {
-        Self::default()
+        AggregateBuilder {
+            slab: BytesMut::new(),
+            shared: Vec::new(),
+            stage_threshold: usize::MAX,
+            entries: 0,
+            payload_bytes: 0,
+        }
+    }
+
+    /// Start a container over: entries below `stage_threshold` bytes are
+    /// staged into `slab`, which should come from a buffer pool (it is
+    /// cleared first). The slab of a container begun and not finished
+    /// comes back.
+    pub fn begin(&mut self, stage_threshold: usize, mut slab: BytesMut) -> BytesMut {
+        slab.clear();
+        self.shared.clear();
+        self.stage_threshold = stage_threshold;
+        (self.entries, self.payload_bytes) = (0, 0);
+        std::mem::replace(&mut self.slab, slab)
     }
 
     /// Add a segment to the container.
-    pub fn push(&mut self, entry: AggregateEntry) {
-        self.payload_bytes += entry.data.len();
-        self.entries.push(entry);
-    }
-
-    /// Drop whatever is queued (the storage stays).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.payload_bytes = 0;
+    #[inline]
+    pub fn push(
+        &mut self,
+        conn_id: ConnId,
+        msg_id: MsgId,
+        seg_index: u16,
+        total_segs: u16,
+        data: &Bytes,
+    ) {
+        if self.entries == 0 {
+            self.slab.put_slice(&[0; CONTAINER_OVERHEAD]);
+        }
+        let head = EntryHdr {
+            conn_id,
+            msg_id,
+            seg_index,
+            total_segs,
+            len: data.len() as u32,
+        };
+        self.slab.put_slice(&head.write());
+        if data.len() < self.stage_threshold {
+            self.slab.put_slice(data);
+        } else {
+            self.shared.push((self.slab.len(), data.clone()));
+        }
+        self.entries += 1;
+        self.payload_bytes += data.len();
     }
 
     /// Number of segments queued.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries
     }
 
     /// True when no segments are queued.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries == 0
     }
 
     /// Application payload bytes queued (excluding per-entry headers).
@@ -87,94 +149,47 @@ impl AggregateBuilder {
 
     /// Wire size of the container this builder would produce.
     pub fn container_len(&self) -> usize {
-        CONTAINER_OVERHEAD + self.entries.len() * ENTRY_OVERHEAD + self.payload_bytes
+        CONTAINER_OVERHEAD + self.entries * ENTRY_OVERHEAD + self.payload_bytes
     }
 
-    /// Bytes the host CPU must copy to stage this container (the memcpy
-    /// cost the paper calls "very low"): all segment payloads.
-    pub fn copy_bytes(&self) -> usize {
-        self.payload_bytes
-    }
-
-    /// Finish into an opaque [`Packet::Aggregate`] body.
+    /// Finish a container in which every entry was staged into the opaque
+    /// [`Packet::Aggregate`] body.
     ///
     /// Panics if empty: an empty aggregate is always a strategy bug.
-    pub fn finish(self) -> Packet {
-        assert!(!self.entries.is_empty(), "empty aggregate container");
-        assert!(
-            self.entries.len() <= u16::MAX as usize,
-            "too many entries in one aggregate"
-        );
-        let mut w = Writer::with_capacity(self.container_len());
-        w.u16(self.entries.len() as u16);
-        for e in &self.entries {
-            w.u32(e.conn_id);
-            w.u64(e.msg_id);
-            w.u16(e.seg_index);
-            w.u16(e.total_segs);
-            w.u32(e.data.len() as u32);
-            w.bytes(&e.data);
-        }
-        Packet::Aggregate(w.finish())
+    pub fn finish(&mut self) -> Packet {
+        let agg = self.finish_parts();
+        assert_eq!(agg.zero_copy_bytes, 0, "a flat container stages it all");
+        Packet::Aggregate(agg.slab)
     }
 
-    /// Finish into scatter-gather body parts instead of a flat container.
-    ///
-    /// Entries whose payload is below `stage_threshold` (the PIO regime —
-    /// the copy the paper calls "very low" cost, §3.1) are staged into
-    /// `slab` together with every entry header; entries at or above it
-    /// ride as refcounted zero-copy slices between staged runs. The wire
-    /// image is identical to [`AggregateBuilder::finish`] — only the copy
-    /// pattern differs.
-    ///
-    /// `slab` should come from a buffer pool (it is cleared first). The
+    /// Finish into scatter-gather body parts: the staged runs of the
+    /// slab, cut where a zero-copy payload rides between them. The
     /// returned [`AggregateParts`] reports how many payload bytes were
     /// staged so the engine can charge exactly that memcpy cost.
     ///
     /// Panics if empty, like [`AggregateBuilder::finish`]. The builder is
-    /// left empty with its storage kept: one builder serves every
-    /// aggregate of an engine without allocating again.
-    pub fn finish_parts(&mut self, stage_threshold: usize, mut slab: BytesMut) -> AggregateParts {
-        assert!(!self.entries.is_empty(), "empty aggregate container");
-        assert!(
-            self.entries.len() <= u16::MAX as usize,
-            "too many entries in one aggregate"
-        );
-        let container_len = self.container_len();
-        slab.clear();
-        let staged = |e: &AggregateEntry| e.data.len() < stage_threshold;
-        slab.put_u16_le(self.entries.len() as u16);
-        for e in &self.entries {
-            slab.put_u32_le(e.conn_id);
-            slab.put_u64_le(e.msg_id);
-            slab.put_u16_le(e.seg_index);
-            slab.put_u16_le(e.total_segs);
-            slab.put_u32_le(e.data.len() as u32);
-            if staged(e) {
-                slab.put_slice(&e.data);
-            }
-        }
-        // Second walk over the same entries: every zero-copy payload cuts
-        // the (single) slab allocation into staged runs, which become
-        // slices of the frozen slab around the payload's own part.
-        let slab = slab.freeze();
+    /// left empty with its list kept: one builder serves every aggregate
+    /// of an engine without allocating again.
+    pub fn finish_parts(&mut self) -> AggregateParts {
+        assert!(self.entries > 0, "empty aggregate container");
+        let count = u16::try_from(self.entries).expect("too many entries in one aggregate");
+        self.slab[..CONTAINER_OVERHEAD].copy_from_slice(&count.to_le_bytes());
+        let zero_copy_bytes: usize = self.shared.iter().map(|(_, p)| p.len()).sum();
+        let (staged_bytes, container_len) =
+            (self.payload_bytes - zero_copy_bytes, self.container_len());
+        // Every zero-copy payload cuts the (single) slab allocation into
+        // staged runs, which become slices of the frozen slab around the
+        // payload's own part.
+        let slab = std::mem::take(&mut self.slab).freeze();
+        (self.entries, self.payload_bytes) = (0, 0);
         let mut parts = PartList::new();
-        let (mut staged_bytes, mut zero_copy_bytes) = (0usize, 0usize);
-        let (mut run_start, mut pos) = (0usize, CONTAINER_OVERHEAD);
-        for e in self.entries.drain(..) {
-            pos += ENTRY_OVERHEAD;
-            if staged(&e) {
-                pos += e.data.len();
-                staged_bytes += e.data.len();
-            } else {
-                parts.push(slab.slice(run_start..pos));
-                run_start = pos;
-                zero_copy_bytes += e.data.len();
-                parts.push(e.data);
-            }
+        let mut run_start = 0;
+        for (at, payload) in self.shared.drain(..) {
+            parts.push(slab.slice(run_start..at));
+            parts.push(payload);
+            run_start = at;
         }
-        parts.push(slab.slice(run_start..pos));
-        self.payload_bytes = 0;
+        parts.push(slab.slice(run_start..));
         debug_assert_eq!(parts.total_len(), container_len);
         AggregateParts {
             parts,
@@ -205,32 +220,34 @@ pub struct AggregateParts {
     pub slab: Bytes,
 }
 
-/// Parse an aggregate container body back into its entries.
-pub fn parse_aggregate(body: &[u8]) -> Result<Vec<AggregateEntry>, WireError> {
-    let mut r = Reader::new(body, "aggregate container");
-    let count = r.u16()? as usize;
+/// The entries of the container that is the next thing in `r`.
+pub(crate) fn parse_entries(r: &mut impl Source) -> Result<Vec<AggregateEntry>, WireError> {
+    let count = u16::from_le_bytes(r.array()?) as usize;
     if count == 0 {
         return Err(WireError::BadLength {
             what: "aggregate count",
             value: 0,
         });
     }
-    let mut entries = Vec::with_capacity(count);
+    // (Sized by what can be there, not by a count off the wire alone.)
+    let mut entries = Vec::with_capacity(count.min(r.remaining() / ENTRY_OVERHEAD));
     for _ in 0..count {
-        let conn_id = r.u32()?;
-        let msg_id = r.u64()?;
-        let seg_index = r.u16()?;
-        let total_segs = r.u16()?;
-        let len = r.u32()? as usize;
-        let data = r.bytes(len)?;
+        let h = EntryHdr::read(&r.array()?);
         entries.push(AggregateEntry {
-            conn_id,
-            msg_id,
-            seg_index,
-            total_segs,
-            data,
+            conn_id: h.conn_id,
+            msg_id: h.msg_id,
+            seg_index: h.seg_index,
+            total_segs: h.total_segs,
+            data: r.bytes(h.len as usize)?,
         });
     }
+    Ok(entries)
+}
+
+/// Parse an aggregate container body back into its entries.
+pub fn parse_aggregate(body: &[u8]) -> Result<Vec<AggregateEntry>, WireError> {
+    let mut r = Reader::new(body, "aggregate container");
+    let entries = parse_entries(&mut r)?;
     r.expect_end()?;
     Ok(entries)
 }
@@ -239,32 +256,31 @@ pub fn parse_aggregate(body: &[u8]) -> Result<Vec<AggregateEntry>, WireError> {
 mod tests {
     use super::*;
 
-    fn entry(msg_id: u64, seg: u16, total: u16, data: &[u8]) -> AggregateEntry {
-        AggregateEntry {
-            conn_id: 0,
-            msg_id,
-            seg_index: seg,
-            total_segs: total,
-            data: Bytes::copy_from_slice(data),
-        }
+    fn push(b: &mut AggregateBuilder, msg_id: u64, seg: u16, total: u16, data: &[u8]) {
+        b.push(0, msg_id, seg, total, &Bytes::copy_from_slice(data));
+    }
+
+    fn container(b: &mut AggregateBuilder) -> Bytes {
+        let Packet::Aggregate(body) = b.finish() else {
+            panic!("wrong kind")
+        };
+        body
     }
 
     #[test]
     fn roundtrip_multiple_messages() {
         let mut b = AggregateBuilder::new();
-        b.push(entry(1, 0, 2, b"first"));
-        b.push(entry(1, 1, 2, b"second"));
-        b.push(entry(9, 0, 1, b"other message"));
+        push(&mut b, 1, 0, 2, b"first");
+        push(&mut b, 1, 1, 2, b"second");
+        push(&mut b, 9, 0, 1, b"other message");
         assert_eq!(b.len(), 3);
         assert_eq!(b.payload_bytes(), 5 + 6 + 13);
         let expected_len = b.container_len();
 
-        let pkt = b.finish();
-        let Packet::Aggregate(body) = &pkt else {
-            panic!("wrong kind")
-        };
+        let body = container(&mut b);
         assert_eq!(body.len(), expected_len);
-        let entries = parse_aggregate(body).unwrap();
+        assert!(b.is_empty(), "finishing leaves the builder empty");
+        let entries = parse_aggregate(&body).unwrap();
         assert_eq!(entries.len(), 3);
         assert_eq!(entries[0].data, Bytes::from_static(b"first"));
         assert_eq!(entries[2].msg_id, 9);
@@ -273,7 +289,7 @@ mod tests {
     #[test]
     fn roundtrip_through_full_packet_encode() {
         let mut b = AggregateBuilder::new();
-        b.push(entry(4, 0, 1, &[0xCC; 100]));
+        push(&mut b, 4, 0, 1, &[0xCC; 100]);
         let pkt = b.finish();
         let buf = pkt.encode(3, 11, true);
         let (_, decoded) = Packet::decode(&buf).unwrap();
@@ -288,12 +304,9 @@ mod tests {
     #[test]
     fn zero_length_segment_allowed() {
         let mut b = AggregateBuilder::new();
-        b.push(entry(1, 0, 1, b""));
-        b.push(entry(2, 0, 1, b"x"));
-        let Packet::Aggregate(body) = b.finish() else {
-            panic!()
-        };
-        let entries = parse_aggregate(&body).unwrap();
+        push(&mut b, 1, 0, 1, b"");
+        push(&mut b, 2, 0, 1, b"x");
+        let entries = parse_aggregate(&container(&mut b)).unwrap();
         assert_eq!(entries[0].data.len(), 0);
         assert_eq!(entries[1].data.len(), 1);
     }
@@ -306,11 +319,8 @@ mod tests {
 
     #[test]
     fn zero_count_rejected_on_parse() {
-        let mut w = Writer::new();
-        w.u16(0);
-        let body = w.finish();
         assert!(matches!(
-            parse_aggregate(&body),
+            parse_aggregate(&[0, 0]),
             Err(WireError::BadLength { .. })
         ));
     }
@@ -318,10 +328,8 @@ mod tests {
     #[test]
     fn truncated_entry_rejected() {
         let mut b = AggregateBuilder::new();
-        b.push(entry(1, 0, 1, b"payload"));
-        let Packet::Aggregate(body) = b.finish() else {
-            panic!()
-        };
+        push(&mut b, 1, 0, 1, b"payload");
+        let body = container(&mut b);
         for cut in [1, 3, 10, body.len() - 1] {
             assert!(parse_aggregate(&body[..cut]).is_err(), "cut {cut}");
         }
@@ -330,11 +338,8 @@ mod tests {
     #[test]
     fn trailing_garbage_rejected() {
         let mut b = AggregateBuilder::new();
-        b.push(entry(1, 0, 1, b"p"));
-        let Packet::Aggregate(body) = b.finish() else {
-            panic!()
-        };
-        let mut extended = body.to_vec();
+        push(&mut b, 1, 0, 1, b"p");
+        let mut extended = container(&mut b).to_vec();
         extended.push(0xFF);
         assert!(matches!(
             parse_aggregate(&extended),
@@ -347,17 +352,16 @@ mod tests {
         let big = vec![0xBB; 512];
         let mut flat = AggregateBuilder::new();
         let mut sg = AggregateBuilder::new();
-        for b in [&mut flat, &mut sg] {
-            b.push(entry(1, 0, 2, b"small one"));
-            b.push(entry(2, 0, 1, &big));
-            b.push(entry(1, 1, 2, b"small two"));
-            b.push(entry(3, 0, 1, &big));
-        }
-        let Packet::Aggregate(body) = flat.finish() else {
-            panic!()
-        };
         // Threshold 256: the two big entries ride zero-copy.
-        let parts = sg.finish_parts(256, BytesMut::new());
+        sg.begin(256, BytesMut::new());
+        for b in [&mut flat, &mut sg] {
+            push(b, 1, 0, 2, b"small one");
+            push(b, 2, 0, 1, &big);
+            push(b, 1, 1, 2, b"small two");
+            push(b, 3, 0, 1, &big);
+        }
+        let body = container(&mut flat);
+        let parts = sg.finish_parts();
         assert_eq!(parts.staged_bytes, 9 + 9);
         assert_eq!(parts.zero_copy_bytes, 1024);
         assert_eq!(parts.container_len, body.len());
@@ -366,18 +370,18 @@ mod tests {
             joined.extend_from_slice(p);
         }
         assert_eq!(joined, body.to_vec(), "wire images must be identical");
-        // Interleaving: run / big / run / big (no trailing run — the last
-        // entry is zero-copy... actually last entry is big, so runs end
-        // with an empty tail that is skipped).
-        assert!(parts.parts.len() >= 4);
+        // Interleaving: run / big / run / big (the last entry is
+        // zero-copy, so the empty tail run is skipped).
+        assert_eq!(parts.parts.len(), 4);
     }
 
     #[test]
     fn finish_parts_all_small_is_one_staged_run() {
         let mut b = AggregateBuilder::new();
-        b.push(entry(1, 0, 1, b"aa"));
-        b.push(entry(2, 0, 1, b"bb"));
-        let parts = b.finish_parts(4096, BytesMut::new());
+        b.begin(4096, BytesMut::new());
+        push(&mut b, 1, 0, 1, b"aa");
+        push(&mut b, 2, 0, 1, b"bb");
+        let parts = b.finish_parts();
         assert_eq!(parts.parts.len(), 1, "everything staged in one slab run");
         assert_eq!(parts.staged_bytes, 4);
         assert_eq!(parts.zero_copy_bytes, 0);
@@ -387,14 +391,9 @@ mod tests {
     fn finish_parts_zero_copy_slices_share_storage() {
         let big = Bytes::from(vec![0xCD; 300]);
         let mut b = AggregateBuilder::new();
-        b.push(AggregateEntry {
-            conn_id: 0,
-            msg_id: 1,
-            seg_index: 0,
-            total_segs: 1,
-            data: big.clone(),
-        });
-        let parts = b.finish_parts(128, BytesMut::new());
+        b.begin(128, BytesMut::new());
+        b.push(0, 1, 0, 1, &big);
+        let parts = b.finish_parts();
         let payload = parts
             .parts
             .iter()
@@ -403,13 +402,29 @@ mod tests {
         assert_eq!(payload.as_slice().as_ptr(), big.as_slice().as_ptr());
     }
 
+    /// A container begun and abandoned (an aggregate that failed half-way)
+    /// hands its slab back at the next `begin` and leaves nothing behind.
+    #[test]
+    fn begin_returns_the_unfinished_slab_and_starts_clean() {
+        let mut b = AggregateBuilder::new();
+        b.begin(4, BytesMut::with_capacity(512));
+        push(&mut b, 1, 0, 1, b"abandoned");
+        let back = b.begin(4096, BytesMut::new());
+        assert_eq!(back.capacity(), 512);
+        assert!(b.is_empty());
+        push(&mut b, 2, 0, 1, b"kept");
+        let parts = b.finish_parts();
+        assert_eq!((parts.staged_bytes, parts.zero_copy_bytes), (4, 0));
+        assert_eq!(parse_aggregate(&parts.slab).unwrap()[0].msg_id, 2);
+    }
+
     #[test]
     fn overhead_constants_match_layout() {
         let mut b = AggregateBuilder::new();
-        b.push(entry(1, 0, 1, b"abc"));
-        let Packet::Aggregate(body) = b.finish() else {
-            panic!()
-        };
-        assert_eq!(body.len(), CONTAINER_OVERHEAD + ENTRY_OVERHEAD + 3);
+        push(&mut b, 1, 0, 1, b"abc");
+        assert_eq!(
+            container(&mut b).len(),
+            CONTAINER_OVERHEAD + ENTRY_OVERHEAD + 3
+        );
     }
 }

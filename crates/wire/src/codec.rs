@@ -1,12 +1,35 @@
-//! Minimal safe reader/writer for the wire format.
+//! Minimal safe reader for the wire format.
 //!
 //! All integers are little-endian. The reader returns
 //! [`WireError::Truncated`] instead of panicking on short input, which the
-//! failure-injection tests rely on.
+//! failure-injection tests rely on. What the decoders need of a reader is
+//! [`Source`]: a header comes out whole, as the array its layout reads
+//! itself from (`header::layout!`), and a payload as [`Bytes`].
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 use crate::error::WireError;
+
+/// Where a decoder reads from: a flat buffer ([`Reader`]) or the parts of
+/// a frame ([`crate::frame::SgReader`]).
+pub trait Source {
+    /// Bytes not yet consumed.
+    fn remaining(&self) -> usize;
+
+    /// The next `N` bytes: one header, whole.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError>;
+
+    /// The next `n` bytes, as a payload.
+    fn bytes(&mut self, n: usize) -> Result<Bytes, WireError>;
+
+    /// Fail if any bytes remain.
+    fn expect_end(&self) -> Result<(), WireError> {
+        match self.remaining() {
+            0 => Ok(()),
+            left => Err(WireError::TrailingBytes(left)),
+        }
+    }
+}
 
 /// A bounds-checked reader over a byte slice.
 pub struct Reader<'a> {
@@ -22,16 +45,6 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0, what }
     }
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Current read offset.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated {
@@ -44,118 +57,20 @@ impl<'a> Reader<'a> {
         self.pos += n;
         Ok(s)
     }
+}
 
-    /// Read a `u8`.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+impl Source for Reader<'_> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
-    /// Read a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(*self.take(N)?.first_chunk().expect("take(N) is N bytes"))
     }
 
-    /// Read a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Read a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// Read `n` raw bytes as an owned [`Bytes`].
-    pub fn bytes(&mut self, n: usize) -> Result<Bytes, WireError> {
+    /// The bytes are copied: a flat buffer is borrowed, not refcounted.
+    fn bytes(&mut self, n: usize) -> Result<Bytes, WireError> {
         Ok(Bytes::copy_from_slice(self.take(n)?))
-    }
-
-    /// Read all remaining bytes.
-    pub fn rest(&mut self) -> Bytes {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        Bytes::copy_from_slice(s)
-    }
-
-    /// Fail if any bytes remain.
-    pub fn expect_end(&self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::TrailingBytes(self.remaining()));
-        }
-        Ok(())
-    }
-}
-
-/// A growable writer. Thin veneer over [`BytesMut`] kept symmetric with
-/// [`Reader`] so encode/decode code reads the same way.
-pub struct Writer {
-    buf: BytesMut,
-}
-
-impl Default for Writer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Writer {
-    /// Empty writer.
-    pub fn new() -> Self {
-        Writer {
-            buf: BytesMut::new(),
-        }
-    }
-
-    /// Writer with reserved capacity.
-    pub fn with_capacity(n: usize) -> Self {
-        Writer {
-            buf: BytesMut::with_capacity(n),
-        }
-    }
-
-    /// Append a `u8`.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
-    }
-
-    /// Append a little-endian `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
-    }
-
-    /// Append a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
-    }
-
-    /// Append a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
-    }
-
-    /// Append raw bytes.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing was written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Finish and take the buffer.
-    pub fn finish(self) -> Bytes {
-        self.buf.freeze()
     }
 }
 
@@ -164,29 +79,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_all_widths() {
-        let mut w = Writer::new();
-        w.u8(0xAB);
-        w.u16(0xBEEF);
-        w.u32(0xDEAD_BEEF);
-        w.u64(0x0123_4567_89AB_CDEF);
-        w.bytes(b"tail");
-        let buf = w.finish();
-
-        let mut r = Reader::new(&buf, "test");
-        assert_eq!(r.u8().unwrap(), 0xAB);
-        assert_eq!(r.u16().unwrap(), 0xBEEF);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64().unwrap(), 0x0123_4567_89AB_CDEF);
-        assert_eq!(&r.rest()[..], b"tail");
+    fn reads_arrays_and_payloads_in_order() {
+        let mut r = Reader::new(&[0xAB, 0xEF, 0xBE, b't', b'a', b'i', b'l'], "test");
+        assert_eq!(r.array::<1>().unwrap(), [0xAB]);
+        assert_eq!(r.array().map(u16::from_le_bytes), Ok(0xBEEF));
+        assert_eq!(&r.bytes(4).unwrap()[..], b"tail");
         assert!(r.expect_end().is_ok());
     }
 
     #[test]
     fn truncation_reports_context() {
         let mut r = Reader::new(&[1, 2], "short thing");
-        assert_eq!(r.u8().unwrap(), 1);
-        let err = r.u32().unwrap_err();
+        assert_eq!(r.array::<1>().unwrap(), [1]);
+        let err = r.array::<4>().unwrap_err();
         match err {
             WireError::Truncated {
                 what,
@@ -213,12 +118,5 @@ mod tests {
         assert_eq!(&r.bytes(3).unwrap()[..], b"abc");
         assert_eq!(r.remaining(), 3);
         assert!(r.bytes(4).is_err());
-    }
-
-    #[test]
-    fn little_endian_layout() {
-        let mut w = Writer::new();
-        w.u16(0x0102);
-        assert_eq!(&w.finish()[..], &[0x02, 0x01]);
     }
 }

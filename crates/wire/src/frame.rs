@@ -22,10 +22,13 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::agg::AggregateEntry;
+use crate::agg::{parse_entries, AggregateEntry};
 use crate::checksum::{crc32_finish, crc32_init, update};
+use crate::codec::Source;
 use crate::error::WireError;
-use crate::header::{Envelope, Packet, PacketKind, ENVELOPE_LEN, FLAG_CRC, MAGIC, VERSION};
+use crate::header::{
+    check_crc, open_envelope, Envelope, EnvelopeHdr, Packet, PacketKind, ENVELOPE_LEN,
+};
 use crate::small::SmallList;
 use crate::ConnId;
 
@@ -218,146 +221,17 @@ impl PacketFrame {
     /// engine can account for them.
     pub fn decode(&self) -> Result<(Envelope, FrameBody, usize), WireError> {
         let mut r = SgReader::new(self, "envelope");
-        let magic = r.u16()?;
-        if magic != MAGIC {
-            return Err(WireError::BadMagic(magic));
-        }
-        let version = r.u8()?;
-        if version != VERSION {
-            return Err(WireError::BadVersion(version));
-        }
-        let kind = PacketKind::from_u8(r.u8()?)?;
-        let conn_id = r.u32()?;
-        let seq = r.u32()?;
-        let payload_len = r.u32()? as usize;
-        let crc = r.u32()?;
-        let flags = r.u16()?;
-        let _reserved = r.u16()?;
-        if r.remaining() < payload_len {
-            return Err(WireError::Truncated {
-                what: "packet payload",
-                needed: payload_len,
-                available: r.remaining(),
-            });
-        }
-        if r.remaining() > payload_len {
-            return Err(WireError::TrailingBytes(r.remaining() - payload_len));
-        }
-        let crc_checked = flags & FLAG_CRC != 0;
-        if crc_checked {
-            let computed = r.crc_of_rest();
-            if computed != crc {
-                return Err(WireError::BadChecksum {
-                    computed,
-                    expected: crc,
-                });
-            }
-        }
+        let (envelope, crc) = open_envelope(&mut r)?;
+        check_crc(crc, || r.crc_of_rest())?;
         r.what = "packet body";
-        let body = Self::decode_body_sg(kind, &mut r)?;
+        // Entries are parsed straight out of the parts, so aggregate
+        // payloads stay zero-copy on the receive side too.
+        let body = match envelope.kind {
+            PacketKind::Aggregate => FrameBody::Aggregate(parse_entries(&mut r)?),
+            kind => FrameBody::Packet(Packet::decode_body(kind, &mut r)?),
+        };
         r.expect_end()?;
-        Ok((
-            Envelope {
-                conn_id,
-                seq,
-                kind,
-                crc_checked,
-            },
-            body,
-            r.copied(),
-        ))
-    }
-
-    fn decode_body_sg(kind: PacketKind, r: &mut SgReader<'_>) -> Result<FrameBody, WireError> {
-        use crate::header::{
-            AckPacket, ChunkPacket, EagerPacket, RdvAck, RdvRequest, SamplePacket,
-        };
-        let pkt = match kind {
-            PacketKind::Eager => {
-                let msg_id = r.u64()?;
-                let seg_index = r.u16()?;
-                let total_segs = r.u16()?;
-                let len = r.u32()? as usize;
-                let data = r.bytes(len)?;
-                Packet::Eager(EagerPacket {
-                    msg_id,
-                    seg_index,
-                    total_segs,
-                    data,
-                })
-            }
-            PacketKind::Aggregate => {
-                // Parse entries straight out of the parts so aggregate
-                // payloads stay zero-copy on the receive side too.
-                let count = r.u16()? as usize;
-                if count == 0 {
-                    return Err(WireError::BadLength {
-                        what: "aggregate count",
-                        value: 0,
-                    });
-                }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let conn_id = r.u32()?;
-                    let msg_id = r.u64()?;
-                    let seg_index = r.u16()?;
-                    let total_segs = r.u16()?;
-                    let len = r.u32()? as usize;
-                    let data = r.bytes(len)?;
-                    entries.push(AggregateEntry {
-                        conn_id,
-                        msg_id,
-                        seg_index,
-                        total_segs,
-                        data,
-                    });
-                }
-                return Ok(FrameBody::Aggregate(entries));
-            }
-            PacketKind::RdvRequest => Packet::RdvRequest(RdvRequest {
-                msg_id: r.u64()?,
-                seg_index: r.u16()?,
-                total_segs: r.u16()?,
-                total_len: r.u64()?,
-            }),
-            PacketKind::RdvAck => Packet::RdvAck(RdvAck {
-                msg_id: r.u64()?,
-                seg_index: r.u16()?,
-            }),
-            PacketKind::Chunk => {
-                let msg_id = r.u64()?;
-                let seg_index = r.u16()?;
-                let total_segs = r.u16()?;
-                let offset = r.u64()?;
-                let total_len = r.u64()?;
-                let chunk_index = r.u16()?;
-                let len = r.u32()? as usize;
-                crate::header::chunk_extent(offset, len, total_len)?;
-                let data = r.bytes(len)?;
-                Packet::Chunk(ChunkPacket {
-                    msg_id,
-                    seg_index,
-                    total_segs,
-                    offset,
-                    total_len,
-                    chunk_index,
-                    data,
-                })
-            }
-            PacketKind::Ack => Packet::Ack(AckPacket { msg_id: r.u64()? }),
-            PacketKind::SamplePing | PacketKind::SamplePong => {
-                let probe_id = r.u64()?;
-                let len = r.u32()? as usize;
-                let data = r.bytes(len)?;
-                let p = SamplePacket { probe_id, data };
-                if kind == PacketKind::SamplePing {
-                    Packet::SamplePing(p)
-                } else {
-                    Packet::SamplePong(p)
-                }
-            }
-        };
-        Ok(FrameBody::Packet(pkt))
+        Ok((envelope, body, r.copied()))
     }
 }
 
@@ -382,8 +256,9 @@ pub enum FrameBody {
 /// scatter-gather analogue of [`crate::codec::Reader`]).
 pub struct SgReader<'a> {
     frame: &'a PacketFrame,
+    /// The part being read, and what is left of it.
     part: usize,
-    off: usize,
+    rest: &'a [u8],
     consumed: usize,
     copied: usize,
     what: &'static str,
@@ -395,16 +270,11 @@ impl<'a> SgReader<'a> {
         SgReader {
             frame,
             part: 0,
-            off: 0,
+            rest: frame.part(0).map_or(&[], Bytes::as_slice),
             consumed: 0,
             copied: 0,
             what,
         }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.frame.wire_len() - self.consumed
     }
 
     /// Payload bytes copied so far because they straddled part boundaries.
@@ -412,85 +282,81 @@ impl<'a> SgReader<'a> {
         self.copied
     }
 
-    fn skip_exhausted(&mut self) {
-        while let Some(p) = self.frame.part(self.part) {
-            if self.off < p.len() {
+    /// What is left of the first part that has anything left.
+    fn current(&mut self) -> &'a [u8] {
+        while self.rest.is_empty() {
+            let Some(next) = self.frame.part(self.part + 1) else {
                 break;
-            }
+            };
             self.part += 1;
-            self.off = 0;
+            self.rest = next.as_slice();
         }
+        self.rest
     }
 
-    fn short(&self, needed: usize) -> WireError {
-        WireError::Truncated {
-            what: self.what,
-            needed,
-            available: self.remaining(),
-        }
+    fn advance(&mut self, n: usize) {
+        self.rest = &self.rest[n..];
+        self.consumed += n;
     }
 
+    /// The one path for what straddles a part boundary.
     fn read_exact(&mut self, dst: &mut [u8]) -> Result<(), WireError> {
         if self.remaining() < dst.len() {
-            return Err(self.short(dst.len()));
+            return Err(WireError::Truncated {
+                what: self.what,
+                needed: dst.len(),
+                available: self.remaining(),
+            });
         }
         let mut filled = 0;
         while filled < dst.len() {
-            self.skip_exhausted();
-            let p = self.frame.part(self.part).expect("remaining checked");
-            let n = (p.len() - self.off).min(dst.len() - filled);
-            dst[filled..filled + n].copy_from_slice(&p[self.off..self.off + n]);
-            self.off += n;
-            self.consumed += n;
+            let cur = self.current();
+            let n = cur.len().min(dst.len() - filled);
+            dst[filled..filled + n].copy_from_slice(&cur[..n]);
+            self.advance(n);
             filled += n;
         }
         Ok(())
     }
 
-    /// Read a `u8`.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        let mut b = [0u8; 1];
-        self.read_exact(&mut b)?;
-        Ok(b[0])
+    /// CRC-32 of everything after the cursor, without consuming it.
+    pub fn crc_of_rest(&self) -> u32 {
+        let later = self.frame.parts().skip(self.part + 1);
+        let state = later.fold(update(crc32_init(), self.rest), |s, p| update(s, p));
+        crc32_finish(state)
+    }
+}
+
+impl Source for SgReader<'_> {
+    fn remaining(&self) -> usize {
+        self.frame.wire_len() - self.consumed
     }
 
-    /// Read a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        let mut b = [0u8; 2];
-        self.read_exact(&mut b)?;
-        Ok(u16::from_le_bytes(b))
+    /// Straight out of the current part when the header lies within it.
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        if let Some(&head) = self.current().first_chunk() {
+            self.advance(N);
+            return Ok(head);
+        }
+        let mut head = [0u8; N];
+        self.read_exact(&mut head)?;
+        Ok(head)
     }
 
-    /// Read a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        let mut b = [0u8; 4];
-        self.read_exact(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// Read a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        let mut b = [0u8; 8];
-        self.read_exact(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Read `n` bytes. Zero-copy (a refcounted slice of the current part)
-    /// when the range lies within one part; copies — and counts the copy —
-    /// only when it straddles parts.
-    pub fn bytes(&mut self, n: usize) -> Result<Bytes, WireError> {
+    /// Zero-copy (a refcounted slice of the current part) when the range
+    /// lies within one part; copies — and counts the copy — only when it
+    /// straddles parts.
+    #[inline]
+    fn bytes(&mut self, n: usize) -> Result<Bytes, WireError> {
         if n == 0 {
             return Ok(Bytes::new());
         }
-        if self.remaining() < n {
-            return Err(self.short(n));
-        }
-        self.skip_exhausted();
-        let p = self.frame.part(self.part).expect("remaining checked");
-        if p.len() - self.off >= n {
-            let b = p.slice(self.off..self.off + n);
-            self.off += n;
-            self.consumed += n;
+        if self.current().len() >= n {
+            let p = self.frame.part(self.part).expect("current() is in it");
+            let off = p.len() - self.rest.len();
+            let b = p.slice(off..off + n);
+            self.advance(n);
             return Ok(b);
         }
         let mut out = vec![0u8; n];
@@ -498,65 +364,14 @@ impl<'a> SgReader<'a> {
         self.copied += n;
         Ok(Bytes::from(out))
     }
-
-    /// CRC-32 of everything after the cursor, without consuming it.
-    pub fn crc_of_rest(&self) -> u32 {
-        let mut state = crc32_init();
-        let mut part = self.part;
-        let mut off = self.off;
-        while let Some(p) = self.frame.part(part) {
-            if off < p.len() {
-                state = update(state, &p[off..]);
-            }
-            part += 1;
-            off = 0;
-        }
-        crc32_finish(state)
-    }
-
-    /// Fail if any bytes remain.
-    pub fn expect_end(&self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::TrailingBytes(self.remaining()));
-        }
-        Ok(())
-    }
 }
 
-/// Write the fixed envelope into `head`. `crc` may be a placeholder that
-/// is patched after the body is known (see [`patch_crc`]).
-fn write_envelope(
-    head: &mut BytesMut,
-    kind: PacketKind,
-    conn_id: ConnId,
-    seq: u32,
-    payload_len: usize,
-    with_crc: bool,
-) {
-    head.put_u16_le(MAGIC);
-    head.put_u8(VERSION);
-    head.put_u8(kind as u8);
-    head.put_u32_le(conn_id);
-    head.put_u32_le(seq);
-    head.put_u32_le(payload_len as u32);
-    head.put_u32_le(0); // crc, patched below when enabled
-    head.put_u16_le(if with_crc { FLAG_CRC } else { 0 });
-    head.put_u16_le(0); // reserved
-}
-
-/// Patch the envelope's crc field in place (offset 16..20).
-fn patch_crc(head: &mut BytesMut, crc: u32) {
-    head[16..20].copy_from_slice(&crc.to_le_bytes());
-}
-
-/// Streaming CRC over the body: the head's bytes past the envelope, then
+/// Streaming CRC over a packet's body: what `head` holds of it, then
 /// every body part.
-fn crc_over(head: &BytesMut, body: &PartList) -> u32 {
-    let mut state = crc32_init();
-    state = update(state, &head[ENVELOPE_LEN..]);
-    for p in body.iter() {
-        state = update(state, p);
-    }
+fn crc_over(head: &[u8], body: &PartList) -> u32 {
+    let state = body
+        .iter()
+        .fold(update(crc32_init(), head), |s, p| update(s, p));
     crc32_finish(state)
 }
 
@@ -576,53 +391,15 @@ impl Packet {
         mut head: BytesMut,
     ) -> PacketFrame {
         head.clear();
-        let payload_len = self.wire_len() - ENVELOPE_LEN;
-        write_envelope(&mut head, self.kind(), conn_id, seq, payload_len, with_crc);
+        head.put_slice(&[0; ENVELOPE_LEN]);
         let mut body = PartList::new();
-        match self {
-            Packet::Eager(p) => {
-                head.put_u64_le(p.msg_id);
-                head.put_u16_le(p.seg_index);
-                head.put_u16_le(p.total_segs);
-                head.put_u32_le(p.data.len() as u32);
-                body.push(p.data.clone());
-            }
-            Packet::Aggregate(b) => {
-                body.push(b.clone());
-            }
-            Packet::RdvRequest(p) => {
-                head.put_u64_le(p.msg_id);
-                head.put_u16_le(p.seg_index);
-                head.put_u16_le(p.total_segs);
-                head.put_u64_le(p.total_len);
-            }
-            Packet::RdvAck(p) => {
-                head.put_u64_le(p.msg_id);
-                head.put_u16_le(p.seg_index);
-            }
-            Packet::Chunk(p) => {
-                head.put_u64_le(p.msg_id);
-                head.put_u16_le(p.seg_index);
-                head.put_u16_le(p.total_segs);
-                head.put_u64_le(p.offset);
-                head.put_u64_le(p.total_len);
-                head.put_u16_le(p.chunk_index);
-                head.put_u32_le(p.data.len() as u32);
-                body.push(p.data.clone());
-            }
-            Packet::Ack(p) => {
-                head.put_u64_le(p.msg_id);
-            }
-            Packet::SamplePing(p) | Packet::SamplePong(p) => {
-                head.put_u64_le(p.probe_id);
-                head.put_u32_le(p.data.len() as u32);
-                body.push(p.data.clone());
-            }
+        if let Some(payload) = self.write_head(&mut head) {
+            body.push(payload.clone());
         }
-        if with_crc {
-            let crc = crc_over(&head, &body);
-            patch_crc(&mut head, crc);
-        }
+        let crc = with_crc.then(|| crc_over(&head[ENVELOPE_LEN..], &body));
+        let payload_len = self.wire_len() - ENVELOPE_LEN;
+        let envelope = EnvelopeHdr::new(self.kind(), conn_id, seq, payload_len, crc);
+        head[..ENVELOPE_LEN].copy_from_slice(&envelope.write());
         let frame = PacketFrame::from_parts(head.freeze(), body);
         debug_assert_eq!(frame.wire_len(), self.wire_len());
         frame
@@ -648,11 +425,8 @@ pub fn encode_parts_frame(
     mut head: BytesMut,
 ) -> PacketFrame {
     head.clear();
-    write_envelope(&mut head, kind, conn_id, seq, body.total_len(), with_crc);
-    if with_crc {
-        let crc = crc_over(&head, &body);
-        patch_crc(&mut head, crc);
-    }
+    let crc = with_crc.then(|| crc_over(&[], &body));
+    head.put_slice(&EnvelopeHdr::new(kind, conn_id, seq, body.total_len(), crc).write());
     PacketFrame::from_parts(head.freeze(), body)
 }
 

@@ -1,34 +1,62 @@
 //! Packet envelope and per-kind headers.
 //!
-//! Every physical packet starts with a fixed 24-byte [`Envelope`] followed
-//! by a kind-specific header and payload. Layout (all little-endian):
-//!
-//! ```text
-//! offset  size  field
-//!      0     2  magic 0x4D4E ("NM")
-//!      2     1  version (currently 1)
-//!      3     1  kind (PacketKind discriminant)
-//!      4     4  conn_id
-//!      8     4  seq        per-(connection, rail) send sequence
-//!     12     4  payload_len  bytes after the envelope
-//!     16     4  crc32 of the payload (0 when flags bit 0 is clear)
-//!     20     2  flags      bit 0: crc present
-//!     22     2  reserved
-//! ```
+//! Every physical packet starts with a fixed 24-byte envelope followed
+//! by a kind-specific header and payload. Each header is one fixed
+//! layout (all little-endian), declared once below with `layout!` and
+//! used by the flat encoder, the vectored one, both decoders and
+//! [`ChunkHead::peek`] alike: a header is written as one array and read
+//! back from one array, never field by field. DESIGN.md §4 has the table.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::checksum::crc32;
-use crate::codec::{Reader, Writer};
+use crate::codec::{Reader, Source};
 use crate::error::WireError;
 use crate::{ConnId, MsgId};
+
+/// Declares a header layout: a struct of little-endian integers, each at
+/// its fixed offset (`field: type = offset`), the header's wire length
+/// `LEN`, `write` (the header as one array) and `read` (from one array).
+macro_rules! layout {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident[$len:expr] {
+        $($(#[$fmeta:meta])* $field:ident: $ty:ty = $at:expr),* $(,)?
+    }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        $vis struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+
+        impl $name {
+            /// Bytes this header occupies on the wire.
+            pub const LEN: usize = $len;
+
+            /// The header's wire image.
+            pub fn write(&self) -> [u8; $len] {
+                let mut b = [0u8; $len];
+                $(b[$at..$at + size_of::<$ty>()].copy_from_slice(&self.$field.to_le_bytes());)*
+                b
+            }
+
+            /// The header read back from its wire image.
+            pub fn read(b: &[u8; $len]) -> Self {
+                $name {
+                    $($field: <$ty>::from_le_bytes(
+                        *b[$at..].first_chunk().expect("field inside LEN"),
+                    ),)*
+                }
+            }
+        }
+    };
+}
+pub(crate) use layout;
 
 /// Wire magic: "NM" little-endian.
 pub const MAGIC: u16 = 0x4D4E;
 /// Current wire version.
 pub const VERSION: u8 = 1;
 /// Size of the fixed envelope in bytes.
-pub const ENVELOPE_LEN: usize = 24;
+pub const ENVELOPE_LEN: usize = EnvelopeHdr::LEN;
 /// Flag bit: payload CRC present and must be verified.
 pub const FLAG_CRC: u16 = 0b1;
 
@@ -83,6 +111,94 @@ pub struct Envelope {
     pub crc_checked: bool,
 }
 
+layout! {
+    /// The envelope as it lies on the wire.
+    pub(crate) struct EnvelopeHdr[24] {
+        magic: u16 = 0,
+        version: u8 = 2,
+        kind: u8 = 3,
+        conn_id: u32 = 4,
+        seq: u32 = 8,
+        payload_len: u32 = 12,
+        crc: u32 = 16,
+        flags: u16 = 20,
+        reserved: u16 = 22,
+    }
+}
+
+impl EnvelopeHdr {
+    /// The envelope of a `kind` packet whose `payload_len` bytes after it
+    /// checksum to `crc` (`None`: no CRC on this packet).
+    pub(crate) fn new(
+        kind: PacketKind,
+        conn_id: ConnId,
+        seq: u32,
+        payload_len: usize,
+        crc: Option<u32>,
+    ) -> Self {
+        EnvelopeHdr {
+            magic: MAGIC,
+            version: VERSION,
+            kind: kind as u8,
+            conn_id,
+            seq,
+            payload_len: payload_len as u32,
+            crc: crc.unwrap_or(0),
+            flags: if crc.is_some() { FLAG_CRC } else { 0 },
+            reserved: 0,
+        }
+    }
+}
+
+/// Read the envelope at the start of a packet and check it against what
+/// follows: magic, version, kind, and a payload of exactly `payload_len`
+/// bytes. Returns the envelope and, when the packet carries one, the CRC
+/// its payload must have.
+pub(crate) fn open_envelope(r: &mut impl Source) -> Result<(Envelope, Option<u32>), WireError> {
+    let h = EnvelopeHdr::read(&r.array()?);
+    if h.magic != MAGIC {
+        return Err(WireError::BadMagic(h.magic));
+    }
+    if h.version != VERSION {
+        return Err(WireError::BadVersion(h.version));
+    }
+    let kind = PacketKind::from_u8(h.kind)?;
+    let (payload_len, available) = (h.payload_len as usize, r.remaining());
+    if available < payload_len {
+        return Err(WireError::Truncated {
+            what: "packet payload",
+            needed: payload_len,
+            available,
+        });
+    }
+    if available > payload_len {
+        return Err(WireError::TrailingBytes(available - payload_len));
+    }
+    let crc_checked = h.flags & FLAG_CRC != 0;
+    let envelope = Envelope {
+        conn_id: h.conn_id,
+        seq: h.seq,
+        kind,
+        crc_checked,
+    };
+    Ok((envelope, crc_checked.then_some(h.crc)))
+}
+
+/// Fail unless the payload's CRC, `computed` only when the packet carries
+/// one, is the `expected` one.
+pub(crate) fn check_crc(
+    expected: Option<u32>,
+    computed: impl FnOnce() -> u32,
+) -> Result<(), WireError> {
+    let Some(expected) = expected else {
+        return Ok(());
+    };
+    match computed() {
+        computed if computed != expected => Err(WireError::BadChecksum { computed, expected }),
+        _ => Ok(()),
+    }
+}
+
 /// One segment of a small message, sent eagerly.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EagerPacket {
@@ -96,28 +212,40 @@ pub struct EagerPacket {
     pub data: Bytes,
 }
 
-/// Rendezvous request: announces a large *segment* of a message. Chunking
-/// and rendezvous operate per segment — the schedulable unit of the paper's
-/// strategies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RdvRequest {
-    /// Message the segment belongs to.
-    pub msg_id: MsgId,
-    /// Segment index within the message.
-    pub seg_index: u16,
-    /// Total segments in the message.
-    pub total_segs: u16,
-    /// Payload length of this segment.
-    pub total_len: u64,
+layout! {
+    /// What precedes an eager segment's payload.
+    pub(crate) struct EagerHdr[16] {
+        msg_id: MsgId = 0,
+        seg_index: u16 = 8,
+        total_segs: u16 = 10,
+        len: u32 = 12,
+    }
 }
 
-/// Rendezvous grant: the receiver is ready (buffers posted).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RdvAck {
-    /// Message being granted.
-    pub msg_id: MsgId,
-    /// Segment being granted.
-    pub seg_index: u16,
+layout! {
+    /// Rendezvous request: announces a large *segment* of a message.
+    /// Chunking and rendezvous operate per segment — the schedulable unit
+    /// of the paper's strategies.
+    pub struct RdvRequest[20] {
+        /// Message the segment belongs to.
+        msg_id: MsgId = 0,
+        /// Segment index within the message.
+        seg_index: u16 = 8,
+        /// Total segments in the message.
+        total_segs: u16 = 10,
+        /// Payload length of this segment.
+        total_len: u64 = 12,
+    }
+}
+
+layout! {
+    /// Rendezvous grant: the receiver is ready (buffers posted).
+    pub struct RdvAck[10] {
+        /// Message being granted.
+        msg_id: MsgId = 0,
+        /// Segment being granted.
+        seg_index: u16 = 8,
+    }
 }
 
 /// One chunk of a split segment, possibly arriving over any rail.
@@ -139,6 +267,19 @@ pub struct ChunkPacket {
     pub chunk_index: u16,
     /// Chunk payload.
     pub data: Bytes,
+}
+
+layout! {
+    /// What precedes a chunk's payload.
+    pub(crate) struct ChunkHdr[34] {
+        msg_id: MsgId = 0,
+        seg_index: u16 = 8,
+        total_segs: u16 = 10,
+        offset: u64 = 12,
+        total_len: u64 = 20,
+        chunk_index: u16 = 28,
+        len: u32 = 30,
+    }
 }
 
 /// Check that a chunk's `[offset, offset + len)` lies inside its
@@ -182,7 +323,7 @@ pub struct ChunkHead {
 impl ChunkHead {
     /// Bytes of a chunk frame before its payload: the envelope and the
     /// chunk header.
-    pub const LEN: usize = ENVELOPE_LEN + 8 + 2 + 2 + 8 + 8 + 2 + 4;
+    pub const LEN: usize = ENVELOPE_LEN + ChunkHdr::LEN;
 
     /// True when `frame`, the first bytes of a frame (at least one), may
     /// turn out to be a chunk frame once [`ChunkHead::LEN`] bytes of it
@@ -198,41 +339,34 @@ impl ChunkHead {
     /// chunk frame of this wire version; an error when it is one and its
     /// extent overflows or runs past `total_len`.
     pub fn peek(frame: &[u8]) -> Result<Option<ChunkHead>, WireError> {
-        let Some(head) = frame.get(..Self::LEN) else {
+        let Some((envelope, rest)) = frame.split_first_chunk() else {
             return Ok(None);
         };
-        let mut r = Reader::new(head, "chunk head");
-        if r.u16()? != MAGIC || r.u8()? != VERSION || r.u8()? != PacketKind::Chunk as u8 {
+        let (env, Some(chunk)) = (EnvelopeHdr::read(envelope), rest.first_chunk()) else {
+            return Ok(None);
+        };
+        if (env.magic, env.version, env.kind) != (MAGIC, VERSION, PacketKind::Chunk as u8) {
             return Ok(None);
         }
-        let conn_id = r.u32()?;
-        let (_seq, _payload_len, _crc) = (r.u32()?, r.u32()?, r.u32()?);
-        let (_flags, _reserved) = (r.u16()?, r.u16()?);
-        let msg_id = r.u64()?;
-        let seg_index = r.u16()?;
-        let _total_segs = r.u16()?;
-        let offset = r.u64()?;
-        let total_len = r.u64()?;
-        let _chunk_index = r.u16()?;
-        let len = r.u32()? as usize;
-        r.expect_end()?;
-        chunk_extent(offset, len, total_len)?;
+        let c = ChunkHdr::read(chunk);
+        chunk_extent(c.offset, c.len as usize, c.total_len)?;
         Ok(Some(ChunkHead {
-            conn_id,
-            msg_id,
-            seg_index,
-            offset,
-            total_len,
-            len,
+            conn_id: env.conn_id,
+            msg_id: c.msg_id,
+            seg_index: c.seg_index,
+            offset: c.offset,
+            total_len: c.total_len,
+            len: c.len as usize,
         }))
     }
 }
 
-/// Message-level acknowledgement.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AckPacket {
-    /// Acknowledged message.
-    pub msg_id: MsgId,
+layout! {
+    /// Message-level acknowledgement.
+    pub struct AckPacket[8] {
+        /// Acknowledged message.
+        msg_id: MsgId = 0,
+    }
 }
 
 /// Sampling probe (ping or pong) used by init-time network sampling.
@@ -242,6 +376,14 @@ pub struct SamplePacket {
     pub probe_id: u64,
     /// Probe payload (its size is the sampled size).
     pub data: Bytes,
+}
+
+layout! {
+    /// What precedes a probe's payload.
+    pub(crate) struct SampleHdr[12] {
+        probe_id: u64 = 0,
+        len: u32 = 8,
+    }
 }
 
 /// A decoded packet body.
@@ -301,111 +443,101 @@ impl Packet {
         )
     }
 
-    fn encode_body(&self, w: &mut Writer) {
+    /// Write the header that follows the envelope into `out`; the payload
+    /// that follows the header on the wire, if any, is returned.
+    pub(crate) fn write_head(&self, out: &mut impl BufMut) -> Option<&Bytes> {
+        let len = |data: &Bytes| data.len() as u32;
         match self {
             Packet::Eager(p) => {
-                w.u64(p.msg_id);
-                w.u16(p.seg_index);
-                w.u16(p.total_segs);
-                w.u32(p.data.len() as u32);
-                w.bytes(&p.data);
+                let head = EagerHdr {
+                    msg_id: p.msg_id,
+                    seg_index: p.seg_index,
+                    total_segs: p.total_segs,
+                    len: len(&p.data),
+                };
+                out.put_slice(&head.write());
+                Some(&p.data)
             }
-            Packet::Aggregate(b) => {
-                w.bytes(b);
-            }
-            Packet::RdvRequest(p) => {
-                w.u64(p.msg_id);
-                w.u16(p.seg_index);
-                w.u16(p.total_segs);
-                w.u64(p.total_len);
-            }
-            Packet::RdvAck(p) => {
-                w.u64(p.msg_id);
-                w.u16(p.seg_index);
-            }
+            Packet::Aggregate(body) => Some(body),
             Packet::Chunk(p) => {
-                w.u64(p.msg_id);
-                w.u16(p.seg_index);
-                w.u16(p.total_segs);
-                w.u64(p.offset);
-                w.u64(p.total_len);
-                w.u16(p.chunk_index);
-                w.u32(p.data.len() as u32);
-                w.bytes(&p.data);
-            }
-            Packet::Ack(p) => {
-                w.u64(p.msg_id);
+                let head = ChunkHdr {
+                    msg_id: p.msg_id,
+                    seg_index: p.seg_index,
+                    total_segs: p.total_segs,
+                    offset: p.offset,
+                    total_len: p.total_len,
+                    chunk_index: p.chunk_index,
+                    len: len(&p.data),
+                };
+                out.put_slice(&head.write());
+                Some(&p.data)
             }
             Packet::SamplePing(p) | Packet::SamplePong(p) => {
-                w.u64(p.probe_id);
-                w.u32(p.data.len() as u32);
-                w.bytes(&p.data);
+                let head = SampleHdr {
+                    probe_id: p.probe_id,
+                    len: len(&p.data),
+                };
+                out.put_slice(&head.write());
+                Some(&p.data)
+            }
+            Packet::RdvRequest(p) => {
+                out.put_slice(&p.write());
+                None
+            }
+            Packet::RdvAck(p) => {
+                out.put_slice(&p.write());
+                None
+            }
+            Packet::Ack(p) => {
+                out.put_slice(&p.write());
+                None
             }
         }
     }
 
-    fn decode_body(kind: PacketKind, payload: &[u8]) -> Result<Packet, WireError> {
-        let mut r = Reader::new(payload, "packet body");
-        let pkt = match kind {
+    /// Decode the `kind` packet that is all of what `r` has left. (An
+    /// aggregate stays the opaque container it is.)
+    pub(crate) fn decode_body(kind: PacketKind, r: &mut impl Source) -> Result<Packet, WireError> {
+        Ok(match kind {
             PacketKind::Eager => {
-                let msg_id = r.u64()?;
-                let seg_index = r.u16()?;
-                let total_segs = r.u16()?;
-                let len = r.u32()? as usize;
-                let data = r.bytes(len)?;
+                let h = EagerHdr::read(&r.array()?);
                 Packet::Eager(EagerPacket {
-                    msg_id,
-                    seg_index,
-                    total_segs,
-                    data,
+                    msg_id: h.msg_id,
+                    seg_index: h.seg_index,
+                    total_segs: h.total_segs,
+                    data: r.bytes(h.len as usize)?,
                 })
             }
-            PacketKind::Aggregate => Packet::Aggregate(r.rest()),
-            PacketKind::RdvRequest => Packet::RdvRequest(RdvRequest {
-                msg_id: r.u64()?,
-                seg_index: r.u16()?,
-                total_segs: r.u16()?,
-                total_len: r.u64()?,
-            }),
-            PacketKind::RdvAck => Packet::RdvAck(RdvAck {
-                msg_id: r.u64()?,
-                seg_index: r.u16()?,
-            }),
+            PacketKind::Aggregate => Packet::Aggregate(r.bytes(r.remaining())?),
+            PacketKind::RdvRequest => Packet::RdvRequest(RdvRequest::read(&r.array()?)),
+            PacketKind::RdvAck => Packet::RdvAck(RdvAck::read(&r.array()?)),
             PacketKind::Chunk => {
-                let msg_id = r.u64()?;
-                let seg_index = r.u16()?;
-                let total_segs = r.u16()?;
-                let offset = r.u64()?;
-                let total_len = r.u64()?;
-                let chunk_index = r.u16()?;
-                let len = r.u32()? as usize;
-                chunk_extent(offset, len, total_len)?;
-                let data = r.bytes(len)?;
+                let h = ChunkHdr::read(&r.array()?);
+                chunk_extent(h.offset, h.len as usize, h.total_len)?;
                 Packet::Chunk(ChunkPacket {
-                    msg_id,
-                    seg_index,
-                    total_segs,
-                    offset,
-                    total_len,
-                    chunk_index,
-                    data,
+                    msg_id: h.msg_id,
+                    seg_index: h.seg_index,
+                    total_segs: h.total_segs,
+                    offset: h.offset,
+                    total_len: h.total_len,
+                    chunk_index: h.chunk_index,
+                    data: r.bytes(h.len as usize)?,
                 })
             }
-            PacketKind::Ack => Packet::Ack(AckPacket { msg_id: r.u64()? }),
+            PacketKind::Ack => Packet::Ack(AckPacket::read(&r.array()?)),
             PacketKind::SamplePing | PacketKind::SamplePong => {
-                let probe_id = r.u64()?;
-                let len = r.u32()? as usize;
-                let data = r.bytes(len)?;
-                let p = SamplePacket { probe_id, data };
+                let h = SampleHdr::read(&r.array()?);
+                let p = SamplePacket {
+                    probe_id: h.probe_id,
+                    data: r.bytes(h.len as usize)?,
+                };
                 if kind == PacketKind::SamplePing {
                     Packet::SamplePing(p)
                 } else {
                     Packet::SamplePong(p)
                 }
             }
-        };
-        r.expect_end()?;
-        Ok(pkt)
+        })
     }
 
     /// Encode this packet with its envelope into a wire buffer.
@@ -413,89 +545,38 @@ impl Packet {
     /// `with_crc` computes and embeds the payload CRC (the simulator skips
     /// it; the threaded transport enables it).
     pub fn encode(&self, conn_id: ConnId, seq: u32, with_crc: bool) -> Bytes {
-        let mut body = Writer::with_capacity(self.payload_bytes() + 48);
-        self.encode_body(&mut body);
-        let body = body.finish();
-
-        let mut w = Writer::with_capacity(ENVELOPE_LEN + body.len());
-        w.u16(MAGIC);
-        w.u8(VERSION);
-        w.u8(self.kind() as u8);
-        w.u32(conn_id);
-        w.u32(seq);
-        w.u32(body.len() as u32);
-        if with_crc {
-            w.u32(crc32(&body));
-            w.u16(FLAG_CRC);
-        } else {
-            w.u32(0);
-            w.u16(0);
+        let mut w = BytesMut::with_capacity(self.wire_len());
+        w.put_slice(&[0; ENVELOPE_LEN]);
+        if let Some(payload) = self.write_head(&mut w) {
+            w.put_slice(payload);
         }
-        w.u16(0); // reserved
-        w.bytes(&body);
-        w.finish()
+        let crc = with_crc.then(|| crc32(&w[ENVELOPE_LEN..]));
+        let envelope = EnvelopeHdr::new(self.kind(), conn_id, seq, w.len() - ENVELOPE_LEN, crc);
+        w[..ENVELOPE_LEN].copy_from_slice(&envelope.write());
+        w.freeze()
     }
 
     /// Decode one packet (envelope + body) from `buf`, which must contain
     /// exactly one packet.
     pub fn decode(buf: &[u8]) -> Result<(Envelope, Packet), WireError> {
-        let mut r = Reader::new(buf, "envelope");
-        let magic = r.u16()?;
-        if magic != MAGIC {
-            return Err(WireError::BadMagic(magic));
-        }
-        let version = r.u8()?;
-        if version != VERSION {
-            return Err(WireError::BadVersion(version));
-        }
-        let kind = PacketKind::from_u8(r.u8()?)?;
-        let conn_id = r.u32()?;
-        let seq = r.u32()?;
-        let payload_len = r.u32()? as usize;
-        let crc = r.u32()?;
-        let flags = r.u16()?;
-        let _reserved = r.u16()?;
-        if r.remaining() < payload_len {
-            return Err(WireError::Truncated {
-                what: "packet payload",
-                needed: payload_len,
-                available: r.remaining(),
-            });
-        }
-        let payload = r.bytes(payload_len)?;
+        let (envelope, crc) = open_envelope(&mut Reader::new(buf, "envelope"))?;
+        let mut r = Reader::new(&buf[ENVELOPE_LEN..], "packet body");
+        check_crc(crc, || crc32(&buf[ENVELOPE_LEN..]))?;
+        let packet = Packet::decode_body(envelope.kind, &mut r)?;
         r.expect_end()?;
-        let crc_checked = flags & FLAG_CRC != 0;
-        if crc_checked {
-            let computed = crc32(&payload);
-            if computed != crc {
-                return Err(WireError::BadChecksum {
-                    computed,
-                    expected: crc,
-                });
-            }
-        }
-        let packet = Packet::decode_body(kind, &payload)?;
-        Ok((
-            Envelope {
-                conn_id,
-                seq,
-                kind,
-                crc_checked,
-            },
-            packet,
-        ))
+        Ok((envelope, packet))
     }
 
     /// Total wire size this packet will occupy (envelope + body).
     pub fn wire_len(&self) -> usize {
         let body = match self {
-            Packet::Eager(p) => 8 + 2 + 2 + 4 + p.data.len(),
+            Packet::Eager(p) => EagerHdr::LEN + p.data.len(),
             Packet::Aggregate(b) => b.len(),
-            Packet::RdvRequest(_) => 8 + 2 + 2 + 8,
-            Packet::RdvAck(_) => 8 + 2,
-            Packet::Chunk(p) => 8 + 2 + 2 + 8 + 8 + 2 + 4 + p.data.len(),
-            Packet::Ack(_) => 8,
-            Packet::SamplePing(p) | Packet::SamplePong(p) => 8 + 4 + p.data.len(),
+            Packet::RdvRequest(_) => RdvRequest::LEN,
+            Packet::RdvAck(_) => RdvAck::LEN,
+            Packet::Chunk(p) => ChunkHdr::LEN + p.data.len(),
+            Packet::Ack(_) => AckPacket::LEN,
+            Packet::SamplePing(p) | Packet::SamplePong(p) => SampleHdr::LEN + p.data.len(),
         };
         ENVELOPE_LEN + body
     }

@@ -32,6 +32,7 @@
 
 use bytes::Bytes;
 
+use crate::agg::AggregateEntry;
 use crate::small::SmallList;
 use crate::window::IdWindow;
 use crate::MsgId;
@@ -306,14 +307,14 @@ impl Reassembler {
         self.gathered_bytes
     }
 
-    /// The state of segment `seg_index` of `msg_id`, made on first sight.
-    /// `None` when the message completed earlier.
-    fn seg(
+    /// The message `msg_id`, of `total_segs` segments of which `seg_index`
+    /// is one, made on first sight. `None` when it completed earlier.
+    fn message(
         &mut self,
         msg_id: MsgId,
         seg_index: u16,
         total_segs: u16,
-    ) -> Result<Option<&mut SegState>, ReasmError> {
+    ) -> Result<Option<&mut PartialMessage>, ReasmError> {
         if seg_index >= total_segs {
             return Err(ReasmError::SegIndexOutOfRange {
                 msg_id,
@@ -343,7 +344,7 @@ impl Reassembler {
                 got: total_segs,
             });
         }
-        Ok(pm.segs.get_mut(seg_index as usize))
+        Ok(Some(pm))
     }
 
     /// Deliver one whole segment. Returns the completed message when this
@@ -355,17 +356,77 @@ impl Reassembler {
         total_segs: u16,
         data: Bytes,
     ) -> Result<Option<MessageAssembly>, ReasmError> {
-        match self.seg(msg_id, seg_index, total_segs)? {
-            Some(slot @ SegState::Missing) => *slot = SegState::Complete(data),
-            // (A segment of a message that completed earlier arrived twice.)
-            Some(SegState::Complete(_)) | None => {
-                return Err(ReasmError::DuplicateSegment { msg_id, seg_index })
-            }
-            Some(SegState::Chunked { .. }) => {
-                return Err(ReasmError::MixedDelivery { msg_id, seg_index })
-            }
-        }
-        Ok(self.finish_if_done(msg_id, true))
+        let mut one = [AggregateEntry {
+            conn_id: 0,
+            msg_id,
+            seg_index,
+            total_segs,
+            data,
+        }];
+        self.insert_eager_run(&mut one).1
+    }
+
+    /// Deliver the leading entries of `entries` that are whole segments of
+    /// one message — the first entry's, on its connection — as
+    /// [`Self::insert_eager`] would one by one, up to and including the
+    /// one that completes it; the message is looked up once. Returns how
+    /// many were taken (their payload is moved out) and what
+    /// `insert_eager` would have said of the last of them: an error is
+    /// about the entry after those, which is left as it was.
+    pub fn insert_eager_run(
+        &mut self,
+        entries: &mut [AggregateEntry],
+    ) -> (usize, Result<Option<MessageAssembly>, ReasmError>) {
+        let Some(first) = entries.first() else {
+            return (0, Ok(None));
+        };
+        let (conn_id, msg_id, seg_index) = (first.conn_id, first.msg_id, first.seg_index);
+        let mut taken = 0;
+        let whole = self
+            .message(msg_id, seg_index, first.total_segs)
+            .and_then(|pm| {
+                // (A segment of a message that completed earlier arrived twice.)
+                let pm = pm.ok_or(ReasmError::DuplicateSegment { msg_id, seg_index })?;
+                let run = entries
+                    .iter_mut()
+                    .take_while(|e| (e.conn_id, e.msg_id) == (conn_id, msg_id));
+                for e in run {
+                    let (seg_index, total_segs) = (e.seg_index, e.total_segs);
+                    if seg_index >= total_segs {
+                        return Err(ReasmError::SegIndexOutOfRange {
+                            msg_id,
+                            seg_index,
+                            total_segs,
+                        });
+                    }
+                    if total_segs != pm.total_segs {
+                        return Err(ReasmError::SegCountMismatch {
+                            msg_id,
+                            have: pm.total_segs,
+                            got: total_segs,
+                        });
+                    }
+                    match &mut pm.segs[seg_index as usize] {
+                        slot @ SegState::Missing => {
+                            *slot = SegState::Complete(std::mem::take(&mut e.data))
+                        }
+                        SegState::Complete(_) => {
+                            return Err(ReasmError::DuplicateSegment { msg_id, seg_index })
+                        }
+                        SegState::Chunked { .. } => {
+                            return Err(ReasmError::MixedDelivery { msg_id, seg_index })
+                        }
+                    }
+                    taken += 1;
+                    pm.complete_segs += 1;
+                    if pm.complete_segs == pm.total_segs {
+                        return Ok(true);
+                    }
+                }
+                Ok(false)
+            });
+        let done = whole.map(|whole| whole.then(|| self.finish(msg_id)).flatten());
+        (taken, done)
     }
 
     /// Deliver one chunk of a segment. Returns the completed message when
@@ -432,7 +493,10 @@ impl Reassembler {
             seg_index,
             offset,
         };
-        let Some(slot) = self.seg(msg_id, seg_index, total_segs)? else {
+        let slot = self
+            .message(msg_id, seg_index, total_segs)?
+            .and_then(|pm| pm.segs.get_mut(seg_index as usize));
+        let Some(slot) = slot else {
             return if strict { Err(overlap) } else { Ok((None, 0)) };
         };
         if let SegState::Missing = slot {
@@ -491,27 +555,33 @@ impl Reassembler {
         Ok((self.finish_if_done(msg_id, seg_done), new_bytes))
     }
 
-    /// Count a segment that just completed and, when it was the last one
-    /// missing, retire the message and hand it over.
+    /// Count a chunked segment that just completed and, when it was the
+    /// last one missing, hand the message over.
     fn finish_if_done(&mut self, msg_id: MsgId, seg_done: bool) -> Option<MessageAssembly> {
         let pm = self.partial.live_mut(msg_id)?;
         pm.complete_segs += u16::from(seg_done);
         if pm.complete_segs != pm.total_segs {
             return None;
         }
+        self.finish(msg_id)
+    }
+
+    /// Retire the message, all of whose segments are whole, and hand it
+    /// over. The segments are taken out of its slot where it lies; what
+    /// is retired is the emptied rest.
+    fn finish(&mut self, msg_id: MsgId) -> Option<MessageAssembly> {
+        let pm = self.partial.live_mut(msg_id)?;
         debug_assert!(pm.segs.iter().all(SegState::is_complete));
-        let pm = self.partial.retire(msg_id)?;
-        let segments: Vec<Bytes> = pm
-            .segs
-            .into_iter()
-            .map(|s| match s {
-                SegState::Complete(b) => b,
-                SegState::Chunked { pieces, .. } => {
-                    pieces.into_iter().next().map_or(Bytes::new(), |(_, b)| b)
-                }
-                SegState::Missing => Bytes::new(),
-            })
-            .collect();
+        let whole = |s: &mut SegState| match s {
+            SegState::Complete(b) => std::mem::take(b),
+            SegState::Chunked { pieces, .. } => pieces
+                .iter_mut()
+                .next()
+                .map_or(Bytes::new(), |(_, b)| std::mem::take(b)),
+            SegState::Missing => Bytes::new(),
+        };
+        let segments: Vec<Bytes> = pm.segs.iter_mut().map(whole).collect();
+        self.partial.retire(msg_id);
         let assembly = MessageAssembly { msg_id, segments };
         self.completed_count += 1;
         self.completed_bytes += assembly.total_len() as u64;

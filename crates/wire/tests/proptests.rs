@@ -5,16 +5,271 @@ use proptest::prelude::*;
 
 use nmad_wire::agg::{parse_aggregate, AggregateBuilder, AggregateEntry};
 use nmad_wire::checksum::{self, Kernel};
-use nmad_wire::frame::encode_parts_frame;
+use nmad_wire::frame::{encode_parts_frame, PartList};
 use nmad_wire::header::{
-    AckPacket, ChunkPacket, EagerPacket, Packet, PacketKind, RdvAck, RdvRequest, SamplePacket,
+    AckPacket, ChunkHead, ChunkPacket, EagerPacket, Packet, PacketKind, RdvAck, RdvRequest,
+    SamplePacket,
 };
 use nmad_wire::reassembly::Reassembler;
 use nmad_wire::split::SplitPlan;
-use nmad_wire::FrameBody;
+use nmad_wire::{FrameBody, PacketFrame, WireError};
 
 fn arb_bytes(max: usize) -> impl Strategy<Value = Bytes> {
     prop::collection::vec(any::<u8>(), 0..max).prop_map(Bytes::from)
+}
+
+fn arb_entries() -> impl Strategy<Value = Vec<AggregateEntry>> {
+    let entry = (any::<u64>(), any::<u16>(), 1..32u16, arb_bytes(128)).prop_map(
+        |(msg_id, seg_raw, total_segs, data)| AggregateEntry {
+            conn_id: (msg_id >> 32) as u32,
+            msg_id,
+            seg_index: seg_raw % total_segs,
+            total_segs,
+            data,
+        },
+    );
+    prop::collection::vec(entry, 1..20)
+}
+
+/// The container of `entries`, spelled out field by field: the reference
+/// the builder's layouts are held against.
+fn reference_container(entries: &[AggregateEntry]) -> Vec<u8> {
+    let mut out = (entries.len() as u16).to_le_bytes().to_vec();
+    for e in entries {
+        out.extend_from_slice(&e.conn_id.to_le_bytes());
+        out.extend_from_slice(&e.msg_id.to_le_bytes());
+        out.extend_from_slice(&e.seg_index.to_le_bytes());
+        out.extend_from_slice(&e.total_segs.to_le_bytes());
+        out.extend_from_slice(&(e.data.len() as u32).to_le_bytes());
+        out.extend_from_slice(&e.data);
+    }
+    out
+}
+
+/// A builder staging below `threshold`, with `entries` pushed.
+fn built(entries: &[AggregateEntry], threshold: usize) -> AggregateBuilder {
+    let mut b = AggregateBuilder::new();
+    b.begin(threshold, BytesMut::new());
+    for e in entries {
+        b.push(e.conn_id, e.msg_id, e.seg_index, e.total_segs, &e.data);
+    }
+    b
+}
+
+/// `wire` as a frame of the parts the (sorted) `cuts` leave.
+fn recut(wire: &Bytes, cuts: &[usize]) -> PacketFrame {
+    let mut parts = PartList::new();
+    let mut from = 0;
+    for &cut in cuts.iter().chain([&wire.len()]) {
+        parts.push(wire.slice(from..cut));
+        from = cut;
+    }
+    PacketFrame::from_parts(Bytes::new(), parts)
+}
+
+/// Where the payloads of a decoded `body` lie in its frame's wire image,
+/// as `(start, end)`.
+fn payload_ranges(body: &FrameBody, wire_len: usize) -> Vec<(usize, usize)> {
+    match body {
+        FrameBody::Packet(p) => vec![(wire_len - p.payload_bytes(), wire_len)],
+        FrameBody::Aggregate(entries) => {
+            let mut at = 24 + 2;
+            let range = |e: &AggregateEntry| {
+                at += 20 + e.data.len();
+                (at - e.data.len(), at)
+            };
+            entries.iter().map(range).collect()
+        }
+    }
+}
+
+/// Decode `wire` whole and cut at `cuts`: the same envelope and body, and
+/// exactly the payloads a cut runs through are copied.
+fn assert_recut_decodes_alike(wire: &Bytes, cuts: &[usize]) {
+    let (env, body, copied) = PacketFrame::from_wire(wire.clone())
+        .decode()
+        .expect("whole");
+    assert_eq!(copied, 0, "a single part never straddles");
+    let straddled: usize = payload_ranges(&body, wire.len())
+        .into_iter()
+        .filter(|&(start, end)| cuts.iter().any(|&c| start < c && c < end))
+        .map(|(start, end)| end - start)
+        .sum();
+    let got = recut(wire, cuts).decode();
+    assert_eq!(got, Ok((env, body, straddled)), "cut at {cuts:?}");
+}
+
+/// One frame of each packet kind with a CRC, as the parent of the PR that
+/// gave every header one layout encoded it (conn 0xC1C2C3C4, seq
+/// 0xD1D2D3D4; payload byte `i` is `7 i + 3`).
+fn golden_frames() -> Vec<(Packet, Bytes)> {
+    let data = |n: u8| Bytes::from((0..n).map(|i| i * 7 + 3).collect::<Vec<u8>>());
+    let entries = [
+        AggregateEntry {
+            conn_id: 0x0A0B_0C0D,
+            msg_id: 0x1122_3344_5566_7788,
+            seg_index: 1,
+            total_segs: 4,
+            data: data(5),
+        },
+        AggregateEntry {
+            conn_id: 2,
+            msg_id: 9,
+            seg_index: 0,
+            total_segs: 1,
+            data: data(0),
+        },
+        AggregateEntry {
+            conn_id: 2,
+            msg_id: 10,
+            seg_index: 3,
+            total_segs: 4,
+            data: data(3),
+        },
+    ];
+    let frames = [
+        (
+            Packet::Eager(EagerPacket { msg_id: 0x0102_0304_0506_0708, seg_index: 2, total_segs: 5, data: data(6) }),
+            "4e4d0101c4c3c2c1d4d3d2d1160000007a937df90100000008070605040302010200050006000000030a11181f26",
+        ),
+        (
+            built(&entries, usize::MAX).finish(),
+            "4e4d0102c4c3c2c1d4d3d2d146000000d89dd2670100000003000d0c0b0a88776655443322110100040005000000\
+             030a11181f0200000009000000000000000000010000000000020000000a000000000000000300040003000000030a11",
+        ),
+        (
+            Packet::RdvRequest(RdvRequest { msg_id: 0x1112_1314_1516_1718, seg_index: 3, total_segs: 7, total_len: 0x2122_2324_2526_2728 }),
+            "4e4d0103c4c3c2c1d4d3d2d1140000000fa44ff2010000001817161514131211030007002827262524232221",
+        ),
+        (
+            Packet::RdvAck(RdvAck { msg_id: 0x3132_3334_3536_3738, seg_index: 0x4142 }),
+            "4e4d0104c4c3c2c1d4d3d2d10a0000004fb372ae0100000038373635343332314241",
+        ),
+        (
+            Packet::Chunk(ChunkPacket { msg_id: 0x5152_5354_5556_5758, seg_index: 0x6162, total_segs: 0x6364, offset: 0x1000, total_len: 0x2000, chunk_index: 0x7172, data: data(4) }),
+            "4e4d0105c4c3c2c1d4d3d2d1260000009966bb1401000000585756555453525162616463001000000000000000200000\
+             00000000727104000000030a1118",
+        ),
+        (
+            Packet::Ack(AckPacket { msg_id: 0x8182_8384_8586_8788 }),
+            "4e4d0106c4c3c2c1d4d3d2d1080000009790e00b010000008887868584838281",
+        ),
+        (
+            Packet::SamplePing(SamplePacket { probe_id: 0x9192_9394_9596_9798, data: data(2) }),
+            "4e4d0107c4c3c2c1d4d3d2d10e000000bac8eddc01000000989796959493929102000000030a",
+        ),
+        (
+            Packet::SamplePong(SamplePacket { probe_id: 0xA1A2_A3A4_A5A6_A7A8, data: data(1) }),
+            "4e4d0108c4c3c2c1d4d3d2d10d0000008d5c232701000000a8a7a6a5a4a3a2a10100000003",
+        ),
+    ];
+    let unhex = |hex: &str| -> Bytes {
+        let digits: Vec<u8> = hex.bytes().filter(u8::is_ascii_hexdigit).collect();
+        let byte =
+            |pair: &[u8]| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap();
+        Bytes::from(digits.chunks(2).map(byte).collect::<Vec<u8>>())
+    };
+    frames
+        .into_iter()
+        .map(|(pkt, hex)| (pkt, unhex(hex)))
+        .collect()
+}
+
+/// The wire did not change: both encoders — and, for the aggregate, the
+/// builder's staged and zero-copy paths — still produce the parent's
+/// bytes, with and without the CRC (which only the envelope's crc and
+/// flags fields, bytes 16..22, tell apart).
+#[test]
+fn every_kind_encodes_to_its_golden_bytes() {
+    for (pkt, golden) in golden_frames() {
+        assert_eq!(
+            pkt.encode(0xC1C2_C3C4, 0xD1D2_D3D4, true),
+            golden,
+            "{pkt:?}"
+        );
+        assert_eq!(
+            pkt.encode_frame(0xC1C2_C3C4, 0xD1D2_D3D4, true).to_bytes(),
+            golden
+        );
+        let mut plain = golden.to_vec();
+        plain[16..22].fill(0);
+        assert_eq!(
+            pkt.encode(0xC1C2_C3C4, 0xD1D2_D3D4, false),
+            plain,
+            "{pkt:?}"
+        );
+        assert_eq!(
+            pkt.encode_frame(0xC1C2_C3C4, 0xD1D2_D3D4, false).to_bytes(),
+            plain
+        );
+        assert_eq!(Packet::decode(&golden).expect("golden").1, pkt);
+        if let Packet::Aggregate(body) = &pkt {
+            let entries = parse_aggregate(body).expect("golden container");
+            let parts = built(&entries, 4).finish_parts();
+            assert_eq!((parts.staged_bytes, parts.zero_copy_bytes), (3, 5));
+            let frame = encode_parts_frame(
+                PacketKind::Aggregate,
+                0xC1C2_C3C4,
+                0xD1D2_D3D4,
+                true,
+                parts.parts,
+                BytesMut::new(),
+            );
+            assert_eq!(frame.to_bytes(), golden);
+        }
+    }
+}
+
+/// Every golden frame cut into one to three parts at every pair of byte
+/// offsets decodes to what it decodes to whole; a header that lies across
+/// a cut costs nothing, a payload that does is copied and counted.
+#[test]
+fn golden_frames_decode_alike_however_they_are_cut() {
+    for (_, wire) in golden_frames() {
+        for first in 0..=wire.len() {
+            for second in first..=wire.len() {
+                assert_recut_decodes_alike(&wire, &[first, second]);
+            }
+        }
+    }
+}
+
+/// Every strict prefix of every golden frame, whole or in two parts, is
+/// `Truncated` for both decoders — the same error — and `ChunkHead::peek`
+/// finds on every prefix what the decoder finds in the frame: the head
+/// from `ChunkHead::LEN` bytes of a chunk frame on, nothing before and
+/// nothing in any other kind.
+#[test]
+fn golden_prefixes_are_truncated_and_peek_agrees_with_decode() {
+    for (pkt, wire) in golden_frames() {
+        let head = match &pkt {
+            Packet::Chunk(c) => Some(ChunkHead {
+                conn_id: 0xC1C2_C3C4,
+                msg_id: c.msg_id,
+                seg_index: c.seg_index,
+                offset: c.offset,
+                total_len: c.total_len,
+                len: c.data.len(),
+            }),
+            _ => None,
+        };
+        for cut in 0..=wire.len() {
+            let seen = head.filter(|_| cut >= ChunkHead::LEN);
+            assert_eq!(ChunkHead::peek(&wire[..cut]), Ok(seen), "{pkt:?} at {cut}");
+            if cut == wire.len() {
+                continue;
+            }
+            let flat = Packet::decode(&wire[..cut]).expect_err("a strict prefix");
+            assert!(matches!(flat, WireError::Truncated { .. }), "{flat:?}");
+            let prefix = wire.slice(..cut);
+            for split in 0..=cut {
+                let got = recut(&prefix, &[split])
+                    .decode()
+                    .expect_err("a strict prefix");
+                assert_eq!(got, flat, "{pkt:?} cut at {cut}, parts split at {split}");
+            }
+        }
+    }
 }
 
 /// Byte ranges `(start, end)` of a segment of `total` bytes as
@@ -135,18 +390,11 @@ proptest! {
 
     /// Aggregation containers preserve entry order, ids and payload bytes.
     #[test]
-    fn aggregate_roundtrip(entries in prop::collection::vec(
-        (any::<u64>(), any::<u16>(), 1..32u16, arb_bytes(128)), 1..20)) {
-        let mut b = AggregateBuilder::new();
-        let mut expect = Vec::new();
-        for (msg_id, seg_raw, total_segs, data) in entries {
-            let e = AggregateEntry { conn_id: (msg_id >> 32) as u32, msg_id, seg_index: seg_raw % total_segs, total_segs, data };
-            expect.push(e.clone());
-            b.push(e);
-        }
-        let Packet::Aggregate(body) = b.finish() else { unreachable!() };
+    fn aggregate_roundtrip(entries in arb_entries()) {
+        let Packet::Aggregate(body) = built(&entries, usize::MAX).finish() else { unreachable!() };
+        prop_assert_eq!(body.to_vec(), reference_container(&entries));
         let parsed = parse_aggregate(&body).unwrap();
-        prop_assert_eq!(parsed, expect);
+        prop_assert_eq!(parsed, entries);
     }
 
     /// Ratio split plans always cover the message exactly, with no chunk
@@ -231,6 +479,56 @@ proptest! {
         }
         prop_assert_eq!(stored, total as u64);
         prop_assert_eq!(done.expect("every byte arrived").into_contiguous(), payload);
+    }
+
+    /// Whole segments delivered a run at a time — the reassembler takes
+    /// the leading entries of one message at one lookup — end exactly as
+    /// delivered one by one: the same answer for every entry up to the
+    /// first error, that error, the refused entry still holding its
+    /// payload, and the same messages left in flight.
+    #[test]
+    fn eager_runs_are_the_entries_one_by_one(
+        raw in prop::collection::vec((0u32..2, 0u64..6, 0u16..8, 0u8..12, arb_bytes(8)), 1..24),
+    ) {
+        // Mostly well-formed (a message has 1 + id % 4 segments), now and
+        // then a segment count that disagrees or an index out of range;
+        // segments arriving twice come by themselves.
+        let mut entries: Vec<AggregateEntry> = raw
+            .into_iter()
+            .map(|(conn_id, msg_id, seg_raw, odd, data)| {
+                let total_segs = 1 + (msg_id % 4) as u16 + u16::from(odd == 0);
+                let seg_index = if odd == 1 { seg_raw } else { seg_raw % total_segs };
+                AggregateEntry { conn_id, msg_id, seg_index, total_segs, data }
+            })
+            .collect();
+        let (mut single, mut runs) = (Reassembler::new(), Reassembler::new());
+        let mut want = Vec::new();
+        for e in &entries {
+            let answer = single.insert_eager(e.msg_id, e.seg_index, e.total_segs, e.data.clone());
+            let failed = answer.is_err();
+            want.push(answer);
+            if failed {
+                break;
+            }
+        }
+        let (mut got, mut at) = (Vec::new(), 0);
+        while at < entries.len() && !got.last().is_some_and(Result::is_err) {
+            let before = entries[at..].to_vec();
+            let (taken, answer) = runs.insert_eager_run(&mut entries[at..]);
+            prop_assert!(taken > 0 || answer.is_err(), "a run that takes nothing and says nothing");
+            got.extend((1..taken).map(|_| Ok(None)));
+            if answer.is_err() {
+                got.extend((0..taken.min(1)).map(|_| Ok(None)));
+                prop_assert_eq!(&entries[at + taken..], &before[taken..], "refused entries are left alone");
+            }
+            got.push(answer);
+            at += taken;
+        }
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(
+            (runs.in_flight(), runs.completed_count(), runs.completed_bytes()),
+            (single.in_flight(), single.completed_count(), single.completed_bytes())
+        );
     }
 
     /// Reassembly by reference, the aliased end: chunks that are slices
@@ -330,39 +628,63 @@ proptest! {
     }
 
     /// The scatter-gather aggregate container is byte-identical to the
-    /// legacy copy-everything container for any entry mix and any staging
-    /// threshold (the threshold only moves bytes between "staged" and
-    /// "zero-copy", never changes the wire image).
+    /// copy-everything container spelled out field by field, for any
+    /// entry mix and any staging threshold (the threshold only moves
+    /// bytes between "staged" and "zero-copy", never changes the wire
+    /// image), and its frame decodes to the entries it was built from.
     #[test]
-    fn aggregate_parts_match_flat_container(
-        entries in prop::collection::vec(
-            (any::<u64>(), any::<u16>(), 1..32u16, arb_bytes(128)), 1..20),
-        threshold in 0usize..256,
-    ) {
-        let mut flat_b = AggregateBuilder::new();
-        let mut parts_b = AggregateBuilder::new();
-        for (msg_id, seg_raw, total_segs, data) in entries {
-            let e = AggregateEntry {
-                conn_id: (msg_id >> 32) as u32,
-                msg_id,
-                seg_index: seg_raw % total_segs,
-                total_segs,
-                data,
-            };
-            flat_b.push(e.clone());
-            parts_b.push(e);
-        }
-        let flat_pkt = flat_b.finish();
-        let flat = flat_pkt.encode(7, 9, true);
-        let agg = parts_b.finish_parts(threshold, BytesMut::new());
+    fn aggregate_parts_match_flat_container(entries in arb_entries(), threshold in 0usize..256) {
+        let flat = Packet::Aggregate(Bytes::from(reference_container(&entries))).encode(7, 9, true);
+        let agg = built(&entries, threshold).finish_parts();
         prop_assert_eq!(
             agg.staged_bytes + agg.zero_copy_bytes + nmad_wire::agg::CONTAINER_OVERHEAD
-                + nmad_wire::agg::ENTRY_OVERHEAD * agg_entry_count(&flat),
+                + nmad_wire::agg::ENTRY_OVERHEAD * entries.len(),
             agg.container_len
         );
         let frame = encode_parts_frame(PacketKind::Aggregate, 7, 9, true, agg.parts, BytesMut::new());
         let image = frame.to_bytes();
         prop_assert_eq!(image.as_ref(), flat.as_slice());
+        let (_, body, copied) = frame.decode().unwrap();
+        prop_assert_eq!((body, copied), (FrameBody::Aggregate(entries), 0));
+    }
+
+    /// Any frame, aggregates included, cut into up to three parts anywhere
+    /// decodes to what it decodes to whole, and `copied` is exactly the
+    /// payload bytes a cut ran through.
+    #[test]
+    fn recut_frames_decode_alike(
+        pkt in prop_oneof![
+            arb_packet(),
+            arb_entries().prop_map(|e| Packet::Aggregate(Bytes::from(reference_container(&e)))),
+        ],
+        cuts in (any::<usize>(), any::<usize>()),
+        crc in any::<bool>(),
+    ) {
+        let wire = pkt.encode(3, 4, crc);
+        let mut cuts = [cuts.0 % (wire.len() + 1), cuts.1 % (wire.len() + 1)];
+        cuts.sort_unstable();
+        assert_recut_decodes_alike(&wire, &cuts);
+    }
+
+    /// `ChunkHead::peek` finds on every prefix of any frame what the
+    /// decoder finds in the whole of it.
+    #[test]
+    fn chunk_head_peek_agrees_with_decode_on_every_prefix(pkt in arb_packet(), conn in any::<u32>(), crc in any::<bool>()) {
+        let wire = pkt.encode(conn, 1, crc);
+        let head = match &pkt {
+            Packet::Chunk(c) => Some(ChunkHead {
+                conn_id: conn,
+                msg_id: c.msg_id,
+                seg_index: c.seg_index,
+                offset: c.offset,
+                total_len: c.total_len,
+                len: c.data.len(),
+            }),
+            _ => None,
+        };
+        for cut in 0..=wire.len() {
+            prop_assert_eq!(ChunkHead::peek(&wire[..cut]), Ok(head.filter(|_| cut >= ChunkHead::LEN)));
+        }
     }
 
     /// Chunks sliced zero-copy out of a message (`Bytes::slice`), carried
@@ -414,12 +736,6 @@ proptest! {
     }
 }
 
-/// Entry count of a flat-encoded aggregate packet (for the length identity).
-fn agg_entry_count(wire: &[u8]) -> usize {
-    // Envelope is 24 bytes; the container starts with a u16 entry count.
-    u16::from_le_bytes(wire[24..26].try_into().unwrap()) as usize
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -433,7 +749,7 @@ proptest! {
     /// Arbitrary bytes prefixed with a valid envelope header also must not
     /// panic (exercises the per-kind body decoders).
     #[test]
-    fn decode_valid_envelope_arbitrary_body(kind in 1u8..=8, body in prop::collection::vec(any::<u8>(), 0..512)) {
+    fn decode_valid_envelope_arbitrary_body(kind in 1u8..=8, body in prop::collection::vec(any::<u8>(), 0..512), split in any::<usize>()) {
         let mut raw = Vec::new();
         raw.extend_from_slice(&0x4D4Eu16.to_le_bytes()); // magic
         raw.push(1); // version
@@ -445,7 +761,23 @@ proptest! {
         raw.extend_from_slice(&0u16.to_le_bytes()); // flags
         raw.extend_from_slice(&0u16.to_le_bytes()); // reserved
         raw.extend_from_slice(&body);
-        let _ = Packet::decode(&raw);
+        // Whatever the flat decoder makes of it, the frame decoder makes
+        // the same of it, whole and with a cut anywhere in the body
+        // (a header cut short is `Truncated` for both, never a panic).
+        let flat = Packet::decode(&raw).map(|(env, pkt)| (env, pkt.kind()));
+        let wire = Bytes::from(raw);
+        for cuts in [vec![], vec![24 + split % (body.len() + 1)]] {
+            let framed = recut(&wire, &cuts).decode().map(|(env, body, _)| (env, match body {
+                FrameBody::Packet(pkt) => pkt.kind(),
+                FrameBody::Aggregate(_) => PacketKind::Aggregate,
+            }));
+            if kind == PacketKind::Aggregate as u8 {
+                // (The flat decoder keeps a container opaque.)
+                prop_assert!(flat.is_ok());
+                continue;
+            }
+            prop_assert_eq!(&framed, &flat);
+        }
     }
 }
 

@@ -87,6 +87,18 @@ if grep -rnw 'unsafe' vendor/bytes/src | grep -v '^vendor/bytes/src/window\.rs:'
     echo "unsafe in vendor/bytes outside window.rs (see above)"; exit 1
 fi
 
+# Every wire header is one fixed layout (nmad-wire's `layout!`: the
+# envelope, the aggregate entry head, the eager, chunk, rendezvous, ack
+# and probe heads; DESIGN.md §4 has the table): written as one array with
+# one `put_slice`, read from one array. A header spelled out field by
+# field in the frame or aggregate encoders is the per-field cost back
+# (41 libc `memcpy` calls of 2-8 bytes per 1 KiB burst message before
+# PR 23).
+echo "==> wire headers are written as arrays, not field by field"
+if grep -nE 'put_u16_le|put_u32_le|put_u64_le' crates/wire/src/frame.rs crates/wire/src/agg.rs; then
+    echo "a wire header is encoded field by field again (see above): give it a layout"; exit 1
+fi
+
 # Non-test code lines per transport source file (before `#[cfg(test)]`,
 # neither blank nor `//`): printed so that the next PR's log shows the
 # trend.
@@ -129,6 +141,10 @@ cargo test -q --test conformance burst_aggregates_and_echo_does_not -- --nocaptu
 # their tests run here.
 echo "==> cargo test -q -p bytes (vendored: try_unsplit, Window)"
 cargo test -q -p bytes
+# Same for the channel stand-in's one rule of its own: a send notifies
+# the condvar only when a receiver is parked on it.
+echo "==> cargo test -q -p crossbeam-channel (vendored: parked receivers are woken, others cost no futex)"
+cargo test -q -p crossbeam-channel
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -236,7 +252,13 @@ grep -q '"clean":true' "$wd_tmp" \
 # bytes allocated per payload byte read 1.04 — and 2.02 when every chunk
 # lands in its frame's allocation and the segment is gathered into a
 # second one.
-echo "==> nmad-benchmark (offline build, selftest, 3 s each traced: tcp_pingpong_small, mem_mixed_bidir, tcp_stream_large)"
+# The burst is traced for the eager track's per-message ledger: the
+# engine's `next_tx` and `on_frame` time per message, the decode time of
+# a 64-entry aggregate and the allocations per message. Times depend on
+# the host, so they are printed as trend lines for the next PR's log
+# (0.32 / 0.34 / 2.4 us and 4.9 on the 2-vCPU build host after PR 23;
+# 0.55 / 0.70 / 5-7 us before), not gated.
+echo "==> nmad-benchmark (offline build, selftest, 3 s each traced: tcp_pingpong_small, mem_mixed_bidir, tcp_stream_large, tcp_burst_multiseg)"
 bench=(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --)
 # The value of per-layer metric $2 in the benchmark's result line $1.
 ledger() { echo "$1" | sed -n 's/.*"'"${2//./\\.}"'": {"value": \([0-9.eE+-]*\).*/\1/p'; }
@@ -265,6 +287,14 @@ alloc_ratio="$(ledger "$stream_out" alloc.bytes_per_payload_byte)"
 echo "    alloc.bytes_per_payload_byte on tcp_stream_large: ${alloc_ratio:-missing}"
 awk -v r="${alloc_ratio:-2}" 'BEGIN { exit !(r <= 1.2) }' \
     || { echo "tcp_stream_large allocates ${alloc_ratio:-?} bytes per payload byte (budget 1.2): chunks miss the landing table and segments are gathered again"; exit 1; }
+
+burst_out="$("${bench[@]}" --workload tcp_burst_multiseg --seconds 3 --trace 1 | tail -n 1)"
+echo "$burst_out" | grep -q '"correct": true' \
+    || { echo "nmad-benchmark tcp_burst_multiseg smoke did not verify"; exit 1; }
+for metric in core.next_tx_us_per_msg core.on_frame_us_per_msg wire.decode_us_per_frame alloc.count_per_msg; do
+    value="$(ledger "$burst_out" "$metric")"
+    echo "    $metric on tcp_burst_multiseg: ${value:-missing}"
+done
 
 echo "==> cargo fmt --check"
 cargo fmt --check 2>/dev/null || echo "    (rustfmt unavailable or diffs; non-fatal)"
