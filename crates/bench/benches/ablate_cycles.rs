@@ -1,5 +1,5 @@
 //! Per-packet CPU-cycles gate: checksum kernel throughput, syscalls per
-//! packet under batched rail I/O, pool-magazine hit rate, and the
+//! message of a burst over loopback TCP, pool-magazine hit rate, and the
 //! end-to-end scalar-vs-SIMD per-message cost. Run with
 //! `cargo bench -p nmad-bench --bench ablate_cycles`.
 //! Set `NMAD_CYCLES_SMOKE=1` for the small CI sweep.
@@ -44,9 +44,9 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!(
-        "per-packet cycles gate OK: {:.3} tx syscalls/pkt, {:.1}% magazine hits, \
+        "per-packet cycles gate OK: {:.3} tx syscalls/msg, {:.1}% magazine hits, \
          {} {:.1}x faster than scalar end to end",
-        report.syscalls.tx_per_packet(),
+        report.tx_calls_per_message(),
         report.magazine.hit_rate * 100.0,
         report.per_packet.fast_kernel,
         report.per_packet.scalar_ns as f64 / report.per_packet.fast_ns.max(1) as f64

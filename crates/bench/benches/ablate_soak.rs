@@ -1,4 +1,4 @@
-//! Chaos-soak SLO gate: multi-tenant load over the parallel engine
+//! Chaos-soak SLO gate: multi-tenant load over the mem fabric
 //! while a seeded schedule drives outages, corruption, drop storms and
 //! bandwidth drift, gated on p99/p999 latency, head->tail throughput
 //! decay, pool-ledger leaks and stuck requests. Run with

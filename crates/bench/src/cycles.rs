@@ -9,11 +9,12 @@
 //!   (scalar, slicing-by-16, PCLMUL folding). Gate: slice16 at least
 //!   [`SLICE16_SPEEDUP_GATE`]× scalar, SIMD at least
 //!   [`SIMD_SPEEDUP_GATE`]× scalar where the CPU supports it.
-//! * **Syscalls per packet** — a pipelined eager workload through the
-//!   parallel TCP fabric at 2 rails with a deep rail pipeline; the TX
-//!   workers must coalesce outbox batches into few `write_vectored`
-//!   calls. Gate: fewer than [`TX_SYSCALLS_PER_PACKET_GATE`] TX
-//!   syscalls per transmitted frame.
+//! * **Syscalls per message** — the burst shape (a window of
+//!   [`BURST_WINDOW`] messages of 4 × 256 B kept full, as
+//!   `conformance::burst_aggregates_and_echo_does_not` drives it) over
+//!   loopback TCP at 2 rails; the optimisation window must turn a burst
+//!   into few aggregate frames, one `write_vectored` each. Gate: at most
+//!   [`TX_SYSCALLS_PER_MESSAGE_GATE`] TX syscalls per message.
 //! * **Pool magazines** — a soak-shaped aggregation workload; takes
 //!   must be served lock-free from the per-worker magazine caches.
 //!   Gate: hit rate at least [`MAGAZINE_HIT_RATE_GATE`].
@@ -30,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use nmad_core::engine::Engine;
-use nmad_core::{EngineConfig, Runtime, StrategyKind, SyscallStats};
+use nmad_core::{EngineConfig, StrategyKind, SyscallStats};
 use nmad_model::{platform, RailId};
 use nmad_wire::checksum::{self, Kernel};
 use serde::{ser, Serialize, Value};
@@ -44,9 +45,12 @@ pub const SLICE16_SPEEDUP_GATE: f64 = 3.0;
 /// kernel (applied only where the CPU reports the features).
 pub const SIMD_SPEEDUP_GATE: f64 = 8.0;
 
-/// Maximum TX syscalls per transmitted frame under the batched
-/// parallel fabric at 2 rails.
-pub const TX_SYSCALLS_PER_PACKET_GATE: f64 = 0.5;
+/// Maximum TX syscalls per message of the burst shape over loopback TCP
+/// at 2 rails (ROADMAP item 1 measured 0.065).
+pub const TX_SYSCALLS_PER_MESSAGE_GATE: f64 = 0.25;
+
+/// Messages the burst shape keeps in flight.
+pub const BURST_WINDOW: usize = 32;
 
 /// Minimum fraction of pool takes served lock-free from a magazine.
 pub const MAGAZINE_HIT_RATE_GATE: f64 = 0.90;
@@ -155,10 +159,18 @@ pub struct CyclesReport {
     pub slice16_gate: f64,
     /// See [`SIMD_SPEEDUP_GATE`].
     pub simd_gate: f64,
-    /// See [`TX_SYSCALLS_PER_PACKET_GATE`].
+    /// See [`TX_SYSCALLS_PER_MESSAGE_GATE`].
     pub tx_syscall_gate: f64,
     /// See [`MAGAZINE_HIT_RATE_GATE`].
     pub magazine_gate: f64,
+}
+
+impl CyclesReport {
+    /// `write_vectored` calls per message of the fabric leg (0 when it
+    /// moved none).
+    pub fn tx_calls_per_message(&self) -> f64 {
+        self.syscalls.tx_calls as f64 / self.fabric_messages.max(1) as f64
+    }
 }
 
 impl Serialize for CyclesReport {
@@ -170,6 +182,7 @@ impl Serialize for CyclesReport {
             ("tx_calls", ser::v(&self.syscalls.tx_calls)),
             ("tx_frames", ser::v(&self.syscalls.tx_frames)),
             ("tx_per_packet", ser::v(&self.syscalls.tx_per_packet())),
+            ("tx_calls_per_message", ser::v(&self.tx_calls_per_message())),
             ("rx_calls", ser::v(&self.syscalls.rx_calls)),
             ("rx_frames", ser::v(&self.syscalls.rx_frames)),
             ("rx_per_packet", ser::v(&self.syscalls.rx_per_packet())),
@@ -250,32 +263,31 @@ fn measure_kernels(len: usize, samples: usize) -> Vec<KernelPoint> {
         .collect()
 }
 
-/// Pipelined eager messages through the thread-per-rail TCP fabric at 2 rails
-/// with a deep rail pipeline, so the TX workers see full outboxes.
+/// The burst shape over loopback TCP at 2 rails: a window of
+/// [`BURST_WINDOW`] messages of 4 × 256 B kept full by a sender that
+/// never waits for an arrival on its own endpoint, so its submissions
+/// meet in the backlog and leave as aggregates.
 /// Returns (syscalls, messages, completed).
-fn measure_fabric_syscalls(messages: usize, size: usize) -> (SyscallStats, u64, bool) {
-    use nmad_transport_tcp::{pair_localhost, TcpConfig};
+fn measure_fabric_syscalls(messages: usize) -> (SyscallStats, u64, bool) {
+    use nmad_transport_tcp::{pair_localhost, RecvHandle, SendHandle, TcpConfig};
+    use std::collections::VecDeque;
 
-    let mut engine = EngineConfig::with_strategy(StrategyKind::Greedy);
-    engine.runtime = Runtime::Threads;
-    // Deep pipeline: the scheduler may queue a whole outbox of frames
-    // per rail between completions — the precondition for the TX
-    // worker's one-write_vectored-per-batch coalescing.
-    engine.rail_pipeline = 8;
-    let (a, b) = pair_localhost(TcpConfig::new(platform::paper_platform(), engine))
-        .expect("localhost fabric");
+    let config = TcpConfig::new(platform::paper_platform(), EngineConfig::default());
+    let (a, b) = pair_localhost(config).expect("localhost fabric");
     let conn = a.conns()[0];
-    let payload = Bytes::from(noise_buf(size));
-    let recvs: Vec<_> = (0..messages).map(|_| b.recv(conn)).collect();
-    let sends: Vec<_> = (0..messages)
-        .map(|_| a.send(conn, vec![payload.clone()]))
-        .collect();
+    let segment = Bytes::from(noise_buf(256));
     let mut completed = true;
-    for s in &sends {
-        completed &= s.wait(FABRIC_DEADLINE);
-    }
-    for r in recvs {
-        completed &= r.wait(FABRIC_DEADLINE).is_some();
+    let mut inflight: VecDeque<(RecvHandle, SendHandle)> = VecDeque::new();
+    for i in 0..messages + BURST_WINDOW {
+        if inflight.len() == BURST_WINDOW || i >= messages {
+            let Some((r, s)) = inflight.pop_front() else {
+                break;
+            };
+            completed &= r.wait(FABRIC_DEADLINE).is_some() && s.wait(FABRIC_DEADLINE);
+        }
+        if i < messages {
+            inflight.push_back((b.recv(conn), a.send(conn, vec![segment.clone(); 4])));
+        }
     }
     // TX tallies live on the sender, RX tallies on the receiver.
     let tx = a.stats().syscalls;
@@ -439,11 +451,8 @@ pub fn run(smoke: bool) -> CyclesReport {
     } else {
         measure_kernels(4 << 20, 64)
     };
-    let (syscalls, fabric_messages, fabric_completed) = if smoke {
-        measure_fabric_syscalls(256, 4 << 10)
-    } else {
-        measure_fabric_syscalls(1024, 4 << 10)
-    };
+    let (syscalls, fabric_messages, fabric_completed) =
+        measure_fabric_syscalls(if smoke { 2_000 } else { 20_000 });
     let magazine = if smoke {
         measure_magazine(64, 16)
     } else {
@@ -464,7 +473,7 @@ pub fn run(smoke: bool) -> CyclesReport {
         per_packet,
         slice16_gate: SLICE16_SPEEDUP_GATE,
         simd_gate: SIMD_SPEEDUP_GATE,
-        tx_syscall_gate: TX_SYSCALLS_PER_PACKET_GATE,
+        tx_syscall_gate: TX_SYSCALLS_PER_MESSAGE_GATE,
         magazine_gate: MAGAZINE_HIT_RATE_GATE,
     }
 }
@@ -494,13 +503,13 @@ pub fn check(report: &CyclesReport) -> Vec<String> {
     }
     if report.syscalls.tx_frames == 0 {
         v.push("fabric leg transmitted no frames (syscall ratio unmeasured)".into());
-    } else if report.syscalls.tx_per_packet() >= report.tx_syscall_gate {
+    } else if report.tx_calls_per_message() > report.tx_syscall_gate {
         v.push(format!(
-            "{:.3} TX syscalls per packet at or above the {:.1} gate ({} calls / {} frames)",
-            report.syscalls.tx_per_packet(),
+            "{:.3} TX syscalls per message above the {:.2} gate ({} calls / {} messages)",
+            report.tx_calls_per_message(),
             report.tx_syscall_gate,
             report.syscalls.tx_calls,
-            report.syscalls.tx_frames
+            report.fabric_messages
         ));
     }
     if report.magazine.takes == 0 {
@@ -538,12 +547,12 @@ pub fn render(report: &CyclesReport) -> String {
     let s = &report.syscalls;
     let _ = writeln!(
         out,
-        "fabric: {} msgs, {} wr / {} frames = {:.3} tx syscalls/pkt, \
+        "fabric: {} msgs in {} frames, {} wr = {:.3} tx syscalls/msg, \
          {} rd / {} frames = {:.3} rx syscalls/pkt",
         report.fabric_messages,
-        s.tx_calls,
         s.tx_frames,
-        s.tx_per_packet(),
+        s.tx_calls,
+        report.tx_calls_per_message(),
         s.rx_calls,
         s.rx_frames,
         s.rx_per_packet()
@@ -619,7 +628,7 @@ mod tests {
             },
             slice16_gate: SLICE16_SPEEDUP_GATE,
             simd_gate: SIMD_SPEEDUP_GATE,
-            tx_syscall_gate: TX_SYSCALLS_PER_PACKET_GATE,
+            tx_syscall_gate: TX_SYSCALLS_PER_MESSAGE_GATE,
             magazine_gate: MAGAZINE_HIT_RATE_GATE,
         }
     }
@@ -632,7 +641,7 @@ mod tests {
         let mut r = clean.clone();
         r.kernels[1].speedup = 2.0; // slice16 under 3x
         r.kernels[2].speedup = 5.0; // simd under 8x
-        r.syscalls.tx_calls = 200; // 0.78 per packet
+        r.syscalls.tx_calls = 200; // 0.78 per message
         r.magazine.hit_rate = 0.5;
         r.per_packet.fast_ns = r.per_packet.scalar_ns; // not strictly below
         r.fabric_completed = false;

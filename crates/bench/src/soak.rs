@@ -1,4 +1,4 @@
-//! Chaos soak: minutes of multi-tenant traffic over the parallel engine
+//! Chaos soak: minutes of multi-tenant traffic over the mem fabric
 //! while a seeded schedule turns every fault dial at once, gated on SLOs
 //! (`nmad soak`, `ablate_soak`, `BENCH_soak.json`).
 //!
@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use nmad_core::{
-    ChaosState, EngineConfig, Runtime, StrategyKind, SubmitError, TelemetryConfig, WatchdogConfig,
+    ChaosState, EngineConfig, StrategyKind, SubmitError, TelemetryConfig, WatchdogConfig,
 };
 use nmad_model::platform;
 use nmad_sim::Xoshiro256StarStar;
@@ -313,8 +313,6 @@ pub struct SoakReport {
     pub tx_dropped: u64,
     /// Frames the receiver rejected (CRC/decode).
     pub rx_errors: u64,
-    /// Submissions shed at the queue-depth bound.
-    pub shed_queue: u64,
     /// Submissions shed by per-tenant admission.
     pub shed_admission: u64,
     /// Submissions shed at the pool watermark.
@@ -410,7 +408,6 @@ impl Serialize for SoakReport {
             ("retransmits", ser::v(&self.retransmits)),
             ("tx_dropped", ser::v(&self.tx_dropped)),
             ("rx_errors", ser::v(&self.rx_errors)),
-            ("shed_queue", ser::v(&self.shed_queue)),
             ("shed_admission", ser::v(&self.shed_admission)),
             ("shed_watermark", ser::v(&self.shed_watermark)),
             ("pool_leaks_a", ser::v(&self.pool_leaks_a)),
@@ -458,18 +455,16 @@ pub fn run(spec: &SoakSpec) -> SoakReport {
     let chaos = ChaosState::new(2);
 
     let mut engine = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
-    engine.runtime = Runtime::Threads;
     engine.acked = true;
     soak_health(&mut engine);
     engine.calibration.enabled = true;
     // Bounded everything: the soak must shed, not grow.
-    engine.overload.max_submission_depth = 4096;
     engine.overload.max_tenant_inflight = 32;
     engine.overload.pool_watermark = 1 << 15;
     let telemetry_on = spec.telemetry_window > Duration::ZERO;
     if telemetry_on {
         // The aggregator tails the recorder ring; size it so a fold per
-        // scheduler pass never misses events.
+        // progress pass never misses events.
         engine.record_capacity = engine.record_capacity.max(1 << 15);
         engine.telemetry = TelemetryConfig {
             window_ns: spec.telemetry_window.as_nanos() as u64,
@@ -636,7 +631,6 @@ pub fn run(spec: &SoakSpec) -> SoakReport {
         retransmits: st.retransmits,
         tx_dropped: a.tx_dropped(),
         rx_errors: b.rx_errors(),
-        shed_queue: ov.queue_rejections,
         shed_admission: ov.admission_rejections,
         shed_watermark: ov.watermark_rejections,
         pool_leaks_a: a.pool_leaks(),
@@ -927,8 +921,8 @@ pub fn render(r: &SoakReport) -> String {
     );
     let _ = writeln!(
         out,
-        "faults: {} retransmits, {} injected drops, {} rx rejects | shed q/adm/wm {}/{}/{}",
-        r.retransmits, r.tx_dropped, r.rx_errors, r.shed_queue, r.shed_admission, r.shed_watermark
+        "faults: {} retransmits, {} injected drops, {} rx rejects | shed adm/wm {}/{}",
+        r.retransmits, r.tx_dropped, r.rx_errors, r.shed_admission, r.shed_watermark
     );
     let _ = writeln!(
         out,

@@ -15,7 +15,7 @@ mod args;
 
 use args::Args;
 use bytes::Bytes;
-use nmad_core::{EngineConfig, Runtime, StrategyKind};
+use nmad_core::{EngineConfig, StrategyKind};
 use nmad_model::platform;
 use nmad_runtime_sim::sweep::{bandwidth_sizes, latency_sizes};
 use nmad_runtime_sim::{run_pingpong, sample_platform, PingPongSpec};
@@ -54,7 +54,7 @@ fn usage() -> &'static str {
                                         (--check exits nonzero on budget violation;\n\
                                         --kernel pins the CRC kernel for A/B runs)\n\
        cycles [--smoke] [--check]       per-packet CPU cost: checksum kernel GiB/s,\n\
-                                        syscalls per packet under batched rail I/O,\n\
+                                        syscalls per message of a TCP burst,\n\
                                         pool-magazine hit rate (--check applies the\n\
                                         DESIGN.md §12 gates)\n\
        tcp-serve [--conns N]            real-socket receiver (prints addresses)\n\
@@ -70,21 +70,17 @@ fn usage() -> &'static str {
                                         bandwidth ladder) and export the packet\n\
                                         lifecycle; chrome output loads in\n\
                                         chrome://tracing / Perfetto\n\
-       metrics [--strategy S] [--size BYTES] [--messages N] [--runtime threads]\n\
+       metrics [--strategy S] [--size BYTES] [--messages N]\n\
                                         per-rail latency/size/backlog histograms,\n\
                                         syscalls/packet and pool-magazine hit rate\n\
-                                        from an acked pipeline run; --runtime\n\
-                                        threads drives the hub runtime on the\n\
-                                        in-process fabric instead and adds\n\
-                                        lock-hold/outbox-depth/batch histograms\n\
-                                        and per-rail worker utilization\n\
+                                        from an acked pipeline run\n\
        spans [--strategy S] [--size BYTES] [--messages N]\n\
                                         per-request critical-path breakdown\n\
                                         (queue -> decide -> xfer -> ack) per\n\
                                         strategy with per-rail injection\n\
                                         occupancy (omit --strategy to compare)\n\
        top [--duration S] [--window MS] [--size BYTES]\n\
-                                        live telemetry: drive the threads fabric\n\
+                                        live telemetry: drive the mem fabric\n\
                                         and refresh per-window rates, latency\n\
                                         percentiles and watchdog alerts in place\n\
        calibrate [--messages N] [--size BYTES] [--factor F] [--onset-us US]\n\
@@ -100,7 +96,7 @@ fn usage() -> &'static str {
        soak [--seed N] [--duration S] [--full] [--check] [--no-chaos]\n\
             [--window MS] [--out-timeseries FILE] [--out-verdict FILE]\n\
                                         chaos soak: multi-tenant load over the\n\
-                                        parallel engine under a seeded fault\n\
+                                        mem fabric under a seeded fault\n\
                                         schedule (outages, drop storms, drift);\n\
                                         --check applies the SLO gates including\n\
                                         the watchdog detection contract;\n\
@@ -420,8 +416,8 @@ fn cmd_cycles(args: &Args) -> Result<(), String> {
             return Err("per-packet cycles gate violated".into());
         }
         println!(
-            "cycles gates OK: {:.3} tx syscalls/pkt, {:.1}% magazine hits, {} {:.1}x vs scalar",
-            report.syscalls.tx_per_packet(),
+            "cycles gates OK: {:.3} tx syscalls/msg, {:.1}% magazine hits, {} {:.1}x vs scalar",
+            report.tx_calls_per_message(),
             report.magazine.hit_rate * 100.0,
             report.per_packet.fast_kernel,
             report.per_packet.scalar_ns as f64 / report.per_packet.fast_ns.max(1) as f64
@@ -821,11 +817,6 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
     let kind = parse_strategy(args.flag("strategy").unwrap_or("adaptive"))?;
     let size = args.size("size", 1 << 20)?;
     let messages: usize = args.num("messages", 8)?;
-    match args.flag("runtime") {
-        None => {}
-        Some("threads") => return cmd_metrics_hub(kind, size, messages),
-        Some(other) => return Err(format!("--runtime {other}: expected threads")),
-    }
     let w = record_workload(kind, vec![size; messages], true, 4096);
     let now_ns = w.now().0 / 1_000;
 
@@ -861,67 +852,11 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
         .sum::<u64>()
         + w.recorder.total_recorded();
     println!("\nflight recorder: {rec} events recorded across both nodes + fabric");
-    println!("(scheduler lock-hold/outbox/batch histograms: run with --runtime threads)");
     Ok(())
 }
 
-/// `metrics --runtime threads`: drive the hub runtime on the in-process
-/// fabric and report the scheduler's own evidence (lock-hold,
-/// outbox-depth and completion-batch histograms, per-rail worker
-/// utilization).
-fn cmd_metrics_hub(kind: StrategyKind, size: usize, messages: usize) -> Result<(), String> {
-    use std::time::{Duration, Instant};
-
-    let plat = platform::paper_platform();
-    let mut engine = EngineConfig::with_strategy(kind);
-    engine.runtime = Runtime::Threads;
-    let (a, b) =
-        nmad_transport_mem::pair(nmad_transport_mem::FabricConfig::new(plat.clone(), engine));
-    let epoch = Instant::now();
-    let conn = a.conns()[0];
-    println!(
-        "{} / {messages} x {size} B over the thread-per-rail in-process fabric\n",
-        kind.label()
-    );
-    let recvs: Vec<_> = (0..messages).map(|_| b.recv(conn)).collect();
-    let sends: Vec<_> = (0..messages)
-        .map(|i| a.send(conn, vec![Bytes::from(vec![i as u8; size])]))
-        .collect();
-    for (i, s) in sends.iter().enumerate() {
-        if !s.wait(Duration::from_secs(120)) {
-            return Err(format!("message {i} not sent within 120 s"));
-        }
-    }
-    for (i, r) in recvs.iter().enumerate() {
-        if r.wait(Duration::from_secs(120)).is_none() {
-            return Err(format!("message {i} not delivered"));
-        }
-    }
-    let now_ns = epoch.elapsed().as_nanos() as u64;
-
-    for (ep, name) in [(&a, "sender"), (&b, "receiver")] {
-        let s = ep.stats();
-        println!("{name}:");
-        println!("  lock hold ns {}", s.obs.lock_hold_ns.render());
-        println!("  outbox depth {}", s.obs.outbox_depth.render());
-        println!("  batch drain  {}", s.obs.completion_batch.render());
-        for (r, ro) in s.obs.rails.iter().enumerate() {
-            println!(
-                "  rail{r} ({}): worker util {:>5.1}%  tx pkts {}  rx pkts {}  in-flight {} B",
-                plat.rails[r].name,
-                100.0 * ro.utilization(now_ns),
-                s.rails[r].packets,
-                s.rails[r].rx_packets,
-                ro.in_flight_bytes,
-            );
-        }
-        print_syscall_and_magazine_lines(&s);
-    }
-    Ok(())
-}
-
-/// The per-packet cost lines shared by both `metrics` paths: syscalls
-/// per packet under batched rail I/O, and the pool-magazine hit rate
+/// The per-packet cost lines of `metrics`: syscalls per packet (zero
+/// in the simulator, which does no I/O), and the pool-magazine hit rate
 /// (how often a buffer came from the thread-local magazine instead of
 /// the shared pool or a fresh allocation).
 fn print_syscall_and_magazine_lines(s: &nmad_core::EngineStats) {
@@ -973,7 +908,7 @@ fn cmd_spans(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `nmad top`: drive the parallel in-process fabric with a closed loop
+/// `nmad top`: drive the in-process fabric with a closed loop
 /// of acked traffic and show each telemetry window as it closes —
 /// per-rail rates, busy fraction, ack-latency percentiles and any
 /// watchdog alerts. On a terminal the display redraws in place; piped,
@@ -995,7 +930,6 @@ fn cmd_top(args: &Args) -> Result<(), String> {
 
     let plat = platform::paper_platform();
     let mut engine = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
-    engine.runtime = Runtime::Threads;
     engine.acked = true;
     // Wall-clock recovery timers (the defaults are simulated-time
     // sized), the same shape the soak harness uses.

@@ -5,22 +5,17 @@ use crate::obs::{TelemetryConfig, WatchdogConfig};
 use crate::sampling::CalibrationConfig;
 use crate::strategy::StrategyKind;
 
-/// Overload-protection knobs: bounded submission queues, per-tenant
-/// admission control, and a pool-memory watermark. Every limit defaults
-/// to 0 = unlimited, so existing callers see no behaviour change; the
-/// soak harness and the loadgen CLI turn them on (see DESIGN.md §11).
+/// Overload-protection knobs: per-tenant admission control and a
+/// pool-memory watermark, both enforced by
+/// [`crate::Engine::try_submit_send`] (`Endpoint::try_send`; the plain
+/// `send` checks neither). Each limit defaults to 0 = unlimited; the
+/// soak harness turns them on (see DESIGN.md §11).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OverloadConfig {
-    /// Maximum depth of the parallel hub's submission queue. When the
-    /// queue holds this many not-yet-drained operations,
-    /// [`crate::ParallelHub::try_submit_send`] refuses with
-    /// [`crate::SubmitError::WouldBlock`] instead of growing without
-    /// bound. 0 disables the cap.
-    pub max_submission_depth: usize,
     /// Maximum sends a single tenant (connection) may have admitted but
-    /// not yet locally completed. Excess submissions are rejected with
-    /// `WouldBlock`, so one misbehaving tenant cannot starve the rest.
-    /// 0 disables admission control.
+    /// not yet locally completed. Excess submissions are refused with
+    /// [`crate::SubmitError::WouldBlock`], so one misbehaving tenant
+    /// cannot starve the rest. 0 disables admission control.
     pub max_tenant_inflight: usize,
     /// Watermark on outstanding pool buffers (taken and not yet
     /// reclaimed). Above it, new submissions are shed with `WouldBlock`
@@ -32,7 +27,7 @@ pub struct OverloadConfig {
 impl OverloadConfig {
     /// True when every limit is disabled (the default).
     pub fn is_unlimited(&self) -> bool {
-        self.max_submission_depth == 0 && self.max_tenant_inflight == 0 && self.pool_watermark == 0
+        self.max_tenant_inflight == 0 && self.pool_watermark == 0
     }
 }
 
@@ -80,27 +75,6 @@ impl ZooConfig {
     }
 }
 
-/// The progress runtime a threaded transport runs the engine on
-/// (DESIGN.md §10 has the full runtime × transport table).
-///
-/// | runtime   | who drives progress | threads per endpoint | transports |
-/// |-----------|---------------------|----------------------|------------|
-/// | `Serial`  | the calling thread, plus one backstop thread asleep on readiness (TCP) or a condvar (mem) for what no caller is around for | 1 | TCP, mem |
-/// | `Threads` | a scheduler thread over [`crate::ParallelHub`], one TX and one RX thread per rail | 2 × rails + 1 | TCP, mem |
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Runtime {
-    /// Progress on the engine lock's holder, no hand-off queues: the
-    /// lowest per-message cost, and what `BENCHMARK.json` measures.
-    #[default]
-    Serial,
-    /// Thread-per-rail pipeline: callers only queue and transport I/O
-    /// happens outside the engine lock, so rails overlap. Wins the
-    /// small-message rate when many application threads submit at once
-    /// (EXPERIMENTS.md, PR 17); its workers record flight-recorder
-    /// shards.
-    Threads,
-}
-
 /// Tunable knobs of the engine, with defaults matching the paper's setup.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
@@ -142,23 +116,9 @@ pub struct EngineConfig {
     /// engine then splits on its init-time tables forever, exactly as
     /// before.
     pub calibration: CalibrationConfig,
-    /// Which progress runtime a threaded transport builds around the
-    /// engine — one choice, not a product of switches. The engine
-    /// itself never reads it (the simulator and the benches drive a bare
-    /// [`crate::Engine`]); see [`Runtime`] for who drives progress under
-    /// each value and which transports support it.
-    pub runtime: Runtime,
-    /// Overload protection: queue bounds, per-tenant admission, pool
-    /// watermark. All-zero (off) by default.
+    /// Overload protection: per-tenant admission, pool watermark.
+    /// All-zero (off) by default.
     pub overload: OverloadConfig,
-    /// Injections the transmit gate may keep in flight per rail. 1 (the
-    /// default) is the historical one-frame-per-rail behaviour,
-    /// bit-identical for every existing caller. Deeper pipelines let
-    /// the parallel scheduler queue several frames into a rail's SPSC
-    /// outbox between completions, which is what allows the TX worker
-    /// to drain a batch and coalesce it into a single `write_vectored`
-    /// (see DESIGN.md §12). Capped in practice by the outbox capacity.
-    pub rail_pipeline: usize,
     /// Continuous telemetry: fold the flight recorder into
     /// fixed-interval windowed time series (see
     /// [`crate::obs::TelemetryAggregator`]). Off by default; enabling it
@@ -186,9 +146,7 @@ impl Default for EngineConfig {
             health: HealthConfig::default(),
             record_capacity: 0,
             calibration: CalibrationConfig::default(),
-            runtime: Runtime::Serial,
             overload: OverloadConfig::default(),
-            rail_pipeline: 1,
             telemetry: TelemetryConfig::default(),
             watchdog: WatchdogConfig::default(),
             zoo: ZooConfig::default(),
@@ -207,7 +165,6 @@ impl EngineConfig {
 
     /// Sanity-check threshold ordering.
     pub fn validate(&self) {
-        assert!(self.rail_pipeline >= 1, "rail_pipeline must be at least 1");
         assert!(self.min_chunk > 0, "min_chunk must be positive");
         assert!(
             self.min_chunk <= self.rdv_threshold,
@@ -247,7 +204,6 @@ mod tests {
         assert_eq!(c.agg_max_bytes, 16 * 1024);
         assert_eq!(c.min_chunk, 8 * 1024);
         assert!(c.overload.is_unlimited(), "overload limits default off");
-        assert_eq!(c.runtime, Runtime::Serial, "serial runtime by default");
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! once, over the object-safe [`Fabric`] trait. A transport is only "how
 //! bytes move on a rail": for the serial runtime it supplies [`Rails`]
 //! and a [`Parker`] to [`Serial`], which is the [`Fabric`] and drives
-//! progress on the callers' threads; the hub runtime is the
-//! implementation for [`ParallelHub`] below, whichever transport's
-//! worker threads feed the hub.
+//! progress on the callers' threads. The trait is the type erasure over
+//! `Serial<MemRails>` and `Serial<TcpRails>`, not a second runtime.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,7 +20,6 @@ use nmad_wire::reassembly::MessageAssembly;
 use nmad_wire::ConnId;
 use parking_lot::{Condvar, Mutex};
 
-use crate::engine::parallel::ParallelHub;
 use crate::engine::Engine;
 use crate::error::SubmitError;
 use crate::health::{RailState, RailTelemetry};
@@ -30,7 +28,9 @@ use crate::request::{RecvId, SendId};
 use crate::stats::{EngineStats, OverloadStats};
 
 mod serial;
-pub use serial::{Parker, Pass, Rails, Serial, BACKSTOP_TICK, CALLER_LEASE, SPIN_BUDGET};
+pub use serial::{
+    Parker, Pass, Rails, Serial, WorkSignal, BACKSTOP_TICK, CALLER_LEASE, SPIN_BUDGET,
+};
 
 /// What every fabric counts beside its engine, and the poison flag its
 /// waits honour.
@@ -108,8 +108,9 @@ pub enum WaitFor {
     Local,
 }
 
-/// The runtime seam under an [`Endpoint`]: where the engine lives, how a
-/// submission reaches it and how a caller waits for progress.
+/// What an [`Endpoint`] needs of the runtime under it, whatever rails
+/// that runs on: where the engine lives, how a submission reaches it and
+/// how a caller waits for progress.
 pub trait Fabric: std::any::Any + Send + Sync {
     /// The engine lock.
     fn engine(&self) -> &Mutex<Engine>;
@@ -124,11 +125,9 @@ pub trait Fabric: std::any::Any + Send + Sync {
     /// Hand a send to the engine and get progress going.
     fn submit(&self, conn: ConnId, segments: Vec<Bytes>) -> SendId;
 
-    /// [`Fabric::submit`] under the overload policy. A runtime without
-    /// an admission boundary admits everything.
-    fn try_submit(&self, conn: ConnId, segments: Vec<Bytes>) -> Result<SendId, SubmitError> {
-        Ok(self.submit(conn, segments))
-    }
+    /// [`Fabric::submit`] under the overload policy
+    /// ([`Engine::try_submit_send`]).
+    fn try_submit(&self, conn: ConnId, segments: Vec<Bytes>) -> Result<SendId, SubmitError>;
 
     /// Post a receive.
     fn post_recv(&self, conn: ConnId) -> RecvId;
@@ -137,50 +136,23 @@ pub trait Fabric: std::any::Any + Send + Sync {
     fn kick(&self);
 
     /// Block until `done` holds (true), or `deadline` passes or the
-    /// fabric is poisoned (false). The default sleeps on [`Fabric::cv`]
-    /// whatever the wait is `kind` of; a runtime whose callers drive
-    /// progress themselves overrides it.
+    /// fabric is poisoned (false).
     fn wait(
         &self,
-        _kind: WaitFor,
+        kind: WaitFor,
         deadline: Deadline,
         done: &mut dyn FnMut(&mut Engine) -> bool,
-    ) -> bool {
-        let mut eng = self.engine().lock();
-        loop {
-            if done(&mut eng) {
-                return true;
-            }
-            if self.status().failed() {
-                return false;
-            }
-            let Some(left) = deadline.left() else {
-                return false;
-            };
-            self.cv().wait_for(&mut eng, left);
-        }
-    }
+    ) -> bool;
 
     /// An engine invariant broke on the progress path: count it and
     /// poison the endpoint's waits instead of panicking in a caller or
-    /// a worker. Call it with the engine lock held, so that no waiter
+    /// the backstop thread. Call it with the engine lock held, so that no waiter
     /// is between its check of the flag and its sleep.
     fn fail(&self) {
         let status = self.status();
         status.io_errors.fetch_add(1, Ordering::Relaxed);
         status.failed.store(true, Ordering::SeqCst);
         self.cv().notify_all();
-    }
-
-    /// Recorded flight events, oldest first.
-    fn events(&self) -> Vec<Event> {
-        self.engine().lock().recorder().events()
-    }
-
-    /// Overload rejection counters (all zero without an admission
-    /// boundary).
-    fn overload_stats(&self) -> OverloadStats {
-        OverloadStats::default()
     }
 
     /// Ask every thread of the runtime to wind down.
@@ -190,61 +162,10 @@ pub trait Fabric: std::any::Any + Send + Sync {
     fn finish_shutdown(&self) {}
 }
 
-/// The hub runtime (`Runtime::Threads`): app calls queue without the
-/// engine lock, the scheduler thread does the rest.
-impl Fabric for ParallelHub {
-    fn engine(&self) -> &Mutex<Engine> {
-        ParallelHub::engine(self)
-    }
-
-    fn cv(&self) -> &Condvar {
-        self.app_cv()
-    }
-
-    fn status(&self) -> &FabricStatus {
-        &self.status
-    }
-
-    fn submit(&self, conn: ConnId, segments: Vec<Bytes>) -> SendId {
-        // Submission only errors after shutdown, and the endpoint that
-        // calls this owns the hub's lifetime.
-        self.submit_send(conn, segments)
-            .expect("endpoint not shut down")
-    }
-
-    fn try_submit(&self, conn: ConnId, segments: Vec<Bytes>) -> Result<SendId, SubmitError> {
-        self.try_submit_send(conn, segments)
-    }
-
-    fn post_recv(&self, conn: ConnId) -> RecvId {
-        ParallelHub::post_recv(self, conn).expect("endpoint not shut down")
-    }
-
-    fn kick(&self) {
-        self.kick_sched();
-    }
-
-    /// The engine ring merged with the worker shards deposited so far
-    /// (workers deposit at exit).
-    fn events(&self) -> Vec<Event> {
-        self.merged_events()
-    }
-
-    fn overload_stats(&self) -> OverloadStats {
-        ParallelHub::overload_stats(self)
-    }
-
-    fn begin_shutdown(&self) {
-        ParallelHub::begin_shutdown(self);
-    }
-}
-
-/// One endpoint of a connected pair, on any transport and runtime.
+/// One endpoint of a connected pair, on any transport.
 pub struct Endpoint {
     fabric: Arc<dyn Fabric>,
-    /// Joined in order on drop. The hub runtime lists its I/O workers
-    /// first and the scheduler last, so that it drains their final
-    /// completions before it quiesces.
+    /// Joined in order on drop.
     workers: Vec<JoinHandle<()>>,
     conns: Vec<ConnId>,
 }
@@ -356,11 +277,11 @@ impl Endpoint {
         }
     }
 
-    /// Submit a send under the full overload policy: refused with
-    /// [`SubmitError::WouldBlock`] when the hub's queue depth, pool
-    /// watermark or per-tenant quota is exceeded (see
-    /// [`crate::OverloadConfig`]). The serial runtimes have no admission
-    /// boundary and always admit.
+    /// Submit a send under the overload policy: refused with
+    /// [`SubmitError::WouldBlock`] while the channel's sends in progress
+    /// are at its quota or the buffer pool is above its watermark (see
+    /// [`crate::OverloadConfig`]; with neither set, never), and with
+    /// [`SubmitError::Shutdown`] once the endpoint has shut down.
     pub fn try_send(&self, conn: ConnId, segments: Vec<Bytes>) -> Result<SendHandle, SubmitError> {
         Ok(SendHandle {
             fabric: self.fabric.clone(),
@@ -376,9 +297,9 @@ impl Endpoint {
         }
     }
 
-    /// Overload rejection counters (all zero on the serial runtimes).
+    /// How often [`Endpoint::try_send`] said no, and why.
     pub fn overload_stats(&self) -> OverloadStats {
-        self.fabric.overload_stats()
+        self.fabric.engine().lock().stats().overload
     }
 
     /// Engine statistics snapshot.
@@ -398,8 +319,7 @@ impl Endpoint {
     }
 
     /// Transport I/O errors, plus engine invariants broken on the
-    /// progress path. Always zero on the mem fabric's hub runtime, which
-    /// does no I/O.
+    /// progress path.
     pub fn io_errors(&self) -> u64 {
         self.fabric.status().io_errors.load(Ordering::Relaxed)
     }
@@ -429,11 +349,9 @@ impl Endpoint {
 
     /// Snapshot of the recorded flight events, oldest first. Empty unless
     /// the endpoint was built with a nonzero
-    /// `EngineConfig::record_capacity`. On `Runtime::Threads` this merges
-    /// the engine ring with the per-worker shards deposited so far
-    /// (workers deposit at exit).
+    /// `EngineConfig::record_capacity`.
     pub fn events(&self) -> Vec<Event> {
-        self.fabric.events()
+        self.fabric.engine().lock().recorder().events()
     }
 
     /// Run `read` on the engine with pending recorder events folded into

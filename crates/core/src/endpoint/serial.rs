@@ -18,8 +18,8 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use super::{Deadline, Endpoint, Fabric, FabricStatus, WaitFor};
 use crate::driver::TxToken;
-use crate::engine::parallel::WorkSignal;
 use crate::engine::Engine;
+use crate::error::SubmitError;
 use crate::request::{RecvId, SendId};
 use crate::stats::SyscallStats;
 
@@ -90,10 +90,52 @@ impl<P: Parker> Parker for Arc<P> {
     }
 }
 
-/// A flag under a mutex and a condvar: for rails that say nothing of
-/// their own accord, so that every arrival is reported by a kick — and
-/// not at all while a lease is held ([`Serial::arrived`]): a leased park
-/// is a park.
+/// Edge-triggered wakeup: a boolean under a mutex plus a condvar. Kicks
+/// that land while the waiter is busy are remembered (the flag stays
+/// set), so no wakeup is ever lost to the check-then-wait race — and
+/// cost no `futex` call: the condvar is notified only when someone is
+/// parked on it, which the same mutex says.
+#[derive(Default)]
+pub struct WorkSignal {
+    state: Mutex<SignalState>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct SignalState {
+    pending: bool,
+    /// Threads inside [`WorkSignal::wait`]'s condvar wait.
+    parked: usize,
+}
+
+impl WorkSignal {
+    /// Signal the waiter: sets the flag and, if it is parked, wakes it.
+    pub fn kick(&self) {
+        let mut st = self.state.lock();
+        st.pending = true;
+        let parked = st.parked > 0;
+        drop(st);
+        if parked {
+            self.cv.notify_one();
+        }
+    }
+
+    /// Wait until kicked or `timeout` elapses; consumes the pending kick.
+    /// Returns true when a kick arrived (before or during the wait).
+    pub fn wait(&self, timeout: Duration) -> bool {
+        let mut st = self.state.lock();
+        if !st.pending {
+            st.parked += 1;
+            self.cv.wait_for(&mut st, timeout);
+            st.parked -= 1;
+        }
+        std::mem::take(&mut st.pending)
+    }
+}
+
+/// For rails that say nothing of their own accord, so that every arrival
+/// is reported by a kick — and not at all while a lease is held
+/// ([`Serial::arrived`]): a leased park is a park.
 impl Parker for WorkSignal {
     fn park(&self, timeout: Duration) {
         self.wait(timeout);
@@ -616,6 +658,16 @@ impl<R: Rails> Fabric for Serial<R> {
         self.offer(true, |eng| eng.submit_send(conn, segments))
     }
 
+    /// [`Fabric::submit`] through the engine's admission check, under
+    /// the engine lock the submission takes anyway; an endpoint that has
+    /// shut down admits nothing.
+    fn try_submit(&self, conn: ConnId, segments: Vec<Bytes>) -> Result<SendId, SubmitError> {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return Err(self.engine.lock().refuse_shutdown());
+        }
+        self.offer(true, |eng| eng.try_submit_send(conn, segments))
+    }
+
     fn post_recv(&self, conn: ConnId) -> RecvId {
         let mut eng = self.engine.lock();
         let id = eng.post_recv(conn);
@@ -854,6 +906,42 @@ mod tests {
         cond()
     }
 
+    #[test]
+    fn kick_before_wait_is_not_lost() {
+        let s = WorkSignal::default();
+        s.kick();
+        // The kick predates the wait: wait must return immediately and
+        // report it (the lost-wakeup race of a bare condvar).
+        let t0 = Instant::now();
+        assert!(s.wait(Duration::from_secs(5)));
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        // Consumed: a second wait times out.
+        assert!(!s.wait(Duration::from_millis(1)));
+    }
+
+    /// A kick notifies the condvar only when someone is parked on it, so
+    /// the parked waiter must still be woken: the kick is sent once the
+    /// waiter is seen inside its wait, and ends it long before its timeout.
+    #[test]
+    fn kick_wakes_a_parked_waiter() {
+        let s = Arc::new(WorkSignal::default());
+        let waiter = {
+            let s = s.clone();
+            std::thread::spawn(move || s.wait(Duration::from_secs(30)))
+        };
+        while s.state.lock().parked == 0 {
+            std::thread::yield_now();
+        }
+        let t0 = Instant::now();
+        s.kick();
+        assert!(waiter.join().unwrap(), "the parked wait saw the kick");
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "woken, not timed out"
+        );
+        assert_eq!(s.state.lock().parked, 0);
+    }
+
     /// (i) A lone submission after a quiet window is on the wire when
     /// `send` returns; (ii) the ones that follow within the window stay
     /// in the backlog at no cost, and the one that makes a frame's worth
@@ -985,6 +1073,25 @@ mod tests {
             assert_eq!(with_medium, 5);
             true
         });
+    }
+
+    /// An endpoint that has shut down admits nothing: `try_submit` on a
+    /// fabric someone kept says so, counts it and queues nothing.
+    #[test]
+    fn a_shut_down_endpoint_refuses_try_submit() {
+        let Fixture {
+            ep, serial, conn, ..
+        } = Fixture::new();
+        let segment = || vec![Bytes::from_static(b"late")];
+        assert!(serial.try_submit(conn, segment()).is_ok());
+        drop(ep);
+        assert_eq!(
+            serial.try_submit(conn, segment()),
+            Err(SubmitError::Shutdown)
+        );
+        let eng = serial.engine.lock();
+        assert_eq!(eng.stats().overload.shutdown_rejections, 1);
+        assert_eq!(eng.stats().obs.seg_size.count(), 1, "nothing queued");
     }
 
     /// (vi) Control, chunk and medium eager frames do not make the rails

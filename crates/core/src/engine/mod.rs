@@ -22,8 +22,6 @@
 //! [`IdWindow`]s that are indexed, not hashed, and let go of a slot once
 //! its answers can no longer change.
 
-pub mod parallel;
-
 use std::collections::VecDeque;
 
 use bytes::Bytes;
@@ -40,38 +38,20 @@ use nmad_wire::header::{
 use nmad_wire::reassembly::{MessageAssembly, ReasmError, Reassembler};
 use nmad_wire::{ConnId, FrameBody, IdWindow, Lookup, MsgId, PacketFrame, SmallList};
 
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, OverloadConfig};
 use crate::driver::{TxDecision, TxToken};
-use crate::error::EngineError;
+use crate::error::{EngineError, SubmitError};
 use crate::health::{HealthTracker, RailState, RailTelemetry, Transition};
 use crate::obs::{Event, EventKind, FlightRecorder, TelemetryAggregator, Watchdog};
 use crate::pool::{Magazine, SharedPool};
 use crate::request::{Backlog, RecvId, SegKey, SegPhase, SendId};
 use crate::sampling::{default_ladder, split_ratio_permille, OnlineCalibrator, PerfTable};
-use crate::stats::EngineStats;
+use crate::stats::{EngineStats, OverloadStats};
 use crate::strategy::{KeyList, RailFlight, Strategy, StrategyCtx, TxOp};
 
 /// Pool capacity for packet head buffers: envelope (24 bytes) plus the
 /// largest per-kind body header (chunk, 34 bytes), rounded up.
 const HEAD_CAPACITY: usize = 64;
-
-/// How far ahead of the handles the engine has seen a caller-allocated one
-/// may be: a submission queue hands ids over out of order, not out of
-/// thin air (each id in between is a hole the handle window keeps).
-const MAX_HANDLE_GAP: u64 = 1 << 20;
-
-/// Give the caller-allocated handle `id` its entry in `handles`.
-fn claim_handle(handles: &mut IdWindow<(ConnId, MsgId)>, id: u64, entry: (ConnId, MsgId)) {
-    assert!(
-        id.saturating_sub(handles.end()) <= MAX_HANDLE_GAP,
-        "handle {id} is not from a dense counter (next expected: {})",
-        handles.end()
-    );
-    assert!(
-        handles.insert(id, entry).is_ok(),
-        "handle {id} already in use"
-    );
-}
 
 /// Sends one tx completion finished, each with the connection it was
 /// submitted on; the eight of a full inline aggregate stay inline.
@@ -221,7 +201,6 @@ impl ConnRx {
 #[derive(Debug, Default)]
 struct Scratch {
     rail_ok: Vec<bool>,
-    rail_at_cap: Vec<bool>,
     flight: Vec<RailFlight>,
 }
 
@@ -232,13 +211,9 @@ pub struct Engine {
     tables: Vec<PerfTable>,
     strategy: Box<dyn Strategy>,
     backlog: Backlog,
-    /// Injections in flight per rail. The transmit gate admits work
-    /// while this sits below [`EngineConfig::rail_pipeline`]; depth 1
-    /// (the default) reproduces the historical one-frame-per-rail
-    /// behaviour bit for bit, deeper pipelines let the parallel
-    /// scheduler queue several frames into a rail's outbox so the TX
-    /// worker can coalesce them into one vectored write.
-    rail_inflight: Vec<u32>,
+    /// Whether each rail has an injection in flight, between `next_tx`
+    /// and `on_tx_done`: one frame per rail at a time.
+    rail_busy: Vec<bool>,
     /// Outbound control packets: `(conn, packet, rail pin)` FIFO. Most
     /// control traffic is unpinned (any usable rail); health probes and
     /// their pongs are pinned to the rail under test.
@@ -257,9 +232,7 @@ pub struct Engine {
     in_flight: IdWindow<InFlightTx>,
     tx_seq: Vec<u32>,
     stats: EngineStats,
-    /// Recycled head/slab buffers for the transmit hot path: the
-    /// engine's own magazine over a shared pool (rail workers can carve
-    /// further magazines from [`Engine::pool_handle`]).
+    /// Recycled head/slab buffers for the transmit hot path.
     pool: Magazine,
     /// Per-rail health records (fed by acks/timeouts, drives failover).
     health: HealthTracker,
@@ -284,6 +257,9 @@ pub struct Engine {
     /// strategies via [`RailFlight`] so SRPT can predict completions.
     ewma_service_ns: Vec<u64>,
     scratch: Scratch,
+    /// [`EngineStats::overload`] as of the last `Shed`/`Backpressure`
+    /// events recorded.
+    refusals_recorded: OverloadStats,
     /// The one aggregate builder (its entry list is reused).
     agg: AggregateBuilder,
 }
@@ -360,7 +336,7 @@ impl Engine {
             backlog: Backlog::with_small_below(config.min_chunk as u64),
             config,
             tables,
-            rail_inflight: vec![0; n],
+            rail_busy: vec![false; n],
             control_q: VecDeque::new(),
             conn_tx: Vec::new(),
             conn_rx: Vec::new(),
@@ -374,6 +350,7 @@ impl Engine {
             probe_sent: IdWindow::new(),
             ewma_service_ns: vec![0; n],
             scratch: Scratch::default(),
+            refusals_recorded: OverloadStats::default(),
             agg: AggregateBuilder::new(),
             rails,
         }
@@ -401,11 +378,12 @@ impl Engine {
         self.telemetry.as_deref().and_then(|t| t.dog.as_ref())
     }
 
-    /// Fold new recorder events into the telemetry windows and run the
+    /// Fold new recorder events — the refusals since the last fold
+    /// first recorded as such — into the telemetry windows and run the
     /// watchdog over any windows that closed. Called from
-    /// [`Engine::progress`] and from the parallel scheduler's amortized
-    /// section; cheap no-op when no events arrived and no window
-    /// boundary passed, free when telemetry is off.
+    /// [`Engine::progress`] and by whoever reads the windows; cheap no-op
+    /// when no events arrived and no window boundary passed, free when
+    /// telemetry is off.
     ///
     /// Newly fired alerts are recorded as [`EventKind::Alert`] events
     /// into the flight-recorder ring, so they travel with every existing
@@ -413,6 +391,7 @@ impl Engine {
     /// alert event is folded back into the *next* window's `alerts`
     /// count rather than the one that tripped it.
     pub fn fold_telemetry(&mut self) {
+        self.record_refusals();
         // Take the state out of `self` so the fold can borrow the
         // recorder and stats immutably alongside it (a move of a Box,
         // not an allocation).
@@ -510,39 +489,14 @@ impl Engine {
         &self.stats
     }
 
-    /// Record one parallel-scheduler critical section: how long the
-    /// engine lock was held and how many completion events the pass
-    /// drained (see [`parallel`]).
-    pub fn note_sched_pass(&mut self, lock_hold_ns: u64, completions_drained: u64) {
-        self.stats.obs.lock_hold_ns.record(lock_hold_ns);
-        self.stats.obs.completion_batch.record(completions_drained);
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.agg.note_sched_batch(completions_drained);
-        }
-    }
-
-    /// Record a per-rail outbox depth sample after a scheduler refill.
-    pub fn note_outbox_depth(&mut self, depth: u64) {
-        self.stats.obs.outbox_depth.record(depth);
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.agg.note_outbox_depth(depth);
-        }
-    }
-
     /// Whether `rail` currently has an injection in flight.
     pub fn rail_busy(&self, rail: RailId) -> bool {
-        self.rail_inflight[rail.0] > 0
+        self.rail_busy[rail.0]
     }
 
-    /// Injections currently in flight on `rail` (bounded by
-    /// [`EngineConfig::rail_pipeline`]).
-    pub fn rail_inflight(&self, rail: RailId) -> u32 {
-        self.rail_inflight[rail.0]
-    }
-
-    /// Mirror the transport workers' syscall amortization counters into
-    /// the stats (like [`Engine::note_overload`], the counting happens
-    /// outside the engine lock; this stores a snapshot).
+    /// Mirror the rails' kernel-crossing counters into the stats (the
+    /// counting happens under the rails lock, outside the engine's; this
+    /// stores a snapshot).
     pub fn note_syscalls(&mut self, syscalls: crate::stats::SyscallStats) {
         self.stats.syscalls = syscalls;
     }
@@ -631,19 +585,6 @@ impl Engine {
     /// exactly the units the optimizing scheduler may aggregate or split.
     pub fn submit_send(&mut self, conn: ConnId, segments: Vec<Bytes>) -> SendId {
         let send_id = SendId(self.send_ids.end());
-        self.submit_send_with_id(conn, segments, send_id);
-        send_id
-    }
-
-    /// [`Engine::submit_send`] with a caller-allocated id. The parallel
-    /// submission queue hands out ids from an atomic counter *before*
-    /// enqueueing, so the id must travel with the queued op: queue drain
-    /// order is not guaranteed to match allocation order across producer
-    /// threads. The ids must come from one dense counter (the handle
-    /// window keeps a hole for every id it is still waiting for), and
-    /// [`Engine::submit_send`] continues past the highest one seen, so
-    /// the two allocation schemes never collide.
-    pub fn submit_send_with_id(&mut self, conn: ConnId, segments: Vec<Bytes>, send_id: SendId) {
         assert!(!segments.is_empty(), "a message needs at least one segment");
         assert!(segments.len() <= u16::MAX as usize, "too many segments");
         let total_segs = segments.len() as u16;
@@ -672,7 +613,7 @@ impl Engine {
             acked: false,
             attempt,
         });
-        claim_handle(&mut self.send_ids, send_id.0, (conn, msg_id));
+        self.send_ids.push((conn, msg_id));
         let segments = sends.live(msg_id).map_or(&[][..], |s| &s.data);
 
         self.obs.record(
@@ -703,6 +644,82 @@ impl Engine {
             .obs
             .backlog_depth
             .record(self.backlog.len() as u64);
+        send_id
+    }
+
+    /// [`Engine::submit_send`] under the overload policy
+    /// ([`crate::OverloadConfig`]): refused, counted and nothing queued
+    /// while `conn` has `max_tenant_inflight` sends admitted and not yet
+    /// locally complete, or the buffer pool has more than
+    /// `pool_watermark` buffers out. The caller decides whether to retry,
+    /// shed or slow down; every pass it makes meanwhile is progress
+    /// towards being admitted again. `submit_send` itself checks neither
+    /// limit.
+    pub fn try_submit_send(
+        &mut self,
+        conn: ConnId,
+        segments: Vec<Bytes>,
+    ) -> Result<SendId, SubmitError> {
+        let OverloadConfig {
+            max_tenant_inflight: quota,
+            pool_watermark: watermark,
+        } = self.config.overload;
+        if watermark != 0 && self.pool.outstanding() > watermark as u64 {
+            self.stats.overload.watermark_rejections += 1;
+            return Err(SubmitError::WouldBlock);
+        }
+        // (An unknown connection is `submit_send`'s to refuse.)
+        let at_quota = |sends: &IdWindow<SendSlot>| {
+            let mut open = sends.iter().filter(|(_, s)| !s.done);
+            open.nth(quota - 1).is_some()
+        };
+        if quota != 0 && self.conn_tx.get(conn as usize).is_some_and(at_quota) {
+            self.stats.overload.admission_rejections += 1;
+            return Err(SubmitError::WouldBlock);
+        }
+        Ok(self.submit_send(conn, segments))
+    }
+
+    /// The runtime around this engine has shut down and turns a
+    /// submission away: counted with the other refusals.
+    pub fn refuse_shutdown(&mut self) -> SubmitError {
+        self.stats.overload.shutdown_rejections += 1;
+        SubmitError::Shutdown
+    }
+
+    /// One `Shed` / `Backpressure` event per reason for the submissions
+    /// refused since the last call — not one per refusal: an open-loop
+    /// sender is refused at the rate it offers, and would have the ring
+    /// to itself.
+    fn record_refusals(&mut self) {
+        let (now, seen) = (self.stats.overload, self.refusals_recorded);
+        if now == seen {
+            return;
+        }
+        let refused = [
+            (
+                EventKind::Shed,
+                1,
+                now.admission_rejections - seen.admission_rejections,
+            ),
+            (
+                EventKind::Shed,
+                2,
+                now.watermark_rejections - seen.watermark_rejections,
+            ),
+            (
+                EventKind::Backpressure,
+                1,
+                now.shutdown_rejections - seen.shutdown_rejections,
+            ),
+        ];
+        for (kind, reason, count) in refused {
+            if count > 0 {
+                let ev = Event::new(self.now_ns, kind).size(count).aux(reason);
+                self.obs.record(ev);
+            }
+        }
+        self.refusals_recorded = now;
     }
 
     /// Queue a sampling probe (`SamplePing`) of `size` zero bytes on
@@ -723,21 +740,12 @@ impl Engine {
     /// messages in order (the paper's benchmark model; tags live in the
     /// mini-MPI layer above).
     pub fn post_recv(&mut self, conn: ConnId) -> RecvId {
-        let recv_id = RecvId(self.recv_ids.end());
-        self.post_recv_with_id(conn, recv_id);
-        recv_id
-    }
-
-    /// [`Engine::post_recv`] with a caller-allocated id (see
-    /// [`Engine::submit_send_with_id`] for why the parallel submission
-    /// queue needs to carry the id through the queue).
-    pub fn post_recv_with_id(&mut self, conn: ConnId, recv_id: RecvId) {
         let rx = self
             .conn_rx
             .get_mut(conn as usize)
             .unwrap_or_else(|| panic!("unknown connection {conn}"));
         let msg_id = rx.next_match;
-        claim_handle(&mut self.recv_ids, recv_id.0, (conn, msg_id));
+        let recv_id = RecvId(self.recv_ids.push((conn, msg_id)));
         rx.next_match += 1;
         if let Some(slot) = rx.slot(msg_id) {
             slot.posted = Some(recv_id);
@@ -751,6 +759,7 @@ impl Engine {
             }
             m != msg_id
         });
+        recv_id
     }
 
     /// True when the send has been fully injected (local completion).
@@ -787,14 +796,6 @@ impl Engine {
         Some(assembly)
     }
 
-    /// Merge externally-observed overload rejections into the stats (the
-    /// admission boundary lives in the parallel hub, outside the engine
-    /// lock; the hub mirrors its atomic counters here so `stats()` is the
-    /// one place to read them).
-    pub fn note_overload(&mut self, overload: crate::stats::OverloadStats) {
-        self.stats.overload = overload;
-    }
-
     // ------------------------------------------------------------------
     // Transmit layer: NIC-activity-driven scheduling
     // ------------------------------------------------------------------
@@ -804,8 +805,7 @@ impl Engine {
     /// `None` when the rail should stay idle. On `Some`, the rail is
     /// marked busy until [`Engine::on_tx_done`].
     pub fn next_tx(&mut self, rail: RailId) -> Result<Option<TxDecision>, EngineError> {
-        let depth = self.config.rail_pipeline as u32;
-        if self.rail_inflight[rail.0] >= depth {
+        if self.rail_busy[rail.0] {
             return Ok(None);
         }
         let usable = self.health.usable(rail);
@@ -845,19 +845,11 @@ impl Engine {
             return Ok(None);
         }
 
-        // Strategies see "busy" as "at pipeline capacity": with depth 1
-        // this is exactly the old has-anything-in-flight flag.
-        let Scratch {
-            rail_ok,
-            rail_at_cap,
-            flight,
-        } = &mut self.scratch;
+        let Scratch { rail_ok, flight } = &mut self.scratch;
         rail_ok.clear();
         rail_ok.extend((0..self.rails.len()).map(|r| self.health.usable(RailId(r))));
-        rail_at_cap.clear();
-        rail_at_cap.extend(self.rail_inflight.iter().map(|&n| n >= depth));
         // The per-rail in-flight data-frame load: one pass over the
-        // (small, pipeline-bounded) in-flight window; control frames are
+        // in-flight window (a frame per rail at most); control frames are
         // excluded — strategies reason about where payload bytes are.
         flight.clear();
         flight.extend((0..self.rails.len()).map(|r| RailFlight {
@@ -876,7 +868,7 @@ impl Engine {
         let mut ctx = StrategyCtx {
             backlog: &mut self.backlog,
             rails: &self.rails,
-            rail_busy: &rail_at_cap[..],
+            rail_busy: &self.rail_busy,
             rail_ok: &rail_ok[..],
             tables: &self.tables,
             config: &self.config,
@@ -1069,13 +1061,6 @@ impl Engine {
         d.pool_outstanding = self.pool.outstanding();
     }
 
-    /// Handle on the shared buffer pool behind the engine's magazine,
-    /// so transport workers can carve their own magazines and recycle
-    /// buffers without crossing the engine lock.
-    pub fn pool_handle(&self) -> SharedPool {
-        self.pool.pool()
-    }
-
     /// Pool buffers outside anyone's custody: taken from the pool but
     /// neither reclaimed nor accounted to an in-flight frame. Zero on a
     /// healthy engine at all times; asserted at drop.
@@ -1208,7 +1193,7 @@ impl Engine {
         let ro = &mut self.stats.obs.rails[rail.0];
         ro.in_flight_bytes += wire_len as u64;
         ro.note_busy(self.now_ns);
-        self.rail_inflight[rail.0] += 1;
+        self.rail_busy[rail.0] = true;
         TxDecision {
             token,
             frame,
@@ -1238,7 +1223,7 @@ impl Engine {
             .in_flight
             .retire(token.0)
             .ok_or(EngineError::BadToken(token.0))?;
-        self.rail_inflight[rail.0] = self.rail_inflight[rail.0].saturating_sub(1);
+        self.rail_busy[rail.0] = false;
         self.obs.record(
             Event::new(self.now_ns, EventKind::TxDone)
                 .rail(rail.0)
@@ -1247,11 +1232,7 @@ impl Engine {
         );
         let ro = &mut self.stats.obs.rails[rail.0];
         ro.in_flight_bytes = ro.in_flight_bytes.saturating_sub(wire_len as u64);
-        // The busy gauge tracks "anything in flight": with a pipeline
-        // deeper than 1 the rail stays busy until the last frame lands.
-        if self.rail_inflight[rail.0] == 0 {
-            ro.note_idle(self.now_ns);
-        }
+        ro.note_idle(self.now_ns);
         // Recycled at once when the runtime has dropped its frame
         // (threaded transports at completion); the in-process fabric's
         // receiver may still hold a reference, and the pool parks the
@@ -2235,52 +2216,114 @@ mod tests {
         assert!(s.rails[0].payload_bytes > s.rails[1].payload_bytes);
     }
 
+    fn engine_with(overload: OverloadConfig, record_capacity: usize) -> Engine {
+        let cfg = EngineConfig {
+            overload,
+            record_capacity,
+            ..EngineConfig::with_strategy(StrategyKind::Greedy)
+        };
+        Engine::new(cfg, platform::paper_platform().rails, vec![])
+    }
+
+    /// Per-tenant admission: a tenant at its in-flight quota is refused,
+    /// another is not, and local completion of its send returns the
+    /// credit. `submit_send` asks nobody.
     #[test]
-    fn caller_allocated_handles_fill_holes_and_the_counter_continues_past_them() {
-        let mut tx = engine(StrategyKind::Greedy);
-        let mut rx = engine(StrategyKind::Greedy);
-        let c = tx.conn_open();
-        rx.conn_open();
-        // A submission queue handed out 0..3 and delivers them as 2, 0, 1.
-        for id in [2, 0, 1] {
-            assert!(!tx.send_complete(SendId(1)), "a hole answers no");
-            tx.submit_send_with_id(c, vec![payload(10, id as u8)], SendId(id));
-            rx.post_recv_with_id(c, RecvId(id));
+    fn tenant_admission_credits_on_completion() {
+        let quota = OverloadConfig {
+            max_tenant_inflight: 1,
+            pool_watermark: 0,
+        };
+        let mut tx = engine_with(quota, 0);
+        let (c0, c1) = (tx.conn_open(), tx.conn_open());
+        let one = tx.try_submit_send(c0, vec![payload(100, 1)]).unwrap();
+        assert_eq!(
+            tx.try_submit_send(c0, vec![payload(100, 2)]),
+            Err(SubmitError::WouldBlock),
+            "tenant 0 is at quota"
+        );
+        assert_eq!(tx.stats().overload.admission_rejections, 1);
+        let backlog = tx.backlog.len();
+        tx.try_submit_send(c1, vec![payload(100, 3)])
+            .expect("tenant 1 has its own quota");
+        assert_eq!(tx.backlog.len(), backlog + 1, "a refusal queues nothing");
+        // Unacked: a send completes locally with its last `on_tx_done`.
+        for r in [RailId(0), RailId(1)] {
+            let d = tx.next_tx(r).unwrap().expect("one message a rail");
+            tx.on_tx_done(r, d.token).unwrap();
         }
-        assert_eq!(tx.submit_send(c, vec![payload(10, 3)]), SendId(3));
-        assert_eq!(rx.post_recv(c), RecvId(3));
-        pump(&mut tx, &mut rx);
-        // Messages match receives in the order both reached the engines.
-        for (id, fill) in [(2, 2), (0, 0), (1, 1), (3, 3)] {
-            assert!(tx.send_complete(SendId(id)));
+        assert!(tx.send_complete(one));
+        tx.try_submit_send(c0, vec![payload(100, 4)])
+            .expect("completion returns the credit");
+        tx.submit_send(c0, vec![payload(100, 5)]);
+        assert_eq!(tx.stats().overload.total_shed(), 1);
+    }
+
+    /// The pool watermark: refused while more buffers are out of the pool
+    /// than it allows — a frame's head from its post to its completion —
+    /// whichever tenant asks.
+    #[test]
+    fn watermark_refuses_while_buffers_are_out() {
+        let watermark = OverloadConfig {
+            max_tenant_inflight: 0,
+            pool_watermark: 1,
+        };
+        let mut tx = engine_with(watermark, 0);
+        let (c0, c1) = (tx.conn_open(), tx.conn_open());
+        for fill in 0..2 {
+            tx.try_submit_send(c0, vec![payload(100, fill)]).unwrap();
+        }
+        let d0 = tx.next_tx(RailId(0)).unwrap().expect("first");
+        tx.try_submit_send(c0, vec![payload(100, 2)])
+            .expect("one buffer out is at the watermark, not above");
+        let d1 = tx.next_tx(RailId(1)).unwrap().expect("second");
+        assert_eq!(tx.stats().datapath.pool_outstanding, 2);
+        for conn in [c0, c1] {
             assert_eq!(
-                rx.try_recv(RecvId(id)).unwrap().segments[0],
-                payload(10, fill)
+                tx.try_submit_send(conn, vec![payload(100, 3)]),
+                Err(SubmitError::WouldBlock)
             );
         }
-        assert_eq!((tx.state_len(), rx.state_len()), (0, 0));
+        assert_eq!(tx.stats().overload.watermark_rejections, 2);
+        assert_eq!(tx.stats().overload.admission_rejections, 0);
+        tx.on_tx_done(RailId(0), d0.token).unwrap();
+        tx.try_submit_send(c1, vec![payload(100, 4)])
+            .expect("admitted again once the pool has drained");
+        tx.on_tx_done(RailId(1), d1.token).unwrap();
     }
 
+    /// Refusals reach the flight recorder as one event per reason and
+    /// pass, carrying how many there were: what the telemetry windows
+    /// (and the watchdog's shed-onset rule) count.
     #[test]
-    #[should_panic(expected = "already in use")]
-    fn a_retired_handle_cannot_be_claimed_again() {
-        let mut tx = engine(StrategyKind::Greedy);
-        let mut rx = engine(StrategyKind::Greedy);
+    fn refusals_are_recorded_per_pass_not_per_offer() {
+        let quota = OverloadConfig {
+            max_tenant_inflight: 1,
+            pool_watermark: 0,
+        };
+        let mut tx = engine_with(quota, 64);
         let c = tx.conn_open();
-        rx.conn_open();
-        let send = tx.submit_send(c, vec![payload(10, 1)]);
-        rx.post_recv(c);
-        pump(&mut tx, &mut rx);
-        assert!(tx.send_complete(send));
-        tx.submit_send_with_id(c, vec![payload(10, 2)], send);
-    }
-
-    #[test]
-    #[should_panic(expected = "not from a dense counter")]
-    fn a_handle_out_of_thin_air_is_refused_before_the_window_grows_to_it() {
-        let mut tx = engine(StrategyKind::Greedy);
-        let c = tx.conn_open();
-        tx.submit_send_with_id(c, vec![payload(10, 1)], SendId(1 << 40));
+        tx.try_submit_send(c, vec![payload(100, 1)]).unwrap();
+        for _ in 0..1000 {
+            assert!(tx.try_submit_send(c, vec![payload(100, 2)]).is_err());
+        }
+        assert_eq!(tx.refuse_shutdown(), SubmitError::Shutdown);
+        tx.progress(5_000);
+        tx.progress(6_000);
+        let overload: Vec<Event> = tx.recorder().events();
+        let overload: Vec<_> = overload
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Shed | EventKind::Backpressure))
+            .map(|e| (e.kind, e.ts_ns, e.size, e.aux))
+            .collect();
+        assert_eq!(
+            overload,
+            [
+                (EventKind::Shed, 5_000, 1000, 1),
+                (EventKind::Backpressure, 5_000, 1, 1)
+            ]
+        );
+        assert_eq!(tx.stats().overload.shutdown_rejections, 1);
     }
 
     #[test]

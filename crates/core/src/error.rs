@@ -61,20 +61,16 @@ impl From<ReasmError> for EngineError {
 
 /// Why a submission was refused at the admission boundary.
 ///
-/// Returned by [`crate::ParallelHub::try_submit_send`] (and, for the
-/// `Shutdown` case, by the infallible-looking submit paths too): the hub
-/// never panics and never silently drops a submission — it either accepts
-/// it or tells the caller exactly why not, so the caller can back off,
-/// shed, or stop.
+/// Returned by [`crate::Engine::try_submit_send`] and
+/// `Endpoint::try_send`: a submission is either accepted or the caller
+/// is told exactly why not, so it can back off, shed, or stop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The engine is overloaded: the submission queue is at its
-    /// configured depth, the tenant is over its admission quota, or the
-    /// buffer pool is above its watermark (see
+    /// The engine is overloaded: the tenant is over its admission quota
+    /// or the buffer pool is above its watermark (see
     /// [`crate::OverloadConfig`]). Retry after completions drain.
     WouldBlock,
-    /// [`crate::ParallelHub::begin_shutdown`] was already called; no new
-    /// work is accepted while in-flight work drains.
+    /// The endpoint has shut down; no new work is accepted.
     Shutdown,
 }
 

@@ -75,6 +75,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod api;
 pub mod chaos;
@@ -93,15 +94,11 @@ pub mod strategy;
 
 pub use api::{MessageBuilder, MessageReader};
 pub use chaos::ChaosState;
-pub use config::{EngineConfig, OverloadConfig, Runtime, ZooConfig};
+pub use config::{EngineConfig, OverloadConfig, ZooConfig};
 pub use driver::{TxDecision, TxToken};
 pub use endpoint::{
     Deadline, Endpoint, Fabric, FabricStatus, Parker, Rails, RecvHandle, SendHandle, Serial,
-    WaitFor,
-};
-pub use engine::parallel::{
-    outbox, spsc, AppOp, Completion, MpscQueue, OutboxReceiver, OutboxSender, ParallelHub,
-    SchedPass, SchedScratch, SpscConsumer, SpscProducer, SyscallCounters, WorkSignal,
+    WaitFor, WorkSignal,
 };
 pub use engine::{CompletedSends, Engine, OnPacketOutcome, ProgressOutcome};
 pub use error::{EngineError, SubmitError};

@@ -13,12 +13,9 @@ use crate::stats::EngineStats;
 
 use super::recorder::{Event, EventKind, NO_RAIL};
 
-/// Merge per-worker ring shards with the engine's ring into one
-/// timestamp-ordered stream. The parallel transports record wire-level
-/// worker events (`WorkerWrite`/`WorkerRx`) into per-thread shards — no
-/// cross-thread synchronization on the record path — and only here, at
-/// export time, do the shards meet. The sort is stable so events with
-/// equal timestamps keep their shard order.
+/// Merge several recorders' events (the simulator's two nodes and its
+/// fabric, say) into one timestamp-ordered stream. The sort is stable so
+/// events with equal timestamps keep their shard order.
 pub fn merge_events(shards: &[&[Event]]) -> Vec<Event> {
     let mut all: Vec<Event> = shards.iter().flat_map(|s| s.iter().copied()).collect();
     all.sort_by_key(|e| e.ts_ns);

@@ -85,20 +85,12 @@ pub enum EventKind {
     /// Simulator: application-level completion (`aux` = 0 send done,
     /// 1 recv done).
     SimApp,
-    /// Parallel transport: a TX worker finished its transport write
-    /// outside the engine lock (`seq` = tx token, `size` = wire bytes,
-    /// `aux` = write duration ns). Recorded into the worker's own ring
-    /// shard, merged with the engine ring at export.
-    WorkerWrite,
-    /// Parallel transport: an RX worker pulled a frame off the wire
-    /// before handing it to the scheduler (`size` = wire bytes).
-    WorkerRx,
-    /// Overload protection shed a submission (`aux` = reason code:
-    /// 0 queue depth, 1 tenant admission, 2 pool watermark).
+    /// Overload protection shed submissions (`size` = how many since
+    /// the last such event, `aux` = reason code: 1 tenant admission,
+    /// 2 pool watermark).
     Shed,
-    /// Overload protection refused a submission with an explicit
-    /// backpressure/lifecycle error the caller must handle (`aux` =
-    /// reason code: 0 would-block, 1 shutdown).
+    /// Submissions were refused for a lifecycle reason the caller must
+    /// handle (`size` = how many, `aux` = reason code: 1 shutdown).
     Backpressure,
     /// The SLO watchdog fired a rule over a closed telemetry window
     /// (`seq` = window ordinal, `aux` = alert code: 0 latency
@@ -137,8 +129,6 @@ impl EventKind {
             EventKind::SimNic => "sim_nic",
             EventKind::SimBus => "sim_bus",
             EventKind::SimApp => "sim_app",
-            EventKind::WorkerWrite => "worker_write",
-            EventKind::WorkerRx => "worker_rx",
             EventKind::Shed => "shed",
             EventKind::Backpressure => "backpressure",
             EventKind::Alert => "alert",
@@ -168,7 +158,6 @@ impl EventKind {
             | EventKind::HealthTransition
             | EventKind::Failover => "health",
             EventKind::SimCpu | EventKind::SimNic | EventKind::SimBus | EventKind::SimApp => "sim",
-            EventKind::WorkerWrite | EventKind::WorkerRx => "worker",
             EventKind::Shed | EventKind::Backpressure => "overload",
             EventKind::Alert => "watchdog",
         }

@@ -12,10 +12,10 @@
 //!
 //! The discipline matches the recorder's: every window, rail slot and
 //! histogram is preallocated at construction, window roll is a swap into
-//! a ring of reused slots, and the fold runs only inside the scheduler's
-//! amortized critical section (or `Engine::progress` on the serial
-//! path) — never on a worker's wire path. `hot_path_allocs()` measures
-//! the claim and the `ablate_obs` bench gates on it.
+//! a ring of reused slots, and the fold runs inside `Engine::progress`
+//! — once per pass, under the engine lock, never while bytes move.
+//! `hot_path_allocs()` measures the claim and the `ablate_obs` bench
+//! gates on it.
 
 use crate::stats::{EngineStats, SyscallStats};
 
@@ -138,13 +138,8 @@ pub struct Window {
     /// Events overwritten in the ring before the fold caught up —
     /// nonzero means the time series has a gap here.
     pub events_missed: u64,
-    /// Per-rail outbox depth samples forwarded by the scheduler.
-    pub outbox_depth: Log2Histogram,
-    /// Completion-batch sizes per scheduler pass (submission-side queue
-    /// pressure).
-    pub sched_batch: Log2Histogram,
     /// Syscall counters accumulated during this window (delta of the
-    /// transport workers' totals between the two window closes).
+    /// transport's totals between the two window closes).
     pub syscalls: SyscallStats,
     /// Fraction of this window's buffer takes served lock-free from a
     /// magazine.
@@ -290,16 +285,6 @@ impl TelemetryAggregator {
         (0..kept).map(move |i| &self.ring[(start + i) % len])
     }
 
-    /// Record an outbox-depth sample into the current window.
-    pub fn note_outbox_depth(&mut self, depth: u64) {
-        self.current.outbox_depth.record(depth);
-    }
-
-    /// Record a scheduler completion-batch sample into the current window.
-    pub fn note_sched_batch(&mut self, completions: u64) {
-        self.current.sched_batch.record(completions);
-    }
-
     /// Tail the recorder from the fold cursor, fold every new event into
     /// the window grid, and close any windows `now_ns` has moved past
     /// (sampling stats deltas at each close). Returns how many windows
@@ -365,9 +350,8 @@ impl TelemetryAggregator {
         self.current.pool_outstanding = stats.datapath.pool_outstanding;
     }
 
-    /// Fold one event into the current window. Unknown rails (worker
-    /// shards never reach this path, but be defensive) count only into
-    /// window-level totals.
+    /// Fold one event into the current window. Unknown rails count only
+    /// into window-level totals.
     fn ingest(&mut self, ev: &Event) {
         self.current.events += 1;
         let rail = (ev.rail != NO_RAIL && (ev.rail as usize) < self.inflight.len())
@@ -534,12 +518,6 @@ pub fn to_prometheus(agg: &TelemetryAggregator, stats: &EngineStats) -> String {
         let _ = writeln!(out, "nmad_magazine_hit_rate {:.4}", w.magazine_hit_rate);
         let _ = writeln!(out, "# TYPE nmad_pool_outstanding gauge");
         let _ = writeln!(out, "nmad_pool_outstanding {}", w.pool_outstanding);
-        let _ = writeln!(out, "# TYPE nmad_outbox_depth_p99 gauge");
-        let _ = writeln!(
-            out,
-            "nmad_outbox_depth_p99 {}",
-            w.outbox_depth.approx_quantile(0.99).unwrap_or(0)
-        );
     }
     out
 }
@@ -557,7 +535,7 @@ pub fn windows_jsonl(agg: &TelemetryAggregator) -> String {
              \"retransmits\":{},\"sheds\":{},\"backpressure\":{},\"alerts\":{},\
              \"events\":{},\"events_missed\":{},\"p50_ns\":{},\"p99_ns\":{},\
              \"syscalls_per_packet\":{:.4},\"magazine_hit_rate\":{:.4},\
-             \"pool_outstanding\":{},\"outbox_p99\":{},\"rails\":[",
+             \"pool_outstanding\":{},\"rails\":[",
             w.ordinal,
             w.start_ns,
             w.end_ns,
@@ -574,7 +552,6 @@ pub fn windows_jsonl(agg: &TelemetryAggregator) -> String {
             w.syscalls.per_packet(),
             w.magazine_hit_rate,
             w.pool_outstanding,
-            w.outbox_depth.approx_quantile(0.99).unwrap_or(0),
         );
         for (i, rw) in w.rails.iter().enumerate() {
             if i > 0 {
@@ -799,7 +776,6 @@ mod tests {
         rec.record(Event::new(100, EventKind::TxPost).rail(0).seq(1).size(4096));
         rec.record(Event::new(600, EventKind::TxDone).rail(0).seq(1).size(4096));
         rec.record(Event::new(700, EventKind::AckReceived).seq(1).aux(600));
-        a.note_outbox_depth(3);
         a.fold(&rec, 2_100, &stats());
         let prom = to_prometheus(&a, &stats());
         assert!(prom.contains("nmad_rail_utilization{rail=\"0\"}"), "{prom}");

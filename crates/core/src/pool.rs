@@ -389,13 +389,6 @@ impl Magazine {
     pub fn counters(&self) -> PoolCounters {
         self.shared.counters.snapshot()
     }
-
-    /// A handle on the backing shared pool (to carve more magazines).
-    pub fn pool(&self) -> SharedPool {
-        SharedPool {
-            inner: Arc::clone(&self.shared),
-        }
-    }
 }
 
 impl Drop for Magazine {

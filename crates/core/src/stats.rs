@@ -105,20 +105,21 @@ impl DataPathStats {
     }
 }
 
-/// Syscall amortization counters for the threaded transports: how many
-/// kernel crossings the rail workers spent per frame moved. The batched
-/// TX path coalesces multiple outbox frames into one `write_vectored`
-/// and the RX path carves multiple frames out of one `read`, so both
-/// ratios drop below 1 under load (see the `ablate_cycles` gate).
-/// Maintained by the transport workers outside any lock and mirrored
-/// here via `Engine::note_syscalls`.
+/// Kernel crossings of the live transports: how many the rails spent
+/// per frame moved. A frame leaves in one `write_vectored` (more after a
+/// partial write) and one `read` carves every frame it brought, so the
+/// receive ratio drops below 1 under load; what amortizes the transmit
+/// side is that a burst of messages is one frame (see the `ablate_cycles`
+/// gate). Counted by the transport under its rails lock and mirrored
+/// here via `Engine::note_syscalls`; all zero where bytes move in
+/// memory.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SyscallStats {
-    /// `write`/`write_vectored` calls issued by TX workers.
+    /// `write_vectored` calls that moved bytes.
     pub tx_calls: u64,
     /// Frames those TX calls moved onto the wire.
     pub tx_frames: u64,
-    /// `read` calls issued by RX workers (excluding would-block polls).
+    /// `read` calls that brought bytes (excluding would-block polls).
     pub rx_calls: u64,
     /// Frames decoded out of those reads.
     pub rx_frames: u64,
@@ -154,8 +155,7 @@ impl SyscallStats {
     }
 
     /// Counter growth since an earlier snapshot, saturating at zero so a
-    /// counter reset (e.g. a restarted transport worker) yields an empty
-    /// delta rather than a wrapped one. This is how the telemetry
+    /// counter reset yields an empty delta rather than a wrapped one. This is how the telemetry
     /// aggregator turns the cumulative totals into per-window rates.
     pub fn delta_since(&self, prev: &SyscallStats) -> SyscallStats {
         SyscallStats {
@@ -223,16 +223,6 @@ pub struct ObsStats {
     pub backlog_depth: Log2Histogram,
     /// Retransmission timeouts armed (initial and backed-off), ns.
     pub rto_ns: Log2Histogram,
-    /// Time the parallel scheduler held the engine lock per pass, ns.
-    /// Empty on [`crate::Runtime::Serial`] — the whole
-    /// point of the sharded pipeline is keeping this distribution tight
-    /// while transport writes happen outside the lock.
-    pub lock_hold_ns: Log2Histogram,
-    /// Per-rail outbox depth sampled after each scheduler refill, frames.
-    pub outbox_depth: Log2Histogram,
-    /// Completion events drained per scheduler pass (TX-done + RX + ack
-    /// batched into one amortized critical section).
-    pub completion_batch: Log2Histogram,
 }
 
 impl ObsStats {
@@ -245,15 +235,13 @@ impl ObsStats {
     }
 }
 
-/// Overload-protection counters: how often the admission boundary said
-/// no, and why. All zero unless [`crate::OverloadConfig`] limits are set
-/// (except `shutdown_rejections`, which counts submit-after-shutdown
-/// attempts regardless of configuration).
+/// Overload-protection counters: how often
+/// [`crate::Engine::try_submit_send`] said no, and why. All zero unless
+/// [`crate::OverloadConfig`] limits are set (except
+/// `shutdown_rejections`, which counts `try_send`s on an endpoint that
+/// has shut down regardless of configuration).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OverloadStats {
-    /// Submissions refused because the submission queue was at its
-    /// configured depth.
-    pub queue_rejections: u64,
     /// Submissions refused by per-tenant admission control.
     pub admission_rejections: u64,
     /// Submissions shed because the buffer pool was above its watermark.
@@ -266,7 +254,7 @@ impl OverloadStats {
     /// Total submissions refused for overload reasons (excludes
     /// shutdown, which is lifecycle, not load).
     pub fn total_shed(&self) -> u64 {
-        self.queue_rejections + self.admission_rejections + self.watermark_rejections
+        self.admission_rejections + self.watermark_rejections
     }
 }
 
@@ -303,7 +291,7 @@ pub struct EngineStats {
     pub duplicates_dropped: u64,
     /// Copy/allocation accounting for the scatter-gather datapath.
     pub datapath: DataPathStats,
-    /// Syscall amortization on the threaded transports (batched I/O).
+    /// Kernel crossings per frame on the live transports.
     pub syscalls: SyscallStats,
     /// Overload-protection rejections (backpressure and shedding).
     pub overload: OverloadStats,
@@ -368,12 +356,11 @@ mod tests {
     #[test]
     fn overload_total_shed_excludes_shutdown() {
         let o = OverloadStats {
-            queue_rejections: 3,
             admission_rejections: 2,
             watermark_rejections: 1,
             shutdown_rejections: 100,
         };
-        assert_eq!(o.total_shed(), 6);
+        assert_eq!(o.total_shed(), 3);
     }
 
     #[test]

@@ -3,18 +3,19 @@
 //! and not the messages ever sent — and an id that has left a window
 //! still answers exactly as it last did.
 //!
-//! Two bare engines move 200 000 messages (eager, aggregated,
-//! rendezvous/split) with a bounded number outstanding: unacknowledged,
-//! acknowledged, and with the handles pre-issued and handed over shuffled
-//! the way a submission queue would. A message that never finishes and a
-//! receive nobody takes hold nothing back either.
+//! Two bare engines move 160 000 messages (eager, aggregated,
+//! rendezvous/split) with a bounded number outstanding, unacknowledged
+//! and acknowledged. A message that never finishes and a receive nobody
+//! takes hold nothing back either. And how many are in progress is
+//! bounded too, for a sender that goes through the admission check: an
+//! open loop of 200 000 offers against rails that take a frame each per
+//! tick stays within a stated bound under each limit alone.
 
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use nmad_core::{Engine, EngineConfig, RecvId, SendId};
+use nmad_core::{Engine, EngineConfig, OverloadConfig, RecvId, SendId, SubmitError};
 use nmad_model::{platform, RailId};
-use nmad_sim::Xoshiro256StarStar;
 use nmad_wire::{ConnId, PacketFrame};
 
 /// Messages in progress at most.
@@ -75,7 +76,8 @@ fn pump(a: &mut Engine, b: &mut Engine, keep: &mut Option<PacketFrame>) -> bool 
 /// What the tables of both engines may hold with `in_progress` messages
 /// (and holes) in them.
 fn assert_bounded(a: &Engine, b: &Engine, in_progress: usize, when: &str) {
-    let rails = a.rails().len() * a.config().rail_pipeline;
+    // (One injection in flight per rail.)
+    let rails = a.rails().len();
     let allowed = SLOTS_PER_MESSAGE * (in_progress + rails);
     for (name, e) in [("sender", a), ("receiver", b)] {
         assert!(
@@ -88,45 +90,20 @@ fn assert_bounded(a: &Engine, b: &Engine, in_progress: usize, when: &str) {
 }
 
 /// Move `n` messages from `a` to `b` on `conn`, `OUTSTANDING` at a time.
-/// With `shuffle`, handles are pre-issued and reach the engines in blocks
-/// of `shuffle` ids in a seeded random order. Returns the first data
-/// frame `a` posted.
-fn run(a: &mut Engine, b: &mut Engine, conn: ConnId, n: u64, shuffle: usize) -> PacketFrame {
+/// Returns the first data frame `a` posted.
+fn run(a: &mut Engine, b: &mut Engine, conn: ConnId, n: u64) -> PacketFrame {
     let acked = a.config().acked;
     let pool = Bytes::from(vec![0xA5u8; 32 << 10]);
-    let mut rng = Xoshiro256StarStar::new(0x5EED);
-    let block = shuffle.max(1) as u64;
     let mut in_progress: VecDeque<(u64, SendId, RecvId)> = VecDeque::new();
     let mut first_frame = None;
     let mut delivered = 0u64;
-    for start in (0..n).step_by(block as usize) {
-        // The ids of this block, in the order they reach the engines.
-        let mut send_ids: Vec<u64> = (start..(start + block).min(n)).collect();
-        let mut recv_ids = send_ids.clone();
-        if shuffle > 0 {
-            for ids in [&mut send_ids, &mut recv_ids] {
-                for i in (1..ids.len()).rev() {
-                    ids.swap(i, rng.range_usize(0, i + 1));
-                }
-            }
-        }
-        for (k, (&s, &r)) in send_ids.iter().zip(&recv_ids).enumerate() {
-            // The k-th message submitted on the connection matches the
-            // k-th receive posted, whatever their handles are.
-            let msg = start + k as u64;
-            let (send, recv) = (SendId(s), RecvId(r));
-            if shuffle > 0 {
-                a.submit_send_with_id(conn, segments(&pool, msg), send);
-                b.post_recv_with_id(conn, recv);
-            } else {
-                assert_eq!(a.submit_send(conn, segments(&pool, msg)), send);
-                assert_eq!(b.post_recv(conn), recv);
-            }
-            in_progress.push_back((msg, send, recv));
-            assert!(!a.send_acked(send), "acked before it left");
-            // Holes of the block count as in progress until filled.
-            assert_bounded(a, b, in_progress.len() + shuffle, "after a submit");
-        }
+    for msg in 0..n {
+        let (send, recv) = (SendId(msg), RecvId(msg));
+        assert_eq!(a.submit_send(conn, segments(&pool, msg)), send);
+        assert_eq!(b.post_recv(conn), recv);
+        in_progress.push_back((msg, send, recv));
+        assert!(!a.send_acked(send), "acked before it left");
+        assert_bounded(a, b, in_progress.len(), "after a submit");
         // Reap down to the window, oldest first, moving frames as needed.
         while in_progress.len() > OUTSTANDING {
             let &(msg, send, recv) = in_progress.front().expect("nonempty");
@@ -140,7 +117,7 @@ fn run(a: &mut Engine, b: &mut Engine, conn: ConnId, n: u64, shuffle: usize) -> 
                 }
                 None => assert!(pump(a, b, &mut first_frame), "stuck at message {msg}"),
             }
-            assert_bounded(a, b, in_progress.len() + shuffle, "while reaping");
+            assert_bounded(a, b, in_progress.len(), "while reaping");
         }
     }
     while pump(a, b, &mut first_frame) {}
@@ -183,7 +160,7 @@ fn unacked_tables_follow_the_messages_in_progress() {
     let conn = a.conn_open();
     assert_eq!(conn, b.conn_open());
     let n = 80_000;
-    run(&mut a, &mut b, conn, n, 0);
+    run(&mut a, &mut b, conn, n);
     assert_eq!(b.stats().msgs_received, n);
     assert!(a.stats().aggregates_built > 0 && a.stats().chunks_sent > 0);
     assert_answers_are_exact(&mut a, &mut b, n);
@@ -195,7 +172,7 @@ fn acked_tables_follow_the_messages_in_progress_and_old_duplicates_are_still_dro
     let conn = a.conn_open();
     b.conn_open();
     let n = 80_000;
-    let first = run(&mut a, &mut b, conn, n, 0);
+    let first = run(&mut a, &mut b, conn, n);
     assert_eq!(b.stats().msgs_received, n);
     assert_eq!(a.stats().acks_received, n);
     assert_answers_are_exact(&mut a, &mut b, n);
@@ -215,22 +192,102 @@ fn acked_tables_follow_the_messages_in_progress_and_old_duplicates_are_still_dro
     assert_bounded(&a, &b, 0, "after the duplicate");
 }
 
+/// How many messages are in progress is bounded too, for a sender that
+/// asks: an open loop offers `PER_TICK` medium messages a tick through
+/// the admission check, the rails take one frame each a tick, and the
+/// receiver takes what those frames delivered — a quarter of what is
+/// offered. `submit_send` in place of `try_submit_send` grows the backlog
+/// by six messages a tick, to 150 000 by the end.
 #[test]
-fn shuffled_handles_are_absorbed_by_holes() {
-    for acked in [false, true] {
-        let (mut a, mut b) = (engine(acked), engine(acked));
+fn an_open_loop_sender_is_held_by_each_limit_alone() {
+    const OFFERS: u64 = 200_000;
+    const PER_TICK: u64 = 8;
+    const QUOTA: usize = 32;
+    let quota = OverloadConfig {
+        max_tenant_inflight: QUOTA,
+        pool_watermark: 0,
+    };
+    // More than one buffer out is both rails busy: nothing is admitted
+    // that the rails could not take at once, so what is in progress is
+    // what one tick admitted while a rail stood idle, and a frame a rail.
+    let watermark = OverloadConfig {
+        max_tenant_inflight: 0,
+        pool_watermark: 1,
+    };
+    let rails = platform::paper_platform().rails.len();
+    for (overload, in_progress_bound) in [(quota, QUOTA), (watermark, PER_TICK as usize + rails)] {
+        let config = EngineConfig {
+            overload,
+            ..EngineConfig::default()
+        };
+        let mut a = Engine::new(config, platform::paper_platform().rails, vec![]);
+        let mut b = engine(false);
         let conn = a.conn_open();
         b.conn_open();
-        let n = 20_000;
-        run(&mut a, &mut b, conn, n, 64);
-        assert_eq!(b.stats().msgs_received, n);
-        assert_answers_are_exact(&mut a, &mut b, n);
-        // The engine's own counters continue past the handles it was given.
-        assert_eq!(
-            a.submit_send(conn, vec![Bytes::from(vec![1u8; 8])]),
-            SendId(n)
+        let pool = Bytes::from(vec![0xA5u8; 12 << 10]);
+        let mut admitted: VecDeque<(u64, SendId, RecvId)> = VecDeque::new();
+        let mut on_the_wire = Vec::new();
+        let (mut offered, mut refused, mut delivered) = (0u64, 0u64, 0u64);
+        while offered < OFFERS || !admitted.is_empty() {
+            for (rail, d) in on_the_wire.drain(..) {
+                let d: nmad_core::TxDecision = d;
+                a.on_tx_done(rail, d.token).expect("on_tx_done");
+                b.on_frame(rail, &d.frame).expect("on_frame");
+            }
+            while let Some(&(msg, send, recv)) = admitted.front() {
+                let Some(m) = b.try_recv(recv) else { break };
+                assert_eq!(m.segments[0][..8], msg.to_le_bytes(), "wrong message");
+                assert!(a.send_complete(send));
+                admitted.pop_front();
+                delivered += 1;
+            }
+            for rail in (0..rails).map(RailId) {
+                on_the_wire.extend(a.next_tx(rail).expect("next_tx").map(|d| (rail, d)));
+            }
+            for _ in 0..PER_TICK.min(OFFERS - offered) {
+                let mut segment = pool.to_vec();
+                segment[..8].copy_from_slice(&offered.to_le_bytes());
+                match a.try_submit_send(conn, vec![Bytes::from(segment)]) {
+                    Ok(send) => admitted.push_back((offered, send, b.post_recv(conn))),
+                    Err(SubmitError::WouldBlock) => refused += 1,
+                    Err(e) => panic!("{e}"),
+                }
+                offered += 1;
+            }
+            assert!(
+                admitted.len() <= in_progress_bound,
+                "{overload:?}: {} messages in progress after {offered} offers",
+                admitted.len()
+            );
+            assert_bounded(&a, &b, in_progress_bound, "open loop");
+            let out = a.stats().datapath.pool_outstanding;
+            assert!(out <= 2 * rails as u64, "{overload:?}: {out} buffers out");
+        }
+        let st = a.stats();
+        // Backlog length as every submission found it, conn_tx span with it.
+        let backlog = st.obs.backlog_depth.max().expect("submissions");
+        println!("{overload:?}: {delivered} delivered, {refused} refused, backlog <= {backlog}");
+        assert!(
+            backlog <= in_progress_bound as u64,
+            "{overload:?}: {backlog}"
         );
-        assert_eq!(b.post_recv(conn), RecvId(n));
+        assert_eq!(
+            (st.overload.total_shed(), offered),
+            (refused, delivered + refused),
+            "{overload:?}: every offer is delivered or counted as refused"
+        );
+        assert!(refused > OFFERS / 2, "{overload:?}: the limit never bound");
+        assert_eq!(
+            overload.max_tenant_inflight == 0,
+            st.overload.admission_rejections == 0
+        );
+        assert_eq!(
+            overload.pool_watermark == 0,
+            st.overload.watermark_rejections == 0
+        );
+        assert_eq!(b.stats().msgs_received, delivered);
+        assert!(a.is_quiescent() && b.is_quiescent());
+        assert_eq!((a.state_len(), b.state_len()), (0, 0));
     }
 }
 

@@ -9,19 +9,16 @@
 //! * each rail is a [`crossbeam_channel`] pair, optionally rate-shaped to
 //!   the rail's modelled bandwidth (scaled) so multi-rail balancing is
 //!   observable in wall-clock time;
-//! * on `Runtime::Serial` (the default) callers drive progress, through
-//!   the serial driver both transports share ([`Serial`], DESIGN.md §15):
-//!   `send` hands the frames to the peer's channels on the caller's
-//!   thread, a handle's `wait` reads and digests what it waits for, and
-//!   one backstop thread per endpoint, asleep on a condvar, covers what
-//!   no caller is around for (an unexpected message, a shaped injection
-//!   coming due, a retransmission). This crate supplies the rails
-//!   ([`MemRails`]): the channels, the shaped wire and the fault
-//!   injector. The engine lock is never held while a frame is handed
-//!   over or a thread is woken. On `Runtime::Threads` a scheduler over
-//!   [`ParallelHub`] does the engine work and one TX and one RX worker
-//!   per rail move the frames — the shaped wire time is slept out in the
-//!   TX workers, outside the engine lock, so rails overlap;
+//! * callers drive progress, through the driver both transports share
+//!   ([`Serial`], DESIGN.md §15): `send` hands the frames to the peer's
+//!   channels on the caller's thread, a handle's `wait` reads and
+//!   digests what it waits for, and one backstop thread per endpoint,
+//!   asleep on a condvar, covers what no caller is around for (an
+//!   unexpected message, a shaped injection coming due, a
+//!   retransmission). This crate supplies the rails ([`MemRails`]): the
+//!   channels, the shaped wire and the fault injector. The engine lock
+//!   is never held while a frame is handed over or a thread is woken,
+//!   and a shaped injection is a deadline, not a sleep: rails overlap;
 //! * payload CRCs are enabled, and a deterministic fault injector can
 //!   corrupt packets in flight to exercise the detection path.
 //!
@@ -36,22 +33,19 @@
 //! reach back into the sender's retransmission state).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 // Copy-regression gate: see DESIGN.md "Datapath and copy discipline".
 #![deny(clippy::unnecessary_to_owned, clippy::redundant_clone)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use nmad_core::driver::TxToken;
 use nmad_core::engine::Engine;
-use nmad_core::{
-    ChaosState, Completion, EngineConfig, Event, EventKind, FabricStatus, FlightRecorder,
-    OutboxReceiver, ParallelHub, Rails, Runtime, Serial, SyscallStats, WorkSignal,
-};
+use nmad_core::{ChaosState, EngineConfig, FabricStatus, Rails, Serial, SyscallStats, WorkSignal};
 pub use nmad_core::{Endpoint, RecvHandle, SendHandle};
 use nmad_model::Platform;
 use nmad_sim::Xoshiro256StarStar;
@@ -112,8 +106,8 @@ pub struct FabricConfig {
     pub faults: Option<FaultSpec>,
     /// Optional live chaos dials (per-rail bandwidth multiplier and
     /// drop boost) a soak driver can turn while the fabric runs. The
-    /// caller keeps a clone of the handle; the workers read it
-    /// lock-free on every injection.
+    /// caller keeps a clone of the handle; the rails read it lock-free
+    /// on every injection.
     pub chaos: Option<ChaosState>,
 }
 
@@ -147,9 +141,9 @@ struct InFlight {
     frame: PacketFrame,
 }
 
-/// The serial runtime's rails ([`Serial`] holds them behind its rails
-/// lock): this endpoint's end of the per-rail channels, the shaped wire
-/// and the fault injector.
+/// The rails ([`Serial`] holds them behind its rails lock): this
+/// endpoint's end of the per-rail channels, the shaped wire and the
+/// fault injector.
 struct MemRails {
     /// Shaping, fault and chaos settings of the fabric.
     config: FabricConfig,
@@ -299,11 +293,9 @@ fn shaped_duration(config: &FabricConfig, rail: usize, bytes: usize) -> Duration
 }
 
 /// Apply the fabric's fault spec and chaos drop boost to one outgoing
-/// frame; survivors reach `push` in delivery order. Shared by the serial
-/// rails and the `Threads` TX workers so both runtimes exercise the
-/// identical injector (the rng draw order — drop, corrupt, dup, reorder —
-/// is part of the contract: serial fault sequences must not change
-/// underneath seeded tests).
+/// frame; survivors reach `push` in delivery order. The rng draw order —
+/// drop, corrupt, dup, reorder — is part of the contract: fault sequences
+/// must not change underneath seeded tests.
 #[allow(clippy::too_many_arguments)]
 fn apply_faults(
     config: &FabricConfig,
@@ -383,132 +375,6 @@ fn corrupt_frame(rng: &mut Xoshiro256StarStar, mut frame: PacketFrame) -> Packet
     frame
 }
 
-/// `Threads` runtime: one rail's TX worker. Pops published decisions off
-/// its own outbox and sleeps out the shaped wire time *outside the
-/// engine lock* — this is where cross-rail overlap (and the measured
-/// speedup) comes from — then applies fault injection and hands the
-/// frame to the peer's channel. The channel send wakes the peer's RX
-/// worker directly; no global condvar is involved.
-struct ParTxWorker {
-    hub: Arc<ParallelHub>,
-    rail: usize,
-    outbox: OutboxReceiver,
-    tx: Sender<PacketFrame>,
-    /// Shaping, fault and chaos settings of the fabric.
-    config: FabricConfig,
-    /// Reorder-injector hold slot for this rail.
-    held: Option<PacketFrame>,
-    rng: Xoshiro256StarStar,
-    start: Instant,
-    /// Per-thread recorder shard; deposited into the hub at exit.
-    shard: FlightRecorder,
-}
-
-/// `Threads` TX worker: upper bound on one outbox wait.
-const PAR_TX_IDLE_WAIT: Duration = Duration::from_millis(2);
-/// `Threads` RX worker: channel wait bound (shutdown responsiveness).
-const PAR_RX_IDLE_WAIT: Duration = Duration::from_millis(10);
-
-impl ParTxWorker {
-    fn run(mut self) {
-        loop {
-            match self.outbox.pop_wait(PAR_TX_IDLE_WAIT) {
-                Some(d) => self.inject(d),
-                None => {
-                    if self.hub.is_shutdown() {
-                        break;
-                    }
-                }
-            }
-        }
-        // Clean shutdown drains the outbox: published decisions still go
-        // out so the peer's reassembly isn't left dangling.
-        while let Some(d) = self.outbox.pop() {
-            self.inject(d);
-        }
-        self.hub.deposit_shard(self.shard.events());
-    }
-
-    fn inject(&mut self, d: nmad_core::TxDecision) {
-        let bytes = d.frame.wire_len();
-        let dur = shaped_duration(&self.config, self.rail, bytes);
-        if dur > Duration::ZERO {
-            std::thread::sleep(dur);
-        }
-        self.shard.record(
-            Event::new(
-                self.start.elapsed().as_nanos() as u64,
-                EventKind::WorkerWrite,
-            )
-            .rail(self.rail)
-            .seq(d.token.0)
-            .size(bytes as u64)
-            .aux(dur.as_nanos() as u64),
-        );
-        self.hub.push_completion(
-            self.rail,
-            Completion::TxDone {
-                rail: self.rail,
-                token: d.token,
-            },
-        );
-        let tx = &self.tx;
-        apply_faults(
-            &self.config,
-            self.start,
-            self.rail,
-            &mut self.rng,
-            &mut self.held,
-            &self.hub.status.tx_dropped,
-            d.frame,
-            &mut |f| {
-                let _ = tx.send(f);
-            },
-        );
-    }
-}
-
-/// `Threads` runtime: one rail's RX worker. Blocks on the rail's channel
-/// (the sender's `send` is the wakeup) and queues arrivals for the
-/// scheduler's next batched drain.
-struct ParRxWorker {
-    hub: Arc<ParallelHub>,
-    rail: usize,
-    rx: Receiver<PacketFrame>,
-    start: Instant,
-    shard: FlightRecorder,
-}
-
-impl ParRxWorker {
-    fn run(mut self) {
-        loop {
-            match self.rx.recv_timeout(PAR_RX_IDLE_WAIT) {
-                Ok(frame) => {
-                    self.shard.record(
-                        Event::new(self.start.elapsed().as_nanos() as u64, EventKind::WorkerRx)
-                            .rail(self.rail)
-                            .size(frame.wire_len() as u64),
-                    );
-                    self.hub.push_completion(
-                        self.rail,
-                        Completion::RxFrame {
-                            rail: self.rail,
-                            frame,
-                        },
-                    );
-                }
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                    if self.hub.is_shutdown() {
-                        break;
-                    }
-                }
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        self.hub.deposit_shard(self.shard.events());
-    }
-}
-
 /// One endpoint's end of the per-rail channels.
 #[derive(Default)]
 struct Wires {
@@ -532,106 +398,33 @@ impl Wires {
     }
 }
 
-/// Build a connected pair of endpoints on the runtime
-/// [`EngineConfig::runtime`] names: callers drive progress and one
-/// backstop thread each covers the rest (`Serial`), or the sharded
-/// pipeline — scheduler plus per-rail TX/RX workers — each (`Threads`).
+/// Build a connected pair of endpoints: callers drive progress and one
+/// backstop thread each covers the rest.
 pub fn pair(config: FabricConfig) -> (Endpoint, Endpoint) {
     let mut cfg_engine = config.engine.clone();
     cfg_engine.crc = true;
-    let side = || {
+    let (a, b) = Wires::pair(config.platform.rail_count());
+    let start = Instant::now();
+    let seed = config.faults.as_ref().map(|f| f.seed).unwrap_or(0);
+    let side = |wires, seed| {
         let mut engine = Engine::new(cfg_engine.clone(), config.platform.rails.clone(), vec![]);
         let conns: Vec<ConnId> = (0..config.conns.max(1))
             .map(|_| engine.conn_open())
             .collect();
-        (engine, conns)
+        let rails = MemRails::new(&config, wires, start, seed);
+        let serial = Serial::new(engine, rails, WorkSignal::default(), start);
+        (serial, conns)
     };
-    let ((engine_a, conns_a), (engine_b, conns_b)) = (side(), side());
-
-    let (a, b) = Wires::pair(config.platform.rail_count());
-
-    let start = Instant::now();
-    let seed = config.faults.as_ref().map(|f| f.seed).unwrap_or(0);
-    match cfg_engine.runtime {
-        Runtime::Serial => {
-            let side = |engine, wires, seed| {
-                let rails = MemRails::new(&config, wires, start, seed);
-                Serial::new(engine, rails, WorkSignal::default(), start)
-            };
-            let (sa, sb) = (side(engine_a, a, seed ^ 0xA), side(engine_b, b, seed ^ 0xB));
-            sa.io().rails.peer = Some(sb.clone());
-            sb.io().rails.peer = Some(sa.clone());
-            let endpoint = |serial: Arc<Serial<MemRails>>, name, conns| {
-                serial.spawn(name, conns).expect("spawn mem fabric thread")
-            };
-            (
-                endpoint(sa, "nmad-mem-a", conns_a),
-                endpoint(sb, "nmad-mem-b", conns_b),
-            )
-        }
-        Runtime::Threads => (
-            spawn_threads(&config, engine_a, conns_a, a, start, seed ^ 0xA, "a"),
-            spawn_threads(&config, engine_b, conns_b, b, start, seed ^ 0xB, "b"),
-        ),
-    }
-}
-
-fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(body)
-        .expect("spawn mem fabric thread")
-}
-
-/// One endpoint on the hub runtime: a TX and an RX worker per rail
-/// around `engine`'s [`ParallelHub`], and its scheduler.
-fn spawn_threads(
-    config: &FabricConfig,
-    engine: Engine,
-    conns: Vec<ConnId>,
-    wires: Wires,
-    start: Instant,
-    seed: u64,
-    name: &str,
-) -> Endpoint {
-    let record_capacity = engine.config().record_capacity;
-    let (hub, senders, receivers) = ParallelHub::new(engine);
-    let mut workers = Vec::new();
-    let rails = receivers.into_iter().zip(wires.tx).zip(wires.rx);
-    for (rail, ((outbox, tx), rx)) in rails.enumerate() {
-        let txw = ParTxWorker {
-            hub: hub.clone(),
-            rail,
-            outbox,
-            tx,
-            config: config.clone(),
-            held: None,
-            // Per-rail rng: deterministic, decorrelated across rails.
-            rng: Xoshiro256StarStar::new(seed ^ (rail as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            start,
-            shard: FlightRecorder::with_capacity(record_capacity),
-        };
-        workers.push(spawn(format!("nmad-mem-{name}-tx{rail}"), move || {
-            txw.run()
-        }));
-        let rxw = ParRxWorker {
-            hub: hub.clone(),
-            rail,
-            rx,
-            start,
-            shard: FlightRecorder::with_capacity(record_capacity),
-        };
-        workers.push(spawn(format!("nmad-mem-{name}-rx{rail}"), move || {
-            rxw.run()
-        }));
-    }
-    // Scheduler last: joined after the I/O workers so it drains
-    // their final completions before quiescing.
-    let sched_hub = hub.clone();
-    workers.push(spawn(format!("nmad-mem-{name}-sched"), move || {
-        sched_hub.run_scheduler(senders, start)
-    }));
-    Endpoint::new(hub, conns, workers)
+    let ((sa, conns_a), (sb, conns_b)) = (side(a, seed ^ 0xA), side(b, seed ^ 0xB));
+    sa.io().rails.peer = Some(sb.clone());
+    sb.io().rails.peer = Some(sa.clone());
+    let endpoint = |serial: Arc<Serial<MemRails>>, name, conns| {
+        serial.spawn(name, conns).expect("spawn mem fabric thread")
+    };
+    (
+        endpoint(sa, "nmad-mem-a", conns_a),
+        endpoint(sb, "nmad-mem-b", conns_b),
+    )
 }
 
 #[cfg(test)]
@@ -1133,7 +926,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Serial runtime: who drives progress (twins of the TCP tests)
+    // Who drives progress (twins of the TCP tests)
     // ------------------------------------------------------------------
 
     /// Messages the engine has fully received. Reads the stats under
@@ -1457,54 +1250,5 @@ mod tests {
         assert!(a.recv(c).wait(T).is_none());
         assert!(start.elapsed() < T / 2, "a poisoned wait returns early");
         assert_eq!(a.io_errors(), 1);
-    }
-
-    // ------------------------------------------------------------------
-    // Hub runtime (`Runtime::Threads`) on the in-process fabric
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn threads_shaped_fabric_overlaps_rails() {
-        // The point of the pipeline: with shaping, the per-rail TX
-        // workers sleep out their wire time concurrently, so a striped
-        // transfer must not take the sum of both rails' serial times.
-        let mut cfg = FabricConfig::new(
-            platform::paper_platform(),
-            EngineConfig::with_strategy(StrategyKind::AdaptiveSplit),
-        );
-        cfg.time_scale = 10.0;
-        cfg.engine.runtime = Runtime::Threads;
-        let (a, b) = pair(cfg);
-        let c = a.conns()[0];
-        let payload = random_payload(100_000, 64);
-        let r = b.recv(c);
-        let s = a.send(c, vec![Bytes::from(payload.clone())]);
-        assert!(s.wait(T));
-        let msg = r.wait(T).expect("recv under shaping");
-        assert_eq!(msg.segments[0].as_ref(), payload.as_slice());
-    }
-
-    #[test]
-    fn threads_corruption_detected() {
-        let mut cfg = FabricConfig::new(
-            platform::paper_platform(),
-            EngineConfig::with_strategy(StrategyKind::SingleRail(0)),
-        );
-        cfg.engine.runtime = Runtime::Threads;
-        cfg.faults = Some(FaultSpec {
-            corrupt_prob: 1.0,
-            drop_prob: 0.0,
-            seed: 71,
-            ..FaultSpec::default()
-        });
-        let (a, b) = pair(cfg);
-        let c = a.conns()[0];
-        let r = b.recv(c);
-        a.send(c, vec![Bytes::from(random_payload(512, 72))]);
-        assert!(
-            r.wait(Duration::from_millis(500)).is_none(),
-            "corrupted packet must not complete a receive"
-        );
-        assert!(b.rx_errors() > 0, "CRC failure must be counted");
     }
 }

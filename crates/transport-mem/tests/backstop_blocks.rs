@@ -1,4 +1,4 @@
-//! The serial runtime's backstop threads cost nothing while nothing
+//! The backstop threads cost nothing while nothing
 //! happens, and next to nothing while callers drive progress themselves.
 //!
 //! These read per-thread scheduler accounting for every thread named

@@ -1,7 +1,7 @@
-//! Length-prefixed framing off a byte stream: the one reader both
-//! runtimes carve arrivals with, and the landing table through which the
-//! serial runtime's readers put a rendezvous chunk where its segment
-//! will be delivered from.
+//! Length-prefixed framing off a byte stream: the reader every rail
+//! carves its arrivals with, and the landing table through which the
+//! rails' readers put a rendezvous chunk where its segment will be
+//! delivered from.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read};
@@ -255,16 +255,14 @@ impl FrameReader {
     /// pass takes one read per rail so that what arrived is digested,
     /// and whoever waits for it released, before more is read.
     ///
-    /// With a `landing` table, chunk payloads are read into their
-    /// segments' allocations where the table has the place; without one
-    /// (the `Threads` runtime: each rail's reader is a thread of its
-    /// own, and a table between them a lock on every frame) every frame
-    /// gets an allocation of its own.
+    /// Chunk payloads are read into their segments' allocations where
+    /// `landing` has the place; every other frame gets an allocation of
+    /// its own.
     pub(crate) fn read_some(
         &mut self,
         mut src: impl Read,
         rail: usize,
-        landing: Option<&mut LandingTable>,
+        landing: &mut LandingTable,
         out: &mut Vec<(usize, PacketFrame)>,
         tally: &mut SyscallStats,
     ) -> std::io::Result<bool> {
@@ -334,7 +332,7 @@ impl FrameReader {
     fn carve(
         &mut self,
         rail: usize,
-        mut landing: Option<&mut LandingTable>,
+        landing: &mut LandingTable,
         out: &mut Vec<(usize, PacketFrame)>,
     ) -> std::io::Result<()> {
         let mut off = 0;
@@ -342,19 +340,18 @@ impl FrameReader {
             let body = off + LEN_PREFIX;
             let have = &self.rx_buf[body..self.rx_len.min(body + len)];
             let whole = have.len() == len;
-            let window = match landing.as_deref_mut() {
-                Some(table) if len >= ChunkHead::LEN => {
-                    if have.len() < ChunkHead::LEN && ChunkHead::possible(have) {
-                        // Where this frame goes is in bytes yet to come.
-                        break;
-                    }
-                    ChunkHead::peek(have)
-                        .ok()
-                        .flatten()
-                        .filter(|head| head.len == len - ChunkHead::LEN)
-                        .and_then(|head| table.claim(&head))
+            let window = if len >= ChunkHead::LEN {
+                if have.len() < ChunkHead::LEN && ChunkHead::possible(have) {
+                    // Where this frame goes is in bytes yet to come.
+                    break;
                 }
-                _ => None,
+                ChunkHead::peek(have)
+                    .ok()
+                    .flatten()
+                    .filter(|head| head.len == len - ChunkHead::LEN)
+                    .and_then(|head| landing.claim(&head))
+            } else {
+                None
             };
             off = body + have.len();
             let frame = match window {
@@ -417,15 +414,15 @@ mod tests {
         }
     }
 
-    /// `stream` read to its end in two pieces, with a landing table or
-    /// without; the frames' bodies in arrival order.
-    fn drain(stream: &[u8], cut: usize, landing: bool) -> std::io::Result<Vec<Vec<u8>>> {
+    /// `stream` read to its end in two pieces; the frames' bodies in
+    /// arrival order.
+    fn drain(stream: &[u8], cut: usize) -> std::io::Result<Vec<Vec<u8>>> {
         let mut src = pieces(stream, &[cut]);
         let (mut reader, mut out) = (FrameReader::new(), Vec::new());
-        let mut table = landing.then(LandingTable::new);
+        let mut table = LandingTable::new();
         let mut tally = SyscallStats::default();
         while !reader.closed() {
-            reader.read_some(&mut src, 7, table.as_mut(), &mut out, &mut tally)?;
+            reader.read_some(&mut src, 7, &mut table, &mut out, &mut tally)?;
         }
         assert_eq!(tally.rx_frames, out.len() as u64);
         assert!(out.iter().all(|(rail, _)| *rail == 7));
@@ -454,23 +451,21 @@ mod tests {
     /// straight-into-the-frame path whatever the cut.
     #[test]
     fn stream_split_at_every_byte_offset() {
-        for landing in [false, true] {
-            let (bodies, stream) = stream_of(&[0, 300, 1, 2000]);
-            for cut in 0..=stream.len() {
-                assert_eq!(
-                    drain(&stream, cut, landing).expect("well-formed"),
-                    bodies,
-                    "at {cut}"
-                );
-            }
-            let (bodies, stream) = stream_of(&[5, READ_CHUNK + 1000, 7]);
-            for cut in [2, 9, 13, READ_CHUNK, READ_CHUNK + 1013, READ_CHUNK + 1016] {
-                assert_eq!(
-                    drain(&stream, cut, landing).expect("well-formed"),
-                    bodies,
-                    "at {cut}"
-                );
-            }
+        let (bodies, stream) = stream_of(&[0, 300, 1, 2000]);
+        for cut in 0..=stream.len() {
+            assert_eq!(
+                drain(&stream, cut).expect("well-formed"),
+                bodies,
+                "at {cut}"
+            );
+        }
+        let (bodies, stream) = stream_of(&[5, READ_CHUNK + 1000, 7]);
+        for cut in [2, 9, 13, READ_CHUNK, READ_CHUNK + 1013, READ_CHUNK + 1016] {
+            assert_eq!(
+                drain(&stream, cut).expect("well-formed"),
+                bodies,
+                "at {cut}"
+            );
         }
     }
 
@@ -492,7 +487,7 @@ mod tests {
             .read_some(
                 &mut src,
                 0,
-                Some(&mut LandingTable::new()),
+                &mut LandingTable::new(),
                 &mut out,
                 &mut SyscallStats::default(),
             )
@@ -620,13 +615,7 @@ mod tests {
         let mut out = Vec::new();
         while !reader.closed() {
             reader
-                .read_some(
-                    &mut src,
-                    0,
-                    Some(&mut *table),
-                    &mut out,
-                    &mut SyscallStats::default(),
-                )
+                .read_some(&mut src, 0, table, &mut out, &mut SyscallStats::default())
                 .expect("well-formed");
         }
         out
@@ -721,7 +710,7 @@ mod tests {
             while rails.iter().any(|(_, reader)| !reader.closed()) {
                 for (rail, (src, reader)) in rails.iter_mut().enumerate() {
                     reader
-                        .read_some(src, rail, Some(&mut table), &mut out, &mut tally)
+                        .read_some(src, rail, &mut table, &mut out, &mut tally)
                         .expect("well-formed");
                 }
             }

@@ -17,54 +17,47 @@
 //!
 //! A transport is only "how bytes move on a rail": the application
 //! surface — [`Endpoint`], [`SendHandle`], [`RecvHandle`] — is
-//! [`nmad_core::endpoint`]'s, re-exported here, and this crate supplies
-//! the rail I/O of both runtimes, picked by [`EngineConfig::runtime`]
-//! ([`nmad_core::Runtime`]):
+//! [`nmad_core::endpoint`]'s, re-exported here, and so is the runtime
+//! ([`Serial`], DESIGN.md §15): the calling thread drives progress —
+//! `send` offers the idle rails, a handle's `wait` makes passes itself,
+//! and one that completed on something the peer sent (a receive, a
+//! delivery ack) holds the sockets for 1 ms more, the lease — and one
+//! backstop thread per endpoint sleeps in `epoll_wait` for what no
+//! caller is around for: on the sockets and its eventfd, under a lease
+//! on the eventfd alone, so that what the lease holder is about to read
+//! wakes nobody. This crate supplies the rails ([`Rails`]): one
+//! nonblocking socket each, read by whoever holds the rails lock, one
+//! `read` per rail and pass. The engine lock is never held across a
+//! socket syscall (DESIGN.md "Who drives progress").
 //!
-//! | runtime | who drives progress | threads per endpoint | frames are read | for |
-//! |---|---|---|---|---|
-//! | `Serial` (default) | the calling thread: `send` offers the idle rails, a handle's `wait` makes passes itself, and one that completed on something the peer sent (a receive, a delivery ack) holds the sockets for 1 ms more — the lease; one backstop thread asleep in `epoll_wait` for what no caller is around for: on the sockets and its eventfd, under a lease on the eventfd alone, so that what the lease holder is about to read wakes nobody | 1 | by whoever holds the I/O lock — one `read` per rail and pass | the lowest per-message cost; what `BENCHMARK.json` measures |
-//! | `Threads` | a scheduler thread over [`nmad_core::ParallelHub`]; callers only queue | 2 × rails + 1 | each rail's RX thread, blocking | many application threads sending small messages; overlapping slow rails; worker-shard recording |
+//! Transmissions go out with `write_vectored` straight from the engine's
+//! [`PacketFrame`] parts (no flattening). Arrivals are carved by the one
+//! `FrameReader`: frames that fit the 64 KiB read buffer are copied out
+//! into an allocation of exactly their size, a larger one is read
+//! straight into its own allocation, and each is handed to
+//! [`nmad_core::Engine::on_frame`] as one refcounted slice. A rendezvous
+//! chunk goes one better: its head says where in its segment it belongs,
+//! and both rails' readers share a landing table (under the rails lock)
+//! that holds one allocation per segment in progress, so the payload is
+//! read — or, when it arrived whole with other frames, copied once —
+//! into its place there; the chunks reach the engine as slices of one
+//! allocation, re-join in reassembly and the segment is delivered
+//! without the gather. The table is a placement hint: whatever it cannot
+//! serve exactly (a range claimed before, a head that disagrees with the
+//! frame or the segment, no room) takes the frame-of-its-own path
+//! (DESIGN.md "Receive: reassembly by reference").
 //!
-//! On `Serial` the engine lock is never held across a socket syscall
-//! (DESIGN.md "Who drives progress"). On the hub runtime the slow
-//! socket write happens outside any shared lock; arrivals and TX
-//! completions flow back to the scheduler through per-rail completion
-//! queues and are drained in batches (DESIGN.md §10).
+//! ## Syscalls per frame (DESIGN.md §12)
 //!
-//! The datapath is the same on both. Transmissions go out with
-//! `write_vectored` straight from the engine's [`PacketFrame`] parts (no
-//! flattening). Arrivals are carved by the one `FrameReader`: frames
-//! that fit the 64 KiB read buffer are copied out into an allocation of
-//! exactly their size, a larger one is read straight into its own
-//! allocation, and each is handed to [`nmad_core::Engine::on_frame`] as
-//! one refcounted slice. A rendezvous chunk goes one better on `Serial`:
-//! its head says where in its segment it belongs, and both rails'
-//! readers share a landing table (under the rails lock) that holds one
-//! allocation per segment in progress, so the payload is read — or, when
-//! it arrived whole with other frames, copied once — into its place
-//! there; the chunks reach the engine as slices of one allocation,
-//! re-join in reassembly and the segment is delivered without the
-//! gather. The table is a placement hint: whatever it cannot serve
-//! exactly (a range claimed before, a head that disagrees with the
-//! frame or the segment, no room) takes the frame-of-its-own path, as
-//! does every frame on `Threads`, whose per-rail reader threads share
-//! nothing (DESIGN.md "Receive: reassembly by reference").
-//!
-//! ## Syscall amortization (DESIGN.md §12)
-//!
-//! The hub runtime batches kernel crossings on the way out: each TX
-//! wakeup drains up to `TX_BATCH` published decisions from its outbox
-//! and coalesces the whole batch — length prefixes and frame parts
-//! interleaved — into a single `write_vectored` gather list (partial
-//! writes resume across the *batch*, not per frame). On the way in one
-//! `read` carves every frame it brought. The resulting
-//! syscalls-per-packet ratio is counted in [`nmad_core::SyscallStats`]
-//! and gated by the `ablate_cycles` bench. Batching on our side is also
-//! why TCP_NODELAY is unconditionally set on every rail socket (see
-//! `RailIo::new`): the transport coalesces on its own terms, so Nagle's
-//! algorithm could only add delayed-ACK latency to control frames, never
-//! save packets.
+//! A frame leaves in one `write_vectored` (more after a partial write)
+//! and one `read` carves every frame it brought; what amortizes the
+//! transmit side is the optimisation window — a burst of small messages
+//! is one aggregate frame (DESIGN.md §15 "The window"). Both ratios are
+//! counted in [`nmad_core::SyscallStats`] and gated by the
+//! `ablate_cycles` bench. TCP_NODELAY is unconditionally set on every
+//! rail socket (see `RailIo::new`): the engine coalesces on its own
+//! terms, so Nagle's algorithm could only add delayed-ACK latency to
+//! control frames, never save packets.
 
 #![warn(missing_docs)]
 // Copy-regression gate: see DESIGN.md "Datapath and copy discipline".
@@ -75,47 +68,29 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use nmad_core::driver::TxToken;
 use nmad_core::engine::Engine;
-use nmad_core::{
-    ChaosState, Completion, EngineConfig, Event, EventKind, FabricStatus, FlightRecorder,
-    OutboxReceiver, ParallelHub, Parker, Rails, Runtime, Serial, SyscallStats,
-};
+use nmad_core::{ChaosState, EngineConfig, FabricStatus, Parker, Rails, Serial, SyscallStats};
 pub use nmad_core::{Endpoint, RecvHandle, SendHandle};
 use nmad_model::Platform;
 use nmad_sim::Xoshiro256StarStar;
-use nmad_wire::{ConnId, PacketFrame};
+use nmad_wire::PacketFrame;
 
 use frame::{FrameReader, LandingTable, LEN_PREFIX};
 
 mod frame;
 mod sys;
 
-/// Serial backstop thread's timed poll where [`sys`] is the
+/// The backstop thread's timed poll where [`sys`] is the
 /// `Unsupported` stub and there is no readiness to block on.
 const FALLBACK_POLL: Duration = Duration::from_micros(50);
 /// Epoll token of the backstop thread's eventfd (rails use their index).
 const KICK_TOKEN: u64 = u64::MAX;
-/// `Threads` workers: socket read/write timeout, which doubles as the
-/// shutdown-responsiveness bound for blocking I/O.
-const IO_TIMEOUT: Duration = Duration::from_millis(25);
-/// `Threads` TX worker: upper bound on one outbox wait.
-const TX_IDLE_WAIT: Duration = Duration::from_millis(2);
-/// Frames a hub-runtime TX path drains from its outbox per wakeup and
-/// coalesces into a single `write_vectored` (sendmmsg-style syscall
-/// amortization). Matches the outbox capacity: one wakeup can flush
-/// everything the scheduler managed to queue. Only pipelined engines
-/// ([`EngineConfig::rail_pipeline`] > 1) ever queue more than one.
-const TX_BATCH: usize = 8;
-/// Cap on gather-list length per vectored write: stays under every
-/// platform's IOV_MAX (the partial-write resume loop covers the rest).
-const MAX_IOVECS: usize = 256;
-/// Gather-list length of the serial runtime's one frame per write, kept
-/// on the stack: a frame of more parts than this (plus its length
-/// prefix) takes another `write_vectored`.
+/// Gather-list length of the one frame per write, kept on the stack: a
+/// frame of more parts than this (plus its length prefix) takes another
+/// `write_vectored`.
 const FLUSH_IOVECS: usize = 16;
 
 /// Transport configuration.
@@ -124,17 +99,15 @@ pub struct TcpConfig {
     /// Rail layout (one TCP connection per rail; the model's thresholds
     /// drive the strategies exactly as on the simulated platform).
     pub platform: Platform,
-    /// Engine configuration. CRC is forced on;
-    /// [`EngineConfig::runtime`] picks the runtime (see the crate docs).
+    /// Engine configuration. CRC is forced on.
     pub engine: EngineConfig,
     /// Logical channels opened at construction on both endpoints.
     pub conns: usize,
-    /// Optional live chaos dials. The TX path reads them per frame:
-    /// `drop_boost` discards outgoing frames before the socket write
-    /// (the frame is length-prefixed, so the stream stays aligned) and,
-    /// on the `Threads` runtime, `bandwidth_mult < 1` paces writes by
-    /// the extra modelled wire time. The caller keeps a clone of the
-    /// handle and turns the dials while the endpoint runs.
+    /// Optional live chaos dials. The TX path reads `drop_boost` per
+    /// frame and discards outgoing frames before the socket write (the
+    /// frame is length-prefixed, so the stream stays aligned); the
+    /// bandwidth dial does nothing on real sockets. The caller keeps a
+    /// clone of the handle and turns the dials while the endpoint runs.
     pub chaos: Option<ChaosState>,
 }
 
@@ -186,8 +159,7 @@ fn gather_batch_slices<'a>(
     filled
 }
 
-/// Per-rail socket state: partial reads and pending vectored writes
-/// (serial runtime).
+/// Per-rail socket state: partial reads and pending vectored writes.
 struct RailIo {
     stream: TcpStream,
     rx: FrameReader,
@@ -208,16 +180,15 @@ struct RailIo {
 impl RailIo {
     fn new(stream: TcpStream) -> std::io::Result<Self> {
         stream.set_nonblocking(true)?;
-        // TCP_NODELAY on every rail socket, every runtime, both ends
-        // (listen/accept and connect both land here or in
-        // `spawn_hub`): the engine's control frames — rendezvous
+        // TCP_NODELAY on every rail socket, both ends (listen/accept
+        // and connect both land here): the engine's control frames — rendezvous
         // grants, delivery acks, health probes — are a few dozen bytes,
         // and Nagle would hold them behind in-flight data until the
         // peer's delayed ACK fired. That inflates measured SRTT by up to
         // 40 ms, trips retransmission timers, and serializes the
         // rendezvous handshake. The engine already coalesces small
-        // frames on its own terms (aggregation + batched vectored
-        // writes), so Nagle only adds latency without saving packets.
+        // frames on its own terms (aggregation), so Nagle only adds
+        // latency without saving packets.
         stream.set_nodelay(true)?;
         Ok(RailIo {
             stream,
@@ -292,8 +263,8 @@ impl RailIo {
     }
 }
 
-/// The serial runtime's rails ([`Serial`] holds them behind its rails
-/// lock): one nonblocking socket each.
+/// The rails ([`Serial`] holds them behind its rails lock): one
+/// nonblocking socket each.
 struct TcpRails {
     rails: Vec<RailIo>,
     ready: Arc<Readiness>,
@@ -322,7 +293,7 @@ impl Rails for TcpRails {
             match rail.rx.read_some(
                 &rail.stream,
                 r,
-                Some(&mut self.landing),
+                &mut self.landing,
                 frames,
                 &mut self.syscalls,
             ) {
@@ -375,7 +346,7 @@ impl Rails for TcpRails {
     }
 }
 
-/// What the serial backstop thread sleeps on: one epoll instance over
+/// What the backstop thread sleeps on: one epoll instance over
 /// the rail sockets (edge-triggered READ; WRITE only while a partial
 /// write is pending) plus an eventfd for kicks — and, while a caller
 /// holds the rails under a lease, a second instance over the eventfd
@@ -490,180 +461,6 @@ impl Parker for Readiness {
     }
 }
 
-/// `Threads` runtime: one rail's TX worker. Pops published decisions off
-/// its own outbox (its own condvar — no global wakeup) and performs the
-/// slow socket write with no shared lock held, then reports completion
-/// to the scheduler's queue.
-struct TxWorker {
-    hub: Arc<ParallelHub>,
-    rail: usize,
-    stream: TcpStream,
-    outbox: OutboxReceiver,
-    epoch: Instant,
-    /// Per-thread recorder shard; deposited into the hub at exit and
-    /// merged with the engine ring at export.
-    shard: FlightRecorder,
-    chaos: Option<ChaosState>,
-    rng: Xoshiro256StarStar,
-    /// Nominal rail bandwidth (bytes/s) — the baseline the chaos
-    /// pacing stretches against.
-    link_bandwidth: f64,
-}
-
-impl TxWorker {
-    fn run(mut self) {
-        let mut batch: Vec<nmad_core::TxDecision> = Vec::with_capacity(TX_BATCH);
-        loop {
-            match self.outbox.pop_wait(TX_IDLE_WAIT) {
-                Some(d) => {
-                    // One wakeup drains whatever the scheduler queued
-                    // (bounded): the whole batch goes out in one
-                    // coalesced vectored write below.
-                    batch.push(d);
-                    while batch.len() < TX_BATCH {
-                        match self.outbox.pop() {
-                            Some(d) => batch.push(d),
-                            None => break,
-                        }
-                    }
-                    self.inject_batch(&mut batch);
-                }
-                None => {
-                    if self.hub.is_shutdown() {
-                        break;
-                    }
-                }
-            }
-        }
-        // Clean shutdown drains the outbox: decisions already published
-        // still go out so the peer's reassembly isn't left dangling.
-        while let Some(d) = self.outbox.pop() {
-            batch.push(d);
-            if batch.len() >= TX_BATCH {
-                self.inject_batch(&mut batch);
-            }
-        }
-        if !batch.is_empty() {
-            self.inject_batch(&mut batch);
-        }
-        self.hub.deposit_shard(self.shard.events());
-    }
-
-    /// Transmit a drained batch as one coalesced vectored write and
-    /// report per-frame completions. Chaos-dropped frames are filtered
-    /// out first (they complete locally without wire bytes); the stream
-    /// stays aligned because every surviving frame is length-prefixed.
-    fn inject_batch(&mut self, batch: &mut Vec<nmad_core::TxDecision>) {
-        let mut wire: Vec<PacketFrame> = Vec::with_capacity(batch.len());
-        let mut tokens: Vec<TxToken> = Vec::with_capacity(batch.len());
-        let mut pace_bytes = 0usize;
-        for d in batch.drain(..) {
-            if chaos_drops(&self.chaos, self.rail, &mut self.rng) {
-                // Dropped before the write: local completion, no wire
-                // bytes, no pacing.
-                self.hub.push_completion(
-                    self.rail,
-                    Completion::TxDone {
-                        rail: self.rail,
-                        token: d.token,
-                    },
-                );
-                continue;
-            }
-            pace_bytes += d.frame.wire_len();
-            tokens.push(d.token);
-            wire.push(d.frame);
-        }
-        if wire.is_empty() {
-            return;
-        }
-        self.chaos_pace(pace_bytes);
-        match self.write_batch(&wire) {
-            Ok((dur_ns, calls)) => {
-                self.hub.syscalls.add_tx(calls, wire.len() as u64);
-                let now = self.epoch.elapsed().as_nanos() as u64;
-                for (frame, token) in wire.iter().zip(&tokens) {
-                    self.shard.record(
-                        Event::new(now, EventKind::WorkerWrite)
-                            .rail(self.rail)
-                            .seq(token.0)
-                            .size((LEN_PREFIX + frame.wire_len()) as u64)
-                            // Wall time of the whole coalesced write —
-                            // shared by every frame it carried.
-                            .aux(dur_ns),
-                    );
-                    self.hub.push_completion(
-                        self.rail,
-                        Completion::TxDone {
-                            rail: self.rail,
-                            token: *token,
-                        },
-                    );
-                }
-            }
-            Err(_) => {
-                self.hub.status.io_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Blocking gather write of a frame batch, resuming partial writes
-    /// across frame boundaries. Returns the wall time spent and the
-    /// number of `write_vectored` calls that moved bytes.
-    fn write_batch(&mut self, frames: &[PacketFrame]) -> std::io::Result<(u64, u64)> {
-        let prefixes: Vec<[u8; LEN_PREFIX]> = frames
-            .iter()
-            .map(|f| (f.wire_len() as u32).to_le_bytes())
-            .collect();
-        let total: usize = frames.iter().map(|f| LEN_PREFIX + f.wire_len()).sum();
-        let mut off = 0usize;
-        let mut calls = 0u64;
-        let parts: usize = frames.iter().map(|f| 1 + f.parts().count()).sum();
-        let mut slices = vec![IoSlice::new(&[]); parts.min(MAX_IOVECS)];
-        let t0 = Instant::now();
-        while off < total {
-            let filled = gather_batch_slices(&prefixes, frames, off, &mut slices);
-            match self.stream.write_vectored(&slices[..filled]) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        ErrorKind::WriteZero,
-                        "socket refused bytes",
-                    ))
-                }
-                Ok(n) => {
-                    calls += 1;
-                    off += n;
-                }
-                // SO_SNDTIMEO expiry: keep pushing — a partially written
-                // frame must complete or the peer's stream corrupts —
-                // but give up once shutdown is requested.
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    if self.hub.is_shutdown() {
-                        return Err(e);
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok((t0.elapsed().as_nanos() as u64, calls))
-    }
-
-    /// Sleep out the *extra* wire time a degraded rail would need for
-    /// `bytes`: at multiplier m < 1 the frame takes 1/m the nominal
-    /// time, and the socket write itself covers the nominal share.
-    fn chaos_pace(&self, bytes: usize) {
-        let Some(c) = &self.chaos else { return };
-        let mult = c.bandwidth_mult(self.rail);
-        if mult >= 1.0 || self.link_bandwidth <= 0.0 {
-            return;
-        }
-        let nominal = bytes as f64 / self.link_bandwidth;
-        let extra = nominal / mult - nominal;
-        std::thread::sleep(Duration::from_secs_f64(extra));
-    }
-}
-
 /// One seeded draw against the chaos drop boost (false at identity —
 /// no rng state is consumed when no handle is installed or the boost
 /// is zero).
@@ -677,74 +474,15 @@ fn chaos_drops(chaos: &Option<ChaosState>, rail: usize, rng: &mut Xoshiro256Star
     }
 }
 
-/// `Threads` runtime: one rail's RX worker. Blocking reads with a timeout
-/// (so shutdown stays responsive), queueing the frames each read brought
-/// for the scheduler's next batched drain.
-struct RxWorker {
-    hub: Arc<ParallelHub>,
-    rail: usize,
-    stream: TcpStream,
-    epoch: Instant,
-    shard: FlightRecorder,
-}
-
-impl RxWorker {
-    fn run(mut self) {
-        let mut reader = FrameReader::new();
-        let mut frames = Vec::new();
-        // A read that times out (SO_RCVTIMEO, [`IO_TIMEOUT`]) brings
-        // nothing and the loop re-checks shutdown.
-        while !self.hub.is_shutdown() && !reader.closed() {
-            let mut tally = SyscallStats::default();
-            if reader
-                .read_some(&self.stream, self.rail, None, &mut frames, &mut tally)
-                .is_err()
-            {
-                self.hub.status.io_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            self.hub.syscalls.add_rx(tally.rx_calls, tally.rx_frames);
-            for (rail, frame) in frames.drain(..) {
-                self.shard.record(
-                    Event::new(self.epoch.elapsed().as_nanos() as u64, EventKind::WorkerRx)
-                        .rail(rail)
-                        .size((LEN_PREFIX + frame.wire_len()) as u64),
-                );
-                self.hub
-                    .push_completion(rail, Completion::RxFrame { rail, frame });
-            }
-        }
-        self.hub.deposit_shard(self.shard.events());
-    }
-}
-
-/// The one constructor: an engine with its channels open, the fabric
-/// of the runtime [`EngineConfig::runtime`] names around it, and that
-/// runtime's threads.
+/// The one constructor: an engine with its channels open, the rails
+/// under [`Serial`] and its backstop thread.
 fn build_endpoint(config: &TcpConfig, streams: Vec<TcpStream>) -> std::io::Result<Endpoint> {
     let mut cfg_engine = config.engine.clone();
     cfg_engine.crc = true;
-    let runtime = cfg_engine.runtime;
     let mut engine = Engine::new(cfg_engine, config.platform.rails.clone(), vec![]);
     let conns = (0..config.conns.max(1))
         .map(|_| engine.conn_open())
         .collect();
-    match runtime {
-        Runtime::Serial => spawn_serial(config, engine, conns, streams),
-        Runtime::Threads => spawn_hub(config, engine, conns, streams),
-    }
-}
-
-fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> std::io::Result<JoinHandle<()>> {
-    std::thread::Builder::new().name(name).spawn(body)
-}
-
-/// Serial runtime: the rails under [`Serial`] and its backstop thread.
-fn spawn_serial(
-    config: &TcpConfig,
-    engine: Engine,
-    conns: Vec<ConnId>,
-    streams: Vec<TcpStream>,
-) -> std::io::Result<Endpoint> {
     let rails = streams
         .into_iter()
         .map(RailIo::new)
@@ -759,56 +497,6 @@ fn spawn_serial(
         landing: LandingTable::new(),
     };
     Serial::new(engine, rails, ready, Instant::now()).spawn("nmad-tcp", conns)
-}
-
-/// The hub runtime: a [`ParallelHub`] scheduler over the engine, fed by
-/// one TX and one RX thread per rail.
-fn spawn_hub(
-    config: &TcpConfig,
-    engine: Engine,
-    conns: Vec<ConnId>,
-    streams: Vec<TcpStream>,
-) -> std::io::Result<Endpoint> {
-    let record_capacity = engine.config().record_capacity;
-    let (hub, senders, receivers) = ParallelHub::new(engine);
-    let epoch = Instant::now();
-    let mut workers = Vec::new();
-    for (rail, (stream, outbox)) in streams.into_iter().zip(receivers).enumerate() {
-        stream.set_nodelay(true)?;
-        // Blocking sockets with timeouts: the flag and the timeouts are
-        // shared by both clones (same open socket), which is exactly
-        // what the split TX/RX threads want.
-        stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(IO_TIMEOUT))?;
-        stream.set_write_timeout(Some(IO_TIMEOUT))?;
-        let tx = TxWorker {
-            hub: hub.clone(),
-            rail,
-            stream: stream.try_clone()?,
-            outbox,
-            epoch,
-            shard: FlightRecorder::with_capacity(record_capacity),
-            chaos: config.chaos.clone(),
-            rng: Xoshiro256StarStar::new(0x7C9 ^ (rail as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            link_bandwidth: config.platform.rails[rail].link_bandwidth,
-        };
-        workers.push(spawn(format!("nmad-tcp-tx{rail}"), move || tx.run())?);
-        let rx = RxWorker {
-            hub: hub.clone(),
-            rail,
-            stream,
-            epoch,
-            shard: FlightRecorder::with_capacity(record_capacity),
-        };
-        workers.push(spawn(format!("nmad-tcp-rx{rail}"), move || rx.run())?);
-    }
-    // Scheduler last: joined after the I/O threads so it drains their
-    // final completions before quiescing.
-    let sched_hub = hub.clone();
-    workers.push(spawn("nmad-tcp-sched".into(), move || {
-        sched_hub.run_scheduler(senders, epoch)
-    })?);
-    Ok(Endpoint::new(hub, conns, workers))
 }
 
 /// Listen for a peer: binds one listener per rail on `127.0.0.1:0` and
@@ -1005,7 +693,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Serial runtime: who drives progress
+    // Who drives progress
     // ------------------------------------------------------------------
 
     fn serial(e: &Endpoint) -> Arc<Serial<TcpRails>> {
@@ -1419,49 +1107,6 @@ mod tests {
         );
     }
 
-    // ------------------------------------------------------------------
-    // Thread-per-rail pipeline over real sockets
-    // ------------------------------------------------------------------
-
-    /// Worker shards reach the merged event stream: `WorkerWrite` on the
-    /// sender, `WorkerRx` on the receiver, alongside the engine's own
-    /// lifecycle events.
-    #[test]
-    fn threads_worker_shards_merged_into_events() {
-        let mut engine = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
-        engine.runtime = Runtime::Threads;
-        engine.record_capacity = 4096;
-        let (a, b) = pair_localhost(TcpConfig::new(platform::paper_platform(), engine))
-            .expect("localhost pair");
-        let c = a.conns()[0];
-        let payload = random(1 << 20, 42);
-        let r = b.recv(c);
-        let s = a.send(c, vec![Bytes::from(payload)]);
-        assert!(s.wait(T));
-        assert!(r.wait(T).is_some());
-        // Shards are deposited at worker exit: shut the endpoints down
-        // (`drop` joins), then read the events off the fabrics.
-        let (fa, fb) = (a.fabric().clone(), b.fabric().clone());
-        drop(a);
-        drop(b);
-        let tx_events = fa.events();
-        let rx_events = fb.events();
-        assert!(
-            tx_events.iter().any(|e| e.kind == EventKind::WorkerWrite),
-            "sender shard missing WorkerWrite events"
-        );
-        assert!(
-            tx_events.iter().any(|e| e.kind == EventKind::TxPost),
-            "engine ring missing from merge"
-        );
-        assert!(
-            rx_events.iter().any(|e| e.kind == EventKind::WorkerRx),
-            "receiver shard missing WorkerRx events"
-        );
-        // Merged stream is timestamp-ordered.
-        assert!(tx_events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
-    }
-
     mod batch_props {
         use super::super::{gather_batch_slices, LEN_PREFIX};
         use bytes::Bytes;
@@ -1492,7 +1137,7 @@ mod tests {
             /// The batched gather list, consumed under arbitrary partial
             /// writes and iovec caps, yields a byte stream identical to
             /// writing each frame separately (`prefix ++ frame` flattened
-            /// in order) — the legacy one-frame-per-write image.
+            /// in order).
             #[test]
             fn batched_gather_matches_sequential_writes(
                 frames in prop::collection::vec(arb_frame(), 1..6),
@@ -1515,7 +1160,7 @@ mod tests {
 
                 // Batched path: each simulated `write_vectored` consumes
                 // `n` bytes of the gather list rebuilt at the current
-                // offset, exactly like `write_batch`'s resume loop.
+                // offset, exactly like `RailIo::flush`'s resume loop.
                 let mut got = Vec::with_capacity(total);
                 let mut off = 0usize;
                 let mut list = vec![IoSlice::new(&[]); max_slices];

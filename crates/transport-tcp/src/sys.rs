@@ -1,4 +1,4 @@
-//! What the serial runtime's backstop thread sleeps on: epoll and
+//! What the backstop thread sleeps on: epoll and
 //! eventfd, straight to the kernel.
 //!
 //! The repo is offline/zero-dep, so there is no `libc` crate to lean on:

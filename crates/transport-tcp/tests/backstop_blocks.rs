@@ -1,4 +1,4 @@
-//! The serial runtime's backstop thread blocks on readiness: it costs
+//! The backstop thread blocks on readiness: it costs
 //! nothing while nothing happens, next to nothing while callers drive
 //! progress themselves, and does not spin on a dead peer.
 //!

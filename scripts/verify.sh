@@ -12,14 +12,16 @@ quick=0
 [[ "${1:-}" == "--quick" ]] && quick=1
 
 # One-surface gate: the application surface (Endpoint, its handles, the
-# wait loop) lives in crates/core/src/endpoint.rs only, the serial
-# runtime's driver (offer/drive/step/pump, the pollers/skipped hand-off,
-# the backstop loop) in crates/core/src/endpoint/serial.rs only, a
-# runtime is picked by EngineConfig::runtime only, and TCP frames are
-# carved by transport-tcp's FrameReader only. A transport that grows its
-# own copy of any of these fails here, and so does any trace of the
-# third runtime deleted in PR 17 (DESIGN.md §14).
-echo "==> one endpoint, one serial driver, one runtime field, one frame reader"
+# wait loop) lives in crates/core/src/endpoint.rs only, the runtime's
+# driver (offer/drive/step/pump, the pollers/skipped hand-off, the
+# backstop loop) in crates/core/src/endpoint/serial.rs only — there is
+# one runtime and nothing picks it — and TCP frames are carved by
+# transport-tcp's FrameReader only. A transport that grows its own copy
+# of any of these fails here, and so does any trace of the two runtimes
+# deleted in PR 17 and PR 24 (DESIGN.md §14), and any `unsafe` in
+# nmad-core or the mem fabric (both `forbid` it; the workspace's is
+# wire::checksum, transport-tcp::sys and vendor/bytes::window).
+echo "==> one endpoint, one driver, one runtime, one frame reader, no unsafe in core or mem"
 if grep -rnE 'struct (Endpoint|SendHandle|RecvHandle)\b|fn wait_on\b' crates/transport-*/src; then
     echo "a transport crate defines its own endpoint surface (see above)"; exit 1
 fi
@@ -35,10 +37,16 @@ fi
 if grep -rnE 'HOLDS_EVERY_WAIT|wait_holds|in_bulk_frame' crates; then
     echo "a per-transport lease rule is back beside the one rule (see above)"; exit 1
 fi
-if grep -rnE 'carve_frames|\.parallel =|\.reactor =|reactor_threads|Runtime::Reactor|ReactorPool|ReactorStats|ablate_reactor|NMAD_REACTOR' \
+if grep -rnE 'carve_frames|\.parallel =|\.reactor =|reactor_threads|Runtime::Reactor|ReactorPool|ReactorStats|ablate_reactor|NMAD_REACTOR|Runtime::Threads|ParallelHub|spawn_hub|TxWorker|OutboxReceiver|\.runtime =|rail_pipeline|max_submission_depth' \
     crates src tests examples .github; then
     echo "a deleted runtime, runtime switch or carve path is back (see above)"; exit 1
 fi
+if grep -rnw 'unsafe' crates/core/src crates/transport-mem/src; then
+    echo "unsafe in nmad-core or nmad-transport-mem (see above)"; exit 1
+fi
+for lib in crates/core/src/lib.rs crates/transport-mem/src/lib.rs; do
+    grep -q '^#!\[forbid(unsafe_code)\]' "$lib" || { echo "$lib does not forbid unsafe code"; exit 1; }
+done
 # The optimisation window on live rails is one rule in the serial driver
 # (a rail that took a small eager frame counts as busy for CALLER_LEASE,
 # and a submitter holding no lease leaves what can wait in the backlog:
@@ -126,7 +134,7 @@ echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
 # The optimisation window, by name: a burst (window of 32 messages of
-# 4 x 256 B, sender never waits for an arrival) on both serial pairs
+# 4 x 256 B, sender never waits for an arrival) on both transports
 # must leave as aggregates (<= 0.25 data frames and, on TCP,
 # `write_vectored` calls per message by the transport's own counts;
 # 1.0 before PR 21) and an echo as exactly one frame per message.
@@ -169,7 +177,7 @@ NMAD_OBS_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_obs
 echo "==> online recalibration under drift (ablate_calibration smoke sweep)"
 NMAD_CALIBRATION_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_calibration
 
-# Chaos-soak gate: ~10 s of multi-tenant load over the parallel engine
+# Chaos-soak gate: ~10 s of multi-tenant load over the mem fabric
 # while a seeded schedule drives an outage, drop storms and bandwidth
 # drift; exits nonzero on the SLO gates (p99/p999 ceilings, head->tail
 # throughput decay, pool-ledger leaks, stuck requests after the heal —
@@ -181,8 +189,8 @@ NMAD_SOAK_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_soak
 # Per-packet cycles gate: the ablate_cycles smoke sweep measures the
 # checksum kernels (slice16 >= 3x scalar, SIMD >= 8x where detected, at
 # the fold width this CPU has: 128 or 512 bit, printed with the table),
-# syscalls per packet under the batched parallel TCP fabric (< 0.5 TX),
-# the pool-magazine hit rate (>= 90%) and the end-to-end scalar-vs-SIMD
+# `write_vectored` calls per message of a burst over loopback TCP
+# (<= 0.25; 0.065 measured), the pool-magazine hit rate (>= 90%) and the end-to-end scalar-vs-SIMD
 # per-message CPU cost (see DESIGN.md §12).
 echo "==> per-packet cycles (ablate_cycles smoke sweep)"
 NMAD_CYCLES_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_cycles
@@ -236,7 +244,7 @@ grep -q '"clean":true' "$wd_tmp" \
 # verifier must reject damaged deliveries (selftest exits non-zero) and
 # a short ping-pong over the default TCP runtime must verify every
 # message, and so must a short run of the mixed sizes over the mem
-# fabric's (the two transports share the serial driver, not the rails).
+# fabric's (the two transports share the driver, not the rails).
 # The mem run is traced for its allocator ledger: on that fabric every
 # rendezvous chunk is a slice of the sender's segment, so a delivery
 # allocates no payload — bytes allocated per payload byte read 0.01, an

@@ -1,19 +1,19 @@
-//! One conformance suite for every supported (transport, runtime) pair.
+//! One conformance suite for every transport.
 //!
 //! The application-facing contract — `send`/`recv`, the handles' waits,
 //! the stats an application reads back — is defined once, on
 //! `core::Endpoint`, so it is checked once: each case below runs
-//! unchanged on every row of [`PAIRS`]. What only one runtime does
-//! (the serial runtime's backstop and lease, worker shards) is tested
-//! next to that runtime.
+//! unchanged on both rows of [`Transport`], the mem fabric and loopback
+//! TCP under the one runtime. What only a transport does (readiness,
+//! the shaped wire) is tested next to that transport.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use newmadeleine::bytes::Bytes;
 use newmadeleine::core::{
-    Endpoint, EngineConfig, OverloadStats, RecvHandle, Runtime, SendHandle, StrategyKind,
-    SubmitError,
+    Endpoint, EngineConfig, RecvHandle, SendHandle, StrategyKind, SubmitError,
 };
 use newmadeleine::model::platform;
 use newmadeleine::sim::Xoshiro256StarStar;
@@ -27,17 +27,9 @@ enum Transport {
     Tcp,
 }
 
-/// Every runtime on every transport.
-const PAIRS: [(Transport, Runtime); 4] = [
-    (Transport::Mem, Runtime::Serial),
-    (Transport::Mem, Runtime::Threads),
-    (Transport::Tcp, Runtime::Serial),
-    (Transport::Tcp, Runtime::Threads),
-];
-
 /// Run `case` on a fresh connected pair of every kind, with `engine` as
-/// configured by the case plus the row's runtime.
-fn on_every_pair(engine: EngineConfig, case: impl Fn((Transport, Runtime), Endpoint, Endpoint)) {
+/// configured by the case.
+fn on_every_pair(engine: EngineConfig, case: impl Fn(Transport, Endpoint, Endpoint)) {
     on_every_pair_with_conns(1, engine, case);
 }
 
@@ -45,30 +37,10 @@ fn on_every_pair(engine: EngineConfig, case: impl Fn((Transport, Runtime), Endpo
 fn on_every_pair_with_conns(
     conns: usize,
     engine: EngineConfig,
-    case: impl Fn((Transport, Runtime), Endpoint, Endpoint),
+    case: impl Fn(Transport, Endpoint, Endpoint),
 ) {
-    on_pairs(&PAIRS, conns, engine, case);
-}
-
-/// [`on_every_pair`] for what is the serial runtime's alone: the pairs
-/// on which callers drive progress.
-fn on_serial_pairs(engine: EngineConfig, case: impl Fn((Transport, Runtime), Endpoint, Endpoint)) {
-    let serial: Vec<_> = PAIRS
-        .into_iter()
-        .filter(|&(_, runtime)| runtime == Runtime::Serial)
-        .collect();
-    on_pairs(&serial, 1, engine, case);
-}
-
-fn on_pairs(
-    pairs: &[(Transport, Runtime)],
-    conns: usize,
-    engine: EngineConfig,
-    case: impl Fn((Transport, Runtime), Endpoint, Endpoint),
-) {
-    for &(transport, runtime) in pairs {
-        let mut engine = engine.clone();
-        engine.runtime = runtime;
+    for transport in [Transport::Mem, Transport::Tcp] {
+        let engine = engine.clone();
         let plat = platform::paper_platform();
         let (a, b) = match transport {
             Transport::Mem => {
@@ -79,11 +51,10 @@ fn on_pairs(
             Transport::Tcp => {
                 let mut cfg = tcp::TcpConfig::new(plat, engine);
                 cfg.conns = conns;
-                tcp::pair_localhost(cfg)
-                    .unwrap_or_else(|e| panic!("{transport:?} x {runtime:?}: {e}"))
+                tcp::pair_localhost(cfg).unwrap_or_else(|e| panic!("{transport:?}: {e}"))
             }
         };
-        case((transport, runtime), a, b);
+        case(transport, a, b);
     }
 }
 
@@ -128,27 +99,20 @@ fn large_message_striped_over_two_rails() {
             assert_eq!(msg.segments[0].as_ref(), payload.as_slice(), "{on:?}");
             // Reassembly is by reference. In memory every chunk is a
             // slice of the sender's segment: they re-join and that
-            // segment is the delivery. Over TCP the serial runtime's
-            // readers put each chunk where its head says it belongs in
-            // one allocation for the segment (the landing table), so
-            // the chunks re-join there too and nothing is gathered. On
-            // `Threads` each rail is read by a thread of its own with no
-            // table between them (it would be a lock on every frame of
-            // a runtime built to share none): each chunk arrives in its
-            // frame's allocation, and the segment is gathered — every
-            // byte copied once — when it is whole.
+            // segment is the delivery. Over TCP the rails' readers put
+            // each chunk where its head says it belongs in one
+            // allocation for the segment (the landing table), so the
+            // chunks re-join there too and nothing is gathered.
             let datapath = b.stats().datapath;
-            let (copied, payload_len) = (datapath.rx_copy_bytes, payload.len() as u64);
+            assert_eq!(datapath.rx_copy_bytes, 0, "{on:?}");
             match on {
-                (Transport::Mem, _) => {
-                    assert_eq!(copied, 0, "{on:?}");
-                    assert_eq!(msg.segments[0].as_ptr(), sent_from, "{on:?}");
+                Transport::Mem => assert_eq!(msg.segments[0].as_ptr(), sent_from, "{on:?}"),
+                Transport::Tcp => {
+                    assert!(
+                        datapath.rx_zero_copy_bytes >= payload.len() as u64,
+                        "{on:?}"
+                    )
                 }
-                (Transport::Tcp, Runtime::Serial) => {
-                    assert_eq!(copied, 0, "{on:?}");
-                    assert!(datapath.rx_zero_copy_bytes >= payload_len, "{on:?}");
-                }
-                (Transport::Tcp, Runtime::Threads) => assert_eq!(copied, payload_len, "{on:?}"),
             }
             let st = a.stats();
             assert!(st.rdv_handshakes >= 1, "{on:?}: must rendezvous");
@@ -157,11 +121,6 @@ fn large_message_striped_over_two_rails() {
                 "{on:?}: both rails must carry bytes: {:?}",
                 st.rails
             );
-            if on.1 != Runtime::Serial {
-                // The hub scheduler's short critical sections were measured.
-                assert!(st.obs.lock_hold_ns.count() > 0, "{on:?}");
-                assert!(st.obs.outbox_depth.count() > 0, "{on:?}");
-            }
         },
     );
 }
@@ -245,7 +204,7 @@ fn acked_delivery() {
         assert_eq!(r.wait(T).unwrap().segments[0].as_ref(), payload.as_slice());
         assert!(a.stats().acks_received >= 1, "{on:?}");
         assert!(!s.retransmit(), "{on:?}: nothing to resend once acked");
-        if on.0 == Transport::Tcp {
+        if on == Transport::Tcp {
             // TCP does not lose frames: the adaptive timers must not have
             // fired spuriously on a healthy fabric.
             assert_eq!(a.stats().retransmits, 0, "{on:?}");
@@ -272,73 +231,122 @@ fn unbounded_wait_returns_the_message() {
     });
 }
 
-/// `try_send` under a per-tenant quota of one message in flight: the hub
-/// runtime refuses the second submission and re-admits the tenant once
-/// the first has drained; the serial runtime has no admission boundary
-/// and admits everything, as `Endpoint::try_send` documents.
+/// `try_send` under each limit alone. A per-tenant quota of one message
+/// in flight refuses the second submission, counts it and re-admits the
+/// tenant once the first has completed; so does a pool watermark of one
+/// buffer while two are out (a rendezvous request on each rail).
 #[test]
 fn try_send_admission() {
-    let mut engine = EngineConfig::with_strategy(StrategyKind::Greedy);
-    engine.overload.max_tenant_inflight = 1;
-    on_every_pair(engine, |on, a, b| {
+    let mut quota = EngineConfig::with_strategy(StrategyKind::Greedy);
+    quota.overload.max_tenant_inflight = 1;
+    on_every_pair(quota, |on, a, b| {
         let c = a.conns()[0];
         // The first message cannot complete before the second is
         // submitted: it is a rendezvous and no receive is posted yet.
         let payload = random(1 << 20, 57);
         let s1 = a.try_send(c, vec![Bytes::from(payload.clone())]).unwrap();
         let second = a.try_send(c, vec![Bytes::from_static(b"second")]);
+        assert!(
+            matches!(second, Err(SubmitError::WouldBlock)),
+            "{on:?}: over quota must push back"
+        );
+        assert!(a.overload_stats().admission_rejections > 0, "{on:?}");
+        assert_eq!(a.overload_stats().watermark_rejections, 0, "{on:?}");
         let r1 = b.recv(c);
         assert!(s1.wait(T), "{on:?}");
         assert_eq!(r1.wait(T).unwrap().segments[0].as_ref(), payload.as_slice());
-
-        let s2 = if on.1 == Runtime::Serial {
-            assert_eq!(a.overload_stats(), OverloadStats::default(), "{on:?}");
-            second.unwrap_or_else(|e| panic!("{on:?}: serial always admits, got {e:?}"))
-        } else {
-            assert!(
-                matches!(second, Err(SubmitError::WouldBlock)),
-                "{on:?}: over quota must push back"
-            );
-            assert!(a.overload_stats().admission_rejections > 0, "{on:?}");
-            // The quota's credit comes back on a scheduler pass after
-            // the delivery.
-            let deadline = Instant::now() + T;
-            loop {
-                match a.try_send(c, vec![Bytes::from_static(b"second")]) {
-                    Ok(h) => break h,
-                    Err(SubmitError::WouldBlock) => {
-                        assert!(Instant::now() < deadline, "{on:?}: never re-admitted");
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(e) => panic!("{on:?}: {e:?}"),
-                }
-            }
-        };
+        // The quota's credit is back with the first send's completion.
+        let s2 = a
+            .try_send(c, vec![Bytes::from_static(b"second")])
+            .unwrap_or_else(|e| panic!("{on:?}: not re-admitted: {e:?}"));
         let r2 = b.recv(c);
         assert!(s2.wait(T), "{on:?}");
         assert_eq!(&r2.wait(T).unwrap().segments[0][..], b"second", "{on:?}");
+        assert_eq!(a.stats().overload, a.overload_stats(), "{on:?}");
+    });
+
+    // A pool buffer is out between a frame's post and its completion, so
+    // a live endpoint has more than one out only while a pass writes on
+    // both rails at once: a second thread streams rendezvous messages,
+    // whose chunks do just that, until an offer of the first meets it.
+    let mut watermark = EngineConfig::default();
+    watermark.overload.pool_watermark = 1;
+    on_every_pair_with_conns(2, watermark, |on, a, b| {
+        let (bulk, small) = (a.conns()[0], a.conns()[1]);
+        let payload = Bytes::from(random(1 << 20, 58));
+        let refused = AtomicBool::new(false);
+        let admitted = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !refused.load(Ordering::SeqCst) {
+                    let r = b.recv(bulk);
+                    let h = a.send(bulk, vec![payload.clone()]);
+                    assert!(r.wait(T).is_some() && h.wait(T), "{on:?}");
+                }
+            });
+            let deadline = Instant::now() + T;
+            let mut admitted = 0;
+            while let Ok(_handle) = a.try_send(small, vec![Bytes::from(random(64, admitted))]) {
+                admitted += 1;
+                if Instant::now() > deadline {
+                    refused.store(true, Ordering::SeqCst);
+                    panic!("{on:?}: {admitted} offers, none met two buffers out");
+                }
+            }
+            refused.store(true, Ordering::SeqCst);
+            admitted
+        });
+        let overload = a.overload_stats();
+        assert_eq!(
+            overload.watermark_rejections, 1,
+            "{on:?}: refused and counted"
+        );
+        assert_eq!(overload.admission_rejections, 0, "{on:?}");
+        // Nothing refused was queued, everything admitted arrives.
+        for i in 0..admitted {
+            let msg = b.recv(small).wait(T);
+            let msg = msg.unwrap_or_else(|| panic!("{on:?}: small message {i} of {admitted}"));
+            assert_eq!(msg.segments[0].as_ref(), random(64, i).as_slice(), "{on:?}");
+        }
+        // The rails have drained: the pool is below its watermark again.
+        let deadline = Instant::now() + T;
+        let s = loop {
+            match a.try_send(small, vec![Bytes::from_static(b"after")]) {
+                Ok(h) => break h,
+                Err(e) => assert!(Instant::now() < deadline, "{on:?}: not re-admitted: {e:?}"),
+            }
+        };
+        let r = b.recv(small);
+        assert!(s.wait(T), "{on:?}");
+        assert_eq!(&r.wait(T).unwrap().segments[0][..], b"after", "{on:?}");
+        assert_eq!(a.rx_errors() + b.rx_errors(), 0, "{on:?}");
     });
 }
 
-/// Many application threads on one endpoint, each on its own channel —
-/// the shape the hub runtime exists for. Sizes cover the eager track
-/// (alone and, with a window queued, aggregated) and the rendezvous.
+/// Many application threads on one endpoint, each on its own channel,
+/// each keeping a closed window of sends; a receiver thread per channel
+/// keeps as many receives posted. Order and content per channel, no
+/// errors, no pool leak — under mixed sizes (the eager track, alone and
+/// aggregated with a window queued, and the rendezvous), and under the
+/// shape the second runtime was kept for until it lost it too: 8 callers
+/// x a window of 16 x 256 B (`mt8_256`, EXPERIMENTS.md PR 24).
 #[test]
 fn concurrent_callers_on_distinct_conns() {
-    const CALLERS: usize = 4;
-    const MESSAGES: usize = 200;
-    const WINDOW: usize = 8;
-    const SIZES: [usize; 9] = [64, 256, 4096, 16_384, 200, 49_152, 700, 65_536, 262_144];
+    const MIXED: [usize; 9] = [64, 256, 4096, 16_384, 200, 49_152, 700, 65_536, 262_144];
+    concurrent_callers(4, 200, 8, &MIXED);
+    concurrent_callers(8, 1000, 16, &[256]);
+}
+
+fn concurrent_callers(callers: usize, messages: usize, window: usize, sizes: &[usize]) {
     let message =
-        |caller: usize, i: usize| random(SIZES[i % SIZES.len()], (caller * MESSAGES + i) as u64);
-    on_every_pair_with_conns(CALLERS, EngineConfig::default(), |on, a, b| {
+        |caller: usize, i: usize| random(sizes[i % sizes.len()], (caller * messages + i) as u64);
+    on_every_pair_with_conns(callers, EngineConfig::default(), |on, a, b| {
         std::thread::scope(|s| {
             for (caller, &c) in a.conns().iter().enumerate() {
                 let (a, b) = (&a, &b);
                 s.spawn(move || {
                     let mut inflight = VecDeque::new();
-                    for i in 0..MESSAGES {
-                        if inflight.len() == WINDOW {
+                    for i in 0..messages {
+                        if inflight.len() == window {
                             let h: SendHandle = inflight.pop_front().unwrap();
                             assert!(h.wait(T), "{on:?}: caller {caller}");
                         }
@@ -349,9 +357,9 @@ fn concurrent_callers_on_distinct_conns() {
                     }
                 });
                 s.spawn(move || {
-                    // Keeps WINDOW receives posted; the last WINDOW stay unmatched.
-                    let mut posted: VecDeque<RecvHandle> = (0..WINDOW).map(|_| b.recv(c)).collect();
-                    for i in 0..MESSAGES {
+                    // Keeps `window` receives posted; the last ones stay unmatched.
+                    let mut posted: VecDeque<RecvHandle> = (0..window).map(|_| b.recv(c)).collect();
+                    for i in 0..messages {
                         let msg = posted.pop_front().unwrap().wait(T);
                         let msg = msg.unwrap_or_else(|| panic!("{on:?}: conn {caller} recv {i}"));
                         assert!(
@@ -373,18 +381,18 @@ fn concurrent_callers_on_distinct_conns() {
 /// count and, where bytes cross the kernel, by the transport's own count
 /// of frames and of `write_vectored` calls (no control frame is sent in
 /// the shapes that ask).
-fn data_frames(on: (Transport, Runtime), e: &Endpoint) -> u64 {
+fn data_frames(on: Transport, e: &Endpoint) -> u64 {
     let st = e.stats();
     let packets = st.total_packets();
-    if on.0 == Transport::Tcp {
+    if on == Transport::Tcp {
         assert_eq!(st.syscalls.tx_frames, packets, "{on:?}");
         assert!(st.syscalls.tx_calls <= packets, "{on:?}");
     }
     packets
 }
 
-/// The optimisation window on live rails (DESIGN.md §15 "The window"),
-/// where callers drive progress. A burst — a window of 32 messages of
+/// The optimisation window on live rails (DESIGN.md §15 "The window").
+/// A burst — a window of 32 messages of
 /// 4 x 256 B kept full by a sender that never waits for an arrival on
 /// its own endpoint — leaves as aggregates of a frame's worth; an echo,
 /// where each end answers what it has just received, sends every message
@@ -393,7 +401,7 @@ fn data_frames(on: (Transport, Runtime), e: &Endpoint) -> u64 {
 fn burst_aggregates_and_echo_does_not() {
     const MESSAGES: usize = 2000;
     const WINDOW: usize = 32;
-    on_serial_pairs(EngineConfig::default(), |on, a, b| {
+    on_every_pair(EngineConfig::default(), |on, a, b| {
         let c = a.conns()[0];
         let message = |i: usize| -> Vec<Bytes> {
             (0..4)
@@ -421,7 +429,7 @@ fn burst_aggregates_and_echo_does_not() {
         );
         assert_eq!(a.rx_errors() + b.rx_errors(), 0, "{on:?}");
     });
-    on_serial_pairs(EngineConfig::default(), |on, a, b| {
+    on_every_pair(EngineConfig::default(), |on, a, b| {
         let c = a.conns()[0];
         const ROUNDS: u64 = 300;
         for i in 0..ROUNDS {
@@ -447,7 +455,7 @@ fn burst_aggregates_and_echo_does_not() {
 /// is dropped, not stranded.
 #[test]
 fn send_then_drop_delivers() {
-    on_serial_pairs(EngineConfig::default(), |on, a, b| {
+    on_every_pair(EngineConfig::default(), |on, a, b| {
         let c = a.conns()[0];
         let recvs: Vec<RecvHandle> = (0..3).map(|_| b.recv(c)).collect();
         for i in 0..3 {
@@ -470,8 +478,8 @@ fn send_then_drop_delivers() {
 /// round-trip sample run from the submission, so none of them may sit
 /// in the backlog waiting for company — with no lease held and the
 /// window of a first small frame open, where unacked ones would. No
-/// timer fires, and where callers drive progress the sends leave as they
-/// are submitted (two aggregates would carry all of them otherwise).
+/// timer fires, and the sends leave as they are submitted (two
+/// aggregates would carry all of them otherwise).
 /// Both are a matter of timing on a loaded machine — a send that finds
 /// the backstop mid-pass joins the backlog, as ever, and a thread that
 /// loses its CPU for a millisecond outlasts the shortest timeout — so
@@ -518,7 +526,7 @@ fn acked_burst_is_not_held_back() {
                  srtt echo {echo:?} burst {:?}",
                 srtt(&a)
             );
-            fired == 0 && (on.1 != Runtime::Serial || frames >= BURST / 2)
+            fired == 0 && frames >= BURST / 2
         });
         assert!(clean, "{on:?}: acked sends waited in the backlog");
     });

@@ -24,7 +24,7 @@ fn mixed_payload(i: usize, rng: &mut Xoshiro256StarStar) -> Vec<u8> {
 }
 
 #[test]
-fn two_hundred_mixed_messages_on_threads() {
+fn two_hundred_mixed_messages_on_the_mem_fabric() {
     let mut cfg = FabricConfig::new(
         platform::paper_platform(),
         EngineConfig::with_strategy(StrategyKind::AdaptiveSplit),
