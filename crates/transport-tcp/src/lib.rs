@@ -78,7 +78,7 @@ use nmad_model::Platform;
 use nmad_sim::Xoshiro256StarStar;
 use nmad_wire::PacketFrame;
 
-use frame::{FrameReader, LandingTable, LEN_PREFIX};
+use frame::{FrameReader, LandingTable, Source, LEN_PREFIX};
 
 mod frame;
 mod sys;
@@ -157,6 +157,14 @@ fn gather_batch_slices<'a>(
         }
     }
     filled
+}
+
+/// A rail's socket reads a landing chunk with a raw `read(2)` into the
+/// window's unwritten bytes ([`sys::read_into`]).
+impl Source for &TcpStream {
+    fn read_into(&mut self, window: &mut bytes::Window) -> std::io::Result<usize> {
+        sys::read_into(self, window)
+    }
 }
 
 /// Per-rail socket state: partial reads and pending vectored writes.

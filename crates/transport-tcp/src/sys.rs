@@ -1,12 +1,13 @@
-//! What the backstop thread sleeps on: epoll and
-//! eventfd, straight to the kernel.
+//! What the backstop thread sleeps on — epoll and eventfd — and the
+//! `read(2)` a rendezvous chunk lands through, straight to the kernel.
 //!
 //! The repo is offline/zero-dep, so there is no `libc` crate to lean on:
 //! the syscalls are made via inline assembly on x86_64/aarch64 Linux.
 //! Other targets get stub functions returning
 //! [`std::io::ErrorKind::Unsupported`] so the crate still compiles: the
-//! backstop thread degrades to a timed poll there. All of the crate's
-//! `unsafe` lives in this file. [`Poller`] and [`EventFd`] are the safe
+//! backstop thread degrades to a timed poll there, and [`read_into`]
+//! reads through a bounce buffer. All of the crate's `unsafe` lives in
+//! this file. [`Poller`], [`EventFd`] and [`read_into`] are the safe
 //! wrappers.
 
 use std::io::{self, Read, Write};
@@ -58,12 +59,15 @@ pub const EPOLL_CTL_MOD: i32 = 3;
 ))]
 mod imp {
     use super::EpollEvent;
+    use bytes::Window;
     use std::arch::asm;
     use std::io;
-    use std::os::fd::{FromRawFd, OwnedFd, RawFd};
+    use std::net::TcpStream;
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 
     #[cfg(target_arch = "x86_64")]
     mod nr {
+        pub const READ: i64 = 0;
         pub const EPOLL_CTL: i64 = 233;
         pub const EPOLL_PWAIT: i64 = 281;
         pub const EVENTFD2: i64 = 290;
@@ -71,6 +75,7 @@ mod imp {
     }
     #[cfg(target_arch = "aarch64")]
     mod nr {
+        pub const READ: i64 = 63;
         pub const EPOLL_CTL: i64 = 21;
         pub const EPOLL_PWAIT: i64 = 22;
         pub const EVENTFD2: i64 = 19;
@@ -190,6 +195,30 @@ mod imp {
         // SAFETY: fresh fd owned by nobody else, as in `epoll_create`.
         Ok(unsafe { OwnedFd::from_raw_fd(fd as RawFd) })
     }
+
+    /// One `read(2)` from `stream` into the unwritten part of `window`,
+    /// whose cursor moves over what the kernel wrote.
+    pub fn read_into(stream: &TcpStream, window: &mut Window) -> io::Result<usize> {
+        let buf = window.unwritten();
+        // SAFETY: the kernel writes at most `buf.len()` bytes into the
+        // exclusively borrowed slice, whose bytes may be uninitialised:
+        // `MaybeUninit` asks nothing of them, and `read(2)` only writes.
+        let n = cvt(unsafe {
+            syscall6(
+                nr::READ,
+                stream.as_raw_fd() as i64,
+                buf.as_mut_ptr() as i64,
+                buf.len() as i64,
+                0,
+                0,
+                0,
+            )
+        })?;
+        // SAFETY: `read(2)` returned `n`: it wrote the first `n` bytes of
+        // `unwritten`, and the cursor has not moved since.
+        unsafe { window.advance(n as usize) };
+        Ok(n as usize)
+    }
 }
 
 #[cfg(not(all(
@@ -198,7 +227,9 @@ mod imp {
 )))]
 mod imp {
     use super::EpollEvent;
-    use std::io;
+    use bytes::Window;
+    use std::io::{self, Read};
+    use std::net::TcpStream;
     use std::os::fd::{OwnedFd, RawFd};
 
     fn unsupported() -> io::Error {
@@ -225,9 +256,19 @@ mod imp {
     pub fn eventfd() -> io::Result<OwnedFd> {
         Err(unsupported())
     }
+
+    /// No raw `read(2)` on this target: one `read` into a bounce buffer,
+    /// copied to `window`'s cursor.
+    pub fn read_into(mut stream: &TcpStream, window: &mut Window) -> io::Result<usize> {
+        let mut bounce = [0u8; 16 << 10];
+        let room = bounce.len().min(window.remaining());
+        let n = stream.read(&mut bounce[..room])?;
+        window.put_slice(&bounce[..n]);
+        Ok(n)
+    }
 }
 
-pub use imp::{epoll_create, epoll_ctl, epoll_wait, eventfd};
+pub use imp::{epoll_create, epoll_ctl, epoll_wait, eventfd, read_into};
 
 /// Thin safe wrapper over one epoll instance.
 pub struct Poller {
@@ -336,6 +377,39 @@ mod tests {
         poller.add(efd.raw(), 7, false).unwrap();
         let twice = poller.add(efd.raw(), 7, false).unwrap_err();
         assert_eq!(twice.kind(), io::ErrorKind::AlreadyExists);
+    }
+
+    /// `read_into` hands the kernel the window's unwritten part alone:
+    /// what the socket holds lands at the cursor, a short read moves the
+    /// cursor by its count, a full window takes nothing more, and an empty
+    /// nonblocking socket is `WouldBlock` with the cursor where it was.
+    #[test]
+    fn read_into_lands_at_the_cursor() {
+        use std::net::{TcpListener, TcpStream};
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (rx, _) = listener.accept().unwrap();
+        let sent = b"landed at the cursor";
+        tx.write_all(sent).unwrap();
+        let mut window = bytes::Window::uninit(b"head".len() + sent.len());
+        window.put_slice(b"head");
+        let mut got = 0;
+        while got < sent.len() {
+            got += read_into(&rx, &mut window).unwrap();
+        }
+        assert_eq!(window.remaining(), 0);
+        assert_eq!(read_into(&rx, &mut window).unwrap(), 0, "nothing asked");
+        assert_eq!(&window.freeze()[..], b"headlanded at the cursor");
+
+        rx.set_nonblocking(true).unwrap();
+        let mut window = bytes::Window::uninit(8);
+        let err = read_into(&rx, &mut window).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert_eq!(window.remaining(), 8);
+        tx.write_all(b"abc").unwrap();
+        rx.set_nonblocking(false).unwrap();
+        assert_eq!(read_into(&rx, &mut window).unwrap(), 3);
+        assert_eq!(window.remaining(), 5);
     }
 
     /// Any number of wakes is one readable event and one drain.

@@ -18,9 +18,11 @@ quick=0
 # one runtime and nothing picks it — and TCP frames are carved by
 # transport-tcp's FrameReader only. A transport that grows its own copy
 # of any of these fails here, and so does any trace of the two runtimes
-# deleted in PR 17 and PR 24 (DESIGN.md §14), and any `unsafe` in
-# nmad-core or the mem fabric (both `forbid` it; the workspace's is
-# wire::checksum, transport-tcp::sys and vendor/bytes::window).
+# deleted in PR 17 and PR 24 (DESIGN.md §14), the zero-filled landing
+# window (a window is written before it is frozen, DESIGN.md §4 "TCP: the
+# landing table"), and any `unsafe` in nmad-core or the mem fabric (both
+# `forbid` it; the workspace's is wire::checksum, transport-tcp::sys and
+# vendor/bytes::window).
 echo "==> one endpoint, one driver, one runtime, one frame reader, no unsafe in core or mem"
 if grep -rnE 'struct (Endpoint|SendHandle|RecvHandle)\b|fn wait_on\b' crates/transport-*/src; then
     echo "a transport crate defines its own endpoint surface (see above)"; exit 1
@@ -37,8 +39,8 @@ fi
 if grep -rnE 'HOLDS_EVERY_WAIT|wait_holds|in_bulk_frame' crates; then
     echo "a per-transport lease rule is back beside the one rule (see above)"; exit 1
 fi
-if grep -rnE 'carve_frames|\.parallel =|\.reactor =|reactor_threads|Runtime::Reactor|ReactorPool|ReactorStats|ablate_reactor|NMAD_REACTOR|Runtime::Threads|ParallelHub|spawn_hub|TxWorker|OutboxReceiver|\.runtime =|rail_pipeline|max_submission_depth' \
-    crates src tests examples .github; then
+if grep -rnE 'carve_frames|\.parallel =|\.reactor =|reactor_threads|Runtime::Reactor|ReactorPool|ReactorStats|ablate_reactor|NMAD_REACTOR|Runtime::Threads|ParallelHub|spawn_hub|TxWorker|OutboxReceiver|\.runtime =|rail_pipeline|max_submission_depth|Window::zeroed' \
+    crates src tests examples .github vendor/bytes; then
     echo "a deleted runtime, runtime switch or carve path is back (see above)"; exit 1
 fi
 if grep -rnw 'unsafe' crates/core/src crates/transport-mem/src; then
@@ -87,12 +89,20 @@ fi
 # And the windows the payload is written through are the vendored
 # `bytes`' one module with `unsafe` in it (vendor/bytes/src/window.rs,
 # SAFETY argument in its docs): none anywhere else in that crate.
-echo "==> chunk head layout is nmad-wire's; unsafe in vendor/bytes is window.rs only"
+echo "==> chunk head layout is nmad-wire's; unsafe in vendor/bytes is window.rs only, in transport-tcp sys.rs only"
 if grep -nE 'ENVELOPE_LEN|\b(24|58)\b|PacketKind' crates/transport-tcp/src/*.rs; then
     echo "transport-tcp knows the chunk head's layout (see above): ask nmad_wire::ChunkHead"; exit 1
 fi
 if grep -rnw 'unsafe' vendor/bytes/src | grep -v '^vendor/bytes/src/window\.rs:'; then
     echo "unsafe in vendor/bytes outside window.rs (see above)"; exit 1
+fi
+# A landing window is written only through its cursor (`put_slice`, or
+# `read_into`'s raw `read(2)` into its unwritten bytes): the syscall and
+# the cursor move it makes are transport-tcp's only `unsafe` besides
+# epoll and eventfd, all in sys.rs. The reader's tests, with their
+# allocator, are a test binary of their own (tests/frame_reader.rs).
+if grep -rnw 'unsafe' crates/transport-tcp/src | grep -v '^crates/transport-tcp/src/sys\.rs:'; then
+    echo "unsafe in transport-tcp outside sys.rs (see above)"; exit 1
 fi
 
 # Every wire header is one fixed layout (nmad-wire's `layout!`: the
@@ -143,6 +153,14 @@ cargo test --workspace -q
 echo "==> live optimisation window (conformance burst_aggregates_and_echo_does_not)"
 cargo test -q --test conformance burst_aggregates_and_echo_does_not -- --nocapture \
     | grep 'frames_per_msg' | sed 's/^/    /'
+
+# No byte nobody wrote reaches the engine: the frame reader's test binary
+# fills every fresh allocation with a sentinel and drives two rails'
+# chunk streams through one landing table in every way a window can be
+# left unwritten (DESIGN.md §4 "TCP: the landing table"). By name, so
+# that the log shows it ran.
+echo "==> landing windows are written before they are frozen (frame_reader the_sentinel_never_surfaces)"
+cargo test -q -p nmad-transport-tcp --test frame_reader the_sentinel_never_surfaces
 
 # vendor/ is outside the workspace, and `Bytes::try_unsplit` and `Window`
 # are what upstream `bytes` does not have in this form (vendor/README.md):
@@ -259,7 +277,9 @@ grep -q '"clean":true' "$wd_tmp" \
 # chunks are read into one allocation per segment (the landing table), so
 # bytes allocated per payload byte read 1.04 — and 2.02 when every chunk
 # lands in its frame's allocation and the segment is gathered into a
-# second one.
+# second one. Its per-thread CPU is printed as trend lines, not gated:
+# the application thread's share fell when the landing allocation
+# stopped being zero-filled before it is read into (DESIGN.md §4).
 # The burst is traced for the eager track's per-message ledger: the
 # engine's `next_tx` and `on_frame` time per message, the decode time of
 # a 64-entry aggregate and the allocations per message. Times depend on
@@ -295,6 +315,10 @@ alloc_ratio="$(ledger "$stream_out" alloc.bytes_per_payload_byte)"
 echo "    alloc.bytes_per_payload_byte on tcp_stream_large: ${alloc_ratio:-missing}"
 awk -v r="${alloc_ratio:-2}" 'BEGIN { exit !(r <= 1.2) }' \
     || { echo "tcp_stream_large allocates ${alloc_ratio:-?} bytes per payload byte (budget 1.2): chunks miss the landing table and segments are gathered again"; exit 1; }
+for metric in sched.app_cpu_us_per_msg sched.worker_cpu_us_per_msg; do
+    value="$(ledger "$stream_out" "$metric")"
+    echo "    $metric on tcp_stream_large: ${value:-missing}"
+done
 
 burst_out="$("${bench[@]}" --workload tcp_burst_multiseg --seconds 3 --trace 1 | tail -n 1)"
 echo "$burst_out" | grep -q '"correct": true' \
