@@ -2,7 +2,8 @@
 //! six load regimes (uniform bulk, bounded-Pareto heavy tail, MMPP
 //! bursts, bandwidth drift, hard outage, asymmetric small flood), gated
 //! on the zoo's three claims — SRPT holds the heavy tail, harvesting
-//! recovers idle bandwidth, the latency router cuts small-message p99.
+//! recovers idle bandwidth, adaptive-split cuts greedy's small-message
+//! p99.
 //! Run with `cargo bench -p nmad-bench --bench ablate_strategies`.
 //! Set `NMAD_STRATEGIES_SMOKE=1` for the quick CI grid;
 //! `NMAD_STRATEGIES_SEED=<n>` replays a recorded run.

@@ -1,8 +1,8 @@
 //! Strategy-zoo tournament: every [`StrategyKind`] against every traffic
 //! scenario (`nmad tournament`, `ablate_strategies`, `BENCH_strategies.json`).
 //!
-//! The zoo's three newcomers each claim a regime; the tournament is the
-//! instrument that checks the claims instead of taking them on faith:
+//! Three presets claim a regime; the tournament is the instrument that
+//! checks the claims instead of taking them on faith:
 //!
 //! * **srpt** — shortest-remaining-work with straggler re-striping must
 //!   match greedy on heavy-tailed backlogs (the regime where serving the
@@ -10,9 +10,9 @@
 //! * **idle-harvest** — on an asymmetric small-message flood, the rail
 //!   the primary placement leaves idle must be put to work, measurably
 //!   shortening the makespan;
-//! * **latency-router** — under mixed load, pinning smalls to the
-//!   low-latency rail must cut the small-message p99 versus letting them
-//!   queue behind bulk.
+//! * **adaptive-split** — under mixed load, aggregating smalls onto the
+//!   low-latency rail must cut the small-message p99 versus FIFO greedy,
+//!   which lets them queue behind bulk.
 //!
 //! Six deterministic scenarios run on the discrete-event [`SimWorld`]
 //! (virtual time, replayable from the seed): a uniform bulk burst, a
@@ -35,7 +35,7 @@ use serde::{ser, Serialize, Value};
 use crate::loadgen::{ArrivalSampler, Arrivals, BoundedPareto};
 
 /// Messages at or below this are "small" for the latency metric — the
-/// PIO-class traffic the latency router pins to the low-latency rail.
+/// PIO-class traffic aggregation favours onto the low-latency rail.
 pub const SMALL_CUTOFF: usize = 4096;
 
 /// One submission wave: `gap_us` of sender compute (think time) once the
@@ -95,9 +95,9 @@ pub fn scenarios(seed: u64, smoke: bool) -> Vec<Scenario> {
     };
 
     // Bounded-Pareto heavy tail: many smalls, a few multi-MiB elephants
-    // in one burst — SRPT's regime, and mixed load for the router's
-    // small-p99 claim. A Pareto draw this short can miss the tail
-    // entirely, so the elephants are pinned: the tail is the scenario.
+    // in one burst — SRPT's regime, and mixed load for the small-p99
+    // claim. A Pareto draw this short can miss the tail entirely, so the
+    // elephants are pinned: the tail is the scenario.
     let mut rng = Xoshiro256StarStar::new(seed ^ 0x7A11);
     let pareto = BoundedPareto::new(64, 256 << 10, 1.1);
     let mut heavy_sizes: Vec<usize> = (0..n(36, 24))
@@ -105,7 +105,7 @@ pub fn scenarios(seed: u64, smoke: bool) -> Vec<Scenario> {
         .collect();
     // Interleave them from the front so smalls contend with elephants
     // in flight — appended at the end they'd finish before any queueing
-    // and the router/SRPT claims would measure nothing.
+    // and the small-p99/SRPT claims would measure nothing.
     let elephants = [2 << 20, 1 << 20, (3 << 20) / 2, 2 << 20];
     for (i, e) in elephants.iter().enumerate() {
         let at = (i * heavy_sizes.len() / elephants.len()).min(heavy_sizes.len());
@@ -526,22 +526,21 @@ pub fn check(r: &TournamentReport) -> Vec<String> {
         None => v.push("asym-smalls idle-harvest/adaptive-split cells missing".into()),
     }
 
-    // Router claim: under the mixed heavy-tail load, classifying by size
-    // must cut the small-message p99 at least in half versus greedy, the
-    // paper's default multi-rail strategy, which drains the backlog in
-    // arrival order and parks smalls behind elephant chunks. (Strategies
-    // that aggregate the eager backlog also protect smalls here — the
-    // table records that — but FIFO greedy is the claim's baseline.)
-    match pair("heavy-tail", "latency-router", "greedy") {
-        Some((router, greedy)) => {
-            if router.small_p99_us >= greedy.small_p99_us * 0.5 {
+    // Small-p99 claim: under the mixed heavy-tail load, aggregating the
+    // smalls onto the low-latency rail (§3.3, kept by the default
+    // preset) must cut the small-message p99 at least in half versus
+    // greedy, which drains the backlog in arrival order and parks smalls
+    // behind elephant chunks.
+    match pair("heavy-tail", "adaptive-split", "greedy") {
+        Some((adaptive, greedy)) => {
+            if adaptive.small_p99_us >= greedy.small_p99_us * 0.5 {
                 v.push(format!(
-                    "latency-router did not cut small p99 on heavy-tail: {:.1} us vs greedy {:.1} us",
-                    router.small_p99_us, greedy.small_p99_us
+                    "adaptive-split did not cut small p99 on heavy-tail: {:.1} us vs greedy {:.1} us",
+                    adaptive.small_p99_us, greedy.small_p99_us
                 ));
             }
         }
-        None => v.push("heavy-tail latency-router/greedy cells missing".into()),
+        None => v.push("heavy-tail adaptive-split/greedy cells missing".into()),
     }
     v
 }

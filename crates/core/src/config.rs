@@ -31,50 +31,6 @@ impl OverloadConfig {
     }
 }
 
-/// Knobs for the strategy-zoo additions (SRPT re-striping, idle-link
-/// harvesting, latency-class routing). Defaults are conservative enough
-/// that the new strategies behave sensibly on both the simulator's
-/// nanosecond clock and the threaded transports.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ZooConfig {
-    /// SRPT declares a rail a straggler when its oldest in-flight frame
-    /// has aged past this multiple of the rail's predicted service time.
-    pub srpt_straggle_factor: f64,
-    /// Floor on the straggler age threshold (ns), so noisy early EWMA
-    /// samples cannot trigger re-striping storms.
-    pub srpt_straggle_floor_ns: u64,
-    /// Idle-link harvesting only steals overflow while the schedulable
-    /// backlog exceeds this many bytes — below it the primary strategy's
-    /// placement is left alone.
-    pub harvest_watermark_bytes: u64,
-    /// After serving a small control-class message, the latency router
-    /// keeps the pinned rail reserved for smalls for this long (ns).
-    pub router_reserve_ns: u64,
-}
-
-impl Default for ZooConfig {
-    fn default() -> Self {
-        ZooConfig {
-            srpt_straggle_factor: 4.0,
-            srpt_straggle_floor_ns: 200_000,
-            harvest_watermark_bytes: 64 * 1024,
-            router_reserve_ns: 200_000,
-        }
-    }
-}
-
-impl ZooConfig {
-    /// Sanity-check the straggler threshold.
-    pub fn validate(&self) {
-        assert!(
-            self.srpt_straggle_factor >= 1.0,
-            "srpt_straggle_factor {} must be at least 1.0 (below the predicted \
-             completion every in-flight frame would count as straggling)",
-            self.srpt_straggle_factor
-        );
-    }
-}
-
 /// Tunable knobs of the engine, with defaults matching the paper's setup.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
@@ -129,9 +85,6 @@ pub struct EngineConfig {
     /// [`crate::obs::Watchdog`]). Off by default; enabling it requires
     /// telemetry.
     pub watchdog: WatchdogConfig,
-    /// Strategy-zoo knobs (SRPT re-striping, harvesting watermark,
-    /// latency-router reserve window).
-    pub zoo: ZooConfig,
 }
 
 impl Default for EngineConfig {
@@ -149,7 +102,6 @@ impl Default for EngineConfig {
             overload: OverloadConfig::default(),
             telemetry: TelemetryConfig::default(),
             watchdog: WatchdogConfig::default(),
-            zoo: ZooConfig::default(),
         }
     }
 }
@@ -176,7 +128,6 @@ impl EngineConfig {
         self.calibration.validate();
         self.telemetry.validate();
         self.watchdog.validate();
-        self.zoo.validate();
         if self.telemetry.enabled() {
             assert!(
                 self.record_capacity > 0,

@@ -209,7 +209,7 @@ pub struct Engine {
     config: EngineConfig,
     rails: Vec<NicModel>,
     tables: Vec<PerfTable>,
-    strategy: Box<dyn Strategy>,
+    strategy: Strategy,
     backlog: Backlog,
     /// Whether each rail has an injection in flight, between `next_tx`
     /// and `on_tx_done`: one frame per rail at a time.

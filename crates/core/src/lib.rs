@@ -9,10 +9,11 @@
 //!   applications build messages from one or more segments
 //!   (`pack`-style incremental construction) and submit them without
 //!   triggering any network activity;
-//! * **Scheduling layer** — [`strategy`]: interchangeable *optimizing
-//!   schedulers*. When a NIC becomes idle the engine queries the selected
-//!   strategy for the most appropriate packet — aggregating small
-//!   segments, splitting large ones across rails, or just forwarding;
+//! * **Scheduling layer** — [`strategy`]: the *optimizing scheduler*, one
+//!   decision pipeline with a preset per named strategy. When a NIC
+//!   becomes idle the engine queries it for the most appropriate packet —
+//!   aggregating small segments, splitting large ones across rails, or
+//!   just forwarding;
 //! * **Transmit layer** — [`driver`]: the engine ↔ runtime contract.
 //!   The engine is runtime-agnostic: the discrete-event simulator and the
 //!   real threaded transport both drive the *same* engine code through
@@ -94,7 +95,7 @@ pub mod strategy;
 
 pub use api::{MessageBuilder, MessageReader};
 pub use chaos::ChaosState;
-pub use config::{EngineConfig, OverloadConfig, ZooConfig};
+pub use config::{EngineConfig, OverloadConfig};
 pub use driver::{TxDecision, TxToken};
 pub use endpoint::{
     Deadline, Endpoint, Fabric, FabricStatus, Parker, Rails, RecvHandle, SendHandle, Serial,

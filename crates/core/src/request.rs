@@ -14,7 +14,7 @@ pub struct SendId(pub u64);
 pub struct RecvId(pub u64);
 
 /// Identifies one segment of one message on one connection.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SegKey {
     /// Connection.
     pub conn: ConnId,

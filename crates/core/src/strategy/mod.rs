@@ -1,37 +1,30 @@
-//! Pluggable optimizing schedulers ("strategies", paper §2–3).
+//! The optimizing scheduler ("strategy", paper §2–3): one decision
+//! pipeline, with every named [`StrategyKind`] a preset of it.
 //!
-//! A strategy is consulted exactly when a rail becomes idle and decides
+//! The strategy is consulted exactly when a rail becomes idle and decides
 //! which waiting work that rail should carry next — the paper's
-//! "just-in-time" scheduling. Strategies see the backlog and per-rail
-//! capabilities through [`StrategyCtx`], and answer with a [`TxOp`]; the
+//! "just-in-time" scheduling. It sees the backlog and per-rail
+//! capabilities through [`StrategyCtx`] and answers with a [`TxOp`]; the
 //! engine turns the op into a wire packet and does all bookkeeping.
 //!
-//! The implementations mirror the paper's incremental development:
+//! The paper builds its strategy one stage at a time, and so does the
+//! pipeline (*classify → place → split*, as Nezha and RailS describe it):
 //!
-//! | Module | Paper section | Policy |
+//! | Stage | Choices | Paper |
 //! |---|---|---|
-//! | [`single_rail`] | §3.1 (Figs 2–3) | everything on one rail, optional opportunistic aggregation |
-//! | [`greedy`] | §3.2 (Figs 4–5) | idle NIC takes the first available segment |
-//! | [`aggregate_eager`] | §3.3 (Fig 6) | aggregate small messages onto the lowest-latency rail, greedy for large |
-//! | [`adaptive_split`] | §3.4 (Fig 7) | + split large segments across idle rails by sampled ratios (or 50/50 for the iso-split reference) |
+//! | order | FIFO across tracks, bulk first, shortest remaining work first | §3.2 / §3.1–3.4 / RailS |
+//! | `place` | pinned with failover, any idle rail, smalls to the fastest rail, bound at first sight | §3.1 / §3.2 / §3.3 / §3.5's strawman |
+//! | `cut` | segments whole, smalls aggregated, bulk split by sampled, equal or first-share ratio | — / §3.1 / §3.4 |
+//! | `hooks` | re-stripe a straggler's plan before deciding, harvest overflow after | RailS / FlexLink |
 //!
-//! Beyond the paper's stages, the zoo carries strategies from later
-//! multi-rail literature (see DESIGN.md "Strategy zoo"):
-//!
-//! | Module | Source | Policy |
-//! |---|---|---|
-//! | [`srpt`] | RailS | shortest-remaining-work first, straggler-aware re-striping |
-//! | [`idle_harvest`] | FlexLink | any primary strategy + idle rails steal overflow above a watermark |
-//! | [`latency_router`] | — | control-class smalls pinned to the lowest-latency rail, bulk split elsewhere |
+//! Every step is an enum matched in place: there is one [`Strategy`]
+//! type, and [`StrategyKind::build`] picks its stages.
 
-pub mod adaptive_split;
-pub mod aggregate_eager;
-pub mod greedy;
-pub mod idle_harvest;
-pub mod latency_router;
-pub mod single_rail;
-pub mod srpt;
-pub mod static_round_robin;
+mod cut;
+mod hooks;
+mod place;
+#[cfg(test)]
+mod tests;
 
 use nmad_model::{NicModel, RailId};
 use nmad_wire::split::SplitPlan;
@@ -39,14 +32,22 @@ use nmad_wire::SmallList;
 
 use crate::config::EngineConfig;
 use crate::obs::{Event, EventKind, FlightRecorder};
-use crate::request::{Backlog, PlannedChunk, SegKey};
+use crate::request::{Backlog, BacklogItem, PlannedChunk, SegKey};
 use crate::sampling::{split_weights, PerfTable, Weights};
+
+use cut::{Cut, Ratio};
+use hooks::Hook;
+use place::{Binding, Place};
 
 /// The segments one frame carries: aggregates of up to eight stay inline.
 pub type KeyList = SmallList<SegKey, 8>;
 
 /// A set of rails; up to four stay inline.
 pub type RailList = SmallList<RailId, 4>;
+
+/// A granted segment's unsent remainder: key, offset of its next byte,
+/// bytes left.
+type Seg = (SegKey, u64, u64);
 
 /// What a strategy wants an idle rail to transmit.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -216,28 +217,188 @@ impl StrategyCtx<'_> {
             .map(RailId)
             .expect("engine always has rails")
     }
+
+    /// Whether an earlier split plan earmarked an untaken chunk for `rail`.
+    fn planned_for(&self, rail: RailId) -> bool {
+        self.backlog.granted_items().any(|i| {
+            i.plan
+                .as_ref()
+                .is_some_and(|p| p.iter().any(|c| !c.taken && c.rail == rail.0))
+        })
+    }
+
+    /// The first granted segment no plan has claimed yet.
+    fn first_unplanned(&self) -> Option<Seg> {
+        self.backlog
+            .granted_items()
+            .find(|i| i.plan.is_none())
+            .map(seg)
+    }
+
+    /// The eager segments one aggregate should carry right now: those
+    /// below `small_below` bytes, in submit order, up to the
+    /// aggregation size cap (the first always fits).
+    fn aggregation_batch(&self, small_below: u64) -> KeyList {
+        let cap = self.config.agg_max_bytes as u64;
+        let mut keys = KeyList::new();
+        let mut total = 0u64;
+        for item in self.backlog.eager_items() {
+            if item.size >= small_below {
+                continue;
+            }
+            if !keys.is_empty() && total + item.size > cap {
+                break;
+            }
+            total += item.size;
+            keys.push(item.key);
+            if total >= cap {
+                break;
+            }
+        }
+        keys
+    }
 }
 
-/// An optimizing scheduler.
-pub trait Strategy: Send {
+fn seg(i: &BacklogItem) -> Seg {
+    (i.key, i.next_offset, i.remaining())
+}
+
+/// The op that sends `batch`: nothing, the one segment as it is, or an
+/// aggregate of them.
+fn batch_op(batch: KeyList) -> Option<TxOp> {
+    match batch.len() {
+        0 => None,
+        1 => Some(TxOp::Eager(batch[0])),
+        _ => Some(TxOp::Aggregate(batch)),
+    }
+}
+
+/// In which order a rail looks at the schedulable work.
+#[derive(Clone, Copy, Debug)]
+enum Order {
+    /// "The first available segment" (§3.2): the oldest eager or granted
+    /// segment, whichever track it waits on.
+    Fifo,
+    /// Granted bulk, then eager segments too large to be small, then the
+    /// smalls.
+    BulkFirst,
+    /// Least remaining bytes first, ties by submit order (RailS): small
+    /// requests stop queueing behind multi-megabyte transfers.
+    Srpt,
+}
+
+/// The optimizing scheduler: an order, a placement and a cut, plus at
+/// most one hook. Built by [`StrategyKind::build`].
+#[derive(Debug)]
+pub struct Strategy {
+    kind: StrategyKind,
+    order: Order,
+    place: Place,
+    cut: Cut,
+    hook: Option<Hook>,
+}
+
+impl Strategy {
     /// Strategy name (figure legends, traces).
-    fn name(&self) -> &'static str;
+    pub fn name(&self) -> &'static str {
+        self.kind.label()
+    }
 
-    /// Pick work for idle `rail`, or `None` to leave it idle. Implementors
-    /// must only reference backlog entries in a schedulable phase; the
-    /// engine validates and surfaces violations as
+    /// Pick work for idle `rail`, or `None` to leave it idle. Only
+    /// backlog entries in a schedulable phase are named; the engine
+    /// validates every op and surfaces a violation as
     /// [`crate::EngineError::InvalidStrategyOp`].
-    fn next_tx(&mut self, rail: RailId, ctx: &mut StrategyCtx<'_>) -> Option<TxOp>;
+    pub fn next_tx(&mut self, rail: RailId, ctx: &mut StrategyCtx<'_>) -> Option<TxOp> {
+        match &mut self.place {
+            Place::Bound(binding) => return binding.next_tx(rail, ctx),
+            place if !place.admits(rail, ctx) => return None,
+            _ => {}
+        }
+        if self.hook == Some(Hook::Restripe) {
+            hooks::restripe(ctx);
+        }
+        if ctx.planned_for(rail) {
+            return Some(TxOp::PlannedChunk);
+        }
+        let op = match self.order {
+            Order::Fifo => self.fifo(rail, ctx),
+            Order::BulkFirst => self.bulk_first(rail, ctx),
+            Order::Srpt => self.srpt(rail, ctx),
+        };
+        if op.is_none() && self.hook == Some(Hook::Harvest) {
+            return hooks::harvest(rail, ctx);
+        }
+        op
+    }
+
+    fn fifo(&self, rail: RailId, ctx: &mut StrategyCtx<'_>) -> Option<TxOp> {
+        let eager = ctx.backlog.eager_items().next();
+        let bulk = ctx.backlog.granted_items().find(|i| i.plan.is_none());
+        match (eager, bulk) {
+            (Some(e), b) if b.is_none_or(|b| e.submit_seq < b.submit_seq) => {
+                Some(TxOp::Eager(e.key))
+            }
+            (_, Some(b)) => self.cut.bulk(rail, seg(b), ctx),
+            _ => None,
+        }
+    }
+
+    fn bulk_first(&self, rail: RailId, ctx: &mut StrategyCtx<'_>) -> Option<TxOp> {
+        if let Some(op) = ctx
+            .first_unplanned()
+            .and_then(|seg| self.cut.bulk(rail, seg, ctx))
+        {
+            return Some(op);
+        }
+        // A segment too large to be small gains nothing from a staging
+        // copy and does gain from overlap: it goes whole, on this rail.
+        let small_below = self.place.small_below(ctx);
+        if let Some(item) = ctx.backlog.eager_items().find(|i| i.size >= small_below) {
+            return Some(TxOp::Eager(item.key));
+        }
+        self.smalls(rail, small_below, ctx)
+    }
+
+    fn srpt(&self, rail: RailId, ctx: &mut StrategyCtx<'_>) -> Option<TxOp> {
+        let small_below = self.place.small_below(ctx);
+        let eager = ctx
+            .backlog
+            .eager_items()
+            .map(|i| (i.size, i.submit_seq, i.key, None));
+        let bulk = ctx
+            .backlog
+            .granted_items()
+            .filter(|i| i.plan.is_none())
+            .map(|i| (i.remaining(), i.submit_seq, i.key, Some(seg(i))));
+        let mut cands: Vec<_> = eager.chain(bulk).collect();
+        cands.sort_by_key(|&(work, seq, ..)| (work, seq));
+        cands
+            .into_iter()
+            .find_map(|(work, _, key, bulk)| match bulk {
+                // A split that leaves this rail out moves on to the next.
+                Some(seg) => self.cut.bulk(rail, seg, ctx),
+                None if work < small_below => self.smalls(rail, small_below, ctx),
+                None => Some(TxOp::Eager(key)),
+            })
+    }
+
+    /// The waiting smalls, if the placement lets `rail` take them.
+    fn smalls(&self, rail: RailId, small_below: u64, ctx: &StrategyCtx<'_>) -> Option<TxOp> {
+        if !self.place.takes_smalls(rail, ctx) {
+            return None;
+        }
+        self.cut.smalls(small_below, ctx)
+    }
 }
 
-/// Strategy selection, mirroring the paper's four stages plus the
-/// iso-split reference of Fig. 7.
+/// The named strategies: each a preset of the pipeline's stages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum StrategyKind {
     /// Everything on one rail, no aggregation (the "regular"/"N-segment"
     /// reference curves of Figs 2–3).
     SingleRail(usize),
-    /// One rail with opportunistic aggregation of waiting small segments.
+    /// One rail with opportunistic aggregation of waiting small segments
+    /// (§3.1).
     SingleRailAggregating(usize),
     /// §3.2: greedy balancing — an idle NIC takes the first segment.
     Greedy,
@@ -258,41 +419,38 @@ pub enum StrategyKind {
     /// RailS-style shortest-remaining-work-first with straggler-aware
     /// re-striping of the laggard rail's remaining plan.
     Srpt,
-    /// FlexLink-style idle-link harvesting wrapped around the adaptive
-    /// splitter: idle rails steal overflow chunks above a watermark.
+    /// FlexLink-style idle-link harvesting on top of the adaptive
+    /// splitter: idle rails steal overflow above a watermark.
     IdleHarvest,
-    /// Latency-class router: small control-class messages pinned to the
-    /// lowest-latency healthy rail, bulk split across the rest.
-    LatencyRouter,
 }
 
 impl StrategyKind {
-    /// Instantiate the strategy.
-    pub fn build(self) -> Box<dyn Strategy> {
-        match self {
-            StrategyKind::SingleRail(rail) => {
-                Box::new(single_rail::SingleRail::new(RailId(rail), false))
-            }
-            StrategyKind::SingleRailAggregating(rail) => {
-                Box::new(single_rail::SingleRail::new(RailId(rail), true))
-            }
-            StrategyKind::Greedy => Box::new(greedy::Greedy::new()),
-            StrategyKind::AggregateEager => Box::new(aggregate_eager::AggregateEager::new()),
-            StrategyKind::AdaptiveSplit => Box::new(adaptive_split::AdaptiveSplit::new(
-                adaptive_split::SplitMode::Sampled,
-            )),
-            StrategyKind::IsoSplit => Box::new(adaptive_split::AdaptiveSplit::new(
-                adaptive_split::SplitMode::Iso,
-            )),
-            StrategyKind::FixedSplit(permille) => Box::new(adaptive_split::AdaptiveSplit::new(
-                adaptive_split::SplitMode::Fixed(permille),
-            )),
-            StrategyKind::StaticRoundRobin => Box::new(static_round_robin::StaticRoundRobin::new()),
-            StrategyKind::Srpt => Box::new(srpt::Srpt::new()),
-            StrategyKind::IdleHarvest => Box::new(idle_harvest::IdleHarvest::new(Box::new(
-                adaptive_split::AdaptiveSplit::new(adaptive_split::SplitMode::Sampled),
-            ))),
-            StrategyKind::LatencyRouter => Box::new(latency_router::LatencyRouter::new()),
+    /// Instantiate the strategy: this preset's stages.
+    pub fn build(self) -> Strategy {
+        use self::Order::{BulkFirst, Fifo};
+        use Cut::{Aggregate, Split, Whole};
+        use Hook::{Harvest, Restripe};
+        use Place::{AnyIdle, Pinned, SmallsToFastest};
+        use Ratio::{Equal, FirstShare, Sampled};
+        let (order, place, cut, hook) = match self {
+            Self::SingleRail(r) => (BulkFirst, Pinned(RailId(r)), Whole, None),
+            Self::SingleRailAggregating(r) => (BulkFirst, Pinned(RailId(r)), Aggregate, None),
+            Self::Greedy => (Fifo, AnyIdle, Whole, None),
+            Self::AggregateEager => (BulkFirst, SmallsToFastest, Aggregate, None),
+            Self::AdaptiveSplit => (BulkFirst, SmallsToFastest, Split(Sampled), None),
+            Self::IsoSplit => (BulkFirst, SmallsToFastest, Split(Equal), None),
+            Self::FixedSplit(p) => (BulkFirst, SmallsToFastest, Split(FirstShare(p)), None),
+            // The binding serves its own order and cut.
+            Self::StaticRoundRobin => (Fifo, Place::Bound(Binding::default()), Whole, None),
+            Self::Srpt => (Order::Srpt, AnyIdle, Split(Sampled), Some(Restripe)),
+            Self::IdleHarvest => (BulkFirst, SmallsToFastest, Split(Sampled), Some(Harvest)),
+        };
+        Strategy {
+            kind: self,
+            order,
+            place,
+            cut,
+            hook,
         }
     }
 
@@ -309,7 +467,6 @@ impl StrategyKind {
             StrategyKind::StaticRoundRobin => "static-round-robin",
             StrategyKind::Srpt => "srpt",
             StrategyKind::IdleHarvest => "idle-harvest",
-            StrategyKind::LatencyRouter => "latency-router",
         }
     }
 
@@ -327,159 +484,6 @@ impl StrategyKind {
             StrategyKind::StaticRoundRobin,
             StrategyKind::Srpt,
             StrategyKind::IdleHarvest,
-            StrategyKind::LatencyRouter,
         ]
-    }
-}
-
-/// Shared helper: collect the set of eager segments an aggregating
-/// strategy should merge right now, respecting the aggregation size cap.
-/// Returns keys in submit order; empty when nothing is waiting.
-pub(crate) fn collect_aggregation_batch(ctx: &StrategyCtx<'_>) -> KeyList {
-    collect_aggregation_batch_below(ctx, u64::MAX)
-}
-
-/// Like [`collect_aggregation_batch`] but only considering segments
-/// strictly smaller than `max_seg` (multi-rail strategies exclude
-/// DMA-eager "medium" segments, which balance better than they copy).
-pub(crate) fn collect_aggregation_batch_below(ctx: &StrategyCtx<'_>, max_seg: u64) -> KeyList {
-    let cap = ctx.config.agg_max_bytes as u64;
-    let mut keys = KeyList::new();
-    let mut total = 0u64;
-    for item in ctx.backlog.eager_items() {
-        if item.size >= max_seg {
-            continue;
-        }
-        if !keys.is_empty() && total + item.size > cap {
-            break;
-        }
-        total += item.size;
-        keys.push(item.key);
-        if total >= cap {
-            break;
-        }
-    }
-    keys
-}
-
-/// The op that sends `batch`: nothing, the one segment as it is, or an
-/// aggregate of them.
-pub(crate) fn batch_op(batch: KeyList) -> Option<TxOp> {
-    match batch.len() {
-        0 => None,
-        1 => Some(TxOp::Eager(batch[0])),
-        _ => Some(TxOp::Aggregate(batch)),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kind_builds_matching_names() {
-        assert_eq!(StrategyKind::Greedy.build().name(), "greedy");
-        assert_eq!(StrategyKind::SingleRail(0).build().name(), "single-rail");
-        assert_eq!(
-            StrategyKind::SingleRailAggregating(1).build().name(),
-            "single-rail+agg"
-        );
-        assert_eq!(
-            StrategyKind::AggregateEager.build().name(),
-            "aggregate-eager"
-        );
-        assert_eq!(StrategyKind::AdaptiveSplit.build().name(), "adaptive-split");
-        assert_eq!(StrategyKind::IsoSplit.build().name(), "iso-split");
-        assert_eq!(StrategyKind::Srpt.build().name(), "srpt");
-        assert_eq!(StrategyKind::IdleHarvest.build().name(), "idle-harvest");
-        assert_eq!(StrategyKind::LatencyRouter.build().name(), "latency-router");
-    }
-
-    #[test]
-    fn labels_are_unique() {
-        let kinds = StrategyKind::zoo();
-        let labels: std::collections::HashSet<_> = kinds.iter().map(|k| k.label()).collect();
-        assert_eq!(labels.len(), kinds.len());
-    }
-
-    #[test]
-    fn zoo_covers_every_label() {
-        // The zoo roster must build every strategy the engine can run.
-        for kind in StrategyKind::zoo() {
-            assert_eq!(kind.build().name(), kind.label());
-        }
-    }
-
-    #[test]
-    fn lowest_latency_ties_break_by_load() {
-        use crate::sampling::default_ladder;
-        use nmad_model::platform;
-
-        // A symmetric fabric: two identical NICs. The old index-order
-        // tie-break put every aggregation batch on rail 0 forever; the
-        // load-aware tie-break must steer to the less-loaded rail.
-        let rails = vec![platform::quadrics_qm500(), platform::quadrics_qm500()];
-        let tables: Vec<PerfTable> = rails
-            .iter()
-            .map(|n| PerfTable::from_analytic(n, &default_ladder()))
-            .collect();
-        let config = EngineConfig::default();
-        let mut backlog = Backlog::new();
-        let mut obs = FlightRecorder::disabled();
-        let flight = [
-            RailFlight {
-                inflight: 1,
-                inflight_bytes: 4096,
-                oldest_post_ns: 1,
-                sent_bytes: 1 << 20,
-                ewma_service_ns: 0,
-            },
-            RailFlight::default(),
-        ];
-        let ctx = StrategyCtx {
-            backlog: &mut backlog,
-            rails: &rails,
-            rail_busy: &[false, false],
-            rail_ok: &[true, true],
-            tables: &tables,
-            config: &config,
-            obs: &mut obs,
-            now_ns: 0,
-            flight: &flight,
-        };
-        assert_eq!(
-            ctx.lowest_latency_rail(),
-            RailId(1),
-            "loaded rail 0 loses the tie"
-        );
-
-        // With no load information at all, index order remains the
-        // deterministic last resort.
-        let ctx2 = StrategyCtx {
-            backlog: &mut backlog,
-            rails: &rails,
-            rail_busy: &[false, false],
-            rail_ok: &[true, true],
-            tables: &tables,
-            config: &config,
-            obs: &mut obs,
-            now_ns: 0,
-            flight: &[],
-        };
-        assert_eq!(ctx2.lowest_latency_rail(), RailId(0));
-
-        // A busy-but-otherwise-equal rail also loses the tie.
-        let ctx3 = StrategyCtx {
-            backlog: &mut backlog,
-            rails: &rails,
-            rail_busy: &[true, false],
-            rail_ok: &[true, true],
-            tables: &tables,
-            config: &config,
-            obs: &mut obs,
-            now_ns: 0,
-            flight: &[],
-        };
-        assert_eq!(ctx3.lowest_latency_rail(), RailId(1));
     }
 }

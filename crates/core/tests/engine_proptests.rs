@@ -80,14 +80,8 @@ fn payloads(spec: &MsgSpec) -> Vec<Bytes> {
 }
 
 fn strategy_from(idx: u8) -> StrategyKind {
-    match idx % 6 {
-        0 => StrategyKind::SingleRail(0),
-        1 => StrategyKind::SingleRailAggregating(1),
-        2 => StrategyKind::Greedy,
-        3 => StrategyKind::AggregateEager,
-        4 => StrategyKind::IsoSplit,
-        _ => StrategyKind::AdaptiveSplit,
-    }
+    let zoo = StrategyKind::zoo();
+    zoo[idx as usize % zoo.len()]
 }
 
 proptest! {

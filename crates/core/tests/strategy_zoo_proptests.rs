@@ -12,11 +12,16 @@
 //!   pieces summing to its size;
 //! * full drain — once every grant has landed and flapping has settled,
 //!   a bounded number of offers empties the backlog.
+//!
+//! Each rail reports an arbitrary in-flight load ([`RailFlight`]), often
+//! aged past any predicted completion, and the fabric is either the
+//! paper's or two identical rails: SRPT's re-striping and the
+//! lowest-latency rail's load tie-break run under the same contract.
 
 use nmad_core::obs::FlightRecorder;
 use nmad_core::request::{Backlog, SegKey, SegPhase};
 use nmad_core::sampling::{default_ladder, PerfTable};
-use nmad_core::strategy::{StrategyCtx, TxOp};
+use nmad_core::strategy::{RailFlight, StrategyCtx, TxOp};
 use nmad_core::{EngineConfig, StrategyKind};
 use nmad_model::{platform, RailId};
 use proptest::prelude::*;
@@ -57,6 +62,29 @@ fn arb_item() -> impl Strategy<Value = ItemSpec> {
 /// Rail-health mask per flap period; always at least one rail up.
 fn arb_flaps() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(1u8..=3, 1..6)
+}
+
+/// One rail's in-flight view: up to two frames, the oldest posted in the
+/// first millisecond (the clock starts anywhere in it, so that frame is
+/// often older than the 200 µs straggler floor), and a service-time EWMA
+/// small enough that such an age outlives it.
+fn arb_flight() -> impl Strategy<Value = RailFlight> {
+    (
+        0u32..3,
+        0u64..65_536,
+        0u64..1_000_000,
+        0u64..(8 << 20),
+        0u64..5_000,
+    )
+        .prop_map(
+            |(inflight, inflight_bytes, oldest_post_ns, sent_bytes, ewma_service_ns)| RailFlight {
+                inflight,
+                inflight_bytes,
+                oldest_post_ns,
+                sent_bytes,
+                ewma_service_ns,
+            },
+        )
 }
 
 /// Emulate the engine's side of one decision, enforcing its validity
@@ -113,8 +141,15 @@ proptest! {
         items in prop::collection::vec(arb_item(), 0..8),
         flaps in arb_flaps(),
         flap_period in 1usize..7,
+        flight in prop::collection::vec(arb_flight(), 2),
+        clock0 in 0u64..1_000_000,
+        symmetric in any::<bool>(),
     ) {
-        let rails = platform::paper_platform().rails;
+        let rails = if symmetric {
+            vec![platform::quadrics_qm500(); 2]
+        } else {
+            platform::paper_platform().rails
+        };
         let tables: Vec<PerfTable> = rails
             .iter()
             .map(|n| PerfTable::from_analytic(n, &default_ladder()))
@@ -138,7 +173,7 @@ proptest! {
             // drain phase with everything granted and all rails up.
             let flap_rounds = 20;
             let mut rail_ok = vec![true; n_rails];
-            let mut now_ns = 0u64;
+            let mut now_ns = clock0;
             for round in 0..flap_rounds + 400 {
                 now_ns += 1_000;
                 // Apply this round's health mask (drain phase: all up).
@@ -183,7 +218,7 @@ proptest! {
                             config: &config,
                             obs: &mut obs,
                             now_ns,
-                            flight: &[],
+                            flight: &flight,
                         };
                         strategy.next_tx(RailId(r), &mut ctx)
                     };

@@ -23,7 +23,7 @@ quick=0
 # landing table"), and any `unsafe` in nmad-core or the mem fabric (both
 # `forbid` it; the workspace's is wire::checksum, transport-tcp::sys and
 # vendor/bytes::window).
-echo "==> one endpoint, one driver, one runtime, one frame reader, no unsafe in core or mem"
+echo "==> one endpoint, one driver, one runtime, one frame reader, one strategy, no unsafe in core or mem"
 if grep -rnE 'struct (Endpoint|SendHandle|RecvHandle)\b|fn wait_on\b' crates/transport-*/src; then
     echo "a transport crate defines its own endpoint surface (see above)"; exit 1
 fi
@@ -42,6 +42,11 @@ fi
 if grep -rnE 'carve_frames|\.parallel =|\.reactor =|reactor_threads|Runtime::Reactor|ReactorPool|ReactorStats|ablate_reactor|NMAD_REACTOR|Runtime::Threads|ParallelHub|spawn_hub|TxWorker|OutboxReceiver|\.runtime =|rail_pipeline|max_submission_depth|Window::zeroed' \
     crates src tests examples .github vendor/bytes; then
     echo "a deleted runtime, runtime switch or carve path is back (see above)"; exit 1
+fi
+# One strategy: a pipeline of stages with a preset per StrategyKind
+# (DESIGN.md §13), not a trait object per kind or a knob per preset.
+if grep -rnE 'dyn Strategy\b|impl Strategy for|LatencyRouter|ZooConfig' crates src tests examples; then
+    echo "a strategy trait object, the latency router or ZooConfig is back (see above)"; exit 1
 fi
 if grep -rnw 'unsafe' crates/core/src crates/transport-mem/src; then
     echo "unsafe in nmad-core or nmad-transport-mem (see above)"; exit 1
@@ -217,12 +222,17 @@ NMAD_CYCLES_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_cycles
 # regimes (uniform, heavy tail, MMPP bursts, drift, outage, small
 # flood); exits nonzero if any cell drops a message or a zoo claim
 # fails — SRPT holds the heavy tail, idle harvesting recovers measurable
-# bandwidth on the asymmetric flood, the latency router cuts the
-# small-message p99 (see DESIGN.md "Strategy zoo"). Writes
-# BENCH_strategies.json; the full grid runs via the ablate_strategies
-# bench in the scheduled CI job.
+# bandwidth on the asymmetric flood, adaptive-split (smalls aggregated
+# onto the low-latency rail) at least halves greedy's small-message p99
+# (see DESIGN.md "Strategy zoo"). Writes BENCH_strategies.json; the full
+# grid runs via the ablate_strategies bench in the scheduled CI job.
+# The sim grid is deterministic, so the file it writes must be the one
+# committed: a changed decision shows up here, not as a silently
+# rewritten snapshot.
 echo "==> strategy tournament (nmad tournament --smoke --check)"
 cargo run -q -p nmad-cli -- tournament --smoke --check >/dev/null
+git diff --exit-code -- BENCH_strategies.json \
+    || { echo "the tournament grid moved (see above): a decision changed"; exit 1; }
 
 # Calibrate round-trip: the CLI must run the drift scenario and report a
 # converged split history (the degraded rail's share leaves the seed band).
