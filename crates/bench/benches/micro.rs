@@ -82,7 +82,7 @@ fn bench_reassembly(c: &mut Criterion) {
                     let (off, len) = ((i * chunk) as u64, payload.len() as u64);
                     done = r.insert_chunk(1, 0, 1, off, len, data.clone()).unwrap();
                 }
-                black_box(done.unwrap())
+                black_box(done.and_then(|()| r.take(1)).unwrap())
             })
         });
     }

@@ -26,6 +26,7 @@ use std::collections::VecDeque;
 
 use bytes::Bytes;
 use nmad_model::{NicModel, RailId, TxMode};
+use nmad_sim::SimDuration;
 use nmad_wire::agg::{
     parse_aggregate, AggregateBuilder, AggregateEntry, AggregateParts, CONTAINER_OVERHEAD,
     ENTRY_OVERHEAD,
@@ -36,7 +37,7 @@ use nmad_wire::header::{
     SamplePacket,
 };
 use nmad_wire::reassembly::{MessageAssembly, ReasmError, Reassembler};
-use nmad_wire::{ConnId, FrameBody, IdWindow, Lookup, MsgId, PacketFrame, SmallList};
+use nmad_wire::{ConnId, IdWindow, Lookup, MsgId, PacketFrame};
 
 use crate::config::{EngineConfig, OverloadConfig};
 use crate::driver::{TxDecision, TxToken};
@@ -53,15 +54,12 @@ use crate::strategy::{KeyList, RailFlight, Strategy, StrategyCtx, TxOp};
 /// largest per-kind body header (chunk, 34 bytes), rounded up.
 const HEAD_CAPACITY: usize = 64;
 
-/// Sends one tx completion finished, each with the connection it was
-/// submitted on; the eight of a full inline aggregate stay inline.
-pub type CompletedSends = SmallList<(SendId, ConnId), 8>;
-
-/// Outcome of processing one incoming packet.
+/// Outcome of processing one incoming packet. The engine keeps one
+/// between frames and lends it out: [`Engine::on_frame`] fills it anew.
 #[derive(Debug, Default)]
 pub struct OnPacketOutcome {
     /// Receives completed by this packet.
-    pub completed_recvs: SmallList<RecvId, 8>,
+    pub completed_recvs: Vec<RecvId>,
     /// True when the packet caused control traffic to be queued (the
     /// runtime should offer idle rails to the engine again).
     pub control_enqueued: bool,
@@ -69,6 +67,16 @@ pub struct OnPacketOutcome {
     pub granted: bool,
     /// Sampling pongs received: `(probe_id, payload_len)`.
     pub sample_pongs: Vec<(u64, usize)>,
+}
+
+impl OnPacketOutcome {
+    /// Nothing happened yet; the lists keep their capacity.
+    fn clear(&mut self) {
+        self.completed_recvs.clear();
+        self.control_enqueued = false;
+        self.granted = false;
+        self.sample_pongs.clear();
+    }
 }
 
 /// Outcome of one [`Engine::progress`] call.
@@ -129,8 +137,7 @@ struct SendSlot {
     data: Vec<Bytes>,
     /// Segments not yet fully consumed from the backlog.
     segs_unconsumed: usize,
-    /// Frames carrying a piece of the message, posted and not yet
-    /// reported done.
+    /// Pieces of the message in frames posted and not yet reported done.
     items_outstanding: usize,
     /// Completed (all bytes injected).
     done: bool,
@@ -141,11 +148,11 @@ struct SendSlot {
 }
 
 impl SendSlot {
-    /// A frame posted on `rail` carries a piece of this message: one more
-    /// injection to wait for, and the retransmission timer runs from now.
-    /// True when the piece is a retransmission.
-    fn charge(&mut self, rail: RailId, now_ns: u64) -> bool {
-        self.items_outstanding += 1;
+    /// A frame posted on `rail` carries `pieces` pieces of this message:
+    /// as many more injections to wait for, and the retransmission timer
+    /// runs from now. True when the pieces are a retransmission.
+    fn charge(&mut self, rail: RailId, now_ns: u64, pieces: usize) -> bool {
+        self.items_outstanding += pieces;
         let Some(att) = &mut self.attempt else {
             return false;
         };
@@ -153,24 +160,33 @@ impl SendSlot {
         att.deadline_ns = att.deadline_ns.max(now_ns.saturating_add(att.rto_ns));
         att.retransmitted
     }
+
+    /// Nothing can change what the slot and its handle answer any more:
+    /// done, and in acked mode also acknowledged.
+    fn settled(&self, acked_mode: bool) -> bool {
+        self.done && (self.acked || !acked_mode)
+    }
 }
 
-/// One incoming message of a connection, from the first of "its receive
-/// was posted" and "it arrived complete" until `try_recv` takes it.
-#[derive(Debug, Default)]
-struct RecvSlot {
-    /// The receive matched to this message (in-order matching).
-    posted: Option<RecvId>,
-    /// The message, complete ("unexpected" while no receive is posted).
-    assembly: Option<MessageAssembly>,
+/// Let go of the slot of send `msg_id` in `sends` and of its handle.
+fn retire_send(
+    sends: &mut IdWindow<SendSlot>,
+    send_ids: &mut IdWindow<(ConnId, MsgId)>,
+    msg_id: MsgId,
+) {
+    if let Some(slot) = sends.retire(msg_id) {
+        send_ids.retire(slot.id.0);
+    }
 }
 
 #[derive(Debug, Default)]
 struct ConnRx {
-    reassembler: Reassembler,
-    /// By message id. A slot is retired when its message is taken, so
-    /// "delivered" is: retired, or complete and waiting.
-    msgs: IdWindow<RecvSlot>,
+    /// One slot per incoming message, by message id, from the first of
+    /// "its receive was posted" and "its first piece arrived" until
+    /// `try_recv` takes it: the receive matched to it (in-order matching;
+    /// the tag) and what arrived of it. A complete message waits there,
+    /// "unexpected" while no receive is posted.
+    msgs: Reassembler<Option<RecvId>>,
     /// Rendezvous requests waiting for their receive to be posted
     /// (flow control: large data moves only into posted buffers). The
     /// rail the request arrived on routes the eventual grant back over
@@ -180,34 +196,32 @@ struct ConnRx {
     next_match: MsgId,
 }
 
-impl ConnRx {
-    /// The slot of `msg_id`, made on first sight; `None` once retired.
-    fn slot(&mut self, msg_id: MsgId) -> Option<&mut RecvSlot> {
-        self.msgs.live_or_insert_with(msg_id, RecvSlot::default)
-    }
-
-    /// True when `msg_id` was delivered whole at some point.
-    fn delivered(&self, msg_id: MsgId) -> bool {
-        match self.msgs.get(msg_id) {
-            Lookup::Past => true,
-            Lookup::Live(slot) => slot.assembly.is_some(),
-            Lookup::Never => false,
-        }
-    }
-}
-
-/// Per-decision lists, kept between decisions so that asking an idle
-/// rail costs no allocation.
+/// Per-call lists, kept between calls so that the eager track pays per
+/// message, not per list: asking an idle rail, building an aggregate,
+/// completing its sends and taking one apart cost no allocation once the
+/// lists are as long as they were before.
 #[derive(Debug, Default)]
 struct Scratch {
     rail_ok: Vec<bool>,
     flight: Vec<RailFlight>,
+    /// Per rail, the list an aggregate's keys are collected in: lent to
+    /// the strategy, carried by the frame, given back at its
+    /// `on_tx_done` (one frame per rail at a time).
+    keys: Vec<KeyList>,
+    /// The sends an `on_tx_done` completed.
+    completed: Vec<(SendId, ConnId)>,
+    /// The entries of the aggregate being taken apart.
+    entries: Vec<AggregateEntry>,
+    /// What the frame being taken apart did.
+    received: OnPacketOutcome,
 }
 
 /// The NewMadeleine engine. One instance per node endpoint.
 pub struct Engine {
     config: EngineConfig,
     rails: Vec<NicModel>,
+    /// Each rail's minimal-message latency, for the strategy.
+    latency: Vec<SimDuration>,
     tables: Vec<PerfTable>,
     strategy: Strategy,
     backlog: Backlog,
@@ -335,6 +349,7 @@ impl Engine {
             telemetry,
             backlog: Backlog::with_small_below(config.min_chunk as u64),
             config,
+            latency: rails.iter().map(|nic| nic.analytic_pio_oneway(0)).collect(),
             tables,
             rail_busy: vec![false; n],
             control_q: VecDeque::new(),
@@ -349,7 +364,10 @@ impl Engine {
             now_ns: 0,
             probe_sent: IdWindow::new(),
             ewma_service_ns: vec![0; n],
-            scratch: Scratch::default(),
+            scratch: Scratch {
+                keys: vec![KeyList::new(); n],
+                ..Scratch::default()
+            },
             refusals_recorded: OverloadStats::default(),
             agg: AggregateBuilder::new(),
             rails,
@@ -541,7 +559,7 @@ impl Engine {
         let rx: usize = self
             .conn_rx
             .iter()
-            .map(|rx| rx.msgs.len() + rx.reassembler.span() + rx.pending_rdv.len())
+            .map(|rx| rx.msgs.span() + rx.pending_rdv.len())
             .sum();
         tx + rx
             + self.send_ids.len()
@@ -560,20 +578,15 @@ impl Engine {
         self.conn_tx.get_mut(conn as usize)?.live_mut(msg_id)
     }
 
-    /// Let go of a send's slot and handle once nothing can change what
-    /// they answer: done, and in acked mode also acknowledged.
+    /// Let go of a send's slot and handle once they are settled
+    /// ([`SendSlot::settled`]).
     fn retire_if_settled(&mut self, conn: ConnId, msg_id: MsgId) {
         let acked_mode = self.config.acked;
         let Some(sends) = self.conn_tx.get_mut(conn as usize) else {
             return;
         };
-        if sends
-            .live(msg_id)
-            .is_some_and(|s| s.done && (s.acked || !acked_mode))
-        {
-            if let Some(slot) = sends.retire(msg_id) {
-                self.send_ids.retire(slot.id.0);
-            }
+        if sends.live(msg_id).is_some_and(|s| s.settled(acked_mode)) {
+            retire_send(sends, &mut self.send_ids, msg_id);
         }
     }
 
@@ -747,8 +760,8 @@ impl Engine {
         let msg_id = rx.next_match;
         let recv_id = RecvId(self.recv_ids.push((conn, msg_id)));
         rx.next_match += 1;
-        if let Some(slot) = rx.slot(msg_id) {
-            slot.posted = Some(recv_id);
+        if let Some(posted) = rx.msgs.tag_mut(msg_id) {
+            *posted = Some(recv_id);
         }
         // Release any rendezvous parked on this receive (flow control).
         let control_q = &mut self.control_q;
@@ -789,9 +802,7 @@ impl Engine {
     /// Take the reassembled message for a completed receive, if ready.
     pub fn try_recv(&mut self, id: RecvId) -> Option<MessageAssembly> {
         let &(conn, msg_id) = self.recv_ids.live(id.0)?;
-        let msgs = &mut self.conn_rx.get_mut(conn as usize)?.msgs;
-        let assembly = msgs.live_mut(msg_id)?.assembly.take()?;
-        msgs.retire(msg_id);
+        let assembly = self.conn_rx.get_mut(conn as usize)?.msgs.take(msg_id)?;
         self.recv_ids.retire(id.0);
         Some(assembly)
     }
@@ -845,7 +856,12 @@ impl Engine {
             return Ok(None);
         }
 
-        let Scratch { rail_ok, flight } = &mut self.scratch;
+        let Scratch {
+            rail_ok,
+            flight,
+            keys,
+            ..
+        } = &mut self.scratch;
         rail_ok.clear();
         rail_ok.extend((0..self.rails.len()).map(|r| self.health.usable(RailId(r))));
         // The per-rail in-flight data-frame load: one pass over the
@@ -871,6 +887,8 @@ impl Engine {
             rail_busy: &self.rail_busy,
             rail_ok: &rail_ok[..],
             tables: &self.tables,
+            latency: &self.latency,
+            batch: &mut keys[rail.0],
             config: &self.config,
             obs: &mut self.obs,
             now_ns: self.now_ns,
@@ -883,11 +901,35 @@ impl Engine {
         self.execute_op(rail, op).map(Some)
     }
 
-    /// A frame on `rail` takes a piece of segment `key` — the whole of
-    /// what was left of it in the backlog when `exhausted`. Returns the
-    /// segment's payload where it lies in its send slot, how many
-    /// segments its message has, and whether the piece is a
-    /// retransmission.
+    /// A frame on `rail` takes pieces of the segments `keys`, all of one
+    /// message — the whole of what was left of each in the backlog when
+    /// `exhausted`. Returns the message's send slot, looked up once, and
+    /// whether the pieces are a retransmission.
+    fn take_pieces(
+        conn_tx: &mut [IdWindow<SendSlot>],
+        now_ns: u64,
+        rail: RailId,
+        mut keys: impl ExactSizeIterator<Item = SegKey> + Clone,
+        exhausted: bool,
+    ) -> Result<(&SendSlot, bool), EngineError> {
+        const UNKNOWN: EngineError = EngineError::InvalidStrategyOp("unknown segment payload");
+        let (n, first) = (keys.len(), keys.clone().next().ok_or(UNKNOWN)?);
+        let sends = conn_tx.get_mut(first.conn as usize).ok_or(UNKNOWN)?;
+        let slot = sends.live_mut(first.msg_id).ok_or(UNKNOWN)?;
+        if keys.any(|k| slot.data.len() <= k.seg_index as usize) {
+            return Err(UNKNOWN);
+        }
+        if exhausted {
+            debug_assert!(slot.segs_unconsumed >= n);
+            slot.segs_unconsumed -= n;
+        }
+        let retransmitted = slot.charge(rail, now_ns, n);
+        Ok((slot, retransmitted))
+    }
+
+    /// [`Self::take_pieces`] of one segment: its payload where it lies in
+    /// its send slot, how many segments its message has, and whether the
+    /// piece is a retransmission.
     fn take_piece(
         conn_tx: &mut [IdWindow<SendSlot>],
         now_ns: u64,
@@ -895,17 +937,8 @@ impl Engine {
         key: SegKey,
         exhausted: bool,
     ) -> Result<(&Bytes, u16, bool), EngineError> {
-        const UNKNOWN: EngineError = EngineError::InvalidStrategyOp("unknown segment payload");
-        let sends = conn_tx.get_mut(key.conn as usize).ok_or(UNKNOWN)?;
-        let slot = sends.live_mut(key.msg_id).ok_or(UNKNOWN)?;
-        if slot.data.len() <= key.seg_index as usize {
-            return Err(UNKNOWN);
-        }
-        if exhausted {
-            debug_assert!(slot.segs_unconsumed > 0);
-            slot.segs_unconsumed -= 1;
-        }
-        let retransmitted = slot.charge(rail, now_ns);
+        let one = std::iter::once(key);
+        let (slot, retransmitted) = Self::take_pieces(conn_tx, now_ns, rail, one, exhausted)?;
         let data = &slot.data[key.seg_index as usize];
         Ok((data, slot.data.len() as u16, retransmitted))
     }
@@ -954,12 +987,19 @@ impl Engine {
                 let slab = self.pool.take(container_len);
                 self.agg.begin(self.rails[rail.0].pio_threshold, slab);
                 let (now_ns, min_chunk) = (self.now_ns, self.config.min_chunk);
-                let staged = keys.iter().try_fold((false, true), |(again, small), &key| {
-                    let (data, total_segs, retransmitted) =
-                        Self::take_piece(&mut self.conn_tx, now_ns, rail, key, true)?;
-                    self.agg
-                        .push(key.conn, key.msg_id, key.seg_index, total_segs, data);
-                    Ok((again | retransmitted, small & (data.len() < min_chunk)))
+                let staged = message_runs(&keys).try_fold((false, true), |(again, small), run| {
+                    let run = run.map(|i| keys[i]);
+                    let (slot, retransmitted) =
+                        Self::take_pieces(&mut self.conn_tx, now_ns, rail, run.clone(), true)?;
+                    let total_segs = slot.data.len() as u16;
+                    let mut small = small;
+                    for key in run {
+                        let data = &slot.data[key.seg_index as usize];
+                        self.agg
+                            .push(key.conn, key.msg_id, key.seg_index, total_segs, data);
+                        small &= data.len() < min_chunk;
+                    }
+                    Ok((again | retransmitted, small))
                 });
                 let (retransmitted, small_eager) = match staged {
                     Ok(flags) => flags,
@@ -1205,20 +1245,22 @@ impl Engine {
     }
 
     /// Report that the injection for `token` finished on `rail`. Returns
-    /// sends that reached local completion.
+    /// the sends that reached local completion, each with the connection
+    /// it was submitted on (a list the engine keeps: the next call
+    /// overwrites it).
     pub fn on_tx_done(
         &mut self,
         rail: RailId,
         token: TxToken,
-    ) -> Result<CompletedSends, EngineError> {
+    ) -> Result<&[(SendId, ConnId)], EngineError> {
         let InFlightTx {
-            keys,
+            mut keys,
             head,
             slab,
             wire_len,
             posted_ns,
             control,
-            rail: _,
+            rail: posted_on,
         } = self
             .in_flight
             .retire(token.0)
@@ -1263,24 +1305,38 @@ impl Engine {
                 self.maybe_recalibrate();
             }
         }
-        let mut completed = CompletedSends::new();
-        for key in keys {
-            let Some(s) = self.send_slot(key.conn, key.msg_id) else {
+        let completed = &mut self.scratch.completed;
+        completed.clear();
+        for run in message_runs(&keys) {
+            let key = keys[run.start];
+            let Some(sends) = self.conn_tx.get_mut(key.conn as usize) else {
                 continue;
             };
-            debug_assert!(s.items_outstanding > 0);
-            s.items_outstanding -= 1;
-            if !s.done && s.items_outstanding == 0 && s.segs_unconsumed == 0 {
-                s.done = true;
-                completed.push((s.id, key.conn));
-                self.stats.msgs_sent += 1;
-                // The payload goes with the slot now — unless we may have
-                // to retransmit it (acked mode keeps both until the
-                // delivery confirmation arrives).
-                self.retire_if_settled(key.conn, key.msg_id);
+            let Some(s) = sends.live_mut(key.msg_id) else {
+                continue;
+            };
+            debug_assert!(s.items_outstanding >= run.len());
+            s.items_outstanding -= run.len();
+            if s.done || s.items_outstanding > 0 || s.segs_unconsumed > 0 {
+                continue;
+            }
+            s.done = true;
+            completed.push((s.id, key.conn));
+            self.stats.msgs_sent += 1;
+            // The payload goes with the slot now — unless we may have to
+            // retransmit it (acked mode keeps both until the delivery
+            // confirmation arrives).
+            if s.settled(self.config.acked) {
+                retire_send(sends, &mut self.send_ids, key.msg_id);
             }
         }
-        Ok(completed)
+        // The rail's list for the next aggregate, if this one is longer.
+        let spare = &mut self.scratch.keys[posted_on];
+        if keys.capacity() > spare.capacity() {
+            keys.clear();
+            *spare = keys;
+        }
+        Ok(&self.scratch.completed)
     }
 
     // ------------------------------------------------------------------
@@ -1293,7 +1349,11 @@ impl Engine {
     /// (charged to `rx_copy_bytes`). Runtimes that receive whole frames
     /// should hand them to [`Engine::on_frame`] instead, which keeps
     /// payload slices refcounted all the way into reassembly.
-    pub fn on_packet(&mut self, rail: RailId, wire: &[u8]) -> Result<OnPacketOutcome, EngineError> {
+    pub fn on_packet(
+        &mut self,
+        rail: RailId,
+        wire: &[u8],
+    ) -> Result<&OnPacketOutcome, EngineError> {
         let frame = PacketFrame::from_wire(Bytes::copy_from_slice(wire));
         self.stats.datapath.rx_copy_bytes += wire.len() as u64;
         self.on_frame(rail, &frame)
@@ -1301,12 +1361,34 @@ impl Engine {
 
     /// Process one incoming scatter-gather frame from `rail` without
     /// flattening it: payload slices flow into reassembly refcounted.
+    /// What the frame did is lent out of the engine: the next call
+    /// overwrites it.
     pub fn on_frame(
         &mut self,
         rail: RailId,
         frame: &PacketFrame,
-    ) -> Result<OnPacketOutcome, EngineError> {
-        let (env, body, straddle_copied) = frame.decode()?;
+    ) -> Result<&OnPacketOutcome, EngineError> {
+        // The entry list and the outcome are the engine's, lent to this
+        // frame and kept, cleared, for the next.
+        let mut entries = std::mem::take(&mut self.scratch.entries);
+        let mut out = std::mem::take(&mut self.scratch.received);
+        out.clear();
+        let taken = self.take_apart(rail, frame, &mut entries, &mut out);
+        entries.clear();
+        self.scratch.entries = entries;
+        self.scratch.received = out;
+        taken.map(|()| &self.scratch.received)
+    }
+
+    /// [`Self::on_frame`] with the lists it lends.
+    fn take_apart(
+        &mut self,
+        rail: RailId,
+        frame: &PacketFrame,
+        entries: &mut Vec<AggregateEntry>,
+        out: &mut OnPacketOutcome,
+    ) -> Result<(), EngineError> {
+        let (env, packet, straddle_copied) = frame.decode_with(entries)?;
         self.stats.rails[rail.0].rx_packets += 1;
         self.obs.record(
             Event::new(self.now_ns, EventKind::Rx)
@@ -1315,24 +1397,18 @@ impl Engine {
         );
         // (A chunk's bytes are booked when its segment is whole: only
         // then is it known whether they were ever copied.)
-        let data_len: usize = match &body {
-            FrameBody::Packet(p) => match p {
-                Packet::Eager(e) => e.data.len(),
-                Packet::SamplePing(s) | Packet::SamplePong(s) => s.data.len(),
-                _ => 0,
-            },
-            FrameBody::Aggregate(entries) => entries.iter().map(|e| e.data.len()).sum(),
+        let data_len: usize = match &packet {
+            Some(Packet::Eager(e)) => e.data.len(),
+            Some(Packet::SamplePing(s) | Packet::SamplePong(s)) => s.data.len(),
+            Some(_) => 0,
+            None => entries.iter().map(|e| e.data.len()).sum(),
         };
         self.stats.datapath.rx_copy_bytes += straddle_copied as u64;
         self.stats.datapath.rx_zero_copy_bytes += data_len.saturating_sub(straddle_copied) as u64;
-        let mut out = OnPacketOutcome::default();
-        match body {
-            FrameBody::Aggregate(entries) => {
-                self.handle_aggregate_entries(rail, entries, &mut out)?
-            }
-            FrameBody::Packet(pkt) => self.handle_packet(rail, env, pkt, &mut out)?,
+        match packet {
+            None => self.handle_aggregate_entries(rail, entries, out),
+            Some(pkt) => self.handle_packet(rail, env, pkt, out),
         }
-        Ok(out)
     }
 
     /// The entries of an aggregate, a run of one message's at a time: the
@@ -1340,19 +1416,19 @@ impl Engine {
     fn handle_aggregate_entries(
         &mut self,
         rail: RailId,
-        mut entries: Vec<AggregateEntry>,
+        entries: &mut [AggregateEntry],
         out: &mut OnPacketOutcome,
     ) -> Result<(), EngineError> {
         let mut at = 0;
         while let Some(first) = entries.get(at) {
-            let conn = first.conn_id;
-            if self.drop_duplicate(conn, rail, first.msg_id, out)? {
+            let (conn, msg_id) = (first.conn_id, first.msg_id);
+            if self.drop_duplicate(conn, rail, msg_id, out)? {
                 at += 1;
                 continue;
             }
             let (taken, done) = self.insert_eager_tolerant(conn, &mut entries[at..])?;
             at += taken;
-            self.settle_completion(conn, rail, done, out)?;
+            self.settle_completion(conn, rail, msg_id, done, out);
         }
         Ok(())
     }
@@ -1377,20 +1453,21 @@ impl Engine {
                     data: p.data,
                 }];
                 let (_, done) = self.insert_eager_tolerant(env.conn_id, &mut one)?;
-                self.settle_completion(env.conn_id, rail, done, out)?;
+                self.settle_completion(env.conn_id, rail, p.msg_id, done, out);
             }
             Packet::Aggregate(body) => {
                 // Frames decode aggregates straight to entries; this arm
                 // only serves packets built in memory.
-                let entries = parse_aggregate(&body)?;
-                self.handle_aggregate_entries(rail, entries, out)?;
+                let mut entries = parse_aggregate(&body)?;
+                self.handle_aggregate_entries(rail, &mut entries, out)?;
             }
             Packet::Chunk(p) => {
                 if self.drop_duplicate(env.conn_id, rail, p.msg_id, out)? {
                     return Ok(());
                 }
+                let msg_id = p.msg_id;
                 let done = self.insert_chunk_tolerant(env.conn_id, p)?;
-                self.settle_completion(env.conn_id, rail, done, out)?;
+                self.settle_completion(env.conn_id, rail, msg_id, done, out);
             }
             Packet::RdvRequest(p) => {
                 // A rendezvous for a message we already delivered means the
@@ -1568,7 +1645,7 @@ impl Engine {
         msg_id: MsgId,
         out: &mut OnPacketOutcome,
     ) -> Result<bool, EngineError> {
-        if !self.config.acked || !self.rx_conn(conn)?.delivered(msg_id) {
+        if !self.config.acked || !self.rx_conn(conn)?.msgs.delivered(msg_id) {
             return Ok(false);
         }
         self.stats.duplicates_dropped += 1;
@@ -1870,15 +1947,16 @@ impl Engine {
     /// taken), tolerating conflicts with a previous delivery attempt in
     /// acked mode: the stale partial message state is aborted and the
     /// insert retried once on fresh state. Nothing is cloned for the
-    /// retry: a segment that is refused stays in its entry.
+    /// retry: a segment that is refused stays in its entry. When the
+    /// message completed, says which receive (if any) it was matched to.
     fn insert_eager_tolerant(
         &mut self,
         conn: ConnId,
         entries: &mut [AggregateEntry],
-    ) -> Result<(usize, Option<MessageAssembly>), EngineError> {
+    ) -> Result<(usize, Option<Option<RecvId>>), EngineError> {
         let acked = self.config.acked;
         let rx = self.conn_rx.get_mut(conn as usize);
-        let reasm = &mut rx.ok_or(EngineError::UnknownConnection(conn))?.reassembler;
+        let reasm = &mut rx.ok_or(EngineError::UnknownConnection(conn))?.msgs;
         let (mut at, mut retried) = (0, None);
         loop {
             let (taken, done) = reasm.insert_eager_run(&mut entries[at..]);
@@ -1910,9 +1988,9 @@ impl Engine {
         &mut self,
         conn: ConnId,
         p: ChunkPacket,
-    ) -> Result<Option<MessageAssembly>, EngineError> {
+    ) -> Result<Option<Option<RecvId>>, EngineError> {
         let acked = self.config.acked;
-        let reasm = &mut self.rx_conn(conn)?.reassembler;
+        let reasm = &mut self.rx_conn(conn)?.msgs;
         let (joined, gathered) = (reasm.joined_bytes(), reasm.gathered_bytes());
         let mut duplicate = false;
         let done = if acked {
@@ -1952,15 +2030,18 @@ impl Engine {
             .ok_or(EngineError::UnknownConnection(conn))
     }
 
+    /// Message `msg_id` of `conn` completed when `done` says so, matched
+    /// to the receive in it (if one is posted yet); the message waits in
+    /// its slot until `try_recv` takes it.
     fn settle_completion(
         &mut self,
         conn: ConnId,
         rail: RailId,
-        done: Option<MessageAssembly>,
+        msg_id: MsgId,
+        done: Option<Option<RecvId>>,
         out: &mut OnPacketOutcome,
-    ) -> Result<(), EngineError> {
-        let Some(assembly) = done else { return Ok(()) };
-        let msg_id = assembly.msg_id;
+    ) {
+        let Some(posted) = done else { return };
         self.stats.msgs_received += 1;
         if self.config.acked {
             // The ack rides the rail the completing packet arrived on — a
@@ -1975,15 +2056,22 @@ impl Engine {
             );
             out.control_enqueued = true;
         }
-        // (A message completes once, so its slot is not retired yet.)
-        if let Some(slot) = self.rx_conn(conn)?.slot(msg_id) {
-            if let Some(recv_id) = slot.posted {
-                out.completed_recvs.push(recv_id);
-            }
-            slot.assembly = Some(assembly);
-        }
-        Ok(())
+        out.completed_recvs.extend(posted);
     }
+}
+
+/// The keys of a frame a message at a time: the positions of each run of
+/// consecutive keys of one message, so that its send slot is looked up
+/// once per run, not once per key.
+fn message_runs(keys: &KeyList) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let first = keys.get(at)?;
+        let end = (at + 1..keys.len())
+            .find(|&i| (keys[i].conn, keys[i].msg_id) != (first.conn, first.msg_id))
+            .unwrap_or(keys.len());
+        Some(std::mem::replace(&mut at, end)..end)
+    })
 }
 
 /// Put the segments of message `(conn, msg_id)`, given by their lengths in

@@ -101,7 +101,7 @@ pub use endpoint::{
     Deadline, Endpoint, Fabric, FabricStatus, Parker, Rails, RecvHandle, SendHandle, Serial,
     WaitFor, WorkSignal,
 };
-pub use engine::{CompletedSends, Engine, OnPacketOutcome, ProgressOutcome};
+pub use engine::{Engine, OnPacketOutcome, ProgressOutcome};
 pub use error::{EngineError, SubmitError};
 pub use health::{HealthConfig, HealthTracker, RailState, RailTelemetry};
 pub use obs::{

@@ -252,6 +252,13 @@ impl Backlog {
         self.counts.urgent > 0
     }
 
+    /// Whether an eager segment of `at_least` bytes or more, or a granted
+    /// one, may be waiting: false when the counts rule both out, which
+    /// saves the scan that would find neither.
+    pub fn may_have_urgent(&self, at_least: u64) -> bool {
+        self.counts.urgent > 0 || at_least < self.counts.small_below
+    }
+
     /// Whether any segment is waiting for a rendezvous grant.
     pub fn has_rdv_pending(&self) -> bool {
         self.items.iter().any(|i| i.phase == SegPhase::RdvRequested)

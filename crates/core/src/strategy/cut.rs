@@ -17,7 +17,7 @@
 
 use nmad_model::RailId;
 
-use super::{batch_op, RailList, Seg, StrategyCtx, TxOp};
+use super::{RailList, Seg, StrategyCtx, TxOp};
 use crate::sampling::Weights;
 
 /// See module docs.
@@ -86,14 +86,14 @@ impl Cut {
 
     /// The waiting eager segments below `small_below` bytes: the first of
     /// them alone, or as many as one aggregate holds.
-    pub(super) fn smalls(self, small_below: u64, ctx: &StrategyCtx<'_>) -> Option<TxOp> {
+    pub(super) fn smalls(self, small_below: u64, ctx: &mut StrategyCtx<'_>) -> Option<TxOp> {
         match self {
             Cut::Whole => ctx
                 .backlog
                 .eager_items()
                 .find(|i| i.size < small_below)
                 .map(|i| TxOp::Eager(i.key)),
-            Cut::Aggregate | Cut::Split(_) => batch_op(ctx.aggregation_batch(small_below)),
+            Cut::Aggregate | Cut::Split(_) => ctx.aggregation_batch(small_below),
         }
     }
 }

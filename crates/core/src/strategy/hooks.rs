@@ -23,7 +23,7 @@
 use nmad_model::RailId;
 
 use super::cut::bounded_chunk;
-use super::{batch_op, StrategyCtx, TxOp};
+use super::{StrategyCtx, TxOp};
 use crate::obs::{Event, EventKind};
 
 #[cfg(doc)]
@@ -48,11 +48,12 @@ pub(super) enum Hook {
 }
 
 /// Re-stripe the untaken planned chunks of straggling (or unhealthy)
-/// rails onto the healthy, non-straggling ones.
-pub(super) fn restripe(ctx: &mut StrategyCtx<'_>) {
+/// rails onto the healthy, non-straggling ones (`survivors` is the
+/// caller's list, kept between decisions).
+pub(super) fn restripe(ctx: &mut StrategyCtx<'_>, survivors: &mut Vec<usize>) {
     let n = ctx.rails.len();
-    let straggling: Vec<bool> = (0..n)
-        .map(|r| {
+    let straggling = (0..n)
+        .filter(|&r| {
             if !ctx.rail_ok(RailId(r)) {
                 // The engine re-stripes on the Down transition itself;
                 // treating not-ok as straggling here also covers rails
@@ -69,13 +70,14 @@ pub(super) fn restripe(ctx: &mut StrategyCtx<'_>) {
             let est = f.ewma_service_ns.max(table_ns);
             age > ((est as f64 * STRAGGLE_FACTOR) as u64).max(STRAGGLE_FLOOR_NS)
         })
-        .collect();
-    let survivors: Vec<usize> = (0..n).filter(|&r| !straggling[r]).collect();
+        .fold(0u64, |mask, r| mask | 1 << r);
+    survivors.clear();
+    survivors.extend((0..n).filter(|&r| straggling >> r & 1 == 0));
     if survivors.is_empty() {
         return;
     }
-    for r in (0..n).filter(|&r| straggling[r]) {
-        let moved = ctx.backlog.reassign_rail(r, &survivors);
+    for r in (0..n).filter(|&r| straggling >> r & 1 == 1) {
+        let moved = ctx.backlog.reassign_rail(r, survivors);
         if moved > 0 && ctx.obs.is_enabled() {
             ctx.obs.record(
                 Event::new(ctx.now_ns, EventKind::Restripe)
@@ -87,7 +89,7 @@ pub(super) fn restripe(ctx: &mut StrategyCtx<'_>) {
 }
 
 /// Overflow work for `rail`, which the pipeline left idle.
-pub(super) fn harvest(rail: RailId, ctx: &StrategyCtx<'_>) -> Option<TxOp> {
+pub(super) fn harvest(rail: RailId, ctx: &mut StrategyCtx<'_>) -> Option<TxOp> {
     let unplaced: u64 = ctx
         .backlog
         .granted_items()
@@ -99,6 +101,6 @@ pub(super) fn harvest(rail: RailId, ctx: &StrategyCtx<'_>) -> Option<TxOp> {
     }
     match ctx.first_unplanned() {
         Some(seg) => Some(bounded_chunk(rail, seg, ctx)),
-        None => batch_op(ctx.aggregation_batch(ctx.config.min_chunk as u64)),
+        None => ctx.aggregation_batch(ctx.config.min_chunk as u64),
     }
 }

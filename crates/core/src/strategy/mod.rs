@@ -27,6 +27,7 @@ mod place;
 mod tests;
 
 use nmad_model::{NicModel, RailId};
+use nmad_sim::SimDuration;
 use nmad_wire::split::SplitPlan;
 use nmad_wire::SmallList;
 
@@ -104,6 +105,14 @@ pub struct StrategyCtx<'a> {
     pub rail_ok: &'a [bool],
     /// Per-rail sampled performance tables (init-time sampling, §3.4).
     pub tables: &'a [PerfTable],
+    /// Per-rail minimal-message latency (the NIC model's one-way time of
+    /// an empty PIO packet), computed once per engine: a model's latency
+    /// never changes.
+    pub latency: &'a [SimDuration],
+    /// Where an aggregate's keys are collected. The engine keeps it
+    /// between decisions (empty), so that a batch as long as one before
+    /// it costs no allocation.
+    pub batch: &'a mut KeyList,
     /// Engine configuration (thresholds).
     pub config: &'a EngineConfig,
     /// Flight recorder: strategies record their decision events here
@@ -204,7 +213,7 @@ impl StrategyCtx<'_> {
         let load_key = |i: usize| {
             let f = self.flight(RailId(i));
             (
-                self.rails[i].analytic_pio_oneway(0),
+                self.latency[i],
                 self.rail_busy.get(i).copied().unwrap_or(false),
                 f.inflight_bytes,
                 f.sent_bytes,
@@ -220,27 +229,36 @@ impl StrategyCtx<'_> {
 
     /// Whether an earlier split plan earmarked an untaken chunk for `rail`.
     fn planned_for(&self, rail: RailId) -> bool {
-        self.backlog.granted_items().any(|i| {
-            i.plan
-                .as_ref()
-                .is_some_and(|p| p.iter().any(|c| !c.taken && c.rail == rail.0))
-        })
+        // (A granted segment is urgent: no urgent one, no granted one.)
+        self.backlog.has_urgent()
+            && self.backlog.granted_items().any(|i| {
+                i.plan
+                    .as_ref()
+                    .is_some_and(|p| p.iter().any(|c| !c.taken && c.rail == rail.0))
+            })
     }
 
     /// The first granted segment no plan has claimed yet.
     fn first_unplanned(&self) -> Option<Seg> {
+        // (A granted segment is urgent: no urgent one, no granted one.)
+        if !self.backlog.has_urgent() {
+            return None;
+        }
         self.backlog
             .granted_items()
             .find(|i| i.plan.is_none())
             .map(seg)
     }
 
-    /// The eager segments one aggregate should carry right now: those
-    /// below `small_below` bytes, in submit order, up to the
-    /// aggregation size cap (the first always fits).
-    fn aggregation_batch(&self, small_below: u64) -> KeyList {
+    /// What sends the eager segments one aggregate should carry right
+    /// now — those below `small_below` bytes, in submit order, up to the
+    /// aggregation size cap (the first always fits): nothing, the one
+    /// segment as it is, or an aggregate of them in the list
+    /// [`StrategyCtx::batch`] lends.
+    fn aggregation_batch(&mut self, small_below: u64) -> Option<TxOp> {
         let cap = self.config.agg_max_bytes as u64;
-        let mut keys = KeyList::new();
+        let keys = &mut *self.batch;
+        keys.clear();
         let mut total = 0u64;
         for item in self.backlog.eager_items() {
             if item.size >= small_below {
@@ -255,22 +273,16 @@ impl StrategyCtx<'_> {
                 break;
             }
         }
-        keys
+        match keys.len() {
+            0 => None,
+            1 => Some(TxOp::Eager(keys[0])),
+            _ => Some(TxOp::Aggregate(std::mem::take(keys))),
+        }
     }
 }
 
 fn seg(i: &BacklogItem) -> Seg {
     (i.key, i.next_offset, i.remaining())
-}
-
-/// The op that sends `batch`: nothing, the one segment as it is, or an
-/// aggregate of them.
-fn batch_op(batch: KeyList) -> Option<TxOp> {
-    match batch.len() {
-        0 => None,
-        1 => Some(TxOp::Eager(batch[0])),
-        _ => Some(TxOp::Aggregate(batch)),
-    }
 }
 
 /// In which order a rail looks at the schedulable work.
@@ -287,6 +299,10 @@ enum Order {
     Srpt,
 }
 
+/// A candidate of the SRPT order: work left, submit order, key, and the
+/// unsent remainder of a granted segment (`None`: eager).
+type Candidate = (u64, u64, SegKey, Option<Seg>);
+
 /// The optimizing scheduler: an order, a placement and a cut, plus at
 /// most one hook. Built by [`StrategyKind::build`].
 #[derive(Debug)]
@@ -296,6 +312,10 @@ pub struct Strategy {
     place: Place,
     cut: Cut,
     hook: Option<Hook>,
+    /// The SRPT order's candidates, kept between decisions.
+    candidates: Vec<Candidate>,
+    /// The re-stripe hook's surviving rails, kept between decisions.
+    survivors: Vec<usize>,
 }
 
 impl Strategy {
@@ -315,7 +335,7 @@ impl Strategy {
             _ => {}
         }
         if self.hook == Some(Hook::Restripe) {
-            hooks::restripe(ctx);
+            hooks::restripe(ctx, &mut self.survivors);
         }
         if ctx.planned_for(rail) {
             return Some(TxOp::PlannedChunk);
@@ -353,13 +373,17 @@ impl Strategy {
         // A segment too large to be small gains nothing from a staging
         // copy and does gain from overlap: it goes whole, on this rail.
         let small_below = self.place.small_below(ctx);
-        if let Some(item) = ctx.backlog.eager_items().find(|i| i.size >= small_below) {
-            return Some(TxOp::Eager(item.key));
+        let large = ctx.backlog.may_have_urgent(small_below).then(|| {
+            let mut eager = ctx.backlog.eager_items();
+            eager.find(|i| i.size >= small_below).map(|i| i.key)
+        });
+        if let Some(key) = large.flatten() {
+            return Some(TxOp::Eager(key));
         }
         self.smalls(rail, small_below, ctx)
     }
 
-    fn srpt(&self, rail: RailId, ctx: &mut StrategyCtx<'_>) -> Option<TxOp> {
+    fn srpt(&mut self, rail: RailId, ctx: &mut StrategyCtx<'_>) -> Option<TxOp> {
         let small_below = self.place.small_below(ctx);
         let eager = ctx
             .backlog
@@ -370,20 +394,23 @@ impl Strategy {
             .granted_items()
             .filter(|i| i.plan.is_none())
             .map(|i| (i.remaining(), i.submit_seq, i.key, Some(seg(i))));
-        let mut cands: Vec<_> = eager.chain(bulk).collect();
-        cands.sort_by_key(|&(work, seq, ..)| (work, seq));
-        cands
-            .into_iter()
-            .find_map(|(work, _, key, bulk)| match bulk {
-                // A split that leaves this rail out moves on to the next.
-                Some(seg) => self.cut.bulk(rail, seg, ctx),
-                None if work < small_below => self.smalls(rail, small_below, ctx),
-                None => Some(TxOp::Eager(key)),
-            })
+        let mut cands = std::mem::take(&mut self.candidates);
+        cands.clear();
+        cands.extend(eager.chain(bulk));
+        // (Submit orders are unique: no two candidates compare equal.)
+        cands.sort_unstable_by_key(|&(work, seq, ..)| (work, seq));
+        let op = cands.iter().find_map(|&(work, _, key, bulk)| match bulk {
+            // A split that leaves this rail out moves on to the next.
+            Some(seg) => self.cut.bulk(rail, seg, ctx),
+            None if work < small_below => self.smalls(rail, small_below, ctx),
+            None => Some(TxOp::Eager(key)),
+        });
+        self.candidates = cands;
+        op
     }
 
     /// The waiting smalls, if the placement lets `rail` take them.
-    fn smalls(&self, rail: RailId, small_below: u64, ctx: &StrategyCtx<'_>) -> Option<TxOp> {
+    fn smalls(&self, rail: RailId, small_below: u64, ctx: &mut StrategyCtx<'_>) -> Option<TxOp> {
         if !self.place.takes_smalls(rail, ctx) {
             return None;
         }
@@ -451,6 +478,8 @@ impl StrategyKind {
             place,
             cut,
             hook,
+            candidates: Vec::new(),
+            survivors: Vec::new(),
         }
     }
 

@@ -80,6 +80,8 @@ pub(super) struct Binding {
     /// The rail each segment was bound to; in key order, so a rail's
     /// death rebinds its segments in the same order every run.
     rail_of: BTreeMap<SegKey, usize>,
+    /// The segments one decision binds, kept between decisions.
+    to_bind: Vec<SegKey>,
 }
 
 impl Binding {
@@ -123,13 +125,16 @@ impl Binding {
             .iter()
             .filter(|&(_, &r)| any_ok && !ctx.rail_ok(RailId(r)))
             .map(|(key, _)| *key);
-        let keys: Vec<SegKey> = unbound.chain(stuck).collect();
-        for key in keys {
+        let mut keys = std::mem::take(&mut self.to_bind);
+        keys.clear();
+        keys.extend(unbound.chain(stuck));
+        for &key in &keys {
             while any_ok && !ctx.rail_ok(RailId(self.next_rail)) {
                 self.next_rail = (self.next_rail + 1) % n;
             }
             self.rail_of.insert(key, self.next_rail);
             self.next_rail = (self.next_rail + 1) % n;
         }
+        self.to_bind = keys;
     }
 }

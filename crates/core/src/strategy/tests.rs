@@ -18,6 +18,8 @@ fn key(msg: u64, seg: u16) -> SegKey {
 struct Fixture {
     rails: Vec<NicModel>,
     tables: Vec<PerfTable>,
+    latency: Vec<SimDuration>,
+    batch: KeyList,
     config: EngineConfig,
     backlog: Backlog,
     obs: FlightRecorder,
@@ -39,8 +41,10 @@ impl Fixture {
             .map(|nic| PerfTable::from_analytic(nic, &default_ladder()))
             .collect();
         Fixture {
+            latency: rails.iter().map(|n| n.analytic_pio_oneway(0)).collect(),
             rails,
             tables,
+            batch: KeyList::new(),
             config: EngineConfig::default(),
             backlog: Backlog::new(),
             obs: FlightRecorder::disabled(),
@@ -58,6 +62,8 @@ impl Fixture {
             rail_busy: &self.busy,
             rail_ok: &self.ok,
             tables: &self.tables,
+            latency: &self.latency,
+            batch: &mut self.batch,
             config: &self.config,
             obs: &mut self.obs,
             now_ns: self.now_ns,

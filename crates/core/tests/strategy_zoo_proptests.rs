@@ -21,7 +21,7 @@
 use nmad_core::obs::FlightRecorder;
 use nmad_core::request::{Backlog, SegKey, SegPhase};
 use nmad_core::sampling::{default_ladder, PerfTable};
-use nmad_core::strategy::{RailFlight, StrategyCtx, TxOp};
+use nmad_core::strategy::{KeyList, RailFlight, StrategyCtx, TxOp};
 use nmad_core::{EngineConfig, StrategyKind};
 use nmad_model::{platform, RailId};
 use proptest::prelude::*;
@@ -156,9 +156,11 @@ proptest! {
             .collect();
         let config = EngineConfig::default();
         let n_rails = rails.len();
+        let latency: Vec<_> = rails.iter().map(|n| n.analytic_pio_oneway(0)).collect();
 
         for kind in StrategyKind::zoo() {
             let mut strategy = kind.build();
+            let mut batch = KeyList::new();
             let mut backlog = Backlog::new();
             let mut obs = FlightRecorder::disabled();
             let mut consumed: HashMap<SegKey, u64> = HashMap::new();
@@ -215,6 +217,8 @@ proptest! {
                             rail_busy: &busy,
                             rail_ok: &rail_ok,
                             tables: &tables,
+                            latency: &latency,
+                            batch: &mut batch,
                             config: &config,
                             obs: &mut obs,
                             now_ns,

@@ -27,7 +27,7 @@ use nmad_core::EngineConfig;
 use nmad_model::{HostModel, NicModel, Platform, RailId, TxMode};
 use nmad_sim::{EventQueue, FlowId, FluidChannel, MultiResource, SimDuration, SimTime};
 use nmad_wire::reassembly::MessageAssembly;
-use nmad_wire::{ConnId, PacketFrame};
+use nmad_wire::{ConnId, PacketFrame, SmallList};
 
 use crate::timeline::Timeline;
 
@@ -265,6 +265,12 @@ impl NodeApi<'_> {
     }
 }
 
+/// The sends an `on_tx_done` completed, copied out of the list the
+/// engine lends: the hooks they fire drive the engine again.
+fn sends_of(completed: &[(SendId, ConnId)]) -> SmallList<SendId, 8> {
+    completed.iter().map(|&(s, _)| s).collect()
+}
+
 fn schedule_kick(idx: usize, node: &mut Node, queue: &mut EventQueue<Ev>, at: SimTime) {
     if node.kick_pending {
         return;
@@ -466,14 +472,16 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
                 }
             }
             Ev::PioDone { node, rail, token } => {
-                let completed = self.nodes[node]
-                    .engine
-                    .on_tx_done(RailId(rail), token)
-                    .expect("tx token must be valid");
+                let completed = sends_of(
+                    self.nodes[node]
+                        .engine
+                        .on_tx_done(RailId(rail), token)
+                        .expect("tx token must be valid"),
+                );
                 if let Some(e) = self.sim_event(now, EventKind::SimNic, node) {
                     self.recorder.record(e.rail(rail));
                 }
-                for (s, _) in completed {
+                for s in completed {
                     self.fire_send_complete(node, now, s);
                 }
                 schedule_kick(node, &mut self.nodes[node], &mut self.queue, now);
@@ -535,10 +543,12 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
                             format!("dma {}B", frame.wire_len()),
                         );
                     }
-                    let completed = self.nodes[node]
-                        .engine
-                        .on_tx_done(RailId(rail), token)
-                        .expect("tx token must be valid");
+                    let completed = sends_of(
+                        self.nodes[node]
+                            .engine
+                            .on_tx_done(RailId(rail), token)
+                            .expect("tx token must be valid"),
+                    );
                     let dst = 1 - node;
                     let lat = self.nodes[node].rails[rail].wire_latency;
                     self.queue.push(
@@ -549,7 +559,7 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
                             frame,
                         },
                     );
-                    for (s, _) in completed {
+                    for s in completed {
                         self.fire_send_complete(node, now, s);
                     }
                     schedule_kick(node, &mut self.nodes[node], &mut self.queue, now);
@@ -579,7 +589,10 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
                     .engine
                     .on_frame(RailId(rail), &frame)
                     .unwrap_or_else(|e| panic!("n{node} rx error: {e}"));
-                for recv in outcome.completed_recvs {
+                // (The engine lends the outcome; the hooks below need it.)
+                let recvs: SmallList<RecvId, 8> = outcome.completed_recvs.iter().copied().collect();
+                let pongs = outcome.sample_pongs.clone();
+                for recv in recvs {
                     let msg = self.nodes[node]
                         .engine
                         .try_recv(recv)
@@ -589,7 +602,7 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
                     }
                     self.run_app_hook(node, now, AppHook::Recv(recv, msg));
                 }
-                for (probe, len) in outcome.sample_pongs {
+                for (probe, len) in pongs {
                     self.run_app_hook(node, now, AppHook::Pong(probe, len));
                 }
                 schedule_kick(node, &mut self.nodes[node], &mut self.queue, now);

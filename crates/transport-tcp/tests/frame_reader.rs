@@ -373,7 +373,8 @@ fn deliver(
             } else {
                 reasm.insert_chunk(id, 0, 1, at, total, p.data)
             };
-            if let Some(mut message) = done.expect("accepted") {
+            if done.expect("accepted").is_some() {
+                let mut message = reasm.take(id).expect("complete");
                 whole = message.segments.pop();
             }
         }

@@ -220,8 +220,12 @@ pub struct AggregateParts {
     pub slab: Bytes,
 }
 
-/// The entries of the container that is the next thing in `r`.
-pub(crate) fn parse_entries(r: &mut impl Source) -> Result<Vec<AggregateEntry>, WireError> {
+/// Append the entries of the container that is the next thing in `r` to
+/// `entries`.
+pub(crate) fn parse_entries(
+    r: &mut impl Source,
+    entries: &mut Vec<AggregateEntry>,
+) -> Result<(), WireError> {
     let count = u16::from_le_bytes(r.array()?) as usize;
     if count == 0 {
         return Err(WireError::BadLength {
@@ -230,7 +234,7 @@ pub(crate) fn parse_entries(r: &mut impl Source) -> Result<Vec<AggregateEntry>, 
         });
     }
     // (Sized by what can be there, not by a count off the wire alone.)
-    let mut entries = Vec::with_capacity(count.min(r.remaining() / ENTRY_OVERHEAD));
+    entries.reserve(count.min(r.remaining() / ENTRY_OVERHEAD));
     for _ in 0..count {
         let h = EntryHdr::read(&r.array()?);
         entries.push(AggregateEntry {
@@ -241,13 +245,14 @@ pub(crate) fn parse_entries(r: &mut impl Source) -> Result<Vec<AggregateEntry>, 
             data: r.bytes(h.len as usize)?,
         });
     }
-    Ok(entries)
+    Ok(())
 }
 
 /// Parse an aggregate container body back into its entries.
 pub fn parse_aggregate(body: &[u8]) -> Result<Vec<AggregateEntry>, WireError> {
     let mut r = Reader::new(body, "aggregate container");
-    let entries = parse_entries(&mut r)?;
+    let mut entries = Vec::new();
+    parse_entries(&mut r, &mut entries)?;
     r.expect_end()?;
     Ok(entries)
 }

@@ -220,18 +220,35 @@ impl PacketFrame {
     /// that *were* copied because they straddled a part boundary, so the
     /// engine can account for them.
     pub fn decode(&self) -> Result<(Envelope, FrameBody, usize), WireError> {
+        let mut entries = Vec::new();
+        let (envelope, packet, copied) = self.decode_with(&mut entries)?;
+        let body = packet.map_or(FrameBody::Aggregate(entries), FrameBody::Packet);
+        Ok((envelope, body, copied))
+    }
+
+    /// [`Self::decode`] for a receiver that keeps one entry list between
+    /// frames: an aggregate's entries are appended to `entries` and the
+    /// packet is `None`. (After an error `entries` may hold the ones read
+    /// before it.)
+    pub fn decode_with(
+        &self,
+        entries: &mut Vec<AggregateEntry>,
+    ) -> Result<(Envelope, Option<Packet>, usize), WireError> {
         let mut r = SgReader::new(self, "envelope");
         let (envelope, crc) = open_envelope(&mut r)?;
         check_crc(crc, || r.crc_of_rest())?;
         r.what = "packet body";
         // Entries are parsed straight out of the parts, so aggregate
         // payloads stay zero-copy on the receive side too.
-        let body = match envelope.kind {
-            PacketKind::Aggregate => FrameBody::Aggregate(parse_entries(&mut r)?),
-            kind => FrameBody::Packet(Packet::decode_body(kind, &mut r)?),
+        let packet = match envelope.kind {
+            PacketKind::Aggregate => {
+                parse_entries(&mut r, entries)?;
+                None
+            }
+            kind => Some(Packet::decode_body(kind, &mut r)?),
         };
         r.expect_end()?;
-        Ok((envelope, body, r.copied()))
+        Ok((envelope, packet, r.copied()))
     }
 }
 

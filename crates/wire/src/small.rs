@@ -62,6 +62,16 @@ impl<T: Default, const N: usize> SmallList<T, N> {
         self[at] = item;
     }
 
+    /// Empty the list and keep its spill's capacity: a list that is
+    /// filled again as far costs no allocation.
+    pub fn clear(&mut self) {
+        for slot in &mut self.inline[..self.len.min(N)] {
+            *slot = T::default();
+        }
+        self.spill.clear();
+        self.len = 0;
+    }
+
     /// Remove and return the element at `at`, shifting the rest down.
     pub fn remove(&mut self, at: usize) -> T {
         let item = std::mem::take(&mut self[at]);
@@ -85,6 +95,11 @@ impl<T, const N: usize> SmallList<T, N> {
     /// True when the list holds nothing.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Elements the list holds without allocating again.
+    pub fn capacity(&self) -> usize {
+        N + self.spill.capacity()
     }
 
     /// The `i`-th element.
@@ -242,6 +257,20 @@ mod tests {
         l.push(9);
         l.push(10);
         assert_eq!(l.iter().copied().collect::<Vec<_>>(), vec![3, 9, 10]);
+    }
+
+    #[test]
+    fn clear_keeps_the_spill_for_the_next_fill() {
+        let mut l: SmallList<u32, 2> = (0..20).collect();
+        let capacity = l.capacity();
+        assert!(capacity >= 20);
+        l.clear();
+        assert!(l.is_empty() && l.get(0).is_none());
+        assert_eq!(l.capacity(), capacity);
+        for i in 7..10 {
+            l.push(i);
+        }
+        assert_eq!(l.iter().copied().collect::<Vec<_>>(), vec![7, 8, 9]);
     }
 
     #[test]

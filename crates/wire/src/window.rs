@@ -29,6 +29,7 @@
 //!   first checks [`IdWindow::span_with`] against what it is willing to
 //!   hold.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Slots the dense part may hold whatever they are: below this nothing is
@@ -65,6 +66,11 @@ pub struct IdWindow<T> {
     retired: usize,
     /// Unfinished ids below the base, live ones and holes.
     stragglers: BTreeMap<u64, Slot<T>>,
+    /// [`IdWindow::bound`] has walked the stragglers below this id: those
+    /// still there were kept.
+    kept_below: u64,
+    /// How many stragglers are below `kept_below`.
+    kept: usize,
 }
 
 impl<T> Default for IdWindow<T> {
@@ -74,6 +80,8 @@ impl<T> Default for IdWindow<T> {
             slots: VecDeque::new(),
             retired: 0,
             stragglers: BTreeMap::new(),
+            kept_below: 0,
+            kept: 0,
         }
     }
 }
@@ -200,15 +208,51 @@ impl<T> IdWindow<T> {
     /// lets go of what it no longer needs to tell ids apart (see the
     /// module docs).
     pub fn retire(&mut self, id: u64) -> Option<T> {
+        self.retire_by(id, |slot| match std::mem::replace(slot, Slot::Retired) {
+            Slot::Live(value) => Some(value),
+            _ => None,
+        })
+    }
+
+    /// [`IdWindow::retire`] `id` once `finish` takes what it needs out of
+    /// its live value, in one lookup: when `finish` returns something the
+    /// value is dropped where it lies and that comes back; otherwise the
+    /// slot is left as it is.
+    pub fn retire_with<R>(
+        &mut self,
+        id: u64,
+        finish: impl FnOnce(&mut T) -> Option<R>,
+    ) -> Option<R> {
+        self.retire_by(id, |slot| match slot {
+            Slot::Live(value) => finish(value),
+            _ => None,
+        })
+    }
+
+    /// Retire the live slot of `id` if `finish` makes something of it.
+    fn retire_by<R>(
+        &mut self,
+        id: u64,
+        finish: impl FnOnce(&mut Slot<T>) -> Option<R>,
+    ) -> Option<R> {
         if self.index(id).is_none() {
             // A straggler goes at once: nothing waits behind it.
-            self.live(id)?;
-            return match self.stragglers.remove(&id) {
-                Some(Slot::Live(value)) => Some(value),
-                _ => None,
+            let Entry::Occupied(mut straggler) = self.stragglers.entry(id) else {
+                return None;
             };
+            if !matches!(straggler.get(), Slot::Live(_)) {
+                return None;
+            }
+            let made = finish(straggler.get_mut())?;
+            straggler.remove();
+            if id < self.kept_below {
+                self.kept -= 1;
+            }
+            return Some(made);
         }
-        let value = self.take(id, Slot::Retired)?;
+        let slot = self.slot_mut(id).filter(|s| matches!(s, Slot::Live(_)))?;
+        let made = finish(slot)?;
+        *slot = Slot::Retired;
         self.retired += 1;
         // Retired ids at the front go; so does an unfinished one, to the
         // stragglers, when most of what waits behind it is retired.
@@ -217,7 +261,7 @@ impl<T> IdWindow<T> {
         {
             self.pop_front();
         }
-        Some(value)
+        Some(made)
     }
 
     /// Move the base past the front slot, keeping it (as a straggler) if
@@ -235,15 +279,29 @@ impl<T> IdWindow<T> {
     /// beside it, for a window whose ids someone else makes up: the
     /// oldest ids leave the deque whatever waits behind them, and the
     /// oldest stragglers are given up on — they answer as retired from
-    /// now on. Returns how many were given up on.
-    pub fn bound(&mut self, dense: usize, stragglers: usize) -> usize {
+    /// now on — except live ones that `keep` holds on to: those stay
+    /// until they are retired and do not count towards `stragglers`. A
+    /// straggler is judged once, when the walk first reaches it, so each
+    /// is looked at once however many calls it outlives. Returns how many
+    /// were given up on.
+    pub fn bound(&mut self, dense: usize, stragglers: usize, keep: impl Fn(&T) -> bool) -> usize {
         while self.slots.len() > dense {
             self.pop_front();
         }
         let mut given_up = 0;
-        while self.stragglers.len() > stragglers {
-            self.stragglers.pop_first();
-            given_up += 1;
+        while self.stragglers.len() - self.kept > stragglers {
+            let (&id, oldest) = self
+                .stragglers
+                .range(self.kept_below..)
+                .next()
+                .expect("counted");
+            self.kept_below = id + 1;
+            if matches!(oldest, Slot::Live(v) if keep(v)) {
+                self.kept += 1;
+            } else {
+                self.stragglers.remove(&id);
+                given_up += 1;
+            }
         }
         given_up
     }
@@ -353,6 +411,28 @@ mod tests {
     }
 
     #[test]
+    fn retire_with_leaves_what_is_not_finished() {
+        let mut w = IdWindow::new();
+        w.insert(0, vec![1]).unwrap();
+        w.insert(1, vec![2, 3]).unwrap();
+        let finished = |v: &mut Vec<u32>| (v.len() > 1).then(|| v.pop());
+        assert_eq!(w.retire_with(0, finished), None);
+        assert_eq!(w.get(0), Lookup::Live(&vec![1]), "untouched");
+        assert_eq!(w.retire_with(1, finished), Some(Some(3)));
+        assert_eq!(w.get(1), Lookup::Past);
+        assert_eq!(w.retire_with(1, |_| Some(())), None, "only once");
+        // The same for a straggler.
+        for id in 2..200 {
+            w.push(vec![]);
+            w.retire(id);
+        }
+        assert_eq!((w.len(), w.stragglers()), (1, 1));
+        assert_eq!(w.retire_with(0, |_| None::<()>), None);
+        assert_eq!(w.retire_with(0, |v| v.pop()), Some(1));
+        assert!(w.is_empty());
+    }
+
+    #[test]
     fn push_appends_at_the_end() {
         let mut w = IdWindow::new();
         assert_eq!((w.push("a"), w.push("b")), (0, 1));
@@ -389,7 +469,7 @@ mod tests {
         assert_eq!(w.retire(1), Some("later"));
         assert_eq!(w.retire(1), None, "only once");
         assert_eq!(w.get(1), Lookup::Past);
-        assert_eq!(w.bound(usize::MAX, 1), 1);
+        assert_eq!(w.bound(usize::MAX, 1, |_| false), 1);
         assert_eq!(w.get(0), Lookup::Past, "given up on");
         assert_eq!(w.retire(2), Some("again"));
         assert!(w.is_empty());
@@ -406,14 +486,38 @@ mod tests {
         for id in (1..1000).step_by(2) {
             w.retire(id);
         }
-        assert_eq!(w.bound(100, usize::MAX), 0);
+        assert_eq!(w.bound(100, usize::MAX, |_| false), 0);
         assert_eq!(
             (w.len(), w.stragglers(), w.span_with(1000)),
             (550, 450, 101)
         );
         assert_eq!((w.get(0), w.get(1)), (Lookup::Live(&0), Lookup::Past));
-        assert_eq!(w.bound(100, 400), 50);
+        assert_eq!(w.bound(100, 400, |_| false), 50);
         assert_eq!((w.get(98), w.get(100)), (Lookup::Past, Lookup::Live(&100)));
+    }
+
+    #[test]
+    fn bound_keeps_what_keep_holds_and_walks_past_it_once() {
+        // Odd ids are kept; even ones may be given up on.
+        let mut w = IdWindow::new();
+        for id in 0..1000u64 {
+            w.push(id);
+        }
+        let keep = |v: &u64| v % 2 == 1;
+        assert_eq!(w.bound(0, 100, keep), 450, "the 450 oldest even ids");
+        assert_eq!((w.get(0), w.get(1)), (Lookup::Past, Lookup::Live(&1)));
+        assert_eq!((w.get(898), w.get(900)), (Lookup::Past, Lookup::Live(&900)));
+        assert_eq!((w.len(), w.kept), (550, 450));
+        // Kept ones below the walk count for nothing; retiring them
+        // leaves the count right.
+        assert_eq!(w.bound(0, 100, keep), 0);
+        for id in (1..900).step_by(2) {
+            assert_eq!(w.retire(id), Some(id));
+        }
+        assert_eq!((w.len(), w.kept), (100, 0));
+        w.push(1000);
+        assert_eq!(w.bound(0, 100, keep), 1, "900, the oldest even one");
+        assert_eq!(w.get(901), Lookup::Live(&901));
     }
 
     #[test]

@@ -440,7 +440,7 @@ proptest! {
         for (i, (off, data)) in pieces.into_iter().enumerate() {
             let res = r.insert_chunk(42, 0, 1, off, payload.len() as u64, data).unwrap();
             if i + 1 == n {
-                done = res;
+                done = res.and_then(|()| r.take(42));
             } else {
                 prop_assert!(res.is_none(), "completed early");
             }
@@ -473,7 +473,7 @@ proptest! {
                 .unwrap();
             stored += new_bytes;
             if msg.is_some() {
-                done = msg;
+                done = r.take(7);
                 break;
             }
         }
@@ -551,7 +551,7 @@ proptest! {
                 .insert_chunk_lenient(7, 0, 1, start as u64, total as u64, chunk)
                 .unwrap();
             if msg.is_some() {
-                done = msg;
+                done = r.take(7);
                 break;
             }
         }
@@ -590,7 +590,7 @@ proptest! {
             let chunk = Bytes::copy_from_slice(&payload[start..end]);
             done = r.insert_chunk(7, 0, 1, start as u64, total as u64, chunk).unwrap();
         }
-        let done = done.expect("the last chunk completes it");
+        let done = done.and_then(|()| r.take(7)).expect("the last chunk completes it");
         prop_assert_eq!(done.into_contiguous(), payload);
         prop_assert_eq!((r.joined_bytes(), r.gathered_bytes()), (0, total as u64));
     }
@@ -726,7 +726,7 @@ proptest! {
             };
             let res = r.insert_chunk(c.msg_id, c.seg_index, c.total_segs, c.offset,
                 c.total_len, c.data).unwrap();
-            if let Some(d) = res { done = Some(d); }
+            if res.is_some() { done = r.take(42); }
         }
         // Encode and decode kept every chunk a slice of the original, so
         // the delivery is the original.

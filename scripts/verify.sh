@@ -86,6 +86,17 @@ echo "==> no copy per arrival, nothing sized from a wire total_len in reassembly
 if grep -nE 'with_capacity\(total_len|fn store\b' crates/wire/src/reassembly.rs; then
     echo "reassembly copies per arrival or sizes a buffer from the wire again (see above)"; exit 1
 fi
+# One slot per message (DESIGN.md §12 "Engine state tables"): what
+# arrived of a message lives in the reassembler's window beside the
+# receive matched to it, and the engine keeps the lists a frame fills
+# between frames. The reassembler's separate window, the engine's second
+# per-message table and the per-frame entry and completion lists must
+# not come back.
+echo "==> one receive slot per message; no per-frame entry or completion list"
+if grep -rnE 'PartialMessage|RecvSlot|CompletedSends|enum SegState|partial: IdWindow|reassembler: Reassembler' crates \
+    || grep -nE '\.decode\(\)|FrameBody' crates/core/src/engine/mod.rs; then
+    echo "a second per-message table or a per-frame list is back (see above)"; exit 1
+fi
 
 # A TCP chunk is read where its segment will be delivered from
 # (DESIGN.md "Receive: reassembly by reference", the landing table). The
@@ -294,8 +305,12 @@ grep -q '"clean":true' "$wd_tmp" \
 # engine's `next_tx` and `on_frame` time per message, the decode time of
 # a 64-entry aggregate and the allocations per message. Times depend on
 # the host, so they are printed as trend lines for the next PR's log
-# (0.32 / 0.34 / 2.4 us and 4.9 on the 2-vCPU build host after PR 23;
-# 0.55 / 0.70 / 5-7 us before), not gated.
+# (0.28 / 0.23 / 2.4 us and 3.3 allocations on a 2-vCPU host since one
+# receive slot holds each message and the per-frame lists are kept,
+# PR 28; 0.35 / 0.37 / 2.5 us and 4.9 before it; 0.55 / 0.70 / 5-7 us
+# before PR 23), not gated. `alloc.count_per_msg` repeats to three
+# digits: 4.9 again means a list per frame or a second list per
+# delivered message is back.
 echo "==> nmad-benchmark (offline build, selftest, 3 s each traced: tcp_pingpong_small, mem_mixed_bidir, tcp_stream_large, tcp_burst_multiseg)"
 bench=(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --)
 # The value of per-layer metric $2 in the benchmark's result line $1.
