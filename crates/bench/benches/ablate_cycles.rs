@@ -1,5 +1,5 @@
 //! Per-packet CPU-cycles gate: checksum kernel throughput, syscalls per
-//! message of a burst over loopback TCP, pool-magazine hit rate, and the
+//! message of a burst over loopback TCP, pool reuse rate, and the
 //! end-to-end scalar-vs-SIMD per-message cost. Run with
 //! `cargo bench -p nmad-bench --bench ablate_cycles`.
 //! Set `NMAD_CYCLES_SMOKE=1` for the small CI sweep.
@@ -13,7 +13,7 @@ fn main() {
     // Shared noise policy (see nmad_bench::report): if ONLY the
     // load-sensitive gates trip (kernel speedups, syscall ratio,
     // per-packet CPU), measure once more and keep the run with fewer
-    // violations. Coverage gates (completion, magazine traffic) are
+    // violations. Coverage gates (completion, pool traffic) are
     // deterministic and never retried.
     let report = nmad_bench::report::retry_once_on_timing(
         "ablate_cycles",
@@ -44,10 +44,10 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!(
-        "per-packet cycles gate OK: {:.3} tx syscalls/msg, {:.1}% magazine hits, \
+        "per-packet cycles gate OK: {:.3} tx syscalls/msg, {:.1}% pool reuse, \
          {} {:.1}x faster than scalar end to end",
         report.tx_calls_per_message(),
-        report.magazine.hit_rate * 100.0,
+        report.pool.reuse_rate * 100.0,
         report.per_packet.fast_kernel,
         report.per_packet.scalar_ns as f64 / report.per_packet.fast_ns.max(1) as f64
     );

@@ -15,9 +15,9 @@
 //!   loopback TCP at 2 rails; the optimisation window must turn a burst
 //!   into few aggregate frames, one `write_vectored` each. Gate: at most
 //!   [`TX_SYSCALLS_PER_MESSAGE_GATE`] TX syscalls per message.
-//! * **Pool magazines** — a soak-shaped aggregation workload; takes
-//!   must be served lock-free from the per-worker magazine caches.
-//!   Gate: hit rate at least [`MAGAZINE_HIT_RATE_GATE`].
+//! * **Pool reuse** — a soak-shaped aggregation workload; takes must
+//!   be served from the engine pool's free list, not fresh allocations.
+//!   Gate: reuse rate at least [`POOL_REUSE_RATE_GATE`].
 //! * **Per-packet CPU** — the same CRC-on workload timed with the
 //!   checksum kernel forced to scalar vs. the best available kernel,
 //!   interleaved like `ablate_obs`. Gate: the fast kernel's per-message
@@ -52,8 +52,8 @@ pub const TX_SYSCALLS_PER_MESSAGE_GATE: f64 = 0.25;
 /// Messages the burst shape keeps in flight.
 pub const BURST_WINDOW: usize = 32;
 
-/// Minimum fraction of pool takes served lock-free from a magazine.
-pub const MAGAZINE_HIT_RATE_GATE: f64 = 0.90;
+/// Minimum fraction of pool takes served from the free list.
+pub const POOL_REUSE_RATE_GATE: f64 = 0.90;
 
 /// Give up on the fabric leg after this long (a wedged pipeline must
 /// fail the gate, not hang CI).
@@ -80,29 +80,26 @@ impl Serialize for KernelPoint {
     }
 }
 
-/// Magazine traffic of the aggregation workload.
+/// Pool traffic of the aggregation workload.
 #[derive(Clone, Debug)]
-pub struct MagazinePoint {
+pub struct PoolPoint {
     /// Pool takes across both engines.
     pub takes: u64,
-    /// Takes served lock-free from a magazine.
-    pub magazine_hits: u64,
-    /// Batch refills that took the shared lock.
-    pub refills: u64,
+    /// Takes served from the free list.
+    pub hits: u64,
     /// Takes that allocated fresh memory.
     pub allocs: u64,
-    /// `magazine_hits / takes`.
-    pub hit_rate: f64,
+    /// `hits / takes`.
+    pub reuse_rate: f64,
 }
 
-impl Serialize for MagazinePoint {
+impl Serialize for PoolPoint {
     fn to_value(&self) -> Value {
         ser::object([
             ("takes", ser::v(&self.takes)),
-            ("magazine_hits", ser::v(&self.magazine_hits)),
-            ("refills", ser::v(&self.refills)),
+            ("hits", ser::v(&self.hits)),
             ("allocs", ser::v(&self.allocs)),
-            ("hit_rate", ser::v(&self.hit_rate)),
+            ("reuse_rate", ser::v(&self.reuse_rate)),
         ])
     }
 }
@@ -151,8 +148,8 @@ pub struct CyclesReport {
     pub fabric_messages: u64,
     /// Whether every fabric send/recv completed before the deadline.
     pub fabric_completed: bool,
-    /// Magazine traffic of the aggregation workload.
-    pub magazine: MagazinePoint,
+    /// Pool traffic of the aggregation workload.
+    pub pool: PoolPoint,
     /// Scalar-vs-fast per-message CPU comparison.
     pub per_packet: PerPacketPoint,
     /// Gates applied by [`check`].
@@ -161,8 +158,8 @@ pub struct CyclesReport {
     pub simd_gate: f64,
     /// See [`TX_SYSCALLS_PER_MESSAGE_GATE`].
     pub tx_syscall_gate: f64,
-    /// See [`MAGAZINE_HIT_RATE_GATE`].
-    pub magazine_gate: f64,
+    /// See [`POOL_REUSE_RATE_GATE`].
+    pub pool_reuse_gate: f64,
 }
 
 impl CyclesReport {
@@ -188,12 +185,12 @@ impl Serialize for CyclesReport {
             ("rx_per_packet", ser::v(&self.syscalls.rx_per_packet())),
             ("fabric_messages", ser::v(&self.fabric_messages)),
             ("fabric_completed", ser::v(&self.fabric_completed)),
-            ("magazine", ser::v(&self.magazine)),
+            ("pool", ser::v(&self.pool)),
             ("per_packet", ser::v(&self.per_packet)),
             ("slice16_gate", ser::v(&self.slice16_gate)),
             ("simd_gate", ser::v(&self.simd_gate)),
             ("tx_syscall_gate", ser::v(&self.tx_syscall_gate)),
-            ("magazine_gate", ser::v(&self.magazine_gate)),
+            ("pool_reuse_gate", ser::v(&self.pool_reuse_gate)),
         ])
     }
 }
@@ -340,18 +337,18 @@ fn pump(a: &mut Engine, b: &mut Engine) {
     panic!("engines did not quiesce");
 }
 
-/// Soak-shaped magazine workload: windows of small messages under the
+/// Soak-shaped pool workload: windows of small messages under the
 /// aggregating strategy, so every window takes head buffers and staging
 /// slabs from the pool and reclaims them at completion — steady-state
-/// reuse is exactly what the magazines exist to serve lock-free.
+/// reuse is exactly what the pool exists to serve without allocating.
 ///
 /// Unlike [`pump`], this loop mirrors a real runtime's buffer
 /// lifecycle: the frame is delivered and dropped, and the receiving app
 /// consumes its message (releasing the zero-copy slices into the
 /// staging slab), *before* the sender's `on_tx_done` tries to reclaim
 /// head and slab — otherwise every reclaim is a refcount miss and
-/// nothing ever returns to the magazine.
-fn measure_magazine(rounds: usize, window: usize) -> MagazinePoint {
+/// nothing ever returns to the free list.
+fn measure_pool(rounds: usize, window: usize) -> PoolPoint {
     let (mut a, mut b) = engine_pair(StrategyKind::AggregateEager, false);
     let payload = Bytes::from(noise_buf(256));
     for _ in 0..rounds {
@@ -380,18 +377,14 @@ fn measure_magazine(rounds: usize, window: usize) -> MagazinePoint {
         }
     }
     let (da, db) = (a.stats().datapath.clone(), b.stats().datapath.clone());
-    let takes = da.pool_hits + da.hot_path_allocs + db.pool_hits + db.hot_path_allocs;
-    let magazine_hits = da.pool_magazine_hits + db.pool_magazine_hits;
-    MagazinePoint {
+    let hits = da.pool_hits + db.pool_hits;
+    let allocs = da.hot_path_allocs + db.hot_path_allocs;
+    let takes = hits + allocs;
+    PoolPoint {
         takes,
-        magazine_hits,
-        refills: da.pool_magazine_refills + db.pool_magazine_refills,
-        allocs: da.hot_path_allocs + db.hot_path_allocs,
-        hit_rate: if takes == 0 {
-            0.0
-        } else {
-            magazine_hits as f64 / takes as f64
-        },
+        hits,
+        allocs,
+        reuse_rate: hits as f64 / takes.max(1) as f64,
     }
 }
 
@@ -453,10 +446,10 @@ pub fn run(smoke: bool) -> CyclesReport {
     };
     let (syscalls, fabric_messages, fabric_completed) =
         measure_fabric_syscalls(if smoke { 2_000 } else { 20_000 });
-    let magazine = if smoke {
-        measure_magazine(64, 16)
+    let pool = if smoke {
+        measure_pool(64, 16)
     } else {
-        measure_magazine(512, 16)
+        measure_pool(512, 16)
     };
     let per_packet = if smoke {
         measure_per_packet(64 << 10, 48)
@@ -469,12 +462,12 @@ pub fn run(smoke: bool) -> CyclesReport {
         syscalls,
         fabric_messages,
         fabric_completed,
-        magazine,
+        pool,
         per_packet,
         slice16_gate: SLICE16_SPEEDUP_GATE,
         simd_gate: SIMD_SPEEDUP_GATE,
         tx_syscall_gate: TX_SYSCALLS_PER_MESSAGE_GATE,
-        magazine_gate: MAGAZINE_HIT_RATE_GATE,
+        pool_reuse_gate: POOL_REUSE_RATE_GATE,
     }
 }
 
@@ -512,15 +505,15 @@ pub fn check(report: &CyclesReport) -> Vec<String> {
             report.fabric_messages
         ));
     }
-    if report.magazine.takes == 0 {
-        v.push("magazine workload took no pool buffers".into());
-    } else if report.magazine.hit_rate < report.magazine_gate {
+    if report.pool.takes == 0 {
+        v.push("pool workload took no pool buffers".into());
+    } else if report.pool.reuse_rate < report.pool_reuse_gate {
         v.push(format!(
-            "magazine hit rate {:.1}% below the {:.0}% gate ({} lock-free of {} takes)",
-            report.magazine.hit_rate * 100.0,
-            report.magazine_gate * 100.0,
-            report.magazine.magazine_hits,
-            report.magazine.takes
+            "pool reuse rate {:.1}% below the {:.0}% gate ({} reused of {} takes)",
+            report.pool.reuse_rate * 100.0,
+            report.pool_reuse_gate * 100.0,
+            report.pool.hits,
+            report.pool.takes
         ));
     }
     if report.per_packet.fast_ns >= report.per_packet.scalar_ns {
@@ -557,14 +550,13 @@ pub fn render(report: &CyclesReport) -> String {
         s.rx_frames,
         s.rx_per_packet()
     );
-    let m = &report.magazine;
+    let m = &report.pool;
     let _ = writeln!(
         out,
-        "magazines: {} takes, {} lock-free ({:.1}%), {} refills, {} allocs",
+        "pool: {} takes, {} reused ({:.1}%), {} allocs",
         m.takes,
-        m.magazine_hits,
-        m.hit_rate * 100.0,
-        m.refills,
+        m.hits,
+        m.reuse_rate * 100.0,
         m.allocs
     );
     let pp = &report.per_packet;
@@ -612,12 +604,11 @@ mod tests {
             },
             fabric_messages: 256,
             fabric_completed: true,
-            magazine: MagazinePoint {
+            pool: PoolPoint {
                 takes: 1000,
-                magazine_hits: 970,
-                refills: 10,
+                hits: 980,
                 allocs: 20,
-                hit_rate: 0.97,
+                reuse_rate: 0.98,
             },
             per_packet: PerPacketPoint {
                 size: 64 << 10,
@@ -629,7 +620,7 @@ mod tests {
             slice16_gate: SLICE16_SPEEDUP_GATE,
             simd_gate: SIMD_SPEEDUP_GATE,
             tx_syscall_gate: TX_SYSCALLS_PER_MESSAGE_GATE,
-            magazine_gate: MAGAZINE_HIT_RATE_GATE,
+            pool_reuse_gate: POOL_REUSE_RATE_GATE,
         }
     }
 
@@ -642,7 +633,7 @@ mod tests {
         r.kernels[1].speedup = 2.0; // slice16 under 3x
         r.kernels[2].speedup = 5.0; // simd under 8x
         r.syscalls.tx_calls = 200; // 0.78 per message
-        r.magazine.hit_rate = 0.5;
+        r.pool.reuse_rate = 0.5;
         r.per_packet.fast_ns = r.per_packet.scalar_ns; // not strictly below
         r.fabric_completed = false;
         assert_eq!(check(&r).len(), 6, "{:?}", check(&r));
@@ -652,7 +643,7 @@ mod tests {
     fn zero_denominators_are_coverage_failures() {
         let mut r = clean_report();
         r.syscalls.tx_frames = 0;
-        r.magazine.takes = 0;
+        r.pool.takes = 0;
         let v = check(&r);
         assert!(v.iter().any(|s| s.contains("no frames")), "{v:?}");
         assert!(v.iter().any(|s| s.contains("no pool buffers")), "{v:?}");
@@ -668,16 +659,19 @@ mod tests {
     }
 
     #[test]
-    fn magazine_workload_reuses_buffers() {
-        let m = measure_magazine(16, 8);
+    fn pool_workload_reuses_buffers() {
+        let m = measure_pool(16, 8);
         assert!(m.takes > 0, "workload must touch the pool");
-        assert!(m.hit_rate > 0.5, "steady-state reuse must dominate: {m:?}");
+        assert!(
+            m.reuse_rate > 0.5,
+            "steady-state reuse must dominate: {m:?}"
+        );
     }
 
     #[test]
     fn render_mentions_every_section() {
         let s = render(&clean_report());
         assert!(s.contains("slice16") && s.contains("syscalls/pkt"));
-        assert!(s.contains("magazines:") && s.contains("per-packet CPU"));
+        assert!(s.contains("pool:") && s.contains("per-packet CPU"));
     }
 }

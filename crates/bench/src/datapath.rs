@@ -193,7 +193,7 @@ pub fn check(report: &DataPathReport) -> Vec<String> {
         }
         // The simulated receiver shares every frame with its sender, so
         // a head is still shared when its injection completes: the pool
-        // has to park it, not give it up (`Magazine`'s limbo).
+        // has to park it, not give it up (the pool's limbo).
         if p.pool_hits == 0 {
             violations.push(format!(
                 "{}: no buffer came back from the pool ({} allocated on the hot path)",

@@ -15,7 +15,7 @@
 //!   (clean) windows within 10 % of the first (clean) windows. The chaos
 //!   schedule only fires in the middle of the run and heals before the
 //!   tail, so head and tail compare clean against clean.
-//! * **No leaks** — the BufferPool ledger on both endpoints reads zero
+//! * **No leaks** — the pool ledger on both endpoints reads zero
 //!   unaccounted buffers after the drain.
 //! * **No stuck requests** — every accepted send acks within the drain
 //!   deadline after the final fault heals.
@@ -315,8 +315,6 @@ pub struct SoakReport {
     pub rx_errors: u64,
     /// Submissions shed by per-tenant admission.
     pub shed_admission: u64,
-    /// Submissions shed at the pool watermark.
-    pub shed_watermark: u64,
     /// Unaccounted pool buffers on the sender after drain (gate: 0).
     pub pool_leaks_a: u64,
     /// Unaccounted pool buffers on the receiver after drain (gate: 0).
@@ -409,7 +407,6 @@ impl Serialize for SoakReport {
             ("tx_dropped", ser::v(&self.tx_dropped)),
             ("rx_errors", ser::v(&self.rx_errors)),
             ("shed_admission", ser::v(&self.shed_admission)),
-            ("shed_watermark", ser::v(&self.shed_watermark)),
             ("pool_leaks_a", ser::v(&self.pool_leaks_a)),
             ("pool_leaks_b", ser::v(&self.pool_leaks_b)),
             ("stuck", ser::v(&self.stuck)),
@@ -460,7 +457,6 @@ pub fn run(spec: &SoakSpec) -> SoakReport {
     engine.calibration.enabled = true;
     // Bounded everything: the soak must shed, not grow.
     engine.overload.max_tenant_inflight = 32;
-    engine.overload.pool_watermark = 1 << 15;
     let telemetry_on = spec.telemetry_window > Duration::ZERO;
     if telemetry_on {
         // The aggregator tails the recorder ring; size it so a fold per
@@ -533,7 +529,7 @@ pub fn run(spec: &SoakSpec) -> SoakReport {
 
     // Everything is drained: read the ledgers and counters.
     let st = a.stats();
-    let ov = a.overload_stats();
+    let ov = st.overload;
     let window_len = spec.duration.as_secs_f64() / spec.windows as f64;
 
     // Closed-loop acked messages per window (decay metric input).
@@ -632,7 +628,6 @@ pub fn run(spec: &SoakSpec) -> SoakReport {
         tx_dropped: a.tx_dropped(),
         rx_errors: b.rx_errors(),
         shed_admission: ov.admission_rejections,
-        shed_watermark: ov.watermark_rejections,
         pool_leaks_a: a.pool_leaks(),
         pool_leaks_b: b.pool_leaks(),
         stuck: runs.iter().map(|r| r.stuck).sum(),
@@ -800,7 +795,7 @@ pub fn check(r: &SoakReport) -> Vec<String> {
     }
     if r.pool_leaks_a > 0 || r.pool_leaks_b > 0 {
         v.push(format!(
-            "BufferPool ledger leaked: sender {} / receiver {} unaccounted buffers (gate: 0)",
+            "pool ledger leaked: sender {} / receiver {} unaccounted buffers (gate: 0)",
             r.pool_leaks_a, r.pool_leaks_b
         ));
     }
@@ -921,8 +916,8 @@ pub fn render(r: &SoakReport) -> String {
     );
     let _ = writeln!(
         out,
-        "faults: {} retransmits, {} injected drops, {} rx rejects | shed adm/wm {}/{}",
-        r.retransmits, r.tx_dropped, r.rx_errors, r.shed_admission, r.shed_watermark
+        "faults: {} retransmits, {} injected drops, {} rx rejects | shed {}",
+        r.retransmits, r.tx_dropped, r.rx_errors, r.shed_admission
     );
     let _ = writeln!(
         out,

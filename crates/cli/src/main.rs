@@ -55,7 +55,7 @@ fn usage() -> &'static str {
                                         --kernel pins the CRC kernel for A/B runs)\n\
        cycles [--smoke] [--check]       per-packet CPU cost: checksum kernel GiB/s,\n\
                                         syscalls per message of a TCP burst,\n\
-                                        pool-magazine hit rate (--check applies the\n\
+                                        pool reuse rate (--check applies the\n\
                                         DESIGN.md §12 gates)\n\
        tcp-serve [--conns N]            real-socket receiver (prints addresses)\n\
        tcp-send <addr0> <addr1> [--size BYTES]\n\
@@ -72,7 +72,7 @@ fn usage() -> &'static str {
                                         chrome://tracing / Perfetto\n\
        metrics [--strategy S] [--size BYTES] [--messages N]\n\
                                         per-rail latency/size/backlog histograms,\n\
-                                        syscalls/packet and pool-magazine hit rate\n\
+                                        syscalls/packet and pool reuse rate\n\
                                         from an acked pipeline run\n\
        spans [--strategy S] [--size BYTES] [--messages N]\n\
                                         per-request critical-path breakdown\n\
@@ -416,9 +416,9 @@ fn cmd_cycles(args: &Args) -> Result<(), String> {
             return Err("per-packet cycles gate violated".into());
         }
         println!(
-            "cycles gates OK: {:.3} tx syscalls/msg, {:.1}% magazine hits, {} {:.1}x vs scalar",
+            "cycles gates OK: {:.3} tx syscalls/msg, {:.1}% pool reuse, {} {:.1}x vs scalar",
             report.tx_calls_per_message(),
-            report.magazine.hit_rate * 100.0,
+            report.pool.reuse_rate * 100.0,
             report.per_packet.fast_kernel,
             report.per_packet.scalar_ns as f64 / report.per_packet.fast_ns.max(1) as f64
         );
@@ -742,8 +742,8 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     let rendered = match format {
         "chrome" => obs::to_chrome_trace_with_overflow(&events, dropped),
         "jsonl" => obs::to_jsonl_with_overflow(&events, dropped),
-        // The sender's engine stats carry the syscall and pool-magazine
-        // counters the plain event stream cannot show.
+        // The sender's engine stats carry the syscall and pool counters
+        // the plain event stream cannot show.
         "summary" => obs::summary_with_stats(&events, w.node(0).engine.stats()),
         other => return Err(format!("unknown format '{other}'")),
     };
@@ -845,7 +845,9 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
             );
             println!("  rail{r} rtt ns {}", ro.latency_ns.render());
         }
-        print_syscall_and_magazine_lines(&s);
+        for line in nmad_core::obs::cost_lines(&s).lines() {
+            println!("  {line}");
+        }
     }
     let rec: u64 = (0..2)
         .map(|i| w.node(i).engine.recorder().total_recorded())
@@ -853,33 +855,6 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
         + w.recorder.total_recorded();
     println!("\nflight recorder: {rec} events recorded across both nodes + fabric");
     Ok(())
-}
-
-/// The per-packet cost lines of `metrics`: syscalls per packet (zero
-/// in the simulator, which does no I/O), and the pool-magazine hit rate
-/// (how often a buffer came from the thread-local magazine instead of
-/// the shared pool or a fresh allocation).
-fn print_syscall_and_magazine_lines(s: &nmad_core::EngineStats) {
-    let sc = &s.syscalls;
-    println!(
-        "  syscalls  {:.2}/pkt (tx {:.2}/pkt: {} calls/{} frames; rx {:.2}/pkt: {} calls/{} frames)",
-        sc.per_packet(),
-        sc.tx_per_packet(),
-        sc.tx_calls,
-        sc.tx_frames,
-        sc.rx_per_packet(),
-        sc.rx_calls,
-        sc.rx_frames,
-    );
-    let dp = &s.datapath;
-    println!(
-        "  magazine  {:>5.1}% hits ({} magazine hits / {} takes, {} refills, {} flushes)",
-        dp.magazine_hit_rate() * 100.0,
-        dp.pool_magazine_hits,
-        dp.pool_hits + dp.hot_path_allocs,
-        dp.pool_magazine_refills,
-        dp.pool_magazine_flushes,
-    );
 }
 
 /// `nmad spans`: run the acked simulated workload per strategy and print

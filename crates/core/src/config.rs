@@ -5,11 +5,10 @@ use crate::obs::{TelemetryConfig, WatchdogConfig};
 use crate::sampling::CalibrationConfig;
 use crate::strategy::StrategyKind;
 
-/// Overload-protection knobs: per-tenant admission control and a
-/// pool-memory watermark, both enforced by
+/// Overload-protection knobs: per-tenant admission control, enforced by
 /// [`crate::Engine::try_submit_send`] (`Endpoint::try_send`; the plain
-/// `send` checks neither). Each limit defaults to 0 = unlimited; the
-/// soak harness turns them on (see DESIGN.md §11).
+/// `send` does not check it). Defaults to 0 = unlimited; the soak
+/// harness turns it on (see DESIGN.md §11).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OverloadConfig {
     /// Maximum sends a single tenant (connection) may have admitted but
@@ -17,18 +16,6 @@ pub struct OverloadConfig {
     /// [`crate::SubmitError::WouldBlock`], so one misbehaving tenant
     /// cannot starve the rest. 0 disables admission control.
     pub max_tenant_inflight: usize,
-    /// Watermark on outstanding pool buffers (taken and not yet
-    /// reclaimed). Above it, new submissions are shed with `WouldBlock`
-    /// until completions drain the pool back down. 0 disables the
-    /// watermark.
-    pub pool_watermark: usize,
-}
-
-impl OverloadConfig {
-    /// True when every limit is disabled (the default).
-    pub fn is_unlimited(&self) -> bool {
-        self.max_tenant_inflight == 0 && self.pool_watermark == 0
-    }
 }
 
 /// Tunable knobs of the engine, with defaults matching the paper's setup.
@@ -72,7 +59,7 @@ pub struct EngineConfig {
     /// engine then splits on its init-time tables forever, exactly as
     /// before.
     pub calibration: CalibrationConfig,
-    /// Overload protection: per-tenant admission, pool watermark.
+    /// Overload protection: per-tenant admission.
     /// All-zero (off) by default.
     pub overload: OverloadConfig,
     /// Continuous telemetry: fold the flight recorder into
@@ -154,7 +141,7 @@ mod tests {
         assert_eq!(c.rdv_threshold, 32 * 1024);
         assert_eq!(c.agg_max_bytes, 16 * 1024);
         assert_eq!(c.min_chunk, 8 * 1024);
-        assert!(c.overload.is_unlimited(), "overload limits default off");
+        assert_eq!(c.overload.max_tenant_inflight, 0, "the quota defaults off");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::error::SubmitError;
 use crate::health::{RailState, RailTelemetry};
 use crate::obs::{Alert, Event, Window};
 use crate::request::{RecvId, SendId};
-use crate::stats::{EngineStats, OverloadStats};
+use crate::stats::EngineStats;
 
 mod serial;
 pub use serial::{
@@ -279,9 +279,8 @@ impl Endpoint {
 
     /// Submit a send under the overload policy: refused with
     /// [`SubmitError::WouldBlock`] while the channel's sends in progress
-    /// are at its quota or the buffer pool is above its watermark (see
-    /// [`crate::OverloadConfig`]; with neither set, never), and with
-    /// [`SubmitError::Shutdown`] once the endpoint has shut down.
+    /// are at its quota (see [`crate::OverloadConfig`]; unset, never), and
+    /// with [`SubmitError::Shutdown`] once the endpoint has shut down.
     pub fn try_send(&self, conn: ConnId, segments: Vec<Bytes>) -> Result<SendHandle, SubmitError> {
         Ok(SendHandle {
             fabric: self.fabric.clone(),
@@ -295,11 +294,6 @@ impl Endpoint {
             fabric: self.fabric.clone(),
             id: self.fabric.post_recv(conn),
         }
-    }
-
-    /// How often [`Endpoint::try_send`] said no, and why.
-    pub fn overload_stats(&self) -> OverloadStats {
-        self.fabric.engine().lock().stats().overload
     }
 
     /// Engine statistics snapshot.

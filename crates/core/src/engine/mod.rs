@@ -39,12 +39,12 @@ use nmad_wire::header::{
 use nmad_wire::reassembly::{MessageAssembly, ReasmError, Reassembler};
 use nmad_wire::{ConnId, IdWindow, Lookup, MsgId, PacketFrame};
 
-use crate::config::{EngineConfig, OverloadConfig};
+use crate::config::EngineConfig;
 use crate::driver::{TxDecision, TxToken};
 use crate::error::{EngineError, SubmitError};
 use crate::health::{HealthTracker, RailState, RailTelemetry, Transition};
 use crate::obs::{Event, EventKind, FlightRecorder, TelemetryAggregator, Watchdog};
-use crate::pool::{Magazine, SharedPool};
+use crate::pool::Pool;
 use crate::request::{Backlog, RecvId, SegKey, SegPhase, SendId};
 use crate::sampling::{default_ladder, split_ratio_permille, OnlineCalibrator, PerfTable};
 use crate::stats::{EngineStats, OverloadStats};
@@ -247,7 +247,7 @@ pub struct Engine {
     tx_seq: Vec<u32>,
     stats: EngineStats,
     /// Recycled head/slab buffers for the transmit hot path.
-    pool: Magazine,
+    pool: Pool,
     /// Per-rail health records (fed by acks/timeouts, drives failover).
     health: HealthTracker,
     /// Engine-internal clock, advanced by [`Engine::progress`].
@@ -360,7 +360,7 @@ impl Engine {
             in_flight: IdWindow::new(),
             tx_seq: vec![0; n],
             stats: EngineStats::new(n),
-            pool: SharedPool::default().magazine(16),
+            pool: Pool::default(),
             now_ns: 0,
             probe_sent: IdWindow::new(),
             ewma_service_ns: vec![0; n],
@@ -663,24 +663,15 @@ impl Engine {
     /// [`Engine::submit_send`] under the overload policy
     /// ([`crate::OverloadConfig`]): refused, counted and nothing queued
     /// while `conn` has `max_tenant_inflight` sends admitted and not yet
-    /// locally complete, or the buffer pool has more than
-    /// `pool_watermark` buffers out. The caller decides whether to retry,
-    /// shed or slow down; every pass it makes meanwhile is progress
-    /// towards being admitted again. `submit_send` itself checks neither
-    /// limit.
+    /// locally complete. The caller decides whether to retry, shed or
+    /// slow down; every pass it makes meanwhile is progress towards being
+    /// admitted again. `submit_send` itself does not check the limit.
     pub fn try_submit_send(
         &mut self,
         conn: ConnId,
         segments: Vec<Bytes>,
     ) -> Result<SendId, SubmitError> {
-        let OverloadConfig {
-            max_tenant_inflight: quota,
-            pool_watermark: watermark,
-        } = self.config.overload;
-        if watermark != 0 && self.pool.outstanding() > watermark as u64 {
-            self.stats.overload.watermark_rejections += 1;
-            return Err(SubmitError::WouldBlock);
-        }
+        let quota = self.config.overload.max_tenant_inflight;
         // (An unknown connection is `submit_send`'s to refuse.)
         let at_quota = |sends: &IdWindow<SendSlot>| {
             let mut open = sends.iter().filter(|(_, s)| !s.done);
@@ -700,35 +691,17 @@ impl Engine {
         SubmitError::Shutdown
     }
 
-    /// One `Shed` / `Backpressure` event per reason for the submissions
-    /// refused since the last call — not one per refusal: an open-loop
-    /// sender is refused at the rate it offers, and would have the ring
-    /// to itself.
+    /// One `Shed` (tenant admission) and one `Backpressure` (shutdown)
+    /// event for the submissions refused since the last call — not one
+    /// per refusal: an open-loop sender is refused at the rate it offers,
+    /// and would have the ring to itself.
     fn record_refusals(&mut self) {
         let (now, seen) = (self.stats.overload, self.refusals_recorded);
-        if now == seen {
-            return;
-        }
-        let refused = [
-            (
-                EventKind::Shed,
-                1,
-                now.admission_rejections - seen.admission_rejections,
-            ),
-            (
-                EventKind::Shed,
-                2,
-                now.watermark_rejections - seen.watermark_rejections,
-            ),
-            (
-                EventKind::Backpressure,
-                1,
-                now.shutdown_rejections - seen.shutdown_rejections,
-            ),
-        ];
-        for (kind, reason, count) in refused {
+        let shed = now.admission_rejections - seen.admission_rejections;
+        let shutdown = now.shutdown_rejections - seen.shutdown_rejections;
+        for (kind, count) in [(EventKind::Shed, shed), (EventKind::Backpressure, shutdown)] {
             if count > 0 {
-                let ev = Event::new(self.now_ns, kind).size(count).aux(reason);
+                let ev = Event::new(self.now_ns, kind).size(count).aux(1);
                 self.obs.record(ev);
             }
         }
@@ -984,7 +957,7 @@ impl Engine {
                 // allowed), straight from the segment in its send slot;
                 // larger entries ride as refcounted slices.
                 let container_len = CONTAINER_OVERHEAD + keys.len() * ENTRY_OVERHEAD + payload;
-                let slab = self.pool.take(container_len);
+                let slab = self.pool.take(container_len, &mut self.stats.datapath);
                 self.agg.begin(self.rails[rail.0].pio_threshold, slab);
                 let (now_ns, min_chunk) = (self.now_ns, self.config.min_chunk);
                 let staged = message_runs(&keys).try_fold((false, true), |(again, small), run| {
@@ -1006,7 +979,7 @@ impl Engine {
                     Err(e) => {
                         // (What an aggregate that failed half-way took.)
                         let slab = self.agg.begin(usize::MAX, Default::default());
-                        self.pool.reclaim(slab.freeze());
+                        self.pool.reclaim(slab.freeze(), &mut self.stats.datapath);
                         return Err(e);
                     }
                 };
@@ -1087,20 +1060,6 @@ impl Engine {
         seq
     }
 
-    /// Mirror the pool's cumulative counters into the datapath stats.
-    fn sync_pool_counters(&mut self) {
-        let c = self.pool.counters();
-        let d = &mut self.stats.datapath;
-        d.hot_path_allocs = c.allocs;
-        d.pool_hits = c.hits;
-        d.pool_reclaims = c.reclaims;
-        d.pool_reclaim_misses = c.reclaim_misses;
-        d.pool_magazine_hits = c.magazine_hits;
-        d.pool_magazine_refills = c.magazine_refills;
-        d.pool_magazine_flushes = c.magazine_flushes;
-        d.pool_outstanding = self.pool.outstanding();
-    }
-
     /// Pool buffers outside anyone's custody: taken from the pool but
     /// neither reclaimed nor accounted to an in-flight frame. Zero on a
     /// healthy engine at all times; asserted at drop.
@@ -1110,7 +1069,10 @@ impl Engine {
             .iter()
             .map(|(_, t)| t.head.is_some() as u64 + t.slab.is_some() as u64)
             .sum();
-        self.pool.outstanding().saturating_sub(in_custody)
+        self.stats
+            .datapath
+            .pool_outstanding
+            .saturating_sub(in_custody)
     }
 
     fn finish_decision(
@@ -1123,7 +1085,7 @@ impl Engine {
         retransmitted: bool,
     ) -> TxDecision {
         let seq = self.alloc_seq(rail);
-        let head = self.pool.take(HEAD_CAPACITY);
+        let head = self.pool.take(HEAD_CAPACITY, &mut self.stats.datapath);
         let frame = pkt.encode_frame_into(conn, seq, self.config.crc, head);
         let control = pkt.is_control();
         self.seal_decision(
@@ -1151,7 +1113,7 @@ impl Engine {
         retransmitted: bool,
     ) -> TxDecision {
         let seq = self.alloc_seq(rail);
-        let head = self.pool.take(HEAD_CAPACITY);
+        let head = self.pool.take(HEAD_CAPACITY, &mut self.stats.datapath);
         let copied = agg.staged_bytes;
         // Keep a handle on the staging slab: the frame's staged runs are
         // slices of it, and on_tx_done hands the allocation back to the
@@ -1190,7 +1152,6 @@ impl Engine {
         slab: Option<Bytes>,
         retransmitted: bool,
     ) -> TxDecision {
-        self.sync_pool_counters();
         let nic = &self.rails[rail.0];
         let wire_len = frame.wire_len();
         let mode = if wire_len < nic.pio_threshold {
@@ -1280,9 +1241,8 @@ impl Engine {
         // receiver may still hold a reference, and the pool parks the
         // buffer until it has let go. Same for the aggregation slab.
         for buf in [head, slab].into_iter().flatten() {
-            self.pool.reclaim(buf);
+            self.pool.reclaim(buf, &mut self.stats.datapath);
         }
-        self.sync_pool_counters();
         // Per-rail service-time EWMA: SRPT's straggler predictor. First
         // sample seeds; after that a 3/4-old, 1/4-new blend tracks drift
         // without chasing noise. Control frames excluded, same as below.
@@ -2122,10 +2082,10 @@ impl Drop for Engine {
         debug_assert_eq!(
             self.pool_leaks(),
             0,
-            "BufferPool leak at engine drop: {} buffer(s) outstanding beyond in-flight custody \
+            "pool leak at engine drop: {} buffer(s) outstanding beyond in-flight custody \
              (outstanding={}, in_flight={})",
             self.pool_leaks(),
-            self.pool.outstanding(),
+            self.stats.datapath.pool_outstanding,
             self.in_flight.iter().count(),
         );
     }
@@ -2134,6 +2094,7 @@ impl Drop for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::OverloadConfig;
     use crate::strategy::StrategyKind;
     use nmad_model::platform;
 
@@ -2320,7 +2281,6 @@ mod tests {
     fn tenant_admission_credits_on_completion() {
         let quota = OverloadConfig {
             max_tenant_inflight: 1,
-            pool_watermark: 0,
         };
         let mut tx = engine_with(quota, 0);
         let (c0, c1) = (tx.conn_open(), tx.conn_open());
@@ -2344,40 +2304,7 @@ mod tests {
         tx.try_submit_send(c0, vec![payload(100, 4)])
             .expect("completion returns the credit");
         tx.submit_send(c0, vec![payload(100, 5)]);
-        assert_eq!(tx.stats().overload.total_shed(), 1);
-    }
-
-    /// The pool watermark: refused while more buffers are out of the pool
-    /// than it allows — a frame's head from its post to its completion —
-    /// whichever tenant asks.
-    #[test]
-    fn watermark_refuses_while_buffers_are_out() {
-        let watermark = OverloadConfig {
-            max_tenant_inflight: 0,
-            pool_watermark: 1,
-        };
-        let mut tx = engine_with(watermark, 0);
-        let (c0, c1) = (tx.conn_open(), tx.conn_open());
-        for fill in 0..2 {
-            tx.try_submit_send(c0, vec![payload(100, fill)]).unwrap();
-        }
-        let d0 = tx.next_tx(RailId(0)).unwrap().expect("first");
-        tx.try_submit_send(c0, vec![payload(100, 2)])
-            .expect("one buffer out is at the watermark, not above");
-        let d1 = tx.next_tx(RailId(1)).unwrap().expect("second");
-        assert_eq!(tx.stats().datapath.pool_outstanding, 2);
-        for conn in [c0, c1] {
-            assert_eq!(
-                tx.try_submit_send(conn, vec![payload(100, 3)]),
-                Err(SubmitError::WouldBlock)
-            );
-        }
-        assert_eq!(tx.stats().overload.watermark_rejections, 2);
-        assert_eq!(tx.stats().overload.admission_rejections, 0);
-        tx.on_tx_done(RailId(0), d0.token).unwrap();
-        tx.try_submit_send(c1, vec![payload(100, 4)])
-            .expect("admitted again once the pool has drained");
-        tx.on_tx_done(RailId(1), d1.token).unwrap();
+        assert_eq!(tx.stats().overload.admission_rejections, 1);
     }
 
     /// Refusals reach the flight recorder as one event per reason and
@@ -2387,7 +2314,6 @@ mod tests {
     fn refusals_are_recorded_per_pass_not_per_offer() {
         let quota = OverloadConfig {
             max_tenant_inflight: 1,
-            pool_watermark: 0,
         };
         let mut tx = engine_with(quota, 64);
         let c = tx.conn_open();
@@ -2941,15 +2867,14 @@ mod tests {
         assert_eq!(tx.stats().datapath.pool_outstanding, 0);
         // ...and a deliberately-held frame shows up in the ledger, the
         // stats counter, and the drop assertion.
-        let _held = tx.pool.take(64);
-        tx.sync_pool_counters();
+        let _held = tx.pool.take(64, &mut tx.stats.datapath);
         assert_eq!(tx.pool_leaks(), 1, "held buffer must be flagged");
         assert_eq!(tx.stats().datapath.pool_outstanding, 1);
         if cfg!(debug_assertions) {
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(tx)))
                 .expect_err("drop must assert on a leaked buffer");
             let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("BufferPool leak"), "unexpected panic: {msg}");
+            assert!(msg.contains("pool leak"), "unexpected panic: {msg}");
         }
     }
 

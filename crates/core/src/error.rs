@@ -67,8 +67,7 @@ impl From<ReasmError> for EngineError {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitError {
     /// The engine is overloaded: the tenant is over its admission quota
-    /// or the buffer pool is above its watermark (see
-    /// [`crate::OverloadConfig`]). Retry after completions drain.
+    /// (see [`crate::OverloadConfig`]). Retry after completions drain.
     WouldBlock,
     /// The endpoint has shut down; no new work is accepted.
     Shutdown,

@@ -87,7 +87,7 @@ pub mod engine;
 pub mod error;
 pub mod health;
 pub mod obs;
-pub mod pool;
+mod pool;
 pub mod request;
 pub mod sampling;
 pub mod stats;
@@ -108,7 +108,6 @@ pub use obs::{
     Alert, AlertKind, Event, EventKind, FlightRecorder, Log2Histogram, SpanBreakdown,
     TelemetryAggregator, TelemetryConfig, Watchdog, WatchdogConfig, Window,
 };
-pub use pool::{BufferPool, Magazine, PoolCounters, SharedPool};
 pub use request::{Backlog, RecvId, SendId};
 pub use sampling::{
     split_ratio_permille, CalibrationConfig, CalibrationSnapshot, OnlineCalibrator, PerfTable,

@@ -13,15 +13,6 @@ use crate::stats::EngineStats;
 
 use super::recorder::{Event, EventKind, NO_RAIL};
 
-/// Merge several recorders' events (the simulator's two nodes and its
-/// fabric, say) into one timestamp-ordered stream. The sort is stable so
-/// events with equal timestamps keep their shard order.
-pub fn merge_events(shards: &[&[Event]]) -> Vec<Event> {
-    let mut all: Vec<Event> = shards.iter().flat_map(|s| s.iter().copied()).collect();
-    all.sort_by_key(|e| e.ts_ns);
-    all
-}
-
 /// One JSON object per event, one per line — easy to grep and stream.
 pub fn to_jsonl(events: &[Event]) -> String {
     let mut out = String::new();
@@ -294,12 +285,19 @@ pub fn summary(events: &[Event]) -> String {
     out
 }
 
-/// [`summary`] extended with the engine counters a trace alone cannot
-/// show: syscall amortization on the threaded transports and the pool
-/// magazine hit rate. `nmad trace --format summary` uses this when the
-/// endpoint's stats are at hand.
+/// [`summary`] extended with [`cost_lines`]. `nmad trace --format
+/// summary` uses this when the endpoint's stats are at hand.
 pub fn summary_with_stats(events: &[Event], stats: &EngineStats) -> String {
-    let mut out = summary(events);
+    summary(events) + &cost_lines(stats)
+}
+
+/// The per-packet cost lines a trace alone cannot show: syscall
+/// amortization on the live transports (zero in the simulator, which
+/// does no I/O) and the pool's reuse rate (how often a buffer came from
+/// its free list instead of a fresh allocation). `nmad metrics` prints
+/// them per node.
+pub fn cost_lines(stats: &EngineStats) -> String {
+    let mut out = String::new();
     let sc = &stats.syscalls;
     let _ = writeln!(
         out,
@@ -315,12 +313,10 @@ pub fn summary_with_stats(events: &[Event], stats: &EngineStats) -> String {
     let dp = &stats.datapath;
     let _ = writeln!(
         out,
-        "magazine hit rate: {:.1}% ({} magazine hits / {} takes, {} refills, {} flushes)",
-        dp.magazine_hit_rate() * 100.0,
-        dp.pool_magazine_hits,
+        "pool reuse rate: {:.1}% ({} hits / {} takes)",
+        dp.pool_reuse_rate() * 100.0,
+        dp.pool_hits,
         dp.pool_hits + dp.hot_path_allocs,
-        dp.pool_magazine_refills,
-        dp.pool_magazine_flushes
     );
     out
 }
@@ -410,15 +406,15 @@ mod tests {
     }
 
     #[test]
-    fn summary_with_stats_appends_syscalls_and_magazine() {
+    fn summary_with_stats_appends_syscalls_and_pool_reuse() {
         let mut stats = EngineStats::new(2);
         stats.syscalls.tx_calls = 10;
         stats.syscalls.tx_frames = 40;
-        stats.datapath.pool_hits = 100;
-        stats.datapath.pool_magazine_hits = 98;
+        stats.datapath.pool_hits = 98;
+        stats.datapath.hot_path_allocs = 2;
         let s = summary_with_stats(&sample_events(), &stats);
         assert!(s.contains("tx 0.25/pkt"), "{s}");
-        assert!(s.contains("magazine hit rate: 98.0%"), "{s}");
+        assert!(s.contains("pool reuse rate: 98.0%"), "{s}");
         assert!(
             s.contains("split decisions"),
             "still contains the base summary: {s}"

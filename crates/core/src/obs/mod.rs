@@ -30,7 +30,7 @@ mod telemetry;
 mod watchdog;
 
 pub use export::{
-    merge_events, summary, summary_with_stats, to_chrome_trace, to_chrome_trace_with_overflow,
+    cost_lines, summary, summary_with_stats, to_chrome_trace, to_chrome_trace_with_overflow,
     to_jsonl, to_jsonl_with_overflow,
 };
 pub use hist::Log2Histogram;

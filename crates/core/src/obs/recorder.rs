@@ -86,8 +86,7 @@ pub enum EventKind {
     /// 1 recv done).
     SimApp,
     /// Overload protection shed submissions (`size` = how many since
-    /// the last such event, `aux` = reason code: 1 tenant admission,
-    /// 2 pool watermark).
+    /// the last such event, `aux` = reason code: 1 tenant admission).
     Shed,
     /// Submissions were refused for a lifecycle reason the caller must
     /// handle (`size` = how many, `aux` = reason code: 1 shutdown).

@@ -63,8 +63,8 @@ impl SpanBreakdown {
     }
 }
 
-/// Decompose a merged, timestamp-ordered event stream (e.g.
-/// [`super::merge_events`] output) into span legs.
+/// Decompose a merged, timestamp-ordered event stream (every node's
+/// events on one clock, as the simulator records them) into span legs.
 pub fn decompose(events: &[Event]) -> SpanBreakdown {
     let mut out = SpanBreakdown::default();
 

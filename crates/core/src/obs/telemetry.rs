@@ -8,7 +8,7 @@
 //! fixed-interval [`Window`]s — per-rail throughput and utilization,
 //! latency percentiles, retransmit/failover/probe rates, queue depths —
 //! plus counter deltas sampled from [`EngineStats`] at each window close
-//! (syscalls per packet, magazine hit rate, pool watermark).
+//! (syscalls per packet, pool reuse rate, pool buffers outstanding).
 //!
 //! The discipline matches the recorder's: every window, rail slot and
 //! histogram is preallocated at construction, window roll is a swap into
@@ -141,11 +141,10 @@ pub struct Window {
     /// Syscall counters accumulated during this window (delta of the
     /// transport's totals between the two window closes).
     pub syscalls: SyscallStats,
-    /// Fraction of this window's buffer takes served lock-free from a
-    /// magazine.
-    pub magazine_hit_rate: f64,
-    /// Pool buffers outstanding at window close (gauge — the watermark
-    /// input).
+    /// Fraction of this window's buffer takes the pool served from its
+    /// free list (`pool_hits / takes`).
+    pub pool_reuse_rate: f64,
+    /// Pool buffers outstanding at window close (gauge).
     pub pool_outstanding: u64,
 }
 
@@ -201,8 +200,8 @@ pub struct TelemetryAggregator {
     /// `inflight > 0`; re-anchored to the window start at each roll).
     busy_since: Vec<u64>,
     prev_syscalls: SyscallStats,
-    prev_magazine_hits: u64,
-    prev_takes: u64,
+    /// Pool hits and fresh allocations as of the last window close.
+    prev_pool: (u64, u64),
     initial_ring_cap: usize,
     initial_rails_cap: usize,
 }
@@ -232,8 +231,7 @@ impl TelemetryAggregator {
             inflight: vec![0; n_rails],
             busy_since: vec![0; n_rails],
             prev_syscalls: SyscallStats::default(),
-            prev_magazine_hits: 0,
-            prev_takes: 0,
+            prev_pool: (0, 0),
             initial_ring_cap,
             initial_rails_cap,
         }
@@ -340,13 +338,11 @@ impl TelemetryAggregator {
         let sc = stats.syscalls;
         self.current.syscalls = sc.delta_since(&self.prev_syscalls);
         self.prev_syscalls = sc;
-        let takes = stats.datapath.pool_hits + stats.datapath.hot_path_allocs;
-        let mhits = stats.datapath.pool_magazine_hits;
-        let dt = takes.saturating_sub(self.prev_takes);
-        let dm = mhits.saturating_sub(self.prev_magazine_hits);
-        self.current.magazine_hit_rate = if dt == 0 { 0.0 } else { dm as f64 / dt as f64 };
-        self.prev_takes = takes;
-        self.prev_magazine_hits = mhits;
+        let pool = (stats.datapath.pool_hits, stats.datapath.hot_path_allocs);
+        let dh = pool.0.saturating_sub(self.prev_pool.0);
+        let da = pool.1.saturating_sub(self.prev_pool.1);
+        self.current.pool_reuse_rate = dh as f64 / (dh + da).max(1) as f64;
+        self.prev_pool = pool;
         self.current.pool_outstanding = stats.datapath.pool_outstanding;
     }
 
@@ -476,7 +472,8 @@ pub fn to_prometheus(agg: &TelemetryAggregator, stats: &EngineStats) -> String {
         );
     }
     let _ = writeln!(out, "# TYPE nmad_shed_total counter");
-    let _ = writeln!(out, "nmad_shed_total {}", stats.overload.total_shed());
+    let shed = stats.overload.admission_rejections;
+    let _ = writeln!(out, "nmad_shed_total {shed}");
 
     if let Some(w) = agg.latest() {
         let span = w.span_ns().max(1);
@@ -514,8 +511,8 @@ pub fn to_prometheus(agg: &TelemetryAggregator, stats: &EngineStats) -> String {
             "nmad_syscalls_per_packet {:.4}",
             w.syscalls.per_packet()
         );
-        let _ = writeln!(out, "# TYPE nmad_magazine_hit_rate gauge");
-        let _ = writeln!(out, "nmad_magazine_hit_rate {:.4}", w.magazine_hit_rate);
+        let _ = writeln!(out, "# TYPE nmad_pool_reuse_rate gauge");
+        let _ = writeln!(out, "nmad_pool_reuse_rate {:.4}", w.pool_reuse_rate);
         let _ = writeln!(out, "# TYPE nmad_pool_outstanding gauge");
         let _ = writeln!(out, "nmad_pool_outstanding {}", w.pool_outstanding);
     }
@@ -534,7 +531,7 @@ pub fn windows_jsonl(agg: &TelemetryAggregator) -> String {
             "{{\"ordinal\":{},\"start_ns\":{},\"end_ns\":{},\"submits\":{},\"acks\":{},\
              \"retransmits\":{},\"sheds\":{},\"backpressure\":{},\"alerts\":{},\
              \"events\":{},\"events_missed\":{},\"p50_ns\":{},\"p99_ns\":{},\
-             \"syscalls_per_packet\":{:.4},\"magazine_hit_rate\":{:.4},\
+             \"syscalls_per_packet\":{:.4},\"pool_reuse_rate\":{:.4},\
              \"pool_outstanding\":{},\"rails\":[",
             w.ordinal,
             w.start_ns,
@@ -550,7 +547,7 @@ pub fn windows_jsonl(agg: &TelemetryAggregator) -> String {
             w.latency.approx_quantile(0.50).unwrap_or(0),
             w.latency.approx_quantile(0.99).unwrap_or(0),
             w.syscalls.per_packet(),
-            w.magazine_hit_rate,
+            w.pool_reuse_rate,
             w.pool_outstanding,
         );
         for (i, rw) in w.rails.iter().enumerate() {
@@ -650,28 +647,28 @@ mod tests {
             rx_calls: 0,
             rx_frames: 0,
         };
-        st.datapath.pool_hits = 100;
-        st.datapath.pool_magazine_hits = 90;
+        st.datapath.pool_hits = 90;
+        st.datapath.hot_path_allocs = 10;
         st.datapath.pool_outstanding = 7;
         rec.record(Event::new(100, EventKind::Submit));
         a.fold(&rec, 1_500, &st);
         let w0 = a.latest().unwrap().clone();
         assert_eq!(w0.syscalls.tx_calls, 10);
-        assert!((w0.magazine_hit_rate - 0.9).abs() < 1e-9);
+        assert!((w0.pool_reuse_rate - 0.9).abs() < 1e-9);
         assert_eq!(w0.pool_outstanding, 7);
         // Second window sees only the delta.
         st.syscalls.tx_calls = 15;
         st.syscalls.tx_frames = 50;
-        st.datapath.pool_hits = 120;
-        st.datapath.pool_magazine_hits = 92;
+        st.datapath.pool_hits = 92;
+        st.datapath.hot_path_allocs = 28;
         a.fold(&rec, 2_500, &st);
         let w1 = a.latest().unwrap();
         assert_eq!(w1.syscalls.tx_calls, 5);
         assert_eq!(w1.syscalls.tx_frames, 10);
         assert!(
-            (w1.magazine_hit_rate - 0.1).abs() < 1e-9,
+            (w1.pool_reuse_rate - 0.1).abs() < 1e-9,
             "{}",
-            w1.magazine_hit_rate
+            w1.pool_reuse_rate
         );
     }
 
@@ -780,7 +777,7 @@ mod tests {
         let prom = to_prometheus(&a, &stats());
         assert!(prom.contains("nmad_rail_utilization{rail=\"0\"}"), "{prom}");
         assert!(prom.contains("nmad_windows_closed_total 2"), "{prom}");
-        assert!(prom.contains("nmad_magazine_hit_rate"), "{prom}");
+        assert!(prom.contains("nmad_pool_reuse_rate"), "{prom}");
         let jsonl = windows_jsonl(&a);
         assert_eq!(jsonl.lines().count(), 2);
         assert!(

@@ -74,13 +74,6 @@ pub struct DataPathStats {
     /// buffers still legitimately in custody (in-flight heads and slabs);
     /// at engine drop it must be zero (see `Engine::pool_leaks`).
     pub pool_outstanding: u64,
-    /// Buffer requests served from a per-worker magazine cache without
-    /// touching the shared pool lock (subset of `pool_hits`).
-    pub pool_magazine_hits: u64,
-    /// Magazine batch refills that crossed the shared pool lock.
-    pub pool_magazine_refills: u64,
-    /// Magazine batch flushes back to the shared free list.
-    pub pool_magazine_flushes: u64,
 }
 
 impl DataPathStats {
@@ -94,14 +87,11 @@ impl DataPathStats {
         self.tx_zero_copy_bytes + self.rx_zero_copy_bytes
     }
 
-    /// Fraction of buffer takes served lock-free from a magazine.
-    pub fn magazine_hit_rate(&self) -> f64 {
+    /// Fraction of buffer takes the pool served from its free list
+    /// (0.0 when nothing was taken yet).
+    pub fn pool_reuse_rate(&self) -> f64 {
         let takes = self.pool_hits + self.hot_path_allocs;
-        if takes == 0 {
-            0.0
-        } else {
-            self.pool_magazine_hits as f64 / takes as f64
-        }
+        self.pool_hits as f64 / takes.max(1) as f64
     }
 }
 
@@ -242,20 +232,12 @@ impl ObsStats {
 /// has shut down regardless of configuration).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OverloadStats {
-    /// Submissions refused by per-tenant admission control.
+    /// Submissions refused by per-tenant admission control: the one
+    /// overload reason.
     pub admission_rejections: u64,
-    /// Submissions shed because the buffer pool was above its watermark.
-    pub watermark_rejections: u64,
-    /// Submissions refused because shutdown had already begun.
+    /// Submissions refused because shutdown had already begun
+    /// (lifecycle, not load).
     pub shutdown_rejections: u64,
-}
-
-impl OverloadStats {
-    /// Total submissions refused for overload reasons (excludes
-    /// shutdown, which is lifecycle, not load).
-    pub fn total_shed(&self) -> u64 {
-        self.admission_rejections + self.watermark_rejections
-    }
 }
 
 /// Engine-wide counters.
@@ -351,16 +333,6 @@ mod tests {
         assert_eq!(s.rail_share(1), 0.0);
         assert_eq!(s.rails.len(), 3);
         assert_eq!(s.datapath, DataPathStats::default());
-    }
-
-    #[test]
-    fn overload_total_shed_excludes_shutdown() {
-        let o = OverloadStats {
-            admission_rejections: 2,
-            watermark_rejections: 1,
-            shutdown_rejections: 100,
-        };
-        assert_eq!(o.total_shed(), 3);
     }
 
     #[test]

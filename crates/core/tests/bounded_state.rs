@@ -9,7 +9,7 @@
 //! takes hold nothing back either. And how many are in progress is
 //! bounded too, for a sender that goes through the admission check: an
 //! open loop of 200 000 offers against rails that take a frame each per
-//! tick stays within a stated bound under each limit alone.
+//! tick stays within its per-tenant quota.
 
 use std::collections::VecDeque;
 
@@ -194,101 +194,79 @@ fn acked_tables_follow_the_messages_in_progress_and_old_duplicates_are_still_dro
 
 /// How many messages are in progress is bounded too, for a sender that
 /// asks: an open loop offers `PER_TICK` medium messages a tick through
-/// the admission check, the rails take one frame each a tick, and the
-/// receiver takes what those frames delivered — a quarter of what is
-/// offered. `submit_send` in place of `try_submit_send` grows the backlog
-/// by six messages a tick, to 150 000 by the end.
+/// the per-tenant admission check, the rails take one frame each a tick,
+/// and the receiver takes what those frames delivered — a quarter of
+/// what is offered. `submit_send` in place of `try_submit_send` grows the
+/// backlog by six messages a tick, to 150 000 by the end.
 #[test]
-fn an_open_loop_sender_is_held_by_each_limit_alone() {
+fn an_open_loop_sender_is_held_by_its_quota() {
     const OFFERS: u64 = 200_000;
     const PER_TICK: u64 = 8;
     const QUOTA: usize = 32;
-    let quota = OverloadConfig {
-        max_tenant_inflight: QUOTA,
-        pool_watermark: 0,
-    };
-    // More than one buffer out is both rails busy: nothing is admitted
-    // that the rails could not take at once, so what is in progress is
-    // what one tick admitted while a rail stood idle, and a frame a rail.
-    let watermark = OverloadConfig {
-        max_tenant_inflight: 0,
-        pool_watermark: 1,
+    let config = EngineConfig {
+        overload: OverloadConfig {
+            max_tenant_inflight: QUOTA,
+        },
+        ..EngineConfig::default()
     };
     let rails = platform::paper_platform().rails.len();
-    for (overload, in_progress_bound) in [(quota, QUOTA), (watermark, PER_TICK as usize + rails)] {
-        let config = EngineConfig {
-            overload,
-            ..EngineConfig::default()
-        };
-        let mut a = Engine::new(config, platform::paper_platform().rails, vec![]);
-        let mut b = engine(false);
-        let conn = a.conn_open();
-        b.conn_open();
-        let pool = Bytes::from(vec![0xA5u8; 12 << 10]);
-        let mut admitted: VecDeque<(u64, SendId, RecvId)> = VecDeque::new();
-        let mut on_the_wire = Vec::new();
-        let (mut offered, mut refused, mut delivered) = (0u64, 0u64, 0u64);
-        while offered < OFFERS || !admitted.is_empty() {
-            for (rail, d) in on_the_wire.drain(..) {
-                let d: nmad_core::TxDecision = d;
-                a.on_tx_done(rail, d.token).expect("on_tx_done");
-                b.on_frame(rail, &d.frame).expect("on_frame");
-            }
-            while let Some(&(msg, send, recv)) = admitted.front() {
-                let Some(m) = b.try_recv(recv) else { break };
-                assert_eq!(m.segments[0][..8], msg.to_le_bytes(), "wrong message");
-                assert!(a.send_complete(send));
-                admitted.pop_front();
-                delivered += 1;
-            }
-            for rail in (0..rails).map(RailId) {
-                on_the_wire.extend(a.next_tx(rail).expect("next_tx").map(|d| (rail, d)));
-            }
-            for _ in 0..PER_TICK.min(OFFERS - offered) {
-                let mut segment = pool.to_vec();
-                segment[..8].copy_from_slice(&offered.to_le_bytes());
-                match a.try_submit_send(conn, vec![Bytes::from(segment)]) {
-                    Ok(send) => admitted.push_back((offered, send, b.post_recv(conn))),
-                    Err(SubmitError::WouldBlock) => refused += 1,
-                    Err(e) => panic!("{e}"),
-                }
-                offered += 1;
-            }
-            assert!(
-                admitted.len() <= in_progress_bound,
-                "{overload:?}: {} messages in progress after {offered} offers",
-                admitted.len()
-            );
-            assert_bounded(&a, &b, in_progress_bound, "open loop");
-            let out = a.stats().datapath.pool_outstanding;
-            assert!(out <= 2 * rails as u64, "{overload:?}: {out} buffers out");
+    let mut a = Engine::new(config, platform::paper_platform().rails, vec![]);
+    let mut b = engine(false);
+    let conn = a.conn_open();
+    b.conn_open();
+    let pool = Bytes::from(vec![0xA5u8; 12 << 10]);
+    let mut admitted: VecDeque<(u64, SendId, RecvId)> = VecDeque::new();
+    let mut on_the_wire = Vec::new();
+    let (mut offered, mut refused, mut delivered) = (0u64, 0u64, 0u64);
+    while offered < OFFERS || !admitted.is_empty() {
+        for (rail, d) in on_the_wire.drain(..) {
+            let d: nmad_core::TxDecision = d;
+            a.on_tx_done(rail, d.token).expect("on_tx_done");
+            b.on_frame(rail, &d.frame).expect("on_frame");
         }
-        let st = a.stats();
-        // Backlog length as every submission found it, conn_tx span with it.
-        let backlog = st.obs.backlog_depth.max().expect("submissions");
-        println!("{overload:?}: {delivered} delivered, {refused} refused, backlog <= {backlog}");
+        while let Some(&(msg, send, recv)) = admitted.front() {
+            let Some(m) = b.try_recv(recv) else { break };
+            assert_eq!(m.segments[0][..8], msg.to_le_bytes(), "wrong message");
+            assert!(a.send_complete(send));
+            admitted.pop_front();
+            delivered += 1;
+        }
+        for rail in (0..rails).map(RailId) {
+            on_the_wire.extend(a.next_tx(rail).expect("next_tx").map(|d| (rail, d)));
+        }
+        for _ in 0..PER_TICK.min(OFFERS - offered) {
+            let mut segment = pool.to_vec();
+            segment[..8].copy_from_slice(&offered.to_le_bytes());
+            match a.try_submit_send(conn, vec![Bytes::from(segment)]) {
+                Ok(send) => admitted.push_back((offered, send, b.post_recv(conn))),
+                Err(SubmitError::WouldBlock) => refused += 1,
+                Err(e) => panic!("{e}"),
+            }
+            offered += 1;
+        }
         assert!(
-            backlog <= in_progress_bound as u64,
-            "{overload:?}: {backlog}"
+            admitted.len() <= QUOTA,
+            "{} messages in progress after {offered} offers",
+            admitted.len()
         );
-        assert_eq!(
-            (st.overload.total_shed(), offered),
-            (refused, delivered + refused),
-            "{overload:?}: every offer is delivered or counted as refused"
-        );
-        assert!(refused > OFFERS / 2, "{overload:?}: the limit never bound");
-        assert_eq!(
-            overload.max_tenant_inflight == 0,
-            st.overload.admission_rejections == 0
-        );
-        assert_eq!(
-            overload.pool_watermark == 0,
-            st.overload.watermark_rejections == 0
-        );
-        assert_eq!(b.stats().msgs_received, delivered);
-        assert!(a.is_quiescent() && b.is_quiescent());
-        assert_eq!((a.state_len(), b.state_len()), (0, 0));
+        assert_bounded(&a, &b, QUOTA, "open loop");
+        let out = a.stats().datapath.pool_outstanding;
+        assert!(out <= 2 * rails as u64, "{out} buffers out");
     }
+    let st = a.stats();
+    // Backlog length as every submission found it, conn_tx span with it.
+    let backlog = st.obs.backlog_depth.max().expect("submissions");
+    println!("{delivered} delivered, {refused} refused, backlog <= {backlog}");
+    assert!(backlog <= QUOTA as u64, "{backlog}");
+    assert_eq!(
+        (st.overload.admission_rejections, offered),
+        (refused, delivered + refused),
+        "every offer is delivered or counted as refused"
+    );
+    assert!(refused > OFFERS / 2, "the quota never bound");
+    assert_eq!(b.stats().msgs_received, delivered);
+    assert!(a.is_quiescent() && b.is_quiescent());
+    assert_eq!((a.state_len(), b.state_len()), (0, 0));
 }
 
 #[test]

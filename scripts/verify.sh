@@ -43,6 +43,15 @@ if grep -rnE 'carve_frames|\.parallel =|\.reactor =|reactor_threads|Runtime::Rea
     crates src tests examples .github vendor/bytes; then
     echo "a deleted runtime, runtime switch or carve path is back (see above)"; exit 1
 fi
+# One pool, owned by the engine and counted where it is used (DESIGN.md
+# §12 "One pool"): the shared pool and its per-worker magazines were the
+# deleted hub's, the per-frame counter mirror copied what the pool now
+# writes itself, the pool watermark never bound on one frame per rail
+# (DESIGN.md §11), and the recorder-shard merge had no shards left.
+if grep -rnE 'SharedPool|Magazine|BufferPool|pool_magazine|sync_pool_counters|pool_watermark|merge_events' \
+    crates src tests examples .github; then
+    echo "the shared pool, its magazines, the pool watermark or merge_events is back (see above)"; exit 1
+fi
 # One strategy: a pipeline of stages with a preset per StrategyKind
 # (DESIGN.md §13), not a trait object per kind or a knob per preset.
 if grep -rnE 'dyn Strategy\b|impl Strategy for|LatencyRouter|ZooConfig' crates src tests examples; then
@@ -224,8 +233,9 @@ NMAD_SOAK_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_soak
 # checksum kernels (slice16 >= 3x scalar, SIMD >= 8x where detected, at
 # the fold width this CPU has: 128 or 512 bit, printed with the table),
 # `write_vectored` calls per message of a burst over loopback TCP
-# (<= 0.25; 0.065 measured), the pool-magazine hit rate (>= 90%) and the end-to-end scalar-vs-SIMD
-# per-message CPU cost (see DESIGN.md §12).
+# (<= 0.25; 0.065 measured), the pool reuse rate (>= 90% of takes from
+# the free list) and the end-to-end scalar-vs-SIMD per-message CPU cost
+# (see DESIGN.md §12).
 echo "==> per-packet cycles (ablate_cycles smoke sweep)"
 NMAD_CYCLES_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_cycles
 
