@@ -10,7 +10,7 @@
 //!
 //! Both legs run the *same* deterministic simulation (same platform,
 //! same fault plan, same recording settings) — the only difference is
-//! `EngineConfig::calibration.enabled`. The run doubles as a regression
+//! `EngineConfig::calibrate`. The run doubles as a regression
 //! gate (used by `scripts/verify.sh`): [`check`] fails unless the
 //! calibrated leg strictly beats the frozen leg on pipeline completion
 //! time AND the split ratio leaves the seed band within a bounded number
@@ -171,9 +171,7 @@ impl AppLogic for PipeReceiver {
 fn run_leg(messages: usize, size: usize, calibrated: bool) -> SimWorld<PipeSender, PipeReceiver> {
     let p = platform::paper_platform();
     let mut cfg = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
-    cfg.calibration.enabled = calibrated;
-    cfg.calibration.rebuild_every = 8;
-    cfg.calibration.min_samples = 8;
+    cfg.calibrate = calibrated;
     let mut w = SimWorld::new(
         &p,
         cfg,

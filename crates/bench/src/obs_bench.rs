@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use nmad_core::engine::Engine;
-use nmad_core::{EngineConfig, StrategyKind, TelemetryConfig, WatchdogConfig};
+use nmad_core::{EngineConfig, Observe, StrategyKind};
 use nmad_model::{platform, RailId};
 use serde::{ser, Serialize, Value};
 
@@ -34,7 +34,8 @@ use crate::report::{lower_quartile_mean, mix};
 /// Maximum tolerated aggregate wall-clock overhead of recording, percent.
 pub const OVERHEAD_BUDGET_PCT: f64 = 5.0;
 
-/// Ring capacity used for the recorder-enabled legs.
+/// Ring capacity of the recorder leg (the full-stack leg runs
+/// `Observe::Watch`'s own).
 pub const RECORD_CAPACITY: usize = 16_384;
 
 /// Telemetry window used by the full-stack leg, ns. Short enough that a
@@ -141,7 +142,7 @@ impl Serialize for ObsReport {
     }
 }
 
-fn engine_pair(record_capacity: usize, telemetry: bool) -> (Engine, Engine) {
+fn engine_pair(observe: Observe) -> (Engine, Engine) {
     let mut cfg = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
     // As both live transports force it: the budget is a share of the hot
     // path they run. Without it, and with reassembly by reference, what
@@ -149,17 +150,7 @@ fn engine_pair(record_capacity: usize, telemetry: bool) -> (Engine, Engine) {
     // a denominator no runtime has.
     cfg.crc = true;
     cfg.acked = true; // acks + RTT samples exercise the reliability events
-    cfg.record_capacity = record_capacity;
-    if telemetry {
-        cfg.telemetry = TelemetryConfig {
-            window_ns: TELEMETRY_WINDOW_NS,
-            windows: 64,
-        };
-        cfg.watchdog = WatchdogConfig {
-            enabled: true,
-            ..WatchdogConfig::default()
-        };
-    }
+    cfg.observe = observe;
     let mk = || Engine::new(cfg.clone(), platform::paper_platform().rails, vec![]);
     let (mut a, mut b) = (mk(), mk());
     a.conn_open();
@@ -228,9 +219,13 @@ struct PointCounters {
 /// lowest-quartile samples is the noise-free estimate. Also returns the
 /// recorder/telemetry counters from the instrumented legs.
 fn measure_point(size: usize, samples: usize) -> (ObsPoint, PointCounters) {
-    let (mut a_off, mut b_off) = engine_pair(0, false);
-    let (mut a_on, mut b_on) = engine_pair(RECORD_CAPACITY, false);
-    let (mut a_full, mut b_full) = engine_pair(RECORD_CAPACITY, true);
+    let (mut a_off, mut b_off) = engine_pair(Observe::Off);
+    let (mut a_on, mut b_on) = engine_pair(Observe::Record {
+        capacity: RECORD_CAPACITY,
+    });
+    let (mut a_full, mut b_full) = engine_pair(Observe::Watch {
+        window_ns: TELEMETRY_WINDOW_NS,
+    });
     let payload = Bytes::from(vec![0x5Au8; size]);
     let (mut c_off, mut c_on, mut c_full) = (0u64, 0u64, 0u64);
     // Warm all pairs (allocator, page faults, sampling-table paths).

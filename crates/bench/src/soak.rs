@@ -29,9 +29,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use nmad_core::{
-    ChaosState, EngineConfig, StrategyKind, SubmitError, TelemetryConfig, WatchdogConfig,
-};
+use nmad_core::{ChaosState, EngineConfig, Observe, StrategyKind, SubmitError};
 use nmad_model::platform;
 use nmad_sim::Xoshiro256StarStar;
 use nmad_transport_mem::{pair, Endpoint, FabricConfig, FaultSpec, RailOutage};
@@ -206,19 +204,6 @@ impl SoakSpec {
             drain_deadline: Duration::from_secs(120),
             ..SoakSpec::smoke(seed)
         }
-    }
-}
-
-/// Watchdog thresholds scaled to the soak's shaped fabric (the
-/// defaults are sized for real links, not a time-scaled mem fabric):
-/// lower retransmit floor so a drop storm on sub-second windows trips
-/// the rule, everything else on the quiet-side defaults. The clean
-/// soak runs the same config and must fire nothing.
-fn soak_watchdog() -> WatchdogConfig {
-    WatchdogConfig {
-        enabled: true,
-        retransmit_floor: 6,
-        ..WatchdogConfig::default()
     }
 }
 
@@ -439,7 +424,6 @@ fn soak_health(engine: &mut EngineConfig) {
         max_rto_ns: 200_000_000,
         probe_interval_ns: 50_000_000,
         probe_timeout_ns: 20_000_000,
-        ..engine.health
     };
 }
 
@@ -454,19 +438,14 @@ pub fn run(spec: &SoakSpec) -> SoakReport {
     let mut engine = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
     engine.acked = true;
     soak_health(&mut engine);
-    engine.calibration.enabled = true;
+    engine.calibrate = true;
     // Bounded everything: the soak must shed, not grow.
-    engine.overload.max_tenant_inflight = 32;
+    engine.max_tenant_inflight = 32;
     let telemetry_on = spec.telemetry_window > Duration::ZERO;
     if telemetry_on {
-        // The aggregator tails the recorder ring; size it so a fold per
-        // progress pass never misses events.
-        engine.record_capacity = engine.record_capacity.max(1 << 15);
-        engine.telemetry = TelemetryConfig {
+        engine.observe = Observe::Watch {
             window_ns: spec.telemetry_window.as_nanos() as u64,
-            windows: 512,
         };
-        engine.watchdog = soak_watchdog();
     }
 
     let mut cfg = FabricConfig::new(platform::paper_platform(), engine);

@@ -5,7 +5,6 @@
 //! nmad pingpong --strategy adaptive --segments 2 [--size 8M]
 //! nmad sample                           # init-time sampling tables + ratios
 //! nmad figure fig4 fig7 ...             # regenerate paper figures
-//! nmad burst --messages 64 --pattern mixed
 //! nmad timeline --size 4K               # ASCII Gantt of one transfer
 //! nmad tcp-serve [--conns 1]            # real-socket demo, prints addrs
 //! nmad tcp-send <addr0> <addr1> [--size 4M]
@@ -43,20 +42,8 @@ fn usage() -> &'static str {
        sample                           init-time sampling tables and split ratios\n\
        figure <fig2|fig3|fig4|fig5|fig6|fig7|ablate_*|three_rail> ...\n\
                                         regenerate paper figures/ablations\n\
-       burst [--messages N] [--pattern mixed|alternating|large] [--small-frac F]\n\
-                                        bursty-workload strategy comparison\n\
-       window [--messages N] [--compute US]\n\
-                                        backlog accumulation during compute phases\n\
        timeline [--strategy S] [--size BYTES] [--segments N]\n\
                                         ASCII Gantt of one transfer\n\
-       datapath [--smoke] [--check] [--kernel scalar|slice16|simd]\n\
-                                        copy accounting across the datapath\n\
-                                        (--check exits nonzero on budget violation;\n\
-                                        --kernel pins the CRC kernel for A/B runs)\n\
-       cycles [--smoke] [--check]       per-packet CPU cost: checksum kernel GiB/s,\n\
-                                        syscalls per message of a TCP burst,\n\
-                                        pool reuse rate (--check applies the\n\
-                                        DESIGN.md §12 gates)\n\
        tcp-serve [--conns N]            real-socket receiver (prints addresses)\n\
        tcp-send <addr0> <addr1> [--size BYTES]\n\
                                         real-socket sender\n\
@@ -133,11 +120,7 @@ fn run(argv: &[String]) -> Result<(), String> {
         Some("pingpong") => cmd_pingpong(&args),
         Some("sample") => cmd_sample(),
         Some("figure") => cmd_figure(&args),
-        Some("burst") => cmd_burst(&args),
-        Some("window") => cmd_window(&args),
         Some("timeline") => cmd_timeline(&args),
-        Some("datapath") => cmd_datapath(&args),
-        Some("cycles") => cmd_cycles(&args),
         Some("tcp-serve") => cmd_tcp_serve(&args),
         Some("tcp-send") => cmd_tcp_send(&args),
         Some("faults") => cmd_faults(&args),
@@ -298,41 +281,6 @@ fn cmd_figure(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_burst(args: &Args) -> Result<(), String> {
-    use nmad_bench::workload::{burst_comparison, render_burst_table, BurstPattern, BurstSpec};
-    let pattern = match args.flag("pattern").unwrap_or("mixed") {
-        "mixed" => BurstPattern::Mixed,
-        "alternating" => BurstPattern::AlternatingLargeSmall,
-        "large" => BurstPattern::UniformLarge,
-        other => return Err(format!("unknown pattern '{other}'")),
-    };
-    let spec = BurstSpec {
-        messages: args.num("messages", 64)?,
-        seed: args.num("seed", 2007)?,
-        small_fraction: args.num("small-frac", 0.6)?,
-        pattern,
-        slow_rail_first: args.has("slow-rail-first"),
-    };
-    let rows = burst_comparison(&spec);
-    println!("{}", render_burst_table(&spec, &rows));
-    Ok(())
-}
-
-fn cmd_window(args: &Args) -> Result<(), String> {
-    use nmad_bench::workload::run_compute_window;
-    let messages: usize = args.num("messages", 8)?;
-    let compute: u64 = args.num("compute", 3)?;
-    println!(
-        "{:>18} {:>14} {:>10} {:>10}",
-        "strategy", "makespan us", "packets", "aggregates"
-    );
-    for kind in [StrategyKind::Greedy, StrategyKind::AggregateEager] {
-        let (t, pkts, aggs) = run_compute_window(kind, messages, compute);
-        println!("{:>18} {t:>14.2} {pkts:>10} {aggs:>10}", kind.label());
-    }
-    Ok(())
-}
-
 fn cmd_timeline(args: &Args) -> Result<(), String> {
     use nmad_core::request::{RecvId, SendId};
     use nmad_runtime_sim::world::{AppLogic, NodeApi, SimWorld};
@@ -372,57 +320,6 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
         seg,
         w.timeline.as_ref().expect("enabled").render(72)
     );
-    Ok(())
-}
-
-fn cmd_datapath(args: &Args) -> Result<(), String> {
-    use nmad_bench::datapath;
-    if let Some(name) = args.flag("kernel") {
-        let k = nmad_wire::checksum::Kernel::parse(name)
-            .ok_or_else(|| format!("unknown kernel '{name}' (scalar, slice16, simd)"))?;
-        if !nmad_wire::checksum::set_kernel(k) {
-            return Err(format!("kernel '{name}' is not available on this CPU"));
-        }
-        println!("crc kernel pinned: {}", k.name());
-    }
-    let report = datapath::run(args.has("smoke"));
-    println!("{}", datapath::render(&report));
-    if args.has("check") {
-        let violations = datapath::check(&report);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("copy budget violated: {v}");
-            }
-            return Err("datapath copy budget violated".into());
-        }
-        println!(
-            "copy budget OK: {:.1}x reduction vs legacy pipeline",
-            report.reduction_factor
-        );
-    }
-    Ok(())
-}
-
-fn cmd_cycles(args: &Args) -> Result<(), String> {
-    use nmad_bench::cycles;
-    let report = cycles::run(args.has("smoke"));
-    println!("{}", cycles::render(&report));
-    if args.has("check") {
-        let violations = cycles::check(&report);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("per-packet cycles gate violated: {v}");
-            }
-            return Err("per-packet cycles gate violated".into());
-        }
-        println!(
-            "cycles gates OK: {:.3} tx syscalls/msg, {:.1}% pool reuse, {} {:.1}x vs scalar",
-            report.tx_calls_per_message(),
-            report.pool.reuse_rate * 100.0,
-            report.per_packet.fast_kernel,
-            report.per_packet.scalar_ns as f64 / report.per_packet.fast_ns.max(1) as f64
-        );
-    }
     Ok(())
 }
 
@@ -913,16 +810,8 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     engine.health.max_rto_ns = 200_000_000;
     engine.health.probe_interval_ns = 50_000_000;
     engine.health.probe_timeout_ns = 20_000_000;
-    // Telemetry folds the flight recorder, so the ring must exist; a
-    // 32 Ki ring comfortably outlasts one fold interval.
-    engine.record_capacity = 1 << 15;
-    engine.telemetry = nmad_core::TelemetryConfig {
+    engine.observe = nmad_core::Observe::Watch {
         window_ns: window_ms.saturating_mul(1_000_000),
-        windows: 512,
-    };
-    engine.watchdog = nmad_core::WatchdogConfig {
-        enabled: true,
-        ..nmad_core::WatchdogConfig::default()
     };
 
     let (a, b) = pair(FabricConfig::new(plat.clone(), engine));
@@ -1091,10 +980,7 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
 
     let plat = platform::paper_platform();
     let mut config = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
-    config.calibration.enabled = true;
-    config.calibration.rebuild_every = 8;
-    config.calibration.min_samples = 8;
-    let reference = config.calibration.reference_size;
+    config.calibrate = true;
     let mut w = SimWorld::new(
         &plat,
         config,
@@ -1145,11 +1031,14 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
         "samples {}  rebuilds {}  (cadence {}, alpha {})\n",
         cal.samples(),
         cal.rebuilds(),
-        cal.config().rebuild_every,
-        cal.config().alpha
+        nmad_core::sampling::REBUILD_EVERY,
+        nmad_core::sampling::ALPHA
     );
 
-    println!("split-ratio history ({} B reference, permille):", reference);
+    println!(
+        "split-ratio history ({} B reference, permille):",
+        nmad_core::sampling::REFERENCE_SIZE
+    );
     for s in cal.history() {
         println!(
             "  rebuild {:>3}  samples {:>5}  {:?}",
@@ -1376,39 +1265,6 @@ mod tests {
             "7".into(),
         ])
         .unwrap();
-    }
-
-    #[test]
-    fn datapath_smoke_check_passes() {
-        run(&["datapath".to_string(), "--smoke".into(), "--check".into()]).unwrap();
-    }
-
-    #[test]
-    fn datapath_kernel_flag_pins_and_rejects_unknown() {
-        // A valid kernel name pins the CRC dispatch for the run; a bogus
-        // one (or one the CPU lacks) errors before any work starts.
-        run(&[
-            "datapath".to_string(),
-            "--smoke".into(),
-            "--kernel".into(),
-            "slice16".into(),
-        ])
-        .unwrap();
-        assert!(run(&["datapath".to_string(), "--kernel".into(), "crc64".into(),]).is_err());
-        // Tests share the process-global dispatch; put the fastest
-        // available kernel back for whoever runs next.
-        let fastest = *nmad_wire::checksum::available_kernels().last().unwrap();
-        assert!(nmad_wire::checksum::set_kernel(fastest));
-    }
-
-    #[test]
-    fn cycles_smoke_runs() {
-        // No --check here: the kernel-speedup gates only hold under
-        // optimized builds, and tests run in the debug profile. The
-        // release-mode gate runs in verify.sh (ablate_cycles smoke);
-        // check() itself is unit-tested against synthetic reports in
-        // nmad_bench::cycles.
-        run(&["cycles".to_string(), "--smoke".into()]).unwrap();
     }
 
     #[test]

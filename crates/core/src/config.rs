@@ -1,21 +1,46 @@
 //! Engine configuration.
 
 use crate::health::HealthConfig;
-use crate::obs::{TelemetryConfig, WatchdogConfig};
-use crate::sampling::CalibrationConfig;
 use crate::strategy::StrategyKind;
 
-/// Overload-protection knobs: per-tenant admission control, enforced by
-/// [`crate::Engine::try_submit_send`] (`Endpoint::try_send`; the plain
-/// `send` does not check it). Defaults to 0 = unlimited; the soak
-/// harness turns it on (see DESIGN.md §11).
+/// Recorder ring of a [`Observe::Watch`] engine, in events: comfortably
+/// more than one fold interval's worth, so the telemetry fold never
+/// misses events.
+const WATCH_RECORD_CAPACITY: usize = 1 << 15;
+
+/// What the engine observes about itself. One mode, not three switches:
+/// the telemetry windows fold the flight recorder and the watchdog reads
+/// the windows, so each layer exists only on top of the one below.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OverloadConfig {
-    /// Maximum sends a single tenant (connection) may have admitted but
-    /// not yet locally completed. Excess submissions are refused with
-    /// [`crate::SubmitError::WouldBlock`], so one misbehaving tenant
-    /// cannot starve the rest. 0 disables admission control.
-    pub max_tenant_inflight: usize,
+pub enum Observe {
+    /// Nothing is recorded (the recorder is a no-op).
+    #[default]
+    Off,
+    /// The post-mortem flight recorder: a ring of `capacity` fixed-size
+    /// events preallocated at engine construction (see
+    /// [`crate::obs::FlightRecorder`]).
+    Record {
+        /// Ring size in events.
+        capacity: usize,
+    },
+    /// Live observation: a recorder ring of 32 Ki events, folded into `window_ns`-long telemetry windows (see
+    /// [`crate::obs::TelemetryAggregator`]), with the SLO watchdog run
+    /// over every window that closes (see [`crate::obs::Watchdog`]).
+    Watch {
+        /// Telemetry window length, engine-clock nanoseconds.
+        window_ns: u64,
+    },
+}
+
+impl Observe {
+    /// Flight-recorder ring size in events (0: no recorder).
+    pub fn recorder_capacity(self) -> usize {
+        match self {
+            Observe::Off => 0,
+            Observe::Record { capacity } => capacity,
+            Observe::Watch { .. } => WATCH_RECORD_CAPACITY,
+        }
+    }
 }
 
 /// Tunable knobs of the engine, with defaults matching the paper's setup.
@@ -45,33 +70,23 @@ pub struct EngineConfig {
     /// networks are reliable; this is the hook the failure-injection tests
     /// and a future retransmission layer build on.
     pub acked: bool,
-    /// Rail health tracking and adaptive retransmission timers (only
-    /// active in acked mode and when the runtime drives
-    /// [`crate::Engine::progress`]).
+    /// Rail health timers (only active in acked mode and when the runtime
+    /// drives [`crate::Engine::progress`]).
     pub health: HealthConfig,
-    /// Flight-recorder capacity in events. 0 (the default) disables
-    /// recording entirely; nonzero preallocates a ring of that many
-    /// fixed-size records at engine construction (see
-    /// [`crate::obs::FlightRecorder`]).
-    pub record_capacity: usize,
+    /// Flight recorder, telemetry windows and watchdog. Off by default.
+    pub observe: Observe,
     /// Online recalibration of the split tables from observed transfer
-    /// times (see [`crate::OnlineCalibrator`]). Disabled by default: the
-    /// engine then splits on its init-time tables forever, exactly as
-    /// before.
-    pub calibration: CalibrationConfig,
-    /// Overload protection: per-tenant admission.
-    /// All-zero (off) by default.
-    pub overload: OverloadConfig,
-    /// Continuous telemetry: fold the flight recorder into
-    /// fixed-interval windowed time series (see
-    /// [`crate::obs::TelemetryAggregator`]). Off by default; enabling it
-    /// requires a nonzero `record_capacity`, since the aggregator tails
-    /// the recorder ring.
-    pub telemetry: TelemetryConfig,
-    /// Online SLO watchdog over the telemetry windows (see
-    /// [`crate::obs::Watchdog`]). Off by default; enabling it requires
-    /// telemetry.
-    pub watchdog: WatchdogConfig,
+    /// times (see [`crate::OnlineCalibrator`]). Off by default: the
+    /// engine then splits on its init-time tables forever.
+    pub calibrate: bool,
+    /// Per-tenant admission, enforced by
+    /// [`crate::Engine::try_submit_send`] (`Endpoint::try_send`; the
+    /// plain `send` does not check it): the most sends one connection may
+    /// have admitted and not yet locally completed. Excess submissions are
+    /// refused with [`crate::SubmitError::WouldBlock`], so one
+    /// misbehaving tenant cannot starve the rest. 0 (the default)
+    /// disables admission control (see DESIGN.md §11).
+    pub max_tenant_inflight: usize,
 }
 
 impl Default for EngineConfig {
@@ -84,11 +99,9 @@ impl Default for EngineConfig {
             crc: false,
             acked: false,
             health: HealthConfig::default(),
-            record_capacity: 0,
-            calibration: CalibrationConfig::default(),
-            overload: OverloadConfig::default(),
-            telemetry: TelemetryConfig::default(),
-            watchdog: WatchdogConfig::default(),
+            observe: Observe::Off,
+            calibrate: false,
+            max_tenant_inflight: 0,
         }
     }
 }
@@ -112,27 +125,14 @@ impl EngineConfig {
             self.rdv_threshold
         );
         self.health.validate();
-        self.calibration.validate();
-        self.telemetry.validate();
-        self.watchdog.validate();
-        if self.telemetry.enabled() {
-            assert!(
-                self.record_capacity > 0,
-                "telemetry folds the flight recorder: record_capacity must be nonzero"
-            );
-        }
-        if self.watchdog.enabled {
-            assert!(
-                self.telemetry.enabled(),
-                "the watchdog consumes telemetry windows: telemetry must be enabled"
-            );
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
+    use nmad_model::platform;
 
     #[test]
     fn defaults_match_paper() {
@@ -141,7 +141,9 @@ mod tests {
         assert_eq!(c.rdv_threshold, 32 * 1024);
         assert_eq!(c.agg_max_bytes, 16 * 1024);
         assert_eq!(c.min_chunk, 8 * 1024);
-        assert_eq!(c.overload.max_tenant_inflight, 0, "the quota defaults off");
+        assert_eq!(c.max_tenant_inflight, 0, "the quota defaults off");
+        assert_eq!(c.observe, Observe::Off);
+        assert!(!c.calibrate);
     }
 
     #[test]
@@ -151,48 +153,32 @@ mod tests {
         assert_eq!(c.rdv_threshold, 32 * 1024);
     }
 
+    /// Each mode builds its layer and every layer below it, nothing
+    /// above: (recorder ring, telemetry windows, watchdog).
     #[test]
-    #[should_panic(expected = "record_capacity")]
-    fn telemetry_without_recorder_rejected() {
-        let c = EngineConfig {
-            telemetry: TelemetryConfig {
-                window_ns: 1_000_000,
-                windows: 8,
-            },
-            record_capacity: 0,
-            ..Default::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "watchdog")]
-    fn watchdog_without_telemetry_rejected() {
-        let c = EngineConfig {
-            watchdog: WatchdogConfig {
-                enabled: true,
+    fn each_observe_mode_builds_its_layers() {
+        for (observe, want) in [
+            (Observe::Off, (0, false, false)),
+            (Observe::Record { capacity: 256 }, (256, false, false)),
+            (
+                Observe::Watch {
+                    window_ns: 1_000_000,
+                },
+                (WATCH_RECORD_CAPACITY, true, true),
+            ),
+        ] {
+            let cfg = EngineConfig {
+                observe,
                 ..Default::default()
-            },
-            ..Default::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    fn telemetry_with_recorder_validates() {
-        let c = EngineConfig {
-            telemetry: TelemetryConfig {
-                window_ns: 1_000_000,
-                windows: 8,
-            },
-            watchdog: WatchdogConfig {
-                enabled: true,
-                ..Default::default()
-            },
-            record_capacity: 1024,
-            ..Default::default()
-        };
-        c.validate();
+            };
+            let eng = Engine::new(cfg, platform::paper_platform().rails, vec![]);
+            let built = (
+                eng.recorder().capacity(),
+                eng.telemetry().is_some(),
+                eng.watchdog().is_some(),
+            );
+            assert_eq!(built, want, "{observe:?}");
+        }
     }
 
     #[test]

@@ -279,8 +279,9 @@ impl Endpoint {
 
     /// Submit a send under the overload policy: refused with
     /// [`SubmitError::WouldBlock`] while the channel's sends in progress
-    /// are at its quota (see [`crate::OverloadConfig`]; unset, never), and
-    /// with [`SubmitError::Shutdown`] once the endpoint has shut down.
+    /// are at its quota (see [`crate::EngineConfig::max_tenant_inflight`];
+    /// unset, never), and with [`SubmitError::Shutdown`] once the
+    /// endpoint has shut down.
     pub fn try_send(&self, conn: ConnId, segments: Vec<Bytes>) -> Result<SendHandle, SubmitError> {
         Ok(SendHandle {
             fabric: self.fabric.clone(),
@@ -342,8 +343,8 @@ impl Endpoint {
     }
 
     /// Snapshot of the recorded flight events, oldest first. Empty unless
-    /// the endpoint was built with a nonzero
-    /// `EngineConfig::record_capacity`.
+    /// the endpoint was built with a recorder (`EngineConfig::observe`
+    /// other than `Off`).
     pub fn events(&self) -> Vec<Event> {
         self.fabric.engine().lock().recorder().events()
     }
@@ -357,8 +358,7 @@ impl Endpoint {
     }
 
     /// The Prometheus text exposition of the telemetry windows. `None`
-    /// unless the endpoint was built with `EngineConfig::telemetry`
-    /// enabled.
+    /// unless the endpoint was built with `Observe::Watch`.
     pub fn telemetry_prometheus(&self) -> Option<String> {
         self.folded(|eng| {
             eng.telemetry()
@@ -367,7 +367,7 @@ impl Endpoint {
     }
 
     /// The telemetry time series as JSONL, one closed window per line
-    /// (oldest first, at most the configured ring depth).
+    /// (oldest first, at most the ring's depth).
     pub fn telemetry_jsonl(&self) -> Option<String> {
         self.folded(|eng| eng.telemetry().map(crate::obs::windows_jsonl))
     }
@@ -383,7 +383,7 @@ impl Endpoint {
     }
 
     /// Machine-readable watchdog verdict. `None` unless the endpoint
-    /// was built with `EngineConfig::watchdog` enabled.
+    /// was built with `Observe::Watch`.
     pub fn watchdog_verdict(&self) -> Option<String> {
         self.folded(|eng| eng.watchdog().map(|d| d.verdict_json()))
     }

@@ -8,7 +8,7 @@
 //! app  ──────── submit_send / post_recv ───────►  Engine (collect layer)
 //! rail idle ──── next_tx(rail) ───────────────►  strategy decision → TxDecision
 //! injection done ── on_tx_done(rail, token) ──►  send completions
-//! packet arrives ── on_packet(rail, bytes) ───►  reassembly, grants, recv completions
+//! frame arrives ─── on_frame(rail, frame) ───►  reassembly, grants, recv completions
 //! ```
 //!
 //! Request processing is entirely disconnected from the submit calls:
@@ -39,14 +39,16 @@ use nmad_wire::header::{
 use nmad_wire::reassembly::{MessageAssembly, ReasmError, Reassembler};
 use nmad_wire::{ConnId, IdWindow, Lookup, MsgId, PacketFrame};
 
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, Observe};
 use crate::driver::{TxDecision, TxToken};
 use crate::error::{EngineError, SubmitError};
 use crate::health::{HealthTracker, RailState, RailTelemetry, Transition};
 use crate::obs::{Event, EventKind, FlightRecorder, TelemetryAggregator, Watchdog};
 use crate::pool::Pool;
 use crate::request::{Backlog, RecvId, SegKey, SegPhase, SendId};
-use crate::sampling::{default_ladder, split_ratio_permille, OnlineCalibrator, PerfTable};
+use crate::sampling::{
+    default_ladder, split_ratio_permille, OnlineCalibrator, PerfTable, REFERENCE_SIZE,
+};
 use crate::stats::{EngineStats, OverloadStats};
 use crate::strategy::{KeyList, RailFlight, Strategy, StrategyCtx, TxOp};
 
@@ -256,16 +258,16 @@ pub struct Engine {
     /// next one): rail under test, sent at. A lost probe keeps its slot —
     /// its pong may still come — so this holds one entry per probe lost.
     probe_sent: IdWindow<(usize, u64)>,
-    /// Packet-lifecycle flight recorder (disabled unless
-    /// [`EngineConfig::record_capacity`] is nonzero).
+    /// Packet-lifecycle flight recorder (disabled under
+    /// [`Observe::Off`]).
     obs: FlightRecorder,
     /// Continuous telemetry: windowed aggregator tailing the recorder,
-    /// plus the optional SLO watchdog over its closed windows (present
-    /// iff [`EngineConfig::telemetry`] is enabled). Boxed so the common
-    /// telemetry-off engine doesn't carry the window ring inline.
+    /// plus the SLO watchdog over its closed windows (present iff
+    /// [`Observe::Watch`]). Boxed so the common telemetry-off engine
+    /// doesn't carry the window ring inline.
     telemetry: Option<Box<TelemetryState>>,
     /// Online recalibration of `tables` from observed transfer times
-    /// (present iff [`crate::CalibrationConfig::enabled`]).
+    /// (present iff [`EngineConfig::calibrate`]).
     calibrator: Option<OnlineCalibrator>,
     /// Per-rail EWMA of observed data-frame service time (ns), fed to
     /// strategies via [`RailFlight`] so SRPT can predict completions.
@@ -279,10 +281,10 @@ pub struct Engine {
 }
 
 /// Telemetry state folded inside the engine lock: the aggregator and
-/// (when enabled) the watchdog consuming its newly closed windows.
+/// the watchdog consuming its newly closed windows.
 struct TelemetryState {
     agg: TelemetryAggregator,
-    dog: Option<Watchdog>,
+    dog: Watchdog,
 }
 
 /// Bookkeeping held between `next_tx` and `on_tx_done`: what the decision
@@ -329,22 +331,20 @@ impl Engine {
         let n = rails.len();
         // The calibrator's seed (and prior) is whatever tables the engine
         // starts from: analytic or real init-time sampling.
-        let calibrator = config.calibration.enabled.then(|| {
-            OnlineCalibrator::new(tables.clone(), default_ladder(), config.calibration.clone())
-        });
-        let telemetry = config.telemetry.enabled().then(|| {
-            Box::new(TelemetryState {
-                agg: TelemetryAggregator::new(n, config.telemetry),
-                dog: config
-                    .watchdog
-                    .enabled
-                    .then(|| Watchdog::new(n, config.watchdog)),
-            })
-        });
+        let calibrator = config
+            .calibrate
+            .then(|| OnlineCalibrator::new(tables.clone(), default_ladder()));
+        let telemetry = match config.observe {
+            Observe::Watch { window_ns } => Some(Box::new(TelemetryState {
+                agg: TelemetryAggregator::new(n, window_ns),
+                dog: Watchdog::new(n),
+            })),
+            Observe::Off | Observe::Record { .. } => None,
+        };
         Engine {
             strategy: config.strategy.build(),
             health: HealthTracker::new(config.health, n),
-            obs: FlightRecorder::with_capacity(config.record_capacity),
+            obs: FlightRecorder::with_capacity(config.observe.recorder_capacity()),
             calibrator,
             telemetry,
             backlog: Backlog::with_small_below(config.min_chunk as u64),
@@ -385,15 +385,14 @@ impl Engine {
         &mut self.obs
     }
 
-    /// The continuous telemetry aggregator, when
-    /// [`EngineConfig::telemetry`] is enabled.
+    /// The continuous telemetry aggregator, under [`Observe::Watch`].
     pub fn telemetry(&self) -> Option<&TelemetryAggregator> {
         self.telemetry.as_deref().map(|t| &t.agg)
     }
 
-    /// The SLO watchdog, when [`EngineConfig::watchdog`] is enabled.
+    /// The SLO watchdog, under [`Observe::Watch`].
     pub fn watchdog(&self) -> Option<&Watchdog> {
-        self.telemetry.as_deref().and_then(|t| t.dog.as_ref())
+        self.telemetry.as_deref().map(|t| &t.dog)
     }
 
     /// Fold new recorder events — the refusals since the last fold
@@ -418,28 +417,23 @@ impl Engine {
         };
         let newly_closed = ts.agg.fold(&self.obs, self.now_ns, &self.stats) as usize;
         if newly_closed > 0 {
-            if let TelemetryState {
-                agg,
-                dog: Some(dog),
-            } = &mut *ts
-            {
-                let fired_from = dog.alerts().len();
-                let kept = agg.windows().count();
-                // More windows may have closed than the ring retains
-                // (e.g. a long idle gap): observe the survivors.
-                for w in agg.windows().skip(kept.saturating_sub(newly_closed)) {
-                    dog.observe(w);
+            let TelemetryState { agg, dog } = &mut *ts;
+            let fired_from = dog.alerts().len();
+            let kept = agg.windows().count();
+            // More windows may have closed than the ring retains (e.g. a
+            // long idle gap): observe the survivors.
+            for w in agg.windows().skip(kept.saturating_sub(newly_closed)) {
+                dog.observe(w);
+            }
+            for a in &dog.alerts()[fired_from..] {
+                let mut ev = Event::new(a.ts_ns, EventKind::Alert)
+                    .seq(a.window)
+                    .aux(a.kind.code())
+                    .size(a.value as u64);
+                if let Some(r) = a.rail {
+                    ev = ev.rail(r);
                 }
-                for a in &dog.alerts()[fired_from..] {
-                    let mut ev = Event::new(a.ts_ns, EventKind::Alert)
-                        .seq(a.window)
-                        .aux(a.kind.code())
-                        .size(a.value as u64);
-                    if let Some(r) = a.rail {
-                        ev = ev.rail(r);
-                    }
-                    self.obs.record(ev);
-                }
+                self.obs.record(ev);
             }
         }
         self.telemetry = Some(ts);
@@ -473,11 +467,7 @@ impl Engine {
     pub fn set_tables(&mut self, tables: Vec<PerfTable>) {
         assert_eq!(tables.len(), self.rails.len(), "one table per rail");
         if self.calibrator.is_some() {
-            self.calibrator = Some(OnlineCalibrator::new(
-                tables.clone(),
-                default_ladder(),
-                self.config.calibration.clone(),
-            ));
+            self.calibrator = Some(OnlineCalibrator::new(tables.clone(), default_ladder()));
         }
         self.tables = tables;
     }
@@ -487,7 +477,7 @@ impl Engine {
         &self.tables
     }
 
-    /// The online calibrator, when [`crate::CalibrationConfig::enabled`].
+    /// The online calibrator, when [`EngineConfig::calibrate`] is set.
     pub fn calibrator(&self) -> Option<&OnlineCalibrator> {
         self.calibrator.as_ref()
     }
@@ -660,9 +650,9 @@ impl Engine {
         send_id
     }
 
-    /// [`Engine::submit_send`] under the overload policy
-    /// ([`crate::OverloadConfig`]): refused, counted and nothing queued
-    /// while `conn` has `max_tenant_inflight` sends admitted and not yet
+    /// [`Engine::submit_send`] under the overload policy: refused, counted
+    /// and nothing queued while `conn` has
+    /// [`EngineConfig::max_tenant_inflight`] sends admitted and not yet
     /// locally complete. The caller decides whether to retry, shed or
     /// slow down; every pass it makes meanwhile is progress towards being
     /// admitted again. `submit_send` itself does not check the limit.
@@ -671,7 +661,7 @@ impl Engine {
         conn: ConnId,
         segments: Vec<Bytes>,
     ) -> Result<SendId, SubmitError> {
-        let quota = self.config.overload.max_tenant_inflight;
+        let quota = self.config.max_tenant_inflight;
         // (An unknown connection is `submit_send`'s to refuse.)
         let at_quota = |sends: &IdWindow<SendSlot>| {
             let mut open = sends.iter().filter(|(_, s)| !s.done);
@@ -1303,22 +1293,6 @@ impl Engine {
     // Receive path
     // ------------------------------------------------------------------
 
-    /// Process one incoming flat wire packet from `rail`.
-    ///
-    /// Legacy entry point: the buffer is copied into an owned frame
-    /// (charged to `rx_copy_bytes`). Runtimes that receive whole frames
-    /// should hand them to [`Engine::on_frame`] instead, which keeps
-    /// payload slices refcounted all the way into reassembly.
-    pub fn on_packet(
-        &mut self,
-        rail: RailId,
-        wire: &[u8],
-    ) -> Result<&OnPacketOutcome, EngineError> {
-        let frame = PacketFrame::from_wire(Bytes::copy_from_slice(wire));
-        self.stats.datapath.rx_copy_bytes += wire.len() as u64;
-        self.on_frame(rail, &frame)
-    }
-
     /// Process one incoming scatter-gather frame from `rail` without
     /// flattening it: payload slices flow into reassembly refcounted.
     /// What the frame did is lent out of the engine: the next call
@@ -1827,10 +1801,9 @@ impl Engine {
         let Some(cal) = self.calibrator.as_mut().filter(|cal| cal.due()) else {
             return;
         };
-        let reference = self.config.calibration.reference_size;
         let share = |tables: &[PerfTable]| {
             let refs: Vec<&PerfTable> = tables.iter().collect();
-            split_ratio_permille(&refs, reference)
+            split_ratio_permille(&refs, REFERENCE_SIZE)
         };
         let old = share(&self.tables);
         let tables = cal.rebuild();
@@ -2094,7 +2067,6 @@ impl Drop for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::OverloadConfig;
     use crate::strategy::StrategyKind;
     use nmad_model::platform;
 
@@ -2265,10 +2237,10 @@ mod tests {
         assert!(s.rails[0].payload_bytes > s.rails[1].payload_bytes);
     }
 
-    fn engine_with(overload: OverloadConfig, record_capacity: usize) -> Engine {
+    fn engine_with(max_tenant_inflight: usize, observe: Observe) -> Engine {
         let cfg = EngineConfig {
-            overload,
-            record_capacity,
+            max_tenant_inflight,
+            observe,
             ..EngineConfig::with_strategy(StrategyKind::Greedy)
         };
         Engine::new(cfg, platform::paper_platform().rails, vec![])
@@ -2279,10 +2251,7 @@ mod tests {
     /// credit. `submit_send` asks nobody.
     #[test]
     fn tenant_admission_credits_on_completion() {
-        let quota = OverloadConfig {
-            max_tenant_inflight: 1,
-        };
-        let mut tx = engine_with(quota, 0);
+        let mut tx = engine_with(1, Observe::Off);
         let (c0, c1) = (tx.conn_open(), tx.conn_open());
         let one = tx.try_submit_send(c0, vec![payload(100, 1)]).unwrap();
         assert_eq!(
@@ -2312,10 +2281,7 @@ mod tests {
     /// (and the watchdog's shed-onset rule) count.
     #[test]
     fn refusals_are_recorded_per_pass_not_per_offer() {
-        let quota = OverloadConfig {
-            max_tenant_inflight: 1,
-        };
-        let mut tx = engine_with(quota, 64);
+        let mut tx = engine_with(1, Observe::Record { capacity: 64 });
         let c = tx.conn_open();
         tx.try_submit_send(c, vec![payload(100, 1)]).unwrap();
         for _ in 0..1000 {
@@ -2468,7 +2434,8 @@ mod tests {
     fn corrupt_packet_surfaces_wire_error() {
         let mut rx = engine(StrategyKind::Greedy);
         rx.conn_open();
-        let err = rx.on_packet(RailId(0), &[0xFF; 10]).unwrap_err();
+        let junk = PacketFrame::from_wire(Bytes::from_static(&[0xFF; 10]));
+        let err = rx.on_frame(RailId(0), &junk).unwrap_err();
         assert!(matches!(err, EngineError::Wire(_)));
     }
 
@@ -2481,7 +2448,7 @@ mod tests {
             seg_index: 0,
         })
         .encode(0, 0, false);
-        let err = rx.on_packet(RailId(0), &ack).unwrap_err();
+        let err = rx.on_frame(RailId(0), &PacketFrame::from_wire(ack)).unwrap_err();
         assert!(matches!(err, EngineError::UnknownRendezvous { .. }));
     }
 
@@ -2496,13 +2463,12 @@ mod tests {
             data: payload(128, 0),
         })
         .encode(c, 0, false);
-        let out = b.on_packet(RailId(0), &ping).unwrap();
+        let out = b.on_frame(RailId(0), &PacketFrame::from_wire(ping)).unwrap();
         assert!(out.control_enqueued);
         // B answers with a pong.
         let d = b.next_tx(RailId(0)).unwrap().expect("pong queued");
         b.on_tx_done(RailId(0), d.token).unwrap();
-        // Deliver via the legacy flat path to keep it covered.
-        let out = a.on_packet(RailId(0), &d.frame.to_bytes()).unwrap();
+        let out = a.on_frame(RailId(0), &d.frame).unwrap();
         assert_eq!(out.sample_pongs, vec![(42, 128)]);
     }
 
@@ -2557,7 +2523,7 @@ mod tests {
         let p = platform::paper_platform();
         let mut cfg = EngineConfig::with_strategy(StrategyKind::Greedy);
         cfg.acked = true;
-        cfg.record_capacity = 256;
+        cfg.observe = Observe::Record { capacity: 256 };
         let mut tx = Engine::new(cfg.clone(), p.rails.clone(), vec![]);
         let mut rx = Engine::new(cfg, p.rails, vec![]);
         let c = tx.conn_open();
@@ -2876,26 +2842,6 @@ mod tests {
             let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(msg.contains("pool leak"), "unexpected panic: {msg}");
         }
-    }
-
-    #[test]
-    fn legacy_flat_delivery_counts_rx_copy() {
-        let mut tx = engine(StrategyKind::Greedy);
-        let mut rx = engine(StrategyKind::Greedy);
-        let c = tx.conn_open();
-        rx.conn_open();
-        tx.submit_send(c, vec![payload(512, 9)]);
-        let recv = rx.post_recv(c);
-        let d = tx.next_tx(RailId(0)).unwrap().expect("packet");
-        tx.on_tx_done(RailId(0), d.token).unwrap();
-        let flat = d.frame.to_bytes();
-        rx.on_packet(RailId(0), &flat).unwrap();
-        assert!(rx.try_recv(recv).is_some());
-        assert_eq!(
-            rx.stats().datapath.rx_copy_bytes,
-            flat.len() as u64,
-            "flat delivery charges the whole wire image"
-        );
     }
 
     #[test]

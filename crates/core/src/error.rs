@@ -67,7 +67,8 @@ impl From<ReasmError> for EngineError {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitError {
     /// The engine is overloaded: the tenant is over its admission quota
-    /// (see [`crate::OverloadConfig`]). Retry after completions drain.
+    /// (see [`crate::EngineConfig::max_tenant_inflight`]). Retry after
+    /// completions drain.
     WouldBlock,
     /// The endpoint has shut down; no new work is accepted.
     Shutdown,

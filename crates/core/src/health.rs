@@ -64,9 +64,14 @@ impl RailState {
     }
 }
 
-/// Thresholds and timers for [`HealthTracker`]. All times are in
-/// nanoseconds of the runtime's clock (wall clock for the threaded
-/// transports, virtual time for the simulator).
+/// Consecutive timeouts that move a rail `Up -> Suspect`.
+const SUSPECT_AFTER: u32 = 1;
+/// Consecutive timeouts that move a rail to `Down`.
+const DOWN_AFTER: u32 = 3;
+
+/// Timers for [`HealthTracker`]. All times are in nanoseconds of the
+/// runtime's clock (wall clock for the threaded transports, virtual time
+/// for the simulator), which is why callers set them differently.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HealthConfig {
     /// Retransmission timeout used before any RTT sample exists.
@@ -75,10 +80,6 @@ pub struct HealthConfig {
     pub min_rto_ns: u64,
     /// Upper clamp for the adaptive RTO (and its exponential backoff).
     pub max_rto_ns: u64,
-    /// Consecutive timeouts that move a rail `Up -> Suspect`.
-    pub suspect_after: u32,
-    /// Consecutive timeouts that move a rail to `Down`.
-    pub down_after: u32,
     /// Delay between reinstatement probes while a rail is `Down`.
     pub probe_interval_ns: u64,
     /// How long to wait for a probe's pong before counting a timeout.
@@ -91,8 +92,6 @@ impl Default for HealthConfig {
             initial_rto_ns: 50_000_000, // 50 ms: generous for threaded runs
             min_rto_ns: 1_000_000,
             max_rto_ns: 2_000_000_000,
-            suspect_after: 1,
-            down_after: 3,
             probe_interval_ns: 100_000_000,
             probe_timeout_ns: 50_000_000,
         }
@@ -110,11 +109,6 @@ impl HealthConfig {
         assert!(
             (self.min_rto_ns..=self.max_rto_ns).contains(&self.initial_rto_ns),
             "initial RTO must lie within [min, max]"
-        );
-        assert!(self.suspect_after >= 1, "suspect threshold must be >= 1");
-        assert!(
-            self.down_after >= self.suspect_after,
-            "down threshold must not precede suspect threshold"
         );
         assert!(
             self.probe_interval_ns > 0,
@@ -395,9 +389,9 @@ impl HealthTracker {
             return None; // already out of service
         }
         r.consecutive_timeouts = r.consecutive_timeouts.saturating_add(1);
-        let to = if r.consecutive_timeouts >= cfg.down_after {
+        let to = if r.consecutive_timeouts >= DOWN_AFTER {
             RailState::Down
-        } else if r.consecutive_timeouts >= cfg.suspect_after {
+        } else if r.consecutive_timeouts >= SUSPECT_AFTER {
             RailState::Suspect
         } else {
             return None;
@@ -498,8 +492,6 @@ mod tests {
             initial_rto_ns: 100,
             min_rto_ns: 10,
             max_rto_ns: 10_000,
-            suspect_after: 1,
-            down_after: 3,
             probe_interval_ns: 500,
             probe_timeout_ns: 200,
         }

@@ -17,7 +17,7 @@
 //! * **Transmit layer** — [`driver`]: the engine ↔ runtime contract.
 //!   The engine is runtime-agnostic: the discrete-event simulator and the
 //!   real threaded transport both drive the *same* engine code through
-//!   `next_tx` / `on_tx_done` / `on_packet`.
+//!   `next_tx` / `on_tx_done` / `on_frame`.
 //!
 //! Supporting modules: [`sampling`] implements the initialization-time
 //! network sampling that feeds the adaptive splitting ratios (§3.4) plus
@@ -95,7 +95,7 @@ pub mod strategy;
 
 pub use api::{MessageBuilder, MessageReader};
 pub use chaos::ChaosState;
-pub use config::{EngineConfig, OverloadConfig};
+pub use config::{EngineConfig, Observe};
 pub use driver::{TxDecision, TxToken};
 pub use endpoint::{
     Deadline, Endpoint, Fabric, FabricStatus, Parker, Rails, RecvHandle, SendHandle, Serial,
@@ -106,11 +106,11 @@ pub use error::{EngineError, SubmitError};
 pub use health::{HealthConfig, HealthTracker, RailState, RailTelemetry};
 pub use obs::{
     Alert, AlertKind, Event, EventKind, FlightRecorder, Log2Histogram, SpanBreakdown,
-    TelemetryAggregator, TelemetryConfig, Watchdog, WatchdogConfig, Window,
+    TelemetryAggregator, Watchdog, Window,
 };
 pub use request::{Backlog, RecvId, SendId};
 pub use sampling::{
-    split_ratio_permille, CalibrationConfig, CalibrationSnapshot, OnlineCalibrator, PerfTable,
+    split_ratio_permille, CalibrationSnapshot, OnlineCalibrator, PerfTable,
 };
 pub use stats::{DataPathStats, EngineStats, ObsStats, OverloadStats, RailObs, SyscallStats};
 pub use strategy::{RailFlight, Strategy, StrategyKind};

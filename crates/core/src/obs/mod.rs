@@ -37,6 +37,6 @@ pub use hist::Log2Histogram;
 pub use recorder::{Event, EventKind, FlightRecorder, NO_RAIL};
 pub use spans::SpanBreakdown;
 pub use telemetry::{
-    to_prometheus, windows_jsonl, RailWindow, TelemetryAggregator, TelemetryConfig, Window,
+    to_prometheus, windows_jsonl, RailWindow, TelemetryAggregator, Window,
 };
-pub use watchdog::{Alert, AlertKind, Watchdog, WatchdogConfig};
+pub use watchdog::{Alert, AlertKind, Watchdog};

@@ -22,39 +22,8 @@ use crate::stats::{EngineStats, SyscallStats};
 use super::hist::Log2Histogram;
 use super::recorder::{Event, EventKind, FlightRecorder, NO_RAIL};
 
-/// Telemetry knobs. Defaults are off: the aggregator costs nothing
-/// unless a window interval is configured.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TelemetryConfig {
-    /// Window interval in engine-clock nanoseconds. 0 disables the
-    /// aggregator entirely.
-    pub window_ns: u64,
-    /// Closed windows retained in the ring (oldest overwritten first).
-    pub windows: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            window_ns: 0,
-            windows: 120,
-        }
-    }
-}
-
-impl TelemetryConfig {
-    /// Whether the aggregator should be built at all.
-    pub fn enabled(&self) -> bool {
-        self.window_ns > 0
-    }
-
-    /// Sanity-check the knobs.
-    pub fn validate(&self) {
-        if self.enabled() {
-            assert!(self.windows > 0, "telemetry needs at least one window");
-        }
-    }
-}
+/// Closed windows retained in the ring (oldest overwritten first).
+const WINDOW_RING: usize = 512;
 
 /// Per-rail slice of one window.
 #[derive(Clone, Debug, Default)]
@@ -177,7 +146,7 @@ impl Window {
 
 /// Folds recorder events into a ring of fixed-interval windows.
 ///
-/// Owned by the engine (see `EngineConfig::telemetry`) and driven from
+/// Owned by an [`crate::config::Observe::Watch`] engine and driven from
 /// `Engine::fold_telemetry`; all methods are allocation-free after
 /// construction.
 #[derive(Clone, Debug)]
@@ -207,20 +176,16 @@ pub struct TelemetryAggregator {
 }
 
 impl TelemetryAggregator {
-    /// Aggregator for `n_rails` rails. Allocates the whole window ring
-    /// here, once.
-    pub fn new(n_rails: usize, cfg: TelemetryConfig) -> Self {
-        cfg.validate();
-        assert!(
-            cfg.enabled(),
-            "telemetry aggregator needs a window interval"
-        );
-        let ring: Vec<Window> = (0..cfg.windows).map(|_| Window::new(n_rails)).collect();
+    /// Aggregator for `n_rails` rails over `window_ns`-long windows.
+    /// Allocates the whole window ring here, once.
+    pub fn new(n_rails: usize, window_ns: u64) -> Self {
+        assert!(window_ns > 0, "telemetry aggregator needs a window interval");
+        let ring: Vec<Window> = (0..WINDOW_RING).map(|_| Window::new(n_rails)).collect();
         let current = Window::new(n_rails);
         let initial_ring_cap = ring.capacity();
         let initial_rails_cap = current.rails.capacity();
         TelemetryAggregator {
-            window_ns: cfg.window_ns,
+            window_ns,
             ring,
             head: 0,
             closed: 0,
@@ -582,13 +547,7 @@ mod tests {
     const W: u64 = 1_000; // 1 µs windows keep the numbers readable
 
     fn agg(n_rails: usize) -> TelemetryAggregator {
-        TelemetryAggregator::new(
-            n_rails,
-            TelemetryConfig {
-                window_ns: W,
-                windows: 8,
-            },
-        )
+        TelemetryAggregator::new(n_rails, W)
     }
 
     fn stats() -> EngineStats {
@@ -688,20 +647,21 @@ mod tests {
     #[test]
     fn window_ring_keeps_newest_and_never_allocates() {
         let mut a = agg(2);
-        let mut rec = FlightRecorder::with_capacity(256);
-        for i in 0..20u64 {
+        let mut rec = FlightRecorder::with_capacity(1024);
+        let n = WINDOW_RING as u64 + 8;
+        for i in 0..n {
             rec.record(Event::new(i * W + 10, EventKind::Submit).seq(i));
         }
-        a.fold(&rec, 21 * W, &stats());
-        assert_eq!(a.windows_closed(), 21);
+        a.fold(&rec, (n + 1) * W, &stats());
+        assert_eq!(a.windows_closed(), n + 1);
         let ws: Vec<u64> = a.windows().map(|w| w.ordinal).collect();
         assert_eq!(
             ws,
-            (13..21).collect::<Vec<u64>>(),
-            "ring keeps the newest 8"
+            (9..=n).collect::<Vec<u64>>(),
+            "ring keeps the newest WINDOW_RING"
         );
         assert_eq!(a.hot_path_allocs(), 0);
-        assert_eq!(a.latest().unwrap().ordinal, 20);
+        assert_eq!(a.latest().unwrap().ordinal, n);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! rules cover the regressions the multi-rail literature targets:
 //!
 //! * **latency regression** — window p99 ack RTT blows past its EWMA
-//!   baseline by a configured factor;
+//!   baseline by a fixed factor;
 //! * **rail share imbalance** — a rail that used to carry an
 //!   established share of the traffic collapses (the RailS/FlexLink
 //!   failure mode: one rail silently idle while the others saturate);
@@ -16,7 +16,7 @@
 //!   baseline (absolute shedding is routine under open-loop load, so
 //!   only the *onset* is anomalous).
 //!
-//! Every rule warms up for a configured number of windows before it may
+//! Every rule warms up for a fixed number of windows before it may
 //! fire, carries a per-rule cooldown so a sustained incident produces
 //! one alert rather than a storm of them, and appends to a bounded,
 //! preallocated alert log (the fold path stays allocation-free). Fired
@@ -92,101 +92,51 @@ pub struct Alert {
     pub baseline: f64,
 }
 
-/// Watchdog thresholds. Defaults are deliberately generous — the
-/// watchdog's false-positive contract (a clean soak fires nothing) is a
-/// gated test, so every factor errs far to the quiet side.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct WatchdogConfig {
-    /// Master switch; off costs nothing.
-    pub enabled: bool,
-    /// Windows each rule observes before it may fire (baselines still
-    /// learn during warmup).
-    pub warmup_windows: u64,
-    /// EWMA smoothing factor in `(0, 1]` (weight of the newest window).
-    pub alpha: f64,
-    /// Latency fires when window p99 > baseline × this factor...
-    pub latency_factor: f64,
-    /// ...and above this absolute floor, ns (suppresses regressions on
-    /// sub-millisecond noise).
-    pub latency_floor_ns: u64,
-    /// Minimum RTT samples in a window for the latency rule to judge it.
-    pub latency_min_samples: u64,
-    /// Retransmit storm fires when window retransmits >
-    /// `max(baseline × factor, floor)`.
-    pub retransmit_factor: f64,
-    /// Absolute retransmit floor per window (spurious RTO noise margin).
-    pub retransmit_floor: u64,
-    /// A rail's window share below this is a collapse...
-    pub share_collapse: f64,
-    /// ...but only if its baseline share was at least this established.
-    pub share_baseline_min: f64,
-    /// Total frames a window needs before the share rule judges it
-    /// (idle windows have no meaningful shares).
-    pub share_min_frames: u64,
-    /// Shed onset fires when window sheds >
-    /// `max(baseline × factor, floor)`.
-    pub shed_factor: f64,
-    /// Absolute shed floor per window.
-    pub shed_floor: u64,
-    /// Windows a rule stays quiet after firing (per kind, per rail for
-    /// the share rule).
-    pub cooldown_windows: u64,
-    /// Bounded alert log capacity (preallocated; overflow is counted).
-    pub max_alerts: usize,
-}
+// The thresholds. Every factor errs far to the quiet side: the
+// watchdog's false-positive contract (a clean soak fires nothing) is a
+// gated test. DESIGN.md §8 has the table.
 
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            enabled: false,
-            warmup_windows: 3,
-            alpha: 0.25,
-            latency_factor: 4.0,
-            latency_floor_ns: 5_000_000,
-            latency_min_samples: 8,
-            retransmit_factor: 4.0,
-            retransmit_floor: 24,
-            share_collapse: 0.05,
-            share_baseline_min: 0.25,
-            share_min_frames: 32,
-            shed_factor: 8.0,
-            shed_floor: 512,
-            cooldown_windows: 4,
-            max_alerts: 256,
-        }
-    }
-}
-
-impl WatchdogConfig {
-    /// Sanity-check the knobs.
-    pub fn validate(&self) {
-        if !self.enabled {
-            return;
-        }
-        assert!(
-            self.alpha > 0.0 && self.alpha <= 1.0,
-            "alpha must be in (0, 1]"
-        );
-        assert!(self.latency_factor >= 1.0, "latency_factor must be >= 1");
-        assert!(
-            self.retransmit_factor >= 1.0,
-            "retransmit_factor must be >= 1"
-        );
-        assert!(self.shed_factor >= 1.0, "shed_factor must be >= 1");
-        assert!(
-            self.share_collapse < self.share_baseline_min,
-            "share_collapse must sit below share_baseline_min"
-        );
-        assert!(self.max_alerts > 0, "max_alerts must be positive");
-    }
-}
+/// Windows each rule observes before it may fire (baselines still learn
+/// during warmup).
+const WARMUP_WINDOWS: u64 = 3;
+/// EWMA smoothing factor (weight of the newest window).
+const ALPHA: f64 = 0.25;
+/// Latency fires when window p99 > baseline × this factor...
+const LATENCY_FACTOR: f64 = 4.0;
+/// ...and above this absolute floor, ns (suppresses regressions on
+/// sub-millisecond noise).
+const LATENCY_FLOOR_NS: u64 = 5_000_000;
+/// Minimum RTT samples in a window for the latency rule to judge it.
+const LATENCY_MIN_SAMPLES: u64 = 8;
+/// Retransmit storm fires when window retransmits >
+/// `max(baseline × factor, floor)`.
+const RETRANSMIT_FACTOR: f64 = 4.0;
+/// Absolute retransmit floor per window (spurious RTO noise margin):
+/// low enough that a drop storm trips it on sub-second windows, which
+/// the clean soak's false-positive gate checks from the other side.
+const RETRANSMIT_FLOOR: u64 = 6;
+/// A rail's window share below this is a collapse...
+const SHARE_COLLAPSE: f64 = 0.05;
+/// ...but only if its baseline share was at least this established.
+const SHARE_BASELINE_MIN: f64 = 0.25;
+/// Total frames a window needs before the share rule judges it (idle
+/// windows have no meaningful shares).
+const SHARE_MIN_FRAMES: u64 = 32;
+/// Shed onset fires when window sheds > `max(baseline × factor, floor)`.
+const SHED_FACTOR: f64 = 8.0;
+/// Absolute shed floor per window.
+const SHED_FLOOR: u64 = 512;
+/// Windows a rule stays quiet after firing (per kind, per rail for the
+/// share rule).
+const COOLDOWN_WINDOWS: u64 = 4;
+/// Bounded alert log capacity (preallocated; overflow is counted).
+const MAX_ALERTS: usize = 256;
 
 const NEVER: u64 = u64::MAX;
 
 /// The watchdog state machine. One per engine; fed every closed window.
 #[derive(Clone, Debug)]
 pub struct Watchdog {
-    cfg: WatchdogConfig,
     observed: u64,
     lat_ewma: f64,
     lat_windows: u64,
@@ -205,8 +155,7 @@ pub struct Watchdog {
 impl Watchdog {
     /// Watchdog for `n_rails` rails. The alert log is allocated here,
     /// once.
-    pub fn new(n_rails: usize, cfg: WatchdogConfig) -> Self {
-        cfg.validate();
+    pub fn new(n_rails: usize) -> Self {
         Watchdog {
             observed: 0,
             lat_ewma: 0.0,
@@ -215,17 +164,11 @@ impl Watchdog {
             shed_ewma: 0.0,
             share_ewma: vec![0.0; n_rails],
             share_windows: 0,
-            alerts: Vec::with_capacity(cfg.max_alerts),
+            alerts: Vec::with_capacity(MAX_ALERTS),
             dropped: 0,
             last_kind: [NEVER; 4],
             last_share: vec![NEVER; n_rails],
-            cfg,
         }
-    }
-
-    /// The configured thresholds.
-    pub fn config(&self) -> &WatchdogConfig {
-        &self.cfg
     }
 
     /// Alerts fired so far (bounded log, oldest first).
@@ -249,7 +192,7 @@ impl Watchdog {
     }
 
     fn cooled(&self, slot: u64, ordinal: u64) -> bool {
-        slot == NEVER || ordinal >= slot + self.cfg.cooldown_windows
+        slot == NEVER || ordinal >= slot + COOLDOWN_WINDOWS
     }
 
     fn fire(&mut self, a: Alert) {
@@ -258,7 +201,7 @@ impl Watchdog {
         if let (AlertKind::RailImbalance, Some(r)) = (a.kind, a.rail) {
             self.last_share[r] = a.window;
         }
-        if self.alerts.len() < self.cfg.max_alerts {
+        if self.alerts.len() < MAX_ALERTS {
             self.alerts.push(a);
         } else {
             self.dropped += 1;
@@ -279,20 +222,17 @@ impl Watchdog {
     /// until an operator adjusts the thresholds, which is the right
     /// default for an SLO watchdog.
     pub fn observe(&mut self, w: &Window) -> usize {
-        if !self.cfg.enabled {
-            return 0;
-        }
         let before = self.alerts.len();
-        let armed = self.observed >= self.cfg.warmup_windows;
-        let a = self.cfg.alpha;
+        let armed = self.observed >= WARMUP_WINDOWS;
+        let a = ALPHA;
 
         // Latency regression: judged only on windows with enough samples.
-        if w.latency.count() >= self.cfg.latency_min_samples {
+        if w.latency.count() >= LATENCY_MIN_SAMPLES {
             if let Some(p99) = w.latency.approx_quantile(0.99) {
                 let p99f = p99 as f64;
-                let regressed = self.lat_windows >= self.cfg.warmup_windows
-                    && p99 > self.cfg.latency_floor_ns
-                    && p99f > self.lat_ewma * self.cfg.latency_factor;
+                let regressed = self.lat_windows >= WARMUP_WINDOWS
+                    && p99 > LATENCY_FLOOR_NS
+                    && p99f > self.lat_ewma * LATENCY_FACTOR;
                 if armed
                     && regressed
                     && self.cooled(
@@ -320,8 +260,7 @@ impl Watchdog {
 
         // Retransmit storm.
         let retx = w.retransmits as f64;
-        let storm_threshold =
-            (self.retx_ewma * self.cfg.retransmit_factor).max(self.cfg.retransmit_floor as f64);
+        let storm_threshold = (self.retx_ewma * RETRANSMIT_FACTOR).max(RETRANSMIT_FLOOR as f64);
         let storming = retx > storm_threshold;
         if armed
             && storming
@@ -358,13 +297,13 @@ impl Watchdog {
         // so the rule demands both.
         let total_frames: u64 = w.rails.iter().map(|r| r.tx_frames).sum();
         let total_bytes: u64 = w.rails.iter().map(|r| r.tx_bytes).sum();
-        if total_frames >= self.cfg.share_min_frames && total_bytes > 0 {
+        if total_frames >= SHARE_MIN_FRAMES && total_bytes > 0 {
             for (i, rw) in w.rails.iter().enumerate() {
                 let share = rw.tx_bytes as f64 / total_bytes as f64;
                 let distressed = rw.failovers > 0 || rw.retransmits > 0;
-                let collapsed = self.share_windows >= self.cfg.warmup_windows
-                    && self.share_ewma[i] >= self.cfg.share_baseline_min
-                    && share < self.cfg.share_collapse
+                let collapsed = self.share_windows >= WARMUP_WINDOWS
+                    && self.share_ewma[i] >= SHARE_BASELINE_MIN
+                    && share < SHARE_COLLAPSE
                     && distressed;
                 if armed && collapsed && self.cooled(self.last_share[i], w.ordinal) {
                     self.fire(Alert {
@@ -387,8 +326,7 @@ impl Watchdog {
 
         // Shed onset.
         let sheds = w.sheds as f64;
-        let shed_threshold =
-            (self.shed_ewma * self.cfg.shed_factor).max(self.cfg.shed_floor as f64);
+        let shed_threshold = (self.shed_ewma * SHED_FACTOR).max(SHED_FLOOR as f64);
         let shedding = sheds > shed_threshold;
         if armed
             && shedding
@@ -460,19 +398,6 @@ mod tests {
     use super::*;
     use crate::obs::telemetry::{RailWindow, Window};
 
-    fn cfg() -> WatchdogConfig {
-        WatchdogConfig {
-            enabled: true,
-            warmup_windows: 2,
-            retransmit_floor: 10,
-            shed_floor: 50,
-            latency_floor_ns: 1_000,
-            latency_min_samples: 4,
-            share_min_frames: 10,
-            ..WatchdogConfig::default()
-        }
-    }
-
     fn window(ordinal: u64, n_rails: usize) -> Window {
         Window {
             ordinal,
@@ -486,71 +411,87 @@ mod tests {
     fn balanced(ordinal: u64) -> Window {
         let mut w = window(ordinal, 2);
         for r in &mut w.rails {
-            r.tx_frames = 50;
+            r.tx_frames = SHARE_MIN_FRAMES;
             r.tx_bytes = 1 << 20;
         }
         w
     }
 
-    #[test]
-    fn disabled_watchdog_never_fires() {
-        let mut d = Watchdog::new(2, WatchdogConfig::default());
-        let mut w = window(0, 2);
-        w.retransmits = 1_000_000;
-        assert_eq!(d.observe(&w), 0);
-        assert!(d.is_clean());
+    /// A balanced window whose ack RTTs are `samples` samples of `ns`.
+    fn with_latency(ordinal: u64, samples: u64, ns: u64) -> Window {
+        let mut w = balanced(ordinal);
+        for _ in 0..samples {
+            w.latency.record(ns);
+        }
+        w
+    }
+
+    /// A watchdog past its warmup on balanced, calm windows.
+    fn warmed() -> Watchdog {
+        let mut d = Watchdog::new(2);
+        for i in 0..WARMUP_WINDOWS {
+            assert_eq!(d.observe(&balanced(i)), 0);
+        }
+        d
     }
 
     #[test]
     fn retransmit_storm_fires_after_warmup_with_cooldown() {
-        let mut d = Watchdog::new(2, cfg());
-        // Warmup: storms during warmup only feed the baseline.
+        let mut d = Watchdog::new(2);
+        // A storm during warmup only feeds the baseline.
         let mut w0 = balanced(0);
-        w0.retransmits = 2;
-        assert_eq!(d.observe(&w0), 0);
-        let mut w1 = balanced(1);
-        w1.retransmits = 1;
-        assert_eq!(d.observe(&w1), 0);
+        w0.retransmits = 100;
+        assert_eq!(d.observe(&w0), 0, "still warming up");
+        for i in 1..WARMUP_WINDOWS {
+            let mut w = balanced(i);
+            w.retransmits = 1;
+            assert_eq!(d.observe(&w), 0);
+        }
         // Storm.
-        let mut w2 = balanced(2);
-        w2.retransmits = 500;
-        w2.rails[1].retransmits = 400;
-        assert_eq!(d.observe(&w2), 1);
+        let mut w = balanced(WARMUP_WINDOWS);
+        w.retransmits = 500;
+        w.rails[1].retransmits = 400;
+        assert_eq!(d.observe(&w), 1);
         let a = d.alerts()[0];
         assert_eq!(a.kind, AlertKind::RetransmitStorm);
         assert_eq!(a.rail, Some(1));
-        assert_eq!(a.window, 2);
-        // Sustained storm stays quiet through the cooldown.
-        let mut w3 = balanced(3);
-        w3.retransmits = 600;
-        assert_eq!(d.observe(&w3), 0);
-        assert_eq!(d.alerts().len(), 1);
+        assert_eq!(a.window, WARMUP_WINDOWS);
+        // A sustained storm stays quiet through the cooldown...
+        for i in 1..COOLDOWN_WINDOWS {
+            let mut w = balanced(WARMUP_WINDOWS + i);
+            w.retransmits = 600;
+            assert_eq!(d.observe(&w), 0, "cooling down");
+        }
+        // ...and is reported again once it is over.
+        let mut w = balanced(WARMUP_WINDOWS + COOLDOWN_WINDOWS);
+        w.retransmits = 600;
+        assert_eq!(d.observe(&w), 1);
     }
 
     #[test]
-    fn quiet_traffic_never_trips_the_storm_floor() {
-        let mut d = Watchdog::new(2, cfg());
+    fn storm_floor_sits_at_six_retransmits() {
+        // From a zero baseline only the floor stands between a few
+        // spurious RTOs and an alert.
+        let mut d = warmed();
         for i in 0..20 {
-            let mut w = balanced(i);
-            w.retransmits = 3; // below the floor of 10, always
-            d.observe(&w);
+            let mut w = balanced(WARMUP_WINDOWS + i);
+            w.retransmits = RETRANSMIT_FLOOR;
+            assert_eq!(d.observe(&w), 0, "at the floor is not above it");
         }
-        assert!(d.is_clean());
+        let mut d = warmed();
+        let mut w = balanced(WARMUP_WINDOWS);
+        w.retransmits = RETRANSMIT_FLOOR + 1;
+        assert_eq!(d.observe(&w), 1);
     }
 
     #[test]
     fn rail_share_collapse_fires_for_the_dead_rail() {
-        let mut d = Watchdog::new(2, cfg());
-        for i in 0..4 {
-            assert_eq!(d.observe(&balanced(i)), 0);
-        }
+        let mut d = warmed();
         // Rail 0 dies: all traffic shifts to rail 1, and the failover
         // shows up as distress on the dead rail.
-        let mut w = window(4, 2);
-        w.rails[0].tx_frames = 0;
-        w.rails[0].tx_bytes = 0;
+        let mut w = window(WARMUP_WINDOWS, 2);
         w.rails[0].failovers = 1;
-        w.rails[1].tx_frames = 100;
+        w.rails[1].tx_frames = 2 * SHARE_MIN_FRAMES;
         w.rails[1].tx_bytes = 2 << 20;
         assert_eq!(d.observe(&w), 1);
         let a = d.alerts()[0];
@@ -561,16 +502,11 @@ mod tests {
 
     #[test]
     fn quiet_rail_without_distress_is_not_a_collapse() {
-        let mut d = Watchdog::new(2, cfg());
-        for i in 0..4 {
-            assert_eq!(d.observe(&balanced(i)), 0);
-        }
+        let mut d = warmed();
         // A bursty workload leaves rail 0 idle for one window — no
         // failovers, no retransmits. That is traffic shape, not death.
-        let mut w = window(4, 2);
-        w.rails[0].tx_frames = 0;
-        w.rails[0].tx_bytes = 0;
-        w.rails[1].tx_frames = 100;
+        let mut w = window(WARMUP_WINDOWS, 2);
+        w.rails[1].tx_frames = 2 * SHARE_MIN_FRAMES;
         w.rails[1].tx_bytes = 2 << 20;
         assert_eq!(d.observe(&w), 0);
         assert!(d.is_clean());
@@ -578,111 +514,102 @@ mod tests {
 
     #[test]
     fn idle_windows_do_not_trip_the_share_rule() {
-        let mut d = Watchdog::new(2, cfg());
-        for i in 0..4 {
-            d.observe(&balanced(i));
-        }
-        // An idle window (below share_min_frames) must not look like a
-        // collapse of both rails.
-        let w = window(4, 2);
+        let mut d = warmed();
+        // A window below SHARE_MIN_FRAMES must not look like a collapse
+        // of both rails, distress or not.
+        let mut w = window(WARMUP_WINDOWS, 2);
+        w.rails[0].tx_frames = SHARE_MIN_FRAMES - 1;
+        w.rails[0].tx_bytes = 1;
+        w.rails[1].failovers = 1;
         assert_eq!(d.observe(&w), 0);
         assert!(d.is_clean());
     }
 
     #[test]
     fn latency_regression_needs_samples_and_floor() {
-        let mut d = Watchdog::new(2, cfg());
-        for i in 0..4 {
-            let mut w = balanced(i);
-            for _ in 0..10 {
-                w.latency.record(2_000);
+        let n = LATENCY_MIN_SAMPLES;
+        let baseline = |base_ns: u64| {
+            let mut d = Watchdog::new(2);
+            for i in 0..=WARMUP_WINDOWS {
+                assert_eq!(d.observe(&with_latency(i, n, base_ns)), 0);
             }
-            assert_eq!(d.observe(&w), 0);
-        }
+            d
+        };
+        let next = WARMUP_WINDOWS + 1;
         // A 10x p99 jump above the floor fires.
-        let mut w = balanced(4);
-        for _ in 0..10 {
-            w.latency.record(20_000);
-        }
-        assert_eq!(d.observe(&w), 1);
+        let mut d = baseline(2_000_000);
+        assert_eq!(d.observe(&with_latency(next, n, 20_000_000)), 1);
         assert_eq!(d.alerts()[0].kind, AlertKind::LatencyRegression);
+        // The same jump below the 5 ms floor is noise.
+        let mut d = baseline(100_000);
+        assert_eq!(d.observe(&with_latency(next, n, 1_000_000)), 0);
         // A jump on too few samples is ignored.
-        let mut d2 = Watchdog::new(2, cfg());
-        for i in 0..4 {
-            let mut w = balanced(i);
-            for _ in 0..10 {
-                w.latency.record(2_000);
-            }
-            d2.observe(&w);
-        }
-        let mut w = balanced(4);
-        w.latency.record(1_000_000);
-        assert_eq!(d2.observe(&w), 0);
+        let mut d = baseline(2_000_000);
+        assert_eq!(d.observe(&with_latency(next, n - 1, 1_000_000_000)), 0);
     }
 
     #[test]
     fn shed_onset_is_relative_to_baseline() {
-        let mut d = Watchdog::new(2, cfg());
-        // Routine shedding establishes a baseline without firing.
+        let mut d = Watchdog::new(2);
+        // Routine shedding well above the floor establishes a baseline
+        // without firing.
         for i in 0..6 {
             let mut w = balanced(i);
-            w.sheds = 100;
+            w.sheds = 2 * SHED_FLOOR;
             assert_eq!(d.observe(&w), 0, "steady shedding is not an onset");
         }
         // A surge fires.
         let mut w = balanced(6);
-        w.sheds = 5_000;
+        w.sheds = 40 * SHED_FLOOR;
         assert_eq!(d.observe(&w), 1);
         assert_eq!(d.alerts()[0].kind, AlertKind::ShedOnset);
     }
 
     #[test]
     fn verdict_json_is_machine_readable() {
-        let mut d = Watchdog::new(2, cfg());
-        for i in 0..3 {
-            d.observe(&balanced(i));
-        }
-        let mut w = balanced(3);
+        let mut d = warmed();
+        let mut w = balanced(WARMUP_WINDOWS);
         w.retransmits = 500;
         d.observe(&w);
         let v = d.verdict_json();
         assert!(v.contains("\"clean\":false"), "{v}");
         assert!(v.contains("\"kind\":\"retransmit_storm\""), "{v}");
         assert!(v.contains("\"windows_observed\":4"), "{v}");
-        let clean = Watchdog::new(2, cfg()).verdict_json();
+        let clean = Watchdog::new(2).verdict_json();
         assert!(clean.contains("\"clean\":true"), "{clean}");
         assert!(clean.ends_with("\"alerts\":[]}"), "{clean}");
     }
 
     #[test]
     fn alert_log_is_bounded() {
-        let mut c = cfg();
-        c.max_alerts = 2;
-        c.cooldown_windows = 1;
-        let mut d = Watchdog::new(2, c);
-        for i in 0..10 {
-            let mut w = balanced(i);
-            // Grow 10x per window so the storm keeps outrunning its own
-            // EWMA (which is at most the previous window's value).
-            w.retransmits = 10u64.pow(i as u32 + 1);
+        // A storm that never ends keeps a zero baseline (anomalous
+        // windows do not feed it) and fires once per cooldown: two more
+        // times than the log holds.
+        let mut d = warmed();
+        let fires = MAX_ALERTS as u64 + 2;
+        for i in 0..fires * COOLDOWN_WINDOWS {
+            let mut w = balanced(WARMUP_WINDOWS + i);
+            w.retransmits = RETRANSMIT_FLOOR + 1;
             d.observe(&w);
         }
-        assert_eq!(d.alerts().len(), 2);
-        assert!(d.dropped_alerts() > 0);
+        assert_eq!(d.alerts().len(), MAX_ALERTS);
+        assert_eq!(d.dropped_alerts(), 2);
+        assert_eq!(d.alerts()[1].window - d.alerts()[0].window, COOLDOWN_WINDOWS);
         assert!(!d.is_clean());
     }
 
     #[test]
     fn incident_windows_do_not_poison_the_baseline() {
-        let mut d = Watchdog::new(2, cfg());
-        for i in 0..3 {
+        let mut d = Watchdog::new(2);
+        for i in 0..WARMUP_WINDOWS {
             let mut w = balanced(i);
             w.retransmits = 2;
             d.observe(&w);
         }
-        // A 4-window storm (one alert, then cooldown) must not teach
-        // the EWMA that storms are normal...
-        for i in 3..7 {
+        // A storm as long as the cooldown (one alert) must not teach the
+        // EWMA that storms are normal...
+        let storm_end = WARMUP_WINDOWS + COOLDOWN_WINDOWS;
+        for i in WARMUP_WINDOWS..storm_end {
             let mut w = balanced(i);
             w.retransmits = 1_000;
             d.observe(&w);
@@ -690,12 +617,12 @@ mod tests {
         assert_eq!(d.alerts().len(), 1);
         // ...so after a calm window, a much smaller fresh storm still
         // reads as one, against the pre-incident baseline.
-        let mut w7 = balanced(7);
-        w7.retransmits = 2;
-        assert_eq!(d.observe(&w7), 0);
-        let mut w8 = balanced(8);
-        w8.retransmits = 300;
-        assert_eq!(d.observe(&w8), 1, "baseline inflated by the incident");
+        let mut calm = balanced(storm_end);
+        calm.retransmits = 2;
+        assert_eq!(d.observe(&calm), 0);
+        let mut w = balanced(storm_end + 1);
+        w.retransmits = 300;
+        assert_eq!(d.observe(&w), 1, "baseline inflated by the incident");
         assert!(d.alerts()[1].baseline < 10.0, "{}", d.alerts()[1].baseline);
     }
 

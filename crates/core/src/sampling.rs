@@ -236,87 +236,35 @@ pub fn split_ratio_permille(tables: &[&PerfTable], reference: u64) -> Vec<u16> {
     out
 }
 
-/// Knobs of the [`OnlineCalibrator`]. Lives here (not in `config.rs`) so
-/// the calibrator is usable standalone; [`crate::EngineConfig`] embeds it.
-#[derive(Clone, Debug)]
-pub struct CalibrationConfig {
-    /// Master switch. Off by default: the engine then behaves exactly as
-    /// before (frozen init-time tables).
-    pub enabled: bool,
-    /// EWMA smoothing factor applied to per-bucket corrections, in (0, 1].
-    /// Effective step is `alpha * sample_weight`, so down-weighted samples
-    /// (rails under suspicion) move the estimate proportionally less.
-    pub alpha: f64,
-    /// Recalibration cadence: rebuild the live tables after this many
-    /// accepted samples.
-    pub rebuild_every: u32,
-    /// Total accepted samples required before the first rebuild — keeps a
-    /// couple of noisy early chunks from immediately skewing the split.
-    pub min_samples: u32,
-    /// Clamp on the per-bucket correction ratio (and its inverse): a
-    /// single wild measurement can claim at most this slowdown/speedup.
-    pub max_correction: f64,
-    /// Correction floor applied to every bucket of a rail when it fails
-    /// over (transitions to `Down`): its table immediately reads
-    /// `failover_penalty`× slower, and the rail re-earns traffic gradually
-    /// as fresh samples pull the EWMA back down.
-    pub failover_penalty: f64,
-    /// Message size whose split ratio the history snapshots (diagnostics
-    /// and the `calibrate` obs event).
-    pub reference_size: u64,
-    /// Per-rebuild multiplicative decay applied to bucket sample weights,
-    /// in (0, 1]. A bucket that stops receiving samples decays below the
-    /// staleness floor after a few rebuilds and is treated as unsampled
-    /// again, so fresher neighbouring buckets interpolate over it. Without
-    /// this, one pre-drift measurement in a large-size bucket would pin
-    /// the split ratio forever once the traffic mix shifts to smaller
-    /// chunks. `1.0` disables staleness (buckets stay authoritative).
-    pub stale_decay: f64,
-}
+// The calibrator's constants (DESIGN.md §9). Only whether it runs is
+// configurable (`EngineConfig::calibrate`).
 
-impl Default for CalibrationConfig {
-    fn default() -> Self {
-        CalibrationConfig {
-            enabled: false,
-            alpha: 0.25,
-            rebuild_every: 16,
-            min_samples: 8,
-            max_correction: 16.0,
-            failover_penalty: 4.0,
-            reference_size: 1 << 20,
-            stale_decay: 0.5,
-        }
-    }
-}
-
-impl CalibrationConfig {
-    /// Sanity-check parameter ranges.
-    pub fn validate(&self) {
-        assert!(
-            self.alpha > 0.0 && self.alpha <= 1.0,
-            "calibration alpha {} must be in (0, 1]",
-            self.alpha
-        );
-        assert!(self.rebuild_every >= 1, "rebuild_every must be >= 1");
-        assert!(
-            self.max_correction >= 1.0,
-            "max_correction {} must be >= 1",
-            self.max_correction
-        );
-        assert!(
-            self.failover_penalty >= 1.0 && self.failover_penalty <= self.max_correction,
-            "failover_penalty {} must be in [1, max_correction {}]",
-            self.failover_penalty,
-            self.max_correction
-        );
-        assert!(self.reference_size > 0, "reference_size must be positive");
-        assert!(
-            self.stale_decay > 0.0 && self.stale_decay <= 1.0,
-            "stale_decay {} must be in (0, 1]",
-            self.stale_decay
-        );
-    }
-}
+/// EWMA smoothing factor applied to per-bucket corrections. Effective
+/// step is `ALPHA * sample_weight`, so down-weighted samples (rails under
+/// suspicion) move the estimate proportionally less.
+pub const ALPHA: f64 = 0.25;
+/// Recalibration cadence: rebuild the live tables after this many
+/// accepted samples. The first rebuild waits as long as every other, so
+/// a couple of noisy early chunks cannot skew the split on their own.
+pub const REBUILD_EVERY: u32 = 8;
+/// Clamp on the per-bucket correction ratio (and its inverse): a single
+/// wild measurement can claim at most this slowdown/speedup.
+const MAX_CORRECTION: f64 = 16.0;
+/// Correction floor applied to every bucket of a rail when it fails over
+/// (transitions to `Down`): its table immediately reads this many times
+/// slower, and the rail re-earns traffic gradually as fresh samples pull
+/// the EWMA back down.
+const FAILOVER_PENALTY: f64 = 4.0;
+/// Message size whose split ratio the history snapshots (diagnostics and
+/// the `calibrate` obs event).
+pub const REFERENCE_SIZE: u64 = 1 << 20;
+/// Per-rebuild multiplicative decay applied to bucket sample weights. A
+/// bucket that stops receiving samples decays below the staleness floor
+/// after a few rebuilds and is treated as unsampled again, so fresher
+/// neighbouring buckets interpolate over it. Without this, one pre-drift
+/// measurement in a large-size bucket would pin the split ratio forever
+/// once the traffic mix shifts to smaller chunks.
+const STALE_DECAY: f64 = 0.5;
 
 /// One history entry: the split ratio right after a rebuild.
 #[derive(Clone, Debug)]
@@ -325,7 +273,7 @@ pub struct CalibrationSnapshot {
     pub rebuild: u64,
     /// Accepted samples ingested up to this rebuild.
     pub samples: u64,
-    /// Per-rail permille share of a [`CalibrationConfig::reference_size`]
+    /// Per-rail permille share of a [`REFERENCE_SIZE`]
     /// split under the freshly rebuilt tables.
     pub permille: Vec<u16>,
 }
@@ -336,14 +284,14 @@ struct Bucket {
     /// EWMA of `observed / predicted` time. 1.0 = the seed table is right.
     corr: f64,
     /// Accumulated sample weight, decayed by
-    /// [`CalibrationConfig::stale_decay`] on every rebuild; below
+    /// [`STALE_DECAY`] on every rebuild; below
     /// [`MIN_BUCKET_WEIGHT`] the bucket counts as unmeasured again.
     weight: f64,
 }
 
 /// Staleness floor: buckets whose decayed weight falls below this are
 /// treated as unsampled by [`OnlineCalibrator::rebuild`] and re-derived
-/// from their fresher neighbours. With the default `stale_decay` of 0.5 a
+/// from their fresher neighbours. With a [`STALE_DECAY`] of 0.5 a
 /// single full-weight sample stays authoritative for two rebuilds.
 const MIN_BUCKET_WEIGHT: f64 = 0.2;
 
@@ -360,12 +308,11 @@ const MIN_BUCKET_WEIGHT: f64 = 0.2;
 /// sampling believed", not to garbage.
 #[derive(Clone, Debug)]
 pub struct OnlineCalibrator {
-    cfg: CalibrationConfig,
     ladder: Vec<u64>,
     base: Vec<PerfTable>,
     buckets: Vec<Vec<Bucket>>,
     /// Per-rail failover multiplier applied *outside* the EWMA and its
-    /// `max_correction` clamp (see [`Self::penalize`]). 1.0 = no penalty.
+    /// [`MAX_CORRECTION`] clamp (see [`Self::penalize`]). 1.0 = no penalty.
     penalty: Vec<f64>,
     since_rebuild: u32,
     samples: u64,
@@ -375,8 +322,7 @@ pub struct OnlineCalibrator {
 
 impl OnlineCalibrator {
     /// Build over seed tables (one per rail) and a sampling ladder.
-    pub fn new(base: Vec<PerfTable>, ladder: Vec<u64>, cfg: CalibrationConfig) -> Self {
-        cfg.validate();
+    pub fn new(base: Vec<PerfTable>, ladder: Vec<u64>) -> Self {
         assert!(!base.is_empty(), "calibrator needs at least one rail table");
         assert!(!ladder.is_empty(), "calibrator needs a non-empty ladder");
         let mut ladder = ladder;
@@ -394,7 +340,6 @@ impl OnlineCalibrator {
         ];
         let penalty = vec![1.0; base.len()];
         OnlineCalibrator {
-            cfg,
             ladder,
             base,
             buckets,
@@ -443,9 +388,9 @@ impl OnlineCalibrator {
             return;
         }
         let ratio =
-            (observed_us / predicted).clamp(1.0 / self.cfg.max_correction, self.cfg.max_correction);
+            (observed_us / predicted).clamp(1.0 / MAX_CORRECTION, MAX_CORRECTION);
         let bucket = self.bucket_for(size);
-        let step = (self.cfg.alpha * weight.min(1.0)).clamp(0.0, 1.0);
+        let step = (ALPHA * weight.min(1.0)).clamp(0.0, 1.0);
         let b = &mut self.buckets[rail][bucket];
         b.corr += step * (ratio - b.corr);
         b.weight += weight.min(1.0);
@@ -465,17 +410,16 @@ impl OnlineCalibrator {
 
     /// Whether enough samples accrued for the next [`Self::rebuild`].
     pub fn due(&self) -> bool {
-        self.samples >= u64::from(self.cfg.min_samples)
-            && self.since_rebuild >= self.cfg.rebuild_every
+        self.since_rebuild >= REBUILD_EVERY
     }
 
-    /// Failover decay: mark `rail` as `failover_penalty`× slower than its
+    /// Failover decay: mark `rail` as [`FAILOVER_PENALTY`]× slower than its
     /// EWMA currently reads, so the rebuilt table strips its byte share
     /// and the rail re-earns it through fresh measurements.
     ///
     /// The penalty is a separate multiplier, deliberately outside the
-    /// per-bucket EWMA and its `max_correction` clamp: under saturation
-    /// every rail's EWMA can sit pinned at `max_correction` (queueing
+    /// per-bucket EWMA and its [`MAX_CORRECTION`] clamp: under saturation
+    /// every rail's EWMA can sit pinned at `MAX_CORRECTION` (queueing
     /// delay reads as "slow" everywhere), and raising the dead rail's
     /// buckets to an absolute level would be a relative no-op — the split
     /// would keep feeding a black hole. A multiplier guarantees the strip
@@ -484,7 +428,7 @@ impl OnlineCalibrator {
         if rail >= self.penalty.len() {
             return;
         }
-        self.penalty[rail] = self.penalty[rail].max(self.cfg.failover_penalty);
+        self.penalty[rail] = self.penalty[rail].max(FAILOVER_PENALTY);
     }
 
     /// Effective correction per ladder bucket: sampled buckets use their
@@ -525,7 +469,7 @@ impl OnlineCalibrator {
         }
         // The failover multiplier rides on top of the EWMA, unclamped:
         // it must strip share even when every bucket is pinned at
-        // `max_correction` (see `penalize`).
+        // `MAX_CORRECTION` (see `penalize`).
         if penalty > 1.0 {
             for c in &mut out {
                 *c *= penalty;
@@ -559,7 +503,7 @@ impl OnlineCalibrator {
         // authority — `observe` replenishes the weight.
         for rail in &mut self.buckets {
             for b in rail.iter_mut() {
-                b.weight *= self.cfg.stale_decay;
+                b.weight *= STALE_DECAY;
                 if b.weight < MIN_BUCKET_WEIGHT {
                     b.weight = 0.0;
                 }
@@ -569,7 +513,7 @@ impl OnlineCalibrator {
         self.history.push(CalibrationSnapshot {
             rebuild: self.rebuilds,
             samples: self.samples,
-            permille: split_ratio_permille(&refs, self.cfg.reference_size),
+            permille: split_ratio_permille(&refs, REFERENCE_SIZE),
         });
         tables
     }
@@ -596,11 +540,6 @@ impl OnlineCalibrator {
             return 1.0;
         }
         self.effective_corr(rail)[self.bucket_for(size)]
-    }
-
-    /// The calibrator's configuration.
-    pub fn config(&self) -> &CalibrationConfig {
-        &self.cfg
     }
 
     /// The sampling ladder the corrections are bucketed over.
@@ -805,13 +744,7 @@ mod tests {
             PerfTable::from_analytic(&platform::myri_10g(), &ladder),
             PerfTable::from_analytic(&platform::quadrics_qm500(), &ladder),
         ];
-        let cfg = CalibrationConfig {
-            enabled: true,
-            min_samples: 4,
-            rebuild_every: 4,
-            ..Default::default()
-        };
-        OnlineCalibrator::new(base, ladder, cfg)
+        OnlineCalibrator::new(base, ladder)
     }
 
     #[test]
@@ -839,6 +772,23 @@ mod tests {
     }
 
     #[test]
+    fn calibrator_rebuilds_every_eight_samples() {
+        let mut c = test_calibrator();
+        let pred = c.base[0].time_for(1 << 20);
+        let mut rebuilt_at = Vec::new();
+        for i in 1..=3 * REBUILD_EVERY {
+            c.observe(0, 1 << 20, pred, 1.0);
+            if c.due() {
+                c.rebuild();
+                rebuilt_at.push(i);
+            }
+        }
+        assert_eq!(rebuilt_at, [8, 16, 24]);
+        let samples: Vec<u64> = c.history().iter().map(|s| s.samples).collect();
+        assert_eq!(samples, [8, 16, 24]);
+    }
+
+    #[test]
     fn calibrator_down_weights_suspect_samples() {
         let mut a = test_calibrator();
         let mut b = test_calibrator();
@@ -860,7 +810,7 @@ mod tests {
         let mut c = test_calibrator();
         c.penalize(0);
         let corr = c.correction_at(0, 1 << 20);
-        assert!((corr - c.config().failover_penalty).abs() < 1e-9);
+        assert!((corr - FAILOVER_PENALTY).abs() < 1e-9);
         let t = c.rebuild();
         // Penalized rail's table is slower than its seed across the ladder.
         assert!(t[0].time_for(1 << 20) > c.base[0].time_for(1 << 20) * 2.0);
@@ -876,9 +826,9 @@ mod tests {
     fn calibrator_penalty_strips_share_even_at_saturation() {
         let mut c = test_calibrator();
         // Sustained queueing delay reads "slow" on every rail: both EWMAs
-        // pin at max_correction and carry no relative signal. An absolute
+        // pin at MAX_CORRECTION and carry no relative signal. An absolute
         // penalty would be a no-op here — the regression this guards.
-        let sat = c.config().max_correction * 4.0;
+        let sat = MAX_CORRECTION * 4.0;
         for _ in 0..64 {
             for rail in 0..2 {
                 let pred = c.base[rail].time_for(1 << 20);

@@ -49,11 +49,11 @@ pub struct DataPathStats {
     pub tx_staged_copy_bytes: u64,
     /// Payload bytes transmitted as refcounted slices (no copy).
     pub tx_zero_copy_bytes: u64,
-    /// Payload bytes copied on receive: part-straddling reads, legacy
-    /// flat-buffer delivery, and rendezvous segments gathered into one
-    /// buffer because their chunks arrived in different allocations (TCP:
-    /// one per frame — every chunked byte, once, when its segment is
-    /// whole). Zero on the mem fabric and in the sim.
+    /// Payload bytes copied on receive: part-straddling reads and
+    /// rendezvous segments gathered into one buffer because their chunks
+    /// arrived in different allocations (TCP: one per frame — every
+    /// chunked byte, once, when its segment is whole). Zero on the mem
+    /// fabric and in the sim.
     pub rx_copy_bytes: u64,
     /// Payload bytes delivered as the slices of received frames they
     /// arrived as: eager data booked at decode, a rendezvous segment when
@@ -227,7 +227,7 @@ impl ObsStats {
 
 /// Overload-protection counters: how often
 /// [`crate::Engine::try_submit_send`] said no, and why. All zero unless
-/// [`crate::OverloadConfig`] limits are set (except
+/// [`crate::EngineConfig::max_tenant_inflight`] is set (except
 /// `shutdown_rejections`, which counts `try_send`s on an endpoint that
 /// has shut down regardless of configuration).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -14,7 +14,7 @@
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use nmad_core::{Engine, EngineConfig, OverloadConfig, RecvId, SendId, SubmitError};
+use nmad_core::{Engine, EngineConfig, RecvId, SendId, SubmitError};
 use nmad_model::{platform, RailId};
 use nmad_wire::{ConnId, PacketFrame};
 
@@ -204,9 +204,7 @@ fn an_open_loop_sender_is_held_by_its_quota() {
     const PER_TICK: u64 = 8;
     const QUOTA: usize = 32;
     let config = EngineConfig {
-        overload: OverloadConfig {
-            max_tenant_inflight: QUOTA,
-        },
+        max_tenant_inflight: QUOTA,
         ..EngineConfig::default()
     };
     let rails = platform::paper_platform().rails.len();

@@ -8,7 +8,7 @@
 use bytes::Bytes;
 use nmad_core::engine::Engine;
 use nmad_core::obs::{to_chrome_trace, Event, EventKind};
-use nmad_core::{EngineConfig, StrategyKind};
+use nmad_core::{EngineConfig, Observe, StrategyKind};
 use nmad_model::{platform, RailId};
 use serde_json::Value;
 
@@ -18,7 +18,7 @@ use serde_json::Value;
 fn recorded_events() -> Vec<Event> {
     let mut cfg = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
     cfg.acked = true;
-    cfg.record_capacity = 8192;
+    cfg.observe = Observe::Record { capacity: 8192 };
     let mk = || Engine::new(cfg.clone(), platform::paper_platform().rails, vec![]);
     let (mut a, mut b) = (mk(), mk());
     a.conn_open();

@@ -6,7 +6,7 @@
 //! a pure function of its sample sequence (determinism).
 
 use nmad_core::sampling::{default_ladder, split_weights};
-use nmad_core::{CalibrationConfig, OnlineCalibrator, PerfTable};
+use nmad_core::{OnlineCalibrator, PerfTable};
 use proptest::prelude::*;
 
 /// An arbitrary *valid* table: strictly increasing sizes, arbitrary
@@ -108,13 +108,7 @@ proptest! {
             PerfTable::new(vec![(1, 2.0), (1 << 20, 900.0)]),
             PerfTable::new(vec![(1, 4.0), (1 << 20, 1300.0)]),
         ];
-        let cfg = CalibrationConfig {
-            enabled: true,
-            rebuild_every: 8,
-            min_samples: 8,
-            ..CalibrationConfig::default()
-        };
-        let mk = || OnlineCalibrator::new(seed.clone(), default_ladder(), cfg.clone());
+        let mk = || OnlineCalibrator::new(seed.clone(), default_ladder());
         let (mut a, mut b) = (mk(), mk());
         let mut tables_a = Vec::new();
         let mut tables_b = Vec::new();

@@ -1156,9 +1156,7 @@ mod tests {
         let run = || {
             let p = platform::paper_platform();
             let mut cfg = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
-            cfg.calibration.enabled = true;
-            cfg.calibration.rebuild_every = 8;
-            cfg.calibration.min_samples = 8;
+            cfg.calibrate = true;
             let mut w = SimWorld::new(&p, cfg, DriftSender, DriftReceiver { delivered: 0 });
             w.open_conn();
             // Recording forwards virtual time into the engines, giving the

@@ -809,9 +809,7 @@ mod tests {
         );
         cfg.engine.acked = true;
         fast_health(&mut cfg.engine);
-        cfg.engine.calibration.enabled = true;
-        cfg.engine.calibration.rebuild_every = 4;
-        cfg.engine.calibration.min_samples = 4;
+        cfg.engine.calibrate = true;
         // A shaped wire, so that an injection takes what its rail's model
         // says and the calibrator has a ratio to come back to: unshaped,
         // every rail is as fast as the thread that drives it, any split

@@ -94,17 +94,6 @@ impl Kernel {
         }
     }
 
-    /// Parse a `--kernel` value.
-    #[inline]
-    pub fn parse(s: &str) -> Option<Kernel> {
-        match s {
-            "scalar" => Some(Kernel::Scalar),
-            "slice16" => Some(Kernel::Slice16),
-            "simd" => Some(Kernel::Simd),
-            _ => None,
-        }
-    }
-
     /// Whether this kernel can run on the current CPU.
     #[inline]
     pub fn is_available(self) -> bool {
@@ -182,8 +171,7 @@ pub fn active_kernel() -> Kernel {
     }
 }
 
-/// Force the dispatched kernel (A/B runs: `nmad datapath --kernel`,
-/// `ablate_cycles`). Returns `false` — and changes nothing — when the
+/// Force the dispatched kernel (A/B runs: `ablate_cycles`). Returns `false` — and changes nothing — when the
 /// kernel is unavailable on this CPU. Process-global.
 #[inline]
 pub fn set_kernel(k: Kernel) -> bool {
@@ -691,13 +679,5 @@ mod tests {
         // Leave the process on the auto-resolved best kernel.
         let best = *available_kernels().last().expect("nonempty");
         set_kernel(best);
-    }
-
-    #[test]
-    fn kernel_parse_names() {
-        for k in [Kernel::Scalar, Kernel::Slice16, Kernel::Simd] {
-            assert_eq!(Kernel::parse(k.name()), Some(k));
-        }
-        assert_eq!(Kernel::parse("avx1024"), None);
     }
 }

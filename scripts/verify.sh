@@ -57,6 +57,17 @@ fi
 if grep -rnE 'dyn Strategy\b|impl Strategy for|LatencyRouter|ZooConfig' crates src tests examples; then
     echo "a strategy trait object, the latency router or ZooConfig is back (see above)"; exit 1
 fi
+# The engine runs in modes, not in products of switches (DESIGN.md §8
+# "One mode, not three switches"): what it observes is one `Observe`
+# value, and a threshold no caller sets differently is a constant where
+# it is used (the watchdog's, the calibrator's, the health tracker's
+# timeout counts). The flat receive entry point that copied its input and
+# the CLI subcommands that only replayed a bench target are gone too.
+if grep -rnE 'WatchdogConfig|TelemetryConfig|CalibrationConfig|OverloadConfig|record_capacity|fn on_packet\b' \
+    crates src tests examples \
+    || grep -rnE 'cmd_(datapath|cycles|burst|window)\b' crates/cli; then
+    echo "a per-layer switch, a one-field config struct, on_packet or a CLI bench replay is back (see above)"; exit 1
+fi
 if grep -rnw 'unsafe' crates/core/src crates/transport-mem/src; then
     echo "unsafe in nmad-core or nmad-transport-mem (see above)"; exit 1
 fi

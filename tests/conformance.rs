@@ -236,7 +236,7 @@ fn unbounded_wait_returns_the_message() {
 #[test]
 fn try_send_admission() {
     let mut quota = EngineConfig::with_strategy(StrategyKind::Greedy);
-    quota.overload.max_tenant_inflight = 1;
+    quota.max_tenant_inflight = 1;
     on_every_pair(quota, |on, a, b| {
         let c = a.conns()[0];
         // The first message cannot complete before the second is
