@@ -26,7 +26,6 @@ use std::collections::VecDeque;
 
 use bytes::Bytes;
 use nmad_model::{NicModel, RailId, TxMode};
-use nmad_sim::SimDuration;
 use nmad_wire::agg::{
     parse_aggregate, AggregateBuilder, AggregateEntry, AggregateParts, CONTAINER_OVERHEAD,
     ENTRY_OVERHEAD,
@@ -50,7 +49,7 @@ use crate::sampling::{
     default_ladder, split_ratio_permille, OnlineCalibrator, PerfTable, REFERENCE_SIZE,
 };
 use crate::stats::{EngineStats, OverloadStats};
-use crate::strategy::{KeyList, RailFlight, Strategy, StrategyCtx, TxOp};
+use crate::strategy::{KeyList, LatencyOrder, RailFlight, RailView, Strategy, StrategyCtx, TxOp};
 
 /// Pool capacity for packet head buffers: envelope (24 bytes) plus the
 /// largest per-kind body header (chunk, 34 bytes), rounded up.
@@ -170,14 +169,15 @@ impl SendSlot {
     }
 }
 
-/// Let go of the slot of send `msg_id` in `sends` and of its handle.
+/// Let go of the slot of send `msg_id` in `sends` and of its handle. (The
+/// slot is dropped where it lies, its payload handles with it.)
 fn retire_send(
     sends: &mut IdWindow<SendSlot>,
     send_ids: &mut IdWindow<(ConnId, MsgId)>,
     msg_id: MsgId,
 ) {
-    if let Some(slot) = sends.retire(msg_id) {
-        send_ids.retire(slot.id.0);
+    if let Some(id) = sends.retire_with(msg_id, |slot| Some(slot.id)) {
+        send_ids.retire(id.0);
     }
 }
 
@@ -222,8 +222,8 @@ struct Scratch {
 pub struct Engine {
     config: EngineConfig,
     rails: Vec<NicModel>,
-    /// Each rail's minimal-message latency, for the strategy.
-    latency: Vec<SimDuration>,
+    /// The rails by minimal-message latency, for the strategy.
+    latency: LatencyOrder,
     tables: Vec<PerfTable>,
     strategy: Strategy,
     backlog: Backlog,
@@ -349,7 +349,7 @@ impl Engine {
             telemetry,
             backlog: Backlog::with_small_below(config.min_chunk as u64),
             config,
-            latency: rails.iter().map(|nic| nic.analytic_pio_oneway(0)).collect(),
+            latency: LatencyOrder::new(&rails),
             tables,
             rail_busy: vec![false; n],
             control_q: VecDeque::new(),
@@ -818,7 +818,34 @@ impl Engine {
             self.stats.idle_queries += 1;
             return Ok(None);
         }
+        // One eager segment and nothing else to pick from: the strategy
+        // answers from the rails, and the context — the health and
+        // in-flight snapshots — is not built (DESIGN.md §13 "The lone
+        // eager segment").
+        let Some(op) = self.lone_eager(rail).unwrap_or_else(|| self.pipeline(rail)) else {
+            self.stats.idle_queries += 1;
+            return Ok(None);
+        };
+        self.execute_op(rail, op).map(Some)
+    }
 
+    /// [`Strategy::lone_eager`] for idle `rail`, when the backlog's only
+    /// schedulable work is one eager segment.
+    fn lone_eager(&self, rail: RailId) -> Option<Option<TxOp>> {
+        let seg = self.backlog.lone_eager()?;
+        let rails = EngineRails {
+            health: &self.health,
+            busy: &self.rail_busy,
+            latency: &self.latency,
+            in_flight: &self.in_flight,
+            stats: &self.stats,
+        };
+        self.strategy.lone_eager(rail, seg, &rails, &self.config)
+    }
+
+    /// What the strategy's pipeline picks for idle `rail`, given the
+    /// context built for it.
+    fn pipeline(&mut self, rail: RailId) -> Option<TxOp> {
         let Scratch {
             rail_ok,
             flight,
@@ -857,11 +884,7 @@ impl Engine {
             now_ns: self.now_ns,
             flight: &flight[..],
         };
-        let Some(op) = self.strategy.next_tx(rail, &mut ctx) else {
-            self.stats.idle_queries += 1;
-            return Ok(None);
-        };
-        self.execute_op(rail, op).map(Some)
+        self.strategy.next_tx(rail, &mut ctx)
     }
 
     /// A frame on `rail` takes pieces of the segments `keys`, all of one
@@ -1076,8 +1099,8 @@ impl Engine {
     ) -> TxDecision {
         let seq = self.alloc_seq(rail);
         let head = self.pool.take(HEAD_CAPACITY, &mut self.stats.datapath);
-        let frame = pkt.encode_frame_into(conn, seq, self.config.crc, head);
         let control = pkt.is_control();
+        let frame = pkt.encode_frame_into(conn, seq, self.config.crc, head);
         self.seal_decision(
             rail,
             frame,
@@ -1993,6 +2016,42 @@ impl Engine {
     }
 }
 
+/// The engine's rails as the placement sees them when no context is
+/// built: what [`StrategyCtx`] would hold, read where it lives. The load
+/// of a rail — the context's [`RailFlight`] — is looked up only when a
+/// latency tie asks for it.
+struct EngineRails<'a> {
+    health: &'a HealthTracker,
+    busy: &'a [bool],
+    latency: &'a LatencyOrder,
+    in_flight: &'a IdWindow<InFlightTx>,
+    stats: &'a EngineStats,
+}
+
+impl RailView for EngineRails<'_> {
+    fn ok(&self, rail: RailId) -> bool {
+        self.health.usable(rail)
+    }
+
+    fn busy(&self, rail: RailId) -> bool {
+        self.busy[rail.0]
+    }
+
+    fn fastest(&self) -> RailId {
+        self.latency.fastest(
+            |r| self.health.usable(RailId(r)),
+            |r| {
+                let data = self.in_flight.iter().map(|(_, tx)| tx);
+                let inflight_bytes: u64 = data
+                    .filter(|tx| !tx.control && tx.rail == r)
+                    .map(|tx| tx.wire_len as u64)
+                    .sum();
+                (self.busy[r], inflight_bytes, self.stats.rails[r].wire_bytes)
+            },
+        )
+    }
+}
+
 /// The keys of a frame a message at a time: the positions of each run of
 /// consecutive keys of one message, so that its send slot is looked up
 /// once per run, not once per key.
@@ -2115,6 +2174,61 @@ mod tests {
 
     fn payload(n: usize, fill: u8) -> Bytes {
         Bytes::from(vec![fill; n])
+    }
+
+    use proptest::prelude::{any, prop_assert_eq, proptest, ProptestConfig};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The answer for a lone eager segment from the engine's own
+        /// tables — health, busy flags, the latency order, the in-flight
+        /// window and the per-rail wire counters — is the one the pipeline
+        /// gives from the context the engine builds: every preset, rails
+        /// of tied and of distinct latency, earlier frames sent and still
+        /// in flight on some of them.
+        #[test]
+        fn the_lone_eager_answer_is_the_pipelines(
+            tied in any::<bool>(),
+            count in 2usize..4,
+            earlier in proptest::collection::vec((0usize..3, 1usize..12_000, any::<bool>()), 0..6),
+            size in 0usize..12_000,
+        ) {
+            let nics = [platform::myri_10g(), platform::quadrics_qm500(), platform::gige()];
+            let rails: Vec<NicModel> = (0..count)
+                .map(|i| if tied { platform::quadrics_qm500() } else { nics[i].clone() })
+                .collect();
+            for kind in StrategyKind::zoo() {
+                let mut e = Engine::new(EngineConfig::with_strategy(kind), rails.clone(), vec![]);
+                let conn = e.conn_open();
+                // Earlier frames: each sent on the rail it names, and
+                // either done or left in flight there.
+                let mut in_flight = Vec::new();
+                for &(rail, len, done) in &earlier {
+                    let rail = RailId(rail % count);
+                    e.submit_send(conn, vec![payload(len, 1)]);
+                    if let Some(d) = e.next_tx(rail).expect("next_tx") {
+                        match done {
+                            true => drop(e.on_tx_done(rail, d.token).expect("token")),
+                            false => in_flight.push(d),
+                        }
+                    }
+                }
+                e.submit_send(conn, vec![payload(size, 2)]);
+                if e.backlog.lone_eager().is_none() {
+                    continue;
+                }
+                let idle: Vec<RailId> =
+                    (0..count).map(RailId).filter(|&r| !e.rail_busy(r)).collect();
+                for rail in idle {
+                    let fast = e.lone_eager(rail);
+                    match kind {
+                        StrategyKind::StaticRoundRobin => prop_assert_eq!(fast, None),
+                        _ => prop_assert_eq!(fast, Some(e.pipeline(rail)), "{}", kind.label()),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

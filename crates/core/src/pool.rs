@@ -3,13 +3,17 @@
 //! Every packet needs a small owned head buffer (envelope + body header)
 //! and aggregation needs a staging slab; allocating them fresh per packet
 //! is exactly the per-packet overhead §3.3 warns about. The engine owns
-//! one [`Pool`]: [`Pool::take`] pops a recycled `Vec<u8>` (a *pool hit*)
-//! or allocates (a counted *hot-path alloc*), and [`Pool::reclaim`]
-//! recovers the allocation from a frozen [`Bytes`] once the frame leaves
-//! the in-flight set — which succeeds when no one else still holds a
-//! reference. The in-process fabric's receiver may still hold one; that
-//! is a counted miss, not an error, and the buffer waits in a bounded
-//! *limbo* until the receiver lets go.
+//! one [`Pool`]: [`Pool::take`] pops a recycled buffer (a *pool hit*) or
+//! allocates (a counted *hot-path alloc*), and [`Pool::reclaim`] recovers
+//! the buffer from a frozen [`Bytes`] once the frame leaves the in-flight
+//! set ([`Bytes::try_into_mut`]) — which succeeds when no one else still
+//! holds a reference. The in-process fabric's receiver may still hold
+//! one; that is a counted miss, not an error, and the buffer waits in a
+//! bounded *limbo* until the receiver lets go.
+//!
+//! A buffer is kept together with the `Arc` it was frozen into, so a hit
+//! costs no allocation at all: neither the bytes nor the `Arc` that the
+//! frame's `freeze` puts them in (DESIGN.md §12).
 //!
 //! The pool keeps no counters of its own: `take` and `reclaim` count
 //! straight into the engine's [`DataPathStats`], whose `pool_outstanding`
@@ -30,7 +34,8 @@ pub(crate) const LIMBO_MAX: usize = 16;
 /// back while still shared.
 #[derive(Debug)]
 pub(crate) struct Pool {
-    free: Vec<Vec<u8>>,
+    /// Each with the `Arc` it goes back into at its next `freeze`.
+    free: Vec<BytesMut>,
     /// Reclaimed while still shared, oldest first.
     limbo: VecDeque<Bytes>,
 }
@@ -49,16 +54,16 @@ impl Pool {
     /// capacity: a free one that fits (looking in the limbo for buffers
     /// that have become unique when none does), else a fresh allocation.
     pub(crate) fn take(&mut self, min_capacity: usize, d: &mut DataPathStats) -> BytesMut {
-        let fits = |b: &Vec<u8>| b.capacity() >= min_capacity;
-        if !self.free.iter().any(fits) {
-            self.release_limbo();
-        }
+        let fits = |b: &BytesMut| b.capacity() >= min_capacity;
         d.pool_outstanding += 1;
-        if let Some(idx) = self.free.iter().position(fits) {
-            let mut buf = self.free.swap_remove(idx);
+        let free = match self.free.iter().position(fits) {
+            Some(idx) => Some(self.free.swap_remove(idx)),
+            None => self.unique_in_limbo(fits),
+        };
+        if let Some(mut buf) = free {
             buf.clear();
             d.pool_hits += 1;
-            return BytesMut::from(buf);
+            return buf;
         }
         d.hot_path_allocs += 1;
         BytesMut::with_capacity(min_capacity)
@@ -70,34 +75,43 @@ impl Pool {
     pub(crate) fn reclaim(&mut self, buf: Bytes, d: &mut DataPathStats) {
         debug_assert!(d.pool_outstanding > 0, "pool reclaim with nothing taken");
         d.pool_outstanding = d.pool_outstanding.saturating_sub(1);
-        if buf.is_unique() {
-            d.pool_reclaims += 1;
-            self.keep(buf.into());
-        } else {
-            d.pool_reclaim_misses += 1;
-            if self.limbo.len() == LIMBO_MAX {
-                self.limbo.pop_front();
+        match buf.try_into_mut() {
+            Ok(buf) => {
+                d.pool_reclaims += 1;
+                self.keep(buf);
             }
-            self.limbo.push_back(buf);
+            Err(buf) => {
+                d.pool_reclaim_misses += 1;
+                if self.limbo.len() == LIMBO_MAX {
+                    self.limbo.pop_front();
+                }
+                self.limbo.push_back(buf);
+            }
         }
     }
 
-    fn keep(&mut self, buf: Vec<u8>) {
+    fn keep(&mut self, buf: BytesMut) {
         if self.free.len() < FREE_MAX {
             self.free.push(buf);
         }
     }
 
-    /// Move every parked buffer that nobody else holds any more onto the
-    /// free list.
-    fn release_limbo(&mut self) {
-        for _ in 0..self.limbo.len() {
-            match self.limbo.pop_front() {
-                Some(buf) if buf.is_unique() => self.keep(buf.into()),
-                Some(buf) => self.limbo.push_back(buf),
-                None => break,
+    /// A parked buffer that nobody else holds any more and that `fits`,
+    /// newest first — the frame handed back last is the likeliest to be
+    /// gone by now; those that do not fit go to the free list on the way.
+    fn unique_in_limbo(&mut self, fits: impl Fn(&BytesMut) -> bool) -> Option<BytesMut> {
+        for at in (0..self.limbo.len()).rev() {
+            if !self.limbo[at].is_unique() {
+                continue;
+            }
+            let parked = self.limbo.remove(at).expect("an index below the length");
+            match parked.try_into_mut() {
+                Ok(buf) if fits(&buf) => return Some(buf),
+                Ok(buf) => self.keep(buf),
+                Err(parked) => self.limbo.insert(at, parked),
             }
         }
+        None
     }
 }
 
@@ -118,6 +132,22 @@ mod tests {
         assert!(b2.capacity() >= 32);
         assert!(b2.is_empty(), "recycled buffer must come back cleared");
         assert_eq!(d.pool_reuse_rate(), 0.5);
+    }
+
+    #[test]
+    fn a_hit_freezes_into_the_arc_it_came_back_in() {
+        let (mut p, mut d) = (Pool::default(), DataPathStats::default());
+        let mut b = p.take(64, &mut d);
+        b.extend_from_slice(b"first");
+        let frozen = b.freeze();
+        let ptr = frozen.as_ptr();
+        p.reclaim(frozen, &mut d);
+        let mut b = p.take(64, &mut d);
+        b.extend_from_slice(b"second");
+        let frozen = b.freeze();
+        assert_eq!((&frozen[..], frozen.as_ptr()), (&b"second"[..], ptr));
+        assert_eq!((d.hot_path_allocs, d.pool_hits), (1, 1));
+        p.reclaim(frozen, &mut d);
     }
 
     #[test]

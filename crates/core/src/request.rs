@@ -126,6 +126,8 @@ struct Counts {
     small_below: u64,
     /// Eager and granted items: what a strategy can pick from.
     schedulable: usize,
+    /// Of those, the eager ones.
+    eager: usize,
     /// Of those, the ones that cannot wait: granted segments and eager
     /// ones that are not small.
     urgent: usize,
@@ -138,21 +140,23 @@ impl Counts {
     /// An item of `phase` and `size` joins the backlog, or leaves it.
     fn tally(&mut self, phase: SegPhase, size: u64, joins: bool) {
         let small = size < self.small_below;
-        let (urgent, eager, small_eager) = match phase {
+        let (eager, urgent, eager_bytes, small_eager) = match phase {
             SegPhase::RdvRequested => return,
-            SegPhase::RdvGranted => (1, 0, 0),
-            SegPhase::EagerReady if small => (0, size, size),
-            SegPhase::EagerReady => (1, size, 0),
+            SegPhase::RdvGranted => (0, 1, 0, 0),
+            SegPhase::EagerReady if small => (1, 0, size, size),
+            SegPhase::EagerReady => (1, 1, size, 0),
         };
         if joins {
             self.schedulable += 1;
+            self.eager += eager;
             self.urgent += urgent;
-            self.eager_bytes += eager;
+            self.eager_bytes += eager_bytes;
             self.small_eager_bytes += small_eager;
         } else {
             self.schedulable -= 1;
+            self.eager -= eager;
             self.urgent -= urgent;
-            self.eager_bytes -= eager;
+            self.eager_bytes -= eager_bytes;
             self.small_eager_bytes -= small_eager;
         }
     }
@@ -246,6 +250,16 @@ impl Backlog {
         self.counts.schedulable > 0
     }
 
+    /// The one eager segment and its size, when it is all a strategy can
+    /// pick from: no other eager segment and no granted one.
+    pub fn lone_eager(&self) -> Option<(SegKey, u64)> {
+        if (self.counts.schedulable, self.counts.eager) != (1, 1) {
+            return None;
+        }
+        let mut eager = self.eager_items().map(|i| (i.key, i.size));
+        eager.next()
+    }
+
     /// Whether anything schedulable cannot wait for company: a granted
     /// segment, or an eager one that is not small.
     pub fn has_urgent(&self) -> bool {
@@ -299,13 +313,38 @@ impl Backlog {
         self.take_eager_from(key, 0).map(|(_, item)| item)
     }
 
-    /// Remove the eager segments `keys` (an aggregate's) in one pass: each
-    /// is looked for from where the one before it was, which is where it
-    /// is when the keys come in submit order. Returns their total size;
-    /// `None` at the first key that is not a waiting eager segment — the
-    /// ones before it are gone, as when taken one by one.
-    pub fn take_eager_run(&mut self, keys: impl IntoIterator<Item = SegKey>) -> Option<u64> {
-        let (mut from, mut bytes) = (0, 0);
+    /// Remove the eager segments `keys` (an aggregate's) and return their
+    /// total size; `None` at the first key that is not a waiting eager
+    /// segment — the ones before it are gone, as when taken one by one.
+    ///
+    /// An aggregate's keys are mostly neighbours — a run from the front,
+    /// in submit order — and then they are checked and removed in one
+    /// pass, the deque closing the gap once. Otherwise each is looked for
+    /// from where the one before it was, which is where it is when the
+    /// keys come in submit order.
+    pub fn take_eager_run<I>(&mut self, keys: I) -> Option<u64>
+    where
+        I: IntoIterator<Item = SegKey>,
+        I::IntoIter: Clone,
+    {
+        let keys = keys.into_iter();
+        let Some(first) = keys.clone().next() else {
+            return Some(0);
+        };
+        let start = self.position(first, 0)?;
+        let end = start + keys.clone().count();
+        let eager = |(i, k): (&BacklogItem, SegKey)| i.key == k && i.phase == SegPhase::EagerReady;
+        if end <= self.items.len() && self.items.range(start..end).zip(keys.clone()).all(eager) {
+            let shifted = start.min(self.items.len() - end);
+            self.steps += (end - start - 1 + shifted) as u64;
+            let counts = &mut self.counts;
+            let taken = self.items.drain(start..end);
+            return Some(taken.fold(0, |bytes, item| {
+                counts.tally(item.phase, item.size, false);
+                bytes + item.size
+            }));
+        }
+        let (mut from, mut bytes) = (start, 0);
         for key in keys {
             let (idx, item) = self.take_eager_from(key, from)?;
             (from, bytes) = (idx, bytes + item.size);

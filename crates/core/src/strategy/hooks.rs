@@ -88,6 +88,12 @@ pub(super) fn restripe(ctx: &mut StrategyCtx<'_>, survivors: &mut Vec<usize>) {
     }
 }
 
+/// Whether `unplaced` bytes — eager, and granted without a plan — are
+/// more than the primary path should carry alone.
+pub(super) fn overflows(unplaced: u64) -> bool {
+    unplaced > HARVEST_WATERMARK_BYTES
+}
+
 /// Overflow work for `rail`, which the pipeline left idle.
 pub(super) fn harvest(rail: RailId, ctx: &mut StrategyCtx<'_>) -> Option<TxOp> {
     let unplaced: u64 = ctx
@@ -96,7 +102,7 @@ pub(super) fn harvest(rail: RailId, ctx: &mut StrategyCtx<'_>) -> Option<TxOp> {
         .filter(|i| i.plan.is_none())
         .map(|i| i.remaining())
         .sum();
-    if ctx.backlog.eager_bytes() + unplaced <= HARVEST_WATERMARK_BYTES {
+    if !overflows(ctx.backlog.eager_bytes() + unplaced) {
         return None;
     }
     match ctx.first_unplanned() {

@@ -72,18 +72,23 @@ pub enum TxOp {
 
 /// Per-rail in-flight load snapshot handed to strategies each decision.
 ///
-/// All fields refer to data traffic only (control frames are excluded):
-/// a strategy reasons about where payload bytes are, not about ACKs.
+/// The in-flight fields count data frames only (control frames are
+/// excluded): a strategy reasons about where payload bytes are, not about
+/// ACKs. [`RailFlight::sent_bytes`] is the exception.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RailFlight {
-    /// Frames currently posted and not yet completed on this rail.
+    /// Data frames currently posted and not yet completed on this rail.
     pub inflight: u32,
-    /// Payload bytes carried by those frames.
+    /// Wire bytes of those frames, headers included.
     pub inflight_bytes: u64,
     /// Post timestamp of the oldest still-outstanding frame (engine
     /// clock, ns); 0 when nothing is in flight.
     pub oldest_post_ns: u64,
-    /// Cumulative payload bytes this rail has put on the wire.
+    /// Wire bytes this rail has posted so far, every frame's — headers,
+    /// control frames and retransmissions included (the engine's
+    /// per-rail `wire_bytes` counter). Only ever a latency tie-break
+    /// ([`StrategyCtx::lowest_latency_rail`]): a lifetime share, not a
+    /// payload count.
     pub sent_bytes: u64,
     /// EWMA of observed per-frame service time on this rail (ns);
     /// 0 until the first completion.
@@ -105,10 +110,8 @@ pub struct StrategyCtx<'a> {
     pub rail_ok: &'a [bool],
     /// Per-rail sampled performance tables (init-time sampling, §3.4).
     pub tables: &'a [PerfTable],
-    /// Per-rail minimal-message latency (the NIC model's one-way time of
-    /// an empty PIO packet), computed once per engine: a model's latency
-    /// never changes.
-    pub latency: &'a [SimDuration],
+    /// The rails by minimal-message latency, built once per engine.
+    pub latency: &'a LatencyOrder,
     /// Where an aggregate's keys are collected. The engine keeps it
     /// between decisions (empty), so that a batch as long as one before
     /// it costs no allocation.
@@ -210,21 +213,17 @@ impl StrategyCtx<'_> {
     /// lifetime sent bytes — so identical rails share control traffic
     /// instead of everything biasing onto rail 0.
     pub fn lowest_latency_rail(&self) -> RailId {
-        let load_key = |i: usize| {
-            let f = self.flight(RailId(i));
-            (
-                self.latency[i],
-                self.rail_busy.get(i).copied().unwrap_or(false),
-                f.inflight_bytes,
-                f.sent_bytes,
-            )
-        };
-        let best = (0..self.rails.len())
-            .filter(|&i| self.rail_ok(RailId(i)))
-            .min_by_key(|&i| load_key(i));
-        best.or_else(|| (0..self.rails.len()).min_by_key(|&i| load_key(i)))
-            .map(RailId)
-            .expect("engine always has rails")
+        self.latency.fastest(
+            |r| self.rail_ok(RailId(r)),
+            |r| {
+                let f = self.flight(RailId(r));
+                (self.rail_busy(RailId(r)), f.inflight_bytes, f.sent_bytes)
+            },
+        )
+    }
+
+    fn rail_busy(&self, rail: RailId) -> bool {
+        self.rail_busy.get(rail.0).copied().unwrap_or(false)
     }
 
     /// Whether an earlier split plan earmarked an untaken chunk for `rail`.
@@ -285,6 +284,79 @@ fn seg(i: &BacklogItem) -> Seg {
     (i.key, i.next_offset, i.remaining())
 }
 
+/// The rails by minimal-message latency (the NIC model's one-way time
+/// of an empty PIO packet), built once per engine: a model's latency
+/// never changes, so the order does not either, and a decision runs the
+/// load tie-break only between rails of equal latency.
+#[derive(Clone, Debug)]
+pub struct LatencyOrder {
+    /// Per rail, by rail id.
+    latency: Vec<SimDuration>,
+    /// Rail ids, lowest latency first; equal latencies in id order.
+    order: Vec<usize>,
+}
+
+impl LatencyOrder {
+    /// The order of `rails` (at least one).
+    pub fn new(rails: &[NicModel]) -> Self {
+        let latency: Vec<SimDuration> = rails.iter().map(|n| n.analytic_pio_oneway(0)).collect();
+        let mut order: Vec<usize> = (0..rails.len()).collect();
+        order.sort_by_key(|&r| latency[r]);
+        LatencyOrder { latency, order }
+    }
+
+    /// The rail with the lowest latency among those that are `ok`, or
+    /// among all of them when none is; among several of that latency,
+    /// the one of least `load`, then of lowest id. `load` is asked only
+    /// of those.
+    pub fn fastest<K: Ord>(&self, ok: impl Fn(usize) -> bool, load: impl Fn(usize) -> K) -> RailId {
+        let first = self.order.iter().position(|&r| ok(r));
+        let from = first.unwrap_or(0);
+        let latency = self.latency[self.order[from]];
+        let mut tied = self.order[from..]
+            .iter()
+            .copied()
+            .take_while(|&r| self.latency[r] == latency)
+            .filter(|&r| first.is_none() || ok(r));
+        let fastest = tied.next().expect("engine always has rails");
+        match tied.next() {
+            None => RailId(fastest),
+            Some(next) => [fastest, next]
+                .into_iter()
+                .chain(tied)
+                .min_by_key(|&r| load(r))
+                .map_or(RailId(fastest), RailId),
+        }
+    }
+}
+
+/// What the placement asks of the rails: a [`StrategyCtx`] answers from
+/// the snapshot it was built with, the engine from its own tables when
+/// it decides for a lone eager segment without building one
+/// ([`Strategy::lone_eager`]).
+pub(crate) trait RailView {
+    /// Whether `rail` may carry data traffic.
+    fn ok(&self, rail: RailId) -> bool;
+    /// Whether `rail` is transmitting.
+    fn busy(&self, rail: RailId) -> bool;
+    /// [`StrategyCtx::lowest_latency_rail`].
+    fn fastest(&self) -> RailId;
+}
+
+impl RailView for StrategyCtx<'_> {
+    fn ok(&self, rail: RailId) -> bool {
+        self.rail_ok(rail)
+    }
+
+    fn busy(&self, rail: RailId) -> bool {
+        self.rail_busy(rail)
+    }
+
+    fn fastest(&self) -> RailId {
+        self.lowest_latency_rail()
+    }
+}
+
 /// In which order a rail looks at the schedulable work.
 #[derive(Clone, Copy, Debug)]
 enum Order {
@@ -331,7 +403,7 @@ impl Strategy {
     pub fn next_tx(&mut self, rail: RailId, ctx: &mut StrategyCtx<'_>) -> Option<TxOp> {
         match &mut self.place {
             Place::Bound(binding) => return binding.next_tx(rail, ctx),
-            place if !place.admits(rail, ctx) => return None,
+            place if !place.admits(rail, &*ctx) => return None,
             _ => {}
         }
         if self.hook == Some(Hook::Restripe) {
@@ -372,7 +444,7 @@ impl Strategy {
         }
         // A segment too large to be small gains nothing from a staging
         // copy and does gain from overlap: it goes whole, on this rail.
-        let small_below = self.place.small_below(ctx);
+        let small_below = self.place.small_below(ctx.config);
         let large = ctx.backlog.may_have_urgent(small_below).then(|| {
             let mut eager = ctx.backlog.eager_items();
             eager.find(|i| i.size >= small_below).map(|i| i.key)
@@ -384,7 +456,7 @@ impl Strategy {
     }
 
     fn srpt(&mut self, rail: RailId, ctx: &mut StrategyCtx<'_>) -> Option<TxOp> {
-        let small_below = self.place.small_below(ctx);
+        let small_below = self.place.small_below(ctx.config);
         let eager = ctx
             .backlog
             .eager_items()
@@ -411,10 +483,45 @@ impl Strategy {
 
     /// The waiting smalls, if the placement lets `rail` take them.
     fn smalls(&self, rail: RailId, small_below: u64, ctx: &mut StrategyCtx<'_>) -> Option<TxOp> {
-        if !self.place.takes_smalls(rail, ctx) {
+        if !self.place.takes_smalls(rail, &*ctx) {
             return None;
         }
         self.cut.smalls(small_below, ctx)
+    }
+
+    /// [`Strategy::next_tx`] when the backlog's only schedulable work is
+    /// the one eager segment `key` of `size` bytes: the same answer,
+    /// decided from the rails alone — no context, no backlog scan.
+    /// `None` for the preset that must see every segment it is asked
+    /// about (the binding at first sight): ask it through the pipeline.
+    ///
+    /// With no granted segment there is no plan to take or re-stripe and
+    /// no bulk to cut, and every cut sends a lone eager segment whole, so
+    /// what is left of the pipeline is the placement's two questions —
+    /// may `rail` carry anything, and may it take a small — and the
+    /// harvest hook's watermark (DESIGN.md §13 "The lone eager segment").
+    pub(crate) fn lone_eager(
+        &self,
+        rail: RailId,
+        (key, size): (SegKey, u64),
+        rails: &impl RailView,
+        config: &EngineConfig,
+    ) -> Option<Option<TxOp>> {
+        if matches!(self.place, Place::Bound(_)) {
+            return None;
+        }
+        if !self.place.admits(rail, rails) {
+            return Some(None);
+        }
+        let small = size < self.place.small_below(config);
+        if !small || matches!(self.order, Order::Fifo) || self.place.takes_smalls(rail, rails) {
+            return Some(Some(TxOp::Eager(key)));
+        }
+        // (The harvest takes a batch of the smalls below `min_chunk`.)
+        let harvested = self.hook == Some(Hook::Harvest)
+            && hooks::overflows(size)
+            && size < config.min_chunk as u64;
+        Some(harvested.then_some(TxOp::Eager(key)))
     }
 }
 

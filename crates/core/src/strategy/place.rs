@@ -24,7 +24,8 @@ use std::collections::BTreeMap;
 
 use nmad_model::RailId;
 
-use super::{StrategyCtx, TxOp};
+use super::{RailView, StrategyCtx, TxOp};
+use crate::config::EngineConfig;
 use crate::request::SegKey;
 
 /// See module docs.
@@ -42,9 +43,9 @@ pub(super) enum Place {
 
 impl Place {
     /// Whether `rail` may carry anything at all.
-    pub(super) fn admits(&self, rail: RailId, ctx: &StrategyCtx<'_>) -> bool {
+    pub(super) fn admits(&self, rail: RailId, rails: &impl RailView) -> bool {
         match *self {
-            Place::Pinned(pin) => rail == pin || !ctx.rail_ok(pin),
+            Place::Pinned(pin) => rail == pin || !rails.ok(pin),
             _ => true,
         }
     }
@@ -52,19 +53,19 @@ impl Place {
     /// Eager segments below this many bytes are *small*: they wait for
     /// company and travel aggregated. Above it a segment balances better
     /// than it copies — except on one rail, where nothing balances.
-    pub(super) fn small_below(&self, ctx: &StrategyCtx<'_>) -> u64 {
+    pub(super) fn small_below(&self, config: &EngineConfig) -> u64 {
         match self {
             Place::Pinned(_) => u64::MAX,
-            _ => ctx.config.min_chunk as u64,
+            _ => config.min_chunk as u64,
         }
     }
 
     /// Whether `rail` may take the waiting smalls now.
-    pub(super) fn takes_smalls(&self, rail: RailId, ctx: &StrategyCtx<'_>) -> bool {
+    pub(super) fn takes_smalls(&self, rail: RailId, rails: &impl RailView) -> bool {
         match self {
             Place::SmallsToFastest => {
-                let fast = ctx.lowest_latency_rail();
-                rail == fast || ctx.rail_busy[fast.0]
+                let fast = rails.fastest();
+                rail == fast || rails.busy(fast)
             }
             _ => true,
         }

@@ -18,7 +18,7 @@ fn key(msg: u64, seg: u16) -> SegKey {
 struct Fixture {
     rails: Vec<NicModel>,
     tables: Vec<PerfTable>,
-    latency: Vec<SimDuration>,
+    latency: LatencyOrder,
     batch: KeyList,
     config: EngineConfig,
     backlog: Backlog,
@@ -41,7 +41,7 @@ impl Fixture {
             .map(|nic| PerfTable::from_analytic(nic, &default_ladder()))
             .collect();
         Fixture {
-            latency: rails.iter().map(|n| n.analytic_pio_oneway(0)).collect(),
+            latency: LatencyOrder::new(&rails),
             rails,
             tables,
             batch: KeyList::new(),
@@ -658,5 +658,147 @@ mod static_round_robin {
         f.granted(key(0, 0), 1 << 20);
         let mut s = StrategyKind::StaticRoundRobin.build();
         assert_eq!(f.chunk_key(&mut s, 0), key(0, 0));
+    }
+}
+
+/// The engine answers a backlog whose only schedulable work is one eager
+/// segment without building a context ([`Strategy::lone_eager`]); these
+/// hold that answer to the pipeline's, and the latency order that both
+/// ask for the fastest rail to the scan over every rail it replaced.
+mod lone_eager {
+    use super::*;
+    use proptest::prelude::{any, prop, prop_assert_eq, proptest, ProptestConfig};
+    use proptest::strategy::Strategy as Gen;
+
+    /// Two or three rails: identical ones (every latency tied) or the
+    /// paper's pair, with a third of its own latency.
+    fn rails(count: usize, tied: bool) -> Vec<NicModel> {
+        let distinct = [
+            platform::myri_10g(),
+            platform::quadrics_qm500(),
+            platform::gige(),
+        ];
+        let nic = |i: usize| match tied {
+            true => platform::quadrics_qm500(),
+            false => distinct[i].clone(),
+        };
+        (0..count).map(nic).collect()
+    }
+
+    /// Sizes on both sides of `min_chunk` (8 KiB by default) and of the
+    /// harvest watermark (64 KiB).
+    fn size() -> impl Gen<Value = u64> {
+        (0u8..5, 0u64..4096).prop_map(|(class, jitter)| match class {
+            0 => jitter / 16,
+            1 => 8 * 1024 - 2048 + jitter,
+            2 => 16 * 1024 + jitter,
+            3 => 64 * 1024 - 2048 + jitter,
+            _ => 96 * 1024 + jitter,
+        })
+    }
+
+    fn flight() -> impl Gen<Value = RailFlight> {
+        (0u32..2, 0u64..3, 0u64..3).prop_map(|(inflight, bytes, sent)| RailFlight {
+            inflight,
+            // Few values, so that loads tie too.
+            inflight_bytes: bytes * 4096,
+            oldest_post_ns: 0,
+            sent_bytes: sent << 20,
+            ewma_service_ns: 0,
+        })
+    }
+
+    /// The scan [`LatencyOrder`] replaced: the healthy rail of least
+    /// (latency, busy, in-flight bytes, sent bytes), all rails when none
+    /// is healthy, the lowest id among equals.
+    fn scan(ctx: &StrategyCtx<'_>, latency: &[SimDuration]) -> RailId {
+        let key = |i: usize| {
+            let f = ctx.flight(RailId(i));
+            let busy = ctx.rail_busy.get(i).copied().unwrap_or(false);
+            (latency[i], busy, f.inflight_bytes, f.sent_bytes)
+        };
+        let all = 0..ctx.rails.len();
+        let best = all
+            .clone()
+            .filter(|&i| ctx.rail_ok(RailId(i)))
+            .min_by_key(|&i| key(i));
+        RailId(best.or_else(|| all.min_by_key(|&i| key(i))).expect("rails"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Every preset, one eager segment across the size thresholds
+        /// (`min_chunk` at its default and above the watermark, so that
+        /// the harvest hook takes part), unschedulable rendezvous
+        /// segments around it, rails busy and out of service, latencies
+        /// tied and distinct, loads tied and not: the answer without a
+        /// context is the pipeline's. The binding, which must see every
+        /// segment, has no answer of its own.
+        #[test]
+        fn answers_as_the_pipeline_does(
+            count in 2usize..4,
+            tied in any::<bool>(),
+            size in size(),
+            waiting in (0usize..3, 0usize..3),
+            big_min_chunk in any::<bool>(),
+            busy in prop::collection::vec(any::<bool>(), 3),
+            ok in prop::collection::vec(any::<bool>(), 3),
+            flights in prop::collection::vec(flight(), 3),
+            asked in 0usize..3,
+        ) {
+            let rail = asked % count;
+            let mut f = Fixture::over(rails(count, tied));
+            f.config.min_chunk = if big_min_chunk { 128 * 1024 } else { f.config.min_chunk };
+            f.busy = busy[..count].to_vec();
+            f.ok = ok[..count].to_vec();
+            // The engine asks only an idle rail that may carry data.
+            (f.busy[rail], f.ok[rail]) = (false, true);
+            f.flight = flights[..count].to_vec();
+            let lone = key(10, 0);
+            for msg in 0..waiting.0 {
+                f.backlog.push(key(msg as u64, 0), 1, 1 << 20, SegPhase::RdvRequested);
+            }
+            f.eager(lone, size);
+            for msg in 0..waiting.1 {
+                f.backlog.push(key(20 + msg as u64, 0), 1, 1 << 20, SegPhase::RdvRequested);
+            }
+            prop_assert_eq!(f.backlog.lone_eager(), Some((lone, size)));
+            for kind in StrategyKind::zoo() {
+                let fast = {
+                    let config = f.config.clone();
+                    let ctx = f.ctx();
+                    kind.build().lone_eager(RailId(rail), (lone, size), &ctx, &config)
+                };
+                let full = f.ask(&mut kind.build(), rail);
+                match kind {
+                    StrategyKind::StaticRoundRobin => prop_assert_eq!(fast, None),
+                    _ => prop_assert_eq!(fast, Some(full), "{}", kind.label()),
+                }
+            }
+        }
+
+        /// The fastest rail out of the latency order is the one the scan
+        /// over every rail finds, healthy or not, tied or not.
+        #[test]
+        fn the_latency_order_finds_what_the_scan_found(
+            count in 1usize..4,
+            tied in any::<bool>(),
+            busy in prop::collection::vec(any::<bool>(), 3),
+            ok in prop::collection::vec(any::<bool>(), 3),
+            flights in prop::collection::vec(flight(), 3),
+        ) {
+            let nics = match count {
+                1 => vec![platform::gige()],
+                _ => rails(count, tied),
+            };
+            let latency: Vec<SimDuration> = nics.iter().map(|n| n.analytic_pio_oneway(0)).collect();
+            let mut f = Fixture::over(nics);
+            f.busy = busy[..count].to_vec();
+            f.ok = ok[..count].to_vec();
+            f.flight = flights[..count].to_vec();
+            let ctx = f.ctx();
+            prop_assert_eq!(ctx.lowest_latency_rail(), scan(&ctx, &latency));
+        }
     }
 }

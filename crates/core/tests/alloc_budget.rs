@@ -1,10 +1,13 @@
 //! Heap allocations per engine call, counted by a global allocator in a
 //! process of its own (one test function: nothing else allocates while a
 //! call is measured). After a warm-up that sizes the windows, the pool
-//! and the scratch lists, a decision may allocate what it hands out — the
-//! frame's head (an `Arc`) — and a message, at the first sight of it, the
-//! `Vec` of its segments that `try_recv` hands over; the bookkeeping
-//! around them allocates nothing.
+//! and the scratch lists, a decision allocates nothing — the frame's head
+//! and an aggregate's slab come out of the pool together with the `Arc`
+//! they are frozen into — except the one that plans a split, which
+//! allocates its plan's `Vec`; and a message, at the first sight of it,
+//! allocates the `Vec` of its segments that `try_recv` hands over. The
+//! bookkeeping around them allocates nothing. Every budget is the count
+//! the engine makes: one more is a regression.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -143,7 +146,7 @@ fn steady_state_allocations_stay_within_budget() {
     let recv = b.post_recv(conn);
     let (n, decision) = count(|| decide(&mut a));
     let (rail, d) = decision.expect("an eager frame");
-    check("eager decision", n, 3);
+    check("eager decision", n, 0);
     let (n, done) = count(|| a.on_tx_done(rail, d.token));
     assert_eq!(done.expect("token").len(), 1);
     check("on_tx_done", n, 0);
@@ -166,7 +169,7 @@ fn steady_state_allocations_stay_within_budget() {
     let (n, decision) = count(|| decide(&mut a));
     let (rail, d) = decision.expect("an aggregate frame");
     assert_eq!(a.stats().segments_aggregated % 8, 0);
-    check("aggregate decision, 8 segments", n, 2);
+    check("aggregate decision, 8 segments", n, 0);
     let (n, done) = count(|| a.on_tx_done(rail, d.token));
     assert_eq!(done.expect("token").len(), 8);
     check("on_tx_done of the aggregate", n, 0);
@@ -210,21 +213,22 @@ fn steady_state_allocations_stay_within_budget() {
     burst(&mut a, &mut b); // (sizes the lists a 64-entry aggregate needs)
     let (frames, [submit, decide_n, done_n, frame_n, recv_n]) = burst(&mut a, &mut b);
     assert_eq!(frames, 2, "two aggregates of sixteen messages");
-    // Per frame: 2 for the decision, the frame's head and slab, an `Arc`
-    // each. The lists around them are the engine's, kept between frames:
+    // Per frame: nothing for the decision — the frame's head and slab
+    // come out of the pool with their `Arc`s. The lists around them are
+    // the engine's, kept between frames:
     // the aggregate's 64 keys (lent to the strategy, carried by the
     // frame, given back to its rail at `on_tx_done`), the sixteen sends
     // it completes, its entries on arrival and the receives they
     // complete. Per message: 1, on arrival — the `Vec` of its four
     // segments, made at first sight, filled where they land and handed
-    // to the application as it is. 36 / 32 = 1.1 a message plus the
+    // to the application as it is. 32 / 32 = 1.0 a message plus the
     // caller's `Vec`: the deterministic part of the benchmark's traced
     // `alloc.count_per_msg` (with the benchmark's own). Before the lists
     // were kept, 88: the key list grew five times a frame, the entry and
     // completion lists were new each frame, and the reassembly collected
     // a second list to hand over.
     check("burst: 32 submit_send beyond the caller's Vec", submit, 0);
-    check("burst: decisions, 2 aggregate frames", decide_n, 4);
+    check("burst: decisions, 2 aggregate frames", decide_n, 0);
     check("burst: 2 on_tx_done", done_n, 0);
     check("burst: on_frame, 2 frames of 16 messages", frame_n, 32);
     check("burst: 32 try_recv", recv_n, 0);
@@ -235,10 +239,11 @@ fn steady_state_allocations_stay_within_budget() {
     handshake(&mut a, &mut b);
     let (n, first) = count(|| a.next_tx(RailId(0)));
     let first = first.expect("next_tx").expect("rail 0's chunk");
-    check("the decision that plans the split", n, 4);
+    // (The plan: a `Vec` of one chunk per rail.)
+    check("the decision that plans the split", n, 1);
     let (n, second) = count(|| a.next_tx(RailId(1)));
     let second = second.expect("next_tx").expect("rail 1's chunk");
-    check("planned-chunk decision", n, 3);
+    check("planned-chunk decision", n, 0);
     let (n, _) = count(|| a.on_tx_done(RailId(0), first.token));
     check("on_tx_done of a chunk", n, 0);
     a.on_tx_done(RailId(1), second.token).expect("token");
@@ -249,40 +254,11 @@ fn steady_state_allocations_stay_within_budget() {
 
     // The same message while the other rail is busy with a small one:
     // bounded chunks, one after the other, on rail 0. The first opens the
-    // message (its list of one segment), the next ones re-join it.
-    a.submit_send(conn, vec![small.clone()]);
-    let small_recv = b.post_recv(conn);
-    let busy = a
-        .next_tx(RailId(1))
-        .expect("next_tx")
-        .expect("the small one");
-    a.submit_send(conn, vec![large.clone()]);
-    let recv = b.post_recv(conn);
-    handshake(&mut a, &mut b);
-    for chunk in 0..3 {
-        let (n, d) = count(|| a.next_tx(RailId(0)));
-        let d = d.expect("next_tx").expect("a bounded chunk");
-        check("bounded-chunk decision", n, 3);
-        a.on_tx_done(RailId(0), d.token).expect("token");
-        let (n, out) = count(|| b.on_frame(RailId(0), &d.frame));
-        assert!(out.expect("chunk").completed_recvs.is_empty());
-        // Reassembly is by reference and its piece list inline: a chunk
-        // is kept as the slice of its frame that it is.
-        if chunk > 0 {
-            check("on_frame of a chunk into an open reassembly", n, 0);
-        } else {
-            check("on_frame of the first chunk of a message", n, 1);
-        }
-    }
-    a.on_tx_done(RailId(1), busy.token).expect("token");
-    b.on_frame(RailId(1), &busy.frame).expect("small");
-    drop(busy);
-    drain(&mut a, &mut b);
-    assert_eq!(
-        b.try_recv(small_recv).expect("delivered").segments[0],
-        small
-    );
-    assert_eq!(b.try_recv(recv).expect("delivered").segments[0], large);
+    // message (its list of one segment), the next ones re-join it. Once
+    // unchecked: the first time, the in-flight window grows past the
+    // busy rail's frame to the length this shape needs.
+    bounded_chunks(&mut a, &mut b, &mut |_, _, _| {});
+    bounded_chunks(&mut a, &mut b, &mut check);
 
     // A CRC-valid chunk from a buggy peer that claims a segment of 2^40
     // bytes: kept like any other first chunk — its message's list of one
@@ -322,4 +298,46 @@ fn steady_state_allocations_stay_within_budget() {
     assert_eq!(msg_id, genuine.msg_id + 1);
 
     println!("{}", report.join("\n"));
+}
+
+/// A large message sent in bounded chunks on rail 0 while rail 1 carries
+/// a small one, every call counted into `check`.
+fn bounded_chunks(a: &mut Engine, b: &mut Engine, check: &mut impl FnMut(&'static str, u64, u64)) {
+    let (small, large) = (
+        Bytes::from(vec![7u8; 64]),
+        Bytes::from(vec![9u8; 256 << 10]),
+    );
+    a.submit_send(0, vec![small.clone()]);
+    let small_recv = b.post_recv(0);
+    let busy = a
+        .next_tx(RailId(1))
+        .expect("next_tx")
+        .expect("the small one");
+    a.submit_send(0, vec![large.clone()]);
+    let recv = b.post_recv(0);
+    handshake(a, b);
+    for chunk in 0..3 {
+        let (n, d) = count(|| a.next_tx(RailId(0)));
+        let d = d.expect("next_tx").expect("a bounded chunk");
+        check("bounded-chunk decision", n, 0);
+        a.on_tx_done(RailId(0), d.token).expect("token");
+        let (n, out) = count(|| b.on_frame(RailId(0), &d.frame));
+        assert!(out.expect("chunk").completed_recvs.is_empty());
+        // Reassembly is by reference and its piece list inline: a chunk
+        // is kept as the slice of its frame that it is.
+        if chunk > 0 {
+            check("on_frame of a chunk into an open reassembly", n, 0);
+        } else {
+            check("on_frame of the first chunk of a message", n, 1);
+        }
+    }
+    a.on_tx_done(RailId(1), busy.token).expect("token");
+    b.on_frame(RailId(1), &busy.frame).expect("small");
+    drop(busy);
+    drain(a, b);
+    assert_eq!(
+        b.try_recv(small_recv).expect("delivered").segments[0],
+        small
+    );
+    assert_eq!(b.try_recv(recv).expect("delivered").segments[0], large);
 }

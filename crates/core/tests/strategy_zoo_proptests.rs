@@ -21,7 +21,7 @@
 use nmad_core::obs::FlightRecorder;
 use nmad_core::request::{Backlog, SegKey, SegPhase};
 use nmad_core::sampling::{default_ladder, PerfTable};
-use nmad_core::strategy::{KeyList, RailFlight, StrategyCtx, TxOp};
+use nmad_core::strategy::{KeyList, LatencyOrder, RailFlight, StrategyCtx, TxOp};
 use nmad_core::{EngineConfig, StrategyKind};
 use nmad_model::{platform, RailId};
 use proptest::prelude::*;
@@ -156,7 +156,7 @@ proptest! {
             .collect();
         let config = EngineConfig::default();
         let n_rails = rails.len();
-        let latency: Vec<_> = rails.iter().map(|n| n.analytic_pio_oneway(0)).collect();
+        let latency = LatencyOrder::new(&rails);
 
         for kind in StrategyKind::zoo() {
             let mut strategy = kind.build();

@@ -37,6 +37,17 @@ pub(crate) const LANDING_OPEN_SHARE: u64 = 8;
 /// Unclaimed ranges one segment may be in. Chunks arrive in order per
 /// rail, so two rails leave two; a claim that would leave more misses.
 pub(crate) const LANDING_FRAGMENTS: usize = 8;
+/// Bytes of one slab: the allocation small frames are carved into, one
+/// after the other, so that they cost no allocation each. A delivery
+/// made of one of them pins its slab, and only that one.
+pub(crate) const SLAB_LEN: usize = 2 * 1024;
+/// Slabs a reader keeps, to start over once nobody holds a frame of one
+/// any more: the frames of one read are handed on together, so a read of
+/// many small frames fills several before any of them is let go.
+pub(crate) const SLABS: usize = 8;
+/// Frames of at most this many bytes, chunks aside, are carved into the
+/// slab; a larger one gets an allocation of its own.
+pub(crate) const SLAB_FRAME_MAX: usize = SLAB_LEN / 4;
 
 /// Length of the frame whose length prefix starts `buf`; `None` while
 /// the prefix itself is incomplete.
@@ -190,6 +201,9 @@ enum Partial {
     /// In its own allocation: the source is read straight into `frame`
     /// until it holds `want` bytes.
     Own { frame: Vec<u8>, want: usize },
+    /// A small frame in its window of the slab: the source is read
+    /// straight into it, at its cursor, until it is full.
+    Slab(Window),
     /// A chunk whose payload has a place in its segment: the source is
     /// read straight into `window`, at its cursor, until it is full.
     Landed { head: Vec<u8>, window: Window },
@@ -201,6 +215,7 @@ impl Partial {
     fn into_frame(self) -> PacketFrame {
         match self {
             Partial::Own { frame, .. } => PacketFrame::from_wire(Bytes::from(frame)),
+            Partial::Slab(window) => PacketFrame::from_wire(window.freeze()),
             Partial::Landed { head, window, .. } => {
                 let mut payload = PartList::new();
                 payload.push(window.freeze());
@@ -220,6 +235,9 @@ pub(crate) struct FrameReader {
     rx_len: usize,
     /// The frame in progress, if it is not all in `rx_buf`.
     partial: Option<Partial>,
+    /// What is left of the slabs small frames are carved into, oldest
+    /// first: the last is the one being carved.
+    slabs: Vec<Window>,
     /// Peer closed, or the stream failed or lost framing: no more reads.
     closed: bool,
 }
@@ -261,6 +279,7 @@ impl FrameReader {
             rx_buf: vec![0; READ_CHUNK],
             rx_len: 0,
             partial: None,
+            slabs: Vec::with_capacity(SLABS),
             closed: false,
         }
     }
@@ -308,7 +327,7 @@ impl FrameReader {
                 let read = src.take(asked as u64).read_to_end(frame);
                 (true, asked, frame.len() - had, read.map(drop))
             }
-            Some(Partial::Landed { window, .. }) => {
+            Some(Partial::Landed { window, .. } | Partial::Slab(window)) => {
                 let asked = window.remaining();
                 let (got, read) = read_until_blocked(&mut src, window);
                 (true, asked, got, read)
@@ -345,11 +364,11 @@ impl FrameReader {
     }
 
     /// Carve the frames in `rx_buf[..rx_len]` by offset, each copied out
-    /// — a chunk's payload into the window `landing` has for it, anything
-    /// else whole into an allocation of exactly its size — so that a
-    /// delivered payload never pins this buffer. A trailing incomplete
-    /// frame moves to `partial`, once enough of it is there to tell
-    /// where it goes.
+    /// — a chunk's payload into the window `landing` has for it, a small
+    /// frame into the slab, anything else whole into an allocation of
+    /// exactly its size — so that a delivered payload never pins this
+    /// buffer. A trailing incomplete frame moves to `partial`, once
+    /// enough of it is there to tell where it goes.
     fn carve(
         &mut self,
         rail: usize,
@@ -361,8 +380,10 @@ impl FrameReader {
             let body = off + LEN_PREFIX;
             let have = &self.rx_buf[body..self.rx_len.min(body + len)];
             let whole = have.len() == len;
-            let window = if len >= ChunkHead::LEN {
-                if have.len() < ChunkHead::LEN && ChunkHead::possible(have) {
+            // (A frame shorter than a chunk head is no chunk of anything.)
+            let chunk = len >= ChunkHead::LEN && ChunkHead::possible(have);
+            let window = if chunk {
+                if have.len() < ChunkHead::LEN {
                     // Where this frame goes is in bytes yet to come.
                     break;
                 }
@@ -384,6 +405,13 @@ impl FrameReader {
                         window,
                     }
                 }
+                // (A chunk that missed is gathered with its segment's
+                // others: it does not pin a slab meanwhile.)
+                None if len <= SLAB_FRAME_MAX && !chunk => {
+                    let mut window = slab_window(&mut self.slabs, len);
+                    window.put_slice(have);
+                    Partial::Slab(window)
+                }
                 None => {
                     let mut frame = Vec::with_capacity(len);
                     frame.extend_from_slice(have);
@@ -400,4 +428,30 @@ impl FrameReader {
         self.rx_len -= off;
         Ok(())
     }
+}
+
+/// A window of `len` bytes, at most [`SLAB_FRAME_MAX`], off the front of
+/// the last of `slabs`. When that one has run out, the oldest slab nobody
+/// holds a frame of any more is started over ([`Window::reclaim`]) and
+/// carved next; only when none is free is a new one made, the oldest
+/// given up beyond [`SLABS`] — it is freed with the last frame carved
+/// from it.
+fn slab_window(slabs: &mut Vec<Window>, len: usize) -> Window {
+    if slabs.last().is_none_or(|slab| slab.len() < len) {
+        match slabs.iter_mut().position(Window::reclaim) {
+            Some(free) => {
+                let slab = slabs.remove(free);
+                slabs.push(slab);
+            }
+            None => {
+                if slabs.len() == SLABS {
+                    slabs.remove(0);
+                }
+                slabs.push(Window::uninit(SLAB_LEN));
+            }
+        }
+    }
+    let slab = slabs.last_mut().expect("a slab with room");
+    let rest = slab.split_off(len);
+    std::mem::replace(slab, rest)
 }

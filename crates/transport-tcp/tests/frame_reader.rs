@@ -22,7 +22,7 @@ use std::io::{ErrorKind, Read};
 use bytes::{Bytes, Window};
 use frame::{
     FrameReader, LandingTable, Source, LANDING_BYTES, LANDING_ENTRIES, LANDING_FRAGMENTS,
-    LANDING_OPEN_SHARE, LEN_PREFIX, MAX_FRAME, READ_CHUNK,
+    LANDING_OPEN_SHARE, LEN_PREFIX, MAX_FRAME, READ_CHUNK, SLABS, SLAB_FRAME_MAX, SLAB_LEN,
 };
 use nmad_core::SyscallStats;
 use nmad_wire::{
@@ -848,6 +848,124 @@ fn the_sentinel_never_surfaces() {
         let (_, whole) = deliver(&of_66, &mut Reassembler::new(), true);
         assert_eq!(whole.expect("the good segment"), segment(GOOD), "at {cut}");
     }
+}
+
+// ----------------------------------------------------------------------
+// The slab
+// ----------------------------------------------------------------------
+
+/// Bytes one slab costs: its buffer and the `Arc` around it (two
+/// allocations), whatever number of frames it carries.
+const SLAB_COST: usize = SLAB_LEN + 64;
+
+/// `count` small frames, read off one rail in pieces of `piece` bytes:
+/// each read's frames handed to `take`, which keeps what it keeps.
+fn read_small_frames(
+    count: u64,
+    piece: usize,
+    mut take: impl FnMut(&mut Vec<(usize, PacketFrame)>),
+) -> (usize, FrameReader) {
+    let packets: Vec<Packet> = (0..count).map(eager_of).collect();
+    let stream = wire_of(&packets);
+    let frame_len = stream.len() / count as usize;
+    assert!(frame_len <= SLAB_FRAME_MAX && stream.len() > 8 * SLAB_LEN);
+    let cuts = vec![piece; stream.len() / piece];
+    let mut src = pieces(&stream, &cuts);
+    let (mut reader, mut table) = (FrameReader::new(), LandingTable::new());
+    let mut out = Vec::with_capacity(stream.len() / frame_len + 1);
+    let (asked, ()) = allocated(|| {
+        while !reader.closed() {
+            reader
+                .read_some(
+                    &mut src,
+                    0,
+                    &mut table,
+                    &mut out,
+                    &mut SyscallStats::default(),
+                )
+                .expect("well-formed");
+            take(&mut out);
+        }
+    });
+    (asked, reader)
+}
+
+/// Small frames are carved one after the other into a slab, and a slab
+/// whose frames were all let go is started over: however many frames a
+/// rail reads, it costs the slabs that one read fills, and one more —
+/// two while a read brings less than a slab — as long as each delivery
+/// is dropped after its read. Every frame decodes, its CRC checked, to
+/// the packet that was sent.
+#[test]
+fn small_frames_cost_the_slabs_of_one_read_however_many_there_are() {
+    let sent: Vec<Packet> = (0..400).map(eager_of).collect();
+    for piece in [1, 100, 333, 2 * SLAB_LEN] {
+        let mut next = 0;
+        let (asked, _) = read_small_frames(400, piece, |out| {
+            for (_, frame) in out.drain(..) {
+                let (_, FrameBody::Packet(got), _) = frame.decode().expect("decodes") else {
+                    panic!("no aggregate was sent");
+                };
+                assert!(got == sent[next] && !frame.parts().any(|p| has_sentinel_run(p)));
+                next += 1;
+            }
+        });
+        assert_eq!(next, 400);
+        let slabs = (piece / SLAB_LEN + 2).min(SLABS);
+        assert!(
+            asked <= slabs * SLAB_COST,
+            "piece {piece}: {asked} bytes for 400 frames"
+        );
+    }
+}
+
+/// A delivery held across reads keeps its own slab and no other: the
+/// slabs carved after it are started over as before, and once it is let
+/// go, its slab is too — the reader allocates nothing more.
+#[test]
+fn a_held_delivery_pins_its_own_slab_only() {
+    let stream = wire_of(&(0..800).map(eager_of).collect::<Vec<_>>());
+    let cuts = vec![333; stream.len() / 333];
+    let mut src = pieces(&stream, &cuts);
+    let (mut reader, mut table) = (FrameReader::new(), LandingTable::new());
+    let mut out = Vec::with_capacity(800);
+    let (mut held, mut read) = (None, 0);
+    let mut read_until = |frames: usize, held: &mut Option<PacketFrame>| {
+        allocated(|| {
+            while read < frames && !reader.closed() {
+                reader
+                    .read_some(
+                        &mut src,
+                        0,
+                        &mut table,
+                        &mut out,
+                        &mut SyscallStats::default(),
+                    )
+                    .expect("well-formed");
+                read += out.len();
+                for (_, frame) in out.drain(..) {
+                    held.get_or_insert(frame);
+                }
+            }
+        })
+        .0
+    };
+    // The held frame's slab and the two every later frame was cut from.
+    let asked = read_until(400, &mut held);
+    assert!(
+        asked <= 3 * SLAB_COST,
+        "{asked} bytes with one delivery held"
+    );
+    let held = held.take().expect("a frame");
+    assert_eq!(
+        held.decode().expect("decodes").1,
+        FrameBody::Packet(eager_of(0))
+    );
+    drop(held);
+    let mut none = None;
+    let asked = read_until(800, &mut none);
+    assert!(none.is_some(), "frames past the first 400");
+    assert_eq!(asked, 0, "{asked} bytes once the held delivery was let go");
 }
 
 // ----------------------------------------------------------------------

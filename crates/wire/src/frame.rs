@@ -65,6 +65,10 @@ impl PartList {
         }
     }
 
+    fn extend(&mut self, parts: impl IntoIterator<Item = Bytes>) {
+        parts.into_iter().for_each(|p| self.push(p));
+    }
+
     /// The `i`-th part.
     pub fn get(&self, i: usize) -> Option<&Bytes> {
         self.0.get(i)
@@ -130,15 +134,15 @@ impl PacketFrame {
     /// start with the envelope; the caller is responsible for field
     /// consistency (this is the low-level constructor used by the
     /// encoders and fault injection).
-    pub fn from_parts(head: Bytes, body: PartList) -> Self {
-        let mut parts = PartList::new();
-        let mut wire_len = head.len();
-        parts.push(head);
-        for p in body.0 {
-            wire_len += p.len();
-            parts.push(p);
+    pub fn from_parts(head: Bytes, mut body: PartList) -> Self {
+        let wire_len = head.len() + body.total_len();
+        if !head.is_empty() {
+            body.0.insert(0, head);
         }
-        PacketFrame { parts, wire_len }
+        PacketFrame {
+            parts: body,
+            wire_len,
+        }
     }
 
     /// Total bytes this frame occupies on the wire.
@@ -273,8 +277,9 @@ pub enum FrameBody {
 /// scatter-gather analogue of [`crate::codec::Reader`]).
 pub struct SgReader<'a> {
     frame: &'a PacketFrame,
-    /// The part being read, and what is left of it.
+    /// The part being read, its index, and what is left of it.
     part: usize,
+    current: &'a Bytes,
     rest: &'a [u8],
     consumed: usize,
     copied: usize,
@@ -284,10 +289,13 @@ pub struct SgReader<'a> {
 impl<'a> SgReader<'a> {
     /// Cursor at the start of `frame`, labelled `what` for diagnostics.
     pub fn new(frame: &'a PacketFrame, what: &'static str) -> Self {
+        const NONE: &Bytes = &Bytes::new();
+        let current = frame.part(0).unwrap_or(NONE);
         SgReader {
             frame,
             part: 0,
-            rest: frame.part(0).map_or(&[], Bytes::as_slice),
+            current,
+            rest: current.as_slice(),
             consumed: 0,
             copied: 0,
             what,
@@ -306,6 +314,7 @@ impl<'a> SgReader<'a> {
                 break;
             };
             self.part += 1;
+            self.current = next;
             self.rest = next.as_slice();
         }
         self.rest
@@ -370,9 +379,8 @@ impl Source for SgReader<'_> {
             return Ok(Bytes::new());
         }
         if self.current().len() >= n {
-            let p = self.frame.part(self.part).expect("current() is in it");
-            let off = p.len() - self.rest.len();
-            let b = p.slice(off..off + n);
+            let off = self.current.len() - self.rest.len();
+            let b = self.current.slice(off..off + n);
             self.advance(n);
             return Ok(b);
         }
@@ -395,38 +403,43 @@ fn crc_over(head: &[u8], body: &PartList) -> u32 {
 impl Packet {
     /// Vectored encoder: build a [`PacketFrame`] whose parts concatenate
     /// to exactly the bytes [`Packet::encode`] would produce, without
-    /// copying any payload — data rides as refcounted slices.
+    /// copying any payload — the packet's data moves into the frame as
+    /// the refcounted slice it is.
     ///
     /// `head` is the buffer the envelope and body header are written into
     /// (hand a pooled buffer here to keep the hot path allocation-free; it
     /// is cleared first).
     pub fn encode_frame_into(
-        &self,
+        self,
         conn_id: ConnId,
         seq: u32,
         with_crc: bool,
         mut head: BytesMut,
     ) -> PacketFrame {
+        let (kind, wire_len) = (self.kind(), self.wire_len());
         head.clear();
         head.put_slice(&[0; ENVELOPE_LEN]);
-        let mut body = PartList::new();
-        if let Some(payload) = self.write_head(&mut head) {
-            body.push(payload.clone());
-        }
-        let crc = with_crc.then(|| crc_over(&head[ENVELOPE_LEN..], &body));
-        let payload_len = self.wire_len() - ENVELOPE_LEN;
-        let envelope = EnvelopeHdr::new(self.kind(), conn_id, seq, payload_len, crc);
+        self.write_head(&mut head);
+        let payload = self.into_payload().filter(|p| !p.is_empty());
+        let crc = with_crc.then(|| {
+            let state = update(crc32_init(), &head[ENVELOPE_LEN..]);
+            crc32_finish(payload.iter().fold(state, |s, p| update(s, p)))
+        });
+        let envelope = EnvelopeHdr::new(kind, conn_id, seq, wire_len - ENVELOPE_LEN, crc);
         head[..ENVELOPE_LEN].copy_from_slice(&envelope.write());
-        let frame = PacketFrame::from_parts(head.freeze(), body);
-        debug_assert_eq!(frame.wire_len(), self.wire_len());
-        frame
+        // (Part 0, the head, is never empty: it holds the envelope.)
+        let mut parts = PartList::new();
+        parts.push(head.freeze());
+        parts.extend(payload);
+        PacketFrame { parts, wire_len }
     }
 
     /// Vectored encoder with a fresh head buffer (see
     /// [`Packet::encode_frame_into`]).
     pub fn encode_frame(&self, conn_id: ConnId, seq: u32, with_crc: bool) -> PacketFrame {
         let head_len = ENVELOPE_LEN + 40;
-        self.encode_frame_into(conn_id, seq, with_crc, BytesMut::with_capacity(head_len))
+        let head = BytesMut::with_capacity(head_len);
+        self.clone().encode_frame_into(conn_id, seq, with_crc, head)
     }
 }
 

@@ -32,6 +32,7 @@ macro_rules! layout {
             pub const LEN: usize = $len;
 
             /// The header's wire image.
+            #[inline]
             pub fn write(&self) -> [u8; $len] {
                 let mut b = [0u8; $len];
                 $(b[$at..$at + size_of::<$ty>()].copy_from_slice(&self.$field.to_le_bytes());)*
@@ -39,6 +40,7 @@ macro_rules! layout {
             }
 
             /// The header read back from its wire image.
+            #[inline]
             pub fn read(b: &[u8; $len]) -> Self {
                 $name {
                     $($field: <$ty>::from_le_bytes(
@@ -492,6 +494,19 @@ impl Packet {
                 out.put_slice(&p.write());
                 None
             }
+        }
+    }
+
+    /// The payload that follows the header on the wire, if any, moved out
+    /// of the packet.
+    pub(crate) fn into_payload(self) -> Option<Bytes> {
+        match self {
+            Packet::Eager(EagerPacket { data, .. })
+            | Packet::Chunk(ChunkPacket { data, .. })
+            | Packet::SamplePing(SamplePacket { data, .. })
+            | Packet::SamplePong(SamplePacket { data, .. })
+            | Packet::Aggregate(data) => Some(data),
+            Packet::RdvRequest(_) | Packet::RdvAck(_) | Packet::Ack(_) => None,
         }
     }
 

@@ -232,9 +232,12 @@ impl Chunked {
 /// What arrived of a message.
 #[derive(Debug)]
 struct Message {
-    /// Segments in index order, an empty one where nothing is yet: made
-    /// at first sight, written where each segment lands, and handed over
-    /// as it is.
+    total_segs: u16,
+    /// Segments in index order, up to the last that landed, an empty one
+    /// where nothing is yet: made at first sight with room for all of
+    /// them, grown where each segment lands — a segment that lands in
+    /// order is pushed, nothing is filled in first — and handed over as
+    /// it is.
     segments: Vec<Bytes>,
     whole: Bits,
     whole_count: u16,
@@ -247,7 +250,8 @@ struct Message {
 impl Message {
     fn new(total_segs: u16) -> Self {
         Message {
-            segments: vec![Bytes::new(); total_segs as usize],
+            total_segs,
+            segments: Vec::with_capacity(total_segs as usize),
             whole: (0..(total_segs as usize).div_ceil(64)).map(|_| 0).collect(),
             whole_count: 0,
             bytes: 0,
@@ -256,7 +260,7 @@ impl Message {
     }
 
     fn total_segs(&self) -> u16 {
-        self.segments.len() as u16
+        self.total_segs
     }
 
     fn is_complete(&self) -> bool {
@@ -274,7 +278,14 @@ impl Message {
         self.whole[i / 64] |= 1 << (i % 64);
         self.whole_count += 1;
         self.bytes += data.len() as u64;
-        self.segments[i] = data;
+        match i.checked_sub(self.segments.len()) {
+            Some(0) => self.segments.push(data),
+            Some(_) => {
+                self.segments.resize(i, Bytes::new());
+                self.segments.push(data);
+            }
+            None => self.segments[i] = data,
+        }
     }
 
     /// Write the eager segment `data` in its place (it is moved out).

@@ -189,19 +189,28 @@ impl<T> IdWindow<T> {
     /// The live slot of `id`, made by `make` if the id is new (as
     /// [`IdWindow::insert`] would); `None` once the id is retired.
     pub fn live_or_insert_with(&mut self, id: u64, make: impl FnOnce() -> T) -> Option<&mut T> {
-        if let Some(slot) = self.hole(id) {
+        let slot = self.reach(id)?;
+        if matches!(slot, Slot::Hole) {
             *slot = Slot::Live(make());
         }
-        self.live_mut(id)
+        match slot {
+            Slot::Live(value) => Some(value),
+            _ => None,
+        }
     }
 
     /// The slot of `id` if nothing was ever put in it, the window grown
     /// to reach it.
     fn hole(&mut self, id: u64) -> Option<&mut Slot<T>> {
+        self.reach(id).filter(|slot| matches!(slot, Slot::Hole))
+    }
+
+    /// The slot of `id`, the window grown to reach it.
+    fn reach(&mut self, id: u64) -> Option<&mut Slot<T>> {
         if let Some(i) = self.index(id).filter(|&i| i >= self.slots.len()) {
             self.slots.resize_with(i + 1, || Slot::Hole);
         }
-        self.slot_mut(id).filter(|slot| matches!(slot, Slot::Hole))
+        self.slot_mut(id)
     }
 
     /// Finish `id` for good: its slot's value comes back and the window
