@@ -376,7 +376,7 @@ fn measure_pool(rounds: usize, window: usize) -> PoolPoint {
             }
         }
     }
-    let (da, db) = (a.stats().datapath.clone(), b.stats().datapath.clone());
+    let (da, db) = (a.stats().datapath, b.stats().datapath);
     let hits = da.pool_hits + db.pool_hits;
     let allocs = da.hot_path_allocs + db.hot_path_allocs;
     let takes = hits + allocs;

@@ -9,9 +9,9 @@
 //! noise (strictly additive) does not masquerade as overhead.
 //!
 //! The ladder runs **three** legs per point: recorder off, recorder on,
-//! and the full continuous-telemetry stack (recorder + windowed
-//! aggregator + SLO watchdog, folded once per message the way a progress
-//! pass folds once per scheduler iteration). The run doubles as a
+//! and the full continuous-telemetry stack (recorder + windows cut from
+//! the engine's counters + SLO watchdog, folded once per message the way
+//! a progress pass folds once per scheduler iteration). The run doubles as a
 //! regression gate (used by `scripts/verify.sh`): [`check`] fails if
 //! recording alone — or the full stack — costs more than
 //! [`OVERHEAD_BUDGET_PCT`] of the disabled-recorder throughput in
@@ -106,8 +106,9 @@ pub struct ObsReport {
     /// Ring growth observed across every recorder-enabled run (must be 0:
     /// the ring is preallocated and records are fixed-size).
     pub hot_path_allocs: u64,
-    /// Aggregator capacity growth across the full-stack legs (must be 0:
-    /// windows rotate by swap, never by allocation).
+    /// Aggregator capacity growth across the full-stack legs, its
+    /// snapshot of the counters included (must be 0: windows are written
+    /// into a preallocated ring, never allocated).
     pub telemetry_allocs: u64,
     /// Events landed in the rings over the recorder-enabled legs.
     pub events_recorded: u64,
@@ -358,7 +359,7 @@ pub fn check(report: &ObsReport) -> Vec<String> {
     }
     if report.telemetry_allocs != 0 {
         v.push(format!(
-            "{} hot-path allocations attributable to the aggregator (windows must rotate by swap)",
+            "{} hot-path allocations attributable to the aggregator (windows and snapshot must stay preallocated)",
             report.telemetry_allocs
         ));
     }
@@ -441,7 +442,10 @@ mod tests {
         let (p, c) = measure_point(64 << 10, 2);
         assert!(p.ns_off > 0 && p.ns_on > 0 && p.ns_full > 0);
         assert_eq!(c.allocs, 0, "ring must never grow");
-        assert_eq!(c.telemetry_allocs, 0, "windows must rotate by swap");
+        assert_eq!(
+            c.telemetry_allocs, 0,
+            "windows and snapshot stay preallocated"
+        );
         assert!(c.events > 0, "recording must capture the transfer");
     }
 }

@@ -4,7 +4,6 @@
 //! nmad platform                         # show the modelled platforms
 //! nmad pingpong --strategy adaptive --segments 2 [--size 8M]
 //! nmad sample                           # init-time sampling tables + ratios
-//! nmad figure fig4 fig7 ...             # regenerate paper figures
 //! nmad timeline --size 4K               # ASCII Gantt of one transfer
 //! nmad tcp-serve [--conns 1]            # real-socket demo, prints addrs
 //! nmad tcp-send <addr0> <addr1> [--size 4M]
@@ -40,8 +39,6 @@ fn usage() -> &'static str {
                                         paper ping-pong (omit --size for the full sweep;\n\
                                         --platform loads a JSON rail description)\n\
        sample                           init-time sampling tables and split ratios\n\
-       figure <fig2|fig3|fig4|fig5|fig6|fig7|ablate_*|three_rail> ...\n\
-                                        regenerate paper figures/ablations\n\
        timeline [--strategy S] [--size BYTES] [--segments N]\n\
                                         ASCII Gantt of one transfer\n\
        tcp-serve [--conns N]            real-socket receiver (prints addresses)\n\
@@ -119,7 +116,6 @@ fn run(argv: &[String]) -> Result<(), String> {
         Some("platform") => cmd_platform(),
         Some("pingpong") => cmd_pingpong(&args),
         Some("sample") => cmd_sample(),
-        Some("figure") => cmd_figure(&args),
         Some("timeline") => cmd_timeline(&args),
         Some("tcp-serve") => cmd_tcp_serve(&args),
         Some("tcp-send") => cmd_tcp_send(&args),
@@ -252,31 +248,6 @@ fn cmd_sample() -> Result<(), String> {
         let w = nmad_core::sampling::split_weights([&tables[0], &tables[1]], size);
         let frac = w[0] / (w[0] + w[1]);
         println!("  {:>8} KiB: {:>5.1}%", size >> 10, frac * 100.0);
-    }
-    Ok(())
-}
-
-fn cmd_figure(args: &Args) -> Result<(), String> {
-    let ids = args.rest(1);
-    if ids.is_empty() {
-        return Err("figure: name at least one figure id".into());
-    }
-    for id in ids {
-        let fig = match id.as_str() {
-            "fig2" => nmad_bench::figures::fig2_myri(),
-            "fig3" => nmad_bench::figures::fig3_quadrics(),
-            "fig4" => nmad_bench::figures::fig4_greedy2(),
-            "fig5" => nmad_bench::figures::fig5_greedy4(),
-            "fig6" => nmad_bench::figures::fig6_aggregate(),
-            "fig7" => nmad_bench::figures::fig7_split(),
-            "ablate_poll" => nmad_bench::figures::ablate_poll(),
-            "ablate_ratio" => nmad_bench::figures::ablate_ratio(),
-            "ablate_threshold" => nmad_bench::figures::ablate_threshold(),
-            "ablate_cores" => nmad_bench::figures::ablate_cores(),
-            "three_rail" => nmad_bench::figures::three_rail(),
-            other => return Err(format!("unknown figure '{other}'")),
-        };
-        println!("{}", nmad_bench::report::render_table(&fig));
     }
     Ok(())
 }
@@ -728,19 +699,19 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
         println!("  seg size  B  {}", s.obs.seg_size.render());
         println!("  backlog  seg {}", s.obs.backlog_depth.render());
         println!("  rto      ns  {}", s.obs.rto_ns.render());
-        for (r, ro) in s.obs.rails.iter().enumerate() {
+        for (r, rs) in s.rails.iter().enumerate() {
             let t = w.node(i).engine.rail_telemetry(r);
             println!(
                 "  rail{r}: util {:>5.1}%  in-flight {} B  srtt {}  rttvar {:.1} us  rto {:.1} ms  state {:?}",
-                100.0 * ro.utilization(now_ns),
-                ro.in_flight_bytes,
+                100.0 * rs.utilization(now_ns),
+                rs.in_flight_bytes,
                 t.srtt_ns
                     .map_or("-".to_string(), |v| format!("{:.1} us", v as f64 / 1e3)),
                 t.rttvar_ns as f64 / 1e3,
                 t.rto_ns as f64 / 1e6,
                 t.state,
             );
-            println!("  rail{r} rtt ns {}", ro.latency_ns.render());
+            println!("  rail{r} rtt ns {}", rs.rtt_ns.render());
         }
         for line in nmad_core::obs::cost_lines(&s).lines() {
             println!("  {line}");
@@ -880,43 +851,44 @@ fn cmd_top(args: &Args) -> Result<(), String> {
 fn render_top_window(w: &nmad_core::Window, plat: &nmad_model::Platform) -> String {
     use std::fmt::Write;
     let mut out = String::new();
-    let span_ns = (w.end_ns - w.start_ns).max(1);
+    let span_ns = w.span_ns().max(1);
     let dur_s = span_ns as f64 / 1e9;
+    let ws = &w.stats;
     let _ = writeln!(
         out,
         "window {:>4} @ {:>8.3} s  submits {:>5}  acks {:>5}  retx {:>3}  sheds {:>3}  alerts {}",
         w.ordinal,
         w.end_ns as f64 / 1e9,
-        w.submits,
-        w.acks,
-        w.retransmits,
-        w.sheds,
+        ws.msgs_submitted,
+        ws.ack_rtt_ns.count(),
+        ws.retransmits,
+        ws.overload.admission_rejections,
         w.alerts
     );
     let q = |frac: f64| {
-        w.latency
+        ws.ack_rtt_ns
             .approx_quantile(frac)
             .map_or("-".to_string(), |v| format!("{:.0}", v as f64 / 1e3))
     };
     let _ = writeln!(
         out,
-        "  ack rtt us: p50 {:>6} p99 {:>6} ({} samples)",
+        "  ack rtt us: p50<= {:>6} p99<= {:>6} ({} samples)",
         q(0.5),
         q(0.99),
-        w.latency.count()
+        ws.ack_rtt_ns.count()
     );
-    for (i, r) in w.rails.iter().enumerate() {
+    for (i, r) in ws.rails.iter().enumerate() {
         let name = plat.rails.get(i).map_or("?", |x| x.name);
         let _ = writeln!(
             out,
             "  rail{i} {:<14} tx {:>8.1} MB/s  rx {:>8.1} MB/s  busy {:>5.1}%  retx {:>3}  failover {:>2}  probes {:>2}",
             name,
-            r.tx_bytes as f64 / 1e6 / dur_s,
-            r.rx_bytes as f64 / 1e6 / dur_s,
-            100.0 * r.busy_ns as f64 / span_ns as f64,
-            r.retransmits,
+            r.wire_bytes as f64 / 1e6 / dur_s,
+            r.rx_wire_bytes as f64 / 1e6 / dur_s,
+            100.0 * r.utilization(span_ns),
+            r.retransmits_blamed,
             r.failovers,
-            r.probes
+            r.probes_sent
         );
     }
     out
@@ -1452,11 +1424,5 @@ mod tests {
         assert!(v.contains("\"clean\":true"), "verdict:\n{v}");
         std::fs::remove_file(&series).ok();
         std::fs::remove_file(&verdict).ok();
-    }
-
-    #[test]
-    fn figure_requires_an_id() {
-        assert!(run(&["figure".to_string()]).is_err());
-        assert!(run(&["figure".to_string(), "nope".into()]).is_err());
     }
 }

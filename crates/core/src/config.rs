@@ -3,14 +3,16 @@
 use crate::health::HealthConfig;
 use crate::strategy::StrategyKind;
 
-/// Recorder ring of a [`Observe::Watch`] engine, in events: comfortably
-/// more than one fold interval's worth, so the telemetry fold never
-/// misses events.
+/// Recorder ring of a [`Observe::Watch`] engine, in events: the newest
+/// events of a live run, for traces and spans (the telemetry windows are
+/// cut from the counters and never read it).
 const WATCH_RECORD_CAPACITY: usize = 1 << 15;
 
 /// What the engine observes about itself. One mode, not three switches:
-/// the telemetry windows fold the flight recorder and the watchdog reads
-/// the windows, so each layer exists only on top of the one below.
+/// each mode keeps the layers of the one before and adds its own — the
+/// recorder's events, then the telemetry windows with the watchdog that
+/// reads them. The counters ([`crate::EngineStats`]) are kept in every
+/// mode.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Observe {
     /// Nothing is recorded (the recorder is a no-op).
@@ -23,9 +25,10 @@ pub enum Observe {
         /// Ring size in events.
         capacity: usize,
     },
-    /// Live observation: a recorder ring of 32 Ki events, folded into `window_ns`-long telemetry windows (see
-    /// [`crate::obs::TelemetryAggregator`]), with the SLO watchdog run
-    /// over every window that closes (see [`crate::obs::Watchdog`]).
+    /// Live observation: a recorder ring of 32 Ki events, the counters
+    /// cut into `window_ns`-long telemetry windows (see
+    /// [`crate::obs::TelemetryAggregator`]), and the SLO watchdog run over
+    /// every window that closes (see [`crate::obs::Watchdog`]).
     Watch {
         /// Telemetry window length, engine-clock nanoseconds.
         window_ns: u64,

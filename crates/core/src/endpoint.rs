@@ -349,8 +349,8 @@ impl Endpoint {
         self.fabric.engine().lock().recorder().events()
     }
 
-    /// Run `read` on the engine with pending recorder events folded into
-    /// the telemetry windows.
+    /// Run `read` on the engine with the telemetry windows the engine
+    /// clock has passed closed.
     fn folded<T>(&self, read: impl FnOnce(&Engine) -> T) -> T {
         let mut eng = self.fabric.engine().lock();
         eng.fold_telemetry();

@@ -48,7 +48,7 @@ use crate::request::{Backlog, RecvId, SegKey, SegPhase, SendId};
 use crate::sampling::{
     default_ladder, split_ratio_permille, OnlineCalibrator, PerfTable, REFERENCE_SIZE,
 };
-use crate::stats::{EngineStats, OverloadStats};
+use crate::stats::EngineStats;
 use crate::strategy::{KeyList, LatencyOrder, RailFlight, RailView, Strategy, StrategyCtx, TxOp};
 
 /// Pool capacity for packet head buffers: envelope (24 bytes) plus the
@@ -261,8 +261,8 @@ pub struct Engine {
     /// Packet-lifecycle flight recorder (disabled under
     /// [`Observe::Off`]).
     obs: FlightRecorder,
-    /// Continuous telemetry: windowed aggregator tailing the recorder,
-    /// plus the SLO watchdog over its closed windows (present iff
+    /// Continuous telemetry: windows cut from [`Engine::stats`], plus the
+    /// SLO watchdog over the closed ones (present iff
     /// [`Observe::Watch`]). Boxed so the common telemetry-off engine
     /// doesn't carry the window ring inline.
     telemetry: Option<Box<TelemetryState>>,
@@ -273,9 +273,6 @@ pub struct Engine {
     /// strategies via [`RailFlight`] so SRPT can predict completions.
     ewma_service_ns: Vec<u64>,
     scratch: Scratch,
-    /// [`EngineStats::overload`] as of the last `Shed`/`Backpressure`
-    /// events recorded.
-    refusals_recorded: OverloadStats,
     /// The one aggregate builder (its entry list is reused).
     agg: AggregateBuilder,
 }
@@ -368,7 +365,6 @@ impl Engine {
                 keys: vec![KeyList::new(); n],
                 ..Scratch::default()
             },
-            refusals_recorded: OverloadStats::default(),
             agg: AggregateBuilder::new(),
             rails,
         }
@@ -395,48 +391,43 @@ impl Engine {
         self.telemetry.as_deref().map(|t| &t.dog)
     }
 
-    /// Fold new recorder events — the refusals since the last fold
-    /// first recorded as such — into the telemetry windows and run the
-    /// watchdog over any windows that closed. Called from
-    /// [`Engine::progress`] and by whoever reads the windows; cheap no-op
-    /// when no events arrived and no window boundary passed, free when
-    /// telemetry is off.
+    /// Close the telemetry windows the engine clock has moved past, each
+    /// with what [`Engine::stats`] did over it, and run the watchdog over
+    /// the ones that closed. Called from [`Engine::progress`] and by
+    /// whoever reads the windows; one comparison when no window boundary
+    /// passed, free when telemetry is off.
     ///
     /// Newly fired alerts are recorded as [`EventKind::Alert`] events
     /// into the flight-recorder ring, so they travel with every existing
-    /// exporter; the fold cursor has already moved past them, so each
-    /// alert event is folded back into the *next* window's `alerts`
-    /// count rather than the one that tripped it.
+    /// exporter; a window counts the alerts fired since the previous
+    /// close, so an alert is counted in the window after the one that
+    /// tripped it.
     pub fn fold_telemetry(&mut self) {
-        self.record_refusals();
-        // Take the state out of `self` so the fold can borrow the
-        // recorder and stats immutably alongside it (a move of a Box,
-        // not an allocation).
-        let Some(mut ts) = self.telemetry.take() else {
+        let Some(ts) = self.telemetry.as_deref_mut() else {
             return;
         };
-        let newly_closed = ts.agg.fold(&self.obs, self.now_ns, &self.stats) as usize;
-        if newly_closed > 0 {
-            let TelemetryState { agg, dog } = &mut *ts;
-            let fired_from = dog.alerts().len();
-            let kept = agg.windows().count();
-            // More windows may have closed than the ring retains (e.g. a
-            // long idle gap): observe the survivors.
-            for w in agg.windows().skip(kept.saturating_sub(newly_closed)) {
-                dog.observe(w);
-            }
-            for a in &dog.alerts()[fired_from..] {
-                let mut ev = Event::new(a.ts_ns, EventKind::Alert)
-                    .seq(a.window)
-                    .aux(a.kind.code())
-                    .size(a.value as u64);
-                if let Some(r) = a.rail {
-                    ev = ev.rail(r);
-                }
-                self.obs.record(ev);
-            }
+        let TelemetryState { agg, dog } = ts;
+        let newly_closed = agg.fold(self.now_ns, &mut self.stats, dog.alerts_fired()) as usize;
+        if newly_closed == 0 {
+            return;
         }
-        self.telemetry = Some(ts);
+        let fired_from = dog.alerts().len();
+        let kept = agg.windows().count();
+        // More windows may have closed than the ring retains (e.g. a long
+        // idle gap): observe the survivors.
+        for w in agg.windows().skip(kept.saturating_sub(newly_closed)) {
+            dog.observe(w);
+        }
+        for a in &dog.alerts()[fired_from..] {
+            let mut ev = Event::new(a.ts_ns, EventKind::Alert)
+                .seq(a.window)
+                .aux(a.kind.code())
+                .size(a.value as u64);
+            if let Some(r) = a.rail {
+                ev = ev.rail(r);
+            }
+            self.obs.record(ev);
+        }
     }
 
     /// Advance the engine's observation clock without running any timer
@@ -619,6 +610,7 @@ impl Engine {
         self.send_ids.push((conn, msg_id));
         let segments = sends.live(msg_id).map_or(&[][..], |s| &s.data);
 
+        self.stats.msgs_submitted += 1;
         self.obs.record(
             Event::new(self.now_ns, EventKind::Submit)
                 .seq(msg_id)
@@ -679,23 +671,6 @@ impl Engine {
     pub fn refuse_shutdown(&mut self) -> SubmitError {
         self.stats.overload.shutdown_rejections += 1;
         SubmitError::Shutdown
-    }
-
-    /// One `Shed` (tenant admission) and one `Backpressure` (shutdown)
-    /// event for the submissions refused since the last call — not one
-    /// per refusal: an open-loop sender is refused at the rate it offers,
-    /// and would have the ring to itself.
-    fn record_refusals(&mut self) {
-        let (now, seen) = (self.stats.overload, self.refusals_recorded);
-        let shed = now.admission_rejections - seen.admission_rejections;
-        let shutdown = now.shutdown_rejections - seen.shutdown_rejections;
-        for (kind, count) in [(EventKind::Shed, shed), (EventKind::Backpressure, shutdown)] {
-            if count > 0 {
-                let ev = Event::new(self.now_ns, kind).size(count).aux(1);
-                self.obs.record(ev);
-            }
-        }
-        self.refusals_recorded = now;
     }
 
     /// Queue a sampling probe (`SamplePing`) of `size` zero bytes on
@@ -1000,7 +975,6 @@ impl Engine {
                 self.stats.segments_aggregated += keys.len() as u64;
                 let agg = self.agg.finish_parts();
                 debug_assert_eq!(agg.container_len, container_len);
-                self.stats.aggregation_copy_bytes += agg.staged_bytes as u64;
                 self.stats.datapath.tx_staged_copy_bytes += agg.staged_bytes as u64;
                 self.stats.datapath.tx_zero_copy_bytes += agg.zero_copy_bytes as u64;
                 self.obs.record(
@@ -1204,9 +1178,9 @@ impl Engine {
                 .size(wire_len as u64)
                 .aux(control as u64),
         );
-        let ro = &mut self.stats.obs.rails[rail.0];
-        ro.in_flight_bytes += wire_len as u64;
-        ro.note_busy(self.now_ns);
+        let rs = &mut self.stats.rails[rail.0];
+        rs.in_flight_bytes += wire_len as u64;
+        rs.note_busy(self.now_ns);
         self.rail_busy[rail.0] = true;
         TxDecision {
             token,
@@ -1246,9 +1220,9 @@ impl Engine {
                 .seq(token.0)
                 .size(wire_len as u64),
         );
-        let ro = &mut self.stats.obs.rails[rail.0];
-        ro.in_flight_bytes = ro.in_flight_bytes.saturating_sub(wire_len as u64);
-        ro.note_idle(self.now_ns);
+        let rs = &mut self.stats.rails[rail.0];
+        rs.in_flight_bytes = rs.in_flight_bytes.saturating_sub(wire_len as u64);
+        rs.note_idle(self.now_ns);
         // Recycled at once when the runtime has dropped its frame
         // (threaded transports at completion); the in-process fabric's
         // receiver may still hold a reference, and the pool parks the
@@ -1346,7 +1320,9 @@ impl Engine {
         out: &mut OnPacketOutcome,
     ) -> Result<(), EngineError> {
         let (env, packet, straddle_copied) = frame.decode_with(entries)?;
-        self.stats.rails[rail.0].rx_packets += 1;
+        let rs = &mut self.stats.rails[rail.0];
+        rs.rx_packets += 1;
+        rs.rx_wire_bytes += frame.wire_len() as u64;
         self.obs.record(
             Event::new(self.now_ns, EventKind::Rx)
                 .rail(rail.0)
@@ -1496,7 +1472,7 @@ impl Engine {
                     if let Some((r, sent_ns)) = self.probe_sent.retire(p.probe_id & !PROBE_BIT) {
                         let rtt = self.now_ns.saturating_sub(sent_ns);
                         self.health.note_ok(RailId(r), self.now_ns);
-                        self.stats.obs.rails[r].latency_ns.record(rtt);
+                        self.stats.rails[r].rtt_ns.record(rtt);
                         self.obs.record(
                             Event::new(self.now_ns, EventKind::ProbeOk)
                                 .rail(r)
@@ -1531,6 +1507,7 @@ impl Engine {
         // attempt yields an RTT sample.
         if let Some(att) = attempt {
             let rtt = now.saturating_sub(att.started_ns);
+            self.stats.ack_rtt_ns.record(rtt);
             self.obs.record(
                 Event::new(now, EventKind::AckReceived)
                     .rail(rail.0)
@@ -1550,7 +1527,7 @@ impl Engine {
                 let t = if att.retransmitted {
                     self.health.on_success(RailId(r), now)
                 } else {
-                    self.stats.obs.rails[r].latency_ns.record(rtt);
+                    self.stats.rails[r].rtt_ns.record(rtt);
                     self.obs.record(
                         Event::new(now, EventKind::RttSample)
                             .rail(r)
@@ -1647,10 +1624,11 @@ impl Engine {
             st.data.iter().map(Bytes::len),
         );
         self.stats.retransmits += 1;
-        // Blame the rails that plausibly lost the expired attempt so
-        // telemetry can attribute the storm per rail (a drop storm on the
-        // second rail of a split attempt must show up in *that* rail's
-        // window, not the first rail's). Rails with positive evidence
+        // Blame the rails that plausibly lost the expired attempt, each
+        // in its `retransmits_blamed`, so telemetry can attribute the
+        // storm per rail (a drop storm on the second rail of a split
+        // attempt must show up in *that* rail's window, not the first
+        // rail's). Rails with positive evidence
         // newer than the attempt are exonerated, mirroring the timeout
         // path; when everything was exonerated (or nothing was used yet,
         // e.g. a lost rendezvous request before any data went out), fall
@@ -1666,6 +1644,9 @@ impl Engine {
             };
             if blamed != 0 {
                 ev = ev.rail(blamed.trailing_zeros() as usize).size(blamed);
+            }
+            for r in rails_of(blamed) {
+                self.stats.rails[r].retransmits_blamed += 1;
             }
             // Restart the attempt: Karn's rule forbids RTT samples from
             // now on, and the timer re-arms from scratch.
@@ -1867,6 +1848,7 @@ impl Engine {
                 .collect();
             if !survivors.is_empty() {
                 self.backlog.reassign_rail(t.rail.0, &survivors);
+                self.stats.rails[t.rail.0].failovers += 1;
                 self.obs.record(
                     Event::new(self.now_ns, EventKind::Failover)
                         .rail(t.rail.0)
@@ -2390,34 +2372,29 @@ mod tests {
         assert_eq!(tx.stats().overload.admission_rejections, 1);
     }
 
-    /// Refusals reach the flight recorder as one event per reason and
-    /// pass, carrying how many there were: what the telemetry windows
-    /// (and the watchdog's shed-onset rule) count.
+    /// Refusals reach the telemetry windows as the difference of the
+    /// overload counters: what the watchdog's shed-onset rule counts.
     #[test]
-    fn refusals_are_recorded_per_pass_not_per_offer() {
-        let mut tx = engine_with(1, Observe::Record { capacity: 64 });
+    fn refusals_reach_the_window_as_counter_deltas() {
+        let mut tx = engine_with(1, Observe::Watch { window_ns: 1_000 });
         let c = tx.conn_open();
+        tx.progress(500);
         tx.try_submit_send(c, vec![payload(100, 1)]).unwrap();
         for _ in 0..1000 {
             assert!(tx.try_submit_send(c, vec![payload(100, 2)]).is_err());
         }
         assert_eq!(tx.refuse_shutdown(), SubmitError::Shutdown);
-        tx.progress(5_000);
-        tx.progress(6_000);
-        let overload: Vec<Event> = tx.recorder().events();
-        let overload: Vec<_> = overload
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Shed | EventKind::Backpressure))
-            .map(|e| (e.kind, e.ts_ns, e.size, e.aux))
-            .collect();
-        assert_eq!(
-            overload,
-            [
-                (EventKind::Shed, 5_000, 1000, 1),
-                (EventKind::Backpressure, 5_000, 1, 1)
-            ]
-        );
-        assert_eq!(tx.stats().overload.shutdown_rejections, 1);
+        tx.progress(1_500);
+        let w = tx
+            .telemetry()
+            .and_then(|t| t.latest())
+            .expect("a window closed");
+        let ov = w.stats.overload;
+        assert_eq!((ov.admission_rejections, ov.shutdown_rejections), (1000, 1));
+        assert_eq!(w.stats.msgs_submitted, 1);
+        tx.progress(2_500);
+        let w = tx.telemetry().and_then(|t| t.latest()).unwrap();
+        assert_eq!(w.stats.overload, Default::default(), "counted once");
     }
 
     #[test]
@@ -2684,6 +2661,13 @@ mod tests {
         assert_eq!(retx.len(), 1);
         assert_eq!(retx[0].rail, 1, "blame the rail that lost the packet");
         assert_eq!(retx[0].size, 0b10, "mask holds only rail 1");
+        let blamed: Vec<u64> = tx
+            .stats()
+            .rails
+            .iter()
+            .map(|r| r.retransmits_blamed)
+            .collect();
+        assert_eq!(blamed, [0, 1], "and so does its counter");
 
         // And the message still recovers.
         pump(&mut tx, &mut rx);
@@ -2882,9 +2866,7 @@ mod tests {
         assert!(rx.try_recv(recv).is_some());
         let s = tx.stats();
         assert_eq!(s.aggregates_built, 1);
-        // All four entries sit below the PIO threshold: staged in full,
-        // and both legacy and datapath counters agree.
-        assert_eq!(s.aggregation_copy_bytes, 4 * 256);
+        // All four entries sit below the PIO threshold: staged in full.
         assert_eq!(s.datapath.tx_staged_copy_bytes, 4 * 256);
     }
 

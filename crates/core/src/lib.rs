@@ -112,5 +112,5 @@ pub use request::{Backlog, RecvId, SendId};
 pub use sampling::{
     split_ratio_permille, CalibrationSnapshot, OnlineCalibrator, PerfTable,
 };
-pub use stats::{DataPathStats, EngineStats, ObsStats, OverloadStats, RailObs, SyscallStats};
+pub use stats::{DataPathStats, EngineStats, ObsStats, OverloadStats, RailStats, SyscallStats};
 pub use strategy::{RailFlight, Strategy, StrategyKind};

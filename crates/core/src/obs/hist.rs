@@ -9,7 +9,7 @@
 pub const LOG2_BUCKETS: usize = 65;
 
 /// A log2 histogram with exact count/sum/min/max sidecars.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Log2Histogram {
     buckets: [u64; LOG2_BUCKETS],
     count: u64,
@@ -61,6 +61,30 @@ impl Log2Histogram {
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+
+    /// What was recorded after `prev`, an earlier snapshot of this
+    /// histogram. Buckets, count and sum are exact; the samples are gone,
+    /// so min and max are the bounds of the lowest and highest bucket
+    /// that grew (max clamped to this histogram's): a quantile of the
+    /// delta reads its bucket's upper bound.
+    pub fn since(&self, prev: &Log2Histogram) -> Log2Histogram {
+        let mut d = Log2Histogram::new();
+        for (i, (now, then)) in self.buckets.iter().zip(&prev.buckets).enumerate() {
+            d.buckets[i] = now.saturating_sub(*then);
+        }
+        d.count = self.count.saturating_sub(prev.count);
+        d.sum = self.sum.saturating_sub(prev.sum);
+        let grew = |&i: &usize| d.buckets[i] > 0;
+        let (lo, hi) = (
+            (0..LOG2_BUCKETS).find(grew),
+            (0..LOG2_BUCKETS).rev().find(grew),
+        );
+        if let (Some(lo), Some(hi)) = (lo, hi) {
+            d.min = Log2Histogram::bucket_bounds(lo).0;
+            d.max = Log2Histogram::bucket_bounds(hi).1.min(self.max);
+        }
+        d
     }
 
     /// Number of samples.
@@ -189,6 +213,36 @@ mod tests {
     }
 
     proptest! {
+        /// A snapshot taken after `a` and the histogram after `a ++ b`:
+        /// the delta holds exactly `b`'s buckets, count and sum, and its
+        /// min/max bound `b`'s.
+        #[test]
+        fn since_holds_what_came_after_the_snapshot(
+            a in prop::collection::vec(any::<u32>(), 0..32),
+            b in prop::collection::vec(any::<u32>(), 0..32),
+        ) {
+            let (a, b): (Vec<u64>, Vec<u64>) =
+                (a.into_iter().map(u64::from).collect(), b.into_iter().map(u64::from).collect());
+            let snap = from_samples(&a);
+            let mut all = snap;
+            for &v in &b {
+                all.record(v);
+            }
+            let d = all.since(&snap);
+            let want = from_samples(&b);
+            prop_assert_eq!(d.count(), want.count());
+            prop_assert_eq!(d.sum(), want.sum());
+            for i in 0..LOG2_BUCKETS {
+                prop_assert_eq!(d.bucket_count(i), want.bucket_count(i));
+            }
+            if let (Some(lo), Some(hi)) = (want.min(), want.max()) {
+                prop_assert!(d.min().unwrap() <= lo && d.max().unwrap() >= hi);
+                prop_assert!(d.max().unwrap() <= all.max().unwrap());
+            } else {
+                prop_assert!(d.is_empty());
+            }
+        }
+
         /// merge(a, b) == merge(b, a) and merging is associative; a
         /// merged histogram equals the histogram of concatenated samples.
         #[test]
@@ -199,17 +253,17 @@ mod tests {
         ) {
             let (ha, hb, hc) = (from_samples(&a), from_samples(&b), from_samples(&c));
 
-            let mut ab = ha.clone();
+            let mut ab = ha;
             ab.merge(&hb);
-            let mut ba = hb.clone();
+            let mut ba = hb;
             ba.merge(&ha);
             prop_assert_eq!(&ab, &ba);
 
-            let mut ab_c = ab.clone();
+            let mut ab_c = ab;
             ab_c.merge(&hc);
-            let mut bc = hb.clone();
+            let mut bc = hb;
             bc.merge(&hc);
-            let mut a_bc = ha.clone();
+            let mut a_bc = ha;
             a_bc.merge(&bc);
             prop_assert_eq!(&ab_c, &a_bc);
 

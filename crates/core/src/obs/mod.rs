@@ -15,11 +15,13 @@
 //! Chrome `trace_event` JSON for `chrome://tracing`/Perfetto, and a
 //! human summary. See DESIGN.md "Observability".
 //!
-//! On top of the recorder sits the *continuous* telemetry layer (same
-//! discipline, live output): [`TelemetryAggregator`] folds the ring into
-//! fixed-interval windows, [`Watchdog`] runs EWMA-baseline SLO rules
-//! over them, and [`spans`] decomposes per-request critical paths. See
-//! DESIGN.md §8 "Observability: recorder + telemetry".
+//! Beside the recorder sits the *continuous* telemetry layer (same
+//! discipline, live output): [`TelemetryAggregator`] cuts the engine's
+//! counters ([`crate::EngineStats`], the one source of every total and
+//! window) into fixed-interval windows, [`Watchdog`] runs EWMA-baseline
+//! SLO rules over them, and [`spans`] decomposes per-request critical
+//! paths from the recorder's events. See DESIGN.md §8 "Observability:
+//! recorder + telemetry".
 #![deny(clippy::unnecessary_to_owned, clippy::redundant_clone)]
 
 mod export;
@@ -36,7 +38,5 @@ pub use export::{
 pub use hist::Log2Histogram;
 pub use recorder::{Event, EventKind, FlightRecorder, NO_RAIL};
 pub use spans::SpanBreakdown;
-pub use telemetry::{
-    to_prometheus, windows_jsonl, RailWindow, TelemetryAggregator, Window,
-};
+pub use telemetry::{to_prometheus, windows_jsonl, TelemetryAggregator, Window};
 pub use watchdog::{Alert, AlertKind, Watchdog};

@@ -85,12 +85,6 @@ pub enum EventKind {
     /// Simulator: application-level completion (`aux` = 0 send done,
     /// 1 recv done).
     SimApp,
-    /// Overload protection shed submissions (`size` = how many since
-    /// the last such event, `aux` = reason code: 1 tenant admission).
-    Shed,
-    /// Submissions were refused for a lifecycle reason the caller must
-    /// handle (`size` = how many, `aux` = reason code: 1 shutdown).
-    Backpressure,
     /// The SLO watchdog fired a rule over a closed telemetry window
     /// (`seq` = window ordinal, `aux` = alert code: 0 latency
     /// regression, 1 rail share imbalance, 2 retransmit storm, 3 shed
@@ -128,8 +122,6 @@ impl EventKind {
             EventKind::SimNic => "sim_nic",
             EventKind::SimBus => "sim_bus",
             EventKind::SimApp => "sim_app",
-            EventKind::Shed => "shed",
-            EventKind::Backpressure => "backpressure",
             EventKind::Alert => "alert",
         }
     }
@@ -157,7 +149,6 @@ impl EventKind {
             | EventKind::HealthTransition
             | EventKind::Failover => "health",
             EventKind::SimCpu | EventKind::SimNic | EventKind::SimBus | EventKind::SimApp => "sim",
-            EventKind::Shed | EventKind::Backpressure => "overload",
             EventKind::Alert => "watchdog",
         }
     }
@@ -339,22 +330,6 @@ impl FlightRecorder {
         self.iter().copied().collect()
     }
 
-    /// Events recorded at or after ordinal `cursor` (ordinals count every
-    /// `record` call since construction, so `total_recorded()` is the
-    /// next cursor after a full read). Returns the number of events that
-    /// were already overwritten past the cursor plus an iterator over the
-    /// survivors, oldest-first. Allocation-free: this is how the
-    /// telemetry aggregator tails the ring incrementally from the
-    /// scheduler's amortized section.
-    pub fn events_since(&self, cursor: u64) -> (u64, impl Iterator<Item = &Event> + '_) {
-        let oldest = self.total - self.buf.len() as u64;
-        let start = cursor.clamp(oldest, self.total);
-        let missed = start - cursor.min(start);
-        let cap = self.capacity.max(1) as u64;
-        let iter = (start..self.total).map(move |ord| &self.buf[(ord % cap) as usize]);
-        (missed, iter)
-    }
-
     /// Forget everything recorded so far (the ring stays allocated).
     pub fn clear(&mut self) {
         self.buf.clear();
@@ -393,41 +368,6 @@ mod tests {
         let seqs: Vec<u64> = r.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4, 5]);
         assert_eq!(r.hot_path_allocs(), 0);
-    }
-
-    #[test]
-    fn events_since_tails_the_ring() {
-        let mut r = FlightRecorder::with_capacity(4);
-        for i in 0..3 {
-            r.record(ev(i));
-        }
-        let (missed, it) = r.events_since(0);
-        assert_eq!(missed, 0);
-        assert_eq!(it.map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1, 2]);
-        // Tail from a cursor mid-stream.
-        let (missed, it) = r.events_since(2);
-        assert_eq!(missed, 0);
-        assert_eq!(it.map(|e| e.seq).collect::<Vec<_>>(), vec![2]);
-        // Overflow past the cursor reports the gap.
-        for i in 3..9 {
-            r.record(ev(i));
-        }
-        let (missed, it) = r.events_since(3);
-        assert_eq!(missed, 2, "ordinals 3 and 4 were overwritten");
-        assert_eq!(it.map(|e| e.seq).collect::<Vec<_>>(), vec![5, 6, 7, 8]);
-        // A fully caught-up cursor sees nothing.
-        let (missed, it) = r.events_since(r.total_recorded());
-        assert_eq!(missed, 0);
-        assert_eq!(it.count(), 0);
-    }
-
-    #[test]
-    fn events_since_on_disabled_recorder_is_empty() {
-        let mut r = FlightRecorder::disabled();
-        r.record(ev(1));
-        let (missed, it) = r.events_since(0);
-        assert_eq!(missed, 0);
-        assert_eq!(it.count(), 0);
     }
 
     proptest! {

@@ -176,6 +176,11 @@ impl Watchdog {
         &self.alerts
     }
 
+    /// Alerts fired so far, the ones the log dropped included.
+    pub(crate) fn alerts_fired(&self) -> u64 {
+        self.alerts.len() as u64 + self.dropped
+    }
+
     /// Alerts that did not fit the bounded log.
     pub fn dropped_alerts(&self) -> u64 {
         self.dropped
@@ -227,8 +232,9 @@ impl Watchdog {
         let a = ALPHA;
 
         // Latency regression: judged only on windows with enough samples.
-        if w.latency.count() >= LATENCY_MIN_SAMPLES {
-            if let Some(p99) = w.latency.approx_quantile(0.99) {
+        let ws = &w.stats;
+        if ws.ack_rtt_ns.count() >= LATENCY_MIN_SAMPLES {
+            if let Some(p99) = ws.ack_rtt_ns.approx_quantile(0.99) {
                 let p99f = p99 as f64;
                 let regressed = self.lat_windows >= WARMUP_WINDOWS
                     && p99 > LATENCY_FLOOR_NS
@@ -259,7 +265,7 @@ impl Watchdog {
         }
 
         // Retransmit storm.
-        let retx = w.retransmits as f64;
+        let retx = ws.retransmits as f64;
         let storm_threshold = (self.retx_ewma * RETRANSMIT_FACTOR).max(RETRANSMIT_FLOOR as f64);
         let storming = retx > storm_threshold;
         if armed
@@ -270,12 +276,12 @@ impl Watchdog {
             )
         {
             // Blame the rail carrying most of the storm, if any stands out.
-            let rail = w
+            let rail = ws
                 .rails
                 .iter()
                 .enumerate()
-                .max_by_key(|(_, r)| r.retransmits)
-                .filter(|(_, r)| r.retransmits > 0)
+                .max_by_key(|(_, r)| r.retransmits_blamed)
+                .filter(|(_, r)| r.retransmits_blamed > 0)
                 .map(|(i, _)| i);
             self.fire(Alert {
                 kind: AlertKind::RetransmitStorm,
@@ -295,12 +301,12 @@ impl Watchdog {
         // leave a rail idle for a window. A *dead* rail also shows
         // distress (failover reroutes, retransmits of its lost frames),
         // so the rule demands both.
-        let total_frames: u64 = w.rails.iter().map(|r| r.tx_frames).sum();
-        let total_bytes: u64 = w.rails.iter().map(|r| r.tx_bytes).sum();
+        let total_frames: u64 = ws.rails.iter().map(|r| r.tx_frames()).sum();
+        let total_bytes: u64 = ws.rails.iter().map(|r| r.wire_bytes).sum();
         if total_frames >= SHARE_MIN_FRAMES && total_bytes > 0 {
-            for (i, rw) in w.rails.iter().enumerate() {
-                let share = rw.tx_bytes as f64 / total_bytes as f64;
-                let distressed = rw.failovers > 0 || rw.retransmits > 0;
+            for (i, rw) in ws.rails.iter().enumerate() {
+                let share = rw.wire_bytes as f64 / total_bytes as f64;
+                let distressed = rw.failovers > 0 || rw.retransmits_blamed > 0;
                 let collapsed = self.share_windows >= WARMUP_WINDOWS
                     && self.share_ewma[i] >= SHARE_BASELINE_MIN
                     && share < SHARE_COLLAPSE
@@ -325,7 +331,7 @@ impl Watchdog {
         }
 
         // Shed onset.
-        let sheds = w.sheds as f64;
+        let sheds = ws.overload.admission_rejections as f64;
         let shed_threshold = (self.shed_ewma * SHED_FACTOR).max(SHED_FLOOR as f64);
         let shedding = sheds > shed_threshold;
         if armed
@@ -362,7 +368,7 @@ impl Watchdog {
             "{{\"clean\":{},\"windows_observed\":{},\"alerts_fired\":{},\"alerts_dropped\":{},\"alerts\":[",
             self.is_clean(),
             self.observed,
-            self.alerts.len() as u64 + self.dropped,
+            self.alerts_fired(),
             self.dropped
         );
         for (i, a) in self.alerts.iter().enumerate() {
@@ -396,23 +402,24 @@ impl Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::telemetry::{RailWindow, Window};
+    use crate::obs::telemetry::Window;
+    use crate::stats::EngineStats;
 
     fn window(ordinal: u64, n_rails: usize) -> Window {
         Window {
             ordinal,
             start_ns: ordinal * 1_000,
             end_ns: (ordinal + 1) * 1_000,
-            rails: vec![RailWindow::default(); n_rails],
+            stats: EngineStats::new(n_rails),
             ..Window::default()
         }
     }
 
     fn balanced(ordinal: u64) -> Window {
         let mut w = window(ordinal, 2);
-        for r in &mut w.rails {
-            r.tx_frames = SHARE_MIN_FRAMES;
-            r.tx_bytes = 1 << 20;
+        for r in &mut w.stats.rails {
+            r.packets = SHARE_MIN_FRAMES;
+            r.wire_bytes = 1 << 20;
         }
         w
     }
@@ -421,7 +428,7 @@ mod tests {
     fn with_latency(ordinal: u64, samples: u64, ns: u64) -> Window {
         let mut w = balanced(ordinal);
         for _ in 0..samples {
-            w.latency.record(ns);
+            w.stats.ack_rtt_ns.record(ns);
         }
         w
     }
@@ -440,17 +447,17 @@ mod tests {
         let mut d = Watchdog::new(2);
         // A storm during warmup only feeds the baseline.
         let mut w0 = balanced(0);
-        w0.retransmits = 100;
+        w0.stats.retransmits = 100;
         assert_eq!(d.observe(&w0), 0, "still warming up");
         for i in 1..WARMUP_WINDOWS {
             let mut w = balanced(i);
-            w.retransmits = 1;
+            w.stats.retransmits = 1;
             assert_eq!(d.observe(&w), 0);
         }
         // Storm.
         let mut w = balanced(WARMUP_WINDOWS);
-        w.retransmits = 500;
-        w.rails[1].retransmits = 400;
+        w.stats.retransmits = 500;
+        w.stats.rails[1].retransmits_blamed = 400;
         assert_eq!(d.observe(&w), 1);
         let a = d.alerts()[0];
         assert_eq!(a.kind, AlertKind::RetransmitStorm);
@@ -459,12 +466,12 @@ mod tests {
         // A sustained storm stays quiet through the cooldown...
         for i in 1..COOLDOWN_WINDOWS {
             let mut w = balanced(WARMUP_WINDOWS + i);
-            w.retransmits = 600;
+            w.stats.retransmits = 600;
             assert_eq!(d.observe(&w), 0, "cooling down");
         }
         // ...and is reported again once it is over.
         let mut w = balanced(WARMUP_WINDOWS + COOLDOWN_WINDOWS);
-        w.retransmits = 600;
+        w.stats.retransmits = 600;
         assert_eq!(d.observe(&w), 1);
     }
 
@@ -475,12 +482,12 @@ mod tests {
         let mut d = warmed();
         for i in 0..20 {
             let mut w = balanced(WARMUP_WINDOWS + i);
-            w.retransmits = RETRANSMIT_FLOOR;
+            w.stats.retransmits = RETRANSMIT_FLOOR;
             assert_eq!(d.observe(&w), 0, "at the floor is not above it");
         }
         let mut d = warmed();
         let mut w = balanced(WARMUP_WINDOWS);
-        w.retransmits = RETRANSMIT_FLOOR + 1;
+        w.stats.retransmits = RETRANSMIT_FLOOR + 1;
         assert_eq!(d.observe(&w), 1);
     }
 
@@ -490,9 +497,9 @@ mod tests {
         // Rail 0 dies: all traffic shifts to rail 1, and the failover
         // shows up as distress on the dead rail.
         let mut w = window(WARMUP_WINDOWS, 2);
-        w.rails[0].failovers = 1;
-        w.rails[1].tx_frames = 2 * SHARE_MIN_FRAMES;
-        w.rails[1].tx_bytes = 2 << 20;
+        w.stats.rails[0].failovers = 1;
+        w.stats.rails[1].packets = 2 * SHARE_MIN_FRAMES;
+        w.stats.rails[1].wire_bytes = 2 << 20;
         assert_eq!(d.observe(&w), 1);
         let a = d.alerts()[0];
         assert_eq!(a.kind, AlertKind::RailImbalance);
@@ -506,8 +513,8 @@ mod tests {
         // A bursty workload leaves rail 0 idle for one window — no
         // failovers, no retransmits. That is traffic shape, not death.
         let mut w = window(WARMUP_WINDOWS, 2);
-        w.rails[1].tx_frames = 2 * SHARE_MIN_FRAMES;
-        w.rails[1].tx_bytes = 2 << 20;
+        w.stats.rails[1].packets = 2 * SHARE_MIN_FRAMES;
+        w.stats.rails[1].wire_bytes = 2 << 20;
         assert_eq!(d.observe(&w), 0);
         assert!(d.is_clean());
     }
@@ -518,9 +525,9 @@ mod tests {
         // A window below SHARE_MIN_FRAMES must not look like a collapse
         // of both rails, distress or not.
         let mut w = window(WARMUP_WINDOWS, 2);
-        w.rails[0].tx_frames = SHARE_MIN_FRAMES - 1;
-        w.rails[0].tx_bytes = 1;
-        w.rails[1].failovers = 1;
+        w.stats.rails[0].packets = SHARE_MIN_FRAMES - 1;
+        w.stats.rails[0].wire_bytes = 1;
+        w.stats.rails[1].failovers = 1;
         assert_eq!(d.observe(&w), 0);
         assert!(d.is_clean());
     }
@@ -555,12 +562,12 @@ mod tests {
         // without firing.
         for i in 0..6 {
             let mut w = balanced(i);
-            w.sheds = 2 * SHED_FLOOR;
+            w.stats.overload.admission_rejections = 2 * SHED_FLOOR;
             assert_eq!(d.observe(&w), 0, "steady shedding is not an onset");
         }
         // A surge fires.
         let mut w = balanced(6);
-        w.sheds = 40 * SHED_FLOOR;
+        w.stats.overload.admission_rejections = 40 * SHED_FLOOR;
         assert_eq!(d.observe(&w), 1);
         assert_eq!(d.alerts()[0].kind, AlertKind::ShedOnset);
     }
@@ -569,7 +576,7 @@ mod tests {
     fn verdict_json_is_machine_readable() {
         let mut d = warmed();
         let mut w = balanced(WARMUP_WINDOWS);
-        w.retransmits = 500;
+        w.stats.retransmits = 500;
         d.observe(&w);
         let v = d.verdict_json();
         assert!(v.contains("\"clean\":false"), "{v}");
@@ -589,12 +596,15 @@ mod tests {
         let fires = MAX_ALERTS as u64 + 2;
         for i in 0..fires * COOLDOWN_WINDOWS {
             let mut w = balanced(WARMUP_WINDOWS + i);
-            w.retransmits = RETRANSMIT_FLOOR + 1;
+            w.stats.retransmits = RETRANSMIT_FLOOR + 1;
             d.observe(&w);
         }
         assert_eq!(d.alerts().len(), MAX_ALERTS);
         assert_eq!(d.dropped_alerts(), 2);
-        assert_eq!(d.alerts()[1].window - d.alerts()[0].window, COOLDOWN_WINDOWS);
+        assert_eq!(
+            d.alerts()[1].window - d.alerts()[0].window,
+            COOLDOWN_WINDOWS
+        );
         assert!(!d.is_clean());
     }
 
@@ -603,7 +613,7 @@ mod tests {
         let mut d = Watchdog::new(2);
         for i in 0..WARMUP_WINDOWS {
             let mut w = balanced(i);
-            w.retransmits = 2;
+            w.stats.retransmits = 2;
             d.observe(&w);
         }
         // A storm as long as the cooldown (one alert) must not teach the
@@ -611,17 +621,17 @@ mod tests {
         let storm_end = WARMUP_WINDOWS + COOLDOWN_WINDOWS;
         for i in WARMUP_WINDOWS..storm_end {
             let mut w = balanced(i);
-            w.retransmits = 1_000;
+            w.stats.retransmits = 1_000;
             d.observe(&w);
         }
         assert_eq!(d.alerts().len(), 1);
         // ...so after a calm window, a much smaller fresh storm still
         // reads as one, against the pre-incident baseline.
         let mut calm = balanced(storm_end);
-        calm.retransmits = 2;
+        calm.stats.retransmits = 2;
         assert_eq!(d.observe(&calm), 0);
         let mut w = balanced(storm_end + 1);
-        w.retransmits = 300;
+        w.stats.retransmits = 300;
         assert_eq!(d.observe(&w), 1, "baseline inflated by the incident");
         assert!(d.alerts()[1].baseline < 10.0, "{}", d.alerts()[1].baseline);
     }

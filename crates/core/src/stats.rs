@@ -6,12 +6,15 @@
 
 use crate::obs::Log2Histogram;
 
-/// Per-rail transmit counters.
+/// Everything counted about one rail: what it carried each way, what
+/// went wrong on it, how long it was busy and how fast it answered. The
+/// engine keeps the running totals; a telemetry window holds what they
+/// did between two folds ([`RailStats::since`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RailStats {
     /// Data packets posted on this rail.
     pub packets: u64,
-    /// Wire bytes posted (envelope + body).
+    /// Wire bytes posted (envelope + body), control frames included.
     pub wire_bytes: u64,
     /// Application payload bytes posted.
     pub payload_bytes: u64,
@@ -23,14 +26,95 @@ pub struct RailStats {
     pub control_packets: u64,
     /// Packets received on this rail (before decoding).
     pub rx_packets: u64,
+    /// Wire bytes received on this rail.
+    pub rx_wire_bytes: u64,
     /// Retransmission timeouts blamed on this rail (drops observed).
     pub timeouts: u64,
     /// Data packets that re-sent payload of a retransmitted message.
     pub retransmit_packets: u64,
+    /// Retransmitted messages that blamed this rail. One message can
+    /// blame several rails (a split attempt): each of them counts it.
+    pub retransmits_blamed: u64,
+    /// Times this rail went down with survivors to take its planned
+    /// chunks.
+    pub failovers: u64,
     /// Health probes issued on this rail.
     pub probes_sent: u64,
     /// Health state transitions (Up/Suspect/Down/Probing changes).
     pub state_transitions: u64,
+    /// Wire bytes posted but not yet completed (gauge).
+    pub in_flight_bytes: u64,
+    /// Time the rail spent busy (a frame posted and not yet completed)
+    /// in intervals already banked, nanoseconds.
+    pub busy_ns: u64,
+    /// When the rail's open busy interval started, if it is busy.
+    pub busy_since_ns: Option<u64>,
+    /// RTT samples on this rail (ack round trips of attempts never
+    /// retransmitted, and probe pongs), nanoseconds.
+    pub rtt_ns: Log2Histogram,
+}
+
+/// `T { counter: now.counter - prev.counter, .., field: value }`: the
+/// counters named are differenced (saturating, so a reset reads as an
+/// empty delta), the other fields given. A struct literal, so a counter
+/// added to `T` and not named here does not compile.
+macro_rules! since {
+    ($T:ident, $now:expr, $prev:expr; $($counter:ident),+ $(; $($field:ident $(: $value:expr)?),+)?) => {
+        $T {
+            $($counter: $now.$counter.saturating_sub($prev.$counter),)+
+            $($($field $(: $value)?,)+)?
+        }
+    };
+}
+
+impl RailStats {
+    /// Frames posted, data and control.
+    pub fn tx_frames(&self) -> u64 {
+        self.packets + self.control_packets
+    }
+
+    /// Mark the rail busy as of `now_ns` (no-op if already busy).
+    pub fn note_busy(&mut self, now_ns: u64) {
+        if self.busy_since_ns.is_none() {
+            self.busy_since_ns = Some(now_ns);
+        }
+    }
+
+    /// Mark the rail idle as of `now_ns`, banking the busy interval.
+    pub fn note_idle(&mut self, now_ns: u64) {
+        if let Some(since) = self.busy_since_ns.take() {
+            self.busy_ns += now_ns.saturating_sub(since);
+        }
+    }
+
+    /// Bank the open busy interval up to `now_ns` and keep the rail busy
+    /// from there, so busy time is credited to the window it was spent
+    /// in.
+    pub(crate) fn bank_busy(&mut self, now_ns: u64) {
+        if let Some(since) = &mut self.busy_since_ns {
+            self.busy_ns += now_ns.saturating_sub(*since);
+            *since = now_ns;
+        }
+    }
+
+    /// Fraction of `span_ns` the rail spent busy, in `[0, 1]`: over the
+    /// run when `span_ns` is the engine clock, over a window for a
+    /// window's delta. The open interval is not counted.
+    pub fn utilization(&self, span_ns: u64) -> f64 {
+        (self.busy_ns as f64 / span_ns.max(1) as f64).min(1.0)
+    }
+
+    /// What this rail's counters did since `prev`, an earlier snapshot
+    /// of them; the gauges are this snapshot's.
+    pub fn since(&self, prev: &RailStats) -> RailStats {
+        since!(RailStats, self, prev;
+            packets, wire_bytes, payload_bytes, pio_packets, dma_packets, control_packets,
+            rx_packets, rx_wire_bytes, timeouts, retransmit_packets, retransmits_blamed,
+            failovers, probes_sent, state_transitions, busy_ns;
+            in_flight_bytes: self.in_flight_bytes,
+            busy_since_ns: self.busy_since_ns,
+            rtt_ns: self.rtt_ns.since(&prev.rtt_ns))
+    }
 }
 
 /// Copy and allocation accounting for the scatter-gather datapath.
@@ -42,7 +126,7 @@ pub struct RailStats {
 /// DESIGN.md "Datapath and copy discipline"), and these counters prove
 /// it. `nmad-bench`'s `ablate_zero_copy` target and the
 /// `scripts/verify.sh` smoke gate read them.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DataPathStats {
     /// Payload bytes memcpy'd into staging slabs on transmit (sub-PIO
     /// aggregation entries only — everything else must be zero).
@@ -143,86 +227,19 @@ impl SyscallStats {
             (self.tx_calls + self.rx_calls) as f64 / frames as f64
         }
     }
-
-    /// Counter growth since an earlier snapshot, saturating at zero so a
-    /// counter reset yields an empty delta rather than a wrapped one. This is how the telemetry
-    /// aggregator turns the cumulative totals into per-window rates.
-    pub fn delta_since(&self, prev: &SyscallStats) -> SyscallStats {
-        SyscallStats {
-            tx_calls: self.tx_calls.saturating_sub(prev.tx_calls),
-            tx_frames: self.tx_frames.saturating_sub(prev.tx_frames),
-            rx_calls: self.rx_calls.saturating_sub(prev.rx_calls),
-            rx_frames: self.rx_frames.saturating_sub(prev.rx_frames),
-        }
-    }
 }
 
-/// Per-rail observability gauges and histograms.
-#[derive(Clone, Debug, Default)]
-pub struct RailObs {
-    /// Measured RTT samples on this rail (ack round trips and probe
-    /// pongs), nanoseconds.
-    pub latency_ns: Log2Histogram,
-    /// Wire bytes posted but not yet completed (gauge).
-    pub in_flight_bytes: u64,
-    /// Accumulated time the rail spent busy (a frame posted and not yet
-    /// completed), nanoseconds.
-    pub busy_ns: u64,
-    /// When the rail last went busy, if it currently is.
-    pub busy_since_ns: Option<u64>,
-}
-
-impl RailObs {
-    /// Mark the rail busy as of `now_ns` (no-op if already busy).
-    pub fn note_busy(&mut self, now_ns: u64) {
-        if self.busy_since_ns.is_none() {
-            self.busy_since_ns = Some(now_ns);
-        }
-    }
-
-    /// Mark the rail idle as of `now_ns`, banking the busy interval.
-    pub fn note_idle(&mut self, now_ns: u64) {
-        if let Some(since) = self.busy_since_ns.take() {
-            self.busy_ns += now_ns.saturating_sub(since);
-        }
-    }
-
-    /// Fraction of `[0, now_ns]` the rail spent busy, in `[0, 1]`.
-    pub fn utilization(&self, now_ns: u64) -> f64 {
-        if now_ns == 0 {
-            return 0.0;
-        }
-        let busy = self.busy_ns
-            + self
-                .busy_since_ns
-                .map_or(0, |since| now_ns.saturating_sub(since));
-        (busy as f64 / now_ns as f64).min(1.0)
-    }
-}
-
-/// Histograms and gauges maintained alongside the counters. Recording
+/// Engine-wide histograms maintained alongside the counters. Recording
 /// into these is allocation-free (fixed bucket arrays), so they are
 /// always on — unlike the flight recorder, which must be enabled.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ObsStats {
-    /// Per-rail gauges and latency histograms.
-    pub rails: Vec<RailObs>,
     /// Submitted segment sizes, bytes.
     pub seg_size: Log2Histogram,
     /// Backlog depth sampled at each submit, segments.
     pub backlog_depth: Log2Histogram,
     /// Retransmission timeouts armed (initial and backed-off), ns.
     pub rto_ns: Log2Histogram,
-}
-
-impl ObsStats {
-    /// Obs stats for an engine with `n_rails` rails.
-    pub fn new(n_rails: usize) -> Self {
-        ObsStats {
-            rails: vec![RailObs::default(); n_rails],
-            ..Default::default()
-        }
-    }
 }
 
 /// Overload-protection counters: how often
@@ -249,14 +266,14 @@ pub struct EngineStats {
     pub aggregates_built: u64,
     /// Segments carried inside aggregate containers.
     pub segments_aggregated: u64,
-    /// Bytes memcpy'd into staging buffers for aggregation.
-    pub aggregation_copy_bytes: u64,
     /// Chunks emitted for split segments.
     pub chunks_sent: u64,
     /// Segments that went through the rendezvous handshake.
     pub rdv_handshakes: u64,
     /// Split plans computed (adaptive or iso).
     pub split_plans: u64,
+    /// Messages submitted.
+    pub msgs_submitted: u64,
     /// Messages fully sent (local completion).
     pub msgs_sent: u64,
     /// Messages fully received and reassembled.
@@ -267,6 +284,10 @@ pub struct EngineStats {
     pub acks_sent: u64,
     /// Delivery acknowledgements received (sender side, acked mode).
     pub acks_received: u64,
+    /// Round trips of the attempts an ack closed, nanoseconds. Its count
+    /// is the acks that closed an attempt (`acks_received` also counts
+    /// the ones that found it closed).
+    pub ack_rtt_ns: Log2Histogram,
     /// Messages re-enqueued by [`crate::Engine::retransmit`].
     pub retransmits: u64,
     /// Duplicate packets tolerated on the receive side (acked mode).
@@ -277,7 +298,7 @@ pub struct EngineStats {
     pub syscalls: SyscallStats,
     /// Overload-protection rejections (backpressure and shedding).
     pub overload: OverloadStats,
-    /// Histograms and per-rail gauges (always on, allocation-free).
+    /// Engine-wide histograms (always on, allocation-free).
     pub obs: ObsStats,
 }
 
@@ -286,9 +307,46 @@ impl EngineStats {
     pub fn new(n_rails: usize) -> Self {
         EngineStats {
             rails: vec![RailStats::default(); n_rails],
-            obs: ObsStats::new(n_rails),
             ..Default::default()
         }
+    }
+
+    /// Write into `out` what the counters did since `prev`, an earlier
+    /// snapshot of them (gauges: this snapshot's). `out` keeps its
+    /// allocation: this is how a telemetry window is made, without
+    /// allocating, from the counters at its close and at the one before.
+    pub fn since(&self, prev: &EngineStats, out: &mut EngineStats) {
+        let mut rails = std::mem::take(&mut out.rails);
+        rails.clear();
+        let per_rail = self.rails.iter().zip(&prev.rails);
+        rails.extend(per_rail.map(|(now, prev)| now.since(prev)));
+        let (dp, obs) = (&self.datapath, &self.obs);
+        *out = since!(EngineStats, self, prev;
+        aggregates_built, segments_aggregated, chunks_sent, rdv_handshakes, split_plans,
+        msgs_submitted, msgs_sent, msgs_received, idle_queries, acks_sent, acks_received,
+        retransmits, duplicates_dropped;
+        rails,
+        ack_rtt_ns: self.ack_rtt_ns.since(&prev.ack_rtt_ns),
+        datapath: since!(DataPathStats, dp, prev.datapath;
+            tx_staged_copy_bytes, tx_zero_copy_bytes, rx_copy_bytes, rx_zero_copy_bytes,
+            hot_path_allocs, pool_hits, pool_reclaims, pool_reclaim_misses;
+            pool_outstanding: dp.pool_outstanding),
+        syscalls: since!(SyscallStats, self.syscalls, prev.syscalls;
+            tx_calls, tx_frames, rx_calls, rx_frames),
+        overload: since!(OverloadStats, self.overload, prev.overload;
+            admission_rejections, shutdown_rejections),
+        obs: ObsStats {
+            seg_size: obs.seg_size.since(&prev.obs.seg_size),
+            backlog_depth: obs.backlog_depth.since(&prev.obs.backlog_depth),
+            rto_ns: obs.rto_ns.since(&prev.obs.rto_ns),
+        });
+    }
+
+    /// Overwrite `self` with `src`, keeping `self.rails`' allocation.
+    pub(crate) fn copy_from(&mut self, src: &EngineStats) {
+        let mut rails = std::mem::take(&mut self.rails);
+        rails.clone_from(&src.rails);
+        *self = EngineStats { rails, ..*src };
     }
 
     /// Total data packets across rails.
@@ -333,6 +391,36 @@ mod tests {
         assert_eq!(s.rail_share(1), 0.0);
         assert_eq!(s.rails.len(), 3);
         assert_eq!(s.datapath, DataPathStats::default());
+    }
+
+    #[test]
+    fn since_differences_counters_in_place_and_keeps_gauges() {
+        let mut then = EngineStats::new(2);
+        then.msgs_submitted = 3;
+        then.rails[1].wire_bytes = 100;
+        then.datapath.pool_outstanding = 5;
+        then.ack_rtt_ns.record(10);
+        let mut now = EngineStats::new(2);
+        let rails_at = now.rails.as_ptr();
+        now.copy_from(&then);
+        assert_eq!(now.rails.as_ptr(), rails_at, "copied in place");
+        now.msgs_submitted = 7;
+        now.rails[1].wire_bytes = 160;
+        now.rails[1].in_flight_bytes = 40;
+        now.datapath.pool_outstanding = 2;
+        now.ack_rtt_ns.record(1_000);
+        let mut d = EngineStats::new(2);
+        let rails_at = d.rails.as_ptr();
+        now.since(&then, &mut d);
+        assert_eq!(d.rails.as_ptr(), rails_at, "written in place");
+        assert_eq!(d.msgs_submitted, 4);
+        assert_eq!(d.rails[1].wire_bytes, 60);
+        assert_eq!(d.rails[1].in_flight_bytes, 40, "a gauge reads as it is now");
+        assert_eq!(d.datapath.pool_outstanding, 2);
+        assert_eq!((d.ack_rtt_ns.count(), d.ack_rtt_ns.sum()), (1, 1_000));
+        now.since(&now, &mut d);
+        assert_eq!((d.msgs_submitted, d.rails[1].wire_bytes), (0, 0));
+        assert!(d.ack_rtt_ns.is_empty());
     }
 
     #[test]

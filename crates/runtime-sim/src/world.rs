@@ -393,6 +393,12 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
         &self.nodes[i]
     }
 
+    /// Mutable node accessor (e.g. to run one more engine pass after the
+    /// run).
+    pub fn node_mut(&mut self, i: usize) -> &mut Node {
+        &mut self.nodes[i]
+    }
+
     /// Application of node 0.
     pub fn app0(&self) -> &A {
         self.app0.as_ref().expect("app present between events")

@@ -65,8 +65,16 @@ fi
 # the CLI subcommands that only replayed a bench target are gone too.
 if grep -rnE 'WatchdogConfig|TelemetryConfig|CalibrationConfig|OverloadConfig|record_capacity|fn on_packet\b' \
     crates src tests examples \
-    || grep -rnE 'cmd_(datapath|cycles|burst|window)\b' crates/cli; then
+    || grep -rnE 'cmd_(datapath|cycles|burst|window|figure)\b' crates/cli; then
     echo "a per-layer switch, a one-field config struct, on_packet or a CLI bench replay is back (see above)"; exit 1
+fi
+# Telemetry counts nothing twice (DESIGN.md §8 "Continuous telemetry"):
+# a window is the difference of two snapshots of the engine's counters,
+# not a second tally folded from the recorder's events, and one type
+# carries every per-rail number.
+if grep -rnE 'RailWindow|RailObs|fn ingest\b|record_refusals|refusals_recorded|events_missed|aggregation_copy_bytes' \
+    crates src tests examples; then
+    echo "a second tally of the telemetry counters is back (see above)"; exit 1
 fi
 if grep -rnw 'unsafe' crates/core/src crates/transport-mem/src; then
     echo "unsafe in nmad-core or nmad-transport-mem (see above)"; exit 1
