@@ -116,7 +116,7 @@ impl Serialize for CalibrationReport {
 /// *slowest* rail finishes, so a stale ratio leaves the healthy rail idle
 /// while the degraded rail drags (a saturated backlog would hide this —
 /// both rails stay busy no matter how badly each message is split).
-struct PipeSender {
+pub struct PipeSender {
     messages: usize,
     size: usize,
     submitted: usize,
@@ -142,7 +142,7 @@ impl AppLogic for PipeSender {
 }
 
 /// Receiver half: records when the last message lands.
-struct PipeReceiver {
+pub struct PipeReceiver {
     messages: usize,
     delivered: usize,
     done_ns: u64,
@@ -167,8 +167,15 @@ impl AppLogic for PipeReceiver {
     }
 }
 
-/// Run one leg of the scenario; returns the world after completion.
-fn run_leg(messages: usize, size: usize, calibrated: bool) -> SimWorld<PipeSender, PipeReceiver> {
+/// Run one leg of the scenario: `messages` of `size` bytes in a serial
+/// chain, rail 0 at [`DRIFT_FACTOR`] of its bandwidth from
+/// [`DRIFT_ONSET_US`], the calibrator on if `calibrated`. Returns the
+/// world after completion (`nmad calibrate` prints its calibrator).
+pub fn run_leg(
+    messages: usize,
+    size: usize,
+    calibrated: bool,
+) -> SimWorld<PipeSender, PipeReceiver> {
     let p = platform::paper_platform();
     let mut cfg = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
     cfg.calibrate = calibrated;

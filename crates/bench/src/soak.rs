@@ -413,8 +413,9 @@ impl Serialize for SoakReport {
 }
 
 /// Fast-failure health so the soak's RTOs and probes fit the run length
-/// (the defaults are sized for real links, not a shaped fabric).
-fn soak_health(engine: &mut EngineConfig) {
+/// (the defaults are sized for real links, not a shaped fabric). `nmad
+/// top` runs on the same wall-clock timers.
+pub fn soak_health(engine: &mut EngineConfig) {
     engine.health = nmad_core::HealthConfig {
         initial_rto_ns: 20_000_000,
         min_rto_ns: 5_000_000,

@@ -13,7 +13,7 @@ mod args;
 
 use args::Args;
 use bytes::Bytes;
-use nmad_core::{EngineConfig, StrategyKind};
+use nmad_core::{obs, EngineConfig, StrategyKind};
 use nmad_model::platform;
 use nmad_runtime_sim::sweep::{bandwidth_sizes, latency_sizes};
 use nmad_runtime_sim::{run_pingpong, sample_platform, PingPongSpec};
@@ -47,7 +47,8 @@ fn usage() -> &'static str {
        faults [--strategy S] [--size BYTES] [--messages N] [--drop P] [--dup P]\n\
               [--reorder P] [--seed N] [--kill-rail R] [--down-at MS] [--up-at MS]\n\
                                         threaded transfer under fault injection;\n\
-                                        prints per-rail health, timers and dwell times\n\
+                                        prints both ends' metrics and per-rail\n\
+                                        health, timers and dwell times\n\
        trace [--strategy S] [--size BYTES] [--format chrome|jsonl|summary]\n\
              [--out FILE] [--capacity N] [--validate FILE]\n\
                                         flight-record a workload (default: the\n\
@@ -55,9 +56,9 @@ fn usage() -> &'static str {
                                         lifecycle; chrome output loads in\n\
                                         chrome://tracing / Perfetto\n\
        metrics [--strategy S] [--size BYTES] [--messages N]\n\
-                                        per-rail latency/size/backlog histograms,\n\
-                                        syscalls/packet and pool reuse rate\n\
-                                        from an acked pipeline run\n\
+                                        size/backlog/rto/rtt histograms, every\n\
+                                        metric and per-rail health of both\n\
+                                        nodes of an acked pipeline run\n\
        spans [--strategy S] [--size BYTES] [--messages N]\n\
                                         per-request critical-path breakdown\n\
                                         (queue -> decide -> xfer -> ack) per\n\
@@ -65,12 +66,14 @@ fn usage() -> &'static str {
                                         occupancy (omit --strategy to compare)\n\
        top [--duration S] [--window MS] [--size BYTES]\n\
                                         live telemetry: drive the mem fabric\n\
-                                        and refresh per-window rates, latency\n\
-                                        percentiles and watchdog alerts in place\n\
-       calibrate [--messages N] [--size BYTES] [--factor F] [--onset-us US]\n\
+                                        and refresh every metric of each\n\
+                                        closed window and watchdog alerts in place\n\
+       calibrate [--messages N] [--size BYTES]\n\
                                         online recalibration under mid-run\n\
-                                        bandwidth drift: live tables, per-size\n\
-                                        corrections and the split-ratio history\n\
+                                        bandwidth drift (rail 0 at half its\n\
+                                        bandwidth from 2 ms): live tables,\n\
+                                        per-size corrections and the\n\
+                                        split-ratio history\n\
        loadgen [--seed N] [--events N] [--replay FILE]\n\
                                         preview the soak traffic mix: per-tenant\n\
                                         heavy-tailed sizes and Poisson/MMPP\n\
@@ -306,6 +309,7 @@ fn cmd_tcp_serve(args: &Args) -> Result<(), String> {
     println!("listening; run on the other side:");
     println!("  nmad tcp-send {} [--size 4M]", addrs.join(" "));
     let ep = pending.accept().map_err(|e| e.to_string())?;
+    let start = std::time::Instant::now();
     let conn = ep.conns()[0];
     let msg = ep
         .recv(conn)
@@ -317,12 +321,8 @@ fn cmd_tcp_serve(args: &Args) -> Result<(), String> {
         msg.segments.len(),
         ep.rx_errors()
     );
-    let st = ep.stats();
-    println!(
-        "socket shares seen by receiver: {} / {} packets",
-        st.rails.first().map(|r| r.rx_packets).unwrap_or(0),
-        st.rails.get(1).map(|r| r.rx_packets).unwrap_or(0)
-    );
+    let span_ns = start.elapsed().as_nanos() as u64;
+    print!("{}", obs::text_table(&ep.stats(), span_ns));
     Ok(())
 }
 
@@ -341,6 +341,7 @@ fn cmd_tcp_send(args: &Args) -> Result<(), String> {
         EngineConfig::with_strategy(StrategyKind::AdaptiveSplit),
     );
     let ep = connect(cfg, &addrs).map_err(|e| e.to_string())?;
+    let start = std::time::Instant::now();
     let size = args.size("size", 4 << 20)?;
     let payload = vec![0xABu8; size];
     let conn = ep.conns()[0];
@@ -350,14 +351,9 @@ fn cmd_tcp_send(args: &Args) -> Result<(), String> {
     if !ok {
         return Err("send timed out".into());
     }
-    let st = ep.stats();
-    println!(
-        "sent {size} bytes; rdv {}, chunks {}, socket shares {:.1}% / {:.1}%",
-        st.rdv_handshakes,
-        st.chunks_sent,
-        100.0 * st.rail_share(0),
-        100.0 * st.rail_share(1)
-    );
+    println!("sent {size} bytes");
+    let span_ns = start.elapsed().as_nanos() as u64;
+    print!("{}", obs::text_table(&ep.stats(), span_ns));
     Ok(())
 }
 
@@ -457,40 +453,13 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     }
     let elapsed = start.elapsed();
 
-    let st = a.stats();
     println!(
-        "\nall {messages} messages acked in {:.2} s  \
-         (retransmits {}, duplicates dropped at rx {})",
-        elapsed.as_secs_f64(),
-        st.retransmits,
-        b.stats().duplicates_dropped,
+        "\nall {messages} messages acked in {:.2} s",
+        elapsed.as_secs_f64()
     );
-    println!(
-        "\n{:<18} {:>9} {:>9} {:>9} {:>9} {:>9} {:>7} {:>12} {:>9}",
-        "rail",
-        "tx pkts",
-        "rx pkts",
-        "control",
-        "timeouts",
-        "retx",
-        "probes",
-        "transitions",
-        "state"
-    );
-    let states = a.rail_states();
-    for (i, r) in st.rails.iter().enumerate() {
-        println!(
-            "{:<18} {:>9} {:>9} {:>9} {:>9} {:>9} {:>7} {:>12} {:>9}",
-            plat.rails[i].name,
-            r.packets,
-            r.rx_packets,
-            r.control_packets,
-            r.timeouts,
-            r.retransmit_packets,
-            r.probes_sent,
-            r.state_transitions,
-            format!("{:?}", states[i]),
-        );
+    for (side, ep) in [("sender", &a), ("receiver", &b)] {
+        let table = obs::text_table(&ep.stats(), elapsed.as_nanos() as u64);
+        print!("\n{side}:\n{table}");
     }
     for i in 0..plat.rails.len() {
         let hist = a.rail_history(i);
@@ -499,29 +468,10 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
             println!("rail {i} health path: {}", path.join(" -> "));
         }
     }
-
     // Adaptive-timer telemetry and per-state dwell times (how long each
     // rail spent Up / Suspect / Down / Probing over the run).
-    println!(
-        "\n{:<18} {:>10} {:>11} {:>10} {:>9} {:>11} {:>9} {:>11}",
-        "rail", "srtt us", "rttvar us", "rto ms", "up ms", "suspect ms", "down ms", "probing ms"
-    );
-    for i in 0..plat.rails.len() {
-        let t = a.rail_telemetry(i);
-        let ms = |ns: u64| ns as f64 / 1e6;
-        println!(
-            "{:<18} {:>10} {:>11.1} {:>10.1} {:>9.1} {:>11.1} {:>9.1} {:>11.1}",
-            plat.rails[i].name,
-            t.srtt_ns
-                .map_or("-".to_string(), |v| format!("{:.1}", v as f64 / 1e3)),
-            t.rttvar_ns as f64 / 1e3,
-            t.rto_ns as f64 / 1e6,
-            ms(t.dwell_ns[0]),
-            ms(t.dwell_ns[1]),
-            ms(t.dwell_ns[2]),
-            ms(t.dwell_ns[3]),
-        );
-    }
+    let health: Vec<_> = (0..plat.rails.len()).map(|i| a.rail_telemetry(i)).collect();
+    print!("\n{}", obs::metrics::health_table(&health));
     Ok(())
 }
 
@@ -590,8 +540,6 @@ fn trace_sizes(args: &Args) -> Result<Vec<usize>, String> {
 }
 
 fn cmd_trace(args: &Args) -> Result<(), String> {
-    use nmad_core::obs;
-
     if let Some(path) = args.flag("validate") {
         return validate_trace_file(std::path::Path::new(path));
     }
@@ -608,11 +556,11 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 
     let format = args.flag("format").unwrap_or("chrome");
     let rendered = match format {
-        "chrome" => obs::to_chrome_trace_with_overflow(&events, dropped),
-        "jsonl" => obs::to_jsonl_with_overflow(&events, dropped),
+        "chrome" => obs::to_chrome_trace(&events, dropped),
+        "jsonl" => obs::to_jsonl(&events, dropped),
         // The sender's engine stats carry the syscall and pool counters
         // the plain event stream cannot show.
-        "summary" => obs::summary_with_stats(&events, w.node(0).engine.stats()),
+        "summary" => obs::summary(&events, Some(w.node(0).engine.stats())),
         other => return Err(format!("unknown format '{other}'")),
     };
     match args.flag("out") {
@@ -694,28 +642,20 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
         now_ns as f64 / 1e6
     );
     for (i, node) in [(0, "sender"), (1, "receiver")] {
-        let s = w.node(i).engine.stats().clone();
+        let engine = &w.node(i).engine;
+        let s = engine.stats();
         println!("node {i} ({node}):");
         println!("  seg size  B  {}", s.obs.seg_size.render());
         println!("  backlog  seg {}", s.obs.backlog_depth.render());
         println!("  rto      ns  {}", s.obs.rto_ns.render());
         for (r, rs) in s.rails.iter().enumerate() {
-            let t = w.node(i).engine.rail_telemetry(r);
-            println!(
-                "  rail{r}: util {:>5.1}%  in-flight {} B  srtt {}  rttvar {:.1} us  rto {:.1} ms  state {:?}",
-                100.0 * rs.utilization(now_ns),
-                rs.in_flight_bytes,
-                t.srtt_ns
-                    .map_or("-".to_string(), |v| format!("{:.1} us", v as f64 / 1e3)),
-                t.rttvar_ns as f64 / 1e3,
-                t.rto_ns as f64 / 1e6,
-                t.state,
-            );
             println!("  rail{r} rtt ns {}", rs.rtt_ns.render());
         }
-        for line in nmad_core::obs::cost_lines(&s).lines() {
-            println!("  {line}");
-        }
+        print!("{}", obs::text_table(s, now_ns));
+        let health: Vec<_> = (0..s.rails.len())
+            .map(|r| engine.rail_telemetry(r))
+            .collect();
+        print!("{}", obs::metrics::health_table(&health));
     }
     let rec: u64 = (0..2)
         .map(|i| w.node(i).engine.recorder().total_recorded())
@@ -771,21 +711,16 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     }
     let size = args.size("size", 256 << 10)?;
 
-    let plat = platform::paper_platform();
     let mut engine = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
     engine.acked = true;
     // Wall-clock recovery timers (the defaults are simulated-time
-    // sized), the same shape the soak harness uses.
-    engine.health.initial_rto_ns = 20_000_000;
-    engine.health.min_rto_ns = 5_000_000;
-    engine.health.max_rto_ns = 200_000_000;
-    engine.health.probe_interval_ns = 50_000_000;
-    engine.health.probe_timeout_ns = 20_000_000;
+    // sized): the soak harness's.
+    nmad_bench::soak::soak_health(&mut engine);
     engine.observe = nmad_core::Observe::Watch {
         window_ns: window_ms.saturating_mul(1_000_000),
     };
 
-    let (a, b) = pair(FabricConfig::new(plat.clone(), engine));
+    let (a, b) = pair(FabricConfig::new(platform::paper_platform(), engine));
     let conn = a.conns()[0];
     let live = std::io::stdout().is_terminal();
     let header =
@@ -822,7 +757,13 @@ fn cmd_top(args: &Args) -> Result<(), String> {
             // Redraw in place: clear the screen, home the cursor.
             println!("\x1b[2J\x1b[H{header}");
         }
-        print!("{}", render_top_window(&w, &plat));
+        println!(
+            "window {} @ {:.3} s, {} alerts",
+            w.ordinal,
+            w.end_ns as f64 / 1e9,
+            w.alerts
+        );
+        print!("{}", obs::text_table(&w.stats, w.span_ns()));
         let alerts = a.alerts();
         for alert in &alerts[alerts_shown.min(alerts.len())..] {
             println!(
@@ -847,146 +788,12 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// One `nmad top` refresh block: the window header plus a line per rail.
-fn render_top_window(w: &nmad_core::Window, plat: &nmad_model::Platform) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let span_ns = w.span_ns().max(1);
-    let dur_s = span_ns as f64 / 1e9;
-    let ws = &w.stats;
-    let _ = writeln!(
-        out,
-        "window {:>4} @ {:>8.3} s  submits {:>5}  acks {:>5}  retx {:>3}  sheds {:>3}  alerts {}",
-        w.ordinal,
-        w.end_ns as f64 / 1e9,
-        ws.msgs_submitted,
-        ws.ack_rtt_ns.count(),
-        ws.retransmits,
-        ws.overload.admission_rejections,
-        w.alerts
-    );
-    let q = |frac: f64| {
-        ws.ack_rtt_ns
-            .approx_quantile(frac)
-            .map_or("-".to_string(), |v| format!("{:.0}", v as f64 / 1e3))
-    };
-    let _ = writeln!(
-        out,
-        "  ack rtt us: p50<= {:>6} p99<= {:>6} ({} samples)",
-        q(0.5),
-        q(0.99),
-        ws.ack_rtt_ns.count()
-    );
-    for (i, r) in ws.rails.iter().enumerate() {
-        let name = plat.rails.get(i).map_or("?", |x| x.name);
-        let _ = writeln!(
-            out,
-            "  rail{i} {:<14} tx {:>8.1} MB/s  rx {:>8.1} MB/s  busy {:>5.1}%  retx {:>3}  failover {:>2}  probes {:>2}",
-            name,
-            r.wire_bytes as f64 / 1e6 / dur_s,
-            r.rx_wire_bytes as f64 / 1e6 / dur_s,
-            100.0 * r.utilization(span_ns),
-            r.retransmits_blamed,
-            r.failovers,
-            r.probes_sent
-        );
-    }
-    out
-}
-
 fn cmd_calibrate(args: &Args) -> Result<(), String> {
-    use nmad_runtime_sim::{AppLogic, BandwidthDrift, FaultPlan, NodeApi, SimWorld};
-    use nmad_sim::{SimDuration, SimTime};
+    use nmad_bench::calibration::{run_leg, DRIFT_FACTOR, DRIFT_ONSET_US};
 
     let messages: usize = args.num("messages", 24)?;
     let size = args.size("size", 1 << 20)?;
-    let factor: f64 = args.num("factor", 0.5)?;
-    let onset_us: u64 = args.num("onset-us", 2_000)?;
-    if !(factor > 0.0 && factor.is_finite()) {
-        return Err(format!("--factor {factor} must be positive"));
-    }
-
-    /// Serial chain: the next message goes out when the previous one's
-    /// injection completes, so the split ratio shows up in completion time.
-    struct ChainSender {
-        messages: usize,
-        size: usize,
-        submitted: usize,
-    }
-    impl ChainSender {
-        fn submit_next(&mut self, api: &mut NodeApi<'_>) {
-            if self.submitted < self.messages {
-                let tag = self.submitted as u8;
-                api.submit_send(0, vec![Bytes::from(vec![tag; self.size])]);
-                self.submitted += 1;
-            }
-        }
-    }
-    impl AppLogic for ChainSender {
-        fn on_start(&mut self, api: &mut NodeApi<'_>) {
-            self.submit_next(api);
-        }
-        fn on_send_complete(&mut self, _send: nmad_core::SendId, api: &mut NodeApi<'_>) {
-            self.submit_next(api);
-        }
-    }
-    struct ChainReceiver {
-        messages: usize,
-        delivered: usize,
-    }
-    impl AppLogic for ChainReceiver {
-        fn on_start(&mut self, api: &mut NodeApi<'_>) {
-            for _ in 0..self.messages {
-                api.post_recv(0);
-            }
-        }
-        fn on_recv_complete(
-            &mut self,
-            _recv: nmad_core::RecvId,
-            _msg: nmad_wire::reassembly::MessageAssembly,
-            _api: &mut NodeApi<'_>,
-        ) {
-            self.delivered += 1;
-        }
-    }
-
-    let plat = platform::paper_platform();
-    let mut config = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
-    config.calibrate = true;
-    let mut w = SimWorld::new(
-        &plat,
-        config,
-        ChainSender {
-            messages,
-            size,
-            submitted: 0,
-        },
-        ChainReceiver {
-            messages,
-            delivered: 0,
-        },
-    );
-    w.open_conn();
-    w.enable_recording(8192);
-    w.enable_faults(FaultPlan::drift_only(
-        BandwidthDrift {
-            rail: 0,
-            from: SimTime::from_us(onset_us),
-            to: SimTime::from_us(10_000_000),
-            factor,
-        },
-        SimDuration::from_us(50),
-        SimTime::from_us(400_000),
-    ));
-    w.run(500_000_000);
-    if w.app1().delivered != messages {
-        return Err(format!(
-            "pipeline stalled: {}/{} messages delivered",
-            w.app1().delivered,
-            messages
-        ));
-    }
-
+    let w = run_leg(messages, size, true);
     let engine = &w.node(0).engine;
     let cal = engine
         .calibrator()
@@ -995,8 +802,8 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
         "{} x {} B serial chain, rail 0 at {:.0}% bandwidth from {} µs ({:.2} ms simulated)",
         messages,
         size,
-        factor * 100.0,
-        onset_us,
+        DRIFT_FACTOR * 100.0,
+        DRIFT_ONSET_US,
         (w.now().0 / 1_000) as f64 / 1e6
     );
     println!(
@@ -1265,7 +1072,7 @@ mod tests {
         // the same deterministic workload.)
         let w = record_workload(StrategyKind::AdaptiveSplit, vec![4 << 20], false, 65_536);
         let events = w.merged_events();
-        let s = nmad_core::obs::summary(&events);
+        let s = nmad_core::obs::summary(&events, None);
         assert!(s.contains("decide_split"), "summary:\n{s}");
         assert!(s.contains("% of split"), "summary:\n{s}");
     }
@@ -1298,7 +1105,6 @@ mod tests {
     #[test]
     fn calibrate_command_runs() {
         run(&["calibrate".to_string(), "--messages".into(), "12".into()]).unwrap();
-        assert!(run(&["calibrate".to_string(), "--factor".into(), "-1".into(),]).is_err());
     }
 
     #[test]

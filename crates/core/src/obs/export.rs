@@ -11,11 +11,25 @@ use std::fmt::Write as _;
 
 use crate::stats::EngineStats;
 
+use super::metrics::text_table;
 use super::recorder::{Event, EventKind, NO_RAIL};
 
 /// One JSON object per event, one per line — easy to grep and stream.
-pub fn to_jsonl(events: &[Event]) -> String {
+///
+/// Overflow is never silent: when the ring overwrote `dropped` events
+/// before the snapshot was taken ([`super::FlightRecorder::dropped`]),
+/// the first line is a marker object naming the gap, so a consumer
+/// replaying the stream knows the series is truncated rather than
+/// silently starting late.
+pub fn to_jsonl(events: &[Event], dropped: u64) -> String {
     let mut out = String::new();
+    if dropped > 0 {
+        let resume = events.first().map_or(0, |e| e.ts_ns);
+        let _ = writeln!(
+            out,
+            "{{\"overflow\":true,\"dropped\":{dropped},\"resume_ts_ns\":{resume}}}"
+        );
+    }
     for e in events {
         let _ = write!(
             out,
@@ -36,25 +50,6 @@ pub fn to_jsonl(events: &[Event]) -> String {
             e.seq, e.size, e.aux
         );
     }
-    out
-}
-
-/// [`to_jsonl`] with an explicit overflow marker: when the ring
-/// overwrote events before the snapshot was taken (`dropped` from
-/// [`super::FlightRecorder::dropped`]), the first line is a marker
-/// object naming the gap, so a consumer replaying the stream knows the
-/// series is truncated rather than silently starting late. With
-/// `dropped == 0` the output is byte-identical to [`to_jsonl`].
-pub fn to_jsonl_with_overflow(events: &[Event], dropped: u64) -> String {
-    let mut out = String::new();
-    if dropped > 0 {
-        let resume = events.first().map(|e| e.ts_ns).unwrap_or(0);
-        let _ = writeln!(
-            out,
-            "{{\"overflow\":true,\"dropped\":{dropped},\"resume_ts_ns\":{resume}}}"
-        );
-    }
-    out.push_str(&to_jsonl(events));
     out
 }
 
@@ -90,8 +85,12 @@ fn us(ts_ns: u64) -> String {
 /// complete `"X"` spans so rail occupancy is visible as bars; everything
 /// else is a thread-scoped instant `"i"`. Metadata events name each
 /// actor's process `node<N>` and each thread after its rail, so a
-/// multi-node merge reads naturally in Perfetto.
-pub fn to_chrome_trace(events: &[Event]) -> String {
+/// multi-node merge reads naturally in Perfetto. When the ring dropped
+/// `dropped` events, a global `ring_overflow` instant carrying the count
+/// sits at the first surviving timestamp; the trace stays structurally
+/// valid either way — a `TxDone` whose post was overwritten still renders
+/// as an instant, never as a dangling span.
+pub fn to_chrome_trace(events: &[Event], dropped: u64) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
     let mut first = true;
     let mut sep = |out: &mut String| {
@@ -176,33 +175,15 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
         }
         emit_instant(&mut out, e);
     }
-    out.push_str("]}");
-    out
-}
-
-/// [`to_chrome_trace`] with an overflow marker: a global instant named
-/// `ring_overflow` carrying the drop count, emitted at the first
-/// surviving timestamp. The trace stays structurally valid either way —
-/// a `TxDone` whose post was overwritten still renders as an instant,
-/// never as a dangling span.
-pub fn to_chrome_trace_with_overflow(events: &[Event], dropped: u64) -> String {
-    let mut out = to_chrome_trace(events);
     if dropped > 0 {
-        let resume = events.first().map(|e| e.ts_ns).unwrap_or(0);
-        let tail = "]}";
-        debug_assert!(out.ends_with(tail));
-        out.truncate(out.len() - tail.len());
-        if !out.ends_with('[') {
-            out.push(',');
-        }
+        sep(&mut out);
         let _ = write!(
             out,
-            "{{\"ph\":\"i\",\"s\":\"g\",\"pid\":0,\"tid\":0,\"ts\":{},\"name\":\"ring_overflow\",\"cat\":\"obs\",\"args\":{{\"dropped\":{}}}}}",
-            us(resume),
-            dropped
+            "{{\"ph\":\"i\",\"s\":\"g\",\"pid\":0,\"tid\":0,\"ts\":{},\"name\":\"ring_overflow\",\"cat\":\"obs\",\"args\":{{\"dropped\":{dropped}}}}}",
+            us(events.first().map_or(0, |e| e.ts_ns)),
         );
-        out.push_str(tail);
     }
+    out.push_str("]}");
     out
 }
 
@@ -221,8 +202,10 @@ fn emit_instant(out: &mut String, e: &Event) {
 }
 
 /// Human-readable digest: span, per-kind counts, per-rail tx volume, and
-/// the split decisions that explain a hetero-split trace.
-pub fn summary(events: &[Event]) -> String {
+/// the split decisions that explain a hetero-split trace; with `stats`,
+/// then every metric of [`super::metrics::METRICS`] over the trace's
+/// span — the syscall and pool costs a trace alone cannot show.
+pub fn summary(events: &[Event], stats: Option<&EngineStats>) -> String {
     let mut out = String::new();
     if events.is_empty() {
         out.push_str("no events recorded\n");
@@ -282,42 +265,9 @@ pub fn summary(events: &[Event]) -> String {
             let _ = writeln!(out, "  ... {} more", splits.len() - 12);
         }
     }
-    out
-}
-
-/// [`summary`] extended with [`cost_lines`]. `nmad trace --format
-/// summary` uses this when the endpoint's stats are at hand.
-pub fn summary_with_stats(events: &[Event], stats: &EngineStats) -> String {
-    summary(events) + &cost_lines(stats)
-}
-
-/// The per-packet cost lines a trace alone cannot show: syscall
-/// amortization on the live transports (zero in the simulator, which
-/// does no I/O) and the pool's reuse rate (how often a buffer came from
-/// its free list instead of a fresh allocation). `nmad metrics` prints
-/// them per node.
-pub fn cost_lines(stats: &EngineStats) -> String {
-    let mut out = String::new();
-    let sc = &stats.syscalls;
-    let _ = writeln!(
-        out,
-        "syscalls: {:.2}/pkt overall (tx {:.2}/pkt: {} calls/{} frames; rx {:.2}/pkt: {} calls/{} frames)",
-        sc.per_packet(),
-        sc.tx_per_packet(),
-        sc.tx_calls,
-        sc.tx_frames,
-        sc.rx_per_packet(),
-        sc.rx_calls,
-        sc.rx_frames
-    );
-    let dp = &stats.datapath;
-    let _ = writeln!(
-        out,
-        "pool reuse rate: {:.1}% ({} hits / {} takes)",
-        dp.pool_reuse_rate() * 100.0,
-        dp.pool_hits,
-        dp.pool_hits + dp.hot_path_allocs,
-    );
+    if let Some(stats) = stats {
+        out.push_str(&text_table(stats, t1 - t0));
+    }
     out
 }
 
@@ -346,15 +296,16 @@ mod tests {
 
     #[test]
     fn jsonl_has_one_line_per_event() {
-        let s = to_jsonl(&sample_events());
+        let s = to_jsonl(&sample_events(), 0);
         assert_eq!(s.lines().count(), 6);
         assert!(s.contains("\"kind\":\"decide_split\""));
         assert!(s.contains("\"rail\":null"));
+        assert!(!s.contains("overflow"), "no drops, no marker: {s}");
     }
 
     #[test]
     fn summary_mentions_split_ratios() {
-        let s = summary(&sample_events());
+        let s = summary(&sample_events(), None);
         assert!(s.contains("split decisions"), "{s}");
         assert!(s.contains("50.0% of split"), "{s}");
     }
@@ -362,30 +313,24 @@ mod tests {
     #[test]
     fn jsonl_overflow_marker_leads_the_stream() {
         let evs = sample_events();
-        let s = to_jsonl_with_overflow(&evs, 17);
-        let mut lines = s.lines();
-        let marker = lines.next().unwrap();
+        let s = to_jsonl(&evs, 17);
+        let (marker, rest) = s.split_once('\n').unwrap();
         assert!(marker.contains("\"overflow\":true"), "{marker}");
         assert!(marker.contains("\"dropped\":17"), "{marker}");
         assert!(marker.contains("\"resume_ts_ns\":100"), "{marker}");
-        assert_eq!(lines.count(), evs.len());
-        // No drops: byte-identical to the plain exporter.
-        assert_eq!(to_jsonl_with_overflow(&evs, 0), to_jsonl(&evs));
+        assert_eq!(rest, to_jsonl(&evs, 0), "the marker is all that is added");
     }
 
     #[test]
     fn chrome_overflow_marker_keeps_the_trace_balanced() {
         let evs = sample_events();
-        let s = to_chrome_trace_with_overflow(&evs, 5);
+        let s = to_chrome_trace(&evs, 5);
         assert!(s.ends_with("]}"), "{s}");
         assert!(s.contains("\"name\":\"ring_overflow\""), "{s}");
         assert!(s.contains("\"dropped\":5"), "{s}");
-        assert_eq!(
-            to_chrome_trace_with_overflow(&evs, 0),
-            to_chrome_trace(&evs)
-        );
+        assert!(!to_chrome_trace(&evs, 0).contains("ring_overflow"));
         // Empty snapshot with drops still renders a valid trace.
-        let empty = to_chrome_trace_with_overflow(&[], 3);
+        let empty = to_chrome_trace(&[], 3);
         assert!(empty.contains("ring_overflow"), "{empty}");
         assert!(empty.ends_with("]}"), "{empty}");
         assert!(
@@ -399,22 +344,29 @@ mod tests {
         // The TxPost was overwritten in the ring; its TxDone must still
         // export cleanly as an instant.
         let evs = vec![Event::new(900, EventKind::TxDone).rail(0).seq(7).size(2100)];
-        let s = to_chrome_trace_with_overflow(&evs, 1);
+        let s = to_chrome_trace(&evs, 1);
         assert!(s.contains("\"ph\":\"i\""), "{s}");
         assert!(s.contains("tx_done"), "{s}");
         assert!(!s.contains("\"ph\":\"X\""), "{s}");
     }
 
     #[test]
-    fn summary_with_stats_appends_syscalls_and_pool_reuse() {
+    fn summary_given_stats_appends_every_metric() {
         let mut stats = EngineStats::new(2);
         stats.syscalls.tx_calls = 10;
         stats.syscalls.tx_frames = 40;
         stats.datapath.pool_hits = 98;
         stats.datapath.hot_path_allocs = 2;
-        let s = summary_with_stats(&sample_events(), &stats);
-        assert!(s.contains("tx 0.25/pkt"), "{s}");
-        assert!(s.contains("pool reuse rate: 98.0%"), "{s}");
+        let s = summary(&sample_events(), Some(&stats));
+        let row = |name: &str| {
+            s.lines()
+                .find(|l| l.split_whitespace().next() == Some(name))
+        };
+        assert!(
+            row("tx_syscalls_per_packet").unwrap().contains("0.2500"),
+            "{s}"
+        );
+        assert!(row("pool_reuse_rate").unwrap().contains("0.9800"), "{s}");
         assert!(
             s.contains("split decisions"),
             "still contains the base summary: {s}"

@@ -13,7 +13,9 @@
 //!
 //! Exporters live on the cold path only: JSONL for ad-hoc grepping,
 //! Chrome `trace_event` JSON for `chrome://tracing`/Perfetto, and a
-//! human summary. See DESIGN.md "Observability".
+//! human summary. Every number read from the engine's counters is named
+//! once, in [`metrics::METRICS`], and rendered from there (Prometheus,
+//! the windows' JSONL, the CLI's tables). See DESIGN.md "Observability".
 //!
 //! Beside the recorder sits the *continuous* telemetry layer (same
 //! discipline, live output): [`TelemetryAggregator`] cuts the engine's
@@ -26,17 +28,16 @@
 
 mod export;
 mod hist;
+pub mod metrics;
 mod recorder;
 pub mod spans;
 mod telemetry;
 mod watchdog;
 
-pub use export::{
-    cost_lines, summary, summary_with_stats, to_chrome_trace, to_chrome_trace_with_overflow,
-    to_jsonl, to_jsonl_with_overflow,
-};
+pub use export::{summary, to_chrome_trace, to_jsonl};
 pub use hist::Log2Histogram;
+pub use metrics::{text_table, to_prometheus, windows_jsonl};
 pub use recorder::{Event, EventKind, FlightRecorder, NO_RAIL};
 pub use spans::SpanBreakdown;
-pub use telemetry::{to_prometheus, windows_jsonl, TelemetryAggregator, Window};
+pub use telemetry::{TelemetryAggregator, Window};
 pub use watchdog::{Alert, AlertKind, Watchdog};

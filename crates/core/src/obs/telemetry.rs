@@ -190,164 +190,6 @@ impl TelemetryAggregator {
     }
 }
 
-// ---------------------------------------------------------------------
-// Streaming exporters (cold path: allocate freely)
-// ---------------------------------------------------------------------
-
-/// Prometheus text exposition: cumulative counters from [`EngineStats`]
-/// plus gauges from the latest closed window. Hand-written like the
-/// other exporters — every label is static, so the obs subsystem stays
-/// dependency-free.
-pub fn to_prometheus(agg: &TelemetryAggregator, stats: &EngineStats) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let w_s = agg.window_ns() as f64 / 1e9;
-    let _ = writeln!(out, "# TYPE nmad_window_seconds gauge");
-    let _ = writeln!(out, "nmad_window_seconds {w_s}");
-    let _ = writeln!(out, "# TYPE nmad_windows_closed_total counter");
-    let _ = writeln!(out, "nmad_windows_closed_total {}", agg.windows_closed());
-
-    let _ = writeln!(out, "# TYPE nmad_rail_tx_packets_total counter");
-    for (r, rs) in stats.rails.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "nmad_rail_tx_packets_total{{rail=\"{r}\"}} {}",
-            rs.packets
-        );
-    }
-    let _ = writeln!(out, "# TYPE nmad_rail_wire_bytes_total counter");
-    for (r, rs) in stats.rails.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "nmad_rail_wire_bytes_total{{rail=\"{r}\"}} {}",
-            rs.wire_bytes
-        );
-    }
-    let _ = writeln!(out, "# TYPE nmad_rail_retransmits_total counter");
-    for (r, rs) in stats.rails.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "nmad_rail_retransmits_total{{rail=\"{r}\"}} {}",
-            rs.retransmit_packets
-        );
-    }
-    let _ = writeln!(out, "# TYPE nmad_shed_total counter");
-    let shed = stats.overload.admission_rejections;
-    let _ = writeln!(out, "nmad_shed_total {shed}");
-
-    if let Some(w) = agg.latest() {
-        let span = w.span_ns().max(1);
-        let ws = &w.stats;
-        let _ = writeln!(out, "# TYPE nmad_rail_throughput_bytes_per_second gauge");
-        for (r, rw) in ws.rails.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "nmad_rail_throughput_bytes_per_second{{rail=\"{r}\"}} {:.1}",
-                rw.wire_bytes as f64 * 1e9 / span as f64
-            );
-        }
-        let _ = writeln!(out, "# TYPE nmad_rail_utilization gauge");
-        for (r, rw) in ws.rails.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "nmad_rail_utilization{{rail=\"{r}\"}} {:.4}",
-                rw.utilization(span)
-            );
-        }
-        let _ = writeln!(out, "# TYPE nmad_latency_ns gauge");
-        for (q, label) in [(0.50, "0.5"), (0.99, "0.99")] {
-            let _ = writeln!(
-                out,
-                "nmad_latency_ns{{quantile=\"{label}\"}} {}",
-                ws.ack_rtt_ns.approx_quantile(q).unwrap_or(0)
-            );
-        }
-        let _ = writeln!(out, "# TYPE nmad_window_retransmits gauge");
-        let _ = writeln!(out, "nmad_window_retransmits {}", ws.retransmits);
-        let _ = writeln!(out, "# TYPE nmad_window_sheds gauge");
-        let _ = writeln!(
-            out,
-            "nmad_window_sheds {}",
-            ws.overload.admission_rejections
-        );
-        let _ = writeln!(out, "# TYPE nmad_syscalls_per_packet gauge");
-        let _ = writeln!(
-            out,
-            "nmad_syscalls_per_packet {:.4}",
-            ws.syscalls.per_packet()
-        );
-        let _ = writeln!(out, "# TYPE nmad_pool_reuse_rate gauge");
-        let _ = writeln!(
-            out,
-            "nmad_pool_reuse_rate {:.4}",
-            ws.datapath.pool_reuse_rate()
-        );
-        let _ = writeln!(out, "# TYPE nmad_pool_outstanding gauge");
-        let _ = writeln!(
-            out,
-            "nmad_pool_outstanding {}",
-            ws.datapath.pool_outstanding
-        );
-    }
-    out
-}
-
-/// JSONL time series: one object per closed window, oldest-first. The
-/// interchange format of the soak's `--out-timeseries` artifact and of
-/// `ablate_obs`' `BENCH_obs_timeseries.jsonl`.
-pub fn windows_jsonl(agg: &TelemetryAggregator) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for w in agg.windows() {
-        let span = w.span_ns().max(1);
-        let ws = &w.stats;
-        let _ = write!(
-            out,
-            "{{\"ordinal\":{},\"start_ns\":{},\"end_ns\":{},\"submits\":{},\"acks\":{},\
-             \"retransmits\":{},\"sheds\":{},\"backpressure\":{},\"alerts\":{},\
-             \"p50_ns\":{},\"p99_ns\":{},\
-             \"syscalls_per_packet\":{:.4},\"pool_reuse_rate\":{:.4},\
-             \"pool_outstanding\":{},\"rails\":[",
-            w.ordinal,
-            w.start_ns,
-            w.end_ns,
-            ws.msgs_submitted,
-            ws.ack_rtt_ns.count(),
-            ws.retransmits,
-            ws.overload.admission_rejections,
-            ws.overload.shutdown_rejections,
-            w.alerts,
-            ws.ack_rtt_ns.approx_quantile(0.50).unwrap_or(0),
-            ws.ack_rtt_ns.approx_quantile(0.99).unwrap_or(0),
-            ws.syscalls.per_packet(),
-            ws.datapath.pool_reuse_rate(),
-            ws.datapath.pool_outstanding,
-        );
-        for (i, rw) in ws.rails.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"tx_frames\":{},\"tx_bytes\":{},\"rx_frames\":{},\"rx_bytes\":{},\
-                 \"retransmits\":{},\"failovers\":{},\"probes\":{},\"utilization\":{:.4},\
-                 \"p99_ns\":{}}}",
-                rw.tx_frames(),
-                rw.wire_bytes,
-                rw.rx_packets,
-                rw.rx_wire_bytes,
-                rw.retransmits_blamed,
-                rw.failovers,
-                rw.probes_sent,
-                rw.utilization(span),
-                rw.rtt_ns.approx_quantile(0.99).unwrap_or(0),
-            );
-        }
-        out.push_str("]}\n");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,7 +255,6 @@ mod tests {
         assert_eq!(busy, [500, 1_000, 500]);
         assert_eq!(ws[0].stats.rails[0].wire_bytes, 100);
         assert_eq!(ws[1].stats.rails[0].wire_bytes, 0);
-        assert!(ws[1].stats.rails[0].utilization(W) > 0.99);
         assert_eq!(ws[0].stats.rails[1].busy_ns, 0);
         assert_eq!(st.rails[0].busy_ns, 2_000, "the running total is whole");
     }
@@ -486,29 +327,5 @@ mod tests {
         assert!(a.windows().all(|w| w.stats.msgs_submitted == 1));
         assert_eq!(a.hot_path_allocs(), 0);
         assert_eq!(a.latest().unwrap().ordinal, n - 1);
-    }
-
-    #[test]
-    fn exporters_render_the_series() {
-        let mut a = agg(2);
-        let mut st = stats();
-        a.fold(100, &mut st, 0);
-        st.rails[0].packets = 1;
-        st.rails[0].wire_bytes = 4096;
-        st.ack_rtt_ns.record(600);
-        a.fold(2_100, &mut st, 0);
-        let prom = to_prometheus(&a, &st);
-        assert!(prom.contains("nmad_rail_utilization{rail=\"0\"}"), "{prom}");
-        assert!(prom.contains("nmad_windows_closed_total 2"), "{prom}");
-        assert!(prom.contains("nmad_pool_reuse_rate"), "{prom}");
-        let jsonl = windows_jsonl(&a);
-        assert_eq!(jsonl.lines().count(), 2);
-        assert!(
-            jsonl.lines().next().unwrap().contains("\"tx_bytes\":4096"),
-            "{jsonl}"
-        );
-        assert!(jsonl
-            .lines()
-            .all(|l| l.starts_with('{') && l.ends_with('}')));
     }
 }

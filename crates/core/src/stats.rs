@@ -97,13 +97,6 @@ impl RailStats {
         }
     }
 
-    /// Fraction of `span_ns` the rail spent busy, in `[0, 1]`: over the
-    /// run when `span_ns` is the engine clock, over a window for a
-    /// window's delta. The open interval is not counted.
-    pub fn utilization(&self, span_ns: u64) -> f64 {
-        (self.busy_ns as f64 / span_ns.max(1) as f64).min(1.0)
-    }
-
     /// What this rail's counters did since `prev`, an earlier snapshot
     /// of them; the gauges are this snapshot's.
     pub fn since(&self, prev: &RailStats) -> RailStats {
@@ -215,16 +208,6 @@ impl SyscallStats {
             0.0
         } else {
             self.rx_calls as f64 / self.rx_frames as f64
-        }
-    }
-
-    /// Overall syscalls per frame moved in either direction.
-    pub fn per_packet(&self) -> f64 {
-        let frames = self.tx_frames + self.rx_frames;
-        if frames == 0 {
-            0.0
-        } else {
-            (self.tx_calls + self.rx_calls) as f64 / frames as f64
         }
     }
 }

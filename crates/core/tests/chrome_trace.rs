@@ -92,7 +92,7 @@ fn audit(trace: &str) -> (usize, usize, usize, usize, usize) {
 fn engine_trace_is_valid_and_balanced() {
     let events = recorded_events();
     assert!(!events.is_empty(), "workload must record events");
-    let (spans, instants, begins, ends, metas) = audit(&to_chrome_trace(&events));
+    let (spans, instants, begins, ends, metas) = audit(&to_chrome_trace(&events, 0));
     assert_eq!(begins, ends, "unbalanced B/E phases");
     assert!(spans > 0, "tx post/done pairs must fold into X spans");
     assert!(instants > 0, "lifecycle instants must survive export");
@@ -112,7 +112,7 @@ fn unmatched_tx_events_degrade_to_instants() {
         Event::new(200, EventKind::TxPost).rail(1).seq(7).size(1024),
         Event::new(300, EventKind::Retransmit).rail(1).seq(7),
     ];
-    let (spans, instants, begins, ends, _) = audit(&to_chrome_trace(&events));
+    let (spans, instants, begins, ends, _) = audit(&to_chrome_trace(&events, 0));
     assert_eq!(spans, 0);
     assert_eq!(instants, 3, "all three must fall back to instants");
     assert_eq!((begins, ends), (0, 0));
@@ -121,7 +121,7 @@ fn unmatched_tx_events_degrade_to_instants() {
 #[test]
 fn jsonl_lines_each_parse() {
     let events = recorded_events();
-    let jsonl = nmad_core::obs::to_jsonl(&events);
+    let jsonl = nmad_core::obs::to_jsonl(&events, 0);
     let mut kinds_seen = 0;
     for line in jsonl.lines() {
         let v: Value = serde_json::from_str(line).expect("each JSONL line is a JSON object");

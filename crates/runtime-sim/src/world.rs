@@ -434,7 +434,7 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
             if self.events > max_events {
                 panic!(
                     "simulation exceeded {max_events} events at {now}; recorded:\n{}",
-                    summary(&self.merged_events())
+                    summary(&self.merged_events(), None)
                 );
             }
             self.dispatch(now, ev);

@@ -76,6 +76,16 @@ if grep -rnE 'RailWindow|RailObs|fn ingest\b|record_refusals|refusals_recorded|e
     crates src tests examples; then
     echo "a second tally of the telemetry counters is back (see above)"; exit 1
 fi
+# Every exported number is named once (DESIGN.md §8 "Exporters"): in
+# the metric table of obs/metrics.rs, rendered by its three renderers.
+# The second exporter per format for the overflow marker, the
+# hand-written cost lines and `nmad top` block, the CLI's copy of the
+# calibration chain and the Prometheus name that counted data packets
+# beside a JSONL `tx_frames` of data and control must not come back.
+if grep -rnE 'to_jsonl_with_overflow|to_chrome_trace_with_overflow|summary_with_stats|cost_lines|render_top_window|ChainSender|nmad_rail_tx_packets_total' \
+    crates src tests examples; then
+    echo "a hand-written metric view or a second exporter per format is back (see above)"; exit 1
+fi
 if grep -rnw 'unsafe' crates/core/src crates/transport-mem/src; then
     echo "unsafe in nmad-core or nmad-transport-mem (see above)"; exit 1
 fi

@@ -5,11 +5,16 @@
 //! simulator), with a rail outage so that retransmits, failovers, probes
 //! and probe pongs all occur; the recorder ring is sized so that it never
 //! laps, which makes its events a complete reference.
+//!
+//! The same run holds the exporters to the metric table: a name is one
+//! number in every exporter, so the JSONL windows of a counter add up to
+//! its Prometheus running total, rail by rail.
 
 use newmadeleine::bytes::Bytes;
-use newmadeleine::core::obs::{Event, EventKind, NO_RAIL};
+use newmadeleine::core::obs::metrics::{Scope, METRICS};
+use newmadeleine::core::obs::{to_prometheus, windows_jsonl, Event, EventKind, NO_RAIL};
 use newmadeleine::core::request::SendId;
-use newmadeleine::core::{EngineConfig, Observe, StrategyKind, Window};
+use newmadeleine::core::{Engine, EngineConfig, Observe, StrategyKind, Window};
 use newmadeleine::model::platform;
 use newmadeleine::runtime_sim::{AppLogic, FaultPlan, NodeApi, SimWorld};
 use newmadeleine::sim::rng::Xoshiro256StarStar;
@@ -149,10 +154,11 @@ impl Tally {
     }
 }
 
-#[test]
-fn windows_add_up_to_what_the_recorder_saw() {
+/// The seeded acked run with an outage, both engines' telemetry folded
+/// past the end: every count is in a closed window, and no window or
+/// event was overwritten.
+fn seeded_run() -> SimWorld<App, App> {
     let p = platform::paper_platform();
-    let n_rails = p.rails.len();
     let mut config = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
     config.acked = true;
     config.observe = Observe::Watch {
@@ -172,8 +178,6 @@ fn windows_add_up_to_what_the_recorder_saw() {
     world.open_conn();
     world.run(50_000_000);
     let end_ns = world.now().0 / 1_000;
-
-    let mut both = Tally::new(n_rails);
     for node in 0..2 {
         let engine = &mut world.node_mut(node).engine;
         // Close the window still filling: every count is in a closed one.
@@ -188,6 +192,20 @@ fn windows_add_up_to_what_the_recorder_saw() {
             agg.windows_closed(),
             "a window was overwritten"
         );
+    }
+    world
+}
+
+#[test]
+fn windows_add_up_to_what_the_recorder_saw() {
+    let world = seeded_run();
+    let n_rails = world.node(0).engine.stats().rails.len();
+    let mut both = Tally::new(n_rails);
+    for node in 0..2 {
+        let engine = &world.node(node).engine;
+        let agg = engine
+            .telemetry()
+            .expect("Observe::Watch builds the windows");
         let events = Tally::of_events(n_rails, engine.recorder().iter());
         let windows = Tally::of_windows(n_rails, agg.windows());
         assert_eq!(windows, events, "node {node}");
@@ -214,5 +232,123 @@ fn windows_add_up_to_what_the_recorder_saw() {
     );
     for r in &both.rails {
         assert!(r.tx.0 > 0 && r.rx.0 > 0 && r.rtt.0 > 0, "{both:?}");
+    }
+}
+
+/// The keys every line of `BENCH_obs_timeseries.jsonl` carried before the
+/// exporters were derived from the metric table: the artifact's readers
+/// keep them, each with its meaning.
+const SERIES_KEYS: [&str; 15] = [
+    "ordinal",
+    "start_ns",
+    "end_ns",
+    "submits",
+    "acks",
+    "retransmits",
+    "sheds",
+    "backpressure",
+    "alerts",
+    "p50_ns",
+    "p99_ns",
+    "syscalls_per_packet",
+    "pool_reuse_rate",
+    "pool_outstanding",
+    "rails",
+];
+const SERIES_RAIL_KEYS: [&str; 9] = [
+    "tx_frames",
+    "tx_bytes",
+    "rx_frames",
+    "rx_bytes",
+    "retransmits",
+    "failovers",
+    "probes",
+    "utilization",
+    "p99_ns",
+];
+
+/// Prometheus samples by series (`name` or `name{rail="r"}`).
+fn prometheus_samples(text: &str) -> Vec<(String, String)> {
+    text.lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            let (series, value) = l.rsplit_once(' ').expect("a sample is `series value`");
+            (series.to_string(), value.to_string())
+        })
+        .collect()
+}
+
+/// What the JSONL windows add up to for an integer `key`, at
+/// `rail` if given.
+fn jsonl_sum(lines: &[serde_json::Value], key: &str, rail: Option<usize>) -> u64 {
+    lines
+        .iter()
+        .map(|w| match rail {
+            None => w.get(key),
+            Some(r) => w
+                .get("rails")
+                .and_then(|rs| rs.as_array()?.get(r)?.get(key)),
+        })
+        .map(|v| {
+            v.and_then(|v| v.as_u64())
+                .unwrap_or_else(|| panic!("{key} is no count"))
+        })
+        .sum()
+}
+
+#[test]
+fn one_name_is_one_number_in_every_exporter() {
+    let world = seeded_run();
+    for node in 0..2 {
+        let engine: &Engine = &world.node(node).engine;
+        let agg = engine
+            .telemetry()
+            .expect("Observe::Watch builds the windows");
+        // One instant: the last fold closed the last window with the
+        // counters as they are now.
+        let prom = prometheus_samples(&to_prometheus(agg, engine.stats()));
+        let sample = |series: &str| prom.iter().find(|(s, _)| s == series).map(|(_, v)| v);
+        let lines: Vec<serde_json::Value> = windows_jsonl(agg)
+            .lines()
+            .map(|l| serde_json::from_str(l).expect("each window is a JSON object"))
+            .collect();
+        assert_eq!(lines.len() as u64, agg.windows_closed());
+        for line in &lines {
+            for key in SERIES_KEYS {
+                assert!(line.get(key).is_some(), "node {node}: no {key}");
+            }
+            for rail in line.get("rails").and_then(|r| r.as_array()).unwrap() {
+                for key in SERIES_RAIL_KEYS {
+                    assert!(rail.get(key).is_some(), "node {node}: no rail {key}");
+                }
+            }
+        }
+        let n_rails = engine.stats().rails.len();
+        let mut moved = 0;
+        for m in METRICS {
+            let rails: Vec<Option<usize>> = match m.scope {
+                Scope::Engine => vec![None],
+                Scope::Rail => (0..n_rails).map(Some).collect(),
+            };
+            for rail in rails {
+                let label = rail.map_or(String::new(), |r| format!("{{rail=\"{r}\"}}"));
+                let window = format!("{}{label}", m.prometheus_name(true));
+                assert!(sample(&window).is_some(), "node {node}: no {window}");
+                if !m.is_counter() {
+                    continue;
+                }
+                let total = format!("{}{label}", m.prometheus_name(false));
+                let total = sample(&total).unwrap_or_else(|| panic!("node {node}: no {total}"));
+                let summed = jsonl_sum(&lines, m.name, rail);
+                assert_eq!(
+                    total.parse::<u64>().unwrap(),
+                    summed,
+                    "node {node}: {} at {rail:?}: Prometheus total against the windows' sum",
+                    m.name
+                );
+                moved += usize::from(summed > 0);
+            }
+        }
+        assert!(moved > 10, "node {node}: only {moved} counters moved");
     }
 }
