@@ -17,10 +17,12 @@
 //! of rebuilds after drift onset. The result is written to
 //! `target/figures/BENCH_calibration.json`.
 
+use std::time::Duration;
+
 use bytes::Bytes;
-use nmad_core::{EngineConfig, StrategyKind};
+use nmad_core::{Effect, EngineConfig, Fault, FaultPlan, StrategyKind};
 use nmad_model::platform;
-use nmad_runtime_sim::{AppLogic, BandwidthDrift, FaultPlan, NodeApi, SimWorld};
+use nmad_runtime_sim::{AppLogic, NodeApi, SimWorld};
 use nmad_sim::{SimDuration, SimTime};
 use serde::{ser, Serialize, Value};
 
@@ -197,16 +199,13 @@ pub fn run_leg(
     // Both legs record so both see the same exact (non-tick-quantized)
     // engine clock — the comparison isolates the calibrator itself.
     w.enable_recording(8192);
-    w.enable_faults(FaultPlan::drift_only(
-        BandwidthDrift {
-            rail: 0,
-            from: SimTime::from_us(DRIFT_ONSET_US),
-            to: SimTime::from_us(10_000_000),
-            factor: DRIFT_FACTOR,
-        },
+    let span = Duration::from_micros(DRIFT_ONSET_US)..Duration::from_secs(10);
+    let drift = Fault::during(0, span, Effect::Bandwidth(DRIFT_FACTOR));
+    w.enable_faults(
+        &FaultPlan::new(0, vec![drift]),
         SimDuration::from_us(50),
         SimTime::from_us(400_000),
-    ));
+    );
     w.run(500_000_000);
     assert_eq!(
         w.app1().delivered,

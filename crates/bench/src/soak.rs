@@ -1,5 +1,5 @@
 //! Chaos soak: minutes of multi-tenant traffic over the mem fabric
-//! while a seeded schedule turns every fault dial at once, gated on SLOs
+//! under a seeded plan that opens every kind of fault window, gated on SLOs
 //! (`nmad soak`, `ablate_soak`, `BENCH_soak.json`).
 //!
 //! The unit tests each exercise one failure mode in isolation; the soak
@@ -20,124 +20,89 @@
 //! * **No stuck requests** — every accepted send acks within the drain
 //!   deadline after the final fault heals.
 //!
-//! Everything is replayable: the traffic schedules, the fault spec and
-//! the chaos dial timeline all derive from one recorded seed.
+//! Everything is replayable: the traffic schedules and the fault plan
+//! ([`chaos_plan`]) derive from one recorded seed.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use nmad_core::{ChaosState, EngineConfig, Observe, StrategyKind, SubmitError};
+use nmad_core::{Effect, EngineConfig, Fault, FaultPlan, Observe, StrategyKind, SubmitError};
 use nmad_model::platform;
 use nmad_sim::Xoshiro256StarStar;
-use nmad_transport_mem::{pair, Endpoint, FabricConfig, FaultSpec, RailOutage};
+use nmad_transport_mem::{pair, Endpoint, FabricConfig, RecvHandle, SendHandle};
 use nmad_wire::ConnId;
 use serde::{ser, Serialize, Value};
 
 use crate::loadgen::{ArrivalSampler, LoopMode, TrafficSpec};
 
-/// One timed turn of a live chaos dial.
-#[derive(Clone, Copy, Debug)]
-pub struct DialEvent {
-    /// When to apply, relative to soak start.
-    pub at: Duration,
-    /// Rail whose dial turns.
-    pub rail: usize,
-    /// What turns.
-    pub kind: DialKind,
+/// When the chaos of a run of `duration` heals, 70 % of the way in: from
+/// here on only the background noise is left, so the run's tail is a
+/// recovery check.
+pub fn heal_at(duration: Duration) -> Duration {
+    duration.mul_f64(0.70)
 }
 
-/// Which dial a [`DialEvent`] turns.
-#[derive(Clone, Copy, Debug)]
-pub enum DialKind {
-    /// Set the rail's bandwidth multiplier (PR 4 drift, live).
-    Bandwidth(f64),
-    /// Set the rail's additive drop probability.
-    DropBoost(f64),
-}
+/// The seeded fault plan of a soak of `duration` over two rails: a hard
+/// outage on rail 0, bandwidth drift on both rails, drop storms on rail
+/// 1, and background corruption, duplication and reordering that never
+/// ends. Derived entirely from the recorded seed.
+///
+/// Invariants the generator maintains (and the tests pin down): every
+/// window but the background noise lies inside the middle `[25 %, 70 %]`
+/// of the run, so the head and tail windows are clean; the outage hits
+/// rail 0 only and the drop storms hit rail 1 only *after* the outage
+/// has ended, so at least one rail can always make forward progress and
+/// latency stays bounded by a few RTOs instead of an outage length.
+pub fn chaos_plan(seed: u64, duration: Duration) -> FaultPlan {
+    let mut rng = Xoshiro256StarStar::new(seed ^ 0xC4A0_5EED);
+    let d = duration.as_secs_f64();
+    let jitter = |rng: &mut Xoshiro256StarStar, frac: f64| {
+        // +/- 2 % of the run around the nominal point.
+        Duration::from_secs_f64(d * (frac + (rng.next_f64() - 0.5) * 0.04))
+    };
+    let heal = heal_at(duration);
 
-/// The deterministic chaos plan for one soak: construction-time faults
-/// (outages + corruption/dup/reorder probabilities, PR 1) plus a
-/// timeline of live dial turns (drop storms + bandwidth drift), plus
-/// the heal point. Derived entirely from the recorded seed.
-#[derive(Clone, Debug)]
-pub struct ChaosSchedule {
-    /// Live dial turns, sorted by time.
-    pub dials: Vec<DialEvent>,
-    /// Scheduled hard outages (100 % loss windows).
-    pub outages: Vec<RailOutage>,
-    /// Background corruption probability (exercises CRC + retransmit).
-    pub corrupt_prob: f64,
-    /// Background duplication probability.
-    pub dup_prob: f64,
-    /// Background pairwise-reorder probability.
-    pub reorder_prob: f64,
-    /// When every dial resets to identity. After this the fabric runs
-    /// fault-free (the background probabilities above are the only
-    /// noise), so the run's tail is a recovery check.
-    pub heal_at: Duration,
-}
+    // Background noise on both rails for the whole run, heal included
+    // (exercises CRC, duplicate suppression and reassembly).
+    let noise = [
+        Effect::Corrupt(0.0005),
+        Effect::Duplicate(0.0005),
+        Effect::Reorder(0.001),
+    ];
+    let mut plan = FaultPlan::everywhere(seed, 2, &noise);
 
-impl ChaosSchedule {
-    /// Build the plan for a run of `duration` over two rails.
-    ///
-    /// Invariants the generator maintains (and the tests pin down):
-    /// chaos fires only inside the middle `[27 %, 65 %]` of the run so
-    /// the head and tail windows are clean; the hard outage hits rail 0
-    /// only and the drop storms hit rail 1 only *after* the outage has
-    /// ended, so at least one rail can always make forward progress and
-    /// latency stays bounded by a few RTOs instead of an outage length.
-    pub fn generate(seed: u64, duration: Duration) -> Self {
-        let mut rng = Xoshiro256StarStar::new(seed ^ 0xC4A0_5EED);
-        let d = duration.as_secs_f64();
-        let jitter = |rng: &mut Xoshiro256StarStar, frac: f64| {
-            // +/- 2 % of the run around the nominal point.
-            Duration::from_secs_f64(d * (frac + (rng.next_f64() - 0.5) * 0.04))
-        };
+    // Hard outage on rail 0: ~15 % of the run, many RTOs long.
+    let down_at = jitter(&mut rng, 0.30);
+    let up_at = jitter(&mut rng, 0.45);
+    plan.faults
+        .push(Fault::during(0, down_at..up_at, Effect::Loss(1.0)));
 
-        // Hard outage on rail 0: ~15 % of the run, many RTOs long.
-        let down_at = jitter(&mut rng, 0.30);
-        let up_at = jitter(&mut rng, 0.45);
-        let outages = vec![RailOutage {
-            rail: 0,
-            down_at,
-            up_at: Some(up_at),
-        }];
-
-        let mut dials = Vec::new();
-        // Bandwidth drift on both rails across the chaos window: a slow
-        // rail forces the online calibrator to re-split while traffic
-        // flows.
-        for (i, frac) in [0.27, 0.36, 0.45, 0.54].iter().enumerate() {
-            dials.push(DialEvent {
-                at: jitter(&mut rng, *frac),
-                rail: i % 2,
-                kind: DialKind::Bandwidth(0.3 + rng.next_f64() * 1.2),
-            });
-        }
-        // Drop storms on rail 1 only, strictly after the rail-0 outage
-        // is over (never blackhole both rails at once).
-        let storm_floor = up_at.as_secs_f64() / d + 0.02;
-        for frac in [storm_floor.max(0.48), 0.58] {
-            dials.push(DialEvent {
-                at: jitter(&mut rng, frac),
-                rail: 1,
-                kind: DialKind::DropBoost(0.2 + rng.next_f64() * 0.3),
-            });
-        }
-        dials.sort_by_key(|e| e.at);
-
-        ChaosSchedule {
-            dials,
-            outages,
-            corrupt_prob: 0.0005,
-            dup_prob: 0.0005,
-            reorder_prob: 0.001,
-            heal_at: Duration::from_secs_f64(d * 0.70),
-        }
+    // Bandwidth drift on both rails in turn across the chaos window: a
+    // slow rail forces the online calibrator to re-split while traffic
+    // flows. A rail's factor holds until its next drift, the last until
+    // the heal.
+    let drifts =
+        [0.27, 0.36, 0.45, 0.54].map(|frac| (jitter(&mut rng, frac), 0.3 + rng.next_f64() * 1.2));
+    for (i, &(at, factor)) in drifts.iter().enumerate() {
+        let until = drifts.get(i + 2).map_or(heal, |next| next.0);
+        plan.faults
+            .push(Fault::during(i % 2, at..until, Effect::Bandwidth(factor)));
     }
+
+    // Drop storms on rail 1 only, strictly after the rail-0 outage is
+    // over (never blackhole both rails at once); each lasts until the
+    // next, the last until the heal.
+    let storm_floor = up_at.as_secs_f64() / d + 0.02;
+    let storms = [storm_floor.max(0.48), 0.58]
+        .map(|frac| (jitter(&mut rng, frac), 0.2 + rng.next_f64() * 0.3));
+    for (i, &(at, p)) in storms.iter().enumerate() {
+        let until = storms.get(i + 1).map_or(heal, |next| next.0);
+        plan.faults
+            .push(Fault::during(1, at..until, Effect::Loss(p)));
+    }
+    plan
 }
 
 /// Soak parameters. `smoke()` fits the CI budget; `full()` is the
@@ -150,8 +115,9 @@ pub struct SoakSpec {
     pub duration: Duration,
     /// Windows the run is sliced into for throughput accounting.
     pub windows: usize,
-    /// Fabric rate shaping (wall seconds per modelled second); must be
-    /// > 0 or bandwidth drift has nothing to stretch.
+    /// Fabric rate shaping (wall seconds per modelled second). Must be
+    /// positive: the mem fabric refuses the plan's bandwidth drift on an
+    /// unshaped wire.
     pub time_scale: f64,
     /// The tenant mix.
     pub traffic: TrafficSpec,
@@ -163,8 +129,8 @@ pub struct SoakSpec {
     pub max_decay_pct: f64,
     /// Budget for draining outstanding requests after the load phase.
     pub drain_deadline: Duration,
-    /// Whether the chaos schedule applies. A clean run (false) has no
-    /// outage, no dial turns and no background fault probabilities —
+    /// Whether the chaos plan applies. A clean run (false) has no fault
+    /// plan at all: no outage, no storm, no drift, no background noise —
     /// it exercises the watchdog's false-positive contract: zero
     /// alerts, or the gate fails.
     pub chaos: bool,
@@ -268,7 +234,7 @@ impl Serialize for TenantOutcome {
 /// The soak result — what `BENCH_soak.json` records.
 #[derive(Clone, Debug)]
 pub struct SoakReport {
-    /// Seed that replays the run (traffic + faults + dial timeline).
+    /// Seed that replays the run (traffic + fault plan).
     pub seed: u64,
     /// Load-phase length, seconds.
     pub duration_s: f64,
@@ -306,9 +272,9 @@ pub struct SoakReport {
     pub pool_leaks_b: u64,
     /// Requests that never acked within the drain deadline (gate: 0).
     pub stuck: u64,
-    /// Live dial turns applied.
+    /// Storm and drift windows in the plan.
     pub dial_events: usize,
-    /// Hard outages scheduled.
+    /// Full-loss windows in the plan.
     pub outage_count: usize,
     /// Heal point, seconds into the run.
     pub heal_at_s: f64,
@@ -318,7 +284,7 @@ pub struct SoakReport {
     pub p999_ceiling_us: u64,
     /// Gate: max decay, percent.
     pub max_decay_pct: f64,
-    /// Whether the chaos schedule was applied (false = clean run,
+    /// Whether the chaos plan was applied (false = clean run,
     /// exercising the watchdog's zero-false-positive contract).
     pub chaos: bool,
     /// Telemetry window interval, seconds (0 = telemetry off).
@@ -431,10 +397,7 @@ pub fn soak_health(engine: &mut EngineConfig) {
 /// Run one soak. Blocks for `duration` plus however much of the drain
 /// budget the tail needs.
 pub fn run(spec: &SoakSpec) -> SoakReport {
-    let schedule = spec
-        .chaos
-        .then(|| ChaosSchedule::generate(spec.seed, spec.duration));
-    let chaos = ChaosState::new(2);
+    let plan = spec.chaos.then(|| chaos_plan(spec.seed, spec.duration));
 
     let mut engine = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
     engine.acked = true;
@@ -452,42 +415,13 @@ pub fn run(spec: &SoakSpec) -> SoakReport {
     let mut cfg = FabricConfig::new(platform::paper_platform(), engine);
     cfg.conns = spec.traffic.tenants.len();
     cfg.time_scale = spec.time_scale;
-    cfg.chaos = Some(chaos.clone());
-    if let Some(schedule) = &schedule {
-        cfg.faults = Some(FaultSpec {
-            corrupt_prob: schedule.corrupt_prob,
-            dup_prob: schedule.dup_prob,
-            reorder_prob: schedule.reorder_prob,
-            seed: spec.seed,
-            outages: schedule.outages.clone(),
-            ..FaultSpec::default()
-        });
-    }
+    cfg.faults = plan.clone();
 
     let (a, b) = pair(cfg);
     let conns = a.conns().to_vec();
     let start = Instant::now();
-    let dial_count = AtomicU64::new(0);
 
     let runs: Vec<TenantRun> = thread::scope(|s| {
-        // Chaos driver: walk the dial timeline, then heal.
-        if let Some(schedule) = &schedule {
-            let chaos = &chaos;
-            let dial_count = &dial_count;
-            s.spawn(move || {
-                for ev in &schedule.dials {
-                    sleep_until(start, ev.at);
-                    match ev.kind {
-                        DialKind::Bandwidth(m) => chaos.set_bandwidth_mult(ev.rail, m),
-                        DialKind::DropBoost(p) => chaos.set_drop_boost(ev.rail, p),
-                    }
-                    dial_count.fetch_add(1, Ordering::Relaxed);
-                }
-                sleep_until(start, schedule.heal_at);
-                chaos.heal_all();
-            });
-        }
-
         let handles: Vec<_> = spec
             .traffic
             .tenants
@@ -578,18 +512,20 @@ pub fn run(spec: &SoakSpec) -> SoakReport {
         })
         .collect();
     let watchdog_clean = telemetry_on.then_some(alerts.is_empty());
-    let outage_down_s = schedule
-        .as_ref()
-        .and_then(|s| s.outages.first())
-        .map_or(-1.0, |o| o.down_at.as_secs_f64());
-    let storm_at_s = schedule
-        .as_ref()
-        .and_then(|s| {
-            s.dials
-                .iter()
-                .find(|d| matches!(d.kind, DialKind::DropBoost(_)))
-        })
-        .map_or(-1.0, |d| d.at.as_secs_f64());
+    // The plan's windows by kind: a full loss is an outage, a lesser one
+    // a storm, a bandwidth window a drift.
+    let faults: &[Fault] = plan.as_ref().map_or(&[], |p| &p.faults);
+    let starts = |pick: fn(Effect) -> bool| -> Vec<Duration> {
+        faults
+            .iter()
+            .filter(|f| pick(f.effect))
+            .map(|f| f.from)
+            .collect()
+    };
+    let outages = starts(|e| e == Effect::Loss(1.0));
+    let storms = starts(|e| matches!(e, Effect::Loss(p) if p < 1.0));
+    let drifts = starts(|e| matches!(e, Effect::Bandwidth(_)));
+    let first_s = |at: &[Duration]| at.iter().min().map_or(-1.0, |t| t.as_secs_f64());
 
     SoakReport {
         seed: spec.seed,
@@ -611,9 +547,11 @@ pub fn run(spec: &SoakSpec) -> SoakReport {
         pool_leaks_a: a.pool_leaks(),
         pool_leaks_b: b.pool_leaks(),
         stuck: runs.iter().map(|r| r.stuck).sum(),
-        dial_events: dial_count.load(Ordering::Relaxed) as usize,
-        outage_count: schedule.as_ref().map_or(0, |s| s.outages.len()),
-        heal_at_s: schedule.as_ref().map_or(0.0, |s| s.heal_at.as_secs_f64()),
+        dial_events: storms.len() + drifts.len(),
+        outage_count: outages.len(),
+        heal_at_s: plan
+            .as_ref()
+            .map_or(0.0, |_| heal_at(spec.duration).as_secs_f64()),
         p99_ceiling_us: spec.p99_ceiling.as_micros() as u64,
         p999_ceiling_us: spec.p999_ceiling.as_micros() as u64,
         max_decay_pct: spec.max_decay_pct,
@@ -622,8 +560,8 @@ pub fn run(spec: &SoakSpec) -> SoakReport {
         telemetry_windows,
         alerts,
         watchdog_clean,
-        outage_down_s,
-        storm_at_s,
+        outage_down_s: first_s(&outages),
+        storm_at_s: first_s(&storms),
         telemetry_jsonl,
         verdict_json,
     }
@@ -655,24 +593,15 @@ fn tenant_loop(
         samples: Vec::new(),
     };
     // Outstanding requests, oldest first: (send, recv, submitted, bytes).
-    let mut backlog: VecDeque<(
-        nmad_transport_mem::SendHandle,
-        nmad_transport_mem::RecvHandle,
-        Instant,
-        u64,
-    )> = VecDeque::new();
+    type Pending = (SendHandle, RecvHandle, Instant, u64);
+    let mut backlog: VecDeque<Pending> = VecDeque::new();
     let drain_end = start + spec.duration + spec.drain_deadline;
 
     // Reap the oldest entry. Blocking variant waits out the remaining
     // drain budget; a miss there is a stuck request, the soak's cardinal
     // failure.
-    let reap = |backlog: &mut VecDeque<_>, out: &mut TenantRun, block: bool| -> bool {
-        let Some((s, r, submitted, bytes)): Option<(
-            nmad_transport_mem::SendHandle,
-            nmad_transport_mem::RecvHandle,
-            Instant,
-            u64,
-        )> = backlog.pop_front() else {
+    let reap = |backlog: &mut VecDeque<Pending>, out: &mut TenantRun, block: bool| {
+        let Some((s, r, submitted, bytes)) = backlog.pop_front() else {
             return false;
         };
         let timeout = if block {
@@ -742,14 +671,6 @@ fn tenant_loop(
         reap(&mut backlog, &mut out, true);
     }
     out
-}
-
-fn sleep_until(start: Instant, at: Duration) {
-    let target = start + at;
-    let now = Instant::now();
-    if target > now {
-        thread::sleep(target - now);
-    }
 }
 
 /// Percentile of a sorted ns vector, reported in microseconds.
@@ -861,7 +782,7 @@ pub fn render(r: &SoakReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "chaos soak: seed {} | {:.0}s load, {} windows | {} dial turns, {} outage(s), heal at {:.1}s",
+        "chaos soak: seed {} | {:.0}s load, {} windows | {} storm/drift windows, {} outage(s), heal at {:.1}s",
         r.seed, r.duration_s, r.windows, r.dial_events, r.outage_count, r.heal_at_s
     );
     let _ = writeln!(
@@ -934,48 +855,83 @@ pub fn render(r: &SoakReport) -> String {
 mod tests {
     use super::*;
 
+    /// Sum of the `Loss` windows open on `rail` at `at`.
+    fn loss(plan: &FaultPlan, rail: usize, at: Duration) -> f64 {
+        let open = |f: &&Fault| f.rail == rail && f.from <= at && f.until.is_none_or(|u| at < u);
+        let losses = plan.faults.iter().filter(open).map(|f| match f.effect {
+            Effect::Loss(p) => p,
+            _ => 0.0,
+        });
+        losses.sum()
+    }
+
     #[test]
     fn schedule_is_deterministic_and_bounded() {
         let d = Duration::from_secs(100);
-        let a = ChaosSchedule::generate(7, d);
-        let b = ChaosSchedule::generate(7, d);
-        assert_eq!(a.dials.len(), b.dials.len());
-        for (x, y) in a.dials.iter().zip(&b.dials) {
-            assert_eq!(x.at, y.at);
-            assert_eq!(x.rail, y.rail);
+        let a = chaos_plan(7, d);
+        let b = chaos_plan(7, d);
+        assert_eq!(a.faults, b.faults);
+        assert_eq!(a.seed, b.seed);
+        // Chaos only in the middle; every chaos window ends by the heal;
+        // head and tail stay clean but for the background noise.
+        let heal = heal_at(d);
+        assert!(heal <= d.mul_f64(0.75));
+        for f in &a.faults {
+            match f.until {
+                Some(until) => {
+                    assert!(f.from >= d.mul_f64(0.25), "{f:?}");
+                    assert!(f.from < until && until <= heal, "{f:?} past the heal");
+                }
+                None => {
+                    assert_eq!(f.from, Duration::ZERO, "{f:?}");
+                    assert!(
+                        matches!(f.effect, Effect::Corrupt(p) | Effect::Duplicate(p) | Effect::Reorder(p) if p <= 0.001),
+                        "only background noise lasts: {f:?}"
+                    );
+                }
+            }
         }
-        // Chaos only in the middle; heal after every event; head and
-        // tail stay clean.
-        for ev in &a.dials {
-            assert!(ev.at >= Duration::from_secs_f64(100.0 * 0.25), "{ev:?}");
-            assert!(ev.at < a.heal_at, "{ev:?} after heal");
-        }
-        assert!(a.heal_at <= Duration::from_secs_f64(100.0 * 0.75));
-        for o in &a.outages {
-            assert!(o.down_at >= Duration::from_secs_f64(100.0 * 0.25));
-            assert!(o.up_at.expect("soak outages must end") < a.heal_at);
-        }
+        let outages = a.faults.iter().filter(|f| f.effect == Effect::Loss(1.0));
+        assert_eq!(outages.count(), 1);
     }
 
     #[test]
     fn schedule_never_blackholes_both_rails() {
         for seed in 0..32 {
-            let s = ChaosSchedule::generate(seed, Duration::from_secs(60));
-            let outage_end = s.outages.iter().filter_map(|o| o.up_at).max().unwrap();
-            for ev in &s.dials {
-                if let DialKind::DropBoost(p) = ev.kind {
-                    // Storms only off the outage rail, only after the
-                    // outage, and never total loss.
-                    assert_ne!(ev.rail, 0, "storm on the outage rail (seed {seed})");
-                    assert!(ev.at >= outage_end, "storm during outage (seed {seed})");
-                    assert!(p < 0.9, "storm too close to blackhole (seed {seed})");
+            let d = Duration::from_secs(60);
+            let plan = chaos_plan(seed, d);
+            let outage_end = plan
+                .faults
+                .iter()
+                .filter(|f| f.effect == Effect::Loss(1.0))
+                .filter_map(|f| f.until)
+                .max()
+                .unwrap();
+            for f in &plan.faults {
+                if let Effect::Loss(p) = f.effect {
+                    if p < 1.0 {
+                        // Storms only off the outage rail, only after the
+                        // outage, and never total loss.
+                        assert_ne!(f.rail, 0, "storm on the outage rail (seed {seed})");
+                        assert!(f.from >= outage_end, "storm during outage (seed {seed})");
+                        assert!(p < 0.9, "storm too close to blackhole (seed {seed})");
+                    }
                 }
+            }
+            // No instant with both rails at full loss: the loss on a rail
+            // changes only where a window opens or closes.
+            let edges = plan.faults.iter().flat_map(|f| [Some(f.from), f.until]);
+            for at in edges.flatten() {
+                assert!(
+                    loss(&plan, 0, at) < 1.0 || loss(&plan, 1, at) < 1.0,
+                    "both rails blackholed at {at:?} (seed {seed})"
+                );
             }
         }
     }
 
     /// A miniature end-to-end soak: every machinery piece (traffic,
-    /// dials, outage, heal, drain, ledgers) in ~2 s of load.
+    /// drift, storms, outage, heal, drain, ledgers) in ~2 s of load.
     #[test]
     fn mini_soak_runs_clean() {
         let mut spec = SoakSpec::smoke(5);
@@ -987,7 +943,6 @@ mod tests {
         for t in &r.tenants {
             assert!(t.accepted > 0 && t.acked > 0, "{}", render(&r));
         }
-        assert!(r.dial_events > 0, "chaos driver never fired");
         assert!(
             r.retransmits > 0 || r.tx_dropped > 0,
             "chaos had no effect: {}",

@@ -22,17 +22,29 @@
 //! claim gates above are checked by [`check`], and the winner table is
 //! what EXPERIMENTS.md publishes.
 
+use std::time::Duration;
+
 use bytes::Bytes;
 use nmad_core::obs::EventKind;
 use nmad_core::request::{RecvId, SendId};
-use nmad_core::{EngineConfig, StrategyKind};
+use nmad_core::{Effect, EngineConfig, Fault, FaultPlan, StrategyKind};
 use nmad_model::platform;
-use nmad_runtime_sim::world::{AppLogic, BandwidthDrift, FaultPlan, NodeApi, SimWorld};
+use nmad_runtime_sim::world::{AppLogic, NodeApi, SimWorld};
 use nmad_sim::{SimDuration, SimTime, Xoshiro256StarStar};
 use nmad_wire::reassembly::MessageAssembly;
 use serde::{ser, Serialize, Value};
 
 use crate::loadgen::{ArrivalSampler, Arrivals, BoundedPareto};
+
+/// Interval between the engine progress passes of a scenario with faults.
+pub const FAULT_TICK: SimDuration = SimDuration::from_us(50);
+
+/// `effect` on `rail` over `[from_us, until_us)`, a scenario's one
+/// fault window.
+fn window(rail: usize, from_us: u64, until_us: u64, effect: Effect) -> FaultPlan {
+    let span = Duration::from_micros(from_us)..Duration::from_micros(until_us);
+    FaultPlan::new(0, vec![Fault::during(rail, span, effect)])
+}
 
 /// Messages at or below this are "small" for the latency metric — the
 /// PIO-class traffic aggregation favours onto the low-latency rail.
@@ -56,8 +68,9 @@ pub struct Scenario {
     pub name: &'static str,
     /// Submission schedule.
     pub waves: Vec<Wave>,
-    /// Optional link fault (outage window and/or bandwidth drift).
-    pub fault: Option<FaultPlan>,
+    /// Optional link faults (an outage, a bandwidth drift) and the
+    /// instant the engine's progress ticks, every [`FAULT_TICK`], stop.
+    pub fault: Option<(FaultPlan, SimTime)>,
     /// Run with end-to-end acks and fast-failure health timers (the
     /// outage scenario needs both to recover).
     pub acked: bool,
@@ -161,14 +174,8 @@ pub fn scenarios(seed: u64, smoke: bool) -> Vec<Scenario> {
     let drift = Scenario {
         name: "drift",
         waves: burst(vec![1 << 20; n(16, 10)]),
-        fault: Some(FaultPlan::drift_only(
-            BandwidthDrift {
-                rail: 0,
-                from: SimTime::from_us(500),
-                to: SimTime::from_us(1_000_000),
-                factor: 0.45,
-            },
-            SimDuration::from_us(50),
+        fault: Some((
+            window(0, 500, 1_000_000, Effect::Bandwidth(0.45)),
             SimTime::from_us(60_000),
         )),
         acked: false,
@@ -180,14 +187,10 @@ pub fn scenarios(seed: u64, smoke: bool) -> Vec<Scenario> {
     let outage = Scenario {
         name: "outage",
         waves: burst(vec![1 << 20; n(10, 6)]),
-        fault: Some(FaultPlan {
-            rail: 0,
-            down_at: SimTime::from_us(100),
-            up_at: SimTime::from_us(15_000),
-            tick: SimDuration::from_us(50),
-            until: SimTime::from_us(120_000),
-            drift: None,
-        }),
+        fault: Some((
+            window(0, 100, 15_000, Effect::Loss(1.0)),
+            SimTime::from_us(120_000),
+        )),
         acked: true,
     };
 
@@ -406,8 +409,8 @@ pub fn run_cell(sc: &Scenario, kind: StrategyKind) -> Cell {
     // Recording forwards virtual time into the engines — SRPT's straggler
     // ages and the per-rail service EWMAs need a real clock.
     w.enable_recording(1 << 14);
-    if let Some(plan) = sc.fault {
-        w.enable_faults(plan);
+    if let Some((plan, until)) = &sc.fault {
+        w.enable_faults(plan, FAULT_TICK, *until);
     }
     w.run(50_000_000);
 
@@ -619,10 +622,11 @@ mod tests {
         assert!(bursty.waves.len() > 1, "MMPP must produce waves");
         assert!(bursty.waves.iter().skip(1).all(|w| w.gap_us > 0));
         // Outage runs acked with a real down window; drift carries a
-        // drift rider.
+        // bandwidth window.
+        let effect = |n: &str| by_name(n).fault.as_ref().expect(n).0.faults[0].effect;
         assert!(by_name("outage").acked);
-        assert!(by_name("outage").fault.is_some());
-        assert!(by_name("drift").fault.unwrap().drift.is_some());
+        assert_eq!(effect("outage"), Effect::Loss(1.0));
+        assert!(matches!(effect("drift"), Effect::Bandwidth(_)));
     }
 
     #[test]

@@ -84,7 +84,7 @@ fn usage() -> &'static str {
             [--window MS] [--out-timeseries FILE] [--out-verdict FILE]\n\
                                         chaos soak: multi-tenant load over the\n\
                                         mem fabric under a seeded fault\n\
-                                        schedule (outages, drop storms, drift);\n\
+                                        plan (outage, drop storms, drift);\n\
                                         --check applies the SLO gates including\n\
                                         the watchdog detection contract;\n\
                                         --no-chaos runs clean (watchdog must\n\
@@ -358,7 +358,8 @@ fn cmd_tcp_send(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_faults(args: &Args) -> Result<(), String> {
-    use nmad_transport_mem::{pair, FabricConfig, FaultSpec, RailOutage};
+    use nmad_core::{Effect, Fault, FaultPlan};
+    use nmad_transport_mem::{pair, FabricConfig};
     use std::time::Duration;
 
     let kind = parse_strategy(args.flag("strategy").unwrap_or("adaptive"))?;
@@ -372,13 +373,13 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     let plat = platform::paper_platform();
     let mut engine = EngineConfig::with_strategy(kind);
     engine.acked = true;
-    // Wall-clock-sized recovery timers (the defaults are tuned for
-    // simulated time).  The mem fabric delivers instantly, but the
-    // receiver still checksums and reassembles every byte, so the
-    // first ack of a large message arrives only after real CPU time,
-    // and all messages are pipelined, so the last ack waits behind
-    // the whole batch; scale the initial guess with the batch size
-    // (~50 MB/s floor) so clean runs don't retransmit before the
+    // Recovery timers faster than the wall-clock defaults (a 50 ms
+    // initial RTO, sized for real links). The mem fabric delivers
+    // instantly, but the receiver still checksums and reassembles every
+    // byte, so the first ack of a large message arrives only after real
+    // CPU time, and all messages are pipelined, so the last ack waits
+    // behind the whole batch; scale the initial guess with the batch
+    // size (~50 MB/s floor) so clean runs don't retransmit before the
     // estimator has its first sample.
     let rto0 = 10_000_000
         + (size as u64)
@@ -390,21 +391,24 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     engine.health.probe_interval_ns = 20_000_000;
     engine.health.probe_timeout_ns = 10_000_000;
 
-    let mut outages = Vec::new();
-    if let Some(r) = args.flag("kill-rail") {
-        let rail: usize = r
-            .parse()
-            .map_err(|_| format!("--kill-rail: cannot parse '{r}'"))?;
+    // Every rail lossy, duplicating and reordering for good, plus the
+    // outage asked for.
+    let noise = [
+        Effect::Loss(drop_prob),
+        Effect::Duplicate(dup_prob),
+        Effect::Reorder(reorder_prob),
+    ];
+    let mut plan = FaultPlan::everywhere(seed, plat.rails.len(), &noise);
+    if args.has("kill-rail") {
+        let rail: usize = args.num("kill-rail", 0)?;
         if rail >= plat.rails.len() {
             return Err(format!("--kill-rail: no rail {rail}"));
         }
         let down_ms: u64 = args.num("down-at", 5)?;
         let up_ms: u64 = args.num("up-at", 500)?;
-        outages.push(RailOutage {
-            rail,
-            down_at: Duration::from_millis(down_ms),
-            up_at: Some(Duration::from_millis(up_ms)),
-        });
+        let span = Duration::from_millis(down_ms)..Duration::from_millis(up_ms);
+        plan.faults
+            .push(Fault::during(rail, span, Effect::Loss(1.0)));
         println!(
             "killing rail {rail} ({}) at {down_ms} ms, reviving at {up_ms} ms",
             plat.rails[rail].name
@@ -412,14 +416,7 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     }
 
     let mut cfg = FabricConfig::new(plat.clone(), engine);
-    cfg.faults = Some(FaultSpec {
-        drop_prob,
-        dup_prob,
-        reorder_prob,
-        seed,
-        outages,
-        ..FaultSpec::default()
-    });
+    cfg.faults = Some(plan);
 
     let (a, b) = pair(cfg);
     let conn = a.conns()[0];
@@ -713,8 +710,9 @@ fn cmd_top(args: &Args) -> Result<(), String> {
 
     let mut engine = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
     engine.acked = true;
-    // Wall-clock recovery timers (the defaults are simulated-time
-    // sized): the soak harness's.
+    // The soak harness's recovery timers. `HealthConfig`'s defaults are
+    // wall-clock sized too (a 50 ms initial RTO), but for real links;
+    // the soak's fail over faster.
     nmad_bench::soak::soak_health(&mut engine);
     engine.observe = nmad_core::Observe::Watch {
         window_ns: window_ms.saturating_mul(1_000_000),
@@ -1121,7 +1119,7 @@ mod tests {
 
     #[test]
     fn soak_command_runs_a_short_soak() {
-        // One second of load end to end: traffic, chaos dials, outage,
+        // One second of load end to end: traffic, fault plan, outage,
         // heal and drain all execute. The SLO gates (--check) are
         // exercised by the ablate_soak bench at a statistically
         // meaningful duration; a 1 s run's windows are too small to

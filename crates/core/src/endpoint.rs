@@ -41,7 +41,7 @@ pub struct FabricStatus {
     /// Transport I/O errors, and engine invariants broken on the
     /// progress path ([`Fabric::fail`]).
     pub io_errors: AtomicU64,
-    /// Packets a fault injector dropped on this endpoint's tx side.
+    /// Frames the fabric's fault plan lost on this endpoint's tx side.
     pub tx_dropped: AtomicU64,
     failed: AtomicBool,
 }
@@ -319,8 +319,8 @@ impl Endpoint {
         self.fabric.status().io_errors.load(Ordering::Relaxed)
     }
 
-    /// Packets dropped by the mem fabric's fault injector on this
-    /// endpoint's tx side (always zero over TCP).
+    /// Frames the fabric's fault plan lost on this endpoint's tx side
+    /// (mem and TCP alike; zero without a plan).
     pub fn tx_dropped(&self) -> u64 {
         self.fabric.status().tx_dropped.load(Ordering::Relaxed)
     }

@@ -79,12 +79,12 @@
 #![forbid(unsafe_code)]
 
 pub mod api;
-pub mod chaos;
 pub mod config;
 pub mod driver;
 pub mod endpoint;
 pub mod engine;
 pub mod error;
+pub mod faults;
 pub mod health;
 pub mod obs;
 mod pool;
@@ -94,7 +94,6 @@ pub mod stats;
 pub mod strategy;
 
 pub use api::{MessageBuilder, MessageReader};
-pub use chaos::ChaosState;
 pub use config::{EngineConfig, Observe};
 pub use driver::{TxDecision, TxToken};
 pub use endpoint::{
@@ -103,6 +102,7 @@ pub use endpoint::{
 };
 pub use engine::{Engine, OnPacketOutcome, ProgressOutcome};
 pub use error::{EngineError, SubmitError};
+pub use faults::{Effect, Fault, FaultPlan};
 pub use health::{HealthConfig, HealthTracker, RailState, RailTelemetry};
 pub use obs::{
     Alert, AlertKind, Event, EventKind, FlightRecorder, Log2Histogram, SpanBreakdown,

@@ -27,4 +27,4 @@ pub use pingpong::{run_pingpong, PingPongResult, PingPongSpec};
 pub use sampling::{sample_platform, sample_rail};
 pub use sweep::{bandwidth_sizes, latency_sizes, SeriesPoint, Sweep};
 pub use timeline::Timeline;
-pub use world::{AppLogic, BandwidthDrift, FaultPlan, NodeApi, SimWorld};
+pub use world::{AppLogic, NodeApi, SimWorld};

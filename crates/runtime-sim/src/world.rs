@@ -23,9 +23,11 @@ use bytes::Bytes;
 use nmad_core::engine::Engine;
 use nmad_core::obs::{summary, Event, EventKind, FlightRecorder};
 use nmad_core::request::{RecvId, SendId};
-use nmad_core::EngineConfig;
+use nmad_core::{Effect, EngineConfig, FaultPlan};
 use nmad_model::{HostModel, NicModel, Platform, RailId, TxMode};
-use nmad_sim::{EventQueue, FlowId, FluidChannel, MultiResource, SimDuration, SimTime};
+use nmad_sim::{
+    EventQueue, FlowId, FluidChannel, MultiResource, SimDuration, SimTime, Xoshiro256StarStar,
+};
 use nmad_wire::reassembly::MessageAssembly;
 use nmad_wire::{ConnId, PacketFrame, SmallList};
 
@@ -56,77 +58,17 @@ impl AppLogic for IdleApp {
     fn on_start(&mut self, _api: &mut NodeApi<'_>) {}
 }
 
-/// Link fault plan for the simulated fabric: one rail's link silently
-/// loses every packet (data, acks, probes — both directions) during a
-/// window, then recovers. Enabling a plan also turns on periodic engine
-/// progress ticks, which drive the health tracker's timer wheel —
-/// without a plan the simulation behaves exactly as before.
-///
-/// A plan can carry a [`BandwidthDrift`] rider: instead of (or in
-/// addition to) an outage, one rail's link bandwidth is scaled during a
-/// window — the deterministic test harness for online recalibration.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultPlan {
-    /// Rail whose link fails.
-    pub rail: usize,
-    /// Packets arriving in `[down_at, up_at)` are lost.
-    pub down_at: SimTime,
-    /// End of the outage window.
-    pub up_at: SimTime,
+/// The fault plan a world runs under, its bounds in simulated time, and
+/// the engine progress ticks that come with it: they drive the health
+/// tracker's timer wheel. Without a plan the simulation has neither.
+struct Faults {
+    plan: FaultPlan<SimTime>,
+    /// Draws for losses short of a full outage (none inside one).
+    rng: Xoshiro256StarStar,
     /// Interval between engine progress ticks (timer-wheel granularity).
-    pub tick: SimDuration,
-    /// Stop ticking at this virtual time (bounds the event queue).
-    pub until: SimTime,
-    /// Optional bandwidth drift applied on top of (or instead of) the
-    /// outage window.
-    pub drift: Option<BandwidthDrift>,
-}
-
-/// Mid-run bandwidth drift: within `[from, to)`, `rail`'s effective link
-/// bandwidth is multiplied by `factor` (`0.5` = a 2× degradation; values
-/// above 1 model a recovering or upgraded link). The scale applies to DMA
-/// drains started inside the window — the regime the split tables govern;
-/// PIO injections (small control traffic) are unaffected.
-#[derive(Clone, Copy, Debug)]
-pub struct BandwidthDrift {
-    /// Rail whose link drifts.
-    pub rail: usize,
-    /// Drift begins (inclusive).
-    pub from: SimTime,
-    /// Drift ends (exclusive).
-    pub to: SimTime,
-    /// Bandwidth multiplier inside the window; must be positive.
-    pub factor: f64,
-}
-
-impl FaultPlan {
-    /// A plan with no outage window — only the drift rider (plus the
-    /// periodic engine progress ticks every plan provides).
-    pub fn drift_only(drift: BandwidthDrift, tick: SimDuration, until: SimTime) -> Self {
-        FaultPlan {
-            rail: drift.rail,
-            down_at: SimTime::ZERO,
-            up_at: SimTime::ZERO,
-            tick,
-            until,
-            drift: Some(drift),
-        }
-    }
-
-    fn covers(&self, t: SimTime) -> bool {
-        t >= self.down_at && t < self.up_at
-    }
-
-    /// Bandwidth multiplier for `rail` at virtual time `t`.
-    fn bandwidth_factor(&self, rail: usize, t: SimTime) -> f64 {
-        match self.drift {
-            Some(d) if d.rail == rail && t >= d.from && t < d.to => {
-                assert!(d.factor > 0.0, "drift factor must be positive");
-                d.factor
-            }
-            _ => 1.0,
-        }
-    }
+    tick: SimDuration,
+    /// No tick is scheduled past this instant (bounds the event queue).
+    until: SimTime,
 }
 
 struct PendingDma {
@@ -203,7 +145,7 @@ enum Ev {
         frame: PacketFrame,
     },
     /// Periodic engine progress pass (retransmission timers, health
-    /// probes). Only scheduled when a [`FaultPlan`] is active.
+    /// probes). Only scheduled when a fault plan is installed.
     Tick,
 }
 
@@ -294,8 +236,8 @@ pub struct SimWorld<A: AppLogic, B: AppLogic> {
     pub recorder: FlightRecorder,
     /// Optional activity timeline (see [`crate::timeline`]).
     pub timeline: Option<Timeline>,
-    faults: Option<FaultPlan>,
-    /// Packets lost to the fault plan's outage window.
+    faults: Option<Faults>,
+    /// Packets lost to the fault plan's loss windows.
     pub packets_lost: u64,
     events: u64,
 }
@@ -320,9 +262,27 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
         }
     }
 
-    /// Install a link fault plan (see [`FaultPlan`]).
-    pub fn enable_faults(&mut self, plan: FaultPlan) {
-        self.faults = Some(plan);
+    /// Run under `plan` (its windows count from `SimTime::ZERO`), with an
+    /// engine progress pass every `tick` up to `until`. A window loses
+    /// the frames that arrive on its rail in either direction, or scales
+    /// the bandwidth of the DMA drains that start on it (PIO injections,
+    /// the small control traffic, keep their speed).
+    ///
+    /// Panics on a plan the sim cannot apply in full
+    /// ([`FaultPlan::refused`]): it applies `Loss` and `Bandwidth` only —
+    /// its receive path panics on a CRC error, its unacked runs on a
+    /// duplicate, and it holds no frame back to reorder.
+    pub fn enable_faults(&mut self, plan: &FaultPlan, tick: SimDuration, until: SimTime) {
+        let applies = |e| matches!(e, Effect::Loss(_) | Effect::Bandwidth(_));
+        if let Some(f) = plan.refused(self.nodes[0].rails.len(), applies) {
+            panic!("the sim cannot apply {f:?}");
+        }
+        self.faults = Some(Faults {
+            plan: plan.in_unit(|d| SimTime::from_ns(d.as_nanos() as u64)),
+            rng: Xoshiro256StarStar::new(plan.seed),
+            tick,
+            until,
+        });
     }
 
     /// Start flight-recording: the world keeps `capacity` hardware-model
@@ -426,8 +386,8 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
         // Start both apps at t = 0.
         self.run_app_hook(0, SimTime::ZERO, AppHook::Start);
         self.run_app_hook(1, SimTime::ZERO, AppHook::Start);
-        if let Some(p) = &self.faults {
-            self.queue.push(SimTime::ZERO + p.tick, Ev::Tick);
+        if let Some(f) = &self.faults {
+            self.queue.push(SimTime::ZERO + f.tick, Ev::Tick);
         }
         while let Some((now, ev)) = self.queue.pop() {
             self.events += 1;
@@ -499,13 +459,14 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
                 frame,
             } => {
                 let mut cap = self.nodes[node].rails[rail].link_bandwidth;
-                if let Some(p) = &self.faults {
-                    // Bandwidth drift: a flow started inside the window
-                    // drains at the scaled rate for its whole lifetime
-                    // (fluid approximation — chunk drains are short
-                    // relative to the drift window).
-                    cap *= p.bandwidth_factor(rail, now);
-                }
+                // Bandwidth drift: a flow started inside the window drains
+                // at the scaled rate for its whole lifetime (fluid
+                // approximation — chunk drains are short relative to the
+                // drift window).
+                cap *= self
+                    .faults
+                    .as_ref()
+                    .map_or(1.0, |f| f.plan.bandwidth(rail, now));
                 let len = frame.wire_len() as u64;
                 let flow = self.nodes[node].bus.add_flow(now, len, cap);
                 self.nodes[node].dma.insert(
@@ -573,15 +534,14 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
                 self.schedule_bus_check(node, now);
             }
             Ev::Arrive { node, rail, frame } => {
-                if let Some(p) = &self.faults {
-                    if p.rail == rail && p.covers(now) {
-                        self.packets_lost += 1;
-                        if let Some(e) = self.sim_event(now, EventKind::SimNic, node) {
-                            self.recorder
-                                .record(e.rail(rail).size(frame.wire_len() as u64).aux(1));
-                        }
-                        return;
+                let lost = |f: &mut Faults| f.plan.lost(rail, now, &mut f.rng);
+                if self.faults.as_mut().is_some_and(lost) {
+                    self.packets_lost += 1;
+                    if let Some(e) = self.sim_event(now, EventKind::SimNic, node) {
+                        self.recorder
+                            .record(e.rail(rail).size(frame.wire_len() as u64).aux(1));
                     }
+                    return;
                 }
                 let rx = self.nodes[node].rails[rail].rx_overhead;
                 let g = self.nodes[node].cpu.acquire(now, rx);
@@ -622,9 +582,12 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
                         schedule_kick(i, &mut self.nodes[i], &mut self.queue, now);
                     }
                 }
-                let p = self.faults.expect("ticks only run with a fault plan");
-                let next = now + p.tick;
-                if next <= p.until {
+                let f = self
+                    .faults
+                    .as_ref()
+                    .expect("ticks only run with a fault plan");
+                let next = now + f.tick;
+                if next <= f.until {
                     self.queue.push(next, Ev::Tick);
                 }
             }
@@ -769,8 +732,9 @@ impl AppHook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nmad_core::StrategyKind;
+    use nmad_core::{Fault, StrategyKind};
     use nmad_model::platform;
+    use std::time::Duration;
 
     /// Sender app: one message, records completion time.
     struct OneShotSender {
@@ -1068,14 +1032,13 @@ mod tests {
             },
         );
         w.open_conn();
-        w.enable_faults(FaultPlan {
-            rail: 0,
-            down_at: SimTime::from_us(100),
-            up_at: SimTime::from_us(25_000),
-            tick: SimDuration::from_us(50),
-            until: SimTime::from_us(35_000),
-            drift: None,
-        });
+        let span = Duration::from_micros(100)..Duration::from_micros(25_000);
+        let outage = Fault::during(0, span, Effect::Loss(1.0));
+        w.enable_faults(
+            &FaultPlan::new(0, vec![outage]),
+            SimDuration::from_us(50),
+            SimTime::from_us(35_000),
+        );
         w.run(5_000_000);
 
         let times = &w.app1().delivered_at;
@@ -1168,16 +1131,13 @@ mod tests {
             // Recording forwards virtual time into the engines, giving the
             // calibrator exact (not tick-quantized) injection timings.
             w.enable_recording(8192);
-            w.enable_faults(FaultPlan::drift_only(
-                BandwidthDrift {
-                    rail: 0,
-                    from: SimTime::from_us(2_000),
-                    to: SimTime::from_us(1_000_000),
-                    factor: 0.5,
-                },
+            let span = Duration::from_micros(2_000)..Duration::from_secs(1);
+            let drift = Fault::during(0, span, Effect::Bandwidth(0.5));
+            w.enable_faults(
+                &FaultPlan::new(0, vec![drift]),
                 SimDuration::from_us(50),
                 SimTime::from_us(40_000),
-            ));
+            );
             w.run(5_000_000);
             assert_eq!(w.app1().delivered, N, "pipeline must complete");
             w
@@ -1233,6 +1193,17 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The sim's receive path panics on a CRC error: a corrupting plan is
+    /// refused when it is installed, not found out mid-run.
+    #[test]
+    #[should_panic(expected = "the sim cannot apply Fault { rail: 0,")]
+    fn the_sim_refuses_a_corrupt_fault() {
+        let p = platform::paper_platform();
+        let mut w = SimWorld::new(&p, EngineConfig::default(), IdleApp, IdleApp);
+        let plan = FaultPlan::everywhere(0, 2, &[Effect::Corrupt(0.1)]);
+        w.enable_faults(&plan, SimDuration::from_us(50), SimTime::from_us(1_000));
     }
 
     #[test]

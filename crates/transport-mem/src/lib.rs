@@ -37,56 +37,20 @@
 // Copy-regression gate: see DESIGN.md "Datapath and copy discipline".
 #![deny(clippy::unnecessary_to_owned, clippy::redundant_clone)]
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use nmad_core::driver::TxToken;
 use nmad_core::engine::Engine;
-use nmad_core::{ChaosState, EngineConfig, FabricStatus, Rails, Serial, SyscallStats, WorkSignal};
+use nmad_core::{
+    Effect, EngineConfig, FabricStatus, FaultPlan, Rails, Serial, SyscallStats, WorkSignal,
+};
 pub use nmad_core::{Endpoint, RecvHandle, SendHandle};
 use nmad_model::Platform;
 use nmad_sim::Xoshiro256StarStar;
 use nmad_wire::{ConnId, PacketFrame};
-
-/// A scheduled outage of one rail: every packet on `rail` is dropped
-/// from `down_at` until `up_at` (measured from fabric construction).
-/// `up_at: None` kills the rail for good.
-#[derive(Clone, Copy, Debug)]
-pub struct RailOutage {
-    /// Rail to kill.
-    pub rail: usize,
-    /// Outage start, relative to fabric construction.
-    pub down_at: Duration,
-    /// Outage end; `None` means the rail never comes back.
-    pub up_at: Option<Duration>,
-}
-
-impl RailOutage {
-    fn covers(&self, elapsed: Duration) -> bool {
-        elapsed >= self.down_at && self.up_at.map(|u| elapsed < u).unwrap_or(true)
-    }
-}
-
-/// Deterministic fault injection on the wire.
-#[derive(Clone, Debug, Default)]
-pub struct FaultSpec {
-    /// Probability a packet byte gets flipped in flight.
-    pub corrupt_prob: f64,
-    /// Probability a packet is silently dropped.
-    pub drop_prob: f64,
-    /// Probability a packet is delivered twice.
-    pub dup_prob: f64,
-    /// Probability a packet is held back and delivered after the next
-    /// packet on the same rail (pairwise reordering).
-    pub reorder_prob: f64,
-    /// PRNG seed.
-    pub seed: u64,
-    /// Scheduled rail outages (kill / flap windows).
-    pub outages: Vec<RailOutage>,
-}
 
 /// Fabric configuration.
 #[derive(Clone)]
@@ -102,13 +66,10 @@ pub struct FabricConfig {
     /// With shaping, a rail moves `link_bandwidth * 1/scale` bytes per
     /// wall-clock second — keep messages small when scaling heavily.
     pub time_scale: f64,
-    /// Optional fault injection applied to outgoing packets.
-    pub faults: Option<FaultSpec>,
-    /// Optional live chaos dials (per-rail bandwidth multiplier and
-    /// drop boost) a soak driver can turn while the fabric runs. The
-    /// caller keeps a clone of the handle; the rails read it lock-free
-    /// on every injection.
-    pub chaos: Option<ChaosState>,
+    /// Optional fault plan applied to outgoing frames, its windows
+    /// counted from the pair's construction. A `Bandwidth` window needs
+    /// a shaped fabric (`time_scale > 0`): [`pair`] refuses it otherwise.
+    pub faults: Option<FaultPlan>,
 }
 
 impl FabricConfig {
@@ -120,7 +81,6 @@ impl FabricConfig {
             conns: 1,
             time_scale: 0.0,
             faults: None,
-            chaos: None,
         }
     }
 }
@@ -145,7 +105,7 @@ struct InFlight {
 /// endpoint's end of the per-rail channels, the shaped wire and the
 /// fault injector.
 struct MemRails {
-    /// Shaping, fault and chaos settings of the fabric.
+    /// Shaping and fault settings of the fabric.
     config: FabricConfig,
     /// The peer endpoint, told of every delivery ([`Serial::arrived`]).
     peer: Option<Arc<Serial<MemRails>>>,
@@ -154,8 +114,8 @@ struct MemRails {
     inflight: Vec<Option<InFlight>>,
     /// Packets held back by the reorder injector, per rail.
     held: Vec<Option<PacketFrame>>,
-    /// Fabric construction time: the engine clock and outage windows are
-    /// measured from here.
+    /// Fabric construction time: the engine clock and the fault plan's
+    /// windows are measured from here.
     start: Instant,
     /// One per endpoint, drawn in the order frames are delivered (under
     /// the rails lock, rail by rail): seeded fault sequences repeat.
@@ -208,8 +168,10 @@ impl Rails for MemRails {
     }
 
     fn enqueue(&mut self, rail: usize, frame: PacketFrame, token: TxToken) {
-        let ready_at = (self.config.time_scale > 0.0)
-            .then(|| Instant::now() + shaped_duration(&self.config, rail, frame.wire_len()));
+        let ready_at = (self.config.time_scale > 0.0).then(|| {
+            let now = Instant::now();
+            now + shaped_duration(&self.config, rail, frame.wire_len(), now - self.start)
+        });
         self.inflight[rail] = Some(InFlight {
             ready_at,
             token,
@@ -234,19 +196,17 @@ impl Rails for MemRails {
             };
             done.push((rail, f.token));
             let tx = &self.tx[rail];
-            apply_faults(
-                &self.config,
-                self.start,
-                rail,
-                &mut self.rng,
-                &mut self.held[rail],
-                &status.tx_dropped,
-                f.frame,
-                &mut |frame| {
-                    // Peer gone: drop silently (shutdown path).
-                    delivered |= tx.send(frame).is_ok();
-                },
-            );
+            // Peer gone: drop silently (shutdown path).
+            let mut push = |frame| delivered |= tx.send(frame).is_ok();
+            let Some(plan) = &self.config.faults else {
+                push(f.frame);
+                continue;
+            };
+            let at = self.start.elapsed();
+            let held = &mut self.held[rail];
+            if plan.fate(rail, at, &mut self.rng, held, f.frame, &mut push) {
+                status.tx_dropped.fetch_add(1, Ordering::Relaxed);
+            }
         }
         if let Some(peer) = self.peer.as_ref().filter(|_| delivered) {
             peer.arrived();
@@ -274,105 +234,18 @@ impl Rails for MemRails {
     }
 }
 
-/// Wall-clock duration of one shaped injection on `rail`, stretched by
-/// the chaos bandwidth multiplier: a rail degraded to a quarter of its
-/// bandwidth takes 4x the wire time.
-fn shaped_duration(config: &FabricConfig, rail: usize, bytes: usize) -> Duration {
-    if config.time_scale <= 0.0 {
-        return Duration::ZERO;
-    }
+/// Wall-clock duration of one shaped injection on `rail` started `at`
+/// into the fabric's life, stretched by the fault plan's bandwidth
+/// factor: a rail at a quarter of its bandwidth takes 4x the wire time.
+fn shaped_duration(config: &FabricConfig, rail: usize, bytes: usize, at: Duration) -> Duration {
     let nic = &config.platform.rails[rail];
     let secs =
         (bytes as f64 / nic.link_bandwidth + nic.wire_latency.as_secs_f64()) * config.time_scale;
-    // `ChaosState` clamps the multiplier to >= 0.01.
-    let mult = config
-        .chaos
+    let factor = config
+        .faults
         .as_ref()
-        .map_or(1.0, |c| c.bandwidth_mult(rail));
-    Duration::from_secs_f64(secs / mult)
-}
-
-/// Apply the fabric's fault spec and chaos drop boost to one outgoing
-/// frame; survivors reach `push` in delivery order. The rng draw order —
-/// drop, corrupt, dup, reorder — is part of the contract: fault sequences
-/// must not change underneath seeded tests.
-#[allow(clippy::too_many_arguments)]
-fn apply_faults(
-    config: &FabricConfig,
-    start: Instant,
-    rail: usize,
-    rng: &mut Xoshiro256StarStar,
-    held: &mut Option<PacketFrame>,
-    tx_dropped: &AtomicU64,
-    frame: PacketFrame,
-    push: &mut dyn FnMut(PacketFrame),
-) {
-    let drop_boost = config.chaos.as_ref().map_or(0.0, |c| c.drop_boost(rail));
-    let Some(spec) = &config.faults else {
-        // No fault spec: the chaos drop boost still applies (one rng
-        // draw, only when a chaos handle is installed and hot).
-        if drop_boost > 0.0 && rng.chance(drop_boost) {
-            tx_dropped.fetch_add(1, Ordering::Relaxed);
-        } else {
-            push(frame);
-        }
-        return;
-    };
-    let elapsed = start.elapsed();
-    // Scheduled outage: the rail eats everything, including probes.
-    if spec
-        .outages
-        .iter()
-        .any(|o| o.rail == rail && o.covers(elapsed))
-    {
-        tx_dropped.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    // The chaos boost folds into the one existing drop draw so the rng
-    // sequence (and with it every seeded test) is unchanged when the
-    // boost is zero.
-    if rng.chance((spec.drop_prob + drop_boost).min(1.0)) {
-        tx_dropped.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    let frame = if rng.chance(spec.corrupt_prob) {
-        corrupt_frame(rng, frame)
-    } else {
-        frame
-    };
-    let dup = rng.chance(spec.dup_prob);
-    if held.is_none() && rng.chance(spec.reorder_prob) {
-        // Hold this packet back; it goes out right after the next one
-        // on this rail (pairwise reorder). Clones are refcount bumps.
-        *held = Some(frame.clone());
-        if dup {
-            push(frame);
-        }
-        return;
-    }
-    push(frame.clone());
-    if dup {
-        push(frame);
-    }
-    if let Some(h) = held.take() {
-        push(h);
-    }
-}
-
-/// Flip one bit somewhere in the wire image. Copy-on-write of the one
-/// part holding the chosen byte — never the whole wire image. The part
-/// cannot be mutated in place: it is refcount-shared with the sender's
-/// retransmission state, and a real wire would not reach back into the
-/// sender's memory either.
-fn corrupt_frame(rng: &mut Xoshiro256StarStar, mut frame: PacketFrame) -> PacketFrame {
-    let idx = rng.range_usize(0, frame.wire_len());
-    let (part_idx, off) = frame.locate(idx).expect("index within wire image");
-    let part = frame.part(part_idx).expect("located part exists");
-    let mut raw = BytesMut::with_capacity(part.len());
-    raw.extend_from_slice(part);
-    raw[off] ^= 1 << rng.range_u64(0, 8);
-    frame.replace_part(part_idx, raw.freeze());
-    frame
+        .map_or(1.0, |p| p.bandwidth(rail, at));
+    Duration::from_secs_f64(secs / factor)
 }
 
 /// One endpoint's end of the per-rail channels.
@@ -403,9 +276,19 @@ impl Wires {
 pub fn pair(config: FabricConfig) -> (Endpoint, Endpoint) {
     let mut cfg_engine = config.engine.clone();
     cfg_engine.crc = true;
-    let (a, b) = Wires::pair(config.platform.rail_count());
+    let rails = config.platform.rail_count();
+    // Without shaping there is no wire time for a bandwidth factor to
+    // stretch.
+    let applies = |e| config.time_scale > 0.0 || !matches!(e, Effect::Bandwidth(_));
+    if let Some(f) = config.faults.iter().find_map(|p| p.refused(rails, applies)) {
+        panic!(
+            "the mem fabric at time_scale {} cannot apply {f:?}",
+            config.time_scale
+        );
+    }
+    let (a, b) = Wires::pair(rails);
     let start = Instant::now();
-    let seed = config.faults.as_ref().map(|f| f.seed).unwrap_or(0);
+    let seed = config.faults.as_ref().map_or(0, |p| p.seed);
     let side = |wires, seed| {
         let mut engine = Engine::new(cfg_engine.clone(), config.platform.rails.clone(), vec![]);
         let conns: Vec<ConnId> = (0..config.conns.max(1))
@@ -433,7 +316,7 @@ mod tests {
     use bytes::Bytes;
     use nmad_core::endpoint::{BACKSTOP_TICK, CALLER_LEASE, SPIN_BUDGET};
     use nmad_core::health::RailState;
-    use nmad_core::StrategyKind;
+    use nmad_core::{Fault, StrategyKind};
     use nmad_model::platform;
 
     const T: Duration = Duration::from_secs(10);
@@ -511,12 +394,8 @@ mod tests {
             platform::paper_platform(),
             EngineConfig::with_strategy(StrategyKind::SingleRail(0)),
         );
-        cfg.faults = Some(FaultSpec {
-            corrupt_prob: 1.0, // every packet corrupted
-            drop_prob: 0.0,
-            seed: 7,
-            ..FaultSpec::default()
-        });
+        // Every packet corrupted.
+        cfg.faults = Some(FaultPlan::everywhere(7, 2, &[Effect::Corrupt(1.0)]));
         let (a, b) = pair(cfg);
         let c = a.conns()[0];
         let r = b.recv(c);
@@ -536,18 +415,23 @@ mod tests {
             platform::paper_platform(),
             EngineConfig::with_strategy(StrategyKind::SingleRail(0)),
         );
-        cfg.faults = Some(FaultSpec {
-            corrupt_prob: 0.0,
-            drop_prob: 1.0,
-            seed: 9,
-            ..FaultSpec::default()
-        });
+        cfg.faults = Some(FaultPlan::everywhere(9, 2, &[Effect::Loss(1.0)]));
         let (a, b) = pair(cfg);
         let c = a.conns()[0];
         let r = b.recv(c);
         a.send(c, vec![Bytes::from_static(b"lost")]);
         assert!(r.wait(Duration::from_millis(300)).is_none());
         assert!(a.tx_dropped() > 0);
+    }
+
+    /// Without shaping there is no wire time to stretch: a bandwidth
+    /// window is refused, not ignored.
+    #[test]
+    #[should_panic(expected = "the mem fabric at time_scale 0 cannot apply Fault { rail: 0,")]
+    fn an_unshaped_fabric_refuses_a_bandwidth_fault() {
+        let mut cfg = FabricConfig::new(platform::paper_platform(), EngineConfig::default());
+        cfg.faults = Some(FaultPlan::everywhere(1, 2, &[Effect::Bandwidth(0.5)]));
+        pair(cfg);
     }
 
     #[test]
@@ -592,12 +476,7 @@ mod tests {
         );
         cfg.engine.acked = true;
         fast_health(&mut cfg.engine);
-        cfg.faults = Some(FaultSpec {
-            corrupt_prob: 0.0,
-            drop_prob: 0.4,
-            seed: 17,
-            ..FaultSpec::default()
-        });
+        cfg.faults = Some(FaultPlan::everywhere(17, 2, &[Effect::Loss(0.4)]));
         let (a, b) = pair(cfg);
         let c = a.conns()[0];
         let n = 10;
@@ -631,13 +510,12 @@ mod tests {
         );
         cfg.engine.acked = true;
         fast_health(&mut cfg.engine);
-        cfg.faults = Some(FaultSpec {
-            drop_prob: 0.1,
-            dup_prob: 0.3,
-            reorder_prob: 0.3,
-            seed: 29,
-            ..FaultSpec::default()
-        });
+        let effects = [
+            Effect::Loss(0.1),
+            Effect::Duplicate(0.3),
+            Effect::Reorder(0.3),
+        ];
+        cfg.faults = Some(FaultPlan::everywhere(29, 2, &effects));
         let (a, b) = pair(cfg);
         let c = a.conns()[0];
         let n = 12;
@@ -679,15 +557,14 @@ mod tests {
         );
         cfg.engine.acked = true;
         fast_health(&mut cfg.engine);
-        cfg.faults = Some(FaultSpec {
-            seed: 41,
-            outages: vec![RailOutage {
-                rail: 0,
-                down_at: Duration::from_millis(5),
-                up_at: Some(Duration::from_millis(700)),
-            }],
-            ..FaultSpec::default()
-        });
+        cfg.faults = Some(FaultPlan::new(
+            41,
+            vec![Fault::during(
+                0,
+                Duration::from_millis(5)..Duration::from_millis(700),
+                Effect::Loss(1.0),
+            )],
+        ));
         let (a, b) = pair(cfg);
         let c = a.conns()[0];
         let payload = random_payload(8 << 20, 55);
@@ -751,9 +628,9 @@ mod tests {
         needle.iter().all(|n| it.any(|h| h == n))
     }
 
-    /// The chaos dials act while the fabric runs: a full drop boost
-    /// blackholes the wire, healing it lets the engine's own
-    /// retransmission recover — no restart, no rebuild.
+    /// A plan acts while the fabric runs: a full loss on both rails
+    /// blackholes the wire from the start, healing it lets the engine's
+    /// own retransmission recover — no restart, no rebuild.
     #[test]
     fn chaos_dials_apply_live() {
         let mut cfg = FabricConfig::new(
@@ -762,18 +639,10 @@ mod tests {
         );
         cfg.engine.acked = true;
         fast_health(&mut cfg.engine);
-        let chaos = ChaosState::new(2);
-        cfg.chaos = Some(chaos.clone());
+        let plan = FaultPlan::everywhere(0, 2, &[Effect::Loss(1.0)]);
+        cfg.faults = Some(plan.clone());
         let (a, b) = pair(cfg);
         let c = a.conns()[0];
-        // Clean roundtrip at identity.
-        let r = b.recv(c);
-        let s = a.send(c, vec![Bytes::from(random_payload(512, 7))]);
-        assert!(s.wait_acked(T));
-        assert!(r.wait(T).is_some());
-        // Blackhole both rails mid-run.
-        chaos.set_drop_boost(0, 1.0);
-        chaos.set_drop_boost(1, 1.0);
         let r = b.recv(c);
         let s = a.send(c, vec![Bytes::from(random_payload(512, 8))]);
         assert!(
@@ -781,11 +650,11 @@ mod tests {
             "a fully dropped wire cannot confirm delivery"
         );
         // Heal: the pending send recovers through retransmission alone.
-        chaos.heal_all();
+        plan.heal();
         assert!(s.wait_acked(Duration::from_secs(30)), "heal must unstick");
         assert!(r.wait(T).is_some());
         assert!(a.stats().retransmits > 0);
-        assert!(a.tx_dropped() > 0, "the boost must have eaten frames");
+        assert!(a.tx_dropped() > 0, "the plan must have eaten frames");
     }
 
     /// Reference-size split share of `rail` from the engine's live
@@ -817,15 +686,14 @@ mod tests {
         cfg.time_scale = 4.0;
         // ~150 initial-RTO periods, dozens of probe intervals.
         let outage_end = Duration::from_millis(1500);
-        cfg.faults = Some(FaultSpec {
-            seed: 61,
-            outages: vec![RailOutage {
-                rail: 0,
-                down_at: Duration::from_millis(5),
-                up_at: Some(outage_end),
-            }],
-            ..FaultSpec::default()
-        });
+        cfg.faults = Some(FaultPlan::new(
+            61,
+            vec![Fault::during(
+                0,
+                Duration::from_millis(5)..outage_end,
+                Effect::Loss(1.0),
+            )],
+        ));
         let (a, b) = pair(cfg);
         let c = a.conns()[0];
         let share_nominal = split_share_permille(&a, 0);
@@ -908,12 +776,7 @@ mod tests {
             EngineConfig::with_strategy(StrategyKind::SingleRail(0)),
         );
         cfg.engine.acked = true;
-        cfg.faults = Some(FaultSpec {
-            corrupt_prob: 0.0,
-            drop_prob: 1.0,
-            seed: 3,
-            ..FaultSpec::default()
-        });
+        cfg.faults = Some(FaultPlan::everywhere(3, 2, &[Effect::Loss(1.0)]));
         let (a, _b) = pair(cfg);
         let c = a.conns()[0];
         let s = a.send(c, vec![Bytes::from_static(b"doomed")]);
@@ -1193,12 +1056,13 @@ mod tests {
     /// those of the one-progress-thread runtime this one replaced.
     #[test]
     fn seeded_fault_sequence_is_pinned() {
-        let spec = |drop_prob, reorder_prob| FaultSpec {
-            drop_prob,
-            dup_prob: 0.3,
-            reorder_prob,
-            seed: 2007,
-            ..FaultSpec::default()
+        let spec = |loss, reorder| {
+            let effects = [
+                Effect::Loss(loss),
+                Effect::Duplicate(0.3),
+                Effect::Reorder(reorder),
+            ];
+            FaultPlan::everywhere(2007, 2, &effects)
         };
         let payload = |i: usize| vec![Bytes::from(random_payload(64 + i, i as u64))];
 

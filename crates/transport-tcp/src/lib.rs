@@ -72,7 +72,9 @@ use std::time::{Duration, Instant};
 
 use nmad_core::driver::TxToken;
 use nmad_core::engine::Engine;
-use nmad_core::{ChaosState, EngineConfig, FabricStatus, Parker, Rails, Serial, SyscallStats};
+use nmad_core::{
+    Effect, EngineConfig, FabricStatus, FaultPlan, Parker, Rails, Serial, SyscallStats,
+};
 pub use nmad_core::{Endpoint, RecvHandle, SendHandle};
 use nmad_model::Platform;
 use nmad_sim::Xoshiro256StarStar;
@@ -103,12 +105,12 @@ pub struct TcpConfig {
     pub engine: EngineConfig,
     /// Logical channels opened at construction on both endpoints.
     pub conns: usize,
-    /// Optional live chaos dials. The TX path reads `drop_boost` per
-    /// frame and discards outgoing frames before the socket write (the
-    /// frame is length-prefixed, so the stream stays aligned); the
-    /// bandwidth dial does nothing on real sockets. The caller keeps a
-    /// clone of the handle and turns the dials while the endpoint runs.
-    pub chaos: Option<ChaosState>,
+    /// Optional fault plan, its windows counted from each endpoint's
+    /// construction. TCP applies `Loss` only: a lost frame is discarded
+    /// before the socket write (frames are length-prefixed, so the
+    /// stream stays aligned). [`listen`] and [`connect`] refuse any
+    /// other effect with `InvalidInput`.
+    pub faults: Option<FaultPlan>,
 }
 
 impl TcpConfig {
@@ -118,7 +120,7 @@ impl TcpConfig {
             platform,
             engine,
             conns: 1,
-            chaos: None,
+            faults: None,
         }
     }
 }
@@ -276,9 +278,13 @@ impl RailIo {
 struct TcpRails {
     rails: Vec<RailIo>,
     ready: Arc<Readiness>,
-    chaos: Option<ChaosState>,
-    /// Seeded draw for the chaos drop boost (unused at identity).
+    faults: Option<FaultPlan>,
+    /// The fault plan's loss draws (unused without a plan).
     rng: Xoshiro256StarStar,
+    /// Construction time: the fault plan's windows count from here.
+    start: Instant,
+    /// Frames the plan lost since the last flush published them.
+    dropped: u64,
     /// Syscall amortization tallies, mirrored into the engine's stats.
     syscalls: SyscallStats,
     /// Where both rails' readers put the chunks of a striped segment.
@@ -321,15 +327,23 @@ impl Rails for TcpRails {
         self.rails[rail].idle()
     }
 
-    /// Chaos drop: the transmit "succeeds" locally but the frame never
-    /// reaches the wire — exactly a lossy link, recoverable in acked
-    /// mode only.
+    /// A frame the fault plan loses: the transmit "succeeds" locally
+    /// but the frame never reaches the wire — exactly a lossy link,
+    /// recoverable in acked mode only.
     fn enqueue(&mut self, rail: usize, frame: PacketFrame, token: TxToken) {
-        let frame = (!chaos_drops(&self.chaos, rail, &mut self.rng)).then_some(frame);
-        self.rails[rail].enqueue(frame, token);
+        let lost = self
+            .faults
+            .as_ref()
+            .is_some_and(|plan| plan.lost(rail, self.start.elapsed(), &mut self.rng));
+        self.dropped += u64::from(lost);
+        self.rails[rail].enqueue((!lost).then_some(frame), token);
     }
 
     fn flush(&mut self, done: &mut Vec<(usize, TxToken)>, status: &FabricStatus) -> Option<u64> {
+        if self.dropped > 0 {
+            let dropped = std::mem::take(&mut self.dropped);
+            status.tx_dropped.fetch_add(dropped, Ordering::Relaxed);
+        }
         for (r, rail) in self.rails.iter_mut().enumerate() {
             match rail.flush(&mut self.syscalls) {
                 Ok(Some(token)) => done.push((r, token)),
@@ -469,16 +483,16 @@ impl Parker for Readiness {
     }
 }
 
-/// One seeded draw against the chaos drop boost (false at identity —
-/// no rng state is consumed when no handle is installed or the boost
-/// is zero).
-fn chaos_drops(chaos: &Option<ChaosState>, rail: usize, rng: &mut Xoshiro256StarStar) -> bool {
-    match chaos {
-        Some(c) => {
-            let boost = c.drop_boost(rail);
-            boost > 0.0 && rng.chance(boost)
-        }
-        None => false,
+/// Refuse a fault plan TCP cannot apply in full: anything but `Loss`.
+fn check_faults(config: &TcpConfig) -> std::io::Result<()> {
+    let rails = config.platform.rail_count();
+    let applies = |e| matches!(e, Effect::Loss(_));
+    match config.faults.iter().find_map(|p| p.refused(rails, applies)) {
+        None => Ok(()),
+        Some(f) => Err(std::io::Error::new(
+            ErrorKind::InvalidInput,
+            format!("TCP cannot apply {f:?}"),
+        )),
     }
 }
 
@@ -496,15 +510,18 @@ fn build_endpoint(config: &TcpConfig, streams: Vec<TcpStream>) -> std::io::Resul
         .map(RailIo::new)
         .collect::<std::io::Result<Vec<_>>>()?;
     let ready = Arc::new(Readiness::new(&rails)?);
+    let start = Instant::now();
     let rails = TcpRails {
         rails,
         ready: ready.clone(),
-        chaos: config.chaos.clone(),
-        rng: Xoshiro256StarStar::new(0x7C9),
+        faults: config.faults.clone(),
+        rng: Xoshiro256StarStar::new(config.faults.as_ref().map_or(0, |p| p.seed)),
+        start,
+        dropped: 0,
         syscalls: SyscallStats::default(),
         landing: LandingTable::new(),
     };
-    Serial::new(engine, rails, ready, Instant::now()).spawn("nmad-tcp", conns)
+    Serial::new(engine, rails, ready, start).spawn("nmad-tcp", conns)
 }
 
 /// Listen for a peer: binds one listener per rail on `127.0.0.1:0` and
@@ -535,6 +552,7 @@ impl PendingListen {
 
 /// Start listening (server side).
 pub fn listen(config: TcpConfig) -> std::io::Result<PendingListen> {
+    check_faults(&config)?;
     let n = config.platform.rail_count();
     let mut listeners = Vec::with_capacity(n);
     let mut addrs = Vec::with_capacity(n);
@@ -553,6 +571,7 @@ pub fn listen(config: TcpConfig) -> std::io::Result<PendingListen> {
 /// Connect to a listening peer (client side): one address per rail, in the
 /// exact order published by [`PendingListen::addrs`].
 pub fn connect(config: TcpConfig, addrs: &[SocketAddr]) -> std::io::Result<Endpoint> {
+    check_faults(&config)?;
     if addrs.len() != config.platform.rail_count() {
         return Err(std::io::Error::new(
             ErrorKind::InvalidInput,
@@ -607,9 +626,10 @@ mod tests {
         v
     }
 
-    /// The chaos drop boost makes even a reliable TCP wire lossy; acked
-    /// mode recovers through the engine's own retransmission, and
-    /// healing the dials returns the fabric to zero-loss behaviour.
+    /// A loss window makes even a reliable TCP wire lossy; acked mode
+    /// recovers through the engine's own retransmission, the lost frames
+    /// are counted, and healing the plan returns the fabric to zero-loss
+    /// behaviour.
     #[test]
     fn chaos_drop_boost_recovered_by_retransmission() {
         let mut engine = EngineConfig::with_strategy(StrategyKind::Greedy);
@@ -619,13 +639,11 @@ mod tests {
         // (Half of all frames lost on both rails: at the default 2 s
         // clamp the backed-off timers alone take 2.5 s, or 10.)
         engine.health.max_rto_ns = 40_000_000;
-        let chaos = ChaosState::new(2);
+        let plan = loss_on_both_rails(0.5);
         let mut cfg = TcpConfig::new(platform::paper_platform(), engine);
-        cfg.chaos = Some(chaos.clone());
+        cfg.faults = Some(plan.clone());
         let (a, b) = pair_localhost(cfg).expect("localhost pair");
         let c = a.conns()[0];
-        chaos.set_drop_boost(0, 0.5);
-        chaos.set_drop_boost(1, 0.5);
         let n = 8;
         let recvs: Vec<RecvHandle> = (0..n).map(|_| b.recv(c)).collect();
         let sends: Vec<SendHandle> = (0..n)
@@ -637,10 +655,8 @@ mod tests {
         for r in recvs {
             assert!(r.wait(T).is_some());
         }
-        assert!(
-            a.stats().retransmits > 0,
-            "a 50% drop boost must force retries"
-        );
+        assert!(a.stats().retransmits > 0, "a 50% loss must force retries");
+        assert!(a.tx_dropped() > 0, "the lost frames must be counted");
         // Rendezvous-sized, still lossy: a retransmission re-chunks the
         // whole message, so its chunks come back over ranges of the
         // segment's landing allocation that the first attempt's
@@ -661,13 +677,37 @@ mod tests {
                 || after.datapath.rx_copy_bytes > before.datapath.rx_copy_bytes
         });
         assert!(met, "no retransmitted chunk met a range already claimed");
-        chaos.heal_all();
+        plan.heal();
         let r = b.recv(c);
         let s = a.send(c, vec![Bytes::from(random(4096, 99))]);
         assert!(s.wait_acked(T));
         assert!(r.wait(T).is_some());
         assert_eq!(a.pool_leaks() + b.pool_leaks(), 0);
         assert_eq!(a.io_errors() + b.io_errors(), 0);
+    }
+
+    /// `Loss` on both rails for the whole run (or until healed).
+    fn loss_on_both_rails(p: f64) -> FaultPlan {
+        FaultPlan::everywhere(0x7C9, 2, &[Effect::Loss(p)])
+    }
+
+    /// TCP applies losses only: a plan it would have to ignore part of
+    /// is refused before a socket is opened.
+    #[test]
+    fn a_plan_tcp_cannot_apply_is_refused() {
+        for effect in [
+            Effect::Bandwidth(0.5),
+            Effect::Corrupt(0.1),
+            Effect::Duplicate(0.1),
+            Effect::Reorder(0.1),
+        ] {
+            let mut cfg = TcpConfig::new(platform::paper_platform(), EngineConfig::default());
+            cfg.faults = Some(FaultPlan::everywhere(1, 2, &[effect]));
+            let err = pair_localhost(cfg.clone()).err().expect("refused");
+            assert_eq!(err.kind(), ErrorKind::InvalidInput, "{effect:?}");
+            let err = connect(cfg, &[]).err().expect("refused");
+            assert_eq!(err.kind(), ErrorKind::InvalidInput, "{effect:?}");
+        }
     }
 
     #[test]
@@ -928,7 +968,7 @@ mod tests {
         sb.leave();
     }
 
-    /// (d) Acked mode under a chaos drop boost retransmits with no
+    /// (d) Acked mode under a full loss retransmits with no
     /// application call in flight: the backstop thread's sleep is sized
     /// by `Engine::next_deadline_ns`, including an RTO armed on the
     /// sender's own thread after the backstop went to sleep. The same
@@ -943,13 +983,11 @@ mod tests {
             engine.acked = true;
             engine.health.initial_rto_ns = 20_000_000;
             engine.health.min_rto_ns = 5_000_000;
-            let chaos = ChaosState::new(2);
+            let plan = loss_on_both_rails(1.0);
             let mut cfg = TcpConfig::new(platform::paper_platform(), engine);
-            cfg.chaos = Some(chaos.clone());
+            cfg.faults = Some(plan.clone());
             let (a, b) = pair_localhost(cfg).expect("localhost pair");
             let c = a.conns()[0];
-            chaos.set_drop_boost(0, 1.0);
-            chaos.set_drop_boost(1, 1.0);
             // The sender's backstop thread is early in a full idle tick
             // (it has had nothing to do since the pair was built).
             let sa = serial(&a);
@@ -967,7 +1005,7 @@ mod tests {
                 eventually(BACKSTOP_TICK / 2, || a.stats().retransmits > 0),
                 "in_wait {in_wait}: no retransmit within 2.5x the 20 ms RTO"
             );
-            chaos.heal_all();
+            plan.heal();
             assert!(eventually(T, || msgs_received(&b) == 1));
             assert!(s.wait_acked(T));
             assert!(b.recv(c).wait(T).is_some());

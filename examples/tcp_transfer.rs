@@ -7,10 +7,12 @@
 //!
 //! A large message is striped over both sockets by the adaptive strategy
 //! (poor man's multi-rail); integrity is verified end to end with CRCs.
+//! Prints the metric table of both ends.
 
 use std::time::{Duration, Instant};
 
 use newmadeleine::bytes::Bytes;
+use newmadeleine::core::obs::text_table;
 use newmadeleine::core::{EngineConfig, StrategyKind};
 use newmadeleine::model::platform;
 use newmadeleine::sim::Xoshiro256StarStar;
@@ -37,20 +39,20 @@ fn main() {
     assert_eq!(msg.segments[0].as_ref(), payload.as_slice());
     let elapsed = start.elapsed();
 
-    let st = server.stats();
     println!(
         "{} bytes over 2 real TCP sockets in {:?} ({:.0} MB/s wall)",
         payload.len(),
         elapsed,
         payload.len() as f64 / elapsed.as_secs_f64() / 1e6
     );
-    println!(
-        "rendezvous: {}, chunks: {}, socket shares: {:.1}% / {:.1}%",
-        st.rdv_handshakes,
-        st.chunks_sent,
-        100.0 * st.rail_share(0),
-        100.0 * st.rail_share(1)
-    );
+    // The metric table of each end (`rdv_handshakes`, `chunks_sent`, the
+    // per-rail `payload_share` among them), busy shares over the run.
+    let span_ns = elapsed.as_nanos() as u64;
+    for (name, end) in [("sender", &server), ("receiver", &client)] {
+        println!("{name}:");
+        print!("{}", text_table(&end.stats(), span_ns));
+    }
+    // The fabric's own counters, not the engine's.
     println!(
         "rx integrity: {} CRC errors, {} socket errors",
         client.rx_errors(),

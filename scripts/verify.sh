@@ -86,6 +86,15 @@ if grep -rnE 'to_jsonl_with_overflow|to_chrome_trace_with_overflow|summary_with_
     crates src tests examples; then
     echo "a hand-written metric view or a second exporter per format is back (see above)"; exit 1
 fi
+# One fault plan for every fabric (DESIGN.md §4 "Fault model and
+# recovery"): nmad-core's `FaultPlan`, a seeded list of per-rail windows
+# that the sim, the mem fabric and TCP all take. The live dials, the mem
+# fabric's spec and outages, the sim's own plan and drift rider, TCP's
+# drop draw and the soak's dial timeline it replaced must not come back.
+if grep -rnE 'ChaosState|FaultSpec|RailOutage|BandwidthDrift|drift_only|DialEvent|DialKind|ChaosSchedule|chaos_drops|set_drop_boost|set_bandwidth_mult' \
+    crates src tests examples; then
+    echo "a second fault description is back beside the one fault plan (see above)"; exit 1
+fi
 if grep -rnw 'unsafe' crates/core/src crates/transport-mem/src; then
     echo "unsafe in nmad-core or nmad-transport-mem (see above)"; exit 1
 fi
@@ -252,8 +261,8 @@ echo "==> online recalibration under drift (ablate_calibration smoke sweep)"
 NMAD_CALIBRATION_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_calibration
 
 # Chaos-soak gate: ~10 s of multi-tenant load over the mem fabric
-# while a seeded schedule drives an outage, drop storms and bandwidth
-# drift; exits nonzero on the SLO gates (p99/p999 ceilings, head->tail
+# under a seeded fault plan (an outage, drop storms and bandwidth
+# drift); exits nonzero on the SLO gates (p99/p999 ceilings, head->tail
 # throughput decay, pool-ledger leaks, stuck requests after the heal —
 # see DESIGN.md §11). The full minutes-long soak runs in the scheduled
 # CI job; the seed in BENCH_soak.json replays either.

@@ -4,10 +4,10 @@
 use std::time::Duration;
 
 use newmadeleine::bytes::Bytes;
-use newmadeleine::core::{EngineConfig, StrategyKind};
+use newmadeleine::core::{Effect, EngineConfig, FaultPlan, StrategyKind};
 use newmadeleine::model::platform;
 use newmadeleine::runtime_sim::{run_pingpong, sample_platform, PingPongSpec};
-use newmadeleine::transport_mem::{pair, FabricConfig, FaultSpec};
+use newmadeleine::transport_mem::{pair, FabricConfig};
 
 #[test]
 fn simulation_is_bit_reproducible() {
@@ -44,12 +44,7 @@ fn corrupted_wire_is_rejected_loudly() {
         platform::paper_platform(),
         EngineConfig::with_strategy(StrategyKind::Greedy),
     );
-    cfg.faults = Some(FaultSpec {
-        corrupt_prob: 1.0,
-        drop_prob: 0.0,
-        seed: 123,
-        ..FaultSpec::default()
-    });
+    cfg.faults = Some(FaultPlan::everywhere(123, 2, &[Effect::Corrupt(1.0)]));
     let (a, b) = pair(cfg);
     let c = a.conns()[0];
     let r = b.recv(c);
@@ -66,12 +61,7 @@ fn partial_corruption_still_delivers_clean_messages() {
         platform::paper_platform(),
         EngineConfig::with_strategy(StrategyKind::SingleRail(1)),
     );
-    cfg.faults = Some(FaultSpec {
-        corrupt_prob: 0.3,
-        drop_prob: 0.0,
-        seed: 5,
-        ..FaultSpec::default()
-    });
+    cfg.faults = Some(FaultPlan::everywhere(5, 2, &[Effect::Corrupt(0.3)]));
     let (a, b) = pair(cfg);
     let c = a.conns()[0];
     let n = 40;

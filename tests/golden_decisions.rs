@@ -8,12 +8,14 @@
 //! engine's per-message tables were rebuilt (PR 16) and pin "a change of
 //! data structure does not change a decision".
 
+use std::time::Duration;
+
 use newmadeleine::bytes::Bytes;
 use newmadeleine::core::obs::EventKind;
 use newmadeleine::core::request::SendId;
-use newmadeleine::core::{EngineConfig, StrategyKind};
+use newmadeleine::core::{Effect, EngineConfig, Fault, FaultPlan, StrategyKind};
 use newmadeleine::model::platform;
-use newmadeleine::runtime_sim::{AppLogic, FaultPlan, NodeApi, SimWorld};
+use newmadeleine::runtime_sim::{AppLogic, NodeApi, SimWorld};
 use newmadeleine::sim::rng::Xoshiro256StarStar;
 use newmadeleine::sim::{SimDuration, SimTime};
 use newmadeleine::wire::ConnId;
@@ -100,7 +102,9 @@ fn run(config: EngineConfig, faults: Option<FaultPlan>) -> (u64, u64, u64, u64) 
     let mut world = SimWorld::new(&p, config, app(0xA11CE), app(0xB0B));
     world.enable_recording(1 << 20);
     if let Some(plan) = faults {
-        world.enable_faults(plan);
+        // An engine progress pass every 100 us, up to 400 ms.
+        let (tick, until) = (SimDuration::from_us(100), SimTime::from_us(400_000));
+        world.enable_faults(&plan, tick, until);
     }
     world.open_conn();
     world.run(50_000_000);
@@ -152,14 +156,9 @@ fn every_strategy_decides_as_it_did_before_the_tables_were_rebuilt() {
 fn acked_outage_recovers_as_it_did_before_the_tables_were_rebuilt() {
     let mut config = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
     config.acked = true;
-    let plan = FaultPlan {
-        rail: 0,
-        down_at: SimTime::ZERO + SimDuration::from_us(400),
-        up_at: SimTime::ZERO + SimDuration::from_us(30_000),
-        tick: SimDuration::from_us(100),
-        until: SimTime::ZERO + SimDuration::from_us(400_000),
-        drift: None,
-    };
+    let span = Duration::from_micros(400)..Duration::from_micros(30_000);
+    let outage = Fault::during(0, span, Effect::Loss(1.0));
+    let plan = FaultPlan::new(0, vec![outage]);
     let (hash, _, received, retransmits) = run(config, Some(plan));
     assert_eq!(received, 2 * MESSAGES as u64, "messages lost for good");
     assert_eq!((hash, retransmits), GOLDEN_ACKED_OUTAGE, "{hash:#x}");

@@ -10,13 +10,17 @@
 //! number in every exporter, so the JSONL windows of a counter add up to
 //! its Prometheus running total, rail by rail.
 
+use std::time::Duration;
+
 use newmadeleine::bytes::Bytes;
 use newmadeleine::core::obs::metrics::{Scope, METRICS};
 use newmadeleine::core::obs::{to_prometheus, windows_jsonl, Event, EventKind, NO_RAIL};
 use newmadeleine::core::request::SendId;
-use newmadeleine::core::{Engine, EngineConfig, Observe, StrategyKind, Window};
+use newmadeleine::core::{
+    Effect, Engine, EngineConfig, Fault, FaultPlan, Observe, StrategyKind, Window,
+};
 use newmadeleine::model::platform;
-use newmadeleine::runtime_sim::{AppLogic, FaultPlan, NodeApi, SimWorld};
+use newmadeleine::runtime_sim::{AppLogic, NodeApi, SimWorld};
 use newmadeleine::sim::rng::Xoshiro256StarStar;
 use newmadeleine::sim::{SimDuration, SimTime};
 use newmadeleine::wire::ConnId;
@@ -167,14 +171,13 @@ fn seeded_run() -> SimWorld<App, App> {
     let mut world = SimWorld::new(&p, config, App::new(0x5EED), App::new(0xFEED));
     // A ring that never laps: the reference must be complete.
     world.enable_recording(1 << 20);
-    world.enable_faults(FaultPlan {
-        rail: 0,
-        down_at: SimTime::ZERO + SimDuration::from_us(400),
-        up_at: SimTime::ZERO + SimDuration::from_us(30_000),
-        tick: SimDuration::from_us(100),
-        until: SimTime::ZERO + SimDuration::from_us(300_000),
-        drift: None,
-    });
+    let span = Duration::from_micros(400)..Duration::from_micros(30_000);
+    let outage = Fault::during(0, span, Effect::Loss(1.0));
+    world.enable_faults(
+        &FaultPlan::new(0, vec![outage]),
+        SimDuration::from_us(100),
+        SimTime::from_us(300_000),
+    );
     world.open_conn();
     world.run(50_000_000);
     let end_ns = world.now().0 / 1_000;
