@@ -9,8 +9,7 @@
 //! the new equal-time ratio.
 //!
 //! Both legs run the *same* deterministic simulation (same platform,
-//! same fault plan, same recording settings) — the only difference is
-//! `EngineConfig::calibrate`. The run doubles as a regression
+//! same fault plan) — the only difference is `EngineConfig::calibrate`. The run doubles as a regression
 //! gate (used by `scripts/verify.sh`): [`check`] fails unless the
 //! calibrated leg strictly beats the frozen leg on pipeline completion
 //! time AND the split ratio leaves the seed band within a bounded number
@@ -22,7 +21,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use nmad_core::{Effect, EngineConfig, Fault, FaultPlan, StrategyKind};
 use nmad_model::platform;
-use nmad_runtime_sim::{AppLogic, NodeApi, SimWorld};
+use nmad_runtime_sim::{Script, SimWorld, Step};
 use nmad_sim::{SimDuration, SimTime};
 use serde::{ser, Serialize, Value};
 
@@ -112,93 +111,26 @@ impl Serialize for CalibrationReport {
     }
 }
 
-/// Sender half: a serial chain — message `i+1` is submitted only once
-/// message `i`'s injection completes. Serialization is what makes the
-/// split ratio visible in completion time: each message finishes when its
-/// *slowest* rail finishes, so a stale ratio leaves the healthy rail idle
-/// while the degraded rail drags (a saturated backlog would hide this —
-/// both rails stay busy no matter how badly each message is split).
-pub struct PipeSender {
-    messages: usize,
-    size: usize,
-    submitted: usize,
-}
-
-impl PipeSender {
-    fn submit_next(&mut self, api: &mut NodeApi<'_>) {
-        if self.submitted < self.messages {
-            let tag = self.submitted as u8;
-            api.submit_send(0, vec![Bytes::from(vec![tag; self.size])]);
-            self.submitted += 1;
-        }
-    }
-}
-
-impl AppLogic for PipeSender {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        self.submit_next(api);
-    }
-    fn on_send_complete(&mut self, _send: nmad_core::SendId, api: &mut NodeApi<'_>) {
-        self.submit_next(api);
-    }
-}
-
-/// Receiver half: records when the last message lands.
-pub struct PipeReceiver {
-    messages: usize,
-    delivered: usize,
-    done_ns: u64,
-}
-
-impl AppLogic for PipeReceiver {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        for _ in 0..self.messages {
-            api.post_recv(0);
-        }
-    }
-    fn on_recv_complete(
-        &mut self,
-        _recv: nmad_core::RecvId,
-        _msg: nmad_wire::reassembly::MessageAssembly,
-        api: &mut NodeApi<'_>,
-    ) {
-        self.delivered += 1;
-        if self.delivered == self.messages {
-            self.done_ns = api.now().0 / 1_000;
-        }
-    }
-}
-
 /// Run one leg of the scenario: `messages` of `size` bytes in a serial
 /// chain, rail 0 at [`DRIFT_FACTOR`] of its bandwidth from
 /// [`DRIFT_ONSET_US`], the calibrator on if `calibrated`. Returns the
 /// world after completion (`nmad calibrate` prints its calibrator).
-pub fn run_leg(
-    messages: usize,
-    size: usize,
-    calibrated: bool,
-) -> SimWorld<PipeSender, PipeReceiver> {
+///
+/// The chain is a window of one send: message `i+1` is submitted only
+/// once message `i`'s injection completes. Serialization is what makes
+/// the split ratio visible in completion time: each message finishes when
+/// its *slowest* rail finishes, so a stale ratio leaves the healthy rail
+/// idle while the degraded rail drags (a saturated backlog would hide
+/// this — both rails stay busy no matter how badly each message is
+/// split).
+pub fn run_leg(messages: usize, size: usize, calibrated: bool) -> SimWorld<Script, Script> {
     let p = platform::paper_platform();
     let mut cfg = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
     cfg.calibrate = calibrated;
-    let mut w = SimWorld::new(
-        &p,
-        cfg,
-        PipeSender {
-            messages,
-            size,
-            submitted: 0,
-        },
-        PipeReceiver {
-            messages,
-            delivered: 0,
-            done_ns: 0,
-        },
-    );
+    let chain = (0..messages).map(|i| Step::Send(vec![Bytes::from(vec![i as u8; size])]));
+    let sender = Script::new(chain.collect()).window(1);
+    let mut w = SimWorld::new(&p, cfg, sender, Script::receiver(messages));
     w.open_conn();
-    // Both legs record so both see the same exact (non-tick-quantized)
-    // engine clock — the comparison isolates the calibrator itself.
-    w.enable_recording(8192);
     let span = Duration::from_micros(DRIFT_ONSET_US)..Duration::from_secs(10);
     let drift = Fault::during(0, span, Effect::Bandwidth(DRIFT_FACTOR));
     w.enable_faults(
@@ -208,7 +140,7 @@ pub fn run_leg(
     );
     w.run(500_000_000);
     assert_eq!(
-        w.app1().delivered,
+        w.app1().deliveries().len(),
         messages,
         "drift pipeline must complete (calibrated={calibrated})"
     );
@@ -250,8 +182,8 @@ pub fn run(smoke: bool) -> CalibrationReport {
         messages,
         message_size: size,
         drift_factor: DRIFT_FACTOR,
-        frozen_ns: frozen.app1().done_ns,
-        calibrated_ns: calibrated.app1().done_ns,
+        frozen_ns: frozen.app1().last_delivery_at().0 / 1_000,
+        calibrated_ns: calibrated.app1().last_delivery_at().0 / 1_000,
         rebuilds: cal.rebuilds(),
         converged_rebuild,
         final_permille,

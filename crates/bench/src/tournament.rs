@@ -26,12 +26,10 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use nmad_core::obs::EventKind;
-use nmad_core::request::{RecvId, SendId};
 use nmad_core::{Effect, EngineConfig, Fault, FaultPlan, StrategyKind};
 use nmad_model::platform;
-use nmad_runtime_sim::world::{AppLogic, NodeApi, SimWorld};
+use nmad_runtime_sim::{Script, SimWorld, Step};
 use nmad_sim::{SimDuration, SimTime, Xoshiro256StarStar};
-use nmad_wire::reassembly::MessageAssembly;
 use serde::{ser, Serialize, Value};
 
 use crate::loadgen::{ArrivalSampler, Arrivals, BoundedPareto};
@@ -50,14 +48,22 @@ fn window(rail: usize, from_us: u64, until_us: u64, effect: Effect) -> FaultPlan
 /// PIO-class traffic aggregation favours onto the low-latency rail.
 pub const SMALL_CUTOFF: usize = 4096;
 
-/// One submission wave: `gap_us` of sender compute (think time) once the
-/// previous wave fully completes, then `sizes` submitted back to back.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Wave {
-    /// Think time before this wave, microseconds.
-    pub gap_us: u64,
-    /// Message sizes, bytes.
-    pub sizes: Vec<usize>,
+/// The sender's script for a list of waves, each `(gap_us, sizes)`:
+/// once the previous wave fully completes, `gap_us` of compute (think
+/// time), then `sizes` submitted back to back. The payloads are slices
+/// of one buffer.
+fn waves(waves: Vec<(u64, Vec<usize>)>) -> Vec<Step> {
+    let largest = waves.iter().flat_map(|(_, s)| s).copied().max();
+    let buf = Bytes::from(vec![0x5Au8; largest.unwrap_or(0)]);
+    let mut steps = Vec::new();
+    for (gap_us, sizes) in waves {
+        steps.push(Step::Drain);
+        if gap_us > 0 {
+            steps.push(Step::Compute(SimDuration::from_us(gap_us)));
+        }
+        steps.extend(sizes.iter().map(|&n| Step::Send(vec![buf.slice(..n)])));
+    }
+    steps
 }
 
 /// One tournament scenario: a deterministic submission schedule plus the
@@ -66,8 +72,9 @@ pub struct Wave {
 pub struct Scenario {
     /// Scenario label ("uniform", "heavy-tail", ...).
     pub name: &'static str,
-    /// Submission schedule.
-    pub waves: Vec<Wave>,
+    /// The sender's submission schedule: per wave a drain, the think
+    /// time, the sends.
+    pub steps: Vec<Step>,
     /// Optional link faults (an outage, a bandwidth drift) and the
     /// instant the engine's progress ticks, every [`FAULT_TICK`], stop.
     pub fault: Option<(FaultPlan, SimTime)>,
@@ -77,18 +84,22 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// Message sizes in submission order, bytes.
+    pub fn sizes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.steps.iter().filter_map(|s| match s {
+            Step::Send(segments) => Some(segments.iter().map(Bytes::len).sum()),
+            _ => None,
+        })
+    }
+
     /// Total messages across all waves.
     pub fn messages(&self) -> usize {
-        self.waves.iter().map(|w| w.sizes.len()).sum()
+        self.sizes().count()
     }
 
     /// Total payload bytes across all waves.
     pub fn total_bytes(&self) -> u64 {
-        self.waves
-            .iter()
-            .flat_map(|w| w.sizes.iter())
-            .map(|&s| s as u64)
-            .sum()
+        self.sizes().map(|s| s as u64).sum()
     }
 }
 
@@ -96,13 +107,13 @@ impl Scenario {
 /// counts down for CI; the claim gates hold at both scales.
 pub fn scenarios(seed: u64, smoke: bool) -> Vec<Scenario> {
     let n = |full: usize, smoke_n: usize| if smoke { smoke_n } else { full };
-    let burst = |sizes: Vec<usize>| vec![Wave { gap_us: 0, sizes }];
+    let burst = |sizes: Vec<usize>| waves(vec![(0, sizes)]);
 
     // Uniform bulk: every message identical, no regime to exploit — the
     // sanity baseline where nothing should catastrophically lose.
     let uniform = Scenario {
         name: "uniform",
-        waves: burst(vec![512 << 10; n(24, 12)]),
+        steps: burst(vec![512 << 10; n(24, 12)]),
         fault: None,
         acked: false,
     };
@@ -126,7 +137,7 @@ pub fn scenarios(seed: u64, smoke: bool) -> Vec<Scenario> {
     }
     let heavy = Scenario {
         name: "heavy-tail",
-        waves: burst(heavy_sizes),
+        steps: burst(heavy_sizes),
         fault: None,
         acked: false,
     };
@@ -146,24 +157,18 @@ pub fn scenarios(seed: u64, smoke: bool) -> Vec<Scenario> {
         },
         &mut rng,
     );
-    let mut waves = vec![Wave {
-        gap_us: 0,
-        sizes: Vec::new(),
-    }];
+    let mut bursts: Vec<(u64, Vec<usize>)> = vec![(0, Vec::new())];
     for _ in 0..n(36, 24) {
         let gap_us = sampler.next_gap(&mut rng).as_micros() as u64;
-        if gap_us > 200 && !waves.last().unwrap().sizes.is_empty() {
-            waves.push(Wave {
-                gap_us,
-                sizes: Vec::new(),
-            });
+        if gap_us > 200 && !bursts.last().unwrap().1.is_empty() {
+            bursts.push((gap_us, Vec::new()));
         }
         let s = sizes.sample(&mut rng) as usize;
-        waves.last_mut().unwrap().sizes.push(s);
+        bursts.last_mut().unwrap().1.push(s);
     }
     let bursty = Scenario {
         name: "bursty",
-        waves,
+        steps: waves(bursts),
         fault: None,
         acked: false,
     };
@@ -173,7 +178,7 @@ pub fn scenarios(seed: u64, smoke: bool) -> Vec<Scenario> {
     // the run — the split ratios a strategy assumed go stale.
     let drift = Scenario {
         name: "drift",
-        waves: burst(vec![1 << 20; n(16, 10)]),
+        steps: burst(vec![1 << 20; n(16, 10)]),
         fault: Some((
             window(0, 500, 1_000_000, Effect::Bandwidth(0.45)),
             SimTime::from_us(60_000),
@@ -186,7 +191,7 @@ pub fn scenarios(seed: u64, smoke: bool) -> Vec<Scenario> {
     // over and still deliver everything.
     let outage = Scenario {
         name: "outage",
-        waves: burst(vec![1 << 20; n(10, 6)]),
+        steps: burst(vec![1 << 20; n(10, 6)]),
         fault: Some((
             window(0, 100, 15_000, Effect::Loss(1.0)),
             SimTime::from_us(120_000),
@@ -199,70 +204,12 @@ pub fn scenarios(seed: u64, smoke: bool) -> Vec<Scenario> {
     // idles unless a strategy harvests it.
     let asym = Scenario {
         name: "asym-smalls",
-        waves: burst(vec![4 << 10; n(64, 40)]),
+        steps: burst(vec![4 << 10; n(64, 40)]),
         fault: None,
         acked: false,
     };
 
     vec![uniform, heavy, bursty, drift, outage, asym]
-}
-
-struct WaveSender {
-    waves: Vec<Wave>,
-    next_wave: usize,
-    outstanding: usize,
-    /// Sends already counted complete — under acked delivery a
-    /// retransmitted message can report completion more than once.
-    completed: std::collections::HashSet<SendId>,
-}
-
-impl WaveSender {
-    fn launch_next(&mut self, api: &mut NodeApi<'_>) {
-        let Some(w) = self.waves.get(self.next_wave).cloned() else {
-            return;
-        };
-        self.next_wave += 1;
-        if w.gap_us > 0 {
-            api.compute(SimDuration::from_us(w.gap_us));
-        }
-        self.outstanding = w.sizes.len();
-        for size in w.sizes {
-            api.submit_send(0, vec![Bytes::from(vec![0x5Au8; size])]);
-        }
-    }
-}
-
-impl AppLogic for WaveSender {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        self.launch_next(api);
-    }
-    fn on_send_complete(&mut self, s: SendId, api: &mut NodeApi<'_>) {
-        if !self.completed.insert(s) {
-            return;
-        }
-        self.outstanding -= 1;
-        if self.outstanding == 0 {
-            self.launch_next(api);
-        }
-    }
-}
-
-struct RecordingReceiver {
-    expected: usize,
-    /// (payload bytes, delivery time) per completed message.
-    deliveries: Vec<(usize, SimTime)>,
-}
-
-impl AppLogic for RecordingReceiver {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        for _ in 0..self.expected {
-            api.post_recv(0);
-        }
-    }
-    fn on_recv_complete(&mut self, _r: RecvId, m: MessageAssembly, api: &mut NodeApi<'_>) {
-        let size = m.segments.iter().map(Bytes::len).sum();
-        self.deliveries.push((size, api.now()));
-    }
 }
 
 /// One (scenario, strategy) cell of the tournament grid.
@@ -377,8 +324,9 @@ fn pct(mut v: Vec<f64>, q: f64) -> f64 {
     v[((v.len() - 1) as f64 * q).round() as usize]
 }
 
-/// Run one cell: the scenario's schedule under one strategy.
-pub fn run_cell(sc: &Scenario, kind: StrategyKind) -> Cell {
+/// The world of one cell, not yet run: the scenario's schedule on node 0
+/// under one strategy, node 1 receiving, the fault plan installed.
+fn world(sc: &Scenario, kind: StrategyKind) -> SimWorld<Script, Script> {
     let mut cfg = EngineConfig::with_strategy(kind);
     if sc.acked {
         cfg.acked = true;
@@ -390,31 +338,30 @@ pub fn run_cell(sc: &Scenario, kind: StrategyKind) -> Cell {
         cfg.health.probe_interval_ns = 500_000;
         cfg.health.probe_timeout_ns = 300_000;
     }
-    let expected = sc.messages();
+    let sender = Script::new(sc.steps.clone());
     let mut w = SimWorld::new(
         &platform::paper_platform(),
         cfg,
-        WaveSender {
-            waves: sc.waves.clone(),
-            next_wave: 0,
-            outstanding: 0,
-            completed: std::collections::HashSet::new(),
-        },
-        RecordingReceiver {
-            expected,
-            deliveries: Vec::new(),
-        },
+        sender,
+        Script::receiver(sc.messages()),
     );
     w.open_conn();
-    // Recording forwards virtual time into the engines — SRPT's straggler
-    // ages and the per-rail service EWMAs need a real clock.
-    w.enable_recording(1 << 14);
     if let Some((plan, until)) = &sc.fault {
         w.enable_faults(plan, FAULT_TICK, *until);
     }
+    w
+}
+
+/// Run one cell: the scenario's schedule under one strategy.
+pub fn run_cell(sc: &Scenario, kind: StrategyKind) -> Cell {
+    let expected = sc.messages();
+    let mut w = world(sc, kind);
+    // Recorded for the restripe count; what the engines decide is the
+    // same without it.
+    w.enable_recording(1 << 14);
     w.run(50_000_000);
 
-    let deliveries = &w.app1().deliveries;
+    let deliveries = w.app1().deliveries();
     let makespan = deliveries
         .iter()
         .map(|&(_, t)| t)
@@ -609,18 +556,23 @@ mod tests {
         assert_eq!(a.len(), 6, "at least five scenarios required");
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.name, y.name);
-            assert_eq!(x.waves, y.waves);
+            assert_eq!(x.steps, y.steps);
         }
         let by_name = |n: &str| a.iter().find(|s| s.name == n).expect(n);
         // Heavy tail: smalls and elephants in one burst.
         let heavy = by_name("heavy-tail");
-        let sizes: Vec<usize> = heavy.waves.iter().flat_map(|w| w.sizes.clone()).collect();
+        let sizes: Vec<usize> = heavy.sizes().collect();
         assert!(sizes.iter().any(|&s| s <= SMALL_CUTOFF), "has smalls");
         assert!(sizes.iter().any(|&s| s >= 1 << 20), "has elephants");
-        // Bursty: more than one wave, with real think gaps.
+        // Bursty: more than one wave, with real think gaps (a wave starts
+        // with a drain; every one after the first computes next).
         let bursty = by_name("bursty");
-        assert!(bursty.waves.len() > 1, "MMPP must produce waves");
-        assert!(bursty.waves.iter().skip(1).all(|w| w.gap_us > 0));
+        let think: Vec<bool> = (bursty.steps.windows(2))
+            .filter(|w| w[0] == Step::Drain)
+            .map(|w| matches!(w[1], Step::Compute(_)))
+            .collect();
+        assert!(think.len() > 1, "MMPP must produce waves");
+        assert!(think.iter().skip(1).all(|&t| t));
         // Outage runs acked with a real down window; drift carries a
         // bandwidth window.
         let effect = |n: &str| by_name(n).fault.as_ref().expect(n).0.faults[0].effect;
@@ -653,5 +605,29 @@ mod tests {
             .map(|c| c.retransmits)
             .sum();
         assert!(outage_rtx > 0, "outage never bit: {}", render(&r));
+    }
+
+    /// The flight recorder observes a run and changes nothing in it:
+    /// every strategy delivers the same messages at the same instants,
+    /// with the same counters, whether it records or not.
+    #[test]
+    fn recording_changes_no_decision() {
+        let scs = scenarios(2024, true);
+        let outage = scs.iter().find(|s| s.name == "outage").expect("outage");
+        for kind in StrategyKind::zoo() {
+            let run = |record: bool| {
+                let mut w = world(outage, kind);
+                if record {
+                    w.enable_recording(1 << 14);
+                }
+                w.run(50_000_000);
+                let stats = [0, 1].map(|i| format!("{:?}", w.node(i).engine.stats()));
+                (w.app1().deliveries().to_vec(), w.now(), stats)
+            };
+            let (with, without) = (run(true), run(false));
+            assert_eq!(with.0, without.0, "{kind:?}: deliveries");
+            assert_eq!(with.1, without.1, "{kind:?}: makespan");
+            assert_eq!(with.2, without.2, "{kind:?}: engine counters");
+        }
     }
 }

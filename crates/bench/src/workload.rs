@@ -9,12 +9,10 @@
 //! message is delivered) per strategy.
 
 use bytes::Bytes;
-use nmad_core::request::{RecvId, SendId};
 use nmad_core::{EngineConfig, EngineStats, StrategyKind};
 use nmad_model::platform;
-use nmad_runtime_sim::world::{AppLogic, NodeApi, SimWorld};
-use nmad_sim::{SimTime, Xoshiro256StarStar};
-use nmad_wire::reassembly::MessageAssembly;
+use nmad_runtime_sim::{Script, SimWorld, Step};
+use nmad_sim::{SimDuration, Xoshiro256StarStar};
 use serde::{ser, Serialize, Value};
 
 /// Message-size pattern of a burst.
@@ -123,39 +121,6 @@ impl Serialize for BurstResult {
     }
 }
 
-struct BurstSender {
-    sizes: Vec<usize>,
-    seed: u64,
-}
-impl AppLogic for BurstSender {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        let mut rng = Xoshiro256StarStar::new(self.seed ^ 0x5EED);
-        for &size in &self.sizes {
-            let mut v = vec![0u8; size];
-            rng.fill_bytes(&mut v);
-            api.submit_send(0, vec![Bytes::from(v)]);
-        }
-    }
-    fn on_send_complete(&mut self, _s: SendId, _api: &mut NodeApi<'_>) {}
-}
-
-struct BurstReceiver {
-    expected: usize,
-    got: usize,
-    last_at: SimTime,
-}
-impl AppLogic for BurstReceiver {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        for _ in 0..self.expected {
-            api.post_recv(0);
-        }
-    }
-    fn on_recv_complete(&mut self, _r: RecvId, _m: MessageAssembly, api: &mut NodeApi<'_>) {
-        self.got += 1;
-        self.last_at = api.now();
-    }
-}
-
 /// Run the burst under one strategy; returns makespan and behaviour.
 pub fn run_burst(spec: &BurstSpec, kind: StrategyKind) -> (BurstResult, EngineStats) {
     let sizes = spec.sizes();
@@ -168,28 +133,28 @@ pub fn run_burst(spec: &BurstSpec, kind: StrategyKind) -> (BurstResult, EngineSt
     } else {
         platform::paper_platform()
     };
+    // Random payloads, all submitted at once.
+    let mut rng = Xoshiro256StarStar::new(spec.seed ^ 0x5EED);
+    let burst = sizes.iter().map(|&size| {
+        let mut v = vec![0u8; size];
+        rng.fill_bytes(&mut v);
+        Step::Send(vec![Bytes::from(v)])
+    });
     let mut world = SimWorld::new(
         &plat,
         EngineConfig::with_strategy(kind),
-        BurstSender {
-            sizes: sizes.clone(),
-            seed: spec.seed,
-        },
-        BurstReceiver {
-            expected: sizes.len(),
-            got: 0,
-            last_at: SimTime::ZERO,
-        },
+        Script::new(burst.collect()),
+        Script::receiver(sizes.len()),
     );
     world.open_conn();
     world.run(50_000_000);
     assert_eq!(
-        world.app1().got,
+        world.app1().deliveries().len(),
         sizes.len(),
         "{}: burst did not fully deliver",
         kind.label()
     );
-    let makespan = world.app1().last_at;
+    let makespan = world.app1().last_delivery_at();
     let stats = world.node(0).engine.stats().clone();
     let result = BurstResult {
         strategy: kind.label().to_string(),
@@ -254,55 +219,27 @@ pub fn render_burst_table(spec: &BurstSpec, rows: &[BurstResult]) -> String {
 /// finally runs, an aggregating strategy ships the whole window in one
 /// packet. Returns `(makespan_us, physical_packets, aggregates)`.
 pub fn run_compute_window(kind: StrategyKind, messages: usize, compute_us: u64) -> (f64, u64, u64) {
-    use nmad_sim::SimDuration;
-
-    struct ComputeSender {
-        messages: usize,
-        compute: SimDuration,
-    }
-    impl AppLogic for ComputeSender {
-        fn on_start(&mut self, api: &mut NodeApi<'_>) {
-            for i in 0..self.messages {
-                api.submit_send(0, vec![Bytes::from(vec![i as u8; 64])]);
-                api.compute(self.compute);
-            }
-        }
-    }
-    struct Counter {
-        expected: usize,
-        got: usize,
-        last_at: SimTime,
-    }
-    impl AppLogic for Counter {
-        fn on_start(&mut self, api: &mut NodeApi<'_>) {
-            for _ in 0..self.expected {
-                api.post_recv(0);
-            }
-        }
-        fn on_recv_complete(&mut self, _r: RecvId, _m: MessageAssembly, api: &mut NodeApi<'_>) {
-            self.got += 1;
-            self.last_at = api.now();
-        }
-    }
+    let compute = SimDuration::from_us(compute_us);
+    let steps = (0..messages).flat_map(|i| {
+        let send = Step::Send(vec![Bytes::from(vec![i as u8; 64])]);
+        [send, Step::Compute(compute)]
+    });
     let mut world = SimWorld::new(
         &platform::paper_platform(),
         EngineConfig::with_strategy(kind),
-        ComputeSender {
-            messages,
-            compute: SimDuration::from_us(compute_us),
-        },
-        Counter {
-            expected: messages,
-            got: 0,
-            last_at: SimTime::ZERO,
-        },
+        Script::new(steps.collect()),
+        Script::receiver(messages),
     );
     world.open_conn();
     world.run(10_000_000);
-    assert_eq!(world.app1().got, messages, "window run did not deliver");
+    assert_eq!(
+        world.app1().deliveries().len(),
+        messages,
+        "window run did not deliver"
+    );
     let s = world.node(0).engine.stats();
     (
-        world.app1().last_at.as_us_f64(),
+        world.app1().last_delivery_at().as_us_f64(),
         s.total_packets(),
         s.aggregates_built,
     )

@@ -16,7 +16,7 @@ use bytes::Bytes;
 use nmad_core::{obs, EngineConfig, StrategyKind};
 use nmad_model::platform;
 use nmad_runtime_sim::sweep::{bandwidth_sizes, latency_sizes};
-use nmad_runtime_sim::{run_pingpong, sample_platform, PingPongSpec};
+use nmad_runtime_sim::{run_pingpong, sample_platform, PingPongSpec, Script, SimWorld, Step};
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -256,25 +256,6 @@ fn cmd_sample() -> Result<(), String> {
 }
 
 fn cmd_timeline(args: &Args) -> Result<(), String> {
-    use nmad_core::request::{RecvId, SendId};
-    use nmad_runtime_sim::world::{AppLogic, NodeApi, SimWorld};
-    use nmad_wire::reassembly::MessageAssembly;
-
-    struct Tx(Vec<Bytes>);
-    impl AppLogic for Tx {
-        fn on_start(&mut self, api: &mut NodeApi<'_>) {
-            api.submit_send(0, self.0.clone());
-        }
-        fn on_send_complete(&mut self, _s: SendId, _api: &mut NodeApi<'_>) {}
-    }
-    struct Rx;
-    impl AppLogic for Rx {
-        fn on_start(&mut self, api: &mut NodeApi<'_>) {
-            api.post_recv(0);
-        }
-        fn on_recv_complete(&mut self, _r: RecvId, _m: MessageAssembly, _api: &mut NodeApi<'_>) {}
-    }
-
     let kind = parse_strategy(args.flag("strategy").unwrap_or("greedy"))?;
     let size = args.size("size", 4 << 10)?;
     let segments: usize = args.num("segments", 2)?;
@@ -283,7 +264,9 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
         .map(|i| Bytes::from(vec![i as u8; seg]))
         .collect();
     let plat = load_platform_flag(args)?;
-    let mut w = SimWorld::new(&plat, EngineConfig::with_strategy(kind), Tx(payloads), Rx);
+    let tx = Script::new(vec![Step::Send(payloads)]);
+    let config = EngineConfig::with_strategy(kind);
+    let mut w = SimWorld::new(&plat, config, tx, Script::receiver(1));
     w.open_conn();
     w.enable_timeline();
     w.run(5_000_000);
@@ -479,14 +462,18 @@ fn record_workload(
     sizes: Vec<usize>,
     acked: bool,
     capacity: usize,
-) -> nmad_runtime_sim::world::SimWorld<RecApp, RecApp> {
-    use nmad_runtime_sim::world::SimWorld;
-
+) -> SimWorld<Script, Script> {
     let plat = platform::paper_platform();
     let mut config = EngineConfig::with_strategy(kind);
     config.acked = acked;
-    let n = sizes.len();
-    let mut w = SimWorld::new(&plat, config, RecApp::sender(sizes), RecApp::receiver(n));
+    let batch = (sizes.iter().enumerate())
+        .map(|(i, &size)| Step::Send(vec![Bytes::from(vec![i as u8; size])]));
+    let mut w = SimWorld::new(
+        &plat,
+        config,
+        Script::new(batch.collect()),
+        Script::receiver(sizes.len()),
+    );
     w.open_conn();
     if matches!(kind, StrategyKind::AdaptiveSplit) {
         w.set_tables(nmad_runtime_sim::sample_platform(&plat));
@@ -494,36 +481,6 @@ fn record_workload(
     w.enable_recording(capacity);
     w.run(20_000_000);
     w
-}
-
-/// App for [`record_workload`]: sends the given sizes or posts that many
-/// receives.
-struct RecApp {
-    sizes: Vec<usize>,
-    recvs: usize,
-}
-
-impl RecApp {
-    fn sender(sizes: Vec<usize>) -> Self {
-        RecApp { sizes, recvs: 0 }
-    }
-    fn receiver(recvs: usize) -> Self {
-        RecApp {
-            sizes: Vec::new(),
-            recvs,
-        }
-    }
-}
-
-impl nmad_runtime_sim::world::AppLogic for RecApp {
-    fn on_start(&mut self, api: &mut nmad_runtime_sim::world::NodeApi<'_>) {
-        for (i, &size) in self.sizes.iter().enumerate() {
-            api.submit_send(0, vec![Bytes::from(vec![i as u8; size])]);
-        }
-        for _ in 0..self.recvs {
-            api.post_recv(0);
-        }
-    }
 }
 
 fn trace_sizes(args: &Args) -> Result<Vec<usize>, String> {

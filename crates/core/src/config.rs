@@ -64,14 +64,14 @@ pub struct EngineConfig {
     /// order to avoid the transfer of the different chunks with a PIO
     /// operation"). Matches the 8 KiB PIO threshold.
     pub min_chunk: usize,
-    /// Whether to embed payload CRCs in packets (the threaded transport
-    /// enables this; the simulator does not need it).
+    /// Whether to embed payload CRCs in packets. Both live transports,
+    /// mem and TCP, force it on; the simulator does not need it.
     pub crc: bool,
     /// Delivery acknowledgements: when set, the receiver answers every
     /// completed message with an `Ack` control packet and the sender
-    /// exposes [`crate::Engine::send_acked`]. Off by default — the paper's
-    /// networks are reliable; this is the hook the failure-injection tests
-    /// and a future retransmission layer build on.
+    /// exposes [`crate::Engine::send_acked`]; an attempt no ack closes in
+    /// time is retransmitted, and the rails it went out on are blamed. Off
+    /// by default — the paper's networks are reliable; fault plans need it.
     pub acked: bool,
     /// Rail health timers (only active in acked mode and when the runtime
     /// drives [`crate::Engine::progress`]).

@@ -7,6 +7,8 @@
 //! * [`world`] — the event loop: CPU occupancy (PIO serialization, memcpy,
 //!   per-packet overheads, per-rail poll costs), DMA draining through the
 //!   max-min-fair bus, wire latencies, and the application callback layer;
+//! * [`script`] — every other experiment's application, as data: a list
+//!   of sends, computes and drains under a window of outstanding sends;
 //! * [`pingpong`] — the paper's benchmark (§3.1): a regular ping-pong with
 //!   series of non-blocking sends/recvs and multi-segment messages;
 //! * [`sampling`] — genuine init-time sampling: per-rail ping-pongs over a
@@ -19,12 +21,14 @@
 
 pub mod pingpong;
 pub mod sampling;
+pub mod script;
 pub mod sweep;
 pub mod timeline;
 pub mod world;
 
 pub use pingpong::{run_pingpong, PingPongResult, PingPongSpec};
 pub use sampling::{sample_platform, sample_rail};
+pub use script::{Script, Step};
 pub use sweep::{bandwidth_sizes, latency_sizes, SeriesPoint, Sweep};
 pub use timeline::Timeline;
 pub use world::{AppLogic, NodeApi, SimWorld};

@@ -42,20 +42,11 @@ pub trait AppLogic {
     fn on_recv_complete(&mut self, recv: RecvId, msg: MessageAssembly, api: &mut NodeApi<'_>) {
         let _ = (recv, msg, api);
     }
-    /// A submitted send reached local completion.
+    /// A submitted send reached local completion. Under acked delivery a
+    /// retransmitted send can reach it more than once.
     fn on_send_complete(&mut self, send: SendId, api: &mut NodeApi<'_>) {
         let _ = (send, api);
     }
-    /// A sampling pong arrived (probe id, payload length).
-    fn on_sample_pong(&mut self, probe_id: u64, len: usize, api: &mut NodeApi<'_>) {
-        let _ = (probe_id, len, api);
-    }
-}
-
-/// No-op application (pure reactive peer driven by the engine).
-pub struct IdleApp;
-impl AppLogic for IdleApp {
-    fn on_start(&mut self, _api: &mut NodeApi<'_>) {}
 }
 
 /// The fault plan a world runs under, its bounds in simulated time, and
@@ -193,14 +184,6 @@ impl NodeApi<'_> {
         schedule_kick(self.idx, self.node, self.queue, g.end);
     }
 
-    /// Send a sampling probe of `size` zero bytes on `conn` (echoed back
-    /// by the peer engine as a pong).
-    pub fn send_sample(&mut self, conn: ConnId, probe_id: u64, size: usize) {
-        self.node.engine.send_sample(conn, probe_id, size);
-        let g = self.node.cpu.acquire(self.now, self.node.host.submit_cost);
-        schedule_kick(self.idx, self.node, self.queue, g.end);
-    }
-
     /// Engine statistics of this node.
     pub fn stats(&self) -> &nmad_core::EngineStats {
         self.node.engine.stats()
@@ -287,12 +270,8 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
 
     /// Start flight-recording: the world keeps `capacity` hardware-model
     /// events per stream, and both node engines get rings of the same
-    /// capacity for their lifecycle events. While recording is on, the
-    /// dispatcher also forwards virtual time to the engines via
-    /// [`Engine::observe_clock`] so engine event timestamps are exact
-    /// (without recording, the engine clock only advances on fault-plan
-    /// ticks — preserved so timer behaviour is bit-identical to
-    /// non-recording runs).
+    /// capacity for their lifecycle events. Recording only observes: the
+    /// engines see the same clock, and decide the same, with it on or off.
     pub fn enable_recording(&mut self, capacity: usize) {
         self.recorder = FlightRecorder::with_capacity(capacity);
         for n in &mut self.nodes {
@@ -402,14 +381,10 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
     }
 
     fn dispatch(&mut self, now: SimTime, ev: Ev) {
-        if self.recorder.is_enabled() {
-            // Exact timestamps for engine-side events. Only done while
-            // recording so non-recording runs keep the tick-quantized
-            // engine clock (identical timer behaviour).
-            let ns = Self::now_ns(now);
-            for n in &mut self.nodes {
-                n.engine.observe_clock(ns);
-            }
+        // The engines' clock is the world's, on every event.
+        let ns = Self::now_ns(now);
+        for n in &mut self.nodes {
+            n.engine.observe_clock(ns);
         }
         match ev {
             Ev::Kick(i) => {
@@ -557,7 +532,6 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
                     .unwrap_or_else(|e| panic!("n{node} rx error: {e}"));
                 // (The engine lends the outcome; the hooks below need it.)
                 let recvs: SmallList<RecvId, 8> = outcome.completed_recvs.iter().copied().collect();
-                let pongs = outcome.sample_pongs.clone();
                 for recv in recvs {
                     let msg = self.nodes[node]
                         .engine
@@ -568,16 +542,11 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
                     }
                     self.run_app_hook(node, now, AppHook::Recv(recv, msg));
                 }
-                for (probe, len) in pongs {
-                    self.run_app_hook(node, now, AppHook::Pong(probe, len));
-                }
                 schedule_kick(node, &mut self.nodes[node], &mut self.queue, now);
             }
             Ev::Tick => {
-                // SimTime counts picoseconds; the engine clock is ns.
-                let now_ns = now.0 / 1_000;
                 for i in 0..self.nodes.len() {
-                    let _ = self.nodes[i].engine.progress(now_ns);
+                    let _ = self.nodes[i].engine.progress(ns);
                     if self.nodes[i].engine.has_tx_work() {
                         schedule_kick(i, &mut self.nodes[i], &mut self.queue, now);
                     }
@@ -715,7 +684,6 @@ enum AppHook {
     Start,
     Recv(RecvId, MessageAssembly),
     Send(SendId),
-    Pong(u64, usize),
 }
 
 impl AppHook {
@@ -724,7 +692,6 @@ impl AppHook {
             AppHook::Start => app.on_start(api),
             AppHook::Recv(r, m) => app.on_recv_complete(r, m, api),
             AppHook::Send(s) => app.on_send_complete(s, api),
-            AppHook::Pong(p, l) => app.on_sample_pong(p, l, api),
         }
     }
 }
@@ -732,58 +699,57 @@ impl AppHook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::script::{Script, Step};
     use nmad_core::{Fault, StrategyKind};
     use nmad_model::platform;
     use std::time::Duration;
 
-    /// Sender app: one message, records completion time.
-    struct OneShotSender {
-        conn: ConnId,
-        payloads: Vec<Bytes>,
-        send_done_at: Option<SimTime>,
-    }
-    impl AppLogic for OneShotSender {
-        fn on_start(&mut self, api: &mut NodeApi<'_>) {
-            api.submit_send(self.conn, self.payloads.clone());
-        }
-        fn on_send_complete(&mut self, _send: SendId, api: &mut NodeApi<'_>) {
-            self.send_done_at = Some(api.now());
-        }
-    }
-
-    /// Receiver app: one recv, records delivery time and content.
-    struct OneShotReceiver {
-        conn: ConnId,
-        got: Option<(SimTime, Vec<Bytes>)>,
-    }
-    impl AppLogic for OneShotReceiver {
-        fn on_start(&mut self, api: &mut NodeApi<'_>) {
-            api.post_recv(self.conn);
-        }
-        fn on_recv_complete(&mut self, _r: RecvId, msg: MessageAssembly, api: &mut NodeApi<'_>) {
-            self.got = Some((api.now(), msg.segments));
-        }
-    }
-
-    fn transfer(strategy: StrategyKind, payloads: Vec<Bytes>) -> (SimTime, SimWorldT) {
+    /// One message of `payloads` from node 0 to node 1.
+    fn one_shot(strategy: StrategyKind, payloads: Vec<Bytes>) -> SimWorldT {
         let p = platform::paper_platform();
         let mut w = SimWorld::new(
             &p,
             EngineConfig::with_strategy(strategy),
-            OneShotSender {
-                conn: 0,
-                payloads,
-                send_done_at: None,
-            },
-            OneShotReceiver { conn: 0, got: None },
+            Script::new(vec![Step::Send(payloads)]),
+            Script::receiver(1),
         );
         w.open_conn();
+        w
+    }
+
+    /// Run [`one_shot`]; returns the delivery time with the world.
+    fn transfer(strategy: StrategyKind, payloads: Vec<Bytes>) -> (SimTime, SimWorldT) {
+        let mut w = one_shot(strategy, payloads);
         w.run(1_000_000);
-        let t = w.app1().got.as_ref().expect("delivered").0;
+        assert_eq!(w.app1().deliveries().len(), 1, "delivered");
+        let t = w.app1().last_delivery_at();
         (t, w)
     }
 
-    type SimWorldT = SimWorld<OneShotSender, OneShotReceiver>;
+    type SimWorldT = SimWorld<Script, Script>;
+
+    /// Hooks without the engine's say, to test an app's own rules.
+    impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
+        /// Run both apps' `on_start` (instead of [`SimWorld::run`]).
+        pub(crate) fn start_apps(&mut self) {
+            self.run_app_hook(0, SimTime::ZERO, AppHook::Start);
+            self.run_app_hook(1, SimTime::ZERO, AppHook::Start);
+        }
+
+        /// Tell node `node`'s app that `send` completed.
+        pub(crate) fn complete_send(&mut self, node: usize, send: SendId) {
+            self.fire_send_complete(node, self.now(), send);
+        }
+    }
+
+    /// `n` messages of `size` bytes, all submitted at start.
+    fn pipeline(n: usize, size: usize) -> Script {
+        Script::new(
+            (0..n)
+                .map(|i| Step::Send(vec![Bytes::from(vec![i as u8; size])]))
+                .collect(),
+        )
+    }
 
     #[test]
     fn small_message_latency_near_quadrics_floor() {
@@ -861,16 +827,17 @@ mod tests {
         rng.fill_bytes(&mut data);
         let payload = Bytes::from(data.clone());
         let (_, w) = transfer(StrategyKind::AdaptiveSplit, vec![payload]);
-        let got = &w.app1().got.as_ref().unwrap().1;
+        let got = w.app1().last_message();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].as_ref(), data.as_slice());
     }
 
     #[test]
     fn sender_reports_local_completion() {
-        let (_, w) = transfer(StrategyKind::Greedy, vec![Bytes::from(vec![0u8; 1024])]);
-        assert!(w.app0().send_done_at.is_some());
-        assert!(w.app0().send_done_at.unwrap() <= w.app1().got.as_ref().unwrap().0);
+        let (delivered_at, w) = transfer(StrategyKind::Greedy, vec![Bytes::from(vec![0u8; 1024])]);
+        let send_done_at = w.app0().completions().first().map(|&(_, t)| t);
+        assert!(send_done_at.is_some());
+        assert!(send_done_at.unwrap() <= delivered_at);
     }
 
     #[test]
@@ -878,43 +845,20 @@ mod tests {
         // Submit 6 tiny messages interleaved with CPU computation: the
         // engine cannot transmit while the CPU computes (single core), so
         // the backlog accumulates and the aggregating strategy batches it.
-        struct BusySender;
-        impl AppLogic for BusySender {
-            fn on_start(&mut self, api: &mut NodeApi<'_>) {
-                for i in 0..6u8 {
-                    api.submit_send(0, vec![Bytes::from(vec![i; 32])]);
-                    api.compute(SimDuration::from_us(2));
-                }
-            }
-        }
-        struct Sink {
-            got: usize,
-        }
-        impl AppLogic for Sink {
-            fn on_start(&mut self, api: &mut NodeApi<'_>) {
-                for _ in 0..6 {
-                    api.post_recv(0);
-                }
-            }
-            fn on_recv_complete(
-                &mut self,
-                _r: RecvId,
-                _m: MessageAssembly,
-                _api: &mut NodeApi<'_>,
-            ) {
-                self.got += 1;
-            }
-        }
+        let busy = (0..6u8).flat_map(|i| {
+            let send = Step::Send(vec![Bytes::from(vec![i; 32])]);
+            [send, Step::Compute(SimDuration::from_us(2))]
+        });
         let p = platform::paper_platform();
         let mut w = SimWorld::new(
             &p,
             EngineConfig::with_strategy(StrategyKind::AggregateEager),
-            BusySender,
-            Sink { got: 0 },
+            Script::new(busy.collect()),
+            Script::receiver(6),
         );
         w.open_conn();
         w.run(1_000_000);
-        assert_eq!(w.app1().got, 6, "all messages delivered");
+        assert_eq!(w.app1().deliveries().len(), 6, "all messages delivered");
         let s = w.node(0).engine.stats();
         // The first message may leave alone (NIC idle at submit time), but
         // the compute phase must force at least one aggregate of the rest.
@@ -932,19 +876,9 @@ mod tests {
     #[test]
     fn timeline_shows_pio_serialization_and_dma_overlap() {
         fn run(total: usize) -> crate::timeline::Timeline {
-            let p = platform::paper_platform();
             let seg = total / 2;
-            let mut w = SimWorld::new(
-                &p,
-                EngineConfig::with_strategy(StrategyKind::Greedy),
-                OneShotSender {
-                    conn: 0,
-                    payloads: vec![Bytes::from(vec![1u8; seg]), Bytes::from(vec![2u8; seg])],
-                    send_done_at: None,
-                },
-                OneShotReceiver { conn: 0, got: None },
-            );
-            w.open_conn();
+            let payloads = vec![Bytes::from(vec![1u8; seg]), Bytes::from(vec![2u8; seg])];
+            let mut w = one_shot(StrategyKind::Greedy, payloads);
             w.enable_timeline();
             w.run(1_000_000);
             w.timeline.take().unwrap()
@@ -992,28 +926,6 @@ mod tests {
         const N: usize = 10;
         const SIZE: usize = 1 << 20;
 
-        struct PipelineSender;
-        impl AppLogic for PipelineSender {
-            fn on_start(&mut self, api: &mut NodeApi<'_>) {
-                for i in 0..N {
-                    api.submit_send(0, vec![Bytes::from(vec![i as u8; SIZE])]);
-                }
-            }
-        }
-        struct PipelineReceiver {
-            delivered_at: Vec<SimTime>,
-        }
-        impl AppLogic for PipelineReceiver {
-            fn on_start(&mut self, api: &mut NodeApi<'_>) {
-                for _ in 0..N {
-                    api.post_recv(0);
-                }
-            }
-            fn on_recv_complete(&mut self, _r: RecvId, _m: MessageAssembly, api: &mut NodeApi<'_>) {
-                self.delivered_at.push(api.now());
-            }
-        }
-
         let p = platform::paper_platform();
         let mut cfg = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
         cfg.acked = true;
@@ -1023,14 +935,7 @@ mod tests {
         cfg.health.max_rto_ns = 5_000_000;
         cfg.health.probe_interval_ns = 500_000;
         cfg.health.probe_timeout_ns = 300_000;
-        let mut w = SimWorld::new(
-            &p,
-            cfg,
-            PipelineSender,
-            PipelineReceiver {
-                delivered_at: Vec::new(),
-            },
-        );
+        let mut w = SimWorld::new(&p, cfg, pipeline(N, SIZE), Script::receiver(N));
         w.open_conn();
         let span = Duration::from_micros(100)..Duration::from_micros(25_000);
         let outage = Fault::during(0, span, Effect::Loss(1.0));
@@ -1041,7 +946,7 @@ mod tests {
         );
         w.run(5_000_000);
 
-        let times = &w.app1().delivered_at;
+        let times: Vec<SimTime> = w.app1().deliveries().iter().map(|&(_, t)| t).collect();
         assert_eq!(times.len(), N, "all messages must survive the outage");
         assert!(w.packets_lost > 0, "the outage must actually bite");
         let s0 = w.node(0).engine.stats().clone();
@@ -1095,41 +1000,13 @@ mod tests {
         const N: usize = 24;
         const SIZE: usize = 1 << 20;
 
-        struct DriftSender;
-        impl AppLogic for DriftSender {
-            fn on_start(&mut self, api: &mut NodeApi<'_>) {
-                for i in 0..N {
-                    api.submit_send(0, vec![Bytes::from(vec![i as u8; SIZE])]);
-                }
-            }
-        }
-        struct DriftReceiver {
-            delivered: usize,
-        }
-        impl AppLogic for DriftReceiver {
-            fn on_start(&mut self, api: &mut NodeApi<'_>) {
-                for _ in 0..N {
-                    api.post_recv(0);
-                }
-            }
-            fn on_recv_complete(
-                &mut self,
-                _r: RecvId,
-                _m: MessageAssembly,
-                _api: &mut NodeApi<'_>,
-            ) {
-                self.delivered += 1;
-            }
-        }
-
         let run = || {
             let p = platform::paper_platform();
             let mut cfg = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
             cfg.calibrate = true;
-            let mut w = SimWorld::new(&p, cfg, DriftSender, DriftReceiver { delivered: 0 });
+            let mut w = SimWorld::new(&p, cfg, pipeline(N, SIZE), Script::receiver(N));
             w.open_conn();
-            // Recording forwards virtual time into the engines, giving the
-            // calibrator exact (not tick-quantized) injection timings.
+            // The rebuilds are checked as recorded events below.
             w.enable_recording(8192);
             let span = Duration::from_micros(2_000)..Duration::from_secs(1);
             let drift = Fault::during(0, span, Effect::Bandwidth(0.5));
@@ -1139,7 +1016,7 @@ mod tests {
                 SimTime::from_us(40_000),
             );
             w.run(5_000_000);
-            assert_eq!(w.app1().delivered, N, "pipeline must complete");
+            assert_eq!(w.app1().deliveries().len(), N, "pipeline must complete");
             w
         };
 
@@ -1201,7 +1078,12 @@ mod tests {
     #[should_panic(expected = "the sim cannot apply Fault { rail: 0,")]
     fn the_sim_refuses_a_corrupt_fault() {
         let p = platform::paper_platform();
-        let mut w = SimWorld::new(&p, EngineConfig::default(), IdleApp, IdleApp);
+        let mut w = SimWorld::new(
+            &p,
+            EngineConfig::default(),
+            Script::default(),
+            Script::default(),
+        );
         let plan = FaultPlan::everywhere(0, 2, &[Effect::Corrupt(0.1)]);
         w.enable_faults(&plan, SimDuration::from_us(50), SimTime::from_us(1_000));
     }

@@ -11,29 +11,9 @@
 //! rails while the CPU stays almost idle.
 
 use newmadeleine::bytes::Bytes;
-use newmadeleine::core::request::{RecvId, SendId};
 use newmadeleine::core::{EngineConfig, StrategyKind};
 use newmadeleine::model::platform;
-use newmadeleine::runtime_sim::world::{AppLogic, NodeApi, SimWorld};
-use newmadeleine::wire::reassembly::MessageAssembly;
-
-struct Sender {
-    payloads: Vec<Bytes>,
-}
-impl AppLogic for Sender {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        api.submit_send(0, self.payloads.clone());
-    }
-    fn on_send_complete(&mut self, _s: SendId, _api: &mut NodeApi<'_>) {}
-}
-
-struct Receiver;
-impl AppLogic for Receiver {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        api.post_recv(0);
-    }
-    fn on_recv_complete(&mut self, _r: RecvId, _m: MessageAssembly, _api: &mut NodeApi<'_>) {}
-}
+use newmadeleine::runtime_sim::{Script, SimWorld, Step};
 
 fn show(total: usize) {
     let seg = total / 2;
@@ -41,8 +21,8 @@ fn show(total: usize) {
     let mut world = SimWorld::new(
         &platform::paper_platform(),
         EngineConfig::with_strategy(StrategyKind::Greedy),
-        Sender { payloads },
-        Receiver,
+        Script::new(vec![Step::Send(payloads)]),
+        Script::receiver(1),
     );
     world.open_conn();
     world.enable_timeline();

@@ -95,6 +95,18 @@ if grep -rnE 'ChaosState|FaultSpec|RailOutage|BandwidthDrift|drift_only|DialEven
     crates src tests examples; then
     echo "a second fault description is back beside the one fault plan (see above)"; exit 1
 fi
+# One simulated application (DESIGN.md §5 "The simulated application"):
+# every experiment but the ping-pong is a runtime-sim `Script`, a list of
+# steps. An `AppLogic` written beside it, the hand-written senders and
+# receivers it replaced and the sim's unused sampling hook must not come
+# back.
+if grep -rn 'impl AppLogic for' crates src tests examples | grep -v '^crates/runtime-sim/src/'; then
+    echo "an application is hand-written outside runtime-sim (see above): write it as a Script"; exit 1
+fi
+if grep -rnE 'BurstSender|WaveSender|RecordingReceiver|PipeSender|PipeReceiver|MixedApp|OneShotSender|IdleApp|on_sample_pong' \
+    crates src tests examples; then
+    echo "a hand-written sim application or the sampling hook is back (see above)"; exit 1
+fi
 if grep -rnw 'unsafe' crates/core/src crates/transport-mem/src; then
     echo "unsafe in nmad-core or nmad-transport-mem (see above)"; exit 1
 fi

@@ -208,48 +208,26 @@ fn small_message_overtakes_large_one_in_time() {
     // rendezvous handshake / bulk transfer while the small one goes out
     // eagerly on the latency rail.
     use newmadeleine::bytes::Bytes;
-    use newmadeleine::core::request::{RecvId, SendId};
-    use newmadeleine::runtime_sim::world::{AppLogic, NodeApi, SimWorld};
-    use newmadeleine::sim::SimTime;
-    use newmadeleine::wire::reassembly::MessageAssembly;
+    use newmadeleine::runtime_sim::{Script, SimWorld, Step};
 
-    struct Sender;
-    impl AppLogic for Sender {
-        fn on_start(&mut self, api: &mut NodeApi<'_>) {
-            api.submit_send(0, vec![Bytes::from(vec![1u8; 1 << 20])]);
-            api.submit_send(0, vec![Bytes::from(vec![2u8; 64])]);
-        }
-        fn on_send_complete(&mut self, _s: SendId, _api: &mut NodeApi<'_>) {}
-    }
-    #[derive(Default)]
-    struct Receiver {
-        big_at: Option<SimTime>,
-        small_at: Option<SimTime>,
-    }
-    impl AppLogic for Receiver {
-        fn on_start(&mut self, api: &mut NodeApi<'_>) {
-            api.post_recv(0);
-            api.post_recv(0);
-        }
-        fn on_recv_complete(&mut self, _r: RecvId, m: MessageAssembly, api: &mut NodeApi<'_>) {
-            if m.total_len() > 1000 {
-                self.big_at = Some(api.now());
-            } else {
-                self.small_at = Some(api.now());
-            }
-        }
-    }
-
+    let sender = Script::new(vec![
+        Step::Send(vec![Bytes::from(vec![1u8; 1 << 20])]),
+        Step::Send(vec![Bytes::from(vec![2u8; 64])]),
+    ]);
     let mut w = SimWorld::new(
         &platform::paper_platform(),
         EngineConfig::with_strategy(StrategyKind::AdaptiveSplit),
-        Sender,
-        Receiver::default(),
+        sender,
+        Script::receiver(2),
     );
     w.open_conn();
     w.run(1_000_000);
-    let small = w.app1().small_at.expect("small delivered");
-    let big = w.app1().big_at.expect("big delivered");
+    let at = |big: bool| {
+        let mut d = w.app1().deliveries().iter();
+        d.find(|&&(n, _)| (n > 1000) == big).map(|&(_, t)| t)
+    };
+    let small = at(false).expect("small delivered");
+    let big = at(true).expect("big delivered");
     assert!(
         small < big,
         "small ({small}) must overtake the earlier-submitted large ({big})"

@@ -15,15 +15,13 @@ use std::time::Duration;
 use newmadeleine::bytes::Bytes;
 use newmadeleine::core::obs::metrics::{Scope, METRICS};
 use newmadeleine::core::obs::{to_prometheus, windows_jsonl, Event, EventKind, NO_RAIL};
-use newmadeleine::core::request::SendId;
 use newmadeleine::core::{
     Effect, Engine, EngineConfig, Fault, FaultPlan, Observe, StrategyKind, Window,
 };
 use newmadeleine::model::platform;
-use newmadeleine::runtime_sim::{AppLogic, NodeApi, SimWorld};
+use newmadeleine::runtime_sim::{Script, SimWorld, Step};
 use newmadeleine::sim::rng::Xoshiro256StarStar;
 use newmadeleine::sim::{SimDuration, SimTime};
-use newmadeleine::wire::ConnId;
 
 const MESSAGES: usize = 40;
 const OUTSTANDING: usize = 4;
@@ -31,50 +29,21 @@ const OUTSTANDING: usize = 4;
 /// about 300 windows (the ring keeps 512: none is overwritten).
 const WINDOW_NS: u64 = 1_000_000;
 
-struct App {
-    conn: ConnId,
-    sizes: Vec<usize>,
-    next: usize,
-}
-
-impl App {
-    fn new(seed: u64) -> Self {
-        let mut rng = Xoshiro256StarStar::new(seed);
-        let sizes = (0..MESSAGES)
-            .map(|_| match rng.range_u64(0, 3) {
-                0 => rng.range_usize(16, 2048),
-                1 => rng.range_usize(8 << 10, 24 << 10),
-                _ => rng.range_usize(64 << 10, 1 << 20),
-            })
-            .collect();
-        App {
-            conn: 0,
-            sizes,
-            next: 0,
-        }
-    }
-
-    fn submit_next(&mut self, api: &mut NodeApi<'_>) {
-        if let Some(&n) = self.sizes.get(self.next) {
-            self.next += 1;
-            api.submit_send(self.conn, vec![Bytes::from(vec![self.next as u8; n])]);
-        }
-    }
-}
-
-impl AppLogic for App {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        for _ in 0..MESSAGES {
-            api.post_recv(self.conn);
-        }
-        for _ in 0..OUTSTANDING {
-            self.submit_next(api);
-        }
-    }
-
-    fn on_send_complete(&mut self, _send: SendId, api: &mut NodeApi<'_>) {
-        self.submit_next(api);
-    }
+/// One node's application: `MESSAGES` seeded sizes, at most
+/// `OUTSTANDING` at a time, while receiving as many from the peer.
+fn app(seed: u64) -> Script {
+    let mut rng = Xoshiro256StarStar::new(seed);
+    let sends = (1..=MESSAGES).map(|i| {
+        let n = match rng.range_u64(0, 3) {
+            0 => rng.range_usize(16, 2048),
+            1 => rng.range_usize(8 << 10, 24 << 10),
+            _ => rng.range_usize(64 << 10, 1 << 20),
+        };
+        Step::Send(vec![Bytes::from(vec![i as u8; n])])
+    });
+    Script::new(sends.collect())
+        .recvs(MESSAGES)
+        .window(OUTSTANDING)
 }
 
 /// `(count, sum)` of a quantity.
@@ -161,14 +130,14 @@ impl Tally {
 /// The seeded acked run with an outage, both engines' telemetry folded
 /// past the end: every count is in a closed window, and no window or
 /// event was overwritten.
-fn seeded_run() -> SimWorld<App, App> {
+fn seeded_run() -> SimWorld<Script, Script> {
     let p = platform::paper_platform();
     let mut config = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
     config.acked = true;
     config.observe = Observe::Watch {
         window_ns: WINDOW_NS,
     };
-    let mut world = SimWorld::new(&p, config, App::new(0x5EED), App::new(0xFEED));
+    let mut world = SimWorld::new(&p, config, app(0x5EED), app(0xFEED));
     // A ring that never laps: the reference must be complete.
     world.enable_recording(1 << 20);
     let span = Duration::from_micros(400)..Duration::from_micros(30_000);
