@@ -227,12 +227,13 @@ impl Partial {
 
 /// The read half of one rail: partial reads in, whole frames out.
 pub(crate) struct FrameReader {
-    /// Read buffer, allocated and zeroed once. `rx_buf[..rx_len]` is
-    /// unframed input, carved after each read ([`FrameReader::carve`]);
-    /// only a partial length prefix ever stays behind, or a prefix and
-    /// less than the head of what may be a chunk frame.
+    /// Read buffer: [`READ_CHUNK`] bytes of capacity, allocated once and
+    /// written by nobody but the socket ([`Source::read_spare`]), so its
+    /// length is the bytes read. They are unframed input, carved after
+    /// each read ([`FrameReader::carve`]); only a partial length prefix
+    /// ever stays behind, or a prefix and less than the head of what may
+    /// be a chunk frame.
     rx_buf: Vec<u8>,
-    rx_len: usize,
     /// The frame in progress, if it is not all in `rx_buf`.
     partial: Option<Partial>,
     /// What is left of the slabs small frames are carved into, oldest
@@ -243,17 +244,27 @@ pub(crate) struct FrameReader {
 }
 
 /// Where a rail's bytes come from: a `Read` that can also read straight
-/// into a [`Window`]'s unwritten part — bytes nobody has written, over
-/// which no `&mut [u8]` for `Read::read` may be made.
+/// into bytes nobody has written — a [`Window`]'s unwritten part, a
+/// `Vec`'s spare capacity — over which no `&mut [u8]` for `Read::read`
+/// may be made.
 pub(crate) trait Source: Read {
     /// One read into `window` at its cursor, which moves over the bytes
     /// read: their count, 0 at the end of the stream.
     fn read_into(&mut self, window: &mut Window) -> std::io::Result<usize>;
+
+    /// One read into `buf`'s spare capacity, whose length moves over the
+    /// bytes read: their count, 0 at the end of the stream. The capacity
+    /// past them is left as it was.
+    fn read_spare(&mut self, buf: &mut Vec<u8>) -> std::io::Result<usize>;
 }
 
 impl<S: Source + ?Sized> Source for &mut S {
     fn read_into(&mut self, window: &mut Window) -> std::io::Result<usize> {
         (**self).read_into(window)
+    }
+
+    fn read_spare(&mut self, buf: &mut Vec<u8>) -> std::io::Result<usize> {
+        (**self).read_spare(buf)
     }
 }
 
@@ -276,8 +287,7 @@ fn read_until_blocked(mut src: impl Source, window: &mut Window) -> (usize, std:
 impl FrameReader {
     pub(crate) fn new() -> Self {
         FrameReader {
-            rx_buf: vec![0; READ_CHUNK],
-            rx_len: 0,
+            rx_buf: Vec::with_capacity(READ_CHUNK),
             partial: None,
             slabs: Vec::with_capacity(SLABS),
             closed: false,
@@ -311,15 +321,16 @@ impl FrameReader {
             return Ok(false);
         }
         let before = out.len();
-        // A frame in progress is read where it will stay (no bounce, no
-        // zero-fill), as far as the socket has it. The reads that takes
-        // are tallied as one call.
+        // Nothing is zero-filled to be read into: the read buffer's spare
+        // capacity takes one read, and a frame in progress is read where
+        // it will stay (no bounce), as far as the socket has it. The
+        // reads that takes are tallied as one call.
         let (framed, asked, got, read) = match &mut self.partial {
             None => {
-                let space = &mut self.rx_buf[self.rx_len..];
-                match src.read(space) {
-                    Ok(n) => (false, space.len(), n, Ok(())),
-                    Err(e) => (false, space.len(), 0, Err(e)),
+                let asked = self.rx_buf.capacity() - self.rx_buf.len();
+                match src.read_spare(&mut self.rx_buf) {
+                    Ok(n) => (false, asked, n, Ok(())),
+                    Err(e) => (false, asked, 0, Err(e)),
                 }
             }
             Some(Partial::Own { frame, want }) => {
@@ -341,7 +352,6 @@ impl FrameReader {
             }
             Ok(())
         } else {
-            self.rx_len += got;
             self.carve(rail, landing, out)
         };
         tally.rx_frames += (out.len() - before) as u64;
@@ -363,7 +373,7 @@ impl FrameReader {
         }
     }
 
-    /// Carve the frames in `rx_buf[..rx_len]` by offset, each copied out
+    /// Carve the frames in `rx_buf` by offset, each copied out
     /// — a chunk's payload into the window `landing` has for it, a small
     /// frame into the slab, anything else whole into an allocation of
     /// exactly its size — so that a delivered payload never pins this
@@ -376,9 +386,9 @@ impl FrameReader {
         out: &mut Vec<(usize, PacketFrame)>,
     ) -> std::io::Result<()> {
         let mut off = 0;
-        while let Some(len) = frame_len(&self.rx_buf[off..self.rx_len])? {
+        while let Some(len) = frame_len(&self.rx_buf[off..])? {
             let body = off + LEN_PREFIX;
-            let have = &self.rx_buf[body..self.rx_len.min(body + len)];
+            let have = &self.rx_buf[body..self.rx_buf.len().min(body + len)];
             let whole = have.len() == len;
             // (A frame shorter than a chunk head is no chunk of anything.)
             let chunk = len >= ChunkHead::LEN && ChunkHead::possible(have);
@@ -424,8 +434,7 @@ impl FrameReader {
             }
             out.push((rail, frame.into_frame()));
         }
-        self.rx_buf.copy_within(off..self.rx_len, 0);
-        self.rx_len -= off;
+        self.rx_buf.drain(..off);
         Ok(())
     }
 }

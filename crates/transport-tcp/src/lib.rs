@@ -32,9 +32,12 @@
 //!
 //! Transmissions go out with `write_vectored` straight from the engine's
 //! [`PacketFrame`] parts (no flattening). Arrivals are carved by the one
-//! `FrameReader`: frames that fit the 64 KiB read buffer are copied out
-//! into an allocation of exactly their size, a larger one is read
-//! straight into its own allocation, and each is handed to
+//! `FrameReader`: each `read` fills the spare capacity of a 64 KiB read
+//! buffer that nothing zero-fills, so a rail that only ever gets small
+//! reads never touches most of it. Frames that fit the buffer are copied
+//! out into an allocation of exactly their size (a small one into a
+//! shared slab), a larger one is read straight into its own allocation,
+//! and each is handed to
 //! [`nmad_core::Engine::on_frame`] as one refcounted slice. A rendezvous
 //! chunk goes one better: its head says where in its segment it belongs,
 //! and both rails' readers share a landing table (under the rails lock)
@@ -161,11 +164,16 @@ fn gather_batch_slices<'a>(
     filled
 }
 
-/// A rail's socket reads a landing chunk with a raw `read(2)` into the
-/// window's unwritten bytes ([`sys::read_into`]).
+/// A rail's socket reads with a raw `read(2)` into bytes nobody wrote: a
+/// landing chunk's window ([`sys::read_into`]) and the read buffer's
+/// spare capacity ([`sys::read_spare`]).
 impl Source for &TcpStream {
     fn read_into(&mut self, window: &mut bytes::Window) -> std::io::Result<usize> {
         sys::read_into(self, window)
+    }
+
+    fn read_spare(&mut self, buf: &mut Vec<u8>) -> std::io::Result<usize> {
+        sys::read_spare(self, buf)
     }
 }
 
@@ -589,14 +597,16 @@ pub fn connect(config: TcpConfig, addrs: &[SocketAddr]) -> std::io::Result<Endpo
     build_endpoint(&config, streams)
 }
 
-/// Convenience: a connected pair within one process over localhost.
+/// A connected pair within one process over localhost, `(server,
+/// client)`, wired up on the calling thread: [`listen`], [`connect`],
+/// then [`PendingListen::accept`]. No thread has to dial while this one
+/// blocks in `accept`: the kernel completes each rail's handshake into
+/// its listener's backlog, so `connect` returns before anything is
+/// accepted, and each `accept` finds its rail's connection waiting.
 pub fn pair_localhost(config: TcpConfig) -> std::io::Result<(Endpoint, Endpoint)> {
     let pending = listen(config.clone())?;
-    let addrs = pending.addrs().to_vec();
-    let cfg = config;
-    let client = std::thread::spawn(move || connect(cfg, &addrs));
+    let client = connect(config, pending.addrs())?;
     let server = pending.accept()?;
-    let client = client.join().expect("connect thread")?;
     Ok((server, client))
 }
 

@@ -1,14 +1,16 @@
 //! What the backstop thread sleeps on — epoll and eventfd — and the
-//! `read(2)` a rendezvous chunk lands through, straight to the kernel.
+//! `read(2)`s a rail's bytes arrive through, straight to the kernel: a
+//! rendezvous chunk's into its landing window, everything else's into
+//! the read buffer's spare capacity.
 //!
 //! The repo is offline/zero-dep, so there is no `libc` crate to lean on:
 //! the syscalls are made via inline assembly on x86_64/aarch64 Linux.
 //! Other targets get stub functions returning
 //! [`std::io::ErrorKind::Unsupported`] so the crate still compiles: the
-//! backstop thread degrades to a timed poll there, and [`read_into`]
-//! reads through a bounce buffer. All of the crate's `unsafe` lives in
-//! this file. [`Poller`], [`EventFd`] and [`read_into`] are the safe
-//! wrappers.
+//! backstop thread degrades to a timed poll there, [`read_into`] reads
+//! through a bounce buffer and [`read_spare`] zero-fills before it reads.
+//! All of the crate's `unsafe` lives in this file. [`Poller`],
+//! [`EventFd`], [`read_into`] and [`read_spare`] are the safe wrappers.
 
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, OwnedFd, RawFd};
@@ -62,6 +64,7 @@ mod imp {
     use bytes::Window;
     use std::arch::asm;
     use std::io;
+    use std::mem::MaybeUninit;
     use std::net::TcpStream;
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 
@@ -196,10 +199,10 @@ mod imp {
         Ok(unsafe { OwnedFd::from_raw_fd(fd as RawFd) })
     }
 
-    /// One `read(2)` from `stream` into the unwritten part of `window`,
-    /// whose cursor moves over what the kernel wrote.
-    pub fn read_into(stream: &TcpStream, window: &mut Window) -> io::Result<usize> {
-        let buf = window.unwritten();
+    /// One `read(2)` from `stream` into `buf`, whose bytes may be
+    /// uninitialised: the count the kernel wrote at its front, at most
+    /// `buf.len()`.
+    fn read_raw(stream: &TcpStream, buf: &mut [MaybeUninit<u8>]) -> io::Result<usize> {
         // SAFETY: the kernel writes at most `buf.len()` bytes into the
         // exclusively borrowed slice, whose bytes may be uninitialised:
         // `MaybeUninit` asks nothing of them, and `read(2)` only writes.
@@ -214,10 +217,28 @@ mod imp {
                 0,
             )
         })?;
-        // SAFETY: `read(2)` returned `n`: it wrote the first `n` bytes of
-        // `unwritten`, and the cursor has not moved since.
-        unsafe { window.advance(n as usize) };
         Ok(n as usize)
+    }
+
+    /// One `read(2)` from `stream` into the unwritten part of `window`,
+    /// whose cursor moves over what the kernel wrote.
+    pub fn read_into(stream: &TcpStream, window: &mut Window) -> io::Result<usize> {
+        let n = read_raw(stream, window.unwritten())?;
+        // SAFETY: `read_raw` wrote the first `n` bytes of `unwritten`, and
+        // the cursor has not moved since.
+        unsafe { window.advance(n) };
+        Ok(n)
+    }
+
+    /// One `read(2)` from `stream` into the spare capacity of `buf`,
+    /// whose length grows over what the kernel wrote.
+    pub fn read_spare(stream: &TcpStream, buf: &mut Vec<u8>) -> io::Result<usize> {
+        let n = read_raw(stream, buf.spare_capacity_mut())?;
+        // SAFETY: `read_raw` wrote the first `n` bytes of the spare
+        // capacity, `n` at most its length: the new length stays within
+        // the capacity and covers only written bytes.
+        unsafe { buf.set_len(buf.len() + n) };
+        Ok(n)
     }
 }
 
@@ -266,9 +287,19 @@ mod imp {
         window.put_slice(&bounce[..n]);
         Ok(n)
     }
+
+    /// No raw `read(2)` on this target: the spare capacity is zero-filled
+    /// and read into with `Read::read`, and the length kept at what came.
+    pub fn read_spare(mut stream: &TcpStream, buf: &mut Vec<u8>) -> io::Result<usize> {
+        let len = buf.len();
+        buf.resize(buf.capacity(), 0);
+        let read = stream.read(&mut buf[len..]);
+        buf.truncate(len + read.as_ref().map_or(0, |&n| n));
+        read
+    }
 }
 
-pub use imp::{epoll_create, epoll_ctl, epoll_wait, eventfd, read_into};
+pub use imp::{epoll_create, epoll_ctl, epoll_wait, eventfd, read_into, read_spare};
 
 /// Thin safe wrapper over one epoll instance.
 pub struct Poller {
@@ -410,6 +441,50 @@ mod tests {
         rx.set_nonblocking(false).unwrap();
         assert_eq!(read_into(&rx, &mut window).unwrap(), 3);
         assert_eq!(window.remaining(), 5);
+    }
+
+    /// `read_spare` appends what one `read(2)` brought, with `len` moved
+    /// over exactly those bytes: the capacity past them keeps what it
+    /// held, the buffer is never reallocated, the end of the stream is
+    /// `Ok(0)` and an empty nonblocking socket `WouldBlock`, the length
+    /// where it was.
+    #[test]
+    fn read_spare_appends_only_what_was_read() {
+        use std::net::{TcpListener, TcpStream};
+        const MARK: u8 = 0xEE;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (rx, _) = listener.accept().unwrap();
+        let mut buf = Vec::with_capacity(64);
+        buf.resize(64, MARK);
+        buf.truncate(4);
+        buf.copy_from_slice(b"kept");
+        let at = buf.as_ptr();
+
+        rx.set_nonblocking(true).unwrap();
+        let err = read_spare(&rx, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert_eq!(buf, b"kept");
+
+        let sent = b"appended";
+        tx.write_all(sent).unwrap();
+        rx.set_nonblocking(false).unwrap();
+        let mut n = 0;
+        while n < sent.len() {
+            n += read_spare(&rx, &mut buf).unwrap();
+        }
+        assert_eq!(buf.len(), 4 + n);
+        assert_eq!(buf, b"keptappended");
+        assert_eq!((buf.capacity(), buf.as_ptr()), (64, at), "not reallocated");
+        // SAFETY: all 64 bytes were written (`resize` above): the length
+        // may cover them to look at what the read left past it.
+        unsafe { buf.set_len(64) };
+        assert!(buf[4 + n..].iter().all(|&b| b == MARK), "past the read");
+        buf.truncate(4 + n);
+
+        drop(tx);
+        assert_eq!(read_spare(&rx, &mut buf).unwrap(), 0, "end of stream");
+        assert_eq!(buf, b"keptappended");
     }
 
     /// Any number of wakes is one readable event and one drain.

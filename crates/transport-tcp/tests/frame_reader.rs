@@ -173,10 +173,19 @@ impl Read for Pieces<'_> {
     }
 }
 
+/// Both reads into bytes nobody wrote write the bytes delivered and
+/// nothing else, as `read(2)` does: the rest keeps its sentinels.
 impl Source for Pieces<'_> {
     fn read_into(&mut self, window: &mut Window) -> std::io::Result<usize> {
         let got = self.next(window.remaining())?;
         window.put_slice(got);
+        Ok(got.len())
+    }
+
+    fn read_spare(&mut self, buf: &mut Vec<u8>) -> std::io::Result<usize> {
+        let got = self.next(buf.capacity() - buf.len())?;
+        // (Within the capacity: no reallocation, no fill.)
+        buf.extend_from_slice(got);
         Ok(got.len())
     }
 }
@@ -260,11 +269,15 @@ fn chunk_of(msg: MsgId, offset: u64, len: usize, total_len: u64) -> Packet {
 }
 
 fn eager_of(msg: MsgId) -> Packet {
+    eager_sized(msg, vec![9u8; 200])
+}
+
+fn eager_sized(msg: MsgId, data: Vec<u8>) -> Packet {
     Packet::Eager(EagerPacket {
         msg_id: msg,
         seg_index: 0,
         total_segs: 1,
-        data: Bytes::from(vec![9u8; 200]),
+        data: Bytes::from(data),
     })
 }
 
@@ -1001,6 +1014,43 @@ fn base_streams() -> [(Vec<u8>, Vec<usize>); 2] {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// Small frames and frames about a slab's limit (`SLAB_FRAME_MAX`:
+    /// either side of it), read in pieces far shorter than the read
+    /// buffer, so that most reads leave its capacity past them as the
+    /// allocator left it, full of sentinels: every frame is carved out of
+    /// bytes a read wrote — none past the buffer's length — and decodes,
+    /// its CRC checked, to the packet that was sent.
+    #[test]
+    fn small_reads_carve_only_the_bytes_they_wrote(
+        sizes in prop::collection::vec(
+            prop_oneof![0usize..64, SLAB_FRAME_MAX - 100..SLAB_FRAME_MAX + 100],
+            1..48,
+        ),
+        cuts in prop::collection::vec(1usize..READ_CHUNK / 16, 1..24),
+    ) {
+        let sent: Vec<Packet> = sizes
+            .iter()
+            .enumerate()
+            .map(|(msg, &len)| eager_sized(msg as MsgId, segment(len as u64)))
+            .collect();
+        let stream = wire_of(&sent);
+        let mut src = pieces(&stream, &cuts);
+        let (mut reader, mut table) = (FrameReader::new(), LandingTable::new());
+        let (mut out, mut at) = (Vec::new(), 0);
+        while !reader.closed() {
+            reader
+                .read_some(&mut src, 0, &mut table, &mut out, &mut SyscallStats::default())
+                .map_err(|e| e.to_string())?;
+        }
+        prop_assert_eq!(out.len(), sent.len());
+        for ((_, frame), packet) in out.iter().zip(&sent) {
+            carried(&stream, &mut at, frame)?;
+            let (_, body, _) = frame.decode().map_err(|e| format!("{e:?}"))?;
+            prop_assert!(body == FrameBody::Packet(packet.clone()));
+        }
+        prop_assert_eq!(at, stream.len());
+    }
 
     /// Arbitrary bytes, and well-formed streams with bytes overwritten
     /// (anywhere, or inside a frame's prefix and head), inserted, deleted

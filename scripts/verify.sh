@@ -20,9 +20,10 @@ quick=0
 # of any of these fails here, and so does any trace of the two runtimes
 # deleted in PR 17 and PR 24 (DESIGN.md §14), the zero-filled landing
 # window (a window is written before it is frozen, DESIGN.md §4 "TCP: the
-# landing table"), and any `unsafe` in nmad-core or the mem fabric (both
-# `forbid` it; the workspace's is wire::checksum, transport-tcp::sys and
-# vendor/bytes::window).
+# landing table") and read buffer (a read fills its spare capacity, §12
+# "Syscalls per frame"), and any `unsafe` in nmad-core or the mem fabric
+# (both `forbid` it; the workspace's is wire::checksum, transport-tcp::sys
+# and vendor/bytes::window).
 echo "==> one endpoint, one driver, one runtime, one frame reader, one strategy, no unsafe in core or mem"
 if grep -rnE 'struct (Endpoint|SendHandle|RecvHandle)\b|fn wait_on\b' crates/transport-*/src; then
     echo "a transport crate defines its own endpoint surface (see above)"; exit 1
@@ -39,7 +40,7 @@ fi
 if grep -rnE 'HOLDS_EVERY_WAIT|wait_holds|in_bulk_frame' crates; then
     echo "a per-transport lease rule is back beside the one rule (see above)"; exit 1
 fi
-if grep -rnE 'carve_frames|\.parallel =|\.reactor =|reactor_threads|Runtime::Reactor|ReactorPool|ReactorStats|ablate_reactor|NMAD_REACTOR|Runtime::Threads|ParallelHub|spawn_hub|TxWorker|OutboxReceiver|\.runtime =|rail_pipeline|max_submission_depth|Window::zeroed' \
+if grep -rnE 'carve_frames|\.parallel =|\.reactor =|reactor_threads|Runtime::Reactor|ReactorPool|ReactorStats|ablate_reactor|NMAD_REACTOR|Runtime::Threads|ParallelHub|spawn_hub|TxWorker|OutboxReceiver|\.runtime =|rail_pipeline|max_submission_depth|Window::zeroed|vec!\[0; READ_CHUNK\]' \
     crates src tests examples .github vendor/bytes; then
     echo "a deleted runtime, runtime switch or carve path is back (see above)"; exit 1
 fi
@@ -202,6 +203,30 @@ for f in crates/transport-*/src/*.rs; do
     total=$((total + n))
 done
 printf '    %5d non-test code lines under crates/transport-*/src\n' "$total"
+
+# Non-test `unwrap()`/`expect(` sites per crate (ROADMAP 12(c)): each is
+# a panic the program can reach, on its way to a typed error or one
+# stated invariant, so a crate's count may only go down — lower its
+# ceiling with the PR that removes a site. Counted before each file's
+# first `#[cfg(test)]` or `#[cfg(all(test, ...` (written across lines
+# too); a test module in a file of its own, `tests.rs`, is not counted.
+echo "==> non-test unwrap()/expect( sites stay under their ceilings"
+declare -A unwrap_ceiling=([core]=9 [wire]=6 [transport-mem]=1 [transport-tcp]=4)
+for crate in core wire transport-mem transport-tcp; do
+    n=0
+    while IFS= read -r f; do
+        k=$(awk '/^[[:space:]]*#\[cfg\((test\)|all\(test)/ \
+                 || (prev ~ /^[[:space:]]*#\[cfg\(all\($/ && /^[[:space:]]*test,/) { exit }
+                 { c += gsub(/unwrap\(\)|expect\(/, "&"); prev = $0 }
+                 END { print c + 0 }' "$f")
+        n=$((n + k))
+    done < <(find "crates/$crate/src" -name '*.rs' ! -name tests.rs | sort)
+    printf '    %3d (ceiling %d) crates/%s/src\n' "$n" "${unwrap_ceiling[$crate]}" "$crate"
+    if ((n > unwrap_ceiling[$crate])); then
+        echo "crates/$crate/src has $n non-test unwrap()/expect( sites, above its ceiling of ${unwrap_ceiling[$crate]}: return a typed error or state the invariant"
+        exit 1
+    fi
+done
 
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo build --release"
