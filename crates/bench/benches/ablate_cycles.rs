@@ -1,5 +1,4 @@
-//! Per-packet CPU-cycles gate: checksum kernel throughput, syscalls per
-//! message of a burst over loopback TCP, pool reuse rate, and the
+//! Per-packet CPU-cycles gate: checksum kernel throughput and the
 //! end-to-end scalar-vs-SIMD per-message cost. Run with
 //! `cargo bench -p nmad-bench --bench ablate_cycles`.
 //! Set `NMAD_CYCLES_SMOKE=1` for the small CI sweep.
@@ -10,21 +9,13 @@ fn main() {
         "running ablate_cycles ({} sweep, wall-clock hot path)...",
         if smoke { "smoke" } else { "full" }
     );
-    // Shared noise policy (see nmad_bench::report): if ONLY the
-    // load-sensitive gates trip (kernel speedups, syscall ratio,
-    // per-packet CPU), measure once more and keep the run with fewer
-    // violations. Coverage gates (completion, pool traffic) are
-    // deterministic and never retried.
+    // Shared noise policy (see nmad_bench::report): every gate here is
+    // load-sensitive (kernel speedups, per-packet CPU), so if any trips,
+    // measure once more and keep the run with fewer violations.
     let report = nmad_bench::report::retry_once_on_timing(
         "ablate_cycles",
         nmad_bench::cycles::run(smoke),
-        |r| {
-            let v = nmad_bench::cycles::check(r);
-            !v.is_empty()
-                && v.iter().all(|s| {
-                    s.contains("speedup") || s.contains("syscalls") || s.contains("per-packet")
-                })
-        },
+        |r| !nmad_bench::cycles::check(r).is_empty(),
         || nmad_bench::cycles::run(smoke),
         |second, first| {
             nmad_bench::cycles::check(second).len() < nmad_bench::cycles::check(first).len()
@@ -44,10 +35,7 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!(
-        "per-packet cycles gate OK: {:.3} tx syscalls/msg, {:.1}% pool reuse, \
-         {} {:.1}x faster than scalar end to end",
-        report.tx_calls_per_message(),
-        report.pool.reuse_rate * 100.0,
+        "per-packet cycles gate OK: {} {:.1}x faster than scalar end to end",
         report.per_packet.fast_kernel,
         report.per_packet.scalar_ns as f64 / report.per_packet.fast_ns.max(1) as f64
     );

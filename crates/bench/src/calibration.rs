@@ -14,7 +14,9 @@
 //! calibrated leg strictly beats the frozen leg on pipeline completion
 //! time AND the split ratio leaves the seed band within a bounded number
 //! of rebuilds after drift onset. The result is written to
-//! `target/figures/BENCH_calibration.json`.
+//! `BENCH_calibration.json` at the repo root; being deterministic, the
+//! smoke run must leave the committed file as it is (`scripts/verify.sh`
+//! diffs it).
 
 use std::time::Duration;
 

@@ -20,7 +20,6 @@
 
 pub mod calibration;
 pub mod cycles;
-pub mod datapath;
 pub mod figures;
 pub mod loadgen;
 pub mod obs_bench;

@@ -117,8 +117,9 @@ impl RailStats {
 /// the only rx-side ones are a part-straddling read and the gather of a
 /// rendezvous segment whose chunks arrived in different allocations (see
 /// DESIGN.md "Datapath and copy discipline"), and these counters prove
-/// it. `nmad-bench`'s `ablate_zero_copy` target and the
-/// `scripts/verify.sh` smoke gate read them.
+/// it: the engine's `datapath_*` tests, the simulator's
+/// `payload_integrity_through_split_transfer` and
+/// `conformance::large_message_striped_over_two_rails` assert them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DataPathStats {
     /// Payload bytes memcpy'd into staging slabs on transmit (sub-PIO
@@ -154,16 +155,6 @@ pub struct DataPathStats {
 }
 
 impl DataPathStats {
-    /// Total payload bytes copied on the hot path (tx staging + rx).
-    pub fn total_copied_bytes(&self) -> u64 {
-        self.tx_staged_copy_bytes + self.rx_copy_bytes
-    }
-
-    /// Total payload bytes moved without copying.
-    pub fn total_zero_copy_bytes(&self) -> u64 {
-        self.tx_zero_copy_bytes + self.rx_zero_copy_bytes
-    }
-
     /// Fraction of buffer takes the pool served from its free list
     /// (0.0 when nothing was taken yet).
     pub fn pool_reuse_rate(&self) -> f64 {
@@ -176,10 +167,10 @@ impl DataPathStats {
 /// per frame moved. A frame leaves in one `write_vectored` (more after a
 /// partial write) and one `read` carves every frame it brought, so the
 /// receive ratio drops below 1 under load; what amortizes the transmit
-/// side is that a burst of messages is one frame (see the `ablate_cycles`
-/// gate). Counted by the transport under its rails lock and mirrored
-/// here via `Engine::note_syscalls`; all zero where bytes move in
-/// memory.
+/// side is that a burst of messages is one frame (asserted by
+/// `conformance::burst_aggregates_and_echo_does_not`). Counted by the
+/// transport under its rails lock and mirrored here via
+/// `Engine::note_syscalls`; all zero where bytes move in memory.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SyscallStats {
     /// `write_vectored` calls that moved bytes.
@@ -190,26 +181,6 @@ pub struct SyscallStats {
     pub rx_calls: u64,
     /// Frames decoded out of those reads.
     pub rx_frames: u64,
-}
-
-impl SyscallStats {
-    /// TX syscalls per transmitted frame (0 when nothing was sent).
-    pub fn tx_per_packet(&self) -> f64 {
-        if self.tx_frames == 0 {
-            0.0
-        } else {
-            self.tx_calls as f64 / self.tx_frames as f64
-        }
-    }
-
-    /// RX syscalls per received frame (0 when nothing arrived).
-    pub fn rx_per_packet(&self) -> f64 {
-        if self.rx_frames == 0 {
-            0.0
-        } else {
-            self.rx_calls as f64 / self.rx_frames as f64
-        }
-    }
 }
 
 /// Engine-wide histograms maintained alongside the counters. Recording
@@ -404,18 +375,5 @@ mod tests {
         now.since(&now, &mut d);
         assert_eq!((d.msgs_submitted, d.rails[1].wire_bytes), (0, 0));
         assert!(d.ack_rtt_ns.is_empty());
-    }
-
-    #[test]
-    fn datapath_totals() {
-        let d = DataPathStats {
-            tx_staged_copy_bytes: 100,
-            tx_zero_copy_bytes: 1000,
-            rx_copy_bytes: 7,
-            rx_zero_copy_bytes: 2000,
-            ..Default::default()
-        };
-        assert_eq!(d.total_copied_bytes(), 107);
-        assert_eq!(d.total_zero_copy_bytes(), 3000);
     }
 }

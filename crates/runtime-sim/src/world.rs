@@ -830,6 +830,18 @@ mod tests {
         let got = w.app1().last_message();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].as_ref(), data.as_slice());
+        // Not a byte copied at either end: every chunk is a slice of the
+        // sender's segment, handed to `on_frame` in the frame it left in,
+        // so reassembly re-joins the chunks instead of gathering them.
+        for node in 0..2 {
+            let d = w.node(node).engine.stats().datapath;
+            assert_eq!(d.tx_staged_copy_bytes, 0, "node {node}: {d:?}");
+            assert_eq!(d.rx_copy_bytes, 0, "node {node}: {d:?}");
+        }
+        // The receiver still holds each frame when its injection
+        // completes: the pool parks the head and serves it again.
+        let d = w.node(0).engine.stats().datapath;
+        assert!(d.pool_hits > 0, "no head came back from the pool: {d:?}");
     }
 
     #[test]

@@ -919,14 +919,24 @@ mod tests {
             declined >= 30,
             "only {declined} of 40 deliveries were declined"
         );
+        for round in 0..40 {
+            let got = b.recv(c).wait(T).expect("a declined round's message");
+            assert_eq!(got.segments, small(round), "round {round}");
+        }
 
         // (On a loaded machine the lease may be over before it is looked
-        // at.)
+        // at.) Nothing is left unreceived from above, and each round's
+        // second message is taken before the next round posts its
+        // receive: so every lease looked at is that of a wait that
+        // received the message sent for it, and the next round's `before`
+        // counts every message sent so far.
+        let phase_start = msgs_received(&b);
         let mut leased = 0;
         for round in 0..40 {
             let r = b.recv(c);
             a.send(c, small(100 + round));
-            assert!(r.wait(T).is_some());
+            let got = r.wait(T).expect("round's first message");
+            assert_eq!(got.segments, small(100 + round), "round {round}");
             let lease = sb.claimed();
             assert!(lease.is_none_or(|l| l <= CALLER_LEASE));
             let before = msgs_received(&b);
@@ -936,10 +946,19 @@ mod tests {
                 eventually(CALLER_LEASE + prompt, || msgs_received(&b) > before),
                 "round {round}: frame under the lease stranded after it ran out"
             );
+            let got = b.recv(c).wait(T).expect("round's second message");
+            assert_eq!(got.segments, small(200 + round), "round {round}");
         }
         assert!(
             leased >= 30,
             "only {leased} of 40 completed waits held the rails"
+        );
+        // Every message sent so far has reached the engine before the
+        // runs below take their `base`.
+        assert!(
+            eventually(T, || msgs_received(&b) == phase_start + 80),
+            "{} of 80 leased-round messages reached the engine",
+            msgs_received(&b) - phase_start
         );
 
         for run in 0..300 {

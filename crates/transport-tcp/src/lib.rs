@@ -56,11 +56,11 @@
 //! and one `read` carves every frame it brought; what amortizes the
 //! transmit side is the optimisation window — a burst of small messages
 //! is one aggregate frame (DESIGN.md §15 "The window"). Both ratios are
-//! counted in [`nmad_core::SyscallStats`] and gated by the
-//! `ablate_cycles` bench. TCP_NODELAY is unconditionally set on every
-//! rail socket (see `RailIo::new`): the engine coalesces on its own
-//! terms, so Nagle's algorithm could only add delayed-ACK latency to
-//! control frames, never save packets.
+//! counted in [`nmad_core::SyscallStats`]; the transmit one is asserted
+//! by `conformance::burst_aggregates_and_echo_does_not`. TCP_NODELAY is
+//! unconditionally set on every rail socket (see `RailIo::new`): the
+//! engine coalesces on its own terms, so Nagle's algorithm could only
+//! add delayed-ACK latency to control frames, never save packets.
 
 #![warn(missing_docs)]
 // Copy-regression gate: see DESIGN.md "Datapath and copy discipline".

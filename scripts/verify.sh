@@ -181,6 +181,18 @@ if grep -rnw 'unsafe' crates/transport-tcp/src | grep -v '^crates/transport-tcp/
     echo "unsafe in transport-tcp outside sys.rs (see above)"; exit 1
 fi
 
+# Each datapath property has one gate, and it runs in `cargo test`
+# (DESIGN.md §12): copies by the engine's datapath_* tests and the
+# simulator's split transfer, the pool by alloc_budget and the engine's
+# pool tests, syscalls per message by the conformance burst. The bench
+# report that copied them (ablate_zero_copy and its legacy copy model)
+# and ablate_cycles' syscall and pool legs must not come back.
+echo "==> one gate per datapath property"
+if grep -rnE 'ablate_zero_copy|NMAD_DATAPATH_SMOKE|DataPathReport|legacy_copied_bytes|measure_fabric_syscalls|measure_pool|POOL_REUSE_RATE_GATE' \
+    crates src tests examples .github; then
+    echo "a second gate of a datapath property is back beside its tier-1 test (see above)"; exit 1
+fi
+
 # Every wire header is one fixed layout (nmad-wire's `layout!`: the
 # envelope, the aggregate entry head, the eager, chunk, rendezvous, ack
 # and probe heads; DESIGN.md §4 has the table): written as one array with
@@ -203,6 +215,9 @@ for f in crates/transport-*/src/*.rs; do
     total=$((total + n))
 done
 printf '    %5d non-test code lines under crates/transport-*/src\n' "$total"
+# And the bench harness's size (all lines), for the same trend: ROADMAP
+# 10(d) deletes the reports that only repeat a tier-1 test.
+printf '    %5d lines under crates/bench/src\n' "$(cat crates/bench/src/*.rs | wc -l)"
 
 # Non-test `unwrap()`/`expect(` sites per crate (ROADMAP 12(c)): each is
 # a panic the program can reach, on its way to a typed error or one
@@ -277,13 +292,6 @@ cargo test -q -p crossbeam-channel
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Copy-budget gate: the ablate_zero_copy smoke sweep exits nonzero if the
-# large-message split path stages any bytes on transmit or gathers any on
-# receive, or the datapath stops beating the legacy copy-everything model
-# by >= 2x (see DESIGN.md).
-echo "==> datapath copy budget (ablate_zero_copy smoke sweep)"
-NMAD_DATAPATH_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_zero_copy
-
 # Recorder-overhead gate: the ablate_obs smoke sweep exits nonzero if
 # recording costs > 5% aggregate wall-clock or takes any hot-path
 # allocation (see DESIGN.md §8).
@@ -293,9 +301,14 @@ NMAD_OBS_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_obs
 # Calibration gate: the ablate_calibration smoke sweep replays the
 # mid-run bandwidth-degradation scenario and exits nonzero if online
 # calibration ever loses to frozen tables or convergence blows the
-# rebuild budget (see DESIGN.md §9).
+# rebuild budget (see DESIGN.md §9). The scenario is a deterministic
+# simulation, so the BENCH_calibration.json it writes must be the one
+# committed: a changed decision shows up here, not as a silently
+# rewritten snapshot.
 echo "==> online recalibration under drift (ablate_calibration smoke sweep)"
 NMAD_CALIBRATION_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_calibration
+git diff --exit-code -- BENCH_calibration.json \
+    || { echo "the calibration scenario moved (see above): a decision changed"; exit 1; }
 
 # Chaos-soak gate: ~10 s of multi-tenant load over the mem fabric
 # under a seeded fault plan (an outage, drop storms and bandwidth
@@ -308,11 +321,10 @@ NMAD_SOAK_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_soak
 
 # Per-packet cycles gate: the ablate_cycles smoke sweep measures the
 # checksum kernels (slice16 >= 3x scalar, SIMD >= 8x where detected, at
-# the fold width this CPU has: 128 or 512 bit, printed with the table),
-# `write_vectored` calls per message of a burst over loopback TCP
-# (<= 0.25; 0.065 measured), the pool reuse rate (>= 90% of takes from
-# the free list) and the end-to-end scalar-vs-SIMD per-message CPU cost
-# (see DESIGN.md §12).
+# the fold width this CPU has: 128 or 512 bit, printed with the table)
+# and the end-to-end scalar-vs-SIMD per-message CPU cost (see DESIGN.md
+# §12). Syscalls per message and pool reuse are tier-1 tests' (the
+# conformance burst above, alloc_budget).
 echo "==> per-packet cycles (ablate_cycles smoke sweep)"
 NMAD_CYCLES_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_cycles
 
