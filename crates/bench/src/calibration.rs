@@ -125,14 +125,13 @@ impl Serialize for CalibrationReport {
 /// idle while the degraded rail drags (a saturated backlog would hide
 /// this — both rails stay busy no matter how badly each message is
 /// split).
-pub fn run_leg(messages: usize, size: usize, calibrated: bool) -> SimWorld<Script, Script> {
+pub fn run_leg(messages: usize, size: usize, calibrated: bool) -> SimWorld {
     let p = platform::paper_platform();
     let mut cfg = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
     cfg.calibrate = calibrated;
     let chain = (0..messages).map(|i| Step::Send(vec![Bytes::from(vec![i as u8; size])]));
     let sender = Script::new(chain.collect()).window(1);
     let mut w = SimWorld::new(&p, cfg, sender, Script::receiver(messages));
-    w.open_conn();
     let span = Duration::from_micros(DRIFT_ONSET_US)..Duration::from_secs(10);
     let drift = Fault::during(0, span, Effect::Bandwidth(DRIFT_FACTOR));
     w.enable_faults(

@@ -326,7 +326,7 @@ fn pct(mut v: Vec<f64>, q: f64) -> f64 {
 
 /// The world of one cell, not yet run: the scenario's schedule on node 0
 /// under one strategy, node 1 receiving, the fault plan installed.
-fn world(sc: &Scenario, kind: StrategyKind) -> SimWorld<Script, Script> {
+fn world(sc: &Scenario, kind: StrategyKind) -> SimWorld {
     let mut cfg = EngineConfig::with_strategy(kind);
     if sc.acked {
         cfg.acked = true;
@@ -345,7 +345,6 @@ fn world(sc: &Scenario, kind: StrategyKind) -> SimWorld<Script, Script> {
         sender,
         Script::receiver(sc.messages()),
     );
-    w.open_conn();
     if let Some((plan, until)) = &sc.fault {
         w.enable_faults(plan, FAULT_TICK, *until);
     }

@@ -34,7 +34,7 @@ pub enum BurstPattern {
 pub struct BurstSpec {
     /// Number of messages in the burst.
     pub messages: usize,
-    /// PRNG seed for sizes and payloads.
+    /// PRNG seed for the message sizes.
     pub seed: u64,
     /// Fraction of small (< 1 KiB) messages; the rest split between
     /// medium (4–32 KiB) and large (256 KiB – 2 MiB) at 2:1.
@@ -133,20 +133,18 @@ pub fn run_burst(spec: &BurstSpec, kind: StrategyKind) -> (BurstResult, EngineSt
     } else {
         platform::paper_platform()
     };
-    // Random payloads, all submitted at once.
-    let mut rng = Xoshiro256StarStar::new(spec.seed ^ 0x5EED);
-    let burst = sizes.iter().map(|&size| {
-        let mut v = vec![0u8; size];
-        rng.fill_bytes(&mut v);
-        Step::Send(vec![Bytes::from(v)])
-    });
+    // All submitted at once. The sim reads no payload byte, so every
+    // message is a slice of one buffer.
+    let buf = Bytes::from(vec![0x5Au8; sizes.iter().copied().max().unwrap_or(0)]);
+    let burst = sizes
+        .iter()
+        .map(|&size| Step::Send(vec![buf.slice(..size)]));
     let mut world = SimWorld::new(
         &plat,
         EngineConfig::with_strategy(kind),
         Script::new(burst.collect()),
         Script::receiver(sizes.len()),
     );
-    world.open_conn();
     world.run(50_000_000);
     assert_eq!(
         world.app1().deliveries().len(),
@@ -230,7 +228,6 @@ pub fn run_compute_window(kind: StrategyKind, messages: usize, compute_us: u64) 
         Script::new(steps.collect()),
         Script::receiver(messages),
     );
-    world.open_conn();
     world.run(10_000_000);
     assert_eq!(
         world.app1().deliveries().len(),

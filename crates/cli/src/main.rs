@@ -267,7 +267,6 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
     let tx = Script::new(vec![Step::Send(payloads)]);
     let config = EngineConfig::with_strategy(kind);
     let mut w = SimWorld::new(&plat, config, tx, Script::receiver(1));
-    w.open_conn();
     w.enable_timeline();
     w.run(5_000_000);
     println!(
@@ -462,7 +461,7 @@ fn record_workload(
     sizes: Vec<usize>,
     acked: bool,
     capacity: usize,
-) -> SimWorld<Script, Script> {
+) -> SimWorld {
     let plat = platform::paper_platform();
     let mut config = EngineConfig::with_strategy(kind);
     config.acked = acked;
@@ -474,7 +473,6 @@ fn record_workload(
         Script::new(batch.collect()),
         Script::receiver(sizes.len()),
     );
-    w.open_conn();
     if matches!(kind, StrategyKind::AdaptiveSplit) {
         w.set_tables(nmad_runtime_sim::sample_platform(&plat));
     }

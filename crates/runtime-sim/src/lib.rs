@@ -6,11 +6,12 @@
 //!
 //! * [`world`] — the event loop: CPU occupancy (PIO serialization, memcpy,
 //!   per-packet overheads, per-rail poll costs), DMA draining through the
-//!   max-min-fair bus, wire latencies, and the application callback layer;
-//! * [`script`] — every other experiment's application, as data: a list
-//!   of sends, computes and drains under a window of outstanding sends;
+//!   max-min-fair bus, wire latencies, and each node's application;
+//! * [`script`] — the one application, as data: a list of receives,
+//!   sends, computes and drains under a window of outstanding sends;
 //! * [`pingpong`] — the paper's benchmark (§3.1): a regular ping-pong with
-//!   series of non-blocking sends/recvs and multi-segment messages;
+//!   series of non-blocking sends/recvs and multi-segment messages, run
+//!   as two scripts;
 //! * [`sampling`] — genuine init-time sampling: per-rail ping-pongs over a
 //!   size ladder producing the [`nmad_core::PerfTable`]s that feed the
 //!   adaptive splitting ratios;
@@ -31,4 +32,4 @@ pub use sampling::{sample_platform, sample_rail};
 pub use script::{Script, Step};
 pub use sweep::{bandwidth_sizes, latency_sizes, SeriesPoint, Sweep};
 pub use timeline::Timeline;
-pub use world::{AppLogic, NodeApi, SimWorld};
+pub use world::SimWorld;

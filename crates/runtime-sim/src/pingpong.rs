@@ -5,18 +5,21 @@
 //! A message of `total_size` bytes is built from `segments` equal segments
 //! (multi-segment messages model non-contiguous data or bursts of
 //! non-blocking sends). The pong side answers with an identical shape.
-//! One-way time is `min(RTT) / 2` after warmup, matching the usual
-//! methodology of the plots.
+//! Both sides are [`Script`]s. The ping posts a receive, sends and drains,
+//! once per round; the pong posts a receive, then per round drains it,
+//! posts the next one and answers. So each ping is submitted at the
+//! instant the previous pong is delivered, and round trip *i* is the
+//! ping's delivery *i* minus its delivery *i − 1* (minus time zero for
+//! the first). One-way time is `min(RTT) / 2` after warmup, matching the
+//! usual methodology of the plots.
 
 use bytes::Bytes;
-use nmad_core::request::RecvId;
 use nmad_core::{EngineConfig, EngineStats, PerfTable};
 use nmad_model::Platform;
 use nmad_sim::{SimDuration, SimTime};
-use nmad_wire::reassembly::MessageAssembly;
-use nmad_wire::ConnId;
 
-use crate::world::{AppLogic, NodeApi, SimWorld};
+use crate::script::{Script, Step};
+use crate::world::SimWorld;
 
 /// Ping-pong specification.
 #[derive(Clone)]
@@ -96,82 +99,40 @@ pub struct PingPongResult {
     pub events: u64,
 }
 
-struct PingApp {
-    conn: ConnId,
-    payloads: Vec<Bytes>,
-    rounds: usize,
-    done: usize,
-    iter_start: SimTime,
-    rtts: Vec<SimDuration>,
-}
-
-impl AppLogic for PingApp {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        api.post_recv(self.conn);
-        self.iter_start = api.now();
-        api.submit_send(self.conn, self.payloads.clone());
-    }
-
-    fn on_recv_complete(&mut self, _r: RecvId, msg: MessageAssembly, api: &mut NodeApi<'_>) {
-        debug_assert_eq!(
-            msg.total_len(),
-            self.payloads.iter().map(Bytes::len).sum::<usize>()
-        );
-        self.rtts.push(api.now().since(self.iter_start));
-        self.done += 1;
-        if self.done < self.rounds {
-            api.post_recv(self.conn);
-            self.iter_start = api.now();
-            api.submit_send(self.conn, self.payloads.clone());
-        }
-    }
-}
-
-struct PongApp {
-    conn: ConnId,
-    payloads: Vec<Bytes>,
-}
-
-impl AppLogic for PongApp {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        api.post_recv(self.conn);
-    }
-
-    fn on_recv_complete(&mut self, _r: RecvId, _msg: MessageAssembly, api: &mut NodeApi<'_>) {
-        api.post_recv(self.conn);
-        api.submit_send(self.conn, self.payloads.clone());
-    }
-}
-
 /// Run one ping-pong experiment.
 pub fn run_pingpong(spec: &PingPongSpec) -> PingPongResult {
     let payloads = spec.payloads();
     let rounds = spec.warmup + spec.iters;
-    let ping = PingApp {
-        conn: 0,
-        payloads: payloads.clone(),
-        rounds,
-        done: 0,
-        iter_start: SimTime::ZERO,
-        rtts: Vec::with_capacity(rounds),
-    };
-    let pong = PongApp { conn: 0, payloads };
+    let ping = (0..rounds).flat_map(|_| [Step::Recv, Step::Send(payloads.clone()), Step::Drain]);
+    let pong = (0..rounds).flat_map(|_| [Step::Drain, Step::Recv, Step::Send(payloads.clone())]);
+    let pong = std::iter::once(Step::Recv).chain(pong);
+    let (ping, pong) = (Script::new(ping.collect()), Script::new(pong.collect()));
     let mut world = SimWorld::new(&spec.platform, spec.config.clone(), ping, pong);
-    world.open_conn();
     if let Some(tables) = &spec.tables {
         world.set_tables(tables.clone());
     }
     // Generous cap: rendezvous traffic is a handful of events per chunk.
     world.run(20_000_000);
 
-    let rtts = world.app0().rtts.clone();
+    let pongs = world.app0().deliveries();
     assert_eq!(
-        rtts.len(),
+        pongs.len(),
         rounds,
         "ping-pong stalled: completed {} of {rounds} rounds at {}",
-        rtts.len(),
+        pongs.len(),
         world.now()
     );
+    assert!(
+        pongs.iter().all(|&(n, _)| n == spec.total_size),
+        "a pong is not {} bytes: {pongs:?}",
+        spec.total_size
+    );
+    let starts = std::iter::once(SimTime::ZERO).chain(pongs.iter().map(|&(_, t)| t));
+    let rtts: Vec<SimDuration> = pongs
+        .iter()
+        .zip(starts)
+        .map(|(&(_, t), s)| t.since(s))
+        .collect();
     let min_rtt = rtts[spec.warmup..]
         .iter()
         .copied()
@@ -267,6 +228,42 @@ mod tests {
             "aggregation must close most of the multi-segment gap: {gap_agg} vs {gap_plain}"
         );
         assert!(agg2.sender_stats.aggregates_built > 0);
+    }
+
+    /// The exact round trips (picoseconds, warmup included) and event
+    /// counts of one shape per path a ping-pong takes: PIO on one rail,
+    /// PIO and DMA on two, aggregation, and a split over sampled tables.
+    #[test]
+    fn exact_round_trips_and_events() {
+        let paper = platform::paper_platform();
+        let myri = platform::single_rail_platform(platform::myri_10g());
+        let on = |p: &Platform, kind, size, segs| {
+            PingPongSpec::new(p.clone(), EngineConfig::with_strategy(kind), size)
+                .with_segments(segs)
+        };
+        let split = on(&paper, StrategyKind::AdaptiveSplit, 1 << 20, 1)
+            .with_tables(crate::sampling::sample_platform(&paper));
+        let cases = [
+            (on(&myri, StrategyKind::SingleRail(0), 4, 1), 5_970_000, 49),
+            (on(&paper, StrategyKind::Greedy, 4 << 10, 2), 15_720_000, 89),
+            (
+                on(&paper, StrategyKind::Greedy, 64 << 10, 2),
+                97_501_888,
+                273,
+            ),
+            (
+                on(&paper, StrategyKind::SingleRailAggregating(0), 1000, 4),
+                9_217_500,
+                49,
+            ),
+            (split, 1_125_041_942, 209),
+        ];
+        for (spec, rtt_ps, events) in cases {
+            let r = run_pingpong(&spec);
+            let shape = format!("{} B x {}", spec.total_size, spec.segments);
+            assert_eq!(r.rtts, [SimDuration(rtt_ps); 4], "{shape}");
+            assert_eq!(r.events, events, "{shape}");
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! The scripted application: what every simulated experiment but the
-//! ping-pong asks of a node, written as data.
+//! The scripted application: what every simulated experiment asks of a
+//! node, the paper's ping-pong included, written as data.
 //!
-//! A [`Script`] works on conn 0. At start it posts its receives, then
-//! runs its [`Step`]s in order: it submits sends, computes, and waits for
-//! its sends to drain. At most `window` sends are outstanding (submitted
-//! and not yet locally complete); a [`Step::Send`] that finds the window
-//! full waits for a completion, and the [`Step::Compute`]s just before it
-//! wait with it, so a computation always runs right before the submit it
-//! precedes. A `Compute` with no `Send` after it runs when it is reached.
+//! A [`Script`] works on conn 0 and runs its [`Step`]s in order: it posts
+//! receives, submits sends, computes, and waits for what it started to
+//! finish. At most `window` sends are outstanding (submitted and not yet
+//! locally complete); a [`Step::Send`] that finds the window full waits
+//! for a completion, and the [`Step::Compute`]s just before it wait with
+//! it, so a computation always runs right before the submit it precedes.
+//! A `Compute` with no `Send` after it runs when it is reached. A
+//! [`Step::Drain`] waits until no send is outstanding and every receive
+//! posted so far has been delivered.
 //!
 //! What the node sees is recorded: each delivery as (payload bytes,
 //! time), each send's *first* local completion as (id, time), and the
@@ -16,33 +18,35 @@
 //! nothing and is not recorded.
 
 use bytes::Bytes;
-use nmad_core::request::{RecvId, SendId};
+use nmad_core::request::SendId;
 use nmad_sim::{SimDuration, SimTime};
 use nmad_wire::reassembly::MessageAssembly;
 
-use crate::world::{AppLogic, NodeApi};
+use crate::world::NodeApi;
 
 /// One step of a [`Script`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Step {
+    /// Post one receive.
+    Recv,
     /// Submit one message of these segments.
     Send(Vec<Bytes>),
-    /// Occupy the CPU ([`NodeApi::compute`]).
+    /// Occupy the node's CPU for this long.
     Compute(SimDuration),
-    /// Wait until no send is outstanding.
+    /// Wait until no send is outstanding and every posted receive has
+    /// been delivered.
     Drain,
 }
 
 /// A node's application as a list of [`Step`]s (see the module docs).
-/// The default script posts no receive and has no step: a purely
-/// reactive peer.
+/// The default script has no step: a purely reactive peer.
 #[derive(Clone, Debug)]
 pub struct Script {
-    recvs: usize,
     window: usize,
     steps: Vec<Step>,
     next: usize,
     outstanding: Vec<SendId>,
+    posted: usize,
     deliveries: Vec<(usize, SimTime)>,
     completions: Vec<(SendId, SimTime)>,
     last: Vec<Bytes>,
@@ -55,14 +59,14 @@ impl Default for Script {
 }
 
 impl Script {
-    /// Run `steps` with no window, posting no receive.
+    /// Run `steps` with no window.
     pub fn new(steps: Vec<Step>) -> Self {
         Script {
-            recvs: 0,
             window: usize::MAX,
             steps,
             next: 0,
             outstanding: Vec::new(),
+            posted: 0,
             deliveries: Vec::new(),
             completions: Vec::new(),
             last: Vec::new(),
@@ -71,12 +75,12 @@ impl Script {
 
     /// A node that only posts `n` receives.
     pub fn receiver(n: usize) -> Self {
-        Script::new(Vec::new()).recvs(n)
+        Script::new(vec![Step::Recv; n])
     }
 
-    /// Post `n` receives at start, before the first step.
+    /// Post `n` receives before the first step.
     pub fn recvs(mut self, n: usize) -> Self {
-        self.recvs = n;
+        self.steps.splice(0..0, std::iter::repeat_n(Step::Recv, n));
         self
     }
 
@@ -107,26 +111,32 @@ impl Script {
         &self.last
     }
 
-    /// Whether the step at `i` must wait: a drain with sends outstanding,
-    /// a send (or the computes right before one) with the window full.
+    /// Whether the step at `i` must wait: a drain with a send outstanding
+    /// or a receive undelivered, a send (or the computes right before one)
+    /// with the window full.
     fn blocked(&self, i: usize) -> bool {
         let mut ahead = self.steps[i..].iter();
         match (
             &self.steps[i],
             ahead.find(|s| !matches!(s, Step::Compute(_))),
         ) {
-            (Step::Drain, _) => !self.outstanding.is_empty(),
+            (Step::Drain, _) => !self.outstanding.is_empty() || self.deliveries.len() < self.posted,
             (_, Some(Step::Send(_))) => self.outstanding.len() >= self.window,
             _ => false,
         }
     }
 
-    /// Run steps until one must wait or none is left.
-    fn advance(&mut self, api: &mut NodeApi<'_>) {
+    /// Run steps until one must wait or none is left (also the start
+    /// hook: the world calls it once at time zero).
+    pub(crate) fn advance(&mut self, api: &mut NodeApi<'_>) {
         while self.next < self.steps.len() && !self.blocked(self.next) {
             match &mut self.steps[self.next] {
+                Step::Recv => {
+                    api.post_recv();
+                    self.posted += 1;
+                }
                 Step::Send(segments) => {
-                    let id = api.submit_send(0, std::mem::take(segments));
+                    let id = api.submit_send(std::mem::take(segments));
                     self.outstanding.push(id);
                 }
                 Step::Compute(dur) => api.compute(*dur),
@@ -135,22 +145,16 @@ impl Script {
             self.next += 1;
         }
     }
-}
 
-impl AppLogic for Script {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        for _ in 0..self.recvs {
-            api.post_recv(0);
-        }
+    /// One of the posted receives delivered `msg`.
+    pub(crate) fn on_recv_complete(&mut self, msg: MessageAssembly, api: &mut NodeApi<'_>) {
+        self.deliveries.push((msg.total_len(), api.now()));
+        self.last = msg.segments;
         self.advance(api);
     }
 
-    fn on_recv_complete(&mut self, _recv: RecvId, msg: MessageAssembly, api: &mut NodeApi<'_>) {
-        self.deliveries.push((msg.total_len(), api.now()));
-        self.last = msg.segments;
-    }
-
-    fn on_send_complete(&mut self, send: SendId, api: &mut NodeApi<'_>) {
+    /// `send` reached local completion.
+    pub(crate) fn on_send_complete(&mut self, send: SendId, api: &mut NodeApi<'_>) {
         let Some(at) = self.outstanding.iter().position(|&s| s == send) else {
             return; // a retransmitted send completing again
         };
@@ -171,15 +175,13 @@ mod tests {
         Step::Send(vec![Bytes::from(vec![fill; len])])
     }
 
-    fn world(sender: Script, recvs: usize) -> SimWorld<Script, Script> {
+    fn world(sender: Script, recvs: usize) -> SimWorld {
         let p = platform::paper_platform();
-        let mut w = SimWorld::new(&p, EngineConfig::default(), sender, Script::receiver(recvs));
-        w.open_conn();
-        w
+        SimWorld::new(&p, EngineConfig::default(), sender, Script::receiver(recvs))
     }
 
     /// The oldest outstanding send of node 0's script.
-    fn oldest(w: &SimWorld<Script, Script>) -> SendId {
+    fn oldest(w: &SimWorld) -> SendId {
         w.app0().outstanding[0]
     }
 
@@ -235,7 +237,7 @@ mod tests {
     }
 
     #[test]
-    fn a_drain_waits_for_every_outstanding_send() {
+    fn a_drain_waits_for_every_send_and_every_posted_receive() {
         let steps = vec![send(0, 64), send(1, 64), Step::Drain, send(2, 64)];
         let mut w = world(Script::new(steps), 3);
         w.start_apps();
@@ -246,6 +248,28 @@ mod tests {
         let second = oldest(&w);
         w.complete_send(0, second);
         assert_eq!(w.app0().next, 4);
+
+        // Receives are posted in step order: the one after the drain
+        // waits with the send it precedes.
+        let steps = vec![
+            Step::Recv,
+            send(0, 64),
+            Step::Recv,
+            Step::Drain,
+            Step::Recv,
+            send(1, 64),
+        ];
+        let mut w = world(Script::new(steps), 2);
+        w.start_apps();
+        assert_eq!((w.app0().next, w.app0().posted), (3, 2));
+        let first = oldest(&w);
+        w.complete_send(0, first);
+        assert_eq!(w.app0().next, 3, "two receives undelivered");
+        w.complete_recv(0, 16);
+        assert_eq!(w.app0().next, 3, "one receive undelivered");
+        w.complete_recv(0, 16);
+        assert_eq!((w.app0().next, w.app0().posted), (6, 3));
+        assert_eq!(w.app0().outstanding.len(), 1);
     }
 
     #[test]

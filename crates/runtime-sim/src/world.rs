@@ -28,26 +28,10 @@ use nmad_model::{HostModel, NicModel, Platform, RailId, TxMode};
 use nmad_sim::{
     EventQueue, FlowId, FluidChannel, MultiResource, SimDuration, SimTime, Xoshiro256StarStar,
 };
-use nmad_wire::reassembly::MessageAssembly;
 use nmad_wire::{ConnId, PacketFrame, SmallList};
 
+use crate::script::Script;
 use crate::timeline::Timeline;
-
-/// Application logic running on one simulated node: reacts to completions
-/// and drives new requests through [`NodeApi`].
-pub trait AppLogic {
-    /// Called once at simulation start.
-    fn on_start(&mut self, api: &mut NodeApi<'_>);
-    /// A posted receive completed; the reassembled message is handed over.
-    fn on_recv_complete(&mut self, recv: RecvId, msg: MessageAssembly, api: &mut NodeApi<'_>) {
-        let _ = (recv, msg, api);
-    }
-    /// A submitted send reached local completion. Under acked delivery a
-    /// retransmitted send can reach it more than once.
-    fn on_send_complete(&mut self, send: SendId, api: &mut NodeApi<'_>) {
-        let _ = (send, api);
-    }
-}
 
 /// The fault plan a world runs under, its bounds in simulated time, and
 /// the engine progress ticks that come with it: they drive the health
@@ -83,20 +67,17 @@ pub struct Node {
 
 impl Node {
     fn new(platform: &Platform, config: EngineConfig) -> Self {
+        let mut engine = Engine::new(config, platform.rails.clone(), vec![]);
+        engine.conn_open(); // conn 0, the one a Script speaks on
         Node {
             host: platform.host.clone(),
             rails: platform.rails.clone(),
-            engine: Engine::new(config, platform.rails.clone(), vec![]),
+            engine,
             cpu: MultiResource::new("cpu", platform.host.cores),
             bus: FluidChannel::new("iobus", platform.host.bus_capacity),
             dma: HashMap::new(),
             kick_pending: false,
         }
-    }
-
-    /// CPU utilization so far.
-    pub fn cpu_utilization(&self, now: SimTime) -> f64 {
-        self.cpu.utilization(now)
     }
 }
 
@@ -140,8 +121,8 @@ enum Ev {
     Tick,
 }
 
-/// Handle through which application logic interacts with its node.
-pub struct NodeApi<'a> {
+/// Handle through which a node's [`Script`] acts on its node, on conn 0.
+pub(crate) struct NodeApi<'a> {
     idx: usize,
     node: &'a mut Node,
     queue: &'a mut EventQueue<Ev>,
@@ -150,14 +131,14 @@ pub struct NodeApi<'a> {
 
 impl NodeApi<'_> {
     /// Current virtual time.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
     /// Submit a non-blocking multi-segment send (collect layer only; the
     /// engine transmits when NICs go idle).
-    pub fn submit_send(&mut self, conn: ConnId, segments: Vec<Bytes>) -> SendId {
-        let id = self.node.engine.submit_send(conn, segments);
+    pub(crate) fn submit_send(&mut self, segments: Vec<Bytes>) -> SendId {
+        let id = self.node.engine.submit_send(0, segments);
         let g = self.node.cpu.acquire(self.now, self.node.host.submit_cost);
         schedule_kick(self.idx, self.node, self.queue, g.end);
         id
@@ -165,13 +146,12 @@ impl NodeApi<'_> {
 
     /// Post a non-blocking receive. Posting can release parked rendezvous
     /// grants, so the engine gets a scheduling pass if work appeared.
-    pub fn post_recv(&mut self, conn: ConnId) -> RecvId {
-        let id = self.node.engine.post_recv(conn);
+    pub(crate) fn post_recv(&mut self) {
+        self.node.engine.post_recv(0);
         if self.node.engine.has_tx_work() {
             let at = self.now;
             schedule_kick(self.idx, self.node, self.queue, at);
         }
-        id
     }
 
     /// Occupy the CPU with application computation for `dur`. While the
@@ -179,14 +159,9 @@ impl NodeApi<'_> {
     /// scenario where "the communication support accumulates packets while
     /// the NIC is busy" (here: while the *CPU* is busy) and the optimizer
     /// then processes the whole window at once.
-    pub fn compute(&mut self, dur: SimDuration) {
+    pub(crate) fn compute(&mut self, dur: SimDuration) {
         let g = self.node.cpu.acquire(self.now, dur);
         schedule_kick(self.idx, self.node, self.queue, g.end);
-    }
-
-    /// Engine statistics of this node.
-    pub fn stats(&self) -> &nmad_core::EngineStats {
-        self.node.engine.stats()
     }
 }
 
@@ -205,11 +180,10 @@ fn schedule_kick(idx: usize, node: &mut Node, queue: &mut EventQueue<Ev>, at: Si
 }
 
 /// The two-node simulation.
-pub struct SimWorld<A: AppLogic, B: AppLogic> {
+pub struct SimWorld {
     queue: EventQueue<Ev>,
     nodes: Vec<Node>,
-    app0: Option<A>,
-    app1: Option<B>,
+    apps: [Script; 2],
     /// Hardware-model flight recorder (disabled by default; see
     /// [`SimWorld::enable_recording`]). Sim-only activity — PIO
     /// completions, DMA/bus starts, launches, fault-plan losses,
@@ -225,18 +199,18 @@ pub struct SimWorld<A: AppLogic, B: AppLogic> {
     events: u64,
 }
 
-impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
+impl SimWorld {
     /// Build a symmetric two-node world: both ends run `platform` with an
-    /// engine configured by `config`.
-    pub fn new(platform: &Platform, config: EngineConfig, app0: A, app1: B) -> Self {
+    /// engine configured by `config` and conn 0 open, node 0 runs `app0`
+    /// and node 1 `app1`.
+    pub fn new(platform: &Platform, config: EngineConfig, app0: Script, app1: Script) -> Self {
         SimWorld {
             queue: EventQueue::new(),
             nodes: vec![
                 Node::new(platform, config.clone()),
                 Node::new(platform, config),
             ],
-            app0: Some(app0),
-            app1: Some(app1),
+            apps: [app0, app1],
             recorder: FlightRecorder::disabled(),
             timeline: None,
             faults: None,
@@ -313,14 +287,6 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
         self.timeline = Some(Timeline::new());
     }
 
-    /// Open a logical channel on both engines; returns the shared id.
-    pub fn open_conn(&mut self) -> ConnId {
-        let c0 = self.nodes[0].engine.conn_open();
-        let c1 = self.nodes[1].engine.conn_open();
-        assert_eq!(c0, c1, "endpoints must open connections in lockstep");
-        c0
-    }
-
     /// Replace both engines' sampling tables.
     pub fn set_tables(&mut self, tables: Vec<nmad_core::PerfTable>) {
         self.nodes[0].engine.set_tables(tables.clone());
@@ -339,13 +305,13 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
     }
 
     /// Application of node 0.
-    pub fn app0(&self) -> &A {
-        self.app0.as_ref().expect("app present between events")
+    pub fn app0(&self) -> &Script {
+        &self.apps[0]
     }
 
     /// Application of node 1.
-    pub fn app1(&self) -> &B {
-        self.app1.as_ref().expect("app present between events")
+    pub fn app1(&self) -> &Script {
+        &self.apps[1]
     }
 
     /// Current virtual time.
@@ -358,13 +324,11 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
         self.events
     }
 
-    /// Run the apps' `on_start` hooks and process events until the queue
+    /// Start both scripts at t = 0 and process events until the queue
     /// drains or `max_events` is hit (a safety net against livelock bugs —
     /// exceeding it panics with the trace rendered).
     pub fn run(&mut self, max_events: u64) {
-        // Start both apps at t = 0.
-        self.run_app_hook(0, SimTime::ZERO, AppHook::Start);
-        self.run_app_hook(1, SimTime::ZERO, AppHook::Start);
+        self.start_apps();
         if let Some(f) = &self.faults {
             self.queue.push(SimTime::ZERO + f.tick, Ev::Tick);
         }
@@ -540,7 +504,8 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
                     if let Some(e) = self.sim_event(now, EventKind::SimApp, node) {
                         self.recorder.record(e.seq(recv.0).aux(1));
                     }
-                    self.run_app_hook(node, now, AppHook::Recv(recv, msg));
+                    let (app, mut api) = self.app(node, now);
+                    app.on_recv_complete(msg, &mut api);
                 }
                 schedule_kick(node, &mut self.nodes[node], &mut self.queue, now);
             }
@@ -648,51 +613,27 @@ impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
         if let Some(e) = self.sim_event(now, EventKind::SimApp, node) {
             self.recorder.record(e.seq(send.0));
         }
-        self.run_app_hook(node, now, AppHook::Send(send));
+        let (app, mut api) = self.app(node, now);
+        app.on_send_complete(send, &mut api);
     }
 
-    fn run_app_hook(&mut self, node: usize, now: SimTime, hook: AppHook) {
-        if node == 0 {
-            let mut app = self.app0.take().expect("app0 present");
-            {
-                let mut api = NodeApi {
-                    idx: 0,
-                    node: &mut self.nodes[0],
-                    queue: &mut self.queue,
-                    now,
-                };
-                hook.run(&mut app, &mut api);
-            }
-            self.app0 = Some(app);
-        } else {
-            let mut app = self.app1.take().expect("app1 present");
-            {
-                let mut api = NodeApi {
-                    idx: 1,
-                    node: &mut self.nodes[1],
-                    queue: &mut self.queue,
-                    now,
-                };
-                hook.run(&mut app, &mut api);
-            }
-            self.app1 = Some(app);
+    /// Run both scripts' steps up to their first wait, at t = 0.
+    pub(crate) fn start_apps(&mut self) {
+        for node in 0..2 {
+            let (app, mut api) = self.app(node, SimTime::ZERO);
+            app.advance(&mut api);
         }
     }
-}
 
-enum AppHook {
-    Start,
-    Recv(RecvId, MessageAssembly),
-    Send(SendId),
-}
-
-impl AppHook {
-    fn run<T: AppLogic>(self, app: &mut T, api: &mut NodeApi<'_>) {
-        match self {
-            AppHook::Start => app.on_start(api),
-            AppHook::Recv(r, m) => app.on_recv_complete(r, m, api),
-            AppHook::Send(s) => app.on_send_complete(s, api),
-        }
+    /// Node `node`'s script, and the handle it acts through at `now`.
+    fn app(&mut self, node: usize, now: SimTime) -> (&mut Script, NodeApi<'_>) {
+        let api = NodeApi {
+            idx: node,
+            node: &mut self.nodes[node],
+            queue: &mut self.queue,
+            now,
+        };
+        (&mut self.apps[node], api)
     }
 }
 
@@ -705,20 +646,18 @@ mod tests {
     use std::time::Duration;
 
     /// One message of `payloads` from node 0 to node 1.
-    fn one_shot(strategy: StrategyKind, payloads: Vec<Bytes>) -> SimWorldT {
+    fn one_shot(strategy: StrategyKind, payloads: Vec<Bytes>) -> SimWorld {
         let p = platform::paper_platform();
-        let mut w = SimWorld::new(
+        SimWorld::new(
             &p,
             EngineConfig::with_strategy(strategy),
             Script::new(vec![Step::Send(payloads)]),
             Script::receiver(1),
-        );
-        w.open_conn();
-        w
+        )
     }
 
     /// Run [`one_shot`]; returns the delivery time with the world.
-    fn transfer(strategy: StrategyKind, payloads: Vec<Bytes>) -> (SimTime, SimWorldT) {
+    fn transfer(strategy: StrategyKind, payloads: Vec<Bytes>) -> (SimTime, SimWorld) {
         let mut w = one_shot(strategy, payloads);
         w.run(1_000_000);
         assert_eq!(w.app1().deliveries().len(), 1, "delivered");
@@ -726,19 +665,23 @@ mod tests {
         (t, w)
     }
 
-    type SimWorldT = SimWorld<Script, Script>;
-
-    /// Hooks without the engine's say, to test an app's own rules.
-    impl<A: AppLogic, B: AppLogic> SimWorld<A, B> {
-        /// Run both apps' `on_start` (instead of [`SimWorld::run`]).
-        pub(crate) fn start_apps(&mut self) {
-            self.run_app_hook(0, SimTime::ZERO, AppHook::Start);
-            self.run_app_hook(1, SimTime::ZERO, AppHook::Start);
-        }
-
-        /// Tell node `node`'s app that `send` completed.
+    /// Completions without the engine's say, to test a script's own
+    /// rules.
+    impl SimWorld {
+        /// Tell node `node`'s script that `send` completed.
         pub(crate) fn complete_send(&mut self, node: usize, send: SendId) {
             self.fire_send_complete(node, self.now(), send);
+        }
+
+        /// Hand node `node`'s script a delivery of `len` bytes.
+        pub(crate) fn complete_recv(&mut self, node: usize, len: usize) {
+            let segments = vec![Bytes::from(vec![0u8; len])];
+            let msg = nmad_wire::reassembly::MessageAssembly {
+                msg_id: 0,
+                segments,
+            };
+            let (app, mut api) = self.app(node, self.now());
+            app.on_recv_complete(msg, &mut api);
         }
     }
 
@@ -868,7 +811,6 @@ mod tests {
             Script::new(busy.collect()),
             Script::receiver(6),
         );
-        w.open_conn();
         w.run(1_000_000);
         assert_eq!(w.app1().deliveries().len(), 6, "all messages delivered");
         let s = w.node(0).engine.stats();
@@ -948,7 +890,6 @@ mod tests {
         cfg.health.probe_interval_ns = 500_000;
         cfg.health.probe_timeout_ns = 300_000;
         let mut w = SimWorld::new(&p, cfg, pipeline(N, SIZE), Script::receiver(N));
-        w.open_conn();
         let span = Duration::from_micros(100)..Duration::from_micros(25_000);
         let outage = Fault::during(0, span, Effect::Loss(1.0));
         w.enable_faults(
@@ -1017,7 +958,6 @@ mod tests {
             let mut cfg = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
             cfg.calibrate = true;
             let mut w = SimWorld::new(&p, cfg, pipeline(N, SIZE), Script::receiver(N));
-            w.open_conn();
             // The rebuilds are checked as recorded events below.
             w.enable_recording(8192);
             let span = Duration::from_micros(2_000)..Duration::from_secs(1);

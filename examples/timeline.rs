@@ -24,7 +24,6 @@ fn show(total: usize) {
         Script::new(vec![Step::Send(payloads)]),
         Script::receiver(1),
     );
-    world.open_conn();
     world.enable_timeline();
     world.run(1_000_000);
     println!(

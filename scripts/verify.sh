@@ -97,12 +97,13 @@ if grep -rnE 'ChaosState|FaultSpec|RailOutage|BandwidthDrift|drift_only|DialEven
     echo "a second fault description is back beside the one fault plan (see above)"; exit 1
 fi
 # One simulated application (DESIGN.md §5 "The simulated application"):
-# every experiment but the ping-pong is a runtime-sim `Script`, a list of
-# steps. An `AppLogic` written beside it, the hand-written senders and
-# receivers it replaced and the sim's unused sampling hook must not come
-# back.
-if grep -rn 'impl AppLogic for' crates src tests examples | grep -v '^crates/runtime-sim/src/'; then
-    echo "an application is hand-written outside runtime-sim (see above): write it as a Script"; exit 1
+# every experiment, the ping-pong included, is a runtime-sim `Script`, a
+# list of steps on conn 0, which `SimWorld::new` opens. The application
+# trait and its hook dispatch, the hand-written ping and pong, the world's
+# type parameters and `open_conn`, the hand-written senders and receivers
+# and the sim's unused sampling hook must not come back.
+if grep -rnE 'AppLogic|AppHook|PingApp|PongApp|open_conn|SimWorld<' crates src tests examples; then
+    echo "a second kind of sim application is back beside Script (see above): write it as a Script"; exit 1
 fi
 if grep -rnE 'BurstSender|WaveSender|RecordingReceiver|PipeSender|PipeReceiver|MixedApp|OneShotSender|IdleApp|on_sample_pong' \
     crates src tests examples; then
@@ -215,6 +216,13 @@ for f in crates/transport-*/src/*.rs; do
     total=$((total + n))
 done
 printf '    %5d non-test code lines under crates/transport-*/src\n' "$total"
+# The simulator's, by the same rule.
+total=0
+for f in crates/runtime-sim/src/*.rs; do
+    n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/{exit} !/^[[:space:]]*$/ && !/^[[:space:]]*\/\//{c++} END{print c+0}' "$f")
+    total=$((total + n))
+done
+printf '    %5d non-test code lines under crates/runtime-sim/src\n' "$total"
 # And the bench harness's size (all lines), for the same trend: ROADMAP
 # 10(d) deletes the reports that only repeat a tier-1 test.
 printf '    %5d lines under crates/bench/src\n' "$(cat crates/bench/src/*.rs | wc -l)"
@@ -226,8 +234,8 @@ printf '    %5d lines under crates/bench/src\n' "$(cat crates/bench/src/*.rs | w
 # first `#[cfg(test)]` or `#[cfg(all(test, ...` (written across lines
 # too); a test module in a file of its own, `tests.rs`, is not counted.
 echo "==> non-test unwrap()/expect( sites stay under their ceilings"
-declare -A unwrap_ceiling=([core]=9 [wire]=6 [transport-mem]=1 [transport-tcp]=4)
-for crate in core wire transport-mem transport-tcp; do
+declare -A unwrap_ceiling=([core]=9 [wire]=6 [transport-mem]=1 [transport-tcp]=4 [runtime-sim]=7)
+for crate in core wire transport-mem transport-tcp runtime-sim; do
     n=0
     while IFS= read -r f; do
         k=$(awk '/^[[:space:]]*#\[cfg\((test\)|all\(test)/ \

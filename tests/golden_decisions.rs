@@ -76,7 +76,6 @@ fn run(config: EngineConfig, faults: Option<FaultPlan>) -> (u64, u64, u64, u64) 
         let (tick, until) = (SimDuration::from_us(100), SimTime::from_us(400_000));
         world.enable_faults(&plan, tick, until);
     }
-    world.open_conn();
     world.run(50_000_000);
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     let (mut received, mut retransmits) = (0, 0);

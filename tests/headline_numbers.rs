@@ -220,7 +220,6 @@ fn small_message_overtakes_large_one_in_time() {
         sender,
         Script::receiver(2),
     );
-    w.open_conn();
     w.run(1_000_000);
     let at = |big: bool| {
         let mut d = w.app1().deliveries().iter();

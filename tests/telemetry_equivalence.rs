@@ -130,7 +130,7 @@ impl Tally {
 /// The seeded acked run with an outage, both engines' telemetry folded
 /// past the end: every count is in a closed window, and no window or
 /// event was overwritten.
-fn seeded_run() -> SimWorld<Script, Script> {
+fn seeded_run() -> SimWorld {
     let p = platform::paper_platform();
     let mut config = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
     config.acked = true;
@@ -147,7 +147,6 @@ fn seeded_run() -> SimWorld<Script, Script> {
         SimDuration::from_us(100),
         SimTime::from_us(300_000),
     );
-    world.open_conn();
     world.run(50_000_000);
     let end_ns = world.now().0 / 1_000;
     for node in 0..2 {
