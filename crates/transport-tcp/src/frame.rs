@@ -19,7 +19,8 @@ pub(crate) const LEN_PREFIX: usize = 4;
 pub(crate) const MAX_FRAME: usize = 64 << 20;
 /// Bytes asked of the socket per `read` call while no frame larger than
 /// this is in progress (such a frame is read straight into its own
-/// allocation, or into its segment's, however large).
+/// allocation, or into its segment's, however large). Also the largest
+/// frame read into a buffer the reader recycles ([`FRAME_BUFS`]).
 pub(crate) const READ_CHUNK: usize = 64 * 1024;
 /// Segments a [`LandingTable`] remembers, finished ones included.
 pub(crate) const LANDING_ENTRIES: usize = 64;
@@ -46,8 +47,29 @@ pub(crate) const SLAB_LEN: usize = 2 * 1024;
 /// many small frames fills several before any of them is let go.
 pub(crate) const SLABS: usize = 8;
 /// Frames of at most this many bytes, chunks aside, are carved into the
-/// slab; a larger one gets an allocation of its own.
+/// slab; a larger one into a frame buffer up to [`READ_CHUNK`], and into
+/// an allocation of its own beyond.
 pub(crate) const SLAB_FRAME_MAX: usize = SLAB_LEN / 4;
+/// Frame buffers a reader keeps: a frame above [`SLAB_FRAME_MAX`] and up
+/// to [`READ_CHUNK`] bytes that is not a chunk is read into a buffer of
+/// its own, [`frame_buf_len`] bytes, which carries that frame alone and
+/// is taken back once nobody holds the frame any more — so that such a
+/// frame costs no allocation while the deliveries it makes are let go
+/// as they come. The frames of one read are handed on together: four
+/// cover a read of frames of 16 KiB or more (an aggregate of a burst),
+/// and smaller ones past four take new buffers, as they took
+/// allocations of their own before.
+pub(crate) const FRAME_BUFS: usize = 4;
+
+/// The length of the buffer a frame of `len` bytes, above
+/// [`SLAB_FRAME_MAX`] and at most [`READ_CHUNK`], is read into: `len`
+/// rounded up to an eighth of the power of two at or above it. Frames a
+/// little apart in length share a buffer size, and so buffers; and a held
+/// delivery pins less than 5/4 of its frame's bytes, as its own
+/// allocation would within an eighth.
+pub(crate) fn frame_buf_len(len: usize) -> usize {
+    len.next_multiple_of(len.next_power_of_two() / 8)
+}
 
 /// Length of the frame whose length prefix starts `buf`; `None` while
 /// the prefix itself is incomplete.
@@ -201,9 +223,10 @@ enum Partial {
     /// In its own allocation: the source is read straight into `frame`
     /// until it holds `want` bytes.
     Own { frame: Vec<u8>, want: usize },
-    /// A small frame in its window of the slab: the source is read
-    /// straight into it, at its cursor, until it is full.
-    Slab(Window),
+    /// A frame in its window of a buffer the reader recycles — a slab,
+    /// or a frame buffer: the source is read straight into it, at its
+    /// cursor, until it is full.
+    Carved(Window),
     /// A chunk whose payload has a place in its segment: the source is
     /// read straight into `window`, at its cursor, until it is full.
     Landed { head: Vec<u8>, window: Window },
@@ -215,7 +238,7 @@ impl Partial {
     fn into_frame(self) -> PacketFrame {
         match self {
             Partial::Own { frame, .. } => PacketFrame::from_wire(Bytes::from(frame)),
-            Partial::Slab(window) => PacketFrame::from_wire(window.freeze()),
+            Partial::Carved(window) => PacketFrame::from_wire(window.freeze()),
             Partial::Landed { head, window, .. } => {
                 let mut payload = PartList::new();
                 payload.push(window.freeze());
@@ -239,6 +262,9 @@ pub(crate) struct FrameReader {
     /// What is left of the slabs small frames are carved into, oldest
     /// first: the last is the one being carved.
     slabs: Vec<Window>,
+    /// What is left of the frame buffers past their frames, least
+    /// recently used first ([`FRAME_BUFS`]).
+    frame_bufs: Vec<Window>,
     /// Peer closed, or the stream failed or lost framing: no more reads.
     closed: bool,
 }
@@ -290,6 +316,7 @@ impl FrameReader {
             rx_buf: Vec::with_capacity(READ_CHUNK),
             partial: None,
             slabs: Vec::with_capacity(SLABS),
+            frame_bufs: Vec::with_capacity(FRAME_BUFS),
             closed: false,
         }
     }
@@ -307,8 +334,9 @@ impl FrameReader {
     /// and whoever waits for it released, before more is read.
     ///
     /// Chunk payloads are read into their segments' allocations where
-    /// `landing` has the place; every other frame gets an allocation of
-    /// its own.
+    /// `landing` has the place; other frames up to [`READ_CHUNK`] into
+    /// buffers the reader recycles, and the rest into allocations of
+    /// their own.
     pub(crate) fn read_some(
         &mut self,
         mut src: impl Source,
@@ -338,7 +366,7 @@ impl FrameReader {
                 let read = src.take(asked as u64).read_to_end(frame);
                 (true, asked, frame.len() - had, read.map(drop))
             }
-            Some(Partial::Landed { window, .. } | Partial::Slab(window)) => {
+            Some(Partial::Landed { window, .. } | Partial::Carved(window)) => {
                 let asked = window.remaining();
                 let (got, read) = read_until_blocked(&mut src, window);
                 (true, asked, got, read)
@@ -375,10 +403,11 @@ impl FrameReader {
 
     /// Carve the frames in `rx_buf` by offset, each copied out
     /// — a chunk's payload into the window `landing` has for it, a small
-    /// frame into the slab, anything else whole into an allocation of
-    /// exactly its size — so that a delivered payload never pins this
-    /// buffer. A trailing incomplete frame moves to `partial`, once
-    /// enough of it is there to tell where it goes.
+    /// frame into the slab, a larger one into a frame buffer, a chunk
+    /// that missed or a frame beyond [`READ_CHUNK`] whole into an
+    /// allocation of exactly its size — so that a delivered payload
+    /// never pins this buffer. A trailing incomplete frame moves to
+    /// `partial`, once enough of it is there to tell where it goes.
     fn carve(
         &mut self,
         rail: usize,
@@ -416,11 +445,16 @@ impl FrameReader {
                     }
                 }
                 // (A chunk that missed is gathered with its segment's
-                // others: it does not pin a slab meanwhile.)
-                None if len <= SLAB_FRAME_MAX && !chunk => {
-                    let mut window = slab_window(&mut self.slabs, len);
+                // others: it does not pin a slab or a frame buffer
+                // meanwhile.)
+                None if len <= READ_CHUNK && !chunk => {
+                    let mut window = if len <= SLAB_FRAME_MAX {
+                        slab_window(&mut self.slabs, len)
+                    } else {
+                        frame_window(&mut self.frame_bufs, len)
+                    };
                     window.put_slice(have);
-                    Partial::Slab(window)
+                    Partial::Carved(window)
                 }
                 None => {
                     let mut frame = Vec::with_capacity(len);
@@ -441,26 +475,53 @@ impl FrameReader {
 
 /// A window of `len` bytes, at most [`SLAB_FRAME_MAX`], off the front of
 /// the last of `slabs`. When that one has run out, the oldest slab nobody
-/// holds a frame of any more is started over ([`Window::reclaim`]) and
-/// carved next; only when none is free is a new one made, the oldest
-/// given up beyond [`SLABS`] — it is freed with the last frame carved
-/// from it.
+/// holds a frame of any more is started over and carved next; only when
+/// none is free is a new one made, the oldest given up beyond [`SLABS`] —
+/// it is freed with the last frame carved from it.
 fn slab_window(slabs: &mut Vec<Window>, len: usize) -> Window {
-    if slabs.last().is_none_or(|slab| slab.len() < len) {
-        match slabs.iter_mut().position(Window::reclaim) {
-            Some(free) => {
-                let slab = slabs.remove(free);
-                slabs.push(slab);
+    let slab = match slabs.pop() {
+        Some(slab) if slab.len() >= len => slab,
+        last => {
+            slabs.extend(last);
+            take_buf(slabs, SLABS, SLAB_LEN)
+        }
+    };
+    cut_front(slabs, slab, len)
+}
+
+/// A window of `len` bytes, above [`SLAB_FRAME_MAX`] and at most
+/// [`READ_CHUNK`], at the front of a buffer of [`frame_buf_len`] bytes
+/// that carries this frame alone: one of `bufs` nobody holds a frame of
+/// any more, started over, or a new one, the least recently used given
+/// up beyond [`FRAME_BUFS`] — it is freed with its frame.
+fn frame_window(bufs: &mut Vec<Window>, len: usize) -> Window {
+    let buf = take_buf(bufs, FRAME_BUFS, frame_buf_len(len));
+    cut_front(bufs, buf, len)
+}
+
+/// A whole buffer of `buf_len` bytes, taken out of `bufs`: the first of
+/// them that nobody holds a frame of any more ([`Window::reclaim`]: it
+/// holds the last handle to its allocation) and is that long, or a new
+/// one, for which the first of `bufs` is given up when they are `keep`.
+fn take_buf(bufs: &mut Vec<Window>, keep: usize, buf_len: usize) -> Window {
+    match bufs
+        .iter_mut()
+        .position(|b| b.reclaim() && b.len() == buf_len)
+    {
+        Some(free) => bufs.remove(free),
+        None => {
+            if bufs.len() == keep {
+                bufs.remove(0);
             }
-            None => {
-                if slabs.len() == SLABS {
-                    slabs.remove(0);
-                }
-                slabs.push(Window::uninit(SLAB_LEN));
-            }
+            Window::uninit(buf_len)
         }
     }
-    let slab = slabs.last_mut().expect("a slab with room");
-    let rest = slab.split_off(len);
-    std::mem::replace(slab, rest)
+}
+
+/// The first `len` bytes of `buf`; what is left of it goes last in
+/// `bufs`, which keeps the buffer's allocation for [`take_buf`].
+fn cut_front(bufs: &mut Vec<Window>, mut buf: Window, len: usize) -> Window {
+    let rest = buf.split_off(len);
+    bufs.push(rest);
+    buf
 }

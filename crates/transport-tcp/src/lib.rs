@@ -35,9 +35,10 @@
 //! `FrameReader`: each `read` fills the spare capacity of a 64 KiB read
 //! buffer that nothing zero-fills, so a rail that only ever gets small
 //! reads never touches most of it. Frames that fit the buffer are copied
-//! out into an allocation of exactly their size (a small one into a
-//! shared slab), a larger one is read straight into its own allocation,
-//! and each is handed to
+//! out into buffers the reader takes back once nobody holds their frames
+//! any more — a small one into a shared slab, one over 512 B into a
+//! buffer of about its size that carries it alone — a larger one is read
+//! straight into its own allocation, and each is handed to
 //! [`nmad_core::Engine::on_frame`] as one refcounted slice. A rendezvous
 //! chunk goes one better: its head says where in its segment it belongs,
 //! and both rails' readers share a landing table (under the rails lock)

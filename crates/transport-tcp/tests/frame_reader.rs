@@ -21,8 +21,9 @@ use std::io::{ErrorKind, Read};
 
 use bytes::{Bytes, Window};
 use frame::{
-    FrameReader, LandingTable, Source, LANDING_BYTES, LANDING_ENTRIES, LANDING_FRAGMENTS,
-    LANDING_OPEN_SHARE, LEN_PREFIX, MAX_FRAME, READ_CHUNK, SLABS, SLAB_FRAME_MAX, SLAB_LEN,
+    frame_buf_len, FrameReader, LandingTable, Source, FRAME_BUFS, LANDING_BYTES, LANDING_ENTRIES,
+    LANDING_FRAGMENTS, LANDING_OPEN_SHARE, LEN_PREFIX, MAX_FRAME, READ_CHUNK, SLABS,
+    SLAB_FRAME_MAX, SLAB_LEN,
 };
 use nmad_core::SyscallStats;
 use nmad_wire::{
@@ -871,22 +872,21 @@ fn the_sentinel_never_surfaces() {
 /// allocations), whatever number of frames it carries.
 const SLAB_COST: usize = SLAB_LEN + 64;
 
-/// `count` small frames, read off one rail in pieces of `piece` bytes:
-/// each read's frames handed to `take`, which keeps what it keeps.
-fn read_small_frames(
-    count: u64,
+/// `sent` off one rail in pieces of `piece` bytes: each read's frames
+/// handed to `take` with the read's number, which keeps what it keeps,
+/// and the bytes the reader asked the allocator for meanwhile.
+fn read_frames(
+    sent: &[Packet],
     piece: usize,
-    mut take: impl FnMut(&mut Vec<(usize, PacketFrame)>),
-) -> (usize, FrameReader) {
-    let packets: Vec<Packet> = (0..count).map(eager_of).collect();
-    let stream = wire_of(&packets);
-    let frame_len = stream.len() / count as usize;
-    assert!(frame_len <= SLAB_FRAME_MAX && stream.len() > 8 * SLAB_LEN);
+    mut take: impl FnMut(usize, &mut Vec<(usize, PacketFrame)>),
+) -> usize {
+    let stream = wire_of(sent);
     let cuts = vec![piece; stream.len() / piece];
     let mut src = pieces(&stream, &cuts);
     let (mut reader, mut table) = (FrameReader::new(), LandingTable::new());
-    let mut out = Vec::with_capacity(stream.len() / frame_len + 1);
-    let (asked, ()) = allocated(|| {
+    let mut out = Vec::with_capacity(sent.len());
+    let mut reads = 0;
+    allocated(|| {
         while !reader.closed() {
             reader
                 .read_some(
@@ -897,10 +897,11 @@ fn read_small_frames(
                     &mut SyscallStats::default(),
                 )
                 .expect("well-formed");
-            take(&mut out);
+            take(reads, &mut out);
+            reads += 1;
         }
-    });
-    (asked, reader)
+    })
+    .0
 }
 
 /// Small frames are carved one after the other into a slab, and a slab
@@ -912,9 +913,11 @@ fn read_small_frames(
 #[test]
 fn small_frames_cost_the_slabs_of_one_read_however_many_there_are() {
     let sent: Vec<Packet> = (0..400).map(eager_of).collect();
+    let stream_len = wire_of(&sent).len();
+    assert!(stream_len / 400 <= SLAB_FRAME_MAX && stream_len > 8 * SLAB_LEN);
     for piece in [1, 100, 333, 2 * SLAB_LEN] {
         let mut next = 0;
-        let (asked, _) = read_small_frames(400, piece, |out| {
+        let asked = read_frames(&sent, piece, |_, out| {
             for (_, frame) in out.drain(..) {
                 let (_, FrameBody::Packet(got), _) = frame.decode().expect("decodes") else {
                     panic!("no aggregate was sent");
@@ -979,6 +982,101 @@ fn a_held_delivery_pins_its_own_slab_only() {
     let asked = read_until(800, &mut none);
     assert!(none.is_some(), "frames past the first 400");
     assert_eq!(asked, 0, "{asked} bytes once the held delivery was let go");
+}
+
+// ----------------------------------------------------------------------
+// Frame buffers
+// ----------------------------------------------------------------------
+
+/// Bytes a frame buffer for a frame of `len` bytes costs: its buffer and
+/// the `Arc` around it.
+fn frame_buf_cost(len: usize) -> usize {
+    frame_buf_len(len) + 64
+}
+
+/// Bytes of an eager frame beside its payload.
+fn eager_overhead() -> usize {
+    eager_sized(0, Vec::new())
+        .encode_frame(CONN, 0, true)
+        .wire_len()
+}
+
+/// An eager frame of `len` bytes, payload included.
+fn eager_frame_of(msg: MsgId, len: usize) -> Packet {
+    eager_sized(msg, segment((len - eager_overhead()) as u64))
+}
+
+/// Where a frame carved into one buffer lies in memory.
+fn span(frame: &PacketFrame) -> std::ops::Range<usize> {
+    let start = frame.part(0).map_or(0, |p| p.as_ptr() as usize);
+    start..start + frame.wire_len()
+}
+
+/// `count` frames of 16,500 to 20,400 bytes: one buffer length, and at
+/// most four of them in a read.
+fn large_frames(count: u64) -> Vec<Packet> {
+    (0..count)
+        .map(|msg| eager_frame_of(msg, 16_500 + (msg as usize * 977) % 3_900))
+        .collect()
+}
+
+/// A frame above a slab's size and up to the read buffer's is read into
+/// a buffer of its own length class, and a buffer whose frame was let go
+/// is taken back: however many frames a rail reads, it costs the buffers
+/// the frames of one read hold — at most [`FRAME_BUFS`] — as long as each
+/// delivery is dropped after its read. Every frame decodes, its CRC
+/// checked, to the packet that was sent, and takes one buffer length.
+#[test]
+fn frames_above_a_slab_cost_the_buffers_of_one_read_however_many_there_are() {
+    assert_eq!(frame_buf_len(16_500), frame_buf_len(20_400));
+    let sent = large_frames(200);
+    for piece in [1_000, 7_777, 20_000, READ_CHUNK] {
+        let mut next = 0;
+        let asked = read_frames(&sent, piece, |_, out| {
+            for (_, frame) in out.drain(..) {
+                let (_, FrameBody::Packet(got), _) = frame.decode().expect("decodes") else {
+                    panic!("no aggregate was sent");
+                };
+                assert!(got == sent[next] && !frame.parts().any(|p| has_sentinel_run(p)));
+                next += 1;
+            }
+        });
+        assert_eq!(next, 200);
+        let bufs = (piece / 16_500 + 2).min(FRAME_BUFS);
+        assert!(
+            asked <= bufs * frame_buf_cost(20_480),
+            "piece {piece}: {asked} bytes for 200 frames"
+        );
+    }
+}
+
+/// A delivery held across reads keeps its own buffer and no other: the
+/// frames after it cycle through the others, and none is read into its
+/// buffer while it is held (that the frame still decodes to what was
+/// sent, when it is let go, says so).
+#[test]
+fn a_held_frame_pins_its_own_buffer_only() {
+    let sent = large_frames(200);
+    let (mut held, mut let_go) = (None, false);
+    let asked = read_frames(&sent, 7_777, |reads, out| {
+        for (_, frame) in out.drain(..) {
+            if reads < 300 {
+                held.get_or_insert(frame);
+            }
+        }
+        if reads == 300 {
+            let frame = held.take().expect("the first frame");
+            assert!(frame.decode().expect("decodes").1 == FrameBody::Packet(sent[0].clone()));
+            let_go = true;
+        }
+    });
+    assert!(let_go, "the held frame was let go mid-stream");
+    // The held frame's buffer, and the two (a frame in progress, the one
+    // handed on) every other frame cycles through.
+    assert!(
+        asked <= 3 * frame_buf_cost(20_480),
+        "{asked} bytes with one delivery held"
+    );
 }
 
 // ----------------------------------------------------------------------
@@ -1129,5 +1227,70 @@ proptest! {
             + LANDING_OPEN_SHARE as usize * carried_bytes
             + (64 << 10);
         prop_assert!(peak <= bound as isize, "{} bytes live at once, bound {}", peak, bound);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Frames of 513 B to 64 KiB — a slab's limit to the read buffer's
+    /// size — read in arbitrary pieces, a random subset of them held for
+    /// up to a dozen reads after theirs: no frame is handed out in memory
+    /// a frame still held lies in (a buffer is taken back only once
+    /// nothing points into it), and every held frame keeps, to its
+    /// release, the bytes the stream carried.
+    #[test]
+    fn frame_buffers_are_taken_back_only_once_let_go(
+        frames in prop::collection::vec((SLAB_FRAME_MAX + 1..=READ_CHUNK, 0usize..12), 1..24),
+        cuts in prop::collection::vec(1usize..2 * READ_CHUNK, 1..24),
+    ) {
+        let sent: Vec<Packet> = frames
+            .iter()
+            .enumerate()
+            .map(|(msg, &(len, _))| eager_frame_of(msg as MsgId, len.max(eager_overhead())))
+            .collect();
+        let stream = wire_of(&sent);
+        let mut src = pieces(&stream, &cuts);
+        let (mut reader, mut table) = (FrameReader::new(), LandingTable::new());
+        let (mut out, mut at, mut next) = (Vec::new(), 0, 0);
+        // (frame, where it starts in the stream, the read that lets it go)
+        let mut held: Vec<(PacketFrame, usize, usize)> = Vec::new();
+        let intact = |frame: &PacketFrame, from: usize| {
+            let body = from + LEN_PREFIX..from + LEN_PREFIX + frame.wire_len();
+            frame.to_bytes()[..] == stream[body]
+        };
+        for reads in 0.. {
+            if reader.closed() {
+                break;
+            }
+            reader
+                .read_some(&mut src, 0, &mut table, &mut out, &mut SyscallStats::default())
+                .map_err(|e| e.to_string())?;
+            for (_, frame) in out.drain(..) {
+                let here = span(&frame);
+                let under = held.iter().find(|(h, ..)| {
+                    let there = span(h);
+                    here.start < there.end && there.start < here.end
+                });
+                prop_assert!(
+                    under.is_none(),
+                    "frame {} was read into the buffer of the frame held since {:?}",
+                    next,
+                    under.map(|(_, from, _)| from)
+                );
+                let from = at;
+                carried(&stream, &mut at, &frame)?;
+                held.push((frame, from, reads + frames[next].1));
+                next += 1;
+            }
+            for (frame, from, _) in held.extract_if(.., |(.., until)| *until <= reads) {
+                prop_assert!(intact(&frame, from), "the frame held since {} was overwritten", from);
+            }
+        }
+        for (frame, from, _) in &held {
+            prop_assert!(intact(frame, *from), "the frame held since {} was overwritten", from);
+        }
+        prop_assert_eq!(next, sent.len());
+        prop_assert_eq!(at, stream.len());
     }
 }

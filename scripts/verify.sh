@@ -206,6 +206,21 @@ if grep -nE 'put_u16_le|put_u32_le|put_u64_le' crates/wire/src/frame.rs crates/w
     echo "a wire header is encoded field by field again (see above): give it a layout"; exit 1
 fi
 
+# One build profile, and it reaches every release binary (DESIGN.md §12
+# "The build"): the root `.cargo/config.toml` holds it, because cargo
+# reads that file from where it is run, for `benchmark/`'s workspace too,
+# while a `[profile.*]` table in a manifest reaches its own workspace
+# only. So no manifest of the root workspace has one, and the config
+# keeps the keys that make each binary one optimisation unit.
+echo "==> one build profile, in .cargo/config.toml: fat LTO, one codegen unit"
+if grep -nE '^\[profile\.' Cargo.toml crates/*/Cargo.toml; then
+    echo "a [profile.*] table in a manifest (see above): the one profile lives in .cargo/config.toml"; exit 1
+fi
+for key in 'lto = "fat"' 'codegen-units = 1'; do
+    grep -qxF "$key" .cargo/config.toml \
+        || { echo ".cargo/config.toml lacks '$key': release binaries are no longer one optimisation unit"; exit 1; }
+done
+
 # Non-test code lines per transport source file (before `#[cfg(test)]`,
 # neither blank nor `//`): printed so that the next PR's log shows the
 # trend.
@@ -234,7 +249,7 @@ printf '    %5d lines under crates/bench/src\n' "$(cat crates/bench/src/*.rs | w
 # first `#[cfg(test)]` or `#[cfg(all(test, ...` (written across lines
 # too); a test module in a file of its own, `tests.rs`, is not counted.
 echo "==> non-test unwrap()/expect( sites stay under their ceilings"
-declare -A unwrap_ceiling=([core]=9 [wire]=6 [transport-mem]=1 [transport-tcp]=4 [runtime-sim]=7)
+declare -A unwrap_ceiling=([core]=9 [wire]=6 [transport-mem]=1 [transport-tcp]=3 [runtime-sim]=7)
 for crate in core wire transport-mem transport-tcp runtime-sim; do
     n=0
     while IFS= read -r f; do
@@ -416,11 +431,16 @@ grep -q '"clean":true' "$wd_tmp" \
 # each message and the per-frame lists are kept, PR 28; 0.35 / 0.37 /
 # 2.5 us before it; 0.55 / 0.70 / 5-7 us before PR 23), not gated.
 # Allocation counts repeat to three digits on any host, so they are
-# gates: the burst's `alloc.count_per_msg` reads 3.15 since a frame's
-# head and slab go back to the pool with their `Arc`s (3.30 before; 4.9
+# gates: the burst's `alloc.count_per_msg` reads 3.04 since its
+# aggregate frames are read into frame buffers the TCP reader takes back
+# (3.15 before, when each cost a `Vec` and an `Arc`; 3.30 before a
+# frame's head and slab went back to the pool with their `Arc`s; 4.9
 # when a list per frame or a second list per delivered message was
-# back), gated at 3.2; the ping-pong's reads 2.001 since small frames are
-# carved into the TCP reader's slab as well (5.001 before), gated at 3.0.
+# back), gated at 3.09; the ping-pong's reads 2.001 since small frames
+# are carved into the TCP reader's slab as well (5.001 before), gated at
+# 3.0. The benchmark's text size is printed after its build: about 1.05
+# MB when the root .cargo/config.toml's profile reached it, 1.38 MB
+# without fat LTO.
 echo "==> nmad-benchmark (offline build, selftest, 3 s each traced: tcp_pingpong_small, mem_mixed_bidir, tcp_stream_large, tcp_burst_multiseg)"
 bench=(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --)
 # The value of per-layer metric $2 in the benchmark's result line $1.
@@ -429,6 +449,7 @@ selftest_out="$("${bench[@]}" selftest 2>/dev/null)" \
     && { echo "nmad-benchmark selftest exited 0: the verifier let damage through"; exit 1; }
 echo "$selftest_out" | tail -n 1 | grep -q '"correct": false' \
     || { echo "nmad-benchmark selftest failed without reporting damage (build error?)"; exit 1; }
+echo "    nmad-benchmark text bytes: $(size benchmark/target/release/nmad-benchmark | awk 'NR == 2 { print $1 }')"
 tcp_out="$("${bench[@]}" --workload tcp_pingpong_small --seconds 3 --trace 1 | tail -n 1)"
 echo "$tcp_out" | grep -q '"correct": true' \
     || { echo "nmad-benchmark tcp_pingpong_small smoke did not verify"; exit 1; }
@@ -468,8 +489,8 @@ for metric in core.next_tx_us_per_msg core.on_frame_us_per_msg wire.decode_us_pe
 done
 burst_allocs="$(ledger "$burst_out" alloc.count_per_msg)"
 echo "    alloc.count_per_msg on tcp_burst_multiseg: ${burst_allocs:-missing}"
-awk -v r="${burst_allocs:-9}" 'BEGIN { exit !(r <= 3.2) }' \
-    || { echo "tcp_burst_multiseg allocates ${burst_allocs:-?} times per message (budget 3.2): a frame's head or slab costs an Arc again, or a list per frame is back"; exit 1; }
+awk -v r="${burst_allocs:-9}" 'BEGIN { exit !(r <= 3.09) }' \
+    || { echo "tcp_burst_multiseg allocates ${burst_allocs:-?} times per message (budget 3.09): a frame's head or slab costs an Arc again, an aggregate frame an allocation of its own, or a list per frame is back"; exit 1; }
 
 echo "==> cargo fmt --check"
 cargo fmt --check 2>/dev/null || echo "    (rustfmt unavailable or diffs; non-fatal)"
