@@ -1,4 +1,4 @@
-//! Online-recalibration ablation (the `ablate_calibration` target).
+//! Online-recalibration ablation (the `ablate_calibration` experiment).
 //!
 //! The scenario DESIGN.md's "Online recalibration" section is built
 //! around: a pipelined transfer loses half of one rail's bandwidth

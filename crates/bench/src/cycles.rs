@@ -1,4 +1,4 @@
-//! Per-packet CPU-cycles gate (the `ablate_cycles` target).
+//! Per-packet CPU-cycles gate (the `ablate_cycles` experiment).
 //!
 //! The paper's engine lives or dies on raw per-packet cost: a scheduler
 //! that picks the perfect rail is worthless if checksumming eats the
@@ -16,7 +16,8 @@
 //!   visible end to end, not just in a microbenchmark).
 //!
 //! The result is written to `BENCH_cycles.json` at the repo root; the
-//! smoke variant (`NMAD_CYCLES_SMOKE=1`) runs in `scripts/verify.sh`.
+//! smoke variant (`--bench paper -- ablate_cycles --smoke`) runs in
+//! `scripts/verify.sh`.
 //! Syscalls per message and pool reuse are not measured here: the
 //! burst's frames and `write_vectored` calls per message are asserted by
 //! `conformance::burst_aggregates_and_echo_does_not`, the pool's reuse

@@ -3,9 +3,11 @@
 //! One function per figure of the paper's evaluation section; each returns
 //! the labelled series of that figure and can render it as an aligned
 //! text table (what `cargo bench` prints) and as JSON (written under
-//! `target/figures/` for EXPERIMENTS.md).
+//! `target/figures/` for EXPERIMENTS.md). One bench binary runs every
+//! experiment by name ([`paper`]):
+//! `cargo bench -p nmad-bench --bench paper -- fig2_myri`.
 //!
-//! | Paper figure | Function | Bench target |
+//! | Paper figure | Function | Experiment |
 //! |---|---|---|
 //! | Fig 2 (a/b) | [`figures::fig2_myri`] | `fig2_myri` |
 //! | Fig 3 (a/b) | [`figures::fig3_quadrics`] | `fig3_quadrics` |
@@ -23,6 +25,7 @@ pub mod cycles;
 pub mod figures;
 pub mod loadgen;
 pub mod obs_bench;
+pub mod paper;
 pub mod report;
 pub mod soak;
 pub mod tournament;

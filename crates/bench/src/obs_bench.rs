@@ -1,4 +1,4 @@
-//! Flight-recorder overhead accounting (the `ablate_obs` target).
+//! Flight-recorder overhead accounting (the `ablate_obs` experiment).
 //!
 //! Observability is only free if the hot path stays hot. This ablation
 //! drives a raw engine pair (no simulator — the simulator charges virtual

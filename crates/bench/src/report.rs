@@ -5,6 +5,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use nmad_runtime_sim::Sweep;
+use serde::Serialize;
 
 use crate::figures::FigureResult;
 
@@ -94,15 +95,41 @@ pub fn repo_root_dir() -> PathBuf {
     dir.canonicalize().unwrap_or(dir)
 }
 
-/// Write a gate report as pretty JSON to `BENCH_<name>.json` at the
-/// repo root; failures are reported to stderr, not fatal (the gate's
-/// exit code comes from its violations, not from filesystem luck).
-pub fn write_gate_json(name: &str, json: &[u8]) {
-    let path = repo_root_dir().join(format!("BENCH_{name}.json"));
-    match fs::write(&path, json) {
+/// Write `bytes` to `file` at the repo root; failures are reported to
+/// stderr, not fatal (a gate's exit code comes from its violations, not
+/// from filesystem luck).
+pub fn write_at_root(file: &str, bytes: &[u8]) {
+    let path = repo_root_dir().join(file);
+    match fs::write(&path, bytes) {
         Ok(()) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
+}
+
+/// The one ending of every gate: print `report` as `render` lays it out,
+/// write it as pretty JSON to `BENCH_<name>.json` at the repo root, then
+/// either list `check`'s violations and exit 1, or print `ok`'s line.
+/// A gate's retry policy, if it has one, is applied to `report` before
+/// it gets here.
+pub fn finish_gate<R: Serialize>(
+    name: &str,
+    report: &R,
+    render: fn(&R) -> String,
+    check: fn(&R) -> Vec<String>,
+    ok: impl FnOnce(&R) -> String,
+) {
+    println!("{}", render(report));
+    let json = serde_json::to_vec_pretty(report).expect("serializable");
+    write_at_root(&format!("BENCH_{name}.json"), &json);
+    let violations = check(report);
+    if !violations.is_empty() {
+        eprintln!("{name} gate violated:");
+        for v in &violations {
+            eprintln!("  - {v}");
+        }
+        std::process::exit(1);
+    }
+    eprintln!("{}", ok(report));
 }
 
 /// Write the figure as JSON under `target/figures/<id>.json`; returns the
@@ -120,8 +147,8 @@ pub fn write_json(fig: &FigureResult) -> std::io::Result<PathBuf> {
 //
 // Every wall-clock gate in this crate fights the same enemy: transient
 // background load on the measuring box. The defense is the same three
-// moves everywhere, so they live here once (obs_bench and ablate_cycles
-// use them):
+// moves everywhere, so they live here once (obs_bench and cycles use
+// all three, the soak gate the third):
 //
 // 1. warm up, then take MANY short samples rather than few long windows;
 // 2. estimate with the lowest-quartile mean — noise is strictly
@@ -221,7 +248,7 @@ pub fn write_csv(fig: &FigureResult) -> std::io::Result<Vec<PathBuf>> {
     Ok(written)
 }
 
-/// Standard main body for a figure bench target: run, print, dump.
+/// The body of every figure experiment: run, print, dump.
 pub fn run_figure_bench(name: &str, run: impl FnOnce() -> FigureResult) {
     eprintln!("running {name} (deterministic simulation)...");
     let fig = run();

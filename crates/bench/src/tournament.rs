@@ -1,5 +1,5 @@
 //! Strategy-zoo tournament: every [`StrategyKind`] against every traffic
-//! scenario (`nmad tournament`, `ablate_strategies`, `BENCH_strategies.json`).
+//! scenario (`ablate_strategies`, `BENCH_strategies.json`).
 //!
 //! Three presets claim a regime; the tournament is the instrument that
 //! checks the claims instead of taking them on faith:

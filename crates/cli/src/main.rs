@@ -90,13 +90,6 @@ fn usage() -> &'static str {
                                         --no-chaos runs clean (watchdog must\n\
                                         then stay silent); --out-* save the\n\
                                         telemetry series and machine verdict\n\
-       tournament [--seed N] [--smoke] [--check]\n\
-                                        strategy-zoo tournament: every strategy\n\
-                                        across six load regimes (uniform, heavy\n\
-                                        tail, MMPP bursts, drift, outage, small\n\
-                                        flood), ranked by makespan; writes\n\
-                                        BENCH_strategies.json; --check applies\n\
-                                        the zoo's claim gates\n\
      strategies: single-myri single-quadrics greedy aggregate adaptive iso static"
 }
 
@@ -130,7 +123,6 @@ fn run(argv: &[String]) -> Result<(), String> {
         Some("calibrate") => cmd_calibrate(&args),
         Some("loadgen") => cmd_loadgen(&args),
         Some("soak") => cmd_soak(&args),
-        Some("tournament") => cmd_tournament(&args),
         Some(other) => Err(format!("unknown command '{other}'")),
         None => Err("missing command".into()),
     }
@@ -897,35 +889,6 @@ fn cmd_soak(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_tournament(args: &Args) -> Result<(), String> {
-    use nmad_bench::tournament::{check, render, run};
-    let seed: u64 = args.num("seed", 2024)?;
-    let smoke = args.has("smoke");
-    eprintln!(
-        "strategy tournament ({} grid, seed {seed})...",
-        if smoke { "smoke" } else { "full" }
-    );
-    let report = run(seed, smoke);
-    println!("{}", render(&report));
-    let bytes = serde_json::to_vec_pretty(&report).map_err(|e| e.to_string())?;
-    nmad_bench::report::write_gate_json("strategies", &bytes);
-    if args.has("check") {
-        let violations = check(&report);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("tournament claim violated: {v}");
-            }
-            return Err("strategy tournament claim gate violated".into());
-        }
-        println!(
-            "tournament claim gates OK: {} cells, {} scenarios, all deliveries complete",
-            report.cells.len(),
-            report.scenarios.len()
-        );
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1088,14 +1051,6 @@ mod tests {
         ])
         .unwrap();
         assert!(run(&["soak".to_string(), "--duration".into(), "0".into()]).is_err());
-    }
-
-    #[test]
-    fn tournament_command_runs_the_smoke_grid_and_gates() {
-        // The smoke grid with --check is the verify.sh gate: every
-        // strategy across every scenario, deliveries complete, the three
-        // zoo claims holding.
-        run(&["tournament".to_string(), "--smoke".into(), "--check".into()]).unwrap();
     }
 
     #[test]

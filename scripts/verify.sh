@@ -66,7 +66,7 @@ fi
 # the CLI subcommands that only replayed a bench target are gone too.
 if grep -rnE 'WatchdogConfig|TelemetryConfig|CalibrationConfig|OverloadConfig|record_capacity|fn on_packet\b' \
     crates src tests examples \
-    || grep -rnE 'cmd_(datapath|cycles|burst|window|figure)\b' crates/cli; then
+    || grep -rnE 'cmd_(datapath|cycles|burst|window|figure|tournament)\b' crates/cli; then
     echo "a per-layer switch, a one-field config struct, on_packet or a CLI bench replay is back (see above)"; exit 1
 fi
 # Telemetry counts nothing twice (DESIGN.md §8 "Continuous telemetry"):
@@ -194,6 +194,21 @@ if grep -rnE 'ablate_zero_copy|NMAD_DATAPATH_SMOKE|DataPathReport|legacy_copied_
     echo "a second gate of a datapath property is back beside its tier-1 test (see above)"; exit 1
 fi
 
+# One bench binary (DESIGN.md §12 "The build"): every experiment runs by
+# name through `--bench paper`, and `--smoke`/`--seed` are its arguments.
+# Each further `[[bench]]` target is one more whole-program link of its
+# own, and the per-gate environment variables were seven settings for
+# what two arguments say.
+echo "==> one bench binary, and its arguments instead of environment variables"
+if [[ "$(grep -c '^\[\[bench\]\]' crates/bench/Cargo.toml)" != 1 ]]; then
+    grep -n '^\[\[bench\]\]' crates/bench/Cargo.toml
+    echo "a second [[bench]] target is back in crates/bench/Cargo.toml (see above): add an experiment to nmad_bench::paper"; exit 1
+fi
+if grep -rnE 'NMAD_(OBS|CYCLES|CALIBRATION|SOAK|STRATEGIES)_SMOKE|NMAD_(SOAK|STRATEGIES)_SEED' \
+    crates src tests examples .github; then
+    echo "a per-gate smoke or seed environment variable is back (see above): pass --smoke or --seed"; exit 1
+fi
+
 # Every wire header is one fixed layout (nmad-wire's `layout!`: the
 # envelope, the aggregate entry head, the eager, chunk, rendezvous, ack
 # and probe heads; DESIGN.md §4 has the table): written as one array with
@@ -319,7 +334,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # recording costs > 5% aggregate wall-clock or takes any hot-path
 # allocation (see DESIGN.md §8).
 echo "==> flight-recorder overhead (ablate_obs smoke sweep)"
-NMAD_OBS_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_obs
+cargo bench -q -p nmad-bench --bench paper -- ablate_obs --smoke
 
 # Calibration gate: the ablate_calibration smoke sweep replays the
 # mid-run bandwidth-degradation scenario and exits nonzero if online
@@ -329,7 +344,7 @@ NMAD_OBS_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_obs
 # committed: a changed decision shows up here, not as a silently
 # rewritten snapshot.
 echo "==> online recalibration under drift (ablate_calibration smoke sweep)"
-NMAD_CALIBRATION_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_calibration
+cargo bench -q -p nmad-bench --bench paper -- ablate_calibration --smoke
 git diff --exit-code -- BENCH_calibration.json \
     || { echo "the calibration scenario moved (see above): a decision changed"; exit 1; }
 
@@ -340,7 +355,7 @@ git diff --exit-code -- BENCH_calibration.json \
 # see DESIGN.md §11). The full minutes-long soak runs in the scheduled
 # CI job; the seed in BENCH_soak.json replays either.
 echo "==> chaos soak SLOs (ablate_soak smoke, ~15 s)"
-NMAD_SOAK_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_soak
+cargo bench -q -p nmad-bench --bench paper -- ablate_soak --smoke
 
 # Per-packet cycles gate: the ablate_cycles smoke sweep measures the
 # checksum kernels (slice16 >= 3x scalar, SIMD >= 8x where detected, at
@@ -349,7 +364,7 @@ NMAD_SOAK_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_soak
 # §12). Syscalls per message and pool reuse are tier-1 tests' (the
 # conformance burst above, alloc_budget).
 echo "==> per-packet cycles (ablate_cycles smoke sweep)"
-NMAD_CYCLES_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_cycles
+cargo bench -q -p nmad-bench --bench paper -- ablate_cycles --smoke
 
 # Strategy-tournament gate: every StrategyKind across the six load
 # regimes (uniform, heavy tail, MMPP bursts, drift, outage, small
@@ -358,12 +373,12 @@ NMAD_CYCLES_SMOKE=1 cargo bench -q -p nmad-bench --bench ablate_cycles
 # bandwidth on the asymmetric flood, adaptive-split (smalls aggregated
 # onto the low-latency rail) at least halves greedy's small-message p99
 # (see DESIGN.md "Strategy zoo"). Writes BENCH_strategies.json; the full
-# grid runs via the ablate_strategies bench in the scheduled CI job.
+# grid is the same experiment without --smoke.
 # The sim grid is deterministic, so the file it writes must be the one
 # committed: a changed decision shows up here, not as a silently
 # rewritten snapshot.
-echo "==> strategy tournament (nmad tournament --smoke --check)"
-cargo run -q -p nmad-cli -- tournament --smoke --check >/dev/null
+echo "==> strategy tournament (ablate_strategies smoke grid)"
+cargo bench -q -p nmad-bench --bench paper -- ablate_strategies --smoke >/dev/null
 git diff --exit-code -- BENCH_strategies.json \
     || { echo "the tournament grid moved (see above): a decision changed"; exit 1; }
 
