@@ -26,12 +26,11 @@
 use std::time::Instant;
 
 use bytes::Bytes;
-use nmad_core::engine::Engine;
 use nmad_core::{EngineConfig, StrategyKind};
-use nmad_model::{platform, RailId};
 use nmad_wire::checksum::{self, Kernel};
 use serde::{ser, Serialize, Value};
 
+use crate::pair::{engines, timed_send};
 use crate::report::{lower_quartile_mean, mix};
 
 /// Minimum slicing-by-16 throughput, as a multiple of the scalar kernel.
@@ -185,51 +184,6 @@ fn measure_kernels(len: usize, samples: usize) -> Vec<KernelPoint> {
         .collect()
 }
 
-fn engine_pair(strategy: StrategyKind, crc: bool) -> (Engine, Engine) {
-    let mut cfg = EngineConfig::with_strategy(strategy);
-    cfg.crc = crc;
-    let mk = || Engine::new(cfg.clone(), platform::paper_platform().rails, vec![]);
-    let (mut a, mut b) = (mk(), mk());
-    a.conn_open();
-    b.conn_open();
-    (a, b)
-}
-
-/// Drive both engines until neither makes progress.
-fn pump(a: &mut Engine, b: &mut Engine) {
-    for _ in 0..1_000_000 {
-        let mut progressed = false;
-        for dir in 0..2 {
-            let (tx, rx) = if dir == 0 {
-                (&mut *a, &mut *b)
-            } else {
-                (&mut *b, &mut *a)
-            };
-            for r in 0..2 {
-                let rail = RailId(r);
-                if let Some(d) = tx.next_tx(rail).expect("next_tx") {
-                    progressed = true;
-                    tx.on_tx_done(rail, d.token).expect("tx_done");
-                    rx.on_frame(rail, &d.frame).expect("on_frame");
-                }
-            }
-        }
-        if !progressed {
-            return;
-        }
-    }
-    panic!("engines did not quiesce");
-}
-
-/// Send one message through the pair and return its wall-clock ns.
-fn one_msg(a: &mut Engine, b: &mut Engine, payload: &Bytes) -> u64 {
-    let start = Instant::now();
-    b.post_recv(0);
-    a.submit_send(0, vec![payload.clone()]);
-    pump(a, b);
-    start.elapsed().as_nanos() as u64
-}
-
 /// The CRC-on workload timed with the checksum kernel forced to scalar
 /// vs. the best available kernel, finely interleaved (`ablate_obs`
 /// noise discipline). Restores the best kernel before returning.
@@ -237,14 +191,16 @@ fn measure_per_packet(size: usize, samples: usize) -> PerPacketPoint {
     let fast = *checksum::available_kernels()
         .last()
         .expect("scalar always available");
-    let (mut a_s, mut b_s) = engine_pair(StrategyKind::AdaptiveSplit, true);
-    let (mut a_f, mut b_f) = engine_pair(StrategyKind::AdaptiveSplit, true);
+    let mut cfg = EngineConfig::with_strategy(StrategyKind::AdaptiveSplit);
+    cfg.crc = true;
+    let (mut a_s, mut b_s) = engines(&cfg);
+    let (mut a_f, mut b_f) = engines(&cfg);
     let payload = Bytes::from(noise_buf(size));
     // Warm both pairs (allocator, page faults, split tables).
     checksum::set_kernel(Kernel::Scalar);
-    one_msg(&mut a_s, &mut b_s, &payload);
+    timed_send(&mut a_s, &mut b_s, &payload);
     checksum::set_kernel(fast);
-    one_msg(&mut a_f, &mut b_f, &payload);
+    timed_send(&mut a_f, &mut b_f, &payload);
     let mut scalar = Vec::with_capacity(samples);
     let mut fastv = Vec::with_capacity(samples);
     for i in 0..samples {
@@ -252,10 +208,10 @@ fn measure_per_packet(size: usize, samples: usize) -> PerPacketPoint {
         for leg in 0..2 {
             if (leg == 0) == scalar_first {
                 checksum::set_kernel(Kernel::Scalar);
-                scalar.push(one_msg(&mut a_s, &mut b_s, &payload));
+                scalar.push(timed_send(&mut a_s, &mut b_s, &payload));
             } else {
                 checksum::set_kernel(fast);
-                fastv.push(one_msg(&mut a_f, &mut b_f, &payload));
+                fastv.push(timed_send(&mut a_f, &mut b_f, &payload));
             }
         }
     }

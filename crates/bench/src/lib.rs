@@ -25,6 +25,7 @@ pub mod cycles;
 pub mod figures;
 pub mod loadgen;
 pub mod obs_bench;
+mod pair;
 pub mod paper;
 pub mod report;
 pub mod soak;

@@ -26,9 +26,9 @@ use std::time::Instant;
 use bytes::Bytes;
 use nmad_core::engine::Engine;
 use nmad_core::{EngineConfig, Observe, StrategyKind};
-use nmad_model::{platform, RailId};
 use serde::{ser, Serialize, Value};
 
+use crate::pair::{engines, timed_send};
 use crate::report::{lower_quartile_mean, mix};
 
 /// Maximum tolerated aggregate wall-clock overhead of recording, percent.
@@ -152,37 +152,7 @@ fn engine_pair(observe: Observe) -> (Engine, Engine) {
     cfg.crc = true;
     cfg.acked = true; // acks + RTT samples exercise the reliability events
     cfg.observe = observe;
-    let mk = || Engine::new(cfg.clone(), platform::paper_platform().rails, vec![]);
-    let (mut a, mut b) = (mk(), mk());
-    a.conn_open();
-    b.conn_open();
-    (a, b)
-}
-
-/// Drive both engines until neither makes progress.
-fn pump(a: &mut Engine, b: &mut Engine) {
-    for _ in 0..1_000_000 {
-        let mut progressed = false;
-        for dir in 0..2 {
-            let (tx, rx) = if dir == 0 {
-                (&mut *a, &mut *b)
-            } else {
-                (&mut *b, &mut *a)
-            };
-            for r in 0..2 {
-                let rail = RailId(r);
-                if let Some(d) = tx.next_tx(rail).expect("next_tx") {
-                    progressed = true;
-                    tx.on_tx_done(rail, d.token).expect("tx_done");
-                    rx.on_frame(rail, &d.frame).expect("on_frame");
-                }
-            }
-        }
-        if !progressed {
-            return;
-        }
-    }
-    panic!("engines did not quiesce");
+    engines(&cfg)
 }
 
 /// Send one message through the pair and return its wall-clock ns.
@@ -194,10 +164,7 @@ fn pump(a: &mut Engine, b: &mut Engine) {
 /// so telemetry windows open and close at their configured cadence.
 fn one_msg(a: &mut Engine, b: &mut Engine, payload: &Bytes, clock: &mut u64) -> u64 {
     let start = Instant::now();
-    b.post_recv(0);
-    a.submit_send(0, vec![payload.clone()]);
-    pump(a, b);
-    *clock += start.elapsed().as_nanos() as u64;
+    *clock += timed_send(a, b, payload);
     a.observe_clock(*clock);
     b.observe_clock(*clock);
     a.fold_telemetry();

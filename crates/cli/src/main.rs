@@ -259,14 +259,12 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
     let tx = Script::new(vec![Step::Send(payloads)]);
     let config = EngineConfig::with_strategy(kind);
     let mut w = SimWorld::new(&plat, config, tx, Script::receiver(1));
-    w.enable_timeline();
+    w.enable_recording(1 << 16);
     w.run(5_000_000);
+    let chart = obs::gantt::render(&w.merged_events(), w.events_dropped(), 72);
     println!(
-        "{} / {} segment(s) x {} B:\n{}",
-        kind.label(),
-        segments,
-        seg,
-        w.timeline.as_ref().expect("enabled").render(72)
+        "{} / {segments} segment(s) x {seg} B:\n{chart}",
+        kind.label()
     );
     Ok(())
 }
@@ -364,6 +362,8 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     engine.health.max_rto_ns = rto0.saturating_mul(20).max(200_000_000);
     engine.health.probe_interval_ns = 20_000_000;
     engine.health.probe_timeout_ns = 10_000_000;
+    // The rails' health paths are read from the recorded transitions.
+    engine.observe = nmad_core::Observe::Record { capacity: 1 << 16 };
 
     // Every rail lossy, duplicating and reordering for good, plus the
     // outage asked for.
@@ -432,12 +432,17 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
         let table = obs::text_table(&ep.stats(), elapsed.as_nanos() as u64);
         print!("\n{side}:\n{table}");
     }
+    let events = a.events();
     for i in 0..plat.rails.len() {
-        let hist = a.rail_history(i);
+        let hist = nmad_core::health::recorded_path(&events, i);
         if hist.len() > 1 {
-            let path: Vec<String> = hist.iter().map(|s| format!("{s:?}")).collect();
+            let path: Vec<&str> = hist.iter().map(|s| s.label()).collect();
             println!("rail {i} health path: {}", path.join(" -> "));
         }
+    }
+    let dropped = a.fabric().engine().lock().recorder().dropped();
+    if dropped > 0 {
+        println!("(the recorder dropped {dropped} events: the paths above start late)");
     }
     // Adaptive-timer telemetry and per-state dwell times (how long each
     // rail spent Up / Suspect / Down / Probing over the run).
@@ -493,10 +498,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     let capacity: usize = args.num("capacity", 65_536)?;
     let w = record_workload(kind, sizes, false, capacity);
     let events = w.merged_events();
-    let dropped: u64 = (0..2)
-        .map(|i| w.node(i).engine.recorder().dropped())
-        .sum::<u64>()
-        + w.recorder.dropped();
+    let dropped = w.events_dropped();
 
     let format = args.flag("format").unwrap_or("chrome");
     let rendered = match format {

@@ -15,7 +15,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use nmad_model::RailId;
 use nmad_wire::reassembly::MessageAssembly;
 use nmad_wire::ConnId;
 use parking_lot::{Condvar, Mutex};
@@ -328,12 +327,6 @@ impl Endpoint {
     /// Current health state of every rail.
     pub fn rail_states(&self) -> Vec<RailState> {
         self.fabric.engine().lock().rail_states()
-    }
-
-    /// Full health state history of one rail, oldest first.
-    pub fn rail_history(&self, rail: usize) -> Vec<RailState> {
-        let eng = self.fabric.engine().lock();
-        eng.health().rail(RailId(rail)).history().to_vec()
     }
 
     /// Timer and dwell-time telemetry of one rail (SRTT/RTTVAR/RTO and

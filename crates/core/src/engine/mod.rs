@@ -2539,7 +2539,9 @@ mod tests {
             seg_index: 0,
         })
         .encode(0, 0, false);
-        let err = rx.on_frame(RailId(0), &PacketFrame::from_wire(ack)).unwrap_err();
+        let err = rx
+            .on_frame(RailId(0), &PacketFrame::from_wire(ack))
+            .unwrap_err();
         assert!(matches!(err, EngineError::UnknownRendezvous { .. }));
     }
 
@@ -2554,7 +2556,9 @@ mod tests {
             data: payload(128, 0),
         })
         .encode(c, 0, false);
-        let out = b.on_frame(RailId(0), &PacketFrame::from_wire(ping)).unwrap();
+        let out = b
+            .on_frame(RailId(0), &PacketFrame::from_wire(ping))
+            .unwrap();
         assert!(out.control_enqueued);
         // B answers with a pong.
         let d = b.next_tx(RailId(0)).unwrap().expect("pong queued");

@@ -27,6 +27,8 @@
 
 use nmad_model::RailId;
 
+use crate::obs::{Event, EventKind};
+
 /// Reachability state of one rail.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RailState {
@@ -42,6 +44,14 @@ pub enum RailState {
 }
 
 impl RailState {
+    /// Every state, by [`RailState::index`].
+    const ALL: [RailState; 4] = [
+        RailState::Up,
+        RailState::Suspect,
+        RailState::Down,
+        RailState::Probing,
+    ];
+
     /// Dense index (0 Up, 1 Suspect, 2 Down, 3 Probing), used for dwell
     /// arrays and event encoding.
     pub fn index(self) -> usize {
@@ -136,10 +146,11 @@ pub struct RailHealth {
     probe_outstanding: bool,
     /// Last time positive evidence (ack, pong) arrived for this rail.
     last_ok_ns: Option<u64>,
-    /// Every state this rail has been in, in order (starts at `Up`).
-    history: Vec<RailState>,
-    /// When each history entry was entered (parallel to `history`).
-    history_ns: Vec<u64>,
+    /// Time spent in each state before the current one, indexed by
+    /// [`RailState::index`].
+    dwell: [u64; 4],
+    /// When the current state was entered.
+    entered_ns: u64,
 }
 
 impl RailHealth {
@@ -153,8 +164,8 @@ impl RailHealth {
             probe_sent_ns: 0,
             probe_outstanding: false,
             last_ok_ns: None,
-            history: vec![RailState::Up],
-            history_ns: vec![0],
+            dwell: [0; 4],
+            entered_ns: 0,
         }
     }
 
@@ -173,31 +184,11 @@ impl RailHealth {
         self.rttvar_ns
     }
 
-    /// Full state history, oldest first (starts with [`RailState::Up`]).
-    pub fn history(&self) -> &[RailState] {
-        &self.history
-    }
-
-    /// State history with entry timestamps, oldest first.
-    pub fn history_stamped(&self) -> impl Iterator<Item = (u64, RailState)> + '_ {
-        self.history_ns
-            .iter()
-            .copied()
-            .zip(self.history.iter().copied())
-    }
-
     /// Total time spent in each state up to `now_ns`, indexed by
     /// [`RailState::index`].
     pub fn dwell_ns(&self, now_ns: u64) -> [u64; 4] {
-        let mut dwell = [0u64; 4];
-        for (i, (&t, &s)) in self.history_ns.iter().zip(self.history.iter()).enumerate() {
-            let end = self
-                .history_ns
-                .get(i + 1)
-                .copied()
-                .unwrap_or_else(|| now_ns.max(t));
-            dwell[s.index()] += end.saturating_sub(t);
-        }
+        let mut dwell = self.dwell;
+        dwell[self.state.index()] += now_ns.saturating_sub(self.entered_ns);
         dwell
     }
 
@@ -205,9 +196,9 @@ impl RailHealth {
         if self.state == to {
             return false;
         }
+        self.dwell = self.dwell_ns(now_ns);
         self.state = to;
-        self.history.push(to);
-        self.history_ns.push(now_ns);
+        self.entered_ns = now_ns;
         true
     }
 }
@@ -235,8 +226,21 @@ pub struct RailTelemetry {
     pub rto_ns: u64,
     /// Time spent in each state so far, indexed by [`RailState::index`].
     pub dwell_ns: [u64; 4],
-    /// State changes observed (history length minus the initial `Up`).
-    pub transitions: usize,
+}
+
+/// The states `rail` went through, read from the recorder's
+/// `health_transition` events: [`RailState::Up`], where every rail
+/// starts, then each state it entered, in order. Whole only when the
+/// ring that held `events` dropped none.
+pub fn recorded_path<'a>(
+    events: impl IntoIterator<Item = &'a Event>,
+    rail: usize,
+) -> Vec<RailState> {
+    let entered = events
+        .into_iter()
+        .filter(|e| e.kind == EventKind::HealthTransition && usize::from(e.rail) == rail)
+        .map(|e| RailState::ALL[e.aux as usize]);
+    std::iter::once(RailState::Up).chain(entered).collect()
 }
 
 /// Tracks the health of every rail of an engine.
@@ -339,7 +343,6 @@ impl HealthTracker {
             rttvar_ns: r.rttvar_ns,
             rto_ns: self.rto_ns(rail),
             dwell_ns: r.dwell_ns(now_ns),
-            transitions: r.history.len() - 1,
         }
     }
 
@@ -555,35 +558,37 @@ mod tests {
     fn probe_cycle_reinstates_a_down_rail() {
         let mut h = HealthTracker::new(cfg(), 1);
         let r = RailId(0);
+        // Every state change the calls report, in order.
+        let mut path = Vec::new();
         for t in 0..3 {
-            h.on_timeout(r, t);
+            path.extend(h.on_timeout(r, t));
         }
         assert_eq!(h.rail(r).state(), RailState::Down);
         assert!(!h.probe_due(r, 0), "probe timer not yet expired");
         // Rail went down at t=2 -> next probe due at 502.
         assert!(h.probe_due(r, 502));
-        h.on_probe_sent(r, 502);
+        path.extend(h.on_probe_sent(r, 502));
         assert_eq!(h.rail(r).state(), RailState::Probing);
         // Unanswered: back to Down, timer re-armed.
         assert!(h.probe_expired(r, 702));
-        h.on_probe_timeout(r, 702);
+        path.extend(h.on_probe_timeout(r, 702));
         assert_eq!(h.rail(r).state(), RailState::Down);
         assert!(!h.probe_due(r, 900));
         assert!(h.probe_due(r, 1202));
         // Answered this time: Up again.
-        h.on_probe_sent(r, 1200);
-        h.on_probe_ok(r, 50, 1250);
+        path.extend(h.on_probe_sent(r, 1200));
+        path.extend(h.on_probe_ok(r, 50, 1250));
         assert_eq!(h.rail(r).state(), RailState::Up);
+        let to = |to| Transition { rail: r, to };
         assert_eq!(
-            h.rail(r).history(),
-            &[
-                RailState::Up,
-                RailState::Suspect,
-                RailState::Down,
-                RailState::Probing,
-                RailState::Down,
-                RailState::Probing,
-                RailState::Up,
+            path,
+            [
+                to(RailState::Suspect),
+                to(RailState::Down),
+                to(RailState::Probing),
+                to(RailState::Down),
+                to(RailState::Probing),
+                to(RailState::Up),
             ]
         );
     }
@@ -619,12 +624,31 @@ mod tests {
         assert_eq!(t.dwell_ns[RailState::Suspect.index()], 200);
         assert_eq!(t.dwell_ns[RailState::Down.index()], 500);
         assert_eq!(t.dwell_ns[RailState::Probing.index()], 50);
-        assert_eq!(t.transitions, 4);
         assert_eq!(t.srtt_ns, Some(50));
         assert_eq!(t.rttvar_ns, 25);
-        let stamped: Vec<(u64, RailState)> = h.rail(r).history_stamped().collect();
-        assert_eq!(stamped[0], (0, RailState::Up));
-        assert_eq!(stamped[4], (850, RailState::Up));
+    }
+
+    /// The path read back from `health_transition` events is the one the
+    /// tracker walked: what the engine records is `aux` = the new state.
+    #[test]
+    fn recorded_path_reads_the_transition_events() {
+        let ev = |rail: usize, to: RailState| {
+            Event::new(0, EventKind::HealthTransition)
+                .rail(rail)
+                .aux(to.index() as u64)
+        };
+        let events = [
+            ev(0, RailState::Suspect),
+            ev(1, RailState::Suspect),
+            Event::new(0, EventKind::ProbeSent).rail(0),
+            ev(0, RailState::Down),
+            ev(0, RailState::Probing),
+            ev(0, RailState::Up),
+        ];
+        use RailState::*;
+        assert_eq!(recorded_path(&events, 0), [Up, Suspect, Down, Probing, Up]);
+        assert_eq!(recorded_path(&events, 1), [Up, Suspect]);
+        assert_eq!(recorded_path(&events, 2), [Up]);
     }
 
     #[test]

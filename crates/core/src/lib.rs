@@ -109,8 +109,6 @@ pub use obs::{
     TelemetryAggregator, Watchdog, Window,
 };
 pub use request::{Backlog, RecvId, SendId};
-pub use sampling::{
-    split_ratio_permille, CalibrationSnapshot, OnlineCalibrator, PerfTable,
-};
+pub use sampling::{split_ratio_permille, CalibrationSnapshot, OnlineCalibrator, PerfTable};
 pub use stats::{DataPathStats, EngineStats, ObsStats, OverloadStats, RailStats, SyscallStats};
 pub use strategy::{RailFlight, Strategy, StrategyKind};

@@ -12,8 +12,8 @@
 //! ≤ 5% throughput cost on the bandwidth ladder).
 //!
 //! Exporters live on the cold path only: JSONL for ad-hoc grepping,
-//! Chrome `trace_event` JSON for `chrome://tracing`/Perfetto, and a
-//! human summary. Every number read from the engine's counters is named
+//! Chrome `trace_event` JSON for `chrome://tracing`/Perfetto, a human
+//! summary, and the simulator's Gantt chart ([`gantt`]). Every number read from the engine's counters is named
 //! once, in [`metrics::METRICS`], and rendered from there (Prometheus,
 //! the windows' JSONL, the CLI's tables). See DESIGN.md "Observability".
 //!
@@ -27,6 +27,7 @@
 #![deny(clippy::unnecessary_to_owned, clippy::redundant_clone)]
 
 mod export;
+pub mod gantt;
 mod hist;
 pub mod metrics;
 mod recorder;

@@ -74,16 +74,22 @@ pub enum EventKind {
     /// (`seq` = rebuild ordinal, `size` = this rail's reference-size split
     /// share *before* the rebuild in permille, `aux` = the share after).
     Calibrate,
-    /// Simulator: CPU busy injecting or receiving (`size` = wire bytes,
-    /// `aux` = bytes copied at injection).
+    /// Simulator: a CPU grant — a PIO injection, a DMA descriptor setup
+    /// or a receive overhead. An interval, like every `sim_*` kind but
+    /// `sim_app` and a lost frame: stamped at its start, `seq` = its end
+    /// in ns (`rail` = the frame's rail, `size` = its wire bytes, `aux` =
+    /// bytes copied at injection). [`super::gantt`] draws them.
     SimCpu,
-    /// Simulator: NIC event (`aux` = 0 PIO done, 1 packet lost).
+    /// Simulator: a PIO injection occupying a rail (`aux` = 0; an
+    /// interval, `seq` = its end, `size` = wire bytes), or a frame lost
+    /// on arrival (`aux` = 1; an instant, `seq` = 0).
     SimNic,
-    /// Simulator: I/O bus DMA activity (`size` = transfer bytes,
-    /// `aux` = 0 start, 1 done).
+    /// Simulator: a DMA transfer occupying a rail while it drains through
+    /// the I/O bus (an interval, `seq` = its end; `size` = transfer
+    /// bytes). Recorded when the drain completes.
     SimBus,
-    /// Simulator: application-level completion (`aux` = 0 send done,
-    /// 1 recv done).
+    /// Simulator: application-level completion (`seq` = the send or
+    /// receive id, `aux` = 0 send done, 1 recv done).
     SimApp,
     /// The SLO watchdog fired a rule over a closed telemetry window
     /// (`seq` = window ordinal, `aux` = alert code: 0 latency
@@ -167,7 +173,8 @@ pub struct Event {
     pub actor: u16,
     /// Rail involved, or [`NO_RAIL`].
     pub rail: u16,
-    /// Sequence-like identity (send id, tx token, probe id — per kind).
+    /// Sequence-like identity (send id, tx token, probe id — per kind),
+    /// or an interval's end in ns (the `sim_*` intervals).
     pub seq: u64,
     /// Byte count (per kind).
     pub size: u64,

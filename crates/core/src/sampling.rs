@@ -387,8 +387,7 @@ impl OnlineCalibrator {
         if !predicted.is_finite() || predicted <= 0.0 {
             return;
         }
-        let ratio =
-            (observed_us / predicted).clamp(1.0 / MAX_CORRECTION, MAX_CORRECTION);
+        let ratio = (observed_us / predicted).clamp(1.0 / MAX_CORRECTION, MAX_CORRECTION);
         let bucket = self.bucket_for(size);
         let step = (ALPHA * weight.min(1.0)).clamp(0.0, 1.0);
         let b = &mut self.buckets[rail][bucket];

@@ -6,7 +6,9 @@
 //!
 //! * [`world`] — the event loop: CPU occupancy (PIO serialization, memcpy,
 //!   per-packet overheads, per-rail poll costs), DMA draining through the
-//!   max-min-fair bus, wire latencies, and each node's application;
+//!   max-min-fair bus, wire latencies, and each node's application; its
+//!   flight recorder's `sim_*` intervals are what
+//!   [`nmad_core::obs::gantt`] draws;
 //! * [`script`] — the one application, as data: a list of receives,
 //!   sends, computes and drains under a window of outstanding sends;
 //! * [`pingpong`] — the paper's benchmark (§3.1): a regular ping-pong with
@@ -24,12 +26,10 @@ pub mod pingpong;
 pub mod sampling;
 pub mod script;
 pub mod sweep;
-pub mod timeline;
 pub mod world;
 
 pub use pingpong::{run_pingpong, PingPongResult, PingPongSpec};
 pub use sampling::{sample_platform, sample_rail};
 pub use script::{Script, Step};
 pub use sweep::{bandwidth_sizes, latency_sizes, SeriesPoint, Sweep};
-pub use timeline::Timeline;
 pub use world::SimWorld;

@@ -26,12 +26,12 @@ use nmad_core::request::{RecvId, SendId};
 use nmad_core::{Effect, EngineConfig, FaultPlan};
 use nmad_model::{HostModel, NicModel, Platform, RailId, TxMode};
 use nmad_sim::{
-    EventQueue, FlowId, FluidChannel, MultiResource, SimDuration, SimTime, Xoshiro256StarStar,
+    EventQueue, FlowId, FluidChannel, Grant, MultiResource, SimDuration, SimTime,
+    Xoshiro256StarStar,
 };
 use nmad_wire::{ConnId, PacketFrame, SmallList};
 
 use crate::script::Script;
-use crate::timeline::Timeline;
 
 /// The fault plan a world runs under, its bounds in simulated time, and
 /// the engine progress ticks that come with it: they drive the health
@@ -185,14 +185,14 @@ pub struct SimWorld {
     nodes: Vec<Node>,
     apps: [Script; 2],
     /// Hardware-model flight recorder (disabled by default; see
-    /// [`SimWorld::enable_recording`]). Sim-only activity — PIO
-    /// completions, DMA/bus starts, launches, fault-plan losses,
-    /// app-level completions — lands here with `actor` = node index;
-    /// engine-level lifecycle events land in each node engine's own
-    /// recorder. Consumers merge the three streams by timestamp.
+    /// [`SimWorld::enable_recording`]). Sim-only activity — CPU grants
+    /// and the rails' PIO and DMA occupancies (intervals: stamped at
+    /// their start, their end in `seq`), fault-plan losses, app-level
+    /// completions — lands here with `actor` = node index; engine-level
+    /// lifecycle events land in each node engine's own recorder.
+    /// Consumers merge the three streams by timestamp; the CPU and rail
+    /// lanes of [`nmad_core::obs::gantt`] are drawn from it.
     pub recorder: FlightRecorder,
-    /// Optional activity timeline (see [`crate::timeline`]).
-    pub timeline: Option<Timeline>,
     faults: Option<Faults>,
     /// Packets lost to the fault plan's loss windows.
     pub packets_lost: u64,
@@ -212,7 +212,6 @@ impl SimWorld {
             ],
             apps: [app0, app1],
             recorder: FlightRecorder::disabled(),
-            timeline: None,
             faults: None,
             packets_lost: 0,
             events: 0,
@@ -269,22 +268,34 @@ impl SimWorld {
         all
     }
 
+    /// Events the three recording rings lost to overflow.
+    pub fn events_dropped(&self) -> u64 {
+        let engines: u64 = self
+            .nodes
+            .iter()
+            .map(|n| n.engine.recorder().dropped())
+            .sum();
+        engines + self.recorder.dropped()
+    }
+
     fn now_ns(now: SimTime) -> u64 {
         // SimTime counts picoseconds; the recorder timestamps in ns.
         now.0 / 1_000
     }
 
-    /// Record a hardware-model event (no-op while recording is off).
-    fn sim_event(&mut self, now: SimTime, kind: EventKind, node: usize) -> Option<Event> {
+    /// A hardware-model event to record (none while recording is off).
+    fn sim_event(&self, now: SimTime, kind: EventKind, node: usize) -> Option<Event> {
         if !self.recorder.is_enabled() {
             return None;
         }
         Some(Event::new(Self::now_ns(now), kind).actor(node as u16))
     }
 
-    /// Start recording an activity timeline (CPU, rails, bus).
-    pub fn enable_timeline(&mut self) {
-        self.timeline = Some(Timeline::new());
+    /// A hardware-model interval to record: stamped at its start, its
+    /// end in `seq`.
+    fn sim_span(&self, kind: EventKind, node: usize, g: Grant) -> Option<Event> {
+        let e = self.sim_event(g.start, kind, node)?;
+        Some(e.seq(Self::now_ns(g.end)))
     }
 
     /// Replace both engines' sampling tables.
@@ -383,9 +394,6 @@ impl SimWorld {
                         .on_tx_done(RailId(rail), token)
                         .expect("tx token must be valid"),
                 );
-                if let Some(e) = self.sim_event(now, EventKind::SimNic, node) {
-                    self.recorder.record(e.rail(rail));
-                }
                 for s in completed {
                     self.fire_send_complete(node, now, s);
                 }
@@ -417,9 +425,6 @@ impl SimWorld {
                         started: now,
                     },
                 );
-                if let Some(e) = self.sim_event(now, EventKind::SimBus, node) {
-                    self.recorder.record(e.rail(rail).size(len));
-                }
                 self.schedule_bus_check(node, now);
             }
             Ev::BusCheck { node, epoch } => {
@@ -441,13 +446,13 @@ impl SimWorld {
                         .dma
                         .remove(&fid)
                         .expect("completed flow must be tracked");
-                    if let Some(tl) = &mut self.timeline {
-                        tl.record(
-                            format!("n{node}.rail{rail}"),
-                            started,
-                            now,
-                            format!("dma {}B", frame.wire_len()),
-                        );
+                    let drain = Grant {
+                        start: started,
+                        end: now,
+                    };
+                    if let Some(e) = self.sim_span(EventKind::SimBus, node, drain) {
+                        self.recorder
+                            .record(e.rail(rail).size(frame.wire_len() as u64));
                     }
                     let completed = sends_of(
                         self.nodes[node]
@@ -484,8 +489,9 @@ impl SimWorld {
                 }
                 let rx = self.nodes[node].rails[rail].rx_overhead;
                 let g = self.nodes[node].cpu.acquire(now, rx);
-                if let Some(tl) = &mut self.timeline {
-                    tl.record(format!("n{node}.cpu"), g.start, g.end, "rx");
+                if let Some(e) = self.sim_span(EventKind::SimCpu, node, g) {
+                    self.recorder
+                        .record(e.rail(rail).size(frame.wire_len() as u64));
                 }
                 self.queue.push(g.end, Ev::Deliver { node, rail, frame });
             }
@@ -536,23 +542,13 @@ impl SimWorld {
             cpu_cost += host.memcpy_time(d.copied_bytes);
         }
         let wire_len = d.frame.wire_len();
-        match d.mode {
+        let g = match d.mode {
             TxMode::Pio => {
                 cpu_cost += nic.pio_injection_time(wire_len);
                 let g = self.nodes[node].cpu.acquire(now, cpu_cost);
-                if let Some(tl) = &mut self.timeline {
-                    tl.record(
-                        format!("n{node}.cpu"),
-                        g.start,
-                        g.end,
-                        format!("pio {wire_len}B"),
-                    );
-                    tl.record(
-                        format!("n{node}.rail{rail}"),
-                        g.start,
-                        g.end,
-                        format!("pio {wire_len}B"),
-                    );
+                // The injection holds the rail as long as the CPU.
+                if let Some(e) = self.sim_span(EventKind::SimNic, node, g) {
+                    self.recorder.record(e.rail(rail).size(wire_len as u64));
                 }
                 self.queue.push(
                     g.end,
@@ -570,18 +566,11 @@ impl SimWorld {
                         frame: d.frame,
                     },
                 );
+                g
             }
             _ => {
                 cpu_cost += nic.dma_setup;
                 let g = self.nodes[node].cpu.acquire(now, cpu_cost);
-                if let Some(tl) = &mut self.timeline {
-                    tl.record(
-                        format!("n{node}.cpu"),
-                        g.start,
-                        g.end,
-                        format!("dma setup {wire_len}B"),
-                    );
-                }
                 self.queue.push(
                     g.end,
                     Ev::DmaStart {
@@ -591,14 +580,13 @@ impl SimWorld {
                         frame: d.frame,
                     },
                 );
+                g
             }
-        }
-        if let Some(e) = self.sim_event(now, EventKind::SimCpu, node) {
-            self.recorder.record(
-                e.rail(rail)
-                    .size(wire_len as u64)
-                    .aux(d.copied_bytes as u64),
-            );
+        };
+        if let Some(e) = self.sim_span(EventKind::SimCpu, node, g) {
+            let copied = d.copied_bytes as u64;
+            self.recorder
+                .record(e.rail(rail).size(wire_len as u64).aux(copied));
         }
     }
 
@@ -829,39 +817,44 @@ mod tests {
 
     #[test]
     fn timeline_shows_pio_serialization_and_dma_overlap() {
-        fn run(total: usize) -> crate::timeline::Timeline {
+        use nmad_core::obs::gantt;
+
+        fn run(total: usize) -> Vec<Event> {
             let seg = total / 2;
             let payloads = vec![Bytes::from(vec![1u8; seg]), Bytes::from(vec![2u8; seg])];
             let mut w = one_shot(StrategyKind::Greedy, payloads);
-            w.enable_timeline();
+            w.enable_recording(1 << 14);
             w.run(1_000_000);
-            w.timeline.take().unwrap()
+            assert_eq!(w.events_dropped(), 0, "ring too small");
+            w.merged_events()
         }
 
-        fn overlap(tl: &crate::timeline::Timeline, a: &str, b: &str) -> bool {
-            tl.lane(a).any(|x| {
-                tl.lane(b)
-                    .any(|y| x.start < y.end && y.start < x.end && x.end > x.start)
-            })
+        fn overlap(events: &[Event], a: &str, b: &str) -> bool {
+            let lanes = gantt::lanes(events);
+            let busy = |name: &str| {
+                let lane = lanes.iter().find(|l| l.name() == name);
+                lane.map_or(vec![], |l| l.busy.clone())
+            };
+            let (a, b) = (busy(a), busy(b));
+            a.iter()
+                .any(|x| b.iter().any(|y| x.0 < y.1 && y.0 < x.1 && x.1 > x.0))
         }
 
         // PIO case (2 x 2 KiB): rail lanes are CPU lanes, so the two
         // injections must NOT overlap in time.
-        let tl = run(4 << 10);
+        let events = run(4 << 10);
         assert!(
-            !overlap(&tl, "n0.rail0", "n0.rail1"),
-            "PIO injections must serialize:
-{}",
-            tl.render(60)
+            !overlap(&events, "n0.rail0", "n0.rail1"),
+            "PIO injections must serialize:\n{}",
+            gantt::render(&events, 0, 60)
         );
 
         // DMA case (2 x 512 KiB): the two rail transfers must overlap.
-        let tl = run(1 << 20);
+        let events = run(1 << 20);
         assert!(
-            overlap(&tl, "n0.rail0", "n0.rail1"),
-            "DMA transfers must overlap:
-{}",
-            tl.render(60)
+            overlap(&events, "n0.rail0", "n0.rail1"),
+            "DMA transfers must overlap:\n{}",
+            gantt::render(&events, 0, 60)
         );
     }
 
@@ -875,7 +868,7 @@ mod tests {
         // `single_rail_bandwidth_matches_calibration`) within 10%. Once
         // the link heals, probes must reinstate the rail through the full
         // Up -> Suspect -> Down -> Probing -> Up cycle.
-        use nmad_core::RailState;
+        use nmad_core::{health, RailState};
 
         const N: usize = 10;
         const SIZE: usize = 1 << 20;
@@ -890,6 +883,8 @@ mod tests {
         cfg.health.probe_interval_ns = 500_000;
         cfg.health.probe_timeout_ns = 300_000;
         let mut w = SimWorld::new(&p, cfg, pipeline(N, SIZE), Script::receiver(N));
+        // The health path is read from the recorded transitions.
+        w.enable_recording(1 << 16);
         let span = Duration::from_micros(100)..Duration::from_micros(25_000);
         let outage = Fault::during(0, span, Effect::Loss(1.0));
         w.enable_faults(
@@ -923,7 +918,8 @@ mod tests {
         // have walked rail 0 through the full recovery cycle.
         let health0 = w.node(0).engine.health().rail(nmad_model::RailId(0));
         assert_eq!(health0.state(), RailState::Up, "rail 0 reinstated");
-        let hist = health0.history();
+        assert_eq!(w.node(0).engine.recorder().dropped(), 0, "ring too small");
+        let hist = health::recorded_path(w.node(0).engine.recorder().iter(), 0);
         let cycle = [
             RailState::Up,
             RailState::Suspect,

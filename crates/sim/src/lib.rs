@@ -16,9 +16,9 @@
 //! * [`rng`] — seedable, portable PRNGs (SplitMix64 and xoshiro256\*\*)
 //!   implemented locally so the whole workspace has a single, documented
 //!   source of randomness.
-//! * [`BusyResource`] — a serially reusable resource (a CPU doing PIO, a NIC
-//!   injection engine) modelled as a busy-until timestamp with FIFO queuing;
-//!   [`MultiResource`] is its k-server (multi-core) generalization.
+//! * [`MultiResource`] — `k` identical servers behind one FIFO queue,
+//!   each a busy-until timestamp: the simulated CPU (one server for the
+//!   paper's single-threaded engine, whose PIO injections serialize).
 //! * [`FluidChannel`] — a max-min fair fluid-flow model of a shared channel
 //!   (the host I/O bus) with per-flow rate caps, the component responsible
 //!   for the paper's 1675 MB/s aggregated-bandwidth plateau.
@@ -31,13 +31,11 @@
 pub mod fluid;
 pub mod multi;
 pub mod queue;
-pub mod resource;
 pub mod rng;
 pub mod time;
 
 pub use fluid::{FlowId, FluidChannel};
-pub use multi::MultiResource;
+pub use multi::{Grant, MultiResource};
 pub use queue::EventQueue;
-pub use resource::BusyResource;
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use time::{SimDuration, SimTime};

@@ -315,8 +315,8 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use nmad_core::endpoint::{BACKSTOP_TICK, CALLER_LEASE, SPIN_BUDGET};
-    use nmad_core::health::RailState;
-    use nmad_core::{Fault, StrategyKind};
+    use nmad_core::health::{self, RailState};
+    use nmad_core::{Fault, Observe, StrategyKind};
     use nmad_model::platform;
 
     const T: Duration = Duration::from_secs(10);
@@ -557,6 +557,7 @@ mod tests {
         );
         cfg.engine.acked = true;
         fast_health(&mut cfg.engine);
+        cfg.engine.observe = Observe::Record { capacity: 1 << 14 };
         cfg.faults = Some(FaultPlan::new(
             41,
             vec![Fault::during(
@@ -588,18 +589,8 @@ mod tests {
         // the rail came back.
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
-            let hist = a.rail_history(0);
-            let recovered = is_subsequence(
-                &[
-                    RailState::Up,
-                    RailState::Suspect,
-                    RailState::Down,
-                    RailState::Probing,
-                    RailState::Up,
-                ],
-                &hist,
-            );
-            if recovered {
+            let hist = rail0_path(&a);
+            if is_subsequence(&RECOVERY, &hist) {
                 break;
             }
             assert!(
@@ -619,6 +610,24 @@ mod tests {
         let s2 = a.send(c, vec![Bytes::from(random_payload(2 << 20, 56))]);
         assert!(s2.wait_acked(Duration::from_secs(30)));
         assert!(r2.wait(T).is_some());
+    }
+
+    /// A dead rail's way back into service.
+    const RECOVERY: [RailState; 5] = [
+        RailState::Up,
+        RailState::Suspect,
+        RailState::Down,
+        RailState::Probing,
+        RailState::Up,
+    ];
+
+    /// Rail 0's health path, read from the transitions `ep`'s recorder
+    /// took; the ring must have kept them all.
+    fn rail0_path(ep: &Endpoint) -> Vec<RailState> {
+        let eng = ep.fabric().engine().lock();
+        let rec = eng.recorder();
+        assert_eq!(rec.dropped(), 0, "ring too small for the run");
+        health::recorded_path(rec.iter(), 0)
     }
 
     /// True when `needle` appears in `haystack` in order (not necessarily
@@ -679,6 +688,8 @@ mod tests {
         cfg.engine.acked = true;
         fast_health(&mut cfg.engine);
         cfg.engine.calibrate = true;
+        // ~25,000 events in a release build.
+        cfg.engine.observe = Observe::Record { capacity: 1 << 17 };
         // A shaped wire, so that an injection takes what its rail's model
         // says and the calibrator has a ratio to come back to: unshaped,
         // every rail is as fast as the thread that drives it, any split
@@ -727,17 +738,8 @@ mod tests {
         // The rail is reinstated via probing.
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
-            let hist = a.rail_history(0);
-            if is_subsequence(
-                &[
-                    RailState::Up,
-                    RailState::Suspect,
-                    RailState::Down,
-                    RailState::Probing,
-                    RailState::Up,
-                ],
-                &hist,
-            ) {
+            let hist = rail0_path(&a);
+            if is_subsequence(&RECOVERY, &hist) {
                 break;
             }
             assert!(

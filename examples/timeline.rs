@@ -1,6 +1,8 @@
 //! Visualize the overlap the strategies create: an ASCII Gantt chart of
 //! CPU and rail activity during one transfer, for the greedy strategy
-//! below and above the PIO threshold.
+//! below and above the PIO threshold. The chart is drawn from the world's
+//! flight recorder: its `sim_cpu`, `sim_nic` and `sim_bus` intervals
+//! (`nmad_core::obs::gantt`), the same events `nmad trace` exports.
 //!
 //! ```text
 //! cargo run --release --example timeline
@@ -11,6 +13,7 @@
 //! rails while the CPU stays almost idle.
 
 use newmadeleine::bytes::Bytes;
+use newmadeleine::core::obs::gantt;
 use newmadeleine::core::{EngineConfig, StrategyKind};
 use newmadeleine::model::platform;
 use newmadeleine::runtime_sim::{Script, SimWorld, Step};
@@ -24,12 +27,10 @@ fn show(total: usize) {
         Script::new(vec![Step::Send(payloads)]),
         Script::receiver(1),
     );
-    world.enable_timeline();
+    world.enable_recording(1 << 16);
     world.run(1_000_000);
-    println!(
-        "\n=== greedy, 2 segments x {seg} B (total {total} B) ===\n{}",
-        world.timeline.as_ref().unwrap().render(72)
-    );
+    let chart = gantt::render(&world.merged_events(), world.events_dropped(), 72);
+    println!("\n=== greedy, 2 segments x {seg} B (total {total} B) ===\n{chart}");
 }
 
 fn main() {

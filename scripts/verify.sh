@@ -120,13 +120,22 @@ done
 # and a submitter holding no lease leaves what can wait in the backlog:
 # DESIGN.md §15 "The window"), not a setting: no cork, hold time or
 # window length among the engine's or a transport's configuration.
-echo "==> the window is a rule, not a knob; no dead tracer in the sim"
+echo "==> the window is a rule, not a knob; the flight recorder is the only history"
 if grep -nE 'pub [a-z_]*(cork|flush_hold|hold_us|window_ns)[a-z_]*:' \
     crates/*/src/config.rs crates/transport-*/src/lib.rs; then
     echo "the optimisation window grew a configuration field (see above)"; exit 1
 fi
 if grep -rnE '\bTracer\b' crates/sim; then
     echo "nmad-sim's unused Tracer is back (see above): the flight recorder is the trace"; exit 1
+fi
+# What the simulator and the health tracker did is read from the
+# recorder's events (DESIGN.md §8 "Each number has one source"): the
+# sim's string-labelled Timeline beside them and the per-rail state log
+# that grew with every transition must not come back, nor nmad-sim's
+# BusyResource, which no simulated CPU used.
+if grep -rnE 'struct Timeline|enable_timeline|history_ns|history_stamped|rail_history|BusyResource' \
+    crates src tests examples; then
+    echo "a second history beside the flight recorder, or BusyResource, is back (see above): draw it from the events"; exit 1
 fi
 # Per-message engine state lives in id-indexed windows (nmad-wire's
 # IdWindow; DESIGN.md §12 "Engine state tables"): message ids, send and
@@ -508,6 +517,10 @@ awk -v r="${burst_allocs:-9}" 'BEGIN { exit !(r <= 3.09) }' \
     || { echo "tcp_burst_multiseg allocates ${burst_allocs:-?} times per message (budget 3.09): a frame's head or slab costs an Arc again, an aggregate frame an allocation of its own, or a list per frame is back"; exit 1; }
 
 echo "==> cargo fmt --check"
-cargo fmt --check 2>/dev/null || echo "    (rustfmt unavailable or diffs; non-fatal)"
+if cargo fmt --version >/dev/null 2>&1; then
+    cargo fmt --check || { echo "unformatted code (see above): run cargo fmt"; exit 1; }
+else
+    echo "    (rustfmt unavailable: skipped; CI installs it)"
+fi
 
 echo "verify: OK"
