@@ -48,7 +48,8 @@ fn usage() -> &'static str {
               [--reorder P] [--seed N] [--kill-rail R] [--down-at MS] [--up-at MS]\n\
                                         threaded transfer under fault injection;\n\
                                         prints both ends' metrics and per-rail\n\
-                                        health, timers and dwell times\n\
+                                        health, timers and dwell times (a killed\n\
+                                        rail's once it is Up again)\n\
        trace [--strategy S] [--size BYTES] [--format chrome|jsonl|summary]\n\
              [--out FILE] [--capacity N] [--validate FILE]\n\
                                         flight-record a workload (default: the\n\
@@ -330,9 +331,19 @@ fn cmd_tcp_send(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_faults(args: &Args) -> Result<(), String> {
-    use nmad_core::{Effect, Fault, FaultPlan};
+    print!("{}", faults(args)?);
+    Ok(())
+}
+
+/// What `nmad faults` prints. With `--kill-rail R` it returns only once
+/// rail R is `Up` again, so that the printed path shows the whole
+/// outage; an error names the state the rail is stuck in when that has
+/// not happened 2 s after `--up-at`.
+fn faults(args: &Args) -> Result<String, String> {
+    use nmad_core::{Effect, Fault, FaultPlan, RailState};
     use nmad_transport_mem::{pair, FabricConfig};
-    use std::time::Duration;
+    use std::fmt::Write;
+    use std::time::{Duration, Instant};
 
     let kind = parse_strategy(args.flag("strategy").unwrap_or("adaptive"))?;
     let size = args.size("size", 1 << 20)?;
@@ -341,6 +352,7 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     let dup_prob: f64 = args.num("dup", 0.0)?;
     let reorder_prob: f64 = args.num("reorder", 0.0)?;
     let seed: u64 = args.num("seed", 42)?;
+    let mut out = String::new();
 
     let plat = platform::paper_platform();
     let mut engine = EngineConfig::with_strategy(kind);
@@ -373,6 +385,7 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
         Effect::Reorder(reorder_prob),
     ];
     let mut plan = FaultPlan::everywhere(seed, plat.rails.len(), &noise);
+    let mut killed = None;
     if args.has("kill-rail") {
         let rail: usize = args.num("kill-rail", 0)?;
         if rail >= plat.rails.len() {
@@ -383,25 +396,32 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
         let span = Duration::from_millis(down_ms)..Duration::from_millis(up_ms);
         plan.faults
             .push(Fault::during(rail, span, Effect::Loss(1.0)));
-        println!(
+        killed = Some((rail, Duration::from_millis(up_ms)));
+        writeln!(
+            out,
             "killing rail {rail} ({}) at {down_ms} ms, reviving at {up_ms} ms",
             plat.rails[rail].name
-        );
+        )
+        .unwrap();
     }
 
     let mut cfg = FabricConfig::new(plat.clone(), engine);
     cfg.faults = Some(plan);
 
+    // (The plan's windows count from the pair's construction.)
+    let built = Instant::now();
     let (a, b) = pair(cfg);
     let conn = a.conns()[0];
-    println!(
+    writeln!(
+        out,
         "sending {messages} x {size} B over {} with drop {:.0}% dup {:.0}% reorder {:.0}%",
         kind.label(),
         drop_prob * 100.0,
         dup_prob * 100.0,
         reorder_prob * 100.0
-    );
-    let start = std::time::Instant::now();
+    )
+    .unwrap();
+    let start = Instant::now();
     let recvs: Vec<_> = (0..messages).map(|_| b.recv(conn)).collect();
     let sends: Vec<_> = (0..messages)
         .map(|i| a.send(conn, vec![Bytes::from(vec![i as u8; size])]))
@@ -423,32 +443,61 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
         }
     }
     let elapsed = start.elapsed();
+    // Both ends stay up until the killed rail is back: its probes need
+    // them.
+    if let Some((rail, up_at)) = killed {
+        let deadline = built + up_at + Duration::from_secs(2);
+        loop {
+            let state = a.rail_states()[rail];
+            if state == RailState::Up {
+                break;
+            }
+            if Instant::now() >= deadline {
+                return Err(format!(
+                    "rail {rail} still {} 2 s after --up-at",
+                    state.label()
+                ));
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
 
-    println!(
+    writeln!(
+        out,
         "\nall {messages} messages acked in {:.2} s",
         elapsed.as_secs_f64()
-    );
+    )
+    .unwrap();
     for (side, ep) in [("sender", &a), ("receiver", &b)] {
         let table = obs::text_table(&ep.stats(), elapsed.as_nanos() as u64);
-        print!("\n{side}:\n{table}");
+        write!(out, "\n{side}:\n{table}").unwrap();
     }
     let events = a.events();
     for i in 0..plat.rails.len() {
-        let hist = nmad_core::health::recorded_path(&events, i);
-        if hist.len() > 1 {
-            let path: Vec<&str> = hist.iter().map(|s| s.label()).collect();
-            println!("rail {i} health path: {}", path.join(" -> "));
+        let path = nmad_core::health::recorded_path(&events, i);
+        if path.len() > 1 {
+            writeln!(out, "rail {i} health path: {}", health_path(&path)).unwrap();
         }
     }
     let dropped = a.fabric().engine().lock().recorder().dropped();
     if dropped > 0 {
-        println!("(the recorder dropped {dropped} events: the paths above start late)");
+        writeln!(
+            out,
+            "(the recorder dropped {dropped} events: the paths above start late)"
+        )
+        .unwrap();
     }
     // Adaptive-timer telemetry and per-state dwell times (how long each
     // rail spent Up / Suspect / Down / Probing over the run).
     let health: Vec<_> = (0..plat.rails.len()).map(|i| a.rail_telemetry(i)).collect();
-    print!("\n{}", obs::metrics::health_table(&health));
-    Ok(())
+    write!(out, "\n{}", obs::metrics::health_table(&health)).unwrap();
+    Ok(out)
+}
+
+/// A rail's health path as `nmad faults` prints it: `Up -> Suspect -> …`.
+fn health_path(path: &[nmad_core::RailState]) -> String {
+    let labels: Vec<&str> = path.iter().map(|s| s.label()).collect();
+    labels.join(" -> ")
 }
 
 /// Simulated workload shared by `trace` and `metrics`: a pipelined batch
@@ -909,6 +958,24 @@ mod tests {
             assert!(parse_strategy(name).is_ok(), "{name}");
         }
         assert!(parse_strategy("bogus").is_err());
+    }
+
+    /// A rail killed at once and revived at 300 ms: the command waits for
+    /// it, and its printed path walks the whole outage.
+    #[test]
+    fn faults_prints_a_killed_rails_recovery() {
+        use nmad_core::RailState::{Down, Probing, Up};
+        let argv: Vec<String> =
+            "faults --size 4K --messages 4 --kill-rail 1 --down-at 0 --up-at 300"
+                .split(' ')
+                .map(String::from)
+                .collect();
+        let out = faults(&Args::parse(&argv).unwrap()).unwrap();
+        let path = out
+            .lines()
+            .find_map(|l| l.strip_prefix("rail 1 health path: "))
+            .unwrap_or_else(|| panic!("no path for rail 1:\n{out}"));
+        assert!(path.ends_with(&health_path(&[Down, Probing, Up])), "{path}");
     }
 
     #[test]

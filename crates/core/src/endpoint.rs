@@ -216,18 +216,6 @@ impl SendHandle {
         })
         .is_some()
     }
-
-    /// Manually re-enqueue the message for transmission (acked mode);
-    /// true when there was something to resend, and only then is the
-    /// runtime kicked. Normally unnecessary: the engine's adaptive
-    /// timers retransmit on their own. See [`Engine::retransmit`].
-    pub fn retransmit(&self) -> bool {
-        let hit = self.fabric.engine().lock().retransmit(self.id);
-        if hit {
-            self.fabric.kick();
-        }
-        hit
-    }
 }
 
 impl RecvHandle {

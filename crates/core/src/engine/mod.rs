@@ -17,10 +17,11 @@
 //! point.
 //!
 //! Per-message state is a bounded window, not an archive (DESIGN.md §12,
-//! "Engine state tables"): message ids, send/receive handles and tx
-//! tokens are dense counters, so everything keyed by them lives in
-//! [`IdWindow`]s that are indexed, not hashed, and let go of a slot once
-//! its answers can no longer change.
+//! "Engine state tables"): message ids and send/receive handles are dense
+//! counters, so everything keyed by them lives in [`IdWindow`]s that are
+//! indexed, not hashed, and let go of a slot once its answers can no
+//! longer change. A rail carries one frame at a time, so what is in
+//! flight is one slot per rail.
 
 use std::collections::VecDeque;
 
@@ -204,8 +205,6 @@ struct ConnRx {
 /// lists are as long as they were before.
 #[derive(Debug, Default)]
 struct Scratch {
-    rail_ok: Vec<bool>,
-    flight: Vec<RailFlight>,
     /// Per rail, the list an aggregate's keys are collected in: lent to
     /// the strategy, carried by the frame, given back at its
     /// `on_tx_done` (one frame per rail at a time).
@@ -227,9 +226,6 @@ pub struct Engine {
     tables: Vec<PerfTable>,
     strategy: Strategy,
     backlog: Backlog,
-    /// Whether each rail has an injection in flight, between `next_tx`
-    /// and `on_tx_done`: one frame per rail at a time.
-    rail_busy: Vec<bool>,
     /// Outbound control packets: `(conn, packet, rail pin)` FIFO. Most
     /// control traffic is unpinned (any usable rail); health probes and
     /// their pongs are pinned to the rail under test.
@@ -243,9 +239,12 @@ pub struct Engine {
     send_ids: IdWindow<(ConnId, MsgId)>,
     /// Receive handles in use: the message each one matched.
     recv_ids: IdWindow<(ConnId, MsgId)>,
-    /// Frames between `next_tx` and `on_tx_done`, by token; the window's
-    /// end is the next token.
-    in_flight: IdWindow<InFlightTx>,
+    /// Per rail, the frame it carries between `next_tx` and `on_tx_done`:
+    /// a rail carries one frame at a time, and is busy while its slot is
+    /// occupied.
+    in_flight: Vec<Option<InFlightTx>>,
+    /// The token the next frame gets: a dense counter in post order.
+    next_token: u64,
     tx_seq: Vec<u32>,
     stats: EngineStats,
     /// Recycled head/slab buffers for the transmit hot path.
@@ -269,8 +268,8 @@ pub struct Engine {
     /// Online recalibration of `tables` from observed transfer times
     /// (present iff [`EngineConfig::calibrate`]).
     calibrator: Option<OnlineCalibrator>,
-    /// Per-rail EWMA of observed data-frame service time (ns), fed to
-    /// strategies via [`RailFlight`] so SRPT can predict completions.
+    /// Per-rail EWMA of observed data-frame service time (ns), read by
+    /// strategies through [`RailFlight`] so SRPT can predict completions.
     ewma_service_ns: Vec<u64>,
     scratch: Scratch,
     /// The one aggregate builder (its entry list is reused).
@@ -284,10 +283,13 @@ struct TelemetryState {
     dog: Watchdog,
 }
 
-/// Bookkeeping held between `next_tx` and `on_tx_done`: what the decision
-/// carried, plus the pooled head buffer to reclaim at tx completion.
+/// Bookkeeping held between `next_tx` and `on_tx_done` in the slot of the
+/// rail the frame was posted on: what the decision carried, plus the
+/// pooled head buffer to reclaim at tx completion.
 #[derive(Debug)]
 struct InFlightTx {
+    /// The frame's token.
+    token: TxToken,
     /// The segments the frame carries a piece of (none: control).
     keys: KeyList,
     head: Option<Bytes>,
@@ -303,8 +305,6 @@ struct InFlightTx {
     posted_ns: u64,
     /// Control-only frame (excluded from calibration: latency-bound).
     control: bool,
-    /// Rail the frame was posted on (per-rail flight view, blame).
-    rail: usize,
 }
 
 impl Engine {
@@ -348,13 +348,13 @@ impl Engine {
             config,
             latency: LatencyOrder::new(&rails),
             tables,
-            rail_busy: vec![false; n],
             control_q: VecDeque::new(),
             conn_tx: Vec::new(),
             conn_rx: Vec::new(),
             send_ids: IdWindow::new(),
             recv_ids: IdWindow::new(),
-            in_flight: IdWindow::new(),
+            in_flight: (0..n).map(|_| None).collect(),
+            next_token: 0,
             tx_seq: vec![0; n],
             stats: EngineStats::new(n),
             pool: Pool::default(),
@@ -490,7 +490,7 @@ impl Engine {
 
     /// Whether `rail` currently has an injection in flight.
     pub fn rail_busy(&self, rail: RailId) -> bool {
-        self.rail_busy[rail.0]
+        self.in_flight[rail.0].is_some()
     }
 
     /// Mirror the rails' kernel-crossing counters into the stats (the
@@ -528,7 +528,7 @@ impl Engine {
     pub fn is_quiescent(&self) -> bool {
         self.control_q.is_empty()
             && self.backlog.is_empty()
-            && self.in_flight.iter().next().is_none()
+            && self.in_flight.iter().all(Option::is_none)
             && self.send_slots().all(|s| s.done)
     }
 
@@ -545,7 +545,7 @@ impl Engine {
         tx + rx
             + self.send_ids.len()
             + self.recv_ids.len()
-            + self.in_flight.len()
+            + self.in_flight.iter().flatten().count()
             + self.probe_sent.len()
     }
 
@@ -754,7 +754,7 @@ impl Engine {
     /// `None` when the rail should stay idle. On `Some`, the rail is
     /// marked busy until [`Engine::on_tx_done`].
     pub fn next_tx(&mut self, rail: RailId) -> Result<Option<TxDecision>, EngineError> {
-        if self.rail_busy[rail.0] {
+        if self.in_flight[rail.0].is_some() {
             return Ok(None);
         }
         let usable = self.health.usable(rail);
@@ -794,9 +794,8 @@ impl Engine {
             return Ok(None);
         }
         // One eager segment and nothing else to pick from: the strategy
-        // answers from the rails, and the context — the health and
-        // in-flight snapshots — is not built (DESIGN.md §13 "The lone
-        // eager segment").
+        // answers from the rails, and no context is built (DESIGN.md §13
+        // "The lone eager segment").
         let Some(op) = self.lone_eager(rail).unwrap_or_else(|| self.pipeline(rail)) else {
             self.stats.idle_queries += 1;
             return Ok(None);
@@ -809,55 +808,33 @@ impl Engine {
     fn lone_eager(&self, rail: RailId) -> Option<Option<TxOp>> {
         let seg = self.backlog.lone_eager()?;
         let rails = EngineRails {
-            health: &self.health,
-            busy: &self.rail_busy,
-            latency: &self.latency,
             in_flight: &self.in_flight,
+            health: &self.health,
             stats: &self.stats,
+            ewma_service_ns: &self.ewma_service_ns,
         };
-        self.strategy.lone_eager(rail, seg, &rails, &self.config)
+        self.strategy
+            .lone_eager(rail, seg, &rails, &self.latency, &self.config)
     }
 
-    /// What the strategy's pipeline picks for idle `rail`, given the
-    /// context built for it.
+    /// What the strategy's pipeline picks for idle `rail`.
     fn pipeline(&mut self, rail: RailId) -> Option<TxOp> {
-        let Scratch {
-            rail_ok,
-            flight,
-            keys,
-            ..
-        } = &mut self.scratch;
-        rail_ok.clear();
-        rail_ok.extend((0..self.rails.len()).map(|r| self.health.usable(RailId(r))));
-        // The per-rail in-flight data-frame load: one pass over the
-        // in-flight window (a frame per rail at most); control frames are
-        // excluded — strategies reason about where payload bytes are.
-        flight.clear();
-        flight.extend((0..self.rails.len()).map(|r| RailFlight {
-            sent_bytes: self.stats.rails[r].wire_bytes,
-            ewma_service_ns: self.ewma_service_ns[r],
-            ..RailFlight::default()
-        }));
-        for (_, tx) in self.in_flight.iter().filter(|(_, tx)| !tx.control) {
-            let f = &mut flight[tx.rail];
-            f.inflight += 1;
-            f.inflight_bytes += tx.wire_len as u64;
-            if f.oldest_post_ns == 0 || tx.posted_ns < f.oldest_post_ns {
-                f.oldest_post_ns = tx.posted_ns;
-            }
-        }
+        let rails = EngineRails {
+            in_flight: &self.in_flight,
+            health: &self.health,
+            stats: &self.stats,
+            ewma_service_ns: &self.ewma_service_ns,
+        };
         let mut ctx = StrategyCtx {
             backlog: &mut self.backlog,
             rails: &self.rails,
-            rail_busy: &self.rail_busy,
-            rail_ok: &rail_ok[..],
+            view: &rails,
             tables: &self.tables,
             latency: &self.latency,
-            batch: &mut keys[rail.0],
+            batch: &mut self.scratch.keys[rail.0],
             config: &self.config,
             obs: &mut self.obs,
             now_ns: self.now_ns,
-            flight: &flight[..],
         };
         self.strategy.next_tx(rail, &mut ctx)
     }
@@ -1054,7 +1031,8 @@ impl Engine {
         let in_custody: u64 = self
             .in_flight
             .iter()
-            .map(|(_, t)| t.head.is_some() as u64 + t.slab.is_some() as u64)
+            .flatten()
+            .map(|t| t.head.is_some() as u64 + t.slab.is_some() as u64)
             .sum();
         self.stats
             .datapath
@@ -1162,15 +1140,23 @@ impl Engine {
 
         // Keep a reference to the pooled head so on_tx_done can reclaim
         // the allocation once the runtime drops its copy of the frame.
-        let token = TxToken(self.in_flight.push(InFlightTx {
+        let token = TxToken(self.next_token);
+        self.next_token += 1;
+        let slot = &mut self.in_flight[rail.0];
+        debug_assert!(
+            slot.is_none(),
+            "rail {} carries one frame at a time",
+            rail.0
+        );
+        *slot = Some(InFlightTx {
+            token,
             keys,
             head: frame.head().cloned(),
             slab,
             wire_len,
             posted_ns: self.now_ns,
             control,
-            rail: rail.0,
-        }));
+        });
         self.obs.record(
             Event::new(self.now_ns, EventKind::TxPost)
                 .rail(rail.0)
@@ -1181,7 +1167,6 @@ impl Engine {
         let rs = &mut self.stats.rails[rail.0];
         rs.in_flight_bytes += wire_len as u64;
         rs.note_busy(self.now_ns);
-        self.rail_busy[rail.0] = true;
         TxDecision {
             token,
             frame,
@@ -1195,7 +1180,9 @@ impl Engine {
     /// Report that the injection for `token` finished on `rail`. Returns
     /// the sends that reached local completion, each with the connection
     /// it was submitted on (a list the engine keeps: the next call
-    /// overwrites it).
+    /// overwrites it). A token that is not the one `rail` carries — done
+    /// already, never given, or posted on another rail — is
+    /// [`EngineError::BadToken`], and changes nothing.
     pub fn on_tx_done(
         &mut self,
         rail: RailId,
@@ -1208,12 +1195,12 @@ impl Engine {
             wire_len,
             posted_ns,
             control,
-            rail: posted_on,
+            ..
         } = self
             .in_flight
-            .retire(token.0)
+            .get_mut(rail.0)
+            .and_then(|slot| slot.take_if(|tx| tx.token == token))
             .ok_or(EngineError::BadToken(token.0))?;
-        self.rail_busy[rail.0] = false;
         self.obs.record(
             Event::new(self.now_ns, EventKind::TxDone)
                 .rail(rail.0)
@@ -1278,7 +1265,7 @@ impl Engine {
             }
         }
         // The rail's list for the next aggregate, if this one is longer.
-        let spare = &mut self.scratch.keys[posted_on];
+        let spare = &mut self.scratch.keys[rail.0];
         if keys.capacity() > spare.capacity() {
             keys.clear();
             *spare = keys;
@@ -1998,16 +1985,14 @@ impl Engine {
     }
 }
 
-/// The engine's rails as the placement sees them when no context is
-/// built: what [`StrategyCtx`] would hold, read where it lives. The load
-/// of a rail — the context's [`RailFlight`] — is looked up only when a
-/// latency tie asks for it.
+/// The engine's rails as a decision reads them: each rail's slot, its
+/// health, its wire counter and its service-time EWMA, read where they
+/// live when asked.
 struct EngineRails<'a> {
+    in_flight: &'a [Option<InFlightTx>],
     health: &'a HealthTracker,
-    busy: &'a [bool],
-    latency: &'a LatencyOrder,
-    in_flight: &'a IdWindow<InFlightTx>,
     stats: &'a EngineStats,
+    ewma_service_ns: &'a [u64],
 }
 
 impl RailView for EngineRails<'_> {
@@ -2016,21 +2001,20 @@ impl RailView for EngineRails<'_> {
     }
 
     fn busy(&self, rail: RailId) -> bool {
-        self.busy[rail.0]
+        self.in_flight[rail.0].is_some()
     }
 
-    fn fastest(&self) -> RailId {
-        self.latency.fastest(
-            |r| self.health.usable(RailId(r)),
-            |r| {
-                let data = self.in_flight.iter().map(|(_, tx)| tx);
-                let inflight_bytes: u64 = data
-                    .filter(|tx| !tx.control && tx.rail == r)
-                    .map(|tx| tx.wire_len as u64)
-                    .sum();
-                (self.busy[r], inflight_bytes, self.stats.rails[r].wire_bytes)
-            },
-        )
+    fn flight(&self, rail: RailId) -> RailFlight {
+        // Control frames are excluded: strategies reason about where
+        // payload bytes are.
+        let data = self.in_flight[rail.0].as_ref().filter(|tx| !tx.control);
+        RailFlight {
+            inflight: data.is_some() as u32,
+            inflight_bytes: data.map_or(0, |tx| tx.wire_len as u64),
+            oldest_post_ns: data.map_or(0, |tx| tx.posted_ns),
+            sent_bytes: self.stats.rails[rail.0].wire_bytes,
+            ewma_service_ns: self.ewma_service_ns[rail.0],
+        }
     }
 }
 
@@ -2100,7 +2084,7 @@ impl Drop for Engine {
              (outstanding={}, in_flight={})",
             self.pool_leaks(),
             self.stats.datapath.pool_outstanding,
-            self.in_flight.iter().count(),
+            self.in_flight.iter().flatten().count(),
         );
     }
 }
@@ -2163,10 +2147,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The answer for a lone eager segment from the engine's own
-        /// tables — health, busy flags, the latency order, the in-flight
-        /// window and the per-rail wire counters — is the one the pipeline
-        /// gives from the context the engine builds: every preset, rails
+        /// The answer for a lone eager segment, given without a context,
+        /// is the one the pipeline gives with one: every preset, rails
         /// of tied and of distinct latency, earlier frames sent and still
         /// in flight on some of them.
         #[test]
@@ -2519,6 +2501,36 @@ mod tests {
             tx.on_tx_done(RailId(0), TxToken(99)),
             Err(EngineError::BadToken(99))
         );
+    }
+
+    /// A completion reported on a rail other than the one the frame was
+    /// posted on is refused, and neither rail changes: the posting rail
+    /// still carries the frame, the told one stays as it was.
+    #[test]
+    fn completion_on_the_wrong_rail_rejected() {
+        let mut tx = engine(StrategyKind::Greedy);
+        let c = tx.conn_open();
+        let send = tx.submit_send(c, vec![payload(100, 1)]);
+        let d = tx.next_tx(RailId(0)).unwrap().expect("a frame on rail 0");
+        assert_eq!(
+            tx.on_tx_done(RailId(1), d.token),
+            Err(EngineError::BadToken(d.token.0))
+        );
+        assert!(tx.rail_busy(RailId(0)) && !tx.rail_busy(RailId(1)));
+        assert!(!tx.send_complete(send), "the frame is not retired");
+        // A frame on rail 1 too: its token is no good on rail 0 either.
+        tx.submit_send(c, vec![payload(100, 2)]);
+        let other = tx.next_tx(RailId(1)).unwrap().expect("a frame on rail 1");
+        assert_eq!(
+            tx.on_tx_done(RailId(0), other.token),
+            Err(EngineError::BadToken(other.token.0))
+        );
+        assert!(tx.rail_busy(RailId(0)) && tx.rail_busy(RailId(1)));
+        // Told on the right rails, both complete.
+        tx.on_tx_done(RailId(0), d.token).unwrap();
+        tx.on_tx_done(RailId(1), other.token).unwrap();
+        assert!(tx.send_complete(send));
+        assert!(!tx.rail_busy(RailId(0)) && !tx.rail_busy(RailId(1)));
     }
 
     #[test]

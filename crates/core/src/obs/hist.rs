@@ -128,11 +128,6 @@ impl Log2Histogram {
         }
     }
 
-    /// Occupancy of bucket `i`.
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
     /// Upper bound of the bucket holding the q-quantile (q in 0..=1),
     /// clamped to the observed max. `None` when empty.
     pub fn approx_quantile(&self, q: f64) -> Option<u64> {
@@ -232,9 +227,7 @@ mod tests {
             let want = from_samples(&b);
             prop_assert_eq!(d.count(), want.count());
             prop_assert_eq!(d.sum(), want.sum());
-            for i in 0..LOG2_BUCKETS {
-                prop_assert_eq!(d.bucket_count(i), want.bucket_count(i));
-            }
+            prop_assert_eq!(d.buckets, want.buckets);
             if let (Some(lo), Some(hi)) = (want.min(), want.max()) {
                 prop_assert!(d.min().unwrap() <= lo && d.max().unwrap() >= hi);
                 prop_assert!(d.max().unwrap() <= all.max().unwrap());

@@ -50,19 +50,6 @@ pub struct SpanBreakdown {
     pub rail_inject_ns: Vec<Log2Histogram>,
 }
 
-impl SpanBreakdown {
-    /// Where the p99 of the total span is spent: the leg histograms'
-    /// p99s, in `(queue, xfer, ack)` order. Zero for legs with no
-    /// samples.
-    pub fn p99_legs(&self) -> (u64, u64, u64) {
-        (
-            self.queue_ns.approx_quantile(0.99).unwrap_or(0),
-            self.xfer_ns.approx_quantile(0.99).unwrap_or(0),
-            self.ack_ns.approx_quantile(0.99).unwrap_or(0),
-        )
-    }
-}
-
 /// Decompose a merged, timestamp-ordered event stream (every node's
 /// events on one clock, as the simulator records them) into span legs.
 pub fn decompose(events: &[Event]) -> SpanBreakdown {

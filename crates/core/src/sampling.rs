@@ -150,11 +150,6 @@ impl PerfTable {
         let (t0, t1) = (self.times_us[up - 1], self.times_us[up]);
         s0 + (s1 - s0) * ((time_us - t0) / (t1 - t0))
     }
-
-    /// Effective bandwidth in bytes/second at `size` (diagnostics).
-    pub fn bandwidth_at(&self, size: u64) -> f64 {
-        size as f64 / (self.time_for(size) * 1e-6)
-    }
 }
 
 /// Per-rail split weights; up to four rails stay inline.
@@ -412,12 +407,12 @@ impl OnlineCalibrator {
         self.since_rebuild >= REBUILD_EVERY
     }
 
-    /// Failover decay: mark `rail` as [`FAILOVER_PENALTY`]× slower than its
-    /// EWMA currently reads, so the rebuilt table strips its byte share
-    /// and the rail re-earns it through fresh measurements.
+    /// Failover decay: mark `rail` as `FAILOVER_PENALTY` (4) times slower
+    /// than its EWMA currently reads, so the rebuilt table strips its byte
+    /// share and the rail re-earns it through fresh measurements.
     ///
     /// The penalty is a separate multiplier, deliberately outside the
-    /// per-bucket EWMA and its [`MAX_CORRECTION`] clamp: under saturation
+    /// per-bucket EWMA and its `MAX_CORRECTION` (16×) clamp: under saturation
     /// every rail's EWMA can sit pinned at `MAX_CORRECTION` (queueing
     /// delay reads as "slow" everywhere), and raising the dead rail's
     /// buckets to an absolute level would be a relative no-op — the split
@@ -606,7 +601,7 @@ mod tests {
         let quad = quad_table();
         assert!((myri.time_for(4) - 2.8).abs() < 0.15);
         assert!((quad.time_for(4) - 1.7).abs() < 0.15);
-        let bw = myri.bandwidth_at(8 << 20) / 1e6;
+        let bw = (8 << 20) as f64 / myri.time_for(8 << 20);
         assert!((bw - 1200.0).abs() < 40.0, "myri bw {bw}");
     }
 

@@ -54,13 +54,13 @@ pub(super) fn restripe(ctx: &mut StrategyCtx<'_>, survivors: &mut Vec<usize>) {
     let n = ctx.rails.len();
     let straggling = (0..n)
         .filter(|&r| {
-            if !ctx.rail_ok(RailId(r)) {
+            if !ctx.view.ok(RailId(r)) {
                 // The engine re-stripes on the Down transition itself;
                 // treating not-ok as straggling here also covers rails
                 // parked in probing limbo.
                 return true;
             }
-            let f = ctx.flight(RailId(r));
+            let f = ctx.view.flight(RailId(r));
             if f.inflight == 0 {
                 return false;
             }

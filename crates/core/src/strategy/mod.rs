@@ -70,29 +70,46 @@ pub enum TxOp {
     PlannedChunk,
 }
 
-/// Per-rail in-flight load snapshot handed to strategies each decision.
+/// What one rail carries and has carried, as a decision reads it
+/// through [`RailView::flight`].
 ///
-/// The in-flight fields count data frames only (control frames are
-/// excluded): a strategy reasons about where payload bytes are, not about
+/// A rail carries one frame at a time, so the engine's answer has at most
+/// one frame in flight; a test fixture may report more. The in-flight
+/// fields count data frames only (a control frame in flight reads as
+/// none): a strategy reasons about where payload bytes are, not about
 /// ACKs. [`RailFlight::sent_bytes`] is the exception.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RailFlight {
-    /// Data frames currently posted and not yet completed on this rail.
+    /// Data frames posted and not yet completed on this rail.
     pub inflight: u32,
     /// Wire bytes of those frames, headers included.
     pub inflight_bytes: u64,
-    /// Post timestamp of the oldest still-outstanding frame (engine
-    /// clock, ns); 0 when nothing is in flight.
+    /// Post timestamp of the oldest of them (engine clock, ns); 0 when
+    /// nothing is in flight.
     pub oldest_post_ns: u64,
     /// Wire bytes this rail has posted so far, every frame's — headers,
     /// control frames and retransmissions included (the engine's
     /// per-rail `wire_bytes` counter). Only ever a latency tie-break
-    /// ([`StrategyCtx::lowest_latency_rail`]): a lifetime share, not a
-    /// payload count.
+    /// ([`LatencyOrder::fastest`]): a lifetime share, not a payload
+    /// count.
     pub sent_bytes: u64,
     /// EWMA of observed per-frame service time on this rail (ns);
     /// 0 until the first completion.
     pub ewma_service_ns: u64,
+}
+
+/// The rails as a decision sees them: read where they are kept, when
+/// asked, and never copied (DESIGN.md §13 "Decision inputs"). The engine
+/// answers from its own tables; a test fixture from the vectors it
+/// generates.
+pub trait RailView {
+    /// Whether `rail` may carry data traffic. The engine never asks for
+    /// data traffic on a rail that may not.
+    fn ok(&self, rail: RailId) -> bool;
+    /// Whether `rail` is transmitting. The rail being asked is idle.
+    fn busy(&self, rail: RailId) -> bool;
+    /// What `rail` carries and has carried.
+    fn flight(&self, rail: RailId) -> RailFlight;
 }
 
 /// Read/plan access the engine grants a strategy during one decision.
@@ -101,13 +118,8 @@ pub struct StrategyCtx<'a> {
     pub backlog: &'a mut Backlog,
     /// Per-rail NIC capabilities, indexed by rail id.
     pub rails: &'a [NicModel],
-    /// Per-rail busy flags (true = currently transmitting). The rail being
-    /// asked is always idle.
-    pub rail_busy: &'a [bool],
-    /// Per-rail health flags (true = schedulable). Rails marked false are
-    /// out of service; strategies must plan around them. The engine never
-    /// asks for data traffic on an unhealthy rail.
-    pub rail_ok: &'a [bool],
+    /// Each rail's health, whether it is busy and what it carries.
+    pub view: &'a dyn RailView,
     /// Per-rail sampled performance tables (init-time sampling, §3.4).
     pub tables: &'a [PerfTable],
     /// The rails by minimal-message latency, built once per engine.
@@ -126,25 +138,14 @@ pub struct StrategyCtx<'a> {
     pub obs: &'a mut FlightRecorder,
     /// Engine clock at the moment of the decision (timestamp for events).
     pub now_ns: u64,
-    /// Per-rail in-flight load view, indexed by rail id. May be shorter
-    /// than `rails` (notably in unit fixtures); out-of-range rails read
-    /// as idle via [`StrategyCtx::flight`].
-    pub flight: &'a [RailFlight],
 }
 
 impl StrategyCtx<'_> {
-    /// True when `rail` may carry data traffic.
-    pub fn rail_ok(&self, rail: RailId) -> bool {
-        self.rail_ok.get(rail.0).copied().unwrap_or(true)
-    }
-
     /// Rails currently idle and healthy (including the one being asked).
     pub fn idle_rails(&self) -> RailList {
-        self.rail_busy
-            .iter()
-            .enumerate()
-            .filter(|&(i, &b)| !b && self.rail_ok(RailId(i)))
-            .map(|(i, _)| RailId(i))
+        (0..self.rails.len())
+            .map(RailId)
+            .filter(|&r| !self.view.busy(r) && self.view.ok(r))
             .collect()
     }
 
@@ -199,31 +200,6 @@ impl StrategyCtx<'_> {
         let ok = self.backlog.set_plan(key, chunks);
         debug_assert!(ok, "plan must cover the remainder");
         mine
-    }
-
-    /// In-flight load snapshot for `rail` (idle default when the engine —
-    /// or a test fixture — supplied no entry for it).
-    pub fn flight(&self, rail: RailId) -> RailFlight {
-        self.flight.get(rail.0).copied().unwrap_or_default()
-    }
-
-    /// The healthy rail with the lowest minimal-message latency (falls
-    /// back over all rails when none is healthy). Latency ties are broken
-    /// by current load — idle over busy, fewer in-flight bytes, fewer
-    /// lifetime sent bytes — so identical rails share control traffic
-    /// instead of everything biasing onto rail 0.
-    pub fn lowest_latency_rail(&self) -> RailId {
-        self.latency.fastest(
-            |r| self.rail_ok(RailId(r)),
-            |r| {
-                let f = self.flight(RailId(r));
-                (self.rail_busy(RailId(r)), f.inflight_bytes, f.sent_bytes)
-            },
-        )
-    }
-
-    fn rail_busy(&self, rail: RailId) -> bool {
-        self.rail_busy.get(rail.0).copied().unwrap_or(false)
     }
 
     /// Whether an earlier split plan earmarked an untaken chunk for `rail`.
@@ -305,11 +281,14 @@ impl LatencyOrder {
         LatencyOrder { latency, order }
     }
 
-    /// The rail with the lowest latency among those that are `ok`, or
-    /// among all of them when none is; among several of that latency,
-    /// the one of least `load`, then of lowest id. `load` is asked only
-    /// of those.
-    pub fn fastest<K: Ord>(&self, ok: impl Fn(usize) -> bool, load: impl Fn(usize) -> K) -> RailId {
+    /// The rail with the lowest minimal-message latency among those
+    /// that are ok, or among all of them when none is. Latency ties are
+    /// broken by load — idle over busy, fewer in-flight bytes, fewer
+    /// lifetime sent bytes, then the lower id — so identical rails share
+    /// the smalls instead of everything biasing onto rail 0. The load is
+    /// read only of the tied rails.
+    pub fn fastest(&self, rails: &(impl RailView + ?Sized)) -> RailId {
+        let ok = |r: usize| rails.ok(RailId(r));
         let first = self.order.iter().position(|&r| ok(r));
         let from = first.unwrap_or(0);
         let latency = self.latency[self.order[from]];
@@ -319,6 +298,10 @@ impl LatencyOrder {
             .take_while(|&r| self.latency[r] == latency)
             .filter(|&r| first.is_none() || ok(r));
         let fastest = tied.next().expect("engine always has rails");
+        let load = |r: usize| {
+            let f = rails.flight(RailId(r));
+            (rails.busy(RailId(r)), f.inflight_bytes, f.sent_bytes)
+        };
         match tied.next() {
             None => RailId(fastest),
             Some(next) => [fastest, next]
@@ -327,33 +310,6 @@ impl LatencyOrder {
                 .min_by_key(|&r| load(r))
                 .map_or(RailId(fastest), RailId),
         }
-    }
-}
-
-/// What the placement asks of the rails: a [`StrategyCtx`] answers from
-/// the snapshot it was built with, the engine from its own tables when
-/// it decides for a lone eager segment without building one
-/// ([`Strategy::lone_eager`]).
-pub(crate) trait RailView {
-    /// Whether `rail` may carry data traffic.
-    fn ok(&self, rail: RailId) -> bool;
-    /// Whether `rail` is transmitting.
-    fn busy(&self, rail: RailId) -> bool;
-    /// [`StrategyCtx::lowest_latency_rail`].
-    fn fastest(&self) -> RailId;
-}
-
-impl RailView for StrategyCtx<'_> {
-    fn ok(&self, rail: RailId) -> bool {
-        self.rail_ok(rail)
-    }
-
-    fn busy(&self, rail: RailId) -> bool {
-        self.rail_busy(rail)
-    }
-
-    fn fastest(&self) -> RailId {
-        self.lowest_latency_rail()
     }
 }
 
@@ -403,7 +359,7 @@ impl Strategy {
     pub fn next_tx(&mut self, rail: RailId, ctx: &mut StrategyCtx<'_>) -> Option<TxOp> {
         match &mut self.place {
             Place::Bound(binding) => return binding.next_tx(rail, ctx),
-            place if !place.admits(rail, &*ctx) => return None,
+            place if !place.admits(rail, ctx.view) => return None,
             _ => {}
         }
         if self.hook == Some(Hook::Restripe) {
@@ -483,7 +439,7 @@ impl Strategy {
 
     /// The waiting smalls, if the placement lets `rail` take them.
     fn smalls(&self, rail: RailId, small_below: u64, ctx: &mut StrategyCtx<'_>) -> Option<TxOp> {
-        if !self.place.takes_smalls(rail, &*ctx) {
+        if !self.place.takes_smalls(rail, ctx.view, ctx.latency) {
             return None;
         }
         self.cut.smalls(small_below, ctx)
@@ -505,6 +461,7 @@ impl Strategy {
         rail: RailId,
         (key, size): (SegKey, u64),
         rails: &impl RailView,
+        latency: &LatencyOrder,
         config: &EngineConfig,
     ) -> Option<Option<TxOp>> {
         if matches!(self.place, Place::Bound(_)) {
@@ -514,7 +471,10 @@ impl Strategy {
             return Some(None);
         }
         let small = size < self.place.small_below(config);
-        if !small || matches!(self.order, Order::Fifo) || self.place.takes_smalls(rail, rails) {
+        if !small
+            || matches!(self.order, Order::Fifo)
+            || self.place.takes_smalls(rail, rails, latency)
+        {
             return Some(Some(TxOp::Eager(key)));
         }
         // (The harvest takes a batch of the smalls below `min_chunk`.)

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 
 use nmad_model::RailId;
 
-use super::{RailView, StrategyCtx, TxOp};
+use super::{LatencyOrder, RailView, StrategyCtx, TxOp};
 use crate::config::EngineConfig;
 use crate::request::SegKey;
 
@@ -43,7 +43,7 @@ pub(super) enum Place {
 
 impl Place {
     /// Whether `rail` may carry anything at all.
-    pub(super) fn admits(&self, rail: RailId, rails: &impl RailView) -> bool {
+    pub(super) fn admits(&self, rail: RailId, rails: &(impl RailView + ?Sized)) -> bool {
         match *self {
             Place::Pinned(pin) => rail == pin || !rails.ok(pin),
             _ => true,
@@ -61,10 +61,15 @@ impl Place {
     }
 
     /// Whether `rail` may take the waiting smalls now.
-    pub(super) fn takes_smalls(&self, rail: RailId, rails: &impl RailView) -> bool {
+    pub(super) fn takes_smalls(
+        &self,
+        rail: RailId,
+        rails: &(impl RailView + ?Sized),
+        latency: &LatencyOrder,
+    ) -> bool {
         match self {
             Place::SmallsToFastest => {
-                let fast = rails.fastest();
+                let fast = latency.fastest(rails);
                 rail == fast || rails.busy(fast)
             }
             _ => true,
@@ -114,7 +119,7 @@ impl Binding {
     /// *idleness*, not *health*) unless no rail is in service.
     fn bind_new(&mut self, ctx: &StrategyCtx<'_>) {
         let n = ctx.rails.len();
-        let any_ok = ctx.rail_ok.iter().take(n).any(|&ok| ok);
+        let any_ok = (0..n).any(|r| ctx.view.ok(RailId(r)));
         let unbound = ctx
             .backlog
             .eager_items()
@@ -124,13 +129,13 @@ impl Binding {
         let stuck = self
             .rail_of
             .iter()
-            .filter(|&(_, &r)| any_ok && !ctx.rail_ok(RailId(r)))
+            .filter(|&(_, &r)| any_ok && !ctx.view.ok(RailId(r)))
             .map(|(key, _)| *key);
         let mut keys = std::mem::take(&mut self.to_bind);
         keys.clear();
         keys.extend(unbound.chain(stuck));
         for &key in &keys {
-            while any_ok && !ctx.rail_ok(RailId(self.next_rail)) {
+            while any_ok && !ctx.view.ok(RailId(self.next_rail)) {
                 self.next_rail = (self.next_rail + 1) % n;
             }
             self.rail_of.insert(key, self.next_rail);

@@ -23,10 +23,30 @@ struct Fixture {
     config: EngineConfig,
     backlog: Backlog,
     obs: FlightRecorder,
+    view: Lanes,
+    now_ns: u64,
+}
+
+/// The rails as the fixture sets them, one vector per question. A rail
+/// a vector has no entry for is healthy, idle and unloaded.
+struct Lanes {
     busy: Vec<bool>,
     ok: Vec<bool>,
     flight: Vec<RailFlight>,
-    now_ns: u64,
+}
+
+impl RailView for Lanes {
+    fn ok(&self, rail: RailId) -> bool {
+        self.ok.get(rail.0).copied().unwrap_or(true)
+    }
+
+    fn busy(&self, rail: RailId) -> bool {
+        self.busy.get(rail.0).copied().unwrap_or(false)
+    }
+
+    fn flight(&self, rail: RailId) -> RailFlight {
+        self.flight.get(rail.0).copied().unwrap_or_default()
+    }
 }
 
 impl Fixture {
@@ -48,9 +68,11 @@ impl Fixture {
             config: EngineConfig::default(),
             backlog: Backlog::new(),
             obs: FlightRecorder::disabled(),
-            busy: vec![false; n],
-            ok: vec![true; n],
-            flight: Vec::new(),
+            view: Lanes {
+                busy: vec![false; n],
+                ok: vec![true; n],
+                flight: Vec::new(),
+            },
             now_ns: 0,
         }
     }
@@ -59,15 +81,13 @@ impl Fixture {
         StrategyCtx {
             backlog: &mut self.backlog,
             rails: &self.rails,
-            rail_busy: &self.busy,
-            rail_ok: &self.ok,
+            view: &self.view,
             tables: &self.tables,
             latency: &self.latency,
             batch: &mut self.batch,
             config: &self.config,
             obs: &mut self.obs,
             now_ns: self.now_ns,
-            flight: &self.flight,
         }
     }
 
@@ -132,7 +152,7 @@ fn lowest_latency_ties_break_by_load() {
     // would put every aggregation batch on rail 0 forever; the load-aware
     // one steers to the less-loaded rail.
     let mut f = Fixture::over(vec![platform::quadrics_qm500(), platform::quadrics_qm500()]);
-    f.flight = vec![
+    f.view.flight = vec![
         RailFlight {
             inflight: 1,
             inflight_bytes: 4096,
@@ -142,18 +162,14 @@ fn lowest_latency_ties_break_by_load() {
         },
         RailFlight::default(),
     ];
-    assert_eq!(
-        f.ctx().lowest_latency_rail(),
-        RailId(1),
-        "loaded rail 0 loses"
-    );
+    assert_eq!(f.latency.fastest(&f.view), RailId(1), "loaded rail 0 loses");
     // With no load information at all, index order remains the
     // deterministic last resort.
-    f.flight.clear();
-    assert_eq!(f.ctx().lowest_latency_rail(), RailId(0));
+    f.view.flight.clear();
+    assert_eq!(f.latency.fastest(&f.view), RailId(0));
     // A busy-but-otherwise-equal rail also loses the tie.
-    f.busy[0] = true;
-    assert_eq!(f.ctx().lowest_latency_rail(), RailId(1));
+    f.view.busy[0] = true;
+    assert_eq!(f.latency.fastest(&f.view), RailId(1));
 }
 
 mod single_rail {
@@ -172,7 +188,7 @@ mod single_rail {
     fn another_rail_serves_while_the_pinned_one_is_out() {
         let mut f = Fixture::new();
         f.eager(key(1, 0), 100);
-        f.ok[0] = false;
+        f.view.ok[0] = false;
         let mut s = StrategyKind::SingleRail(0).build();
         assert_eq!(f.ask(&mut s, 1), Some(TxOp::Eager(key(1, 0))));
     }
@@ -295,7 +311,7 @@ mod aggregate_eager {
     fn fallback_to_other_rail_when_fast_is_busy() {
         let mut f = Fixture::new();
         f.eager(key(1, 0), 100);
-        f.busy[1] = true;
+        f.view.busy[1] = true;
         let mut s = StrategyKind::AggregateEager.build();
         assert_eq!(f.ask(&mut s, 0), Some(TxOp::Eager(key(1, 0))));
     }
@@ -348,7 +364,7 @@ mod aggregate_eager {
         f.eager(key(1, 0), 64);
         f.eager(key(2, 0), f.config.min_chunk as u64);
         f.eager(key(3, 0), 64);
-        f.busy[0] = true;
+        f.view.busy[0] = true;
         let mut s = StrategyKind::AggregateEager.build();
         // Only Quadrics is idle: it serves the medium first...
         assert_eq!(f.ask(&mut s, 1), Some(TxOp::Eager(key(2, 0))));
@@ -405,7 +421,7 @@ mod split {
     fn bounded_chunk_when_other_rail_busy() {
         let mut f = Fixture::new();
         f.granted(key(1, 0), 8 << 20);
-        f.busy[1] = true;
+        f.view.busy[1] = true;
         let mut s = StrategyKind::AdaptiveSplit.build();
         // A quarter of the remainder: the rail frees soon so a later
         // decision can split the rest across idle rails.
@@ -519,7 +535,7 @@ mod srpt {
         // Large submitted first, small second: SRPT picks the small.
         f.granted(key(0, 0), 1 << 20);
         f.eager(key(1, 0), 16 * 1024);
-        f.busy[1] = true;
+        f.view.busy[1] = true;
         let mut s = StrategyKind::Srpt.build();
         assert_eq!(f.ask(&mut s, 0), Some(TxOp::Eager(key(1, 0))));
     }
@@ -529,7 +545,7 @@ mod srpt {
         let mut f = Fixture::new();
         f.eager(key(0, 0), 64);
         f.eager(key(1, 0), 64);
-        f.busy[1] = true;
+        f.view.busy[1] = true;
         let mut s = StrategyKind::Srpt.build();
         assert_eq!(
             f.ask(&mut s, 0),
@@ -557,8 +573,8 @@ mod srpt {
         assert_eq!(f.ask(&mut s, 0), Some(TxOp::PlannedChunk));
         f.backlog.take_planned(0).unwrap();
         f.now_ns = now_ns;
-        f.busy[1] = true;
-        f.flight = vec![
+        f.view.busy[1] = true;
+        f.view.flight = vec![
             RailFlight::default(),
             RailFlight {
                 inflight: 1,
@@ -631,7 +647,7 @@ mod static_round_robin {
             f.eager(key(m, 0), 64);
         }
         // Rail 0 is in outage: every fresh segment binds to rail 1.
-        f.ok[0] = false;
+        f.view.ok[0] = false;
         let mut s = StrategyKind::StaticRoundRobin.build();
         assert_eq!(f.ask(&mut s, 0), None);
         for m in 0..4 {
@@ -647,7 +663,7 @@ mod static_round_robin {
         // offers a Down rail, but the strategy itself stays total.)
         let mut f = Fixture::new();
         f.eager(key(0, 0), 64);
-        f.ok = vec![false, false];
+        f.view.ok = vec![false, false];
         let mut s = StrategyKind::StaticRoundRobin.build();
         assert_eq!(f.ask(&mut s, 0), Some(TxOp::Eager(key(0, 0))));
     }
@@ -711,16 +727,16 @@ mod lone_eager {
     /// The scan [`LatencyOrder`] replaced: the healthy rail of least
     /// (latency, busy, in-flight bytes, sent bytes), all rails when none
     /// is healthy, the lowest id among equals.
-    fn scan(ctx: &StrategyCtx<'_>, latency: &[SimDuration]) -> RailId {
+    fn scan(rails: &Lanes, latency: &[SimDuration]) -> RailId {
         let key = |i: usize| {
-            let f = ctx.flight(RailId(i));
-            let busy = ctx.rail_busy.get(i).copied().unwrap_or(false);
+            let f = rails.flight(RailId(i));
+            let busy = rails.busy(RailId(i));
             (latency[i], busy, f.inflight_bytes, f.sent_bytes)
         };
-        let all = 0..ctx.rails.len();
+        let all = 0..latency.len();
         let best = all
             .clone()
-            .filter(|&i| ctx.rail_ok(RailId(i)))
+            .filter(|&i| rails.ok(RailId(i)))
             .min_by_key(|&i| key(i));
         RailId(best.or_else(|| all.min_by_key(|&i| key(i))).expect("rails"))
     }
@@ -750,11 +766,11 @@ mod lone_eager {
             let rail = asked % count;
             let mut f = Fixture::over(rails(count, tied));
             f.config.min_chunk = if big_min_chunk { 128 * 1024 } else { f.config.min_chunk };
-            f.busy = busy[..count].to_vec();
-            f.ok = ok[..count].to_vec();
+            f.view.busy = busy[..count].to_vec();
+            f.view.ok = ok[..count].to_vec();
             // The engine asks only an idle rail that may carry data.
-            (f.busy[rail], f.ok[rail]) = (false, true);
-            f.flight = flights[..count].to_vec();
+            (f.view.busy[rail], f.view.ok[rail]) = (false, true);
+            f.view.flight = flights[..count].to_vec();
             let lone = key(10, 0);
             for msg in 0..waiting.0 {
                 f.backlog.push(key(msg as u64, 0), 1, 1 << 20, SegPhase::RdvRequested);
@@ -766,9 +782,7 @@ mod lone_eager {
             prop_assert_eq!(f.backlog.lone_eager(), Some((lone, size)));
             for kind in StrategyKind::zoo() {
                 let fast = {
-                    let config = f.config.clone();
-                    let ctx = f.ctx();
-                    kind.build().lone_eager(RailId(rail), (lone, size), &ctx, &config)
+                    kind.build().lone_eager(RailId(rail), (lone, size), &f.view, &f.latency, &f.config)
                 };
                 let full = f.ask(&mut kind.build(), rail);
                 match kind {
@@ -794,11 +808,10 @@ mod lone_eager {
             };
             let latency: Vec<SimDuration> = nics.iter().map(|n| n.analytic_pio_oneway(0)).collect();
             let mut f = Fixture::over(nics);
-            f.busy = busy[..count].to_vec();
-            f.ok = ok[..count].to_vec();
-            f.flight = flights[..count].to_vec();
-            let ctx = f.ctx();
-            prop_assert_eq!(ctx.lowest_latency_rail(), scan(&ctx, &latency));
+            f.view.busy = busy[..count].to_vec();
+            f.view.ok = ok[..count].to_vec();
+            f.view.flight = flights[..count].to_vec();
+            prop_assert_eq!(f.latency.fastest(&f.view), scan(&f.view, &latency));
         }
     }
 }

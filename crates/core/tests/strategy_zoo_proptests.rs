@@ -21,7 +21,7 @@
 use nmad_core::obs::FlightRecorder;
 use nmad_core::request::{Backlog, SegKey, SegPhase};
 use nmad_core::sampling::{default_ladder, PerfTable};
-use nmad_core::strategy::{KeyList, LatencyOrder, RailFlight, StrategyCtx, TxOp};
+use nmad_core::strategy::{KeyList, LatencyOrder, RailFlight, RailView, StrategyCtx, TxOp};
 use nmad_core::{EngineConfig, StrategyKind};
 use nmad_model::{platform, RailId};
 use proptest::prelude::*;
@@ -85,6 +85,27 @@ fn arb_flight() -> impl Strategy<Value = RailFlight> {
                 ewma_service_ns,
             },
         )
+}
+
+/// The rails as one round sets them: health, busy flags and loads.
+struct Lanes<'a> {
+    ok: &'a [bool],
+    busy: &'a [bool],
+    flight: &'a [RailFlight],
+}
+
+impl RailView for Lanes<'_> {
+    fn ok(&self, rail: RailId) -> bool {
+        self.ok[rail.0]
+    }
+
+    fn busy(&self, rail: RailId) -> bool {
+        self.busy[rail.0]
+    }
+
+    fn flight(&self, rail: RailId) -> RailFlight {
+        self.flight[rail.0]
+    }
 }
 
 /// Emulate the engine's side of one decision, enforcing its validity
@@ -211,18 +232,17 @@ proptest! {
                         continue; // the engine never asks a down rail
                     }
                     let op = {
+                        let view = Lanes { ok: &rail_ok, busy: &busy, flight: &flight };
                         let mut ctx = StrategyCtx {
                             backlog: &mut backlog,
                             rails: &rails,
-                            rail_busy: &busy,
-                            rail_ok: &rail_ok,
+                            view: &view,
                             tables: &tables,
                             latency: &latency,
                             batch: &mut batch,
                             config: &config,
                             obs: &mut obs,
                             now_ns,
-                            flight: &flight,
                         };
                         strategy.next_tx(RailId(r), &mut ctx)
                     };

@@ -5,7 +5,7 @@
 //! (PIO) or only the NIC (DMA), the wire latency, the sustained link rate,
 //! and the bookkeeping costs (per-packet overheads, polling).
 
-use nmad_sim::{SimDuration, SimTime};
+use nmad_sim::SimDuration;
 
 /// How a given payload is moved from host memory onto the wire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -122,12 +122,6 @@ impl NicModel {
         bytes as f64 / t / crate::MB
     }
 
-    /// A "no-op probe" grant duration used by samplers: the cost of touching
-    /// the NIC without transferring payload.
-    pub fn probe_cost(&self) -> SimDuration {
-        self.poll_cost
-    }
-
     /// Validate internal consistency; call from platform constructors.
     pub fn validate(&self) {
         assert!(self.link_bandwidth > 0.0, "{}: link bandwidth", self.name);
@@ -144,12 +138,6 @@ impl NicModel {
             "{}: mtu too small",
             self.name
         );
-    }
-
-    /// True if this NIC would be idle at `now` given its busy-until time
-    /// (helper for drivers; the authoritative state lives in the runtime).
-    pub fn would_be_idle(busy_until: SimTime, now: SimTime) -> bool {
-        busy_until <= now
     }
 }
 
@@ -230,12 +218,5 @@ mod tests {
         platform::quadrics_qm500().validate();
         platform::gige().validate();
         platform::sci_dolphin().validate();
-    }
-
-    #[test]
-    fn would_be_idle_boundary() {
-        let t = SimTime::from_ns(100);
-        assert!(NicModel::would_be_idle(t, t));
-        assert!(!NicModel::would_be_idle(t, SimTime::from_ns(99)));
     }
 }

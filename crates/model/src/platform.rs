@@ -93,12 +93,6 @@ impl Platform {
             })
             .expect("non-empty")
     }
-
-    /// Sum of rail link bandwidths (upper bound on multi-rail throughput
-    /// before bus effects).
-    pub fn rail_bandwidth_sum(&self) -> f64 {
-        self.rails.iter().map(|r| r.link_bandwidth).sum()
-    }
 }
 
 /// The dual-core 1.8 GHz Opteron node of the paper (§3.1).
@@ -285,7 +279,7 @@ mod tests {
     #[test]
     fn bus_binds_only_hetero_split() {
         let p = paper_platform();
-        let sum = p.rail_bandwidth_sum() / MB; // 2053
+        let sum = p.rails.iter().map(|r| r.link_bandwidth).sum::<f64>() / MB; // 2053
         let bus = p.host.bus_capacity / MB; // 1950
         assert!(bus < sum, "bus must cap the hetero-split rail sum");
         assert!(

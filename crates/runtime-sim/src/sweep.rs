@@ -81,14 +81,6 @@ impl Sweep {
     pub fn at(&self, size: u64) -> Option<&SeriesPoint> {
         self.points.iter().find(|p| p.size == size)
     }
-
-    /// Maximum bandwidth over the series (the plateau of the plots).
-    pub fn peak_bandwidth(&self) -> f64 {
-        self.points
-            .iter()
-            .map(|p| p.bandwidth_mbs)
-            .fold(0.0, f64::max)
-    }
 }
 
 /// The latency-plot abscissa of Figures 2–6: powers of two, 4 B – 32 KiB.
@@ -148,6 +140,5 @@ mod tests {
         }
         assert!(sweep.at(1024).is_some());
         assert!(sweep.at(999).is_none());
-        assert!(sweep.peak_bandwidth() > 0.0);
     }
 }

@@ -74,11 +74,6 @@ impl MultiResource {
         *self.free_at.iter().min().expect("non-empty")
     }
 
-    /// True if at least one server is free at `now`.
-    pub fn has_idle_server(&self, now: SimTime) -> bool {
-        self.next_free_at() <= now
-    }
-
     /// Aggregate utilization over `[0, now]` across all servers.
     pub fn utilization(&self, now: SimTime) -> f64 {
         if now == SimTime::ZERO {
@@ -130,7 +125,6 @@ mod tests {
         // A zero-length job leaves the server free at its instant.
         let g = r.acquire(SimTime::from_ns(600), SimDuration::ZERO);
         assert_eq!(g.start, g.end);
-        assert!(r.has_idle_server(SimTime::from_ns(600)));
     }
 
     #[test]
@@ -166,16 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn idle_server_detection() {
-        let mut r = MultiResource::new("cpu", 2);
-        r.acquire(SimTime::ZERO, SimDuration::from_ns(100));
-        assert!(r.has_idle_server(SimTime::ZERO), "second core idle");
-        r.acquire(SimTime::ZERO, SimDuration::from_ns(100));
-        assert!(!r.has_idle_server(SimTime::from_ns(50)));
-        assert!(r.has_idle_server(SimTime::from_ns(100)));
-    }
-
-    #[test]
     fn utilization_spans_all_servers() {
         let mut r = MultiResource::new("cpu", 2);
         r.acquire(SimTime::ZERO, SimDuration::from_ns(100));
@@ -204,7 +188,6 @@ mod tests {
         r.acquire(SimTime::ZERO, SimDuration::from_us(1));
         r.acquire(SimTime::ZERO, SimDuration::from_us(1));
         r.reset(SimTime::from_us(5));
-        assert!(r.has_idle_server(SimTime::from_us(5)));
         assert_eq!(r.busy_total(), SimDuration::ZERO);
         let g = r.acquire(SimTime::from_us(5), SimDuration::from_ns(1));
         assert_eq!(g.start, SimTime::from_us(5));

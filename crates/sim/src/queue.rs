@@ -99,11 +99,6 @@ impl<E> EventQueue<E> {
         Some((entry.time, entry.event))
     }
 
-    /// Time of the earliest pending event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -203,10 +198,8 @@ mod tests {
         q.push(SimTime::from_ns(1), ());
         q.push(SimTime::from_ns(2), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(1)));
         q.pop();
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 }

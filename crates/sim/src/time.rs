@@ -99,12 +99,6 @@ impl SimTime {
         );
         SimDuration(self.0 - earlier.0)
     }
-
-    /// Saturating difference: zero if `earlier` is in the future.
-    #[inline]
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
@@ -153,12 +147,6 @@ impl SimDuration {
     #[inline]
     pub const fn as_ps(self) -> u64 {
         self.0
-    }
-
-    /// Value in nanoseconds as a float.
-    #[inline]
-    pub fn as_ns_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_NS as f64
     }
 
     /// Value in microseconds as a float.
@@ -301,7 +289,6 @@ mod tests {
     fn construction_and_conversion() {
         assert_eq!(SimTime::from_ns(1).as_ps(), 1_000);
         assert_eq!(SimTime::from_us(3).as_ps(), 3_000_000);
-        assert_eq!(SimDuration::from_us(1).as_ns_f64(), 1_000.0);
         assert!((SimTime::from_us(7).as_us_f64() - 7.0).abs() < 1e-12);
     }
 
@@ -312,14 +299,6 @@ mod tests {
         let t2 = t + d;
         assert_eq!(t2.since(t), d);
         assert_eq!(t2 - d, t);
-    }
-
-    #[test]
-    fn saturating_since_clamps() {
-        let early = SimTime::from_ns(5);
-        let late = SimTime::from_ns(9);
-        assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(late.saturating_since(early), SimDuration::from_ns(4));
     }
 
     #[test]

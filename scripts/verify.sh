@@ -146,6 +146,18 @@ echo "==> no hash table in the engine's per-message state"
 if grep -nE 'Hash(Map|Set)\b' crates/core/src/engine/mod.rs crates/wire/src/reassembly.rs; then
     echo "per-message state keyed through a hash table (see above): use an IdWindow"; exit 1
 fi
+# A rail carries one frame at a time, so what it carries is one slot per
+# rail, and a decision reads the rails where they are kept, through one
+# RailView (DESIGN.md §12 "Engine state tables", §13 "Decision inputs").
+# The token-keyed in-flight window, the busy flags that mirrored it, the
+# per-decision health and load lists and the context's snapshot slices
+# must not come back.
+echo "==> one in-flight slot per rail; a decision copies no rail state"
+if grep -rnE 'in_flight: IdWindow|rail_busy: Vec<bool>|impl RailView for StrategyCtx' crates/core/src \
+    || grep -nE '\b(rail_ok|flight): Vec<' crates/core/src/engine/mod.rs \
+    || grep -nE 'pub (rail_busy|rail_ok|flight): &' crates/core/src/strategy/mod.rs; then
+    echo "a second copy of what the rails carry is back (see above): read the slot through RailView"; exit 1
+fi
 
 # Reassembly is by reference (DESIGN.md "Receive: reassembly by
 # reference"): a chunk is kept as the slice of its frame that it is and

@@ -202,7 +202,6 @@ fn acked_delivery() {
         assert!(s.wait_acked(T), "{on:?}: delivery must be confirmed");
         assert_eq!(r.wait(T).unwrap().segments[0].as_ref(), payload.as_slice());
         assert!(a.stats().acks_received >= 1, "{on:?}");
-        assert!(!s.retransmit(), "{on:?}: nothing to resend once acked");
         if on == Transport::Tcp {
             // TCP does not lose frames: the adaptive timers must not have
             // fired spuriously on a healthy fabric.
