@@ -495,9 +495,32 @@ fn faults(args: &Args) -> Result<String, String> {
 }
 
 /// A rail's health path as `nmad faults` prints it: `Up -> Suspect -> …`.
+/// A pair of states that repeats back to back — `Down -> Probing`, once
+/// per failed probe of an outage — is printed once, after its count, so
+/// the path is as long for a 2 s outage as for a 200 ms one: `Up ->
+/// Suspect -> (14 times) Down -> Probing -> Up`.
 fn health_path(path: &[nmad_core::RailState]) -> String {
-    let labels: Vec<&str> = path.iter().map(|s| s.label()).collect();
-    labels.join(" -> ")
+    let mut steps = Vec::new();
+    let mut i = 0;
+    while i < path.len() {
+        let pair = &path[i..(i + 2).min(path.len())];
+        let mut times = 1;
+        while pair.len() == 2 && path[i + 2 * times..].starts_with(pair) {
+            times += 1;
+        }
+        if times == 1 {
+            steps.push(path[i].label().to_string());
+            i += 1;
+        } else {
+            steps.push(format!(
+                "({times} times) {} -> {}",
+                pair[0].label(),
+                pair[1].label()
+            ));
+            i += 2 * times;
+        }
+    }
+    steps.join(" -> ")
 }
 
 /// Simulated workload shared by `trace` and `metrics`: a pipelined batch
@@ -976,6 +999,24 @@ mod tests {
             .find_map(|l| l.strip_prefix("rail 1 health path: "))
             .unwrap_or_else(|| panic!("no path for rail 1:\n{out}"));
         assert!(path.ends_with(&health_path(&[Down, Probing, Up])), "{path}");
+    }
+
+    /// A 2 s outage is ~100 failed probes: the printed path counts the
+    /// `Down -> Probing` cycle instead of printing it each time.
+    #[test]
+    fn a_long_outage_prints_a_path_of_fixed_length() {
+        let argv: Vec<String> =
+            "faults --size 4K --messages 4 --kill-rail 1 --down-at 0 --up-at 2000"
+                .split(' ')
+                .map(String::from)
+                .collect();
+        let out = faults(&Args::parse(&argv).unwrap()).unwrap();
+        let path = out
+            .lines()
+            .find_map(|l| l.strip_prefix("rail 1 health path: "))
+            .unwrap_or_else(|| panic!("no path for rail 1:\n{out}"));
+        assert!(path.contains(" times) Down -> Probing -> "), "{path}");
+        assert!(path.split(" -> ").count() <= 6, "{path}");
     }
 
     #[test]

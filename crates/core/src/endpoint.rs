@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use nmad_wire::reassembly::MessageAssembly;
@@ -28,7 +28,7 @@ use crate::stats::EngineStats;
 
 mod serial;
 pub use serial::{
-    Parker, Pass, Rails, Serial, WorkSignal, BACKSTOP_TICK, CALLER_LEASE, SPIN_BUDGET,
+    Clock, Parker, Pass, Rails, Serial, WorkSignal, BACKSTOP_TICK, CALLER_LEASE, SPIN_BUDGET,
 };
 
 /// What every fabric counts beside its engine, and the poison flag its
@@ -50,45 +50,6 @@ impl FabricStatus {
     /// `false`/`None` from now on.
     pub fn failed(&self) -> bool {
         self.failed.load(Ordering::SeqCst)
-    }
-}
-
-/// When a [`Fabric::wait`] gives up.
-#[derive(Clone, Copy, Debug)]
-pub enum Deadline {
-    /// Never: only completion or poison end the wait.
-    Never,
-    /// It already has (a zero timeout): the wait is one look — one
-    /// progress pass where callers drive progress — and reads no clock.
-    Passed,
-    /// At this instant.
-    At(Instant),
-}
-
-impl Deadline {
-    /// `timeout` from now. A zero timeout is [`Deadline::Passed`] without
-    /// a look at the clock; one too large to add to it (`Duration::MAX`)
-    /// is no deadline at all.
-    pub fn after(timeout: Duration) -> Self {
-        if timeout.is_zero() {
-            return Deadline::Passed;
-        }
-        Instant::now()
-            .checked_add(timeout)
-            .map_or(Deadline::Never, Deadline::At)
-    }
-
-    /// How long a sleep may last: `None` once the deadline has passed,
-    /// `Duration::MAX` (which a condvar takes for "no timeout") when
-    /// there is none. Only [`Deadline::At`] reads the clock.
-    pub fn left(self) -> Option<Duration> {
-        match self {
-            Deadline::Never => Some(Duration::MAX),
-            Deadline::Passed => None,
-            Deadline::At(at) => at
-                .checked_duration_since(Instant::now())
-                .filter(|left| !left.is_zero()),
-        }
     }
 }
 
@@ -134,12 +95,14 @@ pub trait Fabric: std::any::Any + Send + Sync {
     /// Get whoever drives progress to look at the engine again.
     fn kick(&self);
 
-    /// Block until `done` holds (true), or `deadline` passes or the
-    /// fabric is poisoned (false).
+    /// Block until `done` holds (true), or `timeout` runs out or the
+    /// fabric is poisoned (false). A zero timeout is one look (one
+    /// progress pass where callers drive progress); `Duration::MAX` is
+    /// none.
     fn wait(
         &self,
         kind: WaitFor,
-        deadline: Deadline,
+        timeout: Duration,
         done: &mut dyn FnMut(&mut Engine) -> bool,
     ) -> bool;
 
@@ -182,8 +145,7 @@ pub struct RecvHandle {
 }
 
 /// The one wait: until `done` yields, `timeout` runs out or the fabric
-/// is poisoned ([`Deadline::after`]: a zero timeout is a poll that reads
-/// no clock).
+/// is poisoned ([`Fabric::wait`]).
 fn wait_on<T>(
     fabric: &dyn Fabric,
     kind: WaitFor,
@@ -191,7 +153,7 @@ fn wait_on<T>(
     mut done: impl FnMut(&mut Engine) -> Option<T>,
 ) -> Option<T> {
     let mut out = None;
-    fabric.wait(kind, Deadline::after(timeout), &mut |eng| {
+    fabric.wait(kind, timeout, &mut |eng| {
         out = done(eng);
         out.is_some()
     });
@@ -377,32 +339,5 @@ impl Drop for Endpoint {
             let _ = h.join();
         }
         self.fabric.finish_shutdown();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_zero_timeout_is_a_deadline_already_passed() {
-        assert!(matches!(Deadline::after(Duration::ZERO), Deadline::Passed));
-        assert_eq!(Deadline::Passed.left(), None);
-    }
-
-    #[test]
-    fn a_timeout_the_clock_cannot_hold_is_no_deadline() {
-        assert!(matches!(Deadline::after(Duration::MAX), Deadline::Never));
-        assert_eq!(Deadline::Never.left(), Some(Duration::MAX));
-    }
-
-    #[test]
-    fn a_deadline_ahead_says_how_long_is_left_and_none_once_behind() {
-        let Deadline::At(at) = Deadline::after(Duration::from_secs(3600)) else {
-            panic!("a finite timeout is an instant");
-        };
-        let left = Deadline::At(at).left().expect("an hour ahead");
-        assert!(left > Duration::from_secs(3500) && left <= Duration::from_secs(3600));
-        assert_eq!(Deadline::At(Instant::now()).left(), None);
     }
 }

@@ -3,20 +3,21 @@
 //! backstop thread per endpoint sleeps until something happens that no
 //! caller is around for (DESIGN.md "Who drives progress").
 //!
-//! A transport supplies how bytes move on its rails ([`Rails`]) and what
-//! its backstop thread sleeps on ([`Parker`]); [`Serial::spawn`] makes an
-//! endpoint of the two. Lock order is rails → engine.
+//! A transport supplies how bytes move on its rails ([`Rails`]), what
+//! its backstop thread sleeps on ([`Parker`]) and the [`Clock`] every
+//! time is read from; [`Serial::spawn`] makes an endpoint of them. Lock
+//! order is rails → engine.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use nmad_model::RailId;
 use nmad_wire::{ConnId, PacketFrame};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use super::{Deadline, Endpoint, Fabric, FabricStatus, WaitFor};
+use super::{Endpoint, Fabric, FabricStatus, WaitFor};
 use crate::driver::TxToken;
 use crate::engine::Engine;
 use crate::error::SubmitError;
@@ -43,8 +44,6 @@ pub const SPIN_BUDGET: Duration = Duration::from_micros(1000);
 /// (`Pass::busy_until`): a caller that answers within a lease and one
 /// that follows up within the window are the same notion of "at once".
 pub const CALLER_LEASE: Duration = SPIN_BUDGET;
-/// [`CALLER_LEASE`] on the engine clock.
-const LEASE_NS: u64 = CALLER_LEASE.as_nanos() as u64;
 /// Rounds of post-and-flush one pass makes before the rails are read
 /// again.
 const TX_ROUNDS: usize = 8;
@@ -52,6 +51,28 @@ const TX_ROUNDS: usize = 8;
 /// and shutdown all end the sleep; this only bounds how stale the engine
 /// clock can get.
 pub const BACKSTOP_TICK: Duration = Duration::from_millis(100);
+
+/// A span on the engine clock; one too long for it (`Duration::MAX`) is
+/// forever.
+fn ns(span: Duration) -> u64 {
+    u64::try_from(span.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The serial runtime's one time source: [`Serial`] reads the engine
+/// clock through the one it is handed and nowhere else, once per pass
+/// (DESIGN.md §15 "The clock").
+pub trait Clock: Send + Sync + 'static {
+    /// Nanoseconds since the clock's epoch.
+    fn now_ns(&self) -> u64;
+}
+
+/// The production clock: the time since the epoch a transport took when
+/// it built the endpoint (both ends of a mem pair share one).
+impl Clock for std::time::Instant {
+    fn now_ns(&self) -> u64 {
+        self.elapsed().as_nanos() as u64
+    }
+}
 
 /// What the backstop thread sleeps on.
 pub trait Parker: Send + Sync + 'static {
@@ -149,10 +170,14 @@ impl Parker for WorkSignal {
 /// How bytes move on the rails of one endpoint. Every method runs under
 /// the rails lock, on whichever thread makes the pass; none is called
 /// with the engine lock held except [`Rails::idle`] and
-/// [`Rails::enqueue`], which only touch memory.
+/// [`Rails::enqueue`], which only touch memory. A `now` is the pass's
+/// reading of the endpoint's [`Clock`].
 pub trait Rails: Send + 'static {
     /// What this endpoint's backstop thread sleeps on.
     type Parker: Parker;
+
+    /// What the endpoint reads the time from.
+    type Clock: Clock;
 
     /// Number of rails.
     fn count(&self) -> usize;
@@ -167,14 +192,19 @@ pub trait Rails: Send + 'static {
 
     /// Take a frame for `rail` (idle by [`Rails::idle`]); it leaves in
     /// [`Rails::flush`].
-    fn enqueue(&mut self, rail: usize, frame: PacketFrame, token: TxToken);
+    fn enqueue(&mut self, rail: usize, frame: PacketFrame, token: TxToken, now: u64);
 
     /// Move what was enqueued as far as it goes without blocking and
     /// push the token of every injection that finished. Returns the
     /// engine-clock time at which an unfinished one wants another pass
     /// with nothing else happening (a shaped wire; readiness the
     /// [`Parker`] reports needs none).
-    fn flush(&mut self, done: &mut Vec<(usize, TxToken)>, status: &FabricStatus) -> Option<u64>;
+    fn flush(
+        &mut self,
+        done: &mut Vec<(usize, TxToken)>,
+        status: &FabricStatus,
+        now: u64,
+    ) -> Option<u64>;
 
     /// Kernel crossings so far (all zero where bytes move in memory).
     fn syscalls(&self) -> SyscallStats;
@@ -210,8 +240,8 @@ pub struct Serial<R: Rails> {
     cv: Condvar,
     io: Mutex<Pass<R>>,
     parker: R::Parker,
-    /// Epoch of the engine's monotonic clock (timeouts, probes).
-    start: Instant,
+    /// The engine clock (timeouts, probes, the window and the lease).
+    clock: R::Clock,
     shutdown: AtomicBool,
     status: FabricStatus,
     /// Application threads making passes right now; while nonzero the
@@ -238,9 +268,9 @@ pub struct Serial<R: Rails> {
 }
 
 impl<R: Rails> Serial<R> {
-    /// The serial runtime around `engine`, whose clock counts from
-    /// `start`; [`Serial::spawn`] makes an endpoint of it.
-    pub fn new(engine: Engine, rails: R, parker: R::Parker, start: Instant) -> Arc<Self> {
+    /// The serial runtime around `engine`, whose clock is `clock`;
+    /// [`Serial::spawn`] makes an endpoint of it.
+    pub fn new(engine: Engine, rails: R, parker: R::Parker, clock: R::Clock) -> Arc<Self> {
         Arc::new(Serial {
             engine: Mutex::new(engine),
             cv: Condvar::new(),
@@ -251,7 +281,7 @@ impl<R: Rails> Serial<R> {
                 busy_until: 0,
             }),
             parker,
-            start,
+            clock,
             shutdown: AtomicBool::new(false),
             status: FabricStatus::default(),
             pollers: AtomicUsize::new(0),
@@ -278,10 +308,6 @@ impl<R: Rails> Serial<R> {
         self.io.lock()
     }
 
-    fn now_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-
     /// Wake the threads asleep on the completion condvar, if any (the
     /// count spares the futex syscall when there are none).
     fn notify(&self) {
@@ -300,11 +326,12 @@ impl<R: Rails> Serial<R> {
     /// backstop thread (see `skipped`) — unless a lease is held: then
     /// the flag stays up for the next wait that renews it, and the
     /// backstop is up when the lease ends and makes a pass whatever the
-    /// flag says.
+    /// flag says. (The clock is read for the lease only when a pass is
+    /// owed.)
     pub fn leave(&self) {
         if self.pollers.fetch_sub(1, Ordering::SeqCst) == 1
             && self.owed()
-            && self.leased().is_none()
+            && self.leased(self.clock.now_ns()).is_none()
             && self.take_owed()
         {
             self.parker.kick();
@@ -326,9 +353,12 @@ impl<R: Rails> Serial<R> {
     /// declines on the backstop's behalf, with the backstop's own
     /// protocol, and only wakes it when nobody holds the rails: the last
     /// caller out finds `skipped`, and under a lease the backstop is up
-    /// by itself when it runs out. No lock of this endpoint is taken.
+    /// by itself when it runs out. No lock of this endpoint is taken. The
+    /// lease is read after the frames are on the rails, never at a time
+    /// from before: a lease that ended in between may have seen its
+    /// backstop's pass find nothing.
     pub fn arrived(&self) {
-        if self.declined().is_none() {
+        if self.declined(self.clock.now_ns()).is_none() {
             self.parker.kick();
         }
     }
@@ -354,14 +384,14 @@ impl<R: Rails> Serial<R> {
         let out = submit(&mut eng);
         match io {
             Some(mut io) => {
-                let now = self.now_ns();
+                let mut now = self.clock.now_ns();
                 let waits = may_wait
                     && now < io.busy_until
                     && self.lease_ns.load(Ordering::SeqCst) <= now
                     && eng.tx_can_wait();
                 if waits {
                     drop(eng);
-                } else if self.pump(&mut io, eng, now) {
+                } else if self.pump(&mut io, eng, &mut now) {
                     self.notify();
                 }
             }
@@ -375,22 +405,25 @@ impl<R: Rails> Serial<R> {
     }
 
     /// Caller-driven progress for a handle's `wait`: check `done`, then
-    /// make passes on this thread, one at least, until it holds,
-    /// `deadline` passes or nothing has moved for [`SPIN_BUDGET`]. The
-    /// clock is read for what needs it: a pass that moved nothing, a
-    /// deadline still ahead. A wait for something the peer sent that
-    /// completes holds the rails for [`CALLER_LEASE`], whether or not it
-    /// made a pass itself.
+    /// make passes on this thread, one at least, until it holds, the
+    /// wait's time is up or nothing has moved for [`SPIN_BUDGET`]. The
+    /// checks use each pass's reading of the clock; only a look that
+    /// found the rails taken, and made no pass, reads it here. A wait
+    /// for something the peer sent that completes holds the rails for
+    /// [`CALLER_LEASE`], whether or not it made a pass itself. `time` is
+    /// the wait's: when it gives up, resolved from its first reading
+    /// (`u64::MAX`: never), and its latest reading.
     fn drive(
         &self,
         kind: WaitFor,
-        deadline: Deadline,
+        timeout: u64,
+        time: &mut (Option<u64>, u64),
         done: &mut dyn FnMut(&mut Engine) -> bool,
     ) -> bool {
         self.enter();
         let holds = kind == WaitFor::Arrival;
         // Since when every pass has moved nothing, if the last one did.
-        let mut quiet_since: Option<Instant> = None;
+        let mut quiet_since: Option<u64> = None;
         let mut found_done = true;
         let out = loop {
             if done(&mut self.engine.lock()) {
@@ -400,27 +433,24 @@ impl<R: Rails> Serial<R> {
                 break false;
             }
             found_done = false;
-            let moved = self.try_pass();
+            let pass = self.try_pass();
             // (The caller looks at `done` once more, under the lock it
             // goes to sleep with.)
-            if let Deadline::Passed = deadline {
+            if timeout == 0 {
+                break false;
+            }
+            let (moved, now) = pass.unwrap_or_else(|| (false, self.clock.now_ns()));
+            let until = *time.0.get_or_insert(now.saturating_add(timeout));
+            time.1 = now;
+            let spun =
+                !moved && now.saturating_sub(*quiet_since.get_or_insert(now)) >= ns(SPIN_BUDGET);
+            if now >= until || spun {
                 break false;
             }
             if moved {
                 quiet_since = None;
-                if let Deadline::Never = deadline {
-                    continue;
-                }
-            }
-            let now = Instant::now();
-            if !moved {
-                if now.duration_since(*quiet_since.get_or_insert(now)) >= SPIN_BUDGET {
-                    break false;
-                }
+            } else {
                 std::thread::yield_now();
-            }
-            if matches!(deadline, Deadline::At(at) if now >= at) {
-                break false;
             }
         };
         // To hold the rails is to promise to read them. A wait that found
@@ -432,9 +462,10 @@ impl<R: Rails> Serial<R> {
             self.try_pass();
         }
         let fresh = holds && out && {
-            let now = self.now_ns();
-            let until = now + LEASE_NS;
-            self.lease_ns.swap(until, Ordering::SeqCst) <= now
+            // Read afresh: the lease counts from the wait's end, and its
+            // last pass may be a scheduler slice behind by then.
+            let now = self.clock.now_ns();
+            self.lease_ns.swap(now + ns(CALLER_LEASE), Ordering::SeqCst) <= now
         };
         self.leave();
         // The backstop may be asleep for a full tick. The first lease
@@ -448,34 +479,35 @@ impl<R: Rails> Serial<R> {
     }
 
     /// One full pass by a caller, unless the rails are taken (for one
-    /// pass at a time: there is nothing to do but try again). True when
-    /// anything moved.
-    fn try_pass(&self) -> bool {
-        let Some(mut io) = self.io.try_lock() else {
-            return false;
-        };
+    /// pass at a time: there is nothing to do but try again): whether
+    /// anything moved, and the clock as the pass last read it.
+    fn try_pass(&self) -> Option<(bool, u64)> {
+        let mut io = self.io.try_lock()?;
         // This pass starts after whatever the flag stood for.
         self.skipped.store(false, Ordering::SeqCst);
         let calls = io.rails.syscalls();
-        let progressed = self.step(&mut io);
+        let (progressed, now) = self.step(&mut io);
         if progressed {
             self.notify();
         }
         // Bytes of a frame that is not whole yet count too: the rail is
         // live and this thread is the one draining it.
         let after = io.rails.syscalls();
-        progressed || after.rx_calls + after.tx_calls != calls.rx_calls + calls.tx_calls
+        let read = after.rx_calls + after.tx_calls != calls.rx_calls + calls.tx_calls;
+        Some((progressed || read, now))
     }
 
     /// One full pass by the thread holding the rails lock: one read per
-    /// rail with the engine lock free, then [`Serial::pump`]. True when
-    /// anything moved. A rail that may hold more leaves a pass owed.
-    fn step(&self, io: &mut Pass<R>) -> bool {
+    /// rail with the engine lock free, then [`Serial::pump`] from a fresh
+    /// reading of the clock. Whether anything moved, and the clock as the
+    /// pass last read it. A rail that may hold more leaves a pass owed.
+    fn step(&self, io: &mut Pass<R>) -> (bool, u64) {
         if io.rails.read(&mut io.frames, &self.status) {
             self.skipped.store(true, Ordering::SeqCst);
         }
         let eng = self.engine.lock();
-        self.pump(io, eng, self.now_ns())
+        let mut now = self.clock.now_ns();
+        (self.pump(io, eng, &mut now), now)
     }
 
     /// The engine half of a pass. One short critical section digests
@@ -486,9 +518,14 @@ impl<R: Rails> Serial<R> {
     /// `on_tx_done`. Ends when none finished, or after [`TX_ROUNDS`]
     /// with a pass owed: a backlog that keeps every injection finishing
     /// must not keep the arrivals waiting. `now` is the engine clock as
-    /// the caller just read it.
-    fn pump<'a>(&'a self, io: &mut Pass<R>, mut eng: MutexGuard<'a, Engine>, mut now: u64) -> bool {
-        let outcome = eng.progress(now);
+    /// the caller just read it, and as the pass last read it on return.
+    fn pump<'a>(
+        &'a self,
+        io: &mut Pass<R>,
+        mut eng: MutexGuard<'a, Engine>,
+        now: &mut u64,
+    ) -> bool {
+        let outcome = eng.progress(*now);
         let mut progressed =
             !io.frames.is_empty() || !outcome.retransmitted.is_empty() || outcome.control_enqueued;
         for round in 1.. {
@@ -514,9 +551,9 @@ impl<R: Rails> Serial<R> {
                         // More of its kind may follow at once: the rails
                         // are busy from here on.
                         if d.small_eager {
-                            io.busy_until = now + LEASE_NS;
+                            io.busy_until = *now + ns(CALLER_LEASE);
                         }
-                        io.rails.enqueue(rail, d.frame, d.token);
+                        io.rails.enqueue(rail, d.frame, d.token, *now);
                     }
                     Ok(None) => {}
                     // A strategy bug poisons the endpoint's waits; it
@@ -530,11 +567,11 @@ impl<R: Rails> Serial<R> {
             let timer = eng.next_deadline_ns().unwrap_or(u64::MAX);
             drop(eng);
 
-            let wire = io.rails.flush(&mut io.done, &self.status);
+            let wire = io.rails.flush(&mut io.done, &self.status, *now);
             // (A window that is over is no deadline: whoever held
             // something back did so before it ended, and this pass has
             // asked the strategy since.)
-            let window = if io.busy_until > now {
+            let window = if io.busy_until > *now {
                 io.busy_until
             } else {
                 u64::MAX
@@ -559,16 +596,16 @@ impl<R: Rails> Serial<R> {
             // `on_tx_done` by its clock (calibration samples, the
             // service-time estimate): one that finished in this flush
             // must not be digested at the time it was posted.
-            now = self.now_ns();
-            eng.observe_clock(now);
+            *now = self.clock.now_ns();
+            eng.observe_clock(*now);
         }
         progressed
     }
 
-    /// What is left of the lease a caller holds, if any.
-    fn leased(&self) -> Option<Duration> {
+    /// What is left at `now` of the lease a caller holds, if any.
+    fn leased(&self, now: u64) -> Option<Duration> {
         let until = self.lease_ns.load(Ordering::SeqCst);
-        Some(Duration::from_nanos(until.checked_sub(self.now_ns())?)).filter(|d| !d.is_zero())
+        Some(Duration::from_nanos(until.checked_sub(now)?)).filter(|d| !d.is_zero())
     }
 
     /// After how long to ask again whether callers still have the rails
@@ -576,18 +613,23 @@ impl<R: Rails> Serial<R> {
     /// passes (the last to leave says so) — or `None` when it is the
     /// backstop thread's turn.
     pub fn claimed(&self) -> Option<Duration> {
+        self.claimed_at(self.clock.now_ns())
+    }
+
+    /// [`Serial::claimed`] at `now`.
+    fn claimed_at(&self, now: u64) -> Option<Duration> {
         let polled = || (self.pollers.load(Ordering::SeqCst) > 0).then_some(BACKSTOP_TICK);
-        self.leased().or_else(polled)
+        self.leased(now).or_else(polled)
     }
 
     /// [`Serial::claimed`] for a wake-up that is then the callers': with
     /// `skipped` raised first, for the last of them to find, or the next
     /// wait that renews the lease (all gone before they could see the
     /// flag: ours after all).
-    fn declined(&self) -> Option<Duration> {
-        self.claimed()?;
+    fn declined(&self, now: u64) -> Option<Duration> {
+        self.claimed_at(now)?;
         self.skipped.store(true, Ordering::SeqCst);
-        self.claimed()
+        self.claimed_at(now)
     }
 
     /// The backstop thread: asleep until the rails are ready, a kick or
@@ -595,7 +637,9 @@ impl<R: Rails> Serial<R> {
     /// making passes themselves: then the wake-up is theirs (see
     /// `skipped` for why that loses nothing), timers included, and all
     /// that is left to do is to size the next sleep, and under a lease
-    /// to take it off the rails ([`Parker::park_leased`]).
+    /// to take it off the rails ([`Parker::park_leased`]). It reads the
+    /// clock once a wake-up, and twice more for each of its passes: the
+    /// pass's own reading, and one after it to size the next sleep by.
     fn run_backstop(&self) {
         let mut timeout = BACKSTOP_TICK;
         let mut leased = false;
@@ -608,16 +652,20 @@ impl<R: Rails> Serial<R> {
             if self.shutdown.load(Ordering::SeqCst) {
                 return;
             }
+            let mut now = self.clock.now_ns();
             // Pass after pass while one is owed and no caller has the
             // rails.
             let declined = loop {
-                let declined = self.declined();
+                let declined = self.declined(now);
                 if declined.is_some() {
                     break declined;
                 }
-                if self.step(&mut self.io.lock()) {
+                if self.step(&mut self.io.lock()).0 {
                     self.notify();
                 }
+                // (After the pass's flush: the pass's own reading is as
+                // old as the flush took.)
+                now = self.clock.now_ns();
                 if !self.take_owed() {
                     break None;
                 }
@@ -628,10 +676,10 @@ impl<R: Rails> Serial<R> {
             // `skipped`, miss what arrives next and leave without a
             // lease (a wait that timed out), kicking nobody — so the
             // rails still wake this thread.
-            let lease = declined.and_then(|_| self.leased());
+            let lease = declined.and_then(|_| self.leased(now));
             leased = lease.is_some();
             let deadline = self.deadline_ns.load(Ordering::SeqCst);
-            timeout = match (deadline.saturating_sub(self.now_ns()), lease.or(declined)) {
+            timeout = match (deadline.saturating_sub(now), lease.or(declined)) {
                 // Due, and the callers' to fire on their next pass: no
                 // reason to spin here until they have.
                 (0, Some(_)) => Duration::from_millis(1),
@@ -686,17 +734,20 @@ impl<R: Rails> Fabric for Serial<R> {
         self.offer(false, |_| ());
     }
 
-    /// The caller drives progress itself ([`Serial::drive`]) and sleeps
-    /// on the completion condvar only between bouts of it, so a deadline
-    /// already passed is exactly one progress pass.
+    /// The caller drives progress itself and sleeps on the completion
+    /// condvar only between bouts of it, so a zero timeout is exactly
+    /// one progress pass. The timeout counts from the first pass's
+    /// reading of the clock: a wait whose first look succeeds reads none
+    /// for it.
     fn wait(
         &self,
         kind: WaitFor,
-        deadline: Deadline,
+        timeout: Duration,
         done: &mut dyn FnMut(&mut Engine) -> bool,
     ) -> bool {
+        let mut time = (None, 0);
         loop {
-            if self.drive(kind, deadline, done) {
+            if self.drive(kind, ns(timeout), &mut time, done) {
                 return true;
             }
             let mut eng = self.engine.lock();
@@ -706,8 +757,12 @@ impl<R: Rails> Fabric for Serial<R> {
             if self.status.failed() || self.shutdown.load(Ordering::SeqCst) {
                 return false;
             }
-            let Some(left) = deadline.left() else {
-                return false;
+            // (`Duration::MAX` is "no timeout" to a condvar.)
+            let left = match time {
+                (Some(u64::MAX), _) => Duration::MAX,
+                (Some(until), now) if until > now => Duration::from_nanos(until - now),
+                // A zero timeout, or the time is up.
+                _ => return false,
             };
             // Registered under the engine lock, which the wait releases
             // atomically: a pass that completes us after this point sees
@@ -735,7 +790,8 @@ impl<R: Rails> Fabric for Serial<R> {
     /// backlog for the window leaves here at the latest.
     fn finish_shutdown(&self) {
         let mut io = self.io.lock();
-        self.pump(&mut io, self.engine.lock(), self.now_ns());
+        let mut now = self.clock.now_ns();
+        self.pump(&mut io, self.engine.lock(), &mut now);
         io.rails.close();
     }
 }
@@ -747,8 +803,61 @@ mod tests {
     use nmad_model::platform;
     use nmad_wire::FrameBody;
     use std::collections::VecDeque;
+    use std::time::Instant;
 
     const T: Duration = Duration::from_secs(20);
+
+    /// The test clock: it moves only when a test steps it, and it counts
+    /// the reads the runtime makes of it.
+    #[derive(Default)]
+    struct StepClock {
+        ns: AtomicU64,
+        reads: AtomicU64,
+    }
+
+    impl StepClock {
+        /// Where the clock stands, read without being counted.
+        fn peek(&self) -> u64 {
+            self.ns.load(Ordering::SeqCst)
+        }
+
+        fn step(&self, by: Duration) {
+            self.ns.fetch_add(ns(by), Ordering::SeqCst);
+        }
+
+        fn reads(&self) -> u64 {
+            self.reads.load(Ordering::SeqCst)
+        }
+    }
+
+    impl Clock for Arc<StepClock> {
+        fn now_ns(&self) -> u64 {
+            self.reads.fetch_add(1, Ordering::SeqCst);
+            self.peek()
+        }
+    }
+
+    /// A parker on the step clock: a park ends at a kick, or once the
+    /// clock has been stepped past its timeout — never because wall
+    /// time went by.
+    struct StepParker {
+        clock: Arc<StepClock>,
+        signal: WorkSignal,
+        /// When the current park times out on the clock.
+        until: AtomicU64,
+    }
+
+    impl Parker for StepParker {
+        fn park(&self, timeout: Duration) {
+            let until = self.clock.peek().saturating_add(ns(timeout));
+            self.until.store(until, Ordering::SeqCst);
+            while !self.signal.wait(Duration::from_millis(1)) && self.clock.peek() < until {}
+        }
+
+        fn kick(&self) {
+            self.signal.kick();
+        }
+    }
 
     /// What the scripted rails did, and what they will find.
     #[derive(Default)]
@@ -796,7 +905,8 @@ mod tests {
     }
 
     impl Rails for ScriptRails {
-        type Parker = WorkSignal;
+        type Parker = StepParker;
+        type Clock = Arc<StepClock>;
 
         fn count(&self) -> usize {
             self.posted.len()
@@ -811,11 +921,16 @@ mod tests {
             self.posted[rail].is_none()
         }
 
-        fn enqueue(&mut self, rail: usize, frame: PacketFrame, token: TxToken) {
+        fn enqueue(&mut self, rail: usize, frame: PacketFrame, token: TxToken, _: u64) {
             self.posted[rail] = Some((frame, token));
         }
 
-        fn flush(&mut self, done: &mut Vec<(usize, TxToken)>, _: &FabricStatus) -> Option<u64> {
+        fn flush(
+            &mut self,
+            done: &mut Vec<(usize, TxToken)>,
+            _: &FabricStatus,
+            _: u64,
+        ) -> Option<u64> {
             self.script.flushes.fetch_add(1, Ordering::SeqCst);
             for (rail, slot) in self.posted.iter_mut().enumerate() {
                 if let Some((frame, token)) = slot.take() {
@@ -837,6 +952,7 @@ mod tests {
         ep: Endpoint,
         serial: Arc<Serial<ScriptRails>>,
         script: Arc<Script>,
+        clock: Arc<StepClock>,
         conn: ConnId,
     }
 
@@ -855,14 +971,39 @@ mod tests {
                 script: script.clone(),
                 posted,
             };
-            let serial = Serial::new(engine, rails, WorkSignal::default(), Instant::now());
+            let clock = Arc::new(StepClock::default());
+            let parker = StepParker {
+                clock: clock.clone(),
+                signal: WorkSignal::default(),
+                until: AtomicU64::new(0),
+            };
+            let serial = Serial::new(engine, rails, parker, clock.clone());
             let ep = serial.clone().spawn("nmad-script", vec![conn]).unwrap();
             Fixture {
                 ep,
                 serial,
                 script,
+                clock,
                 conn,
             }
+        }
+
+        /// Wait until the backstop thread is asleep with no kick pending
+        /// and its timeout ahead of the clock: whatever woke it has been
+        /// dealt with, and until a kick or a step of the clock it does
+        /// nothing.
+        fn settle(&self) {
+            let parker = &self.serial.parker;
+            let asleep = || {
+                let st = parker.signal.state.lock();
+                st.parked == 1
+                    && !st.pending
+                    && self.clock.peek() < parker.until.load(Ordering::SeqCst)
+            };
+            assert!(
+                eventually(T, asleep),
+                "the backstop never went back to sleep"
+            );
         }
 
         /// Submit one message of four 256 B segments.
@@ -881,18 +1022,6 @@ mod tests {
         fn busy_until(&self) -> u64 {
             self.serial.io().busy_until
         }
-    }
-
-    /// The window is wall-clock time: a scenario that must fit into one
-    /// says whether it did (a thread can lose its CPU for longer), and
-    /// one that did not is run again on a fresh endpoint.
-    fn within_one_window(scenario: impl Fn(&Fixture) -> bool) {
-        for _ in 0..50 {
-            if scenario(&Fixture::new()) {
-                return;
-            }
-        }
-        panic!("fifty runs, none inside one window");
     }
 
     fn eventually(limit: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -945,35 +1074,30 @@ mod tests {
     /// (i) A lone submission after a quiet window is on the wire when
     /// `send` returns; (ii) the ones that follow within the window stay
     /// in the backlog at no cost, and the one that makes a frame's worth
-    /// sends them all as one aggregate.
+    /// sends them all as one aggregate. (The clock does not move: every
+    /// step below is inside one window.)
     #[test]
     fn a_burst_waits_in_the_backlog_for_a_frames_worth() {
-        within_one_window(|f| {
-            // (A stand-in poller: the backstop thread, woken because the
-            // window opened, declines and makes no pass of its own.)
-            f.serial.enter();
-            f.send_kib();
-            assert_eq!(f.script.sent(), 1, "the lone one left at once");
-            assert_eq!(f.script.aggregated(0), Some(4));
-            let until = f.busy_until();
-            assert!(until > 0, "a small frame makes the rails busy");
+        let f = Fixture::new();
+        // (A stand-in poller: the backstop thread, woken because the
+        // window opened, declines and makes no pass of its own.)
+        f.serial.enter();
+        f.send_kib();
+        assert_eq!(f.script.sent(), 1, "the lone one left at once");
+        assert_eq!(f.script.aggregated(0), Some(4));
+        let until = f.busy_until();
+        assert!(until > 0, "a small frame makes the rails busy");
 
-            let (flushes, queries) = (f.script.flushes(), f.queries());
-            let held: Vec<_> = (0..15).map(|_| f.send_kib()).collect();
-            let seen = (f.script.sent(), f.script.flushes(), f.queries());
-            let last = f.send_kib();
-            if f.serial.now_ns() >= until {
-                f.serial.leave();
-                return false;
-            }
-            assert_eq!(seen, (1, flushes, queries), "held at no cost");
-            assert_eq!(f.script.sent(), 2, "one frame for sixteen messages");
-            assert_eq!(f.script.aggregated(1), Some(64));
-            assert!(held.iter().all(|h| h.wait(T)) && last.wait(T));
-            assert_eq!(f.script.sent(), 2);
-            f.serial.leave();
-            true
-        });
+        let (flushes, queries) = (f.script.flushes(), f.queries());
+        let held: Vec<_> = (0..15).map(|_| f.send_kib()).collect();
+        let seen = (f.script.sent(), f.script.flushes(), f.queries());
+        let last = f.send_kib();
+        assert_eq!(seen, (1, flushes, queries), "held at no cost");
+        assert_eq!(f.script.sent(), 2, "one frame for sixteen messages");
+        assert_eq!(f.script.aggregated(1), Some(64));
+        assert!(held.iter().all(|h| h.wait(T)) && last.wait(T));
+        assert_eq!(f.script.sent(), 2);
+        f.serial.leave();
     }
 
     /// (iii) What is held leaves in the first pass of its own send wait,
@@ -981,55 +1105,47 @@ mod tests {
     /// is not a pass.
     #[test]
     fn a_held_submission_leaves_with_the_first_pass_of_any_wait() {
-        within_one_window(|f| {
-            f.serial.enter();
-            f.send_kib();
-            let until = f.busy_until();
-            let held = f.send_kib();
-            let still = f.script.sent();
-            assert!(held.wait(T));
-            let after_send_wait = f.script.sent();
+        let f = Fixture::new();
+        f.serial.enter();
+        f.send_kib();
+        let held = f.send_kib();
+        let still = f.script.sent();
+        assert!(held.wait(T));
+        let after_send_wait = f.script.sent();
 
-            let held = f.send_kib();
-            let r = f.ep.recv(f.conn);
-            let posted = f.script.sent();
-            assert!(r.wait(Duration::ZERO).is_none());
-            f.serial.leave();
-            if f.serial.now_ns() >= until {
-                return false;
-            }
-            assert_eq!((still, after_send_wait), (1, 2));
-            assert_eq!(posted, 2, "a posted receive sends nothing");
-            assert_eq!(f.script.sent(), 3);
-            assert!(held.wait(Duration::ZERO));
-            true
-        });
+        let held = f.send_kib();
+        let r = f.ep.recv(f.conn);
+        let posted = f.script.sent();
+        assert!(r.wait(Duration::ZERO).is_none());
+        f.serial.leave();
+        assert_eq!((still, after_send_wait), (1, 2));
+        assert_eq!(posted, 2, "a posted receive sends nothing");
+        assert_eq!(f.script.sent(), 3);
+        assert!(held.wait(Duration::ZERO));
     }
 
     /// (iv) With no further call the backstop thread sends what is held
     /// when the window ends: the published deadline is no later.
     #[test]
     fn the_backstop_sends_what_is_held_when_the_window_ends() {
-        within_one_window(|f| {
-            f.send_kib();
-            let until = f.busy_until();
-            let held = f.send_kib();
-            let sent = f.script.sent();
-            let deadline = f.serial.deadline_ns.load(Ordering::SeqCst);
-            if f.serial.now_ns() >= until || sent != 1 {
-                // (Or the backstop, up because the window opened, made
-                // its pass between the two sends.)
-                return false;
-            }
-            assert!(deadline <= f.busy_until(), "held past the deadline");
-            let allowance = Duration::from_millis(50);
-            assert!(
-                eventually(CALLER_LEASE + allowance, || f.script.sent() == 2),
-                "stranded in the backlog"
-            );
-            assert!(held.wait(T));
-            true
-        });
+        let f = Fixture::new();
+        f.settle();
+        f.send_kib();
+        // The backstop, up because the window opened, has made its pass
+        // (with nothing held yet) and sleeps until the window ends.
+        f.settle();
+        let held = f.send_kib();
+        let sent = f.script.sent();
+        let deadline = f.serial.deadline_ns.load(Ordering::SeqCst);
+        assert_eq!(sent, 1, "held in the window");
+        assert!(deadline <= f.busy_until(), "held past the deadline");
+        f.clock.step(CALLER_LEASE);
+        let allowance = Duration::from_millis(50);
+        assert!(
+            eventually(CALLER_LEASE + allowance, || f.script.sent() == 2),
+            "stranded in the backlog"
+        );
+        assert!(held.wait(T));
     }
 
     /// (v) Nothing waits under a lease — a caller in conversation with
@@ -1037,42 +1153,131 @@ mod tests {
     /// small.
     #[test]
     fn a_lease_a_control_packet_or_a_medium_segment_send_at_once() {
-        within_one_window(|f| {
-            f.serial.enter();
-            let r = f.ep.recv(f.conn);
-            f.send_kib();
-            let until = f.busy_until();
-            f.script.loop_back(0);
+        let f = Fixture::new();
+        f.serial.enter();
+        let r = f.ep.recv(f.conn);
+        f.send_kib();
+        f.script.loop_back(0);
+        assert!(r.wait(T).is_some());
+        assert!(f.serial.leased(f.clock.peek()).is_some());
+        f.send_kib();
+        let under_lease = f.script.sent();
+        f.serial.leave();
+        assert_eq!(under_lease, 2);
+
+        let f = Fixture::new();
+        f.serial.enter();
+        f.send_kib();
+        f.ep.fabric().engine().lock().send_sample(f.conn, 7, 8);
+        f.send_kib();
+        let behind_control = f.script.sent();
+        let medium = Bytes::from(vec![1; 8 * 1024]);
+        f.ep.send(f.conn, vec![Bytes::from_static(b"small"), medium]);
+        let with_medium = f.script.sent();
+        f.serial.leave();
+        // The probe and the message, one on each rail or one after
+        // the other; then the medium segment and its small sibling.
+        assert_eq!(behind_control, 3);
+        assert_eq!(with_medium, 5);
+    }
+
+    /// A wait's timeout counts on the endpoint's clock from its first
+    /// pass: it does not give up before the clock has passed it, and
+    /// does once it has. A zero timeout is one pass, and the clock is
+    /// read for the pass alone; with the rails taken it is not read.
+    #[test]
+    fn a_wait_gives_up_when_the_clock_passes_its_timeout() {
+        let f = Fixture::new();
+        f.settle();
+        let r = f.ep.recv(f.conn);
+        let (reads, flushes) = (f.clock.reads(), f.script.flushes());
+        assert!(r.wait(Duration::ZERO).is_none());
+        assert_eq!(f.script.flushes() - flushes, 1, "one pass");
+        assert_eq!(f.clock.reads() - reads, 1, "read for the pass only");
+        let io = f.serial.io();
+        assert!(r.wait(Duration::ZERO).is_none());
+        drop(io);
+        assert_eq!(f.clock.reads() - reads, 1, "no pass, no read");
+
+        let timeout = Duration::from_millis(5);
+        let before = f.clock.reads();
+        let waiter = std::thread::spawn(move || r.wait(timeout));
+        assert!(eventually(T, || f.clock.reads() > before), "no first pass");
+        f.clock.step(timeout - Duration::from_nanos(1));
+        // Two reads after the step: the waiter has looked at the new time
+        // and carried on.
+        let stepped = f.clock.reads();
+        assert!(eventually(T, || f.clock.reads() >= stepped + 2));
+        assert!(!waiter.is_finished(), "gave up before its time");
+        f.clock.step(Duration::from_nanos(1));
+        assert!(eventually(T, || waiter.is_finished()), "never gave up");
+        assert!(waiter.join().unwrap().is_none());
+    }
+
+    /// The clock reads of one scripted ping-pong round trip and of a
+    /// 32-deep burst of 4 x 256 B messages, both ends on the one
+    /// endpoint, the backstop's reads included: 8, and 71 (2.2 a
+    /// message).
+    ///
+    /// The round trip is the benchmark's: two receives posted, the ping
+    /// sent, received, echoed and received, both sends reaped; it is
+    /// counted in the steady state, under the lease the last one left.
+    /// The burst starts after a quiet tick with a stand-in poller
+    /// (the backstop declines): 32 sends, then every receive and every
+    /// send waited for. When every site that needed the time read
+    /// `Instant` itself, the same scenarios, with a counter at each of
+    /// those reads, read it 14 times per round trip (14–18 over 15 runs:
+    /// that backstop woke on wall time) and 144 times per burst (142–149;
+    /// 4.5 a message).
+    #[test]
+    fn clock_reads_per_round_trip_and_per_burst_message() {
+        let f = Fixture::new();
+        let round_trip = || {
+            let (r_ping, r_pong) = (f.ep.recv(f.conn), f.ep.recv(f.conn));
+            let looped = f.script.sent();
+            let s_ping = f.ep.send(f.conn, vec![Bytes::from(vec![1; 64])]);
+            let looped = f.script.loop_back(looped);
+            let ping = r_ping.wait(T).expect("ping");
+            let s_pong = f.ep.send(f.conn, ping.segments);
+            f.script.loop_back(looped);
+            assert!(r_pong.wait(T).is_some() && s_ping.wait(T) && s_pong.wait(T));
+        };
+        // (Two to warm up: what the backstop did when the first one
+        // opened the window and took the lease is done with.)
+        round_trip();
+        f.settle();
+        round_trip();
+        let reads = f.clock.reads();
+        round_trip();
+        f.settle();
+        let per_round_trip = f.clock.reads() - reads;
+
+        // (A quiet tick: the lease and the window are over, and the
+        // backstop has woken to find so.)
+        f.clock.step(BACKSTOP_TICK);
+        f.settle();
+        f.serial.enter();
+        let reads = f.clock.reads();
+        let burst: Vec<_> = (0..32).map(|_| (f.ep.recv(f.conn), f.send_kib())).collect();
+        // (The kick of the window that opened is not to merge with the
+        // lease's below.)
+        f.settle();
+        let mut looped = 0;
+        for (r, _) in &burst {
+            looped = f.script.loop_back(looped);
             assert!(r.wait(T).is_some());
-            let leased = f.serial.leased().is_some();
-            f.send_kib();
-            let under_lease = f.script.sent();
-            f.serial.leave();
-            if !leased || f.serial.now_ns() >= until {
-                return false;
-            }
-            assert_eq!(under_lease, 2);
-            true
-        });
-        within_one_window(|f| {
-            f.serial.enter();
-            f.send_kib();
-            f.ep.fabric().engine().lock().send_sample(f.conn, 7, 8);
-            f.send_kib();
-            let behind_control = f.script.sent();
-            let medium = Bytes::from(vec![1; 8 * 1024]);
-            f.ep.send(f.conn, vec![Bytes::from_static(b"small"), medium]);
-            let with_medium = f.script.sent();
-            f.serial.leave();
-            if f.serial.now_ns() >= f.busy_until() {
-                return false;
-            }
-            // The probe and the message, one on each rail or one after
-            // the other; then the medium segment and its small sibling.
-            assert_eq!(behind_control, 3);
-            assert_eq!(with_medium, 5);
-            true
-        });
+            // (What the backstop does about the lease's kick is counted
+            // before the next wait looks, not whenever it gets to it.)
+            f.settle();
+        }
+        assert!(burst.iter().all(|(_, s)| s.wait(T)));
+        f.settle();
+        let per_burst = f.clock.reads() - reads;
+        f.serial.leave();
+        eprintln!(
+            "clock reads: {per_round_trip} per round trip, {per_burst} per 32 burst messages"
+        );
+        assert_eq!((per_round_trip, per_burst), (8, 71));
     }
 
     /// An endpoint that has shut down admits nothing: `try_submit` on a

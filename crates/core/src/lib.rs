@@ -97,8 +97,8 @@ pub use api::{MessageBuilder, MessageReader};
 pub use config::{EngineConfig, Observe};
 pub use driver::{TxDecision, TxToken};
 pub use endpoint::{
-    Deadline, Endpoint, Fabric, FabricStatus, Parker, Rails, RecvHandle, SendHandle, Serial,
-    WaitFor, WorkSignal,
+    Clock, Endpoint, Fabric, FabricStatus, Parker, Rails, RecvHandle, SendHandle, Serial, WaitFor,
+    WorkSignal,
 };
 pub use engine::{Engine, OnPacketOutcome, ProgressOutcome};
 pub use error::{EngineError, SubmitError};

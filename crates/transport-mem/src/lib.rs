@@ -15,7 +15,7 @@
 //!   digests what it waits for, and one backstop thread per endpoint,
 //!   asleep on a condvar, covers what no caller is around for (an
 //!   unexpected message, a shaped injection coming due, a
-//!   retransmission). This crate supplies the rails ([`MemRails`]): the
+//!   retransmission). This crate supplies the rails (`MemRails`): the
 //!   channels, the shaped wire and the fault injector. The engine lock
 //!   is never held while a frame is handed over or a thread is woken,
 //!   and a shaped injection is a deadline, not a sleep: rails overlap;
@@ -93,10 +93,10 @@ impl FabricConfig {
 const READ_BUDGET: usize = 64 * 1024;
 
 /// A frame on the wire of one rail: posted by the engine, handed to the
-/// peer at `ready_at` — on an unshaped fabric (`None`) by the flush that
-/// follows, and no clock is read for it.
+/// peer at `ready_at` on the engine clock — on an unshaped fabric
+/// (`None`) by the flush that follows.
 struct InFlight {
-    ready_at: Option<Instant>,
+    ready_at: Option<u64>,
     token: TxToken,
     frame: PacketFrame,
 }
@@ -114,16 +114,13 @@ struct MemRails {
     inflight: Vec<Option<InFlight>>,
     /// Packets held back by the reorder injector, per rail.
     held: Vec<Option<PacketFrame>>,
-    /// Fabric construction time: the engine clock and the fault plan's
-    /// windows are measured from here.
-    start: Instant,
     /// One per endpoint, drawn in the order frames are delivered (under
     /// the rails lock, rail by rail): seeded fault sequences repeat.
     rng: Xoshiro256StarStar,
 }
 
 impl MemRails {
-    fn new(config: &FabricConfig, wires: Wires, start: Instant, seed: u64) -> Self {
+    fn new(config: &FabricConfig, wires: Wires, seed: u64) -> Self {
         let n_rails = config.platform.rail_count();
         MemRails {
             config: config.clone(),
@@ -132,7 +129,6 @@ impl MemRails {
             tx: wires.tx,
             inflight: (0..n_rails).map(|_| None).collect(),
             held: (0..n_rails).map(|_| None).collect(),
-            start,
             rng: Xoshiro256StarStar::new(seed),
         }
     }
@@ -142,6 +138,9 @@ impl Rails for MemRails {
     /// The channels say nothing of their own accord: every delivery
     /// reports itself ([`Serial::arrived`]).
     type Parker = WorkSignal;
+
+    /// The pair's construction: the fault plan's windows count from it.
+    type Clock = Instant;
 
     fn count(&self) -> usize {
         self.inflight.len()
@@ -167,11 +166,9 @@ impl Rails for MemRails {
         self.inflight[rail].is_none()
     }
 
-    fn enqueue(&mut self, rail: usize, frame: PacketFrame, token: TxToken) {
-        let ready_at = (self.config.time_scale > 0.0).then(|| {
-            let now = Instant::now();
-            now + shaped_duration(&self.config, rail, frame.wire_len(), now - self.start)
-        });
+    fn enqueue(&mut self, rail: usize, frame: PacketFrame, token: TxToken, now: u64) {
+        let ready_at = (self.config.time_scale > 0.0)
+            .then(|| now + shaped_ns(&self.config, rail, frame.wire_len(), now));
         self.inflight[rail] = Some(InFlight {
             ready_at,
             token,
@@ -182,16 +179,15 @@ impl Rails for MemRails {
     /// Retire the injections whose shaped duration elapsed (an unshaped
     /// one in the pass that posted it) and hand each frame, or what the
     /// fault injector leaves of it, to the peer.
-    fn flush(&mut self, done: &mut Vec<(usize, TxToken)>, status: &FabricStatus) -> Option<u64> {
-        // (Read for the first shaped injection, if there is one.)
-        let mut now = None;
+    fn flush(
+        &mut self,
+        done: &mut Vec<(usize, TxToken)>,
+        status: &FabricStatus,
+        now: u64,
+    ) -> Option<u64> {
         let mut delivered = false;
         for (rail, slot) in self.inflight.iter_mut().enumerate() {
-            let ready = |f: &mut InFlight| {
-                f.ready_at
-                    .is_none_or(|at| at <= *now.get_or_insert_with(Instant::now))
-            };
-            let Some(f) = slot.take_if(ready) else {
+            let Some(f) = slot.take_if(|f| f.ready_at.is_none_or(|at| at <= now)) else {
                 continue;
             };
             done.push((rail, f.token));
@@ -202,7 +198,7 @@ impl Rails for MemRails {
                 push(f.frame);
                 continue;
             };
-            let at = self.start.elapsed();
+            let at = Duration::from_nanos(now);
             let held = &mut self.held[rail];
             if plan.fate(rail, at, &mut self.rng, held, f.frame, &mut push) {
                 status.tx_dropped.fetch_add(1, Ordering::Relaxed);
@@ -211,13 +207,11 @@ impl Rails for MemRails {
         if let Some(peer) = self.peer.as_ref().filter(|_| delivered) {
             peer.arrived();
         }
-        let next = self
-            .inflight
+        self.inflight
             .iter()
             .flatten()
             .filter_map(|f| f.ready_at)
-            .min();
-        next.map(|at| at.saturating_duration_since(self.start).as_nanos() as u64)
+            .min()
     }
 
     fn syscalls(&self) -> SyscallStats {
@@ -234,18 +228,18 @@ impl Rails for MemRails {
     }
 }
 
-/// Wall-clock duration of one shaped injection on `rail` started `at`
-/// into the fabric's life, stretched by the fault plan's bandwidth
-/// factor: a rail at a quarter of its bandwidth takes 4x the wire time.
-fn shaped_duration(config: &FabricConfig, rail: usize, bytes: usize, at: Duration) -> Duration {
+/// Wall-clock nanoseconds of one shaped injection on `rail` started `at`
+/// on the engine clock, stretched by the fault plan's bandwidth factor:
+/// a rail at a quarter of its bandwidth takes 4x the wire time.
+fn shaped_ns(config: &FabricConfig, rail: usize, bytes: usize, at: u64) -> u64 {
     let nic = &config.platform.rails[rail];
     let secs =
         (bytes as f64 / nic.link_bandwidth + nic.wire_latency.as_secs_f64()) * config.time_scale;
     let factor = config
         .faults
         .as_ref()
-        .map_or(1.0, |p| p.bandwidth(rail, at));
-    Duration::from_secs_f64(secs / factor)
+        .map_or(1.0, |p| p.bandwidth(rail, Duration::from_nanos(at)));
+    Duration::from_secs_f64(secs / factor).as_nanos() as u64
 }
 
 /// One endpoint's end of the per-rail channels.
@@ -294,7 +288,7 @@ pub fn pair(config: FabricConfig) -> (Endpoint, Endpoint) {
         let conns: Vec<ConnId> = (0..config.conns.max(1))
             .map(|_| engine.conn_open())
             .collect();
-        let rails = MemRails::new(&config, wires, start, seed);
+        let rails = MemRails::new(&config, wires, seed);
         let serial = Serial::new(engine, rails, WorkSignal::default(), start);
         (serial, conns)
     };

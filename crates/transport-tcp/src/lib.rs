@@ -290,8 +290,6 @@ struct TcpRails {
     faults: Option<FaultPlan>,
     /// The fault plan's loss draws (unused without a plan).
     rng: Xoshiro256StarStar,
-    /// Construction time: the fault plan's windows count from here.
-    start: Instant,
     /// Frames the plan lost since the last flush published them.
     dropped: u64,
     /// Syscall amortization tallies, mirrored into the engine's stats.
@@ -302,6 +300,10 @@ struct TcpRails {
 
 impl Rails for TcpRails {
     type Parker = Arc<Readiness>;
+
+    /// The endpoint's construction: the fault plan's windows count from
+    /// it.
+    type Clock = Instant;
 
     fn count(&self) -> usize {
         self.rails.len()
@@ -339,16 +341,22 @@ impl Rails for TcpRails {
     /// A frame the fault plan loses: the transmit "succeeds" locally
     /// but the frame never reaches the wire — exactly a lossy link,
     /// recoverable in acked mode only.
-    fn enqueue(&mut self, rail: usize, frame: PacketFrame, token: TxToken) {
+    fn enqueue(&mut self, rail: usize, frame: PacketFrame, token: TxToken, now: u64) {
+        let at = Duration::from_nanos(now);
         let lost = self
             .faults
             .as_ref()
-            .is_some_and(|plan| plan.lost(rail, self.start.elapsed(), &mut self.rng));
+            .is_some_and(|plan| plan.lost(rail, at, &mut self.rng));
         self.dropped += u64::from(lost);
         self.rails[rail].enqueue((!lost).then_some(frame), token);
     }
 
-    fn flush(&mut self, done: &mut Vec<(usize, TxToken)>, status: &FabricStatus) -> Option<u64> {
+    fn flush(
+        &mut self,
+        done: &mut Vec<(usize, TxToken)>,
+        status: &FabricStatus,
+        _: u64,
+    ) -> Option<u64> {
         if self.dropped > 0 {
             let dropped = std::mem::take(&mut self.dropped);
             status.tx_dropped.fetch_add(dropped, Ordering::Relaxed);
@@ -519,18 +527,16 @@ fn build_endpoint(config: &TcpConfig, streams: Vec<TcpStream>) -> std::io::Resul
         .map(RailIo::new)
         .collect::<std::io::Result<Vec<_>>>()?;
     let ready = Arc::new(Readiness::new(&rails)?);
-    let start = Instant::now();
     let rails = TcpRails {
         rails,
         ready: ready.clone(),
         faults: config.faults.clone(),
         rng: Xoshiro256StarStar::new(config.faults.as_ref().map_or(0, |p| p.seed)),
-        start,
         dropped: 0,
         syscalls: SyscallStats::default(),
         landing: LandingTable::new(),
     };
-    Serial::new(engine, rails, ready, start).spawn("nmad-tcp", conns)
+    Serial::new(engine, rails, ready, Instant::now()).spawn("nmad-tcp", conns)
 }
 
 /// Listen for a peer: binds one listener per rail on `127.0.0.1:0` and

@@ -18,7 +18,7 @@
 //!   has it: four 512-bit lanes with VPCLMULQDQ (AVX-512) for inputs of
 //!   256 bytes and more, four 128-bit lanes with PCLMULQDQ otherwise —
 //!   one kernel, the width detected once ([`simd_fold_width`]). All
-//!   `unsafe` is confined to the [`simd`] submodule; everywhere else is
+//!   `unsafe` is confined to the private `simd` submodule; everywhere else is
 //!   safe Rust.
 //!
 //! The streaming `update`/`crc32_init`/`crc32_finish` surface is

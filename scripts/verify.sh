@@ -115,6 +115,24 @@ fi
 for lib in crates/core/src/lib.rs crates/transport-mem/src/lib.rs; do
     grep -q '^#!\[forbid(unsafe_code)\]' "$lib" || { echo "$lib does not forbid unsafe code"; exit 1; }
 done
+# One clock for the serial runtime (DESIGN.md §15 "The clock"): the
+# endpoint and its driver read time only through the `Clock` a transport
+# hands `Serial`, once per pass, and a transport's rails take that pass's
+# `now` instead of keeping an epoch of their own. `Instant` in their
+# non-test code (before the first `#[cfg(test)]`, comments aside) is
+# refused outside the production clock's one-line impl.
+echo "==> one clock for the serial runtime"
+for f in crates/core/src/endpoint.rs crates/core/src/endpoint/serial.rs; do
+    if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+            /^[[:space:]]*\/\// || /^impl Clock for std::time::Instant \{$/ { next }
+            /(^|[^A-Za-z0-9_])Instant([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+            END { exit !hit }' "$f"; then
+        echo "the serial runtime reads Instant beside the clock it is handed (see above)"; exit 1
+    fi
+done
+if grep -rnE '\bstart: Instant\b' crates/transport-*/src; then
+    echo "a transport's rails keep an epoch of their own (see above): take the pass's now"; exit 1
+fi
 # The optimisation window on live rails is one rule in the serial driver
 # (a rail that took a small eager frame counts as busy for CALLER_LEASE,
 # and a submitter holding no lease leaves what can wait in the backlog:
@@ -350,6 +368,11 @@ cargo test -q -p crossbeam-channel
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Public docs that link a private item, or a link that resolves to
+# nothing, fail the build of the docs (~6 s).
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Recorder-overhead gate: the ablate_obs smoke sweep exits nonzero if
 # recording costs > 5% aggregate wall-clock or takes any hot-path
