@@ -27,9 +27,9 @@ use crate::request::{RecvId, SendId};
 use crate::stats::EngineStats;
 
 mod serial;
-pub use serial::{
-    Clock, Parker, Pass, Rails, Serial, WorkSignal, BACKSTOP_TICK, CALLER_LEASE, SPIN_BUDGET,
-};
+mod signal;
+pub use serial::{Clock, Parker, Pass, Rails, Serial, BACKSTOP_TICK, CALLER_LEASE, SPIN_BUDGET};
+pub use signal::WorkSignal;
 
 /// What every fabric counts beside its engine, and the poison flag its
 /// waits honour.

@@ -6,7 +6,9 @@
 //! A transport supplies how bytes move on its rails ([`Rails`]), what
 //! its backstop thread sleeps on ([`Parker`]) and the [`Clock`] every
 //! time is read from; [`Serial::spawn`] makes an endpoint of them. Lock
-//! order is rails → engine.
+//! order is rails → engine. What the backstop thread does when it wakes
+//! is one function, `Serial::backstop_turn`: the thread only parks and
+//! calls it, and tests call it with no thread at all.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -48,8 +50,8 @@ pub const CALLER_LEASE: Duration = SPIN_BUDGET;
 /// again.
 const TX_ROUNDS: usize = 8;
 /// Backstop thread: longest sleep with no timer armed. Arrivals, kicks
-/// and shutdown all end the sleep; this only bounds how stale the engine
-/// clock can get.
+/// and shutdown all end the sleep; one that ends at the tick makes no
+/// pass unless one is due, so nothing waits for it.
 pub const BACKSTOP_TICK: Duration = Duration::from_millis(100);
 
 /// A span on the engine clock; one too long for it (`Duration::MAX`) is
@@ -91,6 +93,12 @@ pub trait Parker: Send + Sync + 'static {
         self.park(timeout);
     }
 
+    /// Whether rails got ready since the last call: the wake-up is then
+    /// owed a pass. A parker that cannot tell answers yes, and every
+    /// wake-up is a pass; one whose rails report each arrival with a
+    /// pass owed ([`Serial::arrived`]) answers no.
+    fn take_ready(&self) -> bool;
+
     /// End the current (or next) [`Parker::park`], leased or not.
     fn kick(&self);
 }
@@ -106,64 +114,12 @@ impl<P: Parker> Parker for Arc<P> {
         (**self).park_leased(timeout);
     }
 
+    fn take_ready(&self) -> bool {
+        (**self).take_ready()
+    }
+
     fn kick(&self) {
         (**self).kick();
-    }
-}
-
-/// Edge-triggered wakeup: a boolean under a mutex plus a condvar. Kicks
-/// that land while the waiter is busy are remembered (the flag stays
-/// set), so no wakeup is ever lost to the check-then-wait race — and
-/// cost no `futex` call: the condvar is notified only when someone is
-/// parked on it, which the same mutex says.
-#[derive(Default)]
-pub struct WorkSignal {
-    state: Mutex<SignalState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct SignalState {
-    pending: bool,
-    /// Threads inside [`WorkSignal::wait`]'s condvar wait.
-    parked: usize,
-}
-
-impl WorkSignal {
-    /// Signal the waiter: sets the flag and, if it is parked, wakes it.
-    pub fn kick(&self) {
-        let mut st = self.state.lock();
-        st.pending = true;
-        let parked = st.parked > 0;
-        drop(st);
-        if parked {
-            self.cv.notify_one();
-        }
-    }
-
-    /// Wait until kicked or `timeout` elapses; consumes the pending kick.
-    /// Returns true when a kick arrived (before or during the wait).
-    pub fn wait(&self, timeout: Duration) -> bool {
-        let mut st = self.state.lock();
-        if !st.pending {
-            st.parked += 1;
-            self.cv.wait_for(&mut st, timeout);
-            st.parked -= 1;
-        }
-        std::mem::take(&mut st.pending)
-    }
-}
-
-/// For rails that say nothing of their own accord, so that every arrival
-/// is reported by a kick — and not at all while a lease is held
-/// ([`Serial::arrived`]): a leased park is a park.
-impl Parker for WorkSignal {
-    fn park(&self, timeout: Duration) {
-        self.wait(timeout);
-    }
-
-    fn kick(&self) {
-        WorkSignal::kick(self);
     }
 }
 
@@ -251,9 +207,10 @@ pub struct Serial<R: Rails> {
     /// ([`CALLER_LEASE`]); the backstop thread declines until then as if
     /// that caller still polled, and sleeps no longer.
     lease_ns: AtomicU64,
-    /// One more full pass is owed: a wake-up was declined, a submitter
-    /// found `io` taken, or a pass stopped with work in sight (a read
-    /// that came back full, [`TX_ROUNDS`]). Set *before* reading
+    /// One more full pass is owed: a wake-up was declined, frames
+    /// arrived ([`Serial::arrived`]), a submitter found `io` taken, or a
+    /// pass stopped with work in sight (a read that came back full,
+    /// [`TX_ROUNDS`]). Set *before* reading
     /// `pollers`; the last poller to leave reads it *after* its
     /// decrement and kicks the backstop — Dekker order, all `SeqCst`, so
     /// the pass is never lost.
@@ -323,16 +280,14 @@ impl<R: Rails> Serial<R> {
     }
 
     /// Stop being a poller; the last one out hands an owed pass to the
-    /// backstop thread (see `skipped`) — unless a lease is held: then
-    /// the flag stays up for the next wait that renews it, and the
-    /// backstop is up when the lease ends and makes a pass whatever the
-    /// flag says. (The clock is read for the lease only when a pass is
-    /// owed.)
+    /// backstop thread (see `skipped`): it kicks it, and the flag it
+    /// leaves up makes that wake-up a pass — unless a lease is held:
+    /// then the backstop is up when the lease ends and finds the flag.
+    /// (The clock is read for the lease only when a pass is owed.)
     pub fn leave(&self) {
         if self.pollers.fetch_sub(1, Ordering::SeqCst) == 1
             && self.owed()
             && self.leased(self.clock.now_ns()).is_none()
-            && self.take_owed()
         {
             self.parker.kick();
         }
@@ -349,16 +304,17 @@ impl<R: Rails> Serial<R> {
     }
 
     /// Frames were put on this endpoint's rails by a thread that is not
-    /// one of its own (the mem fabric: the sender's). That thread
-    /// declines on the backstop's behalf, with the backstop's own
-    /// protocol, and only wakes it when nobody holds the rails: the last
-    /// caller out finds `skipped`, and under a lease the backstop is up
+    /// one of its own (the mem fabric: the sender's). That thread owes
+    /// the endpoint a pass (`skipped`, raised first: Dekker order) and
+    /// wakes the backstop only when nobody holds the rails: the last
+    /// caller out finds the flag, and under a lease the backstop is up
     /// by itself when it runs out. No lock of this endpoint is taken. The
     /// lease is read after the frames are on the rails, never at a time
     /// from before: a lease that ended in between may have seen its
     /// backstop's pass find nothing.
     pub fn arrived(&self) {
-        if self.declined(self.clock.now_ns()).is_none() {
+        self.skipped.store(true, Ordering::SeqCst);
+        if self.claimed_at(self.clock.now_ns()).is_none() {
             self.parker.kick();
         }
     }
@@ -463,9 +419,13 @@ impl<R: Rails> Serial<R> {
         }
         let fresh = holds && out && {
             // Read afresh: the lease counts from the wait's end, and its
-            // last pass may be a scheduler slice behind by then.
+            // last pass may be a scheduler slice behind by then. It only
+            // grows: of waiters that complete together, one that read
+            // the clock first must not leave the earliest end.
             let now = self.clock.now_ns();
-            self.lease_ns.swap(now + ns(CALLER_LEASE), Ordering::SeqCst) <= now
+            self.lease_ns
+                .fetch_max(now + ns(CALLER_LEASE), Ordering::SeqCst)
+                <= now
         };
         self.leave();
         // The backstop may be asleep for a full tick. The first lease
@@ -632,61 +592,84 @@ impl<R: Rails> Serial<R> {
         self.claimed_at(now)
     }
 
-    /// The backstop thread: asleep until the rails are ready, a kick or
-    /// the next timer, then a pass — unless application threads are
-    /// making passes themselves: then the wake-up is theirs (see
-    /// `skipped` for why that loses nothing), timers included, and all
-    /// that is left to do is to size the next sleep, and under a lease
-    /// to take it off the rails ([`Parker::park_leased`]). It reads the
-    /// clock once a wake-up, and twice more for each of its passes: the
-    /// pass's own reading, and one after it to size the next sleep by.
+    /// The backstop thread: it parks as the last turn said, and takes
+    /// the next turn.
     fn run_backstop(&self) {
-        let mut timeout = BACKSTOP_TICK;
-        let mut leased = false;
+        let mut sleep = Sleep::Park(BACKSTOP_TICK);
         loop {
-            if leased {
-                self.parker.park_leased(timeout);
-            } else {
-                self.parker.park(timeout);
+            match sleep {
+                Sleep::Park(timeout) => self.parker.park(timeout),
+                Sleep::ParkLeased(timeout) => self.parker.park_leased(timeout),
+                Sleep::Stop => return,
             }
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let mut now = self.clock.now_ns();
-            // Pass after pass while one is owed and no caller has the
-            // rails.
-            let declined = loop {
-                let declined = self.declined(now);
-                if declined.is_some() {
-                    break declined;
-                }
-                if self.step(&mut self.io.lock()).0 {
-                    self.notify();
-                }
-                // (After the pass's flush: the pass's own reading is as
-                // old as the flush took.)
-                now = self.clock.now_ns();
-                if !self.take_owed() {
-                    break None;
-                }
-            };
-            // Declined for a lease: until it ends the rails are its
-            // holder's, and nothing they report is a reason to wake up.
-            // Declined for callers mid-pass alone: one of them may clear
-            // `skipped`, miss what arrives next and leave without a
-            // lease (a wait that timed out), kicking nobody — so the
-            // rails still wake this thread.
-            let lease = declined.and_then(|_| self.leased(now));
-            leased = lease.is_some();
-            let deadline = self.deadline_ns.load(Ordering::SeqCst);
-            timeout = match (deadline.saturating_sub(now), lease.or(declined)) {
-                // Due, and the callers' to fire on their next pass: no
-                // reason to spin here until they have.
-                (0, Some(_)) => Duration::from_millis(1),
-                (until, held) => Duration::from_nanos(until).min(held.unwrap_or(BACKSTOP_TICK)),
-            };
+            sleep = self.backstop_turn();
         }
     }
+
+    /// One wake-up's work of the backstop thread, and how it sleeps
+    /// next. A wake-up is a pass only when one is due — the rails
+    /// reported ready, a pass is owed or the published deadline has
+    /// passed — and then passes follow while one is owed; a kick that
+    /// only announced an earlier deadline re-sizes the sleep. None is
+    /// made while application threads are making passes themselves: the
+    /// wake-up is theirs (see `skipped` for why that loses nothing),
+    /// timers included, and under a lease the sleep is off the rails
+    /// ([`Parker::park_leased`]). It reads the clock once, and twice
+    /// more for each pass: the pass's own reading, and one after it to
+    /// size the next sleep by.
+    fn backstop_turn(&self) -> Sleep {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return Sleep::Stop;
+        }
+        let mut now = self.clock.now_ns();
+        let mut due = self.parker.take_ready() || self.deadline_ns.load(Ordering::SeqCst) <= now;
+        let declined = loop {
+            // (Declined, what was due is owed: `skipped` is raised.)
+            let declined = self.declined(now);
+            if declined.is_some() {
+                break declined;
+            }
+            // (Both answered by the one pass.)
+            if !(self.take_owed() | std::mem::take(&mut due)) {
+                break None;
+            }
+            if self.step(&mut self.io.lock()).0 {
+                self.notify();
+            }
+            // (After the pass's flush: the pass's own reading is as
+            // old as the flush took.)
+            now = self.clock.now_ns();
+        };
+        // Declined for a lease: until it ends the rails are its
+        // holder's, and nothing they report is a reason to wake up.
+        // Declined for callers mid-pass alone: one of them may clear
+        // `skipped`, miss what arrives next and leave without a lease
+        // (a wait that timed out), kicking nobody — so the rails still
+        // wake this thread.
+        let lease = declined.and_then(|_| self.leased(now));
+        let deadline = self.deadline_ns.load(Ordering::SeqCst);
+        let timeout = match (deadline.saturating_sub(now), lease.or(declined)) {
+            // Due, and the callers' to fire on their next pass: no
+            // reason to spin here until they have.
+            (0, Some(_)) => Duration::from_millis(1),
+            (until, held) => Duration::from_nanos(until).min(held.unwrap_or(BACKSTOP_TICK)),
+        };
+        match lease {
+            Some(_) => Sleep::ParkLeased(timeout),
+            None => Sleep::Park(timeout),
+        }
+    }
+}
+
+/// How the backstop thread sleeps after a turn.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Sleep {
+    /// Until the rails are ready, a kick or the timeout.
+    Park(Duration),
+    /// Until a kick or the timeout: a caller holds the rails.
+    ParkLeased(Duration),
+    /// The endpoint is shutting down.
+    Stop,
 }
 
 impl<R: Rails> Fabric for Serial<R> {
@@ -803,12 +786,11 @@ mod tests {
     use nmad_model::platform;
     use nmad_wire::FrameBody;
     use std::collections::VecDeque;
-    use std::time::Instant;
 
     const T: Duration = Duration::from_secs(20);
 
-    /// The test clock: it moves only when a test steps it, and it counts
-    /// the reads the runtime makes of it.
+    /// The test clock: it moves only when a test (or the scripted rails)
+    /// steps it, and it counts the reads the runtime makes of it.
     #[derive(Default)]
     struct StepClock {
         ns: AtomicU64,
@@ -837,25 +819,28 @@ mod tests {
         }
     }
 
-    /// A parker on the step clock: a park ends at a kick, or once the
-    /// clock has been stepped past its timeout — never because wall
-    /// time went by.
+    /// The parker of a backstop that no thread runs: nothing parks on
+    /// it, it counts the kicks and keeps the last one for
+    /// [`Fixture::backstop`] to find. The scripted rails report nothing
+    /// of their own accord.
+    #[derive(Default)]
     struct StepParker {
-        clock: Arc<StepClock>,
-        signal: WorkSignal,
-        /// When the current park times out on the clock.
-        until: AtomicU64,
+        kicks: AtomicU64,
+        kicked: AtomicBool,
     }
 
     impl Parker for StepParker {
-        fn park(&self, timeout: Duration) {
-            let until = self.clock.peek().saturating_add(ns(timeout));
-            self.until.store(until, Ordering::SeqCst);
-            while !self.signal.wait(Duration::from_millis(1)) && self.clock.peek() < until {}
+        fn park(&self, _: Duration) {
+            unreachable!("no thread parks in these tests");
+        }
+
+        fn take_ready(&self) -> bool {
+            false
         }
 
         fn kick(&self) {
-            self.signal.kick();
+            self.kicks.fetch_add(1, Ordering::SeqCst);
+            self.kicked.store(true, Ordering::SeqCst);
         }
     }
 
@@ -867,6 +852,10 @@ mod tests {
         /// What the next read brings.
         inbox: Mutex<VecDeque<(usize, PacketFrame)>>,
         flushes: AtomicUsize,
+        /// Reads so far: one per pass, whoever made it.
+        reads: AtomicUsize,
+        /// How far each read steps the clock (0: reads take no time).
+        stride: AtomicU64,
     }
 
     impl Script {
@@ -876,6 +865,10 @@ mod tests {
 
         fn flushes(&self) -> usize {
             self.flushes.load(Ordering::SeqCst)
+        }
+
+        fn reads(&self) -> usize {
+            self.reads.load(Ordering::SeqCst)
         }
 
         /// Segments in the `i`th frame sent, if it is an aggregate.
@@ -901,6 +894,7 @@ mod tests {
     /// test put there.
     struct ScriptRails {
         script: Arc<Script>,
+        clock: Arc<StepClock>,
         posted: Vec<Option<(PacketFrame, TxToken)>>,
     }
 
@@ -913,6 +907,10 @@ mod tests {
         }
 
         fn read(&mut self, frames: &mut Vec<(usize, PacketFrame)>, _: &FabricStatus) -> bool {
+            self.script.reads.fetch_add(1, Ordering::SeqCst);
+            self.clock
+                .ns
+                .fetch_add(self.script.stride.load(Ordering::SeqCst), Ordering::SeqCst);
             frames.extend(self.script.inbox.lock().drain(..));
             false
         }
@@ -948,12 +946,20 @@ mod tests {
         fn close(&mut self) {}
     }
 
+    /// An endpoint on the scripted rails whose backstop thread is not
+    /// started: the test takes its turns ([`Fixture::backstop`]).
     struct Fixture {
         ep: Endpoint,
         serial: Arc<Serial<ScriptRails>>,
         script: Arc<Script>,
         clock: Arc<StepClock>,
         conn: ConnId,
+        /// When the backstop's sleep times out on the clock (a kick ends
+        /// a leased sleep and a plain one alike).
+        asleep_until: AtomicU64,
+        /// Turns taken and passes they made.
+        turns: AtomicUsize,
+        passes: AtomicUsize,
     }
 
     impl Fixture {
@@ -967,43 +973,62 @@ mod tests {
             let mut engine = Engine::new(cfg, rails, vec![]);
             let conn = engine.conn_open();
             let script = Arc::new(Script::default());
+            let clock = Arc::new(StepClock::default());
             let rails = ScriptRails {
                 script: script.clone(),
+                clock: clock.clone(),
                 posted,
             };
-            let clock = Arc::new(StepClock::default());
-            let parker = StepParker {
-                clock: clock.clone(),
-                signal: WorkSignal::default(),
-                until: AtomicU64::new(0),
-            };
-            let serial = Serial::new(engine, rails, parker, clock.clone());
-            let ep = serial.clone().spawn("nmad-script", vec![conn]).unwrap();
+            let serial = Serial::new(engine, rails, StepParker::default(), clock.clone());
+            let ep = Endpoint::new(serial.clone(), vec![conn], vec![]);
             Fixture {
                 ep,
                 serial,
                 script,
                 clock,
                 conn,
+                // (Where `run_backstop` starts.)
+                asleep_until: AtomicU64::new(ns(BACKSTOP_TICK)),
+                turns: AtomicUsize::new(0),
+                passes: AtomicUsize::new(0),
             }
         }
 
-        /// Wait until the backstop thread is asleep with no kick pending
-        /// and its timeout ahead of the clock: whatever woke it has been
-        /// dealt with, and until a kick or a step of the clock it does
-        /// nothing.
-        fn settle(&self) {
+        /// Take the backstop's turns for as long as it would be awake:
+        /// while a kick is pending or the clock has passed its sleep's
+        /// timeout. The turns taken.
+        fn backstop(&self) -> usize {
             let parker = &self.serial.parker;
-            let asleep = || {
-                let st = parker.signal.state.lock();
-                st.parked == 1
-                    && !st.pending
-                    && self.clock.peek() < parker.until.load(Ordering::SeqCst)
-            };
-            assert!(
-                eventually(T, asleep),
-                "the backstop never went back to sleep"
-            );
+            let mut turns = 0;
+            loop {
+                let kicked = parker.kicked.swap(false, Ordering::SeqCst);
+                if !kicked && self.clock.peek() < self.asleep_until.load(Ordering::SeqCst) {
+                    return turns;
+                }
+                assert!(turns < 100, "the backstop never went back to sleep");
+                let reads = self.script.reads();
+                let sleep = self.serial.backstop_turn();
+                turns += 1;
+                self.turns.fetch_add(1, Ordering::SeqCst);
+                let passes = self.script.reads() - reads;
+                self.passes.fetch_add(passes, Ordering::SeqCst);
+                let (Sleep::Park(timeout) | Sleep::ParkLeased(timeout)) = sleep else {
+                    return turns;
+                };
+                let until = self.clock.peek().saturating_add(ns(timeout));
+                self.asleep_until.store(until, Ordering::SeqCst);
+            }
+        }
+
+        /// Clock reads, parker kicks, backstop turns and backstop passes
+        /// so far.
+        fn traffic(&self) -> [u64; 4] {
+            [
+                self.clock.reads(),
+                self.serial.parker.kicks.load(Ordering::SeqCst),
+                self.turns.load(Ordering::SeqCst) as u64,
+                self.passes.load(Ordering::SeqCst) as u64,
+            ]
         }
 
         /// Submit one message of four 256 B segments.
@@ -1024,72 +1049,30 @@ mod tests {
         }
     }
 
-    fn eventually(limit: Duration, mut cond: impl FnMut() -> bool) -> bool {
-        let t0 = Instant::now();
-        while t0.elapsed() < limit {
-            if cond() {
-                return true;
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
-        cond()
-    }
-
-    #[test]
-    fn kick_before_wait_is_not_lost() {
-        let s = WorkSignal::default();
-        s.kick();
-        // The kick predates the wait: wait must return immediately and
-        // report it (the lost-wakeup race of a bare condvar).
-        let t0 = Instant::now();
-        assert!(s.wait(Duration::from_secs(5)));
-        assert!(t0.elapsed() < Duration::from_secs(1));
-        // Consumed: a second wait times out.
-        assert!(!s.wait(Duration::from_millis(1)));
-    }
-
-    /// A kick notifies the condvar only when someone is parked on it, so
-    /// the parked waiter must still be woken: the kick is sent once the
-    /// waiter is seen inside its wait, and ends it long before its timeout.
-    #[test]
-    fn kick_wakes_a_parked_waiter() {
-        let s = Arc::new(WorkSignal::default());
-        let waiter = {
-            let s = s.clone();
-            std::thread::spawn(move || s.wait(Duration::from_secs(30)))
-        };
-        while s.state.lock().parked == 0 {
-            std::thread::yield_now();
-        }
-        let t0 = Instant::now();
-        s.kick();
-        assert!(waiter.join().unwrap(), "the parked wait saw the kick");
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "woken, not timed out"
-        );
-        assert_eq!(s.state.lock().parked, 0);
+    /// `after - before`, element by element.
+    fn delta(after: [u64; 4], before: [u64; 4]) -> [u64; 4] {
+        std::array::from_fn(|i| after[i] - before[i])
     }
 
     /// (i) A lone submission after a quiet window is on the wire when
     /// `send` returns; (ii) the ones that follow within the window stay
-    /// in the backlog at no cost, and the one that makes a frame's worth
-    /// sends them all as one aggregate. (The clock does not move: every
-    /// step below is inside one window.)
+    /// in the backlog at no cost — the backstop, kicked because the
+    /// window opened, makes no pass: none is due — and the one that makes
+    /// a frame's worth sends them all as one aggregate. (The clock does
+    /// not move: every step below is inside one window.)
     #[test]
     fn a_burst_waits_in_the_backlog_for_a_frames_worth() {
         let f = Fixture::new();
-        // (A stand-in poller: the backstop thread, woken because the
-        // window opened, declines and makes no pass of its own.)
-        f.serial.enter();
         f.send_kib();
         assert_eq!(f.script.sent(), 1, "the lone one left at once");
         assert_eq!(f.script.aggregated(0), Some(4));
         let until = f.busy_until();
         assert!(until > 0, "a small frame makes the rails busy");
+        assert_eq!((f.backstop(), f.traffic()[3]), (1, 0), "a kick, no pass");
 
         let (flushes, queries) = (f.script.flushes(), f.queries());
         let held: Vec<_> = (0..15).map(|_| f.send_kib()).collect();
+        f.backstop();
         let seen = (f.script.sent(), f.script.flushes(), f.queries());
         let last = f.send_kib();
         assert_eq!(seen, (1, flushes, queries), "held at no cost");
@@ -1097,7 +1080,6 @@ mod tests {
         assert_eq!(f.script.aggregated(1), Some(64));
         assert!(held.iter().all(|h| h.wait(T)) && last.wait(T));
         assert_eq!(f.script.sent(), 2);
-        f.serial.leave();
     }
 
     /// (iii) What is held leaves in the first pass of its own send wait,
@@ -1106,7 +1088,6 @@ mod tests {
     #[test]
     fn a_held_submission_leaves_with_the_first_pass_of_any_wait() {
         let f = Fixture::new();
-        f.serial.enter();
         f.send_kib();
         let held = f.send_kib();
         let still = f.script.sent();
@@ -1117,34 +1098,32 @@ mod tests {
         let r = f.ep.recv(f.conn);
         let posted = f.script.sent();
         assert!(r.wait(Duration::ZERO).is_none());
-        f.serial.leave();
         assert_eq!((still, after_send_wait), (1, 2));
         assert_eq!(posted, 2, "a posted receive sends nothing");
         assert_eq!(f.script.sent(), 3);
         assert!(held.wait(Duration::ZERO));
     }
 
-    /// (iv) With no further call the backstop thread sends what is held
-    /// when the window ends: the published deadline is no later.
+    /// (iv) With no further call the backstop sends what is held when
+    /// the window ends: the published deadline is no later, and the
+    /// backstop sleeps no longer.
     #[test]
     fn the_backstop_sends_what_is_held_when_the_window_ends() {
         let f = Fixture::new();
-        f.settle();
         f.send_kib();
-        // The backstop, up because the window opened, has made its pass
-        // (with nothing held yet) and sleeps until the window ends.
-        f.settle();
+        // Kicked because the window opened, the backstop makes no pass
+        // and sleeps until the window ends.
+        f.backstop();
         let held = f.send_kib();
         let sent = f.script.sent();
         let deadline = f.serial.deadline_ns.load(Ordering::SeqCst);
         assert_eq!(sent, 1, "held in the window");
         assert!(deadline <= f.busy_until(), "held past the deadline");
+        let until = f.asleep_until.load(Ordering::SeqCst);
+        assert_eq!(until, deadline, "asleep past the deadline");
         f.clock.step(CALLER_LEASE);
-        let allowance = Duration::from_millis(50);
-        assert!(
-            eventually(CALLER_LEASE + allowance, || f.script.sent() == 2),
-            "stranded in the backlog"
-        );
+        assert_eq!(f.backstop(), 1);
+        assert_eq!(f.script.sent(), 2, "stranded in the backlog");
         assert!(held.wait(T));
     }
 
@@ -1154,7 +1133,6 @@ mod tests {
     #[test]
     fn a_lease_a_control_packet_or_a_medium_segment_send_at_once() {
         let f = Fixture::new();
-        f.serial.enter();
         let r = f.ep.recv(f.conn);
         f.send_kib();
         f.script.loop_back(0);
@@ -1162,11 +1140,9 @@ mod tests {
         assert!(f.serial.leased(f.clock.peek()).is_some());
         f.send_kib();
         let under_lease = f.script.sent();
-        f.serial.leave();
         assert_eq!(under_lease, 2);
 
         let f = Fixture::new();
-        f.serial.enter();
         f.send_kib();
         f.ep.fabric().engine().lock().send_sample(f.conn, 7, 8);
         f.send_kib();
@@ -1174,7 +1150,6 @@ mod tests {
         let medium = Bytes::from(vec![1; 8 * 1024]);
         f.ep.send(f.conn, vec![Bytes::from_static(b"small"), medium]);
         let with_medium = f.script.sent();
-        f.serial.leave();
         // The probe and the message, one on each rail or one after
         // the other; then the medium segment and its small sibling.
         assert_eq!(behind_control, 3);
@@ -1188,7 +1163,6 @@ mod tests {
     #[test]
     fn a_wait_gives_up_when_the_clock_passes_its_timeout() {
         let f = Fixture::new();
-        f.settle();
         let r = f.ep.recv(f.conn);
         let (reads, flushes) = (f.clock.reads(), f.script.flushes());
         assert!(r.wait(Duration::ZERO).is_none());
@@ -1199,36 +1173,38 @@ mod tests {
         drop(io);
         assert_eq!(f.clock.reads() - reads, 1, "no pass, no read");
 
-        let timeout = Duration::from_millis(5);
-        let before = f.clock.reads();
-        let waiter = std::thread::spawn(move || r.wait(timeout));
-        assert!(eventually(T, || f.clock.reads() > before), "no first pass");
-        f.clock.step(timeout - Duration::from_nanos(1));
-        // Two reads after the step: the waiter has looked at the new time
-        // and carried on.
-        let stepped = f.clock.reads();
-        assert!(eventually(T, || f.clock.reads() >= stepped + 2));
-        assert!(!waiter.is_finished(), "gave up before its time");
-        f.clock.step(Duration::from_nanos(1));
-        assert!(eventually(T, || waiter.is_finished()), "never gave up");
-        assert!(waiter.join().unwrap().is_none());
+        // Each read takes 100 us of the clock, so the wait's own passes
+        // move it: the first reads 100 us, and the wait gives up at the
+        // pass whose reading is 500 us later, not at the one before.
+        let stride = Duration::from_micros(100);
+        f.script.stride.store(ns(stride), Ordering::SeqCst);
+        for (timeout, passes) in [(stride * 5, 6), (stride * 5 + Duration::from_nanos(1), 7)] {
+            let (start, reads) = (f.clock.peek(), f.script.reads());
+            assert!(r.wait(timeout).is_none());
+            assert_eq!(f.script.reads() - reads, passes, "{timeout:?}");
+            assert_eq!(f.clock.peek() - start, ns(stride) * passes as u64);
+        }
     }
 
-    /// The clock reads of one scripted ping-pong round trip and of a
-    /// 32-deep burst of 4 x 256 B messages, both ends on the one
-    /// endpoint, the backstop's reads included: 8, and 71 (2.2 a
-    /// message).
+    /// The traffic of one scripted ping-pong round trip and of a 32-deep
+    /// burst of 4 x 256 B messages, both ends on the one endpoint, the
+    /// backstop's turns included: clock reads, parker kicks, backstop
+    /// turns and the passes they made. 8 reads and nothing else per
+    /// round trip; 71 reads (2.2 a message), 2 kicks, 2 turns and no
+    /// pass per burst.
     ///
     /// The round trip is the benchmark's: two receives posted, the ping
     /// sent, received, echoed and received, both sends reaped; it is
-    /// counted in the steady state, under the lease the last one left.
-    /// The burst starts after a quiet tick with a stand-in poller
-    /// (the backstop declines): 32 sends, then every receive and every
-    /// send waited for. When every site that needed the time read
-    /// `Instant` itself, the same scenarios, with a counter at each of
-    /// those reads, read it 14 times per round trip (14–18 over 15 runs:
-    /// that backstop woke on wall time) and 144 times per burst (142–149;
-    /// 4.5 a message).
+    /// counted in the steady state, under the lease the last one left,
+    /// which kicks nobody. The burst starts after a quiet tick: 32
+    /// sends, then every receive and every send waited for. Its kicks
+    /// are the window that opened, whose turn only re-sizes the sleep (a
+    /// pass there would send the backlog held so far), and the first
+    /// lease, whose turn declines. When every site that needed the time read
+    /// the wall clock itself, the same scenarios, with a counter at each
+    /// of those reads, read it 14 times per round trip (14–18 over 15
+    /// runs: that backstop woke on wall time) and 144 times per burst
+    /// (142–149; 4.5 a message).
     #[test]
     fn clock_reads_per_round_trip_and_per_burst_message() {
         let f = Fixture::new();
@@ -1241,43 +1217,85 @@ mod tests {
             let s_pong = f.ep.send(f.conn, ping.segments);
             f.script.loop_back(looped);
             assert!(r_pong.wait(T).is_some() && s_ping.wait(T) && s_pong.wait(T));
+            // (What the backstop does about this round trip's kicks is
+            // counted with it.)
+            f.backstop();
         };
         // (Two to warm up: what the backstop did when the first one
         // opened the window and took the lease is done with.)
         round_trip();
-        f.settle();
         round_trip();
-        let reads = f.clock.reads();
+        let before = f.traffic();
         round_trip();
-        f.settle();
-        let per_round_trip = f.clock.reads() - reads;
+        let per_round_trip = delta(f.traffic(), before);
 
         // (A quiet tick: the lease and the window are over, and the
         // backstop has woken to find so.)
         f.clock.step(BACKSTOP_TICK);
-        f.settle();
-        f.serial.enter();
-        let reads = f.clock.reads();
+        f.backstop();
+        let before = f.traffic();
         let burst: Vec<_> = (0..32).map(|_| (f.ep.recv(f.conn), f.send_kib())).collect();
         // (The kick of the window that opened is not to merge with the
         // lease's below.)
-        f.settle();
+        f.backstop();
         let mut looped = 0;
         for (r, _) in &burst {
             looped = f.script.loop_back(looped);
             assert!(r.wait(T).is_some());
             // (What the backstop does about the lease's kick is counted
             // before the next wait looks, not whenever it gets to it.)
-            f.settle();
+            f.backstop();
         }
         assert!(burst.iter().all(|(_, s)| s.wait(T)));
-        f.settle();
-        let per_burst = f.clock.reads() - reads;
-        f.serial.leave();
+        f.backstop();
+        let per_burst = delta(f.traffic(), before);
         eprintln!(
-            "clock reads: {per_round_trip} per round trip, {per_burst} per 32 burst messages"
+            "[clock reads, kicks, backstop turns, backstop passes]: \
+             {per_round_trip:?} per round trip, {per_burst:?} per 32 burst messages"
         );
-        assert_eq!((per_round_trip, per_burst), (8, 71));
+        assert_eq!((per_round_trip, per_burst), ([8, 0, 0, 0], [71, 2, 2, 0]));
+    }
+
+    /// A burst after a quiet tick aggregates as the same burst with no
+    /// gap does, whenever the backstop the window's opening kicked takes
+    /// its turn: what is held leaves when a frame's worth is there or
+    /// the window ends, not with that turn. The one frame more is the
+    /// lone message that reopens the window (scenario (i)). A pass on
+    /// every wake-up would send what is held so far as a frame of its
+    /// own whenever the turn finds something held — after 28 of the 32
+    /// sends: four frames.
+    #[test]
+    fn a_burst_after_a_quiet_tick_aggregates_as_one_with_no_gap_does() {
+        // Frames a 32-message burst takes when the backstop's turns come
+        // after its send `late` (and after every wait).
+        let burst = |f: &Fixture, late: usize| {
+            let sent = f.script.sent();
+            let sends: Vec<_> = (0..32)
+                .map(|i| {
+                    let s = f.send_kib();
+                    if i == late {
+                        f.backstop();
+                    }
+                    s
+                })
+                .collect();
+            assert!(sends.iter().all(|s| s.wait(T)));
+            f.backstop();
+            f.script.sent() - sent
+        };
+        for late in 0..32 {
+            let f = Fixture::new();
+            burst(&f, late);
+            let no_gap = burst(&f, late);
+            f.clock.step(BACKSTOP_TICK);
+            f.backstop();
+            let after_a_tick = burst(&f, late);
+            assert_eq!(
+                (no_gap, after_a_tick),
+                (2, 3),
+                "the backstop's turn after send {late}"
+            );
+        }
     }
 
     /// An endpoint that has shut down admits nothing: `try_submit` on a
@@ -1294,6 +1312,7 @@ mod tests {
             serial.try_submit(conn, segment()),
             Err(SubmitError::Shutdown)
         );
+        assert_eq!(serial.backstop_turn(), Sleep::Stop);
         let eng = serial.engine.lock();
         assert_eq!(eng.stats().overload.shutdown_rejections, 1);
         assert_eq!(eng.stats().obs.seg_size.count(), 1, "nothing queued");
@@ -1308,14 +1327,11 @@ mod tests {
         let payload = Bytes::from(vec![7; 1 << 20]);
         let s = f.ep.send(f.conn, vec![payload.clone()]);
         let mut looped = 0;
-        let t0 = Instant::now();
-        let msg = loop {
+        let msg = (0..1_000).find_map(|_| {
             looped = f.script.loop_back(looped);
-            if let Some(msg) = r.wait(Duration::ZERO) {
-                break msg;
-            }
-            assert!(t0.elapsed() < T, "rendezvous never completed");
-        };
+            r.wait(Duration::ZERO)
+        });
+        let msg = msg.expect("rendezvous never completed");
         assert!(msg.segments[0] == payload && s.wait(T));
         assert!(f.ep.stats().chunks_sent >= 2);
         assert!(f

@@ -100,6 +100,7 @@ pub const METRICS: &[Metric] = &[
     metric(Engine, "tx_syscall_frames", "frames", "frames those write calls moved", Counter(|s, _| s.syscalls.tx_frames)),
     metric(Engine, "rx_syscalls", "calls", "read calls that brought bytes", Counter(|s, _| s.syscalls.rx_calls)),
     metric(Engine, "rx_syscall_frames", "frames", "frames decoded out of those reads", Counter(|s, _| s.syscalls.rx_frames)),
+    metric(Engine, "rx_empty_syscalls", "calls", "read calls that found nothing (would-block)", Counter(|s, _| s.syscalls.rx_empty)),
     metric(Engine, "syscalls_per_packet", "calls/frame", "syscalls per frame moved either way", Ratio(|s, _| s.syscalls.tx_calls + s.syscalls.rx_calls, |s, _| s.syscalls.tx_frames + s.syscalls.rx_frames)),
     metric(Engine, "tx_syscalls_per_packet", "calls/frame", "write calls per frame sent", Ratio(|s, _| s.syscalls.tx_calls, |s, _| s.syscalls.tx_frames)),
     metric(Engine, "rx_syscalls_per_packet", "calls/frame", "read calls per frame received", Ratio(|s, _| s.syscalls.rx_calls, |s, _| s.syscalls.rx_frames)),

@@ -179,6 +179,9 @@ pub struct SyscallStats {
     pub tx_frames: u64,
     /// `read` calls that brought bytes (excluding would-block polls).
     pub rx_calls: u64,
+    /// `read` calls that found nothing: would-block, no byte. A pass
+    /// reads every rail, so a wait polls the rails that got nothing.
+    pub rx_empty: u64,
     /// Frames decoded out of those reads.
     pub rx_frames: u64,
 }
@@ -286,7 +289,7 @@ impl EngineStats {
             hot_path_allocs, pool_hits, pool_reclaims, pool_reclaim_misses;
             pool_outstanding: dp.pool_outstanding),
         syscalls: since!(SyscallStats, self.syscalls, prev.syscalls;
-            tx_calls, tx_frames, rx_calls, rx_frames),
+            tx_calls, tx_frames, rx_calls, rx_empty, rx_frames),
         overload: since!(OverloadStats, self.overload, prev.overload;
             admission_rejections, shutdown_rejections),
         obs: ObsStats {

@@ -198,14 +198,17 @@ impl LandingTable {
     /// Make room for, allocate and remember a segment of `total_len`
     /// bytes (at most [`LANDING_BYTES`]); its index.
     fn open(&mut self, key: (ConnId, MsgId, u16), total_len: usize) -> usize {
-        let mut give_up = self.segments.iter_mut();
-        while self.unclaimed + total_len > LANDING_BYTES {
-            let oldest = give_up.next().expect("unclaimed bytes are some segment's");
+        // (Unclaimed bytes are some segment's: the oldest ones give up
+        // theirs until the new segment fits.)
+        for oldest in self.segments.iter_mut() {
+            if self.unclaimed + total_len <= LANDING_BYTES {
+                break;
+            }
             self.unclaimed -= oldest.unclaimed();
             oldest.free.clear();
         }
-        if self.segments.len() == LANDING_ENTRIES {
-            let forgotten = self.segments.pop_front().expect("full");
+        let full = self.segments.len() == LANDING_ENTRIES;
+        if let Some(forgotten) = self.segments.pop_front_if(|_| full) {
             self.unclaimed -= forgotten.unclaimed();
         }
         self.segments.push_back(Landing {
@@ -374,8 +377,7 @@ impl FrameReader {
         };
         tally.rx_calls += u64::from(got > 0);
         let carved = if framed {
-            if got == asked {
-                let whole = self.partial.take().expect("framed");
+            if let Some(whole) = self.partial.take_if(|_| got == asked) {
                 out.push((rail, whole.into_frame()));
             }
             Ok(())
@@ -390,9 +392,13 @@ impl FrameReader {
                 self.closed = got == 0 || (framed && got < asked);
                 Ok(got == asked)
             }
-            // (`TimedOut`: a blocking socket's receive timeout, which
-            // some platforms report under this name.)
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => Ok(false),
+            // The one `read` that found nothing, after what the others
+            // brought if any. (`TimedOut`: a blocking socket's receive
+            // timeout, which some platforms report under this name.)
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                tally.rx_empty += 1;
+                Ok(false)
+            }
             Err(e) if e.kind() == ErrorKind::Interrupted => Ok(true),
             Err(e) => {
                 self.closed = true;
