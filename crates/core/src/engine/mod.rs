@@ -688,8 +688,8 @@ impl Engine {
     }
 
     /// Post a non-blocking receive on `conn`. Receives match incoming
-    /// messages in order (the paper's benchmark model; tags live in the
-    /// mini-MPI layer above).
+    /// messages in order (the paper's benchmark model; there is no tag
+    /// matching).
     pub fn post_recv(&mut self, conn: ConnId) -> RecvId {
         let rx = self
             .conn_rx
@@ -2451,6 +2451,14 @@ mod tests {
         pump(&mut tx, &mut rx);
         assert_eq!(rx.try_recv(r0).unwrap().segments[0], payload(16, 1));
         assert_eq!(rx.try_recv(r1).unwrap().segments[0], payload(16, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one segment")]
+    fn empty_message_rejected() {
+        let mut tx = engine(StrategyKind::Greedy);
+        let c = tx.conn_open();
+        tx.submit_send(c, vec![]);
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! of Figure 1 maps onto the modules as follows:
 //!
 //! * **Collect layer** — [`request`] and the submit API on [`engine::Engine`]:
-//!   applications build messages from one or more segments
-//!   (`pack`-style incremental construction) and submit them without
-//!   triggering any network activity;
+//!   a message is a list of segments (`Vec<Bytes>`), which applications
+//!   submit without triggering any network activity;
 //! * **Scheduling layer** — [`strategy`]: the *optimizing scheduler*, one
 //!   decision pipeline with a preset per named strategy. When a NIC
 //!   becomes idle the engine queries it for the most appropriate packet —
@@ -78,7 +77,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod api;
 pub mod config;
 pub mod driver;
 pub mod endpoint;
@@ -93,7 +91,6 @@ pub mod sampling;
 pub mod stats;
 pub mod strategy;
 
-pub use api::{MessageBuilder, MessageReader};
 pub use config::{EngineConfig, Observe};
 pub use driver::{TxDecision, TxToken};
 pub use endpoint::{

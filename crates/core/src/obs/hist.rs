@@ -51,18 +51,6 @@ impl Log2Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Fold another histogram in. Associative and commutative (sums
-    /// saturate, which preserves both for non-negative operands).
-    pub fn merge(&mut self, other: &Log2Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// What was recorded after `prev`, an earlier snapshot of this
     /// histogram. Buckets, count and sum are exact; the samples are gone,
     /// so min and max are the bounds of the lowest and highest bucket
@@ -234,34 +222,6 @@ mod tests {
             } else {
                 prop_assert!(d.is_empty());
             }
-        }
-
-        /// merge(a, b) == merge(b, a) and merging is associative; a
-        /// merged histogram equals the histogram of concatenated samples.
-        #[test]
-        fn merge_is_associative_and_commutative(
-            a in prop::collection::vec(any::<u64>(), 0..32),
-            b in prop::collection::vec(any::<u64>(), 0..32),
-            c in prop::collection::vec(any::<u64>(), 0..32),
-        ) {
-            let (ha, hb, hc) = (from_samples(&a), from_samples(&b), from_samples(&c));
-
-            let mut ab = ha;
-            ab.merge(&hb);
-            let mut ba = hb;
-            ba.merge(&ha);
-            prop_assert_eq!(&ab, &ba);
-
-            let mut ab_c = ab;
-            ab_c.merge(&hc);
-            let mut bc = hb;
-            bc.merge(&hc);
-            let mut a_bc = ha;
-            a_bc.merge(&bc);
-            prop_assert_eq!(&ab_c, &a_bc);
-
-            let all: Vec<u64> = a.iter().chain(&b).chain(&c).copied().collect();
-            prop_assert_eq!(&ab_c, &from_samples(&all));
         }
     }
 }

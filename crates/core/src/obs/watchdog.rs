@@ -53,17 +53,6 @@ impl AlertKind {
         }
     }
 
-    /// Inverse of [`AlertKind::code`].
-    pub fn from_code(code: u64) -> Option<Self> {
-        match code {
-            0 => Some(AlertKind::LatencyRegression),
-            1 => Some(AlertKind::RailImbalance),
-            2 => Some(AlertKind::RetransmitStorm),
-            3 => Some(AlertKind::ShedOnset),
-            _ => None,
-        }
-    }
-
     /// Short stable name for exporters and the CLI.
     pub fn label(self) -> &'static str {
         match self {
@@ -179,11 +168,6 @@ impl Watchdog {
     /// Alerts fired so far, the ones the log dropped included.
     pub(crate) fn alerts_fired(&self) -> u64 {
         self.alerts.len() as u64 + self.dropped
-    }
-
-    /// Alerts that did not fit the bounded log.
-    pub fn dropped_alerts(&self) -> u64 {
-        self.dropped
     }
 
     /// Windows observed so far.
@@ -600,7 +584,7 @@ mod tests {
             d.observe(&w);
         }
         assert_eq!(d.alerts().len(), MAX_ALERTS);
-        assert_eq!(d.dropped_alerts(), 2);
+        assert_eq!(d.alerts_fired(), fires, "the dropped ones are counted");
         assert_eq!(
             d.alerts()[1].window - d.alerts()[0].window,
             COOLDOWN_WINDOWS
@@ -634,18 +618,5 @@ mod tests {
         w.stats.retransmits = 300;
         assert_eq!(d.observe(&w), 1, "baseline inflated by the incident");
         assert!(d.alerts()[1].baseline < 10.0, "{}", d.alerts()[1].baseline);
-    }
-
-    #[test]
-    fn alert_kind_codes_round_trip() {
-        for k in [
-            AlertKind::LatencyRegression,
-            AlertKind::RailImbalance,
-            AlertKind::RetransmitStorm,
-            AlertKind::ShedOnset,
-        ] {
-            assert_eq!(AlertKind::from_code(k.code()), Some(k));
-        }
-        assert_eq!(AlertKind::from_code(99), None);
     }
 }

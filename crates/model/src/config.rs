@@ -307,6 +307,10 @@ mod tests {
         for r in &p.rails {
             r.validate();
         }
-        assert_eq!(p.rail(p.highest_bandwidth_rail()).name, "cx5-eth");
+        let widest = p
+            .rails
+            .iter()
+            .max_by(|a, b| a.link_bandwidth.total_cmp(&b.link_bandwidth));
+        assert_eq!(widest.unwrap().name, "cx5-eth");
     }
 }

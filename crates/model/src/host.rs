@@ -19,7 +19,7 @@ pub struct HostModel {
     /// theoretical; the effective value is lower (protocol and arbitration
     /// overheads) and is what produces the 1675 MB/s two-rail plateau.
     pub bus_capacity: f64,
-    /// CPU cost of one application-level submit (`pack`) call: queueing the
+    /// CPU cost of one application-level submit (`send`) call: queueing the
     /// request in the collect layer. NewMadeleine keeps this low by design —
     /// request processing is disconnected from the API call (paper §2).
     pub submit_cost: SimDuration,

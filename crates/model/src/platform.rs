@@ -62,36 +62,9 @@ impl Platform {
         self.rails.len()
     }
 
-    /// All rail ids.
-    pub fn rail_ids(&self) -> impl Iterator<Item = RailId> {
-        (0..self.rails.len()).map(RailId)
-    }
-
     /// NIC model of `rail`.
     pub fn rail(&self, rail: RailId) -> &NicModel {
         &self.rails[rail.0]
-    }
-
-    /// The rail with the lowest minimal-message latency (the one the
-    /// aggregation strategy favours for small messages — Quadrics on the
-    /// paper platform).
-    pub fn lowest_latency_rail(&self) -> RailId {
-        self.rail_ids()
-            .min_by_key(|&r| self.rail(r).analytic_pio_oneway(0))
-            .expect("non-empty")
-    }
-
-    /// The rail with the highest link bandwidth (Myri-10G on the paper
-    /// platform).
-    pub fn highest_bandwidth_rail(&self) -> RailId {
-        self.rail_ids()
-            .max_by(|&a, &b| {
-                self.rail(a)
-                    .link_bandwidth
-                    .partial_cmp(&self.rail(b).link_bandwidth)
-                    .unwrap()
-            })
-            .expect("non-empty")
     }
 }
 
@@ -246,6 +219,21 @@ pub fn three_rail_platform() -> Platform {
 mod tests {
     use super::*;
 
+    /// The rail with the lowest minimal-message latency.
+    fn lowest_latency(p: &Platform) -> &str {
+        let fastest = p.rails.iter().min_by_key(|r| r.analytic_pio_oneway(0));
+        fastest.unwrap().name
+    }
+
+    /// The rail with the highest link bandwidth.
+    fn highest_bandwidth(p: &Platform) -> &str {
+        let widest = p
+            .rails
+            .iter()
+            .max_by(|a, b| a.link_bandwidth.total_cmp(&b.link_bandwidth));
+        widest.unwrap().name
+    }
+
     #[test]
     fn paper_platform_shape() {
         let p = paper_platform();
@@ -257,8 +245,8 @@ mod tests {
     #[test]
     fn quadrics_is_lowest_latency_myri_is_highest_bandwidth() {
         let p = paper_platform();
-        assert_eq!(p.rail(p.lowest_latency_rail()).name, "quadrics-qm500");
-        assert_eq!(p.rail(p.highest_bandwidth_rail()).name, "myri-10g");
+        assert_eq!(lowest_latency(&p), "quadrics-qm500");
+        assert_eq!(highest_bandwidth(&p), "myri-10g");
     }
 
     #[test]
@@ -289,13 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn rail_ids_iterate_in_order() {
-        let p = three_rail_platform();
-        let ids: Vec<usize> = p.rail_ids().map(|r| r.0).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one rail")]
     fn empty_platform_rejected() {
         Platform::new(opteron_node(), vec![]);
@@ -315,7 +296,7 @@ mod tests {
         assert!(quadrics_qm500().analytic_pio_oneway(4) < ib.analytic_pio_oneway(4));
         // An IB + Myri-10G platform still picks sensible roles.
         let p = Platform::new(opteron_node(), vec![infiniband_sdr4x(), myri_10g()]);
-        assert_eq!(p.rail(p.highest_bandwidth_rail()).name, "myri-10g");
+        assert_eq!(highest_bandwidth(&p), "myri-10g");
     }
 
     #[test]
@@ -324,7 +305,7 @@ mod tests {
         assert_eq!(p.rail_count(), 3);
         // SCI's full analytic path (180+150+500+350 = 1180 ns) undercuts
         // Quadrics (1650 ns), so SCI becomes the latency rail here.
-        assert_eq!(p.rail(p.lowest_latency_rail()).name, "sci-dolphin");
-        assert_eq!(p.rail(p.highest_bandwidth_rail()).name, "myri-10g");
+        assert_eq!(lowest_latency(&p), "sci-dolphin");
+        assert_eq!(highest_bandwidth(&p), "myri-10g");
     }
 }

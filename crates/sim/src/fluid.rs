@@ -193,20 +193,6 @@ impl FluidChannel {
         true
     }
 
-    /// Forcibly remove a flow (failure injection / cancellation), returning
-    /// its remaining bytes if it existed.
-    pub fn cancel(&mut self, now: SimTime, id: FlowId) -> Option<f64> {
-        self.integrate_to(now);
-        let flow = self.flow(id)?;
-        let remaining = flow.remaining.max(0.0);
-        // Cancelled bytes were still "delivered" up to the cancel point;
-        // compensate the counter that integrate_to will no longer advance.
-        self.slots[id.slot] = None;
-        self.free_slots.push(id.slot);
-        self.recompute_rates();
-        Some(remaining)
-    }
-
     /// Sum of currently allocated rates (must never exceed capacity).
     pub fn allocated_rate(&self) -> f64 {
         self.slots.iter().flatten().map(|f| f.rate).sum()
@@ -379,17 +365,6 @@ mod tests {
             "delivered {delivered} != {total}"
         );
         let _ = (a, b);
-    }
-
-    #[test]
-    fn cancel_returns_remaining() {
-        let mut ch = channel();
-        let f = ch.add_flow(SimTime::ZERO, 1_000_000, 1000.0 * MB);
-        // After 500 us at 1000 MB/s: 500_000 bytes moved.
-        let rem = ch.cancel(SimTime::from_us(500), f).unwrap();
-        assert!((rem - 500_000.0).abs() < 1.0, "remaining {rem}");
-        assert_eq!(ch.active_flows(), 0);
-        assert!(ch.cancel(SimTime::from_us(500), f).is_none());
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl MultiResource {
         Grant { start, end }
     }
 
-    /// When the *next* server becomes free (earliest over servers).
-    pub fn next_free_at(&self) -> SimTime {
-        *self.free_at.iter().min().expect("non-empty")
-    }
-
     /// Aggregate utilization over `[0, now]` across all servers.
     pub fn utilization(&self, now: SimTime) -> f64 {
         if now == SimTime::ZERO {
@@ -86,14 +81,6 @@ impl MultiResource {
     /// Total busy time summed over servers.
     pub fn busy_total(&self) -> SimDuration {
         self.busy_total
-    }
-
-    /// Reset accounting and availability.
-    pub fn reset(&mut self, now: SimTime) {
-        for f in &mut self.free_at {
-            *f = now;
-        }
-        self.busy_total = SimDuration::ZERO;
     }
 }
 
@@ -180,17 +167,6 @@ mod tests {
             ends
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut r = MultiResource::new("cpu", 2);
-        r.acquire(SimTime::ZERO, SimDuration::from_us(1));
-        r.acquire(SimTime::ZERO, SimDuration::from_us(1));
-        r.reset(SimTime::from_us(5));
-        assert_eq!(r.busy_total(), SimDuration::ZERO);
-        let g = r.acquire(SimTime::from_us(5), SimDuration::from_ns(1));
-        assert_eq!(g.start, SimTime::from_us(5));
     }
 
     #[test]

@@ -134,8 +134,7 @@ impl MessageAssembly {
         self.segments.iter().map(|s| s.len()).sum()
     }
 
-    /// Concatenate segments into one buffer (convenience for tests and the
-    /// mini-MPI layer).
+    /// Concatenate segments into one buffer (a convenience for tests).
     pub fn into_contiguous(self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.total_len());
         for s in self.segments {

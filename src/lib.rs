@@ -14,16 +14,15 @@
 //!   paper's testbed (Myri-10G + Quadrics QM500 over a ~2 GB/s I/O bus).
 //! * [`wire`] — packet wire format, aggregation containers, chunk splitting
 //!   and out-of-order reassembly.
-//! * [`core`] — the NewMadeleine engine proper: collect layer (pack/unpack
-//!   message building), pluggable optimizing schedulers (strategies), and
-//!   the NIC-activity-driven transmit layer.
+//! * [`core`] — the NewMadeleine engine proper: collect layer (a message
+//!   is a list of segments), pluggable optimizing schedulers
+//!   (strategies), and the NIC-activity-driven transmit layer.
 //! * [`runtime_sim`] — binds the engine to the simulator; ping-pong and
 //!   sweep executors that regenerate the paper's figures.
 //! * [`transport_mem`] — a real multi-threaded in-process transport proving
 //!   the engine also runs outside the simulator.
 //! * [`transport_tcp`] — the engine over real TCP sockets (the paper's
 //!   legacy socket-API driver), usable across processes.
-//! * [`mpi`] — a miniature MPI-like layer on top of the public API.
 //!
 //! See `README.md` for a quickstart and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every figure.
@@ -31,7 +30,6 @@
 pub use bytes;
 pub use nmad_core as core;
 pub use nmad_model as model;
-pub use nmad_mpi as mpi;
 pub use nmad_runtime_sim as runtime_sim;
 pub use nmad_sim as sim;
 pub use nmad_transport_mem as transport_mem;

@@ -333,41 +333,15 @@ fn data_frames(on: Transport, e: &Endpoint) -> u64 {
 /// The optimisation window on live rails (DESIGN.md §15 "The window").
 /// A burst — a window of 32 messages of
 /// 4 x 256 B kept full by a sender that never waits for an arrival on
-/// its own endpoint — leaves as aggregates of a frame's worth; an echo,
+/// its own endpoint — leaves as aggregates of a frame's worth, also when
+/// its messages alternate between two logical channels (segments of
+/// different channels share one physical packet, paper §4); an echo,
 /// where each end answers what it has just received, sends every message
 /// at once, one frame each.
 #[test]
 fn burst_aggregates_and_echo_does_not() {
-    const MESSAGES: usize = 2000;
-    const WINDOW: usize = 32;
-    on_every_pair(EngineConfig::default(), |on, a, b| {
-        let c = a.conns()[0];
-        let message = |i: usize| -> Vec<Bytes> {
-            (0..4)
-                .map(|seg| Bytes::from(random(256, (i * 4 + seg) as u64)))
-                .collect()
-        };
-        let mut inflight: VecDeque<(RecvHandle, SendHandle)> = VecDeque::new();
-        for i in 0..MESSAGES + WINDOW {
-            if inflight.len() == WINDOW || i >= MESSAGES {
-                let (r, s) = inflight.pop_front().unwrap();
-                let got = r.wait(T).unwrap_or_else(|| panic!("{on:?}: recv"));
-                assert_eq!(got.segments, message(i - WINDOW), "{on:?}");
-                assert!(s.wait(T), "{on:?}");
-            }
-            if i < MESSAGES {
-                inflight.push_back((b.recv(c), a.send(c, message(i))));
-            }
-        }
-        let per_msg = data_frames(on, &a) as f64 / MESSAGES as f64;
-        let writes = a.stats().syscalls.tx_calls as f64 / MESSAGES as f64;
-        println!("{on:?}: burst frames_per_msg {per_msg:.4}, tx_calls_per_msg {writes:.4}");
-        assert!(
-            per_msg <= 0.25,
-            "{on:?}: {per_msg} data frames per message: the burst did not aggregate"
-        );
-        assert_eq!(a.rx_errors() + b.rx_errors(), 0, "{on:?}");
-    });
+    burst_aggregates(1);
+    burst_aggregates(2);
     on_every_pair(EngineConfig::default(), |on, a, b| {
         let c = a.conns()[0];
         const ROUNDS: u64 = 300;
@@ -386,6 +360,42 @@ fn burst_aggregates_and_echo_does_not() {
         }
         assert_eq!(data_frames(on, &a), ROUNDS, "{on:?}: one frame per ping");
         assert_eq!(data_frames(on, &b), ROUNDS, "{on:?}: one frame per pong");
+    });
+}
+
+/// The burst half of [`burst_aggregates_and_echo_does_not`], message `i`
+/// on conn `i % conns`: each conn's receives are posted in its own send
+/// order, so every message must arrive on its conn, in that order.
+fn burst_aggregates(conns: usize) {
+    const MESSAGES: usize = 2000;
+    const WINDOW: usize = 32;
+    on_every_pair_with_conns(conns, EngineConfig::default(), |on, a, b| {
+        let message = |i: usize| -> Vec<Bytes> {
+            (0..4)
+                .map(|seg| Bytes::from(random(256, (i * 4 + seg) as u64)))
+                .collect()
+        };
+        let mut inflight: VecDeque<(RecvHandle, SendHandle)> = VecDeque::new();
+        for i in 0..MESSAGES + WINDOW {
+            if inflight.len() == WINDOW || i >= MESSAGES {
+                let (r, s) = inflight.pop_front().unwrap();
+                let got = r.wait(T).unwrap_or_else(|| panic!("{on:?}: recv"));
+                assert_eq!(got.segments, message(i - WINDOW), "{on:?}, {conns} conns");
+                assert!(s.wait(T), "{on:?}");
+            }
+            if i < MESSAGES {
+                let c = a.conns()[i % conns];
+                inflight.push_back((b.recv(c), a.send(c, message(i))));
+            }
+        }
+        let per_msg = data_frames(on, &a) as f64 / MESSAGES as f64;
+        let writes = a.stats().syscalls.tx_calls as f64 / MESSAGES as f64;
+        println!("{on:?}, {conns} conns: burst frames_per_msg {per_msg:.4}, tx_calls_per_msg {writes:.4}");
+        assert!(
+            per_msg <= 0.25,
+            "{on:?}, {conns} conns: {per_msg} data frames per message: the burst did not aggregate"
+        );
+        assert_eq!(a.rx_errors() + b.rx_errors(), 0, "{on:?}");
     });
 }
 

@@ -1,13 +1,11 @@
 //! Cross-crate end-to-end tests through the facade: the same engine code
-//! on the simulator, on real threads, over loopback TCP and under the
-//! mini-MPI layer.
+//! on the simulator, on real threads and over loopback TCP.
 
 use std::time::{Duration, Instant};
 
 use newmadeleine::bytes::Bytes;
 use newmadeleine::core::{Endpoint, EngineConfig, StrategyKind};
 use newmadeleine::model::platform;
-use newmadeleine::mpi::{world, WorldConfig, COMM_WORLD};
 use newmadeleine::sim::Xoshiro256StarStar;
 use newmadeleine::transport_mem::{pair, FabricConfig};
 use newmadeleine::transport_tcp::{pair_localhost, TcpConfig};
@@ -144,25 +142,4 @@ fn three_rail_platform_end_to_end() {
             }
         }
     }
-}
-
-#[test]
-fn mpi_pingpong_over_multirail() {
-    let ranks = world(
-        2,
-        WorldConfig::new(
-            platform::paper_platform(),
-            EngineConfig::with_strategy(StrategyKind::AdaptiveSplit),
-        ),
-    );
-    std::thread::scope(|s| {
-        for r in &ranks {
-            s.spawn(move || {
-                let peer = 1 - r.rank;
-                let data = random(1 << 20, r.rank as u64);
-                let got = r.sendrecv(peer, COMM_WORLD, 3, &data);
-                assert_eq!(got, random(1 << 20, peer as u64));
-            });
-        }
-    });
 }
