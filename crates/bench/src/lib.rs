@@ -21,7 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod calibration;
-pub mod cycles;
 pub mod figures;
 pub mod loadgen;
 pub mod obs_bench;

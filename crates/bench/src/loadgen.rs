@@ -1,5 +1,5 @@
 //! Deterministic traffic generation for the chaos soak (`nmad loadgen`,
-//! `ablate_soak`).
+//! `nmad soak`).
 //!
 //! Realistic overload comes from realistic arrival and size processes,
 //! not uniform ones: message sizes in communication traces are heavy

@@ -18,8 +18,9 @@
 //! aggregate, if the ring or the aggregator took any hot-path allocation
 //! (both are preallocated; growing means the fixed-footprint claim
 //! broke), or if nothing was recorded/aggregated at all. The result is
-//! written to `BENCH_obs.json` at the repo root; the full-stack leg's
-//! time series rides along as a JSONL artifact.
+//! written to `target/bench/BENCH_obs.json`, a CI artifact that nothing
+//! diffs (a timed run differs on every host); the full-stack leg's time
+//! series rides along as `target/bench/BENCH_obs_timeseries.jsonl`.
 
 use std::time::Instant;
 

@@ -1,7 +1,7 @@
 //! A bare engine pair: two engines over the paper platform's rails, wired
 //! back to back with no runtime and no simulator (the simulator charges
 //! virtual time, which hides real CPU cost). What the wall-clock
-//! ablations (`ablate_obs`, `ablate_cycles`) time.
+//! ablation `ablate_obs` times.
 
 use std::time::Instant;
 

@@ -4,25 +4,23 @@
 //! ```text
 //! cargo bench -p nmad-bench --bench paper                      # every experiment
 //! cargo bench -p nmad-bench --bench paper -- fig2_myri         # one, by name
-//! cargo bench -p nmad-bench --bench paper -- ablate_soak --smoke --seed 20
+//! cargo bench -p nmad-bench --bench paper -- ablate_strategies --smoke --seed 2024
 //! ```
 //!
-//! `--smoke` runs the five gates (`ablate_obs`, `ablate_calibration`,
-//! `ablate_soak`, `ablate_cycles`, `ablate_strategies`) at the small CI
-//! size; `--seed N` replays a recorded `ablate_soak` (default 20) or
-//! `ablate_strategies` (default 2024) run. The other experiments are
-//! deterministic simulations and take neither.
-
-use std::time::Duration;
+//! `--smoke` runs the three gates (`ablate_obs`, `ablate_calibration`,
+//! `ablate_strategies`) at the small CI size; `--seed N` replays a
+//! recorded `ablate_strategies` run (default 2024). The other
+//! experiments are deterministic simulations and take neither. The soak
+//! gate is `nmad soak --check`.
 
 use nmad_core::StrategyKind;
 
 use crate::figures::FigureResult;
-use crate::report::{finish_gate, retry_once_on_timing, run_figure_bench, write_at_root};
+use crate::report::{finish_gate, retry_once_on_timing, run_figure_bench, write_report};
 use crate::workload::{
     burst_comparison, render_burst_table, run_compute_window, BurstPattern, BurstSpec,
 };
-use crate::{calibration, cycles, figures, obs_bench, soak, tournament};
+use crate::{calibration, figures, obs_bench, tournament};
 use Run::{Custom, Figure};
 
 /// What the command line set for the experiments it names.
@@ -66,8 +64,6 @@ const EXPERIMENTS: &[Experiment] = &[
     ("ablate_window", Custom(ablate_window)),
     ("ablate_obs", Custom(ablate_obs)),
     ("ablate_calibration", Custom(ablate_calibration)),
-    ("ablate_soak", Custom(ablate_soak)),
-    ("ablate_cycles", Custom(ablate_cycles)),
     ("ablate_strategies", Custom(ablate_strategies)),
 ];
 
@@ -224,7 +220,7 @@ fn ablate_obs(o: &Opts) {
     );
     // The full-stack leg's windowed time series rides alongside the
     // gate JSON as a CI artifact.
-    write_at_root(
+    write_report(
         "BENCH_obs_timeseries.jsonl",
         report.timeseries_jsonl.as_bytes(),
     );
@@ -260,72 +256,6 @@ fn ablate_calibration(o: &Opts) {
             )
         },
     );
-}
-
-/// Chaos-soak SLO gate: multi-tenant load over the mem fabric while a
-/// seeded schedule drives outages, corruption, drop storms and drift,
-/// gated on p99/p999 latency, throughput decay, pool-ledger leaks and
-/// stuck requests. The smoke soak loads for ~10 s, the full one for
-/// minutes. Latency and window throughput ride the wall clock, so if
-/// only timing gates fail (the ledger gates are deterministic) it soaks
-/// once more, after a pause for transient load to drain.
-fn ablate_soak(o: &Opts) {
-    let seed = o.seed.unwrap_or(20);
-    let spec = if o.smoke {
-        soak::SoakSpec::smoke(seed)
-    } else {
-        soak::SoakSpec::full(seed)
-    };
-    eprintln!(
-        "running ablate_soak ({} soak, {:.0}s load, seed {seed})...",
-        sweep(o.smoke),
-        spec.duration.as_secs_f64()
-    );
-    let timing_only = |r: &soak::SoakReport| {
-        let v = soak::check(r);
-        !v.is_empty() && v.iter().all(|s| s.starts_with("timing:"))
-    };
-    let report = retry_once_on_timing(
-        "ablate_soak",
-        soak::run(&spec),
-        timing_only,
-        || {
-            std::thread::sleep(Duration::from_secs(2));
-            soak::run(&spec)
-        },
-        |second, _| !timing_only(second),
-    );
-    finish_gate("soak", &report, soak::render, soak::check, |r| {
-        format!(
-            "soak SLO gate OK: p99 {} us, {:+.1}% decay, 0 stuck, 0 leaks (seed {} in BENCH_soak.json)",
-            r.p99_us, r.decay_pct, r.seed
-        )
-    });
-}
-
-/// Per-packet CPU-cycles gate: checksum kernel throughput and the end to
-/// end scalar-vs-SIMD per-message cost. Every gate here is
-/// load-sensitive, so if any trips it measures once more and keeps the
-/// run with fewer violations.
-fn ablate_cycles(o: &Opts) {
-    eprintln!(
-        "running ablate_cycles ({} sweep, wall-clock hot path)...",
-        sweep(o.smoke)
-    );
-    let report = retry_once_on_timing(
-        "ablate_cycles",
-        cycles::run(o.smoke),
-        |r| !cycles::check(r).is_empty(),
-        || cycles::run(o.smoke),
-        |second, first| cycles::check(second).len() < cycles::check(first).len(),
-    );
-    finish_gate("cycles", &report, cycles::render, cycles::check, |r| {
-        format!(
-            "per-packet cycles gate OK: {} {:.1}x faster than scalar end to end",
-            r.per_packet.fast_kernel,
-            r.per_packet.scalar_ns as f64 / r.per_packet.fast_ns.max(1) as f64
-        )
-    });
 }
 
 /// Strategy-zoo tournament: every [`StrategyKind`] across the six load
@@ -375,12 +305,12 @@ mod tests {
         }
         let kept = "fig2_myri fig3_quadrics fig4_greedy2 fig5_greedy4 fig6_aggregate \
             fig7_split ablate_poll ablate_ratio ablate_threshold ablate_cores workload_mix \
-            ablate_jit three_rail ablate_window ablate_obs ablate_calibration ablate_soak \
-            ablate_cycles ablate_strategies";
+            ablate_jit three_rail ablate_window ablate_obs ablate_calibration \
+            ablate_strategies";
         for n in kept.split_whitespace() {
             assert!(all.contains(&n), "{n} is missing");
         }
-        assert_eq!(all.len(), 19);
+        assert_eq!(all.len(), 17);
     }
 
     #[test]
@@ -394,9 +324,15 @@ mod tests {
 
     #[test]
     fn smoke_and_seed_parse() {
-        let (picked, opts) =
-            parse(args(&["ablate_soak", "--smoke", "--seed", "11", "--bench"])).unwrap();
-        assert_eq!(names(&picked), ["ablate_soak"]);
+        let (picked, opts) = parse(args(&[
+            "ablate_strategies",
+            "--smoke",
+            "--seed",
+            "11",
+            "--bench",
+        ]))
+        .unwrap();
+        assert_eq!(names(&picked), ["ablate_strategies"]);
         assert_eq!(
             opts,
             Opts {

@@ -86,28 +86,46 @@ pub fn figures_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/figures")
 }
 
-/// The workspace root — where the `ablate_*` gates write their
-/// `BENCH_*.json` snapshots so regression baselines live in version
-/// control next to the code they measure (unlike the figure dumps,
-/// which are scratch output under `target/`).
-pub fn repo_root_dir() -> PathBuf {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    dir.canonicalize().unwrap_or(dir)
+/// The reports `scripts/verify.sh` diffs against their committed copies:
+/// deterministic simulations, so a changed byte is a changed decision.
+/// They are the only ones the repo commits, at its root. Edit this list
+/// with verify.sh's, which names these files in the `git diff
+/// --exit-code` after its calibration and tournament steps and refuses
+/// every other root `BENCH_*` in its "only diffed BENCH files at the
+/// root" check.
+const DIFFED: [&str; 2] = ["BENCH_calibration.json", "BENCH_strategies.json"];
+
+/// Where report `file` goes: the repo root if it is one of the
+/// `DIFFED`, else `target/bench/`, where a timed run's report is a CI
+/// artifact and never a committed baseline.
+fn report_path(file: &str) -> PathBuf {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = root.canonicalize().unwrap_or(root);
+    if DIFFED.contains(&file) {
+        root.join(file)
+    } else {
+        root.join("target/bench").join(file)
+    }
 }
 
-/// Write `bytes` to `file` at the repo root; failures are reported to
+/// Write `bytes` to `file` at the repo root if it is one of the
+/// `DIFFED`, else under `target/bench/`; failures are reported to
 /// stderr, not fatal (a gate's exit code comes from its violations, not
 /// from filesystem luck).
-pub fn write_at_root(file: &str, bytes: &[u8]) {
-    let path = repo_root_dir().join(file);
-    match fs::write(&path, bytes) {
+pub fn write_report(file: &str, bytes: &[u8]) {
+    let path = report_path(file);
+    let written = path
+        .parent()
+        .map_or(Ok(()), fs::create_dir_all)
+        .and_then(|()| fs::write(&path, bytes));
+    match written {
         Ok(()) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
 }
 
 /// The one ending of every gate: print `report` as `render` lays it out,
-/// write it as pretty JSON to `BENCH_<name>.json` at the repo root, then
+/// write it as pretty JSON to `BENCH_<name>.json` ([`write_report`]), then
 /// either list `check`'s violations and exit 1, or print `ok`'s line.
 /// A gate's retry policy, if it has one, is applied to `report` before
 /// it gets here.
@@ -120,7 +138,7 @@ pub fn finish_gate<R: Serialize>(
 ) {
     println!("{}", render(report));
     let json = serde_json::to_vec_pretty(report).expect("serializable");
-    write_at_root(&format!("BENCH_{name}.json"), &json);
+    write_report(&format!("BENCH_{name}.json"), &json);
     let violations = check(report);
     if !violations.is_empty() {
         eprintln!("{name} gate violated:");
@@ -147,8 +165,8 @@ pub fn write_json(fig: &FigureResult) -> std::io::Result<PathBuf> {
 //
 // Every wall-clock gate in this crate fights the same enemy: transient
 // background load on the measuring box. The defense is the same three
-// moves everywhere, so they live here once (obs_bench and cycles use
-// all three, the soak gate the third):
+// moves everywhere, so they live here once (obs_bench uses all three,
+// `soak::run_checked` the third):
 //
 // 1. warm up, then take MANY short samples rather than few long windows;
 // 2. estimate with the lowest-quartile mean — noise is strictly
@@ -314,6 +332,20 @@ mod tests {
         let row = lines.next().unwrap();
         assert!(row.starts_with("4,2.3000,"), "{row}");
         assert_eq!(lines.count(), 1);
+    }
+
+    #[test]
+    fn only_the_diffed_reports_are_written_at_the_root() {
+        let root = report_path("BENCH_strategies.json");
+        assert_eq!(
+            report_path("BENCH_calibration.json").parent(),
+            root.parent()
+        );
+        let timed = report_path("BENCH_obs.json");
+        assert_eq!(
+            timed.parent(),
+            root.parent().map(|r| r.join("target/bench")).as_deref()
+        );
     }
 
     #[test]

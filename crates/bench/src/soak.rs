@@ -1,6 +1,6 @@
 //! Chaos soak: minutes of multi-tenant traffic over the mem fabric
 //! under a seeded plan that opens every kind of fault window, gated on SLOs
-//! (`nmad soak`, `ablate_soak`, `BENCH_soak.json`).
+//! (`nmad soak`; `nmad soak --check` is the gate).
 //!
 //! The unit tests each exercise one failure mode in isolation; the soak
 //! asks the question production asks: does the engine stay correct and
@@ -33,7 +33,6 @@ use nmad_model::platform;
 use nmad_sim::Xoshiro256StarStar;
 use nmad_transport_mem::{pair, Endpoint, FabricConfig, RecvHandle, SendHandle};
 use nmad_wire::ConnId;
-use serde::{ser, Serialize, Value};
 
 use crate::loadgen::{ArrivalSampler, LoopMode, TrafficSpec};
 
@@ -215,23 +214,7 @@ pub struct TenantOutcome {
     pub p999_us: u64,
 }
 
-impl Serialize for TenantOutcome {
-    fn to_value(&self) -> Value {
-        ser::object([
-            ("name", ser::v(&self.name)),
-            ("mode", ser::v(&self.mode)),
-            ("accepted", ser::v(&self.accepted)),
-            ("shed", ser::v(&self.shed)),
-            ("acked", ser::v(&self.acked)),
-            ("bytes_acked", ser::v(&self.bytes_acked)),
-            ("p50_us", ser::v(&self.p50_us)),
-            ("p99_us", ser::v(&self.p99_us)),
-            ("p999_us", ser::v(&self.p999_us)),
-        ])
-    }
-}
-
-/// The soak result — what `BENCH_soak.json` records.
+/// The soak result: what [`render`] prints and [`check`] gates.
 #[derive(Clone, Debug)]
 pub struct SoakReport {
     /// Seed that replays the run (traffic + fault plan).
@@ -299,8 +282,8 @@ pub struct SoakReport {
     pub outage_down_s: f64,
     /// First rail-1 drop storm, seconds into the run (-1 when clean).
     pub storm_at_s: f64,
-    /// Full JSONL telemetry time series from the sender — written as
-    /// its own artifact by callers, not serialized into the gate JSON.
+    /// Full JSONL telemetry time series from the sender (what `nmad
+    /// soak --out-timeseries` writes).
     pub telemetry_jsonl: Option<String>,
     /// Machine-readable watchdog verdict (same policy as the series).
     pub verdict_json: Option<String>,
@@ -321,61 +304,6 @@ pub struct AlertOutcome {
     pub value: f64,
     /// EWMA baseline at fire time.
     pub baseline: f64,
-}
-
-impl Serialize for AlertOutcome {
-    fn to_value(&self) -> Value {
-        ser::object([
-            ("kind", ser::v(&self.kind)),
-            ("window", ser::v(&self.window)),
-            ("t_s", ser::v(&self.t_s)),
-            ("rail", ser::v(&self.rail)),
-            ("value", ser::v(&self.value)),
-            ("baseline", ser::v(&self.baseline)),
-        ])
-    }
-}
-
-impl Serialize for SoakReport {
-    fn to_value(&self) -> Value {
-        ser::object([
-            ("seed", ser::v(&self.seed)),
-            ("duration_s", ser::v(&self.duration_s)),
-            ("windows", ser::v(&self.windows)),
-            ("time_scale", ser::v(&self.time_scale)),
-            ("tenants", ser::v(&self.tenants)),
-            (
-                "closed_msgs_per_window",
-                ser::v(&self.closed_msgs_per_window),
-            ),
-            ("head_rate_hz", ser::v(&self.head_rate_hz)),
-            ("tail_rate_hz", ser::v(&self.tail_rate_hz)),
-            ("decay_pct", ser::v(&self.decay_pct)),
-            ("p50_us", ser::v(&self.p50_us)),
-            ("p99_us", ser::v(&self.p99_us)),
-            ("p999_us", ser::v(&self.p999_us)),
-            ("retransmits", ser::v(&self.retransmits)),
-            ("tx_dropped", ser::v(&self.tx_dropped)),
-            ("rx_errors", ser::v(&self.rx_errors)),
-            ("shed_admission", ser::v(&self.shed_admission)),
-            ("pool_leaks_a", ser::v(&self.pool_leaks_a)),
-            ("pool_leaks_b", ser::v(&self.pool_leaks_b)),
-            ("stuck", ser::v(&self.stuck)),
-            ("dial_events", ser::v(&self.dial_events)),
-            ("outage_count", ser::v(&self.outage_count)),
-            ("heal_at_s", ser::v(&self.heal_at_s)),
-            ("p99_ceiling_us", ser::v(&self.p99_ceiling_us)),
-            ("p999_ceiling_us", ser::v(&self.p999_ceiling_us)),
-            ("max_decay_pct", ser::v(&self.max_decay_pct)),
-            ("chaos", ser::v(&self.chaos)),
-            ("telemetry_window_s", ser::v(&self.telemetry_window_s)),
-            ("telemetry_windows", ser::v(&self.telemetry_windows)),
-            ("alerts", ser::v(&self.alerts)),
-            ("watchdog_clean", ser::v(&self.watchdog_clean)),
-            ("outage_down_s", ser::v(&self.outage_down_s)),
-            ("storm_at_s", ser::v(&self.storm_at_s)),
-        ])
-    }
 }
 
 /// Fast-failure health so the soak's RTOs and probes fit the run length
@@ -682,10 +610,31 @@ fn pct_us(sorted_ns: &[u64], q: f64) -> u64 {
     sorted_ns[idx] / 1_000
 }
 
-/// SLO gate. Empty = pass. Latency and decay messages carry "timing"
-/// so the bench main can classify load-sensitive failures for its
-/// retry-once policy; the ledger gates (leaks, stuck) are deterministic
-/// and never retried.
+/// Run one soak under its SLO gate: latency, window throughput and the
+/// watchdog's detection ride the wall clock, so a run whose only
+/// violations are timing ones (the ledger gates are deterministic)
+/// soaks once more, after a pause for transient load to drain, and the
+/// second run is kept if it clears them. `nmad soak --check` runs this.
+pub fn run_checked(spec: &SoakSpec) -> SoakReport {
+    let timing_only = |r: &SoakReport| {
+        let v = check(r);
+        !v.is_empty() && v.iter().all(|s| s.starts_with("timing:"))
+    };
+    crate::report::retry_once_on_timing(
+        "soak",
+        run(spec),
+        timing_only,
+        || {
+            thread::sleep(Duration::from_secs(2));
+            run(spec)
+        },
+        |second, _| !timing_only(second),
+    )
+}
+
+/// SLO gate. Empty = pass. Load-sensitive messages start with
+/// "timing:", which [`run_checked`] retries once; the ledger gates
+/// (leaks, stuck) are deterministic and never retried.
 pub fn check(r: &SoakReport) -> Vec<String> {
     let mut v = Vec::new();
     if r.stuck > 0 {
@@ -948,9 +897,8 @@ mod tests {
             "chaos had no effect: {}",
             render(&r)
         );
-        // The report replays: serialization carries the seed.
-        let json = serde_json::to_string(&r).expect("serializable");
-        assert!(json.contains("\"seed\""));
+        // The report replays: what it prints carries the seed.
+        assert!(render(&r).contains("seed 5 "), "{}", render(&r));
     }
 
     /// The watchdog correctness gate in miniature: the rail-0 outage

@@ -225,7 +225,7 @@ fn json_fields(out: &mut String, scope: Scope, stats: &EngineStats, rail: usize,
 /// counted in it, every engine metric, and `rails`, one object of every
 /// rail metric per rail. The interchange format of the soak's
 /// `--out-timeseries` artifact and of `ablate_obs`'
-/// `BENCH_obs_timeseries.jsonl`.
+/// `target/bench/BENCH_obs_timeseries.jsonl` CI artifact.
 pub fn windows_jsonl(agg: &TelemetryAggregator) -> String {
     let mut out = String::new();
     for w in agg.windows() {

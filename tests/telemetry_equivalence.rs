@@ -206,9 +206,10 @@ fn windows_add_up_to_what_the_recorder_saw() {
     }
 }
 
-/// The keys every line of `BENCH_obs_timeseries.jsonl` carried before the
-/// exporters were derived from the metric table: the artifact's readers
-/// keep them, each with its meaning.
+/// The keys every line of the telemetry series (`nmad soak
+/// --out-timeseries`, `ablate_obs`' `target/bench/BENCH_obs_timeseries.jsonl`)
+/// carried before the exporters were derived from the metric table: the
+/// series' readers keep them, each with its meaning.
 const SERIES_KEYS: [&str; 15] = [
     "ordinal",
     "start_ns",
